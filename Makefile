@@ -26,8 +26,10 @@ test-race:
 # no trace. The cross-process guards extend this across the tier: an
 # unsampled routed request must emit no X-SNode-Trace header and pay
 # zero allocations for the propagation machinery at the router, the
-# shard server, and the header codec. Run with -count=1 so the guard
-# always executes.
+# shard server, and the header codec. The decode guard pins every
+# codec's whole-graph decode to a constant number of allocations (plus
+# one per 4096-ID arena chunk for codec/paper): a return to per-list
+# growth trips it. Run with -count=1 so the guard always executes.
 check-overhead:
 	$(GO) test -count=1 -run 'TestUntracedTracingAddsNoAllocs' ./internal/query
 	$(GO) test -count=1 -run 'TestUntracedPrimitivesZeroAlloc' ./internal/trace
@@ -84,10 +86,17 @@ test-obs:
 # IDs recorded and dispatched), the v1-artifact compatibility and
 # future-version rejection suite, hostile-input decode over flipped
 # payload bytes, codec flow through sharded builds, and the snbench
-# registry check that `-experiment codecs` resolves. Run with -count=1
-# so the gate always executes.
+# registry check that `-experiment codecs` resolves; below the codecs,
+# the windowed bit reader against its bit-at-a-time reference and
+# refenc's hostile-count and arena guards; above them, the two-state
+# superedge entry (rows equal the CSR under every codec and budget,
+# cache accounting across the replacement, a damaged list section
+# failing only its readers). Run with -count=1 so the gate always
+# executes.
 test-codec:
-	$(GO) test -count=1 -run 'TestCodec|FuzzCodecRoundTrip|FuzzDecodeHostile|TestCorruptIndexAllCodecs|TestMeasureDecode|TestLegacyMetaV1ServesAsPaper|TestUnknown' ./internal/snode
+	$(GO) test -count=1 -run 'TestReaderMatchesBitAtATimeReference|TestUnaryZeroTailOverruns' ./internal/bitio
+	$(GO) test -count=1 -run 'TestDecodeRejects|TestDecodeAcceptsZeroBitFinalValue|TestDecodeListsAreExactSizedArenaSlices|TestReadRunRejectsOverflowGap' ./internal/refenc
+	$(GO) test -count=1 -run 'TestCodec|FuzzCodecRoundTrip|FuzzDecodeHostile|TestCorruptIndexAllCodecs|TestMeasureDecode|TestLegacyMetaV1ServesAsPaper|TestUnknown|TestSourcesFirst|TestSourcesOnly|TestVerifyLeavesMaterializedEntries|TestMaterialized|TestCorruptListSection' ./internal/snode
 	$(GO) test -count=1 -run 'TestCodecQueryEquivalence' ./internal/query
 	$(GO) test -count=1 -run 'TestShardBuildCarriesCodec' ./internal/shard
 	$(GO) test -count=1 -run 'TestRegistryEntriesAreWellFormed' ./cmd/snbench

@@ -10,8 +10,10 @@
 package bitio
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // ErrOverrun is returned by Reader methods when a read extends past the
@@ -136,7 +138,13 @@ func (w *Writer) AppendTo(dst []byte) []byte {
 	return dst
 }
 
-// Reader consumes bits MSB-first from a byte slice.
+// Reader consumes bits MSB-first from a byte slice. Multi-bit reads go
+// through a 64-bit big-endian window loaded at the current position, so
+// a unary run is one leading-zero count and a fixed-width field one
+// shift, whatever their length. The window is recomputed from pos on
+// every read: there is no buffered state for Seek or Reset to
+// invalidate. Bits at or past the stream length are never returned,
+// even when the buffer holds non-zero bytes there.
 type Reader struct {
 	buf []byte
 	pos int // bit position from start
@@ -180,6 +188,28 @@ func (r *Reader) Seek(bitPos int) error {
 	return nil
 }
 
+// windowBits is how many bits of a window are always stream bits: the
+// window starts at the byte holding pos, so up to 7 of its 64 bits lie
+// before pos and are shifted out.
+const windowBits = 57
+
+// window returns the stream from pos on, left-aligned: bit 63 is the
+// bit at pos. At least windowBits bits are stream bits (zero-filled
+// past the end of the buffer); the low pos&7 bits are shifted-in
+// zeros. Callers bound what they use by r.n.
+func (r *Reader) window() uint64 {
+	i := r.pos >> 3
+	var w uint64
+	if i+8 <= len(r.buf) {
+		w = binary.BigEndian.Uint64(r.buf[i:])
+	} else {
+		for k, b := range r.buf[i:] {
+			w |= uint64(b) << (56 - 8*uint(k))
+		}
+	}
+	return w << uint(r.pos&7)
+}
+
 // ReadBit reads a single bit.
 func (r *Reader) ReadBit() (uint, error) {
 	if r.pos >= r.n {
@@ -205,45 +235,39 @@ func (r *Reader) ReadBits(n uint) (uint64, error) {
 	if r.pos+int(n) > r.n {
 		return 0, ErrOverrun
 	}
-	var v uint64
-	rem := n
-	for rem > 0 {
-		byteIdx := r.pos >> 3
-		bitOff := uint(r.pos & 7)
-		avail := 8 - bitOff
-		take := rem
-		if take > avail {
-			take = avail
-		}
-		chunk := uint64(r.buf[byteIdx]>>(avail-take)) & (1<<take - 1)
-		v = v<<take | chunk
-		r.pos += int(take)
-		rem -= take
+	var hi uint64
+	if n > windowBits {
+		// Wider than one window guarantees: take the top n-32 bits
+		// first, then fall through for the low 32.
+		hi = r.window() >> (64 - (n - 32)) << 32
+		r.pos += int(n - 32)
+		n = 32
 	}
-	return v, nil
+	v := r.window() >> (64 - n) // n == 0 shifts everything out
+	r.pos += int(n)
+	return hi | v, nil
 }
 
 // ReadUnary reads a unary-coded value: the count of zero bits before the
 // next one bit.
 func (r *Reader) ReadUnary() (uint64, error) {
-	var v uint64
-	for {
-		if r.pos >= r.n {
-			return 0, ErrOverrun
-		}
-		// Fast path: scan a whole byte of zeros at once when aligned.
-		if r.pos&7 == 0 && r.pos+8 <= r.n && r.buf[r.pos>>3] == 0 {
-			v += 8
-			r.pos += 8
-			continue
-		}
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		if b == 1 {
+	start := r.pos
+	for r.pos < r.n {
+		w := r.window()
+		if w != 0 {
+			// The shifted-in low bits are zero, so the first one bit of
+			// a non-zero window is a buffer bit; it may still lie past
+			// the stream length.
+			r.pos += bits.LeadingZeros64(w)
+			if r.pos >= r.n {
+				break
+			}
+			v := uint64(r.pos - start)
+			r.pos++
 			return v, nil
 		}
-		v++
+		r.pos += 64 - r.pos&7 // all stream bits of the window were zero
 	}
+	r.pos = start
+	return 0, ErrOverrun
 }

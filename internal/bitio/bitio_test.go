@@ -248,3 +248,186 @@ func BenchmarkReadBits(b *testing.B) {
 		}
 	}
 }
+
+// refReader is the bit-at-a-time reader the windowed Reader replaced,
+// kept as the reference the property test below compares against. It
+// touches one byte per step and never looks at a bit at or past n.
+type refReader struct {
+	buf []byte
+	pos int
+	n   int
+}
+
+func (r *refReader) seek(bitPos int) error {
+	if bitPos < 0 || bitPos > r.n {
+		return ErrOverrun
+	}
+	r.pos = bitPos
+	return nil
+}
+
+func (r *refReader) readBit() (uint, error) {
+	if r.pos >= r.n {
+		return 0, ErrOverrun
+	}
+	b := r.buf[r.pos>>3] >> (7 - uint(r.pos&7)) & 1
+	r.pos++
+	return uint(b), nil
+}
+
+func (r *refReader) readBits(n uint) (uint64, error) {
+	if r.pos+int(n) > r.n {
+		return 0, ErrOverrun
+	}
+	var v uint64
+	for ; n > 0; n-- {
+		b, _ := r.readBit()
+		v = v<<1 | uint64(b)
+	}
+	return v, nil
+}
+
+func (r *refReader) readUnary() (uint64, error) {
+	var v uint64
+	for {
+		b, err := r.readBit()
+		if err != nil {
+			return 0, err
+		}
+		if b == 1 {
+			return v, nil
+		}
+		v++
+	}
+}
+
+// randomStream draws a buffer and a stream length over it. The shapes
+// are the ones a 64-bit window can get wrong: buffers shorter than a
+// window, lengths that stop mid-byte, long zero runs (unary scans that
+// cross several windows), and set bits past the stream length that must
+// never be seen.
+func randomStream(rng *rand.Rand) ([]byte, int) {
+	buf := make([]byte, rng.Intn(40))
+	switch rng.Intn(3) {
+	case 0: // dense noise
+		rng.Read(buf)
+	case 1: // sparse: long zero runs between single set bits
+		for i := range buf {
+			if rng.Intn(6) == 0 {
+				buf[i] = 1 << uint(rng.Intn(8))
+			}
+		}
+	default: // noise with an all-zero tail
+		rng.Read(buf[:len(buf)/2])
+	}
+	nBits := len(buf) * 8
+	if nBits > 0 && rng.Intn(2) == 0 {
+		nBits = rng.Intn(nBits + 1)
+	}
+	if rng.Intn(2) == 0 {
+		// Garbage past the stream length, in the last partial byte and
+		// in the whole bytes after it.
+		for i := nBits; i < len(buf)*8; i++ {
+			buf[i>>3] |= 1 << (7 - uint(i&7))
+		}
+	}
+	return buf, nBits
+}
+
+// TestReaderMatchesBitAtATimeReference drives the windowed Reader and
+// the reference through the same random operation sequences over random
+// streams: every operation must agree on error vs success, on the value
+// read, and on the position afterwards. After a failed read the two are
+// re-aligned with a Seek (the reference's unary scan stops wherever it
+// ran out; the Reader does not move on failure).
+func TestReaderMatchesBitAtATimeReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for trial := 0; trial < 4000; trial++ {
+		buf, nBits := randomStream(rng)
+		got := NewReader(buf, nBits)
+		want := &refReader{buf: buf, n: nBits}
+		for op := 0; op < 60; op++ {
+			var gv, wv uint64
+			var gerr, werr error
+			var what string
+			switch rng.Intn(5) {
+			case 0:
+				what = "ReadBit"
+				var gb, wb uint
+				gb, gerr = got.ReadBit()
+				wb, werr = want.readBit()
+				gv, wv = uint64(gb), uint64(wb)
+			case 1, 2:
+				n := uint(rng.Intn(65))
+				what = "ReadBits"
+				gv, gerr = got.ReadBits(n)
+				wv, werr = want.readBits(n)
+			case 3:
+				what = "ReadUnary"
+				gv, gerr = got.ReadUnary()
+				wv, werr = want.readUnary()
+			default:
+				to := rng.Intn(nBits+3) - 1 // -1 and nBits+1 must fail
+				what = "Seek"
+				gerr = got.Seek(to)
+				werr = want.seek(to)
+			}
+			if (gerr == nil) != (werr == nil) {
+				t.Fatalf("trial %d op %d %s at bit %d of %d (buffer % x): error %v, reference %v",
+					trial, op, what, want.pos, nBits, buf, gerr, werr)
+			}
+			if gerr != nil {
+				if gerr != ErrOverrun {
+					t.Fatalf("trial %d op %d %s: error %v, want ErrOverrun", trial, op, what, gerr)
+				}
+				if err := want.seek(got.Pos()); err != nil {
+					t.Fatalf("trial %d op %d %s: position %d after a failed read is outside the stream", trial, op, what, got.Pos())
+				}
+				continue
+			}
+			if gv != wv || got.Pos() != want.pos {
+				t.Fatalf("trial %d op %d %s on %d bits (buffer % x): value %d at bit %d, reference %d at bit %d",
+					trial, op, what, nBits, buf, gv, got.Pos(), wv, want.pos)
+			}
+		}
+	}
+}
+
+// TestUnaryZeroTailOverruns pins the one way a unary scan ends without
+// a value: every remaining bit is zero, at every alignment and across
+// several windows, with a set bit just past the stream length.
+func TestUnaryZeroTailOverruns(t *testing.T) {
+	for size := 0; size <= 24; size++ {
+		for nBits := 0; nBits <= size*8; nBits++ {
+			buf := make([]byte, size)
+			if nBits < size*8 {
+				buf[nBits>>3] |= 1 << (7 - uint(nBits&7))
+			}
+			for from := 0; from <= nBits; from += 5 {
+				r := NewReader(buf, nBits)
+				if err := r.Seek(from); err != nil {
+					t.Fatal(err)
+				}
+				if v, err := r.ReadUnary(); err != ErrOverrun {
+					t.Fatalf("%d zero bits from bit %d of a %d-byte buffer: ReadUnary = %d, %v; want ErrOverrun", nBits-from, from, size, v, err)
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkReadUnary(b *testing.B) {
+	w := NewWriter(1 << 16)
+	rng := rand.New(rand.NewSource(1))
+	for w.BitLen() < 1<<18 {
+		w.WriteUnary(uint64(rng.Intn(12)))
+	}
+	buf, nBits := w.Bytes(), w.BitLen()
+	r := NewReader(buf, nBits)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.ReadUnary(); err != nil {
+			r.Reset(buf, nBits)
+		}
+	}
+}

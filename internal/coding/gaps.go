@@ -130,7 +130,8 @@ func WriteRLEBits(w *bitio.Writer, bitVec []bool) {
 }
 
 // ReadRLEBits decodes n bits written by WriteRLEBits into dst (which is
-// truncated and reused if large enough).
+// truncated and reused if large enough, and grown by doubling if not, so
+// a caller that passes its last result back allocates O(log n) times).
 func ReadRLEBits(r *bitio.Reader, n int, dst []bool) ([]bool, error) {
 	dst = dst[:0]
 	if n == 0 {
@@ -140,6 +141,9 @@ func ReadRLEBits(r *bitio.Reader, n int, dst []bool) ([]bool, error) {
 	if err != nil {
 		return dst, err
 	}
+	if cap(dst) < n {
+		dst = make([]bool, 0, max(n, 2*cap(dst)))
+	}
 	for len(dst) < n {
 		run, err := ReadGamma(r)
 		if err != nil {
@@ -148,8 +152,10 @@ func ReadRLEBits(r *bitio.Reader, n int, dst []bool) ([]bool, error) {
 		if run > uint64(n-len(dst)) {
 			return dst, ErrBadCode
 		}
-		for j := uint64(0); j < run; j++ {
-			dst = append(dst, cur)
+		filled := len(dst)
+		dst = dst[:filled+int(run)]
+		for j := filled; j < len(dst); j++ {
+			dst[j] = cur
 		}
 		cur = !cur
 	}

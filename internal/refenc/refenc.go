@@ -253,54 +253,6 @@ func writeRun(w *bitio.Writer, list []int32, bound uint64, gc GapCode) {
 	}
 }
 
-// readRun decodes n values written by writeRun, appending to dst. When
-// bound is positive every decoded value is validated against [0, bound)
-// as it is produced — a minimal binary first value cannot escape, but a
-// corrupt gap can push the running sum past the bound (or wrap int32),
-// and fusing the check into the decode loop replaces the second O(E)
-// validation pass callers used to make over every decoded graph.
-func readRun(r *bitio.Reader, n int, bound uint64, gc GapCode, dst []int32) ([]int32, error) {
-	if n == 0 {
-		return dst, nil
-	}
-	var cur int32
-	if bound > 0 {
-		v, err := coding.ReadMinimalBinary(r, bound)
-		if err != nil {
-			return dst, err
-		}
-		cur = int32(v)
-	} else {
-		v, err := coding.ReadGamma(r)
-		if err != nil {
-			return dst, err
-		}
-		cur = int32(v - 1)
-	}
-	dst = append(dst, cur)
-	for i := 1; i < n; i++ {
-		d, err := gc.read(r)
-		if err != nil {
-			return dst, err
-		}
-		if bound > 0 {
-			// d spans the full uint64 range, so int64(d) can be negative
-			// or wrap the sum past MaxInt64 (which lands negative, since
-			// cur is non-negative); nv < 0 || nv >= bound rejects every
-			// corrupt gap.
-			nv := int64(cur) + int64(d)
-			if nv < 0 || nv >= int64(bound) {
-				return dst, fmt.Errorf("refenc: gap %d escapes run bound [0,%d)", d, bound)
-			}
-			cur = int32(nv)
-		} else {
-			cur += int32(d)
-		}
-		dst = append(dst, cur)
-	}
-	return dst, nil
-}
-
 func writeOneList(w *bitio.Writer, ref, list []int32, bound uint64, gc GapCode) {
 	if ref == nil {
 		coding.WriteGamma0(w, uint64(len(list)))
@@ -315,43 +267,186 @@ func writeOneList(w *bitio.Writer, ref, list []int32, bound uint64, gc GapCode) 
 	writeRun(w, extras[:nExtra], bound, gc)
 }
 
-func readOneList(r *bitio.Reader, ref []int32, bound uint64, gc GapCode, dst []int32) ([]int32, error) {
-	if ref == nil {
-		deg, err := coding.ReadGamma0(r)
-		if err != nil {
-			return nil, err
+// listDecoder is the state one DecodeListsBounded call shares between
+// its lists: the stream and its parameters, the arena the decoded lists
+// are cut from, and the scratch a referenced list needs while it is
+// merged. Decoding a graph therefore allocates per arena chunk, not per
+// list.
+type listDecoder struct {
+	r     *bitio.Reader
+	bound uint64
+	gc    GapCode
+
+	chunk  []int32 // unused tail of the current arena chunk
+	start  int     // bit position of the first list
+	ids    int     // IDs of the lists decoded so far
+	bits   []bool  // copy bit-vector of the list being decoded
+	extras []int32 // its extra targets, before the merge
+}
+
+// An arena chunk is sized to hold the rest of the graph: the bits still
+// unread at the bits-per-ID the lists decoded so far have cost (plus an
+// eighth), or at arenaBitsPerID before any has been decoded — about
+// what gap-coded lists cost. A typical graph takes one or two chunks.
+// The clamp bounds a chunk's unused tail, which the cache's size
+// accounting does not see.
+const (
+	arenaBitsPerID = 8
+	arenaMinChunk  = 16
+	arenaMaxChunk  = 4096
+)
+
+func (d *listDecoder) chunkSize(decoded int) int {
+	left := d.r.Remaining()
+	size := left / arenaBitsPerID
+	if used := d.r.Pos() - d.start; decoded > 0 && used > 0 {
+		size = int(int64(left) * int64(decoded) / int64(used))
+		size += size / 8
+	}
+	return min(max(size, arenaMinChunk), arenaMaxChunk)
+}
+
+// alloc returns an exact-sized slice for an n-ID list. Callers have
+// already checked n against the bits left to read (readCount), so a
+// hostile count cannot ask for more than the stream could fill.
+func (d *listDecoder) alloc(n int) []int32 {
+	if n == 0 {
+		return nil
+	}
+	decoded := d.ids
+	d.ids += n
+	if n > len(d.chunk) {
+		size := d.chunkSize(decoded)
+		if n >= size {
+			// Too long to share a chunk: its own allocation, and the
+			// current chunk keeps serving the short lists around it.
+			return make([]int32, n)
 		}
-		return readRun(r, int(deg), bound, gc, dst[:0])
+		d.chunk = make([]int32, size)
 	}
-	bits, err := coding.ReadRLEBits(r, len(ref), nil)
+	out := d.chunk[:n:n]
+	d.chunk = d.chunk[n:]
+	return out
+}
+
+// readRun fills dst with the len(dst) values of a run written by
+// writeRun. When bound is positive every decoded value is validated
+// against [0, bound) as it is produced — a minimal binary first value
+// cannot escape, but a corrupt gap can push the running sum past the
+// bound (or wrap int32), and fusing the check into the decode loop
+// spares callers a second O(E) validation pass over every decoded
+// graph.
+func (d *listDecoder) readRun(dst []int32) error {
+	if len(dst) == 0 {
+		return nil
+	}
+	var cur int32
+	if d.bound > 0 {
+		v, err := coding.ReadMinimalBinary(d.r, d.bound)
+		if err != nil {
+			return err
+		}
+		cur = int32(v)
+	} else {
+		v, err := coding.ReadGamma(d.r)
+		if err != nil {
+			return err
+		}
+		cur = int32(v - 1)
+	}
+	dst[0] = cur
+	for i := 1; i < len(dst); i++ {
+		gap, err := d.gc.read(d.r)
+		if err != nil {
+			return err
+		}
+		if d.bound > 0 {
+			// gap spans the full uint64 range, so int64(gap) can be
+			// negative or wrap the sum past MaxInt64 (which lands
+			// negative, since cur is non-negative); nv < 0 || nv >= bound
+			// rejects every corrupt gap.
+			nv := int64(cur) + int64(gap)
+			if nv < 0 || nv >= int64(d.bound) {
+				return fmt.Errorf("refenc: gap %d escapes run bound [0,%d)", gap, d.bound)
+			}
+			cur = int32(nv)
+		} else {
+			cur += int32(gap)
+		}
+		dst[i] = cur
+	}
+	return nil
+}
+
+// readCount reads a gamma0-coded degree or extra count and rejects one
+// the rest of the stream cannot hold, before anything is allocated for
+// it: every value of a run but the first costs at least one bit, and
+// the first costs none under bound 1. The check also keeps the
+// conversion to int safe — a count of 2^63 or more would turn negative
+// and decode as an empty run.
+func (d *listDecoder) readCount() (int, error) {
+	n, err := coding.ReadGamma0(d.r)
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(d.r.Remaining())+1 {
+		return 0, fmt.Errorf("refenc: %d values claimed with %d bits left", n, d.r.Remaining())
+	}
+	return int(n), nil
+}
+
+// readDirect decodes a list stored without a reference: {degree,
+// gap-coded targets}.
+func (d *listDecoder) readDirect() ([]int32, error) {
+	deg, err := d.readCount()
 	if err != nil {
 		return nil, err
 	}
-	nExtra, err := coding.ReadGamma0(r)
+	out := d.alloc(deg)
+	return out, d.readRun(out)
+}
+
+// readReferenced decodes a list stored against ref: {RLE copy
+// bit-vector over ref, extra count, gap-coded extras}.
+func (d *listDecoder) readReferenced(ref []int32) ([]int32, error) {
+	var err error
+	if d.bits, err = coding.ReadRLEBits(d.r, len(ref), d.bits); err != nil {
+		return nil, err
+	}
+	nExtra, err := d.readCount()
 	if err != nil {
 		return nil, err
 	}
-	extras, err := readRun(r, int(nExtra), bound, gc, nil)
-	if err != nil {
+	if cap(d.extras) < nExtra {
+		d.extras = make([]int32, max(nExtra, 2*cap(d.extras)))
+	}
+	extras := d.extras[:nExtra]
+	if err := d.readRun(extras); err != nil {
 		return nil, err
+	}
+	nShared := 0
+	for _, b := range d.bits {
+		if b {
+			nShared++
+		}
 	}
 	// Merge selected reference entries with extras (both sorted, and
 	// disjoint by construction).
-	out := dst[:0]
-	ei := 0
-	for i, b := range bits {
+	out := d.alloc(nShared + nExtra)
+	k, ei := 0, 0
+	for i, b := range d.bits {
 		if !b {
 			continue
 		}
-		for ei < len(extras) && extras[ei] < ref[i] {
-			out = append(out, extras[ei])
+		for ei < nExtra && extras[ei] < ref[i] {
+			out[k] = extras[ei]
+			k++
 			ei++
 		}
-		out = append(out, ref[i])
+		out[k] = ref[i]
+		k++
 	}
-	for ; ei < len(extras); ei++ {
-		out = append(out, extras[ei])
-	}
+	copy(out[k:], extras[ei:])
 	return out, nil
 }
 
@@ -400,7 +495,9 @@ func DecodeLists(r *bitio.Reader, m int) ([][]int32, error) {
 }
 
 // DecodeListsBounded reads m lists previously written by EncodeLists
-// with the given TargetBound (0 = unbounded).
+// with the given TargetBound (0 = unbounded). The returned lists are
+// exact-sized slices of shared arena chunks; they are never appended
+// to.
 func DecodeListsBounded(r *bitio.Reader, m int, bound uint64) ([][]int32, error) {
 	exact, err := r.ReadBool()
 	if err != nil {
@@ -410,9 +507,9 @@ func DecodeListsBounded(r *bitio.Reader, m int, bound uint64) ([][]int32, error)
 	if err != nil {
 		return nil, err
 	}
-	gc := GapCode(gcBits)
+	d := &listDecoder{r: r, bound: bound, gc: GapCode(gcBits), start: r.Pos()}
 	if exact {
-		return decodeExact(r, m, bound, gc)
+		return d.decodeExact(m)
 	}
 	lists := make([][]int32, m)
 	for i := 0; i < m; i++ {
@@ -420,19 +517,19 @@ func DecodeListsBounded(r *bitio.Reader, m int, bound uint64) ([][]int32, error)
 		if err != nil {
 			return nil, err
 		}
-		var ref []int32
-		if off != 0 {
-			j := i - int(off)
-			if j < 0 {
-				return nil, fmt.Errorf("refenc: list %d references out of range", i)
-			}
-			ref = lists[j]
+		switch {
+		case off == 0:
+			lists[i], err = d.readDirect()
+		case off > uint64(i):
+			// Compared unsigned: a designator of 2^63 or more would turn
+			// negative as an int and index past the lists decoded so far.
+			return nil, fmt.Errorf("refenc: list %d references out of range", i)
+		default:
+			lists[i], err = d.readReferenced(lists[i-int(off)])
 		}
-		lst, err := readOneList(r, ref, bound, gc, nil)
 		if err != nil {
 			return nil, err
 		}
-		lists[i] = lst
 	}
 	return lists, nil
 }
@@ -502,12 +599,12 @@ func encodeExact(w *bitio.Writer, lists [][]int32, bound uint64, gc GapCode) (St
 	return st, nil
 }
 
-func decodeExact(r *bitio.Reader, m int, bound uint64, gc GapCode) ([][]int32, error) {
+func (d *listDecoder) decodeExact(m int) ([][]int32, error) {
 	lists := make([][]int32, m)
 	decodedByPos := make([][]int32, m)
 	seen := make([]bool, m)
 	for pos := 0; pos < m; pos++ {
-		vi, err := coding.ReadMinimalBinary(r, uint64(m))
+		vi, err := coding.ReadMinimalBinary(d.r, uint64(m))
 		if err != nil {
 			return nil, err
 		}
@@ -516,19 +613,21 @@ func decodeExact(r *bitio.Reader, m int, bound uint64, gc GapCode) ([][]int32, e
 			return nil, fmt.Errorf("refenc: node %d decoded twice", v)
 		}
 		seen[v] = true
-		back, err := coding.ReadGamma0(r)
+		back, err := coding.ReadGamma0(d.r)
 		if err != nil {
 			return nil, err
 		}
-		var ref []int32
-		if back != 0 {
-			p := pos - int(back)
-			if p < 0 {
-				return nil, fmt.Errorf("refenc: position %d references out of range", pos)
-			}
-			ref = decodedByPos[p]
+		var lst []int32
+		switch {
+		case back == 0:
+			lst, err = d.readDirect()
+		case back > uint64(pos):
+			// Unsigned for the same reason as the window strategy's
+			// designator.
+			return nil, fmt.Errorf("refenc: position %d references out of range", pos)
+		default:
+			lst, err = d.readReferenced(decodedByPos[pos-int(back)])
 		}
-		lst, err := readOneList(r, ref, bound, gc, nil)
 		if err != nil {
 			return nil, err
 		}

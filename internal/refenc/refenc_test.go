@@ -1,6 +1,7 @@
 package refenc
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -369,8 +370,9 @@ func TestReadRunRejectsOverflowGap(t *testing.T) {
 		coding.WriteMinimalBinary(w, 0, 1)
 		coding.WriteGamma(w, gap)
 		r := bitio.NewReader(w.Bytes(), w.BitLen())
-		got, err := readRun(r, 2, 1, GapGamma, nil)
-		if err == nil {
+		d := &listDecoder{r: r, bound: 1, gc: GapGamma}
+		got := make([]int32, 2)
+		if err := d.readRun(got); err == nil {
 			t.Fatalf("gap %d under bound 1 accepted: %v", gap, got)
 		}
 	}
@@ -390,5 +392,126 @@ func TestDecodeListsBoundedRejectsOverflowGap(t *testing.T) {
 	r := bitio.NewReader(w.Bytes(), w.BitLen())
 	if lists, err := DecodeListsBounded(r, 1, 1); err == nil {
 		t.Fatalf("overflow gap accepted: %v", lists)
+	}
+}
+
+// header writes the strategy bit and gap code every encoded graph
+// starts with.
+func header(w *bitio.Writer, exact bool) {
+	w.WriteBool(exact)
+	w.WriteBits(uint64(GapGamma), 2)
+}
+
+// A reference designator of 2^63 or more turns negative as an int, so
+// i - int(off) lands above i and passed the old j < 0 check: list 0
+// with off = 2^64-2 indexed lists[2] of a one-list graph and panicked.
+// Both strategies must reject it as an error.
+func TestDecodeRejectsHugeReferenceDesignator(t *testing.T) {
+	for _, off := range []uint64{1 << 63, 1<<64 - 2} {
+		w := bitio.NewWriter(0)
+		header(w, false)
+		coding.WriteGamma0(w, off) // list 0 references list 0-off
+		coding.WriteGamma0(w, 0)
+		if lists, err := DecodeListsBounded(bitio.NewReader(w.Bytes(), w.BitLen()), 1, 0); err == nil {
+			t.Fatalf("window designator %d accepted: %v", off, lists)
+		}
+
+		w = bitio.NewWriter(0)
+		header(w, true)
+		coding.WriteMinimalBinary(w, 0, 1) // node index of position 0
+		coding.WriteGamma0(w, off)         // position 0 references position 0-off
+		coding.WriteGamma0(w, 0)
+		if lists, err := DecodeListsBounded(bitio.NewReader(w.Bytes(), w.BitLen()), 1, 0); err == nil {
+			t.Fatalf("exact designator %d accepted: %v", off, lists)
+		}
+	}
+}
+
+// A degree or extra count of 2^63 or more turned negative as an int,
+// the run loop never ran, and a one-value list came back as success.
+// The count is now checked against the bits left to read, which also
+// stops any count the stream cannot hold before memory is allocated
+// for it.
+func TestDecodeRejectsCountBeyondStream(t *testing.T) {
+	for _, count := range []uint64{1 << 63, 1<<64 - 2, 1 << 40, 200} {
+		// A direct list claiming count values, with bits for only a few.
+		w := bitio.NewWriter(0)
+		header(w, false)
+		coding.WriteGamma0(w, 0)
+		coding.WriteGamma0(w, count)
+		coding.WriteGamma(w, 3)
+		coding.WriteGamma(w, 1)
+		if lists, err := DecodeListsBounded(bitio.NewReader(w.Bytes(), w.BitLen()), 1, 0); err == nil {
+			t.Fatalf("degree %d accepted: %v", count, lists)
+		}
+
+		// A referenced list claiming count extras.
+		w = bitio.NewWriter(0)
+		header(w, false)
+		coding.WriteGamma0(w, 0) // list 0: direct, [2]
+		coding.WriteGamma0(w, 1)
+		coding.WriteGamma(w, 3)
+		coding.WriteGamma0(w, 1) // list 1: references list 0
+		coding.WriteRLEBits(w, []bool{true})
+		coding.WriteGamma0(w, count)
+		coding.WriteGamma(w, 1)
+		if lists, err := DecodeListsBounded(bitio.NewReader(w.Bytes(), w.BitLen()), 2, 0); err == nil {
+			t.Fatalf("extra count %d accepted: %v", count, lists)
+		}
+	}
+}
+
+// The count check allows one value more than there are bits left: under
+// bound 1 the only possible value is coded in zero bits, so a list [0]
+// that ends the stream has a count of 1 and nothing after it.
+func TestDecodeAcceptsZeroBitFinalValue(t *testing.T) {
+	lists := [][]int32{{0}, {}, {0}}
+	w := bitio.NewWriter(0)
+	if _, err := EncodeLists(w, lists, Options{TargetBound: 1}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeListsBounded(bitio.NewReader(w.Bytes(), w.BitLen()), len(lists), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range lists {
+		if !slices.Equal(got[i], lists[i]) {
+			t.Fatalf("list %d: got %v, want %v", i, got[i], lists[i])
+		}
+	}
+}
+
+// Decoded lists share arena chunks, so each must be cut to its exact
+// size: an append to one list must reallocate rather than write into
+// its neighbour, and decoding must not cost an allocation per list.
+func TestDecodeListsAreExactSizedArenaSlices(t *testing.T) {
+	rng := randutil.NewRNG(31)
+	lists := randomLists(rng, 200)
+	for _, opt := range []Options{{Window: 8}, {Window: 8, TargetBound: 1 << 20}, {Exact: true}} {
+		w := bitio.NewWriter(0)
+		if _, err := EncodeLists(w, lists, opt); err != nil {
+			t.Fatal(err)
+		}
+		buf, nBits := w.Bytes(), w.BitLen()
+		got, err := DecodeListsBounded(bitio.NewReader(buf, nBits), len(lists), opt.TargetBound)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, l := range got {
+			if cap(l) != len(l) {
+				t.Fatalf("%+v: list %d has len %d but cap %d", opt, i, len(l), cap(l))
+			}
+			if !slices.Equal(l, lists[i]) {
+				t.Fatalf("%+v: list %d decoded wrong", opt, i)
+			}
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := DecodeListsBounded(bitio.NewReader(buf, nBits), len(lists), opt.TargetBound); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > float64(len(lists))/4 {
+			t.Errorf("%+v: %.0f allocations to decode %d lists; the arena should need far fewer than one per list", opt, allocs, len(lists))
+		}
 	}
 }

@@ -489,7 +489,7 @@ func (es *encodedSupernode) measureDecode(niSize int32, rounds int) (int64, erro
 			if sb.kind == kindSuperNeg {
 				_, err = cd.DecodeSuperNeg(sb.blob, int(sb.numLists), sb.njSize)
 			} else {
-				_, err = cd.DecodeSuperPos(sb.blob, int(sb.numLists), niSize, sb.njSize)
+				_, err = decodeSuperPos(cd, sb.blob, int(sb.numLists), niSize, sb.njSize)
 			}
 			if err != nil {
 				return 0, err

@@ -18,6 +18,13 @@ type decodedGraph interface {
 // The experiments vary the budget (Figure 12) and count loads per query
 // (the paper's instrumentation of Query 1).
 //
+// Cached graphs are immutable. A positive superedge graph has two in
+// turn: a load inserts its sources with the lists still encoded
+// (superPosSources), and the first lookup that needs a list decodes
+// them all and has the cache hold the whole graph instead
+// (materialized). No graph is ever changed in place, so one handed out
+// by get stays valid however the cache moves on.
+//
 // Thread-safety contract: the cache is safe for concurrent use by any
 // number of goroutines. It is split into cacheShards shards (by GraphID
 // hash), each guarded by its own mutex and carrying its own slice of
@@ -259,16 +266,53 @@ func (s *cacheShard) insertLocked(id GraphID, g decodedGraph, kind uint8) {
 	}
 	size := g.memSize()
 	for s.used+size > s.budget && s.lru.Len() > 0 {
-		back := s.lru.Back()
-		e := back.Value.(*cacheEntry)
-		s.lru.Remove(back)
-		delete(s.byID, e.id)
-		s.used -= e.size
-		s.stats.Evictions++
+		s.evictBackLocked()
 	}
 	el := s.lru.PushFront(&cacheEntry{id: id, g: g, size: size})
 	s.byID[id] = el
 	s.used += size
+}
+
+// evictBackLocked evicts the least recently used entry. Caller holds
+// s.mu.
+func (s *cacheShard) evictBackLocked() {
+	back := s.lru.Back()
+	e := back.Value.(*cacheEntry)
+	s.lru.Remove(back)
+	delete(s.byID, e.id)
+	s.used -= e.size
+	s.stats.Evictions++
+}
+
+// materialized records that a lookup decoded the lists of the
+// sources-only superedge graph from, giving to, and — if from is still
+// what the cache holds for id — puts to in its place, most recently
+// used, at its own size, evicting from the cold end if the growth needs
+// the room (an entry that outgrows the whole shard stays, alone). The
+// graphs themselves are never touched; the cache's own node for id is
+// repointed under the shard lock, so it keeps its place in memory
+// beside the nodes loaded with it. When from was evicted meanwhile, or
+// another lookup's materialization got here first, the cache is left
+// alone and to serves only its caller. Either way the decode happened,
+// so it is counted.
+func (c *graphCache) materialized(id GraphID, from *superPosSources, to *decodedSuperPos) {
+	s := c.shard(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.stats.Materialized++
+	s.decoded += to.edgeCount()
+	el, ok := s.byID[id]
+	if !ok || el.Value.(*cacheEntry).g != decodedGraph(from) {
+		return
+	}
+	e := el.Value.(*cacheEntry)
+	size := to.memSize()
+	s.used += size - e.size
+	e.g, e.size = to, size
+	s.lru.MoveToFront(el)
+	for s.used > s.budget && s.lru.Len() > 1 {
+		s.evictBackLocked()
+	}
 }
 
 // statsMerged sums the per-shard counters into one CacheStats (the
@@ -285,6 +329,7 @@ func (c *graphCache) statsMerged() CacheStats {
 		out.Evictions += s.stats.Evictions
 		out.IntraLoads += s.stats.IntraLoads
 		out.SuperLoads += s.stats.SuperLoads
+		out.Materialized += s.stats.Materialized
 		s.mu.Unlock()
 	}
 	return out

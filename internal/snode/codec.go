@@ -3,6 +3,7 @@ package snode
 import (
 	"fmt"
 
+	"snode/internal/bitio"
 	"snode/internal/refenc"
 )
 
@@ -51,7 +52,16 @@ type Codec interface {
 	// local (within Ni) IDs of pages with at least one link into Nj,
 	// strictly increasing; lists are their targets as local Nj IDs.
 	EncodeSuperPos(dst []byte, srcs []int32, lists [][]int32, niSize, njSize int32, opt refenc.Options) ([]byte, error)
-	DecodeSuperPos(buf []byte, numSrcs int, niSize, njSize int32) (*decodedSuperPos, error)
+	// A superPos payload decodes in two steps, because a lookup's page
+	// is a source in only a few of the superedge graphs it consults:
+	// DecodeSuperPosSources reads the source IDs that open the payload
+	// and returns the rest of it, still encoded, as a tail of buf;
+	// DecodeSuperPosLists decodes that tail into one target list per
+	// source. decodeSuperPos composes them into the whole graph. Sources
+	// are strictly increasing in [0, niSize), so a decoder sizes their
+	// slice by the smaller of numSrcs and niSize.
+	DecodeSuperPosSources(buf []byte, numSrcs int, niSize int32) ([]int32, encodedLists, error)
+	DecodeSuperPosLists(enc encodedLists, numSrcs int, njSize int32) ([][]int32, error)
 
 	// EncodeSuperNeg appends a negative superedge graph: lists[k] is the
 	// COMPLEMENT of the k-th Ni page's targets within Nj (so a page with
@@ -144,6 +154,61 @@ func (g *decodedIntra) memSize() int64 {
 	return n
 }
 
+// encodedLists is the still-encoded list section of a superPos payload:
+// the payload from the byte holding the section's first bit, and that
+// bit's offset within the byte (0 for a byte-aligned codec).
+type encodedLists struct {
+	buf    []byte
+	bitOff uint8
+}
+
+// listsAfter is the list section a bit-level codec returns once r has
+// read the sources off the front of buf.
+func listsAfter(buf []byte, r *bitio.Reader) encodedLists {
+	pos := r.Pos()
+	return encodedLists{buf: buf[pos>>3:], bitOff: uint8(pos & 7)}
+}
+
+// reader positions a bit reader at the section's first bit.
+func (enc encodedLists) reader() *bitio.Reader {
+	r := bitio.NewByteReader(enc.buf)
+	_ = r.Seek(int(enc.bitOff)) // cannot fail: bitOff > 0 only inside a byte of buf
+	return r
+}
+
+// decodeSuperPos is the full decode of a superPos payload: its sources,
+// then its lists.
+func decodeSuperPos(cd Codec, buf []byte, numSrcs int, niSize, njSize int32) (*decodedSuperPos, error) {
+	srcs, enc, err := cd.DecodeSuperPosSources(buf, numSrcs, niSize)
+	if err != nil {
+		return nil, err
+	}
+	lists, err := cd.DecodeSuperPosLists(enc, numSrcs, njSize)
+	if err != nil {
+		return nil, err
+	}
+	return &decodedSuperPos{srcs: srcs, lists: lists}, nil
+}
+
+// findSource returns the index of srcLocal in the sorted source IDs of
+// a positive superedge graph, or -1 when the page has no link through
+// it.
+func findSource(srcs []int32, srcLocal int32) int {
+	lo, hi := 0, len(srcs)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if srcs[mid] < srcLocal {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(srcs) && srcs[lo] == srcLocal {
+		return lo
+	}
+	return -1
+}
+
 // decodedSuperPos is the in-memory form of a positive superedge graph.
 type decodedSuperPos struct {
 	srcs  []int32 // sorted local Ni IDs
@@ -169,19 +234,53 @@ func (g *decodedSuperPos) memSize() int64 {
 // targetsOf returns the local Nj targets of the given local Ni source
 // (nil if the source has none).
 func (g *decodedSuperPos) targetsOf(srcLocal int32) []int32 {
-	lo, hi := 0, len(g.srcs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if g.srcs[mid] < srcLocal {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(g.srcs) && g.srcs[lo] == srcLocal {
-		return g.lists[lo]
+	if k := findSource(g.srcs, srcLocal); k >= 0 {
+		return g.lists[k]
 	}
 	return nil
+}
+
+// superPosSources is the first of the two states a positive superedge
+// graph takes in the cache: its source IDs decoded, its lists still
+// encoded. A cache miss inserts this, because all a lookup needs from
+// most superedge graphs is that its page is not among the sources; the
+// first lookup whose page is decodes the lists and the cache replaces
+// this entry with the decodedSuperPos (materialize). Like every cached
+// graph it is immutable, and it owns enc — a copy, since the payload it
+// was cut from sits in a pooled read buffer.
+type superPosSources struct {
+	srcs   []int32 // sorted local Ni IDs
+	enc    encodedLists
+	codec  Codec
+	njSize int32
+}
+
+// newSuperPosSources decodes the sources of a superPos payload and
+// copies its list section out of buf.
+func newSuperPosSources(cd Codec, buf []byte, numSrcs int, niSize, njSize int32) (*superPosSources, error) {
+	srcs, enc, err := cd.DecodeSuperPosSources(buf, numSrcs, niSize)
+	if err != nil {
+		return nil, err
+	}
+	enc.buf = append([]byte(nil), enc.buf...)
+	return &superPosSources{srcs: srcs, enc: enc, codec: cd, njSize: njSize}, nil
+}
+
+// edgeCount is zero: no list entry has been decoded yet. The cache
+// counts the graph's edges when it is materialized.
+func (g *superPosSources) edgeCount() int64 { return 0 }
+
+func (g *superPosSources) memSize() int64 {
+	return int64(len(g.srcs))*4 + int64(len(g.enc.buf)) + 64 // + the struct itself
+}
+
+// materialize decodes the lists. The result shares g's sources.
+func (g *superPosSources) materialize() (*decodedSuperPos, error) {
+	lists, err := g.codec.DecodeSuperPosLists(g.enc, len(g.srcs), g.njSize)
+	if err != nil {
+		return nil, err
+	}
+	return &decodedSuperPos{srcs: g.srcs, lists: lists}, nil
 }
 
 // decodedSuperNeg keeps the complement form; positive adjacency is

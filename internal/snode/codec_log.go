@@ -183,17 +183,21 @@ func (logCodec) EncodeSuperPos(dst []byte, srcs []int32, lists [][]int32, niSize
 	}), nil
 }
 
-func (logCodec) DecodeSuperPos(buf []byte, numSrcs int, niSize, njSize int32) (*decodedSuperPos, error) {
+func (logCodec) DecodeSuperPosSources(buf []byte, numSrcs int, niSize int32) ([]int32, encodedLists, error) {
 	r := bitio.NewByteReader(buf)
-	vals, err := logReadRun(r, numSrcs, int64(niSize), make([]int32, 0, 2*len(buf)+numSrcs))
+	srcs, err := logReadRun(r, numSrcs, int64(niSize), make([]int32, 0, min(numSrcs, int(niSize))))
 	if err != nil {
-		return nil, fmt.Errorf("snode: superPos sources: %w", err)
+		return nil, encodedLists{}, fmt.Errorf("snode: superPos sources: %w", err)
 	}
-	lists, vals, err := logDecodeLists(r, numSrcs, int64(njSize), vals)
+	return srcs, listsAfter(buf, r), nil
+}
+
+func (logCodec) DecodeSuperPosLists(enc encodedLists, numSrcs int, njSize int32) ([][]int32, error) {
+	lists, _, err := logDecodeLists(enc.reader(), numSrcs, int64(njSize), make([]int32, 0, 2*len(enc.buf)))
 	if err != nil {
 		return nil, fmt.Errorf("snode: superPos lists: %w", err)
 	}
-	return &decodedSuperPos{srcs: vals[:numSrcs:numSrcs], lists: lists}, nil
+	return lists, nil
 }
 
 func (logCodec) EncodeSuperNeg(dst []byte, complements [][]int32, njSize int32, _ refenc.Options) ([]byte, error) {

@@ -183,18 +183,21 @@ func (lzCodec) EncodeSuperPos(dst []byte, srcs []int32, lists [][]int32, niSize,
 	return lzEncodeLists(dst, lists), nil
 }
 
-func (lzCodec) DecodeSuperPos(buf []byte, numSrcs int, niSize, njSize int32) (*decodedSuperPos, error) {
-	d := lzDecoder{buf: buf, vals: make([]int32, 0, len(buf)+numSrcs), offs: make([]int32, 0, numSrcs+1)}
+func (lzCodec) DecodeSuperPosSources(buf []byte, numSrcs int, niSize int32) ([]int32, encodedLists, error) {
+	d := lzDecoder{buf: buf, vals: make([]int32, 0, min(numSrcs, int(niSize)))}
 	if err := d.run(numSrcs, -1, int64(niSize)); err != nil {
-		return nil, fmt.Errorf("snode: superPos sources: %w", err)
+		return nil, encodedLists{}, fmt.Errorf("snode: superPos sources: %w", err)
 	}
+	return d.vals, encodedLists{buf: buf[d.pos:]}, nil
+}
+
+func (lzCodec) DecodeSuperPosLists(enc encodedLists, numSrcs int, njSize int32) ([][]int32, error) {
+	d := lzDecoder{buf: enc.buf, vals: make([]int32, 0, len(enc.buf)), offs: make([]int32, 0, numSrcs+1)}
 	lists, err := d.lists(numSrcs, int64(njSize))
 	if err != nil {
 		return nil, fmt.Errorf("snode: superPos lists: %w", err)
 	}
-	// Slice the sources out of the arena only after list decoding so the
-	// arena's final backing array is shared by everything returned.
-	return &decodedSuperPos{srcs: d.vals[:numSrcs:numSrcs], lists: lists}, nil
+	return lists, nil
 }
 
 func (lzCodec) EncodeSuperNeg(dst []byte, complements [][]int32, njSize int32, _ refenc.Options) ([]byte, error) {

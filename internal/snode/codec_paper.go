@@ -69,17 +69,21 @@ func (paperCodec) EncodeSuperPos(dst []byte, srcs []int32, lists [][]int32, niSi
 	})
 }
 
-func (paperCodec) DecodeSuperPos(buf []byte, numSrcs int, niSize, njSize int32) (*decodedSuperPos, error) {
+func (paperCodec) DecodeSuperPosSources(buf []byte, numSrcs int, niSize int32) ([]int32, encodedLists, error) {
 	r := bitio.NewByteReader(buf)
-	srcs, err := coding.ReadBoundedGapList(r, numSrcs, uint64(niSize), nil)
+	srcs, err := coding.ReadBoundedGapList(r, numSrcs, uint64(niSize), make([]int32, 0, min(numSrcs, int(niSize))))
 	if err != nil {
-		return nil, fmt.Errorf("snode: superPos sources: %w", err)
+		return nil, encodedLists{}, fmt.Errorf("snode: superPos sources: %w", err)
 	}
-	lists, err := refenc.DecodeListsBounded(r, numSrcs, uint64(njSize))
+	return srcs, listsAfter(buf, r), nil
+}
+
+func (paperCodec) DecodeSuperPosLists(enc encodedLists, numSrcs int, njSize int32) ([][]int32, error) {
+	lists, err := refenc.DecodeListsBounded(enc.reader(), numSrcs, uint64(njSize))
 	if err != nil {
 		return nil, fmt.Errorf("snode: superPos lists: %w", err)
 	}
-	return &decodedSuperPos{srcs: srcs, lists: lists}, nil
+	return lists, nil
 }
 
 func (paperCodec) EncodeSuperNeg(dst []byte, complements [][]int32, njSize int32, opt refenc.Options) ([]byte, error) {

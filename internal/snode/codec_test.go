@@ -68,7 +68,7 @@ func TestCodecRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: encode superPos: %v", name, err)
 				}
-				gp, err := cd.DecodeSuperPos(blob, len(srcs), int32(size), njSize)
+				gp, err := decodeSuperPos(cd, blob, len(srcs), int32(size), njSize)
 				if err != nil {
 					t.Fatalf("%s: decode superPos: %v", name, err)
 				}

@@ -139,6 +139,10 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	if t.Failed() {
 		return
 	}
+	// Lookups materialized superedge lists while inserts evicted and the
+	// mutators reset the cache under them: the byte accounting must have
+	// survived every replacement.
+	checkShardInvariants(t, r.cache)
 	t.Logf("mixed workload: %d operations across %d goroutines", ops.Load(), goroutines)
 }
 

@@ -10,11 +10,12 @@ import (
 
 // Decode hot-path guards, wired into `make check-overhead`.
 //
-// The arena codecs (lz, log) must decode a whole graph in O(1)
-// allocations regardless of size — a per-list or per-edge allocation
-// regression trips the constant budget immediately. The paper codec
-// decodes into per-list slices by design, so its budget scales with
-// NumLists but a per-edge regression still trips it.
+// Every codec decodes a whole graph into arenas, so the allocation
+// count must not grow with the number of lists — a per-list or per-edge
+// allocation regression trips the budget immediately. lz and log use
+// one arena per graph, a constant; the paper codec's refenc decoder
+// cuts its lists from chunks of up to 4096 IDs and grows its per-list
+// scratch by doubling, a constant plus one allocation per chunk.
 
 // decodeSamples returns, per payload kind, the largest graph of that
 // kind with its raw payload bytes.
@@ -60,13 +61,15 @@ func TestDecodeHotPathAllocs(t *testing.T) {
 						t.Fatal(err)
 					}
 				})
-				// Constant budget for arena codecs; paper scales with
-				// the list count (append growth ≈ a handful per list).
 				// Under -codec auto the winner varies per entry, so key
 				// off the entry's recorded codec.
 				budget := 16.0
 				if e.Codec == codecIDPaper {
-					budget = 16 + 6*float64(e.NumLists)
+					g, err := r.decodePayload(e, buf)
+					if err != nil {
+						t.Fatal(err)
+					}
+					budget = 24 + float64(g.edgeCount())/1024
 				}
 				if allocs > budget {
 					t.Errorf("%s kind %d (%d lists, %d bytes): %.0f allocs/decode, budget %.0f",

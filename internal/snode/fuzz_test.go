@@ -2,6 +2,7 @@ package snode
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"snode/internal/bitio"
@@ -64,7 +65,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s: encode superPos: %v", cd.Name(), err)
 			}
-			gp, err := cd.DecodeSuperPos(blob, len(srcs), int32(numLists), size)
+			gp, err := decodeSuperPos(cd, blob, len(srcs), int32(numLists), size)
 			if err != nil {
 				t.Fatalf("%s: decode superPos: %v", cd.Name(), err)
 			}
@@ -158,6 +159,41 @@ func overflowSeeds(f *testing.F) {
 	f.Add(codecIDPaper, kindSuperNeg, uint8(0), uint8(0), w.Bytes())
 }
 
+// hugeCountSeeds are minimized crashers for the two holes an unsigned
+// count converted to int left in refenc's decoder, as codec/paper
+// payloads: a reference designator of 2^64-2 on list 0 turned negative,
+// passed the j < 0 check and indexed lists[2] of a one-list graph (a
+// panic); a degree of 2^63 turned negative, skipped the run loop and
+// came back as a one-value list (a silent success).
+func hugeCountSeeds(f *testing.F) {
+	header := func() *bitio.Writer {
+		w := bitio.NewWriter(0)
+		w.WriteBit(0)                           // window strategy
+		w.WriteBits(uint64(refenc.GapGamma), 2) // gap code
+		return w
+	}
+	for _, kind := range []uint8{kindIntra, kindSuperNeg} {
+		w := header()
+		coding.WriteGamma0(w, 1<<64-2) // list 0 references list 0-(2^64-2)
+		coding.WriteGamma0(w, 0)
+		f.Add(codecIDPaper, kind, uint8(0), uint8(0), w.Bytes())
+
+		w = header()
+		coding.WriteGamma0(w, 0)     // no reference
+		coding.WriteGamma0(w, 1<<63) // degree 2^63
+		coding.WriteGamma(w, 1)
+		f.Add(codecIDPaper, kind, uint8(0), uint8(0), w.Bytes())
+
+		w = bitio.NewWriter(0)
+		w.WriteBit(1) // exact strategy
+		w.WriteBits(uint64(refenc.GapGamma), 2)
+		coding.WriteMinimalBinary(w, 0, 1) // node index of position 0
+		coding.WriteGamma0(w, 1<<64-2)     // position 0 references position 0-(2^64-2)
+		coding.WriteGamma0(w, 0)
+		f.Add(codecIDPaper, kind, uint8(0), uint8(0), w.Bytes())
+	}
+}
+
 // FuzzDecodeHostile feeds arbitrary bytes to every codec's decoders and
 // requires: no panic, and — whenever a decode still succeeds — every
 // emitted local ID inside its declared space (checkLocalIDs is the
@@ -169,6 +205,7 @@ func FuzzDecodeHostile(f *testing.F) {
 		}
 	}
 	overflowSeeds(f)
+	hugeCountSeeds(f)
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), []byte{})
 	f.Add(uint8(2), uint8(1), uint8(255), uint8(255), []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, id, kind, nl, sz uint8, blob []byte) {
@@ -184,7 +221,7 @@ func FuzzDecodeHostile(f *testing.F) {
 				}
 			}
 		case kindSuperPos:
-			g, err := cd.DecodeSuperPos(blob, numLists, int32(numLists), size)
+			g, err := decodeSuperPos(cd, blob, numLists, int32(numLists), size)
 			if err == nil {
 				if oerr := checkLocalIDs([][]int32{g.srcs}, int32(numLists)); oerr != nil {
 					t.Fatalf("%s: superPos srcs out of bounds: %v", cd.Name(), oerr)
@@ -192,6 +229,20 @@ func FuzzDecodeHostile(f *testing.F) {
 				if oerr := checkLocalIDs(g.lists, size); oerr != nil {
 					t.Fatalf("%s: superPos lists out of bounds: %v", cd.Name(), oerr)
 				}
+			}
+			// The serving path's two steps — sources now, lists later from
+			// a private copy of the rest of the payload — must agree with
+			// the one-shot decode: the same graph, or an error from both.
+			sg, serr := newSuperPosSources(cd, blob, numLists, int32(numLists), size)
+			var full *decodedSuperPos
+			if serr == nil {
+				full, serr = sg.materialize()
+			}
+			if (err == nil) != (serr == nil) {
+				t.Fatalf("%s: one-shot superPos decode: %v; sources then lists: %v", cd.Name(), err, serr)
+			}
+			if err == nil && (!slices.Equal(full.srcs, g.srcs) || !listsEqual(full.lists, g.lists)) {
+				t.Fatalf("%s: sources then lists decoded %v %v, one-shot %v %v", cd.Name(), full.srcs, full.lists, g.srcs, g.lists)
 			}
 		default:
 			g, err := cd.DecodeSuperNeg(blob, numLists, size)

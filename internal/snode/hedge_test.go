@@ -200,6 +200,14 @@ func TestHedgingOnOffByteIdentical(t *testing.T) {
 	if n := r.InflightDecodes(); n != 0 {
 		t.Fatalf("InflightDecodes = %d after drain", n)
 	}
+	// Leaders, waiters and hedges all materialized superedge lists from
+	// their own or each other's sources-only entries while the tiny
+	// budget evicted them: only a leader's entry may have been replaced
+	// in the cache, and the accounting must balance.
+	if st := r.StatsExt().Cache; st.Materialized == 0 || st.Evictions == 0 {
+		t.Fatalf("no materialization raced an eviction: %+v", st)
+	}
+	checkShardInvariants(t, r.cache)
 	// Losing hedges are cancelled, not leaked: goroutines parked in this
 	// package must settle back to the baseline.
 	deadline := time.Now().Add(5 * time.Second)

@@ -28,16 +28,17 @@ func TestRegisterMetricsReconcilesWithStatsExt(t *testing.T) {
 	snap := reg.Snapshot()
 	st := r.StatsExt()
 	for name, want := range map[string]int64{
-		"snode_cache_hits":       st.Cache.Hits,
-		"snode_cache_misses":     st.Cache.Misses,
-		"snode_cache_loads":      st.Cache.Loads,
-		"snode_cache_coalesced":  st.Cache.Coalesced,
-		"snode_cache_evictions":  st.Cache.Evictions,
-		"snode_decoded_edges":    r.DecodedEdges(),
-		"snode_io_seeks":         st.IO.Seeks,
-		"snode_io_reads":         st.IO.Reads,
-		"snode_io_bytes_read":    st.IO.BytesRead,
-		"snode_io_skipped_bytes": st.IO.SkippedBytes,
+		"snode_cache_hits":         st.Cache.Hits,
+		"snode_cache_misses":       st.Cache.Misses,
+		"snode_cache_loads":        st.Cache.Loads,
+		"snode_cache_coalesced":    st.Cache.Coalesced,
+		"snode_cache_evictions":    st.Cache.Evictions,
+		"snode_cache_materialized": st.Cache.Materialized,
+		"snode_decoded_edges":      r.DecodedEdges(),
+		"snode_io_seeks":           st.IO.Seeks,
+		"snode_io_reads":           st.IO.Reads,
+		"snode_io_bytes_read":      st.IO.BytesRead,
+		"snode_io_skipped_bytes":   st.IO.SkippedBytes,
 	} {
 		if got := snap.Counters[name]; got != want {
 			t.Errorf("%s = %d, want %d (StatsExt)", name, got, want)
@@ -50,11 +51,12 @@ func TestRegisterMetricsReconcilesWithStatsExt(t *testing.T) {
 		t.Errorf("snode_cache_entries = %d, want > 0 after workload", snap.Gauges["snode_cache_entries"])
 	}
 	h := snap.Histograms["snode_decode_seconds"]
-	if h.Count != st.Cache.Loads {
-		// Every successful load is exactly one timed decode.
-		t.Errorf("decode histogram count = %d, want %d loads", h.Count, st.Cache.Loads)
+	if h.Count != st.Cache.Loads+st.Cache.Materialized {
+		// Every successful load is exactly one timed decode, and so is
+		// every materialization of a superedge graph's lists.
+		t.Errorf("decode histogram count = %d, want %d loads + %d materializations", h.Count, st.Cache.Loads, st.Cache.Materialized)
 	}
-	if st.Cache.Hits+st.Cache.Misses == 0 || st.Cache.Loads == 0 {
+	if st.Cache.Hits+st.Cache.Misses == 0 || st.Cache.Loads == 0 || st.Cache.Materialized == 0 {
 		t.Fatalf("workload produced no cache traffic: %+v", st.Cache)
 	}
 }

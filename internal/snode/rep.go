@@ -134,7 +134,9 @@ func (r *Representation) StatsExt() AccessStatsExt {
 	return AccessStatsExt{IO: r.acc.Stats(), Cache: r.cache.statsMerged()}
 }
 
-// DecodedEdges reports edges decoded since the last stats reset.
+// DecodedEdges reports list entries decoded since the last stats reset:
+// a graph's edges when it is loaded, except a positive superedge
+// graph's, which count when its lists are materialized.
 func (r *Representation) DecodedEdges() int64 { return r.cache.decodedEdges() }
 
 // RegisterMetrics exposes the representation's serving counters on a
@@ -157,6 +159,7 @@ func (r *Representation) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.CounterFunc(prefix+"_cache_evictions", cs(func(s CacheStats) int64 { return s.Evictions }))
 	reg.CounterFunc(prefix+"_cache_intra_loads", cs(func(s CacheStats) int64 { return s.IntraLoads }))
 	reg.CounterFunc(prefix+"_cache_super_loads", cs(func(s CacheStats) int64 { return s.SuperLoads }))
+	reg.CounterFunc(prefix+"_cache_materialized", cs(func(s CacheStats) int64 { return s.Materialized }))
 	reg.CounterFunc(prefix+"_decoded_edges", r.cache.decodedEdges)
 	reg.GaugeFunc(prefix+"_cache_bytes", r.cache.usedBytes)
 	reg.GaugeFunc(prefix+"_cache_entries", r.cache.entries)
@@ -277,8 +280,10 @@ func (r *Representation) DomainSupernodes(domain string) (lo, hi int32, ok bool)
 	return r.m.DomFirstSN[k], r.m.DomFirstSN[k+1], true
 }
 
-// load returns the decoded graph gid, from cache or disk. Concurrent
-// loads of the same graph coalesce onto one decode.
+// load returns the whole decoded graph gid, from cache or disk: a
+// positive superedge graph comes back with its lists materialized, and
+// resident that way. Concurrent loads of the same graph coalesce onto
+// one decode.
 func (r *Representation) load(gid GraphID) (decodedGraph, error) {
 	return r.loadCtx(context.Background(), gid)
 }
@@ -286,6 +291,16 @@ func (r *Representation) load(gid GraphID) (decodedGraph, error) {
 // loadCtx is load with request-scoped context: traced requests record
 // their coalesced waits and led decodes.
 func (r *Representation) loadCtx(ctx context.Context, gid GraphID) (decodedGraph, error) {
+	g, err := r.loadCached(ctx, gid)
+	if sg, ok := g.(*superPosSources); ok && err == nil {
+		return r.materialize(ctx, gid, sg)
+	}
+	return g, err
+}
+
+// loadCached returns gid's cache entry as it stands, loading it on a
+// miss.
+func (r *Representation) loadCached(ctx context.Context, gid GraphID) (decodedGraph, error) {
 	if g, ok := r.cache.get(gid); ok {
 		trace.Add(ctx, trace.CtrCacheHits, 1)
 		return g, nil
@@ -487,9 +502,11 @@ func (r *Representation) decodeTraced(ctx context.Context, gid GraphID, buf []by
 	return g, err
 }
 
-// decode parses one graph's encoded bytes into its in-memory form,
-// dispatching on the directory entry's codec ID (validated at Open, so
-// the table lookup cannot miss).
+// decode parses one graph's encoded bytes into the form the cache
+// holds, dispatching on the directory entry's codec ID (validated at
+// Open, so the table lookup cannot miss). For a positive superedge
+// graph that is its sources with the lists left encoded; materialize
+// is the other half.
 func (r *Representation) decode(gid GraphID, buf []byte) (decodedGraph, error) {
 	if r.decodeFault != nil {
 		if err := r.decodeFault(gid); err != nil {
@@ -497,21 +514,62 @@ func (r *Representation) decode(gid GraphID, buf []byte) (decodedGraph, error) {
 		}
 	}
 	e := &r.m.Directory[gid]
-	h := r.decodeHist.Load()
-	hc := r.codecHists[e.Codec].Load()
-	if h != nil || hc != nil {
-		start := time.Now()
-		defer func() {
-			d := time.Since(start)
-			if h != nil {
-				h.ObserveDuration(d)
-			}
-			if hc != nil {
-				hc.ObserveDuration(d)
-			}
-		}()
+	start := r.decodeStart()
+	defer r.observeDecode(e.Codec, start)
+	if e.Kind == kindSuperPos {
+		return newSuperPosSources(codecTable[e.Codec], buf, int(e.NumLists), r.snSize(e.I), r.snSize(e.J))
 	}
 	return r.decodePayload(e, buf)
+}
+
+// snSize is the number of pages in supernode s.
+func (r *Representation) snSize(s int32) int32 { return r.m.SnBase[s+1] - r.m.SnBase[s] }
+
+// materialize decodes the lists of a sources-only superedge entry — no
+// I/O, the entry holds the bytes — and has the cache replace the entry
+// with the whole graph. The time goes to the same decode histograms as
+// the sources' half.
+func (r *Representation) materialize(ctx context.Context, gid GraphID, sg *superPosSources) (*decodedSuperPos, error) {
+	traced := trace.Active(ctx)
+	start := r.decodeStart()
+	if traced && start.IsZero() {
+		start = time.Now()
+	}
+	full, err := sg.materialize()
+	r.observeDecode(sg.codec.ID(), start)
+	if err != nil {
+		return nil, fmt.Errorf("snode: materialize graph %d: %w", gid, err)
+	}
+	r.cache.materialized(gid, sg, full)
+	if traced {
+		trace.RecordSpan(ctx, "cache.materialize", start, time.Since(start),
+			trace.Attr{Key: "gid", Val: int64(gid)},
+			trace.Attr{Key: "bytes", Val: int64(len(sg.enc.buf))})
+		trace.Add(ctx, trace.CtrMaterialized, 1)
+	}
+	return full, nil
+}
+
+// decodeStart and observeDecode time a decode for the histograms
+// RegisterMetrics installs; without them the clock is not read.
+func (r *Representation) decodeStart() time.Time {
+	if r.decodeHist.Load() == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+func (r *Representation) observeDecode(codec uint8, start time.Time) {
+	if start.IsZero() {
+		return
+	}
+	d := time.Since(start)
+	if h := r.decodeHist.Load(); h != nil {
+		h.ObserveDuration(d)
+	}
+	if hc := r.codecHists[codec].Load(); hc != nil {
+		hc.ObserveDuration(d)
+	}
 }
 
 // decodePayload is the bare codec dispatch: no hooks, no metrics. The
@@ -523,12 +581,9 @@ func (r *Representation) decodePayload(e *dirEntry, buf []byte) (decodedGraph, e
 	case kindIntra:
 		return cd.DecodeIntra(buf, int(e.NumLists))
 	case kindSuperPos:
-		niSize := r.m.SnBase[e.I+1] - r.m.SnBase[e.I]
-		njSize := r.m.SnBase[e.J+1] - r.m.SnBase[e.J]
-		return cd.DecodeSuperPos(buf, int(e.NumLists), niSize, njSize)
+		return decodeSuperPos(cd, buf, int(e.NumLists), r.snSize(e.I), r.snSize(e.J))
 	case kindSuperNeg:
-		njSize := r.m.SnBase[e.J+1] - r.m.SnBase[e.J]
-		return cd.DecodeSuperNeg(buf, int(e.NumLists), njSize)
+		return cd.DecodeSuperNeg(buf, int(e.NumLists), r.snSize(e.J))
 	default:
 		return nil, fmt.Errorf("snode: graph has unknown kind %d", e.Kind)
 	}
@@ -629,6 +684,17 @@ func (r *Representation) OutFilteredCtx(ctx context.Context, p webgraph.PageID, 
 		case *decodedSuperPos:
 			if ts := sg.targetsOf(local); ts != nil {
 				emit(j, ts)
+			}
+		case *superPosSources:
+			// Unless the page is a source it has no link through this
+			// graph, and the lists stay encoded.
+			if k := findSource(sg.srcs, local); k >= 0 {
+				full, err := r.materialize(ctx, gid, sg)
+				if err != nil {
+					firstErr = err
+					return
+				}
+				emit(j, full.lists[k])
 			}
 		case *decodedSuperNeg:
 			negBuf = sg.appendTargets(local, negBuf[:0])

@@ -31,7 +31,11 @@
 // simultaneously. The buffer manager is sharded by GraphID hash with a
 // mutex, budget slice, and stat counters per shard, and deduplicates
 // concurrent decodes of the same graph singleflight-style, so N
-// goroutines requesting one supernode trigger exactly one decode. All
+// goroutines requesting one supernode trigger exactly one decode.
+// Cached graphs are immutable: a positive superedge graph is resident
+// first with only its sources decoded and is replaced — never edited —
+// by the whole graph when a lookup needs one of its lists, so a graph
+// one goroutine holds stays valid whatever the others do. All
 // counters — including the decoded-edge counter behind the Table 2
 // throughput metric — are updated under the shard locks. ResetStats and
 // ResetCache may also be called concurrently with queries; a reset
@@ -220,6 +224,11 @@ type CacheStats struct {
 	Evictions  int64
 	IntraLoads int64
 	SuperLoads int64
+	// Materialized counts superedge list sections decoded on demand: a
+	// load of a positive superedge graph decodes only its sources, and
+	// the first lookup whose page is one of them decodes the lists. A
+	// materialization reads nothing from disk and is not a load.
+	Materialized int64
 }
 
 // AccessStatsExt extends the store-level stats with S-Node detail.

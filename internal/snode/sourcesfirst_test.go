@@ -1,0 +1,530 @@
+package snode
+
+import (
+	"math/rand"
+	"os"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+
+	"snode/internal/iosim"
+	"snode/internal/randutil"
+	"snode/internal/store"
+	"snode/internal/synth"
+	"snode/internal/webgraph"
+)
+
+// A positive superedge graph is served in two states — sources decoded
+// with the lists still encoded, then the whole graph — and these tests
+// pin that no lookup can tell: rows equal the source graph's under
+// every codec and cache budget, the cache's byte accounting survives
+// the replacement of one state by the other, and a damaged list section
+// fails exactly the lookups that need it.
+
+// sourcesFirstBudgets are the cache budgets the equivalence sweep runs
+// at: nothing stays resident, a few entries do (so a sources-only entry
+// is as likely to be evicted as materialized), everything does.
+var sourcesFirstBudgets = []int64{0, 3 << 10, 8 << 20}
+
+// checkRowsAgainstCSR reads every page of c through r, unfiltered and
+// under a domain filter and a page-set filter, and compares with the
+// CSR rows.
+func checkRowsAgainstCSR(t *testing.T, c *webgraph.Corpus, r *Representation) {
+	t.Helper()
+	n := int32(c.Graph.NumPages())
+	rng := rand.New(rand.NewSource(int64(n)))
+	var buf []webgraph.PageID
+	for p := int32(0); p < n; p++ {
+		want := c.Graph.Out(p)
+		var err error
+		if buf, err = r.Out(p, buf[:0]); err != nil {
+			t.Fatalf("Out(%d): %v", p, err)
+		}
+		if got := sortedCopy(buf); !slices.Equal(got, want) {
+			t.Fatalf("Out(%d) = %v, want %v", p, got, want)
+		}
+
+		f := &store.Filter{Domains: map[string]bool{c.Pages[rng.Int31n(n)].Domain: true}}
+		if len(want) > 0 {
+			f.Pages = map[webgraph.PageID]bool{want[rng.Intn(len(want))]: true}
+		}
+		var wantF []webgraph.PageID
+		for _, q := range want {
+			if f.Domains[c.Pages[q].Domain] || f.Pages[q] {
+				wantF = append(wantF, q)
+			}
+		}
+		if buf, err = r.OutFiltered(p, f, buf[:0]); err != nil {
+			t.Fatalf("OutFiltered(%d): %v", p, err)
+		}
+		if got := sortedCopy(buf); !slices.Equal(got, wantF) {
+			t.Fatalf("OutFiltered(%d, %v) = %v, want %v", p, f, got, wantF)
+		}
+	}
+}
+
+// sweepBudgets opens the artifact in dir at every budget and checks
+// every row, the cache invariants afterwards, and that the sweep did go
+// through both states of a superedge entry.
+func sweepBudgets(t *testing.T, c *webgraph.Corpus, dir string) {
+	t.Helper()
+	for _, budget := range sourcesFirstBudgets {
+		r, err := Open(dir, budget, iosim.Model2002())
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRowsAgainstCSR(t, c, r)
+		checkShardInvariants(t, r.cache)
+		st := r.StatsExt().Cache
+		if r.m.Stats.PositiveSuperedges > 0 && st.Materialized == 0 {
+			t.Errorf("budget %d: %d positive superedge graphs and no materialization", budget, r.m.Stats.PositiveSuperedges)
+		}
+		if st.Materialized > st.Hits+st.Misses {
+			t.Errorf("budget %d: %d materializations from %d lookups", budget, st.Materialized, st.Hits+st.Misses)
+		}
+		if err := r.Verify(); err != nil {
+			t.Errorf("budget %d: Verify: %v", budget, err)
+		}
+		checkShardInvariants(t, r.cache)
+		r.Close()
+	}
+}
+
+func TestSourcesFirstRowsEqualCSR(t *testing.T) {
+	crawl, err := synth.Generate(synth.DefaultConfig(400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, codec := range CodecNames() {
+		t.Run(codec, func(t *testing.T) {
+			sweepBudgets(t, crawl.Corpus, buildCodecRep(t, codec, 400))
+		})
+	}
+}
+
+func TestSourcesFirstRowsEqualCSRRandomGraphs(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := randutil.NewRNG(seed)
+		c := randomCorpus(rng)
+		cfg := randomConfig(rng)
+		cfg.Codec = CodecNames()[seed%uint64(len(CodecNames()))]
+		dir := t.TempDir()
+		if _, err := Build(c, cfg, dir); err != nil {
+			t.Fatalf("seed %d: build: %v", seed, err)
+		}
+		sweepBudgets(t, c, dir)
+	}
+}
+
+// TestVerifyLeavesMaterializedEntries pins what the serving benchmark's
+// pre-warm relies on: after Verify under a budget that holds the whole
+// graph, every positive superedge graph is resident with its lists
+// decoded, so the lookups that follow load and materialize nothing.
+func TestVerifyLeavesMaterializedEntries(t *testing.T) {
+	c, _ := buildOnce(t)
+	r := openRep(t, 64<<20)
+	if err := r.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	for gid := range r.m.Directory {
+		g, ok := r.cache.get(GraphID(gid))
+		if !ok {
+			t.Fatalf("graph %d not resident after Verify", gid)
+		}
+		if _, sourcesOnly := g.(*superPosSources); sourcesOnly {
+			t.Fatalf("graph %d resident with its lists still encoded after Verify", gid)
+		}
+	}
+	if st := r.StatsExt().Cache; st.Materialized != r.m.Stats.PositiveSuperedges || st.Evictions != 0 {
+		t.Fatalf("Verify: %d materializations for %d positive superedge graphs, %d evictions", st.Materialized, r.m.Stats.PositiveSuperedges, st.Evictions)
+	}
+	if got := r.DecodedEdges(); got < r.m.NumEdges/2 {
+		t.Fatalf("DecodedEdges = %d after decoding a graph of %d links", got, r.m.NumEdges)
+	}
+	r.ResetStats()
+	var buf []webgraph.PageID
+	for p := int32(0); int(p) < c.Graph.NumPages(); p += 3 {
+		var err error
+		if buf, err = r.Out(p, buf[:0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := r.StatsExt().Cache; st.Loads != 0 || st.Materialized != 0 || st.Misses != 0 || r.DecodedEdges() != 0 {
+		t.Fatalf("lookups after Verify decoded again: %+v, %d edges", st, r.DecodedEdges())
+	}
+}
+
+// TestSourcesOnlyLoadDecodesNoLists pins the counters of one cold
+// lookup: every graph it consults is loaded once, only the superedge
+// graphs that list the page as a source are materialized, and
+// DecodedEdges counts the intranode graph plus those — not the lists
+// that stayed encoded.
+func TestSourcesOnlyLoadDecodesNoLists(t *testing.T) {
+	c, _ := buildOnce(t)
+	r := openRep(t, 64<<20)
+	page, need := widestPage(t, c, r)
+	local := r.m.Perm[page] - r.m.SnBase[r.snOf(r.m.Perm[page])]
+
+	var wantMaterialized, wantEdges int64
+	for _, gid := range need {
+		e := &r.m.Directory[gid]
+		buf := make([]byte, e.NumBytes)
+		if _, err := r.files[e.File].ReadAt(buf, e.Offset); err != nil {
+			t.Fatal(err)
+		}
+		g, err := r.decodePayload(e, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sp, ok := g.(*decodedSuperPos); ok {
+			if findSource(sp.srcs, local) < 0 {
+				continue
+			}
+			wantMaterialized++
+		}
+		wantEdges += g.edgeCount()
+	}
+	if wantMaterialized == 0 || wantMaterialized == int64(len(need))-1 {
+		t.Fatalf("page %d is a source in %d of %d superedge graphs: the test needs some of each", page, wantMaterialized, len(need)-1)
+	}
+
+	r.ResetCache(64 << 20)
+	rows, err := r.Out(page, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertPageRows(t, c, page, rows)
+	st := r.StatsExt().Cache
+	if st.Loads != int64(len(need)) || st.Materialized != wantMaterialized {
+		t.Fatalf("cold lookup: %d loads, %d materializations; want %d and %d", st.Loads, st.Materialized, len(need), wantMaterialized)
+	}
+	if got := r.DecodedEdges(); got != wantEdges {
+		t.Fatalf("cold lookup: DecodedEdges = %d, want %d (the intranode graph and the materialized lists only)", got, wantEdges)
+	}
+	io := r.StatsExt().IO
+
+	// The same page again: every entry is resident in the state the
+	// first lookup left it, and nothing is decoded or read.
+	if rows, err = r.Out(page, rows[:0]); err != nil {
+		t.Fatal(err)
+	}
+	assertPageRows(t, c, page, rows)
+	if st2 := r.StatsExt().Cache; st2.Loads != st.Loads || st2.Materialized != st.Materialized || r.DecodedEdges() != wantEdges {
+		t.Fatalf("warm lookup decoded again: %+v", st2)
+	}
+	if io2 := r.StatsExt().IO; io2 != io {
+		t.Fatalf("warm lookup read from disk: %+v, was %+v", io2, io)
+	}
+	checkShardInvariants(t, r.cache)
+}
+
+// sourcesEntry and wholeEntry build the two states of one superedge
+// graph for the cache-level tests, sized by their argument.
+func sourcesEntry(nSrcs, encBytes int) *superPosSources {
+	return &superPosSources{srcs: make([]int32, nSrcs), enc: encodedLists{buf: make([]byte, encBytes)}}
+}
+
+func wholeEntry(from *superPosSources, edgesPerList int) *decodedSuperPos {
+	lists := make([][]int32, len(from.srcs))
+	for i := range lists {
+		lists[i] = make([]int32, edgesPerList)
+	}
+	return &decodedSuperPos{srcs: from.srcs, lists: lists}
+}
+
+func insertEntry(t *testing.T, c *graphCache, id GraphID, g decodedGraph) {
+	t.Helper()
+	if _, _, leader := c.claimNoWait(id); !leader {
+		t.Fatalf("graph %d: expected to lead the decode", id)
+	}
+	c.complete(id, g, kindSuperPos, nil)
+}
+
+// TestMaterializedReplacesAndReaccounts walks the replacement through
+// its cases on one shard: the swap re-accounts the size and is neither
+// a load nor an eviction; growth evicts the least recently used
+// neighbours; a stale sources-only entry is counted but not admitted;
+// and an entry that outgrows the shard is resident alone.
+func TestMaterializedReplacesAndReaccounts(t *testing.T) {
+	c := newGraphCache(int64(cacheShards) * 4000) // 4000 bytes per shard
+	target := c.shard(0)
+	var ids []GraphID
+	for id := GraphID(0); len(ids) < 4; id++ {
+		if c.shard(id) == target {
+			ids = append(ids, id)
+		}
+	}
+	a, b, x := sourcesEntry(10, 200), sourcesEntry(10, 200), sourcesEntry(10, 200)
+	insertEntry(t, c, ids[0], a)
+	insertEntry(t, c, ids[1], b)
+	insertEntry(t, c, ids[2], x)
+	if got, want := target.used, 3*a.memSize(); got != want {
+		t.Fatalf("three sources-only entries use %d bytes, want %d", got, want)
+	}
+	if c.decodedEdges() != 0 {
+		t.Fatalf("sources-only inserts counted %d decoded edges", c.decodedEdges())
+	}
+
+	// Swap in place: b grows by a little, nothing else moves.
+	bFull := wholeEntry(b, 5)
+	c.materialized(ids[1], b, bFull)
+	checkShardInvariants(t, c)
+	if got, want := target.used, 2*a.memSize()+bFull.memSize(); got != want {
+		t.Fatalf("after the swap the shard uses %d bytes, want %d", got, want)
+	}
+	if g, ok := c.get(ids[1]); !ok || g != decodedGraph(bFull) {
+		t.Fatalf("lookup after the swap returned %T, want the materialized graph", g)
+	}
+	st := c.statsMerged()
+	if st.Materialized != 1 || st.Loads != 3 || st.Evictions != 0 || c.decodedEdges() != bFull.edgeCount() {
+		t.Fatalf("after the swap: %+v, %d decoded edges; want 1 materialization, 3 loads, 0 evictions, %d edges", st, c.decodedEdges(), bFull.edgeCount())
+	}
+
+	// A second materialization of the entry b already replaced: counted,
+	// not admitted.
+	c.materialized(ids[1], b, wholeEntry(b, 5))
+	if g, _ := c.get(ids[1]); g != decodedGraph(bFull) {
+		t.Fatal("a stale materialization displaced the resident graph")
+	}
+	if st := c.statsMerged(); st.Materialized != 2 {
+		t.Fatalf("stale materialization not counted: %+v", st)
+	}
+
+	// Growth past the budget evicts from the cold end: a is the least
+	// recently used (b was touched by get, x inserted after a).
+	xFull := wholeEntry(x, 80) // 10 lists of 80 edges: 3480 of the shard's 4000 bytes
+	c.materialized(ids[2], x, xFull)
+	checkShardInvariants(t, c)
+	if _, ok := c.get(ids[0]); ok {
+		t.Fatal("least recently used entry survived a materialization that needed its room")
+	}
+	if _, ok := c.get(ids[1]); !ok {
+		t.Fatal("recently used entry evicted before the cold one")
+	}
+	if st := c.statsMerged(); st.Evictions != 1 {
+		t.Fatalf("%d evictions, want 1", st.Evictions)
+	}
+
+	// An entry that was evicted before its lists came back is not
+	// re-admitted.
+	c.materialized(ids[0], a, wholeEntry(a, 1))
+	if _, ok := c.get(ids[0]); ok {
+		t.Fatal("materializing an evicted entry re-admitted it")
+	}
+
+	// Outgrowing the whole shard: admitted alone.
+	insertEntry(t, c, ids[3], a)
+	huge := wholeEntry(a, 1000)
+	c.materialized(ids[3], a, huge)
+	checkShardInvariants(t, c)
+	if target.lru.Len() != 1 || target.used != huge.memSize() {
+		t.Fatalf("oversized materialization: %d entries, %d bytes; want it alone at %d", target.lru.Len(), target.used, huge.memSize())
+	}
+}
+
+// TestMaterializedUnderConcurrency interleaves loads, lookups and
+// materializations of the same graphs from 16 goroutines under a budget
+// that keeps evicting, then checks the accounting.
+func TestMaterializedUnderConcurrency(t *testing.T) {
+	c := newGraphCache(48 << 10)
+	var wg sync.WaitGroup
+	for w := 0; w < 16; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w) + 7))
+			for op := 0; op < 3000; op++ {
+				id := GraphID(rng.Intn(200))
+				g, ok := c.get(id)
+				if !ok {
+					var fl *inflightDecode
+					var leader bool
+					g, fl, leader = c.claimNoWait(id)
+					switch {
+					case leader:
+						g = sourcesEntry(4+int(id)%40, 32+int(id)*13%900)
+						c.complete(id, g, kindSuperPos, nil)
+					case fl != nil:
+						<-fl.done
+						g = fl.g
+					}
+				}
+				if sg, ok := g.(*superPosSources); ok && rng.Intn(3) == 0 {
+					c.materialized(id, sg, wholeEntry(sg, 1+int(id)%30))
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	checkShardInvariants(t, c)
+	st := c.statsMerged()
+	if st.Materialized == 0 || st.Evictions == 0 {
+		t.Fatalf("the interleaving exercised nothing: %+v", st)
+	}
+}
+
+// corruptListSection damages the list section of graph gid in a copy of
+// the artifact, leaving its sources intact: the bytes after the last
+// source bit are overwritten with a pattern the codec's list decoder
+// must reject (zero bits end a bit-coded stream in an overrun; 0xFF
+// bytes are an overlong uvarint).
+func corruptListSection(t *testing.T, src string, r *Representation, gid GraphID) string {
+	t.Helper()
+	e := &r.m.Directory[gid]
+	payload := make([]byte, e.NumBytes)
+	if _, err := r.files[e.File].ReadAt(payload, e.Offset); err != nil {
+		t.Fatal(err)
+	}
+	niSize := r.m.SnBase[e.I+1] - r.m.SnBase[e.I]
+	_, enc, err := codecTable[e.Codec].DecodeSuperPosSources(payload, int(e.NumLists), niSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := len(payload) - len(enc.buf)
+	fill := byte(0x00)
+	if e.Codec == codecIDLZ {
+		fill = 0xFF
+	}
+	if enc.bitOff > 0 {
+		payload[start] &^= 0xFF >> enc.bitOff
+		start++
+	}
+	for i := start; i < len(payload); i++ {
+		payload[i] = fill
+	}
+	return corruptCopy(t, src, func(d string) {
+		f, err := os.OpenFile(indexFileName(d, e.File), os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.WriteAt(payload, e.Offset); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestCorruptListSectionFailsOnlyItsReaders damages one positive
+// superedge graph's lists under every codec. The graph still loads (its
+// sources are intact), pages that are not among its sources are served
+// correctly, the first page that is fails with the list decoder's
+// error — on every attempt — and Verify fails.
+func TestCorruptListSectionFailsOnlyItsReaders(t *testing.T) {
+	crawl, err := synth.Generate(synth.DefaultConfig(400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := crawl.Corpus
+	for _, cd := range codecTable {
+		t.Run(cd.Name(), func(t *testing.T) {
+			src := buildCodecRep(t, cd.Name(), 400)
+			clean, err := Open(src, 1<<20, iosim.Model2002())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer clean.Close()
+			// The victim: a positive superedge graph whose supernode has
+			// pages on both sides of its source list.
+			victim := GraphID(-1)
+			var srcs []int32
+			for gid := range clean.m.Directory {
+				e := &clean.m.Directory[gid]
+				niSize := clean.m.SnBase[e.I+1] - clean.m.SnBase[e.I]
+				if e.Kind == kindSuperPos && e.NumBytes > 8 && e.NumLists < niSize {
+					g, err := clean.load(GraphID(gid))
+					if err != nil {
+						t.Fatal(err)
+					}
+					victim, srcs = GraphID(gid), g.(*decodedSuperPos).srcs
+					break
+				}
+			}
+			if victim < 0 {
+				t.Skip("no positive superedge graph with a non-source page")
+			}
+			e := &clean.m.Directory[victim]
+			var source, bystander webgraph.PageID = -1, -1
+			for local := int32(0); local < clean.m.SnBase[e.I+1]-clean.m.SnBase[e.I]; local++ {
+				p := clean.m.Inv[clean.m.SnBase[e.I]+local]
+				if findSource(srcs, local) >= 0 {
+					source = p
+				} else {
+					bystander = p
+				}
+			}
+
+			r, err := Open(corruptListSection(t, src, clean, victim), 1<<20, iosim.Model2002())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			rows, err := r.Out(bystander, nil)
+			if err != nil {
+				t.Fatalf("page %d is not a source of the damaged graph, yet: %v", bystander, err)
+			}
+			assertPageRows(t, c, bystander, rows)
+			for attempt := 0; attempt < 2; attempt++ {
+				if _, err := r.Out(source, nil); err == nil || !strings.Contains(err.Error(), "superPos lists") {
+					t.Fatalf("attempt %d: page %d reads the damaged lists: error %v, want the superPos lists decode error", attempt, source, err)
+				}
+			}
+			if rows, err = r.Out(bystander, rows[:0]); err != nil {
+				t.Fatalf("bystander page after the failed materialization: %v", err)
+			}
+			assertPageRows(t, c, bystander, rows)
+			if g, ok := r.cache.get(victim); !ok {
+				t.Fatal("the damaged graph's sources-only entry did not stay resident")
+			} else if _, sourcesOnly := g.(*superPosSources); !sourcesOnly {
+				t.Fatalf("the damaged graph is resident as %T: its lists cannot have decoded", g)
+			}
+			checkShardInvariants(t, r.cache)
+			if err := r.Verify(); err == nil || !strings.Contains(err.Error(), "superPos lists") {
+				t.Fatalf("Verify on the damaged artifact: %v, want the superPos lists decode error", err)
+			}
+			if n := r.InflightDecodes(); n != 0 {
+				t.Fatalf("%d decodes left in flight", n)
+			}
+		})
+	}
+}
+
+// TestSourcesOnlyEntryOwnsItsBytes pins that the cached entry does not
+// alias the read buffer it was decoded from: the buffer goes back to a
+// pool and is overwritten by the next read.
+func TestSourcesOnlyEntryOwnsItsBytes(t *testing.T) {
+	dir := buildCodecRep(t, CodecPaper, 400)
+	r, err := Open(dir, 1<<20, iosim.Model2002())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for gid := range r.m.Directory {
+		e := &r.m.Directory[gid]
+		if e.Kind != kindSuperPos {
+			continue
+		}
+		buf := make([]byte, e.NumBytes)
+		if _, err := r.files[e.File].ReadAt(buf, e.Offset); err != nil {
+			t.Fatal(err)
+		}
+		g, err := r.decode(GraphID(gid), buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := r.decodePayload(e, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range buf {
+			buf[i] = 0xA5
+		}
+		got, err := g.(*superPosSources).materialize()
+		if err != nil {
+			t.Fatalf("graph %d: materialize after its read buffer was reused: %v", gid, err)
+		}
+		if !slices.Equal(got.srcs, want.(*decodedSuperPos).srcs) || !listsEqual(got.lists, want.(*decodedSuperPos).lists) {
+			t.Fatalf("graph %d: materialized lists changed with the read buffer", gid)
+		}
+	}
+}

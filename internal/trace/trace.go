@@ -47,6 +47,7 @@ const (
 	CtrCoalesced           // misses resolved by another goroutine's decode
 	CtrDecodes             // decodes this request led
 	CtrDecodedBytes        // encoded bytes this request decoded
+	CtrMaterialized        // superedge list sections this request decoded on demand
 	CtrReads               // simulated disk reads
 	CtrBytesRead           // bytes transferred
 	CtrSeeks               // modeled seeks charged
@@ -58,8 +59,8 @@ const (
 // CtrNames maps counter indices to export names.
 var CtrNames = [NumCounters]string{
 	"lookups", "graphs_needed", "cache_hits", "cache_misses",
-	"coalesced", "decodes", "decoded_bytes", "reads", "bytes_read",
-	"seeks", "stalls", "stall_nanos",
+	"coalesced", "decodes", "decoded_bytes", "materialized", "reads",
+	"bytes_read", "seeks", "stalls", "stall_nanos",
 }
 
 // Attr is one span attribute: a static key and an integer value (the

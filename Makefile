@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build vet test test-race check-overhead test-determinism test-delta-race test-load test-shard test-obs test-codec test-ingest check bench bench-json bench-build bench-update bench-load bench-shard bench-obs bench-codec bench-ingest clean
+.PHONY: build vet test test-race check-overhead test-query test-determinism test-delta-race test-load test-shard test-obs test-codec test-ingest check bench bench-json bench-build bench-update bench-load bench-shard bench-obs bench-codec bench-ingest clean
 
 build:
 	$(GO) build ./...
@@ -21,7 +21,8 @@ test-race:
 	$(GO) test -race ./...
 
 # Guard the untraced serving path: an engine with an attached-but-never-
-# sampling tracer must add zero allocations per query, and the trace
+# sampling tracer must add zero allocations per query — on Run and on
+# RunPartial, the entry shard replicas serve — and the trace
 # primitives themselves must be allocation-free when the context carries
 # no trace. The cross-process guards extend this across the tier: an
 # unsampled routed request must emit no X-SNode-Trace header and pay
@@ -35,6 +36,14 @@ check-overhead:
 	$(GO) test -count=1 -run 'TestUntracedPrimitivesZeroAlloc' ./internal/trace
 	$(GO) test -count=1 -run 'TestCrossProcessUntracedZeroAlloc' ./internal/trace ./internal/serve ./internal/router
 	$(GO) test -count=1 -run 'TestDecodeHotPathAllocs' ./internal/snode
+
+# Plan gate: every scheme's Table 3 rows and cold navigation I/O
+# (seeks, bytes, graph loads) against the golden file generated before
+# the plans were unified, and the Q3-Q6 answers against brute force off
+# the corpus graph. A plan edit that moves Figure 11 fails here by
+# scheme and query. Run with -count=1 so the gate always executes.
+test-query:
+	$(GO) test -count=1 -run 'TestTable3Golden|TestQ[3-6]AgainstBruteForce' ./internal/query
 
 # Build determinism: the parallel refiner and streaming assembly must
 # produce byte-identical partitions and artifacts at every worker
@@ -117,7 +126,7 @@ test-ingest:
 	$(GO) test -count=1 -run 'TestSpill' ./internal/iosim
 	$(GO) test -count=1 -run 'TestAllCoversEveryRegisteredExperiment' ./cmd/snbench
 
-check: build vet test test-race check-overhead test-determinism test-delta-race test-load test-shard test-obs test-codec test-ingest
+check: build vet test test-race check-overhead test-query test-determinism test-delta-race test-load test-shard test-obs test-codec test-ingest
 
 bench:
 	$(GO) test -bench=. -benchmem

@@ -1,10 +1,10 @@
 // Related pages: find authoritative pages on a topic, the way the
-// paper's Query 3 sets up Kleinberg's HITS — declaratively.
+// paper's Query 3 sets up Kleinberg's HITS.
 //
-// The webql plan (the declarative layer the paper lists as missing
-// infrastructure) resolves the topic's base set; HITS over the induced
-// subgraph separates hubs from authorities; results print with their
-// PageRank for comparison.
+// One pass over the topic's top pages collects the domains they cite
+// and the Kleinberg base set; HITS over the induced subgraph separates
+// hubs from authorities; results print with their PageRank for
+// comparison.
 //
 //	go run ./examples/relatedpages
 package main
@@ -20,7 +20,6 @@ import (
 	"snode/internal/repo"
 	"snode/internal/synth"
 	"snode/internal/webgraph"
-	"snode/internal/webql"
 )
 
 func main() {
@@ -45,38 +44,43 @@ func main() {
 	topic := synth.PhraseQuantumCryptography
 	fmt.Printf("topic: %q\n\n", topic)
 
-	// Declarative: which domains do the topic's top pages cite?
-	rows, err := webql.NewPlan(r).
-		Pages(webql.Phrase(topic), webql.TopByPageRank(50)).
-		WeightBy(webql.PageRankWeight).
-		Out(webql.AnyTarget()).
-		GroupByDomain(webql.SumSourceWeights).
-		Top(5).
-		Run(repo.SchemeSNode)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("domains the topic's top pages cite (webql plan):")
-	for _, row := range rows {
-		fmt.Printf("  %8.4f  %s\n", row.Score, row.Key)
-	}
-
-	// HITS over the Kleinberg base set: roots ∪ out-neighbours.
+	// One navigation pass from the topic's top pages (roots) gives both
+	// the domains they cite, each weighted by the PageRank of the roots
+	// citing it, and the Kleinberg base set: roots ∪ out-neighbours.
 	roots := pagerank.TopK(r.PageRank, r.Text.Lookup(topic), 50)
+	cites := map[string]float64{}
 	base := map[webgraph.PageID]bool{}
-	for _, p := range roots {
-		base[p] = true
-	}
 	var buf []webgraph.PageID
 	for _, p := range roots {
+		base[p] = true
 		buf, err = r.Fwd[repo.SchemeSNode].Out(p, buf[:0])
 		if err != nil {
 			log.Fatal(err)
 		}
+		seen := map[string]bool{}
 		for _, t := range buf {
 			base[t] = true
+			if d := r.DomainOf(t); !seen[d] {
+				seen[d] = true
+				cites[d] += r.PageRank[p]
+			}
 		}
 	}
+	domains := make([]string, 0, len(cites))
+	for d := range cites {
+		domains = append(domains, d)
+	}
+	sort.Slice(domains, func(i, j int) bool {
+		if cites[domains[i]] != cites[domains[j]] {
+			return cites[domains[i]] > cites[domains[j]]
+		}
+		return domains[i] < domains[j]
+	})
+	fmt.Println("domains the topic's top pages cite:")
+	for _, d := range domains[:min(5, len(domains))] {
+		fmt.Printf("  %8.4f  %s\n", cites[d], d)
+	}
+
 	var basePages []webgraph.PageID
 	for p := range base {
 		basePages = append(basePages, p)

@@ -1,4 +1,5 @@
-// Partial query execution for the domain-sharded serving tier.
+// The six Table 3 plans, and the merge that turns their rows into a
+// query's answer.
 //
 // A sharded corpus (internal/shard) replicates the small global state
 // — page metadata, text index, global PageRank, domain index — to
@@ -11,11 +12,13 @@
 // (global indexes), and navigation from an owned page sees the page's
 // complete adjacency in both directions.
 //
-// RunPartial therefore runs the same six algorithms as Run with two
-// changes: source page sets are restricted to owned pages, and no
-// final truncation/aggregation is applied — rows come back untruncated
-// and group-tagged so the router can merge K shards' partials into
-// exactly the rows a single-node Run would produce (MergePartials).
+// Each query is therefore written once, as a plan: source page sets
+// resolved through the indexes, navigation steps over them, and an
+// emitter of untruncated, group-tagged rows. The executor
+// (Engine.navigate) expands only the source pages the engine owns, and
+// MergePartials applies the query's truncation and aggregation to
+// however many engines' rows it is given — K shards' behind the router,
+// or, for Run, the single partial of an engine that owns everything.
 package query
 
 import (
@@ -31,14 +34,12 @@ import (
 	"snode/internal/webgraph"
 )
 
-// SetOwner restricts partial-query source page sets to the pages owns
+// SetOwner restricts the plans' source page sets to the pages owns
 // accepts (the shard's slice of the corpus). nil means the engine owns
-// every page, in which case MergePartials over this engine's single
-// partial reproduces Run exactly. Call before serving; Shared copies
-// inherit the predicate.
+// every page. Call before serving; Shared copies inherit the predicate.
 func (e *Engine) SetOwner(owns func(webgraph.PageID) bool) { e.owned = owns }
 
-// owns reports whether partial queries treat p as local.
+// owns reports whether the executor expands p on this engine.
 func (e *Engine) owns(p webgraph.PageID) bool { return e.owned == nil || e.owned(p) }
 
 // PartialRow is one untruncated, mergeable output row of a partial
@@ -58,324 +59,277 @@ type PartialResult struct {
 }
 
 // RunPartial executes one query restricted to the engine's owned
-// pages, returning mergeable partial rows. The context propagates
-// exactly as in Run.
+// pages, returning mergeable partial rows. The context propagates, and
+// traces and metrics are recorded, exactly as in Run.
 func (e *Engine) RunPartial(ctx context.Context, q ID) (*PartialResult, error) {
-	switch q {
-	case Q3, Q4, Q5:
-		if e.rev() == nil {
-			return nil, fmt.Errorf("query: Q%d needs in-neighborhood navigation; build the repository with Transpose", q)
-		}
-	}
+	part, _, err := e.runPlan(ctx, q)
+	return part, err
+}
+
+// step is one navigation pass of a plan: the executor expands every
+// owned page of src — forward, or over the transposed graph when rev —
+// under filter (nil = the full adjacency), and hands the page and its
+// neighbours to visit. nbrs is the executor's scratch buffer: visit may
+// reorder it but must not keep it.
+type step struct {
+	src    []webgraph.PageID
+	rev    bool
+	filter *store.Filter
+	visit  func(p webgraph.PageID, nbrs []webgraph.PageID)
+}
+
+// plan is one Table 3 query after index resolution: the navigation
+// steps to perform and, called once they have run, rows — what the
+// visits accumulated, as mergeable rows in an order fixed by the
+// navigation (never by map iteration).
+type plan struct {
+	steps []step
+	rows  func() []PartialRow
+}
+
+// planFor resolves q's source page sets and builds its plan.
+func (e *Engine) planFor(q ID) (plan, error) {
 	switch q {
 	case Q1:
-		return e.pq1(ctx)
+		return e.planQ1(), nil
 	case Q2:
-		return e.pq2(ctx)
+		return e.planQ2()
 	case Q3:
-		return e.pq3(ctx)
+		return e.planQ3(), nil
 	case Q4:
-		return e.pq4(ctx)
+		return e.planQ4(), nil
 	case Q5:
-		return e.pq5(ctx)
-	case Q6:
-		return e.pq6(ctx)
+		return e.planQ5(), nil
 	}
-	return nil, fmt.Errorf("query: unknown query %d", q)
+	return e.planQ6(), nil
 }
 
-// pq1 — Q1 restricted to owned Stanford sources. Rows: partial domain
-// weights; merge by summing.
-func (e *Engine) pq1(ctx context.Context) (*PartialResult, error) {
-	s := e.phraseInDomain(synth.PhraseMobileNetworking, "stanford.edu")
-	eduSet := e.R.EduDomains("stanford.edu")
-	filter := &store.Filter{Domains: eduSet}
+// planQ1 — Analysis 1: weighted list of .edu domains referenced by
+// Stanford pages about mobile networking. Rows: domain weights; merge
+// by summing.
+func (e *Engine) planQ1() plan {
 	weights := map[string]float64{}
 	var order []string
-	var buf []webgraph.PageID
-	nav, err := e.nav(ctx, func(ctx context.Context) error {
-		for _, p := range s {
-			if !e.owns(p) {
-				continue
-			}
-			var err error
-			buf, err = e.fwdOut(ctx, p, filter, buf[:0])
-			if err != nil {
-				return err
-			}
-			seen := map[string]bool{}
-			for _, t := range buf {
-				d := e.R.DomainOf(t)
-				if !seen[d] {
-					seen[d] = true
-					if _, ok := weights[d]; !ok {
-						order = append(order, d)
+	return plan{
+		steps: []step{{
+			src:    e.phraseInDomain(synth.PhraseMobileNetworking, "stanford.edu"),
+			filter: &store.Filter{Domains: e.R.EduDomains("stanford.edu")},
+			visit: func(p webgraph.PageID, nbrs []webgraph.PageID) {
+				// A page contributes its weight once per domain it points to.
+				seen := map[string]bool{}
+				for _, t := range nbrs {
+					d := e.R.DomainOf(t)
+					if !seen[d] {
+						seen[d] = true
+						if _, ok := weights[d]; !ok {
+							order = append(order, d)
+						}
+						weights[d] += e.R.PageRank[p]
 					}
-					weights[d] += e.R.PageRank[p]
 				}
+			},
+		}},
+		rows: func() []PartialRow {
+			rows := make([]PartialRow, 0, len(order))
+			for _, d := range order {
+				rows = append(rows, PartialRow{Key: d, Value: weights[d]})
 			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+			return rows
+		},
 	}
-	rows := make([]PartialRow, 0, len(order))
-	for _, d := range order {
-		rows = append(rows, PartialRow{Key: d, Value: weights[d]})
-	}
-	return &PartialResult{Query: Q1, Rows: rows, Nav: nav}, nil
 }
 
-// pq2 — Q2 with both the text count C1 and the link count C2
-// restricted to owned Stanford pages. Rows: per-comic partial counts;
-// merge by summing.
-func (e *Engine) pq2(ctx context.Context) (*PartialResult, error) {
+// planQ2 — Analysis 2: popularity C1+C2 per comic strip, C1 the
+// Stanford pages with at least two of the strip's words and C2 the
+// links from Stanford pages to the strip's site. Rows: per-comic
+// counts; merge by summing.
+func (e *Engine) planQ2() (plan, error) {
 	comics := synth.Comics()
-	dr, ok := e.domainRange("stanford.edu")
+	dr, ok := e.R.Domains["stanford.edu"]
 	if !ok {
 		// Domain ranges are global, so every shard fails identically.
-		return nil, fmt.Errorf("query: stanford.edu not in corpus")
+		return plan{}, fmt.Errorf("query: stanford.edu not in corpus")
 	}
-	c1 := map[string]int{}
+	// C1 comes from the text index, but is counted as the executor
+	// visits each Stanford page so that it is restricted to owned pages
+	// by the same check as C2.
+	textHits := map[webgraph.PageID][]string{}
 	siteOf := map[string]string{}
 	sites := map[string]bool{}
 	for _, c := range comics {
-		pages := e.R.Text.PagesWithAtLeast(c.Words, 2)
-		n := 0
-		for _, p := range pages {
-			if p >= dr.Lo && p < dr.Hi && e.owns(p) {
-				n++
+		for _, p := range e.R.Text.PagesWithAtLeast(c.Words, 2) {
+			if p >= dr.Lo && p < dr.Hi {
+				textHits[p] = append(textHits[p], c.Name)
 			}
 		}
-		c1[c.Name] = n
 		siteOf[c.Site] = c.Name
 		sites[c.Site] = true
 	}
-	c2 := map[string]int{}
-	filter := &store.Filter{Domains: sites}
-	var buf []webgraph.PageID
-	nav, err := e.nav(ctx, func(ctx context.Context) error {
-		for p := dr.Lo; p < dr.Hi; p++ {
-			if !e.owns(p) {
-				continue
-			}
-			var err error
-			buf, err = e.fwdOut(ctx, p, filter, buf[:0])
-			if err != nil {
-				return err
-			}
-			for _, t := range buf {
-				c2[siteOf[e.R.DomainOf(t)]]++
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	stanford := make([]webgraph.PageID, 0, dr.Hi-dr.Lo)
+	for p := dr.Lo; p < dr.Hi; p++ {
+		stanford = append(stanford, p)
 	}
-	rows := make([]PartialRow, 0, len(comics))
-	for _, c := range comics {
-		rows = append(rows, PartialRow{Key: c.Name, Value: float64(c1[c.Name] + c2[c.Name])})
-	}
-	return &PartialResult{Query: Q2, Rows: rows, Nav: nav}, nil
+	counts := map[string]int{}
+	return plan{
+		steps: []step{{
+			src:    stanford,
+			filter: &store.Filter{Domains: sites},
+			visit: func(p webgraph.PageID, nbrs []webgraph.PageID) {
+				for _, name := range textHits[p] {
+					counts[name]++
+				}
+				for _, t := range nbrs {
+					counts[siteOf[e.R.DomainOf(t)]]++
+				}
+			},
+		}},
+		rows: func() []PartialRow {
+			rows := make([]PartialRow, 0, len(comics))
+			for _, c := range comics {
+				rows = append(rows, PartialRow{Key: c.Name, Value: float64(counts[c.Name])})
+			}
+			return rows
+		},
+	}, nil
 }
 
-// pq3 — Q3's base set, the slice this shard can expand: the global
-// top-100 S resolves identically on every shard (global text index and
-// PageRank), and each shard contributes {p} ∪ out(p) ∪ cappedIn(p) for
-// the p ∈ S it owns. Rows: one per base-set member, keyed by page ID;
-// merge by distinct-key union.
-func (e *Engine) pq3(ctx context.Context) (*PartialResult, error) {
-	l := e.R.Text.Lookup(synth.PhraseInternetCensorship)
-	s := pagerank.TopK(e.R.PageRank, l, 100)
+// kleinbergInCap bounds in-neighbours per base-set page, as in HITS.
+const kleinbergInCap = 50
+
+// planQ3 — Kleinberg base set S ∪ out(S) ∪ in(S) for the top-100
+// "Internet censorship" pages. S resolves identically on every shard
+// (global text index and PageRank), and each contributes {p} ∪ out(p) ∪
+// cappedIn(p) for the p ∈ S it owns. Rows: one per base-set member,
+// keyed by page ID; merge by distinct-key union.
+func (e *Engine) planQ3() plan {
+	s := pagerank.TopK(e.R.PageRank, e.R.Text.Lookup(synth.PhraseInternetCensorship), 100)
+	// Navigate in page-ID order (sort the fetch set before touching the
+	// representation — the classic RID-sort, which every scheme's
+	// on-disk clustering benefits from).
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 	members := map[webgraph.PageID]bool{}
-	var buf []webgraph.PageID
-	nav, err := e.nav(ctx, func(ctx context.Context) error {
-		for _, p := range s {
-			if !e.owns(p) {
-				continue
-			}
-			members[p] = true
-			var err error
-			buf, err = e.fwdOut(ctx, p, nil, buf[:0])
-			if err != nil {
-				return err
-			}
-			for _, t := range buf {
-				members[t] = true
-			}
-			buf, err = e.revOut(ctx, p, nil, buf[:0])
-			if err != nil {
-				return err
-			}
-			sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-			for i, t := range buf {
-				if i >= kleinbergInCap {
-					break
+	return plan{
+		steps: []step{{
+			src: s,
+			visit: func(p webgraph.PageID, nbrs []webgraph.PageID) {
+				members[p] = true
+				for _, t := range nbrs {
+					members[t] = true
 				}
-				members[t] = true
+			},
+		}, {
+			src: s,
+			rev: true,
+			visit: func(_ webgraph.PageID, nbrs []webgraph.PageID) {
+				// Deterministic cap: smallest page IDs first.
+				sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] })
+				if len(nbrs) > kleinbergInCap {
+					nbrs = nbrs[:kleinbergInCap]
+				}
+				for _, t := range nbrs {
+					members[t] = true
+				}
+			},
+		}},
+		rows: func() []PartialRow {
+			ids := make([]webgraph.PageID, 0, len(members))
+			for p := range members {
+				ids = append(ids, p)
 			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+			rows := make([]PartialRow, 0, len(ids))
+			for _, p := range ids {
+				rows = append(rows, PartialRow{Key: strconv.FormatInt(int64(p), 10), Value: 1})
+			}
+			return rows
+		},
 	}
-	ids := make([]webgraph.PageID, 0, len(members))
-	for p := range members {
-		ids = append(ids, p)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	rows := make([]PartialRow, 0, len(ids))
-	for _, p := range ids {
-		rows = append(rows, PartialRow{Key: strconv.FormatInt(int64(p), 10), Value: 1})
-	}
-	return &PartialResult{Query: Q3, Rows: rows, Nav: nav}, nil
 }
 
-// pq4 — Q4 restricted to owned candidate pages, untruncated. Rows
-// carry the university as Group; merge sorts and caps per group.
-func (e *Engine) pq4(ctx context.Context) (*PartialResult, error) {
+// planQ4 — per-university quantum-cryptography pages by external
+// in-links, one step per university. Rows carry the university as
+// Group; merge ranks and caps 10 per group.
+func (e *Engine) planQ4() plan {
 	var rows []PartialRow
-	var navTotal NavStats
-	var buf []webgraph.PageID
+	var steps []step
 	for _, uni := range synth.Universities() {
-		uni := uni
-		s := e.phraseInDomain(synth.PhraseQuantumCryptography, uni)
-		pop := map[webgraph.PageID]int{}
-		var order []webgraph.PageID
-		nav, err := e.nav(ctx, func(ctx context.Context) error {
-			for _, p := range s {
-				if !e.owns(p) {
-					continue
-				}
-				var err error
-				buf, err = e.revOut(ctx, p, nil, buf[:0])
-				if err != nil {
-					return err
-				}
+		steps = append(steps, step{
+			src: e.phraseInDomain(synth.PhraseQuantumCryptography, uni),
+			rev: true,
+			visit: func(p webgraph.PageID, nbrs []webgraph.PageID) {
 				n := 0
-				for _, src := range buf {
+				for _, src := range nbrs {
 					if e.R.DomainOf(src) != uni {
 						n++
 					}
 				}
-				pop[p] = n
-				order = append(order, p)
-			}
-			return nil
+				rows = append(rows, PartialRow{Group: uni, Key: uni + " " + e.R.Corpus.Pages[p].URL, Value: float64(n)})
+			},
 		})
-		if err != nil {
-			return nil, err
-		}
-		navTotal = addNav(navTotal, nav)
-		for _, p := range order {
-			rows = append(rows, PartialRow{
-				Group: uni,
-				Key:   uni + " " + e.R.Corpus.Pages[p].URL,
-				Value: float64(pop[p]),
-			})
-		}
 	}
-	return &PartialResult{Query: Q4, Rows: rows, Nav: navTotal}, nil
+	return plan{steps: steps, rows: func() []PartialRow { return rows }}
 }
 
-// pq5 — Q5 restricted to owned set members, untruncated; merge sorts
-// and caps globally.
-func (e *Engine) pq5(ctx context.Context) (*PartialResult, error) {
+// planQ5 — computer-music pages by in-links from within the set. Rows:
+// the .edu members with their counts; merge ranks and caps 10.
+func (e *Engine) planQ5() plan {
 	s := e.R.Text.Lookup(synth.PhraseComputerMusic)
 	inSet := map[webgraph.PageID]bool{}
 	for _, p := range s {
 		inSet[p] = true
 	}
-	filter := &store.Filter{Pages: inSet}
-	counts := map[webgraph.PageID]int{}
-	var order []webgraph.PageID
-	var buf []webgraph.PageID
-	nav, err := e.nav(ctx, func(ctx context.Context) error {
-		for _, p := range s {
-			if !e.owns(p) {
-				continue
-			}
-			var err error
-			buf, err = e.revOut(ctx, p, filter, buf[:0])
-			if err != nil {
-				return err
-			}
-			counts[p] = len(buf)
-			order = append(order, p)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	var rows []PartialRow
-	for _, p := range order {
-		if strings.HasSuffix(e.R.DomainOf(p), ".edu") {
-			rows = append(rows, PartialRow{Key: e.R.Corpus.Pages[p].URL, Value: float64(counts[p])})
-		}
+	return plan{
+		steps: []step{{
+			src:    s,
+			rev:    true,
+			filter: &store.Filter{Pages: inSet},
+			visit: func(p webgraph.PageID, nbrs []webgraph.PageID) {
+				if strings.HasSuffix(e.R.DomainOf(p), ".edu") {
+					rows = append(rows, PartialRow{Key: e.R.Corpus.Pages[p].URL, Value: float64(len(nbrs))})
+				}
+			},
+		}},
+		rows: func() []PartialRow { return rows },
 	}
-	return &PartialResult{Query: Q5, Rows: rows, Nav: nav}, nil
 }
 
-// pq6 — Q6 with the two source sets restricted to owned pages. Rows
-// carry Group "a" (Stanford citations) or "b" (Berkeley citations);
-// the merge joins the two sides and keeps targets cited by both.
-func (e *Engine) pq6(ctx context.Context) (*PartialResult, error) {
-	s1 := e.phraseInDomain(synth.PhraseOpticalInterferometry, "stanford.edu")
-	s2 := e.phraseInDomain(synth.PhraseOpticalInterferometry, "berkeley.edu")
-	counts := map[webgraph.PageID]int{}
-	var order []webgraph.PageID
-	var buf []webgraph.PageID
-	collect := func(ctx context.Context, src []webgraph.PageID) error {
-		for _, p := range src {
-			if !e.owns(p) {
-				continue
-			}
-			var err error
-			buf, err = e.fwdOut(ctx, p, nil, buf[:0])
-			if err != nil {
-				return err
-			}
-			for _, t := range buf {
-				d := e.R.DomainOf(t)
-				if d == "stanford.edu" || d == "berkeley.edu" {
-					continue
+// planQ6 — pages outside both universities cited by Stanford and by
+// Berkeley optical-interferometry pages, one step per source set. Rows
+// carry Group "a" (Stanford citations) or "b" (Berkeley citations); the
+// merge joins the two sides and keeps targets cited by both.
+func (e *Engine) planQ6() plan {
+	sides := []struct{ group, domain string }{{"a", "stanford.edu"}, {"b", "berkeley.edu"}}
+	cited := make([]map[webgraph.PageID]int, len(sides))
+	order := make([][]webgraph.PageID, len(sides))
+	var steps []step
+	for i, side := range sides {
+		cited[i] = map[webgraph.PageID]int{}
+		steps = append(steps, step{
+			src: e.phraseInDomain(synth.PhraseOpticalInterferometry, side.domain),
+			visit: func(_ webgraph.PageID, nbrs []webgraph.PageID) {
+				for _, t := range nbrs {
+					d := e.R.DomainOf(t)
+					if d == "stanford.edu" || d == "berkeley.edu" {
+						continue
+					}
+					if _, ok := cited[i][t]; !ok {
+						order[i] = append(order[i], t)
+					}
+					cited[i][t]++
 				}
-				if _, ok := counts[t]; !ok {
-					order = append(order, t)
-				}
-				counts[t]++
+			},
+		})
+	}
+	return plan{steps: steps, rows: func() []PartialRow {
+		var rows []PartialRow
+		for i, side := range sides {
+			for _, t := range order[i] {
+				rows = append(rows, PartialRow{Group: side.group, Key: e.R.Corpus.Pages[t].URL, Value: float64(cited[i][t])})
 			}
 		}
-		return nil
-	}
-	var rows []PartialRow
-	emit := func(group string) {
-		for _, t := range order {
-			rows = append(rows, PartialRow{Group: group, Key: e.R.Corpus.Pages[t].URL, Value: float64(counts[t])})
-		}
-		counts = map[webgraph.PageID]int{}
-		order = order[:0]
-	}
-	nav, err := e.nav(ctx, func(ctx context.Context) error {
-		if err := collect(ctx, s1); err != nil {
-			return err
-		}
-		emit("a")
-		if err := collect(ctx, s2); err != nil {
-			return err
-		}
-		emit("b")
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &PartialResult{Query: Q6, Rows: rows, Nav: nav}, nil
+		return rows
+	}}
 }
 
 // MergePartials folds K shards' partial rows into exactly the rows a
@@ -393,19 +347,15 @@ func (e *Engine) pq6(ctx context.Context) (*PartialResult, error) {
 func MergePartials(q ID, parts [][]PartialRow) []Row {
 	switch q {
 	case Q1, Q2:
-		return mergeSum(parts, 0)
+		return mergeSum(parts)
 	case Q3:
-		n := 0
 		seen := map[string]bool{}
 		for _, part := range parts {
 			for _, r := range part {
-				if !seen[r.Key] {
-					seen[r.Key] = true
-					n++
-				}
+				seen[r.Key] = true
 			}
 		}
-		return []Row{{Key: "base-set-size", Value: float64(n)}}
+		return []Row{{Key: "base-set-size", Value: float64(len(seen))}}
 	case Q4:
 		var rows []Row
 		for _, uni := range synth.Universities() {
@@ -425,7 +375,7 @@ func MergePartials(q ID, parts [][]PartialRow) []Row {
 		}
 		return rows
 	case Q5:
-		rows := mergeSum(parts, 0)
+		rows := mergeSum(parts)
 		if len(rows) > 10 {
 			rows = rows[:10]
 		}
@@ -433,25 +383,19 @@ func MergePartials(q ID, parts [][]PartialRow) []Row {
 	case Q6:
 		a := map[string]float64{}
 		b := map[string]float64{}
-		var order []string
 		for _, part := range parts {
 			for _, r := range part {
-				m := a
 				if r.Group == "b" {
-					m = b
+					b[r.Key] += r.Value
+				} else {
+					a[r.Key] += r.Value
 				}
-				if _, inA := a[r.Key]; !inA {
-					if _, inB := b[r.Key]; !inB {
-						order = append(order, r.Key)
-					}
-				}
-				m[r.Key] += r.Value
 			}
 		}
 		var rows []Row
-		for _, k := range order {
-			if a[k] >= 1 && b[k] >= 1 {
-				rows = append(rows, Row{Key: k, Value: a[k] + b[k]})
+		for k, na := range a {
+			if nb := b[k]; na >= 1 && nb >= 1 {
+				rows = append(rows, Row{Key: k, Value: na + nb})
 			}
 		}
 		sortRows(rows)
@@ -464,20 +408,16 @@ func MergePartials(q ID, parts [][]PartialRow) []Row {
 }
 
 // mergeSum sums partial rows by key and ranks the result.
-func mergeSum(parts [][]PartialRow, _ int) []Row {
+func mergeSum(parts [][]PartialRow) []Row {
 	sums := map[string]float64{}
-	var order []string
 	for _, part := range parts {
 		for _, r := range part {
-			if _, ok := sums[r.Key]; !ok {
-				order = append(order, r.Key)
-			}
 			sums[r.Key] += r.Value
 		}
 	}
-	rows := make([]Row, 0, len(order))
-	for _, k := range order {
-		rows = append(rows, Row{Key: k, Value: sums[k]})
+	rows := make([]Row, 0, len(sums))
+	for k, v := range sums {
+		rows = append(rows, Row{Key: k, Value: v})
 	}
 	sortRows(rows)
 	return rows

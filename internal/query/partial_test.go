@@ -42,29 +42,6 @@ func rowsMatch(t *testing.T, q ID, got, want []Row) {
 	}
 }
 
-// TestMergePartialsNilOwnerMatchesRun: an engine that owns everything
-// must produce one partial whose merge is exactly Run's output — the
-// degenerate K=1 "shard".
-func TestMergePartialsNilOwnerMatchesRun(t *testing.T) {
-	r := getRepo(t)
-	e, err := New(r, repo.SchemeSNode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range All() {
-		want, err := e.Run(context.Background(), q)
-		if err != nil {
-			t.Fatalf("Run Q%d: %v", q, err)
-		}
-		part, err := e.RunPartial(context.Background(), q)
-		if err != nil {
-			t.Fatalf("RunPartial Q%d: %v", q, err)
-		}
-		got := MergePartials(q, [][]PartialRow{part.Rows})
-		rowsMatch(t, q, got, want.Rows)
-	}
-}
-
 // TestMergePartialsOwnerSplitMatchesRun: two engines over the same
 // full repository, each owning half the page-ID space, must merge to
 // exactly the single-node rows for all six queries. This pins the

@@ -10,14 +10,11 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"snode/internal/metrics"
-	"snode/internal/pagerank"
 	"snode/internal/repo"
 	"snode/internal/store"
-	"snode/internal/synth"
 	"snode/internal/trace"
 	"snode/internal/webgraph"
 )
@@ -93,7 +90,7 @@ type Engine struct {
 	Scheme string
 
 	// shared marks an engine running alongside other engines on the
-	// same stores (the parallel serving path): navigation closures run
+	// same stores (the parallel serving path): navigation runs
 	// without resetting the shared access statistics, and per-query
 	// NavStats carries wall time only, since concurrent streams cannot
 	// attribute the shared accountant's bytes to one query.
@@ -114,9 +111,9 @@ type Engine struct {
 	// request-scoped traces; Shared copies record into the same tracer.
 	tracer *trace.Tracer
 
-	// owned, wired by SetOwner (nil = owns everything), restricts
-	// partial-query source page sets to this shard's pages; see
-	// partial.go. Shared copies inherit it (struct copy).
+	// owned, wired by SetOwner (nil = owns everything), restricts the
+	// plans' source page sets to this shard's pages; see partial.go.
+	// Shared copies inherit it (struct copy).
 	owned func(webgraph.PageID) bool
 
 	// fwdCtx/revCtx cache the one-time type assertion to the stores'
@@ -137,12 +134,12 @@ func New(r *repo.Repository, scheme string) (*Engine, error) {
 	return e, nil
 }
 
-// SetTracer attaches a sampling tracer: every subsequent Run consults
-// it, and sampled executions build a span tree through the engine, the
-// S-Node reader, the buffer manager, and the I/O simulator, finished
-// into the tracer's slow-query log. Engines derived via Shared (and
-// therefore RunParallel) sample into the same tracer. Call before
-// serving; nil disables.
+// SetTracer attaches a sampling tracer: every subsequent Run or
+// RunPartial consults it, and sampled executions build a span tree
+// through the engine, the S-Node reader, the buffer manager, and the
+// I/O simulator, finished into the tracer's slow-query log. Engines
+// derived via Shared (and therefore RunParallel) sample into the same
+// tracer. Call before serving; nil disables.
 func (e *Engine) SetTracer(t *trace.Tracer) { e.tracer = t }
 
 // Tracer returns the tracer wired by SetTracer (nil without).
@@ -152,11 +149,12 @@ func (e *Engine) Tracer() *trace.Tracer { return e.tracer }
 // a static table so the untraced hot path never formats a string.
 var classNames = [Q6 + 1]string{"", "q1", "q2", "q3", "q4", "q5", "q6"}
 
-// SetMetrics wires the engine's executions into a registry: a latency
-// histogram per query ID (query_latency_q1 .. query_latency_q6) and the
-// per-stage split between index resolution and navigation. Call before
-// serving; engines derived via Shared (and therefore RunParallel)
-// record into the same histograms, so concurrent streams aggregate.
+// SetMetrics wires the engine's executions (Run and RunPartial alike)
+// into a registry: a latency histogram per query ID (query_latency_q1
+// .. query_latency_q6) and the per-stage split between index resolution
+// and navigation. Call before serving; engines derived via Shared (and
+// therefore RunParallel) record into the same histograms, so concurrent
+// streams aggregate.
 func (e *Engine) SetMetrics(reg *metrics.Registry) {
 	e.reg = reg
 	for _, q := range All() {
@@ -182,7 +180,7 @@ func (e *Engine) Neighbors(ctx context.Context, p webgraph.PageID) ([]webgraph.P
 		ctx, tr = e.tracer.StartRequest(ctx, "nav")
 	}
 	start := time.Now()
-	out, err := e.fwdOut(ctx, p, nil, nil)
+	out, err := e.out(ctx, false, p, nil, nil)
 	var traceID uint64
 	if tr != nil {
 		e.tracer.Finish(tr)
@@ -197,62 +195,67 @@ func (e *Engine) Neighbors(ctx context.Context, p webgraph.PageID) ([]webgraph.P
 	return out, tr, nil
 }
 
-// Run executes one query. The context propagates through the whole
-// execution — navigation loops stop promptly when it is cancelled —
-// and, when a tracer is wired and samples this run, carries the
-// execution trace down into the reader, cache, and I/O layers.
+// Run executes one query: the query's plan over the pages this engine
+// owns (all of them unless SetOwner says otherwise), merged alone — a
+// full run is the K=1 case of the sharded tier's scatter and merge, so
+// both go through the same plan and the same MergePartials. The context
+// propagates through the whole execution — navigation stops promptly
+// when it is cancelled — and, when a tracer is wired and samples this
+// run, carries the execution trace down into the reader, cache, and I/O
+// layers.
 func (e *Engine) Run(ctx context.Context, q ID) (*Result, error) {
+	part, tr, err := e.runPlan(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
+		Query:  q,
+		Scheme: e.Scheme,
+		Rows:   MergePartials(q, [][]PartialRow{part.Rows}),
+		Nav:    part.Nav,
+		Trace:  tr,
+	}, nil
+}
+
+// runPlan is the one instrumented entry to the plans, shared by Run and
+// RunPartial so a shard replica (which only ever serves partials)
+// samples traces and records the per-query and per-stage histograms
+// exactly as a single node does.
+func (e *Engine) runPlan(ctx context.Context, q ID) (*PartialResult, *trace.Trace, error) {
 	switch q {
+	case Q1, Q2, Q6:
 	case Q3, Q4, Q5:
 		if e.rev() == nil {
-			return nil, fmt.Errorf("query: Q%d needs in-neighborhood navigation; build the repository with Transpose", q)
+			return nil, nil, fmt.Errorf("query: Q%d needs in-neighborhood navigation; build the repository with Transpose", q)
 		}
+	default:
+		return nil, nil, fmt.Errorf("query: unknown query %d", q)
 	}
 	var tr *trace.Trace
-	if e.tracer != nil && q >= Q1 && q <= Q6 {
+	if e.tracer != nil {
+		// Inside an already-traced request (a router leg forced by its
+		// header) this composes into that trace and returns nil.
 		ctx, tr = e.tracer.StartRequest(ctx, classNames[q])
 	}
 	start := time.Now()
-	r, err := e.run(ctx, q)
+	part, err := e.execute(ctx, q)
 	var traceID uint64
 	if tr != nil {
 		// Finish before publishing the exemplar: a scrape that sees the
 		// trace ID in a histogram bucket must be able to look it up.
 		e.tracer.Finish(tr)
 		traceID = tr.ID
-		if r != nil {
-			r.Trace = tr
-		}
 	}
 	if err != nil || e.qHist[q] == nil {
-		return r, err
+		return part, tr, err
 	}
 	total := time.Since(start)
 	e.qHist[q].ObserveExemplar(int64(total), traceID)
-	e.navHist.ObserveDuration(r.Nav.CPU)
-	if resolve := total - r.Nav.CPU; resolve > 0 {
+	e.navHist.ObserveDuration(part.Nav.CPU)
+	if resolve := total - part.Nav.CPU; resolve > 0 {
 		e.resolveHist.ObserveDuration(resolve)
 	}
-	return r, nil
-}
-
-// run dispatches to the query implementations.
-func (e *Engine) run(ctx context.Context, q ID) (*Result, error) {
-	switch q {
-	case Q1:
-		return e.q1(ctx)
-	case Q2:
-		return e.q2(ctx)
-	case Q3:
-		return e.q3(ctx)
-	case Q4:
-		return e.q4(ctx)
-	case Q5:
-		return e.q5(ctx)
-	case Q6:
-		return e.q6(ctx)
-	}
-	return nil, fmt.Errorf("query: unknown query %d", q)
+	return part, tr, nil
 }
 
 // RunAll executes the six queries in order.
@@ -271,62 +274,84 @@ func (e *Engine) RunAll(ctx context.Context) ([]*Result, error) {
 func (e *Engine) fwd() store.LinkStore { return e.R.Fwd[e.Scheme] }
 func (e *Engine) rev() store.LinkStore { return e.R.Rev[e.Scheme] }
 
-// fwdOut is the engine's single forward-navigation access point: it
-// checks for cancellation, then routes through the scheme's
-// context-aware read path when the store provides one (S-Node), so the
-// request's trace and cancellation reach the reader; the flat
-// baselines keep the plain interface. A nil filter means the full
-// adjacency.
-func (e *Engine) fwdOut(ctx context.Context, p webgraph.PageID, f *store.Filter, buf []webgraph.PageID) ([]webgraph.PageID, error) {
+// out is the engine's single store access point, forward or (rev) over
+// the transposed graph: it checks for cancellation, then routes through
+// the scheme's context-aware read path when the store provides one
+// (S-Node), so the request's trace and cancellation reach the reader;
+// the flat baselines keep the plain interface. A nil filter means the
+// full adjacency.
+func (e *Engine) out(ctx context.Context, rev bool, p webgraph.PageID, f *store.Filter, buf []webgraph.PageID) ([]webgraph.PageID, error) {
 	if err := ctx.Err(); err != nil {
 		return buf, err
 	}
-	if e.fwdCtx != nil {
-		return e.fwdCtx.OutFilteredCtx(ctx, p, f, buf)
+	sc := e.fwdCtx
+	if rev {
+		sc = e.revCtx
+	}
+	if sc != nil {
+		return sc.OutFilteredCtx(ctx, p, f, buf)
+	}
+	s := e.fwd()
+	if rev {
+		s = e.rev()
 	}
 	if f == nil {
-		return e.fwd().Out(p, buf)
+		return s.Out(p, buf)
 	}
-	return e.fwd().OutFiltered(p, f, buf)
+	return s.OutFiltered(p, f, buf)
 }
 
-// revOut is fwdOut over the transposed graph.
-func (e *Engine) revOut(ctx context.Context, p webgraph.PageID, f *store.Filter, buf []webgraph.PageID) ([]webgraph.PageID, error) {
-	if err := ctx.Err(); err != nil {
-		return buf, err
+// execute runs one query's plan: index resolution (un-timed, as in the
+// paper), the navigation steps, then row emission.
+func (e *Engine) execute(ctx context.Context, q ID) (*PartialResult, error) {
+	pl, err := e.planFor(q)
+	if err != nil {
+		return nil, err
 	}
-	if e.revCtx != nil {
-		return e.revCtx.OutFilteredCtx(ctx, p, f, buf)
+	nav, err := e.navigate(ctx, pl.steps)
+	if err != nil {
+		return nil, err
 	}
-	if f == nil {
-		return e.rev().Out(p, buf)
-	}
-	return e.rev().OutFiltered(p, f, buf)
+	return &PartialResult{Query: q, Rows: pl.rows(), Nav: nav}, nil
 }
 
-// nav times a navigation closure over the scheme's stores. On traced
-// requests the whole navigation component becomes a "nav" span — the
-// timed part of the query, as distinct from index resolution.
-func (e *Engine) nav(ctx context.Context, fn func(ctx context.Context) error) (NavStats, error) {
+// navigate runs a plan's steps and measures them. It is the only loop
+// that calls the store on a plan's behalf, so the owned-page
+// restriction, the cancellation check (in out), the direction dispatch
+// and the scratch buffer exist once. On traced requests the whole
+// navigation component becomes a "nav" span — the timed part of the
+// query, as distinct from index resolution.
+func (e *Engine) navigate(ctx context.Context, steps []step) (NavStats, error) {
 	ctx, sp := trace.Start(ctx, "nav")
 	defer sp.End()
+	fwd, rev := e.fwd(), e.rev()
+	if !e.shared {
+		fwd.ResetStats()
+		if rev != nil {
+			rev.ResetStats()
+		}
+	}
+	start := time.Now()
+	var buf []webgraph.PageID
+	for _, st := range steps {
+		for _, p := range st.src {
+			if !e.owns(p) {
+				continue
+			}
+			var err error
+			if buf, err = e.out(ctx, st.rev, p, st.filter, buf[:0]); err != nil {
+				return NavStats{}, err
+			}
+			st.visit(p, buf)
+		}
+	}
+	nav := NavStats{CPU: time.Since(start)}
 	if e.shared {
 		// Shared stores: resetting stats would clobber concurrent
 		// streams, and the accountant's counters mix all of them, so a
 		// shared engine reports wall time only.
-		start := time.Now()
-		err := fn(ctx)
-		return NavStats{CPU: time.Since(start)}, err
+		return nav, nil
 	}
-	fwd := e.fwd()
-	rev := e.rev()
-	fwd.ResetStats()
-	if rev != nil {
-		rev.ResetStats()
-	}
-	start := time.Now()
-	err := fn(ctx)
-	cpu := time.Since(start)
 	st := fwd.Stats()
 	if rev != nil {
 		rs := rev.Stats()
@@ -335,24 +360,16 @@ func (e *Engine) nav(ctx context.Context, fn func(ctx context.Context) error) (N
 		st.IO.Reads += rs.IO.Reads
 		st.GraphsLoaded += rs.GraphsLoaded
 	}
-	return NavStats{
-		CPU:          cpu,
-		IO:           st.IO.ModeledTime(e.R.Model),
-		Seeks:        st.IO.Seeks,
-		BytesRead:    st.IO.BytesRead,
-		GraphsLoaded: st.GraphsLoaded,
-	}, err
-}
-
-// domainRange returns a domain's page range.
-func (e *Engine) domainRange(domain string) (store.DomainRange, bool) {
-	r, ok := e.R.Domains[domain]
-	return r, ok
+	nav.IO = st.IO.ModeledTime(e.R.Model)
+	nav.Seeks = st.IO.Seeks
+	nav.BytesRead = st.IO.BytesRead
+	nav.GraphsLoaded = st.GraphsLoaded
+	return nav, nil
 }
 
 // phraseInDomain resolves the pages of a domain containing a phrase.
 func (e *Engine) phraseInDomain(phrase, domain string) []webgraph.PageID {
-	dr, ok := e.domainRange(domain)
+	dr, ok := e.R.Domains[domain]
 	if !ok {
 		return nil
 	}
@@ -366,290 +383,4 @@ func sortRows(rows []Row) {
 		}
 		return rows[i].Key < rows[j].Key
 	})
-}
-
-// q1 — Analysis 1: weighted list of .edu domains referenced by Stanford
-// pages about mobile networking.
-func (e *Engine) q1(ctx context.Context) (*Result, error) {
-	s := e.phraseInDomain(synth.PhraseMobileNetworking, "stanford.edu")
-	eduSet := e.R.EduDomains("stanford.edu")
-	filter := &store.Filter{Domains: eduSet}
-	weights := map[string]float64{}
-	var buf []webgraph.PageID
-	nav, err := e.nav(ctx, func(ctx context.Context) error {
-		for _, p := range s {
-			var err error
-			buf, err = e.fwdOut(ctx, p, filter, buf[:0])
-			if err != nil {
-				return err
-			}
-			// A page contributes its weight once per domain it points to.
-			seen := map[string]bool{}
-			for _, t := range buf {
-				d := e.R.DomainOf(t)
-				if !seen[d] {
-					seen[d] = true
-					weights[d] += e.R.PageRank[p]
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Row, 0, len(weights))
-	for d, w := range weights {
-		rows = append(rows, Row{Key: d, Value: w})
-	}
-	sortRows(rows)
-	return &Result{Query: Q1, Scheme: e.Scheme, Rows: rows, Nav: nav}, nil
-}
-
-// q2 — Analysis 2: popularity C1+C2 per comic strip.
-func (e *Engine) q2(ctx context.Context) (*Result, error) {
-	comics := synth.Comics()
-	dr, ok := e.domainRange("stanford.edu")
-	if !ok {
-		return nil, fmt.Errorf("query: stanford.edu not in corpus")
-	}
-	// C1: word-occurrence counts (text index, untimed).
-	c1 := map[string]int{}
-	siteOf := map[string]string{}
-	sites := map[string]bool{}
-	for _, c := range comics {
-		pages := e.R.Text.PagesWithAtLeast(c.Words, 2)
-		n := 0
-		for _, p := range pages {
-			if p >= dr.Lo && p < dr.Hi {
-				n++
-			}
-		}
-		c1[c.Name] = n
-		siteOf[c.Site] = c.Name
-		sites[c.Site] = true
-	}
-	// C2: links from Stanford pages to each comic site (navigation).
-	c2 := map[string]int{}
-	filter := &store.Filter{Domains: sites}
-	var buf []webgraph.PageID
-	nav, err := e.nav(ctx, func(ctx context.Context) error {
-		for p := dr.Lo; p < dr.Hi; p++ {
-			var err error
-			buf, err = e.fwdOut(ctx, p, filter, buf[:0])
-			if err != nil {
-				return err
-			}
-			for _, t := range buf {
-				c2[siteOf[e.R.DomainOf(t)]]++
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Row, 0, len(comics))
-	for _, c := range comics {
-		rows = append(rows, Row{Key: c.Name, Value: float64(c1[c.Name] + c2[c.Name])})
-	}
-	sortRows(rows)
-	return &Result{Query: Q2, Scheme: e.Scheme, Rows: rows, Nav: nav}, nil
-}
-
-// kleinbergInCap bounds in-neighbours per base-set page, as in HITS.
-const kleinbergInCap = 50
-
-// q3 — Kleinberg base set: S ∪ out(S) ∪ in(S).
-func (e *Engine) q3(ctx context.Context) (*Result, error) {
-	l := e.R.Text.Lookup(synth.PhraseInternetCensorship)
-	s := pagerank.TopK(e.R.PageRank, l, 100)
-	// Navigate in page-ID order (sort the fetch set before touching the
-	// representation — the classic RID-sort, which every scheme's
-	// on-disk clustering benefits from).
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	base := map[webgraph.PageID]bool{}
-	for _, p := range s {
-		base[p] = true
-	}
-	var buf []webgraph.PageID
-	nav, err := e.nav(ctx, func(ctx context.Context) error {
-		for _, p := range s {
-			var err error
-			buf, err = e.fwdOut(ctx, p, nil, buf[:0])
-			if err != nil {
-				return err
-			}
-			for _, t := range buf {
-				base[t] = true
-			}
-			buf, err = e.revOut(ctx, p, nil, buf[:0])
-			if err != nil {
-				return err
-			}
-			// Deterministic cap: smallest page IDs first.
-			sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-			for i, t := range buf {
-				if i >= kleinbergInCap {
-					break
-				}
-				base[t] = true
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	rows := []Row{{Key: "base-set-size", Value: float64(len(base))}}
-	return &Result{Query: Q3, Scheme: e.Scheme, Rows: rows, Nav: nav}, nil
-}
-
-// q4 — per-university top-10 quantum-cryptography pages by external
-// in-links.
-func (e *Engine) q4(ctx context.Context) (*Result, error) {
-	var rows []Row
-	var navTotal NavStats
-	var buf []webgraph.PageID
-	for _, uni := range synth.Universities() {
-		s := e.phraseInDomain(synth.PhraseQuantumCryptography, uni)
-		pop := map[webgraph.PageID]int{}
-		nav, err := e.nav(ctx, func(ctx context.Context) error {
-			for _, p := range s {
-				var err error
-				buf, err = e.revOut(ctx, p, nil, buf[:0])
-				if err != nil {
-					return err
-				}
-				n := 0
-				for _, src := range buf {
-					if e.R.DomainOf(src) != uni {
-						n++
-					}
-				}
-				pop[p] = n
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		navTotal = addNav(navTotal, nav)
-		uniRows := make([]Row, 0, len(pop))
-		for p, n := range pop {
-			uniRows = append(uniRows, Row{
-				Key:   uni + " " + e.R.Corpus.Pages[p].URL,
-				Value: float64(n),
-			})
-		}
-		sortRows(uniRows)
-		if len(uniRows) > 10 {
-			uniRows = uniRows[:10]
-		}
-		rows = append(rows, uniRows...)
-	}
-	return &Result{Query: Q4, Scheme: e.Scheme, Rows: rows, Nav: navTotal}, nil
-}
-
-// q5 — computer-music pages ranked by in-links from within the set.
-func (e *Engine) q5(ctx context.Context) (*Result, error) {
-	s := e.R.Text.Lookup(synth.PhraseComputerMusic)
-	inSet := map[webgraph.PageID]bool{}
-	for _, p := range s {
-		inSet[p] = true
-	}
-	filter := &store.Filter{Pages: inSet}
-	counts := map[webgraph.PageID]int{}
-	var buf []webgraph.PageID
-	nav, err := e.nav(ctx, func(ctx context.Context) error {
-		for _, p := range s {
-			var err error
-			buf, err = e.revOut(ctx, p, filter, buf[:0])
-			if err != nil {
-				return err
-			}
-			counts[p] = len(buf)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var rows []Row
-	for p, n := range counts {
-		if strings.HasSuffix(e.R.DomainOf(p), ".edu") {
-			rows = append(rows, Row{Key: e.R.Corpus.Pages[p].URL, Value: float64(n)})
-		}
-	}
-	sortRows(rows)
-	if len(rows) > 10 {
-		rows = rows[:10]
-	}
-	return &Result{Query: Q5, Scheme: e.Scheme, Rows: rows, Nav: nav}, nil
-}
-
-// q6 — pages cited by both Stanford and Berkeley interferometry pages,
-// ranked by total citations from S1 ∪ S2.
-func (e *Engine) q6(ctx context.Context) (*Result, error) {
-	s1 := e.phraseInDomain(synth.PhraseOpticalInterferometry, "stanford.edu")
-	s2 := e.phraseInDomain(synth.PhraseOpticalInterferometry, "berkeley.edu")
-	type cnt struct{ a, b int }
-	counts := map[webgraph.PageID]*cnt{}
-	var buf []webgraph.PageID
-	collect := func(ctx context.Context, src []webgraph.PageID, first bool) error {
-		for _, p := range src {
-			var err error
-			buf, err = e.fwdOut(ctx, p, nil, buf[:0])
-			if err != nil {
-				return err
-			}
-			for _, t := range buf {
-				d := e.R.DomainOf(t)
-				if d == "stanford.edu" || d == "berkeley.edu" {
-					continue
-				}
-				c := counts[t]
-				if c == nil {
-					c = &cnt{}
-					counts[t] = c
-				}
-				if first {
-					c.a++
-				} else {
-					c.b++
-				}
-			}
-		}
-		return nil
-	}
-	nav, err := e.nav(ctx, func(ctx context.Context) error {
-		if err := collect(ctx, s1, true); err != nil {
-			return err
-		}
-		return collect(ctx, s2, false)
-	})
-	if err != nil {
-		return nil, err
-	}
-	var rows []Row
-	for t, c := range counts {
-		if c.a >= 1 && c.b >= 1 {
-			rows = append(rows, Row{Key: e.R.Corpus.Pages[t].URL, Value: float64(c.a + c.b)})
-		}
-	}
-	sortRows(rows)
-	if len(rows) > 25 {
-		rows = rows[:25]
-	}
-	return &Result{Query: Q6, Scheme: e.Scheme, Rows: rows, Nav: nav}, nil
-}
-
-func addNav(a, b NavStats) NavStats {
-	return NavStats{
-		CPU:          a.CPU + b.CPU,
-		IO:           a.IO + b.IO,
-		Seeks:        a.Seeks + b.Seeks,
-		BytesRead:    a.BytesRead + b.BytesRead,
-		GraphsLoaded: a.GraphsLoaded + b.GraphsLoaded,
-	}
 }

@@ -3,12 +3,15 @@ package query
 import (
 	"context"
 	"os"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"snode/internal/repo"
 	"snode/internal/store"
 	"snode/internal/synth"
+	"snode/internal/webgraph"
 )
 
 var testRepo *repo.Repository
@@ -372,6 +375,184 @@ func TestQ2AgainstBruteForce(t *testing.T) {
 			t.Fatalf("%s: engine %f, brute force %f", row.Key, row.Value, want[row.Key])
 		}
 	}
+}
+
+// The Q3-Q6 oracles below extend the same ground truth: everything is
+// recomputed from Corpus.Graph and Corpus.Pages, with in-neighbourhoods
+// read off a transposed CSR built here, so no LinkStore, filter, plan or
+// merge is shared with the engine under test.
+
+// bruteInLinks transposes the corpus graph into CSR form; scanning
+// sources in ascending order leaves every in-list sorted by page ID.
+func bruteInLinks(g *webgraph.Graph) func(webgraph.PageID) []webgraph.PageID {
+	n := g.NumPages()
+	off := make([]int64, n+1)
+	for p := 0; p < n; p++ {
+		for _, q := range g.Out(webgraph.PageID(p)) {
+			off[q+1]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
+	}
+	src := make([]webgraph.PageID, off[n])
+	next := append([]int64(nil), off[:n]...)
+	for p := 0; p < n; p++ {
+		for _, q := range g.Out(webgraph.PageID(p)) {
+			src[next[q]] = webgraph.PageID(p)
+			next[q]++
+		}
+	}
+	return func(p webgraph.PageID) []webgraph.PageID { return src[off[p]:off[p+1]] }
+}
+
+// brutePages scans the corpus for pages carrying term, optionally
+// within one domain ("" = any), in ascending page order.
+func brutePages(c *webgraph.Corpus, term, domain string) []webgraph.PageID {
+	var out []webgraph.PageID
+	for p := range c.Pages {
+		if domain != "" && c.Pages[p].Domain != domain {
+			continue
+		}
+		for _, t := range c.Pages[p].Terms {
+			if t == term {
+				out = append(out, webgraph.PageID(p))
+				break
+			}
+		}
+	}
+	return out
+}
+
+// bruteTop ranks rows by descending value, ascending key, and caps.
+func bruteTop(rows []Row, limit int) []Row {
+	sortRows(rows)
+	if len(rows) > limit {
+		rows = rows[:limit]
+	}
+	return rows
+}
+
+func checkAgainstBruteForce(t *testing.T, q ID, want []Row) {
+	t.Helper()
+	e, err := New(getRepo(t), repo.SchemeSNode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatalf("Q%d: brute force found no rows — scenario wiring broken", q)
+	}
+	if len(res.Rows) != len(want) {
+		t.Fatalf("Q%d: engine %d rows, brute force %d", q, len(res.Rows), len(want))
+	}
+	for i := range want {
+		if res.Rows[i] != want[i] {
+			t.Fatalf("Q%d row %d: engine %+v, brute force %+v", q, i, res.Rows[i], want[i])
+		}
+	}
+}
+
+func TestQ3AgainstBruteForce(t *testing.T) {
+	r := getRepo(t)
+	c := r.Corpus
+	in := bruteInLinks(c.Graph)
+	roots := brutePages(c, synth.PhraseInternetCensorship, "")
+	sort.Slice(roots, func(i, j int) bool {
+		a, b := roots[i], roots[j]
+		if r.PageRank[a] != r.PageRank[b] {
+			return r.PageRank[a] > r.PageRank[b]
+		}
+		return a < b
+	})
+	if len(roots) > 100 {
+		roots = roots[:100]
+	}
+	base := map[webgraph.PageID]bool{}
+	for _, p := range roots {
+		base[p] = true
+		for _, q := range c.Graph.Out(p) {
+			base[q] = true
+		}
+		// The HITS cap: the 50 smallest in-neighbours by page ID.
+		for i, q := range in(p) {
+			if i >= 50 {
+				break
+			}
+			base[q] = true
+		}
+	}
+	checkAgainstBruteForce(t, Q3, []Row{{Key: "base-set-size", Value: float64(len(base))}})
+}
+
+func TestQ4AgainstBruteForce(t *testing.T) {
+	c := getRepo(t).Corpus
+	in := bruteInLinks(c.Graph)
+	var want []Row
+	for _, uni := range synth.Universities() {
+		var rows []Row
+		for _, p := range brutePages(c, synth.PhraseQuantumCryptography, uni) {
+			n := 0
+			for _, q := range in(p) {
+				if c.Pages[q].Domain != uni {
+					n++
+				}
+			}
+			rows = append(rows, Row{Key: uni + " " + c.Pages[p].URL, Value: float64(n)})
+		}
+		want = append(want, bruteTop(rows, 10)...)
+	}
+	checkAgainstBruteForce(t, Q4, want)
+}
+
+func TestQ5AgainstBruteForce(t *testing.T) {
+	c := getRepo(t).Corpus
+	in := bruteInLinks(c.Graph)
+	set := brutePages(c, synth.PhraseComputerMusic, "")
+	inSet := map[webgraph.PageID]bool{}
+	for _, p := range set {
+		inSet[p] = true
+	}
+	var rows []Row
+	for _, p := range set {
+		if !strings.HasSuffix(c.Pages[p].Domain, ".edu") {
+			continue
+		}
+		n := 0
+		for _, q := range in(p) {
+			if inSet[q] {
+				n++
+			}
+		}
+		rows = append(rows, Row{Key: c.Pages[p].URL, Value: float64(n)})
+	}
+	checkAgainstBruteForce(t, Q5, bruteTop(rows, 10))
+}
+
+func TestQ6AgainstBruteForce(t *testing.T) {
+	c := getRepo(t).Corpus
+	cited := func(domain string) map[webgraph.PageID]int {
+		n := map[webgraph.PageID]int{}
+		for _, p := range brutePages(c, synth.PhraseOpticalInterferometry, domain) {
+			for _, q := range c.Graph.Out(p) {
+				if d := c.Pages[q].Domain; d != "stanford.edu" && d != "berkeley.edu" {
+					n[q]++
+				}
+			}
+		}
+		return n
+	}
+	a, b := cited("stanford.edu"), cited("berkeley.edu")
+	var rows []Row
+	for q, na := range a {
+		if nb := b[q]; nb >= 1 {
+			rows = append(rows, Row{Key: c.Pages[q].URL, Value: float64(na + nb)})
+		}
+	}
+	checkAgainstBruteForce(t, Q6, bruteTop(rows, 25))
 }
 
 func absDiff(a, b float64) float64 {

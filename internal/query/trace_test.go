@@ -143,31 +143,93 @@ func TestExemplarLinksHistogramToTrace(t *testing.T) {
 	}
 }
 
-// TestUntracedTracingAddsNoAllocs is the overhead guard from the issue:
-// attaching a tracer that never samples must add zero allocations per
-// query over the PR 2 baseline (no tracer at all). Both measurements
-// run on a warm cache so the only difference is the tracing plumbing.
-func TestUntracedTracingAddsNoAllocs(t *testing.T) {
+// TestRunPartialInstrumented is the shard-replica regression: an engine
+// that only ever serves RunPartial must sample traces and move the
+// per-query and per-stage histograms exactly as Run does — before the
+// two shared one entry, a replica's query_latency_q* stayed at count 0
+// and -trace-every never sampled a /query.
+func TestRunPartialInstrumented(t *testing.T) {
 	e := coldEngine(t)
-	ctx := context.Background()
-	if _, err := e.Run(ctx, Q1); err != nil { // warm the cache
+	tr := trace.New(trace.Config{SampleEvery: 1})
+	e.SetTracer(tr)
+	reg := metrics.NewRegistry()
+	e.SetMetrics(reg)
+
+	if _, err := e.RunPartial(context.Background(), Q2); err != nil {
 		t.Fatal(err)
 	}
+	snap := reg.Snapshot()
+	for _, name := range []string{"query_latency_q2", "query_nav_seconds"} {
+		if got := snap.Histograms[name].Count; got != 1 {
+			t.Errorf("%s count = %d after one RunPartial(Q2), want 1", name, got)
+		}
+	}
+	kept := tr.Traces()
+	if len(kept) != 1 {
+		t.Fatalf("tracer retained %d traces after one sampled RunPartial, want 1", len(kept))
+	}
+	js := kept[0].JSON()
+	if js.Class != "q2" {
+		t.Errorf("trace class %q, want q2", js.Class)
+	}
+	names := map[string]int{}
+	spanNames(js.Root, names)
+	if names["nav"] != 1 {
+		t.Errorf("span tree has %d nav spans, want 1 (got %v)", names["nav"], names)
+	}
+	if _, id := snap.Histograms["query_latency_q2"].TailExemplar(); id != kept[0].ID {
+		t.Errorf("query_latency_q2 exemplar id=%d, want the retained trace %d", id, kept[0].ID)
+	}
 
-	base := testing.AllocsPerRun(10, func() {
-		if _, err := e.Run(ctx, Q1); err != nil {
-			t.Error(err)
-		}
-	})
-	e.SetTracer(trace.New(trace.Config{SampleEvery: 1 << 30}))
-	withTracer := testing.AllocsPerRun(10, func() {
-		if _, err := e.Run(ctx, Q1); err != nil {
-			t.Error(err)
-		}
-	})
-	if delta := withTracer - base; delta > 0.5 {
-		t.Fatalf("unsampled tracing adds %.1f allocs/query (%.1f -> %.1f), want 0",
-			delta, base, withTracer)
+	// A router leg arrives already traced (forced by its header): the
+	// engine composes its spans into that trace instead of nesting one.
+	ctx, forced := trace.New(trace.Config{}).StartLinked(context.Background(), "mining", 7)
+	if _, err := e.RunPartial(ctx, Q2); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(tr.Traces()); got != 1 {
+		t.Errorf("engine tracer holds %d traces after a forced-context run, want still 1", got)
+	}
+	names = map[string]int{}
+	spanNames(forced.JSON().Root, names)
+	if names["nav"] != 1 {
+		t.Errorf("forced trace has %d nav spans, want 1 (got %v)", names["nav"], names)
+	}
+}
+
+// TestUntracedTracingAddsNoAllocs is the overhead guard from the issue:
+// attaching a tracer that never samples must add zero allocations per
+// query over the PR 2 baseline (no tracer at all), on the entry a single
+// node serves (Run) and the one a shard replica serves (RunPartial).
+// Both measurements run on a warm cache so the only difference is the
+// tracing plumbing.
+func TestUntracedTracingAddsNoAllocs(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		run  func(e *Engine) error
+	}{
+		{"Run", func(e *Engine) error { _, err := e.Run(ctx, Q1); return err }},
+		{"RunPartial", func(e *Engine) error { _, err := e.RunPartial(ctx, Q1); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := coldEngine(t)
+			measure := func() float64 {
+				return testing.AllocsPerRun(10, func() {
+					if err := tc.run(e); err != nil {
+						t.Error(err)
+					}
+				})
+			}
+			measure() // warm the cache
+			base := measure()
+			e.SetTracer(trace.New(trace.Config{SampleEvery: 1 << 30}))
+			withTracer := measure()
+			if delta := withTracer - base; delta > 0.5 {
+				t.Fatalf("unsampled tracing adds %.1f allocs/query (%.1f -> %.1f), want 0",
+					delta, base, withTracer)
+			}
+		})
 	}
 }
 

@@ -417,13 +417,44 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// whether it completes, errors, or is shed mid-query.
 		defer func() { s.miningHist.ObserveDuration(time.Since(start)) }()
 	}
+	// Both bodies come from the same plan through the engine's one
+	// instrumented entry; only the row shape differs.
+	q := query.ID(qn)
+	var body any
 	if partial {
-		s.servePartial(ctx, w, query.ID(qn), &forced)
-		return
-	}
-	res, err := s.eng.Run(ctx, query.ID(qn))
-	if err == nil && res.Trace != nil {
-		res.Trace.SetAttr("admission_wait_ns", int64(wait))
+		var res *query.PartialResult
+		if res, err = s.eng.RunPartial(ctx, q); err == nil {
+			rows := res.Rows
+			if rows == nil {
+				rows = []query.PartialRow{}
+			}
+			shardID := 0
+			if s.shard != nil {
+				shardID = s.shard.ID
+			}
+			body = PartialQueryResponse{
+				Query:    qn,
+				Shard:    shardID,
+				Partials: rows,
+				NavMS:    float64(res.Nav.Total()) / float64(time.Millisecond),
+			}
+		}
+	} else {
+		var res *query.Result
+		if res, err = s.eng.Run(ctx, q); err == nil {
+			if res.Trace != nil {
+				res.Trace.SetAttr("admission_wait_ns", int64(wait))
+			}
+			rows := res.Rows
+			if rows == nil {
+				rows = []query.Row{}
+			}
+			body = QueryResponse{
+				Query: qn,
+				Rows:  rows,
+				NavMS: float64(res.Nav.Total()) / float64(time.Millisecond),
+			}
+		}
 	}
 	s.finishRemote(w, &forced)
 	if err != nil {
@@ -434,43 +465,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	rows := res.Rows
-	if rows == nil {
-		rows = []query.Row{}
-	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(QueryResponse{
-		Query: qn,
-		Rows:  rows,
-		NavMS: float64(res.Nav.Total()) / float64(time.Millisecond),
-	})
-}
-
-// servePartial answers one scatter leg of a routed mining query.
-func (s *Server) servePartial(ctx context.Context, w http.ResponseWriter, q query.ID, forced **trace.Trace) {
-	res, err := s.eng.RunPartial(ctx, q)
-	s.finishRemote(w, forced)
-	if err != nil {
-		if isShed(err) {
-			s.writeShed(w, ClassMining, err)
-			return
-		}
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	rows := res.Rows
-	if rows == nil {
-		rows = []query.PartialRow{}
-	}
-	shardID := 0
-	if s.shard != nil {
-		shardID = s.shard.ID
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(PartialQueryResponse{
-		Query:    int(q),
-		Shard:    shardID,
-		Partials: rows,
-		NavMS:    float64(res.Nav.Total()) / float64(time.Millisecond),
-	})
+	json.NewEncoder(w).Encode(body)
 }

@@ -69,10 +69,6 @@ type Representation struct {
 // are released with this error instead of blocking forever.
 var errDecodeAbandoned = errors.New("snode: decode abandoned by leader")
 
-// Reader is the concurrency-safe read handle over an S-Node
-// representation (the name the serving layer uses; Open returns one).
-type Reader = Representation
-
 // readBufPool recycles per-call read buffers so concurrent queries do
 // not contend on a shared scratch buffer (the old single-threaded
 // design) or allocate a fresh span buffer per access.

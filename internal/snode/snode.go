@@ -25,7 +25,7 @@
 //
 // # Thread safety
 //
-// An opened Representation (alias Reader) is safe for concurrent use:
+// An opened Representation is safe for concurrent use:
 // any number of goroutines may call Out, OutFiltered,
 // ParallelNeighbors, Verify, DomainSupernodes, and the stats accessors
 // simultaneously. The buffer manager is sharded by GraphID hash with a

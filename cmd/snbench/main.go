@@ -8,19 +8,14 @@
 //	snbench -experiment fig11     # query navigation times
 //	snbench -experiment fig12     # buffer-size sweep
 //	snbench -experiment ablation  # §3 design-choice studies
-//	snbench -experiment concurrency  # serving throughput vs goroutines
-//	snbench -experiment build        # build wall time vs workers
-//	snbench -experiment update       # serving latency vs delta depth
-//	snbench -experiment load         # open-loop latency vs offered load
-//	snbench -experiment shard        # distributed serving QPS vs shard count
-//	snbench -experiment obs          # fleet observability plane end to end
-//	snbench -experiment ingest       # external-memory ingestion scaling curve
 //
-// -quick runs a reduced scale for smoke testing.
+// -quick runs a reduced scale for smoke testing; -csv also writes each
+// table as a CSV file. That is all it does: how the system performs as
+// a server, a builder or a fleet is measured by the suite in
+// benchmark/ (go run ./benchmark), not here.
 //
 // Experiments live in one registry; -experiment all runs every entry
-// in order, so a new experiment registered there is automatically part
-// of the full sweep (cmd/snbench's tests pin this).
+// in order (cmd/snbench's tests pin this).
 package main
 
 import (
@@ -31,22 +26,13 @@ import (
 	"time"
 
 	"snode/internal/bench"
-	"snode/internal/metrics"
-	"snode/internal/trace"
 )
 
 // runFlags carries the parsed command line into the experiment
 // runners.
 type runFlags struct {
-	cfg       bench.Config
-	csvDir    string
-	buildOut  string
-	updateOut string
-	loadOut   string
-	shardOut  string
-	obsOut    string
-	codecOut  string
-	ingestOut string
+	cfg    bench.Config
+	csvDir string
 }
 
 // experimentSpec is one registry entry. name is the canonical
@@ -68,14 +54,6 @@ func experiments() []experimentSpec {
 		{name: "table2", desc: "in-memory access times", run: runAccess},
 		{name: "fig11", desc: "per-query navigation time", run: runQueries},
 		{name: "fig12", desc: "navigation time vs buffer size", run: runBufferSweep},
-		{name: "concurrency", desc: "serving throughput vs goroutines", run: runConcurrency},
-		{name: "build", desc: "build wall time vs workers", run: runBuildScaling},
-		{name: "update", desc: "serving latency vs delta depth", run: runUpdate},
-		{name: "load", desc: "open-loop latency vs offered load", run: runLoad},
-		{name: "shard", desc: "distributed serving QPS vs shard count", run: runShard},
-		{name: "obs", desc: "fleet observability plane end to end", run: runObs},
-		{name: "codecs", desc: "supernode codec bake-off grid", run: runCodecs},
-		{name: "ingest", desc: "external-memory ingestion scaling curve", run: runIngest},
 		{name: "ablation", desc: "§3 design-choice studies", run: runAblation},
 	}
 }
@@ -169,129 +147,6 @@ func runBufferSweep(rf *runFlags) error {
 	return nil
 }
 
-func runConcurrency(rf *runFlags) error {
-	rows, err := bench.Concurrency(rf.cfg)
-	if err != nil {
-		return err
-	}
-	bench.RenderConcurrency(rf.cfg, rows)
-	if rf.csvDir != "" {
-		return bench.ConcurrencyCSV(rf.csvDir, rows)
-	}
-	return nil
-}
-
-func runBuildScaling(rf *runFlags) error {
-	rows, err := bench.BuildScaling(rf.cfg)
-	if err != nil {
-		return err
-	}
-	bench.RenderBuildScaling(rf.cfg, rows)
-	if rf.buildOut != "" {
-		if err := bench.BuildScalingJSON(rf.buildOut, rf.cfg, rows); err != nil {
-			return err
-		}
-		fmt.Printf("build-scaling rows written to %s\n", rf.buildOut)
-	}
-	if rf.csvDir != "" {
-		return bench.BuildScalingCSV(rf.csvDir, rows)
-	}
-	return nil
-}
-
-func runUpdate(rf *runFlags) error {
-	rows, err := bench.Update(rf.cfg)
-	if err != nil {
-		return err
-	}
-	bench.RenderUpdate(rf.cfg, rows)
-	if rf.updateOut != "" {
-		if err := bench.UpdateJSON(rf.updateOut, rf.cfg, rows); err != nil {
-			return err
-		}
-		fmt.Printf("serving-under-churn rows written to %s\n", rf.updateOut)
-	}
-	if rf.csvDir != "" {
-		return bench.UpdateCSV(rf.csvDir, rows)
-	}
-	return nil
-}
-
-func runLoad(rf *runFlags) error {
-	rep, err := bench.Load(rf.cfg)
-	if err != nil {
-		return err
-	}
-	bench.RenderLoad(rf.cfg, rep)
-	if rf.loadOut != "" {
-		if err := bench.LoadJSON(rf.loadOut, rf.cfg, rep); err != nil {
-			return err
-		}
-		fmt.Printf("load rows written to %s\n", rf.loadOut)
-	}
-	return nil
-}
-
-func runShard(rf *runFlags) error {
-	rep, err := bench.Shard(rf.cfg)
-	if err != nil {
-		return err
-	}
-	bench.RenderShard(rf.cfg, rep)
-	if rf.shardOut != "" {
-		if err := bench.ShardJSON(rf.shardOut, rf.cfg, rep); err != nil {
-			return err
-		}
-		fmt.Printf("shard-scaling rows written to %s\n", rf.shardOut)
-	}
-	return nil
-}
-
-func runObs(rf *runFlags) error {
-	rep, err := bench.Obs(rf.cfg)
-	if err != nil {
-		return err
-	}
-	bench.RenderObs(rf.cfg, rep)
-	if rf.obsOut != "" {
-		if err := bench.ObsJSON(rf.obsOut, rf.cfg, rep); err != nil {
-			return err
-		}
-		fmt.Printf("observability report written to %s\n", rf.obsOut)
-	}
-	return nil
-}
-
-func runCodecs(rf *runFlags) error {
-	rep, err := bench.Codecs(rf.cfg)
-	if err != nil {
-		return err
-	}
-	bench.RenderCodecs(rf.cfg, rep)
-	if rf.codecOut != "" {
-		if err := bench.CodecsJSON(rf.codecOut, rf.cfg, rep); err != nil {
-			return err
-		}
-		fmt.Printf("codec bake-off grid written to %s\n", rf.codecOut)
-	}
-	return nil
-}
-
-func runIngest(rf *runFlags) error {
-	res, err := bench.Ingestion(rf.cfg)
-	if err != nil {
-		return err
-	}
-	bench.RenderIngestion(rf.cfg, res)
-	if rf.ingestOut != "" {
-		if err := bench.IngestionJSON(rf.ingestOut, rf.cfg, res); err != nil {
-			return err
-		}
-		fmt.Printf("ingestion scaling curve written to %s\n", rf.ingestOut)
-	}
-	return nil
-}
-
 func runAblation(rf *runFlags) error {
 	rows, err := bench.Ablations(rf.cfg)
 	if err != nil {
@@ -321,17 +176,6 @@ func main() {
 	seed := flag.Uint64("seed", 0, "override corpus seed")
 	workspace := flag.String("workspace", "", "build directory (default: temp)")
 	csvDir := flag.String("csv", "", "also write results as CSV files into this directory")
-	pace := flag.Float64("pace", 0, "disk-stall scale for the concurrency, build, update, and load experiments (0 = full modeled time)")
-	buildOut := flag.String("build-out", "", "write the build-scaling rows as JSON to this file after the run")
-	updateOut := flag.String("update-out", "", "write the serving-under-churn rows as JSON to this file after the run")
-	loadOut := flag.String("load-out", "", "write the open-loop load rows as JSON to this file after the run")
-	shardOut := flag.String("shard-out", "", "write the shard-scaling rows as JSON to this file after the run")
-	obsOut := flag.String("obs-out", "", "write the fleet-observability report as JSON to this file after the run")
-	codecOut := flag.String("codec-out", "", "write the codec bake-off grid as JSON to this file after the run")
-	ingestOut := flag.String("ingest-out", "", "write the ingestion scaling curve as JSON to this file after the run")
-	metricsOut := flag.String("metrics-out", "", "write the serving-path metrics registry as JSON to this file after the run")
-	traceEvery := flag.Int("trace", 0, "trace 1 in N query executions and print the slow-query log after the run (0 disables)")
-	traceOut := flag.String("trace-out", "", "with -trace: write retained traces as Chrome trace_event JSON to this file")
 	flag.Parse()
 
 	cfg := bench.Default()
@@ -342,34 +186,13 @@ func main() {
 		cfg.Seed = *seed
 	}
 	cfg.Workspace = *workspace
-	cfg.Pace = *pace
-	if *metricsOut != "" {
-		cfg.Metrics = metrics.NewRegistry()
-	}
-	if *traceOut != "" && *traceEvery <= 0 {
-		fmt.Fprintln(os.Stderr, "snbench: -trace-out requires -trace N (N > 0)")
-		os.Exit(2)
-	}
-	if *traceEvery > 0 {
-		cfg.Tracer = trace.New(trace.Config{SampleEvery: *traceEvery})
-	}
 
 	specs, err := selectSpecs(*experiment)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "snbench: %v\n", err)
 		os.Exit(2)
 	}
-	rf := &runFlags{
-		cfg:       cfg,
-		csvDir:    *csvDir,
-		buildOut:  *buildOut,
-		updateOut: *updateOut,
-		loadOut:   *loadOut,
-		shardOut:  *shardOut,
-		obsOut:    *obsOut,
-		codecOut:  *codecOut,
-		ingestOut: *ingestOut,
-	}
+	rf := &runFlags{cfg: cfg, csvDir: *csvDir}
 	for _, spec := range specs {
 		name := spec.name
 		if len(spec.aliases) > 0 {
@@ -381,45 +204,5 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
-	}
-
-	if *metricsOut != "" {
-		if err := bench.MetricsJSON(*metricsOut, cfg.Metrics); err != nil {
-			fmt.Fprintf(os.Stderr, "snbench: -metrics-out: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("metrics written to %s\n", *metricsOut)
-	}
-
-	if cfg.Tracer != nil {
-		traces := cfg.Tracer.Traces()
-		fmt.Printf("slow-query log: %d retained trace(s)\n", len(traces))
-		for i, t := range traces {
-			if i >= 8 {
-				fmt.Printf("... (%d more)\n", len(traces)-i)
-				break
-			}
-			s := t.Summary()
-			fmt.Printf("id=%-6d class=%-3s total=%-12v spans=%-4d seeks=%-4d decodes=%d\n",
-				s.ID, s.Class, time.Duration(s.TotalNs).Round(10*time.Microsecond),
-				s.Spans, s.Seeks, s.Decodes)
-		}
-		if *traceOut != "" && len(traces) > 0 {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "snbench: -trace-out: %v\n", err)
-				os.Exit(1)
-			}
-			if err := trace.WriteChromeTrace(f, traces...); err == nil {
-				err = f.Close()
-			} else {
-				f.Close()
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "snbench: -trace-out: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("traces written to %s (load in chrome://tracing)\n", *traceOut)
-		}
 	}
 }

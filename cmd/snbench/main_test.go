@@ -7,8 +7,8 @@ import (
 
 // TestAllCoversEveryRegisteredExperiment pins the property the
 // registry exists for: -experiment all runs every registered
-// experiment, so nothing (build, update, load, ...) can silently fall
-// out of the full sweep when a new experiment is added.
+// experiment, so no table or figure can silently fall out of the full
+// sweep.
 func TestAllCoversEveryRegisteredExperiment(t *testing.T) {
 	specs := experiments()
 	if len(specs) == 0 {
@@ -29,7 +29,7 @@ func TestAllCoversEveryRegisteredExperiment(t *testing.T) {
 }
 
 // TestRegistryEntriesAreWellFormed: unique selectable names, non-nil
-// runners, and every historical -experiment value still resolves.
+// runners, and every paper table and figure resolves to one entry.
 func TestRegistryEntriesAreWellFormed(t *testing.T) {
 	seen := map[string]bool{"all": true}
 	for _, s := range experiments() {
@@ -44,9 +44,7 @@ func TestRegistryEntriesAreWellFormed(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		"fig9", "fig10", "table1", "table2", "fig11", "fig12",
-		"concurrency", "build", "update", "load", "shard", "obs",
-		"codecs", "ingest", "ablation",
+		"fig9", "fig10", "table1", "table2", "fig11", "fig12", "ablation",
 	} {
 		if !seen[want] {
 			t.Errorf("experiment %q is not selectable", want)
@@ -59,22 +57,23 @@ func TestRegistryEntriesAreWellFormed(t *testing.T) {
 }
 
 // TestSelectSpecsRejectsUnknown: a typo fails fast with the selectable
-// names, instead of silently running nothing.
+// names, instead of silently running nothing. So do the eight
+// operational experiments retired in favour of benchmark/: they get
+// the ordinary error, not a shim.
 func TestSelectSpecsRejectsUnknown(t *testing.T) {
-	_, err := selectSpecs("figg9")
-	if err == nil {
-		t.Fatal("unknown experiment accepted")
+	for _, name := range []string{
+		"figg9",
+		"concurrency", "build", "update", "load", "shard", "obs", "codecs", "ingest",
+	} {
+		_, err := selectSpecs(name)
+		if err == nil {
+			t.Fatalf("unknown experiment %q accepted", name)
+		}
+		if !strings.Contains(err.Error(), "fig11") || !strings.Contains(err.Error(), "all") {
+			t.Fatalf("error does not list selectable experiments: %v", err)
+		}
 	}
-	if !strings.Contains(err.Error(), "load") || !strings.Contains(err.Error(), "all") {
-		t.Fatalf("error does not list selectable experiments: %v", err)
+	if got := strings.Join(experimentNames(), " "); got != "all fig9 fig10 table1 table2 fig11 fig12 ablation" {
+		t.Fatalf("selectable experiments are %q", got)
 	}
-	if !strings.Contains(flagUsageNames(), "load") {
-		t.Fatalf("-experiment usage %q omits load", flagUsageNames())
-	}
-}
-
-// flagUsageNames is what the -experiment flag's usage string is built
-// from.
-func flagUsageNames() string {
-	return strings.Join(experimentNames(), ", ")
 }

@@ -16,6 +16,12 @@
 // sizes, modeled 2002 disk); the experiments preserve the comparisons'
 // shape: who wins, by roughly what factor, and where behaviour
 // saturates. EXPERIMENTS.md records paper-vs-measured for each.
+//
+// The package reproduces the paper and measures nothing else. How the
+// system performs as a server, a builder or a sharded fleet is the
+// business of the suite in benchmark/ (one schema, five workloads,
+// rerun every PR); an experiment added here would be a second,
+// incomparable harness.
 package bench
 
 import (
@@ -23,12 +29,9 @@ import (
 	"io"
 	"os"
 	"sync"
-	"time"
 
 	"snode/internal/iosim"
-	"snode/internal/metrics"
 	"snode/internal/synth"
-	"snode/internal/trace"
 )
 
 // Config controls the experiment scale.
@@ -46,23 +49,6 @@ type Config struct {
 	QueryBudget int64
 	// Trials averages CPU time over repeated query runs (paper: 6).
 	Trials int
-	// Pace scales the concurrent-serving experiment's real-time disk
-	// stalls (iosim pacing): each read sleeps its modeled cost times
-	// Pace. <= 0 means full modeled time (1.0).
-	Pace float64
-	// LoadDuration is the measurement window per offered-load point in
-	// the open-loop load experiment (<= 0 selects 2.5s). The smoke gate
-	// shrinks it; the committed artifact uses the default.
-	LoadDuration time.Duration
-	// IngestSizes is the page-count series for the ingestion scaling
-	// curve (snbench -experiment ingest): each size is exported as an
-	// edge list, re-ingested under the bounded heap, built, and
-	// compared against the direct in-memory build of the same crawl.
-	IngestSizes []int
-	// IngestHeapMB is the ingestion heap budget (ingest.Options
-	// .MaxHeapMB) the bounded-heap mode runs under; the partition
-	// refiner's spill rounds are enabled alongside it.
-	IngestHeapMB int
 	// Seed feeds the crawl generator.
 	Seed uint64
 	// Model is the simulated disk.
@@ -71,31 +57,19 @@ type Config struct {
 	Workspace string
 	// Out receives rendered tables (default os.Stdout).
 	Out io.Writer
-	// Metrics, when non-nil, receives the serving-path instrumentation
-	// from the experiments that exercise it (currently Concurrency):
-	// per-query latency histograms, cache and iosim counters per
-	// direction, worker occupancy. cmd/snbench -metrics-out dumps the
-	// registry to JSON after the run.
-	Metrics *metrics.Registry
-	// Tracer, when non-nil, is wired into the experiments' query engines
-	// so sampled executions build span trees and feed the slow-query
-	// log. cmd/snbench -trace renders the retained traces after the run.
-	Tracer *trace.Tracer
 }
 
 // Default returns the full-scale configuration (what cmd/snbench runs).
 func Default() Config {
 	return Config{
-		Sizes:        []int{10000, 25000, 50000, 75000, 100000},
-		Table1Sizes:  []int{25000, 50000, 100000},
-		QuerySize:    100000,
-		QueryBudget:  1 << 20,
-		Trials:       3,
-		IngestSizes:  []int{100000, 300000, 1000000},
-		IngestHeapMB: 32,
-		Seed:         20030226,
-		Model:        iosim.Model2002(),
-		Out:          os.Stdout,
+		Sizes:       []int{10000, 25000, 50000, 75000, 100000},
+		Table1Sizes: []int{25000, 50000, 100000},
+		QuerySize:   100000,
+		QueryBudget: 1 << 20,
+		Trials:      3,
+		Seed:        20030226,
+		Model:       iosim.Model2002(),
+		Out:         os.Stdout,
 	}
 }
 
@@ -108,11 +82,6 @@ func Quick() Config {
 	c.QuerySize = 16000
 	c.QueryBudget = 128 << 10
 	c.Trials = 1
-	// Small enough to smoke-test in seconds; the 1 MB budget still
-	// forces the largest size through the sorted-run spill path (its
-	// edge count exceeds the budget's ~44k-edge buffer).
-	c.IngestSizes = []int{3000, 12000}
-	c.IngestHeapMB = 1
 	return c
 }
 

@@ -210,38 +210,6 @@ func TestDiskModelSweepSmoke(t *testing.T) {
 	}
 }
 
-func TestConcurrencySmoke(t *testing.T) {
-	cfg := tiny()
-	cfg.Pace = 0.25 // keep the paced smoke run short
-	rows, err := Concurrency(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(concurrencyLevels()) {
-		t.Fatalf("%d rows", len(rows))
-	}
-	for i, r := range rows {
-		if r.Goroutines != concurrencyLevels()[i] {
-			t.Fatalf("row %d: %d goroutines, want %d", i, r.Goroutines, concurrencyLevels()[i])
-		}
-		if r.QPS <= 0 || r.Queries != servingRounds*6 {
-			t.Fatalf("degenerate row %+v", r)
-		}
-	}
-	// The acceptance criterion: concurrency buys real throughput over
-	// one shared representation. (Relaxed under the race detector, whose
-	// instrumentation serializes enough to flatten the overlap.)
-	if !raceEnabled && rows[1].Speedup <= 1.5 {
-		t.Errorf("4-goroutine speedup %.2fx, want > 1.5x over serial", rows[1].Speedup)
-	}
-	var sb strings.Builder
-	cfg.Out = &sb
-	RenderConcurrency(cfg, rows)
-	if !strings.Contains(sb.String(), "goroutines") {
-		t.Fatal("render output missing header")
-	}
-}
-
 func TestCrawlCacheReuse(t *testing.T) {
 	cfg := tiny()
 	a, err := cfg.Crawl(3000)
@@ -263,122 +231,5 @@ func TestCrawlCacheReuse(t *testing.T) {
 	}
 	if c == a {
 		t.Fatal("different seed reused cached crawl")
-	}
-}
-
-func TestBuildScalingSmoke(t *testing.T) {
-	cfg := tiny()
-	cfg.Pace = 0.05 // keep the paced smoke run short
-	rows, err := BuildScaling(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(buildLevels()) {
-		t.Fatalf("%d rows", len(rows))
-	}
-	for i, r := range rows {
-		if r.Workers != buildLevels()[i] {
-			t.Fatalf("row %d: %d workers, want %d", i, r.Workers, buildLevels()[i])
-		}
-		if r.Total <= 0 || r.Supernodes <= 0 || r.ModeledIO <= 0 {
-			t.Fatalf("degenerate row %+v", r)
-		}
-		// The hard guarantee (and half the acceptance criterion): every
-		// worker count produces byte-identical artifacts.
-		if !r.Identical {
-			t.Fatalf("workers=%d: artifacts differ from the 1-worker build", r.Workers)
-		}
-	}
-	var sb strings.Builder
-	cfg.Out = &sb
-	RenderBuildScaling(cfg, rows)
-	if !strings.Contains(sb.String(), "workers") {
-		t.Fatal("render output missing header")
-	}
-	dir := t.TempDir()
-	if err := BuildScalingJSON(dir+"/build.json", cfg, rows); err != nil {
-		t.Fatal(err)
-	}
-	if err := BuildScalingCSV(dir, rows); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestUpdateSmoke(t *testing.T) {
-	cfg := tiny()
-	cfg.Pace = 0.05 // keep the paced smoke run short
-	rows, err := Update(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantStages := []string{"base-direct", "overlay-empty", "memtable", "segments-4", "compacted", "folded"}
-	if len(rows) != len(wantStages) {
-		t.Fatalf("%d rows, want %d", len(rows), len(wantStages))
-	}
-	for i, r := range rows {
-		if r.Stage != wantStages[i] {
-			t.Fatalf("row %d: stage %q, want %q", i, r.Stage, wantStages[i])
-		}
-		if r.QPS <= 0 || r.Queries != servingRounds*6 {
-			t.Fatalf("degenerate row %+v", r)
-		}
-	}
-	if rows[2].DeltaEntries == 0 || rows[3].Segments != 2*updateSegments {
-		t.Fatalf("delta depths not exercised: %+v / %+v", rows[2], rows[3])
-	}
-	if rows[5].DeltaEntries != 0 || rows[5].Segments != 0 {
-		t.Fatalf("fold-back left residue: %+v", rows[5])
-	}
-	var sb strings.Builder
-	cfg.Out = &sb
-	RenderUpdate(cfg, rows)
-	if !strings.Contains(sb.String(), "vs-base") {
-		t.Fatal("render output missing header")
-	}
-}
-
-func TestProvenanceStamp(t *testing.T) {
-	p := NewProvenance()
-	if p.GoMaxProcs <= 0 || p.NumCPU <= 0 || p.GoVersion == "" || p.Timestamp == "" {
-		t.Fatalf("degenerate provenance %+v", p)
-	}
-	if len(p.GitCommit) != 40 && p.GitCommit != "unknown" {
-		t.Fatalf("git commit %q is neither a hash nor the fallback", p.GitCommit)
-	}
-}
-
-func TestCodecsSmoke(t *testing.T) {
-	cfg := tiny()
-	rep, err := Codecs(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != 4 {
-		t.Fatalf("%d rows, want paper/lz/log/auto", len(rep.Rows))
-	}
-	for _, row := range rep.Rows {
-		if row.PayloadBytes <= 0 || row.PayloadEdges <= 0 || row.BitsPerEdge <= 0 {
-			t.Fatalf("degenerate size measurement %+v", row)
-		}
-		if len(row.Decode) == 0 || len(row.Latency) != 3 {
-			t.Fatalf("%s: %d decode rows, %d latency rows", row.Codec, len(row.Decode), len(row.Latency))
-		}
-		for _, lr := range row.Latency {
-			if lr.P99MS < lr.P50MS || lr.P50MS < 0 {
-				t.Fatalf("%s: implausible latency row %+v", row.Codec, lr)
-			}
-		}
-		if len(row.Mix) == 0 {
-			t.Fatalf("%s: no codec mix recorded", row.Codec)
-		}
-	}
-	if len(rep.Summary.KindWinners) == 0 {
-		t.Fatal("no per-kind winners in summary")
-	}
-	var sb strings.Builder
-	cfg.Out = &sb
-	RenderCodecs(cfg, rep)
-	if !strings.Contains(sb.String(), "bake-off") {
-		t.Fatal("render output missing header")
 	}
 }

@@ -114,19 +114,6 @@ func BufferSweepCSV(dir string, rows []Fig12Row) error {
 	return writeCSVFile(dir, "fig12.csv", header, out)
 }
 
-// ConcurrencyCSV writes the serving-throughput table.
-func ConcurrencyCSV(dir string, rows []ThroughputRow) error {
-	out := make([][]string, len(rows))
-	for i, r := range rows {
-		out[i] = []string{
-			itoa(int64(r.Goroutines)), itoa(int64(r.Queries)), itoa(r.Elapsed.Nanoseconds()),
-			ftoa(r.QPS), ftoa(r.Speedup), itoa(r.Coalesced),
-		}
-	}
-	return writeCSVFile(dir, "concurrency.csv",
-		[]string{"goroutines", "queries", "elapsed_ns", "qps", "speedup", "coalesced"}, out)
-}
-
 // AblationsCSV writes the ablation table.
 func AblationsCSV(dir string, rows []AblationRow) error {
 	out := make([][]string, len(rows))

@@ -55,9 +55,6 @@ func runQueryCold(cfg Config, r *repo.Repository, scheme string, q query.ID, bud
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Tracer != nil {
-		e.SetTracer(cfg.Tracer)
-	}
 	trials := cfg.Trials
 	if trials < 1 {
 		trials = 1

@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build vet test test-race check-overhead test-query test-determinism test-delta-race test-load test-shard test-obs test-codec test-ingest check bench-paper bench bench-gate clean
+.PHONY: build vet test test-race test-bench check-overhead test-query test-determinism test-delta-race test-load test-shard test-obs test-codec test-ingest check bench-paper bench bench-gate clean
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,12 @@ test:
 test-race:
 	$(GO) test -race ./...
 
+# One iteration of the warm-lookup benchmarks (BenchmarkOutWarmParallel
+# fails if a lookup misses), so they cannot rot between the PRs that
+# read them.
+test-bench:
+	$(GO) test -run xxx -bench 'OutWarm' -benchtime 1x ./internal/snode
+
 # Guard the untraced serving path: an engine with an attached-but-never-
 # sampling tracer must add zero allocations per query — on Run and on
 # RunPartial, the entry shard replicas serve — and the trace
@@ -32,12 +38,15 @@ test-race:
 # shard server, and the header codec. The decode guard pins every
 # codec's whole-graph decode to a constant number of allocations (plus
 # one per 4096-ID arena chunk for codec/paper): a return to per-list
-# growth trips it. Run with -count=1 so the guard always executes.
+# growth trips it. The warm-lookup guard pins Out over resident graphs
+# at zero allocations, unfiltered and (after the call that compiles the
+# filter) filtered: per-call scratch or per-call filter evaluation on
+# the hit path trips it. Run with -count=1 so the guard always executes.
 check-overhead:
 	$(GO) test -count=1 -run 'TestUntracedTracingAddsNoAllocs' ./internal/query
 	$(GO) test -count=1 -run 'TestUntracedPrimitivesZeroAlloc' ./internal/trace
 	$(GO) test -count=1 -run 'TestCrossProcessUntracedZeroAlloc' ./internal/trace ./internal/serve ./internal/router
-	$(GO) test -count=1 -run 'TestDecodeHotPathAllocs' ./internal/snode
+	$(GO) test -count=1 -run 'TestDecodeHotPathAllocs|TestWarmOutAllocatesNothing' ./internal/snode
 
 # Plan gate: every scheme's Table 3 rows and cold navigation I/O
 # (seeks, bytes, graph loads) against the golden file generated before
@@ -125,7 +134,7 @@ test-ingest:
 	$(GO) test -count=1 -run 'TestRefineSpill|TestEncodeDecodeGroups|TestDecodeGroupsCorrupt|TestRoundSpill' ./internal/partition
 	$(GO) test -count=1 -run 'TestSpill' ./internal/iosim
 
-check: build vet test test-race check-overhead test-query test-determinism test-delta-race test-load test-shard test-obs test-codec test-ingest
+check: build vet test test-race test-bench check-overhead test-query test-determinism test-delta-race test-load test-shard test-obs test-codec test-ingest
 
 # The paper's evaluation as testing.B benchmarks (bench_test.go): each
 # regenerates one table or figure at reduced scale and asserts its

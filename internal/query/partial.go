@@ -24,7 +24,7 @@ package query
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -206,7 +206,7 @@ func (e *Engine) planQ3() plan {
 	// Navigate in page-ID order (sort the fetch set before touching the
 	// representation — the classic RID-sort, which every scheme's
 	// on-disk clustering benefits from).
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	members := map[webgraph.PageID]bool{}
 	return plan{
 		steps: []step{{
@@ -222,7 +222,7 @@ func (e *Engine) planQ3() plan {
 			rev: true,
 			visit: func(_ webgraph.PageID, nbrs []webgraph.PageID) {
 				// Deterministic cap: smallest page IDs first.
-				sort.Slice(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] })
+				slices.Sort(nbrs)
 				if len(nbrs) > kleinbergInCap {
 					nbrs = nbrs[:kleinbergInCap]
 				}
@@ -236,7 +236,7 @@ func (e *Engine) planQ3() plan {
 			for p := range members {
 				ids = append(ids, p)
 			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+			slices.Sort(ids)
 			rows := make([]PartialRow, 0, len(ids))
 			for _, p := range ids {
 				rows = append(rows, PartialRow{Key: strconv.FormatInt(int64(p), 10), Value: 1})

@@ -149,6 +149,11 @@ func (e *Engine) Tracer() *trace.Tracer { return e.tracer }
 // a static table so the untraced hot path never formats a string.
 var classNames = [Q6 + 1]string{"", "q1", "q2", "q3", "q4", "q5", "q6"}
 
+// Class is the query's class name ("q1" … "q6"): its slow-query-log
+// class, and the value of the pprof label the serving tier runs it
+// under. q must be one of the six.
+func (q ID) Class() string { return classNames[q] }
+
 // SetMetrics wires the engine's executions (Run and RunPartial alike)
 // into a registry: a latency histogram per query ID (query_latency_q1
 // .. query_latency_q6) and the per-stage split between index resolution

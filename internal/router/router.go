@@ -30,6 +30,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"runtime/pprof"
 	"sort"
 	"strconv"
 	"sync"
@@ -689,6 +690,17 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, fmt.Sprintf("bad q %q (want 1..6)", raw), http.StatusBadRequest)
 		return
 	}
+	// The scatter, the legs' goroutines and the merge run under a pprof
+	// label, so the router's CPU profile splits by query class like the
+	// shards' (serve.handleQuery labels the other end of each leg).
+	pprof.Do(req.Context(), pprof.Labels("query", query.ID(qn).Class()), func(ctx context.Context) {
+		r.scatterQuery(w, req.WithContext(ctx), qn)
+	})
+}
+
+// scatterQuery fans query qn out to one replica of every shard as a
+// partial request and merges the partial rows.
+func (r *Router) scatterQuery(w http.ResponseWriter, req *http.Request, qn int) {
 	inc(r.miningRequests)
 	ctx, root, hdr, done := r.startTraced(w, req, "router.mining")
 	defer func() { observe(r.miningLatency, done(), root) }()

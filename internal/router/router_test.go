@@ -1,6 +1,7 @@
 package router
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -8,6 +9,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime/pprof"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -442,4 +446,41 @@ func TestVersionSkewRejected(t *testing.T) {
 	if reg.Snapshot().Counters["router_version_skew"] == 0 {
 		t.Fatal("version skew not counted")
 	}
+}
+
+// TestScatterRunsUnderPprofLabel pins the router's half of the profile
+// split by query class: while a leg of /query?q=N is in flight, the
+// goroutine fetching it carries the pprof label query=qN (inherited
+// from the handler that started it).
+func TestScatterRunsUnderPprofLabel(t *testing.T) {
+	w := startWorld(t, getRoot(t, 2), 2, 1)
+	// Stand a server in front of shard 0's replica that takes the
+	// goroutine profile when a leg arrives, before any shard-side code
+	// (which labels its own goroutine) runs for it.
+	var mu sync.Mutex
+	var prof bytes.Buffer
+	replica := w.flaky[w.replicas[0][0]]
+	front := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		if req.URL.Path == "/query" {
+			mu.Lock()
+			pprof.Lookup("goroutine").WriteTo(&prof, 1)
+			mu.Unlock()
+		}
+		replica.ServeHTTP(rw, req)
+	}))
+	defer front.Close()
+	w.replicas[0][0] = front.URL
+	_, ts := newRouter(t, w, Config{})
+	var got serve.QueryResponse
+	if code := getJSON(t, ts.URL+"/query?q=4", &got); code != http.StatusOK {
+		t.Fatalf("/query?q=4: status %d", code)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, rec := range strings.Split(prof.String(), "\n\n") {
+		if strings.Contains(rec, `"query":"q4"`) && strings.Contains(rec, "router.(*Router).fetch") {
+			return
+		}
+	}
+	t.Errorf("no fetching goroutine labelled query=q4 in:\n%s", prof.String())
 }

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"runtime/pprof"
 	"sort"
 	"strconv"
 	"time"
@@ -417,45 +418,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// whether it completes, errors, or is shed mid-query.
 		defer func() { s.miningHist.ObserveDuration(time.Since(start)) }()
 	}
-	// Both bodies come from the same plan through the engine's one
-	// instrumented entry; only the row shape differs.
-	q := query.ID(qn)
+	// The plan runs under a pprof label, so a CPU profile of a serving
+	// process splits by query class (go tool pprof -tagfocus query=q3):
+	// one label set per request, inherited by any goroutine the plan
+	// starts. /out carries none — its hit path is too short to pay for
+	// one.
 	var body any
-	if partial {
-		var res *query.PartialResult
-		if res, err = s.eng.RunPartial(ctx, q); err == nil {
-			rows := res.Rows
-			if rows == nil {
-				rows = []query.PartialRow{}
-			}
-			shardID := 0
-			if s.shard != nil {
-				shardID = s.shard.ID
-			}
-			body = PartialQueryResponse{
-				Query:    qn,
-				Shard:    shardID,
-				Partials: rows,
-				NavMS:    float64(res.Nav.Total()) / float64(time.Millisecond),
-			}
-		}
-	} else {
-		var res *query.Result
-		if res, err = s.eng.Run(ctx, q); err == nil {
-			if res.Trace != nil {
-				res.Trace.SetAttr("admission_wait_ns", int64(wait))
-			}
-			rows := res.Rows
-			if rows == nil {
-				rows = []query.Row{}
-			}
-			body = QueryResponse{
-				Query: qn,
-				Rows:  rows,
-				NavMS: float64(res.Nav.Total()) / float64(time.Millisecond),
-			}
-		}
-	}
+	q := query.ID(qn)
+	pprof.Do(ctx, pprof.Labels("query", q.Class()), func(ctx context.Context) {
+		body, err = s.runQuery(ctx, q, partial, wait)
+	})
 	s.finishRemote(w, &forced)
 	if err != nil {
 		if isShed(err) {
@@ -467,4 +439,47 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(body)
+}
+
+// runQuery executes q and shapes the response body: the final rows, or
+// for a router's scatter request the shard's untruncated partial rows.
+// Both come from the same plan through the engine's one instrumented
+// entry; only the row shape differs.
+func (s *Server) runQuery(ctx context.Context, q query.ID, partial bool, admissionWait time.Duration) (any, error) {
+	if partial {
+		res, err := s.eng.RunPartial(ctx, q)
+		if err != nil {
+			return nil, err
+		}
+		rows := res.Rows
+		if rows == nil {
+			rows = []query.PartialRow{}
+		}
+		shardID := 0
+		if s.shard != nil {
+			shardID = s.shard.ID
+		}
+		return PartialQueryResponse{
+			Query:    int(q),
+			Shard:    shardID,
+			Partials: rows,
+			NavMS:    float64(res.Nav.Total()) / float64(time.Millisecond),
+		}, nil
+	}
+	res, err := s.eng.Run(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	if res.Trace != nil {
+		res.Trace.SetAttr("admission_wait_ns", int64(admissionWait))
+	}
+	rows := res.Rows
+	if rows == nil {
+		rows = []query.Row{}
+	}
+	return QueryResponse{
+		Query: int(q),
+		Rows:  rows,
+		NavMS: float64(res.Nav.Total()) / float64(time.Millisecond),
+	}, nil
 }

@@ -1,14 +1,18 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime/pprof"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -399,6 +403,62 @@ func TestServeMetricsRegistered(t *testing.T) {
 		}
 		if h.Count != 1 {
 			t.Errorf("%s count = %d, want 1", name, h.Count)
+		}
+	}
+}
+
+// labelledRecord reports whether a debug=1 goroutine profile holds a
+// goroutine that carries the pprof label query=<class> and has frame
+// on its stack.
+func labelledRecord(profile, class, frame string) bool {
+	for _, rec := range strings.Split(profile, "\n\n") {
+		if strings.Contains(rec, `"query":"`+class+`"`) && strings.Contains(rec, frame) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestQueryRunsUnderPprofLabel pins the profile split by query class:
+// while the engine navigates for /query?q=N — a full run or a router's
+// partial leg — its goroutine carries the label query=qN.
+func TestQueryRunsUnderPprofLabel(t *testing.T) {
+	r, _ := getRepo(t)
+	e, err := query.New(r, repo.SchemeSNode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The ownership predicate runs on the navigating goroutine: take the
+	// goroutine profile from inside it, once per request.
+	var prof bytes.Buffer
+	var armed atomic.Bool
+	e.SetOwner(func(webgraph.PageID) bool {
+		if armed.CompareAndSwap(true, false) {
+			pprof.Lookup("goroutine").WriteTo(&prof, 1)
+		}
+		return true
+	})
+	s, err := New(Config{Engine: e})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, path := range []string{"/query?q=3", "/query?q=5&partial=1"} {
+		prof.Reset()
+		armed.Store(true)
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", path, resp.StatusCode)
+		}
+		class := "q" + path[len("/query?q="):len("/query?q=")+1]
+		if !labelledRecord(prof.String(), class, "query.(*Engine).navigate") {
+			t.Errorf("%s: no navigating goroutine labelled query=%s in:\n%s", path, class, prof.String())
 		}
 	}
 }

@@ -1,8 +1,8 @@
 package snode
 
 import (
-	"container/list"
 	"sync"
+	"sync/atomic"
 )
 
 // decodedGraph is any in-memory lower-level graph.
@@ -14,9 +14,9 @@ type decodedGraph interface {
 }
 
 // graphCache is the buffer manager of §4.3: decoded intranode and
-// superedge graphs are cached under a byte budget with LRU replacement.
-// The experiments vary the budget (Figure 12) and count loads per query
-// (the paper's instrumentation of Query 1).
+// superedge graphs are cached under a byte budget with second-chance
+// (CLOCK) replacement. The experiments vary the budget (Figure 12) and
+// count loads per query (the paper's instrumentation of Query 1).
 //
 // Cached graphs are immutable. A positive superedge graph has two in
 // turn: a load inserts its sources with the lists still encoded
@@ -26,20 +26,50 @@ type decodedGraph interface {
 // by get stays valid however the cache moves on.
 //
 // Thread-safety contract: the cache is safe for concurrent use by any
-// number of goroutines. It is split into cacheShards shards (by GraphID
-// hash), each guarded by its own mutex and carrying its own slice of
-// the byte budget, LRU list, and CacheStats; statsMerged sums the
-// per-shard counters so the Figure-12 instrumentation is unchanged.
+// number of goroutines.
+//
+// A hit takes no lock. Graph IDs are dense, so residency is published
+// in slots, one atomic pointer per graph of the directory: lookup is
+// one atomic load, plus one store to the entry's reference bit when the
+// bit is clear. What a slot points to (a cacheNode's id, graph and
+// size) never changes after the node is published; replacing a graph
+// publishes a new node. A reader that loaded a node just before it was
+// evicted or reset therefore still holds a whole, valid graph, and the
+// only thing it can do to the dead node is set a bit nobody reads.
+//
+// Everything that changes residency takes a shard lock: the cache is
+// split into cacheShards shards (by GraphID hash), each with its own
+// mutex, slice of the byte budget, ring of resident nodes, flight table
+// and load counters. Inserting (complete), replacing (materialized),
+// evicting, claiming a miss and reset all run under the lock of the
+// graph's shard, and every store to a slot happens there: under a
+// shard's lock its ring holds exactly the nodes its slots point to, and
+// used is the sum of their sizes.
+//
+// Replacement keeps of LRU what a lock-free hit can afford to record:
+// one bit per entry, "used since the hand last passed". Only an insert
+// that needs room moves the hand: it starts at the oldest entry, clears
+// the bit of each entry it finds used and moves on, and evicts the
+// first it finds unused. An entry touched since its last inspection
+// thus outlives every entry that was not; among the untouched, the
+// oldest goes first. The order of touches between two sweeps is not
+// kept, which exact LRU paid a lock and a list splice per hit for.
+//
 // Misses are deduplicated singleflight-style: the first goroutine to
 // claim an absent graph becomes its decode leader, and every other
 // goroutine that wants the same graph blocks on the leader's in-flight
 // decode instead of decoding a second copy — N concurrent requests for
 // one supernode trigger exactly one decode.
 //
-// All stats accounting, including the decoded-edge counter that the
-// Table 2 throughput metric reads, happens behind the shard locks;
-// there are no unsynchronized counters.
+// Counters: hits and misses are atomics, added by whoever did the
+// lookups (Out adds its whole call's at once, to one shard's pair, so
+// that lookups of different supernodes rarely write the same cache
+// line); the load-side counters, including the decoded-edge counter
+// that the Table 2 throughput metric reads, change under the shard
+// locks. All are exact at quiescence: Hits+Misses is the number of
+// lookups made, Loads+Coalesced >= Misses.
 type graphCache struct {
+	slots  []atomic.Pointer[cacheNode] // indexed by GraphID; nil = not resident
 	shards [cacheShards]cacheShard
 }
 
@@ -54,20 +84,32 @@ const (
 
 // cacheShard is one lock domain of the buffer manager.
 type cacheShard struct {
-	mu       sync.Mutex
-	budget   int64 // this shard's slice of the total budget
-	used     int64
-	lru      *list.List // front = most recent; values are *cacheEntry
-	byID     map[GraphID]*list.Element
+	mu     sync.Mutex
+	budget int64 // this shard's slice of the total budget
+	used   int64
+	// hand is the oldest node of the shard's ring (circular through
+	// next/prev, insertion order), where the next sweep starts; nil when
+	// the shard is empty. hand.prev is the newest.
+	hand     *cacheNode
+	resident int64
 	inflight map[GraphID]*inflightDecode
-	stats    CacheStats
-	decoded  int64 // edges decoded since last reset
+	stats    CacheStats // Hits and Misses unused: see hits, misses
+	decoded  int64      // edges decoded since last reset
+
+	// Lookup outcomes reported to this shard (countLookups); not under mu.
+	hits, misses atomic.Int64
 }
 
-type cacheEntry struct {
-	id   GraphID
-	g    decodedGraph
-	size int64
+// cacheNode is one resident graph: the only allocation the cache makes
+// for it. id, g and size are set before the node is published and never
+// change; ref is the second-chance bit, set by lock-free hits and
+// cleared by the sweep; next and prev belong to the shard lock.
+type cacheNode struct {
+	g          decodedGraph
+	size       int64
+	next, prev *cacheNode
+	id         GraphID
+	ref        atomic.Bool
 }
 
 // inflightDecode tracks one in-progress decode. g and err are written
@@ -79,13 +121,11 @@ type inflightDecode struct {
 	err  error
 }
 
-func newGraphCache(budget int64) *graphCache {
-	c := &graphCache{}
+// newGraphCache makes a cache for graph IDs [0, graphs).
+func newGraphCache(budget int64, graphs int) *graphCache {
+	c := &graphCache{slots: make([]atomic.Pointer[cacheNode], graphs)}
 	for i := range c.shards {
-		s := &c.shards[i]
-		s.lru = list.New()
-		s.byID = map[GraphID]*list.Element{}
-		s.inflight = map[GraphID]*inflightDecode{}
+		c.shards[i].inflight = map[GraphID]*inflightDecode{}
 	}
 	c.setBudget(budget)
 	return c
@@ -106,7 +146,7 @@ func (c *graphCache) shard(id GraphID) *cacheShard {
 // floor every shard to zero, leaving each shard thrashing with every
 // insert evicting whatever was resident; instead it is given whole to
 // shard 0, so tiny-budget configurations (the low end of the Figure 12
-// sweep, tests) retain a real LRU domain.
+// sweep, tests) retain a real replacement domain.
 func (c *graphCache) setBudget(budget int64) {
 	for i := range c.shards {
 		c.shards[i].budget = shardBudget(budget, i)
@@ -124,19 +164,44 @@ func shardBudget(budget int64, i int) int64 {
 	return per
 }
 
-// get returns the cached graph and marks it recently used, counting a
-// hit or a miss: merged Hits+Misses equals the number of get calls.
-func (c *graphCache) get(id GraphID) (decodedGraph, bool) {
-	s := c.shard(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.byID[id]; ok {
-		s.lru.MoveToFront(el)
-		s.stats.Hits++
-		return el.Value.(*cacheEntry).g, true
+// lookup returns the resident graph and marks it used, without a lock
+// and without counting: the caller owes countLookups one hit or miss
+// for it.
+func (c *graphCache) lookup(id GraphID) (decodedGraph, bool) {
+	n := c.slots[id].Load()
+	if n == nil {
+		return nil, false
 	}
-	s.stats.Misses++
-	return nil, false
+	// Test before set: a hot entry's bit is nearly always set already,
+	// and a load leaves its cache line shared between cores.
+	if !n.ref.Load() {
+		n.ref.Store(true)
+	}
+	return n.g, true
+}
+
+// countLookups records the outcomes of lookups made through lookup, on
+// the counters of id's shard — any one graph among those looked up.
+func (c *graphCache) countLookups(id GraphID, hits, misses int64) {
+	s := c.shard(id)
+	if hits != 0 {
+		s.hits.Add(hits)
+	}
+	if misses != 0 {
+		s.misses.Add(misses)
+	}
+}
+
+// get is one counted lookup: merged Hits+Misses equals the number of
+// get calls plus the lookups reported to countLookups.
+func (c *graphCache) get(id GraphID) (decodedGraph, bool) {
+	g, ok := c.lookup(id)
+	if ok {
+		c.countLookups(id, 1, 0)
+	} else {
+		c.countLookups(id, 0, 1)
+	}
+	return g, ok
 }
 
 // claim outcomes for tryClaim.
@@ -146,36 +211,31 @@ const (
 	claimBusy          // another goroutine is decoding; caller backs off
 )
 
-// claimNoWait resolves a graph that get reported missing without ever
-// blocking: it returns the graph if a concurrent decode finished
+// claimNoWait resolves a graph that a lookup reported missing without
+// ever blocking: it returns the graph if a concurrent decode finished
 // meanwhile, hands back the in-flight decode if one exists (the caller
 // waits on fl.done itself — with cancellation, or hedged; counting the
 // Coalesced dedup happens here, at claim time), or makes the caller the
 // decode leader (leader=true), who MUST call complete exactly once.
-// claimNoWait never counts a hit or miss — the get that preceded it
+// claimNoWait never counts a hit or miss — the lookup that preceded it
 // already did.
 func (c *graphCache) claimNoWait(id GraphID) (g decodedGraph, fl *inflightDecode, leader bool) {
 	s := c.shard(id)
 	s.mu.Lock()
-	if el, ok := s.byID[id]; ok {
+	defer s.mu.Unlock()
+	if g, ok := c.lookup(id); ok {
 		// Resolved between the caller's miss and this claim by another
 		// goroutine's decode: counted as Coalesced so every miss is
 		// attributable to exactly one load, wait, or reuse (the
 		// Loads+Coalesced >= Misses reconciliation the metrics assert).
 		s.stats.Coalesced++
-		s.lru.MoveToFront(el)
-		g := el.Value.(*cacheEntry).g
-		s.mu.Unlock()
 		return g, nil, false
 	}
 	if fl, ok := s.inflight[id]; ok {
 		s.stats.Coalesced++
-		s.mu.Unlock()
 		return nil, fl, false
 	}
-	fl = &inflightDecode{done: make(chan struct{})}
-	s.inflight[id] = fl
-	s.mu.Unlock()
+	s.inflight[id] = &inflightDecode{done: make(chan struct{})}
 	return nil, nil, true
 }
 
@@ -212,12 +272,11 @@ func (c *graphCache) tryClaim(id GraphID) (decodedGraph, int) {
 	s := c.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.byID[id]; ok {
+	if g, ok := c.lookup(id); ok {
 		// As in claim: a miss resolved by another goroutine's completed
 		// decode counts as Coalesced.
 		s.stats.Coalesced++
-		s.lru.MoveToFront(el)
-		return el.Value.(*cacheEntry).g, claimCached
+		return g, claimCached
 	}
 	if _, ok := s.inflight[id]; ok {
 		return nil, claimBusy
@@ -227,17 +286,17 @@ func (c *graphCache) tryClaim(id GraphID) (decodedGraph, int) {
 }
 
 // complete finishes a claimed decode: on success the graph is inserted
-// (evicting LRU entries to stay within the shard budget) and the load
-// counters — including the decoded-edge counter — are bumped under the
-// shard lock; either way, every goroutine blocked in claim is released
-// with the same result.
+// (evicting by second chance to stay within the shard budget) and the
+// load counters — including the decoded-edge counter — are bumped under
+// the shard lock; either way, every goroutine blocked in claim is
+// released with the same result.
 func (c *graphCache) complete(id GraphID, g decodedGraph, kind uint8, err error) {
 	s := c.shard(id)
 	s.mu.Lock()
 	fl := s.inflight[id]
 	delete(s.inflight, id)
 	if err == nil {
-		s.insertLocked(id, g, kind)
+		c.insertLocked(s, id, g, kind)
 	}
 	s.mu.Unlock()
 	if fl != nil {
@@ -246,11 +305,13 @@ func (c *graphCache) complete(id GraphID, g decodedGraph, kind uint8, err error)
 	}
 }
 
-// insertLocked inserts a freshly decoded graph, evicting LRU entries to
-// stay within the shard budget. Graphs larger than the budget are
+// insertLocked counts and publishes a freshly decoded graph, evicting
+// to stay within the shard budget. Graphs larger than the budget are
 // admitted alone (the query could not run otherwise) and evicted on the
-// next insert. Caller holds s.mu.
-func (s *cacheShard) insertLocked(id GraphID, g decodedGraph, kind uint8) {
+// next insert. A new node starts unreferenced: its loader already holds
+// the graph, and only a later lookup earns it a second chance. Caller
+// holds s.mu.
+func (c *graphCache) insertLocked(s *cacheShard, id GraphID, g decodedGraph, kind uint8) {
 	s.stats.Loads++
 	s.decoded += g.edgeCount()
 	if kind == kindIntra {
@@ -258,40 +319,77 @@ func (s *cacheShard) insertLocked(id GraphID, g decodedGraph, kind uint8) {
 	} else {
 		s.stats.SuperLoads++
 	}
-	if el, ok := s.byID[id]; ok {
+	if _, ok := c.lookup(id); ok {
 		// Already resident (a racing insert slipped in, e.g. a reset
 		// interleaved with this decode's claim): keep the existing entry.
-		s.lru.MoveToFront(el)
 		return
 	}
-	size := g.memSize()
-	for s.used+size > s.budget && s.lru.Len() > 0 {
-		s.evictBackLocked()
+	n := &cacheNode{id: id, g: g, size: g.memSize()}
+	for s.used+n.size > s.budget && s.hand != nil {
+		c.evictLocked(s, nil)
 	}
-	el := s.lru.PushFront(&cacheEntry{id: id, g: g, size: size})
-	s.byID[id] = el
-	s.used += size
+	s.link(n, s.hand)
+	c.slots[id].Store(n)
 }
 
-// evictBackLocked evicts the least recently used entry. Caller holds
-// s.mu.
-func (s *cacheShard) evictBackLocked() {
-	back := s.lru.Back()
-	e := back.Value.(*cacheEntry)
-	s.lru.Remove(back)
-	delete(s.byID, e.id)
-	s.used -= e.size
+// link puts n into the ring just before at — the newest place, when at
+// is the hand — or starts the ring when at is nil, and accounts for it.
+// Caller holds s.mu.
+func (s *cacheShard) link(n, at *cacheNode) {
+	if at == nil {
+		n.next, n.prev = n, n
+		s.hand = n
+	} else {
+		n.next, n.prev = at, at.prev
+		n.prev.next, at.prev = n, n
+	}
+	s.used += n.size
+	s.resident++
+}
+
+// unlink takes n out of the ring and the accounts; a hand that pointed
+// at n moves on to the node after it. Caller holds s.mu.
+func (s *cacheShard) unlink(n *cacheNode) {
+	if n.next == n {
+		s.hand = nil
+	} else {
+		n.prev.next, n.next.prev = n.next, n.prev
+		if s.hand == n {
+			s.hand = n.next
+		}
+	}
+	s.used -= n.size
+	s.resident--
+}
+
+// evictLocked runs the second-chance sweep from the hand until it has
+// evicted one node: a node found referenced has its bit cleared and is
+// passed over; the first found unreferenced goes, and the hand stops
+// behind it. keep, if non-nil, is passed over whatever its bit says.
+// The caller guarantees the ring holds a node other than keep, so at
+// most two turns of the ring find a victim. Caller holds s.mu.
+func (c *graphCache) evictLocked(s *cacheShard, keep *cacheNode) {
+	n := s.hand
+	for n == keep || n.ref.Load() {
+		if n != keep {
+			n.ref.Store(false)
+		}
+		n = n.next
+	}
+	c.slots[n.id].Store(nil)
+	s.hand = n
+	s.unlink(n)
 	s.stats.Evictions++
 }
 
 // materialized records that a lookup decoded the lists of the
 // sources-only superedge graph from, giving to, and — if from is still
-// what the cache holds for id — puts to in its place, most recently
-// used, at its own size, evicting from the cold end if the growth needs
-// the room (an entry that outgrows the whole shard stays, alone). The
-// graphs themselves are never touched; the cache's own node for id is
-// repointed under the shard lock, so it keeps its place in memory
-// beside the nodes loaded with it. When from was evicted meanwhile, or
+// what the cache holds for id — publishes a node holding to in the
+// place of from's: same position in the ring, marked used, at its own
+// size, evicting others by second chance if the growth needs the room
+// (an entry that outgrows the whole shard stays, alone). Neither graph
+// nor from's node is touched, so a reader that got either from a
+// lock-free lookup holds it whole. When from was evicted meanwhile, or
 // another lookup's materialization got here first, the cache is left
 // alone and to serves only its caller. Either way the decode happened,
 // so it is counted.
@@ -301,30 +399,33 @@ func (c *graphCache) materialized(id GraphID, from *superPosSources, to *decoded
 	defer s.mu.Unlock()
 	s.stats.Materialized++
 	s.decoded += to.edgeCount()
-	el, ok := s.byID[id]
-	if !ok || el.Value.(*cacheEntry).g != decodedGraph(from) {
+	old := c.slots[id].Load()
+	if old == nil || old.g != decodedGraph(from) {
 		return
 	}
-	e := el.Value.(*cacheEntry)
-	size := to.memSize()
-	s.used += size - e.size
-	e.g, e.size = to, size
-	s.lru.MoveToFront(el)
-	for s.used > s.budget && s.lru.Len() > 1 {
-		s.evictBackLocked()
+	n := &cacheNode{id: id, g: to, size: to.memSize()}
+	n.ref.Store(true)
+	s.link(n, old)
+	if s.hand == old {
+		s.hand = n
+	}
+	s.unlink(old)
+	c.slots[id].Store(n)
+	for s.used > s.budget && s.resident > 1 {
+		c.evictLocked(s, n)
 	}
 }
 
-// statsMerged sums the per-shard counters into one CacheStats (the
-// Figure 12 view).
+// statsMerged sums the counters into one CacheStats (the Figure 12
+// view).
 func (c *graphCache) statsMerged() CacheStats {
 	var out CacheStats
 	for i := range c.shards {
 		s := &c.shards[i]
+		out.Hits += s.hits.Load()
+		out.Misses += s.misses.Load()
 		s.mu.Lock()
 		out.Loads += s.stats.Loads
-		out.Hits += s.stats.Hits
-		out.Misses += s.stats.Misses
 		out.Coalesced += s.stats.Coalesced
 		out.Evictions += s.stats.Evictions
 		out.IntraLoads += s.stats.IntraLoads
@@ -366,7 +467,7 @@ func (c *graphCache) entries() int64 {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		n += int64(s.lru.Len())
+		n += s.resident
 		s.mu.Unlock()
 	}
 	return n
@@ -378,26 +479,39 @@ func (c *graphCache) resetStats() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		s.stats = CacheStats{}
-		s.decoded = 0
+		s.resetStatsLocked()
 		s.mu.Unlock()
 	}
 }
 
+func (s *cacheShard) resetStatsLocked() {
+	s.stats = CacheStats{}
+	s.decoded = 0
+	s.hits.Store(0)
+	s.misses.Store(0)
+}
+
 // reset empties the cache and re-divides a new budget (used between
-// buffer-size sweep points). In-flight decodes are retained: their
+// buffer-size sweep points). Each shard's slots are cleared under its
+// lock, by walking its ring, so no slot is left pointing at a node the
+// shard no longer accounts for. In-flight decodes are retained: their
 // leaders will complete into the fresh state, and their waiters are
 // still released.
 func (c *graphCache) reset(budget int64) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
+		for n := s.hand; n != nil; {
+			c.slots[n.id].Store(nil)
+			if n = n.next; n == s.hand {
+				break
+			}
+		}
 		s.budget = shardBudget(budget, i)
 		s.used = 0
-		s.lru.Init()
-		s.byID = map[GraphID]*list.Element{}
-		s.stats = CacheStats{}
-		s.decoded = 0
+		s.hand = nil
+		s.resident = 0
+		s.resetStatsLocked()
 		s.mu.Unlock()
 	}
 }

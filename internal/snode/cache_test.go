@@ -17,36 +17,56 @@ type stubGraph struct {
 func (s *stubGraph) memSize() int64   { return s.size }
 func (s *stubGraph) edgeCount() int64 { return s.edges }
 
-// checkShardInvariants verifies, per shard: used equals the sum of
-// resident entry sizes; used stays within budget unless a single
-// oversized entry was admitted alone; and byID and the LRU list agree
-// exactly. Returns the total resident entries.
+// checkShardInvariants verifies, at quiescence: per shard, used equals
+// the sum of the ring's node sizes and resident their number, the ring
+// is consistently linked and holds only graphs that hash to the shard,
+// and used stays within budget unless a single oversized entry was
+// admitted alone; across the cache, the slots point at exactly the
+// nodes the rings hold. Returns the total resident entries.
 func checkShardInvariants(t *testing.T, c *graphCache) int {
 	t.Helper()
 	total := 0
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		var sum int64
-		for el := s.lru.Front(); el != nil; el = el.Next() {
-			e := el.Value.(*cacheEntry)
-			sum += e.size
-			if got, ok := s.byID[e.id]; !ok || got != el {
-				t.Errorf("shard %d: LRU entry %d missing/mismatched in byID", i, e.id)
+		var sum, count int64
+		for n := s.hand; n != nil; {
+			sum += n.size
+			count++
+			if c.shard(n.id) != s {
+				t.Errorf("shard %d: ring holds graph %d of another shard", i, n.id)
+			}
+			if c.slots[n.id].Load() != n {
+				t.Errorf("shard %d: slot %d does not point at the ring's node", i, n.id)
+			}
+			if n.next.prev != n || n.prev.next != n {
+				t.Errorf("shard %d: ring broken at graph %d", i, n.id)
+			}
+			if n = n.next; n == s.hand {
+				break
 			}
 		}
 		if sum != s.used {
 			t.Errorf("shard %d: used=%d but entries sum to %d", i, s.used, sum)
 		}
-		if s.used > s.budget && s.lru.Len() > 1 {
+		if count != s.resident {
+			t.Errorf("shard %d: resident=%d but the ring holds %d", i, s.resident, count)
+		}
+		if s.used > s.budget && count > 1 {
 			t.Errorf("shard %d: used=%d exceeds budget=%d with %d entries",
-				i, s.used, s.budget, s.lru.Len())
+				i, s.used, s.budget, count)
 		}
-		if len(s.byID) != s.lru.Len() {
-			t.Errorf("shard %d: byID has %d entries, LRU has %d", i, len(s.byID), s.lru.Len())
-		}
-		total += s.lru.Len()
+		total += int(count)
 		s.mu.Unlock()
+	}
+	published := 0
+	for id := range c.slots {
+		if c.slots[id].Load() != nil {
+			published++
+		}
+	}
+	if published != total {
+		t.Errorf("%d slots published, %d nodes accounted by the shards", published, total)
 	}
 	return total
 }
@@ -62,7 +82,7 @@ func TestCacheInvariantsUnderConcurrency(t *testing.T) {
 		opsEach    = 3000
 		idSpace    = 300
 	)
-	c := newGraphCache(budget)
+	c := newGraphCache(budget, idSpace)
 	var gets atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < goroutines; w++ {
@@ -116,12 +136,15 @@ func TestCacheInvariantsUnderConcurrency(t *testing.T) {
 }
 
 // TestCacheInvariantsWithConcurrentReset repeats the workload while
-// another goroutine repeatedly empties and re-budgets the cache; the
-// structural invariants must hold at every quiescent point and no
-// claimed decode may be orphaned.
+// another goroutine repeatedly empties and re-budgets the cache under
+// the workers' lock-free gets; the structural invariants must hold at
+// every quiescent point — in particular no slot may be left pointing at
+// a node its shard no longer accounts for, which a reset that cleared
+// slots outside the shard lock would allow — and no claimed decode may
+// be orphaned.
 func TestCacheInvariantsWithConcurrentReset(t *testing.T) {
 	const goroutines = 8
-	c := newGraphCache(32 << 10)
+	c := newGraphCache(32<<10, 150)
 	stop := make(chan struct{})
 	var workers, resetter sync.WaitGroup
 	for w := 0; w < goroutines; w++ {
@@ -166,59 +189,126 @@ func TestCacheInvariantsWithConcurrentReset(t *testing.T) {
 	checkShardInvariants(t, c)
 }
 
-// TestCacheLRUOrder checks recency ordering and eviction order
-// serially: entries are evicted least-recently-used first, and a get
-// refreshes recency.
-func TestCacheLRUOrder(t *testing.T) {
-	// One shard in isolation: pick IDs that all hash to shard of id 0.
-	c := newGraphCache(int64(cacheShards) * 1000) // 1000 bytes per shard
+// oneShardCache returns a cache with perShard bytes of budget per shard
+// and n graph IDs that all fall in one shard, to test replacement on it
+// in isolation.
+func oneShardCache(perShard int64, n int) (*graphCache, *cacheShard, []GraphID) {
+	c := newGraphCache(int64(cacheShards)*perShard, 64*cacheShards)
 	target := c.shard(0)
 	var ids []GraphID
-	for id := GraphID(0); len(ids) < 4; id++ {
+	for id := GraphID(0); len(ids) < n; id++ {
 		if c.shard(id) == target {
 			ids = append(ids, id)
 		}
 	}
-	put := func(id GraphID, size int64) {
-		if _, ok := c.get(id); ok {
-			t.Fatalf("id %d unexpectedly cached", id)
-		}
-		_, _, leader := c.claim(id)
-		if !leader {
-			t.Fatalf("id %d: expected leadership", id)
-		}
-		c.complete(id, &stubGraph{size: size, edges: 0}, kindIntra, nil)
+	return c, target, ids
+}
+
+// putGraph loads a stub graph of the given size through the real
+// protocol: miss, claim, complete.
+func putGraph(t *testing.T, c *graphCache, id GraphID, size int64) {
+	t.Helper()
+	if _, ok := c.get(id); ok {
+		t.Fatalf("id %d unexpectedly cached", id)
 	}
-	// Fill with three 300-byte entries: A, B, C (C most recent).
-	put(ids[0], 300)
-	put(ids[1], 300)
-	put(ids[2], 300)
-	// Touch A: order becomes B (LRU), C, A (MRU).
+	insertEntry(t, c, id, &stubGraph{size: size})
+}
+
+// TestCacheLRUOrder states what second chance keeps of LRU, serially:
+// an entry touched since it was loaded survives the next insert that
+// needs room, the oldest untouched entry goes, and making room for one
+// entry costs one eviction.
+func TestCacheLRUOrder(t *testing.T) {
+	c, _, ids := oneShardCache(1000, 4)
+	// Fill with three 300-byte entries, oldest first: A, B, C.
+	putGraph(t, c, ids[0], 300)
+	putGraph(t, c, ids[1], 300)
+	putGraph(t, c, ids[2], 300)
+	// Touch A, the oldest.
 	if _, ok := c.get(ids[0]); !ok {
 		t.Fatal("A missing")
 	}
-	// Insert 300-byte D: B must be evicted, A and C retained.
-	put(ids[3], 300)
-	if _, ok := c.get(ids[1]); ok {
-		t.Fatal("B should have been evicted (least recently used)")
+	// Insert 300-byte D: the hand passes A (touched), evicts B.
+	putGraph(t, c, ids[3], 300)
+	if _, ok := c.slotGraph(ids[1]); ok {
+		t.Fatal("B should have been evicted (oldest untouched)")
 	}
-	if _, ok := c.get(ids[0]); !ok {
-		t.Fatal("A evicted despite recent touch")
+	if _, ok := c.slotGraph(ids[0]); !ok {
+		t.Fatal("A evicted despite its touch")
 	}
-	if _, ok := c.get(ids[2]); !ok {
-		t.Fatal("C evicted out of LRU order")
+	if _, ok := c.slotGraph(ids[2]); !ok {
+		t.Fatal("C evicted ahead of the older, untouched B")
 	}
-	st := c.statsMerged()
-	if st.Evictions != 1 {
+	if st := c.statsMerged(); st.Evictions != 1 {
 		t.Fatalf("%d evictions, want 1", st.Evictions)
 	}
+	checkShardInvariants(t, c)
+}
+
+// TestCacheSecondChanceSweep is the other half of the policy: when every
+// resident entry has been touched the hand clears every bit on its way
+// round and evicts the oldest, and the survivors — their chance spent —
+// then go in age order unless touched again.
+func TestCacheSecondChanceSweep(t *testing.T) {
+	c, target, ids := oneShardCache(1000, 5)
+	for _, id := range ids[:3] { // A, B, C
+		putGraph(t, c, id, 300)
+	}
+	for _, id := range ids[:3] {
+		if _, ok := c.get(id); !ok {
+			t.Fatalf("graph %d missing", id)
+		}
+	}
+	putGraph(t, c, ids[3], 300) // D: full turn, all bits cleared, A goes
+	if _, ok := c.slotGraph(ids[0]); ok {
+		t.Fatal("all touched: the oldest entry should have gone")
+	}
+	for _, id := range ids[1:4] {
+		if _, ok := c.slotGraph(id); !ok {
+			t.Fatalf("graph %d evicted; only the oldest should have gone", id)
+		}
+	}
+	target.mu.Lock()
+	for n := target.hand; ; {
+		if n.ref.Load() {
+			t.Errorf("graph %d still marked used after a full sweep", n.id)
+		}
+		if n = n.next; n == target.hand {
+			break
+		}
+	}
+	target.mu.Unlock()
+	// C is touched again; B is not: E takes B's room, not C's.
+	if _, ok := c.get(ids[2]); !ok {
+		t.Fatal("C missing")
+	}
+	putGraph(t, c, ids[4], 300)
+	if _, ok := c.slotGraph(ids[1]); ok {
+		t.Fatal("B spent its chance and was not touched again: it should have gone")
+	}
+	if _, ok := c.slotGraph(ids[2]); !ok {
+		t.Fatal("C evicted despite its second touch")
+	}
+	if st := c.statsMerged(); st.Evictions != 2 {
+		t.Fatalf("%d evictions, want 2", st.Evictions)
+	}
+	checkShardInvariants(t, c)
+}
+
+// slotGraph reads a slot without marking the entry used, so a test can
+// look at residency without changing what the next sweep does.
+func (c *graphCache) slotGraph(id GraphID) (decodedGraph, bool) {
+	if n := c.slots[id].Load(); n != nil {
+		return n.g, true
+	}
+	return nil, false
 }
 
 // TestCacheOversizedEntry checks that a graph larger than the shard
 // budget is admitted alone (queries must be able to run) and evicted by
 // the next insert.
 func TestCacheOversizedEntry(t *testing.T) {
-	c := newGraphCache(int64(cacheShards) * 100)
+	c := newGraphCache(int64(cacheShards)*100, 8)
 	id := GraphID(5)
 	_, _, leader := c.claim(id)
 	if !leader {
@@ -237,7 +327,7 @@ func TestCacheOversizedEntry(t *testing.T) {
 // budgets still sum to the configured total.
 func TestShardBudgetDegenerate(t *testing.T) {
 	for _, budget := range []int64{1, 5, cacheShards - 1} {
-		c := newGraphCache(budget)
+		c := newGraphCache(budget, 0)
 		var sum int64
 		for i := range c.shards {
 			sum += c.shards[i].budget
@@ -255,7 +345,7 @@ func TestShardBudgetDegenerate(t *testing.T) {
 		}
 	}
 	// Non-degenerate budgets still split evenly; zero stays zero.
-	c := newGraphCache(cacheShards * 100)
+	c := newGraphCache(cacheShards*100, 0)
 	for i := range c.shards {
 		if c.shards[i].budget != 100 {
 			t.Fatalf("shard %d budget = %d, want 100", i, c.shards[i].budget)
@@ -273,7 +363,7 @@ func TestShardBudgetDegenerate(t *testing.T) {
 // the shard-count constant: dense graph IDs must spread over every
 // shard (a stale hardcoded shift would index a sub- or superset).
 func TestShardMappingCoversAllShards(t *testing.T) {
-	c := newGraphCache(1 << 20)
+	c := newGraphCache(1<<20, 0)
 	seen := map[*cacheShard]bool{}
 	for id := GraphID(0); id < 1<<14; id++ {
 		seen[c.shard(id)] = true
@@ -291,7 +381,7 @@ func TestShardMappingCoversAllShards(t *testing.T) {
 // calls, and Loads+Coalesced covers every miss.
 func TestCacheStatsReconcileUnderResetChaos(t *testing.T) {
 	const goroutines = 32
-	c := newGraphCache(24 << 10)
+	c := newGraphCache(24<<10, 200)
 	workload := func(gets *atomic.Int64, ops int) {
 		var wg sync.WaitGroup
 		for w := 0; w < goroutines; w++ {

@@ -33,10 +33,6 @@ type Representation struct {
 	acc   *iosim.Accountant
 	files []*iosim.File
 
-	// domainOfSN[s] = index into m.Domains for supernode s. Immutable
-	// after Open, like m.
-	domainOfSN []int32
-
 	// decodeHist, when set via RegisterMetrics, times every lower-level
 	// graph decode (atomic pointer: registration may race with serving).
 	decodeHist atomic.Pointer[metrics.Histogram]
@@ -93,7 +89,7 @@ func Open(dir string, cacheBudget int64, model iosim.Model) (*Representation, er
 	r := &Representation{
 		dir:   dir,
 		m:     m,
-		cache: newGraphCache(cacheBudget),
+		cache: newGraphCache(cacheBudget, len(m.Directory)),
 		acc:   acc,
 	}
 	for i := range m.FileSizes {
@@ -103,12 +99,6 @@ func Open(dir string, cacheBudget int64, model iosim.Model) (*Representation, er
 			return nil, err
 		}
 		r.files = append(r.files, f)
-	}
-	r.domainOfSN = make([]int32, m.Stats.Supernodes)
-	for k := 0; k+1 < len(m.DomFirstSN); k++ {
-		for s := m.DomFirstSN[k]; s < m.DomFirstSN[k+1]; s++ {
-			r.domainOfSN[s] = int32(k)
-		}
 	}
 	return r, nil
 }
@@ -610,8 +600,11 @@ func (r *Representation) OutFiltered(p webgraph.PageID, f *store.Filter, buf []w
 // request-scoped context. When ctx carries an execution trace the
 // lookup attributes its work to the request — graphs consulted, cache
 // hits and misses, coalesced waits behind other goroutines' decodes,
-// span reads and the decodes they led — without a single allocation on
-// the untraced path.
+// span reads and the decodes they led. A lookup whose graphs are all
+// resident takes no lock and, given room in buf, allocates nothing: the
+// filter is resolved to supernode bitsets once per (filter, store), the
+// list of graphs to consult lives on the stack, and targets are
+// translated in buf itself.
 func (r *Representation) OutFilteredCtx(ctx context.Context, p webgraph.PageID, f *store.Filter, buf []webgraph.PageID) ([]webgraph.PageID, error) {
 	if p < 0 || p >= r.m.NumPages {
 		return buf, fmt.Errorf("snode: page %d out of range", p)
@@ -619,47 +612,7 @@ func (r *Representation) OutFilteredCtx(ctx context.Context, p webgraph.PageID, 
 	internal := r.m.Perm[p]
 	i := r.snOf(internal)
 	local := internal - r.m.SnBase[i]
-
-	// Per-call view of which supernodes the filter accepts.
-	var acceptSN func(sn int32) bool
-	var acceptDomainOf func(sn int32) bool
-	if !f.Empty() {
-		var pageSNs map[int32]bool
-		if f.Pages != nil {
-			pageSNs = make(map[int32]bool, len(f.Pages))
-			for pg := range f.Pages {
-				if pg >= 0 && pg < r.m.NumPages {
-					pageSNs[r.snOf(r.m.Perm[pg])] = true
-				}
-			}
-		}
-		acceptDomainOf = func(sn int32) bool {
-			return f.Domains != nil && f.Domains[r.m.Domains[r.domainOfSN[sn]]]
-		}
-		acceptSN = func(sn int32) bool {
-			if acceptDomainOf(sn) {
-				return true
-			}
-			return pageSNs[sn]
-		}
-	}
-
-	emit := func(j int32, locals []int32) {
-		base := r.m.SnBase[j]
-		if f.Empty() {
-			for _, t := range locals {
-				buf = append(buf, r.m.Inv[base+t])
-			}
-			return
-		}
-		domOK := acceptDomainOf(j)
-		for _, t := range locals {
-			ext := r.m.Inv[base+t]
-			if domOK || f.AcceptsPage(ext) {
-				buf = append(buf, ext)
-			}
-		}
-	}
+	cf := r.compile(f)
 
 	// Process each needed graph exactly once, streaming: emit this
 	// page's targets from a graph the moment it is available, so a
@@ -667,20 +620,19 @@ func (r *Representation) OutFilteredCtx(ctx context.Context, p webgraph.PageID, 
 	// rather than thrashing (load-all then re-read). Uncached graphs are
 	// fetched with span reads — §3.3's disk layout puts a supernode's
 	// graphs in one contiguous ascending run, so the spans collapse into
-	// few sequential reads.
-	var negBuf []int32
+	// few sequential reads. The page's local target IDs are appended to
+	// buf and turned into external page IDs there, keeping the accepted.
 	var firstErr error
 	process := func(gid GraphID, j int32, g decodedGraph) {
 		if firstErr != nil {
 			return
 		}
+		from := len(buf)
 		switch sg := g.(type) {
 		case *decodedIntra:
-			emit(j, sg.lists[local])
+			buf = append(buf, sg.lists[local]...)
 		case *decodedSuperPos:
-			if ts := sg.targetsOf(local); ts != nil {
-				emit(j, ts)
-			}
+			buf = append(buf, sg.targetsOf(local)...)
 		case *superPosSources:
 			// Unless the page is a source it has no link through this
 			// graph, and the lists stay encoded.
@@ -690,40 +642,61 @@ func (r *Representation) OutFilteredCtx(ctx context.Context, p webgraph.PageID, 
 					firstErr = err
 					return
 				}
-				emit(j, full.lists[k])
+				buf = append(buf, full.lists[k]...)
 			}
 		case *decodedSuperNeg:
-			negBuf = sg.appendTargets(local, negBuf[:0])
-			emit(j, negBuf)
+			buf = sg.appendTargets(local, buf)
 		default:
 			firstErr = fmt.Errorf("snode: graph %d has wrong type", gid)
+			return
 		}
+		inv := r.m.Inv[r.m.SnBase[j]:]
+		if cf.allOf(j) {
+			for k, t := range buf[from:] {
+				buf[from+k] = inv[t]
+			}
+			return
+		}
+		kept := buf[:from]
+		for _, t := range buf[from:] {
+			if ext := inv[t]; f.AcceptsPage(ext) {
+				kept = append(kept, ext)
+			}
+		}
+		buf = kept
 	}
 
-	var need []needEntry
-	if acceptSN == nil || acceptSN(i) {
+	// The graphs to consult, in a stack array that spills to the heap
+	// only for a supernode with more out-superedges than it holds.
+	var scratch [outScratch]needEntry
+	need := scratch[:0]
+	if cf.wants(i) {
 		need = append(need, needEntry{r.m.IntraGID[i], i})
 	}
 	for k := r.m.SuperOff[i]; k < r.m.SuperOff[i+1]; k++ {
-		if j := r.m.SuperAdj[k]; acceptSN == nil || acceptSN(j) {
+		if j := r.m.SuperAdj[k]; cf.wants(j) {
 			need = append(need, needEntry{r.m.SuperGID[k], j})
 		}
 	}
 
 	// Pass 1: emit from cached graphs; collect misses (ascending gid ==
 	// disk order, because the intranode graph precedes its superedges).
-	var miss []needEntry
+	// The misses are compacted into need's own prefix — entry k is read
+	// before anything is written at or past it.
+	needed := len(need)
+	miss := need[:0]
 	for _, ne := range need {
-		if g, ok := r.cache.get(ne.gid); ok {
+		if g, ok := r.cache.lookup(ne.gid); ok {
 			process(ne.gid, ne.j, g)
 		} else {
 			miss = append(miss, ne)
 		}
 	}
+	r.cache.countLookups(r.m.IntraGID[i], int64(needed-len(miss)), int64(len(miss)))
 	if trace.Active(ctx) {
 		trace.Add(ctx, trace.CtrLookups, 1)
-		trace.Add(ctx, trace.CtrGraphsNeeded, int64(len(need)))
-		trace.Add(ctx, trace.CtrCacheHits, int64(len(need)-len(miss)))
+		trace.Add(ctx, trace.CtrGraphsNeeded, int64(needed))
+		trace.Add(ctx, trace.CtrCacheHits, int64(needed-len(miss)))
 		trace.Add(ctx, trace.CtrCacheMisses, int64(len(miss)))
 	}
 	// Pass 2: resolve the misses. Each miss is claimed singleflight-
@@ -748,7 +721,9 @@ func (r *Representation) OutFilteredCtx(ctx context.Context, p webgraph.PageID, 
 		}
 		first := &r.m.Directory[miss[k].gid]
 		spanEnd := first.Offset + int64(first.NumBytes)
-		claimed := miss[k : k+1 : k+1]
+		// claimed grows over miss[k:end] in place: it is never longer
+		// than the stretch already examined.
+		claimed := miss[k : k+1]
 		const maxGap = 64 << 10
 		end := k + 1
 		for end < len(miss) {
@@ -784,6 +759,10 @@ func (r *Representation) OutFilteredCtx(ctx context.Context, p webgraph.PageID, 
 	}
 	return buf, firstErr
 }
+
+// outScratch is how many graphs a lookup can list on its stack (8 bytes
+// each).
+const outScratch = 256
 
 // needEntry is one lower-level graph a lookup must consult: the graph
 // and the target supernode its lists resolve into.

@@ -16,7 +16,8 @@
 // all lower-level graphs reference-encoded (internal/refenc), laid out
 // on disk in linear order — each intranode graph followed by its out-
 // superedge graphs — across index files of bounded size, and demand-
-// loaded through an LRU buffer manager.
+// loaded through a byte-budgeted buffer manager (second-chance
+// replacement, cache.go).
 //
 // Pages are renumbered so each supernode owns a contiguous internal ID
 // range (supernodes ordered by (domain, first URL), pages within an
@@ -28,20 +29,30 @@
 // An opened Representation is safe for concurrent use:
 // any number of goroutines may call Out, OutFiltered,
 // ParallelNeighbors, Verify, DomainSupernodes, and the stats accessors
-// simultaneously. The buffer manager is sharded by GraphID hash with a
-// mutex, budget slice, and stat counters per shard, and deduplicates
-// concurrent decodes of the same graph singleflight-style, so N
-// goroutines requesting one supernode trigger exactly one decode.
-// Cached graphs are immutable: a positive superedge graph is resident
-// first with only its sources decoded and is replaced — never edited —
-// by the whole graph when a lookup needs one of its lists, so a graph
-// one goroutine holds stays valid whatever the others do. All
+// simultaneously. A lookup whose graphs are resident takes no lock: the
+// buffer manager publishes each resident graph in an atomic slot
+// indexed by GraphID, and a hit is one atomic load (plus setting the
+// entry's second-chance bit when it is clear). Whatever changes
+// residency — insert, replacement, eviction, claiming a miss, reset —
+// runs under one of the locks the buffer manager is sharded by (GraphID
+// hash; a mutex, budget slice, ring of entries and load counters per
+// shard). Concurrent misses on one graph are deduplicated singleflight-
+// style, so N goroutines requesting one supernode trigger exactly one
+// decode. Cached entries and graphs are immutable: a positive superedge
+// graph is resident first with only its sources decoded and is replaced
+// — never edited — by the whole graph when a lookup needs one of its
+// lists, so a graph one goroutine holds stays valid whatever the others
+// do, evicting it included. Hit and miss counters are atomics that each
+// lookup adds to once, after it has consulted its graphs; the load-side
 // counters — including the decoded-edge counter behind the Table 2
-// throughput metric — are updated under the shard locks. ResetStats and
-// ResetCache may also be called concurrently with queries; a reset
-// does not abandon in-flight decodes (their waiters are still
-// released), but callers that want exact cold-cache accounting should
-// quiesce queries first, as the paper's sweep protocol does.
+// throughput metric — change under the shard locks; all are exact at
+// quiescence. A store.Filter is resolved against the representation's
+// supernodes once and the result memoised in the filter, so a filter
+// must not change after its first use. ResetStats and ResetCache may
+// also be called concurrently with queries; a reset does not abandon
+// in-flight decodes (their waiters are still released), but callers
+// that want exact cold-cache accounting should quiesce queries first,
+// as the paper's sweep protocol does.
 package snode
 
 import (

@@ -243,18 +243,11 @@ func insertEntry(t *testing.T, c *graphCache, id GraphID, g decodedGraph) {
 
 // TestMaterializedReplacesAndReaccounts walks the replacement through
 // its cases on one shard: the swap re-accounts the size and is neither
-// a load nor an eviction; growth evicts the least recently used
+// a load nor an eviction; growth evicts the oldest untouched
 // neighbours; a stale sources-only entry is counted but not admitted;
 // and an entry that outgrows the shard is resident alone.
 func TestMaterializedReplacesAndReaccounts(t *testing.T) {
-	c := newGraphCache(int64(cacheShards) * 4000) // 4000 bytes per shard
-	target := c.shard(0)
-	var ids []GraphID
-	for id := GraphID(0); len(ids) < 4; id++ {
-		if c.shard(id) == target {
-			ids = append(ids, id)
-		}
-	}
+	c, target, ids := oneShardCache(4000, 4)
 	a, b, x := sourcesEntry(10, 200), sourcesEntry(10, 200), sourcesEntry(10, 200)
 	insertEntry(t, c, ids[0], a)
 	insertEntry(t, c, ids[1], b)
@@ -291,16 +284,16 @@ func TestMaterializedReplacesAndReaccounts(t *testing.T) {
 		t.Fatalf("stale materialization not counted: %+v", st)
 	}
 
-	// Growth past the budget evicts from the cold end: a is the least
-	// recently used (b was touched by get, x inserted after a).
+	// Growth past the budget evicts by second chance: a is the oldest
+	// and untouched (b was touched by get, x is what grew).
 	xFull := wholeEntry(x, 80) // 10 lists of 80 edges: 3480 of the shard's 4000 bytes
 	c.materialized(ids[2], x, xFull)
 	checkShardInvariants(t, c)
 	if _, ok := c.get(ids[0]); ok {
-		t.Fatal("least recently used entry survived a materialization that needed its room")
+		t.Fatal("oldest untouched entry survived a materialization that needed its room")
 	}
 	if _, ok := c.get(ids[1]); !ok {
-		t.Fatal("recently used entry evicted before the cold one")
+		t.Fatal("touched entry evicted before the untouched one")
 	}
 	if st := c.statsMerged(); st.Evictions != 1 {
 		t.Fatalf("%d evictions, want 1", st.Evictions)
@@ -318,8 +311,8 @@ func TestMaterializedReplacesAndReaccounts(t *testing.T) {
 	huge := wholeEntry(a, 1000)
 	c.materialized(ids[3], a, huge)
 	checkShardInvariants(t, c)
-	if target.lru.Len() != 1 || target.used != huge.memSize() {
-		t.Fatalf("oversized materialization: %d entries, %d bytes; want it alone at %d", target.lru.Len(), target.used, huge.memSize())
+	if target.resident != 1 || target.used != huge.memSize() {
+		t.Fatalf("oversized materialization: %d entries, %d bytes; want it alone at %d", target.resident, target.used, huge.memSize())
 	}
 }
 
@@ -327,7 +320,7 @@ func TestMaterializedReplacesAndReaccounts(t *testing.T) {
 // materializations of the same graphs from 16 goroutines under a budget
 // that keeps evicting, then checks the accounting.
 func TestMaterializedUnderConcurrency(t *testing.T) {
-	c := newGraphCache(48 << 10)
+	c := newGraphCache(48<<10, 200)
 	var wg sync.WaitGroup
 	for w := 0; w < 16; w++ {
 		wg.Add(1)
@@ -361,6 +354,66 @@ func TestMaterializedUnderConcurrency(t *testing.T) {
 	st := c.statsMerged()
 	if st.Materialized == 0 || st.Evictions == 0 {
 		t.Fatalf("the interleaving exercised nothing: %+v", st)
+	}
+}
+
+// TestMaterializedRacesLockFreeReaders replaces a sources-only entry by
+// the whole graph while readers look the same graph up without a lock.
+// A reader must get one of the two graphs, whole — the entry's node is
+// never edited, a new one is published — and once every reader has seen
+// the replacement the shard's accounting must add up, including the
+// neighbour the growth evicted under the readers' feet. Run under -race
+// this is what keeps a write to a published node out of the cache.
+func TestMaterializedRacesLockFreeReaders(t *testing.T) {
+	const readers, edgesPerList = 4, 80
+	c, target, ids := oneShardCache(4000, 2)
+	for round := 0; round < 200; round++ {
+		c.reset(int64(cacheShards) * 4000)
+		putGraph(t, c, ids[0], 600) // evicted when the graph beside it grows
+		from := sourcesEntry(10, 200)
+		insertEntry(t, c, ids[1], from)
+		to := wholeEntry(from, edgesPerList) // 3480 of the shard's 4000 bytes
+
+		var wg sync.WaitGroup
+		for w := 0; w < readers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					c.get(ids[0]) // resident or evicted, either is fine
+					g, ok := c.get(ids[1])
+					if !ok {
+						t.Error("the graph being materialized went missing")
+						return
+					}
+					switch sg := g.(type) {
+					case *superPosSources:
+						if sg != from {
+							t.Error("lookup returned a sources-only entry nobody inserted")
+							return
+						}
+					case *decodedSuperPos:
+						if sg != to || len(sg.lists) != len(sg.srcs) || len(sg.lists[len(sg.lists)-1]) != edgesPerList {
+							t.Error("lookup returned a torn materialized graph")
+						}
+						return // seen the replacement: done
+					default:
+						t.Errorf("lookup returned a %T", g)
+						return
+					}
+				}
+			}()
+		}
+		c.materialized(ids[1], from, to)
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		checkShardInvariants(t, c)
+		if target.resident != 1 || target.used != to.memSize() {
+			t.Fatalf("round %d: %d entries, %d bytes; want the materialized graph alone at %d",
+				round, target.resident, target.used, to.memSize())
+		}
 	}
 }
 

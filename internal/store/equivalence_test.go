@@ -9,6 +9,7 @@ package store_test
 import (
 	"os"
 	"sort"
+	"sync"
 	"testing"
 
 	"snode/internal/dbstore"
@@ -271,6 +272,47 @@ func TestFilterHelpers(t *testing.T) {
 	f = &store.Filter{Pages: map[webgraph.PageID]bool{3: true}}
 	if !f.AcceptsPage(3) || f.AcceptsPage(4) {
 		t.Fatal("page filter misbehaves")
+	}
+}
+
+// TestFilterCompiledOncePerStore races 32 goroutines for the compiled
+// forms of one filter under two keys: whatever the interleaving, every
+// caller of a key gets the same value, the keys get different ones, and
+// a later call builds nothing. Run under -race.
+func TestFilterCompiledOncePerStore(t *testing.T) {
+	f := &store.Filter{Domains: map[string]bool{"a.com": true}}
+	keys := []any{new(int), new(int)}
+	got := make([][]any, len(keys))
+	for k := range got {
+		got[k] = make([]any, 32)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 32; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k, key := range keys {
+				got[k][w] = f.Compiled(key, func() any { return &struct{ k, w int }{k, w} })
+			}
+		}(w)
+	}
+	wg.Wait()
+	for k, key := range keys {
+		for w := range got[k] {
+			if got[k][w] != got[k][0] {
+				t.Fatalf("key %d: goroutines %d and 0 hold different compiled forms", k, w)
+			}
+		}
+		again := f.Compiled(key, func() any {
+			t.Errorf("key %d: built again after the form was published", k)
+			return nil
+		})
+		if again != got[k][0] {
+			t.Fatalf("key %d: a later call returned another form", k)
+		}
+	}
+	if got[0][0] == got[1][0] {
+		t.Fatal("two stores share one compiled form")
 	}
 }
 

@@ -7,6 +7,7 @@ package store
 
 import (
 	"context"
+	"sync/atomic"
 	"time"
 
 	"snode/internal/iosim"
@@ -17,12 +18,58 @@ import (
 // that index their layout by domain or page grouping (S-Node) can skip
 // whole graphs; flat schemes apply the filter to decoded lists. A zero
 // Filter accepts everything.
+//
+// A Filter is immutable after first use: once it has been handed to a
+// store its maps must not change, because a store may resolve it
+// against its own layout once and reuse the result (Compiled). Build a
+// new Filter for a new target set. Pass filters by pointer.
 type Filter struct {
 	// Domains accepts targets in any of these registered domains.
 	Domains map[string]bool
 	// Pages accepts exactly these target pages. When both fields are
 	// set a target passes if it satisfies either.
 	Pages map[webgraph.PageID]bool
+
+	// compiled is the memo behind Compiled: one entry per store that
+	// resolved this filter, newest first, unreachable once the filter
+	// is. The atomic pointer carries a noCopy marker, so go vet's
+	// copylocks check is what keeps a memo-carrying Filter from being
+	// copied by value (a copy would share the entries but not later
+	// ones, and nothing else would say so).
+	compiled atomic.Pointer[compiledFilter]
+}
+
+// compiledFilter is one store's resolved form of a filter.
+type compiledFilter struct {
+	key, val any
+	next     *compiledFilter
+}
+
+// Compiled returns the form of f that the store identified by key
+// resolved it to, calling build the first time that store asks. It is
+// safe for concurrent use and takes no lock: when several goroutines
+// ask first at once each may run build, one result is published, and
+// all of them return that one. The memo lives in the filter — a handful
+// of entries at most (a step's filter meets one store per direction and
+// shard) — and holds key and value only as long as the filter is
+// reachable. f must not be nil.
+func (f *Filter) Compiled(key any, build func() any) any {
+	var val any
+	built := false
+	for {
+		head := f.compiled.Load()
+		for c := head; c != nil; c = c.next {
+			if c.key == key {
+				return c.val
+			}
+		}
+		if !built {
+			val, built = build(), true
+		}
+		if f.compiled.CompareAndSwap(head, &compiledFilter{key: key, val: val, next: head}) {
+			return val
+		}
+	}
 }
 
 // Empty reports whether the filter accepts everything.

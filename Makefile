@@ -14,8 +14,14 @@ build:
 vet:
 	$(GO) vet ./...
 
+# The plain suite runs under a private TMPDIR that must be empty when it
+# ends: a fixture some test forgot to remove fails the target. Fixtures
+# a package's tests share go through internal/fixture (removed after
+# m.Run), per-test ones through t.TempDir.
 test:
-	$(GO) test ./...
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	TMPDIR="$$tmp" $(GO) test ./... && \
+	if [ -n "$$(ls -A "$$tmp")" ]; then echo "tests left files in TMPDIR:"; ls -A "$$tmp"; exit 1; fi
 
 # The concurrency suite (sharded cache, singleflight decode dedup,
 # parallel query engine, 32-goroutine stress) under the race detector.

@@ -1,17 +1,18 @@
-// Command snbuild builds one or all graph representations from a crawl
-// written by sngen and prints size statistics.
+// Command snbuild writes a dataset directory — the one thing a server
+// opens — from a crawl written by sngen, and prints size statistics.
 //
-//	snbuild -crawl ./crawl -out ./repo -scheme snode
-//	snbuild -crawl ./crawl -out ./repo -scheme all -workers 8 -progress
+//	snbuild -crawl ./crawl -out ./data
+//	snbuild -crawl ./crawl -out ./data -shards 4 -workers 8 -progress
 //
-// With -shards K (K > 0), snbuild instead emits a K-way domain
-// partition for the distributed serving tier (internal/shard): a
-// versioned manifest, replicated global metadata and PageRank, and per
-// shard an S-Node store over its intra-shard edges plus boundary
-// stores for the cross-shard rest. Serve each shard with
-// `snserve -shard-root OUT -shard-id I` and front them with snrouter.
-//
-//	snbuild -crawl ./crawl -out ./shards -shards 4
+// The dataset is a K-way domain partition (internal/shard): a versioned
+// manifest.json, replicated page metadata and global PageRank, and per
+// shard an S-Node store over its intra-shard edges plus boundary files
+// for the cross-shard rest. -shards defaults to 1, where every edge is
+// intra-shard and shard-0's stores are the whole graph's. Serve it with
+// `snserve -data OUT`, or one `snserve -data OUT -shard-id I` per shard
+// fronted by snrouter. S-Node is built once, as the dataset; -scheme
+// picks the baselines built in a scratch directory for the printed size
+// table and nothing else.
 //
 // Instead of a corpus.bin crawl, snbuild can ingest a real edge-list
 // dataset (SNAP or GraphChallenge TSV, gzip-transparent, with checksum
@@ -20,8 +21,8 @@
 // buffer and the partition refiner's round state both spill to disk in
 // sorted runs, so million-page corpora build under a bounded heap:
 //
-//	snbuild -ingest ./web-Google.txt.gz -format snap -max-heap-mb 256 -out ./repo
-//	snbuild -pages 50000 -out ./repo -scheme snode
+//	snbuild -ingest ./web-Google.txt.gz -format snap -max-heap-mb 256 -out ./data
+//	snbuild -pages 50000 -out ./data -scheme snode
 package main
 
 import (
@@ -36,6 +37,7 @@ import (
 
 	"snode/internal/corpusio"
 	"snode/internal/ingest"
+	"snode/internal/iosim"
 	"snode/internal/metrics"
 	"snode/internal/repo"
 	"snode/internal/shard"
@@ -51,7 +53,6 @@ type options struct {
 	scheme    string
 	budget    int64
 	workers   int
-	transpose bool
 	verify    bool
 	progress  bool
 	shards    int
@@ -78,14 +79,13 @@ func usageError(format string, args ...any) {
 func parseFlags() options {
 	var o options
 	flag.StringVar(&o.crawlDir, "crawl", "crawl", "directory written by sngen")
-	flag.StringVar(&o.out, "out", "repo", "output workspace")
-	flag.StringVar(&o.scheme, "scheme", "all", "one of: "+strings.Join(repo.AllSchemes(), ", ")+", or all")
+	flag.StringVar(&o.out, "out", "data", "dataset directory to write (manifest.json, meta.bin, pagerank.bin, shard-<i>/)")
+	flag.StringVar(&o.scheme, "scheme", "all", "baseline built beside the dataset for the size table: one of "+strings.Join(repo.AllSchemes(), ", ")+", or all (snode alone builds none)")
 	flag.Int64Var(&o.budget, "budget", 16<<20, "per-representation cache budget (bytes, > 0)")
 	flag.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "build parallelism for partition refinement and supernode encoding (> 0; output is identical for every value)")
-	flag.BoolVar(&o.transpose, "transpose", true, "also build WGT representations")
-	flag.BoolVar(&o.verify, "verify", false, "verify the S-Node representation after building")
+	flag.BoolVar(&o.verify, "verify", false, "verify every S-Node store of the written dataset: each graph decodes and totals match")
 	flag.BoolVar(&o.progress, "progress", false, "print a periodic build-progress line (elements split / supernodes encoded) to stderr")
-	flag.IntVar(&o.shards, "shards", 0, "emit a K-way domain partition for the distributed serving tier instead of a single repository (0 disables)")
+	flag.IntVar(&o.shards, "shards", 1, "partition the dataset K ways by domain, one snserve per shard behind snrouter (1 = the whole graph in one shard)")
 	flag.StringVar(&o.codec, "codec", snode.CodecPaper, "supernode payload codec: "+strings.Join(snode.CodecNames(), ", ")+" (auto = per-supernode bake-off; output then depends on machine timing)")
 	flag.StringVar(&o.ingest, "ingest", "", "ingest a real edge-list dataset at this path instead of reading -crawl (urls.tsv / manifest.sha256 sidecars are picked up from the same directory)")
 	flag.StringVar(&o.format, "format", ingest.FormatSNAP, "edge-list format for -ingest: "+strings.Join(ingest.Formats(), ", "))
@@ -166,8 +166,8 @@ func parseFlags() options {
 	if o.workers <= 0 {
 		usageError("-workers must be positive, got %d", o.workers)
 	}
-	if o.shards < 0 {
-		usageError("-shards must be >= 0, got %d", o.shards)
+	if o.shards < 1 {
+		usageError("-shards must be >= 1, got %d", o.shards)
 	}
 	codecOK := false
 	for _, n := range snode.CodecNames() {
@@ -185,29 +185,6 @@ func parseFlags() options {
 		}
 	}
 	return o
-}
-
-// buildShards emits the K-way partition and prints its shape: per
-// shard the page count, intra-edge count, and the boundary split.
-func buildShards(crawl *synth.Crawl, o options, cfg snode.Config) {
-	start := time.Now()
-	m, err := shard.Build(crawl, o.shards, o.out, cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "snbuild:", err)
-		os.Exit(1)
-	}
-	total := crawl.Corpus.Graph.NumEdges()
-	var intra, boundary int64
-	fmt.Printf("%-8s %10s %12s %14s %14s\n", "shard", "pages", "intra-edges", "boundary-fwd", "boundary-rev")
-	for i, e := range m.Shards {
-		fmt.Printf("%-8d %10d %12d %14d %14d\n", i, e.Pages, e.IntraEdges, e.BoundaryFwdEdges, e.BoundaryRevEdges)
-		intra += e.IntraEdges
-		boundary += e.BoundaryFwdEdges
-	}
-	fmt.Printf("\nmanifest %s: %d pages, %d shards; %d/%d edges intra-shard (%.1f%%), built in %v\n",
-		m.Version, m.NumPages, m.NumShards, intra, total,
-		100*float64(intra)/float64(total), time.Since(start).Round(time.Millisecond))
-	fmt.Printf("serve with: snserve -shard-root %s -shard-id I -listen :PORT, fronted by snrouter -root %s\n", o.out, o.out)
 }
 
 // reportProgress prints one stderr line per tick from the build_*
@@ -266,81 +243,115 @@ func loadCrawl(o options, reg *metrics.Registry) (*synth.Crawl, error) {
 	}
 }
 
-func main() {
-	o := parseFlags()
+// storeStats opens one S-Node store of the written dataset, verifies it
+// under -verify, and returns the build statistics it carries.
+func storeStats(o options, dir string) (snode.BuildStats, error) {
+	rep, err := snode.Open(filepath.Join(o.out, dir), o.budget, iosim.Model2002())
+	if err != nil {
+		return snode.BuildStats{}, err
+	}
+	defer rep.Close()
+	if o.verify {
+		if err := rep.Verify(); err != nil {
+			return snode.BuildStats{}, fmt.Errorf("verify %s: %w", dir, err)
+		}
+	}
+	return rep.BuildStats(), nil
+}
 
+func run(o options) error {
 	reg := metrics.NewRegistry()
 	crawl, err := loadCrawl(o, reg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "snbuild:", err)
-		os.Exit(1)
+		return err
 	}
-	opt := repo.DefaultOptions(o.out)
-	opt.CacheBudget = o.budget
-	opt.Transpose = o.transpose
-	opt.Layout = crawl.Order
-	opt.SNode.BuildWorkers = o.workers
-	opt.SNode.Codec = o.codec
-	if o.scheme != "all" {
-		opt.Schemes = []string{o.scheme}
+	// Refinement spill rounds (under -max-heap-mb) and the baselines go
+	// to a scratch directory: neither is part of the dataset.
+	scratch, err := os.MkdirTemp("", "snbuild-*")
+	if err != nil {
+		return err
 	}
-	opt.SNode.Metrics = reg
+	defer os.RemoveAll(scratch)
+	cfg := snode.DefaultConfig()
+	cfg.BuildWorkers = o.workers
+	cfg.Codec = o.codec
+	cfg.Metrics = reg
 	if o.maxHeapMB > 0 {
-		// Bounded-heap build: partition refinement rounds spill to a
-		// scratch directory alongside the ingestion runs.
-		spillDir, err := os.MkdirTemp("", "snbuild-spill-*")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "snbuild:", err)
-			os.Exit(1)
-		}
-		defer os.RemoveAll(spillDir)
-		opt.SNode.Partition.SpillDir = spillDir
+		cfg.Partition.SpillDir = scratch
 	}
 	if o.progress {
 		stop := make(chan struct{})
 		go reportProgress(reg, stop)
 		defer close(stop)
 	}
-	if o.shards > 0 {
-		buildShards(crawl, o, opt.SNode)
-		return
-	}
-	r, err := repo.Build(crawl.Corpus, opt)
+	start := time.Now()
+	m, err := shard.Build(crawl, o.shards, o.out, cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "snbuild:", err)
-		os.Exit(1)
+		return err
 	}
-	defer r.Close()
+	fmt.Printf("manifest %s: %d pages in %d shard(s), built in %v with %d workers\n",
+		m.Version, m.NumPages, m.NumShards, time.Since(start).Round(time.Millisecond), o.workers)
 
-	edges := crawl.Corpus.Graph.NumEdges()
-	fmt.Printf("%-10s %14s %12s\n", "scheme", "size(bytes)", "bits/edge")
-	for _, name := range repo.AllSchemes() {
-		s, ok := r.Fwd[name]
-		if !ok {
-			continue
+	// Per shard: its share of the graph and what its forward store
+	// recorded of its own build. -verify reads the reverse store too.
+	var size, intra int64
+	for i, e := range m.Shards {
+		st, err := storeStats(o, filepath.Join(e.Dir, "snode.fwd"))
+		if err == nil && o.verify {
+			_, err = storeStats(o, filepath.Join(e.Dir, "snode.rev"))
 		}
-		sized, ok := s.(store.Sized)
-		if !ok {
-			continue
+		if err != nil {
+			return err
 		}
-		fmt.Printf("%-10s %14d %12.2f\n", name, sized.SizeBytes(),
-			store.BitsPerEdge(sized, edges))
+		fmt.Printf("\nshard %d: %d pages, %d intra-shard edges, boundary %d fwd / %d rev\n",
+			i, e.Pages, e.IntraEdges, e.BoundaryFwdEdges, e.BoundaryRevEdges)
+		fmt.Printf("S-Node: %d supernodes, %d superedges (%d positive, %d negative)\n",
+			st.Supernodes, st.Superedges, st.PositiveSuperedges, st.NegativeSuperedges)
+		fmt.Printf("        supernode graph %d bytes, index files %d bytes\n", st.SupernodeGraphBytes, st.IndexFileBytes)
+		fmt.Printf("        partition: %d URL splits, %d clustered splits\n", st.URLSplits, st.ClusteredSplits)
+		size += st.SizeBytes()
+		intra += e.IntraEdges
 	}
 	if o.verify {
-		if sn, ok := r.Fwd[repo.SchemeSNode].(*snode.Representation); ok {
-			if err := sn.Verify(); err != nil {
-				fmt.Fprintln(os.Stderr, "snbuild: verify:", err)
-				os.Exit(1)
-			}
-			fmt.Println("\nS-Node representation verified: every graph decodes and totals match")
+		fmt.Println("\nS-Node stores verified: every graph decodes and totals match")
+	}
+
+	// The size table. -scheme picks the baselines built for it, over the
+	// whole graph; the S-Node row sets the shards' stores against the
+	// edges they hold (cross-shard edges live in the boundary files).
+	opt := repo.DefaultOptions(filepath.Join(scratch, "baselines"))
+	opt.CacheBudget = o.budget
+	opt.Transpose = false
+	opt.Layout = crawl.Order
+	for _, name := range repo.AllSchemes() {
+		if name != repo.SchemeSNode && (o.scheme == "all" || o.scheme == name) {
+			opt.Schemes = append(opt.Schemes, name)
 		}
 	}
-	if st := r.SNodeStats; st != nil {
-		fmt.Printf("\nS-Node: %d supernodes, %d superedges (%d positive, %d negative)\n",
-			st.Supernodes, st.Superedges, st.PositiveSuperedges, st.NegativeSuperedges)
-		fmt.Printf("        supernode graph %d bytes, index files %d bytes, built in %v with %d workers\n",
-			st.SupernodeGraphBytes, st.IndexFileBytes, st.BuildTime, o.workers)
-		fmt.Printf("        partition: %d URL splits, %d clustered splits\n",
-			st.URLSplits, st.ClusteredSplits)
+	baselines := &repo.Repository{}
+	if opt.Schemes != nil {
+		if baselines, err = repo.Build(crawl.Corpus, opt); err != nil {
+			return err
+		}
+		defer baselines.Close()
+	}
+	total := crawl.Corpus.Graph.NumEdges()
+	fmt.Printf("\n%d/%d edges intra-shard (%.1f%%)\n%-10s %14s %12s\n",
+		intra, total, 100*float64(intra)/float64(total), "scheme", "size(bytes)", "bits/edge")
+	for _, name := range repo.AllSchemes() {
+		if name == repo.SchemeSNode {
+			fmt.Printf("%-10s %14d %12.2f\n", name, size, float64(size*8)/float64(intra))
+		} else if sized, ok := baselines.Fwd[name].(store.Sized); ok {
+			fmt.Printf("%-10s %14d %12.2f\n", name, sized.SizeBytes(), store.BitsPerEdge(sized, total))
+		}
+	}
+	fmt.Printf("\nserve with: snserve -data %s -listen :PORT (one per shard with -shard-id I, fronted by snrouter -root %s)\n", o.out, o.out)
+	return nil
+}
+
+func main() {
+	if err := run(parseFlags()); err != nil {
+		fmt.Fprintln(os.Stderr, "snbuild:", err)
+		os.Exit(1)
 	}
 }

@@ -94,7 +94,7 @@ func main() {
 		fmt.Printf("exported %d pages, %d links as %s (+ %s, %s)\n",
 			res.Nodes, res.Edges, res.GraphPath,
 			filepath.Base(res.URLTablePath), filepath.Base(res.ManifestPath))
-		fmt.Printf("ingest with: snbuild -ingest %s -out ./repo\n", res.GraphPath)
+		fmt.Printf("ingest with: snbuild -ingest %s -out ./data\n", res.GraphPath)
 		return
 	}
 	if err := corpusio.Write(crawl, filepath.Join(o.out, "corpus.bin")); err != nil {

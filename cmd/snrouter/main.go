@@ -1,5 +1,5 @@
 // Command snrouter is the scatter-gather front of the distributed
-// serving tier. It loads a shard manifest (written by snbuild -shards)
+// serving tier. It loads the manifest of a dataset directory (snbuild)
 // plus the forward boundary stores, and routes the serving endpoints
 // across the shard replicas:
 //
@@ -55,13 +55,9 @@ package main
 
 import (
 	"context"
-	"errors"
-	"expvar"
 	"flag"
 	"fmt"
-	"net"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -70,6 +66,7 @@ import (
 
 	"snode/internal/metrics"
 	"snode/internal/router"
+	"snode/internal/serve"
 	"snode/internal/shard"
 	"snode/internal/trace"
 )
@@ -203,24 +200,11 @@ func run(o *options) error {
 	// surface (expvar, pprof) mounts alongside.
 	mux := http.NewServeMux()
 	r.Register(mux)
-	expvar.Publish("snrouter", expvar.Func(func() any { return reg.Snapshot() }))
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-
-	ln, err := net.Listen("tcp", o.listen)
+	serve.MountDebug(mux, "snrouter", reg)
+	srv, addr, err := serve.Start(o.listen, mux)
 	if err != nil {
-		return fmt.Errorf("-listen %s: %w", o.listen, err)
+		return err
 	}
-	srv := &http.Server{Handler: mux}
-	go func() {
-		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintf(os.Stderr, "snrouter: http: %v\n", err)
-		}
-	}()
 
 	fmt.Printf("manifest %s: %d pages, %d shards, %d cross-shard edges resident\n",
 		m.Version, m.NumPages, m.NumShards, boundaryEdges)
@@ -228,17 +212,14 @@ func run(o *options) error {
 		fmt.Printf("  shard %d (%d pages): %s\n", s, m.Shards[s].Pages, strings.Join(urls, ", "))
 	}
 	fmt.Printf("routing on http://%s/out and /query (leg timeout %v, eject after %d, probe every %v)\n",
-		ln.Addr(), o.shardTimeout, o.ejectAfter, o.probeInterval)
+		addr, o.shardTimeout, o.ejectAfter, o.probeInterval)
 	fmt.Printf("observability: /metrics /metrics.json /cluster/metrics /slo /debug/traces /debug/vars /debug/pprof\n")
 	fmt.Printf("slo: availability %.4f, nav p99 %v, mining p99 %v over %v windows\n",
 		o.slo.Availability, o.slo.NavP99, o.slo.MiningP99, o.slo.Window)
 
 	<-ctx.Done()
 	fmt.Println("shutting down")
-	dctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(dctx); err != nil {
-		srv.Close()
-	}
+	// A leg that outlives the drain is cut; the client retries.
+	_ = serve.Drain(srv, 10*time.Second)
 	return nil
 }

@@ -1,730 +1,227 @@
-// Command snserve demonstrates the concurrent query-serving path: it
-// builds an S-Node repository over a synthetic crawl, then serves a
-// fixed mixed Query 1-6 workload from increasing numbers of goroutines
-// against the one shared representation, reporting queries/second per
-// level together with the buffer manager's counters (hits, misses,
-// loads, and singleflight-coalesced decodes) read as deltas from the
-// metrics registry.
+// Command snserve serves one shard of a dataset directory written by
+// snbuild: it opens the shard (shard.OpenServing), wires it into a
+// serve.Replica and answers over HTTP until SIGINT/SIGTERM. A dataset
+// built without -shards has one shard holding the whole graph, and
+// -shard-id may be left out; one built with -shards K takes one snserve
+// per shard, fronted by snrouter:
 //
-//	snserve -pages 50000 -goroutines 1,4,16 -rounds 4 -pace 1.0
+//	snbuild -pages 50000 -out ./data
+//	snserve -data ./data -listen :8080
+//	snserve -data ./shards -shard-id 0 -listen :8081
 //
-// With -pace > 0, every disk read stalls its calling goroutine for the
-// read's modeled 2002-disk cost times the scale, so the throughput
-// curve shows real I/O overlap rather than CPU-only parallelism.
+// Every replica, the one-shard kind included, stamps X-SNode-Shard and
+// X-SNode-Shard-Version on its responses (the router rejects a replica
+// whose manifest version differs from its own), answers
+// /query?partial=1 with untruncated group-tagged rows for the router
+// to merge, and answers /out with the edges its shard holds — the
+// router appends the cross-shard rest from the boundary files.
 //
-// With -listen, snserve exposes the query endpoints and the serving
-// path's observability surface over HTTP while the levels run:
+//	/out           ?page=N: one page's out-adjacency (navigation class)
+//	/query         ?q=1..6: one Table 3 analysis (mining class); both
+//	               take &deadline_ms=D
+//	/update        with -live: POST a JSON array of {"src":N,"dst":M,
+//	               "op":"add"|"remove"}, applied to the forward overlay
+//	               and mirrored into the reverse one
+//	/healthz       200 {"status":"ready"}, 503 {"status":"draining"}
+//	               once shutdown has begun
+//	/metrics       text exposition of the one registry: query latency
+//	               histograms with trace-ID exemplars, cache, iosim,
+//	               admission and delta counters
+//	/metrics.json  the same as a JSON snapshot, the mergeable scrape
+//	               format snrouter's /cluster/metrics federates
+//	/debug/traces  retained traces; ?id=N for one span tree
+//	               (&format=chrome or text)
+//	/debug/vars, /debug/pprof  expvar and net/http/pprof
 //
-//	/out           ?page=N (+ optional &deadline_ms=D): one page's
-//	               out-adjacency — the navigation class
-//	/query         ?q=1..6 (+ optional &deadline_ms=D): one Table 3
-//	               analysis — the mining class
-//	/metrics       text exposition: per-query latency histograms with
-//	               p50/p95/p99 and tail-bucket trace-ID exemplars, cache
-//	               hit/miss/load/coalesce/eviction counters,
-//	               decoded-bytes gauges, iosim seek/transfer/stall
-//	               accounting, worker occupancy
-//	/metrics.json  the same registry as a JSON snapshot — the mergeable
-//	               scrape format snrouter's /cluster/metrics federates
-//	/debug/vars    the same snapshot as expvar JSON
-//	/debug/pprof   the standard net/http/pprof profiles
-//	/debug/traces  the slow-query log: retained execution traces as JSON
-//	               summaries; ?id=N for one trace's span tree
-//	               (&format=chrome for chrome://tracing, &format=text
-//	               for a rendered tree)
+// -pace stalls every disk read for its modeled 2002-disk cost times the
+// scale, so concurrent requests overlap real I/O waits. -max-concurrent,
+// -max-queue and -deadline size the admission layer in front of /out
+// and /query (internal/serve: nav before mining, 429 + Retry-After past
+// a full queue or an unmeetable deadline, the deadline propagated into
+// the paced reader). -hedge-after arms hedged reads on the S-Node
+// stores. -trace-every samples 1 in N requests into span trees, the
+// slowest -trace-slow per class retained; the tracer is attached
+// whatever it says — 0 only stops local sampling, and a request
+// carrying the router's sampled X-SNode-Trace header is still traced
+// and answered with X-SNode-Trace-Id for the router to stitch.
 //
-// The query endpoints sit behind an admission layer (internal/
-// admission): -max-concurrent execution slots, a bounded -max-queue
-// wait queue per class with nav prioritized over mining, and load
-// shedding — arrivals past a full queue, or whose deadline cannot be
-// met, are answered 429 with a Retry-After hint instead of queueing
-// unboundedly. -deadline applies a default request deadline (clients
-// override with ?deadline_ms, clamped), and the deadline propagates
-// through the engine into the paced reader, so a dead request stops
-// consuming the stack. -hedge-after arms hedged reads on the S-Node
-// stores: a request stuck behind another's in-flight decode that long
-// launches its own read and takes whichever lands first. /metrics
-// gains the admission_* counters and queue-depth gauges plus the
-// serve_latency_{nav,mining} histograms.
+// -live, accepted on a one-shard dataset only (an update applied to one
+// shard of several would bypass the partition), wraps the two stores in
+// delta overlays (internal/delta) with a background compactor each.
 //
-// Sampled requests (-trace-every, default 1 in 64) carry a trace down
-// through the engine, cache, and I/O simulator; the slowest per query
-// class are retained and linked from the latency histograms' tail
-// buckets.
-//
-// With -live, the S-Node representations are wrapped in delta overlays
-// (internal/delta) with a background compactor per direction, and the
-// server accepts link mutations while serving:
-//
-//	/update        POST a JSON array of {"src":N,"dst":M,"op":"add"|
-//	               "remove"}; each mutation is applied to the forward
-//	               overlay and mirrored into the reverse one
-//	/healthz       readiness: 200 {"status":"ready"} while serving,
-//	               503 {"status":"draining"} once shutdown has begun
-//
-// SIGINT/SIGTERM triggers a graceful shutdown: the listener stops
-// accepting, in-flight requests drain under the -drain deadline, the
-// compactors stop, and the delta memtables are sealed to disk before
-// exit.
-//
-// With -shard-root and -shard-id, snserve instead serves ONE shard of
-// a partition built by `snbuild -shards K`: it opens the shard's
-// S-Node stores plus boundary overlays under the global ID space,
-// restricts the mining engine to the pages the shard owns, and
-// answers /query?partial=1 with untruncated group-tagged partial rows
-// for the router (snrouter) to merge. /out answers with intra-shard
-// edges only — the router appends the cross-shard rest from its
-// resident boundary stores. Responses carry X-SNode-Shard and
-// X-SNode-Shard-Version headers so the router can detect build/serve
-// version skew. A shard replica honors the router's X-SNode-Trace
-// propagation header: a parent-sampled request is force-traced even
-// with -trace-every 0, answered with X-SNode-Trace-Id so the router
-// can fetch the completed span subtree from /debug/traces and stitch
-// it into the distributed trace. Shard mode requires -listen and
-// ignores the workload flags (-pages, -goroutines, -rounds, -live).
-//
-//	snserve -shard-root ./shards -shard-id 0 -listen :8081
+// SIGINT/SIGTERM triggers a graceful shutdown: /healthz flips to
+// draining, the listener stops accepting, in-flight requests drain
+// under -drain, the compactors stop and the delta memtables are sealed
+// into segments. The segments live in a scratch directory removed at
+// exit and nothing replays them: a restarted -live server starts from
+// the built base, without the updates the last one accepted. Durable
+// updates are ROADMAP's write-ahead-log item.
 package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
-	"expvar"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strconv"
-	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
-	"snode/internal/delta"
 	"snode/internal/iosim"
 	"snode/internal/metrics"
-	"snode/internal/query"
 	"snode/internal/repo"
 	"snode/internal/serve"
 	"snode/internal/shard"
 	"snode/internal/snode"
-	"snode/internal/store"
-	"snode/internal/synth"
 	"snode/internal/trace"
-	"snode/internal/webgraph"
 )
 
-func parseLevels(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad goroutine count %q", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
-// options are the validated serving parameters.
+// options are the serving parameters; the flags fill the admission and
+// tracer settings into the configs that carry them.
 type options struct {
-	pages      int
-	levels     []int
-	rounds     int
+	data       string
+	shardID    int
+	listen     string
+	live       bool
 	budget     int64
 	pace       float64
-	seed       uint64
-	workspace  string
-	listen     string
-	traceEvery int
-	traceSlow  int
-	live       bool
 	drain      time.Duration
-
-	maxConcurrent int
-	maxQueue      int
-	deadline      time.Duration
-	hedgeAfter    time.Duration
-
-	shardRoot string
-	shardID   int
+	hedgeAfter time.Duration
+	trace      trace.Config // SampleEvery, SlowPerClass
+	serve      serve.Config // MaxConcurrent, MaxQueue, DefaultDeadline
 }
 
-// validate rejects flag combinations that would previously slip
-// through and fail obscurely downstream (a zero-query workload divides
-// through a zero base QPS; a non-positive budget floors every cache
-// shard; a negative pace is meaningless).
+// validate rejects flag values that would otherwise fail obscurely
+// downstream (a non-positive budget floors every cache shard; a
+// negative pace is meaningless).
 func validate(o *options) error {
-	if o.pages < 1 {
-		return fmt.Errorf("-pages must be >= 1 (got %d)", o.pages)
-	}
-	if o.rounds < 1 {
-		return fmt.Errorf("-rounds must be >= 1 (got %d): a level must serve at least one six-query mix", o.rounds)
-	}
-	if o.budget <= 0 {
+	switch {
+	case o.data == "":
+		return fmt.Errorf("-data is required: the dataset directory snbuild wrote (it holds manifest.json)")
+	case o.listen == "":
+		return fmt.Errorf("-listen is required: snserve answers over HTTP and nothing else")
+	case o.shardID < -1:
+		return fmt.Errorf("-shard-id must be >= 0 (got %d)", o.shardID)
+	case o.budget <= 0:
 		return fmt.Errorf("-budget must be positive bytes (got %d)", o.budget)
-	}
-	if o.pace < 0 {
+	case o.pace < 0:
 		return fmt.Errorf("-pace must be >= 0 (got %g)", o.pace)
-	}
-	if o.traceEvery < 0 {
-		return fmt.Errorf("-trace-every must be >= 0 (got %d; 0 disables tracing)", o.traceEvery)
-	}
-	if o.traceSlow < 1 {
-		return fmt.Errorf("-trace-slow must be >= 1 (got %d)", o.traceSlow)
-	}
-	if o.drain <= 0 {
+	case o.trace.SampleEvery < 0:
+		return fmt.Errorf("-trace-every must be >= 0 (got %d; 0 disables local sampling)", o.trace.SampleEvery)
+	case o.trace.SlowPerClass < 1:
+		return fmt.Errorf("-trace-slow must be >= 1 (got %d)", o.trace.SlowPerClass)
+	case o.drain <= 0:
 		return fmt.Errorf("-drain must be a positive duration (got %v)", o.drain)
-	}
-	if o.maxConcurrent < 0 {
-		return fmt.Errorf("-max-concurrent must be >= 0 (got %d; 0 selects GOMAXPROCS)", o.maxConcurrent)
-	}
-	if o.maxQueue < 1 {
-		return fmt.Errorf("-max-queue must be >= 1 (got %d): the admission queue needs at least one seat", o.maxQueue)
-	}
-	if o.deadline < 0 {
-		return fmt.Errorf("-deadline must be >= 0 (got %v; 0 means no default deadline)", o.deadline)
-	}
-	if o.hedgeAfter < 0 {
+	case o.serve.MaxConcurrent < 0:
+		return fmt.Errorf("-max-concurrent must be >= 0 (got %d; 0 selects GOMAXPROCS)", o.serve.MaxConcurrent)
+	case o.serve.MaxQueue < 1:
+		return fmt.Errorf("-max-queue must be >= 1 (got %d): the admission queue needs at least one seat", o.serve.MaxQueue)
+	case o.serve.DefaultDeadline < 0:
+		return fmt.Errorf("-deadline must be >= 0 (got %v; 0 means no default deadline)", o.serve.DefaultDeadline)
+	case o.hedgeAfter < 0:
 		return fmt.Errorf("-hedge-after must be >= 0 (got %v; 0 disables hedging)", o.hedgeAfter)
-	}
-	if o.shardRoot != "" {
-		if o.shardID < 0 {
-			return fmt.Errorf("-shard-id must be >= 0 (got %d)", o.shardID)
-		}
-		if o.listen == "" {
-			return fmt.Errorf("-shard-root requires -listen: a shard replica exists to be routed to")
-		}
-		if o.live {
-			return fmt.Errorf("-live is not supported in shard mode (updates would bypass the partition)")
-		}
-	} else if o.shardID != -1 {
-		return fmt.Errorf("-shard-id requires -shard-root")
 	}
 	return nil
 }
 
 func main() {
 	o := &options{}
-	flag.IntVar(&o.pages, "pages", 50000, "corpus size in pages")
-	levels := flag.String("goroutines", "1,4,16", "comma-separated goroutine counts")
-	flag.IntVar(&o.rounds, "rounds", 4, "repetitions of the six-query mix per level")
+	flag.StringVar(&o.data, "data", "", "dataset directory written by snbuild (holds manifest.json; required)")
+	flag.IntVar(&o.shardID, "shard-id", -1, "which shard of -data to serve (default: the only shard of a one-shard dataset)")
+	flag.StringVar(&o.listen, "listen", "", "address to serve on (e.g. :8080; required)")
+	flag.BoolVar(&o.live, "live", false, "wrap the stores in delta overlays and accept POST /update mutations while serving (one-shard datasets only)")
 	flag.Int64Var(&o.budget, "budget", 1<<20, "buffer-manager budget in bytes")
 	flag.Float64Var(&o.pace, "pace", 1.0, "disk-stall scale (0 disables pacing)")
-	flag.Uint64Var(&o.seed, "seed", 20030226, "crawl generator seed")
-	flag.StringVar(&o.workspace, "workspace", "", "build directory (default: temp)")
-	flag.StringVar(&o.listen, "listen", "", "serve /metrics, /debug/vars, /debug/pprof, /debug/traces on this address (e.g. :8080; empty disables)")
-	flag.IntVar(&o.traceEvery, "trace-every", 64, "trace 1 in N queries (0 disables tracing)")
-	flag.IntVar(&o.traceSlow, "trace-slow", 4, "retain the N slowest traces per query class")
-	flag.BoolVar(&o.live, "live", false, "wrap the representations in delta overlays and accept POST /update mutations while serving")
+	flag.IntVar(&o.trace.SampleEvery, "trace-every", 64, "trace 1 in N requests (0 disables local sampling; router-sampled requests are still traced)")
+	flag.IntVar(&o.trace.SlowPerClass, "trace-slow", 4, "retain the N slowest traces per query class")
 	flag.DurationVar(&o.drain, "drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests")
-	flag.IntVar(&o.maxConcurrent, "max-concurrent", 0, "admission slots for /out and /query (0 = GOMAXPROCS)")
-	flag.IntVar(&o.maxQueue, "max-queue", 64, "bounded admission queue per request class; arrivals past it are shed with 429")
-	flag.DurationVar(&o.deadline, "deadline", 0, "default deadline for /out and /query requests (0 = none; ?deadline_ms overrides)")
+	flag.IntVar(&o.serve.MaxConcurrent, "max-concurrent", 0, "admission slots for /out and /query (0 = GOMAXPROCS)")
+	flag.IntVar(&o.serve.MaxQueue, "max-queue", 64, "bounded admission queue per request class; arrivals past it are shed with 429")
+	flag.DurationVar(&o.serve.DefaultDeadline, "deadline", 0, "default deadline for /out and /query requests (0 = none; ?deadline_ms overrides)")
 	flag.DurationVar(&o.hedgeAfter, "hedge-after", 0, "hedge a coalesced cache-miss wait after this long (0 disables hedged reads)")
-	flag.StringVar(&o.shardRoot, "shard-root", "", "serve one shard of a partition built by snbuild -shards (directory holding manifest.json)")
-	flag.IntVar(&o.shardID, "shard-id", -1, "which shard of -shard-root to serve")
 	flag.Parse()
 
-	fail := func(err error) {
+	err := validate(o)
+	if err == nil {
+		err = run(o)
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "snserve: %v\n", err)
 		os.Exit(1)
 	}
-	var err error
-	if o.levels, err = parseLevels(*levels); err != nil {
-		fail(err)
-	}
-	if err := validate(o); err != nil {
-		fail(err)
-	}
-	if o.shardRoot != "" {
-		if err := runShard(o); err != nil {
-			fail(err)
-		}
-		return
-	}
-	if err := runServe(o); err != nil {
-		fail(err)
-	}
 }
 
-// runShard serves one shard of a pre-built partition: the mining
-// engine reads the boundary-merged repository restricted to owned
-// pages (partial queries for the router to merge), the navigation
-// engine reads the bare intra-shard stores, and every response is
-// stamped with the shard's identity and manifest version.
-func runShard(o *options) error {
+// run opens the shard, wires it into a serve.Replica, and serves until
+// SIGINT/SIGTERM, then runs the replica's exit sequence.
+func run(o *options) error {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	sh, err := shard.OpenServing(o.shardRoot, o.shardID, o.budget, iosim.Model2002())
+	m, err := shard.LoadManifest(o.data)
+	if err != nil {
+		return err
+	}
+	id := o.shardID
+	if id < 0 {
+		if m.NumShards != 1 {
+			return fmt.Errorf("-shard-id is required: %s holds %d shards", o.data, m.NumShards)
+		}
+		id = 0
+	}
+	sh, err := shard.OpenServing(o.data, id, o.budget, iosim.Model2002())
 	if err != nil {
 		return err
 	}
 	defer sh.Close()
-	m := sh.Manifest
 
-	e, err := query.New(sh.Repo, repo.SchemeSNode)
-	if err != nil {
-		return err
-	}
-	e.SetOwner(sh.Owns)
-	nav, err := query.New(sh.NavRepo, repo.SchemeSNode)
-	if err != nil {
-		return err
-	}
-
-	reg := metrics.NewRegistry()
-	e.SetMetrics(reg)
-	// A shard replica always carries a tracer, even with -trace-every 0
-	// (local sampling disabled): the router's sampled bit force-traces
-	// individual requests through StartLinked regardless of the local
-	// rotation, and /debug/traces is where the router fetches the
-	// completed subtree to stitch.
-	tracer := trace.New(trace.Config{SampleEvery: o.traceEvery, SlowPerClass: o.traceSlow})
-	e.SetTracer(tracer)
-	prefixes := []string{"snode_fwd", "snode_rev"}
-	for i, s := range []store.LinkStore{sh.NavRepo.Fwd[repo.SchemeSNode], sh.NavRepo.Rev[repo.SchemeSNode]} {
-		if sn, ok := s.(*snode.Representation); ok {
-			sn.RegisterMetrics(reg, prefixes[i])
-		}
-		if p, ok := s.(store.Pacer); ok {
-			p.SetPace(o.pace)
-		}
+	// One registry and one tracer for the whole serving path: latency
+	// histograms and stage timings (engines), cache and I/O counters
+	// per direction (representations), admission (server). Hedged reads
+	// are a property of the S-Node buffer manager, so they arm on the
+	// base representations, under any overlay.
+	o.serve.Registry = metrics.NewRegistry()
+	o.serve.Tracer = trace.New(o.trace)
+	for prefix, s := range map[string]*snode.Representation{
+		"snode_fwd": sh.NavRepo.Fwd[repo.SchemeSNode].(*snode.Representation),
+		"snode_rev": sh.NavRepo.Rev[repo.SchemeSNode].(*snode.Representation),
+	} {
+		s.RegisterMetrics(o.serve.Registry, prefix)
 		if o.hedgeAfter > 0 {
-			if hd, ok := s.(store.Hedger); ok {
-				hd.SetHedge(o.hedgeAfter)
-			}
+			s.SetHedge(o.hedgeAfter)
 		}
 	}
-
-	qs, err := serve.New(serve.Config{
-		Engine:          e,
-		NavEngine:       nav,
-		Shard:           &serve.ShardInfo{ID: sh.ID, Count: m.NumShards, Version: m.Version},
-		MaxConcurrent:   o.maxConcurrent,
-		MaxQueue:        o.maxQueue,
-		DefaultDeadline: o.deadline,
-		Registry:        reg,
-		Tracer:          tracer,
-	})
-	if err != nil {
-		return err
-	}
-	state := &liveState{}
-	srv, addr, err := startHTTP(o.listen, buildMux(reg, tracer, state, qs))
-	if err != nil {
-		return err
-	}
-	fmt.Printf("shard %d/%d (manifest %s): %d owned pages, %d intra edges, boundary %d fwd / %d rev\n",
-		sh.ID, m.NumShards, m.Version, m.Shards[sh.ID].Pages, m.Shards[sh.ID].IntraEdges,
-		m.Shards[sh.ID].BoundaryFwdEdges, m.Shards[sh.ID].BoundaryRevEdges)
-	fmt.Printf("partial queries on http://%s/query?partial=1, intra-shard /out (admission: %d slots, queue %d/class)\n",
-		addr, qs.Admission().MaxConcurrent(), o.maxQueue)
-	<-ctx.Done()
-	return shutdown(o, state, srv, nil)
-}
-
-// liveState is the serving process's mutable state: the delta overlays
-// when -live is set, and the readiness flag /healthz reports. draining
-// flips once, when shutdown begins.
-type liveState struct {
-	fwd, rev *delta.Overlay // nil without -live
-	draining atomic.Bool
-}
-
-// handleHealth reports ready (200) or draining (503) as JSON.
-func (s *liveState) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	status := "ready"
-	code := http.StatusOK
-	if s.draining.Load() {
-		status = "draining"
-		code = http.StatusServiceUnavailable
-	}
-	w.WriteHeader(code)
-	fmt.Fprintf(w, "{\"status\":%q}\n", status)
-}
-
-// updateOp is one mutation in a POST /update body.
-type updateOp struct {
-	Src int32  `json:"src"`
-	Dst int32  `json:"dst"`
-	Op  string `json:"op"` // "add" or "remove"
-}
-
-// handleUpdate applies a JSON array of link mutations to the forward
-// overlay and mirrors it into the reverse one, so both navigation
-// directions stay consistent (the transposed edge set).
-func (s *liveState) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	if s.fwd == nil {
-		http.Error(w, "server not started with -live", http.StatusServiceUnavailable)
-		return
-	}
-	if s.draining.Load() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	var ops []updateOp
-	if err := json.NewDecoder(r.Body).Decode(&ops); err != nil {
-		http.Error(w, fmt.Sprintf("bad body: %v", err), http.StatusBadRequest)
-		return
-	}
-	fwd := make([]delta.Mutation, 0, len(ops))
-	rev := make([]delta.Mutation, 0, len(ops))
-	for i, op := range ops {
-		var kind delta.Op
-		switch op.Op {
-		case "add":
-			kind = delta.OpAdd
-		case "remove":
-			kind = delta.OpRemove
-		default:
-			http.Error(w, fmt.Sprintf("op %d: unknown kind %q", i, op.Op), http.StatusBadRequest)
-			return
-		}
-		fwd = append(fwd, delta.Mutation{Src: webgraph.PageID(op.Src), Dst: webgraph.PageID(op.Dst), Op: kind})
-		rev = append(rev, delta.Mutation{Src: webgraph.PageID(op.Dst), Dst: webgraph.PageID(op.Src), Op: kind})
-	}
-	ctx := r.Context()
-	if err := s.fwd.Apply(ctx, fwd); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if err := s.rev.Apply(ctx, rev); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		"applied": len(fwd),
-		"delta":   s.fwd.DeltaStatsNow(),
-	})
-}
-
-// buildMux assembles the HTTP surface. tracer may be nil (tracing
-// disabled), in which case /debug/traces serves an empty list; qs may
-// be nil (no query endpoints).
-func buildMux(reg *metrics.Registry, tracer *trace.Tracer, state *liveState, qs *serve.Server) *http.ServeMux {
-	expvar.Publish("snode", expvar.Func(func() any { return reg.Snapshot() }))
-	mux := http.NewServeMux()
-	if qs != nil {
-		qs.Register(mux)
-	}
-	mux.Handle("/metrics", reg.Handler())
-	mux.Handle("/metrics.json", reg.JSONHandler())
-	mux.Handle("/debug/vars", expvar.Handler())
-	mux.Handle("/debug/traces", trace.Handler(tracer))
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/healthz", state.handleHealth)
-	mux.HandleFunc("/update", state.handleUpdate)
-	return mux
-}
-
-// startHTTP binds the endpoint and serves mux in the background,
-// returning the server (for Shutdown) and the bound address
-// (resolving :0).
-func startHTTP(addr string, mux *http.ServeMux) (*http.Server, string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, "", fmt.Errorf("-listen %s: %w", addr, err)
-	}
-	srv := &http.Server{Handler: mux}
-	go func() {
-		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintf(os.Stderr, "snserve: http: %v\n", err)
-		}
-	}()
-	return srv, ln.Addr().String(), nil
-}
-
-// cacheDelta sums a cache counter's per-level movement over the fwd and
-// rev representations from two registry snapshots.
-func cacheDelta(prev, cur metrics.Snapshot, counter string) int64 {
-	var d int64
-	for _, prefix := range []string{"snode_fwd_", "snode_rev_"} {
-		name := prefix + counter
-		d += cur.Counters[name] - prev.Counters[name]
-	}
-	return d
-}
-
-func runServe(o *options) error {
-	// SIGINT/SIGTERM cancels this context; everything downstream —
-	// query levels, compactors, the HTTP drain — hangs off it.
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	ws := o.workspace
-	if ws == "" {
-		dir, err := os.MkdirTemp("", "snserve-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		ws = dir
-	}
-
-	cfg := synth.DefaultConfig(o.pages)
-	cfg.Seed = o.seed
-	fmt.Printf("generating %d-page crawl (seed %d)...\n", o.pages, o.seed)
-	crawl, err := synth.Generate(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println("building S-Node repository...")
-	opt := repo.DefaultOptions(filepath.Join(ws, "repo"))
-	opt.Schemes = []string{repo.SchemeSNode}
-	opt.CacheBudget = o.budget
-	opt.Model = iosim.Model2002()
-	r, err := repo.Build(crawl.Corpus, opt)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-
-	// With -live, layer delta overlays over both directions and serve
-	// queries through them; a background compactor per direction seals
-	// and merges while traffic runs. Without -live the engine reads the
-	// bare representations.
-	state := &liveState{}
-	serveRepo := r
-	var compactors []*delta.Compactor
+	// Overlay segments go to a scratch directory: nothing reopens a
+	// sealed segment yet, so keeping them would promise a durability
+	// the server does not have.
+	liveDir := ""
 	if o.live {
-		mk := func(base store.LinkStore, name string) (*delta.Overlay, error) {
-			return delta.NewOverlay(base, delta.Config{
-				Pages: crawl.Corpus.Pages,
-				Dir:   filepath.Join(ws, "delta."+name),
-				Model: opt.Model,
-			})
-		}
-		if state.fwd, err = mk(r.Fwd[repo.SchemeSNode], "fwd"); err != nil {
+		if liveDir, err = os.MkdirTemp("", "snserve-delta-*"); err != nil {
 			return err
 		}
-		defer state.fwd.Close()
-		if state.rev, err = mk(r.Rev[repo.SchemeSNode], "rev"); err != nil {
-			return err
-		}
-		defer state.rev.Close()
-		serveRepo = &repo.Repository{
-			Corpus:   r.Corpus,
-			Text:     r.Text,
-			PageRank: r.PageRank,
-			Domains:  r.Domains,
-			Model:    r.Model,
-			Fwd:      map[string]store.LinkStore{repo.SchemeSNode: state.fwd},
-			Rev:      map[string]store.LinkStore{repo.SchemeSNode: state.rev},
-		}
-		for _, ov := range []*delta.Overlay{state.fwd, state.rev} {
-			compactors = append(compactors, delta.StartCompactor(ctx, ov, delta.CompactorConfig{
-				OnError: func(err error) {
-					fmt.Fprintf(os.Stderr, "snserve: compactor: %v\n", err)
-				},
-			}))
-		}
+		defer os.RemoveAll(liveDir)
+	}
+	rep, err := serve.NewReplica(sh, o.serve, liveDir)
+	if err != nil {
+		return err
+	}
+	defer rep.Close()
+	rep.SetPace(o.pace)
+
+	srv, addr, err := serve.Start(o.listen, rep.Handler())
+	if err != nil {
+		return err
+	}
+	e := m.Shards[id]
+	fmt.Printf("shard %d/%d (manifest %s): %d owned pages, %d intra edges, boundary %d fwd / %d rev\n",
+		id, m.NumShards, m.Version, e.Pages, e.IntraEdges, e.BoundaryFwdEdges, e.BoundaryRevEdges)
+	fmt.Printf("queries on http://%s/out and /query, ?partial=1 for a router (admission: %d slots, queue %d/class)\n",
+		addr, rep.Server.Admission().MaxConcurrent(), o.serve.MaxQueue)
+	fmt.Printf("metrics on http://%s/metrics (also /healthz, /metrics.json, /debug/vars, /debug/pprof, /debug/traces)\n", addr)
+	if o.live {
 		fmt.Println("live updates enabled: POST /update, delta overlays compacting in background")
 	}
-	e, err := query.New(serveRepo, repo.SchemeSNode)
-	if err != nil {
-		return err
-	}
-
-	// Wire the whole serving path into one registry: per-query latency
-	// histograms and stage timings (engine), cache and I/O counters per
-	// direction (representations), worker occupancy (pool). The tracer
-	// samples 1 in -trace-every requests into span trees whose slowest
-	// representatives are retained per query class.
-	reg := metrics.NewRegistry()
-	e.SetMetrics(reg)
-	var tracer *trace.Tracer
-	if o.traceEvery > 0 {
-		tracer = trace.New(trace.Config{SampleEvery: o.traceEvery, SlowPerClass: o.traceSlow})
-		e.SetTracer(tracer)
-	}
-	prefixes := []string{"snode_fwd", "snode_rev"}
-	for i, s := range []store.LinkStore{r.Fwd[repo.SchemeSNode], r.Rev[repo.SchemeSNode]} {
-		if sn, ok := s.(*snode.Representation); ok {
-			sn.RegisterMetrics(reg, prefixes[i])
-		}
-	}
-	// Pace (and later reset) the stores the engine actually reads: the
-	// overlays when live — they forward to the base and also pace their
-	// own segment reads — or the bare representations otherwise.
-	stores := []store.LinkStore{serveRepo.Fwd[repo.SchemeSNode], serveRepo.Rev[repo.SchemeSNode]}
-	for _, s := range stores {
-		if p, ok := s.(store.Pacer); ok {
-			p.SetPace(o.pace)
-		}
-	}
-	if o.live {
-		state.fwd.RegisterMetrics(reg, "delta_fwd")
-		state.rev.RegisterMetrics(reg, "delta_rev")
-	}
-	// Hedged reads are a property of the S-Node buffer manager, so they
-	// arm on the base representations (the overlays forward to them).
-	if o.hedgeAfter > 0 {
-		for _, s := range []store.LinkStore{r.Fwd[repo.SchemeSNode], r.Rev[repo.SchemeSNode]} {
-			if hd, ok := s.(store.Hedger); ok {
-				hd.SetHedge(o.hedgeAfter)
-			}
-		}
-	}
-	var srv *http.Server
-	if o.listen != "" {
-		// The query endpoints share the workload engine (a Shared copy)
-		// behind the admission controller.
-		qs, err := serve.New(serve.Config{
-			Engine:          e,
-			MaxConcurrent:   o.maxConcurrent,
-			MaxQueue:        o.maxQueue,
-			DefaultDeadline: o.deadline,
-			Registry:        reg,
-			Tracer:          tracer,
-		})
-		if err != nil {
-			return err
-		}
-		var addr string
-		srv, addr, err = startHTTP(o.listen, buildMux(reg, tracer, state, qs))
-		if err != nil {
-			return err
-		}
-		fmt.Printf("queries on http://%s/out and /query (admission: %d slots, queue %d/class)\n",
-			addr, qs.Admission().MaxConcurrent(), o.maxQueue)
-		fmt.Printf("metrics on http://%s/metrics (also /healthz, /debug/vars, /debug/pprof, /debug/traces)\n", addr)
-	}
-
-	var jobs []query.ID
-	for i := 0; i < o.rounds; i++ {
-		jobs = append(jobs, query.All()...)
-	}
-
-	fmt.Printf("\nserving %d queries per level (%d KB buffer, pace x%.2f)\n",
-		len(jobs), o.budget>>10, o.pace)
-	fmt.Printf("%11s %12s %10s %9s | %9s %9s %7s %10s\n",
-		"goroutines", "elapsed", "qps", "speedup", "hits", "misses", "loads", "coalesced")
-	var baseQPS float64
-	for _, g := range o.levels {
-		for _, s := range stores {
-			if cr, ok := s.(store.CacheResetter); ok {
-				cr.ResetCache(o.budget)
-			}
-		}
-		prev := reg.Snapshot()
-		start := time.Now()
-		if _, err := e.RunParallel(ctx, jobs, g); err != nil {
-			if errors.Is(err, context.Canceled) {
-				fmt.Println("\ninterrupted; shutting down")
-				break
-			}
-			return fmt.Errorf("level %d: %w", g, err)
-		}
-		elapsed := time.Since(start)
-		qps := float64(len(jobs)) / elapsed.Seconds()
-		speedup := 1.0
-		if baseQPS == 0 {
-			baseQPS = qps
-		} else if baseQPS > 0 {
-			speedup = qps / baseQPS
-		}
-		cur := reg.Snapshot()
-		fmt.Printf("%11d %12v %10.1f %8.2fx | %9d %9d %7d %10d\n",
-			g, elapsed.Round(time.Millisecond), qps, speedup,
-			cacheDelta(prev, cur, "cache_hits"),
-			cacheDelta(prev, cur, "cache_misses"),
-			cacheDelta(prev, cur, "cache_loads"),
-			cacheDelta(prev, cur, "cache_coalesced"))
-	}
-
-	// Latency summary across all levels, from the per-query histograms.
-	// The exemplar column links each query's latency tail to a retained
-	// trace: the /debug/traces?id=N span tree explains where that
-	// execution's time went.
-	snap := reg.Snapshot()
-	fmt.Printf("\nper-query latency across all levels (wall time per execution)\n")
-	fmt.Printf("%6s %8s %10s %10s %10s %14s\n", "query", "count", "p50", "p95", "p99", "tail trace")
-	for _, q := range query.All() {
-		name := fmt.Sprintf("query_latency_q%d", q)
-		h, ok := snap.Histograms[name]
-		if !ok {
-			continue
-		}
-		exemplar := "-"
-		if _, id := h.TailExemplar(); id != 0 {
-			exemplar = fmt.Sprintf("id=%d", id)
-		}
-		fmt.Printf("%6s %8d %10v %10v %10v %14s\n",
-			fmt.Sprintf("Q%d", q), h.Count,
-			time.Duration(h.P50()).Round(10*time.Microsecond),
-			time.Duration(h.P95()).Round(10*time.Microsecond),
-			time.Duration(h.P99()).Round(10*time.Microsecond),
-			exemplar)
-	}
-	if tracer != nil {
-		if traces := tracer.Traces(); len(traces) > 0 {
-			fmt.Printf("\nslow-query log: %d retained trace(s)\n", len(traces))
-			for i, t := range traces {
-				if i >= 6 {
-					fmt.Printf("  ... (%d more)\n", len(traces)-i)
-					break
-				}
-				s := t.Summary()
-				fmt.Printf("  id=%-6d class=%-3s total=%-12v spans=%-4d seeks=%-4d decodes=%d\n",
-					s.ID, s.Class, time.Duration(s.TotalNs).Round(10*time.Microsecond),
-					s.Spans, s.Seeks, s.Decodes)
-			}
-			fmt.Println("  (inspect with /debug/traces?id=N, or &format=chrome for chrome://tracing)")
-		}
-	}
-	if o.listen != "" && ctx.Err() == nil {
-		fmt.Println("\nserving complete; endpoints stay up until SIGINT/SIGTERM")
-		<-ctx.Done()
-	}
-	return shutdown(o, state, srv, compactors)
-}
-
-// shutdown drains the server and persists the live state: /healthz
-// flips to draining, the listener stops accepting and in-flight
-// requests finish under the -drain deadline, the compactors stop, and
-// the delta memtables are sealed to disk so no accepted mutation is
-// lost at exit.
-func shutdown(o *options, state *liveState, srv *http.Server, compactors []*delta.Compactor) error {
-	state.draining.Store(true)
-	if srv != nil {
-		fmt.Printf("draining in-flight requests (deadline %v)...\n", o.drain)
-		dctx, cancel := context.WithTimeout(context.Background(), o.drain)
-		defer cancel()
-		if err := srv.Shutdown(dctx); err != nil {
-			fmt.Fprintf(os.Stderr, "snserve: drain deadline exceeded, closing: %v\n", err)
-			srv.Close()
-		}
-	}
-	for _, c := range compactors {
-		c.Stop()
-	}
-	if state.fwd != nil {
-		fmt.Println("sealing delta memtables...")
-		for _, ov := range []*delta.Overlay{state.fwd, state.rev} {
-			if err := ov.Seal(context.Background()); err != nil {
-				return fmt.Errorf("seal: %w", err)
-			}
-		}
-		ds := state.fwd.DeltaStatsNow()
-		fmt.Printf("delta state at exit: %d applied ops in %d segment(s)\n",
-			ds.AppliedOps, ds.Segments)
-	}
-	return nil
+	<-ctx.Done()
+	return rep.Shutdown(srv, o.drain, func(format string, args ...any) {
+		fmt.Printf(format+"\n", args...)
+	})
 }

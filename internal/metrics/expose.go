@@ -81,50 +81,6 @@ func (s Snapshot) WriteText(w io.Writer) error {
 	return nil
 }
 
-// histJSON is the archival form of one histogram (durations in
-// nanoseconds, matching the observed values).
-type histJSON struct {
-	Count  int64   `json:"count"`
-	Sum    int64   `json:"sum"`
-	Mean   float64 `json:"mean"`
-	P50    int64   `json:"p50"`
-	P95    int64   `json:"p95"`
-	P99    int64   `json:"p99"`
-	Bounds []int64 `json:"bounds"`
-	Counts []int64 `json:"counts"`
-	// Exemplars are per-bucket retained trace IDs (0 = none); omitted
-	// when no bucket carries one.
-	Exemplars []uint64 `json:"exemplars,omitempty"`
-}
-
-// WriteJSON dumps the snapshot as one indented JSON object — the form
-// snbench archives next to its CSVs so a benchmark run's full counter
-// state travels with its results.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	hists := make(map[string]histJSON, len(s.Histograms))
-	for k, h := range s.Histograms {
-		j := histJSON{
-			Count: h.Count, Sum: h.Sum, Mean: h.Mean(),
-			P50: h.P50(), P95: h.P95(), P99: h.P99(),
-			Bounds: h.Bounds, Counts: h.Counts,
-		}
-		for _, e := range h.Exemplars {
-			if e != 0 {
-				j.Exemplars = h.Exemplars
-				break
-			}
-		}
-		hists[k] = j
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Counters   map[string]int64    `json:"counters"`
-		Gauges     map[string]int64    `json:"gauges"`
-		Histograms map[string]histJSON `json:"histograms"`
-	}{s.Counters, s.Gauges, hists})
-}
-
 // Handler returns an http.Handler serving the registry's current state
 // as the text exposition (the snserve /metrics endpoint).
 func (r *Registry) Handler() http.Handler {
@@ -135,10 +91,10 @@ func (r *Registry) Handler() http.Handler {
 }
 
 // JSONHandler returns an http.Handler serving the registry's current
-// state as a raw Snapshot in JSON (the /metrics.json endpoint). Unlike
-// WriteJSON's archival form, this is the machine-to-machine scrape
-// format: every Snapshot field is exported, so the router's federation
-// scrape decodes it back into a Snapshot losslessly and merges it.
+// state as a raw Snapshot in JSON (the /metrics.json endpoint): the
+// machine-to-machine scrape format. Every Snapshot field is exported,
+// so the router's federation scrape decodes it back into a Snapshot
+// losslessly and merges it.
 func (r *Registry) JSONHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

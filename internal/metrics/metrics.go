@@ -234,14 +234,6 @@ func (s HistSnapshot) P50() int64 { return s.Quantile(0.50) }
 func (s HistSnapshot) P95() int64 { return s.Quantile(0.95) }
 func (s HistSnapshot) P99() int64 { return s.Quantile(0.99) }
 
-// Mean reports the average observed value (0 when empty).
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
 // Registry holds named instruments. Get-or-create methods are safe for
 // concurrent use; the returned instruments are intended to be looked up
 // once and cached by the instrumented component.

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -55,9 +54,6 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 	if got := time.Duration(s.P99()); got != 300*time.Millisecond {
 		t.Errorf("p99 = %v, want 300ms", got)
-	}
-	if m := s.Mean(); m < float64(2*time.Millisecond) || m > float64(30*time.Millisecond) {
-		t.Errorf("mean = %v ns, outside plausible range", m)
 	}
 }
 
@@ -164,32 +160,5 @@ func TestWriteTextAndHandler(t *testing.T) {
 	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "snode_cache_hits 3") {
 		t.Fatalf("handler: code=%d body=%q", rec.Code, rec.Body.String())
-	}
-}
-
-func TestWriteJSON(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("iosim_seeks").Add(9)
-	r.Histogram("query_latency_q2", nil).ObserveDuration(5 * time.Millisecond)
-	var buf bytes.Buffer
-	if err := r.Snapshot().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var parsed struct {
-		Counters   map[string]int64 `json:"counters"`
-		Histograms map[string]struct {
-			Count int64 `json:"count"`
-			P50   int64 `json:"p50"`
-		} `json:"histograms"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
-		t.Fatalf("dump is not valid JSON: %v\n%s", err, buf.String())
-	}
-	if parsed.Counters["iosim_seeks"] != 9 {
-		t.Errorf("iosim_seeks = %d, want 9", parsed.Counters["iosim_seeks"])
-	}
-	h := parsed.Histograms["query_latency_q2"]
-	if h.Count != 1 || h.P50 <= 0 {
-		t.Errorf("histogram = %+v", h)
 	}
 }

@@ -2,6 +2,7 @@ package query
 
 import (
 	"context"
+	"log"
 	"os"
 	"sort"
 	"strings"
@@ -16,6 +17,20 @@ import (
 
 var testRepo *repo.Repository
 
+// fixtureDir holds the shared repository; TestMain removes it.
+var fixtureDir string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "query-test-*")
+	if err != nil {
+		log.Fatal(err)
+	}
+	fixtureDir = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
 func getRepo(t testing.TB) *repo.Repository {
 	t.Helper()
 	if testRepo != nil {
@@ -25,11 +40,7 @@ func getRepo(t testing.TB) *repo.Repository {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir, err := os.MkdirTemp("", "query-test-*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := repo.DefaultOptions(dir)
+	opt := repo.DefaultOptions(fixtureDir)
 	opt.Layout = crawl.Order
 	r, err := repo.Build(crawl.Corpus, opt)
 	if err != nil {

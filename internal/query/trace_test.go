@@ -297,7 +297,20 @@ func TestRunParallelPreCancelled(t *testing.T) {
 // return promptly — queries do not run to completion first.
 func TestRunParallelCancelledMidBatch(t *testing.T) {
 	e := coldEngine(t)
-	// 48 cold queries; a 2ms deadline lands mid-batch with huge margin.
+	// 48 cold queries under paced I/O (each cold read stalls for its
+	// modeled disk time, so the batch lasts seconds uncancelled); a 2ms
+	// deadline lands mid-batch with huge margin. Unpaced the batch takes
+	// ~15 ms of CPU, and on a loaded host a late 2 ms timer found it
+	// finished: err was nil in 3 of 50 runs beside a CPU burner.
+	stores := []store.LinkStore{e.R.Fwd[repo.SchemeSNode], e.R.Rev[repo.SchemeSNode]}
+	for _, s := range stores {
+		s.(store.Pacer).SetPace(1)
+	}
+	defer func() {
+		for _, s := range stores {
+			s.(store.Pacer).SetPace(0)
+		}
+	}()
 	var qs []ID
 	for i := 0; i < 8; i++ {
 		qs = append(qs, All()...)

@@ -181,6 +181,17 @@ func (r *Repository) Close() error {
 	return first
 }
 
+// WithStores returns a copy of r that shares its corpus and indexes but
+// reads scheme's links through fwd and rev: the same pages behind
+// another store, as a shard's boundary-merged view or a live overlay
+// is. Closing it closes fwd and rev, not r's own stores.
+func (r *Repository) WithStores(scheme string, fwd, rev store.LinkStore) *Repository {
+	c := *r
+	c.Fwd = map[string]store.LinkStore{scheme: fwd}
+	c.Rev = map[string]store.LinkStore{scheme: rev}
+	return &c
+}
+
 // DomainOf returns a page's registered domain.
 func (r *Repository) DomainOf(p webgraph.PageID) string {
 	return r.Corpus.Pages[p].Domain

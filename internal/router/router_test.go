@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -31,7 +34,21 @@ import (
 var (
 	testCrawl *synth.Crawl
 	testRoots = map[int]string{}
+	// fixtureDir holds one dataset per K under "k<K>"; TestMain removes
+	// it.
+	fixtureDir string
 )
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "router-test-*")
+	if err != nil {
+		log.Fatal(err)
+	}
+	fixtureDir = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
 
 func getCrawl(t testing.TB) *synth.Crawl {
 	t.Helper()
@@ -50,10 +67,7 @@ func getRoot(t testing.TB, k int) string {
 	if root, ok := testRoots[k]; ok {
 		return root
 	}
-	root, err := os.MkdirTemp("", "router-root-*")
-	if err != nil {
-		t.Fatal(err)
-	}
+	root := filepath.Join(fixtureDir, "k"+strconv.Itoa(k))
 	if _, err := shard.Build(getCrawl(t), k, root, snode.DefaultConfig()); err != nil {
 		t.Fatalf("shard.Build K=%d: %v", k, err)
 	}
@@ -76,8 +90,9 @@ func (f *flaky) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	f.h.ServeHTTP(w, r)
 }
 
-// world is a running K-shard serving tier: opened shards, one serve
-// stack per replica, and the router config pieces. Every replica gets
+// world is a running K-shard serving tier: opened shards, one
+// serve.Replica per replica (the wiring snserve runs, whole HTTP
+// surface included), and the router config pieces. Every replica gets
 // its own metrics registry (scraped by /cluster/metrics) and a
 // SampleEvery=0 tracer — local sampling off, so any trace a replica
 // keeps was forced by the router's sampled bit.
@@ -117,37 +132,15 @@ func startWorld(t *testing.T, root string, k, perShard int) *world {
 			t.Fatalf("OpenServing %d: %v", s, err)
 		}
 		t.Cleanup(func() { sh.Close() })
-		eng, err := query.New(sh.Repo, repo.SchemeSNode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.SetOwner(sh.Owns)
-		nav, err := query.New(sh.NavRepo, repo.SchemeSNode)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var urls []string
 		for rep := 0; rep < perShard; rep++ {
 			rreg := metrics.NewRegistry()
 			rtr := trace.New(trace.Config{SampleEvery: 0})
-			qs, err := serve.New(serve.Config{
-				Engine:    eng,
-				NavEngine: nav,
-				Shard:     &serve.ShardInfo{ID: s, Count: k, Version: m.Version},
-				Registry:  rreg,
-				Tracer:    rtr,
-			})
+			replica, err := serve.NewReplica(sh, serve.Config{Registry: rreg, Tracer: rtr}, "")
 			if err != nil {
 				t.Fatal(err)
 			}
-			mux := http.NewServeMux()
-			qs.Register(mux)
-			mux.Handle("/metrics.json", rreg.JSONHandler())
-			mux.Handle("/debug/traces", trace.Handler(rtr))
-			mux.HandleFunc("/healthz", func(rw http.ResponseWriter, _ *http.Request) {
-				fmt.Fprintln(rw, `{"status":"ready"}`)
-			})
-			f := &flaky{h: mux}
+			f := &flaky{h: replica.Handler()}
 			ts := httptest.NewServer(f)
 			t.Cleanup(ts.Close)
 			urls = append(urls, ts.URL)
@@ -198,8 +191,9 @@ func getJSON(t *testing.T, url string, out any) int {
 	return resp.StatusCode
 }
 
-// crossShardPages picks pages whose out-list crosses shards (and one
-// that does not), the cases the router's boundary merge must cover.
+// crossShardPages picks pages whose out-list crosses shards (and two
+// that do not), the cases the router's boundary merge must cover. A
+// one-shard manifest has only the second kind.
 func crossShardPages(t *testing.T, m *shard.Manifest, limit int) []webgraph.PageID {
 	t.Helper()
 	g := getCrawl(t).Corpus.Graph
@@ -222,7 +216,7 @@ func crossShardPages(t *testing.T, m *shard.Manifest, limit int) []webgraph.Page
 			break
 		}
 	}
-	if len(cross) == 0 {
+	if len(cross) == 0 && m.NumShards > 1 {
 		t.Fatal("no cross-shard pages in corpus")
 	}
 	return append(cross, intra...)
@@ -230,15 +224,12 @@ func crossShardPages(t *testing.T, m *shard.Manifest, limit int) []webgraph.Page
 
 // TestRouterGoldenEquivalence is the acceptance golden test at the
 // HTTP level: all six Table 3 queries and /out through the router at
-// K ∈ {2,4} are row-identical to a single-node answer, including pages
-// whose links cross shards.
+// K ∈ {1,2,4} are row-identical to a single-node answer, including pages
+// whose links cross shards. K=1 is a one-group tier: the router in
+// front of the one replica an unsharded dataset has.
 func TestRouterGoldenEquivalence(t *testing.T) {
 	crawl := getCrawl(t)
-	refDir, err := os.MkdirTemp("", "router-ref-*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := repo.DefaultOptions(refDir)
+	opt := repo.DefaultOptions(t.TempDir())
 	opt.Schemes = []string{repo.SchemeSNode}
 	opt.Layout = crawl.Order
 	ref, err := repo.Build(crawl.Corpus, opt)
@@ -250,7 +241,7 @@ func TestRouterGoldenEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []int{2, 4} {
+	for _, k := range []int{1, 2, 4} {
 		w := startWorld(t, getRoot(t, k), k, 1)
 		_, ts := newRouter(t, w, Config{})
 

@@ -1,7 +1,8 @@
-// Package serve is the HTTP query surface of the serving tier: the
-// /out (navigation-class) and /query (mining-class) endpoints that
-// snserve mounts and the open-loop load harness drives. It owns the
-// request lifecycle the robustness work of this layer is about:
+// Package serve is a replica's HTTP surface. Server is the query part:
+// the /out (navigation-class) and /query (mining-class) endpoints; it
+// owns the request lifecycle the robustness work of this layer is about
+// (below). Replica (replica.go) is everything else a serving process
+// mounts and the one wiring of an opened dataset shard into a Server.
 //
 //   - Class split: /out resolves one page's adjacency (the "click a
 //     link" traffic class, "nav"), /query runs one of the paper's six

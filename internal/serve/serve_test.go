@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"runtime/pprof"
 	"sort"
 	"strings"
@@ -28,7 +30,22 @@ import (
 var (
 	testRepo  *repo.Repository
 	testCrawl *synth.Crawl
+	// fixtureDir holds the shared fixtures — the repo.Build reference
+	// under "ref", the K=1 dataset of the same crawl under "k1";
+	// TestMain removes it.
+	fixtureDir string
 )
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "serve-test-*")
+	if err != nil {
+		log.Fatal(err)
+	}
+	fixtureDir = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
 
 func getRepo(t testing.TB) (*repo.Repository, *synth.Crawl) {
 	t.Helper()
@@ -39,11 +56,7 @@ func getRepo(t testing.TB) (*repo.Repository, *synth.Crawl) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir, err := os.MkdirTemp("", "serve-test-*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := repo.DefaultOptions(dir)
+	opt := repo.DefaultOptions(filepath.Join(fixtureDir, "ref"))
 	opt.Schemes = []string{repo.SchemeSNode}
 	opt.Layout = crawl.Order
 	r, err := repo.Build(crawl.Corpus, opt)

@@ -109,51 +109,70 @@ func WriteBoundary(path string, adj map[webgraph.PageID][]webgraph.PageID) error
 	return f.Close()
 }
 
-// OpenBoundary loads a store written by WriteBoundary.
-func OpenBoundary(path string) (*Boundary, error) {
+// OpenBoundary loads a store written by WriteBoundary. numPages is the
+// manifest's NumPages: the source count, every degree and every ID are
+// held below it and sources and targets must ascend strictly, so
+// hostile bytes end in ErrCorrupt, not in an allocation sized by the
+// file or a list no build could have written.
+func OpenBoundary(path string, numPages int) (*Boundary, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
 	r := bufio.NewReaderSize(f, 1<<20)
+	corrupt := func(format string, args ...any) (*Boundary, error) {
+		return nil, fmt.Errorf("%w: %s: %s", ErrCorrupt, path, fmt.Sprintf(format, args...))
+	}
 	magic := make([]byte, len(boundaryMagic))
 	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != boundaryMagic {
-		return nil, fmt.Errorf("shard: %s: not a boundary file", path)
+		return corrupt("not a boundary file")
 	}
-	get := func() (uint64, error) { return binary.ReadUvarint(r) }
-	ver, err := get()
-	if err != nil || ver != boundaryVersion {
-		return nil, fmt.Errorf("shard: %s: boundary format %d, want %d", path, ver, boundaryVersion)
+	if ver, err := binary.ReadUvarint(r); err != nil || ver != boundaryVersion {
+		return corrupt("boundary format %d, want %d", ver, boundaryVersion)
 	}
-	nsrc, err := get()
-	if err != nil {
-		return nil, fmt.Errorf("shard: %s: %w", path, err)
+	// next reads one gap and steps *id over it, to an ID strictly above
+	// the last and below numPages. The gap is checked before it is
+	// added, so a 64-bit gap cannot wrap the sum.
+	next := func(id *int64) bool {
+		d, err := binary.ReadUvarint(r)
+		if err != nil || d == 0 || d >= uint64(int64(numPages)-*id) {
+			return false
+		}
+		*id += int64(d)
+		return true
+	}
+	// count reads a source count or a degree: at most one per page.
+	count := func() (uint64, bool) {
+		n, err := binary.ReadUvarint(r)
+		return n, err == nil && n <= uint64(numPages)
+	}
+	nsrc, ok := count()
+	if !ok {
+		return corrupt("source count %d truncated or beyond %d pages", nsrc, numPages)
 	}
 	adj := make(map[webgraph.PageID][]webgraph.PageID, nsrc)
-	prevSrc := int64(-1)
+	src := int64(-1)
 	for i := uint64(0); i < nsrc; i++ {
-		d, err := get()
-		if err != nil {
-			return nil, fmt.Errorf("shard: %s: truncated source %d: %w", path, i, err)
+		if !next(&src) {
+			return corrupt("source %d of %d: truncated, not ascending or outside [0,%d)", i, nsrc, numPages)
 		}
-		src := prevSrc + int64(d)
-		prevSrc = src
-		deg, err := get()
-		if err != nil {
-			return nil, fmt.Errorf("shard: %s: %w", path, err)
+		deg, ok := count()
+		if !ok {
+			return corrupt("source %d: degree %d truncated or beyond %d pages", src, deg, numPages)
 		}
 		lst := make([]webgraph.PageID, deg)
-		prevT := int64(-1)
+		t := int64(-1)
 		for j := range lst {
-			d, err := get()
-			if err != nil {
-				return nil, fmt.Errorf("shard: %s: truncated list at source %d: %w", path, src, err)
+			if !next(&t) {
+				return corrupt("source %d: list truncated, not ascending or outside [0,%d)", src, numPages)
 			}
-			prevT += int64(d)
-			lst[j] = webgraph.PageID(prevT)
+			lst[j] = webgraph.PageID(t)
 		}
 		adj[webgraph.PageID(src)] = lst
+	}
+	if _, err := r.ReadByte(); err != io.EOF {
+		return corrupt("bytes after the last source")
 	}
 	return NewBoundary(adj), nil
 }

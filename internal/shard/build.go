@@ -73,7 +73,7 @@ func Build(crawl *synth.Crawl, k int, root string, cfg snode.Config) (*Manifest,
 	}
 
 	for s := 0; s < k; s++ {
-		entry, err := buildShard(c, crawl.Order, shardOf, s, root, cfg)
+		entry, err := buildShard(c, shardOf, s, k, root, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
@@ -85,37 +85,43 @@ func Build(crawl *synth.Crawl, k int, root string, cfg snode.Config) (*Manifest,
 	return m, nil
 }
 
-// buildShard emits shard s's S-Node stores and boundary files.
-func buildShard(c *webgraph.Corpus, order []int32, shardOf []int, s int, root string, cfg snode.Config) (*ShardEntry, error) {
+// buildShard emits shard s's S-Node stores and boundary files. With one
+// shard every edge is intra-shard: the corpus graph is the intra graph
+// as it stands, not re-added edge by edge into a second copy, and the
+// stores come out byte-identical to repo.Build's.
+func buildShard(c *webgraph.Corpus, shardOf []int, s, k int, root string, cfg snode.Config) (*ShardEntry, error) {
 	dir := fmt.Sprintf("shard-%d", s)
 	abs := filepath.Join(root, dir)
 	if err := os.MkdirAll(abs, 0o755); err != nil {
 		return nil, err
 	}
 	n := c.Graph.NumPages()
-	intra := webgraph.NewBuilder(n)
+	ig, pages := c.Graph, n
 	bfwd := map[webgraph.PageID][]webgraph.PageID{}
 	brev := map[webgraph.PageID][]webgraph.PageID{}
-	pages := 0
-	for p := webgraph.PageID(0); p < webgraph.PageID(n); p++ {
-		srcOwned := shardOf[p] == s
-		if srcOwned {
-			pages++
-		}
-		for _, q := range c.Graph.Out(p) {
-			dstOwned := shardOf[q] == s
-			switch {
-			case srcOwned && dstOwned:
-				intra.AddEdge(p, q)
-			case srcOwned:
-				bfwd[p] = append(bfwd[p], q)
-			case dstOwned:
-				// Visiting sources ascending keeps each rev list sorted.
-				brev[q] = append(brev[q], p)
+	if k > 1 {
+		intra := webgraph.NewBuilder(n)
+		pages = 0
+		for p := webgraph.PageID(0); p < webgraph.PageID(n); p++ {
+			srcOwned := shardOf[p] == s
+			if srcOwned {
+				pages++
+			}
+			for _, q := range c.Graph.Out(p) {
+				dstOwned := shardOf[q] == s
+				switch {
+				case srcOwned && dstOwned:
+					intra.AddEdge(p, q)
+				case srcOwned:
+					bfwd[p] = append(bfwd[p], q)
+				case dstOwned:
+					// Visiting sources ascending keeps each rev list sorted.
+					brev[q] = append(brev[q], p)
+				}
 			}
 		}
+		ig = intra.Build()
 	}
-	ig := intra.Build()
 	for _, sub := range []string{"snode.fwd", "snode.rev"} {
 		if err := os.MkdirAll(filepath.Join(abs, sub), 0o755); err != nil {
 			return nil, err
@@ -159,17 +165,19 @@ func writePageRank(path string, pr []float64) error {
 	return os.WriteFile(path, buf[:n], 0o644)
 }
 
-// readPageRank loads a vector written by writePageRank.
-func readPageRank(path string) ([]float64, error) {
+// readPageRank loads a vector written by writePageRank, which must
+// hold exactly numPages entries. The payload is measured by division,
+// so no declared length can wrap the comparison.
+func readPageRank(path string, numPages int) ([]float64, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	ln, n := binary.Uvarint(buf)
-	if n <= 0 || uint64(len(buf)-n) != 8*ln {
-		return nil, fmt.Errorf("shard: %s: malformed pagerank file", path)
+	if n <= 0 || ln != uint64(numPages) || (len(buf)-n)%8 != 0 || (len(buf)-n)/8 != numPages {
+		return nil, fmt.Errorf("%w: %s: not a pagerank vector of %d pages", ErrCorrupt, path, numPages)
 	}
-	pr := make([]float64, ln)
+	pr := make([]float64, numPages)
 	for i := range pr {
 		pr[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[n:]))
 		n += 8

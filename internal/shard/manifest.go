@@ -2,8 +2,10 @@ package shard
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -23,6 +25,11 @@ const (
 	metaName     = "meta.bin"     // page metadata corpus (edge-free)
 	pageRankName = "pagerank.bin" // global normalized PageRank
 )
+
+// ErrCorrupt marks a dataset artifact (manifest, PageRank vector,
+// boundary file) whose bytes are not what a build writes. Open paths
+// return it wrapped; nothing is served from such a file.
+var ErrCorrupt = errors.New("shard: corrupt artifact")
 
 // ShardEntry describes one shard's artifacts, relative to the root.
 type ShardEntry struct {
@@ -120,18 +127,34 @@ func LoadManifest(root string) (*Manifest, error) {
 	if m.NumShards != len(m.Shards) {
 		return nil, fmt.Errorf("shard: manifest lists %d shards, declares %d", len(m.Shards), m.NumShards)
 	}
+	// Every other open-time bound (PageRank length, boundary counts and
+	// IDs) is taken from NumPages, so it must itself fit a PageID.
+	if m.NumPages < 1 || m.NumPages > math.MaxInt32 {
+		return nil, fmt.Errorf("%w: manifest declares %d pages", ErrCorrupt, m.NumPages)
+	}
 	covered := 0
 	for i, r := range m.Runs {
 		if r.Shard < 0 || r.Shard >= m.NumShards {
 			return nil, fmt.Errorf("shard: run %d assigned to shard %d of %d", i, r.Shard, m.NumShards)
 		}
-		if int(r.Start) != covered {
-			return nil, fmt.Errorf("shard: run %d starts at %d, want %d (gap/overlap)", i, r.Start, covered)
+		if int(r.Start) != covered || r.Count < 1 {
+			return nil, fmt.Errorf("shard: run %d covers [%d,+%d), want a non-empty run from %d (gap/overlap)", i, r.Start, r.Count, covered)
 		}
 		covered += int(r.Count)
 	}
 	if covered != m.NumPages {
 		return nil, fmt.Errorf("shard: runs cover %d pages of %d", covered, m.NumPages)
+	}
+	// The artifact paths are joined onto the root and the version stamp
+	// does not cover them: none may name a file outside the dataset.
+	paths := []string{m.Meta, m.PageRank}
+	for _, e := range m.Shards {
+		paths = append(paths, e.Dir, e.BoundaryFwd, e.BoundaryRev)
+	}
+	for _, p := range paths {
+		if !filepath.IsLocal(p) {
+			return nil, fmt.Errorf("%w: manifest path %q leaves the dataset directory", ErrCorrupt, p)
+		}
 	}
 	return &m, nil
 }

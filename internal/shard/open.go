@@ -61,14 +61,21 @@ func OpenServing(root string, id int, cacheBudget int64, model iosim.Model) (*Se
 	if len(pages) != m.NumPages {
 		return nil, fmt.Errorf("shard: metadata has %d pages, manifest %d", len(pages), m.NumPages)
 	}
-	pr, err := readPageRank(filepath.Join(root, m.PageRank))
+	pr, err := readPageRank(filepath.Join(root, m.PageRank), m.NumPages)
 	if err != nil {
 		return nil, err
 	}
-	if len(pr) != m.NumPages {
-		return nil, fmt.Errorf("shard: pagerank has %d entries, manifest %d pages", len(pr), m.NumPages)
-	}
+	// The boundaries first: they hold nothing to release if a later
+	// open fails.
 	entry := m.Shards[id]
+	bfwd, err := OpenBoundary(filepath.Join(root, entry.BoundaryFwd), m.NumPages)
+	if err != nil {
+		return nil, err
+	}
+	brev, err := OpenBoundary(filepath.Join(root, entry.BoundaryRev), m.NumPages)
+	if err != nil {
+		return nil, err
+	}
 	fwdBase, err := snode.Open(filepath.Join(root, entry.Dir, "snode.fwd"), cacheBudget, model)
 	if err != nil {
 		return nil, err
@@ -78,38 +85,20 @@ func OpenServing(root string, id int, cacheBudget int64, model iosim.Model) (*Se
 		fwdBase.Close()
 		return nil, err
 	}
-	bfwd, err := OpenBoundary(filepath.Join(root, entry.BoundaryFwd))
-	if err != nil {
-		fwdBase.Close()
-		revBase.Close()
-		return nil, err
-	}
-	brev, err := OpenBoundary(filepath.Join(root, entry.BoundaryRev))
-	if err != nil {
-		fwdBase.Close()
-		revBase.Close()
-		return nil, err
-	}
 	domains := store.NewDomainRanges(pages)
 	domainOf := func(p webgraph.PageID) string { return pages[p].Domain }
-	merged := &repo.Repository{
+	nav := &repo.Repository{
 		Corpus:   meta.Corpus,
 		Text:     textindex.Build(pages),
 		PageRank: pr,
 		Domains:  domains,
 		Model:    model,
-		Fwd:      map[string]store.LinkStore{repo.SchemeSNode: NewMergedStore(fwdBase, bfwd, domains, domainOf)},
-		Rev:      map[string]store.LinkStore{repo.SchemeSNode: NewMergedStore(revBase, brev, domains, domainOf)},
-	}
-	nav := &repo.Repository{
-		Corpus:   merged.Corpus,
-		Text:     merged.Text,
-		PageRank: merged.PageRank,
-		Domains:  merged.Domains,
-		Model:    model,
 		Fwd:      map[string]store.LinkStore{repo.SchemeSNode: fwdBase},
 		Rev:      map[string]store.LinkStore{repo.SchemeSNode: revBase},
 	}
+	merged := nav.WithStores(repo.SchemeSNode,
+		NewMergedStore(fwdBase, bfwd, domains, domainOf),
+		NewMergedStore(revBase, brev, domains, domainOf))
 	return &ServingShard{ID: id, Manifest: m, Repo: merged, NavRepo: nav}, nil
 }
 
@@ -119,7 +108,7 @@ func OpenServing(root string, id int, cacheBudget int64, model iosim.Model) (*Se
 func LoadFwdBoundaries(root string, m *Manifest) ([]*Boundary, error) {
 	out := make([]*Boundary, m.NumShards)
 	for i, e := range m.Shards {
-		b, err := OpenBoundary(filepath.Join(root, e.BoundaryFwd))
+		b, err := OpenBoundary(filepath.Join(root, e.BoundaryFwd), m.NumPages)
 		if err != nil {
 			return nil, err
 		}

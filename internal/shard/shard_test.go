@@ -1,12 +1,20 @@
 package shard
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io/fs"
+	"log"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"snode/internal/iosim"
@@ -21,7 +29,22 @@ var (
 	testCrawl *synth.Crawl
 	testRepo  *repo.Repository
 	testRoots = map[int]string{}
+	// fixtureDir holds the package's shared fixtures (the reference
+	// repository under "ref", one dataset per K under "k<K>"); TestMain
+	// removes it.
+	fixtureDir string
 )
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "shard-test-*")
+	if err != nil {
+		log.Fatal(err)
+	}
+	fixtureDir = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
 
 func getCrawl(t testing.TB) *synth.Crawl {
 	t.Helper()
@@ -42,11 +65,7 @@ func getSingleNode(t testing.TB) *repo.Repository {
 		return testRepo
 	}
 	crawl := getCrawl(t)
-	dir, err := os.MkdirTemp("", "shard-ref-*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := repo.DefaultOptions(dir)
+	opt := repo.DefaultOptions(filepath.Join(fixtureDir, "ref"))
 	opt.Schemes = []string{repo.SchemeSNode}
 	opt.Layout = crawl.Order
 	r, err := repo.Build(crawl.Corpus, opt)
@@ -64,10 +83,7 @@ func getRoot(t testing.TB, k int) string {
 		return root
 	}
 	crawl := getCrawl(t)
-	root, err := os.MkdirTemp("", "shard-root-*")
-	if err != nil {
-		t.Fatal(err)
-	}
+	root := filepath.Join(fixtureDir, "k"+strconv.Itoa(k))
 	if _, err := Build(crawl, k, root, snode.DefaultConfig()); err != nil {
 		t.Fatalf("Build K=%d: %v", k, err)
 	}
@@ -152,7 +168,7 @@ func TestBoundaryRoundTrip(t *testing.T) {
 	if err := WriteBoundary(path, adj); err != nil {
 		t.Fatal(err)
 	}
-	b, err := OpenBoundary(path)
+	b, err := OpenBoundary(path, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +227,7 @@ func TestMergedAdjacencyMatchesFullGraph(t *testing.T) {
 	crawl := getCrawl(t)
 	g := crawl.Corpus.Graph
 	gt := g.Transpose()
-	for _, k := range []int{2, 4} {
+	for _, k := range []int{1, 2, 4} {
 		shards := openAll(t, getRoot(t, k), k)
 		m := shards[0].Manifest
 		intraEdges, boundaryEdges := int64(0), int64(0)
@@ -262,7 +278,7 @@ func TestShardedQueriesMatchSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []int{2, 4} {
+	for _, k := range []int{1, 2, 4} {
 		shards := openAll(t, getRoot(t, k), k)
 		engines := make([]*query.Engine, k)
 		for i, sh := range shards {
@@ -315,11 +331,7 @@ func TestShardBuildCarriesCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 	build := func(codec string) string {
-		root, err := os.MkdirTemp("", "shard-codec-*")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { os.RemoveAll(root) })
+		root := t.TempDir()
 		cfg := snode.DefaultConfig()
 		cfg.Codec = codec
 		if _, err := Build(crawl, k, root, cfg); err != nil {
@@ -368,6 +380,171 @@ func TestShardBuildCarriesCodec(t *testing.T) {
 			}
 			paperRep.Close()
 			lzRep.Close()
+		}
+	}
+}
+
+// hashTree is the SHA-256 of every file under root: relative path,
+// length and bytes, in walk (lexical) order.
+func hashTree(t *testing.T, root string) string {
+	t.Helper()
+	h := sha256.New()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(h, "%s %d\n", filepath.ToSlash(rel), len(buf))
+		h.Write(buf)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestDatasetBytesAreStable pins the dataset format. The manifest
+// version and the hash of every artifact at K = 1, 2 and 4 are the ones
+// the build wrote before K=1 became the corpus graph taken as it
+// stands (taken at commit f066cb7): a reordered edge, a changed field or
+// a format bump fails here. And the one shard of a K=1 dataset holds
+// what repo.Build writes for the same corpus, file for file, which is
+// what lets a server open either.
+func TestDatasetBytesAreStable(t *testing.T) {
+	for k, want := range map[int][2]string{
+		1: {"c7096173a2b010dc", "3a8a3a125f7bf1842634426a4f3c7e17e47d7cd57694fba14ec669e39d075242"},
+		2: {"05330b8a3b4efb45", "824ff94d5a1a3b0f1b7ec6c1b2e66e1460fb6141fd19493f0ebc677c77fcc976"},
+		4: {"b1ccf01a21567466", "5f05ae8dfaa76c28d7eca218f55f28afe9ec59d87ebc4f8d3e84c73fa048b6ce"},
+	} {
+		root := getRoot(t, k)
+		m, err := LoadManifest(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Version != want[0] {
+			t.Errorf("K=%d: manifest version %s, want %s", k, m.Version, want[0])
+		}
+		if got := hashTree(t, root); got != want[1] {
+			t.Errorf("K=%d: artifact tree hashes to %s, want %s", k, got, want[1])
+		}
+	}
+	getSingleNode(t)
+	for _, sub := range []string{"snode.fwd", "snode.rev"} {
+		got := hashTree(t, filepath.Join(getRoot(t, 1), "shard-0", sub))
+		if want := hashTree(t, filepath.Join(fixtureDir, "ref", sub)); got != want {
+			t.Errorf("K=1 shard-0/%s differs from repo.Build's %s", sub, sub)
+		}
+	}
+}
+
+// uvarints concatenates the values' uvarint encodings.
+func uvarints(vs ...uint64) []byte {
+	var out []byte
+	for _, v := range vs {
+		out = binary.AppendUvarint(out, v)
+	}
+	return out
+}
+
+// TestHostileArtifactsAreRefused: every reader a server start goes
+// through answers bytes no build wrote with ErrCorrupt — never a panic,
+// never a store. The named cases are the ones that used to get through:
+// a PageRank length that wraps the size check, a boundary degree that
+// sizes an allocation, gaps that wrap the ID sum or walk out of the
+// page range, a repeated target. Then every strict prefix of a valid
+// file, and manifests whose paths leave the dataset directory.
+func TestHostileArtifactsAreRefused(t *testing.T) {
+	const numPages = 100
+	dir := t.TempDir()
+	path := filepath.Join(dir, "artifact")
+	boundary := func(vs ...uint64) []byte {
+		return append([]byte(boundaryMagic), uvarints(append([]uint64{boundaryVersion}, vs...)...)...)
+	}
+	validBoundary := boundary(2, 1, 3, 6, 1, 93, 41, 1, 100) // 0:[5 6 99] 40:[99]
+	validRank := append(uvarints(numPages), make([]byte, 8*numPages)...)
+	open := map[string]func() error{
+		"boundary": func() error { _, err := OpenBoundary(path, numPages); return err },
+		"pagerank": func() error { _, err := readPageRank(path, numPages); return err },
+	}
+	for _, reader := range []string{"boundary", "pagerank"} {
+		valid := map[string][]byte{"boundary": validBoundary, "pagerank": validRank}[reader]
+		if err := os.WriteFile(path, valid, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := open[reader](); err != nil {
+			t.Fatalf("%s: the valid file is refused: %v", reader, err)
+		}
+	}
+	cases := []struct {
+		name, reader string
+		bytes        []byte
+	}{
+		{"length wraps the size check", "pagerank", append(uvarints(1<<61|1), make([]byte, 8)...)},
+		{"length is not the manifest's", "pagerank", append(uvarints(numPages-1), make([]byte, 8*(numPages-1))...)},
+		{"trailing bytes", "pagerank", append(append([]byte(nil), validRank...), 0)},
+		{"degree sizes an allocation", "boundary", boundary(1, 1, 1<<62)},
+		{"source count beyond the pages", "boundary", boundary(numPages + 1)},
+		{"gap wraps the ID sum", "boundary", boundary(1, 1, 2, 6, 1<<32)},
+		{"gap wraps to a negative ID", "boundary", boundary(1, 1, 2, 6, 1<<63)},
+		{"repeated target", "boundary", boundary(1, 1, 2, 6, 0)},
+		{"target beyond the pages", "boundary", boundary(1, 1, 1, numPages+1)},
+		{"source beyond the pages", "boundary", boundary(1, numPages+1, 0)},
+		{"sources do not ascend", "boundary", boundary(2, 6, 0, 0, 0)},
+		{"trailing bytes", "boundary", append(append([]byte(nil), validBoundary...), 0)},
+		{"wrong magic", "boundary", []byte("SNBX\x01\x00")},
+		{"future version", "boundary", append([]byte(boundaryMagic), uvarints(boundaryVersion+1, 0)...)},
+	}
+	for n := 0; n < len(validBoundary); n++ {
+		cases = append(cases, struct {
+			name, reader string
+			bytes        []byte
+		}{fmt.Sprintf("truncated to %d bytes", n), "boundary", validBoundary[:n]})
+	}
+	for n := 0; n < len(validRank); n++ {
+		cases = append(cases, struct {
+			name, reader string
+			bytes        []byte
+		}{fmt.Sprintf("truncated to %d bytes", n), "pagerank", validRank[:n]})
+	}
+	for _, c := range cases {
+		if err := os.WriteFile(path, c.bytes, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := open[c.reader](); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s, %s: err = %v, want ErrCorrupt", c.reader, c.name, err)
+		}
+	}
+
+	// A manifest's paths are joined onto the root and its version stamp
+	// does not cover them.
+	good, err := os.ReadFile(filepath.Join(getRoot(t, 2), ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, swap := range [][2]string{
+		{`"dir": "shard-0"`, `"dir": "../shard-0"`},
+		{`"boundary_fwd": "shard-0/boundary.fwd"`, `"boundary_fwd": "/etc/passwd"`},
+		{`"boundary_rev": "shard-1/boundary.rev"`, `"boundary_rev": "shard-1/../../boundary.rev"`},
+		{`"meta": "meta.bin"`, `"meta": ""`},
+		{`"pagerank": "pagerank.bin"`, `"pagerank": "../pagerank.bin"`},
+	} {
+		bad := bytes.Replace(good, []byte(swap[0]), []byte(swap[1]), 1)
+		if bytes.Equal(bad, good) {
+			t.Fatalf("manifest has no %s to replace", swap[0])
+		}
+		if err := os.WriteFile(filepath.Join(dir, ManifestName), bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadManifest(dir); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "leaves the dataset") {
+			t.Errorf("manifest with %s: err = %v, want ErrCorrupt naming the path", swap[1], err)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -24,7 +25,20 @@ var (
 	testCorpus *webgraph.Corpus
 	testDir    string
 	testStats  *BuildStats
+	// fixtureDir holds the shared representation; TestMain removes it.
+	fixtureDir string
 )
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "snode-test-*")
+	if err != nil {
+		log.Fatal(err)
+	}
+	fixtureDir = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
 
 // buildOnce builds one representation shared by the read-only tests.
 func buildOnce(t testing.TB) (*webgraph.Corpus, string) {
@@ -37,10 +51,7 @@ func buildOnce(t testing.TB) (*webgraph.Corpus, string) {
 		t.Fatalf("Generate: %v", err)
 	}
 	testCorpus = crawl.Corpus
-	dir, err := os.MkdirTemp("", "snode-test-*")
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := fixtureDir
 	cfg := DefaultConfig()
 	cfg.MaxFileSize = 8 << 10 // exercise the multi-file layout
 	st, err := Build(testCorpus, cfg, dir)

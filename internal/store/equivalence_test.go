@@ -7,7 +7,9 @@ package store_test
 // comparison is only meaningful if all five schemes answer identically.
 
 import (
+	"log"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"testing"
@@ -28,7 +30,21 @@ var (
 	eqCorpus *webgraph.Corpus
 	eqStores []store.LinkStore
 	eqDirs   map[string]string
+	// fixtureDir holds the shared stores, one subdirectory per scheme;
+	// TestMain removes it.
+	fixtureDir string
 )
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "store-test-*")
+	if err != nil {
+		log.Fatal(err)
+	}
+	fixtureDir = dir
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
 
 func buildAll(t testing.TB) (*webgraph.Corpus, []store.LinkStore) {
 	t.Helper()
@@ -42,11 +58,15 @@ func buildAll(t testing.TB) (*webgraph.Corpus, []store.LinkStore) {
 	c := crawl.Corpus
 	model := iosim.Model2002()
 	budget := int64(8 << 20)
-
-	snDir, err := os.MkdirTemp("", "eq-snode-*")
-	if err != nil {
-		t.Fatal(err)
+	schemeDir := func(name string) string {
+		dir := filepath.Join(fixtureDir, name)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		return dir
 	}
+
+	snDir := schemeDir("snode")
 	if _, err := snode.Build(c, snode.DefaultConfig(), snDir); err != nil {
 		t.Fatalf("snode build: %v", err)
 	}
@@ -60,10 +80,7 @@ func buildAll(t testing.TB) (*webgraph.Corpus, []store.LinkStore) {
 		t.Fatal(err)
 	}
 
-	ffDir, err := os.MkdirTemp("", "eq-ff-*")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ffDir := schemeDir("ff")
 	if err := flatfile.Build(c, ffDir, crawl.Order); err != nil {
 		t.Fatal(err)
 	}
@@ -72,10 +89,7 @@ func buildAll(t testing.TB) (*webgraph.Corpus, []store.LinkStore) {
 		t.Fatal(err)
 	}
 
-	l3Dir, err := os.MkdirTemp("", "eq-l3-*")
-	if err != nil {
-		t.Fatal(err)
-	}
+	l3Dir := schemeDir("l3")
 	if err := link3.Build(c, l3Dir); err != nil {
 		t.Fatal(err)
 	}
@@ -84,10 +98,7 @@ func buildAll(t testing.TB) (*webgraph.Corpus, []store.LinkStore) {
 		t.Fatal(err)
 	}
 
-	dbDir, err := os.MkdirTemp("", "eq-db-*")
-	if err != nil {
-		t.Fatal(err)
-	}
+	dbDir := schemeDir("db")
 	if err := dbstore.Build(c, dbDir, crawl.Order); err != nil {
 		t.Fatal(err)
 	}

@@ -28,11 +28,11 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# One iteration of the warm-lookup benchmarks (BenchmarkOutWarmParallel
-# fails if a lookup misses), so they cannot rot between the PRs that
-# read them.
+# One iteration of the lookup benchmarks — warm (BenchmarkOutWarmParallel
+# fails if a lookup misses) and cold (BenchmarkOutCold: uniform pages,
+# 256 KiB budget) — so they cannot rot between the PRs that read them.
 test-bench:
-	$(GO) test -run xxx -bench 'OutWarm' -benchtime 1x ./internal/snode
+	$(GO) test -run xxx -bench 'OutWarm|OutCold' -benchtime 1x ./internal/snode
 
 # Guard the untraced serving path: an engine with an attached-but-never-
 # sampling tracer must add zero allocations per query — on Run and on
@@ -42,17 +42,21 @@ test-bench:
 # unsampled routed request must emit no X-SNode-Trace header and pay
 # zero allocations for the propagation machinery at the router, the
 # shard server, and the header codec. The decode guard pins every
-# codec's whole-graph decode to a constant number of allocations (plus
-# one per 4096-ID arena chunk for codec/paper): a return to per-list
-# growth trips it. The warm-lookup guard pins Out over resident graphs
-# at zero allocations, unfiltered and (after the call that compiles the
-# filter) filtered: per-call scratch or per-call filter evaluation on
-# the hit path trips it. Run with -count=1 so the guard always executes.
+# codec's whole-graph decode to the allocations of what it returns
+# (offsets, IDs, the graph's struct, a superedge graph's sources): a
+# per-list or per-chunk allocation trips it. The warm-lookup guard pins
+# Out over resident graphs at zero allocations, unfiltered and (after
+# the call that compiles the filter) filtered: per-call scratch or
+# per-call filter evaluation on the hit path trips it. The cold-lookup
+# guard bounds the allocations of a miss — per graph loaded, with the
+# cache reset before every lookup — so a flight, a channel or a header
+# array per load trips it. Run with -count=1 so the guard always
+# executes.
 check-overhead:
 	$(GO) test -count=1 -run 'TestUntracedTracingAddsNoAllocs' ./internal/query
 	$(GO) test -count=1 -run 'TestUntracedPrimitivesZeroAlloc' ./internal/trace
 	$(GO) test -count=1 -run 'TestCrossProcessUntracedZeroAlloc' ./internal/trace ./internal/serve ./internal/router
-	$(GO) test -count=1 -run 'TestDecodeHotPathAllocs|TestWarmOutAllocatesNothing' ./internal/snode
+	$(GO) test -count=1 -run 'TestDecodeHotPathAllocs|TestWarmOutAllocatesNothing|TestColdOutAllocsPerLoad' ./internal/snode
 
 # Plan gate: every scheme's Table 3 rows and cold navigation I/O
 # (seeks, bytes, graph loads) against the golden file generated before
@@ -113,16 +117,21 @@ test-obs:
 # IDs recorded and dispatched), the v1-artifact compatibility and
 # future-version rejection suite, hostile-input decode over flipped
 # payload bytes, and codec flow through sharded builds; below the codecs,
-# the windowed bit reader against its bit-at-a-time reference and
-# refenc's hostile-count and arena guards; above them, the two-state
-# superedge entry (rows equal the CSR under every codec and budget,
-# cache accounting across the replacement, a damaged list section
-# failing only its readers). Run with -count=1 so the gate always
-# executes.
+# the windowed bit reader against its bit-at-a-time reference, the
+# one-window gamma, minimal-binary, gap-list and Huffman decoders
+# against the split decoders they replaced, and refenc's hostile-count
+# and flat-form guards; above them, decoded rows and hostile-input
+# verdicts against the values recorded at the parent of the flat decoded
+# form, the two-state superedge entry (rows equal the CSR under every
+# codec and budget, cache accounting across the replacement, a damaged
+# list section failing only its readers) and the flight a miss's
+# waiters share (made by the first of them, releasing all). Run with
+# -count=1 so the gate always executes.
 test-codec:
 	$(GO) test -count=1 -run 'TestReaderMatchesBitAtATimeReference|TestUnaryZeroTailOverruns' ./internal/bitio
-	$(GO) test -count=1 -run 'TestDecodeRejects|TestDecodeAcceptsZeroBitFinalValue|TestDecodeListsAreExactSizedArenaSlices|TestReadRunRejectsOverflowGap' ./internal/refenc
-	$(GO) test -count=1 -run 'TestCodec|FuzzCodecRoundTrip|FuzzDecodeHostile|TestCorruptIndexAllCodecs|TestMeasureDecode|TestLegacyMetaV1ServesAsPaper|TestUnknown|TestSourcesFirst|TestSourcesOnly|TestVerifyLeavesMaterializedEntries|TestMaterialized|TestCorruptListSection' ./internal/snode
+	$(GO) test -count=1 -run 'TestWindowDecodersMatchReferences|TestGammaAtTheEdgesOfTheWindow|TestHuffmanWindowDecodeMatchesBitwise|TestRLERunsRejectOverlongRun' ./internal/coding
+	$(GO) test -count=1 -run 'TestDecodeRejects|TestDecodeAcceptsZeroBitFinalValue|TestDecodeListsAreExactSizedFlatArrays|TestReadRunRejectsOverflowGap|TestRejectsBadLists' ./internal/refenc
+	$(GO) test -count=1 -run 'TestCodec|FuzzCodecRoundTrip|FuzzDecodeHostile|TestCorruptIndexAllCodecs|TestMeasureDecode|TestLegacyMetaV1ServesAsPaper|TestUnknown|TestSourcesFirst|TestSourcesOnly|TestVerifyLeavesMaterializedEntries|TestMaterialized|TestCorruptListSection|TestDecodedRowsEqualParents|TestHostileVerdictsEqualParents|TestFlightIsMadeByItsFirstWaiter|TestParkedLeaderReleasesLookupsWaitingOnIt' ./internal/snode
 	$(GO) test -count=1 -run 'TestCodecQueryEquivalence' ./internal/query
 	$(GO) test -count=1 -run 'TestShardBuildCarriesCodec' ./internal/shard
 

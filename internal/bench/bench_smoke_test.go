@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"snode/internal/query"
+	"snode/internal/raceflag"
 )
 
 // tiny returns the smallest configuration that exercises every
@@ -81,7 +82,7 @@ func TestAccessSmoke(t *testing.T) {
 	// The Table 2 shape: Huffman decodes fastest. (Skipped under the
 	// race detector, whose instrumentation distorts relative decode
 	// costs.)
-	if !raceEnabled && byName["huffman"].RandNsDecoded > byName["snode"].RandNsDecoded {
+	if !raceflag.Enabled && byName["huffman"].RandNsDecoded > byName["snode"].RandNsDecoded {
 		t.Errorf("huffman decode (%f) slower than snode (%f)",
 			byName["huffman"].RandNsDecoded, byName["snode"].RandNsDecoded)
 	}

@@ -188,26 +188,44 @@ func (r *Reader) Seek(bitPos int) error {
 	return nil
 }
 
-// windowBits is how many bits of a window are always stream bits: the
+// WindowBits is how many bits of a window are always stream bits: the
 // window starts at the byte holding pos, so up to 7 of its 64 bits lie
 // before pos and are shifted out.
-const windowBits = 57
+const WindowBits = 57
 
-// window returns the stream from pos on, left-aligned: bit 63 is the
-// bit at pos. At least windowBits bits are stream bits (zero-filled
-// past the end of the buffer); the low pos&7 bits are shifted-in
-// zeros. Callers bound what they use by r.n.
-func (r *Reader) window() uint64 {
+// Window returns the stream from the current position on, left-aligned:
+// bit 63 is the next unread bit. At least WindowBits bits are buffer
+// bits (zero-filled past the end of the buffer); the low Pos()&7 bits
+// are shifted-in zeros. Nothing is consumed, and nothing says where the
+// stream ends: a decoder works its code word out of the window and then
+// asks Consume for the bits it used.
+func (r *Reader) Window() uint64 {
 	i := r.pos >> 3
 	var w uint64
 	if i+8 <= len(r.buf) {
-		w = binary.BigEndian.Uint64(r.buf[i:])
+		w = binary.BigEndian.Uint64(r.buf[i : i+8])
 	} else {
-		for k, b := range r.buf[i:] {
-			w |= uint64(b) << (56 - 8*uint(k))
+		tail := r.buf[i:]
+		for _, b := range tail {
+			w = w<<8 | uint64(b)
 		}
+		w <<= 8 * uint(8-len(tail))
 	}
 	return w << uint(r.pos&7)
+}
+
+// Consume advances past the top n bits of the last Window and reports
+// true, or consumes nothing and reports false when those n bits are not
+// all stream bits: n is negative, exceeds WindowBits, or runs past the
+// end of the stream. It is the one bounds test of a code word decoded
+// from a window; on false the caller decodes the word again with
+// ReadBits and ReadUnary, which say what is wrong with it.
+func (r *Reader) Consume(n int) bool {
+	if uint(n) > WindowBits || r.pos+n > r.n {
+		return false
+	}
+	r.pos += n
+	return true
 }
 
 // ReadBit reads a single bit.
@@ -236,14 +254,14 @@ func (r *Reader) ReadBits(n uint) (uint64, error) {
 		return 0, ErrOverrun
 	}
 	var hi uint64
-	if n > windowBits {
+	if n > WindowBits {
 		// Wider than one window guarantees: take the top n-32 bits
 		// first, then fall through for the low 32.
-		hi = r.window() >> (64 - (n - 32)) << 32
+		hi = r.Window() >> (64 - (n - 32)) << 32
 		r.pos += int(n - 32)
 		n = 32
 	}
-	v := r.window() >> (64 - n) // n == 0 shifts everything out
+	v := r.Window() >> (64 - n) // n == 0 shifts everything out
 	r.pos += int(n)
 	return hi | v, nil
 }
@@ -253,7 +271,7 @@ func (r *Reader) ReadBits(n uint) (uint64, error) {
 func (r *Reader) ReadUnary() (uint64, error) {
 	start := r.pos
 	for r.pos < r.n {
-		w := r.window()
+		w := r.Window()
 		if w != 0 {
 			// The shifted-in low bits are zero, so the first one bit of
 			// a non-zero window is a buffer bit; it may still lie past

@@ -350,19 +350,35 @@ func TestReaderMatchesBitAtATimeReference(t *testing.T) {
 			var gv, wv uint64
 			var gerr, werr error
 			var what string
-			switch rng.Intn(5) {
+			switch rng.Intn(6) {
 			case 0:
+				// A field taken from the window is the field ReadBits
+				// reads, and Consume refuses exactly the fields the window
+				// does not guarantee or the stream does not hold.
+				n := rng.Intn(WindowBits+8) - 2
+				what = "Window+Consume"
+				gv = got.Window() >> (64 - uint(n))
+				if n < 0 || n > WindowBits {
+					if got.Consume(n) {
+						t.Fatalf("trial %d op %d: Consume(%d) accepted a field no window guarantees", trial, op, n)
+					}
+					continue
+				}
+				if wv, werr = want.readBits(uint(n)); !got.Consume(n) {
+					gerr = ErrOverrun
+				}
+			case 1:
 				what = "ReadBit"
 				var gb, wb uint
 				gb, gerr = got.ReadBit()
 				wb, werr = want.readBit()
 				gv, wv = uint64(gb), uint64(wb)
-			case 1, 2:
+			case 2, 3:
 				n := uint(rng.Intn(65))
 				what = "ReadBits"
 				gv, gerr = got.ReadBits(n)
 				wv, werr = want.readBits(n)
-			case 3:
+			case 4:
 				what = "ReadUnary"
 				gv, gerr = got.ReadUnary()
 				wv, werr = want.readUnary()

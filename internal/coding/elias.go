@@ -28,8 +28,23 @@ func WriteGamma(w *bitio.Writer, v uint64) {
 	}
 }
 
-// ReadGamma decodes an Elias gamma code.
+// ReadGamma decodes an Elias gamma code. A code word of z zeros, a one
+// and z more bits is 2z+1 bits long and, read as a number, is its own
+// value, so a word that lies inside one window of the reader is one
+// load, one leading-zero count and a shift. Words that do not — longer
+// than bitio.WindowBits, or cut by the end of the stream — take
+// readGammaSplit, which reports what is wrong with them.
 func ReadGamma(r *bitio.Reader) (uint64, error) {
+	w := r.Window()
+	if n := 2*bits.LeadingZeros64(w) + 1; r.Consume(n) {
+		return w >> (uint(64-n) & 63), nil // n is in [1, WindowBits]: the mask only spares the shift its range check
+	}
+	return readGammaSplit(r)
+}
+
+// readGammaSplit decodes a gamma code as its two fields: the unary
+// length, then the low-order bits.
+func readGammaSplit(r *bitio.Reader) (uint64, error) {
 	nm1, err := r.ReadUnary()
 	if err != nil {
 		return 0, err
@@ -135,6 +150,17 @@ func ReadMinimalBinary(r *bitio.Reader, bound uint64) (uint64, error) {
 	}
 	k := uint(bits.Len64(bound - 1))
 	u := uint64(1)<<k - bound
+	// The first k-1 bits say whether the word is short; both lengths come
+	// off one window unless the word is too wide for it or the stream
+	// ends inside it.
+	w := r.Window()
+	if v := w >> (65 - k); v < u {
+		if r.Consume(int(k - 1)) {
+			return v, nil
+		}
+	} else if r.Consume(int(k)) {
+		return w>>(64-k) - u, nil
+	}
 	v, err := r.ReadBits(k - 1)
 	if err != nil {
 		return 0, err

@@ -2,6 +2,7 @@ package coding
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -163,23 +164,28 @@ func TestGapListRoundTrip(t *testing.T) {
 		{0, 1, 2, 3},
 		{3, 10, 11, 400, 100000},
 	}
-	for _, ids := range lists {
-		w := bitio.NewWriter(0)
-		WriteGapList(w, ids)
-		if got, want := w.BitLen(), GapListLen(ids); got != want {
-			t.Errorf("GapListLen(%v) = %d, encoded %d", ids, want, got)
-		}
-		r := bitio.NewReader(w.Bytes(), w.BitLen())
-		out, err := ReadGapList(r, len(ids), nil)
-		if err != nil {
-			t.Fatalf("ReadGapList(%v): %v", ids, err)
-		}
-		if len(out) != len(ids) {
-			t.Fatalf("len %d, want %d", len(out), len(ids))
-		}
-		for i := range ids {
-			if out[i] != ids[i] {
-				t.Fatalf("list %v: element %d = %d", ids, i, out[i])
+	for _, bound := range []uint64{100001, 1 << 17, 1<<31 - 1} {
+		for _, ids := range lists {
+			w := bitio.NewWriter(0)
+			WriteBoundedGapList(w, ids, bound)
+			want := 0
+			for i, v := range ids {
+				if i == 0 {
+					want += MinimalBinaryLen(uint64(v), bound)
+				} else {
+					want += GammaLen(uint64(v - ids[i-1]))
+				}
+			}
+			if got := w.BitLen(); got != want {
+				t.Errorf("bound %d: %v encoded in %d bits, its code lengths sum to %d", bound, ids, got, want)
+			}
+			r := bitio.NewReader(w.Bytes(), w.BitLen())
+			out, err := ReadBoundedGapList(r, len(ids), bound, nil)
+			if err != nil {
+				t.Fatalf("ReadBoundedGapList(%v): %v", ids, err)
+			}
+			if !slices.Equal(out, ids) || r.Remaining() != 0 {
+				t.Fatalf("bound %d: %v decoded as %v with %d bits left", bound, ids, out, r.Remaining())
 			}
 		}
 	}
@@ -191,7 +197,7 @@ func TestGapListRejectsNonIncreasing(t *testing.T) {
 			t.Fatal("non-increasing list did not panic")
 		}
 	}()
-	WriteGapList(bitio.NewWriter(0), []int32{5, 5})
+	WriteBoundedGapList(bitio.NewWriter(0), []int32{5, 5}, 10)
 }
 
 func TestQuickGapList(t *testing.T) {
@@ -204,23 +210,31 @@ func TestQuickGapList(t *testing.T) {
 			ids = append(ids, cur)
 			cur += int32(d%1000) + 1
 		}
+		// The tightest bound, so the last value sits right under it.
+		bound := uint64(cur)
 		w := bitio.NewWriter(0)
-		WriteGapList(w, ids)
+		WriteBoundedGapList(w, ids, bound)
 		r := bitio.NewReader(w.Bytes(), w.BitLen())
-		out, err := ReadGapList(r, len(ids), nil)
-		if err != nil {
-			return false
-		}
-		for i := range ids {
-			if out[i] != ids[i] {
-				return false
-			}
-		}
-		return true
+		// The decoder appends: what dst held stays in front.
+		out, err := ReadBoundedGapList(r, len(ids), bound, []int32{-7})
+		return err == nil && out[0] == -7 && slices.Equal(out[1:], ids)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// readRLEBits decodes an n-bit vector through ReadRLERuns, setting the
+// bits its runs cover.
+func readRLEBits(r *bitio.Reader, n int) ([]bool, error) {
+	runs, err := ReadRLERuns(r, n, nil)
+	out := make([]bool, n)
+	for k := 0; k+1 < len(runs); k += 2 {
+		for i := runs[k]; i < runs[k+1]; i++ {
+			out[i] = true
+		}
+	}
+	return out, err
 }
 
 func TestRLEBitsRoundTrip(t *testing.T) {
@@ -239,14 +253,12 @@ func TestRLEBitsRoundTrip(t *testing.T) {
 			t.Errorf("RLEBitsLen(%v) = %d, encoded %d", v, want, got)
 		}
 		r := bitio.NewReader(w.Bytes(), w.BitLen())
-		out, err := ReadRLEBits(r, len(v), nil)
+		out, err := readRLEBits(r, len(v))
 		if err != nil {
-			t.Fatalf("ReadRLEBits(%v): %v", v, err)
+			t.Fatalf("ReadRLERuns(%v): %v", v, err)
 		}
-		for i := range v {
-			if out[i] != v[i] {
-				t.Fatalf("vec %v: bit %d", v, i)
-			}
+		if !slices.Equal(out, v) || r.Remaining() != 0 {
+			t.Fatalf("vec %v decoded as %v with %d bits left", v, out, r.Remaining())
 		}
 	}
 }
@@ -274,18 +286,23 @@ func TestQuickRLEBits(t *testing.T) {
 		w := bitio.NewWriter(0)
 		WriteRLEBits(w, v)
 		r := bitio.NewReader(w.Bytes(), w.BitLen())
-		out, err := ReadRLEBits(r, len(v), nil)
-		if err != nil {
-			return false
-		}
-		for i := range v {
-			if out[i] != v[i] {
-				return false
-			}
-		}
-		return true
+		out, err := readRLEBits(r, len(v))
+		return err == nil && slices.Equal(out, v)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A run that claims more bits than the vector has left is corruption,
+// not a longer vector: nothing past n may be reported as set.
+func TestRLERunsRejectOverlongRun(t *testing.T) {
+	w := bitio.NewWriter(0)
+	w.WriteBool(true)
+	WriteGamma(w, 3)
+	WriteGamma(w, 6) // 3 set, then 6 clear: one more than a 8-bit vector holds
+	runs, err := ReadRLERuns(bitio.NewReader(w.Bytes(), w.BitLen()), 8, nil)
+	if err != ErrBadCode || !slices.Equal(runs, []int32{0, 3}) {
+		t.Fatalf("runs %v, %v; want the first run and ErrBadCode", runs, err)
 	}
 }

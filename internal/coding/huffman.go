@@ -20,6 +20,7 @@ type Huffman struct {
 	firstIndex []int32  // index into symByCode of that code
 	counts     []int32  // number of codes of each length
 	symByCode  []int32  // symbols in canonical order
+	minLen     int      // shortest and longest code word
 	maxLen     int
 }
 
@@ -170,11 +171,10 @@ func (h *Huffman) assignCanonical() {
 }
 
 func (h *Huffman) buildDecodeTables() {
-	h.maxLen = 0
+	h.minLen, h.maxLen = int(h.codes[0].len), 0
 	for _, c := range h.codes {
-		if int(c.len) > h.maxLen {
-			h.maxLen = int(c.len)
-		}
+		h.minLen = min(h.minLen, int(c.len))
+		h.maxLen = max(h.maxLen, int(c.len))
 	}
 	h.counts = make([]int32, h.maxLen+1)
 	for _, c := range h.codes {
@@ -218,8 +218,28 @@ func (h *Huffman) Encode(w *bitio.Writer, s int32) {
 	w.WriteBits(c.code, uint(c.len))
 }
 
-// Decode reads one symbol from r.
+// Decode reads one symbol from r. The code is canonical, so the words
+// of one length are consecutive numbers and a window of the stream
+// holds a word of length l exactly when its top l bits fall in that
+// length's range: one load, then a compare per length, shortest first.
+// A word the window does not wholly hold — cut by the end of the
+// stream, or no word at all — is read again bit by bit, which reports
+// what is wrong with it.
 func (h *Huffman) Decode(r *bitio.Reader) (int32, error) {
+	w := r.Window()
+	for l := h.minLen; l <= h.maxLen; l++ {
+		if d := w>>(64-uint(l)) - h.firstCode[l]; d < uint64(h.counts[l]) {
+			if !r.Consume(l) {
+				break
+			}
+			return h.symByCode[h.firstIndex[l]+int32(d)], nil
+		}
+	}
+	return h.decodeBitwise(r)
+}
+
+// decodeBitwise reads one symbol a bit at a time.
+func (h *Huffman) decodeBitwise(r *bitio.Reader) (int32, error) {
 	var code uint64
 	for l := 1; l <= h.maxLen; l++ {
 		b, err := r.ReadBit()

@@ -127,7 +127,7 @@ type Rep struct {
 
 type blockEntry struct {
 	id    int
-	lists [][]int32
+	lists refenc.Lists
 	size  int64
 }
 
@@ -180,7 +180,7 @@ func (r *Rep) Name() string { return "link3" }
 func (r *Rep) NumPages() int { return r.n }
 
 // block returns the decoded block bid, loading it if needed.
-func (r *Rep) block(bid int) ([][]int32, error) {
+func (r *Rep) block(bid int) (refenc.Lists, error) {
 	if el, ok := r.byBlock[bid]; ok {
 		r.lru.MoveToFront(el)
 		return el.Value.(*blockEntry).lists, nil
@@ -191,7 +191,7 @@ func (r *Rep) block(bid int) ([][]int32, error) {
 	}
 	buf := r.readBuf[:nBytes]
 	if _, err := r.file.ReadAt(buf, r.offsets[bid]); err != nil {
-		return nil, err
+		return refenc.Lists{}, err
 	}
 	nLists := BlockSize
 	if (bid+1)*BlockSize > r.n {
@@ -199,14 +199,11 @@ func (r *Rep) block(bid int) ([][]int32, error) {
 	}
 	lists, err := refenc.DecodeListsBounded(bitio.NewByteReader(buf), nLists, uint64(r.n))
 	if err != nil {
-		return nil, fmt.Errorf("link3: block %d: %w", bid, err)
+		return refenc.Lists{}, fmt.Errorf("link3: block %d: %w", bid, err)
 	}
 	r.loads++
-	var size int64
-	for _, l := range lists {
-		size += int64(len(l))*4 + 24
-		r.decoded += int64(len(l))
-	}
+	r.decoded += int64(len(lists.IDs))
+	size := lists.MemSize()
 	for r.used+size > r.budget && r.lru.Len() > 0 {
 		back := r.lru.Back()
 		e := back.Value.(*blockEntry)
@@ -234,7 +231,7 @@ func (r *Rep) OutFiltered(p webgraph.PageID, f *store.Filter, buf []webgraph.Pag
 	if err != nil {
 		return buf, err
 	}
-	for _, t := range lists[int(p)%BlockSize] {
+	for _, t := range lists.At(int(p) % BlockSize) {
 		if store.FilterAccepts(f, t, r.domains, r.domainOf) {
 			buf = append(buf, t)
 		}

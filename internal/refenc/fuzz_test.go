@@ -37,7 +37,7 @@ func TestDecodeBitFlippedStreams(t *testing.T) {
 	// Encode real data, flip each byte in turn, decode.
 	rng := randutil.NewRNG(99)
 	lists := randomLists(rng, 12)
-	for _, opt := range []Options{{Window: 8}, {Exact: true}, {Window: 8, TargetBound: 4096}} {
+	for _, opt := range []Options{{Window: 8, TargetBound: testBound}, {Exact: true, TargetBound: testBound}, {Window: 8, TargetBound: 4096}} {
 		w := bitio.NewWriter(0)
 		if _, err := EncodeLists(w, lists, opt); err != nil {
 			t.Fatal(err)
@@ -55,12 +55,12 @@ func TestDecodeTruncatedStreams(t *testing.T) {
 	rng := randutil.NewRNG(7)
 	lists := randomLists(rng, 10)
 	w := bitio.NewWriter(0)
-	if _, err := EncodeLists(w, lists, Options{Window: 8}); err != nil {
+	if _, err := EncodeLists(w, lists, Options{Window: 8, TargetBound: testBound}); err != nil {
 		t.Fatal(err)
 	}
 	clean := w.Bytes()
 	for cut := 0; cut < len(clean); cut++ {
-		decodeNoPanic(t, clean[:cut], len(lists), 0)
+		decodeNoPanic(t, clean[:cut], len(lists), testBound)
 	}
 }
 
@@ -68,13 +68,13 @@ func TestDecodeWrongListCount(t *testing.T) {
 	rng := randutil.NewRNG(13)
 	lists := randomLists(rng, 8)
 	w := bitio.NewWriter(0)
-	if _, err := EncodeLists(w, lists, Options{Window: 8}); err != nil {
+	if _, err := EncodeLists(w, lists, Options{Window: 8, TargetBound: testBound}); err != nil {
 		t.Fatal(err)
 	}
 	buf := w.Bytes()
 	// Asking for more lists than encoded must error, not panic.
-	decodeNoPanic(t, buf, 64, 0)
-	if _, err := DecodeLists(bitio.NewByteReader(buf), 64); err == nil {
+	decodeNoPanic(t, buf, 64, testBound)
+	if _, err := DecodeListsBounded(bitio.NewByteReader(buf), 64, testBound); err == nil {
 		t.Fatal("over-long decode succeeded")
 	}
 }

@@ -18,7 +18,18 @@
 //
 // Both strategies share one wire format per list: a gamma-coded
 // reference designator, then either {degree, gap-coded targets} or
-// {RLE copy bit-vector, extra count, gap-coded extras}.
+// {RLE copy bit-vector, extra count, gap-coded extras}. Targets lie in
+// [0, TargetBound), which encoder and decoder must agree on: a run's
+// first value is minimal binary under it, and the decoder checks every
+// ID it produces against it, in the loop that produces it.
+//
+// The encoder takes [][]int32, which is what a builder has. The decoder
+// returns a Lists (lists.go): one offsets array and one ID array per
+// graph, a referenced list copied run by run from an earlier range of
+// the same array. That is the decoded form of the whole repository —
+// the other S-Node codecs build it too, and the graph cache and Link3's
+// block cache hold it — because a cold lookup decodes a hundred small
+// graphs and pays for whatever is allocated around each list.
 package refenc
 
 import (
@@ -38,11 +49,13 @@ type Options struct {
 	// It is O(m²) space and O(m³) time in the number of lists; callers
 	// cap m (the builder only uses it for small graphs or ablations).
 	Exact bool
-	// TargetBound, when positive, declares that all targets lie in
-	// [0, TargetBound); the first value of each gap-coded run is then
-	// written in minimal binary instead of gamma — a significant saving
-	// for the small local ID spaces of intranode and superedge graphs.
-	// Decoders must pass the same bound to DecodeListsBounded.
+	// TargetBound declares that all targets lie in [0, TargetBound): the
+	// first value of each gap-coded run is written in minimal binary
+	// under it — a significant saving for the small local ID spaces of
+	// intranode and superedge graphs — and the decoder, which must be
+	// given the same bound, holds every ID it produces to it. EncodeLists
+	// refuses a target outside the bound, so the zero value only encodes
+	// empty lists.
 	TargetBound uint64
 	// GapCode selects the integer code for successive gaps (the paper
 	// uses gamma; ζ codes are the post-paper refinement WebGraph
@@ -104,15 +117,6 @@ func (g GapCode) bits(v uint64) int {
 // DefaultWindow matches the Link Database's window of 8.
 const DefaultWindow = 8
 
-// firstValLen is the cost of the first value of a gap run: minimal
-// binary under a bound, gamma otherwise.
-func firstValLen(v int32, bound uint64) int {
-	if bound > 0 {
-		return coding.MinimalBinaryLen(uint64(v), bound)
-	}
-	return coding.GammaLen(uint64(v) + 1)
-}
-
 // directCost is the encoded size of a list with no reference, including
 // the reference designator.
 func directCost(list []int32, bound uint64, gc GapCode) int {
@@ -120,7 +124,7 @@ func directCost(list []int32, bound uint64, gc GapCode) int {
 	if len(list) == 0 {
 		return n
 	}
-	n += firstValLen(list[0], bound)
+	n += coding.MinimalBinaryLen(uint64(list[0]), bound)
 	for i := 1; i < len(list); i++ {
 		n += gc.bits(uint64(list[i] - list[i-1]))
 	}
@@ -171,7 +175,7 @@ func refParts(ref, list []int32, bits []bool, extras []int32, bound uint64, gc G
 			extras[nExtra] = v
 		}
 		if prevExtra < 0 {
-			gapLen += firstValLen(v, bound)
+			gapLen += coding.MinimalBinaryLen(uint64(v), bound)
 		} else {
 			gapLen += gc.bits(uint64(v - prevExtra))
 		}
@@ -208,9 +212,9 @@ type Stats struct {
 }
 
 // EncodeLists appends the encoded form of lists to w. Lists must be
-// strictly increasing sequences of non-negative target IDs. The format
-// begins with one bit selecting the strategy so DecodeLists needs no
-// out-of-band options.
+// strictly increasing sequences of target IDs in [0, opt.TargetBound).
+// The format begins with one bit selecting the strategy and two naming
+// the gap code, so DecodeListsBounded needs only the bound.
 func EncodeLists(w *bitio.Writer, lists [][]int32, opt Options) (Stats, error) {
 	for li, l := range lists {
 		for i := 1; i < len(l); i++ {
@@ -220,6 +224,9 @@ func EncodeLists(w *bitio.Writer, lists [][]int32, opt Options) (Stats, error) {
 		}
 		if len(l) > 0 && l[0] < 0 {
 			return Stats{}, fmt.Errorf("refenc: list %d has negative target", li)
+		}
+		if len(l) > 0 && uint64(l[len(l)-1]) >= opt.TargetBound {
+			return Stats{}, fmt.Errorf("refenc: list %d has target %d outside [0,%d)", li, l[len(l)-1], opt.TargetBound)
 		}
 	}
 	if opt.GapCode > GapZeta3 {
@@ -238,16 +245,12 @@ func EncodeLists(w *bitio.Writer, lists [][]int32, opt Options) (Stats, error) {
 }
 
 // writeRun writes a sorted list as first value (minimal binary under
-// bound when positive, else gamma) followed by coded gaps.
+// bound) followed by coded gaps.
 func writeRun(w *bitio.Writer, list []int32, bound uint64, gc GapCode) {
 	if len(list) == 0 {
 		return
 	}
-	if bound > 0 {
-		coding.WriteMinimalBinary(w, uint64(list[0]), bound)
-	} else {
-		coding.WriteGamma(w, uint64(list[0])+1)
-	}
+	coding.WriteMinimalBinary(w, uint64(list[0]), bound)
 	for i := 1; i < len(list); i++ {
 		gc.write(w, uint64(list[i]-list[i-1]))
 	}
@@ -268,114 +271,56 @@ func writeOneList(w *bitio.Writer, ref, list []int32, bound uint64, gc GapCode) 
 }
 
 // listDecoder is the state one DecodeListsBounded call shares between
-// its lists: the stream and its parameters, the arena the decoded lists
-// are cut from, and the scratch a referenced list needs while it is
-// merged. Decoding a graph therefore allocates per arena chunk, not per
-// list.
+// its lists: the stream's parameters, and the builder the decoded lists
+// go to — whose pooled scratch also holds what a referenced list needs
+// while it is merged. Decoding a graph therefore allocates the two
+// arrays of its Lists and nothing per list. The stream itself is handed
+// to each method rather than held: the scratch goes back to a pool,
+// which escape analysis reads as everything the decoder holds escaping,
+// and a Reader held here would be heap-allocated by every caller.
 type listDecoder struct {
-	r     *bitio.Reader
 	bound uint64
 	gc    GapCode
-
-	chunk  []int32 // unused tail of the current arena chunk
-	start  int     // bit position of the first list
-	ids    int     // IDs of the lists decoded so far
-	bits   []bool  // copy bit-vector of the list being decoded
-	extras []int32 // its extra targets, before the merge
+	b     Builder
 }
 
-// An arena chunk is sized to hold the rest of the graph: the bits still
-// unread at the bits-per-ID the lists decoded so far have cost (plus an
-// eighth), or at arenaBitsPerID before any has been decoded — about
-// what gap-coded lists cost. A typical graph takes one or two chunks.
-// The clamp bounds a chunk's unused tail, which the cache's size
-// accounting does not see.
-const (
-	arenaBitsPerID = 8
-	arenaMinChunk  = 16
-	arenaMaxChunk  = 4096
-)
-
-func (d *listDecoder) chunkSize(decoded int) int {
-	left := d.r.Remaining()
-	size := left / arenaBitsPerID
-	if used := d.r.Pos() - d.start; decoded > 0 && used > 0 {
-		size = int(int64(left) * int64(decoded) / int64(used))
-		size += size / 8
+// readRun appends to dst the n values of a run written by writeRun.
+// Every decoded value is validated against [0, bound) as it is produced
+// — a minimal binary first value cannot escape, but a corrupt gap can
+// push the running sum past the bound (or wrap it), and fusing the
+// check into the decode loop spares callers a second O(E) validation
+// pass over every decoded graph. The gap code is chosen once a run, not
+// once a gap: gamma, which every artifact uses, has its own loop in
+// coding; delta and ζ, which the ablations use, share the one below.
+func (d *listDecoder) readRun(r *bitio.Reader, dst []int32, n int) ([]int32, error) {
+	if d.gc == GapGamma {
+		return coding.ReadBoundedGapList(r, n, d.bound, dst)
 	}
-	return min(max(size, arenaMinChunk), arenaMaxChunk)
-}
-
-// alloc returns an exact-sized slice for an n-ID list. Callers have
-// already checked n against the bits left to read (readCount), so a
-// hostile count cannot ask for more than the stream could fill.
-func (d *listDecoder) alloc(n int) []int32 {
 	if n == 0 {
-		return nil
+		return dst, nil
 	}
-	decoded := d.ids
-	d.ids += n
-	if n > len(d.chunk) {
-		size := d.chunkSize(decoded)
-		if n >= size {
-			// Too long to share a chunk: its own allocation, and the
-			// current chunk keeps serving the short lists around it.
-			return make([]int32, n)
-		}
-		d.chunk = make([]int32, size)
+	v, err := coding.ReadMinimalBinary(r, d.bound)
+	if err != nil {
+		return dst, err
 	}
-	out := d.chunk[:n:n]
-	d.chunk = d.chunk[n:]
-	return out
-}
-
-// readRun fills dst with the len(dst) values of a run written by
-// writeRun. When bound is positive every decoded value is validated
-// against [0, bound) as it is produced — a minimal binary first value
-// cannot escape, but a corrupt gap can push the running sum past the
-// bound (or wrap int32), and fusing the check into the decode loop
-// spares callers a second O(E) validation pass over every decoded
-// graph.
-func (d *listDecoder) readRun(dst []int32) error {
-	if len(dst) == 0 {
-		return nil
-	}
-	var cur int32
-	if d.bound > 0 {
-		v, err := coding.ReadMinimalBinary(d.r, d.bound)
+	cur := int64(int32(v))
+	dst = append(dst, int32(cur))
+	for i := 1; i < n; i++ {
+		gap, err := d.gc.read(r)
 		if err != nil {
-			return err
+			return dst, err
 		}
-		cur = int32(v)
-	} else {
-		v, err := coding.ReadGamma(d.r)
-		if err != nil {
-			return err
+		// gap spans the full uint64 range, so int64(gap) can be negative
+		// or wrap the sum past MaxInt64 (which lands negative, since cur
+		// is non-negative); cur < 0 || cur >= bound rejects every corrupt
+		// gap.
+		cur += int64(gap)
+		if cur < 0 || cur >= int64(d.bound) {
+			return dst, fmt.Errorf("refenc: gap %d escapes run bound [0,%d): %w", gap, d.bound, coding.ErrBadCode)
 		}
-		cur = int32(v - 1)
+		dst = append(dst, int32(cur))
 	}
-	dst[0] = cur
-	for i := 1; i < len(dst); i++ {
-		gap, err := d.gc.read(d.r)
-		if err != nil {
-			return err
-		}
-		if d.bound > 0 {
-			// gap spans the full uint64 range, so int64(gap) can be
-			// negative or wrap the sum past MaxInt64 (which lands
-			// negative, since cur is non-negative); nv < 0 || nv >= bound
-			// rejects every corrupt gap.
-			nv := int64(cur) + int64(gap)
-			if nv < 0 || nv >= int64(d.bound) {
-				return fmt.Errorf("refenc: gap %d escapes run bound [0,%d)", gap, d.bound)
-			}
-			cur = int32(nv)
-		} else {
-			cur += int32(gap)
-		}
-		dst[i] = cur
-	}
-	return nil
+	return dst, nil
 }
 
 // readCount reads a gamma0-coded degree or extra count and rejects one
@@ -384,70 +329,65 @@ func (d *listDecoder) readRun(dst []int32) error {
 // the first costs none under bound 1. The check also keeps the
 // conversion to int safe — a count of 2^63 or more would turn negative
 // and decode as an empty run.
-func (d *listDecoder) readCount() (int, error) {
-	n, err := coding.ReadGamma0(d.r)
+func readCount(r *bitio.Reader) (int, error) {
+	n, err := coding.ReadGamma0(r)
 	if err != nil {
 		return 0, err
 	}
-	if n > uint64(d.r.Remaining())+1 {
-		return 0, fmt.Errorf("refenc: %d values claimed with %d bits left", n, d.r.Remaining())
+	if n > uint64(r.Remaining())+1 {
+		return 0, fmt.Errorf("refenc: %d values claimed with %d bits left", n, r.Remaining())
 	}
 	return int(n), nil
 }
 
 // readDirect decodes a list stored without a reference: {degree,
 // gap-coded targets}.
-func (d *listDecoder) readDirect() ([]int32, error) {
-	deg, err := d.readCount()
+func (d *listDecoder) readDirect(r *bitio.Reader) error {
+	deg, err := readCount(r)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := d.alloc(deg)
-	return out, d.readRun(out)
+	if d.b.IDs, err = d.readRun(r, d.b.IDs, deg); err != nil {
+		return err
+	}
+	return d.b.End()
 }
 
-// readReferenced decodes a list stored against ref: {RLE copy
-// bit-vector over ref, extra count, gap-coded extras}.
-func (d *listDecoder) readReferenced(ref []int32) ([]int32, error) {
+// readReferenced decodes a list stored against the earlier list ref:
+// {RLE copy bit-vector over ref, extra count, gap-coded extras}.
+func (d *listDecoder) readReferenced(r *bitio.Reader, ref int) error {
+	from := d.b.List(ref)
+	sc := d.b.sc
 	var err error
-	if d.bits, err = coding.ReadRLEBits(d.r, len(ref), d.bits); err != nil {
-		return nil, err
+	if sc.runs, err = coding.ReadRLERuns(r, len(from), sc.runs); err != nil {
+		return err
 	}
-	nExtra, err := d.readCount()
+	nExtra, err := readCount(r)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if cap(d.extras) < nExtra {
-		d.extras = make([]int32, max(nExtra, 2*cap(d.extras)))
+	if sc.extras, err = d.readRun(r, sc.extras[:0], nExtra); err != nil {
+		return err
 	}
-	extras := d.extras[:nExtra]
-	if err := d.readRun(extras); err != nil {
-		return nil, err
-	}
-	nShared := 0
-	for _, b := range d.bits {
-		if b {
-			nShared++
+	// Merge the selected runs of the reference with the extras (both
+	// sorted, and disjoint by construction): a run no extra falls inside
+	// is one copy. from may be a range of an array the appends below have
+	// outgrown; what it holds does not change.
+	extras, ids := sc.extras, d.b.IDs
+	for k := 0; k < len(sc.runs); k += 2 {
+		sel := from[sc.runs[k]:sc.runs[k+1]]
+		for len(extras) > 0 && extras[0] < sel[len(sel)-1] {
+			i := 0
+			for sel[i] < extras[0] {
+				i++
+			}
+			ids = append(append(ids, sel[:i]...), extras[0])
+			sel, extras = sel[i:], extras[1:]
 		}
+		ids = append(ids, sel...)
 	}
-	// Merge selected reference entries with extras (both sorted, and
-	// disjoint by construction).
-	out := d.alloc(nShared + nExtra)
-	k, ei := 0, 0
-	for i, b := range d.bits {
-		if !b {
-			continue
-		}
-		for ei < nExtra && extras[ei] < ref[i] {
-			out[k] = extras[ei]
-			k++
-			ei++
-		}
-		out[k] = ref[i]
-		k++
-	}
-	copy(out[k:], extras[ei:])
-	return out, nil
+	d.b.IDs = append(ids, extras...)
+	return d.b.End()
 }
 
 func encodeWindow(w *bitio.Writer, lists [][]int32, window int, bound uint64, gc GapCode) (Stats, error) {
@@ -488,50 +428,41 @@ func encodeWindow(w *bitio.Writer, lists [][]int32, window int, bound uint64, gc
 	return st, nil
 }
 
-// DecodeLists reads m lists previously written by EncodeLists with no
-// TargetBound.
-func DecodeLists(r *bitio.Reader, m int) ([][]int32, error) {
-	return DecodeListsBounded(r, m, 0)
-}
-
 // DecodeListsBounded reads m lists previously written by EncodeLists
-// with the given TargetBound (0 = unbounded). The returned lists are
-// exact-sized slices of shared arena chunks; they are never appended
-// to.
-func DecodeListsBounded(r *bitio.Reader, m int, bound uint64) ([][]int32, error) {
+// with the given TargetBound.
+func DecodeListsBounded(r *bitio.Reader, m int, bound uint64) (Lists, error) {
 	exact, err := r.ReadBool()
 	if err != nil {
-		return nil, err
+		return Lists{}, err
 	}
 	gcBits, err := r.ReadBits(2)
 	if err != nil {
-		return nil, err
+		return Lists{}, err
 	}
-	d := &listDecoder{r: r, bound: bound, gc: GapCode(gcBits), start: r.Pos()}
+	d := listDecoder{bound: bound, gc: GapCode(gcBits), b: NewBuilder(m)}
 	if exact {
-		return d.decodeExact(m)
+		return d.decodeExact(r, m)
 	}
-	lists := make([][]int32, m)
 	for i := 0; i < m; i++ {
 		off, err := coding.ReadGamma0(r)
 		if err != nil {
-			return nil, err
+			return Lists{}, err
 		}
 		switch {
 		case off == 0:
-			lists[i], err = d.readDirect()
+			err = d.readDirect(r)
 		case off > uint64(i):
 			// Compared unsigned: a designator of 2^63 or more would turn
 			// negative as an int and index past the lists decoded so far.
-			return nil, fmt.Errorf("refenc: list %d references out of range", i)
+			return Lists{}, fmt.Errorf("refenc: list %d references out of range", i)
 		default:
-			lists[i], err = d.readReferenced(lists[i-int(off)])
+			err = d.readReferenced(r, i-int(off))
 		}
 		if err != nil {
-			return nil, err
+			return Lists{}, err
 		}
 	}
-	return lists, nil
+	return d.b.Lists(), nil
 }
 
 // encodeExact builds the full affinity graph, solves the minimum
@@ -599,40 +530,39 @@ func encodeExact(w *bitio.Writer, lists [][]int32, bound uint64, gc GapCode) (St
 	return st, nil
 }
 
-func (d *listDecoder) decodeExact(m int) ([][]int32, error) {
-	lists := make([][]int32, m)
-	decodedByPos := make([][]int32, m)
+// decodeExact decodes the arborescence order — position pos holds the
+// list of node at[pos], and references count positions back — and then
+// lays the lists out by node.
+func (d *listDecoder) decodeExact(r *bitio.Reader, m int) (Lists, error) {
+	at := make([]int32, m)
 	seen := make([]bool, m)
 	for pos := 0; pos < m; pos++ {
-		vi, err := coding.ReadMinimalBinary(d.r, uint64(m))
+		vi, err := coding.ReadMinimalBinary(r, uint64(m))
 		if err != nil {
-			return nil, err
+			return Lists{}, err
 		}
-		v := int(vi)
-		if seen[v] {
-			return nil, fmt.Errorf("refenc: node %d decoded twice", v)
+		if seen[vi] {
+			return Lists{}, fmt.Errorf("refenc: node %d decoded twice", vi)
 		}
-		seen[v] = true
-		back, err := coding.ReadGamma0(d.r)
+		seen[vi] = true
+		at[pos] = int32(vi)
+		back, err := coding.ReadGamma0(r)
 		if err != nil {
-			return nil, err
+			return Lists{}, err
 		}
-		var lst []int32
 		switch {
 		case back == 0:
-			lst, err = d.readDirect()
+			err = d.readDirect(r)
 		case back > uint64(pos):
 			// Unsigned for the same reason as the window strategy's
 			// designator.
-			return nil, fmt.Errorf("refenc: position %d references out of range", pos)
+			return Lists{}, fmt.Errorf("refenc: position %d references out of range", pos)
 		default:
-			lst, err = d.readReferenced(decodedByPos[pos-int(back)])
+			err = d.readReferenced(r, pos-int(back))
 		}
 		if err != nil {
-			return nil, err
+			return Lists{}, err
 		}
-		decodedByPos[pos] = lst
-		lists[v] = lst
 	}
-	return lists, nil
+	return d.b.Lists().placedAt(at), nil
 }

@@ -1,42 +1,58 @@
 package refenc
 
 import (
+	"errors"
 	"slices"
 	"testing"
 	"testing/quick"
 
 	"snode/internal/bitio"
 	"snode/internal/coding"
+	"snode/internal/raceflag"
 	"snode/internal/randutil"
 )
 
+// testBound is the TargetBound of the tests that are not about bounds:
+// above every target randomLists and the fixed samples produce.
+const testBound = 1 << 10
+
+// roundTrip encodes lists under opt — under testBound when opt names no
+// bound — and checks that they decode to themselves.
 func roundTrip(t *testing.T, lists [][]int32, opt Options) Stats {
 	t.Helper()
+	if opt.TargetBound == 0 {
+		opt.TargetBound = testBound
+	}
 	w := bitio.NewWriter(0)
 	st, err := EncodeLists(w, lists, opt)
 	if err != nil {
 		t.Fatalf("EncodeLists: %v", err)
 	}
 	r := bitio.NewReader(w.Bytes(), w.BitLen())
-	got, err := DecodeLists(r, len(lists))
+	got, err := DecodeListsBounded(r, len(lists), opt.TargetBound)
 	if err != nil {
-		t.Fatalf("DecodeLists: %v", err)
+		t.Fatalf("DecodeListsBounded: %v", err)
 	}
-	if len(got) != len(lists) {
-		t.Fatalf("decoded %d lists, want %d", len(got), len(lists))
+	if !sameLists(got, lists) {
+		t.Fatalf("%+v: decoded %v, want %v", opt, got, lists)
 	}
-	for i := range lists {
-		if len(got[i]) != len(lists[i]) {
-			t.Fatalf("list %d: len %d, want %d (%v vs %v)",
-				i, len(got[i]), len(lists[i]), got[i], lists[i])
-		}
-		for j := range lists[i] {
-			if got[i][j] != lists[i][j] {
-				t.Fatalf("list %d elem %d: got %d, want %d", i, j, got[i][j], lists[i][j])
-			}
-		}
+	if r.Remaining() != 0 {
+		t.Fatalf("%+v: %d bits left after the last list", opt, r.Remaining())
 	}
 	return st
+}
+
+// sameLists reports whether a decoded set holds exactly the given rows.
+func sameLists(got Lists, want [][]int32) bool {
+	if got.Len() != len(want) {
+		return false
+	}
+	for i, l := range want {
+		if !slices.Equal(got.At(i), l) {
+			return false
+		}
+	}
+	return true
 }
 
 var sampleLists = [][]int32{
@@ -78,14 +94,25 @@ func TestEmptyInput(t *testing.T) {
 
 func TestRejectsBadLists(t *testing.T) {
 	w := bitio.NewWriter(0)
-	if _, err := EncodeLists(w, [][]int32{{5, 5}}, Options{}); err == nil {
+	if _, err := EncodeLists(w, [][]int32{{5, 5}}, Options{TargetBound: 8}); err == nil {
 		t.Fatal("duplicate entries accepted")
 	}
-	if _, err := EncodeLists(w, [][]int32{{7, 3}}, Options{}); err == nil {
+	if _, err := EncodeLists(w, [][]int32{{7, 3}}, Options{TargetBound: 8}); err == nil {
 		t.Fatal("descending entries accepted")
 	}
-	if _, err := EncodeLists(w, [][]int32{{-1, 3}}, Options{}); err == nil {
+	if _, err := EncodeLists(w, [][]int32{{-1, 3}}, Options{TargetBound: 8}); err == nil {
 		t.Fatal("negative entries accepted")
+	}
+	// A target the decoder would refuse is refused here: the bound is
+	// part of the format, and without one only empty lists encode.
+	if _, err := EncodeLists(w, [][]int32{{3, 8}}, Options{TargetBound: 8}); err == nil {
+		t.Fatal("target at the bound accepted")
+	}
+	if _, err := EncodeLists(w, [][]int32{{0}}, Options{}); err == nil {
+		t.Fatal("target accepted without a bound")
+	}
+	if _, err := EncodeLists(w, [][]int32{{}, {}}, Options{}); err != nil {
+		t.Fatalf("empty lists need no bound: %v", err)
 	}
 }
 
@@ -96,7 +123,7 @@ func TestPaperFigure5Decomposition(t *testing.T) {
 	y := []int32{5, 12, 18, 19, 27}
 	bits := make([]bool, len(x))
 	extras := make([]int32, len(y))
-	nShared, nExtra, _, _ := refParts(x, y, bits, extras, 0, GapGamma)
+	nShared, nExtra, _, _ := refParts(x, y, bits, extras, 32, GapGamma)
 	if nShared != 3 || nExtra != 2 {
 		t.Fatalf("shared=%d extras=%d, want 3 and 2", nShared, nExtra)
 	}
@@ -129,12 +156,12 @@ func TestSimilarListsCompressBetterThanDirect(t *testing.T) {
 		lists[i] = l
 	}
 	wRef := bitio.NewWriter(0)
-	stRef, err := EncodeLists(wRef, lists, Options{Window: DefaultWindow})
+	stRef, err := EncodeLists(wRef, lists, Options{Window: DefaultWindow, TargetBound: testBound})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wDir := bitio.NewWriter(0)
-	stDir, err := EncodeLists(wDir, lists, Options{Window: 0})
+	stDir, err := EncodeLists(wDir, lists, Options{Window: 0, TargetBound: testBound})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +173,7 @@ func TestSimilarListsCompressBetterThanDirect(t *testing.T) {
 	// terms, modulo its per-node index overhead; just require it works
 	// and references heavily.
 	wEx := bitio.NewWriter(0)
-	stEx, err := EncodeLists(wEx, lists, Options{Exact: true})
+	stEx, err := EncodeLists(wEx, lists, Options{Exact: true, TargetBound: testBound})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,12 +193,12 @@ func TestWindowRespected(t *testing.T) {
 		{1, 2, 3, 4, 5, 6, 7, 8},
 	}
 	w2 := bitio.NewWriter(0)
-	st2, err := EncodeLists(w2, lists, Options{Window: 2})
+	st2, err := EncodeLists(w2, lists, Options{Window: 2, TargetBound: testBound})
 	if err != nil {
 		t.Fatal(err)
 	}
 	w8 := bitio.NewWriter(0)
-	st8, err := EncodeLists(w8, lists, Options{Window: 8})
+	st8, err := EncodeLists(w8, lists, Options{Window: 8, TargetBound: testBound})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,24 +228,15 @@ func TestQuickRoundTripBothStrategies(t *testing.T) {
 		rng := randutil.NewRNG(seed)
 		lists := randomLists(rng, rng.Intn(20)+1)
 		for _, opt := range []Options{{Window: 0}, {Window: 4}, {Window: 16}, {Exact: true}} {
+			opt.TargetBound = testBound
 			w := bitio.NewWriter(0)
 			if _, err := EncodeLists(w, lists, opt); err != nil {
 				return false
 			}
 			r := bitio.NewReader(w.Bytes(), w.BitLen())
-			got, err := DecodeLists(r, len(lists))
-			if err != nil {
+			got, err := DecodeListsBounded(r, len(lists), testBound)
+			if err != nil || !sameLists(got, lists) {
 				return false
-			}
-			for i := range lists {
-				if len(got[i]) != len(lists[i]) {
-					return false
-				}
-				for j := range lists[i] {
-					if got[i][j] != lists[i][j] {
-						return false
-					}
-				}
 			}
 		}
 		return true
@@ -236,12 +254,12 @@ func TestExactNeverWorseThanDirectPayload(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		lists := randomLists(rng, 12)
 		wEx := bitio.NewWriter(0)
-		stEx, err := EncodeLists(wEx, lists, Options{Exact: true})
+		stEx, err := EncodeLists(wEx, lists, Options{Exact: true, TargetBound: testBound})
 		if err != nil {
 			t.Fatal(err)
 		}
 		wDir := bitio.NewWriter(0)
-		stDir, err := EncodeLists(wDir, lists, Options{Window: 0})
+		stDir, err := EncodeLists(wDir, lists, Options{Window: 0, TargetBound: testBound})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +282,7 @@ func BenchmarkEncodeWindow(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.Reset()
-		if _, err := EncodeLists(w, lists, Options{Window: DefaultWindow}); err != nil {
+		if _, err := EncodeLists(w, lists, Options{Window: DefaultWindow, TargetBound: testBound}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -274,7 +292,7 @@ func BenchmarkDecodeWindow(b *testing.B) {
 	rng := randutil.NewRNG(1)
 	lists := randomLists(rng, 500)
 	w := bitio.NewWriter(1 << 16)
-	if _, err := EncodeLists(w, lists, Options{Window: DefaultWindow}); err != nil {
+	if _, err := EncodeLists(w, lists, Options{Window: DefaultWindow, TargetBound: testBound}); err != nil {
 		b.Fatal(err)
 	}
 	buf := w.Bytes()
@@ -282,7 +300,7 @@ func BenchmarkDecodeWindow(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := bitio.NewReader(buf, n)
-		if _, err := DecodeLists(r, len(lists)); err != nil {
+		if _, err := DecodeListsBounded(r, len(lists), testBound); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -297,25 +315,7 @@ func TestGapCodeRoundTrips(t *testing.T) {
 			{Exact: true, GapCode: gc},
 			{Window: 8, GapCode: gc, TargetBound: 1 << 14},
 		} {
-			w := bitio.NewWriter(0)
-			if _, err := EncodeLists(w, lists, opt); err != nil {
-				t.Fatalf("gap code %d: %v", gc, err)
-			}
-			r := bitio.NewReader(w.Bytes(), w.BitLen())
-			got, err := DecodeListsBounded(r, len(lists), opt.TargetBound)
-			if err != nil {
-				t.Fatalf("gap code %d decode: %v", gc, err)
-			}
-			for i := range lists {
-				if len(got[i]) != len(lists[i]) {
-					t.Fatalf("gap code %d: list %d length", gc, i)
-				}
-				for j := range lists[i] {
-					if got[i][j] != lists[i][j] {
-						t.Fatalf("gap code %d: list %d mismatch", gc, i)
-					}
-				}
-			}
+			roundTrip(t, lists, opt)
 		}
 	}
 }
@@ -348,7 +348,7 @@ func TestZetaGapCodeCompetitive(t *testing.T) {
 	sizes := map[GapCode]int{}
 	for _, gc := range []GapCode{GapGamma, GapZeta3} {
 		w := bitio.NewWriter(0)
-		st, err := EncodeLists(w, lists, Options{Window: 8, GapCode: gc})
+		st, err := EncodeLists(w, lists, Options{Window: 8, GapCode: gc, TargetBound: 1 << 17})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,17 +363,18 @@ func TestZetaGapCodeCompetitive(t *testing.T) {
 
 // A coded gap of 2^63 or more makes int64(d) negative, so a naive
 // nv >= bound check passes and int32 truncation emits an
-// in-range-looking ID. readRun's fused bounds check must reject it.
+// in-range-looking ID. readRun's fused bounds check must reject it, in
+// the gamma loop and in the loop the other gap codes share.
 func TestReadRunRejectsOverflowGap(t *testing.T) {
 	for _, gap := range []uint64{1 << 63, 1<<63 + 5, 1<<64 - 1} {
-		w := bitio.NewWriter(0)
-		coding.WriteMinimalBinary(w, 0, 1)
-		coding.WriteGamma(w, gap)
-		r := bitio.NewReader(w.Bytes(), w.BitLen())
-		d := &listDecoder{r: r, bound: 1, gc: GapGamma}
-		got := make([]int32, 2)
-		if err := d.readRun(got); err == nil {
-			t.Fatalf("gap %d under bound 1 accepted: %v", gap, got)
+		for _, gc := range []GapCode{GapGamma, GapDelta} {
+			w := bitio.NewWriter(0)
+			coding.WriteMinimalBinary(w, 0, 1)
+			gc.write(w, gap)
+			d := &listDecoder{bound: 1, gc: gc}
+			if got, err := d.readRun(bitio.NewReader(w.Bytes(), w.BitLen()), nil, 2); !errors.Is(err, coding.ErrBadCode) {
+				t.Fatalf("gap %d in code %d under bound 1: %v, %v; want ErrBadCode", gap, gc, got, err)
+			}
 		}
 	}
 }
@@ -412,7 +413,7 @@ func TestDecodeRejectsHugeReferenceDesignator(t *testing.T) {
 		header(w, false)
 		coding.WriteGamma0(w, off) // list 0 references list 0-off
 		coding.WriteGamma0(w, 0)
-		if lists, err := DecodeListsBounded(bitio.NewReader(w.Bytes(), w.BitLen()), 1, 0); err == nil {
+		if lists, err := DecodeListsBounded(bitio.NewReader(w.Bytes(), w.BitLen()), 1, 8); err == nil {
 			t.Fatalf("window designator %d accepted: %v", off, lists)
 		}
 
@@ -421,7 +422,7 @@ func TestDecodeRejectsHugeReferenceDesignator(t *testing.T) {
 		coding.WriteMinimalBinary(w, 0, 1) // node index of position 0
 		coding.WriteGamma0(w, off)         // position 0 references position 0-off
 		coding.WriteGamma0(w, 0)
-		if lists, err := DecodeListsBounded(bitio.NewReader(w.Bytes(), w.BitLen()), 1, 0); err == nil {
+		if lists, err := DecodeListsBounded(bitio.NewReader(w.Bytes(), w.BitLen()), 1, 8); err == nil {
 			t.Fatalf("exact designator %d accepted: %v", off, lists)
 		}
 	}
@@ -435,13 +436,14 @@ func TestDecodeRejectsHugeReferenceDesignator(t *testing.T) {
 func TestDecodeRejectsCountBeyondStream(t *testing.T) {
 	for _, count := range []uint64{1 << 63, 1<<64 - 2, 1 << 40, 200} {
 		// A direct list claiming count values, with bits for only a few.
+		const bound = 1 << 30 // wide enough that only the count is wrong
 		w := bitio.NewWriter(0)
 		header(w, false)
 		coding.WriteGamma0(w, 0)
 		coding.WriteGamma0(w, count)
-		coding.WriteGamma(w, 3)
+		coding.WriteMinimalBinary(w, 2, bound)
 		coding.WriteGamma(w, 1)
-		if lists, err := DecodeListsBounded(bitio.NewReader(w.Bytes(), w.BitLen()), 1, 0); err == nil {
+		if lists, err := DecodeListsBounded(bitio.NewReader(w.Bytes(), w.BitLen()), 1, bound); err == nil {
 			t.Fatalf("degree %d accepted: %v", count, lists)
 		}
 
@@ -450,12 +452,12 @@ func TestDecodeRejectsCountBeyondStream(t *testing.T) {
 		header(w, false)
 		coding.WriteGamma0(w, 0) // list 0: direct, [2]
 		coding.WriteGamma0(w, 1)
-		coding.WriteGamma(w, 3)
+		coding.WriteMinimalBinary(w, 2, bound)
 		coding.WriteGamma0(w, 1) // list 1: references list 0
 		coding.WriteRLEBits(w, []bool{true})
 		coding.WriteGamma0(w, count)
-		coding.WriteGamma(w, 1)
-		if lists, err := DecodeListsBounded(bitio.NewReader(w.Bytes(), w.BitLen()), 2, 0); err == nil {
+		coding.WriteMinimalBinary(w, 0, bound)
+		if lists, err := DecodeListsBounded(bitio.NewReader(w.Bytes(), w.BitLen()), 2, bound); err == nil {
 			t.Fatalf("extra count %d accepted: %v", count, lists)
 		}
 	}
@@ -474,20 +476,26 @@ func TestDecodeAcceptsZeroBitFinalValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range lists {
-		if !slices.Equal(got[i], lists[i]) {
-			t.Fatalf("list %d: got %v, want %v", i, got[i], lists[i])
-		}
+	if !sameLists(got, lists) {
+		t.Fatalf("got %v, want %v", got, lists)
 	}
 }
 
-// Decoded lists share arena chunks, so each must be cut to its exact
-// size: an append to one list must reallocate rather than write into
-// its neighbour, and decoding must not cost an allocation per list.
-func TestDecodeListsAreExactSizedArenaSlices(t *testing.T) {
+// A decoded set is two arrays whatever the number of lists: the offsets
+// and the IDs, each exactly as long as what it holds — MemSize, which
+// counts capacity, reports no more than the lists need, so nothing the
+// cache holds is slack it does not account for — and a decode allocates
+// those two and (the pooled scratch being warm) nothing per list. Each
+// list is cut to its size, so appending to one cannot write into the
+// next.
+func TestDecodeListsAreExactSizedFlatArrays(t *testing.T) {
 	rng := randutil.NewRNG(31)
 	lists := randomLists(rng, 200)
-	for _, opt := range []Options{{Window: 8}, {Window: 8, TargetBound: 1 << 20}, {Exact: true}} {
+	var ids int
+	for _, l := range lists {
+		ids += len(l)
+	}
+	for _, opt := range []Options{{Window: 8, TargetBound: testBound}, {Window: 8, TargetBound: 1 << 20}, {Exact: true, TargetBound: testBound}, {Window: 8, GapCode: GapZeta3, TargetBound: testBound}} {
 		w := bitio.NewWriter(0)
 		if _, err := EncodeLists(w, lists, opt); err != nil {
 			t.Fatal(err)
@@ -497,12 +505,15 @@ func TestDecodeListsAreExactSizedArenaSlices(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, l := range got {
-			if cap(l) != len(l) {
+		if !sameLists(got, lists) {
+			t.Fatalf("%+v: decoded wrong", opt)
+		}
+		if want := int64(4 * (len(lists) + 1 + ids)); got.MemSize() != want {
+			t.Fatalf("%+v: MemSize %d for %d lists of %d IDs, want %d: the arrays carry slack", opt, got.MemSize(), len(lists), ids, want)
+		}
+		for i := range lists {
+			if l := got.At(i); cap(l) != len(l) {
 				t.Fatalf("%+v: list %d has len %d but cap %d", opt, i, len(l), cap(l))
-			}
-			if !slices.Equal(l, lists[i]) {
-				t.Fatalf("%+v: list %d decoded wrong", opt, i)
 			}
 		}
 		allocs := testing.AllocsPerRun(20, func() {
@@ -510,8 +521,19 @@ func TestDecodeListsAreExactSizedArenaSlices(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if allocs > float64(len(lists))/4 {
-			t.Errorf("%+v: %.0f allocations to decode %d lists; the arena should need far fewer than one per list", opt, allocs, len(lists))
+		// The two arrays, plus, for the exact strategy, the node order,
+		// the seen set and the two arrays of the reordered copy. Under
+		// the race detector the scratch pool forgets, and a decode that
+		// finds it empty grows new scratch: still nothing per list.
+		budget := 2.0
+		if opt.Exact {
+			budget = 6
+		}
+		if raceflag.Enabled {
+			budget += 24
+		}
+		if allocs > budget {
+			t.Errorf("%+v: %.0f allocations to decode %d lists, want at most %.0f", opt, allocs, len(lists), budget)
 		}
 	}
 }

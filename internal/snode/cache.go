@@ -28,23 +28,26 @@ type decodedGraph interface {
 // Thread-safety contract: the cache is safe for concurrent use by any
 // number of goroutines.
 //
-// A hit takes no lock. Graph IDs are dense, so residency is published
-// in slots, one atomic pointer per graph of the directory: lookup is
-// one atomic load, plus one store to the entry's reference bit when the
-// bit is clear. What a slot points to (a cacheNode's id, graph and
-// size) never changes after the node is published; replacing a graph
-// publishes a new node. A reader that loaded a node just before it was
-// evicted or reset therefore still holds a whole, valid graph, and the
-// only thing it can do to the dead node is set a bit nobody reads.
+// A hit takes no lock. Graph IDs are dense, so a graph's state is
+// published in its slot, one atomic pointer per graph of the directory:
+// nil when the graph is absent, a node holding it when it is resident,
+// and the shared node loading — which holds no graph, so it reads as a
+// miss — while some goroutine decodes it. lookup is one atomic load,
+// plus one store to the entry's reference bit when the bit is clear.
+// What a slot points to (a cacheNode's id, graph and size) never
+// changes after the node is published; replacing a graph publishes a
+// new node. A reader that loaded a node just before it was evicted or
+// reset therefore still holds a whole, valid graph, and the only thing
+// it can do to the dead node is set a bit nobody reads.
 //
-// Everything that changes residency takes a shard lock: the cache is
-// split into cacheShards shards (by GraphID hash), each with its own
-// mutex, slice of the byte budget, ring of resident nodes, flight table
-// and load counters. Inserting (complete), replacing (materialized),
-// evicting, claiming a miss and reset all run under the lock of the
+// Everything that changes a slot takes a shard lock: the cache is split
+// into cacheShards shards (by GraphID hash), each with its own mutex,
+// slice of the byte budget, ring of resident nodes, flights and load
+// counters. Claiming a miss, inserting (complete), replacing
+// (materialized), evicting and reset all run under the lock of the
 // graph's shard, and every store to a slot happens there: under a
-// shard's lock its ring holds exactly the nodes its slots point to, and
-// used is the sum of their sizes.
+// shard's lock its ring holds exactly the resident nodes its slots
+// point to, and used is the sum of their sizes.
 //
 // Replacement keeps of LRU what a lock-free hit can afford to record:
 // one bit per entry, "used since the hand last passed". Only an insert
@@ -59,7 +62,10 @@ type decodedGraph interface {
 // claim an absent graph becomes its decode leader, and every other
 // goroutine that wants the same graph blocks on the leader's in-flight
 // decode instead of decoding a second copy — N concurrent requests for
-// one supernode trigger exactly one decode.
+// one supernode trigger exactly one decode. A claim is a store of
+// loading to the slot and allocates nothing; the flight a waiter blocks
+// on is made by the first goroutine that has to wait, and kept in its
+// shard's short list of waited flights until the leader completes.
 //
 // Counters: hits and misses are atomics, added by whoever did the
 // lookups (Out adds its whole call's at once, to one shard's pair, so
@@ -69,7 +75,7 @@ type decodedGraph interface {
 // locks. All are exact at quiescence: Hits+Misses is the number of
 // lookups made, Loads+Coalesced >= Misses.
 type graphCache struct {
-	slots  []atomic.Pointer[cacheNode] // indexed by GraphID; nil = not resident
+	slots  []atomic.Pointer[cacheNode] // indexed by GraphID; nil = absent, loading = being decoded
 	shards [cacheShards]cacheShard
 }
 
@@ -92,9 +98,10 @@ type cacheShard struct {
 	// the shard is empty. hand.prev is the newest.
 	hand     *cacheNode
 	resident int64
-	inflight map[GraphID]*inflightDecode
-	stats    CacheStats // Hits and Misses unused: see hits, misses
-	decoded  int64      // edges decoded since last reset
+	claimed  int64             // slots holding loading: decodes claimed, not yet completed
+	waited   []*inflightDecode // the flights, among those, that some goroutine waits on
+	stats    CacheStats        // Hits and Misses unused: see hits, misses
+	decoded  int64             // edges decoded since last reset
 
 	// Lookup outcomes reported to this shard (countLookups); not under mu.
 	hits, misses atomic.Int64
@@ -112,10 +119,18 @@ type cacheNode struct {
 	ref        atomic.Bool
 }
 
-// inflightDecode tracks one in-progress decode. g and err are written
-// by the leader before done is closed; waiters read them only after
-// <-done, so the channel close publishes them.
+// loading is what the slot of a claimed graph points to until its
+// leader completes. It holds no graph, so the lock-free lookup reads it
+// as a miss with the test it already makes; one node serves every slot,
+// so a claim allocates nothing.
+var loading = new(cacheNode)
+
+// inflightDecode is what the waiters of one in-progress decode block
+// on. The first of them makes it, under the shard lock; g and err are
+// written by the leader before done is closed, and waiters read them
+// only after <-done, so the channel close publishes them.
 type inflightDecode struct {
+	id   GraphID
 	done chan struct{}
 	g    decodedGraph
 	err  error
@@ -124,9 +139,6 @@ type inflightDecode struct {
 // newGraphCache makes a cache for graph IDs [0, graphs).
 func newGraphCache(budget int64, graphs int) *graphCache {
 	c := &graphCache{slots: make([]atomic.Pointer[cacheNode], graphs)}
-	for i := range c.shards {
-		c.shards[i].inflight = map[GraphID]*inflightDecode{}
-	}
 	c.setBudget(budget)
 	return c
 }
@@ -169,15 +181,20 @@ func shardBudget(budget int64, i int) int64 {
 // for it.
 func (c *graphCache) lookup(id GraphID) (decodedGraph, bool) {
 	n := c.slots[id].Load()
-	if n == nil {
+	if n == nil || n.g == nil {
 		return nil, false
 	}
+	return c.touch(n), true
+}
+
+// touch marks a resident node used and returns its graph.
+func (c *graphCache) touch(n *cacheNode) decodedGraph {
 	// Test before set: a hot entry's bit is nearly always set already,
 	// and a load leaves its cache line shared between cores.
 	if !n.ref.Load() {
 		n.ref.Store(true)
 	}
-	return n.g, true
+	return n.g
 }
 
 // countLookups records the outcomes of lookups made through lookup, on
@@ -223,20 +240,44 @@ func (c *graphCache) claimNoWait(id GraphID) (g decodedGraph, fl *inflightDecode
 	s := c.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if g, ok := c.lookup(id); ok {
+	switch n := c.slots[id].Load(); {
+	case n == nil:
+		c.claimLocked(s, id)
+		return nil, nil, true
+	case n == loading:
+		s.stats.Coalesced++
+		return nil, s.flightLocked(id), false
+	default:
 		// Resolved between the caller's miss and this claim by another
 		// goroutine's decode: counted as Coalesced so every miss is
 		// attributable to exactly one load, wait, or reuse (the
 		// Loads+Coalesced >= Misses reconciliation the metrics assert).
 		s.stats.Coalesced++
-		return g, nil, false
+		return c.touch(n), nil, false
 	}
-	if fl, ok := s.inflight[id]; ok {
-		s.stats.Coalesced++
-		return nil, fl, false
+}
+
+// claimLocked publishes that the caller is decoding id. Caller holds
+// s.mu and has seen the slot empty.
+func (c *graphCache) claimLocked(s *cacheShard, id GraphID) {
+	c.slots[id].Store(loading)
+	s.claimed++
+}
+
+// flightLocked returns the flight the waiters of id's in-progress
+// decode share, making it for the first of them. Few decodes are waited
+// on at once — at most one per goroutine inside the cache — so the list
+// is searched, not indexed. Caller holds s.mu and has seen the slot
+// loading.
+func (s *cacheShard) flightLocked(id GraphID) *inflightDecode {
+	for _, fl := range s.waited {
+		if fl.id == id {
+			return fl
+		}
 	}
-	s.inflight[id] = &inflightDecode{done: make(chan struct{})}
-	return nil, nil, true
+	fl := &inflightDecode{id: id, done: make(chan struct{})}
+	s.waited = append(s.waited, fl)
+	return fl
 }
 
 // claim is claimNoWait plus the plain blocking wait on another
@@ -259,7 +300,7 @@ func (c *graphCache) inflightCount() int64 {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		n += int64(len(s.inflight))
+		n += s.claimed
 		s.mu.Unlock()
 	}
 	return n
@@ -272,32 +313,49 @@ func (c *graphCache) tryClaim(id GraphID) (decodedGraph, int) {
 	s := c.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if g, ok := c.lookup(id); ok {
-		// As in claim: a miss resolved by another goroutine's completed
-		// decode counts as Coalesced.
-		s.stats.Coalesced++
-		return g, claimCached
-	}
-	if _, ok := s.inflight[id]; ok {
+	switch n := c.slots[id].Load(); {
+	case n == nil:
+		c.claimLocked(s, id)
+		return nil, claimLeader
+	case n == loading:
 		return nil, claimBusy
+	default:
+		// As in claimNoWait: a miss resolved by another goroutine's
+		// completed decode counts as Coalesced.
+		s.stats.Coalesced++
+		return c.touch(n), claimCached
 	}
-	s.inflight[id] = &inflightDecode{done: make(chan struct{})}
-	return nil, claimLeader
 }
 
-// complete finishes a claimed decode: on success the graph is inserted
+// complete finishes a claimed decode: on success the graph is admitted
 // (evicting by second chance to stay within the shard budget) and the
 // load counters — including the decoded-edge counter — are bumped under
-// the shard lock; either way, every goroutine blocked in claim is
-// released with the same result.
+// the shard lock; either way the slot stops saying loading, and every
+// goroutine waiting on the decode is released with the same result. A
+// completion of a graph nobody claimed changes nothing.
 func (c *graphCache) complete(id GraphID, g decodedGraph, kind uint8, err error) {
 	s := c.shard(id)
 	s.mu.Lock()
-	fl := s.inflight[id]
-	delete(s.inflight, id)
-	if err == nil {
-		c.insertLocked(s, id, g, kind)
+	if c.slots[id].Load() != loading {
+		s.mu.Unlock()
+		return
 	}
+	s.claimed--
+	var fl *inflightDecode
+	for i, w := range s.waited {
+		if w.id == id {
+			fl = w
+			last := len(s.waited) - 1
+			s.waited[i], s.waited[last] = s.waited[last], nil
+			s.waited = s.waited[:last]
+			break
+		}
+	}
+	var n *cacheNode
+	if err == nil {
+		n = c.admitLocked(s, id, g, kind)
+	}
+	c.slots[id].Store(n)
 	s.mu.Unlock()
 	if fl != nil {
 		fl.g, fl.err = g, err
@@ -305,13 +363,13 @@ func (c *graphCache) complete(id GraphID, g decodedGraph, kind uint8, err error)
 	}
 }
 
-// insertLocked counts and publishes a freshly decoded graph, evicting
-// to stay within the shard budget. Graphs larger than the budget are
-// admitted alone (the query could not run otherwise) and evicted on the
-// next insert. A new node starts unreferenced: its loader already holds
-// the graph, and only a later lookup earns it a second chance. Caller
-// holds s.mu.
-func (c *graphCache) insertLocked(s *cacheShard, id GraphID, g decodedGraph, kind uint8) {
+// admitLocked counts a freshly decoded graph and puts a node for it in
+// the ring, evicting to stay within the shard budget; the caller
+// publishes the node. Graphs larger than the budget are admitted alone
+// (the query could not run otherwise) and evicted on the next insert. A
+// new node starts unreferenced: its loader already holds the graph, and
+// only a later lookup earns it a second chance. Caller holds s.mu.
+func (c *graphCache) admitLocked(s *cacheShard, id GraphID, g decodedGraph, kind uint8) *cacheNode {
 	s.stats.Loads++
 	s.decoded += g.edgeCount()
 	if kind == kindIntra {
@@ -319,17 +377,12 @@ func (c *graphCache) insertLocked(s *cacheShard, id GraphID, g decodedGraph, kin
 	} else {
 		s.stats.SuperLoads++
 	}
-	if _, ok := c.lookup(id); ok {
-		// Already resident (a racing insert slipped in, e.g. a reset
-		// interleaved with this decode's claim): keep the existing entry.
-		return
-	}
 	n := &cacheNode{id: id, g: g, size: g.memSize()}
 	for s.used+n.size > s.budget && s.hand != nil {
 		c.evictLocked(s, nil)
 	}
 	s.link(n, s.hand)
-	c.slots[id].Store(n)
+	return n
 }
 
 // link puts n into the ring just before at — the newest place, when at
@@ -401,7 +454,7 @@ func (c *graphCache) materialized(id GraphID, from *superPosSources, to *decoded
 	s.decoded += to.edgeCount()
 	old := c.slots[id].Load()
 	if old == nil || old.g != decodedGraph(from) {
-		return
+		return // absent, being decoded again, or already replaced
 	}
 	n := &cacheNode{id: id, g: to, size: to.memSize()}
 	n.ref.Store(true)
@@ -494,9 +547,9 @@ func (s *cacheShard) resetStatsLocked() {
 // reset empties the cache and re-divides a new budget (used between
 // buffer-size sweep points). Each shard's slots are cleared under its
 // lock, by walking its ring, so no slot is left pointing at a node the
-// shard no longer accounts for. In-flight decodes are retained: their
-// leaders will complete into the fresh state, and their waiters are
-// still released.
+// shard no longer accounts for. In-flight decodes are retained — a
+// slot that says loading is in no ring — so their leaders complete into
+// the fresh state, and their waiters are still released.
 func (c *graphCache) reset(budget int64) {
 	for i := range c.shards {
 		s := &c.shards[i]

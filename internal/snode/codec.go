@@ -30,8 +30,10 @@ import (
 // Codec encodes and decodes the three payload kinds over local ID
 // spaces. Encoders append to dst and return the extended slice; decoders
 // must validate that every produced local ID lies inside its bound and
-// reject corrupt input with an error (never panic). Decode results are
-// immutable once returned (they are shared through the graph cache).
+// reject corrupt input with an error (never panic). Every decoder
+// returns its lists as one refenc.Lists — an offsets array and an ID
+// array, nothing per list — and decode results are immutable once
+// returned (they are shared through the graph cache).
 //
 // Encode methods take the build's refenc.Options; only codec/paper
 // consults it (reference window, gap code), the others ignore it. Decode
@@ -61,7 +63,7 @@ type Codec interface {
 	// are strictly increasing in [0, niSize), so a decoder sizes their
 	// slice by the smaller of numSrcs and niSize.
 	DecodeSuperPosSources(buf []byte, numSrcs int, niSize int32) ([]int32, encodedLists, error)
-	DecodeSuperPosLists(enc encodedLists, numSrcs int, njSize int32) ([][]int32, error)
+	DecodeSuperPosLists(enc encodedLists, numSrcs int, njSize int32) (refenc.Lists, error)
 
 	// EncodeSuperNeg appends a negative superedge graph: lists[k] is the
 	// COMPLEMENT of the k-th Ni page's targets within Nj (so a page with
@@ -135,24 +137,14 @@ func CodecNames() []string {
 
 // decodedIntra is the in-memory form of an intranode graph.
 type decodedIntra struct {
-	lists [][]int32
+	lists refenc.Lists
 }
 
-func (g *decodedIntra) edgeCount() int64 {
-	var n int64
-	for _, l := range g.lists {
-		n += int64(len(l))
-	}
-	return n
-}
+func (g *decodedIntra) edgeCount() int64 { return int64(len(g.lists.IDs)) }
 
-func (g *decodedIntra) memSize() int64 {
-	n := int64(len(g.lists)) * 24
-	for _, l := range g.lists {
-		n += int64(len(l)) * 4
-	}
-	return n
-}
+// memSize, here and below, is what the graph's arrays occupy — their
+// capacity, which for everything a decoder returns is their length.
+func (g *decodedIntra) memSize() int64 { return g.lists.MemSize() }
 
 // encodedLists is the still-encoded list section of a superPos payload:
 // the payload from the byte holding the section's first bit, and that
@@ -212,30 +204,20 @@ func findSource(srcs []int32, srcLocal int32) int {
 // decodedSuperPos is the in-memory form of a positive superedge graph.
 type decodedSuperPos struct {
 	srcs  []int32 // sorted local Ni IDs
-	lists [][]int32
+	lists refenc.Lists
 }
 
-func (g *decodedSuperPos) edgeCount() int64 {
-	var n int64
-	for _, l := range g.lists {
-		n += int64(len(l))
-	}
-	return n
-}
+func (g *decodedSuperPos) edgeCount() int64 { return int64(len(g.lists.IDs)) }
 
 func (g *decodedSuperPos) memSize() int64 {
-	n := int64(len(g.srcs))*4 + int64(len(g.lists))*24
-	for _, l := range g.lists {
-		n += int64(len(l)) * 4
-	}
-	return n
+	return int64(cap(g.srcs))*4 + g.lists.MemSize()
 }
 
 // targetsOf returns the local Nj targets of the given local Ni source
 // (nil if the source has none).
 func (g *decodedSuperPos) targetsOf(srcLocal int32) []int32 {
 	if k := findSource(g.srcs, srcLocal); k >= 0 {
-		return g.lists[k]
+		return g.lists.At(k)
 	}
 	return nil
 }
@@ -262,7 +244,9 @@ func newSuperPosSources(cd Codec, buf []byte, numSrcs int, niSize, njSize int32)
 	if err != nil {
 		return nil, err
 	}
-	enc.buf = append([]byte(nil), enc.buf...)
+	own := make([]byte, len(enc.buf))
+	copy(own, enc.buf)
+	enc.buf = own
 	return &superPosSources{srcs: srcs, enc: enc, codec: cd, njSize: njSize}, nil
 }
 
@@ -271,7 +255,7 @@ func newSuperPosSources(cd Codec, buf []byte, numSrcs int, niSize, njSize int32)
 func (g *superPosSources) edgeCount() int64 { return 0 }
 
 func (g *superPosSources) memSize() int64 {
-	return int64(len(g.srcs))*4 + int64(len(g.enc.buf)) + 64 // + the struct itself
+	return int64(cap(g.srcs))*4 + int64(cap(g.enc.buf)) + 64 // + the struct itself
 }
 
 // materialize decodes the lists. The result shares g's sources.
@@ -287,30 +271,18 @@ func (g *superPosSources) materialize() (*decodedSuperPos, error) {
 // materialized lazily so dense blocks never explode the cache.
 type decodedSuperNeg struct {
 	njSize int32
-	lists  [][]int32 // complements, one per page of Ni
+	lists  refenc.Lists // complements, one per page of Ni
 }
 
-func (g *decodedSuperNeg) edgeCount() int64 {
-	var n int64
-	for _, l := range g.lists {
-		n += int64(len(l))
-	}
-	return n
-}
+func (g *decodedSuperNeg) edgeCount() int64 { return int64(len(g.lists.IDs)) }
 
-func (g *decodedSuperNeg) memSize() int64 {
-	n := int64(len(g.lists)) * 24
-	for _, l := range g.lists {
-		n += int64(len(l)) * 4
-	}
-	return n + 8
-}
+func (g *decodedSuperNeg) memSize() int64 { return g.lists.MemSize() + 8 }
 
 // appendTargets appends the positive local Nj targets of the given Ni
 // local source to dst: every local ID in [0, njSize) not present in the
 // complement list.
 func (g *decodedSuperNeg) appendTargets(srcLocal int32, dst []int32) []int32 {
-	comp := g.lists[srcLocal]
+	comp := g.lists.At(int(srcLocal))
 	next := int32(0)
 	for _, c := range comp {
 		for ; next < c; next++ {
@@ -328,12 +300,10 @@ func (g *decodedSuperNeg) appendTargets(srcLocal int32, dst []int32) []int32 {
 // Production decode paths validate inline (fused into each codec's
 // decode loop); this remains as the oracle the fuzz and corruption
 // tests compare the fused checks against.
-func checkLocalIDs(lists [][]int32, bound int32) error {
-	for _, l := range lists {
-		for _, v := range l {
-			if v < 0 || v >= bound {
-				return fmt.Errorf("local id %d outside [0,%d)", v, bound)
-			}
+func checkLocalIDs(ids []int32, bound int32) error {
+	for _, v := range ids {
+		if v < 0 || v >= bound {
+			return fmt.Errorf("local id %d outside [0,%d)", v, bound)
 		}
 	}
 	return nil

@@ -71,7 +71,7 @@ func logWriteRun(w *bitio.Writer, list []int32, bound int64) {
 	}
 }
 
-// logReadRun decodes n values of one run into the arena, validating
+// logReadRun appends the n values of one run to vals, validating
 // every value against [0, bound). A hostile n cannot make the widths
 // misbehave: n > bound gives a zero-width first value and the
 // strictly-increasing accumulation errors before `bound` appends.
@@ -118,33 +118,28 @@ func logEncodeLists(w *bitio.Writer, lists [][]int32, bound int64) {
 	}
 }
 
-// logDecodeLists decodes numLists lists under bound from r into a flat
-// arena, returning slices of it.
-func logDecodeLists(r *bitio.Reader, numLists int, bound int64, vals []int32) ([][]int32, []int32, error) {
-	offs := make([]int32, numLists+1)
-	offs[0] = int32(len(vals))
+// logDecodeLists decodes numLists lists under bound from r.
+func logDecodeLists(r *bitio.Reader, numLists int, bound int64) (refenc.Lists, error) {
+	b := refenc.NewBuilder(numLists)
 	for i := 0; i < numLists; i++ {
 		deg, err := coding.ReadGamma0(r)
 		if err != nil {
-			return nil, vals, err
+			return refenc.Lists{}, err
 		}
 		if deg > uint64(maxMetaElems) {
-			return nil, vals, fmt.Errorf("snode/log: list %d claims %d values", i, deg)
+			return refenc.Lists{}, fmt.Errorf("snode/log: list %d claims %d values", i, deg)
 		}
 		// A hostile degree cannot run away even at gap width 0: values
 		// are strictly increasing and validated < bound, so the run loop
 		// errors after at most `bound` appends.
-		vals, err = logReadRun(r, int(deg), bound, vals)
-		if err != nil {
-			return nil, vals, err
+		if b.IDs, err = logReadRun(r, int(deg), bound, b.IDs); err != nil {
+			return refenc.Lists{}, err
 		}
-		offs[i+1] = int32(len(vals))
+		if err := b.End(); err != nil {
+			return refenc.Lists{}, err
+		}
 	}
-	out := make([][]int32, numLists)
-	for i := range out {
-		out[i] = vals[offs[i]:offs[i+1]:offs[i+1]]
-	}
-	return out, vals, nil
+	return b.Lists(), nil
 }
 
 func logEncode(dst []byte, fill func(w *bitio.Writer)) []byte {
@@ -164,7 +159,7 @@ func (logCodec) EncodeIntra(dst []byte, lists [][]int32, _ refenc.Options) ([]by
 
 func (logCodec) DecodeIntra(buf []byte, numLists int) (*decodedIntra, error) {
 	r := bitio.NewByteReader(buf)
-	lists, _, err := logDecodeLists(r, numLists, int64(numLists), make([]int32, 0, 2*len(buf)))
+	lists, err := logDecodeLists(r, numLists, int64(numLists))
 	if err != nil {
 		return nil, fmt.Errorf("snode: intranode decode: %w", err)
 	}
@@ -192,10 +187,10 @@ func (logCodec) DecodeSuperPosSources(buf []byte, numSrcs int, niSize int32) ([]
 	return srcs, listsAfter(buf, r), nil
 }
 
-func (logCodec) DecodeSuperPosLists(enc encodedLists, numSrcs int, njSize int32) ([][]int32, error) {
-	lists, _, err := logDecodeLists(enc.reader(), numSrcs, int64(njSize), make([]int32, 0, 2*len(enc.buf)))
+func (logCodec) DecodeSuperPosLists(enc encodedLists, numSrcs int, njSize int32) (refenc.Lists, error) {
+	lists, err := logDecodeLists(enc.reader(), numSrcs, int64(njSize))
 	if err != nil {
-		return nil, fmt.Errorf("snode: superPos lists: %w", err)
+		return refenc.Lists{}, fmt.Errorf("snode: superPos lists: %w", err)
 	}
 	return lists, nil
 }
@@ -208,7 +203,7 @@ func (logCodec) EncodeSuperNeg(dst []byte, complements [][]int32, njSize int32, 
 
 func (logCodec) DecodeSuperNeg(buf []byte, numLists int, njSize int32) (*decodedSuperNeg, error) {
 	r := bitio.NewByteReader(buf)
-	lists, _, err := logDecodeLists(r, numLists, int64(njSize), make([]int32, 0, 2*len(buf)))
+	lists, err := logDecodeLists(r, numLists, int64(njSize))
 	if err != nil {
 		return nil, fmt.Errorf("snode: superNeg decode: %w", err)
 	}

@@ -78,13 +78,10 @@ func lzEncodeLists(dst []byte, lists [][]int32) []byte {
 	return dst
 }
 
-// lzDecoder decodes lists into one flat arena so a whole payload costs
-// O(log(edges)) slice growths instead of one allocation per list.
+// lzDecoder reads uvarints off a payload.
 type lzDecoder struct {
-	buf  []byte
-	pos  int
-	vals []int32
-	offs []int32
+	buf []byte
+	pos int
 }
 
 func (d *lzDecoder) uvarint() (uint64, error) {
@@ -96,16 +93,16 @@ func (d *lzDecoder) uvarint() (uint64, error) {
 	return v, nil
 }
 
-// run appends n gap-decoded values starting after last, each validated
-// against [0, bound).
-func (d *lzDecoder) run(n int, last int64, bound int64) error {
+// run appends to vals n gap-decoded values starting after last, each
+// validated against [0, bound).
+func (d *lzDecoder) run(vals []int32, n int, last int64, bound int64) ([]int32, error) {
 	for ; n > 0; n-- {
 		g, err := d.uvarint()
 		if err != nil {
-			return err
+			return vals, err
 		}
 		if g == 0 {
-			return fmt.Errorf("snode/lz: zero gap at byte %d", d.pos)
+			return vals, fmt.Errorf("snode/lz: zero gap at byte %d", d.pos)
 		}
 		// A hostile gap can make int64(g) negative (g >= 2^63) or wrap
 		// last+int64(g) past MaxInt64; both land below zero (the one
@@ -113,53 +110,50 @@ func (d *lzDecoder) run(n int, last int64, bound int64) error {
 		// MaxInt64), so nv < 0 || nv >= bound rejects every corrupt gap.
 		nv := last + int64(g)
 		if nv < 0 || nv >= bound {
-			return fmt.Errorf("snode/lz: gap %d at byte %d escapes [0,%d)", g, d.pos, bound)
+			return vals, fmt.Errorf("snode/lz: gap %d at byte %d escapes [0,%d)", g, d.pos, bound)
 		}
-		d.vals = append(d.vals, int32(nv))
+		vals = append(vals, int32(nv))
 		last = nv
 	}
-	return nil
+	return vals, nil
 }
 
-// lists decodes numLists lists under bound and returns them as slices of
-// the shared arena.
-func (d *lzDecoder) lists(numLists int, bound int64) ([][]int32, error) {
-	d.offs = append(d.offs, int32(len(d.vals)))
-	prevStart, prevLen := 0, 0
+// lists decodes numLists lists under bound.
+func (d *lzDecoder) lists(numLists int, bound int64) (refenc.Lists, error) {
+	b := refenc.NewBuilder(numLists)
+	var prev []int32 // the last non-empty list
 	for i := 0; i < numLists; i++ {
 		p, err := d.uvarint()
 		if err != nil {
-			return nil, err
+			return refenc.Lists{}, err
 		}
-		if p > uint64(prevLen) {
-			return nil, fmt.Errorf("snode/lz: list %d copies %d of a %d-entry prefix", i, p, prevLen)
+		if p > uint64(len(prev)) {
+			return refenc.Lists{}, fmt.Errorf("snode/lz: list %d copies %d of a %d-entry prefix", i, p, len(prev))
 		}
 		l, err := d.uvarint()
 		if err != nil {
-			return nil, err
+			return refenc.Lists{}, err
 		}
 		if l > uint64(maxMetaElems) {
-			return nil, fmt.Errorf("snode/lz: list %d claims %d values", i, l)
+			return refenc.Lists{}, fmt.Errorf("snode/lz: list %d claims %d values", i, l)
 		}
-		start := len(d.vals)
-		d.vals = append(d.vals, d.vals[prevStart:prevStart+int(p)]...)
+		start := len(b.IDs)
+		b.IDs = append(b.IDs, prev[:p]...)
 		last := int64(-1)
 		if p > 0 {
-			last = int64(d.vals[start+int(p)-1])
+			last = int64(prev[p-1])
 		}
-		if err := d.run(int(l), last, bound); err != nil {
-			return nil, err
+		if b.IDs, err = d.run(b.IDs, int(l), last, bound); err != nil {
+			return refenc.Lists{}, err
 		}
-		if len(d.vals) > start {
-			prevStart, prevLen = start, len(d.vals)-start
+		if len(b.IDs) > start {
+			prev = b.IDs[start:]
 		}
-		d.offs = append(d.offs, int32(len(d.vals)))
+		if err := b.End(); err != nil {
+			return refenc.Lists{}, err
+		}
 	}
-	out := make([][]int32, numLists)
-	for i := range out {
-		out[i] = d.vals[d.offs[i]:d.offs[i+1]:d.offs[i+1]]
-	}
-	return out, nil
+	return b.Lists(), nil
 }
 
 func (lzCodec) EncodeIntra(dst []byte, lists [][]int32, _ refenc.Options) ([]byte, error) {
@@ -167,7 +161,7 @@ func (lzCodec) EncodeIntra(dst []byte, lists [][]int32, _ refenc.Options) ([]byt
 }
 
 func (lzCodec) DecodeIntra(buf []byte, numLists int) (*decodedIntra, error) {
-	d := lzDecoder{buf: buf, vals: make([]int32, 0, len(buf)), offs: make([]int32, 0, numLists+1)}
+	d := lzDecoder{buf: buf}
 	lists, err := d.lists(numLists, int64(numLists))
 	if err != nil {
 		return nil, fmt.Errorf("snode: intranode decode: %w", err)
@@ -184,18 +178,19 @@ func (lzCodec) EncodeSuperPos(dst []byte, srcs []int32, lists [][]int32, niSize,
 }
 
 func (lzCodec) DecodeSuperPosSources(buf []byte, numSrcs int, niSize int32) ([]int32, encodedLists, error) {
-	d := lzDecoder{buf: buf, vals: make([]int32, 0, min(numSrcs, int(niSize)))}
-	if err := d.run(numSrcs, -1, int64(niSize)); err != nil {
+	d := lzDecoder{buf: buf}
+	srcs, err := d.run(make([]int32, 0, min(numSrcs, int(niSize))), numSrcs, -1, int64(niSize))
+	if err != nil {
 		return nil, encodedLists{}, fmt.Errorf("snode: superPos sources: %w", err)
 	}
-	return d.vals, encodedLists{buf: buf[d.pos:]}, nil
+	return srcs, encodedLists{buf: buf[d.pos:]}, nil
 }
 
-func (lzCodec) DecodeSuperPosLists(enc encodedLists, numSrcs int, njSize int32) ([][]int32, error) {
-	d := lzDecoder{buf: enc.buf, vals: make([]int32, 0, len(enc.buf)), offs: make([]int32, 0, numSrcs+1)}
+func (lzCodec) DecodeSuperPosLists(enc encodedLists, numSrcs int, njSize int32) (refenc.Lists, error) {
+	d := lzDecoder{buf: enc.buf}
 	lists, err := d.lists(numSrcs, int64(njSize))
 	if err != nil {
-		return nil, fmt.Errorf("snode: superPos lists: %w", err)
+		return refenc.Lists{}, fmt.Errorf("snode: superPos lists: %w", err)
 	}
 	return lists, nil
 }
@@ -205,7 +200,7 @@ func (lzCodec) EncodeSuperNeg(dst []byte, complements [][]int32, njSize int32, _
 }
 
 func (lzCodec) DecodeSuperNeg(buf []byte, numLists int, njSize int32) (*decodedSuperNeg, error) {
-	d := lzDecoder{buf: buf, vals: make([]int32, 0, len(buf)), offs: make([]int32, 0, numLists+1)}
+	d := lzDecoder{buf: buf}
 	lists, err := d.lists(numLists, int64(njSize))
 	if err != nil {
 		return nil, fmt.Errorf("snode: superNeg decode: %w", err)

@@ -78,10 +78,10 @@ func (paperCodec) DecodeSuperPosSources(buf []byte, numSrcs int, niSize int32) (
 	return srcs, listsAfter(buf, r), nil
 }
 
-func (paperCodec) DecodeSuperPosLists(enc encodedLists, numSrcs int, njSize int32) ([][]int32, error) {
+func (paperCodec) DecodeSuperPosLists(enc encodedLists, numSrcs int, njSize int32) (refenc.Lists, error) {
 	lists, err := refenc.DecodeListsBounded(enc.reader(), numSrcs, uint64(njSize))
 	if err != nil {
-		return nil, fmt.Errorf("snode: superPos lists: %w", err)
+		return refenc.Lists{}, fmt.Errorf("snode: superPos lists: %w", err)
 	}
 	return lists, nil
 }

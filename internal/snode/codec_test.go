@@ -57,7 +57,7 @@ func TestCodecRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: decode intra: %v", name, err)
 				}
-				if !listsEqual(gi.lists, lists) {
+				if !listsEqual(rows(gi.lists), lists) {
 					t.Fatalf("%s: intra round trip mismatch", name)
 				}
 
@@ -75,7 +75,7 @@ func TestCodecRoundTrip(t *testing.T) {
 				if !reflect.DeepEqual(append([]int32{}, gp.srcs...), append([]int32{}, srcs...)) {
 					t.Fatalf("%s: superPos srcs mismatch: %v vs %v", name, gp.srcs, srcs)
 				}
-				if !listsEqual(gp.lists, nonEmpty) {
+				if !listsEqual(rows(gp.lists), nonEmpty) {
 					t.Fatalf("%s: superPos lists mismatch", name)
 				}
 
@@ -87,12 +87,21 @@ func TestCodecRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: decode superNeg: %v", name, err)
 				}
-				if !listsEqual(gn.lists, tl) {
+				if !listsEqual(rows(gn.lists), tl) {
 					t.Fatalf("%s: superNeg round trip mismatch", name)
 				}
 			}
 		}
 	}
+}
+
+// rows spells a decoded list set out as the [][]int32 the encoders take.
+func rows(l refenc.Lists) [][]int32 {
+	out := make([][]int32, l.Len())
+	for i := range out {
+		out[i] = l.At(i)
+	}
+	return out
 }
 
 func listsEqual(a, b [][]int32) bool {
@@ -294,24 +303,23 @@ func tryOpenAndReadChecked(t *testing.T, dir string, tag string) {
 		}
 		switch sg := g.(type) {
 		case *decodedIntra:
-			if err := checkLocalIDs(sg.lists, e.NumLists); err != nil {
+			if err := checkLocalIDs(sg.lists.IDs, e.NumLists); err != nil {
 				t.Fatalf("%s: graph %d: %v", tag, gid, err)
 			}
 		case *decodedSuperPos:
 			niSize := rep.m.SnBase[e.I+1] - rep.m.SnBase[e.I]
 			njSize := rep.m.SnBase[e.J+1] - rep.m.SnBase[e.J]
-			if err := checkLocalIDs([][]int32{sg.srcs}, niSize); err != nil {
+			if err := checkLocalIDs(sg.srcs, niSize); err != nil {
 				t.Fatalf("%s: graph %d srcs: %v", tag, gid, err)
 			}
-			if err := checkLocalIDs(sg.lists, njSize); err != nil {
+			if err := checkLocalIDs(sg.lists.IDs, njSize); err != nil {
 				t.Fatalf("%s: graph %d lists: %v", tag, gid, err)
 			}
 		case *decodedSuperNeg:
 			njSize := rep.m.SnBase[e.J+1] - rep.m.SnBase[e.J]
-			if err := checkLocalIDs(sg.lists, njSize); err != nil {
+			if err := checkLocalIDs(sg.lists.IDs, njSize); err != nil {
 				t.Fatalf("%s: graph %d: %v", tag, gid, err)
 			}
 		}
 	}
 }
-

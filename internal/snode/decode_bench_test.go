@@ -6,16 +6,16 @@ import (
 	"testing"
 
 	"snode/internal/iosim"
+	"snode/internal/raceflag"
 )
 
 // Decode hot-path guards, wired into `make check-overhead`.
 //
-// Every codec decodes a whole graph into arenas, so the allocation
-// count must not grow with the number of lists — a per-list or per-edge
-// allocation regression trips the budget immediately. lz and log use
-// one arena per graph, a constant; the paper codec's refenc decoder
-// cuts its lists from chunks of up to 4096 IDs and grows its per-list
-// scratch by doubling, a constant plus one allocation per chunk.
+// Every codec decodes a whole graph into one refenc.Lists, so a decode
+// allocates what it returns — the offsets, the IDs, the graph's struct,
+// and for a positive superedge graph its sources — whatever the number
+// of lists or edges: a per-list, per-chunk or per-edge allocation trips
+// the budget immediately.
 
 // decodeSamples returns, per payload kind, the largest graph of that
 // kind with its raw payload bytes.
@@ -61,15 +61,12 @@ func TestDecodeHotPathAllocs(t *testing.T) {
 						t.Fatal(err)
 					}
 				})
-				// Under -codec auto the winner varies per entry, so key
-				// off the entry's recorded codec.
-				budget := 16.0
-				if e.Codec == codecIDPaper {
-					g, err := r.decodePayload(e, buf)
-					if err != nil {
-						t.Fatal(err)
-					}
-					budget = 24 + float64(g.edgeCount())/1024
+				budget := 3.0
+				if kind == kindSuperPos {
+					budget = 4
+				}
+				if raceflag.Enabled {
+					budget += 24 // the scratch pool forgets under the race detector
 				}
 				if allocs > budget {
 					t.Errorf("%s kind %d (%d lists, %d bytes): %.0f allocs/decode, budget %.0f",

@@ -57,7 +57,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s: decode intra: %v", cd.Name(), err)
 			}
-			if !listsEqual(gi.lists, intra) {
+			if !listsEqual(rows(gi.lists), intra) {
 				t.Fatalf("%s: intra round trip mismatch", cd.Name())
 			}
 
@@ -69,7 +69,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s: decode superPos: %v", cd.Name(), err)
 			}
-			if !listsEqual(gp.lists, nonEmpty) || len(gp.srcs) != len(srcs) {
+			if !listsEqual(rows(gp.lists), nonEmpty) || len(gp.srcs) != len(srcs) {
 				t.Fatalf("%s: superPos round trip mismatch", cd.Name())
 			}
 			for i := range srcs {
@@ -86,16 +86,36 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s: decode superNeg: %v", cd.Name(), err)
 			}
-			if !listsEqual(gn.lists, lists) {
+			if !listsEqual(rows(gn.lists), lists) {
 				t.Fatalf("%s: superNeg round trip mismatch", cd.Name())
 			}
 		}
 	})
 }
 
+// seedSink is what the seed builders below need of a *testing.F, so that
+// TestHostileVerdictsEqualParents can collect the same seeds.
+type seedSink interface {
+	Add(args ...any)
+	Fatal(args ...any)
+}
+
+// hostileSeeds adds the whole committed corpus of FuzzDecodeHostile.
+func hostileSeeds(f seedSink) {
+	for _, cd := range codecTable {
+		for _, kind := range []uint8{kindIntra, kindSuperPos, kindSuperNeg} {
+			hostileSeed(f, cd, kind)
+		}
+	}
+	overflowSeeds(f)
+	hugeCountSeeds(f)
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), []byte{})
+	f.Add(uint8(2), uint8(1), uint8(255), uint8(255), []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+}
+
 // hostileSeed builds a valid encoding so the fuzzer starts from
 // structurally interesting bytes rather than pure noise.
-func hostileSeed(f *testing.F, cd Codec, kind uint8) {
+func hostileSeed(f seedSink, cd Codec, kind uint8) {
 	opt := refenc.Options{Window: refenc.DefaultWindow}
 	// Seven lists over [0,7): a valid shape for all three kinds (intra
 	// lists live in [0, len(lists))).
@@ -125,7 +145,7 @@ func hostileSeed(f *testing.F, cd Codec, kind uint8) {
 // truncation emits an in-range-looking local ID (e.g. [0 5] under bound
 // 1). Committed as f.Add seeds so plain `go test` — the test-codec gate
 // — replays them against the bounds oracle on every run.
-func overflowSeeds(f *testing.F) {
+func overflowSeeds(f seedSink) {
 	const hugeGap = uint64(1)<<63 + 5
 
 	// codec/lz superNeg: one list under bound 1 — p=0, l=2, gaps {1, 2^63+5}.
@@ -165,7 +185,7 @@ func overflowSeeds(f *testing.F) {
 // passed the j < 0 check and indexed lists[2] of a one-list graph (a
 // panic); a degree of 2^63 turned negative, skipped the run loop and
 // came back as a one-value list (a silent success).
-func hugeCountSeeds(f *testing.F) {
+func hugeCountSeeds(f seedSink) {
 	header := func() *bitio.Writer {
 		w := bitio.NewWriter(0)
 		w.WriteBit(0)                           // window strategy
@@ -199,15 +219,7 @@ func hugeCountSeeds(f *testing.F) {
 // emitted local ID inside its declared space (checkLocalIDs is the
 // oracle for the fused bounds checks).
 func FuzzDecodeHostile(f *testing.F) {
-	for _, cd := range codecTable {
-		for _, kind := range []uint8{kindIntra, kindSuperPos, kindSuperNeg} {
-			hostileSeed(f, cd, kind)
-		}
-	}
-	overflowSeeds(f)
-	hugeCountSeeds(f)
-	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), []byte{})
-	f.Add(uint8(2), uint8(1), uint8(255), uint8(255), []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	hostileSeeds(f)
 	f.Fuzz(func(t *testing.T, id, kind, nl, sz uint8, blob []byte) {
 		cd := codecTable[int(id)%numCodecs]
 		numLists := int(nl)%128 + 1
@@ -216,17 +228,17 @@ func FuzzDecodeHostile(f *testing.F) {
 		case kindIntra:
 			g, err := cd.DecodeIntra(blob, numLists)
 			if err == nil {
-				if oerr := checkLocalIDs(g.lists, int32(numLists)); oerr != nil {
+				if oerr := checkLocalIDs(g.lists.IDs, int32(numLists)); oerr != nil {
 					t.Fatalf("%s: intra decode accepted out-of-bounds IDs: %v", cd.Name(), oerr)
 				}
 			}
 		case kindSuperPos:
 			g, err := decodeSuperPos(cd, blob, numLists, int32(numLists), size)
 			if err == nil {
-				if oerr := checkLocalIDs([][]int32{g.srcs}, int32(numLists)); oerr != nil {
+				if oerr := checkLocalIDs(g.srcs, int32(numLists)); oerr != nil {
 					t.Fatalf("%s: superPos srcs out of bounds: %v", cd.Name(), oerr)
 				}
-				if oerr := checkLocalIDs(g.lists, size); oerr != nil {
+				if oerr := checkLocalIDs(g.lists.IDs, size); oerr != nil {
 					t.Fatalf("%s: superPos lists out of bounds: %v", cd.Name(), oerr)
 				}
 			}
@@ -241,13 +253,13 @@ func FuzzDecodeHostile(f *testing.F) {
 			if (err == nil) != (serr == nil) {
 				t.Fatalf("%s: one-shot superPos decode: %v; sources then lists: %v", cd.Name(), err, serr)
 			}
-			if err == nil && (!slices.Equal(full.srcs, g.srcs) || !listsEqual(full.lists, g.lists)) {
+			if err == nil && (!slices.Equal(full.srcs, g.srcs) || !listsEqual(rows(full.lists), rows(g.lists))) {
 				t.Fatalf("%s: sources then lists decoded %v %v, one-shot %v %v", cd.Name(), full.srcs, full.lists, g.srcs, g.lists)
 			}
 		default:
 			g, err := cd.DecodeSuperNeg(blob, numLists, size)
 			if err == nil {
-				if oerr := checkLocalIDs(g.lists, size); oerr != nil {
+				if oerr := checkLocalIDs(g.lists.IDs, size); oerr != nil {
 					t.Fatalf("%s: superNeg decode accepted out-of-bounds IDs: %v", cd.Name(), oerr)
 				}
 			}

@@ -630,7 +630,7 @@ func (r *Representation) OutFilteredCtx(ctx context.Context, p webgraph.PageID, 
 		from := len(buf)
 		switch sg := g.(type) {
 		case *decodedIntra:
-			buf = append(buf, sg.lists[local]...)
+			buf = append(buf, sg.lists.At(int(local))...)
 		case *decodedSuperPos:
 			buf = append(buf, sg.targetsOf(local)...)
 		case *superPosSources:
@@ -642,7 +642,7 @@ func (r *Representation) OutFilteredCtx(ctx context.Context, p webgraph.PageID, 
 					firstErr = err
 					return
 				}
-				buf = append(buf, full.lists[k]...)
+				buf = append(buf, full.lists.At(k)...)
 			}
 		case *decodedSuperNeg:
 			buf = sg.appendTargets(local, buf)
@@ -897,8 +897,8 @@ func (r *Representation) Verify() error {
 			return fmt.Errorf("snode: intranode pointer of %d resolves to a superedge graph", s)
 		}
 		size := r.m.SnBase[s+1] - r.m.SnBase[s]
-		if int32(len(ig.lists)) != size {
-			return fmt.Errorf("snode: intranode %d has %d lists for %d pages", s, len(ig.lists), size)
+		if int32(ig.lists.Len()) != size {
+			return fmt.Errorf("snode: intranode %d has %d lists for %d pages", s, ig.lists.Len(), size)
 		}
 		edges += ig.edgeCount()
 		for k := r.m.SuperOff[s]; k < r.m.SuperOff[s+1]; k++ {

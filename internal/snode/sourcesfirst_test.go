@@ -10,6 +10,7 @@ import (
 
 	"snode/internal/iosim"
 	"snode/internal/randutil"
+	"snode/internal/refenc"
 	"snode/internal/store"
 	"snode/internal/synth"
 	"snode/internal/webgraph"
@@ -226,9 +227,9 @@ func sourcesEntry(nSrcs, encBytes int) *superPosSources {
 }
 
 func wholeEntry(from *superPosSources, edgesPerList int) *decodedSuperPos {
-	lists := make([][]int32, len(from.srcs))
-	for i := range lists {
-		lists[i] = make([]int32, edgesPerList)
+	lists := refenc.Lists{Off: make([]int32, len(from.srcs)+1), IDs: make([]int32, len(from.srcs)*edgesPerList)}
+	for i := range lists.Off {
+		lists.Off[i] = int32(i * edgesPerList)
 	}
 	return &decodedSuperPos{srcs: from.srcs, lists: lists}
 }
@@ -286,7 +287,7 @@ func TestMaterializedReplacesAndReaccounts(t *testing.T) {
 
 	// Growth past the budget evicts by second chance: a is the oldest
 	// and untouched (b was touched by get, x is what grew).
-	xFull := wholeEntry(x, 80) // 10 lists of 80 edges: 3480 of the shard's 4000 bytes
+	xFull := wholeEntry(x, 85) // 10 lists of 85 edges: 3484 of the shard's 4000 bytes
 	c.materialized(ids[2], x, xFull)
 	checkShardInvariants(t, c)
 	if _, ok := c.get(ids[0]); ok {
@@ -365,14 +366,14 @@ func TestMaterializedUnderConcurrency(t *testing.T) {
 // neighbour the growth evicted under the readers' feet. Run under -race
 // this is what keeps a write to a published node out of the cache.
 func TestMaterializedRacesLockFreeReaders(t *testing.T) {
-	const readers, edgesPerList = 4, 80
+	const readers, edgesPerList = 4, 85
 	c, target, ids := oneShardCache(4000, 2)
 	for round := 0; round < 200; round++ {
 		c.reset(int64(cacheShards) * 4000)
 		putGraph(t, c, ids[0], 600) // evicted when the graph beside it grows
 		from := sourcesEntry(10, 200)
 		insertEntry(t, c, ids[1], from)
-		to := wholeEntry(from, edgesPerList) // 3480 of the shard's 4000 bytes
+		to := wholeEntry(from, edgesPerList) // 3484 of the shard's 4000 bytes
 
 		var wg sync.WaitGroup
 		for w := 0; w < readers; w++ {
@@ -393,7 +394,7 @@ func TestMaterializedRacesLockFreeReaders(t *testing.T) {
 							return
 						}
 					case *decodedSuperPos:
-						if sg != to || len(sg.lists) != len(sg.srcs) || len(sg.lists[len(sg.lists)-1]) != edgesPerList {
+						if sg != to || sg.lists.Len() != len(sg.srcs) || len(sg.lists.At(sg.lists.Len()-1)) != edgesPerList {
 							t.Error("lookup returned a torn materialized graph")
 						}
 						return // seen the replacement: done
@@ -576,7 +577,7 @@ func TestSourcesOnlyEntryOwnsItsBytes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("graph %d: materialize after its read buffer was reused: %v", gid, err)
 		}
-		if !slices.Equal(got.srcs, want.(*decodedSuperPos).srcs) || !listsEqual(got.lists, want.(*decodedSuperPos).lists) {
+		if !slices.Equal(got.srcs, want.(*decodedSuperPos).srcs) || !listsEqual(rows(got.lists), rows(want.(*decodedSuperPos).lists)) {
 			t.Fatalf("graph %d: materialized lists changed with the read buffer", gid)
 		}
 	}

@@ -13,6 +13,7 @@ build:
 
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l cmd internal examples)"
 
 # The plain suite runs under a private TMPDIR that must be empty when it
 # ends: a fixture some test forgot to remove fails the target. Fixtures
@@ -24,7 +25,8 @@ test:
 	if [ -n "$$(ls -A "$$tmp")" ]; then echo "tests left files in TMPDIR:"; ls -A "$$tmp"; exit 1; fi
 
 # The concurrency suite (sharded cache, singleflight decode dedup,
-# parallel query engine, 32-goroutine stress) under the race detector.
+# goroutines over a shared query engine, 32-goroutine stress) under the
+# race detector.
 test-race:
 	$(GO) test -race ./...
 
@@ -140,13 +142,11 @@ test-codec:
 # checksum mismatch), the URL-table universe semantics, the
 # spill-vs-in-memory graph equivalence, the golden end-to-end oracle
 # (synth -> export -> ingest -> build byte-identical to the direct
-# build at every worker count, heap budget and refinement spill rounds
-# engaged), the committed-fixture format pin, and the partition
-# spill-round bit-identity suite. Run with -count=1 so the gate always
+# build at every worker count, heap budget engaged) and the
+# committed-fixture format pin. Run with -count=1 so the gate always
 # executes.
 test-ingest:
 	$(GO) test -count=1 ./internal/ingest
-	$(GO) test -count=1 -run 'TestRefineSpill|TestEncodeDecodeGroups|TestDecodeGroupsCorrupt|TestRoundSpill' ./internal/partition
 	$(GO) test -count=1 -run 'TestSpill' ./internal/iosim
 
 check: build vet test test-race test-bench check-overhead test-query test-determinism test-delta-race test-load test-shard test-obs test-codec test-ingest

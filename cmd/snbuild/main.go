@@ -18,8 +18,8 @@
 // dataset (SNAP or GraphChallenge TSV, gzip-transparent, with checksum
 // and URL-table sidecars picked up automatically) or synthesize a
 // crawl inline with -pages. With -max-heap-mb the ingestion edge
-// buffer and the partition refiner's round state both spill to disk in
-// sorted runs, so million-page corpora build under a bounded heap:
+// buffer spills to disk in sorted runs past that budget; refinement and
+// encoding run in memory whatever it says:
 //
 //	snbuild -ingest ./web-Google.txt.gz -format snap -max-heap-mb 256 -out ./data
 //	snbuild -pages 50000 -out ./data -scheme snode
@@ -89,7 +89,7 @@ func parseFlags() options {
 	flag.StringVar(&o.codec, "codec", snode.CodecPaper, "supernode payload codec: "+strings.Join(snode.CodecNames(), ", ")+" (auto = per-supernode bake-off; output then depends on machine timing)")
 	flag.StringVar(&o.ingest, "ingest", "", "ingest a real edge-list dataset at this path instead of reading -crawl (urls.tsv / manifest.sha256 sidecars are picked up from the same directory)")
 	flag.StringVar(&o.format, "format", ingest.FormatSNAP, "edge-list format for -ingest: "+strings.Join(ingest.Formats(), ", "))
-	flag.IntVar(&o.maxHeapMB, "max-heap-mb", 0, "bounded-heap build: spill the ingestion edge buffer and the refiner's round state to disk past this budget (0 = fully in memory; requires -ingest)")
+	flag.IntVar(&o.maxHeapMB, "max-heap-mb", 0, "bound the ingestion edge buffer: past this budget it spills to disk in sorted runs; refinement and encoding are not bounded by it (0 = fully in memory; requires -ingest)")
 	flag.IntVar(&o.pages, "pages", 0, "synthesize a crawl of this many pages inline instead of reading -crawl (0 disables)")
 	flag.Uint64Var(&o.seed, "seed", 20030226, "generator seed for -pages")
 	flag.Parse()
@@ -265,8 +265,8 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	// Refinement spill rounds (under -max-heap-mb) and the baselines go
-	// to a scratch directory: neither is part of the dataset.
+	// The baselines go to a scratch directory: they are not part of the
+	// dataset.
 	scratch, err := os.MkdirTemp("", "snbuild-*")
 	if err != nil {
 		return err
@@ -276,9 +276,6 @@ func run(o options) error {
 	cfg.BuildWorkers = o.workers
 	cfg.Codec = o.codec
 	cfg.Metrics = reg
-	if o.maxHeapMB > 0 {
-		cfg.Partition.SpillDir = scratch
-	}
 	if o.progress {
 		stop := make(chan struct{})
 		go reportProgress(reg, stop)

@@ -200,6 +200,42 @@ func TestGapListRejectsNonIncreasing(t *testing.T) {
 	WriteBoundedGapList(bitio.NewWriter(0), []int32{5, 5}, 10)
 }
 
+// TestStepGap pins the checked step at its edges: the last value below
+// the bound is reached, the bound is not, and no 64-bit gap wraps the
+// sum into range — from the start of a run, from inside it, and under
+// the largest bound there is.
+func TestStepGap(t *testing.T) {
+	const maxI64 = 1<<63 - 1
+	cases := []struct {
+		last  int64
+		gap   uint64
+		bound int64
+		want  int64
+		ok    bool
+	}{
+		{-1, 1, 10, 0, true},
+		{-1, 10, 10, 9, true},
+		{-1, 11, 10, -1, false},
+		{4, 5, 10, 9, true},
+		{4, 6, 10, 4, false},
+		{4, 0, 10, 4, false},
+		{9, 1, 10, 9, false},
+		{-1, 1, 0, -1, false},
+		{4, 1 << 63, 10, 4, false},
+		{4, 1<<64 - 1, 10, 4, false},     // int64(gap) == -1: would step back to 3
+		{4, 1<<64 - 4, 10, 4, false},     // would land on 0
+		{-1, 1 << 63, maxI64, -1, false}, // would wrap to maxI64
+		{-1, maxI64, maxI64, maxI64 - 1, true},
+		{maxI64 - 2, 1, maxI64, maxI64 - 1, true},
+		{maxI64 - 1, 1, maxI64, maxI64 - 1, false},
+	}
+	for _, c := range cases {
+		if got, ok := StepGap(c.last, c.gap, c.bound); got != c.want || ok != c.ok {
+			t.Errorf("StepGap(%d, %d, %d) = %d, %v; want %d, %v", c.last, c.gap, c.bound, got, ok, c.want, c.ok)
+		}
+	}
+}
+
 func TestQuickGapList(t *testing.T) {
 	f := func(raw []uint16, seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -249,9 +285,6 @@ func TestRLEBitsRoundTrip(t *testing.T) {
 	for _, v := range vecs {
 		w := bitio.NewWriter(0)
 		WriteRLEBits(w, v)
-		if got, want := w.BitLen(), RLEBitsLen(v); got != want {
-			t.Errorf("RLEBitsLen(%v) = %d, encoded %d", v, want, got)
-		}
 		r := bitio.NewReader(w.Bytes(), w.BitLen())
 		out, err := readRLEBits(r, len(v))
 		if err != nil {
@@ -268,7 +301,9 @@ func TestRLEBitsCompressesLongRuns(t *testing.T) {
 	for i := 5000; i < 10000; i++ {
 		v[i] = true
 	}
-	if l := RLEBitsLen(v); l > 64 {
+	w := bitio.NewWriter(0)
+	WriteRLEBits(w, v)
+	if l := w.BitLen(); l > 64 {
 		t.Fatalf("two-run 10000-bit vector encoded in %d bits", l)
 	}
 }

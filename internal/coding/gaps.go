@@ -63,6 +63,20 @@ func ReadBoundedGapList(r *bitio.Reader, n int, bound uint64, dst []int32) ([]in
 	return dst, nil
 }
 
+// StepGap is the one checked step of a strictly ascending gap-coded run
+// whose values lie in [0, bound): it returns last+gap, or last and false
+// when the gap is zero (a repeat) or carries the value to bound or
+// beyond. last is the run's previous value, -1 before the first, so it
+// lies in [-1, bound). The gap is compared with the room left before it is
+// added: a gap read from hostile bytes spans the whole uint64 range, and
+// adding first would let int64(gap) step backwards or wrap the sum.
+func StepGap(last int64, gap uint64, bound int64) (int64, bool) {
+	if gap == 0 || gap >= uint64(bound-last) {
+		return last, false
+	}
+	return last + int64(gap), true
+}
+
 // WriteRLEBits encodes a bit vector as its first bit followed by
 // gamma-coded run lengths of alternating bit values. The number of bits
 // is not stored; decoders pass it to ReadRLERuns. Empty vectors write
@@ -112,24 +126,4 @@ func ReadRLERuns(r *bitio.Reader, n int, dst []int32) ([]int32, error) {
 		at += int(run)
 	}
 	return dst, nil
-}
-
-// RLEBitsLen reports the encoded bit length of bitVec under
-// WriteRLEBits.
-func RLEBitsLen(bitVec []bool) int {
-	if len(bitVec) == 0 {
-		return 0
-	}
-	n := 1
-	run := uint64(1)
-	for i := 1; i < len(bitVec); i++ {
-		if bitVec[i] == bitVec[i-1] {
-			run++
-			continue
-		}
-		n += GammaLen(run)
-		run = 1
-	}
-	n += GammaLen(run)
-	return n
 }

@@ -206,9 +206,6 @@ func (h *Huffman) buildDecodeTables() {
 	copy(h.symByCode, order)
 }
 
-// NumSymbols reports the alphabet size.
-func (h *Huffman) NumSymbols() int { return len(h.codes) }
-
 // CodeLen reports the code length in bits for symbol s.
 func (h *Huffman) CodeLen(s int32) int { return int(h.codes[s].len) }
 

@@ -13,6 +13,7 @@ import (
 	"io"
 	"os"
 
+	"snode/internal/coding"
 	"snode/internal/synth"
 	"snode/internal/webgraph"
 )
@@ -58,31 +59,44 @@ func Write(c *synth.Crawl, path string) error {
 	return f.Close()
 }
 
-// Read loads a crawl written by Write.
+// minPageBytes is the least a page can occupy: empty URL, domain, term
+// list and adjacency at a byte each, and its entry in the crawl order.
+const minPageBytes = 5
+
+// Read loads a crawl written by Write, and nothing else: a page count
+// the file is too short to hold, an adjacency list that does not ascend
+// strictly within [0, n), a crawl order that is not a permutation of the
+// pages, and bytes after the order are all refused, before anything is
+// sized or indexed by them.
 func Read(path string) (*synth.Crawl, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
 	r := &countingReader{r: bufio.NewReaderSize(f, 1<<20)}
-	n := int(r.uvarint())
+	nu := r.uvarint()
 	if r.err != nil {
 		return nil, fmt.Errorf("corpusio: %w", r.err)
 	}
-	if n <= 0 || n > 1<<30 {
-		return nil, fmt.Errorf("corpusio: implausible page count %d", n)
+	if nu == 0 || nu > 1<<30 || nu > uint64(fi.Size())/minPageBytes {
+		return nil, fmt.Errorf("corpusio: implausible page count %d in a %d-byte file", nu, fi.Size())
 	}
+	n := int(nu)
 	pages := make([]webgraph.PageMeta, n)
 	b := webgraph.NewBuilder(n)
 	for pid := 0; pid < n; pid++ {
 		pages[pid].URL = r.str()
 		pages[pid].Domain = r.str()
-		nt := int(r.uvarint())
+		nt := r.uvarint()
 		if r.err != nil {
 			return nil, fmt.Errorf("corpusio: page %d: %w", pid, r.err)
 		}
-		if nt < 0 || nt > 1<<16 {
+		if nt > 1<<16 {
 			return nil, fmt.Errorf("corpusio: page %d: implausible term count %d", pid, nt)
 		}
 		terms := make([]string, nt)
@@ -90,29 +104,41 @@ func Read(path string) (*synth.Crawl, error) {
 			terms[i] = r.str()
 		}
 		pages[pid].Terms = terms
-		deg := int(r.uvarint())
-		if deg < 0 || deg > n {
+		deg := r.uvarint()
+		if r.err != nil {
+			return nil, fmt.Errorf("corpusio: page %d: %w", pid, r.err)
+		}
+		if deg > nu {
 			return nil, fmt.Errorf("corpusio: page %d: implausible degree %d", pid, deg)
 		}
 		prev := int64(-1)
-		for i := 0; i < deg; i++ {
+		for i := uint64(0); i < deg; i++ {
 			gap := r.uvarint()
-			prev += int64(gap)
 			if r.err != nil {
 				return nil, fmt.Errorf("corpusio: page %d adjacency: %w", pid, r.err)
 			}
-			if prev < 0 || prev >= int64(n) {
-				return nil, fmt.Errorf("corpusio: page %d links to out-of-range page %d", pid, prev)
+			var ok bool
+			if prev, ok = coding.StepGap(prev, gap, int64(n)); !ok {
+				return nil, fmt.Errorf("corpusio: page %d adjacency: gap %d from %d repeats a target or leaves [0,%d)", pid, gap, prev, n)
 			}
 			b.AddEdge(int32(pid), int32(prev))
 		}
 	}
 	order := make([]int32, n)
+	seen := make([]bool, n)
 	for i := range order {
-		order[i] = int32(r.uvarint())
+		p := r.uvarint()
+		if r.err != nil {
+			return nil, fmt.Errorf("corpusio: order: %w", r.err)
+		}
+		if p >= nu || seen[p] {
+			return nil, fmt.Errorf("corpusio: order entry %d names page %d: outside [0,%d) or already crawled", i, p, n)
+		}
+		seen[p] = true
+		order[i] = int32(p)
 	}
-	if r.err != nil {
-		return nil, fmt.Errorf("corpusio: order: %w", r.err)
+	if _, err := r.r.ReadByte(); err != io.EOF {
+		return nil, fmt.Errorf("corpusio: bytes after the crawl order")
 	}
 	crawl := &synth.Crawl{
 		Corpus: &webgraph.Corpus{Graph: b.Build(), Pages: pages},

@@ -1,11 +1,16 @@
 package corpusio
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"snode/internal/synth"
+	"snode/internal/webgraph"
 )
 
 func TestWriteReadRoundTrip(t *testing.T) {
@@ -106,5 +111,93 @@ func TestReadBitFlipsNoPanic(t *testing.T) {
 			}()
 			_, _ = Read(path) // error or wrong data: fine; panic: not
 		}()
+	}
+}
+
+// encode lays a three-page crawl file out by hand, so a case can hold
+// bytes Write never produces: each page's adjacency as raw gaps, the
+// crawl order as raw entries, then whatever follows.
+func encode(gaps [3][]uint64, order []uint64, tail ...byte) []byte {
+	var out []byte
+	uvarint := func(v uint64) { out = binary.AppendUvarint(out, v) }
+	str := func(s string) { uvarint(uint64(len(s))); out = append(out, s...) }
+	uvarint(3)
+	for p, g := range gaps {
+		str(fmt.Sprintf("http://a.com/%d", p))
+		str("a.com")
+		uvarint(1)
+		str("t")
+		uvarint(uint64(len(g)))
+		for _, d := range g {
+			uvarint(d)
+		}
+	}
+	for _, p := range order {
+		uvarint(p)
+	}
+	return append(out, tail...)
+}
+
+// TestHostileFilesAreRefused: Read answers bytes no Write produced with
+// an error — never a panic, never a crawl. The named cases are the ones
+// that used to load: a repeated target (the graph silently lost an
+// edge), a gap whose int64 is negative (a descending list), a crawl
+// order naming a page twice or a page that does not exist (used as an
+// index by the layouts built from it), bytes after the order. Then
+// every strict prefix of the valid file.
+func TestHostileFilesAreRefused(t *testing.T) {
+	validGaps := [3][]uint64{{2, 1}, nil, {1}} // 0:[1 2] 1:[] 2:[0]
+	validOrder := []uint64{2, 0, 1}
+	valid := encode(validGaps, validOrder)
+	path := filepath.Join(t.TempDir(), "corpus.bin")
+
+	// The hand-laid bytes are Write's bytes, and load as the same crawl.
+	b := webgraph.NewBuilder(3)
+	b.AddEdge(0, 1)
+	b.AddEdge(0, 2)
+	b.AddEdge(2, 0)
+	crawl := &synth.Crawl{Corpus: &webgraph.Corpus{Graph: b.Build()}, Order: []int32{2, 0, 1}}
+	for p := 0; p < 3; p++ {
+		crawl.Corpus.Pages = append(crawl.Corpus.Pages, webgraph.PageMeta{
+			URL: fmt.Sprintf("http://a.com/%d", p), Domain: "a.com", Terms: []string{"t"}})
+	}
+	if err := Write(crawl, path); err != nil {
+		t.Fatal(err)
+	}
+	if written, err := os.ReadFile(path); err != nil || !bytes.Equal(written, valid) {
+		t.Fatalf("Write produced %x (err %v), the test's encoder %x", written, err, valid)
+	}
+	got, err := Read(path)
+	if err != nil {
+		t.Fatalf("the valid file is refused: %v", err)
+	}
+	if !got.Corpus.Graph.Equal(crawl.Corpus.Graph) || !slices.Equal(got.Order, crawl.Order) {
+		t.Fatal("the valid file loads as a different crawl")
+	}
+
+	type hostile struct {
+		name  string
+		bytes []byte
+	}
+	cases := []hostile{
+		{"zero gap repeats a target", encode([3][]uint64{{2, 0}, nil, {1}}, validOrder)},
+		{"gap of 2^64-1 steps backwards", encode([3][]uint64{{3, 1<<64 - 1}, nil, {1}}, validOrder)},
+		{"gap of 2^63 wraps negative", encode([3][]uint64{{1 << 63}, nil, {1}}, validOrder)},
+		{"target beyond the pages", encode([3][]uint64{{2, 2}, nil, {1}}, validOrder)},
+		{"order names a page that does not exist", encode(validGaps, []uint64{2, 0, 3})},
+		{"order names a page twice", encode(validGaps, []uint64{2, 0, 0})},
+		{"bytes after the order", encode(validGaps, validOrder, 0)},
+		{"page count the file cannot hold", binary.AppendUvarint(nil, 1<<30)},
+	}
+	for n := 0; n < len(valid); n++ {
+		cases = append(cases, hostile{fmt.Sprintf("truncated to %d bytes", n), valid[:n]})
+	}
+	for _, c := range cases {
+		if err := os.WriteFile(path, c.bytes, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if crawl, err := Read(path); err == nil {
+			t.Errorf("%s: loaded as a crawl of %d pages, %d edges", c.name, crawl.Corpus.Graph.NumPages(), crawl.Corpus.Graph.NumEdges())
+		}
 	}
 }

@@ -1,0 +1,164 @@
+// Package deadcode holds no code, only a guard: everything in this
+// module lives under internal/, so an exported function or method that
+// no non-test file references has no caller anywhere. The test below
+// fails on each one it finds.
+package deadcode
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// allowed lists the deliberate exceptions, keyed as the guard prints
+// them (pkg.Func or pkg.Type.Method, pkg being the directory under
+// internal/). Two kinds only: observers that tests of a kept behaviour
+// read, and methods that satisfy a standard-library interface. An entry
+// whose declaration is gone, or whose name a non-test file now uses, is
+// itself a failure.
+var allowed = map[string]string{
+	"snode.Representation.InflightDecodes": "flight tests check the single-flight table drains to zero through it",
+	"snode.Representation.HedgeStats":      "hedging tests read fired/won counts through it",
+	"metrics.HistSnapshot.TailExemplar":    "metrics, query and router tests observe the exemplar mechanism through it",
+	"btree.Tree.Height":                    "btree tests bound the tree's depth through it",
+	"textindex.Index.NumTerms":             "textindex tests check the vocabulary size through it",
+	"trace.FromContext":                    "trace and serve tests read the context's span through it",
+	"urlutil.PathDepth":                    "urlutil tests pin the depth rule PrefixAtDepth splits by",
+	"coding.Huffman.TotalBits":             "coding tests check code optimality through it",
+	"randutil.RNG.Int63":                   "randutil tests check the stream's range through it",
+	"delta.Overlay.AddPage":                "delta tests grow the page space through it; /update carries edges only",
+	"webgraph.Graph.HasEdge":               "webgraph, synth and mining tests check single edges through it",
+	"query.Engine.RunAll":                  "the serial reference that query and delta tests compare concurrent and overlaid runs with",
+
+	"admission.ShedError.Unwrap": "errors.Is and errors.As reach the context error behind a shed through it",
+}
+
+type decl struct {
+	key  string // pkg.Func or pkg.Type.Method
+	name string
+	pos  token.Position
+}
+
+func TestNoExportedFunctionWithoutACaller(t *testing.T) {
+	root := moduleRoot(t)
+	fset := token.NewFileSet()
+	uses := map[string]int{} // identifier → occurrences in non-test files
+	var decls []decl
+
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if n := d.Name(); path != root && (strings.HasPrefix(n, ".") || n == "testdata" || n == "out") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		internal := strings.HasPrefix(filepath.ToSlash(rel), "internal/")
+		pkg := filepath.Base(filepath.Dir(path))
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				uses[id.Name]++
+			}
+			return true
+		})
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			// The declaration's own name is not a use of it.
+			uses[fd.Name.Name]--
+			if !internal || !fd.Name.IsExported() {
+				continue
+			}
+			key := pkg + "." + fd.Name.Name
+			if fd.Recv != nil {
+				recv := receiverType(fd.Recv.List[0].Type)
+				// An unexported type's exported methods are there for an
+				// interface the standard library calls them through (sort,
+				// heap), so no file of the module names them.
+				if !ast.IsExported(recv) {
+					continue
+				}
+				key = pkg + "." + recv + "." + fd.Name.Name
+			}
+			decls = append(decls, decl{key: key, name: fd.Name.Name, pos: fset.Position(fd.Pos())})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	declared := map[string]bool{}
+	for _, d := range decls {
+		declared[d.key] = true
+		if uses[d.name] > 0 {
+			if _, ok := allowed[d.key]; ok {
+				t.Errorf("allowlist entry %s is stale: a non-test file references %s now", d.key, d.name)
+			}
+			continue
+		}
+		if _, ok := allowed[d.key]; !ok {
+			rel, _ := filepath.Rel(root, d.pos.Filename)
+			t.Errorf("%s:%d: exported %s is referenced by no non-test file: delete it, or give it a caller", rel, d.pos.Line, d.key)
+		}
+	}
+	var stale []string
+	for key := range allowed {
+		if !declared[key] {
+			stale = append(stale, key)
+		}
+	}
+	sort.Strings(stale)
+	for _, key := range stale {
+		t.Errorf("allowlist entry %s is stale: no such declaration under internal/", key)
+	}
+}
+
+func receiverType(e ast.Expr) string {
+	switch x := e.(type) {
+	case *ast.StarExpr:
+		return receiverType(x.X)
+	case *ast.IndexExpr: // generic receiver T[P]
+		return receiverType(x.X)
+	case *ast.IndexListExpr:
+		return receiverType(x.X)
+	case *ast.Ident:
+		return x.Name
+	}
+	return ""
+}
+
+func moduleRoot(t *testing.T) string {
+	dir, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			return dir
+		}
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			t.Fatal("no go.mod above the test's directory")
+		}
+		dir = parent
+	}
+}

@@ -30,18 +30,6 @@ type FoldConfig struct {
 	Model       iosim.Model
 }
 
-// MaterializeCorpus seals the memtable and returns the corpus the
-// overlay currently represents: base adjacency with every delta op
-// applied, over the full page set including added pages. The result is
-// canonical (webgraph.Builder sorts and deduplicates), so building it
-// is byte-for-byte the build of an equivalent from-scratch crawl.
-func (o *Overlay) MaterializeCorpus(ctx context.Context) (*webgraph.Corpus, error) {
-	o.structMu.Lock()
-	defer o.structMu.Unlock()
-	corpus, _, err := o.materializeLocked(ctx)
-	return corpus, err
-}
-
 // materializeLocked seals and materializes under structMu, returning
 // the corpus and the segment prefix it covers (the segments a fold may
 // retire once the rebuilt base is installed).

@@ -32,7 +32,7 @@ import (
 const segMagic = "SNDELTA1"
 
 const (
-	segHeaderBytes   = 8 + 4
+	segHeaderBytes    = 8 + 4
 	segIndexEntrySize = 16
 	segDataEntrySize  = 5
 )

@@ -12,7 +12,6 @@ package huffgraph
 
 import (
 	"fmt"
-	"sort"
 
 	"snode/internal/bitio"
 	"snode/internal/coding"
@@ -123,23 +122,4 @@ func (r *Rep) Close() error { return nil }
 // a canonical-code-lengths estimate: one byte per page.)
 func (r *Rep) SizeBytes() int64 {
 	return int64(len(r.bits)) + 8*int64(len(r.offsets)) + int64(r.n) + r.domains.SizeBytes()
-}
-
-// CodeLenHistogram summarizes assigned code lengths (diagnostics).
-func (r *Rep) CodeLenHistogram() map[int]int {
-	h := map[int]int{}
-	for s := 0; s < r.n; s++ {
-		h[r.huff.CodeLen(int32(s))]++
-	}
-	return h
-}
-
-// SortedDomains lists the indexed domains (diagnostics, tests).
-func (r *Rep) SortedDomains() []string {
-	var out []string
-	for d := range r.domains {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
 }

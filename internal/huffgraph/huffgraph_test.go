@@ -102,21 +102,3 @@ func TestFilteredOut(t *testing.T) {
 		}
 	}
 }
-
-func TestCodeLenHistogram(t *testing.T) {
-	_, r := buildSmall(t)
-	h := r.CodeLenHistogram()
-	total := 0
-	for l, n := range h {
-		if l <= 0 {
-			t.Fatalf("zero-length code in histogram")
-		}
-		total += n
-	}
-	if total != r.NumPages() {
-		t.Fatalf("histogram covers %d of %d pages", total, r.NumPages())
-	}
-	if len(r.SortedDomains()) == 0 {
-		t.Fatal("no domains indexed")
-	}
-}

@@ -97,8 +97,7 @@ func dirFilesEqual(t *testing.T, a, b string) {
 // TestGoldenBuildEquivalence pins the end-to-end oracle: synth ->
 // export -> ingest -> S-Node build produces byte-identical artifacts to
 // the direct in-memory build of the same corpus, at every worker count,
-// with both the ingest heap budget and the refinement spill rounds
-// engaged.
+// with the ingest heap budget engaged.
 func TestGoldenBuildEquivalence(t *testing.T) {
 	// 6000 pages is ~63k edges — past the 1 MB budget's ~44k-edge
 	// buffer, so the ingest below genuinely spills sorted runs.
@@ -136,7 +135,6 @@ func TestGoldenBuildEquivalence(t *testing.T) {
 		icfg := snode.DefaultConfig()
 		icfg.BuildWorkers = workers
 		icfg.Partition.Workers = workers
-		icfg.Partition.SpillDir = filepath.Join(ws, "refine-spill")
 		if _, err := snode.Build(ingested.Corpus, icfg, ingestDir); err != nil {
 			t.Fatalf("workers=%d ingest: %v", workers, err)
 		}

@@ -207,16 +207,11 @@ func (a *Accountant) record(fileID int, off int64, n int) (time.Duration, bool) 
 	return pause, seeked
 }
 
-// stall settles a paced charge: small charges pool in debt, and the
+// stallCtx settles a paced charge: small charges pool in debt, and the
 // reader whose charge pushes the pool past paceMinSleep sleeps the
-// whole pool. Called without holding a.mu.
-func (a *Accountant) stall(d time.Duration) {
-	a.stallCtx(context.Background(), d)
-}
-
-// stallCtx is stall with trace attribution and cancellation: when the
-// calling request is traced and this reader is the one that sleeps off
-// the pooled debt, the sleep is recorded as an "iosim.stall" span. Note
+// whole pool. Called without holding a.mu. When the calling request is
+// traced and this reader is the one that sleeps off the pooled debt,
+// the sleep is recorded as an "iosim.stall" span. Note
 // the pooled debt may include other readers' sub-threshold charges —
 // the span's pooled_ns attribute is the whole amount slept, which is
 // exactly the wall time this request lost to the pacing layer.

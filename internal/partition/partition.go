@@ -101,22 +101,6 @@ type Config struct {
 	// elements_split counters, an elements gauge, and a per-round
 	// latency histogram, all under the "build_" prefix.
 	Metrics *metrics.Registry
-	// SpillDir enables external-memory refinement rounds: when set,
-	// each round's proposed splits are encoded to a spill file as the
-	// workers produce them and replayed from disk in ascending element
-	// order during application, so the candidate state peaks at
-	// O(workers × largest element) instead of O(round batch) — the
-	// partition-side half of the bounded-heap build path (the edge side
-	// is internal/ingest's sorted-run spiller). Spilled and in-memory
-	// rounds produce bit-identical partitions: the encoding round-trips
-	// every split exactly and the application order is unchanged.
-	SpillDir string
-	// SpillMinPages gates spilling by round size: a round whose batch
-	// spans fewer pages than this stays in memory even when SpillDir is
-	// set (<= 0 spills every round). Small late rounds dominate a
-	// refinement's round count but not its memory, so skipping them
-	// avoids pointless file churn.
-	SpillMinPages int
 }
 
 // DefaultConfig returns the configuration used throughout the
@@ -322,7 +306,6 @@ func RefineCtx(ctx context.Context, c *webgraph.Corpus, cfg Config) (*Partition,
 	}
 	var (
 		mRounds, mURL, mClustered, mAborts, mSplit *metrics.Counter
-		mSpillRounds, mSpillBytes                  *metrics.Counter
 		mElements                                  *metrics.Gauge
 		mRoundNs                                   *metrics.Histogram
 	)
@@ -332,8 +315,6 @@ func RefineCtx(ctx context.Context, c *webgraph.Corpus, cfg Config) (*Partition,
 		mClustered = cfg.Metrics.Counter("build_clustered_splits")
 		mAborts = cfg.Metrics.Counter("build_refine_aborts")
 		mSplit = cfg.Metrics.Counter("build_elements_split")
-		mSpillRounds = cfg.Metrics.Counter("build_spill_rounds")
-		mSpillBytes = cfg.Metrics.Counter("build_spill_bytes")
 		mElements = cfg.Metrics.Gauge("build_elements")
 		mRoundNs = cfg.Metrics.Histogram("build_refine_round_ns", nil)
 		mElements.Set(int64(len(p.Elements)))
@@ -365,48 +346,14 @@ func RefineCtx(ctx context.Context, c *webgraph.Corpus, cfg Config) (*Partition,
 		rspan.SetAttr("round", int64(round))
 		rspan.SetAttr("candidates", int64(len(batch)))
 
-		// External-memory rounds: when configured (and the round is big
-		// enough to matter), workers stream their proposals into a spill
-		// file instead of the results slice; application replays them in
-		// the identical ascending order, so the partition is unchanged.
-		var rs *roundSpill
-		if cfg.SpillDir != "" {
-			batchPages := 0
-			for _, ei := range batch {
-				batchPages += len(p.Elements[ei].Pages)
-			}
-			if batchPages >= cfg.SpillMinPages {
-				var err error
-				if rs, err = newRoundSpill(cfg.SpillDir, round, len(batch)); err != nil {
-					rspan.End()
-					return nil, err
-				}
-			}
-		}
-		var results []splitResult
-		if rs == nil {
-			results = make([]splitResult, len(batch))
-		}
+		results := make([]splitResult, len(batch))
 		round := round // fixed per-closure for the RNG derivation
 		if err := pool.ForEachCtx(rctx, len(batch), func(ctx context.Context, i int) error {
-			r := trySplit(ctx, c, p, batch[i], cfg, round)
-			if rs != nil {
-				return rs.put(i, r)
-			}
-			results[i] = r
+			results[i] = trySplit(ctx, c, p, batch[i], cfg, round)
 			return nil
 		}); err != nil {
-			if rs != nil {
-				rs.close()
-			}
 			rspan.End()
 			return nil, err
-		}
-		if rs != nil {
-			// One sequential log write during the examinations, one
-			// replay during application.
-			cfg.IO.Spill(rctx, rs.bytes())
-			cfg.IO.Spill(rctx, rs.bytes())
 		}
 
 		// Apply in ascending element order (batch is sorted), counting
@@ -419,17 +366,7 @@ func RefineCtx(ctx context.Context, c *webgraph.Corpus, cfg Config) (*Partition,
 				break
 			}
 			p.Iterations++
-			r := splitResult{}
-			if rs != nil {
-				var err error
-				if r, err = rs.get(i); err != nil {
-					rs.close()
-					rspan.End()
-					return nil, err
-				}
-			} else {
-				r = results[i]
-			}
+			r := results[i]
 			if r.groups == nil {
 				p.Aborts++
 				aborts++
@@ -457,9 +394,6 @@ func RefineCtx(ctx context.Context, c *webgraph.Corpus, cfg Config) (*Partition,
 		rspan.SetAttr("url_splits", urlSplits)
 		rspan.SetAttr("clustered_splits", clustered)
 		rspan.SetAttr("aborts", aborts)
-		if rs != nil {
-			rspan.SetAttr("spill_bytes", rs.bytes())
-		}
 		rspan.End()
 		if cfg.Metrics != nil {
 			mRounds.Inc()
@@ -469,13 +403,6 @@ func RefineCtx(ctx context.Context, c *webgraph.Corpus, cfg Config) (*Partition,
 			mSplit.Add(urlSplits + clustered)
 			mElements.Set(int64(len(p.Elements)))
 			mRoundNs.ObserveDuration(time.Since(roundStart))
-			if rs != nil {
-				mSpillRounds.Inc()
-				mSpillBytes.Add(rs.bytes())
-			}
-		}
-		if rs != nil {
-			rs.close()
 		}
 	}
 	span.SetAttr("rounds", int64(p.Rounds))

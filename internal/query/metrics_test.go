@@ -9,10 +9,10 @@ import (
 	"snode/internal/synth"
 )
 
-// TestQueryMetricsRecorded runs the six queries serially and in
-// parallel with a registry wired in, and checks every per-query
-// histogram counted its executions, the stage histograms are populated,
-// and the parallel pool reported occupancy.
+// TestQueryMetricsRecorded runs the six queries serially and from four
+// goroutines over a Shared engine with a registry wired in, and checks
+// every per-query histogram counted both executions and the stage
+// histograms are populated.
 func TestQueryMetricsRecorded(t *testing.T) {
 	cfg := synth.DefaultConfig(2000)
 	crawl, err := synth.Generate(cfg)
@@ -36,7 +36,7 @@ func TestQueryMetricsRecorded(t *testing.T) {
 	if _, err := e.RunAll(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RunAllParallel(context.Background(), 4); err != nil {
+	if _, err := runParallel(context.Background(), e, All(), 4); err != nil {
 		t.Fatal(err)
 	}
 
@@ -48,7 +48,7 @@ func TestQueryMetricsRecorded(t *testing.T) {
 			t.Fatalf("histogram %s not registered", name)
 		}
 		if h.Count != 2 {
-			t.Errorf("%s count = %d, want 2 (one serial + one parallel run)", name, h.Count)
+			t.Errorf("%s count = %d, want 2 (one serial + one concurrent run)", name, h.Count)
 		}
 		if h.P95() <= 0 {
 			t.Errorf("%s p95 = %d, want > 0", name, h.P95())
@@ -59,11 +59,5 @@ func TestQueryMetricsRecorded(t *testing.T) {
 	}
 	if h := snap.Histograms["query_resolve_seconds"]; h.Count == 0 {
 		t.Error("resolve stage histogram empty")
-	}
-	if got := snap.Counters["workpool_queries"]; got != 6 {
-		t.Errorf("workpool_queries = %d, want 6 (the parallel batch)", got)
-	}
-	if got := snap.Gauges["workpool_busy"]; got != 0 {
-		t.Errorf("workpool_busy = %d at rest, want 0", got)
 	}
 }

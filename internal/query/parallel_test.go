@@ -2,6 +2,7 @@ package query
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"runtime/debug"
 	"sync"
@@ -26,11 +27,34 @@ func rowsEqual(a, b []Row) bool {
 	return true
 }
 
+// runParallel serves jobs the way a server does: goroutines over one
+// Shared engine, each pulling the next job from an atomic counter.
+// Results land in job order; a goroutine stops at its first error, and
+// the errors are returned joined.
+func runParallel(ctx context.Context, e *Engine, jobs []ID, goroutines int) ([]*Result, error) {
+	sh := e.Shared()
+	out := make([]*Result, len(jobs))
+	errs := make([]error, goroutines)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(jobs) && errs[g] == nil; i = int(next.Add(1) - 1) {
+				out[i], errs[g] = sh.Run(ctx, jobs[i])
+			}
+		}(g)
+	}
+	wg.Wait()
+	return out, errors.Join(errs...)
+}
+
 // TestParallelEqualsSerialAcrossSeeds verifies the central equivalence
-// property of the parallel engine: for five different corpora, the rows
-// of RunAllParallel match a serial RunAll exactly. Each query sorts its
-// rows deterministically, so concurrency must not change a single
-// (Key, Value) pair.
+// property of concurrent serving: for five different corpora, the rows
+// four goroutines get from one Shared engine match a serial RunAll
+// exactly. Each query sorts its rows deterministically, so concurrency
+// must not change a single (Key, Value) pair.
 func TestParallelEqualsSerialAcrossSeeds(t *testing.T) {
 	for _, seed := range []uint64{3, 17, 41, 99, 20030226} {
 		cfg := synth.DefaultConfig(2500)
@@ -53,7 +77,7 @@ func TestParallelEqualsSerialAcrossSeeds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: serial: %v", seed, err)
 		}
-		par, err := e.RunAllParallel(context.Background(), 4)
+		par, err := runParallel(context.Background(), e, All(), 4)
 		if err != nil {
 			t.Fatalf("seed %d: parallel: %v", seed, err)
 		}
@@ -128,29 +152,6 @@ func TestConcurrentQueryStress(t *testing.T) {
 	t.Logf("stress: %d queries served by %d goroutines", ops.Load(), goroutines)
 }
 
-// TestRunParallelPreservesOrder checks result slots line up with the
-// requested query order, including duplicates.
-func TestRunParallelPreservesOrder(t *testing.T) {
-	r := getRepo(t)
-	e, err := New(r, repo.SchemeSNode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := []ID{Q6, Q1, Q6, Q2, Q1}
-	out, err := e.RunParallel(context.Background(), qs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(qs) {
-		t.Fatalf("%d results for %d queries", len(out), len(qs))
-	}
-	for i, q := range qs {
-		if out[i] == nil || out[i].Query != q {
-			t.Fatalf("slot %d: want Q%d, got %+v", i, q, out[i])
-		}
-	}
-}
-
 // TestParallelOverlapsPacedIO: with every read sleeping its modeled
 // disk cost, four goroutines over one shared S-Node representation
 // serve the same cold query mix more than 1.5x faster than one — the
@@ -183,7 +184,7 @@ func TestParallelOverlapsPacedIO(t *testing.T) {
 			s.(store.CacheResetter).ResetCache(budget)
 		}
 		start := time.Now()
-		if _, err := e.RunParallel(context.Background(), jobs, workers); err != nil {
+		if _, err := runParallel(context.Background(), e, jobs, workers); err != nil {
 			t.Fatalf("%d workers: %v", workers, err)
 		}
 		return time.Since(start)

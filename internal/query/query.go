@@ -105,7 +105,6 @@ type Engine struct {
 	resolveHist *metrics.Histogram
 	navHist     *metrics.Histogram
 	navLatHist  *metrics.Histogram
-	reg         *metrics.Registry
 
 	// tracer, wired by SetTracer (nil without), samples executions into
 	// request-scoped traces; Shared copies record into the same tracer.
@@ -138,8 +137,8 @@ func New(r *repo.Repository, scheme string) (*Engine, error) {
 // RunPartial consults it, and sampled executions build a span tree
 // through the engine, the S-Node reader, the buffer manager, and the
 // I/O simulator, finished into the tracer's slow-query log. Engines
-// derived via Shared (and therefore RunParallel) sample into the same
-// tracer. Call before serving; nil disables.
+// derived via Shared sample into the same tracer. Call before serving;
+// nil disables.
 func (e *Engine) SetTracer(t *trace.Tracer) { e.tracer = t }
 
 // Tracer returns the tracer wired by SetTracer (nil without).
@@ -157,11 +156,9 @@ func (q ID) Class() string { return classNames[q] }
 // SetMetrics wires the engine's executions (Run and RunPartial alike)
 // into a registry: a latency histogram per query ID (query_latency_q1
 // .. query_latency_q6) and the per-stage split between index resolution
-// and navigation. Call before serving; engines derived via Shared (and
-// therefore RunParallel) record into the same histograms, so concurrent
-// streams aggregate.
+// and navigation. Call before serving; engines derived via Shared
+// record into the same histograms, so concurrent streams aggregate.
 func (e *Engine) SetMetrics(reg *metrics.Registry) {
-	e.reg = reg
 	for _, q := range All() {
 		e.qHist[q] = reg.Histogram(fmt.Sprintf("query_latency_q%d", q), nil)
 	}
@@ -177,8 +174,7 @@ func (e *Engine) SetMetrics(reg *metrics.Registry) {
 // are traced under class "nav", and latency lands in the
 // query_latency_nav histogram with a trace exemplar. The finished
 // trace is returned (nil when unsampled) so the serving tier can
-// attribute pre-engine time — admission queue wait — on the root, the
-// way RunParallel attributes pool queue wait.
+// attribute pre-engine time — admission queue wait — on the root.
 func (e *Engine) Neighbors(ctx context.Context, p webgraph.PageID) ([]webgraph.PageID, *trace.Trace, error) {
 	var tr *trace.Trace
 	if e.tracer != nil {
@@ -261,6 +257,19 @@ func (e *Engine) runPlan(ctx context.Context, q ID) (*PartialResult, *trace.Trac
 		e.resolveHist.ObserveDuration(resolve)
 	}
 	return part, tr, nil
+}
+
+// Shared returns a copy of the engine marked for concurrent use: its
+// queries may run alongside other engines (or goroutines) over the same
+// stores. Shared engines never reset the stores' access statistics and
+// report wall time only in NavStats — with concurrent streams the
+// accountant's bytes cannot be attributed to one query. The S-Node
+// representation is safe for this; the baseline schemes are not (see
+// store.LinkStore).
+func (e *Engine) Shared() *Engine {
+	c := *e
+	c.shared = true
+	return &c
 }
 
 // RunAll executes the six queries in order.

@@ -273,28 +273,30 @@ func benchEngine(b *testing.B, tr *trace.Tracer) *Engine {
 	return e
 }
 
-// TestRunParallelPreCancelled: a batch submitted on an already-dead
-// context must return its error immediately without running anything.
+// TestRunParallelPreCancelled: queries run on an already-dead context
+// must each return its error at the first store access, with no result.
 func TestRunParallelPreCancelled(t *testing.T) {
 	e := coldEngine(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	res, err := e.RunParallel(ctx, All(), 4)
+	res, err := runParallel(ctx, e, All(), 4)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v, want context.Canceled", err)
 	}
-	if res != nil {
-		t.Fatalf("cancelled batch returned results: %v", res)
+	for i, r := range res {
+		if r != nil {
+			t.Fatalf("cancelled Q%d returned a result: %v", All()[i], r)
+		}
 	}
 	if el := time.Since(start); el > 2*time.Second {
 		t.Fatalf("pre-cancelled batch took %v to return", el)
 	}
 }
 
-// TestRunParallelCancelledMidBatch: cancellation during a large batch
-// must interrupt in-flight queries at their next store access and
-// return promptly — queries do not run to completion first.
+// TestRunParallelCancelledMidBatch: cancellation while goroutines serve
+// a large batch must interrupt in-flight queries at their next store
+// access and return promptly — queries do not run to completion first.
 func TestRunParallelCancelledMidBatch(t *testing.T) {
 	e := coldEngine(t)
 	// 48 cold queries under paced I/O (each cold read stalls for its
@@ -318,7 +320,7 @@ func TestRunParallelCancelledMidBatch(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := e.RunParallel(ctx, qs, 2)
+	_, err := runParallel(ctx, e, qs, 2)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("error %v, want context.DeadlineExceeded", err)

@@ -28,9 +28,9 @@ type ReplicaMetrics struct {
 	Healthy bool   `json:"healthy"`
 	// Stale marks a snapshot served from the scrape cache because the
 	// live scrape failed; AgeSeconds is how old the snapshot is.
-	Stale      bool    `json:"stale"`
-	AgeSeconds float64 `json:"age_seconds"`
-	Error      string  `json:"error,omitempty"`
+	Stale      bool              `json:"stale"`
+	AgeSeconds float64           `json:"age_seconds"`
+	Error      string            `json:"error,omitempty"`
 	Snapshot   *metrics.Snapshot `json:"snapshot,omitempty"`
 }
 

@@ -341,8 +341,7 @@ func (s *Server) handleOut(w http.ResponseWriter, r *http.Request) {
 	}
 	if tr != nil {
 		// The trace starts inside the engine, after the admission wait
-		// has already elapsed; attribute it on the root after the fact
-		// (same idiom as RunParallel's queue_wait_ns).
+		// has already elapsed; attribute it on the root after the fact.
 		tr.SetAttr("admission_wait_ns", int64(wait))
 	}
 	s.finishRemote(w, &forced)

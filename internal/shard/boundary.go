@@ -8,6 +8,7 @@ import (
 	"os"
 	"sort"
 
+	"snode/internal/coding"
 	"snode/internal/webgraph"
 )
 
@@ -132,15 +133,15 @@ func OpenBoundary(path string, numPages int) (*Boundary, error) {
 		return corrupt("boundary format %d, want %d", ver, boundaryVersion)
 	}
 	// next reads one gap and steps *id over it, to an ID strictly above
-	// the last and below numPages. The gap is checked before it is
-	// added, so a 64-bit gap cannot wrap the sum.
+	// the last and below numPages.
 	next := func(id *int64) bool {
 		d, err := binary.ReadUvarint(r)
-		if err != nil || d == 0 || d >= uint64(int64(numPages)-*id) {
+		if err != nil {
 			return false
 		}
-		*id += int64(d)
-		return true
+		var ok bool
+		*id, ok = coding.StepGap(*id, d, int64(numPages))
+		return ok
 	}
 	// count reads a source count or a degree: at most one per page.
 	count := func() (uint64, bool) {

@@ -147,17 +147,6 @@ type Report struct {
 	Classes       []ClassReport `json:"classes"`
 }
 
-// Met reports whether every class met both its availability and
-// latency objectives over the window.
-func (r Report) Met() bool {
-	for _, c := range r.Classes {
-		if !c.AvailabilityMet || !c.P99Met {
-			return false
-		}
-	}
-	return true
-}
-
 // Class returns the named class's report, or a zero report.
 func (r Report) Class(name string) ClassReport {
 	for _, c := range r.Classes {

@@ -46,9 +46,6 @@ func TestScoreboardIdleWindow(t *testing.T) {
 	if c.Requests != 0 || c.Availability != 1 || !c.AvailabilityMet || !c.P99Met || c.AvailabilityBurn != 0 {
 		t.Fatalf("idle report = %+v", c)
 	}
-	if !rep.Met() {
-		t.Fatal("idle scoreboard not Met")
-	}
 }
 
 func TestScoreboardBurnReactsToSheds(t *testing.T) {
@@ -90,9 +87,6 @@ func TestScoreboardBurnReactsToSheds(t *testing.T) {
 	}
 	if c.BudgetRemaining >= 0 {
 		t.Fatalf("budget remaining = %.2f, want overspent", c.BudgetRemaining)
-	}
-	if rep.Met() {
-		t.Fatal("burning report claims Met")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"snode/internal/coding"
 	"snode/internal/refenc"
 )
 
@@ -104,16 +105,11 @@ func (d *lzDecoder) run(vals []int32, n int, last int64, bound int64) ([]int32, 
 		if g == 0 {
 			return vals, fmt.Errorf("snode/lz: zero gap at byte %d", d.pos)
 		}
-		// A hostile gap can make int64(g) negative (g >= 2^63) or wrap
-		// last+int64(g) past MaxInt64; both land below zero (the one
-		// underflow case, last == -1 with int64(g) == MinInt64, wraps to
-		// MaxInt64), so nv < 0 || nv >= bound rejects every corrupt gap.
-		nv := last + int64(g)
-		if nv < 0 || nv >= bound {
+		var ok bool
+		if last, ok = coding.StepGap(last, g, bound); !ok {
 			return vals, fmt.Errorf("snode/lz: gap %d at byte %d escapes [0,%d)", g, d.pos, bound)
 		}
-		vals = append(vals, int32(nv))
-		last = nv
+		vals = append(vals, int32(last))
 	}
 	return vals, nil
 }

@@ -2,6 +2,7 @@ package snode
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -17,10 +18,32 @@ import (
 // short enough for the tier-1 suite.
 const stressDeadline = 2200 * time.Millisecond
 
+// lookupAll resolves ps the way concurrent callers do: goroutines over
+// one Representation, each pulling the next page from an atomic counter
+// and calling OutFilteredCtx. Lists land in input order; a goroutine
+// stops at its first error, and the errors are returned joined.
+func lookupAll(ctx context.Context, r *Representation, ps []webgraph.PageID, goroutines int) ([][]webgraph.PageID, error) {
+	out := make([][]webgraph.PageID, len(ps))
+	errs := make([]error, goroutines)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(ps) && errs[g] == nil; i = int(next.Add(1) - 1) {
+				out[i], errs[g] = r.OutFilteredCtx(ctx, ps[i], nil, nil)
+			}
+		}(g)
+	}
+	wg.Wait()
+	return out, errors.Join(errs...)
+}
+
 // TestConcurrentMixedWorkload hammers one shared Representation with 32
 // goroutines running the full read API — Out, OutFiltered by domain and
-// by page set, batched ParallelNeighbors, stats reads — while two of
-// them periodically reset stats and the cache. Every adjacency answer
+// by page set, batches of OutFilteredCtx from further goroutines, stats
+// reads — while two of them periodically reset stats and the cache. Every adjacency answer
 // is checked against the source graph; run under -race this is the
 // suite's main data-race detector for the serving path.
 func TestConcurrentMixedWorkload(t *testing.T) {
@@ -109,9 +132,9 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 					for i := range ps {
 						ps[i] = webgraph.PageID(rng.Int31n(n))
 					}
-					lists, err := r.ParallelNeighbors(context.Background(), ps, 2)
+					lists, err := lookupAll(context.Background(), r, ps, 2)
 					if err != nil {
-						t.Errorf("ParallelNeighbors: %v", err)
+						t.Errorf("batched OutFilteredCtx: %v", err)
 						return
 					}
 					for i, l := range lists {
@@ -212,71 +235,6 @@ func TestSingleflightDecodeDedup(t *testing.T) {
 		}
 		if got := st.Hits + st.Misses; got < int64(32) {
 			t.Fatalf("trial %d: Hits+Misses = %d, want >= one lookup per goroutine", trial, got)
-		}
-	}
-}
-
-// TestParallelNeighborsMatchesSerial checks the batched lookup against
-// per-page serial Out for several worker counts.
-func TestParallelNeighborsMatchesSerial(t *testing.T) {
-	c, _ := buildOnce(t)
-	r := openRep(t, 4<<20)
-	var ps []webgraph.PageID
-	for p := int32(0); int(p) < c.Graph.NumPages(); p += 23 {
-		ps = append(ps, p)
-	}
-	for _, workers := range []int{1, 4, 32} {
-		lists, err := r.ParallelNeighbors(context.Background(), ps, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(lists) != len(ps) {
-			t.Fatalf("workers=%d: %d lists for %d pages", workers, len(lists), len(ps))
-		}
-		for i, p := range ps {
-			got := sortedCopy(lists[i])
-			want := c.Graph.Out(p)
-			if len(got) != len(want) {
-				t.Fatalf("workers=%d page %d: %d targets, want %d", workers, p, len(got), len(want))
-			}
-			for k := range want {
-				if got[k] != want[k] {
-					t.Fatalf("workers=%d page %d target %d: got %d, want %d",
-						workers, p, k, got[k], want[k])
-				}
-			}
-		}
-	}
-}
-
-// TestParallelNeighborsFilteredMatchesSerial checks the filtered batch
-// path against OutFiltered.
-func TestParallelNeighborsFilteredMatchesSerial(t *testing.T) {
-	c, _ := buildOnce(t)
-	r := openRep(t, 4<<20)
-	f := &store.Filter{Domains: map[string]bool{c.Pages[0].Domain: true}}
-	var ps []webgraph.PageID
-	for p := int32(0); int(p) < c.Graph.NumPages(); p += 41 {
-		ps = append(ps, p)
-	}
-	lists, err := r.ParallelNeighborsFiltered(context.Background(), ps, f, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf []webgraph.PageID
-	for i, p := range ps {
-		buf, err = r.OutFiltered(p, f, buf[:0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, want := sortedCopy(lists[i]), sortedCopy(buf)
-		if len(got) != len(want) {
-			t.Fatalf("page %d: %d filtered targets, want %d", p, len(got), len(want))
-		}
-		for k := range want {
-			if got[k] != want[k] {
-				t.Fatalf("page %d filtered target %d: got %d, want %d", p, k, got[k], want[k])
-			}
 		}
 	}
 }

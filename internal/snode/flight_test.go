@@ -148,7 +148,7 @@ func TestParkedLeaderReleasesLookupsWaitingOnIt(t *testing.T) {
 			return nil
 		}
 		lookup := func(ctx context.Context, done chan<- error) {
-			rows, err := r.OutCtx(ctx, page, nil)
+			rows, err := r.OutFilteredCtx(ctx, page, nil, nil)
 			if err == nil {
 				assertPageRows(t, c, page, rows)
 			}

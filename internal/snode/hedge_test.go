@@ -163,7 +163,7 @@ func TestHedgingOnOffByteIdentical(t *testing.T) {
 			for rep := 0; rep < 3; rep++ {
 				for _, p := range pages {
 					var err error
-					buf, err = r.OutCtx(context.Background(), p, buf[:0])
+					buf, err = r.OutFilteredCtx(context.Background(), p, nil, buf[:0])
 					if err != nil {
 						errs[g] = err
 						return
@@ -310,10 +310,10 @@ func TestDeadlineCancelsMidBatch(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := r.ParallelNeighbors(ctx, pages, 2)
+	_, err := lookupAll(ctx, r, pages, 2)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("ParallelNeighbors returned %v, want DeadlineExceeded", err)
+		t.Fatalf("batched OutFilteredCtx returned %v, want DeadlineExceeded", err)
 	}
 	// 600 cold lookups over 2 workers at ≥9ms modeled each would be
 	// seconds; a propagated deadline must cut that to ~the deadline plus

@@ -15,7 +15,6 @@ import (
 	"snode/internal/store"
 	"snode/internal/trace"
 	"snode/internal/webgraph"
-	"snode/internal/workpool"
 )
 
 // Representation is an opened, queryable S-Node representation. It
@@ -583,11 +582,6 @@ func (r *Representation) Out(p webgraph.PageID, buf []webgraph.PageID) ([]webgra
 	return r.OutFilteredCtx(context.Background(), p, nil, buf)
 }
 
-// OutCtx is Out with request-scoped context (tracing, cancellation).
-func (r *Representation) OutCtx(ctx context.Context, p webgraph.PageID, buf []webgraph.PageID) ([]webgraph.PageID, error) {
-	return r.OutFilteredCtx(ctx, p, nil, buf)
-}
-
 // OutFiltered implements store.LinkStore. The filter is exploited
 // structurally: a superedge graph is loaded only when its target
 // supernode can contain accepted pages, which is how S-Node achieves
@@ -830,33 +824,6 @@ func (r *Representation) readDecodeSpan(ctx context.Context, claimed []needEntry
 		}
 	}
 	return decodeErr
-}
-
-// ParallelNeighbors resolves the adjacency of every page in ps
-// concurrently over a bounded worker pool (workers <= 0 uses
-// GOMAXPROCS) and returns the per-page lists in input order. Concurrent
-// lookups share the buffer manager: pages of one supernode coalesce
-// onto a single decode of its graphs. The context propagates into
-// every lookup: cancellation stops dispatch of further pages, and a
-// trace carried by ctx attributes the whole batch — including each
-// item's queue wait — to the requesting query.
-func (r *Representation) ParallelNeighbors(ctx context.Context, ps []webgraph.PageID, workers int) ([][]webgraph.PageID, error) {
-	return r.ParallelNeighborsFiltered(ctx, ps, nil, workers)
-}
-
-// ParallelNeighborsFiltered is ParallelNeighbors with a store.Filter
-// applied to every lookup (the batched form of OutFiltered).
-func (r *Representation) ParallelNeighborsFiltered(ctx context.Context, ps []webgraph.PageID, f *store.Filter, workers int) ([][]webgraph.PageID, error) {
-	out := make([][]webgraph.PageID, len(ps))
-	err := workpool.New(workers).ForEachCtx(ctx, len(ps), func(ctx context.Context, i int) error {
-		var err error
-		out[i], err = r.OutFilteredCtx(ctx, ps[i], f, nil)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // DecodeAll materializes the entire graph in memory as a CSR webgraph

@@ -27,9 +27,8 @@
 // # Thread safety
 //
 // An opened Representation is safe for concurrent use:
-// any number of goroutines may call Out, OutFiltered,
-// ParallelNeighbors, Verify, DomainSupernodes, and the stats accessors
-// simultaneously. A lookup whose graphs are resident takes no lock: the
+// any number of goroutines may call Out, OutFiltered, OutFilteredCtx,
+// Verify, DomainSupernodes, and the stats accessors simultaneously. A lookup whose graphs are resident takes no lock: the
 // buffer manager publishes each resident graph in an atomic slot
 // indexed by GraphID, and a hit is one atomic load (plus setting the
 // entry's second-chance bit when it is clear). Whatever changes
@@ -93,8 +92,6 @@ type Config struct {
 	// MaxFileSize bounds each index file (paper: 500 MB). Lower values
 	// exercise the multi-file layout in tests.
 	MaxFileSize int64
-	// CacheBudget bounds the buffer manager's decoded-graph memory.
-	CacheBudget int64
 	// DisableNegative forces positive superedge graphs everywhere (an
 	// ablation of the §2 pos/neg choice).
 	DisableNegative bool
@@ -122,7 +119,6 @@ func DefaultConfig() Config {
 		Partition:   partition.DefaultConfig(),
 		Refenc:      refenc.Options{Window: refenc.DefaultWindow},
 		MaxFileSize: 500 << 20,
-		CacheBudget: 32 << 20,
 	}
 }
 

@@ -105,7 +105,7 @@ func (s AccessStats) ModeledTime(m iosim.Model) time.Duration {
 // LinkStore is a queryable graph representation. Thread safety is per
 // implementation: the S-Node representation is safe for concurrent use
 // (its buffer manager is sharded and deduplicates concurrent decodes),
-// and the parallel query engine requires that; the four baseline
+// and a Shared query engine requires that; the four baseline
 // schemes remain single-threaded, like the paper's hand-crafted plans.
 type LinkStore interface {
 	// Name identifies the scheme ("snode", "link3", ...).

@@ -49,15 +49,6 @@ func Domain(u string) string {
 	return labels[len(labels)-2] + "." + labels[len(labels)-1]
 }
 
-// TLD returns the last DNS label of the host ("edu", "com", ...).
-func TLD(u string) string {
-	h := Host(u)
-	if i := strings.LastIndexByte(h, '.'); i >= 0 {
-		return h[i+1:]
-	}
-	return h
-}
-
 // Path returns the path component including the leading slash, or "/"
 // when absent.
 func Path(u string) string {
@@ -105,9 +96,4 @@ func PathDepth(u string) int {
 	p := Path(u)
 	segs := strings.Split(strings.TrimPrefix(p, "/"), "/")
 	return len(segs) - 1
-}
-
-// SameDomain reports whether two URLs share a registered domain.
-func SameDomain(a, b string) bool {
-	return Domain(a) == Domain(b)
 }

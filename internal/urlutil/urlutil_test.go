@@ -34,20 +34,11 @@ func TestDomain(t *testing.T) {
 
 func TestDomainMergesSubdomains(t *testing.T) {
 	// Footnote 5: cs.stanford.edu and ee.stanford.edu share a partition.
-	if !SameDomain("http://cs.stanford.edu/x", "http://ee.stanford.edu/y") {
+	if Domain("http://cs.stanford.edu/x") != Domain("http://ee.stanford.edu/y") {
 		t.Fatal("cs. and ee.stanford.edu should share a domain")
 	}
-	if SameDomain("http://www.stanford.edu/", "http://www.berkeley.edu/") {
+	if Domain("http://www.stanford.edu/") == Domain("http://www.berkeley.edu/") {
 		t.Fatal("stanford and berkeley should differ")
-	}
-}
-
-func TestTLD(t *testing.T) {
-	if got := TLD("http://www.stanford.edu/a"); got != "edu" {
-		t.Errorf("TLD = %q", got)
-	}
-	if got := TLD("http://dilbert.com/"); got != "com" {
-		t.Errorf("TLD = %q", got)
 	}
 }
 

@@ -2,15 +2,9 @@ package webgraph
 
 // Graph algorithms used by the "global access" mining tasks the paper
 // motivates (§1.2): strongly connected components (for bow-tie style
-// structure analysis), BFS reachability (serial and level-parallel),
-// and degree statistics. These run over fully decoded in-memory graphs,
-// which is exactly the workload the S-Node compression enables.
-
-import (
-	"sync/atomic"
-
-	"snode/internal/workpool"
-)
+// structure analysis) and BFS reachability. These run over fully
+// decoded in-memory graphs, which is exactly the workload the S-Node
+// compression enables.
 
 // SCC computes strongly connected components with Tarjan's algorithm
 // (iterative, so deep Web graphs do not overflow the goroutine stack).
@@ -94,23 +88,6 @@ func SCC(g *Graph) (comp []int32, nComp int) {
 	return comp, nComp
 }
 
-// LargestSCCSize returns the size of the largest strongly connected
-// component (the paper's Web graphs have a giant SCC).
-func LargestSCCSize(g *Graph) int {
-	comp, nComp := SCC(g)
-	counts := make([]int, nComp)
-	for _, c := range comp {
-		counts[c]++
-	}
-	best := 0
-	for _, c := range counts {
-		if c > best {
-			best = c
-		}
-	}
-	return best
-}
-
 // BFS performs a breadth-first traversal from the given sources and
 // returns the hop distance per page (-1 if unreachable).
 func BFS(g *Graph, sources []PageID) []int32 {
@@ -136,85 +113,4 @@ func BFS(g *Graph, sources []PageID) []int32 {
 		}
 	}
 	return dist
-}
-
-// ParallelBFS computes the same hop distances as BFS, expanding each
-// frontier level across the shared bounded worker pool (workers <= 0
-// uses GOMAXPROCS). The traversal is level-synchronous: every vertex is
-// claimed exactly once with a compare-and-swap on its distance, so the
-// result is identical to the serial BFS regardless of scheduling — the
-// frontier ordering may differ, the distances cannot.
-func ParallelBFS(g *Graph, sources []PageID, workers int) []int32 {
-	dist := make([]int32, g.NumPages())
-	for i := range dist {
-		dist[i] = -1
-	}
-	var frontier []PageID
-	for _, s := range sources {
-		if dist[s] == -1 {
-			dist[s] = 0
-			frontier = append(frontier, s)
-		}
-	}
-	pool := workpool.New(workers)
-	w := pool.Workers()
-	for depth := int32(1); len(frontier) > 0; depth++ {
-		chunks := w
-		if chunks > len(frontier) {
-			chunks = len(frontier)
-		}
-		per := (len(frontier) + chunks - 1) / chunks
-		nexts := make([][]PageID, chunks)
-		pool.ForEach(chunks, func(ci int) error {
-			lo := ci * per
-			hi := lo + per
-			if hi > len(frontier) {
-				hi = len(frontier)
-			}
-			if lo >= hi {
-				return nil
-			}
-			var local []PageID
-			for _, v := range frontier[lo:hi] {
-				for _, t := range g.Out(v) {
-					if atomic.CompareAndSwapInt32(&dist[t], -1, depth) {
-						local = append(local, t)
-					}
-				}
-			}
-			nexts[ci] = local
-			return nil
-		})
-		frontier = frontier[:0]
-		for _, l := range nexts {
-			frontier = append(frontier, l...)
-		}
-	}
-	return dist
-}
-
-// DegreeStats summarizes a degree distribution.
-type DegreeStats struct {
-	Min, Max int
-	Mean     float64
-}
-
-// OutDegreeStats computes min/max/mean out-degree.
-func OutDegreeStats(g *Graph) DegreeStats {
-	n := g.NumPages()
-	if n == 0 {
-		return DegreeStats{}
-	}
-	s := DegreeStats{Min: g.OutDegree(0), Max: g.OutDegree(0)}
-	for p := 0; p < n; p++ {
-		d := g.OutDegree(PageID(p))
-		if d < s.Min {
-			s.Min = d
-		}
-		if d > s.Max {
-			s.Max = d
-		}
-	}
-	s.Mean = g.AvgOutDegree()
-	return s
 }

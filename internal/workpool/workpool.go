@@ -1,10 +1,10 @@
-// Package workpool provides the bounded worker pool behind every
-// concurrent execution path in this repository: the query engine's
-// parallel query serving, the S-Node batched neighbor lookups, and the
-// parallel BFS frontier expansion. One shared primitive keeps the
-// concurrency discipline uniform — a fixed number of goroutines pull
-// indices from an atomic counter (work stealing, so uneven item costs
-// balance), and the first error stops the dispatch of further work.
+// Package workpool provides the bounded worker pool behind the build's
+// two parallel stages: the refiner examines a round's elements with
+// ForEachCtx, and the S-Node builder encodes supernodes through
+// Ordered. One shared primitive keeps the concurrency discipline
+// uniform — a fixed number of goroutines pull indices from an atomic
+// counter (work stealing, so uneven item costs balance), and the first
+// error stops the dispatch of further work.
 package workpool
 
 import (
@@ -14,25 +14,19 @@ import (
 	"sync/atomic"
 	"time"
 
-	"snode/internal/metrics"
 	"snode/internal/trace"
 )
 
 // Pool is a bounded degree of parallelism. The zero value is not
 // usable; construct with New. A Pool carries no goroutines of its own —
-// each ForEach spins up at most Workers() goroutines for its duration —
-// so it is cheap to create and safe to share.
+// each ForEachCtx spins up at most Workers() goroutines for its
+// duration — so it is cheap to create and safe to share.
 type Pool struct {
 	workers int
-
-	// Optional occupancy instrumentation (nil disables; see Instrument).
-	busy  *metrics.Gauge
-	items *metrics.Counter
 }
 
 // New returns a pool of the given width; workers <= 0 selects
-// runtime.GOMAXPROCS(0), the configurable default the serving layer
-// uses.
+// runtime.GOMAXPROCS(0).
 func New(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -43,53 +37,17 @@ func New(workers int) *Pool {
 // Workers reports the pool width.
 func (p *Pool) Workers() int { return p.workers }
 
-// Instrument attaches worker-occupancy metrics to the pool and returns
-// it: busy tracks goroutines currently inside fn (the occupancy gauge a
-// scrape sees mid-run), items counts completed work items. Either may
-// be nil. Call before the pool is shared; typical wiring:
-//
-//	pool := workpool.New(w).Instrument(
-//		reg.Gauge("workpool_busy"), reg.Counter("workpool_items"))
-func (p *Pool) Instrument(busy *metrics.Gauge, items *metrics.Counter) *Pool {
-	p.busy = busy
-	p.items = items
-	return p
-}
-
-// enter/exit bracket one work item for the occupancy instruments.
-func (p *Pool) enter() {
-	if p.busy != nil {
-		p.busy.Add(1)
-	}
-}
-
-func (p *Pool) exit() {
-	if p.busy != nil {
-		p.busy.Add(-1)
-	}
-	if p.items != nil {
-		p.items.Inc()
-	}
-}
-
-// ForEach invokes fn(i) for every i in [0, n), distributing the calls
-// over the pool's workers. Items are claimed from a shared counter, so
-// a slow item does not idle the other workers. The first non-nil error
-// stops further dispatch (in-progress items finish) and is returned.
-// With one worker (or n <= 1) the calls run inline, in order.
-func (p *Pool) ForEach(n int, fn func(i int) error) error {
-	return p.ForEachCtx(context.Background(), n, func(_ context.Context, i int) error {
-		return fn(i)
-	})
-}
-
-// ForEachCtx is ForEach with request-scoped context: dispatch stops
-// once ctx is cancelled (in-progress items finish; the context's error
-// is returned when it cut the batch short), and when ctx carries an
-// execution trace each dispatched item records a queue-wait span — the
-// time the item sat between batch submission and a worker picking it
-// up, the pool's contribution to request latency. fn receives ctx so
-// the trace and cancellation propagate into the item's own work.
+// ForEachCtx invokes fn(ctx, i) for every i in [0, n), distributing
+// the calls over the pool's workers. Items are claimed from a shared
+// counter, so a slow item does not idle the other workers. The first
+// non-nil error stops further dispatch (in-progress items finish) and
+// is returned. With one worker (or n <= 1) the calls run inline, in
+// order. Dispatch also stops once ctx is cancelled (in-progress items
+// finish; the context's error is returned when it cut the batch short),
+// and when ctx carries an execution trace each dispatched item records
+// a queue-wait span — the time the item sat between batch submission
+// and a worker picking it up. fn receives ctx so the trace and
+// cancellation propagate into the item's own work.
 func (p *Pool) ForEachCtx(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return nil
@@ -115,10 +73,7 @@ func (p *Pool) ForEachCtx(ctx context.Context, n int, fn func(ctx context.Contex
 				trace.RecordSpan(ctx, "pool.wait", submitted, time.Since(submitted),
 					trace.Attr{Key: "item", Val: int64(i)})
 			}
-			p.enter()
-			err := fn(ctx, i)
-			p.exit()
-			if err != nil {
+			if err := fn(ctx, i); err != nil {
 				return err
 			}
 		}
@@ -152,10 +107,7 @@ func (p *Pool) ForEachCtx(ctx context.Context, n int, fn func(ctx context.Contex
 					trace.RecordSpan(ctx, "pool.wait", submitted, time.Since(submitted),
 						trace.Attr{Key: "item", Val: i})
 				}
-				p.enter()
-				err := fn(ctx, int(i))
-				p.exit()
-				if err != nil {
+				if err := fn(ctx, int(i)); err != nil {
 					errMu.Lock()
 					if first == nil {
 						first = err
@@ -172,12 +124,6 @@ func (p *Pool) ForEachCtx(ctx context.Context, n int, fn func(ctx context.Contex
 		first = ctx.Err()
 	}
 	return first
-}
-
-// Run executes the given tasks over the pool and returns the first
-// error.
-func (p *Pool) Run(tasks ...func() error) error {
-	return p.ForEach(len(tasks), func(i int) error { return tasks[i]() })
 }
 
 // Ordered computes fn(i) for every i in [0, n) on the pool's workers
@@ -220,9 +166,7 @@ func Ordered[T any](ctx context.Context, p *Pool, n, window int, fn func(ctx con
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			p.enter()
 			v, err := fn(ctx, i)
-			p.exit()
 			if err != nil {
 				return err
 			}
@@ -284,9 +228,7 @@ func Ordered[T any](ctx context.Context, p *Pool, n, window int, fn func(ctx con
 					sem <- struct{}{}
 					return
 				}
-				p.enter()
 				v, err := fn(ctx, i)
-				p.exit()
 				results <- item{i: i, v: v, err: err}
 			}
 		}()

@@ -6,15 +6,13 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"snode/internal/metrics"
 )
 
 func TestForEachCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 32} {
 		const n = 1000
 		seen := make([]atomic.Int32, n)
-		err := New(workers).ForEach(n, func(i int) error {
+		err := New(workers).ForEachCtx(context.Background(), n, func(_ context.Context, i int) error {
 			seen[i].Add(1)
 			return nil
 		})
@@ -32,7 +30,7 @@ func TestForEachCoversAllIndices(t *testing.T) {
 func TestForEachStopsOnError(t *testing.T) {
 	boom := errors.New("boom")
 	var calls atomic.Int64
-	err := New(4).ForEach(100000, func(i int) error {
+	err := New(4).ForEachCtx(context.Background(), 100000, func(_ context.Context, i int) error {
 		calls.Add(1)
 		if i == 10 {
 			return boom
@@ -117,7 +115,7 @@ func TestForEachCtxFnErrorWins(t *testing.T) {
 
 func TestForEachSerialOrder(t *testing.T) {
 	var order []int
-	err := New(1).ForEach(5, func(i int) error {
+	err := New(1).ForEachCtx(context.Background(), 5, func(_ context.Context, i int) error {
 		order = append(order, i)
 		return nil
 	})
@@ -135,59 +133,8 @@ func TestDefaults(t *testing.T) {
 	if New(0).Workers() < 1 {
 		t.Fatal("default width under 1")
 	}
-	if err := New(3).ForEach(0, func(int) error { return nil }); err != nil {
+	if err := New(3).ForEachCtx(context.Background(), 0, func(context.Context, int) error { return nil }); err != nil {
 		t.Fatal(err)
-	}
-	if err := New(2).Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRun(t *testing.T) {
-	var a, b atomic.Bool
-	err := New(2).Run(
-		func() error { a.Store(true); return nil },
-		func() error { b.Store(true); return nil },
-	)
-	if err != nil || !a.Load() || !b.Load() {
-		t.Fatalf("Run: err=%v a=%v b=%v", err, a.Load(), b.Load())
-	}
-}
-
-func TestInstrumentOccupancy(t *testing.T) {
-	reg := metrics.NewRegistry()
-	busy, items := reg.Gauge("wp_busy"), reg.Counter("wp_items")
-	p := New(4).Instrument(busy, items)
-	const n = 100
-	var maxBusy atomic.Int64
-	err := p.ForEach(n, func(i int) error {
-		b := busy.Value()
-		for {
-			m := maxBusy.Load()
-			if b <= m || maxBusy.CompareAndSwap(m, b) {
-				break
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := items.Value(); got != n {
-		t.Fatalf("items = %d, want %d", got, n)
-	}
-	if busy.Value() != 0 {
-		t.Fatalf("busy = %d after ForEach returned, want 0", busy.Value())
-	}
-	if m := maxBusy.Load(); m < 1 || m > 4 {
-		t.Fatalf("observed busy peak %d, want within [1, 4]", m)
-	}
-	// Serial path counts too.
-	if err := New(1).Instrument(busy, items).ForEach(5, func(int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if got := items.Value(); got != n+5 {
-		t.Fatalf("items = %d after serial batch, want %d", got, n+5)
 	}
 }
 

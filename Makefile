@@ -113,29 +113,33 @@ test-obs:
 	$(GO) test -count=1 -run 'TestRemoteSampledBit|TestForcedSampling|TestStartLinked|TestHeaderRoundTrip' ./internal/serve ./internal/trace
 	$(GO) test -count=1 ./internal/slo ./internal/metrics
 
-# Codec gate: encode→decode identity for every registered codec over
-# every payload kind (fuzz seed corpora included), cross-codec build
-# equivalence (row-identical adjacency under paper/lz/log/auto, codec
-# IDs recorded and dispatched), the v1-artifact compatibility and
-# future-version rejection suite, hostile-input decode over flipped
-# payload bytes, and codec flow through sharded builds; below the codecs,
+# Codec gate: encode→decode identity for both codecs (paper, log) over
+# every payload kind through the one framing (fuzz seed corpora
+# included), cross-codec build equivalence (row-identical adjacency,
+# codec IDs recorded and dispatched), the v1-artifact compatibility and
+# future-version rejection suite with the retired lz wire ID refused by
+# name, a directory that contradicts the supernode graph refused at
+# Open, hostile-input decode over flipped payload bytes, and codec flow
+# through sharded builds and snbuild's -codec flag; below the codecs,
 # the windowed bit reader against its bit-at-a-time reference, the
 # one-window gamma, minimal-binary, gap-list and Huffman decoders
 # against the split decoders they replaced, and refenc's hostile-count
 # and flat-form guards; above them, decoded rows and hostile-input
 # verdicts against the values recorded at the parent of the flat decoded
-# form, the two-state superedge entry (rows equal the CSR under every
-# codec and budget, cache accounting across the replacement, a damaged
-# list section failing only its readers) and the flight a miss's
-# waiters share (made by the first of them, releasing all). Run with
-# -count=1 so the gate always executes.
+# form (the verdicts seed by seed, at the parent of the lz removal), the
+# two-state superedge entry (rows equal the CSR under every codec and
+# budget, cache accounting across the replacement, a damaged list
+# section failing only its readers) and the flight a miss's waiters
+# share (made by the first of them, releasing all). Run with -count=1
+# so the gate always executes.
 test-codec:
 	$(GO) test -count=1 -run 'TestReaderMatchesBitAtATimeReference|TestUnaryZeroTailOverruns' ./internal/bitio
 	$(GO) test -count=1 -run 'TestWindowDecodersMatchReferences|TestGammaAtTheEdgesOfTheWindow|TestHuffmanWindowDecodeMatchesBitwise|TestRLERunsRejectOverlongRun' ./internal/coding
 	$(GO) test -count=1 -run 'TestDecodeRejects|TestDecodeAcceptsZeroBitFinalValue|TestDecodeListsAreExactSizedFlatArrays|TestReadRunRejectsOverflowGap|TestRejectsBadLists' ./internal/refenc
-	$(GO) test -count=1 -run 'TestCodec|FuzzCodecRoundTrip|FuzzDecodeHostile|TestCorruptIndexAllCodecs|TestMeasureDecode|TestLegacyMetaV1ServesAsPaper|TestUnknown|TestSourcesFirst|TestSourcesOnly|TestVerifyLeavesMaterializedEntries|TestMaterialized|TestCorruptListSection|TestDecodedRowsEqualParents|TestHostileVerdictsEqualParents|TestFlightIsMadeByItsFirstWaiter|TestParkedLeaderReleasesLookupsWaitingOnIt' ./internal/snode
+	$(GO) test -count=1 -run 'TestCodec|FuzzCodecRoundTrip|FuzzDecodeHostile|TestCorruptIndexAllCodecs|TestMeasureDecode|TestLegacyMetaV1ServesAsPaper|TestUnknown|TestRetiredCodecRefusedByName|TestOpenRefusesContradictoryDirectory|TestSourcesFirst|TestSourcesOnly|TestVerifyLeavesMaterializedEntries|TestMaterialized|TestCorruptListSection|TestDecodedRowsEqualParents|TestHostileVerdictsEqualParents|TestFlightIsMadeByItsFirstWaiter|TestParkedLeaderReleasesLookupsWaitingOnIt' ./internal/snode
 	$(GO) test -count=1 -run 'TestCodecQueryEquivalence' ./internal/query
 	$(GO) test -count=1 -run 'TestShardBuildCarriesCodec' ./internal/shard
+	$(GO) test -count=1 -run 'TestCheckCodec' ./cmd/snbuild
 
 # Ingestion gate: the hostile-input parser table (comments, CRLF,
 # duplicate edges, self-loops, sparse 64-bit IDs, truncated gzip,

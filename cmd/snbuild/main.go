@@ -32,6 +32,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -86,7 +87,7 @@ func parseFlags() options {
 	flag.BoolVar(&o.verify, "verify", false, "verify every S-Node store of the written dataset: each graph decodes and totals match")
 	flag.BoolVar(&o.progress, "progress", false, "print a periodic build-progress line (elements split / supernodes encoded) to stderr")
 	flag.IntVar(&o.shards, "shards", 1, "partition the dataset K ways by domain, one snserve per shard behind snrouter (1 = the whole graph in one shard)")
-	flag.StringVar(&o.codec, "codec", snode.CodecPaper, "supernode payload codec: "+strings.Join(snode.CodecNames(), ", ")+" (auto = per-supernode bake-off; output then depends on machine timing)")
+	flag.StringVar(&o.codec, "codec", snode.CodecPaper, "supernode payload codec: "+strings.Join(snode.CodecNames(), " or ")+" (output is byte-identical across runs under either)")
 	flag.StringVar(&o.ingest, "ingest", "", "ingest a real edge-list dataset at this path instead of reading -crawl (urls.tsv / manifest.sha256 sidecars are picked up from the same directory)")
 	flag.StringVar(&o.format, "format", ingest.FormatSNAP, "edge-list format for -ingest: "+strings.Join(ingest.Formats(), ", "))
 	flag.IntVar(&o.maxHeapMB, "max-heap-mb", 0, "bound the ingestion edge buffer: past this budget it spills to disk in sorted runs; refinement and encoding are not bounded by it (0 = fully in memory; requires -ingest)")
@@ -169,15 +170,8 @@ func parseFlags() options {
 	if o.shards < 1 {
 		usageError("-shards must be >= 1, got %d", o.shards)
 	}
-	codecOK := false
-	for _, n := range snode.CodecNames() {
-		if o.codec == n {
-			codecOK = true
-			break
-		}
-	}
-	if !codecOK {
-		usageError("unknown -codec %q (one of: %s)", o.codec, strings.Join(snode.CodecNames(), ", "))
+	if err := checkCodec(o.codec); err != nil {
+		usageError("%v", err)
 	}
 	if o.ingest == "" && o.pages == 0 {
 		if fi, err := os.Stat(o.crawlDir); err != nil || !fi.IsDir() {
@@ -185,6 +179,16 @@ func parseFlags() options {
 		}
 	}
 	return o
+}
+
+// checkCodec is the -codec flag's validation: one of snode.CodecNames.
+// lz and auto were accepted until PR 22, so the refusal says where they
+// went.
+func checkCodec(name string) error {
+	if slices.Contains(snode.CodecNames(), name) {
+		return nil
+	}
+	return fmt.Errorf("unknown -codec %q: want %s (lz and auto were removed)", name, strings.Join(snode.CodecNames(), " or "))
 }
 
 // reportProgress prints one stderr line per tick from the build_*

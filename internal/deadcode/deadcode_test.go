@@ -1,7 +1,8 @@
 // Package deadcode holds no code, only a guard: everything in this
 // module lives under internal/, so an exported function or method that
-// no non-test file references has no caller anywhere. The test below
-// fails on each one it finds.
+// no non-test file references has no caller anywhere, and neither has an
+// unexported one that only the _test.go files of its package reference.
+// The tests below fail on each one they find.
 package deadcode
 
 import (
@@ -46,37 +47,16 @@ type decl struct {
 }
 
 func TestNoExportedFunctionWithoutACaller(t *testing.T) {
-	root := moduleRoot(t)
-	fset := token.NewFileSet()
 	uses := map[string]int{} // identifier → occurrences in non-test files
 	var decls []decl
 
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+	root := eachGoFile(t, func(rel string, fset *token.FileSet, f *ast.File) {
+		if strings.HasSuffix(rel, "_test.go") {
+			return
 		}
-		if d.IsDir() {
-			if n := d.Name(); path != root && (strings.HasPrefix(n, ".") || n == "testdata" || n == "out") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(root, path)
-		internal := strings.HasPrefix(filepath.ToSlash(rel), "internal/")
-		pkg := filepath.Base(filepath.Dir(path))
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				uses[id.Name]++
-			}
-			return true
-		})
+		internal := strings.HasPrefix(rel, "internal/")
+		pkg := filepath.Base(filepath.Dir(rel))
+		countIdents(f, uses)
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok {
@@ -100,11 +80,7 @@ func TestNoExportedFunctionWithoutACaller(t *testing.T) {
 			}
 			decls = append(decls, decl{key: key, name: fd.Name.Name, pos: fset.Position(fd.Pos())})
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	declared := map[string]bool{}
 	for _, d := range decls {
@@ -130,6 +106,103 @@ func TestNoExportedFunctionWithoutACaller(t *testing.T) {
 	for _, key := range stale {
 		t.Errorf("allowlist entry %s is stale: no such declaration under internal/", key)
 	}
+}
+
+// TestNoUnexportedFunctionOnlyTestsCall is the same guard one level
+// down: an unexported function or method declared in a non-test file,
+// which no non-test file of its package names and some _test.go file of
+// it does, is kept alive by its tests alone. A reference the tests
+// compare with (an oracle) belongs in the test file that uses it; a
+// path only tests take is deleted or given a caller. There is no
+// allowlist.
+func TestNoUnexportedFunctionOnlyTestsCall(t *testing.T) {
+	type pkgFuncs struct {
+		uses, testUses map[string]int // identifier → occurrences in the package's non-test / test files
+		decls          []decl
+	}
+	pkgs := map[string]*pkgFuncs{} // by directory
+
+	root := eachGoFile(t, func(rel string, fset *token.FileSet, f *ast.File) {
+		dir, isTest := filepath.Dir(rel), strings.HasSuffix(rel, "_test.go")
+		p := pkgs[dir]
+		if p == nil {
+			p = &pkgFuncs{uses: map[string]int{}, testUses: map[string]int{}}
+			pkgs[dir] = p
+		}
+		uses := p.uses
+		if isTest {
+			uses = p.testUses
+		}
+		countIdents(f, uses)
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			uses[fd.Name.Name]-- // the declaration's own name is not a use of it
+			if isTest || fd.Name.IsExported() {
+				continue
+			}
+			key := fd.Name.Name
+			if fd.Recv != nil {
+				key = receiverType(fd.Recv.List[0].Type) + "." + key
+			}
+			p.decls = append(p.decls, decl{key: key, name: fd.Name.Name, pos: fset.Position(fd.Pos())})
+		}
+	})
+	for _, p := range pkgs {
+		for _, d := range p.decls {
+			if p.uses[d.name] > 0 || p.testUses[d.name] == 0 {
+				continue
+			}
+			rel, _ := filepath.Rel(root, d.pos.Filename)
+			t.Errorf("%s:%d: unexported %s is referenced only by the package's tests: delete it, give it a caller, or move it into the test file that uses it", rel, d.pos.Line, d.key)
+		}
+	}
+}
+
+// eachGoFile parses every Go file of the module — generated output,
+// testdata and dot directories aside — and hands it to fn with its
+// slash-separated path under the module root, which it returns.
+func eachGoFile(t *testing.T, fn func(rel string, fset *token.FileSet, f *ast.File)) (root string) {
+	t.Helper()
+	root = moduleRoot(t)
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if n := d.Name(); path != root && (strings.HasPrefix(n, ".") || n == "testdata" || n == "out") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		fn(filepath.ToSlash(rel), fset, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return root
+}
+
+// countIdents adds every identifier occurrence of f to uses.
+func countIdents(f *ast.File, uses map[string]int) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			uses[id.Name]++
+		}
+		return true
+	})
 }
 
 func receiverType(e ast.Expr) string {

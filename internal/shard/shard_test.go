@@ -340,18 +340,18 @@ func TestShardBuildCarriesCodec(t *testing.T) {
 		return root
 	}
 	paperRoot := build("")
-	lzRoot := build("lz")
+	logRoot := build(snode.CodecLog)
 
 	for s := 0; s < k; s++ {
 		for _, sub := range []string{"snode.fwd", "snode.rev"} {
-			lzDir := filepath.Join(lzRoot, "shard-"+strconv.Itoa(s), sub)
-			lzRep, err := snode.Open(lzDir, 1<<20, iosim.Model2002())
+			logDir := filepath.Join(logRoot, "shard-"+strconv.Itoa(s), sub)
+			logRep, err := snode.Open(logDir, 1<<20, iosim.Model2002())
 			if err != nil {
 				t.Fatalf("shard %d %s: %v", s, sub, err)
 			}
-			cs := lzRep.Codecs()
-			if len(cs) != 1 || cs[0].Name != "lz" {
-				t.Fatalf("shard %d %s: codec composition %+v, want pure lz", s, sub, cs)
+			cs := logRep.Codecs()
+			if len(cs) != 1 || cs[0].Name != snode.CodecLog {
+				t.Fatalf("shard %d %s: codec composition %+v, want pure log", s, sub, cs)
 			}
 
 			paperRep, err := snode.Open(
@@ -363,11 +363,11 @@ func TestShardBuildCarriesCodec(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := lzRep.DecodeAll()
+			got, err := logRep.DecodeAll()
 			if err != nil {
 				t.Fatalf("shard %d %s decode: %v", s, sub, err)
 			}
-			for p := int32(0); p < int32(lzRep.NumPages()); p++ {
+			for p := int32(0); p < int32(logRep.NumPages()); p++ {
 				a, b := want.Out(p), got.Out(p)
 				if len(a) != len(b) {
 					t.Fatalf("shard %d %s page %d: %d vs %d edges", s, sub, p, len(a), len(b))
@@ -379,7 +379,7 @@ func TestShardBuildCarriesCodec(t *testing.T) {
 				}
 			}
 			paperRep.Close()
-			lzRep.Close()
+			logRep.Close()
 		}
 	}
 }

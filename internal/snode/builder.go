@@ -12,7 +12,6 @@ import (
 	"snode/internal/coding"
 	"snode/internal/metrics"
 	"snode/internal/partition"
-	"snode/internal/refenc"
 	"snode/internal/trace"
 	"snode/internal/webgraph"
 	"snode/internal/workpool"
@@ -158,21 +157,13 @@ func BuildFromPartitionCtx(ctx context.Context, c *webgraph.Corpus, p *partition
 		mEncoded = cfg.Metrics.Counter("build_supernodes_encoded")
 		mSuperedges = cfg.Metrics.Counter("build_superedges")
 	}
-	// Resolve the codec policy once: a fixed codec encodes every
-	// supernode (byte-deterministic), while "auto" runs the
-	// per-supernode bake-off inside each encode worker.
-	autoCodec := cfg.Codec == CodecAuto
-	var fixedCodec Codec
-	if !autoCodec {
-		var cerr error
-		fixedCodec, cerr = codecByName(cfg.Codec)
-		if cerr != nil {
-			out.close()
-			espan.End()
-			return nil, cerr
-		}
+	cd, err := codecByName(cfg.Codec)
+	if err != nil {
+		out.close()
+		espan.End()
+		return nil, err
 	}
-	var codecAgg [numCodecs]CodecBuildStat
+	agg := CodecBuildStat{ID: cd.ID(), Name: cd.Name()}
 	encode := func(ctx context.Context, s int) (*encodedSupernode, error) {
 		if hook := encodeFailHook; hook != nil {
 			if err := hook(int32(s)); err != nil {
@@ -188,16 +179,7 @@ func BuildFromPartitionCtx(ctx context.Context, c *webgraph.Corpus, p *partition
 			}
 			cfg.BuildIO.Scan(ctx, scanPageBytes*int64(m.SnBase[s+1]-m.SnBase[s])+scanEdgeBytes*edges)
 		}
-		p, err := gatherSupernode(c, m, cfg, snOfInternal, int32(s))
-		if err != nil {
-			return nil, err
-		}
-		var es *encodedSupernode
-		if autoCodec {
-			es, err = bakeOffSupernode(p, cfg.Refenc)
-		} else {
-			es, err = encodePayloads(fixedCodec, p, cfg.Refenc)
-		}
+		es, err := encodeSupernode(c, m, cfg, cd, snOfInternal, int32(s))
 		if err != nil {
 			return nil, err
 		}
@@ -207,11 +189,10 @@ func BuildFromPartitionCtx(ctx context.Context, c *webgraph.Corpus, p *partition
 		return es, nil
 	}
 	assemble := func(s int, es *encodedSupernode) error {
-		agg := &codecAgg[es.codec]
 		agg.Supernodes++
 		gid, err := out.addBlob(es.intraBlob, dirEntry{
 			Kind: kindIntra, I: int32(s), J: -1, NumLists: m.SnBase[s+1] - m.SnBase[s],
-			Codec: es.codec,
+			Codec: cd.ID(),
 		})
 		if err != nil {
 			return err
@@ -222,7 +203,7 @@ func BuildFromPartitionCtx(ctx context.Context, c *webgraph.Corpus, p *partition
 		m.IntraGID = append(m.IntraGID, gid)
 		m.SuperOff = append(m.SuperOff, int64(len(m.SuperAdj)))
 		for _, sb := range es.supers {
-			e := dirEntry{Kind: sb.kind, I: int32(s), J: sb.j, NumLists: sb.numLists, Codec: es.codec}
+			e := dirEntry{Kind: sb.kind, I: int32(s), J: sb.j, NumLists: sb.numLists, Codec: cd.ID()}
 			gid, err := out.addBlob(sb.blob, e)
 			if err != nil {
 				return err
@@ -252,13 +233,8 @@ func BuildFromPartitionCtx(ctx context.Context, c *webgraph.Corpus, p *partition
 		return nil, err
 	}
 	m.SuperOff = append(m.SuperOff, int64(len(m.SuperAdj)))
-	for id, agg := range codecAgg {
-		if agg.Supernodes == 0 {
-			continue
-		}
-		agg.ID = uint8(id)
-		agg.Name = codecTable[id].Name()
-		m.Stats.Codecs = append(m.Stats.Codecs, agg)
+	if agg.Supernodes > 0 {
+		m.Stats.Codecs = []CodecBuildStat{agg}
 	}
 	m.Directory = out.entries
 	m.FileSizes = out.sizes()
@@ -317,7 +293,6 @@ func BuildFromPartitionCtx(ctx context.Context, c *webgraph.Corpus, p *partition
 // encodedSupernode holds one supernode's encoded graphs between the
 // parallel encode stage and the sequential assembly stage.
 type encodedSupernode struct {
-	codec      uint8
 	intraBlob  []byte
 	intraEdges int64
 	supers     []encodedSuper
@@ -327,44 +302,16 @@ type encodedSuper struct {
 	j        int32
 	kind     uint8
 	numLists int32
-	njSize   int32 // |Nj|, needed to decode during the bake-off
-	edges    int64 // stored (list) edges, for per-codec stats
+	edges    int64 // stored (list) edges, for the codec stats
 	blob     []byte
 }
 
-func (es *encodedSupernode) totalBytes() int64 {
-	n := int64(len(es.intraBlob))
-	for _, sb := range es.supers {
-		n += int64(len(sb.blob))
-	}
-	return n
-}
-
-// snPayloads is one supernode's graphs in decoded form, ready to encode
-// under any codec: the intranode lists plus one payload per superedge
-// with the §2 pos/neg choice already made (the choice counts edges, not
-// bytes, so it is codec-independent).
-type snPayloads struct {
-	size   int32 // |Ni|
-	intra  [][]int32
-	supers []superPayload
-}
-
-type superPayload struct {
-	j        int32
-	kind     uint8
-	srcs     []int32 // superPos only
-	lists    [][]int32
-	numLists int32
-	njSize   int32
-	edges    int64
-}
-
-// gatherSupernode buckets supernode s's links into the intranode graph
-// plus per-target-supernode payloads. It touches only immutable build
-// state (graph, permutation, SnBase), so it is safe to run concurrently
-// per supernode.
-func gatherSupernode(c *webgraph.Corpus, m *meta, cfg Config, snOfInternal []int32, s int32) (*snPayloads, error) {
+// encodeSupernode buckets supernode s's links into the intranode graph
+// plus one graph per target supernode, makes the §2 pos/neg choice for
+// each (it counts edges, not bytes, so it is codec-independent) and
+// encodes them under cd. It touches only immutable build state (graph,
+// permutation, SnBase), so it is safe to run concurrently per supernode.
+func encodeSupernode(c *webgraph.Corpus, m *meta, cfg Config, cd Codec, snOfInternal []int32, s int32) (*encodedSupernode, error) {
 	base := m.SnBase[s]
 	size := m.SnBase[s+1] - base
 
@@ -373,6 +320,7 @@ func gatherSupernode(c *webgraph.Corpus, m *meta, cfg Config, snOfInternal []int
 	buckets := map[int32][][]int32{} // j → per-source lists (sparse)
 	bucketSrcs := map[int32][]int32{}
 	var jOrder []int32
+	es := &encodedSupernode{}
 	for local := int32(0); local < size; local++ {
 		ext := m.Inv[base+local]
 		for _, tExt := range c.Graph.Out(ext) {
@@ -381,6 +329,7 @@ func gatherSupernode(c *webgraph.Corpus, m *meta, cfg Config, snOfInternal []int
 			tLocal := tInt - m.SnBase[j]
 			if j == s {
 				intra[local] = append(intra[local], tLocal)
+				es.intraEdges++
 				continue
 			}
 			if _, ok := buckets[j]; !ok {
@@ -398,20 +347,19 @@ func gatherSupernode(c *webgraph.Corpus, m *meta, cfg Config, snOfInternal []int
 	// Adjacency lists arrive in ascending external-target order; local
 	// IDs within one bucket are therefore already sorted.
 
-	p := &snPayloads{size: size, intra: intra}
+	var err error
+	if es.intraBlob, err = encodePayload(cd, nil, kindIntra, nil, intra, size, size, cfg.Refenc); err != nil {
+		return nil, err
+	}
 	sort.Slice(jOrder, func(a, b int) bool { return jOrder[a] < jOrder[b] })
 	for _, j := range jOrder {
-		srcs := bucketSrcs[j]
-		lists := buckets[j]
-		var posEdges int64
+		srcs, lists := bucketSrcs[j], buckets[j]
+		njSize := m.SnBase[j+1] - m.SnBase[j]
+		sb := encodedSuper{j: j, kind: kindSuperPos, numLists: int32(len(srcs))}
 		for _, l := range lists {
-			posEdges += int64(len(l))
+			sb.edges += int64(len(l))
 		}
-		njSize := int64(m.SnBase[j+1] - m.SnBase[j])
-		negEdges := int64(size)*njSize - posEdges
-
-		sp := superPayload{j: j, njSize: int32(njSize)}
-		if !cfg.DisableNegative && negEdges < posEdges {
+		if negEdges := int64(size)*int64(njSize) - sb.edges; !cfg.DisableNegative && negEdges < sb.edges {
 			// Negative graph: complement lists for every page of Ni.
 			comps := make([][]int32, size)
 			si := 0
@@ -421,111 +369,17 @@ func gatherSupernode(c *webgraph.Corpus, m *meta, cfg Config, snOfInternal []int
 					pos = lists[si]
 					si++
 				}
-				comps[local] = complement(pos, int32(njSize))
+				comps[local] = complement(pos, njSize)
 			}
-			sp.kind = kindSuperNeg
-			sp.lists = comps
-			sp.numLists = size
-			sp.edges = negEdges
-		} else {
-			sp.kind = kindSuperPos
-			sp.srcs = srcs
-			sp.lists = lists
-			sp.numLists = int32(len(srcs))
-			sp.edges = posEdges
+			sb.kind, sb.numLists, sb.edges = kindSuperNeg, size, negEdges
+			srcs, lists = nil, comps
 		}
-		p.supers = append(p.supers, sp)
-	}
-	return p, nil
-}
-
-// encodePayloads encodes every graph of one supernode under cd.
-func encodePayloads(cd Codec, p *snPayloads, opt refenc.Options) (*encodedSupernode, error) {
-	es := &encodedSupernode{codec: cd.ID()}
-	blob, err := cd.EncodeIntra(nil, p.intra, opt)
-	if err != nil {
-		return nil, err
-	}
-	es.intraBlob = blob
-	for _, l := range p.intra {
-		es.intraEdges += int64(len(l))
-	}
-	for _, sp := range p.supers {
-		var blob []byte
-		if sp.kind == kindSuperNeg {
-			blob, err = cd.EncodeSuperNeg(nil, sp.lists, sp.njSize, opt)
-		} else {
-			blob, err = cd.EncodeSuperPos(nil, sp.srcs, sp.lists, p.size, sp.njSize, opt)
-		}
-		if err != nil {
+		if sb.blob, err = encodePayload(cd, nil, sb.kind, srcs, lists, size, njSize, cfg.Refenc); err != nil {
 			return nil, err
 		}
-		es.supers = append(es.supers, encodedSuper{
-			j: sp.j, kind: sp.kind, numLists: sp.numLists, njSize: sp.njSize,
-			edges: sp.edges, blob: blob,
-		})
+		es.supers = append(es.supers, sb)
 	}
 	return es, nil
-}
-
-// bakeOffRounds is how many times the bake-off decodes each candidate
-// encoding; the minimum round is the score's time term, damping
-// scheduler noise.
-const bakeOffRounds = 3
-
-// measureDecode decodes every blob of the candidate once per round and
-// returns the fastest round in nanoseconds. It doubles as a round-trip
-// guard: an encoding its own codec cannot decode fails the build.
-func (es *encodedSupernode) measureDecode(niSize int32, rounds int) (int64, error) {
-	cd := codecTable[es.codec]
-	best := int64(-1)
-	for round := 0; round < rounds; round++ {
-		start := time.Now()
-		if _, err := cd.DecodeIntra(es.intraBlob, int(niSize)); err != nil {
-			return 0, err
-		}
-		for _, sb := range es.supers {
-			var err error
-			if sb.kind == kindSuperNeg {
-				_, err = cd.DecodeSuperNeg(sb.blob, int(sb.numLists), sb.njSize)
-			} else {
-				_, err = decodeSuperPos(cd, sb.blob, int(sb.numLists), niSize, sb.njSize)
-			}
-			if err != nil {
-				return 0, err
-			}
-		}
-		if ns := time.Since(start).Nanoseconds(); best < 0 || ns < best {
-			best = ns
-		}
-	}
-	return best, nil
-}
-
-// bakeOffSupernode encodes the supernode under every registered codec,
-// scores each candidate by encoded size x fastest decode time, and
-// returns the winner (ties break to fewer bytes, then lower codec ID —
-// so the paper codec wins exact ties).
-func bakeOffSupernode(p *snPayloads, opt refenc.Options) (*encodedSupernode, error) {
-	var best *encodedSupernode
-	var bestScore float64
-	var bestBytes int64
-	for _, cd := range codecTable {
-		es, err := encodePayloads(cd, p, opt)
-		if err != nil {
-			return nil, err
-		}
-		total := es.totalBytes()
-		ns, err := es.measureDecode(p.size, bakeOffRounds)
-		if err != nil {
-			return nil, err
-		}
-		score := float64(total) * float64(ns)
-		if best == nil || score < bestScore || (score == bestScore && total < bestBytes) {
-			best, bestScore, bestBytes = es, score, total
-		}
-	}
-	return best, nil
 }
 
 // fileWriter appends byte-aligned encoded graphs to a sequence of index

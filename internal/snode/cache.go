@@ -23,7 +23,7 @@ type decodedGraph interface {
 // (superPosSources), and the first lookup that needs a list decodes
 // them all and has the cache hold the whole graph instead
 // (materialized). No graph is ever changed in place, so one handed out
-// by get stays valid however the cache moves on.
+// by lookup stays valid however the cache moves on.
 //
 // Thread-safety contract: the cache is safe for concurrent use by any
 // number of goroutines.
@@ -209,18 +209,6 @@ func (c *graphCache) countLookups(id GraphID, hits, misses int64) {
 	}
 }
 
-// get is one counted lookup: merged Hits+Misses equals the number of
-// get calls plus the lookups reported to countLookups.
-func (c *graphCache) get(id GraphID) (decodedGraph, bool) {
-	g, ok := c.lookup(id)
-	if ok {
-		c.countLookups(id, 1, 0)
-	} else {
-		c.countLookups(id, 0, 1)
-	}
-	return g, ok
-}
-
 // claim outcomes for tryClaim.
 const (
 	claimCached = iota // graph returned; nothing to do
@@ -280,18 +268,6 @@ func (s *cacheShard) flightLocked(id GraphID) *inflightDecode {
 	return fl
 }
 
-// claim is claimNoWait plus the plain blocking wait on another
-// goroutine's in-flight decode — the uncancellable form the internal
-// sequential paths (Verify, DecodeAll's loads) use.
-func (c *graphCache) claim(id GraphID) (g decodedGraph, err error, leader bool) {
-	g, fl, leader := c.claimNoWait(id)
-	if leader || fl == nil {
-		return g, nil, leader
-	}
-	<-fl.done
-	return fl.g, fl.err, false
-}
-
 // inflightCount reports decodes currently claimed but not completed —
 // the gauge the shutdown and deadline tests use to assert no decode is
 // orphaned.
@@ -306,9 +282,9 @@ func (c *graphCache) inflightCount() int64 {
 	return n
 }
 
-// tryClaim is claim without blocking: when another goroutine is already
-// decoding id it reports claimBusy instead of waiting. Used to extend
-// span reads over additional misses.
+// tryClaim is claimNoWait for a caller that will not wait: when another
+// goroutine is already decoding id it reports claimBusy and makes no
+// flight. Used to extend span reads over additional misses.
 func (c *graphCache) tryClaim(id GraphID) (decodedGraph, int) {
 	s := c.shard(id)
 	s.mu.Lock()

@@ -17,6 +17,30 @@ type stubGraph struct {
 func (s *stubGraph) memSize() int64   { return s.size }
 func (s *stubGraph) edgeCount() int64 { return s.edges }
 
+// get is one counted lookup — lookup, and the hit or miss it owes
+// countLookups — so that merged Hits+Misses equals the number of get
+// calls. Lookups of the read path count a whole call's at once.
+func (c *graphCache) get(id GraphID) (decodedGraph, bool) {
+	g, ok := c.lookup(id)
+	if ok {
+		c.countLookups(id, 1, 0)
+	} else {
+		c.countLookups(id, 0, 1)
+	}
+	return g, ok
+}
+
+// claimOrWait is claimNoWait plus the plain receive on another
+// goroutine's in-flight decode.
+func claimOrWait(c *graphCache, id GraphID) (g decodedGraph, err error, leader bool) {
+	g, fl, leader := c.claimNoWait(id)
+	if leader || fl == nil {
+		return g, nil, leader
+	}
+	<-fl.done
+	return fl.g, fl.err, false
+}
+
 // checkShardInvariants verifies, at quiescence: per shard, used equals
 // the sum of the ring's node sizes and resident their number, the ring
 // is consistently linked and holds only graphs that hash to the shard,
@@ -72,7 +96,7 @@ func checkShardInvariants(t *testing.T, c *graphCache) int {
 }
 
 // TestCacheInvariantsUnderConcurrency drives the cache through the real
-// access protocol (get → claim → complete) from 16 goroutines with a
+// access protocol (lookup → claim, or wait → complete) from 16 goroutines with a
 // random mix of graph sizes, then checks the structural invariants and
 // the stats identity Hits+Misses == total lookups.
 func TestCacheInvariantsUnderConcurrency(t *testing.T) {
@@ -96,7 +120,7 @@ func TestCacheInvariantsUnderConcurrency(t *testing.T) {
 				if _, ok := c.get(id); ok {
 					continue
 				}
-				g, err, leader := c.claim(id)
+				g, err, leader := claimOrWait(c, id)
 				if !leader {
 					if err != nil {
 						t.Errorf("claim(%d): %v", id, err)
@@ -157,7 +181,7 @@ func TestCacheInvariantsWithConcurrentReset(t *testing.T) {
 				if _, ok := c.get(id); ok {
 					continue
 				}
-				_, err, leader := c.claim(id)
+				_, err, leader := claimOrWait(c, id)
 				if err != nil {
 					t.Errorf("claim(%d): %v", id, err)
 					return
@@ -310,7 +334,7 @@ func (c *graphCache) slotGraph(id GraphID) (decodedGraph, bool) {
 func TestCacheOversizedEntry(t *testing.T) {
 	c := newGraphCache(int64(cacheShards)*100, 8)
 	id := GraphID(5)
-	_, _, leader := c.claim(id)
+	_, _, leader := claimOrWait(c, id)
 	if !leader {
 		t.Fatal("expected leadership on empty cache")
 	}
@@ -397,7 +421,7 @@ func TestCacheStatsReconcileUnderResetChaos(t *testing.T) {
 					if _, ok := c.get(id); ok {
 						continue
 					}
-					g, err, leader := c.claim(id)
+					g, err, leader := claimOrWait(c, id)
 					if err != nil {
 						t.Errorf("claim(%d): %v", id, err)
 						return

@@ -2,6 +2,7 @@ package snode
 
 import (
 	"fmt"
+	"sync"
 
 	"snode/internal/bitio"
 	"snode/internal/refenc"
@@ -16,68 +17,58 @@ import (
 //	superNeg:   complement lists over Nj's local ID space, one per page
 //	            of Ni
 //
-// The concrete byte layout is owned by a Codec. The paper's refenc
-// scheme is codec/paper (ID 0, the default and the format of every
-// artifact built before codecs existed); codec/lz is an LZ-style
-// ordered-list coder (common-prefix copy + byte-aligned gap residuals,
-// after Grabowski & Bieniecki); codec/log is a Log(Graph)-style
-// succinct coder (IDs bit-packed at ceil(log2(bound)) width with
-// per-list logarithmized gap arrays, after Besta et al.). The builder
-// picks one codec per supernode (fixed by Config.Codec, or per-supernode
-// by the "auto" bake-off) and records it in the directory so the reader
-// dispatches per payload.
+// That framing is written once, here (encodePayload, decodeGraph, and
+// the sources-then-lists split the serving path uses). What a Codec owns
+// is how one run of sources and one sequence of lists are coded: the
+// paper's refenc scheme is codec/paper (ID 0, the default and the format
+// of every artifact built before codecs existed); codec/log is a
+// Log(Graph)-style succinct coder (IDs bit-packed at ceil(log2(bound))
+// width with per-list logarithmized gap arrays, after Besta et al.). A
+// build uses one codec (Config.Codec) and records it per directory entry,
+// so the reader dispatches per payload.
 
-// Codec encodes and decodes the three payload kinds over local ID
-// spaces. Encoders append to dst and return the extended slice; decoders
-// must validate that every produced local ID lies inside its bound and
-// reject corrupt input with an error (never panic). Every decoder
-// returns its lists as one refenc.Lists — an offsets array and an ID
-// array, nothing per list — and decode results are immutable once
-// returned (they are shared through the graph cache).
-//
-// Encode methods take the build's refenc.Options; only codec/paper
-// consults it (reference window, gap code), the others ignore it. Decode
-// takes no options — every codec's wire format is self-describing.
+// Codec codes the two things a payload is made of, over a local ID space
+// [0, bound): one strictly increasing run whose length the directory
+// knows (a superPos graph's sources), and a sequence of strictly
+// increasing lists. Both codecs kept are bit-level, so the writers share
+// a bit writer; the readers take the payload bytes and make their bit
+// reader themselves, where it stays on the stack (one handed through the
+// interface would escape: an allocation per graph loaded). Decoders must
+// validate that every produced local ID lies inside its bound and reject
+// corrupt input with an error (never panic). A list sequence decodes
+// into one refenc.Lists — an offsets array and an ID array, nothing per
+// list — and decode results are immutable once returned (they are shared
+// through the graph cache).
 type Codec interface {
 	// ID is the codec's wire identifier, recorded per directory entry.
 	ID() uint8
 	// Name is the codec's stable human-readable name ("paper", ...).
 	Name() string
 
-	// EncodeIntra appends an intranode graph: lists[k] is the local
-	// adjacency of Ni's k-th page restricted to Ni (strictly increasing
-	// values in [0, len(lists))).
-	EncodeIntra(dst []byte, lists [][]int32, opt refenc.Options) ([]byte, error)
-	DecodeIntra(buf []byte, numLists int) (*decodedIntra, error)
+	// writeRun appends a strictly increasing run over [0, bound); its
+	// length is not coded. An empty run writes nothing.
+	writeRun(w *bitio.Writer, run []int32, bound int32)
+	// readRun appends the n values of the run that opens buf to dst and
+	// returns the rest of buf, still encoded.
+	readRun(buf []byte, n int, bound int32, dst []int32) ([]int32, encodedLists, error)
 
-	// EncodeSuperPos appends a positive superedge graph. srcs are the
-	// local (within Ni) IDs of pages with at least one link into Nj,
-	// strictly increasing; lists are their targets as local Nj IDs.
-	EncodeSuperPos(dst []byte, srcs []int32, lists [][]int32, niSize, njSize int32, opt refenc.Options) ([]byte, error)
-	// A superPos payload decodes in two steps, because a lookup's page
-	// is a source in only a few of the superedge graphs it consults:
-	// DecodeSuperPosSources reads the source IDs that open the payload
-	// and returns the rest of it, still encoded, as a tail of buf;
-	// DecodeSuperPosLists decodes that tail into one target list per
-	// source. decodeSuperPos composes them into the whole graph. Sources
-	// are strictly increasing in [0, niSize), so a decoder sizes their
-	// slice by the smaller of numSrcs and niSize.
-	DecodeSuperPosSources(buf []byte, numSrcs int, niSize int32) ([]int32, encodedLists, error)
-	DecodeSuperPosLists(enc encodedLists, numSrcs int, njSize int32) (refenc.Lists, error)
-
-	// EncodeSuperNeg appends a negative superedge graph: lists[k] is the
-	// COMPLEMENT of the k-th Ni page's targets within Nj (so a page with
-	// no links into Nj stores all of Nj).
-	EncodeSuperNeg(dst []byte, complements [][]int32, njSize int32, opt refenc.Options) ([]byte, error)
-	DecodeSuperNeg(buf []byte, numLists int, njSize int32) (*decodedSuperNeg, error)
+	// encodeLists appends the lists, each strictly increasing in
+	// [0, bound). Only codec/paper consults opt (reference window, gap
+	// code); decoding takes no options — every wire format is
+	// self-describing.
+	encodeLists(w *bitio.Writer, lists [][]int32, bound int32, opt refenc.Options) error
+	decodeLists(enc encodedLists, numLists int, bound int32) (refenc.Lists, error)
 }
 
 // Codec IDs. The ID is a wire value (directory entries reference it);
 // never renumber. codec/paper must stay 0: pre-codec artifacts carry no
-// codec field and read back as zero.
+// codec field and read back as zero. ID 1 was codec/lz, retired in PR 22
+// (behind codec/log on size and on a cold lookup, EXPERIMENTS.md): it is
+// never reused, artifacts that name it are refused at Open, and
+// numCodecs stays 3 so that 2 keeps meaning codec/log.
 const (
 	codecIDPaper uint8 = 0
-	codecIDLZ    uint8 = 1
+	codecIDLZ    uint8 = 1 // retired
 	codecIDLog   uint8 = 2
 	numCodecs          = 3
 )
@@ -85,23 +76,22 @@ const (
 // Codec names accepted by Config.Codec and the -codec flags.
 const (
 	CodecPaper = "paper"
-	CodecLZ    = "lz"
 	CodecLog   = "log"
-	// CodecAuto is not a codec: it asks the builder to run the
-	// per-supernode bake-off over every registered codec.
-	CodecAuto = "auto"
 )
 
-// codecTable maps codec IDs to implementations. Indexed by wire ID.
+// codecTable maps codec IDs to implementations. Indexed by wire ID; the
+// retired ID's entry is nil, which Open never lets a directory reach.
 var codecTable = [numCodecs]Codec{
 	codecIDPaper: paperCodec{},
-	codecIDLZ:    lzCodec{},
 	codecIDLog:   logCodec{},
 }
 
-// codecByID returns the codec for a wire ID, or an error for IDs from a
-// future format version.
+// codecByID returns the codec for a wire ID, or an error for the retired
+// ID and for IDs from a future format version.
 func codecByID(id uint8) (Codec, error) {
+	if id == codecIDLZ {
+		return nil, fmt.Errorf("snode: codec ID %d is the lz codec, which was retired: rebuild the dataset with -codec %s or %s", id, CodecPaper, CodecLog)
+	}
 	if int(id) >= len(codecTable) {
 		return nil, fmt.Errorf("snode: unknown codec ID %d (artifact from a newer version?)", id)
 	}
@@ -109,30 +99,109 @@ func codecByID(id uint8) (Codec, error) {
 }
 
 // codecByName resolves a Config.Codec / -codec string. The empty string
-// means the paper codec. CodecAuto is rejected here: it is a builder
-// policy, not a codec.
+// means the paper codec.
 func codecByName(name string) (Codec, error) {
 	switch name {
 	case "", CodecPaper:
 		return codecTable[codecIDPaper], nil
-	case CodecLZ:
-		return codecTable[codecIDLZ], nil
 	case CodecLog:
 		return codecTable[codecIDLog], nil
 	default:
-		return nil, fmt.Errorf("snode: unknown codec %q (want %s, %s, %s, or %s)",
-			name, CodecPaper, CodecLZ, CodecLog, CodecAuto)
+		return nil, fmt.Errorf("snode: unknown codec %q: want %s or %s (lz and auto were removed)", name, CodecPaper, CodecLog)
 	}
 }
 
-// CodecNames lists the registered codec names in wire-ID order, plus
-// the "auto" policy — the accepted values for -codec flags.
-func CodecNames() []string {
-	names := make([]string, 0, numCodecs+1)
-	for _, c := range codecTable {
-		names = append(names, c.Name())
+// CodecNames lists the codec names in wire-ID order — the accepted
+// values for -codec flags.
+func CodecNames() []string { return []string{CodecPaper, CodecLog} }
+
+// bitWriters pools bit writers across encode calls; encoding fans out
+// across build workers and each finished blob is copied out of the
+// writer before release.
+var bitWriters = sync.Pool{New: func() any { return bitio.NewWriter(1 << 16) }}
+
+// encodePayload appends one graph's payload to dst in cd's format. An
+// intranode graph's lists[k] is the local adjacency of Ni's k-th page
+// restricted to Ni, so its ID space is len(lists). A positive superedge
+// graph is its sources — the local (within Ni) IDs of the pages with at
+// least one link into Nj, strictly increasing — then their targets as
+// local Nj IDs, one list per source. A negative one is, per page of Ni,
+// the COMPLEMENT of its targets within Nj (so a page with no links into
+// Nj stores all of Nj). srcs and niSize are consulted for kindSuperPos
+// only, njSize for the superedge kinds.
+func encodePayload(cd Codec, dst []byte, kind uint8, srcs []int32, lists [][]int32, niSize, njSize int32, opt refenc.Options) ([]byte, error) {
+	if kind == kindSuperPos && len(srcs) != len(lists) {
+		return dst, fmt.Errorf("snode: superPos %d sources but %d lists", len(srcs), len(lists))
 	}
-	return append(names, CodecAuto)
+	w := bitWriters.Get().(*bitio.Writer)
+	defer bitWriters.Put(w)
+	w.Reset()
+	bound := njSize
+	switch kind {
+	case kindIntra:
+		bound = int32(len(lists))
+	case kindSuperPos:
+		cd.writeRun(w, srcs, niSize)
+	}
+	if err := cd.encodeLists(w, lists, bound, opt); err != nil {
+		return dst, err
+	}
+	return w.AppendTo(dst), nil
+}
+
+// decodeGraph is the whole decode of one payload — no hooks, no metrics.
+// An intranode graph's ID space is its list count; niSize and njSize are
+// consulted for the superedge kinds only.
+func decodeGraph(cd Codec, kind uint8, buf []byte, numLists int, niSize, njSize int32) (decodedGraph, error) {
+	switch kind {
+	case kindIntra:
+		lists, err := cd.decodeLists(encodedLists{buf: buf}, numLists, int32(numLists))
+		if err != nil {
+			return nil, fmt.Errorf("snode: intranode decode: %w", err)
+		}
+		return &decodedIntra{lists: lists}, nil
+	case kindSuperPos:
+		srcs, enc, err := decodeSuperPosSources(cd, buf, numLists, niSize)
+		if err != nil {
+			return nil, err
+		}
+		lists, err := decodeSuperPosLists(cd, enc, numLists, njSize)
+		if err != nil {
+			return nil, err
+		}
+		return &decodedSuperPos{srcs: srcs, lists: lists}, nil
+	case kindSuperNeg:
+		lists, err := cd.decodeLists(encodedLists{buf: buf}, numLists, njSize)
+		if err != nil {
+			return nil, fmt.Errorf("snode: superNeg decode: %w", err)
+		}
+		return &decodedSuperNeg{njSize: njSize, lists: lists}, nil
+	default:
+		return nil, fmt.Errorf("snode: graph has unknown kind %d", kind)
+	}
+}
+
+// A superPos payload decodes in two steps, because a lookup's page is a
+// source in only a few of the superedge graphs it consults:
+// decodeSuperPosSources reads the source IDs that open the payload and
+// returns the rest of it, still encoded, as a tail of buf;
+// decodeSuperPosLists decodes that tail into one target list per source.
+// Sources are strictly increasing in [0, niSize), so their slice is
+// sized by the smaller of numSrcs and niSize.
+func decodeSuperPosSources(cd Codec, buf []byte, numSrcs int, niSize int32) ([]int32, encodedLists, error) {
+	srcs, enc, err := cd.readRun(buf, numSrcs, niSize, make([]int32, 0, min(numSrcs, int(niSize))))
+	if err != nil {
+		return nil, encodedLists{}, fmt.Errorf("snode: superPos sources: %w", err)
+	}
+	return srcs, enc, nil
+}
+
+func decodeSuperPosLists(cd Codec, enc encodedLists, numSrcs int, njSize int32) (refenc.Lists, error) {
+	lists, err := cd.decodeLists(enc, numSrcs, njSize)
+	if err != nil {
+		return refenc.Lists{}, fmt.Errorf("snode: superPos lists: %w", err)
+	}
+	return lists, nil
 }
 
 // decodedIntra is the in-memory form of an intranode graph.
@@ -146,40 +215,26 @@ func (g *decodedIntra) edgeCount() int64 { return int64(len(g.lists.IDs)) }
 // capacity, which for everything a decoder returns is their length.
 func (g *decodedIntra) memSize() int64 { return g.lists.MemSize() }
 
-// encodedLists is the still-encoded list section of a superPos payload:
-// the payload from the byte holding the section's first bit, and that
-// bit's offset within the byte (0 for a byte-aligned codec).
+// encodedLists is a still-encoded list sequence: the payload from the
+// byte holding the sequence's first bit, and that bit's offset within the
+// byte (0 for a whole payload).
 type encodedLists struct {
 	buf    []byte
 	bitOff uint8
 }
 
-// listsAfter is the list section a bit-level codec returns once r has
-// read the sources off the front of buf.
+// listsAfter is the list section left once r has read the sources off
+// the front of buf.
 func listsAfter(buf []byte, r *bitio.Reader) encodedLists {
 	pos := r.Pos()
 	return encodedLists{buf: buf[pos>>3:], bitOff: uint8(pos & 7)}
 }
 
-// reader positions a bit reader at the section's first bit.
+// reader positions a bit reader at the sequence's first bit.
 func (enc encodedLists) reader() *bitio.Reader {
 	r := bitio.NewByteReader(enc.buf)
 	_ = r.Seek(int(enc.bitOff)) // cannot fail: bitOff > 0 only inside a byte of buf
 	return r
-}
-
-// decodeSuperPos is the full decode of a superPos payload: its sources,
-// then its lists.
-func decodeSuperPos(cd Codec, buf []byte, numSrcs int, niSize, njSize int32) (*decodedSuperPos, error) {
-	srcs, enc, err := cd.DecodeSuperPosSources(buf, numSrcs, niSize)
-	if err != nil {
-		return nil, err
-	}
-	lists, err := cd.DecodeSuperPosLists(enc, numSrcs, njSize)
-	if err != nil {
-		return nil, err
-	}
-	return &decodedSuperPos{srcs: srcs, lists: lists}, nil
 }
 
 // findSource returns the index of srcLocal in the sorted source IDs of
@@ -240,7 +295,7 @@ type superPosSources struct {
 // newSuperPosSources decodes the sources of a superPos payload and
 // copies its list section out of buf.
 func newSuperPosSources(cd Codec, buf []byte, numSrcs int, niSize, njSize int32) (*superPosSources, error) {
-	srcs, enc, err := cd.DecodeSuperPosSources(buf, numSrcs, niSize)
+	srcs, enc, err := decodeSuperPosSources(cd, buf, numSrcs, niSize)
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +315,7 @@ func (g *superPosSources) memSize() int64 {
 
 // materialize decodes the lists. The result shares g's sources.
 func (g *superPosSources) materialize() (*decodedSuperPos, error) {
-	lists, err := g.codec.DecodeSuperPosLists(g.enc, len(g.srcs), g.njSize)
+	lists, err := decodeSuperPosLists(g.codec, g.enc, len(g.srcs), g.njSize)
 	if err != nil {
 		return nil, err
 	}
@@ -294,19 +349,6 @@ func (g *decodedSuperNeg) appendTargets(srcLocal int32, dst []int32) []int32 {
 		dst = append(dst, next)
 	}
 	return dst
-}
-
-// checkLocalIDs rejects lists whose entries escape the local ID space.
-// Production decode paths validate inline (fused into each codec's
-// decode loop); this remains as the oracle the fuzz and corruption
-// tests compare the fused checks against.
-func checkLocalIDs(ids []int32, bound int32) error {
-	for _, v := range ids {
-		if v < 0 || v >= bound {
-			return fmt.Errorf("local id %d outside [0,%d)", v, bound)
-		}
-	}
-	return nil
 }
 
 // complement returns [0,n) \ list (list sorted strictly increasing).

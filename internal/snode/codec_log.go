@@ -3,7 +3,6 @@ package snode
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"snode/internal/bitio"
 	"snode/internal/coding"
@@ -32,15 +31,12 @@ import (
 //	(deg-1) × w bits  gap-1 residuals; value = prev + residual + 1,
 //	                  validated < bound as accumulated
 //
-// superPos payloads prepend the sources as one such run over
-// [0, niSize) without the gamma0 length (the directory knows numSrcs),
-// then the target lists over [0, njSize).
+// A superPos payload's sources are one such run over [0, niSize) without
+// the gamma0 length (the directory knows numSrcs).
 type logCodec struct{}
 
 func (logCodec) ID() uint8    { return codecIDLog }
 func (logCodec) Name() string { return CodecLog }
-
-var logWriters = sync.Pool{New: func() any { return bitio.NewWriter(1 << 16) }}
 
 // logWidth is the bit width of IDs in [0, bound).
 func logWidth(bound int64) uint {
@@ -50,11 +46,13 @@ func logWidth(bound int64) uint {
 	return uint(bits.Len64(uint64(bound - 1)))
 }
 
-// logWriteRun writes one sorted run over [0, bound): the first value
-// at its residual width, then the gap width and fixed-width gap-1
-// residuals.
-func logWriteRun(w *bitio.Writer, list []int32, bound int64) {
-	w.WriteBits(uint64(list[0]), logWidth(bound-int64(len(list))+1))
+// writeRun writes one sorted run over [0, bound): the first value at its
+// residual width, then the gap width and fixed-width gap-1 residuals.
+func (logCodec) writeRun(w *bitio.Writer, list []int32, bound int32) {
+	if len(list) == 0 {
+		return
+	}
+	w.WriteBits(uint64(list[0]), logWidth(int64(bound)-int64(len(list))+1))
 	if len(list) == 1 {
 		return
 	}
@@ -65,7 +63,7 @@ func logWriteRun(w *bitio.Writer, list []int32, bound int64) {
 		}
 	}
 	gw := uint(bits.Len64(maxResid))
-	w.WriteBits(uint64(gw), uint(bits.Len(logWidth(bound))))
+	w.WriteBits(uint64(gw), uint(bits.Len(logWidth(int64(bound)))))
 	for i := 1; i < len(list); i++ {
 		w.WriteBits(uint64(list[i]-list[i-1])-1, gw)
 	}
@@ -109,17 +107,22 @@ func logReadRun(r *bitio.Reader, n int, bound int64, vals []int32) ([]int32, err
 	return vals, nil
 }
 
-func logEncodeLists(w *bitio.Writer, lists [][]int32, bound int64) {
-	for _, l := range lists {
-		coding.WriteGamma0(w, uint64(len(l)))
-		if len(l) > 0 {
-			logWriteRun(w, l, bound)
-		}
-	}
+func (logCodec) readRun(buf []byte, n int, bound int32, dst []int32) ([]int32, encodedLists, error) {
+	r := bitio.NewByteReader(buf)
+	dst, err := logReadRun(r, n, int64(bound), dst)
+	return dst, listsAfter(buf, r), err
 }
 
-// logDecodeLists decodes numLists lists under bound from r.
-func logDecodeLists(r *bitio.Reader, numLists int, bound int64) (refenc.Lists, error) {
+func (c logCodec) encodeLists(w *bitio.Writer, lists [][]int32, bound int32, _ refenc.Options) error {
+	for _, l := range lists {
+		coding.WriteGamma0(w, uint64(len(l)))
+		c.writeRun(w, l, bound)
+	}
+	return nil
+}
+
+func (logCodec) decodeLists(enc encodedLists, numLists int, bound int32) (refenc.Lists, error) {
+	r := enc.reader()
 	b := refenc.NewBuilder(numLists)
 	for i := 0; i < numLists; i++ {
 		deg, err := coding.ReadGamma0(r)
@@ -132,7 +135,7 @@ func logDecodeLists(r *bitio.Reader, numLists int, bound int64) (refenc.Lists, e
 		// A hostile degree cannot run away even at gap width 0: values
 		// are strictly increasing and validated < bound, so the run loop
 		// errors after at most `bound` appends.
-		if b.IDs, err = logReadRun(r, int(deg), bound, b.IDs); err != nil {
+		if b.IDs, err = logReadRun(r, int(deg), int64(bound), b.IDs); err != nil {
 			return refenc.Lists{}, err
 		}
 		if err := b.End(); err != nil {
@@ -140,72 +143,4 @@ func logDecodeLists(r *bitio.Reader, numLists int, bound int64) (refenc.Lists, e
 		}
 	}
 	return b.Lists(), nil
-}
-
-func logEncode(dst []byte, fill func(w *bitio.Writer)) []byte {
-	w := logWriters.Get().(*bitio.Writer)
-	w.Reset()
-	fill(w)
-	dst = w.AppendTo(dst)
-	logWriters.Put(w)
-	return dst
-}
-
-func (logCodec) EncodeIntra(dst []byte, lists [][]int32, _ refenc.Options) ([]byte, error) {
-	return logEncode(dst, func(w *bitio.Writer) {
-		logEncodeLists(w, lists, int64(len(lists)))
-	}), nil
-}
-
-func (logCodec) DecodeIntra(buf []byte, numLists int) (*decodedIntra, error) {
-	r := bitio.NewByteReader(buf)
-	lists, err := logDecodeLists(r, numLists, int64(numLists))
-	if err != nil {
-		return nil, fmt.Errorf("snode: intranode decode: %w", err)
-	}
-	return &decodedIntra{lists: lists}, nil
-}
-
-func (logCodec) EncodeSuperPos(dst []byte, srcs []int32, lists [][]int32, niSize, njSize int32, _ refenc.Options) ([]byte, error) {
-	if len(srcs) != len(lists) {
-		return dst, fmt.Errorf("snode: superPos %d sources but %d lists", len(srcs), len(lists))
-	}
-	return logEncode(dst, func(w *bitio.Writer) {
-		if len(srcs) > 0 {
-			logWriteRun(w, srcs, int64(niSize))
-		}
-		logEncodeLists(w, lists, int64(njSize))
-	}), nil
-}
-
-func (logCodec) DecodeSuperPosSources(buf []byte, numSrcs int, niSize int32) ([]int32, encodedLists, error) {
-	r := bitio.NewByteReader(buf)
-	srcs, err := logReadRun(r, numSrcs, int64(niSize), make([]int32, 0, min(numSrcs, int(niSize))))
-	if err != nil {
-		return nil, encodedLists{}, fmt.Errorf("snode: superPos sources: %w", err)
-	}
-	return srcs, listsAfter(buf, r), nil
-}
-
-func (logCodec) DecodeSuperPosLists(enc encodedLists, numSrcs int, njSize int32) (refenc.Lists, error) {
-	lists, err := logDecodeLists(enc.reader(), numSrcs, int64(njSize))
-	if err != nil {
-		return refenc.Lists{}, fmt.Errorf("snode: superPos lists: %w", err)
-	}
-	return lists, nil
-}
-
-func (logCodec) EncodeSuperNeg(dst []byte, complements [][]int32, njSize int32, _ refenc.Options) ([]byte, error) {
-	return logEncode(dst, func(w *bitio.Writer) {
-		logEncodeLists(w, complements, int64(njSize))
-	}), nil
-}
-
-func (logCodec) DecodeSuperNeg(buf []byte, numLists int, njSize int32) (*decodedSuperNeg, error) {
-	r := bitio.NewByteReader(buf)
-	lists, err := logDecodeLists(r, numLists, int64(njSize))
-	if err != nil {
-		return nil, fmt.Errorf("snode: superNeg decode: %w", err)
-	}
-	return &decodedSuperNeg{njSize: njSize, lists: lists}, nil
 }

@@ -1,11 +1,13 @@
 package snode
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"snode/internal/iosim"
@@ -37,41 +39,53 @@ func srcsAndLists(lists [][]int32) (srcs []int32, nonEmpty [][]int32) {
 	return srcs, nonEmpty
 }
 
+// keptCodecs are the codecs in wire-ID order, without the hole codecTable
+// has at the retired ID.
+func keptCodecs() []Codec {
+	var out []Codec
+	for _, cd := range codecTable {
+		if cd != nil {
+			out = append(out, cd)
+		}
+	}
+	return out
+}
+
 // TestCodecRoundTrip pins encode→decode identity for every registered
 // codec over every payload kind, across densities including empty and
 // full lists.
 func TestCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	opt := refenc.Options{Window: refenc.DefaultWindow}
-	for _, cd := range codecTable {
+	for _, cd := range keptCodecs() {
 		for _, density := range []float64{0, 0.02, 0.3, 1} {
 			for _, size := range []int{1, 3, 17, 64} {
 				lists := randLists(rng, size, int32(size), density)
 				name := fmt.Sprintf("%s/n%d/p%v", cd.Name(), size, density)
+				niSize, njSize := int32(size), int32(size+7)
 
-				blob, err := cd.EncodeIntra(nil, lists, opt)
+				blob, err := encodePayload(cd, nil, kindIntra, nil, lists, niSize, niSize, opt)
 				if err != nil {
 					t.Fatalf("%s: encode intra: %v", name, err)
 				}
-				gi, err := cd.DecodeIntra(blob, size)
+				g, err := decodeGraph(cd, kindIntra, blob, size, niSize, niSize)
 				if err != nil {
 					t.Fatalf("%s: decode intra: %v", name, err)
 				}
-				if !listsEqual(rows(gi.lists), lists) {
+				if !listsEqual(rows(g.(*decodedIntra).lists), lists) {
 					t.Fatalf("%s: intra round trip mismatch", name)
 				}
 
-				njSize := int32(size + 7)
 				tl := randLists(rng, size, njSize, density)
 				srcs, nonEmpty := srcsAndLists(tl)
-				blob, err = cd.EncodeSuperPos(nil, srcs, nonEmpty, int32(size), njSize, opt)
+				blob, err = encodePayload(cd, nil, kindSuperPos, srcs, nonEmpty, niSize, njSize, opt)
 				if err != nil {
 					t.Fatalf("%s: encode superPos: %v", name, err)
 				}
-				gp, err := decodeSuperPos(cd, blob, len(srcs), int32(size), njSize)
-				if err != nil {
+				if g, err = decodeGraph(cd, kindSuperPos, blob, len(srcs), niSize, njSize); err != nil {
 					t.Fatalf("%s: decode superPos: %v", name, err)
 				}
+				gp := g.(*decodedSuperPos)
 				if !reflect.DeepEqual(append([]int32{}, gp.srcs...), append([]int32{}, srcs...)) {
 					t.Fatalf("%s: superPos srcs mismatch: %v vs %v", name, gp.srcs, srcs)
 				}
@@ -79,19 +93,23 @@ func TestCodecRoundTrip(t *testing.T) {
 					t.Fatalf("%s: superPos lists mismatch", name)
 				}
 
-				blob, err = cd.EncodeSuperNeg(nil, tl, njSize, opt)
+				blob, err = encodePayload(cd, nil, kindSuperNeg, nil, tl, niSize, njSize, opt)
 				if err != nil {
 					t.Fatalf("%s: encode superNeg: %v", name, err)
 				}
-				gn, err := cd.DecodeSuperNeg(blob, size, njSize)
-				if err != nil {
+				if g, err = decodeGraph(cd, kindSuperNeg, blob, size, niSize, njSize); err != nil {
 					t.Fatalf("%s: decode superNeg: %v", name, err)
 				}
-				if !listsEqual(rows(gn.lists), tl) {
+				if !listsEqual(rows(g.(*decodedSuperNeg).lists), tl) {
 					t.Fatalf("%s: superNeg round trip mismatch", name)
 				}
 			}
 		}
+	}
+	// The framing's own check: a positive superedge graph has one list per
+	// source.
+	if _, err := encodePayload(paperCodec{}, nil, kindSuperPos, []int32{0}, nil, 1, 1, opt); err == nil {
+		t.Fatal("superPos payload with a source and no list encoded")
 	}
 }
 
@@ -137,9 +155,9 @@ func buildCodecRep(t testing.TB, codec string, pages int) (dir string) {
 }
 
 // TestCodecBuildEquivalence builds the same corpus under every codec
-// setting (including auto) and pins: Verify passes, every page's full
-// adjacency is row-identical to the paper build, and the artifact's
-// recorded codec composition matches the setting.
+// and pins: Verify passes, every page's full adjacency is row-identical
+// to the paper build, and the artifact's recorded codec composition
+// matches the setting.
 func TestCodecBuildEquivalence(t *testing.T) {
 	const pages = 900
 	paperDir := buildCodecRep(t, CodecPaper, pages)
@@ -153,7 +171,7 @@ func TestCodecBuildEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, codec := range []string{CodecLZ, CodecLog, CodecAuto} {
+	for _, codec := range []string{CodecLog} {
 		dir := buildCodecRep(t, codec, pages)
 		r, err := Open(dir, 1<<20, iosim.Model2002())
 		if err != nil {
@@ -172,13 +190,8 @@ func TestCodecBuildEquivalence(t *testing.T) {
 			}
 		}
 		stats := r.Codecs()
-		if len(stats) == 0 {
-			t.Fatalf("%s: no codec stats recorded", codec)
-		}
-		if codec != CodecAuto {
-			if len(stats) != 1 || stats[0].Name != codec {
-				t.Fatalf("%s: recorded composition %+v", codec, stats)
-			}
+		if len(stats) != 1 || stats[0].Name != codec {
+			t.Fatalf("%s: recorded composition %+v", codec, stats)
 		}
 		var sn int64
 		for _, cs := range stats {
@@ -197,38 +210,48 @@ func TestCodecBuildEquivalence(t *testing.T) {
 // TestCodecMetaRoundTrip pins that per-entry codec IDs survive
 // meta.bin serialization.
 func TestCodecMetaRoundTrip(t *testing.T) {
-	dir := buildCodecRep(t, CodecLZ, 400)
+	dir := buildCodecRep(t, CodecLog, 400)
 	m, err := readMeta(filepath.Join(dir, "meta.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range m.Directory {
-		if m.Directory[i].Codec != codecIDLZ {
-			t.Fatalf("directory entry %d codec %d, want %d", i, m.Directory[i].Codec, codecIDLZ)
+		if m.Directory[i].Codec != codecIDLog {
+			t.Fatalf("directory entry %d codec %d, want %d", i, m.Directory[i].Codec, codecIDLog)
 		}
 	}
-	if len(m.Stats.Codecs) != 1 || m.Stats.Codecs[0].ID != codecIDLZ {
+	if len(m.Stats.Codecs) != 1 || m.Stats.Codecs[0].ID != codecIDLog {
 		t.Fatalf("codec stats %+v", m.Stats.Codecs)
 	}
 }
 
-// TestCodecNamesRejected pins the config error path.
+// TestCodecNamesRejected pins the config error path: a name Build does
+// not know — the two removed ones included — is refused with the two
+// names it does, and the removal said.
 func TestCodecNamesRejected(t *testing.T) {
 	crawl, err := synth.Generate(synth.DefaultConfig(200))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.Codec = "zstd"
-	if _, err := Build(crawl.Corpus, cfg, t.TempDir()); err == nil {
-		t.Fatal("unknown codec accepted")
+	for _, name := range []string{"zstd", "lz", "auto"} {
+		cfg := DefaultConfig()
+		cfg.Codec = name
+		_, err := Build(crawl.Corpus, cfg, t.TempDir())
+		if err == nil {
+			t.Fatalf("codec %q accepted", name)
+		}
+		for _, want := range []string{name, CodecPaper, CodecLog, "lz and auto were removed"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("codec %q: error %q does not say %q", name, err, want)
+			}
+		}
 	}
 }
 
-// TestMeasureDecode exercises the bake-off instrument on a mixed
-// artifact: every class reports positive graphs/bytes and a timing.
+// TestMeasureDecode exercises the decode-cost instrument: every class
+// reports positive graphs/bytes and a timing.
 func TestMeasureDecode(t *testing.T) {
-	dir := buildCodecRep(t, CodecAuto, 600)
+	dir := buildCodecRep(t, CodecLog, 600)
 	r, err := Open(dir, 1<<20, iosim.Model2002())
 	if err != nil {
 		t.Fatal(err)
@@ -253,12 +276,12 @@ func TestMeasureDecode(t *testing.T) {
 	}
 }
 
-// TestCorruptIndexAllCodecs extends the corruption harness to the lz
-// and log builds: flipped payload bytes must never panic or escape the
+// TestCorruptIndexAllCodecs runs the corruption harness over a build of
+// every codec: flipped payload bytes must never panic or escape the
 // local ID bounds (checkLocalIDs is the oracle the fused checks are
 // compared against).
 func TestCorruptIndexAllCodecs(t *testing.T) {
-	for _, codec := range []string{CodecLZ, CodecLog} {
+	for _, codec := range CodecNames() {
 		t.Run(codec, func(t *testing.T) {
 			src := buildCodecRep(t, codec, 500)
 			data, err := os.ReadFile(filepath.Join(src, "graphs.000"))
@@ -297,7 +320,7 @@ func tryOpenAndReadChecked(t *testing.T, dir string, tag string) {
 	defer rep.Close()
 	for gid := range rep.m.Directory {
 		e := &rep.m.Directory[gid]
-		g, err := rep.load(GraphID(gid))
+		g, err := loadWhole(rep, GraphID(gid))
 		if err != nil {
 			continue // rejected: fine
 		}
@@ -322,4 +345,38 @@ func tryOpenAndReadChecked(t *testing.T, dir string, tag string) {
 			}
 		}
 	}
+}
+
+// loadWhole returns the whole decoded graph gid the way Verify sees it:
+// through consult — from the cache, or read, decoded and admitted — with
+// a positive superedge graph's lists materialized.
+func loadWhole(r *Representation, gid GraphID) (decodedGraph, error) {
+	ctx := context.Background()
+	e := &r.m.Directory[gid]
+	var whole decodedGraph
+	err := r.consult(ctx, e.I, []needEntry{{gid: gid, j: e.J}}, func(gid GraphID, _ int32, g decodedGraph) error {
+		if sg, ok := g.(*superPosSources); ok {
+			full, err := r.materialize(ctx, gid, sg)
+			if err != nil {
+				return err
+			}
+			g = full
+		}
+		whole = g
+		return nil
+	})
+	return whole, err
+}
+
+// checkLocalIDs rejects lists whose entries escape the local ID space.
+// The decoders validate inline (fused into each codec's decode loop);
+// this is the oracle the fuzz and corruption tests compare the fused
+// checks against.
+func checkLocalIDs(ids []int32, bound int32) error {
+	for _, v := range ids {
+		if v < 0 || v >= bound {
+			return fmt.Errorf("local id %d outside [0,%d)", v, bound)
+		}
+	}
+	return nil
 }

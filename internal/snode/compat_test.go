@@ -13,7 +13,8 @@ import (
 // Backward compatibility: artifacts written before pluggable codecs
 // (meta version 1, no codec IDs anywhere) must open and serve exactly
 // as codec/paper, and artifacts from a future format must be rejected
-// with explicit errors — unknown version, unknown codec ID.
+// with explicit errors — unknown version, unknown codec ID — and one
+// that names the retired codec with an error that says so.
 
 // writeMetaV1 serializes m in the exact pre-codec version-1 layout:
 // no per-entry codec byte, no codec stats section. The test owns this
@@ -150,6 +151,41 @@ func TestUnknownCodecIDRejected(t *testing.T) {
 	}
 	if got := err.Error(); !contains(got, "unknown codec ID 9") {
 		t.Fatalf("error %q does not name the codec ID", got)
+	}
+}
+
+// TestRetiredCodecRefusedByName patches wire ID 1 — codec/lz, retired —
+// into one directory entry, and into the codec stats, of a built store:
+// Open refuses either with an error that says which codec that was and
+// what to rebuild with, not "unknown codec ID … newer version?".
+func TestRetiredCodecRefusedByName(t *testing.T) {
+	src := buildCodecRep(t, CodecLog, 400)
+	for name, patch := range map[string]func(m *meta){
+		"directory entry": func(m *meta) { m.Directory[len(m.Directory)/2].Codec = codecIDLZ },
+		"codec stats":     func(m *meta) { m.Stats.Codecs[0].ID = codecIDLZ },
+	} {
+		m, err := readMeta(filepath.Join(src, "meta.bin"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		patch(m)
+		bad := corruptCopy(t, src, func(d string) {
+			if err := writeMeta(filepath.Join(d, "meta.bin"), m); err != nil {
+				t.Fatal(err)
+			}
+		})
+		_, err = Open(bad, 1<<20, iosim.Model2002())
+		if err == nil {
+			t.Fatalf("%s: retired codec ID accepted", name)
+		}
+		for _, want := range []string{"lz codec", "retired", "rebuild", CodecPaper, CodecLog} {
+			if !contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not say %q", name, err, want)
+			}
+		}
+		if contains(err.Error(), "newer version") {
+			t.Errorf("%s: error %q takes the retired ID for a future one", name, err)
+		}
 	}
 }
 

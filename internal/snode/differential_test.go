@@ -4,7 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"hash"
+	"slices"
 	"strings"
 	"testing"
 
@@ -61,9 +63,6 @@ var parentRows = map[string]string{
 	"paper/intra":     "fdbda62ed06fa8ae",
 	"paper/super_pos": "95f524a77e3e8f2e",
 	"paper/super_neg": "170911eae470b351",
-	"lz/intra":        "fdbda62ed06fa8ae",
-	"lz/super_pos":    "95f524a77e3e8f2e",
-	"lz/super_neg":    "170911eae470b351",
 	"log/intra":       "fdbda62ed06fa8ae",
 	"log/super_pos":   "95f524a77e3e8f2e",
 	"log/super_neg":   "170911eae470b351",
@@ -73,7 +72,7 @@ var parentRows = map[string]string{
 // fixture under every codec and compares the rows with the parent's.
 func TestDecodedRowsEqualParents(t *testing.T) {
 	got := map[string]string{}
-	for _, codec := range []string{CodecPaper, CodecLZ, CodecLog} {
+	for _, codec := range CodecNames() {
 		dir := buildCodecRep(t, codec, 400)
 		r, err := Open(dir, 1<<20, iosim.Model2002())
 		if err != nil {
@@ -138,19 +137,8 @@ func (c *seedCollector) Fatal(args ...any) { c.t.Fatal(args...) }
 // reports whether the decoder accepted it, folding what it decoded into
 // h when it did.
 func (hc hostileCase) verdict(t *testing.T, h hash.Hash) bool {
-	cd := codecTable[int(hc.id)%numCodecs]
 	numLists := int(hc.nl)%128 + 1
-	size := int32(hc.sz)%128 + 1
-	var g decodedGraph
-	var err error
-	switch hc.kind % 3 {
-	case kindIntra:
-		g, err = cd.DecodeIntra(hc.blob, numLists)
-	case kindSuperPos:
-		g, err = decodeSuperPos(cd, hc.blob, numLists, int32(numLists), size)
-	default:
-		g, err = cd.DecodeSuperNeg(hc.blob, numLists, size)
-	}
+	g, err := decodeGraph(codecTable[int(hc.id)%numCodecs], hostileKind(hc.kind), hc.blob, numLists, int32(numLists), int32(hc.sz)%128+1)
 	if err != nil {
 		h.Write([]byte{0})
 		return false
@@ -161,27 +149,48 @@ func (hc hostileCase) verdict(t *testing.T, h hash.Hash) bool {
 }
 
 // parentVerdicts is what the parent's decoders said of each committed
-// seed of FuzzDecodeHostile, in the order hostileSeeds adds them (A
-// accepted, R refused — the superPos seeds are refused because the fuzz
-// body asks for seven sources where the seed has five), followed by the
-// digest of what the accepted ones decoded to; parentNeighbourhood is
+// seed of FuzzDecodeHostile, in the order hostileSeeds adds them: the
+// seed's codec and kind, A (accepted) or R (refused — the superPos seeds
+// are refused because the fuzz body asks for seven sources where the
+// seed has five), the digest of what an accepted seed decoded to, and
 // the digest of the verdicts, and of the rows of every accepted input,
-// over each seed with each single bit flipped in turn.
-const (
-	parentVerdicts      = "ARAARAARARRRRRRRRRRR 076bff4e8f929112"
-	parentNeighbourhood = "b394704daee0dc08"
-)
+// over the seed with each single bit flipped in turn. The values were
+// taken seed by seed at the parent of the PR that retired codec/lz: its
+// four seeds left with it, the first sixteen lines are the parent's
+// other sixteen, and the last four are logShapeSeeds, new with that PR
+// and run through the parent's decoders like the rest.
+var parentVerdicts = []string{
+	"paper/intra A bc41dcbaee1ba6eb a201638ac4c65c15",
+	"paper/super_pos R - f5a5fd42d16a2030",
+	"paper/super_neg A 4302503996347a28 44746c30712f5f3c",
+	"log/intra A bc41dcbaee1ba6eb f40c05e2a45d9d18",
+	"log/super_pos R - d4817aa5497628e7",
+	"log/super_neg A 4302503996347a28 7c41307e547a1c80",
+	"paper/super_pos R - b707241545a34626",
+	"paper/super_neg R - 8bd3960dd33520db",
+	"paper/intra R - b707241545a34626",
+	"paper/intra R - db15a87d47665a58",
+	"paper/intra R - b707241545a34626",
+	"paper/super_neg R - b707241545a34626",
+	"paper/super_neg R - b15f66580ee62f9e",
+	"paper/super_neg R - b707241545a34626",
+	"paper/super_neg R - e3b0c44298fc1c14",
+	"log/intra R - 2c34ce1df23b838c",
+	"log/super_neg R - d73a3d549619decf",
+	"log/super_neg R - cdb9afb1663f5e62",
+	"log/super_pos R - af5570f5a1810b7a",
+	"log/super_neg A 77a01fec7cd1f30c 87bb388df18f583b",
+}
 
 func TestHostileVerdictsEqualParents(t *testing.T) {
 	seeds := &seedCollector{t: t}
 	hostileSeeds(seeds)
-	var verdicts strings.Builder
-	rowsOfAccepted, near := sha256.New(), sha256.New()
+	var got []string
 	for _, hc := range seeds.cases {
+		rowsOfAccepted, near := sha256.New(), sha256.New()
+		letter, digest := "R", "-"
 		if hc.verdict(t, rowsOfAccepted) {
-			verdicts.WriteByte('A')
-		} else {
-			verdicts.WriteByte('R')
+			letter, digest = "A", hex.EncodeToString(rowsOfAccepted.Sum(nil)[:8])
 		}
 		for bit := 0; bit < len(hc.blob)*8; bit++ {
 			flipped := hc
@@ -189,10 +198,11 @@ func TestHostileVerdictsEqualParents(t *testing.T) {
 			flipped.blob[bit>>3] ^= 1 << (7 - uint(bit&7))
 			flipped.verdict(t, near)
 		}
+		got = append(got, fmt.Sprintf("%s/%s %s %s %s", codecTable[int(hc.id)%numCodecs].Name(),
+			kindName(hostileKind(hc.kind)), letter, digest, hex.EncodeToString(near.Sum(nil)[:8])))
 	}
-	got := map[string]string{
-		"verdicts":      verdicts.String() + " " + hex.EncodeToString(rowsOfAccepted.Sum(nil)[:8]),
-		"neighbourhood": hex.EncodeToString(near.Sum(nil)[:8]),
+	if !slices.Equal(got, parentVerdicts) {
+		t.Errorf("hostile seeds decode to\n\t%s\nthe parent's decoders gave\n\t%s",
+			strings.Join(got, "\n\t"), strings.Join(parentVerdicts, "\n\t"))
 	}
-	reportGolden(t, "hostile", got, map[string]string{"verdicts": parentVerdicts, "neighbourhood": parentNeighbourhood})
 }

@@ -1,7 +1,6 @@
 package snode
 
 import (
-	"encoding/binary"
 	"slices"
 	"testing"
 
@@ -48,27 +47,28 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		intra := listsFromBytes(data, numLists, int32(numLists))
 		lists := listsFromBytes(data, numLists, size)
 		srcs, nonEmpty := srcsAndLists(lists)
-		for _, cd := range codecTable {
-			blob, err := cd.EncodeIntra(nil, intra, opt)
+		niSize := int32(numLists)
+		for _, cd := range keptCodecs() {
+			blob, err := encodePayload(cd, nil, kindIntra, nil, intra, niSize, niSize, opt)
 			if err != nil {
 				t.Fatalf("%s: encode intra: %v", cd.Name(), err)
 			}
-			gi, err := cd.DecodeIntra(blob, numLists)
+			g, err := decodeGraph(cd, kindIntra, blob, numLists, niSize, niSize)
 			if err != nil {
 				t.Fatalf("%s: decode intra: %v", cd.Name(), err)
 			}
-			if !listsEqual(rows(gi.lists), intra) {
+			if !listsEqual(rows(g.(*decodedIntra).lists), intra) {
 				t.Fatalf("%s: intra round trip mismatch", cd.Name())
 			}
 
-			blob, err = cd.EncodeSuperPos(nil, srcs, nonEmpty, int32(numLists), size, opt)
+			blob, err = encodePayload(cd, nil, kindSuperPos, srcs, nonEmpty, niSize, size, opt)
 			if err != nil {
 				t.Fatalf("%s: encode superPos: %v", cd.Name(), err)
 			}
-			gp, err := decodeSuperPos(cd, blob, len(srcs), int32(numLists), size)
-			if err != nil {
+			if g, err = decodeGraph(cd, kindSuperPos, blob, len(srcs), niSize, size); err != nil {
 				t.Fatalf("%s: decode superPos: %v", cd.Name(), err)
 			}
+			gp := g.(*decodedSuperPos)
 			if !listsEqual(rows(gp.lists), nonEmpty) || len(gp.srcs) != len(srcs) {
 				t.Fatalf("%s: superPos round trip mismatch", cd.Name())
 			}
@@ -78,15 +78,14 @@ func FuzzCodecRoundTrip(f *testing.F) {
 				}
 			}
 
-			blob, err = cd.EncodeSuperNeg(nil, lists, size, opt)
+			blob, err = encodePayload(cd, nil, kindSuperNeg, nil, lists, niSize, size, opt)
 			if err != nil {
 				t.Fatalf("%s: encode superNeg: %v", cd.Name(), err)
 			}
-			gn, err := cd.DecodeSuperNeg(blob, numLists, size)
-			if err != nil {
+			if g, err = decodeGraph(cd, kindSuperNeg, blob, numLists, niSize, size); err != nil {
 				t.Fatalf("%s: decode superNeg: %v", cd.Name(), err)
 			}
-			if !listsEqual(rows(gn.lists), lists) {
+			if !listsEqual(rows(g.(*decodedSuperNeg).lists), lists) {
 				t.Fatalf("%s: superNeg round trip mismatch", cd.Name())
 			}
 		}
@@ -102,7 +101,7 @@ type seedSink interface {
 
 // hostileSeeds adds the whole committed corpus of FuzzDecodeHostile.
 func hostileSeeds(f seedSink) {
-	for _, cd := range codecTable {
+	for _, cd := range keptCodecs() {
 		for _, kind := range []uint8{kindIntra, kindSuperPos, kindSuperNeg} {
 			hostileSeed(f, cd, kind)
 		}
@@ -111,6 +110,34 @@ func hostileSeeds(f seedSink) {
 	hugeCountSeeds(f)
 	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), []byte{})
 	f.Add(uint8(2), uint8(1), uint8(255), uint8(255), []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	logShapeSeeds(f)
+}
+
+// logShapeSeeds are hand-built codec/log payloads for the branches of
+// its run decoder that no valid encoding and no other committed seed
+// names: a degree past any plausible list, a degree past the bound at
+// gap width 0 (every residual is then +1, and the bound stops the run),
+// a source residual that steps over the bound, and — accepted — a full
+// list, which costs no bits after its degree and gap width.
+func logShapeSeeds(f seedSink) {
+	w := bitio.NewWriter(0)
+	coding.WriteGamma0(w, 1<<40) // superNeg, one list under bound 8
+	f.Add(codecIDLog, kindSuperNeg, uint8(0), uint8(7), w.Bytes())
+
+	w = bitio.NewWriter(0)
+	coding.WriteGamma0(w, 100) // superNeg, one list under bound 4
+	w.WriteBits(0, 2)          // gap width 0; the first value took no bits
+	f.Add(codecIDLog, kindSuperNeg, uint8(0), uint8(3), w.Bytes())
+
+	w = bitio.NewWriter(0)
+	w.WriteBits(2, 2) // superPos, three sources under niSize 3: first is 0 at no bits, gap width 2
+	w.WriteBits(3, 2) // residual 3: the second source would be 4
+	f.Add(codecIDLog, kindSuperPos, uint8(2), uint8(0), w.Bytes())
+
+	w = bitio.NewWriter(0)
+	coding.WriteGamma0(w, 4) // superNeg, one list under bound 4: {0,1,2,3}
+	w.WriteBits(0, 2)        // gap width 0
+	f.Add(codecIDLog, kindSuperNeg, uint8(0), uint8(3), w.Bytes())
 }
 
 // hostileSeed builds a valid encoding so the fuzzer starts from
@@ -120,17 +147,11 @@ func hostileSeed(f seedSink, cd Codec, kind uint8) {
 	// Seven lists over [0,7): a valid shape for all three kinds (intra
 	// lists live in [0, len(lists))).
 	lists := [][]int32{{0, 2, 5}, {}, {1, 3, 4, 6}, {6}, {}, {0}, {2, 3}}
-	var blob []byte
-	var err error
-	switch kind {
-	case kindIntra:
-		blob, err = cd.EncodeIntra(nil, lists, opt)
-	case kindSuperPos:
-		srcs, nonEmpty := srcsAndLists(lists)
-		blob, err = cd.EncodeSuperPos(nil, srcs, nonEmpty, 7, 7, opt)
-	default:
-		blob, err = cd.EncodeSuperNeg(nil, lists, 7, opt)
+	var srcs []int32
+	if kind == kindSuperPos {
+		srcs, lists = srcsAndLists(lists)
 	}
+	blob, err := encodePayload(cd, nil, kind, srcs, lists, 7, 7, opt)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -147,13 +168,6 @@ func hostileSeed(f seedSink, cd Codec, kind uint8) {
 // — replays them against the bounds oracle on every run.
 func overflowSeeds(f seedSink) {
 	const hugeGap = uint64(1)<<63 + 5
-
-	// codec/lz superNeg: one list under bound 1 — p=0, l=2, gaps {1, 2^63+5}.
-	lz := binary.AppendUvarint(nil, 0)
-	lz = binary.AppendUvarint(lz, 2)
-	lz = binary.AppendUvarint(lz, 1)
-	lz = binary.AppendUvarint(lz, hugeGap)
-	f.Add(codecIDLZ, kindSuperNeg, uint8(0), uint8(0), lz)
 
 	// codec/paper superPos: two sources under niSize 2 with a gamma gap
 	// of 2^63+5 (exercises coding.ReadBoundedGapList), followed by two
@@ -222,47 +236,58 @@ func FuzzDecodeHostile(f *testing.F) {
 	hostileSeeds(f)
 	f.Fuzz(func(t *testing.T, id, kind, nl, sz uint8, blob []byte) {
 		cd := codecTable[int(id)%numCodecs]
+		if cd == nil {
+			return // the retired wire ID: Open refuses it, nothing decodes it
+		}
 		numLists := int(nl)%128 + 1
-		size := int32(sz)%128 + 1
-		switch kind % 3 {
-		case kindIntra:
-			g, err := cd.DecodeIntra(blob, numLists)
-			if err == nil {
-				if oerr := checkLocalIDs(g.lists.IDs, int32(numLists)); oerr != nil {
+		niSize, size := int32(numLists), int32(sz)%128+1
+		kind = hostileKind(kind)
+		g, err := decodeGraph(cd, kind, blob, numLists, niSize, size)
+		if err == nil {
+			switch sg := g.(type) {
+			case *decodedIntra:
+				if oerr := checkLocalIDs(sg.lists.IDs, niSize); oerr != nil {
 					t.Fatalf("%s: intra decode accepted out-of-bounds IDs: %v", cd.Name(), oerr)
 				}
-			}
-		case kindSuperPos:
-			g, err := decodeSuperPos(cd, blob, numLists, int32(numLists), size)
-			if err == nil {
-				if oerr := checkLocalIDs(g.srcs, int32(numLists)); oerr != nil {
+			case *decodedSuperPos:
+				if oerr := checkLocalIDs(sg.srcs, niSize); oerr != nil {
 					t.Fatalf("%s: superPos srcs out of bounds: %v", cd.Name(), oerr)
 				}
-				if oerr := checkLocalIDs(g.lists.IDs, size); oerr != nil {
+				if oerr := checkLocalIDs(sg.lists.IDs, size); oerr != nil {
 					t.Fatalf("%s: superPos lists out of bounds: %v", cd.Name(), oerr)
 				}
-			}
-			// The serving path's two steps — sources now, lists later from
-			// a private copy of the rest of the payload — must agree with
-			// the one-shot decode: the same graph, or an error from both.
-			sg, serr := newSuperPosSources(cd, blob, numLists, int32(numLists), size)
-			var full *decodedSuperPos
-			if serr == nil {
-				full, serr = sg.materialize()
-			}
-			if (err == nil) != (serr == nil) {
-				t.Fatalf("%s: one-shot superPos decode: %v; sources then lists: %v", cd.Name(), err, serr)
-			}
-			if err == nil && (!slices.Equal(full.srcs, g.srcs) || !listsEqual(rows(full.lists), rows(g.lists))) {
-				t.Fatalf("%s: sources then lists decoded %v %v, one-shot %v %v", cd.Name(), full.srcs, full.lists, g.srcs, g.lists)
-			}
-		default:
-			g, err := cd.DecodeSuperNeg(blob, numLists, size)
-			if err == nil {
-				if oerr := checkLocalIDs(g.lists.IDs, size); oerr != nil {
+			case *decodedSuperNeg:
+				if oerr := checkLocalIDs(sg.lists.IDs, size); oerr != nil {
 					t.Fatalf("%s: superNeg decode accepted out-of-bounds IDs: %v", cd.Name(), oerr)
 				}
 			}
 		}
+		if kind != kindSuperPos {
+			return
+		}
+		// The serving path's two steps — sources now, lists later from
+		// a private copy of the rest of the payload — must agree with
+		// the one-shot decode: the same graph, or an error from both.
+		sg, serr := newSuperPosSources(cd, blob, numLists, niSize, size)
+		var full *decodedSuperPos
+		if serr == nil {
+			full, serr = sg.materialize()
+		}
+		if (err == nil) != (serr == nil) {
+			t.Fatalf("%s: one-shot superPos decode: %v; sources then lists: %v", cd.Name(), err, serr)
+		}
+		if whole, _ := g.(*decodedSuperPos); err == nil && (!slices.Equal(full.srcs, whole.srcs) || !listsEqual(rows(full.lists), rows(whole.lists))) {
+			t.Fatalf("%s: sources then lists decoded %v %v, one-shot %v %v", cd.Name(), full.srcs, full.lists, whole.srcs, whole.lists)
+		}
 	})
+}
+
+// hostileKind is the payload kind a fuzz input's kind byte selects: the
+// two low residues are intranode and superPos, everything else superNeg.
+func hostileKind(b uint8) uint8 {
+	switch b % 3 {
+	case kindIntra, kindSuperPos:
+		return b % 3
+	}
+	return kindSuperNeg
 }

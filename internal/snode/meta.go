@@ -285,9 +285,11 @@ func readMeta(path string) (*meta, error) {
 				cs.Graphs = mr.varint()
 				cs.Bytes = mr.varint()
 				cs.Edges = mr.varint()
-				if c, err := codecByID(cs.ID); err == nil {
-					cs.Name = c.Name()
+				c, err := codecByID(cs.ID)
+				if err != nil {
+					return nil, fmt.Errorf("snode: %s: codec stats: %w", path, err)
 				}
+				cs.Name = c.Name()
 			}
 		}
 	}
@@ -411,6 +413,30 @@ func (m *meta) validate() error {
 			if e.I < 0 || int(e.I) >= nSN || e.J < 0 || int(e.J) >= nSN {
 				return fmt.Errorf("graph %d references bad supernodes (%d,%d)", gi, e.I, e.J)
 			}
+		}
+	}
+	// The supernode graph and the directory must say the same thing of
+	// every graph a lookup can reach: a pointer that resolves to another
+	// supernode's graph, or to one of the wrong shape, would be decoded
+	// and indexed under the wrong sizes.
+	for s := int32(0); int(s) < nSN; s++ {
+		size := m.SnBase[s+1] - m.SnBase[s]
+		gid := m.IntraGID[s]
+		if e := &m.Directory[gid]; e.Kind != kindIntra || e.I != s || e.NumLists != size {
+			return fmt.Errorf("supernode %d (%d pages): intranode pointer is graph %d: kind %d, labelled %d, %d lists", s, size, gid, e.Kind, e.I, e.NumLists)
+		}
+		prev := int32(-1)
+		for k := m.SuperOff[s]; k < m.SuperOff[s+1]; k++ {
+			j, gid := m.SuperAdj[k], m.SuperGID[k]
+			e := &m.Directory[gid]
+			if j <= prev {
+				return fmt.Errorf("supernode %d: superedge targets do not ascend (%d after %d, graph %d)", s, j, prev, gid)
+			}
+			if e.Kind == kindIntra || e.I != s || e.J != j ||
+				e.NumLists < 1 || e.NumLists > size || (e.Kind == kindSuperNeg && e.NumLists != size) {
+				return fmt.Errorf("supernode %d (%d pages): superedge to %d is graph %d: kind %d, labelled (%d,%d), %d lists", s, size, j, gid, e.Kind, e.I, e.J, e.NumLists)
+			}
+			prev = j
 		}
 	}
 	return nil

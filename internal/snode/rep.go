@@ -12,6 +12,7 @@ import (
 
 	"snode/internal/iosim"
 	"snode/internal/metrics"
+	"snode/internal/refenc"
 	"snode/internal/store"
 	"snode/internal/trace"
 	"snode/internal/webgraph"
@@ -35,11 +36,6 @@ type Representation struct {
 	// decodeHist, when set via RegisterMetrics, times every lower-level
 	// graph decode (atomic pointer: registration may race with serving).
 	decodeHist atomic.Pointer[metrics.Histogram]
-
-	// codecHists, when set via RegisterMetrics, times decodes per wire
-	// codec (indexed by codec ID), so a mixed "auto" artifact shows
-	// which codec its cache misses actually pay for.
-	codecHists [numCodecs]atomic.Pointer[metrics.Histogram]
 
 	// decodeFault, when non-nil, is consulted before every decode — the
 	// fault-injection hook the error-path regression tests use to fail a
@@ -153,26 +149,16 @@ func (r *Representation) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.CounterFunc(prefix+"_hedge_losses", r.hedgeLosses.Load)
 	reg.GaugeFunc(prefix+"_inflight_decodes", r.cache.inflightCount)
 	r.decodeHist.Store(reg.Histogram(prefix+"_decode_seconds", nil))
-	// Per-codec rows: decode latency histograms plus the artifact's
-	// static composition (graphs/bytes/edges per wire format, and
-	// bits-per-edge in milli-bits since gauges are integers). Rows exist
-	// for every registered codec so dashboards have a stable schema;
-	// codecs absent from the artifact report zero.
-	for id, cd := range codecTable {
-		name := cd.Name()
-		r.codecHists[id].Store(reg.Histogram(prefix+"_decode_seconds_"+name, nil))
-		var st CodecBuildStat
-		for _, cs := range r.m.Stats.Codecs {
-			if int(cs.ID) == id {
-				st = cs
-				break
-			}
-		}
-		reg.GaugeFunc(prefix+"_codec_supernodes_"+name, func() int64 { return st.Supernodes })
-		reg.GaugeFunc(prefix+"_codec_graphs_"+name, func() int64 { return st.Graphs })
-		reg.GaugeFunc(prefix+"_codec_bytes_"+name, func() int64 { return st.Bytes })
-		reg.GaugeFunc(prefix+"_codec_edges_"+name, func() int64 { return st.Edges })
-		reg.GaugeFunc(prefix+"_bits_per_edge_milli_"+name, func() int64 {
+	// The artifact's static composition, per codec it holds (one, unless
+	// it was built by the retired per-supernode bake-off): graphs, bytes
+	// and edges, and bits per edge in milli-bits since gauges are
+	// integers.
+	for _, st := range r.m.Stats.Codecs {
+		reg.GaugeFunc(prefix+"_codec_supernodes_"+st.Name, func() int64 { return st.Supernodes })
+		reg.GaugeFunc(prefix+"_codec_graphs_"+st.Name, func() int64 { return st.Graphs })
+		reg.GaugeFunc(prefix+"_codec_bytes_"+st.Name, func() int64 { return st.Bytes })
+		reg.GaugeFunc(prefix+"_codec_edges_"+st.Name, func() int64 { return st.Edges })
+		reg.GaugeFunc(prefix+"_bits_per_edge_milli_"+st.Name, func() int64 {
 			if st.Edges == 0 {
 				return 0
 			}
@@ -263,39 +249,6 @@ func (r *Representation) DomainSupernodes(domain string) (lo, hi int32, ok bool)
 		return 0, 0, false
 	}
 	return r.m.DomFirstSN[k], r.m.DomFirstSN[k+1], true
-}
-
-// load returns the whole decoded graph gid, from cache or disk: a
-// positive superedge graph comes back with its lists materialized, and
-// resident that way. Concurrent loads of the same graph coalesce onto
-// one decode.
-func (r *Representation) load(gid GraphID) (decodedGraph, error) {
-	return r.loadCtx(context.Background(), gid)
-}
-
-// loadCtx is load with request-scoped context: traced requests record
-// their coalesced waits and led decodes.
-func (r *Representation) loadCtx(ctx context.Context, gid GraphID) (decodedGraph, error) {
-	g, err := r.loadCached(ctx, gid)
-	if sg, ok := g.(*superPosSources); ok && err == nil {
-		return r.materialize(ctx, gid, sg)
-	}
-	return g, err
-}
-
-// loadCached returns gid's cache entry as it stands, loading it on a
-// miss.
-func (r *Representation) loadCached(ctx context.Context, gid GraphID) (decodedGraph, error) {
-	if g, ok := r.cache.get(gid); ok {
-		trace.Add(ctx, trace.CtrCacheHits, 1)
-		return g, nil
-	}
-	trace.Add(ctx, trace.CtrCacheMisses, 1)
-	g, err, leader := r.claimTraced(ctx, gid)
-	if !leader {
-		return g, err
-	}
-	return r.readDecodeComplete(ctx, gid)
 }
 
 // claimTraced wraps graphCache.claimNoWait with trace attribution: a
@@ -437,36 +390,6 @@ func (r *Representation) readDecodeHedged(ctx context.Context, gid GraphID) (dec
 	return r.decode(gid, buf)
 }
 
-// readDecodeComplete performs the leader's half of a claimed decode:
-// read the graph's bytes, decode, and complete the flight (releasing
-// any coalesced waiters) whether or not anything failed — including a
-// panicking decode, which the deferred sweep converts into a released
-// flight instead of a permanently blocked waiter set.
-func (r *Representation) readDecodeComplete(ctx context.Context, gid GraphID) (decodedGraph, error) {
-	e := &r.m.Directory[gid]
-	completed := false
-	defer func() {
-		if !completed {
-			r.cache.complete(gid, nil, e.Kind, errDecodeAbandoned)
-		}
-	}()
-	g, err := func() (decodedGraph, error) {
-		if int(e.File) >= len(r.files) {
-			return nil, fmt.Errorf("snode: graph %d in missing file %d", gid, e.File)
-		}
-		bp := getReadBuf(int(e.NumBytes))
-		defer readBufPool.Put(bp)
-		buf := (*bp)[:e.NumBytes]
-		if _, err := r.files[e.File].ReadAtCtx(ctx, buf, e.Offset); err != nil {
-			return nil, fmt.Errorf("snode: read graph %d: %w", gid, err)
-		}
-		return r.decodeTraced(ctx, gid, buf)
-	}()
-	r.cache.complete(gid, g, e.Kind, err)
-	completed = true
-	return g, err
-}
-
 // decodeTraced wraps decode with per-request attribution: the decode
 // becomes a "cache.decode" span marked leader=1 (this request paid for
 // it; coalesced waiters record "cache.wait" instead) with the graph's
@@ -500,7 +423,7 @@ func (r *Representation) decode(gid GraphID, buf []byte) (decodedGraph, error) {
 	}
 	e := &r.m.Directory[gid]
 	start := r.decodeStart()
-	defer r.observeDecode(e.Codec, start)
+	defer r.observeDecode(start)
 	if e.Kind == kindSuperPos {
 		return newSuperPosSources(codecTable[e.Codec], buf, int(e.NumLists), r.snSize(e.I), r.snSize(e.J))
 	}
@@ -512,7 +435,7 @@ func (r *Representation) snSize(s int32) int32 { return r.m.SnBase[s+1] - r.m.Sn
 
 // materialize decodes the lists of a sources-only superedge entry — no
 // I/O, the entry holds the bytes — and has the cache replace the entry
-// with the whole graph. The time goes to the same decode histograms as
+// with the whole graph. The time goes to the same decode histogram as
 // the sources' half.
 func (r *Representation) materialize(ctx context.Context, gid GraphID, sg *superPosSources) (*decodedSuperPos, error) {
 	traced := trace.Active(ctx)
@@ -521,7 +444,7 @@ func (r *Representation) materialize(ctx context.Context, gid GraphID, sg *super
 		start = time.Now()
 	}
 	full, err := sg.materialize()
-	r.observeDecode(sg.codec.ID(), start)
+	r.observeDecode(start)
 	if err != nil {
 		return nil, fmt.Errorf("snode: materialize graph %d: %w", gid, err)
 	}
@@ -535,8 +458,8 @@ func (r *Representation) materialize(ctx context.Context, gid GraphID, sg *super
 	return full, nil
 }
 
-// decodeStart and observeDecode time a decode for the histograms
-// RegisterMetrics installs; without them the clock is not read.
+// decodeStart and observeDecode time a decode for the histogram
+// RegisterMetrics installs; without it the clock is not read.
 func (r *Representation) decodeStart() time.Time {
 	if r.decodeHist.Load() == nil {
 		return time.Time{}
@@ -544,34 +467,24 @@ func (r *Representation) decodeStart() time.Time {
 	return time.Now()
 }
 
-func (r *Representation) observeDecode(codec uint8, start time.Time) {
+func (r *Representation) observeDecode(start time.Time) {
 	if start.IsZero() {
 		return
 	}
-	d := time.Since(start)
 	if h := r.decodeHist.Load(); h != nil {
-		h.ObserveDuration(d)
-	}
-	if hc := r.codecHists[codec].Load(); hc != nil {
-		hc.ObserveDuration(d)
+		h.ObserveDuration(time.Since(start))
 	}
 }
 
-// decodePayload is the bare codec dispatch: no hooks, no metrics. The
-// serving path reaches it through decode; MeasureDecode times it
-// directly.
+// decodePayload is the bare whole-graph decode: no hooks, no metrics.
+// The serving path reaches the codecs through decode; MeasureDecode
+// times this directly.
 func (r *Representation) decodePayload(e *dirEntry, buf []byte) (decodedGraph, error) {
-	cd := codecTable[e.Codec]
-	switch e.Kind {
-	case kindIntra:
-		return cd.DecodeIntra(buf, int(e.NumLists))
-	case kindSuperPos:
-		return decodeSuperPos(cd, buf, int(e.NumLists), r.snSize(e.I), r.snSize(e.J))
-	case kindSuperNeg:
-		return cd.DecodeSuperNeg(buf, int(e.NumLists), r.snSize(e.J))
-	default:
-		return nil, fmt.Errorf("snode: graph has unknown kind %d", e.Kind)
+	var niSize, njSize int32
+	if e.Kind != kindIntra { // whose entry names no target supernode
+		niSize, njSize = r.snSize(e.I), r.snSize(e.J)
 	}
+	return decodeGraph(codecTable[e.Codec], e.Kind, buf, int(e.NumLists), niSize, njSize)
 }
 
 // Out implements store.LinkStore: the full adjacency of external page
@@ -608,19 +521,10 @@ func (r *Representation) OutFilteredCtx(ctx context.Context, p webgraph.PageID, 
 	local := internal - r.m.SnBase[i]
 	cf := r.compile(f)
 
-	// Process each needed graph exactly once, streaming: emit this
-	// page's targets from a graph the moment it is available, so a
-	// working set larger than the cache budget is read once per access
-	// rather than thrashing (load-all then re-read). Uncached graphs are
-	// fetched with span reads — §3.3's disk layout puts a supernode's
-	// graphs in one contiguous ascending run, so the spans collapse into
-	// few sequential reads. The page's local target IDs are appended to
-	// buf and turned into external page IDs there, keeping the accepted.
-	var firstErr error
-	process := func(gid GraphID, j int32, g decodedGraph) {
-		if firstErr != nil {
-			return
-		}
+	// emit appends this page's targets out of one graph the moment the
+	// graph is available — local target IDs first, turned into external
+	// page IDs in buf itself, keeping the accepted.
+	emit := func(gid GraphID, j int32, g decodedGraph) error {
 		from := len(buf)
 		switch sg := g.(type) {
 		case *decodedIntra:
@@ -633,23 +537,21 @@ func (r *Representation) OutFilteredCtx(ctx context.Context, p webgraph.PageID, 
 			if k := findSource(sg.srcs, local); k >= 0 {
 				full, err := r.materialize(ctx, gid, sg)
 				if err != nil {
-					firstErr = err
-					return
+					return err
 				}
 				buf = append(buf, full.lists.At(k)...)
 			}
 		case *decodedSuperNeg:
 			buf = sg.appendTargets(local, buf)
 		default:
-			firstErr = fmt.Errorf("snode: graph %d has wrong type", gid)
-			return
+			return fmt.Errorf("snode: graph %d has wrong type", gid)
 		}
 		inv := r.m.Inv[r.m.SnBase[j]:]
 		if cf.allOf(j) {
 			for k, t := range buf[from:] {
 				buf[from+k] = inv[t]
 			}
-			return
+			return nil
 		}
 		kept := buf[:from]
 		for _, t := range buf[from:] {
@@ -658,6 +560,7 @@ func (r *Representation) OutFilteredCtx(ctx context.Context, p webgraph.PageID, 
 			}
 		}
 		buf = kept
+		return nil
 	}
 
 	// The graphs to consult, in a stack array that spills to the heap
@@ -665,25 +568,40 @@ func (r *Representation) OutFilteredCtx(ctx context.Context, p webgraph.PageID, 
 	var scratch [outScratch]needEntry
 	need := scratch[:0]
 	if cf.wants(i) {
-		need = append(need, needEntry{r.m.IntraGID[i], i})
+		need = append(need, needEntry{gid: r.m.IntraGID[i], j: i})
 	}
 	for k := r.m.SuperOff[i]; k < r.m.SuperOff[i+1]; k++ {
 		if j := r.m.SuperAdj[k]; cf.wants(j) {
-			need = append(need, needEntry{r.m.SuperGID[k], j})
+			need = append(need, needEntry{gid: r.m.SuperGID[k], j: j})
 		}
 	}
+	err := r.consult(ctx, i, need, emit)
+	return buf, err
+}
 
-	// Pass 1: emit from cached graphs; collect misses (ascending gid ==
+// consult hands each graph of need — graphs of supernode i, in ascending
+// gid — to process exactly once, streaming: resident graphs first, then
+// the misses as they are read, so a working set larger than the cache
+// budget is read once per access rather than thrashing (load-all then
+// re-read). Uncached graphs are fetched with span reads —
+// §3.3's disk layout puts a supernode's graphs in one contiguous
+// ascending run, so the spans collapse into few sequential reads. It is
+// the one way a graph gets from disk into the cache. need is used as
+// scratch; the first error from process, a read or a decode ends the
+// walk.
+func (r *Representation) consult(ctx context.Context, i int32, need []needEntry, process func(gid GraphID, j int32, g decodedGraph) error) error {
+	// Pass 1: process cached graphs; collect misses (ascending gid ==
 	// disk order, because the intranode graph precedes its superedges).
 	// The misses are compacted into need's own prefix — entry k is read
 	// before anything is written at or past it.
 	needed := len(need)
 	miss := need[:0]
+	var firstErr error
 	for _, ne := range need {
-		if g, ok := r.cache.lookup(ne.gid); ok {
-			process(ne.gid, ne.j, g)
-		} else {
+		if g, ok := r.cache.lookup(ne.gid); !ok {
 			miss = append(miss, ne)
+		} else if firstErr == nil {
+			firstErr = process(ne.gid, ne.j, g)
 		}
 	}
 	r.cache.countLookups(r.m.IntraGID[i], int64(needed-len(miss)), int64(len(miss)))
@@ -693,23 +611,28 @@ func (r *Representation) OutFilteredCtx(ctx context.Context, p webgraph.PageID, 
 		trace.Add(ctx, trace.CtrCacheHits, int64(needed-len(miss)))
 		trace.Add(ctx, trace.CtrCacheMisses, int64(len(miss)))
 	}
+	if firstErr != nil {
+		return firstErr
+	}
 	// Pass 2: resolve the misses. Each miss is claimed singleflight-
 	// style: if another goroutine already decoded (or is decoding) the
 	// graph, its result is reused; when this call leads a decode, the
 	// span is extended over subsequent misses it can also lead, so the
 	// §3.3 contiguous layout still collapses into few sequential reads.
-	for k := 0; k < len(miss) && firstErr == nil; {
+	for k := 0; k < len(miss); {
 		// Cancellation checkpoint: no claims are held at the loop head, so
 		// a dead request stops here without orphaning a flight.
 		if err := ctx.Err(); err != nil {
-			return buf, err
+			return err
 		}
 		g, err, leader := r.claimTraced(ctx, miss[k].gid)
 		if !leader {
-			if err != nil {
-				return buf, err
+			if err == nil {
+				err = process(miss[k].gid, miss[k].j, g)
 			}
-			process(miss[k].gid, miss[k].j, g)
+			if err != nil {
+				return err
+			}
 			k++
 			continue
 		}
@@ -733,9 +656,11 @@ func (r *Representation) OutFilteredCtx(ctx context.Context, p webgraph.PageID, 
 				break
 			}
 			if state == claimCached {
-				// Decoded by someone else since pass 1: emit without
+				// Decoded by someone else since pass 1: process without
 				// reading; its bytes become part of the gap allowance.
-				process(miss[end].gid, miss[end].j, g2)
+				if err = process(miss[end].gid, miss[end].j, g2); err != nil {
+					break // the claims taken so far are still owed their decodes
+				}
 				end++
 				continue
 			}
@@ -746,12 +671,15 @@ func (r *Representation) OutFilteredCtx(ctx context.Context, p webgraph.PageID, 
 		// From this point the call holds claimed in-flight decodes that
 		// coalesced waiters may be blocked on; readDecodeSpan guarantees
 		// every one is completed exactly once on every exit path.
-		if err := r.readDecodeSpan(ctx, claimed, spanEnd, process); err != nil {
-			return buf, err
+		if spanErr := r.readDecodeSpan(ctx, claimed, spanEnd, process); err == nil {
+			err = spanErr
+		}
+		if err != nil {
+			return err
 		}
 		k = end
 	}
-	return buf, firstErr
+	return nil
 }
 
 // outScratch is how many graphs a lookup can list on its stack (8 bytes
@@ -759,8 +687,12 @@ func (r *Representation) OutFilteredCtx(ctx context.Context, p webgraph.PageID, 
 const outScratch = 256
 
 // needEntry is one lower-level graph a lookup must consult: the graph
-// and the target supernode its lists resolve into.
+// and the target supernode its lists resolve into. It is aligned to its
+// eight bytes so that a lookup's stack array of them is cleared a word
+// at a time wherever the frame puts it: at a four-byte offset the same
+// 2 KiB took 150 ns to clear, against 40, a fifth of a warm lookup.
 type needEntry struct {
+	_   [0]int64
 	gid GraphID
 	j   int32
 }
@@ -771,8 +703,10 @@ type needEntry struct {
 // completion guarantee unconditional: whether the read fails, a decode
 // fails, or a decode (or the process callback) panics, no claimed
 // flight is left open — an abandoned flight would block its coalesced
-// waiters forever. The first error is returned after all completions.
-func (r *Representation) readDecodeSpan(ctx context.Context, claimed []needEntry, spanEnd int64, process func(gid GraphID, j int32, g decodedGraph)) error {
+// waiters forever. Each graph is handed to process as it is decoded,
+// until a decode or process fails; the first error is returned after all
+// completions.
+func (r *Representation) readDecodeSpan(ctx context.Context, claimed []needEntry, spanEnd int64, process func(gid GraphID, j int32, g decodedGraph) error) error {
 	first := &r.m.Directory[claimed[0].gid]
 	completed := 0
 	defer func() {
@@ -809,26 +743,27 @@ func (r *Representation) readDecodeSpan(ctx context.Context, claimed []needEntry
 	}
 	// Decode and complete every claimed graph — even after an error, so
 	// no waiter is left blocked on an abandoned flight.
-	var decodeErr error
+	var firstErr error
 	for _, ne := range claimed {
 		e := &r.m.Directory[ne.gid]
 		off := e.Offset - first.Offset
 		g, err := r.decodeTraced(spanCtx, ne.gid, rb[off:off+int64(e.NumBytes)])
 		r.cache.complete(ne.gid, g, e.Kind, err)
 		completed++
-		if err != nil && decodeErr == nil {
-			decodeErr = err
+		if err == nil && firstErr == nil {
+			err = process(ne.gid, ne.j, g)
 		}
-		if err == nil && decodeErr == nil {
-			process(ne.gid, ne.j, g)
+		if firstErr == nil {
+			firstErr = err
 		}
 	}
-	return decodeErr
+	return firstErr
 }
 
 // DecodeAll materializes the entire graph in memory as a CSR webgraph
-// (external IDs) — the "global access" mode for mining tasks. It
-// bypasses the cache.
+// (external IDs) — the "global access" mode for mining tasks. It is Out
+// for every page in external-ID order, through the cache like any other
+// lookup.
 func (r *Representation) DecodeAll() (*webgraph.Graph, error) {
 	b := webgraph.NewBuilder(int(r.m.NumPages))
 	var buf []webgraph.PageID
@@ -845,58 +780,53 @@ func (r *Representation) DecodeAll() (*webgraph.Graph, error) {
 	return b.Build(), nil
 }
 
-// Verify decodes every graph in the directory and checks the
-// representation's cross-structure invariants: every list decodes
-// within its local ID space, positive superedge graphs have sources,
-// every superedge graph corresponds to a supernode-graph edge, and the
-// total positive edge count matches the recorded NumEdges. It reads the
-// whole representation once (sequentially) and leaves the cache as it
-// found it budget-wise.
+// Verify decodes every graph the supernode graph points at and checks
+// what only the payloads can say (Open has already compared the
+// directory with the supernode graph): every graph decodes, with as many
+// lists as its directory entry records, positive superedge graphs hold
+// links, negative ones leave some, and the total positive edge count
+// matches the recorded NumEdges. It reads the representation once,
+// supernode by supernode in disk order through the same span reads a
+// lookup makes, and leaves what the budget holds resident — positive
+// superedge graphs with their lists decoded.
 func (r *Representation) Verify() error {
+	ctx := context.Background()
 	var edges int64
+	var need []needEntry
 	for s := int32(0); s < int32(r.m.Stats.Supernodes); s++ {
-		g, err := r.load(r.m.IntraGID[s])
-		if err != nil {
-			return fmt.Errorf("snode: verify intranode %d: %w", s, err)
-		}
-		ig, ok := g.(*decodedIntra)
-		if !ok {
-			return fmt.Errorf("snode: intranode pointer of %d resolves to a superedge graph", s)
-		}
-		size := r.m.SnBase[s+1] - r.m.SnBase[s]
-		if int32(ig.lists.Len()) != size {
-			return fmt.Errorf("snode: intranode %d has %d lists for %d pages", s, ig.lists.Len(), size)
-		}
-		edges += ig.edgeCount()
+		need = append(need[:0], needEntry{gid: r.m.IntraGID[s], j: s})
 		for k := r.m.SuperOff[s]; k < r.m.SuperOff[s+1]; k++ {
-			j := r.m.SuperAdj[k]
-			e := &r.m.Directory[r.m.SuperGID[k]]
-			if e.I != s || e.J != j {
-				return fmt.Errorf("snode: superedge (%d,%d) directory entry labels (%d,%d)",
-					s, j, e.I, e.J)
+			need = append(need, needEntry{gid: r.m.SuperGID[k], j: r.m.SuperAdj[k]})
+		}
+		err := r.consult(ctx, s, need, func(gid GraphID, j int32, g decodedGraph) error {
+			if sg, ok := g.(*superPosSources); ok {
+				full, err := r.materialize(ctx, gid, sg)
+				if err != nil {
+					return err
+				}
+				g = full
 			}
-			sg, err := r.load(r.m.SuperGID[k])
-			if err != nil {
-				return fmt.Errorf("snode: verify superedge (%d,%d): %w", s, j, err)
-			}
-			njSize := int64(r.m.SnBase[j+1] - r.m.SnBase[j])
-			switch t := sg.(type) {
+			var lists refenc.Lists
+			links := g.edgeCount()
+			switch t := g.(type) {
+			case *decodedIntra:
+				lists = t.lists
 			case *decodedSuperPos:
-				pos := t.edgeCount()
-				if pos == 0 {
-					return fmt.Errorf("snode: superedge (%d,%d) is empty (no such edge should exist)", s, j)
-				}
-				edges += pos
+				lists = t.lists
 			case *decodedSuperNeg:
-				neg := t.edgeCount()
-				pos := int64(size)*njSize - neg
-				if pos <= 0 {
-					return fmt.Errorf("snode: negative superedge (%d,%d) implies %d links", s, j, pos)
-				}
-				edges += pos
-			default:
-				return fmt.Errorf("snode: superedge (%d,%d) has intranode kind", s, j)
+				lists = t.lists
+				links = int64(r.snSize(s))*int64(t.njSize) - links
 			}
+			if e := &r.m.Directory[gid]; lists.Len() != int(e.NumLists) {
+				return fmt.Errorf("graph %d decoded to %d lists, its directory entry records %d", gid, lists.Len(), e.NumLists)
+			} else if links <= 0 && e.Kind != kindIntra {
+				return fmt.Errorf("superedge (%d,%d) holds %d links (no such edge should exist)", s, j, links)
+			}
+			edges += links
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("snode: verify supernode %d: %w", s, err)
 		}
 	}
 	if edges != r.m.NumEdges {
@@ -948,8 +878,8 @@ func kindName(kind uint8) string {
 // bytes, stored edges, and the fastest round's decode nanoseconds. The
 // payload bytes are read up front so the measurement is pure CPU decode
 // cost — no I/O, no cache, no metrics hooks. It is the instrument
-// behind the codec bake-off grid; serving is unaffected (the graph
-// cache is bypassed entirely).
+// behind the suite's snode.decode_ns_per_edge rows; serving is
+// unaffected (the graph cache is bypassed entirely).
 func (r *Representation) MeasureDecode(rounds int) ([]DecodeCost, error) {
 	if rounds <= 0 {
 		rounds = 1

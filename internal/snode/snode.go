@@ -78,16 +78,12 @@ type Config struct {
 	// Partition configures the iterative refinement (§3.2).
 	Partition partition.Config
 	// Refenc configures reference encoding of the lower-level graphs
-	// (consulted by codec/paper; the other codecs ignore it).
+	// (consulted by codec/paper; codec/log ignores it).
 	Refenc refenc.Options
 	// Codec selects the wire format of the lower-level graphs: "paper"
-	// (or empty, the default — the refenc scheme of §3), "lz", "log", or
-	// "auto". Auto runs a per-supernode bake-off: every registered codec
-	// encodes the supernode's graphs, the candidates are scored by
-	// size x measured decode time, and the winner is recorded per
-	// directory entry so readers dispatch per payload. Fixed codecs keep
-	// builds byte-deterministic; auto's timing-based choice may differ
-	// between runs (the artifact stays self-describing either way).
+	// (or empty, the default — the refenc scheme of §3) or "log". It is
+	// recorded per directory entry, and a build is byte-deterministic
+	// under either.
 	Codec string
 	// MaxFileSize bounds each index file (paper: 500 MB). Lower values
 	// exercise the multi-file layout in tests.
@@ -190,7 +186,9 @@ type BuildStats struct {
 	// meta.bin byte-identical across builds of the same corpus.
 	BuildTime time.Duration
 	// Codecs breaks the index files down by wire format: one entry per
-	// codec that encoded at least one supernode, in codec-ID order.
+	// codec that encoded at least one supernode, in codec-ID order (one
+	// entry in all, but for artifacts of the retired per-supernode
+	// bake-off).
 	Codecs []CodecBuildStat
 }
 

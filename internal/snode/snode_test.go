@@ -538,6 +538,34 @@ func TestVerifyDetectsEdgeCountMismatch(t *testing.T) {
 	}
 }
 
+// TestVerifyDecodeFaultLeavesNoFlight fails the decode of a graph in the
+// middle of a supernode's span: Verify returns that error, every decode
+// the span had claimed is completed (none left in flight), and once the
+// fault is cleared the same representation verifies.
+func TestVerifyDecodeFaultLeavesNoFlight(t *testing.T) {
+	c, _ := buildOnce(t)
+	r := openRep(t, 1<<20)
+	page, need := widestPage(t, c, r)
+	victim := need[len(need)/2]
+	fault := errors.New("injected decode fault")
+	r.decodeFault = func(gid GraphID) error {
+		if gid == victim {
+			return fault
+		}
+		return nil
+	}
+	if err := r.Verify(); !errors.Is(err, fault) {
+		t.Fatalf("Verify with graph %d (of page %d's supernode) failing to decode: %v, want the injected fault", victim, page, err)
+	}
+	if n := r.InflightDecodes(); n != 0 {
+		t.Fatalf("%d decodes left in flight after the failed Verify", n)
+	}
+	r.decodeFault = nil
+	if err := r.Verify(); err != nil {
+		t.Fatalf("Verify after the fault was cleared: %v", err)
+	}
+}
+
 // dirHashes returns the sha256 of every artifact in a build directory.
 func dirHashes(t *testing.T, dir string) map[string]string {
 	t.Helper()
@@ -589,6 +617,39 @@ func TestBuildDeterministic(t *testing.T) {
 					seed, name, h, hb[name])
 			}
 		}
+	}
+}
+
+// TestBuildDeterministicLogBytes pins the encoded bytes of a codec/log
+// build: nothing else does (TestDecodedRowsEqualParents pins what a log
+// artifact decodes to, TestDatasetBytesAreStable the paper bytes). The
+// hashes were taken at the parent of the PR that moved the payload
+// framing out of the codecs, and a change to them is a format change.
+func TestBuildDeterministicLogBytes(t *testing.T) {
+	crawl, err := synth.Generate(synth.DefaultConfig(3000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Codec = CodecLog
+	cfg.MaxFileSize = 16 << 10 // several index files
+	dir := t.TempDir()
+	if _, err := Build(crawl.Corpus, cfg, dir); err != nil {
+		t.Fatal(err)
+	}
+	got := dirHashes(t, dir)
+	names := make([]string, 0, len(got))
+	for name := range got {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	tree := sha256.New()
+	for _, name := range names {
+		fmt.Fprintf(tree, "%s %s\n", name, got[name])
+	}
+	const want = "521a0d12d7f812a54e7fc9803ab94b2597e6a2b46f838dcdf044901c6ce452b1"
+	if h := fmt.Sprintf("%x", tree.Sum(nil)); h != want {
+		t.Fatalf("codec/log build of %d files hashes to %s, want %s", len(names), h, want)
 	}
 }
 

@@ -119,8 +119,11 @@ test-obs:
 # codec IDs recorded and dispatched), the v1-artifact compatibility and
 # future-version rejection suite with the retired lz wire ID refused by
 # name, a directory that contradicts the supernode graph refused at
-# Open, hostile-input decode over flipped payload bytes, and codec flow
-# through sharded builds and snbuild's -codec flag; below the codecs,
+# Open, meta.bin held to the shared reader's checks (a length prefix
+# that sizes nothing, a value too wide for its field, trailing bytes,
+# FuzzReadMeta's seed corpus), hostile-input decode over flipped payload
+# bytes, and codec flow through sharded builds and snbuild's -codec
+# flag; below the codecs,
 # the windowed bit reader against its bit-at-a-time reference, the
 # one-window gamma, minimal-binary, gap-list and Huffman decoders
 # against the split decoders they replaced, and refenc's hostile-count
@@ -136,7 +139,7 @@ test-codec:
 	$(GO) test -count=1 -run 'TestReaderMatchesBitAtATimeReference|TestUnaryZeroTailOverruns' ./internal/bitio
 	$(GO) test -count=1 -run 'TestWindowDecodersMatchReferences|TestGammaAtTheEdgesOfTheWindow|TestHuffmanWindowDecodeMatchesBitwise|TestRLERunsRejectOverlongRun' ./internal/coding
 	$(GO) test -count=1 -run 'TestDecodeRejects|TestDecodeAcceptsZeroBitFinalValue|TestDecodeListsAreExactSizedFlatArrays|TestReadRunRejectsOverflowGap|TestRejectsBadLists' ./internal/refenc
-	$(GO) test -count=1 -run 'TestCodec|FuzzCodecRoundTrip|FuzzDecodeHostile|TestCorruptIndexAllCodecs|TestMeasureDecode|TestLegacyMetaV1ServesAsPaper|TestUnknown|TestRetiredCodecRefusedByName|TestOpenRefusesContradictoryDirectory|TestSourcesFirst|TestSourcesOnly|TestVerifyLeavesMaterializedEntries|TestMaterialized|TestCorruptListSection|TestDecodedRowsEqualParents|TestHostileVerdictsEqualParents|TestFlightIsMadeByItsFirstWaiter|TestParkedLeaderReleasesLookupsWaitingOnIt' ./internal/snode
+	$(GO) test -count=1 -run 'TestCodec|FuzzCodecRoundTrip|FuzzDecodeHostile|TestCorruptIndexAllCodecs|TestMeasureDecode|TestLegacyMetaV1ServesAsPaper|TestUnknown|TestRetiredCodecRefusedByName|TestOpenRefusesContradictoryDirectory|TestSourcesFirst|TestSourcesOnly|TestVerifyLeavesMaterializedEntries|TestMaterialized|TestCorruptListSection|TestDecodedRowsEqualParents|TestHostileVerdictsEqualParents|TestFlightIsMadeByItsFirstWaiter|TestParkedLeaderReleasesLookupsWaitingOnIt|TestLengthPrefixSizesNoAllocation|TestValueTooWideForItsFieldIsRefused|TestTrailingBytesAreRefused|FuzzReadMeta' ./internal/snode
 	$(GO) test -count=1 -run 'TestCodecQueryEquivalence' ./internal/query
 	$(GO) test -count=1 -run 'TestShardBuildCarriesCodec' ./internal/shard
 	$(GO) test -count=1 -run 'TestCheckCodec' ./cmd/snbuild
@@ -144,9 +147,11 @@ test-codec:
 # Ingestion gate: the hostile-input parser table (comments, CRLF,
 # duplicate edges, self-loops, sparse 64-bit IDs, truncated gzip,
 # checksum mismatch), the URL-table universe semantics, the
-# spill-vs-in-memory graph equivalence, the golden end-to-end oracle
-# (synth -> export -> ingest -> build byte-identical to the direct
-# build at every worker count, heap budget engaged) and the
+# spill-vs-in-memory equivalence (graph, compaction table and duplicate
+# count; dense IDs and an ID-only graph with raw IDs above 2^32 and one
+# above 2^63), the golden end-to-end oracle (synth -> export -> ingest
+# -> build byte-identical to the direct build at every worker count,
+# heap budget engaged), a refused export leaving no torn table, and the
 # committed-fixture format pin. Run with -count=1 so the gate always
 # executes.
 test-ingest:

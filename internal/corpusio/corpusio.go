@@ -7,11 +7,7 @@
 package corpusio
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
-	"os"
 
 	"snode/internal/coding"
 	"snode/internal/synth"
@@ -20,43 +16,31 @@ import (
 
 // Write serializes a crawl to path.
 func Write(c *synth.Crawl, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriterSize(f, 1<<20)
-	cw := &countingWriter{w: w}
-	g := c.Corpus.Graph
-	n := g.NumPages()
-	cw.uvarint(uint64(n))
-	for pid := 0; pid < n; pid++ {
-		pm := c.Corpus.Pages[pid]
-		cw.str(pm.URL)
-		cw.str(pm.Domain)
-		cw.uvarint(uint64(len(pm.Terms)))
-		for _, t := range pm.Terms {
-			cw.str(t)
+	return coding.WriteFile(path, func(w *coding.Writer) error {
+		g := c.Corpus.Graph
+		n := g.NumPages()
+		w.Uvarint(uint64(n))
+		for pid := 0; pid < n; pid++ {
+			pm := c.Corpus.Pages[pid]
+			w.Str(pm.URL)
+			w.Str(pm.Domain)
+			w.Uvarint(uint64(len(pm.Terms)))
+			for _, t := range pm.Terms {
+				w.Str(t)
+			}
+			adj := g.Out(int32(pid))
+			w.Uvarint(uint64(len(adj)))
+			prev := int64(-1)
+			for _, t := range adj {
+				w.Uvarint(uint64(int64(t) - prev))
+				prev = int64(t)
+			}
 		}
-		adj := g.Out(int32(pid))
-		cw.uvarint(uint64(len(adj)))
-		prev := int64(-1)
-		for _, t := range adj {
-			cw.uvarint(uint64(int64(t) - prev))
-			prev = int64(t)
+		for _, pid := range c.Order {
+			w.Uvarint(uint64(pid))
 		}
-	}
-	for _, pid := range c.Order {
-		cw.uvarint(uint64(pid))
-	}
-	if cw.err != nil {
-		f.Close()
-		return cw.err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+		return nil
+	})
 }
 
 // minPageBytes is the least a page can occupy: empty URL, domain, term
@@ -69,76 +53,51 @@ const minPageBytes = 5
 // pages, and bytes after the order are all refused, before anything is
 // sized or indexed by them.
 func Read(path string) (*synth.Crawl, error) {
-	f, err := os.Open(path)
+	r, err := coding.OpenFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, err
+	defer r.Close()
+	n := r.Count(1<<30, minPageBytes)
+	if r.Err() != nil {
+		return nil, fmt.Errorf("corpusio: %s: page count: %w", path, r.Err())
 	}
-	r := &countingReader{r: bufio.NewReaderSize(f, 1<<20)}
-	nu := r.uvarint()
-	if r.err != nil {
-		return nil, fmt.Errorf("corpusio: %w", r.err)
+	if n == 0 {
+		return nil, fmt.Errorf("corpusio: %s holds no pages", path)
 	}
-	if nu == 0 || nu > 1<<30 || nu > uint64(fi.Size())/minPageBytes {
-		return nil, fmt.Errorf("corpusio: implausible page count %d in a %d-byte file", nu, fi.Size())
-	}
-	n := int(nu)
 	pages := make([]webgraph.PageMeta, n)
 	b := webgraph.NewBuilder(n)
 	for pid := 0; pid < n; pid++ {
-		pages[pid].URL = r.str()
-		pages[pid].Domain = r.str()
-		nt := r.uvarint()
-		if r.err != nil {
-			return nil, fmt.Errorf("corpusio: page %d: %w", pid, r.err)
-		}
-		if nt > 1<<16 {
-			return nil, fmt.Errorf("corpusio: page %d: implausible term count %d", pid, nt)
-		}
-		terms := make([]string, nt)
+		pages[pid].URL = r.Str()
+		pages[pid].Domain = r.Str()
+		terms := make([]string, r.Count(1<<16, 1))
 		for i := range terms {
-			terms[i] = r.str()
+			terms[i] = r.Str()
 		}
 		pages[pid].Terms = terms
-		deg := r.uvarint()
-		if r.err != nil {
-			return nil, fmt.Errorf("corpusio: page %d: %w", pid, r.err)
-		}
-		if deg > nu {
-			return nil, fmt.Errorf("corpusio: page %d: implausible degree %d", pid, deg)
-		}
 		prev := int64(-1)
-		for i := uint64(0); i < deg; i++ {
-			gap := r.uvarint()
-			if r.err != nil {
-				return nil, fmt.Errorf("corpusio: page %d adjacency: %w", pid, r.err)
-			}
-			var ok bool
-			if prev, ok = coding.StepGap(prev, gap, int64(n)); !ok {
-				return nil, fmt.Errorf("corpusio: page %d adjacency: gap %d from %d repeats a target or leaves [0,%d)", pid, gap, prev, n)
-			}
+		for deg := r.Count(n, 1); deg > 0 && r.Step(&prev, int64(n)); deg-- {
 			b.AddEdge(int32(pid), int32(prev))
+		}
+		if r.Err() != nil {
+			return nil, fmt.Errorf("corpusio: %s: page %d: %w", path, pid, r.Err())
 		}
 	}
 	order := make([]int32, n)
 	seen := make([]bool, n)
 	for i := range order {
-		p := r.uvarint()
-		if r.err != nil {
-			return nil, fmt.Errorf("corpusio: order: %w", r.err)
+		p := r.Uvarint()
+		if r.Err() != nil {
+			return nil, fmt.Errorf("corpusio: %s: order: %w", path, r.Err())
 		}
-		if p >= nu || seen[p] {
+		if p >= uint64(n) || seen[p] {
 			return nil, fmt.Errorf("corpusio: order entry %d names page %d: outside [0,%d) or already crawled", i, p, n)
 		}
 		seen[p] = true
 		order[i] = int32(p)
 	}
-	if _, err := r.r.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("corpusio: bytes after the crawl order")
+	if r.End(); r.Err() != nil {
+		return nil, fmt.Errorf("corpusio: %s: %w", path, r.Err())
 	}
 	crawl := &synth.Crawl{
 		Corpus: &webgraph.Corpus{Graph: b.Build(), Pages: pages},
@@ -148,54 +107,4 @@ func Read(path string) (*synth.Crawl, error) {
 		return nil, err
 	}
 	return crawl, nil
-}
-
-type countingWriter struct {
-	w   *bufio.Writer
-	buf [binary.MaxVarintLen64]byte
-	err error
-}
-
-func (cw *countingWriter) uvarint(v uint64) {
-	if cw.err != nil {
-		return
-	}
-	n := binary.PutUvarint(cw.buf[:], v)
-	_, cw.err = cw.w.Write(cw.buf[:n])
-}
-
-func (cw *countingWriter) str(s string) {
-	cw.uvarint(uint64(len(s)))
-	if cw.err != nil {
-		return
-	}
-	_, cw.err = cw.w.WriteString(s)
-}
-
-type countingReader struct {
-	r   *bufio.Reader
-	err error
-}
-
-func (cr *countingReader) uvarint() uint64 {
-	if cr.err != nil {
-		return 0
-	}
-	v, err := binary.ReadUvarint(cr.r)
-	cr.err = err
-	return v
-}
-
-func (cr *countingReader) str() string {
-	n := cr.uvarint()
-	if cr.err != nil {
-		return ""
-	}
-	if n > 1<<20 {
-		cr.err = fmt.Errorf("implausible string length %d", n)
-		return ""
-	}
-	b := make([]byte, n)
-	_, cr.err = io.ReadFull(cr.r, b)
-	return string(b)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -200,4 +201,44 @@ func TestHostileFilesAreRefused(t *testing.T) {
 			t.Errorf("%s: loaded as a crawl of %d pages, %d edges", c.name, crawl.Corpus.Graph.NumPages(), crawl.Corpus.Graph.NumEdges())
 		}
 	}
+}
+
+// FuzzCorpusRead: whatever the bytes, Read neither panics nor sizes
+// anything beyond a multiple of the file, and a crawl it returns passes
+// the corpus's own Validate with an order that is a permutation. Seeds:
+// the three-page file above, every strict prefix of it, and (committed
+// under testdata/fuzz) the hostile files that used to load.
+func FuzzCorpusRead(f *testing.F) {
+	valid := encode([3][]uint64{{2, 1}, nil, {1}}, []uint64{2, 0, 1})
+	for n := 0; n <= len(valid); n++ {
+		f.Add(valid[:n])
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		path := filepath.Join(t.TempDir(), "corpus.bin")
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		crawl, err := Read(path)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			if verr := crawl.Corpus.Validate(); verr != nil {
+				t.Fatalf("Read returned a corpus its own Validate refuses: %v", verr)
+			}
+			seen := make([]bool, len(crawl.Order))
+			for _, p := range crawl.Order {
+				if p < 0 || int(p) >= len(seen) || seen[p] {
+					t.Fatalf("Read returned an order that is no permutation: %v", crawl.Order)
+				}
+				seen[p] = true
+			}
+		}
+		// A page costs five bytes and sizes 56 B of metadata, 24 B of
+		// adjacency header, 8 B of offset and 5 B of order; a one-byte
+		// term sizes a 16 B header; 4 KiB for the file.
+		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(4<<10+64*len(raw)); alloc > limit {
+			t.Fatalf("a %d-byte file made Read allocate %d bytes (limit %d)", len(raw), alloc, limit)
+		}
+	})
 }

@@ -161,6 +161,77 @@ func TestNoUnexportedFunctionOnlyTestsCall(t *testing.T) {
 	}
 }
 
+// rawFileIO lists the files that may frame integers or create files
+// themselves, keyed by path with the reason. Everything else goes through
+// internal/coding (WriteFile, Writer, Reader): an artifact is written
+// whole through one function and its integers are read back through one
+// set of checks. An entry whose file no longer does either is stale, and
+// a failure.
+var rawFileIO = map[string]string{
+	"internal/snode/builder.go": "the index-file writer stays open across a whole build and rolls to a new file by size",
+	"internal/pager/pager.go":   "a page file is opened once and written in place, page by page, for the store's lifetime",
+	"internal/bench/csv.go":     "a report for people and plotting tools, not an artifact anything reads back",
+	"cmd/snquery/main.go":       "-trace-out is a report for people, not an artifact anything reads back",
+}
+
+// TestOneWayToPutAnArtifactOnDisk fails, by file and line, on a non-test
+// file outside internal/coding that calls one of encoding/binary's varint
+// functions, os.Create, os.WriteFile, or os.OpenFile with a flag that
+// writes. benchmark/ is not walked: the harness writes its result files
+// itself, and a product change does not edit it.
+func TestOneWayToPutAnArtifactOnDisk(t *testing.T) {
+	writes := func(flag ast.Expr) (w bool) {
+		ast.Inspect(flag, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				switch id.Name {
+				case "O_WRONLY", "O_RDWR", "O_CREATE", "O_APPEND", "O_TRUNC":
+					w = true
+				}
+			}
+			return true
+		})
+		return w
+	}
+	hits := map[string]int{}
+	eachGoFile(t, func(rel string, fset *token.FileSet, f *ast.File) {
+		if strings.HasSuffix(rel, "_test.go") || strings.HasPrefix(rel, "internal/coding/") || strings.HasPrefix(rel, "benchmark/") {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			pkg, ok := sel.X.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			name := sel.Sel.Name
+			switch {
+			case pkg.Name == "binary" && strings.HasSuffix(strings.ToLower(name), "varint"):
+			case pkg.Name == "os" && (name == "Create" || name == "WriteFile"):
+			case pkg.Name == "os" && name == "OpenFile" && len(call.Args) > 1 && writes(call.Args[1]):
+			default:
+				return true
+			}
+			hits[rel]++
+			if _, ok := rawFileIO[rel]; !ok {
+				t.Errorf("%s:%d: %s.%s outside internal/coding: write the file through coding.WriteFile and read its integers through coding.Reader", rel, fset.Position(call.Pos()).Line, pkg.Name, name)
+			}
+			return true
+		})
+	})
+	for file := range rawFileIO {
+		if hits[file] == 0 {
+			t.Errorf("allowlist entry %s is stale: the file no longer frames integers or creates files itself", file)
+		}
+	}
+}
+
 // eachGoFile parses every Go file of the module — generated output,
 // testdata and dot directories aside — and hands it to fn with its
 // slash-separated path under the module root, which it returns.

@@ -1,13 +1,12 @@
 package delta
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"fmt"
-	"os"
 	"sort"
 
+	"snode/internal/coding"
 	"snode/internal/iosim"
 	"snode/internal/webgraph"
 )
@@ -59,46 +58,26 @@ type segment struct {
 // modeled (iosim charges reads only, as for every built representation)
 // and the file is fsync-free: segments are rebuildable from the crawl.
 func writeSegmentFile(path string, pos []pageOps) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("delta: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	var hdr [segHeaderBytes]byte
-	copy(hdr[:8], segMagic)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(pos)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		f.Close()
-		return err
-	}
-	var idx [segIndexEntrySize]byte
-	off := int64(0)
-	for _, po := range pos {
-		binary.LittleEndian.PutUint32(idx[0:], uint32(po.src))
-		binary.LittleEndian.PutUint32(idx[4:], uint32(len(po.ops)))
-		binary.LittleEndian.PutUint64(idx[8:], uint64(off))
-		if _, err := w.Write(idx[:]); err != nil {
-			f.Close()
-			return err
+	return coding.WriteFile(path, func(w *coding.Writer) error {
+		w.Write([]byte(segMagic))
+		w.U32(uint32(len(pos)))
+		off := int64(0)
+		for _, po := range pos {
+			w.U32(uint32(po.src))
+			w.U32(uint32(len(po.ops)))
+			w.U64(uint64(off))
+			off += int64(len(po.ops)) * segDataEntrySize
 		}
-		off += int64(len(po.ops)) * segDataEntrySize
-	}
-	var rec [segDataEntrySize]byte
-	for _, po := range pos {
-		for _, e := range po.ops {
-			binary.LittleEndian.PutUint32(rec[0:], uint32(e.dst))
-			rec[4] = byte(e.op)
-			if _, err := w.Write(rec[:]); err != nil {
-				f.Close()
-				return err
+		var rec [segDataEntrySize]byte
+		for _, po := range pos {
+			for _, e := range po.ops {
+				binary.LittleEndian.PutUint32(rec[0:], uint32(e.dst))
+				rec[4] = byte(e.op)
+				w.Write(rec[:])
 			}
 		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+		return nil
+	})
 }
 
 // openSegment opens path under the accountant and loads its index. The

@@ -7,14 +7,13 @@
 package flatfile
 
 import (
-	"bufio"
 	"container/list"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 
+	"snode/internal/coding"
 	"snode/internal/iosim"
 	"snode/internal/store"
 	"snode/internal/webgraph"
@@ -27,12 +26,6 @@ const chunkSize = 8 << 10
 // order pages were crawled, NOT in page-ID order, so pages with nearby
 // IDs (same domain) are scattered on disk. nil means ID order.
 func Build(c *webgraph.Corpus, dir string, layout []webgraph.PageID) error {
-	f, err := os.Create(filepath.Join(dir, "adj.dat"))
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	var scratch [4]byte
 	g := c.Graph
 	if layout == nil {
 		layout = make([]webgraph.PageID, g.NumPages())
@@ -41,29 +34,18 @@ func Build(c *webgraph.Corpus, dir string, layout []webgraph.PageID) error {
 		}
 	}
 	if len(layout) != g.NumPages() {
-		f.Close()
 		return fmt.Errorf("flatfile: layout covers %d of %d pages", len(layout), g.NumPages())
 	}
-	for _, p := range layout {
-		adj := g.Out(p)
-		binary.LittleEndian.PutUint32(scratch[:], uint32(len(adj)))
-		if _, err := bw.Write(scratch[:]); err != nil {
-			f.Close()
-			return err
-		}
-		for _, t := range adj {
-			binary.LittleEndian.PutUint32(scratch[:], uint32(t))
-			if _, err := bw.Write(scratch[:]); err != nil {
-				f.Close()
-				return err
+	return coding.WriteFile(filepath.Join(dir, "adj.dat"), func(w *coding.Writer) error {
+		for _, p := range layout {
+			adj := g.Out(p)
+			w.U32(uint32(len(adj)))
+			for _, t := range adj {
+				w.U32(uint32(t))
 			}
 		}
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+		return nil
+	})
 }
 
 // Rep is an opened flat-file representation.

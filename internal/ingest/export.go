@@ -18,6 +18,7 @@ import (
 	"strconv"
 	"strings"
 
+	"snode/internal/coding"
 	"snode/internal/webgraph"
 )
 
@@ -74,64 +75,62 @@ func Export(c *webgraph.Corpus, dir string, opt ExportOptions) (*ExportResult, e
 	if err != nil {
 		return nil, err
 	}
-	mf, err := os.Create(res.ManifestPath)
+	err = coding.WriteFile(res.ManifestPath, func(w *coding.Writer) error {
+		fmt.Fprintf(w, "%s  %s\n", graphSum, filepath.Base(res.GraphPath))
+		fmt.Fprintf(w, "%s  %s\n", urlSum, filepath.Base(res.URLTablePath))
+		return nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("ingest: export: %w", err)
-	}
-	fmt.Fprintf(mf, "%s  %s\n", graphSum, filepath.Base(res.GraphPath))
-	fmt.Fprintf(mf, "%s  %s\n", urlSum, filepath.Base(res.URLTablePath))
-	if err := mf.Close(); err != nil {
 		return nil, fmt.Errorf("ingest: export: %w", err)
 	}
 	return res, nil
 }
 
-// writeGraphFile writes the SNAP-style edge list and returns the hex
-// SHA-256 of the on-disk (post-compression) bytes.
-func writeGraphFile(path string, g *webgraph.Graph, gz bool) (string, error) {
-	f, err := os.Create(path)
+// writeHashed writes path with what fill writes, gzipped if gz, and
+// returns the hex SHA-256 of the bytes that reached the file.
+func writeHashed(path string, gz bool, fill func(bw *bufio.Writer) error) (string, error) {
+	hasher := sha256.New()
+	err := coding.WriteFile(path, func(w *coding.Writer) error {
+		var out io.Writer = io.MultiWriter(w, hasher)
+		var zw *gzip.Writer
+		if gz {
+			zw = gzip.NewWriter(out)
+			out = zw
+		}
+		bw := bufio.NewWriterSize(out, 1<<20)
+		if err := fill(bw); err != nil {
+			return err
+		}
+		if err := bw.Flush(); err != nil || zw == nil {
+			return err
+		}
+		return zw.Close()
+	})
 	if err != nil {
 		return "", fmt.Errorf("ingest: export: %w", err)
 	}
-	hasher := sha256.New()
-	var w io.Writer = io.MultiWriter(f, hasher)
-	var zw *gzip.Writer
-	if gz {
-		zw = gzip.NewWriter(w)
-		w = zw
-	}
-	bw := bufio.NewWriterSize(w, 1<<20)
+	return hex.EncodeToString(hasher.Sum(nil)), nil
+}
 
-	fmt.Fprintf(bw, "# Directed graph: %s\n", filepath.Base(path))
-	fmt.Fprintf(bw, "# Nodes: %d Edges: %d\n", g.NumPages(), g.NumEdges())
-	fmt.Fprintf(bw, "# FromNodeId\tToNodeId\n")
-	var buf []byte
-	for p := 0; p < g.NumPages(); p++ {
-		for _, q := range g.Out(webgraph.PageID(p)) {
-			buf = strconv.AppendInt(buf[:0], int64(p), 10)
-			buf = append(buf, '\t')
-			buf = strconv.AppendInt(buf, int64(q), 10)
-			buf = append(buf, '\n')
-			if _, err := bw.Write(buf); err != nil {
-				f.Close()
-				return "", fmt.Errorf("ingest: export: %w", err)
+// writeGraphFile writes the SNAP-style edge list and returns the hex
+// SHA-256 of the on-disk (post-compression) bytes.
+func writeGraphFile(path string, g *webgraph.Graph, gz bool) (string, error) {
+	return writeHashed(path, gz, func(bw *bufio.Writer) error {
+		fmt.Fprintf(bw, "# Directed graph: %s\n", filepath.Base(path))
+		fmt.Fprintf(bw, "# Nodes: %d Edges: %d\n", g.NumPages(), g.NumEdges())
+		fmt.Fprintf(bw, "# FromNodeId\tToNodeId\n")
+		var buf []byte
+		for p := 0; p < g.NumPages(); p++ {
+			for _, q := range g.Out(webgraph.PageID(p)) {
+				buf = strconv.AppendInt(buf[:0], int64(p), 10)
+				buf = append(buf, '\t')
+				buf = strconv.AppendInt(buf, int64(q), 10)
+				buf = append(buf, '\n')
+				bw.Write(buf)
 			}
 		}
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return "", fmt.Errorf("ingest: export: %w", err)
-	}
-	if zw != nil {
-		if err := zw.Close(); err != nil {
-			f.Close()
-			return "", fmt.Errorf("ingest: export: %w", err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		return "", fmt.Errorf("ingest: export: %w", err)
-	}
-	return hex.EncodeToString(hasher.Sum(nil)), nil
+		return nil
+	})
 }
 
 // writeURLTable writes the page-metadata sidecar and returns its hex
@@ -139,46 +138,31 @@ func writeGraphFile(path string, g *webgraph.Graph, gz bool) (string, error) {
 // newlines anywhere, commas inside a term) cannot round-trip and is
 // rejected rather than silently mangled.
 func writeURLTable(path string, pages []webgraph.PageMeta) (string, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return "", fmt.Errorf("ingest: export: %w", err)
-	}
-	hasher := sha256.New()
-	bw := bufio.NewWriterSize(io.MultiWriter(f, hasher), 1<<20)
-
-	fmt.Fprintf(bw, "# Pages: %d\n", len(pages))
-	fmt.Fprintf(bw, "# PageId\tUrl\tDomain\tTerms\n")
-	for i, m := range pages {
-		if err := checkField(m.URL, "url", i, false); err != nil {
-			f.Close()
-			return "", err
-		}
-		if err := checkField(m.Domain, "domain", i, false); err != nil {
-			f.Close()
-			return "", err
-		}
-		for _, t := range m.Terms {
-			if err := checkField(t, "term", i, true); err != nil {
-				f.Close()
-				return "", err
+	return writeHashed(path, false, func(bw *bufio.Writer) error {
+		fmt.Fprintf(bw, "# Pages: %d\n", len(pages))
+		fmt.Fprintf(bw, "# PageId\tUrl\tDomain\tTerms\n")
+		for i, m := range pages {
+			if err := checkField(m.URL, "url", i, false); err != nil {
+				return err
 			}
+			if err := checkField(m.Domain, "domain", i, false); err != nil {
+				return err
+			}
+			for _, t := range m.Terms {
+				if err := checkField(t, "term", i, true); err != nil {
+					return err
+				}
+			}
+			fmt.Fprintf(bw, "%d\t%s\t%s\t%s\n", i, m.URL, m.Domain, strings.Join(m.Terms, ","))
 		}
-		fmt.Fprintf(bw, "%d\t%s\t%s\t%s\n", i, m.URL, m.Domain, strings.Join(m.Terms, ","))
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return "", fmt.Errorf("ingest: export: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return "", fmt.Errorf("ingest: export: %w", err)
-	}
-	return hex.EncodeToString(hasher.Sum(nil)), nil
+		return nil
+	})
 }
 
 // checkField rejects metadata the tab-separated sidecar cannot carry.
 func checkField(s, what string, page int, isTerm bool) error {
 	if strings.ContainsAny(s, "\t\n\r") || (isTerm && (s == "" || strings.Contains(s, ","))) {
-		return fmt.Errorf("ingest: export: page %d: %s %q contains a delimiter the url table cannot carry", page, what, s)
+		return fmt.Errorf("page %d: %s %q contains a delimiter the url table cannot carry", page, what, s)
 	}
 	return nil
 }

@@ -64,6 +64,28 @@ func TestExportIngestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRefusedExportLeavesNoTornTable: a URL the sidecar cannot carry
+// fails the export part-way through urls.tsv. The edge list, complete by
+// then, is all the directory holds — no table cut off at the bad page
+// under its final name, no temporary file, no manifest vouching for it.
+func TestRefusedExportLeavesNoTornTable(t *testing.T) {
+	crawl := genCrawl(t, 1500)
+	pages := append([]webgraph.PageMeta(nil), crawl.Corpus.Pages...)
+	pages[1200].URL += "\tx"
+	dir := t.TempDir()
+	_, err := Export(&webgraph.Corpus{Graph: crawl.Corpus.Graph, Pages: pages}, dir, ExportOptions{})
+	if err == nil || !strings.Contains(err.Error(), "page 1200") {
+		t.Fatalf("err = %v, want page 1200's URL refused", err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != "graph.txt" {
+		t.Fatalf("a refused export left %v, want graph.txt alone", ents)
+	}
+}
+
 // dirFilesEqual asserts two build directories hold byte-identical
 // files.
 func dirFilesEqual(t *testing.T, a, b string) {

@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"hash"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -163,7 +162,7 @@ func Ingest(ctx context.Context, path string, opt Options) (*synth.Crawl, *Stats
 	st := &Stats{ChecksumVerified: man != nil}
 
 	// The URL table, when present, defines the node universe up front;
-	// the spiller then skips collecting node-ID runs of its own.
+	// the spiller then collects no node IDs of its own.
 	var (
 		universe []uint64
 		metas    []webgraph.PageMeta
@@ -175,17 +174,14 @@ func Ingest(ctx context.Context, path string, opt Options) (*synth.Crawl, *Stats
 		}
 	}
 
-	sp, err := newSpiller(opt, universe != nil)
-	if err != nil {
-		return nil, nil, err
-	}
+	sp := newSpiller(opt, universe)
 	defer sp.cleanup()
 
 	if err := parseEdges(ctx, path, format, man, sp, st); err != nil {
 		return nil, nil, err
 	}
 
-	offsets, targets, table, err := sp.finalize(ctx, universe, st)
+	offsets, targets, table, err := sp.finalize(ctx, st)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -431,12 +427,4 @@ func resolveURLTable(dataset, explicit string) (string, error) {
 		return "", nil
 	}
 	return probe, nil
-}
-
-// checkNodeCount guards the int32 page-ID space.
-func checkNodeCount(n int) error {
-	if int64(n) > int64(math.MaxInt32) {
-		return fmt.Errorf("ingest: %d nodes exceed the int32 page-ID space", n)
-	}
-	return nil
 }

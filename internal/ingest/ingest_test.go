@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -319,40 +320,92 @@ func TestURLTableUniverse(t *testing.T) {
 }
 
 // TestSpillMatchesInMemory: a heap budget small enough to force sorted
-// runs yields exactly the in-memory graph.
+// runs yields exactly the in-memory graph — for dense IDs, and for an
+// ID-only graph whose raw IDs lie above 2^32 (one above 2^63), where the
+// compaction table is merged from each run's endpoints as it is flushed.
 func TestSpillMatchesInMemory(t *testing.T) {
-	var content strings.Builder
-	// ~50k edges with duplicates sprinkled in, far over a 1 MB budget's
-	// buffer when minBudgetEdges applies.
-	for i := 0; i < 25000; i++ {
-		fmt.Fprintf(&content, "%d %d\n", i%9973, (i*7)%9973)
-		fmt.Fprintf(&content, "%d %d\n", (i*3)%9973, i%9973)
+	sparse := func(k int) uint64 {
+		if k == 4999 {
+			return 1<<63 + 5
+		}
+		return 1<<32 + uint64(k)*1000003
 	}
-	data := content.String()
-	ref, refSt, err := Ingest(context.Background(),
-		writeDataset(t, "graph.txt", data), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if refSt.Runs != 0 {
-		t.Fatalf("in-memory mode spilled %d runs", refSt.Runs)
-	}
-	spilled, st, err := Ingest(context.Background(),
-		writeDataset(t, "graph.txt", data), Options{MaxHeapMB: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Runs < 2 {
-		t.Fatalf("budgeted mode wrote %d runs, want >= 2", st.Runs)
-	}
-	if st.SpillBytes == 0 {
-		t.Fatal("SpillBytes = 0 despite runs")
-	}
-	if !ref.Corpus.Graph.Equal(spilled.Corpus.Graph) {
-		t.Fatal("spilled and in-memory graphs diverge")
-	}
-	if refSt.Nodes != st.Nodes || refSt.Edges != st.Edges || refSt.DupEdges != st.DupEdges {
-		t.Fatalf("stats diverge: %+v vs %+v", refSt, st)
+	for _, tc := range []struct {
+		name    string
+		lines   int
+		raw     func(k int) uint64
+		minRuns int
+	}{
+		// 50k edge lines against the 43,690 a 1 MB budget buffers: two
+		// runs; 100k: three.
+		{"dense", 25000, func(k int) uint64 { return uint64(k) }, 2},
+		{"sparse", 50000, sparse, 3},
+	} {
+		var content strings.Builder
+		var edges []rawEdge
+		for i := 0; i < tc.lines; i++ {
+			for _, e := range [2]rawEdge{
+				{tc.raw(i % 9973), tc.raw((i * 7) % 9973)},
+				{tc.raw((i * 3) % 9973), tc.raw(i % 9973)},
+			} {
+				fmt.Fprintf(&content, "%d %d\n", e.s, e.d)
+				edges = append(edges, e)
+			}
+		}
+		data := content.String()
+		ref, refSt, err := Ingest(context.Background(),
+			writeDataset(t, "graph.txt", data), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if refSt.Runs != 0 {
+			t.Fatalf("%s: in-memory mode spilled %d runs", tc.name, refSt.Runs)
+		}
+		spilled, st, err := Ingest(context.Background(),
+			writeDataset(t, "graph.txt", data), Options{MaxHeapMB: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Runs < tc.minRuns {
+			t.Fatalf("%s: budgeted mode wrote %d runs, want >= %d", tc.name, st.Runs, tc.minRuns)
+		}
+		if st.SpillBytes == 0 {
+			t.Fatalf("%s: SpillBytes = 0 despite runs", tc.name)
+		}
+		if !ref.Corpus.Graph.Equal(spilled.Corpus.Graph) {
+			t.Fatalf("%s: spilled and in-memory graphs diverge", tc.name)
+		}
+		if refSt.Nodes != st.Nodes || refSt.Edges != st.Edges || refSt.DupEdges != st.DupEdges {
+			t.Fatalf("%s: stats diverge: %+v vs %+v", tc.name, refSt, st)
+		}
+
+		// Ingest does not return the compaction table: take it, and the CSR
+		// arrays it indexes, from the spiller both ways.
+		finalize := func(opt Options) (offsets []int64, targets []webgraph.PageID, table []uint64, st Stats) {
+			sp := newSpiller(opt, nil)
+			defer sp.cleanup()
+			for _, e := range edges {
+				if err := sp.add(context.Background(), e.s, e.d, &st); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var err error
+			if offsets, targets, table, err = sp.finalize(context.Background(), &st); err != nil {
+				t.Fatal(err)
+			}
+			return offsets, targets, table, st
+		}
+		wantOff, wantTgt, wantTable, wantSt := finalize(Options{})
+		gotOff, gotTgt, gotTable, gotSt := finalize(Options{MaxHeapMB: 1, SpillDir: t.TempDir()})
+		if gotSt.Runs < tc.minRuns || gotSt.DupEdges != wantSt.DupEdges {
+			t.Fatalf("%s: spiller stats %+v, in memory %+v", tc.name, gotSt, wantSt)
+		}
+		if !slices.Equal(gotTable, wantTable) || !slices.Equal(gotOff, wantOff) || !slices.Equal(gotTgt, wantTgt) {
+			t.Fatalf("%s: table or CSR diverge: %d/%d nodes, %d/%d targets", tc.name, len(gotTable), len(wantTable), len(gotTgt), len(wantTgt))
+		}
+		if last := wantTable[len(wantTable)-1]; tc.name == "sparse" && last != 1<<63+5 {
+			t.Fatalf("sparse: the table ends at %d, want the ID above 2^63", last)
+		}
 	}
 }
 

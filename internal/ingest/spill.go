@@ -8,14 +8,16 @@
 package ingest
 
 import (
-	"bufio"
+	"cmp"
 	"context"
-	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
+	"snode/internal/coding"
 	"snode/internal/metrics"
 	"snode/internal/trace"
 	"snode/internal/webgraph"
@@ -35,8 +37,13 @@ const minBudgetEdges = 4096
 
 // spiller accumulates edges, spilling sorted runs past the budget.
 type spiller struct {
-	opt           Options
-	universeKnown bool // URL table defines the nodes; skip node runs
+	opt Options
+	// table is the compaction table, raw ID per dense ID, ascending: the
+	// node set the URL table declared (universeKnown), or else the distinct
+	// endpoints of every run flushed so far. At 8 B a node it is the
+	// ingest's own output, so it is kept in memory, not spilled.
+	table         []uint64
+	universeKnown bool
 
 	buf    []rawEdge
 	budget int // max buffered edges; 0 = unbounded
@@ -50,17 +57,17 @@ type spiller struct {
 	mLiveBytes *metrics.Gauge
 }
 
-// runInfo locates one spilled run pair.
+// runInfo locates one spilled run.
 type runInfo struct {
-	edgePath string
-	nodePath string
-	nEdges   int64
-	nNodes   int64
-	bytes    int64
+	path   string
+	nEdges int64
+	bytes  int64
 }
 
-func newSpiller(opt Options, universeKnown bool) (*spiller, error) {
-	sp := &spiller{opt: opt, universeKnown: universeKnown}
+// newSpiller starts an ingest whose nodes are universe (sorted raw IDs)
+// or, with universe nil, whatever the edges name.
+func newSpiller(opt Options, universe []uint64) *spiller {
+	sp := &spiller{opt: opt, table: universe, universeKnown: universe != nil}
 	if opt.MaxHeapMB > 0 {
 		sp.budget = opt.MaxHeapMB << 20 / edgeBytes
 		if sp.budget < minBudgetEdges {
@@ -73,7 +80,7 @@ func newSpiller(opt Options, universeKnown bool) (*spiller, error) {
 		sp.mBytes = opt.Metrics.Counter("ingest_spill_bytes")
 		sp.mLiveBytes = opt.Metrics.Gauge("ingest_spill_live_bytes")
 	}
-	return sp, nil
+	return sp
 }
 
 // add buffers one edge, spilling a sorted run when the buffer reaches
@@ -111,8 +118,7 @@ func (sp *spiller) ensureDir() error {
 // consumed runs itself; this covers error paths).
 func (sp *spiller) cleanup() {
 	for _, r := range sp.runs {
-		os.Remove(r.edgePath)
-		os.Remove(r.nodePath)
+		os.Remove(r.path)
 	}
 	if sp.ownDir && sp.dir != "" {
 		os.RemoveAll(sp.dir)
@@ -125,27 +131,18 @@ func (sp *spiller) cleanup() {
 // sortDedup sorts edges by (s, d) and removes duplicates in place,
 // returning the compacted slice and the number of duplicates dropped.
 func sortDedup(buf []rawEdge) ([]rawEdge, int64) {
-	sort.Slice(buf, func(i, j int) bool {
-		if buf[i].s != buf[j].s {
-			return buf[i].s < buf[j].s
+	slices.SortFunc(buf, func(a, b rawEdge) int {
+		if a.s != b.s {
+			return cmp.Compare(a.s, b.s)
 		}
-		return buf[i].d < buf[j].d
+		return cmp.Compare(a.d, b.d)
 	})
-	var dups int64
-	k := 0
-	for i := range buf {
-		if i > 0 && buf[i] == buf[i-1] {
-			dups++
-			continue
-		}
-		buf[k] = buf[i]
-		k++
-	}
-	return buf[:k], dups
+	out := slices.Compact(buf)
+	return out, int64(len(buf) - len(out))
 }
 
-// flushRun writes the buffered edges (and, unless the node universe is
-// already known, their distinct node IDs) as one sorted run.
+// flushRun writes the buffered edges as one sorted run and, unless the
+// node universe is already known, merges their endpoints into the table.
 func (sp *spiller) flushRun(ctx context.Context, st *Stats) error {
 	if len(sp.buf) == 0 {
 		return nil
@@ -159,27 +156,15 @@ func (sp *spiller) flushRun(ctx context.Context, st *Stats) error {
 	st.DupEdges += dups
 
 	ri := runInfo{
-		edgePath: filepath.Join(sp.dir, fmt.Sprintf("run-%04d.edges", len(sp.runs))),
-		nodePath: filepath.Join(sp.dir, fmt.Sprintf("run-%04d.nodes", len(sp.runs))),
-		nEdges:   int64(len(edges)),
+		path:   filepath.Join(sp.dir, fmt.Sprintf("run-%04d.edges", len(sp.runs))),
+		nEdges: int64(len(edges)),
 	}
-	n, err := writeEdgeRun(ri.edgePath, edges)
-	if err != nil {
+	var err error
+	if ri.bytes, err = writeEdgeRun(ri.path, edges); err != nil {
 		return err
 	}
-	ri.bytes += n
 	if !sp.universeKnown {
-		nodes := make([]uint64, 0, 2*len(edges))
-		for _, e := range edges {
-			nodes = append(nodes, e.s, e.d)
-		}
-		nodes = dedupSorted(nodes)
-		ri.nNodes = int64(len(nodes))
-		n, err := writeNodeRun(ri.nodePath, nodes)
-		if err != nil {
-			return err
-		}
-		ri.bytes += n
+		sp.table = unionSorted(sp.table, endpoints(edges))
 	}
 	sp.runs = append(sp.runs, ri)
 	st.Runs++
@@ -198,46 +183,48 @@ func (sp *spiller) flushRun(ctx context.Context, st *Stats) error {
 	return nil
 }
 
-// dedupSorted sorts and deduplicates node IDs in place.
-func dedupSorted(v []uint64) []uint64 {
-	sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
-	k := 0
-	for i := range v {
-		if i > 0 && v[i] == v[i-1] {
-			continue
-		}
-		v[k] = v[i]
-		k++
+// endpoints returns the sorted distinct node IDs the edges name.
+func endpoints(edges []rawEdge) []uint64 {
+	v := make([]uint64, 0, 2*len(edges))
+	for _, e := range edges {
+		v = append(v, e.s, e.d)
 	}
-	return v[:k]
+	slices.Sort(v)
+	return slices.Compact(v)
+}
+
+// unionSorted merges two sorted duplicate-free slices into a new one.
+func unionSorted(a, b []uint64) []uint64 {
+	out := make([]uint64, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			out, a = append(out, a[0]), a[1:]
+		case a[0] > b[0]:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out, a, b = append(out, a[0]), a[1:], b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
 }
 
 // finalize turns everything the spiller holds into CSR arrays plus the
-// compaction table (raw ID per dense ID). universe, when non-nil, is
-// the sorted raw-ID node set the URL table declared; edges referencing
-// IDs outside it are an error. With universe nil the node set is the
-// union of edge endpoints.
-func (sp *spiller) finalize(ctx context.Context, universe []uint64, st *Stats) (offsets []int64, targets []webgraph.PageID, table []uint64, err error) {
+// compaction table. An edge naming an ID outside a declared universe is
+// an error.
+func (sp *spiller) finalize(ctx context.Context, st *Stats) (offsets []int64, targets []webgraph.PageID, table []uint64, err error) {
 	if len(sp.runs) == 0 {
 		// In-memory path: one "run" that never touched disk.
 		edges, dups := sortDedup(sp.buf)
 		st.DupEdges += dups
-		table = universe
-		if table == nil {
-			nodes := make([]uint64, 0, 2*len(edges))
-			for _, e := range edges {
-				nodes = append(nodes, e.s, e.d)
-			}
-			table = dedupSorted(nodes)
+		if !sp.universeKnown {
+			sp.table = endpoints(edges)
 		}
-		if err := checkNodeCount(len(table)); err != nil {
-			return nil, nil, nil, err
-		}
-		offsets, targets, err = buildCSR(&sliceStream{edges: edges}, table, int64(len(edges)))
+		offsets, targets, err = buildCSR(&sliceStream{edges: edges}, sp.table, int64(len(edges)))
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		return offsets, targets, table, nil
+		return offsets, targets, sp.table, nil
 	}
 
 	// Flush the tail so the merge sees every edge, and release the
@@ -251,223 +238,52 @@ func (sp *spiller) finalize(ctx context.Context, universe []uint64, st *Stats) (
 	defer span.End()
 	span.SetAttr("runs", int64(len(sp.runs)))
 
-	table = universe
-	if table == nil {
-		table, err = sp.mergeNodes(ctx)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	if err := checkNodeCount(len(table)); err != nil {
-		return nil, nil, nil, err
-	}
-
 	ms, maxEdges, err := sp.openEdgeMerge(ctx)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	defer ms.close()
-	offsets, targets, err = buildCSR(ms, table, maxEdges)
+	offsets, targets, err = buildCSR(ms, sp.table, maxEdges)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	st.DupEdges += ms.dups
-	return offsets, targets, table, nil
-}
-
-// mergeNodes k-way merges the per-run node files into the compaction
-// table.
-func (sp *spiller) mergeNodes(ctx context.Context) ([]uint64, error) {
-	var total int64
-	curs := make([]*nodeCursor, 0, len(sp.runs))
-	defer func() {
-		for _, c := range curs {
-			c.close()
-		}
-	}()
-	for _, r := range sp.runs {
-		c, err := openNodeRun(r.nodePath, r.nNodes)
-		if err != nil {
-			return nil, err
-		}
-		if sp.opt.IO != nil {
-			sp.opt.IO.Spill(ctx, r.bytes-edgeRunBytes(r))
-		}
-		curs = append(curs, c)
-		total += r.nNodes
-	}
-	var table []uint64
-	for {
-		best := -1
-		for i, c := range curs {
-			if !c.ok {
-				continue
-			}
-			if best < 0 || c.cur < curs[best].cur {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		v := curs[best].cur
-		if len(table) == 0 || table[len(table)-1] != v {
-			table = append(table, v)
-		}
-		if err := curs[best].advance(); err != nil {
-			return nil, err
-		}
-	}
-	return table, nil
-}
-
-// edgeRunBytes approximates a run's edge-file share of its byte count
-// (only used to split the modeled read-back charge between node and
-// edge merges; exactness is irrelevant to the model).
-func edgeRunBytes(r runInfo) int64 {
-	if r.nNodes == 0 {
-		return r.bytes
-	}
-	return r.bytes * r.nEdges / (r.nEdges + r.nNodes)
+	return offsets, targets, sp.table, nil
 }
 
 // --- run file encoding ------------------------------------------------
 
-// Edge runs are delta-coded uvarints over the sorted pairs: per edge,
-// ds = s - prevS; ds > 0 resets the dst base (absolute dst follows),
-// ds == 0 continues the source's list (dst delta follows). Node runs
-// are plain sorted deltas. Both begin with a uvarint count.
-
-func writeEdgeRun(path string, edges []rawEdge) (int64, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return 0, fmt.Errorf("ingest: spill: %w", err)
-	}
-	w := bufio.NewWriterSize(f, 1<<20)
-	var buf [binary.MaxVarintLen64]byte
-	var written int64
-	put := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		written += int64(n)
-		_, err := w.Write(buf[:n])
-		return err
-	}
-	if err := put(uint64(len(edges))); err != nil {
-		f.Close()
-		return 0, err
-	}
-	var prevS, prevD uint64
-	for _, e := range edges {
-		ds := e.s - prevS
-		if err := put(ds); err != nil {
-			f.Close()
-			return 0, err
+// An edge run is a uvarint count, then the sorted pairs delta-coded as
+// uvarints: per edge, ds = s - prevS; ds > 0 resets the dst base
+// (absolute dst follows), ds == 0 continues the source's list (dst delta
+// follows). writeEdgeRun returns the bytes it wrote.
+func writeEdgeRun(path string, edges []rawEdge) (n int64, err error) {
+	err = coding.WriteFile(path, func(w *coding.Writer) error {
+		w.Uvarint(uint64(len(edges)))
+		var prevS, prevD uint64
+		for _, e := range edges {
+			ds := e.s - prevS
+			w.Uvarint(ds)
+			if ds > 0 {
+				w.Uvarint(e.d)
+			} else {
+				w.Uvarint(e.d - prevD)
+			}
+			prevS, prevD = e.s, e.d
 		}
-		if ds > 0 {
-			err = put(e.d)
-		} else {
-			err = put(e.d - prevD)
-		}
-		if err != nil {
-			f.Close()
-			return 0, err
-		}
-		prevS, prevD = e.s, e.d
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return 0, err
-	}
-	return written, f.Close()
-}
-
-func writeNodeRun(path string, nodes []uint64) (int64, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return 0, fmt.Errorf("ingest: spill: %w", err)
-	}
-	w := bufio.NewWriterSize(f, 1<<20)
-	var buf [binary.MaxVarintLen64]byte
-	var written int64
-	put := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		written += int64(n)
-		_, err := w.Write(buf[:n])
-		return err
-	}
-	if err := put(uint64(len(nodes))); err != nil {
-		f.Close()
-		return 0, err
-	}
-	var prev uint64
-	for _, v := range nodes {
-		if err := put(v - prev); err != nil {
-			f.Close()
-			return 0, err
-		}
-		prev = v
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return 0, err
-	}
-	return written, f.Close()
-}
-
-// nodeCursor streams one node run.
-type nodeCursor struct {
-	f    *os.File
-	r    *bufio.Reader
-	left int64
-	prev uint64
-	cur  uint64
-	ok   bool
-}
-
-func openNodeRun(path string, n int64) (*nodeCursor, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("ingest: spill: %w", err)
-	}
-	c := &nodeCursor{f: f, r: bufio.NewReaderSize(f, 256<<10)}
-	cnt, err := binary.ReadUvarint(c.r)
-	if err != nil || int64(cnt) != n {
-		f.Close()
-		return nil, fmt.Errorf("ingest: spill: node run %s corrupt", path)
-	}
-	c.left = n
-	if err := c.advance(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return c, nil
-}
-
-func (c *nodeCursor) advance() error {
-	if c.left == 0 {
-		c.ok = false
+		n = w.Offset()
 		return nil
-	}
-	d, err := binary.ReadUvarint(c.r)
+	})
 	if err != nil {
-		return fmt.Errorf("ingest: spill: node run read: %w", err)
+		return 0, fmt.Errorf("ingest: spill: %w", err)
 	}
-	c.prev += d
-	c.cur = c.prev
-	c.left--
-	c.ok = true
-	return nil
-}
-
-func (c *nodeCursor) close() {
-	c.f.Close()
-	os.Remove(c.f.Name())
+	return n, nil
 }
 
 // edgeCursor streams one edge run.
 type edgeCursor struct {
-	f     *os.File
-	r     *bufio.Reader
+	path  string
+	r     *coding.Reader
 	left  int64
 	prevS uint64
 	prevD uint64
@@ -476,19 +292,17 @@ type edgeCursor struct {
 }
 
 func openEdgeRun(path string, n int64) (*edgeCursor, error) {
-	f, err := os.Open(path)
+	r, err := coding.OpenFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("ingest: spill: %w", err)
 	}
-	c := &edgeCursor{f: f, r: bufio.NewReaderSize(f, 256<<10)}
-	cnt, err := binary.ReadUvarint(c.r)
-	if err != nil || int64(cnt) != n {
-		f.Close()
+	c := &edgeCursor{path: path, r: r, left: n}
+	if cnt := r.Uvarint(); r.Err() != nil || int64(cnt) != n {
+		r.Close()
 		return nil, fmt.Errorf("ingest: spill: edge run %s corrupt", path)
 	}
-	c.left = n
 	if err := c.advance(); err != nil {
-		f.Close()
+		r.Close()
 		return nil, err
 	}
 	return c, nil
@@ -499,13 +313,9 @@ func (c *edgeCursor) advance() error {
 		c.ok = false
 		return nil
 	}
-	ds, err := binary.ReadUvarint(c.r)
-	if err != nil {
-		return fmt.Errorf("ingest: spill: edge run read: %w", err)
-	}
-	d, err := binary.ReadUvarint(c.r)
-	if err != nil {
-		return fmt.Errorf("ingest: spill: edge run read: %w", err)
+	ds, d := c.r.Uvarint(), c.r.Uvarint()
+	if err := c.r.Err(); err != nil {
+		return fmt.Errorf("ingest: spill: edge run %s: %w", c.path, err)
 	}
 	if ds > 0 {
 		c.prevS += ds
@@ -520,8 +330,8 @@ func (c *edgeCursor) advance() error {
 }
 
 func (c *edgeCursor) close() {
-	c.f.Close()
-	os.Remove(c.f.Name())
+	c.r.Close()
+	os.Remove(c.path)
 }
 
 // --- merged edge stream ----------------------------------------------
@@ -561,13 +371,13 @@ func (sp *spiller) openEdgeMerge(ctx context.Context) (*mergeStream, int64, erro
 	ms := &mergeStream{}
 	var total int64
 	for _, r := range sp.runs {
-		c, err := openEdgeRun(r.edgePath, r.nEdges)
+		c, err := openEdgeRun(r.path, r.nEdges)
 		if err != nil {
 			ms.close()
 			return nil, 0, err
 		}
 		if sp.opt.IO != nil {
-			sp.opt.IO.Spill(ctx, edgeRunBytes(r))
+			sp.opt.IO.Spill(ctx, r.bytes)
 		}
 		ms.curs = append(ms.curs, c)
 		total += r.nEdges
@@ -623,6 +433,9 @@ func (m *mergeStream) close() {
 // duplicates shrink it).
 func buildCSR(s edgeStream, table []uint64, maxEdges int64) ([]int64, []webgraph.PageID, error) {
 	n := len(table)
+	if n > math.MaxInt32 {
+		return nil, nil, fmt.Errorf("ingest: %d nodes exceed the int32 page-ID space", n)
+	}
 	offsets := make([]int64, n+1)
 	targets := make([]webgraph.PageID, 0, maxEdges)
 	row := 0 // dense source whose list is being appended

@@ -14,14 +14,12 @@
 package link3
 
 import (
-	"bufio"
 	"container/list"
-	"encoding/binary"
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"snode/internal/bitio"
+	"snode/internal/coding"
 	"snode/internal/iosim"
 	"snode/internal/refenc"
 	"snode/internal/store"
@@ -43,68 +41,39 @@ const (
 func Build(c *webgraph.Corpus, dir string) error {
 	g := c.Graph
 	n := g.NumPages()
-	f, err := os.Create(filepath.Join(dir, dataFile))
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriterSize(f, 1<<20)
 	var offsets []int64
-	var off int64
-	w := bitio.NewWriter(1 << 16)
-	for base := 0; base < n; base += BlockSize {
-		end := base + BlockSize
-		if end > n {
-			end = n
+	err := coding.WriteFile(filepath.Join(dir, dataFile), func(bw *coding.Writer) error {
+		w := bitio.NewWriter(1 << 16)
+		for base := 0; base < n; base += BlockSize {
+			end := base + BlockSize
+			if end > n {
+				end = n
+			}
+			lists := make([][]int32, end-base)
+			for p := base; p < end; p++ {
+				lists[p-base] = g.Out(webgraph.PageID(p))
+			}
+			w.Reset()
+			if _, err := refenc.EncodeLists(w, lists, refenc.Options{Window: refWindow, TargetBound: uint64(n)}); err != nil {
+				return err
+			}
+			offsets = append(offsets, bw.Offset())
+			bw.Write(w.Bytes())
 		}
-		lists := make([][]int32, end-base)
-		for p := base; p < end; p++ {
-			lists[p-base] = g.Out(webgraph.PageID(p))
-		}
-		w.Reset()
-		if _, err := refenc.EncodeLists(w, lists, refenc.Options{Window: refWindow, TargetBound: uint64(n)}); err != nil {
-			f.Close()
-			return err
-		}
-		buf := w.Bytes()
-		if _, err := bw.Write(buf); err != nil {
-			f.Close()
-			return err
-		}
-		offsets = append(offsets, off)
-		off += int64(len(buf))
-	}
-	offsets = append(offsets, off)
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+		offsets = append(offsets, bw.Offset())
+		return nil
+	})
+	if err != nil {
 		return err
 	}
 	// Block directory.
-	df, err := os.Create(filepath.Join(dir, dirFile))
-	if err != nil {
-		return err
-	}
-	dw := bufio.NewWriter(df)
-	var scratch [8]byte
-	binary.LittleEndian.PutUint64(scratch[:], uint64(n))
-	if _, err := dw.Write(scratch[:]); err != nil {
-		df.Close()
-		return err
-	}
-	for _, o := range offsets {
-		binary.LittleEndian.PutUint64(scratch[:], uint64(o))
-		if _, err := dw.Write(scratch[:]); err != nil {
-			df.Close()
-			return err
+	return coding.WriteFile(filepath.Join(dir, dirFile), func(dw *coding.Writer) error {
+		dw.U64(uint64(n))
+		for _, o := range offsets {
+			dw.U64(uint64(o))
 		}
-	}
-	if err := dw.Flush(); err != nil {
-		df.Close()
-		return err
-	}
-	return df.Close()
+		return nil
+	})
 }
 
 // Rep is an opened Link3 representation.
@@ -133,27 +102,21 @@ type blockEntry struct {
 
 // Open loads the block directory and prepares the cache.
 func Open(c *webgraph.Corpus, dir string, cacheBudget int64, model iosim.Model) (*Rep, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, dirFile))
+	r, err := coding.OpenFile(filepath.Join(dir, dirFile))
 	if err != nil {
 		return nil, err
 	}
-	if len(raw) < 8 {
-		return nil, fmt.Errorf("link3: directory truncated")
+	defer r.Close()
+	n := c.Graph.NumPages()
+	if got := r.U64(); r.Err() == nil && got != uint64(n) {
+		return nil, fmt.Errorf("link3: representation covers %d pages, corpus has %d", got, n)
 	}
-	n := int(binary.LittleEndian.Uint64(raw[:8]))
-	raw = raw[8:]
-	nOff := len(raw) / 8
-	offsets := make([]int64, nOff)
+	offsets := make([]int64, (n+BlockSize-1)/BlockSize+1)
 	for i := range offsets {
-		offsets[i] = int64(binary.LittleEndian.Uint64(raw[8*i:]))
+		offsets[i] = int64(r.U64())
 	}
-	wantBlocks := (n + BlockSize - 1) / BlockSize
-	if nOff != wantBlocks+1 {
-		return nil, fmt.Errorf("link3: directory has %d offsets, want %d", nOff, wantBlocks+1)
-	}
-	if n != c.Graph.NumPages() {
-		return nil, fmt.Errorf("link3: representation covers %d pages, corpus has %d",
-			n, c.Graph.NumPages())
+	if r.End(); r.Err() != nil {
+		return nil, fmt.Errorf("link3: directory of %d offsets: %w", len(offsets), r.Err())
 	}
 	acc := iosim.NewAccountant(model)
 	f, err := acc.Open(filepath.Join(dir, dataFile))

@@ -1,11 +1,7 @@
 package shard
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
-	"os"
 	"sort"
 
 	"snode/internal/coding"
@@ -54,60 +50,29 @@ func (b *Boundary) NumSources() int { return len(b.adj) }
 // then per source (ascending) a gap-coded source ID, degree, and
 // gap-coded target list — the same uvarint+gap idiom as corpusio.
 func WriteBoundary(path string, adj map[webgraph.PageID][]webgraph.PageID) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriterSize(f, 1<<20)
-	if _, err := w.WriteString(boundaryMagic); err != nil {
-		f.Close()
-		return err
-	}
-	var scratch [binary.MaxVarintLen64]byte
-	put := func(v uint64) error {
-		n := binary.PutUvarint(scratch[:], v)
-		_, err := w.Write(scratch[:n])
-		return err
-	}
 	srcs := make([]webgraph.PageID, 0, len(adj))
 	for p := range adj {
 		srcs = append(srcs, p)
 	}
 	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
-	if err := put(boundaryVersion); err != nil {
-		f.Close()
-		return err
-	}
-	if err := put(uint64(len(srcs))); err != nil {
-		f.Close()
-		return err
-	}
-	prevSrc := int64(-1)
-	for _, p := range srcs {
-		if err := put(uint64(int64(p) - prevSrc)); err != nil {
-			f.Close()
-			return err
-		}
-		prevSrc = int64(p)
-		lst := adj[p]
-		if err := put(uint64(len(lst))); err != nil {
-			f.Close()
-			return err
-		}
-		prevT := int64(-1)
-		for _, t := range lst {
-			if err := put(uint64(int64(t) - prevT)); err != nil {
-				f.Close()
-				return err
+	return coding.WriteFile(path, func(w *coding.Writer) error {
+		w.Write([]byte(boundaryMagic))
+		w.Uvarint(boundaryVersion)
+		w.Uvarint(uint64(len(srcs)))
+		prevSrc := int64(-1)
+		for _, p := range srcs {
+			w.Uvarint(uint64(int64(p) - prevSrc))
+			prevSrc = int64(p)
+			lst := adj[p]
+			w.Uvarint(uint64(len(lst)))
+			prevT := int64(-1)
+			for _, t := range lst {
+				w.Uvarint(uint64(int64(t) - prevT))
+				prevT = int64(t)
 			}
-			prevT = int64(t)
 		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+		return nil
+	})
 }
 
 // OpenBoundary loads a store written by WriteBoundary. numPages is the
@@ -116,64 +81,35 @@ func WriteBoundary(path string, adj map[webgraph.PageID][]webgraph.PageID) error
 // hostile bytes end in ErrCorrupt, not in an allocation sized by the
 // file or a list no build could have written.
 func OpenBoundary(path string, numPages int) (*Boundary, error) {
-	f, err := os.Open(path)
+	r, err := coding.OpenFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 1<<20)
+	defer r.Close()
 	corrupt := func(format string, args ...any) (*Boundary, error) {
 		return nil, fmt.Errorf("%w: %s: %s", ErrCorrupt, path, fmt.Sprintf(format, args...))
 	}
-	magic := make([]byte, len(boundaryMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != boundaryMagic {
+	if r.Raw(len(boundaryMagic)) != boundaryMagic {
 		return corrupt("not a boundary file")
 	}
-	if ver, err := binary.ReadUvarint(r); err != nil || ver != boundaryVersion {
+	if ver := r.Uvarint(); r.Err() != nil || ver != boundaryVersion {
 		return corrupt("boundary format %d, want %d", ver, boundaryVersion)
 	}
-	// next reads one gap and steps *id over it, to an ID strictly above
-	// the last and below numPages.
-	next := func(id *int64) bool {
-		d, err := binary.ReadUvarint(r)
-		if err != nil {
-			return false
-		}
-		var ok bool
-		*id, ok = coding.StepGap(*id, d, int64(numPages))
-		return ok
-	}
-	// count reads a source count or a degree: at most one per page.
-	count := func() (uint64, bool) {
-		n, err := binary.ReadUvarint(r)
-		return n, err == nil && n <= uint64(numPages)
-	}
-	nsrc, ok := count()
-	if !ok {
-		return corrupt("source count %d truncated or beyond %d pages", nsrc, numPages)
-	}
+	// A source count or a degree is at most one per page; a source costs
+	// its gap and its degree.
+	nsrc := r.Count(numPages, 2)
 	adj := make(map[webgraph.PageID][]webgraph.PageID, nsrc)
 	src := int64(-1)
-	for i := uint64(0); i < nsrc; i++ {
-		if !next(&src) {
-			return corrupt("source %d of %d: truncated, not ascending or outside [0,%d)", i, nsrc, numPages)
-		}
-		deg, ok := count()
-		if !ok {
-			return corrupt("source %d: degree %d truncated or beyond %d pages", src, deg, numPages)
-		}
-		lst := make([]webgraph.PageID, deg)
+	for i := 0; i < nsrc && r.Step(&src, int64(numPages)); i++ {
+		lst := make([]webgraph.PageID, r.Count(numPages, 1))
 		t := int64(-1)
-		for j := range lst {
-			if !next(&t) {
-				return corrupt("source %d: list truncated, not ascending or outside [0,%d)", src, numPages)
-			}
+		for j := 0; j < len(lst) && r.Step(&t, int64(numPages)); j++ {
 			lst[j] = webgraph.PageID(t)
 		}
 		adj[webgraph.PageID(src)] = lst
 	}
-	if _, err := r.ReadByte(); err != io.EOF {
-		return corrupt("bytes after the last source")
+	if r.End(); r.Err() != nil {
+		return corrupt("%v", r.Err())
 	}
 	return NewBoundary(adj), nil
 }

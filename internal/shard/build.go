@@ -1,12 +1,12 @@
 package shard
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 
+	"snode/internal/coding"
 	"snode/internal/corpusio"
 	"snode/internal/pagerank"
 	"snode/internal/snode"
@@ -156,31 +156,29 @@ func buildShard(c *webgraph.Corpus, shardOf []int, s, k int, root string, cfg sn
 // writePageRank persists the normalized rank vector: uvarint length,
 // then 8 little-endian bytes per page.
 func writePageRank(path string, pr []float64) error {
-	buf := make([]byte, binary.MaxVarintLen64+8*len(pr))
-	n := binary.PutUvarint(buf, uint64(len(pr)))
-	for _, v := range pr {
-		binary.LittleEndian.PutUint64(buf[n:], math.Float64bits(v))
-		n += 8
-	}
-	return os.WriteFile(path, buf[:n], 0o644)
+	return coding.WriteFile(path, func(w *coding.Writer) error {
+		w.Uvarint(uint64(len(pr)))
+		for _, v := range pr {
+			w.U64(math.Float64bits(v))
+		}
+		return nil
+	})
 }
 
 // readPageRank loads a vector written by writePageRank, which must
-// hold exactly numPages entries. The payload is measured by division,
-// so no declared length can wrap the comparison.
+// hold exactly numPages entries and nothing after them.
 func readPageRank(path string, numPages int) ([]float64, error) {
-	buf, err := os.ReadFile(path)
+	r, err := coding.OpenFile(path)
 	if err != nil {
 		return nil, err
 	}
-	ln, n := binary.Uvarint(buf)
-	if n <= 0 || ln != uint64(numPages) || (len(buf)-n)%8 != 0 || (len(buf)-n)/8 != numPages {
-		return nil, fmt.Errorf("%w: %s: not a pagerank vector of %d pages", ErrCorrupt, path, numPages)
-	}
-	pr := make([]float64, numPages)
+	defer r.Close()
+	pr := make([]float64, r.Count(numPages, 8))
 	for i := range pr {
-		pr[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[n:]))
-		n += 8
+		pr[i] = math.Float64frombits(r.U64())
+	}
+	if r.End(); r.Err() != nil || len(pr) != numPages {
+		return nil, fmt.Errorf("%w: %s: %d pagerank entries for %d pages (reader: %v)", ErrCorrupt, path, len(pr), numPages, r.Err())
 	}
 	return pr, nil
 }

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"snode/internal/coding"
 	"snode/internal/webgraph"
 )
 
@@ -105,7 +106,10 @@ func (m *Manifest) Save(root string) error {
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(root, ManifestName), append(buf, '\n'), 0o644)
+	return coding.WriteFile(filepath.Join(root, ManifestName), func(w *coding.Writer) error {
+		w.Write(append(buf, '\n'))
+		return nil
+	})
 }
 
 // LoadManifest reads and validates the manifest under root.

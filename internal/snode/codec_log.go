@@ -129,12 +129,10 @@ func (logCodec) decodeLists(enc encodedLists, numLists int, bound int32) (refenc
 		if err != nil {
 			return refenc.Lists{}, err
 		}
-		if deg > uint64(maxMetaElems) {
+		// Values ascend strictly below bound, so no list holds more.
+		if deg > uint64(bound) {
 			return refenc.Lists{}, fmt.Errorf("snode/log: list %d claims %d values", i, deg)
 		}
-		// A hostile degree cannot run away even at gap width 0: values
-		// are strictly increasing and validated < bound, so the run loop
-		// errors after at most `bound` appends.
 		if b.IDs, err = logReadRun(r, int(deg), int64(bound), b.IDs); err != nil {
 			return refenc.Lists{}, err
 		}

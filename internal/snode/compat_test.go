@@ -1,12 +1,12 @@
 package snode
 
 import (
-	"bufio"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"snode/internal/coding"
 	"snode/internal/iosim"
 )
 
@@ -19,59 +19,51 @@ import (
 // writeMetaV1 serializes m in the exact pre-codec version-1 layout:
 // no per-entry codec byte, no codec stats section. The test owns this
 // writer so the layout stays pinned even as writeMeta evolves.
-func writeMetaV1(t *testing.T, path string, m *meta) {
+func writeMetaV1(t testing.TB, path string, m *meta) {
 	t.Helper()
-	f, err := os.Create(path)
+	err := coding.WriteFile(path, func(w *coding.Writer) error {
+		w.Uvarint(metaMagic)
+		w.Uvarint(metaVersion1)
+		w.Varint(int64(m.NumPages))
+		w.Varint(m.NumEdges)
+		writeInts(w, m.Perm)
+		writeInts(w, m.Inv)
+		writeInts(w, m.SnBase)
+		w.Uvarint(uint64(len(m.Domains)))
+		for _, d := range m.Domains {
+			w.Str(d)
+		}
+		writeInts(w, m.DomFirstSN)
+		writeInts(w, m.SuperOff)
+		writeInts(w, m.SuperAdj)
+		writeInts(w, m.SuperGID)
+		writeInts(w, m.IntraGID)
+		w.Uvarint(uint64(len(m.Directory)))
+		for _, e := range m.Directory {
+			w.Uvarint(uint64(e.Kind))
+			w.Varint(int64(e.I))
+			w.Varint(int64(e.J))
+			w.Varint(int64(e.File))
+			w.Varint(e.Offset)
+			w.Varint(int64(e.NumBytes))
+			w.Varint(int64(e.NumLists))
+		}
+		writeInts(w, m.FileSizes)
+		st := &m.Stats
+		w.Varint(int64(st.Supernodes))
+		w.Varint(st.Superedges)
+		w.Varint(st.SupernodeGraphBytes)
+		w.Varint(st.IndexFileBytes)
+		w.Varint(st.PageIDIndexBytes)
+		w.Varint(st.DomainIndexBytes)
+		w.Varint(st.PositiveSuperedges)
+		w.Varint(st.NegativeSuperedges)
+		w.Varint(int64(st.URLSplits))
+		w.Varint(int64(st.ClusteredSplits))
+		w.Varint(int64(st.BuildTime))
+		return nil
+	})
 	if err != nil {
-		t.Fatal(err)
-	}
-	mw := &metaWriter{w: bufio.NewWriterSize(f, 1<<20)}
-	mw.uvarint(metaMagic)
-	mw.uvarint(metaVersion1)
-	mw.varint(int64(m.NumPages))
-	mw.varint(m.NumEdges)
-	mw.i32s(m.Perm)
-	mw.i32s(m.Inv)
-	mw.i32s(m.SnBase)
-	mw.uvarint(uint64(len(m.Domains)))
-	for _, d := range m.Domains {
-		mw.str(d)
-	}
-	mw.i32s(m.DomFirstSN)
-	mw.i64s(m.SuperOff)
-	mw.i32s(m.SuperAdj)
-	mw.i32s(m.SuperGID)
-	mw.i32s(m.IntraGID)
-	mw.uvarint(uint64(len(m.Directory)))
-	for _, e := range m.Directory {
-		mw.uvarint(uint64(e.Kind))
-		mw.varint(int64(e.I))
-		mw.varint(int64(e.J))
-		mw.varint(int64(e.File))
-		mw.varint(e.Offset)
-		mw.varint(int64(e.NumBytes))
-		mw.varint(int64(e.NumLists))
-	}
-	mw.i64s(m.FileSizes)
-	st := &m.Stats
-	mw.varint(int64(st.Supernodes))
-	mw.varint(st.Superedges)
-	mw.varint(st.SupernodeGraphBytes)
-	mw.varint(st.IndexFileBytes)
-	mw.varint(st.PageIDIndexBytes)
-	mw.varint(st.DomainIndexBytes)
-	mw.varint(st.PositiveSuperedges)
-	mw.varint(st.NegativeSuperedges)
-	mw.varint(int64(st.URLSplits))
-	mw.varint(int64(st.ClusteredSplits))
-	mw.varint(int64(st.BuildTime))
-	if mw.err != nil {
-		t.Fatal(mw.err)
-	}
-	if err := mw.w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,12 +1,11 @@
 package snode
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
-	"os"
+	"math"
 	"time"
+
+	"snode/internal/coding"
 )
 
 // meta.bin format: a small custom binary format (magic, version, then
@@ -22,279 +21,156 @@ const (
 	metaVersion1 = 1
 )
 
-type metaWriter struct {
-	w   *bufio.Writer
-	buf [binary.MaxVarintLen64]byte
-	err error
-}
-
-func (mw *metaWriter) uvarint(v uint64) {
-	if mw.err != nil {
-		return
-	}
-	n := binary.PutUvarint(mw.buf[:], v)
-	_, mw.err = mw.w.Write(mw.buf[:n])
-}
-
-func (mw *metaWriter) varint(v int64) {
-	if mw.err != nil {
-		return
-	}
-	n := binary.PutVarint(mw.buf[:], v)
-	_, mw.err = mw.w.Write(mw.buf[:n])
-}
-
-func (mw *metaWriter) str(s string) {
-	mw.uvarint(uint64(len(s)))
-	if mw.err != nil {
-		return
-	}
-	_, mw.err = mw.w.WriteString(s)
-}
-
-func (mw *metaWriter) i32s(xs []int32) {
-	mw.uvarint(uint64(len(xs)))
+func writeInts[T int32 | int64](w *coding.Writer, xs []T) {
+	w.Uvarint(uint64(len(xs)))
 	for _, x := range xs {
-		mw.varint(int64(x))
+		w.Varint(int64(x))
 	}
 }
 
-func (mw *metaWriter) i64s(xs []int64) {
-	mw.uvarint(uint64(len(xs)))
-	for _, x := range xs {
-		mw.varint(x)
-	}
-}
-
-// maxMetaElems bounds any length prefix read from meta.bin; a corrupt
-// varint must not trigger a giant allocation.
-const maxMetaElems = 1 << 27
-
-type metaReader struct {
-	r   *bufio.Reader
-	err error
-}
-
-func (mr *metaReader) uvarint() uint64 {
-	if mr.err != nil {
-		return 0
-	}
-	v, err := binary.ReadUvarint(mr.r)
-	mr.err = err
-	return v
-}
-
-func (mr *metaReader) varint() int64 {
-	if mr.err != nil {
-		return 0
-	}
-	v, err := binary.ReadVarint(mr.r)
-	mr.err = err
-	return v
-}
-
-func (mr *metaReader) str() string {
-	n := mr.uvarint()
-	if mr.err != nil {
-		return ""
-	}
-	if n > maxMetaElems {
-		mr.err = fmt.Errorf("implausible string length %d", n)
-		return ""
-	}
-	b := make([]byte, n)
-	_, mr.err = io.ReadFull(mr.r, b)
-	return string(b)
-}
-
-func (mr *metaReader) i32s() []int32 {
-	n := mr.uvarint()
-	if mr.err != nil {
-		return nil
-	}
-	if n > maxMetaElems {
-		mr.err = fmt.Errorf("implausible slice length %d", n)
-		return nil
-	}
-	xs := make([]int32, n)
+// readInts reads what writeInts wrote, each value through read: r.Int32,
+// which refuses what does not fit, or r.Varint.
+func readInts[T int32 | int64](r *coding.Reader, read func() T) []T {
+	xs := make([]T, r.Count(math.MaxInt32, 1))
 	for i := range xs {
-		xs[i] = int32(mr.varint())
-	}
-	return xs
-}
-
-func (mr *metaReader) i64s() []int64 {
-	n := mr.uvarint()
-	if mr.err != nil {
-		return nil
-	}
-	if n > maxMetaElems {
-		mr.err = fmt.Errorf("implausible slice length %d", n)
-		return nil
-	}
-	xs := make([]int64, n)
-	for i := range xs {
-		xs[i] = mr.varint()
+		xs[i] = read()
 	}
 	return xs
 }
 
 func writeMeta(path string, m *meta) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	mw := &metaWriter{w: bufio.NewWriterSize(f, 1<<20)}
-	mw.uvarint(metaMagic)
-	mw.uvarint(metaVersion)
-	mw.varint(int64(m.NumPages))
-	mw.varint(m.NumEdges)
-	mw.i32s(m.Perm)
-	mw.i32s(m.Inv)
-	mw.i32s(m.SnBase)
-	mw.uvarint(uint64(len(m.Domains)))
-	for _, d := range m.Domains {
-		mw.str(d)
-	}
-	mw.i32s(m.DomFirstSN)
-	mw.i64s(m.SuperOff)
-	mw.i32s(m.SuperAdj)
-	mw.i32s(m.SuperGID)
-	mw.i32s(m.IntraGID)
-	mw.uvarint(uint64(len(m.Directory)))
-	for _, e := range m.Directory {
-		mw.uvarint(uint64(e.Kind))
-		mw.varint(int64(e.I))
-		mw.varint(int64(e.J))
-		mw.varint(int64(e.File))
-		mw.varint(e.Offset)
-		mw.varint(int64(e.NumBytes))
-		mw.varint(int64(e.NumLists))
-		mw.uvarint(uint64(e.Codec)) // v2
-	}
-	mw.i64s(m.FileSizes)
-	st := &m.Stats
-	mw.varint(int64(st.Supernodes))
-	mw.varint(st.Superedges)
-	mw.varint(st.SupernodeGraphBytes)
-	mw.varint(st.IndexFileBytes)
-	mw.varint(st.PageIDIndexBytes)
-	mw.varint(st.DomainIndexBytes)
-	mw.varint(st.PositiveSuperedges)
-	mw.varint(st.NegativeSuperedges)
-	mw.varint(int64(st.URLSplits))
-	mw.varint(int64(st.ClusteredSplits))
-	mw.varint(int64(st.BuildTime))
-	mw.uvarint(uint64(len(st.Codecs))) // v2
-	for _, cs := range st.Codecs {
-		mw.uvarint(uint64(cs.ID))
-		mw.varint(cs.Supernodes)
-		mw.varint(cs.Graphs)
-		mw.varint(cs.Bytes)
-		mw.varint(cs.Edges)
-	}
-	if mw.err != nil {
-		f.Close()
-		return fmt.Errorf("snode: write meta: %w", mw.err)
-	}
-	if err := mw.w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return coding.WriteFile(path, func(w *coding.Writer) error {
+		w.Uvarint(metaMagic)
+		w.Uvarint(metaVersion)
+		w.Varint(int64(m.NumPages))
+		w.Varint(m.NumEdges)
+		writeInts(w, m.Perm)
+		writeInts(w, m.Inv)
+		writeInts(w, m.SnBase)
+		w.Uvarint(uint64(len(m.Domains)))
+		for _, d := range m.Domains {
+			w.Str(d)
+		}
+		writeInts(w, m.DomFirstSN)
+		writeInts(w, m.SuperOff)
+		writeInts(w, m.SuperAdj)
+		writeInts(w, m.SuperGID)
+		writeInts(w, m.IntraGID)
+		w.Uvarint(uint64(len(m.Directory)))
+		for _, e := range m.Directory {
+			w.Uvarint(uint64(e.Kind))
+			w.Varint(int64(e.I))
+			w.Varint(int64(e.J))
+			w.Varint(int64(e.File))
+			w.Varint(e.Offset)
+			w.Varint(int64(e.NumBytes))
+			w.Varint(int64(e.NumLists))
+			w.Uvarint(uint64(e.Codec)) // v2
+		}
+		writeInts(w, m.FileSizes)
+		st := &m.Stats
+		w.Varint(int64(st.Supernodes))
+		w.Varint(st.Superedges)
+		w.Varint(st.SupernodeGraphBytes)
+		w.Varint(st.IndexFileBytes)
+		w.Varint(st.PageIDIndexBytes)
+		w.Varint(st.DomainIndexBytes)
+		w.Varint(st.PositiveSuperedges)
+		w.Varint(st.NegativeSuperedges)
+		w.Varint(int64(st.URLSplits))
+		w.Varint(int64(st.ClusteredSplits))
+		w.Varint(int64(st.BuildTime))
+		w.Uvarint(uint64(len(st.Codecs))) // v2
+		for _, cs := range st.Codecs {
+			w.Uvarint(uint64(cs.ID))
+			w.Varint(cs.Supernodes)
+			w.Varint(cs.Graphs)
+			w.Varint(cs.Bytes)
+			w.Varint(cs.Edges)
+		}
+		return nil
+	})
 }
 
+// readMeta loads what writeMeta wrote, or its version-1 predecessor. A
+// length prefix is held against the bytes the file has left before it
+// sizes anything, a value too wide for its field is refused rather than
+// narrowed, and nothing may follow the last field.
 func readMeta(path string) (*meta, error) {
-	f, err := os.Open(path)
+	r, err := coding.OpenFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	mr := &metaReader{r: bufio.NewReaderSize(f, 1<<20)}
-	if mr.uvarint() != metaMagic {
+	defer r.Close()
+	if r.Uvarint() != metaMagic {
 		return nil, fmt.Errorf("snode: %s: bad magic", path)
 	}
-	v := mr.uvarint()
+	v := r.Uvarint()
 	if v != metaVersion && v != metaVersion1 {
 		return nil, fmt.Errorf("snode: %s: unsupported version %d", path, v)
 	}
 	m := &meta{}
-	m.NumPages = int32(mr.varint())
-	m.NumEdges = mr.varint()
-	m.Perm = mr.i32s()
-	m.Inv = mr.i32s()
-	m.SnBase = mr.i32s()
-	nd := mr.uvarint()
-	if mr.err == nil && nd > maxMetaElems {
-		return nil, fmt.Errorf("snode: %s: implausible domain count %d", path, nd)
-	}
-	m.Domains = make([]string, nd)
+	m.NumPages = r.Int32()
+	m.NumEdges = r.Varint()
+	m.Perm = readInts(r, r.Int32)
+	m.Inv = readInts(r, r.Int32)
+	m.SnBase = readInts(r, r.Int32)
+	m.Domains = make([]string, r.Count(math.MaxInt32, 1))
 	for i := range m.Domains {
-		m.Domains[i] = mr.str()
+		m.Domains[i] = r.Str()
 	}
-	m.DomFirstSN = mr.i32s()
-	m.SuperOff = mr.i64s()
-	m.SuperAdj = mr.i32s()
-	m.SuperGID = mr.i32s()
-	m.IntraGID = mr.i32s()
-	ne := mr.uvarint()
-	if mr.err == nil && ne > maxMetaElems {
-		return nil, fmt.Errorf("snode: %s: implausible directory size %d", path, ne)
-	}
-	if mr.err == nil {
-		m.Directory = make([]dirEntry, ne)
-		for i := range m.Directory {
-			e := &m.Directory[i]
-			e.Kind = uint8(mr.uvarint())
-			e.I = int32(mr.varint())
-			e.J = int32(mr.varint())
-			e.File = int32(mr.varint())
-			e.Offset = mr.varint()
-			e.NumBytes = int32(mr.varint())
-			e.NumLists = int32(mr.varint())
-			if v >= metaVersion {
-				e.Codec = uint8(mr.uvarint())
-			}
-			// v1 entries predate codecs: Codec stays 0 = codec/paper.
+	m.DomFirstSN = readInts(r, r.Int32)
+	m.SuperOff = readInts(r, r.Varint)
+	m.SuperAdj = readInts(r, r.Int32)
+	m.SuperGID = readInts(r, r.Int32)
+	m.IntraGID = readInts(r, r.Int32)
+	// A directory entry is seven fields in version 1, eight since.
+	m.Directory = make([]dirEntry, r.Count(math.MaxInt32, 7))
+	for i := range m.Directory {
+		e := &m.Directory[i]
+		e.Kind = r.Uint8()
+		e.I = r.Int32()
+		e.J = r.Int32()
+		e.File = r.Int32()
+		e.Offset = r.Varint()
+		e.NumBytes = r.Int32()
+		e.NumLists = r.Int32()
+		if v >= metaVersion {
+			e.Codec = r.Uint8()
 		}
+		// v1 entries predate codecs: Codec stays 0 = codec/paper.
 	}
-	m.FileSizes = mr.i64s()
+	m.FileSizes = readInts(r, r.Varint)
 	st := &m.Stats
-	st.Supernodes = int(mr.varint())
-	st.Superedges = mr.varint()
-	st.SupernodeGraphBytes = mr.varint()
-	st.IndexFileBytes = mr.varint()
-	st.PageIDIndexBytes = mr.varint()
-	st.DomainIndexBytes = mr.varint()
-	st.PositiveSuperedges = mr.varint()
-	st.NegativeSuperedges = mr.varint()
-	st.URLSplits = int(mr.varint())
-	st.ClusteredSplits = int(mr.varint())
-	st.BuildTime = time.Duration(mr.varint())
+	st.Supernodes = int(r.Varint())
+	st.Superedges = r.Varint()
+	st.SupernodeGraphBytes = r.Varint()
+	st.IndexFileBytes = r.Varint()
+	st.PageIDIndexBytes = r.Varint()
+	st.DomainIndexBytes = r.Varint()
+	st.PositiveSuperedges = r.Varint()
+	st.NegativeSuperedges = r.Varint()
+	st.URLSplits = int(r.Varint())
+	st.ClusteredSplits = int(r.Varint())
+	st.BuildTime = time.Duration(r.Varint())
 	if v >= metaVersion {
-		nc := mr.uvarint()
-		if mr.err == nil && nc > numCodecs {
-			return nil, fmt.Errorf("snode: %s: implausible codec stat count %d", path, nc)
-		}
-		if mr.err == nil {
-			st.Codecs = make([]CodecBuildStat, nc)
-			for i := range st.Codecs {
-				cs := &st.Codecs[i]
-				cs.ID = uint8(mr.uvarint())
-				cs.Supernodes = mr.varint()
-				cs.Graphs = mr.varint()
-				cs.Bytes = mr.varint()
-				cs.Edges = mr.varint()
-				c, err := codecByID(cs.ID)
-				if err != nil {
-					return nil, fmt.Errorf("snode: %s: codec stats: %w", path, err)
-				}
-				cs.Name = c.Name()
+		st.Codecs = make([]CodecBuildStat, r.Count(numCodecs, 5))
+		for i := range st.Codecs {
+			cs := &st.Codecs[i]
+			cs.ID = r.Uint8()
+			cs.Supernodes = r.Varint()
+			cs.Graphs = r.Varint()
+			cs.Bytes = r.Varint()
+			cs.Edges = r.Varint()
+			c, err := codecByID(cs.ID)
+			if err != nil {
+				return nil, fmt.Errorf("snode: %s: codec stats: %w", path, err)
 			}
+			cs.Name = c.Name()
 		}
 	}
-	if mr.err != nil {
-		return nil, fmt.Errorf("snode: read meta: %w", mr.err)
+	if r.End(); r.Err() != nil {
+		return nil, fmt.Errorf("snode: read meta: %s: %w", path, r.Err())
 	}
 	if err := m.validate(); err != nil {
 		return nil, fmt.Errorf("snode: %s: %w", path, err)

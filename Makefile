@@ -32,9 +32,12 @@ test-race:
 
 # One iteration of the lookup benchmarks — warm (BenchmarkOutWarmParallel
 # fails if a lookup misses) and cold (BenchmarkOutCold: uniform pages,
-# 256 KiB budget) — so they cannot rot between the PRs that read them.
+# 256 KiB budget) — and of the write side's (BenchmarkEncodeSupernode;
+# BenchmarkIngest, which fails if its budget stops spilling), so they
+# cannot rot between the PRs that read them.
 test-bench:
-	$(GO) test -run xxx -bench 'OutWarm|OutCold' -benchtime 1x ./internal/snode
+	$(GO) test -run xxx -bench 'OutWarm|OutCold|EncodeSupernode' -benchtime 1x ./internal/snode
+	$(GO) test -run xxx -bench 'Ingest' -benchtime 1x ./internal/ingest
 
 # Guard the untraced serving path: an engine with an attached-but-never-
 # sampling tracer must add zero allocations per query — on Run and on
@@ -52,13 +55,16 @@ test-bench:
 # per-call filter evaluation on the hit path trips it. The cold-lookup
 # guard bounds the allocations of a miss — per graph loaded, with the
 # cache reset before every lookup — so a flight, a channel or a header
-# array per load trips it. Run with -count=1 so the guard always
-# executes.
+# array per load trips it. The bucketing guard pins the encode stage's
+# link bucketing at zero allocations on warm scratch, for the supernode
+# with the fewest links and the one with the most: a list grown by
+# append or a map entry per target supernode trips it. Run with -count=1
+# so the guard always executes.
 check-overhead:
 	$(GO) test -count=1 -run 'TestUntracedTracingAddsNoAllocs' ./internal/query
 	$(GO) test -count=1 -run 'TestUntracedPrimitivesZeroAlloc' ./internal/trace
 	$(GO) test -count=1 -run 'TestCrossProcessUntracedZeroAlloc' ./internal/trace ./internal/serve ./internal/router
-	$(GO) test -count=1 -run 'TestDecodeHotPathAllocs|TestWarmOutAllocatesNothing|TestColdOutAllocsPerLoad' ./internal/snode
+	$(GO) test -count=1 -run 'TestDecodeHotPathAllocs|TestWarmOutAllocatesNothing|TestColdOutAllocsPerLoad|TestBucketingAllocsIndependentOfEdges' ./internal/snode
 
 # Plan gate: every scheme's Table 3 rows and cold navigation I/O
 # (seeks, bytes, graph loads) against the golden file generated before
@@ -146,7 +152,11 @@ test-codec:
 
 # Ingestion gate: the hostile-input parser table (comments, CRLF,
 # duplicate edges, self-loops, sparse 64-bit IDs, truncated gzip,
-# checksum mismatch), the URL-table universe semantics, the
+# checksum mismatch), the block pipeline against the serial scanner it
+# replaced (statistics, run files, table, CSR and error text equal at
+# pool widths 1/2/8, plain and gzipped, wherever the blocks are cut),
+# the interpolated ID lookup against binary search, a cancelled ingest
+# leaving no run and no directory, the URL-table universe semantics, the
 # spill-vs-in-memory equivalence (graph, compaction table and duplicate
 # count; dense IDs and an ID-only graph with raw IDs above 2^32 and one
 # above 2^63), the golden end-to-end oracle (synth -> export -> ingest

@@ -30,10 +30,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
+	"syscall"
 	"time"
 
 	"snode/internal/corpusio"
@@ -217,8 +219,12 @@ func reportProgress(reg *metrics.Registry, stop <-chan struct{}) {
 func loadCrawl(o options, reg *metrics.Registry) (*synth.Crawl, error) {
 	switch {
 	case o.ingest != "":
+		// An interrupt stops the ingest where it is, and the ingest takes
+		// its spilled runs with it.
+		ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+		defer stop()
 		start := time.Now()
-		crawl, st, err := ingest.Ingest(context.Background(), o.ingest, ingest.Options{
+		crawl, st, err := ingest.Ingest(ctx, o.ingest, ingest.Options{
 			Format:    o.format,
 			MaxHeapMB: o.maxHeapMB,
 			Metrics:   reg,

@@ -7,7 +7,10 @@
 //
 //   - Streaming, gzip-transparent parsing (magic-byte sniffing, so
 //     both graph.txt and graph.txt.gz work) with comment/blank-line
-//     handling and line-numbered errors for malformed input.
+//     handling and line-numbered errors for malformed input. The file
+//     is cut into blocks of whole lines that every core tokenises and
+//     the spiller takes back in file order, beside the URL table's own
+//     read (parse.go), so the result is that of a serial parse.
 //   - SHA-256 checksum verification against a sha256sum-style manifest
 //     when one sits next to the dataset.
 //   - Deterministic ID compaction: arbitrary (non-contiguous, 64-bit)
@@ -31,24 +34,21 @@ package ingest
 
 import (
 	"bufio"
-	"bytes"
 	"compress/gzip"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"hash"
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
+	"sync"
 
 	"snode/internal/iosim"
 	"snode/internal/metrics"
 	"snode/internal/synth"
 	"snode/internal/trace"
 	"snode/internal/webgraph"
+	"snode/internal/workpool"
 )
 
 // Supported edge-list formats.
@@ -161,27 +161,42 @@ func Ingest(ctx context.Context, path string, opt Options) (*synth.Crawl, *Stats
 
 	st := &Stats{ChecksumVerified: man != nil}
 
-	// The URL table, when present, defines the node universe up front;
-	// the spiller then collects no node IDs of its own.
+	// The URL table, when present, defines the node universe. It is read
+	// beside the edge list — the spiller needs the universe only to
+	// finalize — and its error, being the one a serial read would have
+	// met first, is the one reported when both fail.
 	var (
 		universe []uint64
 		metas    []webgraph.PageMeta
+		tableErr error
+		reading  sync.WaitGroup
 	)
+	pctx, stopParse := context.WithCancel(ctx)
+	defer stopParse()
 	if urlPath != "" {
-		universe, metas, err = readURLTable(urlPath, man)
-		if err != nil {
-			return nil, nil, err
-		}
+		reading.Add(1)
+		go func() {
+			defer reading.Done()
+			if universe, metas, tableErr = readURLTable(ctx, urlPath, man); tableErr != nil {
+				stopParse()
+			}
+		}()
 	}
 
-	sp := newSpiller(opt, universe)
+	sp := newSpiller(opt, urlPath != "")
 	defer sp.cleanup()
 
-	if err := parseEdges(ctx, path, format, man, sp, st); err != nil {
+	pool := workpool.New(0)
+	err = parseEdges(pctx, path, format, man, sp, st, pool, sp.blockBytes(parseWindow(pool)))
+	reading.Wait()
+	if tableErr != nil {
+		return nil, nil, tableErr
+	}
+	if err != nil {
 		return nil, nil, err
 	}
 
-	offsets, targets, table, err := sp.finalize(ctx, st)
+	offsets, targets, ids, err := sp.finalize(ctx, st, universe)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -197,7 +212,7 @@ func Ingest(ctx context.Context, path string, opt Options) (*synth.Crawl, *Stats
 		if ppd <= 0 {
 			ppd = 1200
 		}
-		metas = SynthesizeMeta(len(table), ppd)
+		metas = SynthesizeMeta(len(ids), ppd)
 		st.SynthesizedMeta = true
 	}
 
@@ -212,7 +227,7 @@ func Ingest(ctx context.Context, path string, opt Options) (*synth.Crawl, *Stats
 		reg.Gauge("ingest_edges").Set(st.Edges)
 	}
 
-	order := make([]webgraph.PageID, len(table))
+	order := make([]webgraph.PageID, len(ids))
 	for i := range order {
 		order[i] = webgraph.PageID(i)
 	}
@@ -227,133 +242,6 @@ func Ingest(ctx context.Context, path string, opt Options) (*synth.Crawl, *Stats
 	span.SetAttr("edges", st.Edges)
 	span.SetAttr("runs", int64(st.Runs))
 	return crawl, st, nil
-}
-
-// parseEdges streams the dataset into the spiller: gzip-transparent,
-// checksum-verified, comments skipped, malformed lines rejected with
-// their line number.
-func parseEdges(ctx context.Context, path, format string, man manifest, sp *spiller, st *Stats) error {
-	_, span := trace.Start(ctx, "ingest.parse")
-	defer span.End()
-
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("ingest: %w", err)
-	}
-	defer f.Close()
-
-	// The checksum covers the on-disk bytes, so the hasher taps the
-	// stream before gzip inflation.
-	var (
-		raw    io.Reader = f
-		hasher hash.Hash
-	)
-	wantSum, verify := manifestSum(man, path)
-	if verify {
-		hasher = sha256.New()
-		raw = io.TeeReader(f, hasher)
-	}
-	braw := bufio.NewReaderSize(raw, 1<<20)
-	r, err := maybeGunzip(braw)
-	if err != nil {
-		return fmt.Errorf("ingest: %s: %w", path, err)
-	}
-
-	// The line loop stays on sc.Bytes() with hand-rolled field splits:
-	// at web-Google scale (millions of lines) a per-line string or
-	// []fields allocation is hundreds of MB of garbage, which would
-	// poison the very heap bound -max-heap-mb promises.
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	var lineNo int64
-	for sc.Scan() {
-		lineNo++
-		st.Lines++
-		line := sc.Bytes()
-		if n := len(line); n > 0 && line[n-1] == '\r' {
-			line = line[:n-1]
-		}
-		if len(line) == 0 || line[0] == '#' || line[0] == '%' {
-			st.Comments++
-			continue
-		}
-		var fsrc, fdst []byte
-		switch format {
-		case FormatSNAP:
-			var rest []byte
-			fsrc, rest = nextToken(line)
-			fdst, rest = nextToken(rest)
-			if tail, _ := nextToken(rest); len(fdst) == 0 || len(tail) != 0 {
-				return fmt.Errorf("ingest: %s:%d: want 2 whitespace-separated fields in %q", path, lineNo, line)
-			}
-		case FormatTSV:
-			i := bytes.IndexByte(line, '\t')
-			if i < 0 {
-				return fmt.Errorf("ingest: %s:%d: want 2 or 3 tab-separated fields in %q", path, lineNo, line)
-			}
-			fsrc = line[:i]
-			rest := line[i+1:]
-			if j := bytes.IndexByte(rest, '\t'); j >= 0 {
-				fdst = rest[:j]
-				weight := rest[j+1:]
-				if bytes.IndexByte(weight, '\t') >= 0 {
-					return fmt.Errorf("ingest: %s:%d: want 2 or 3 tab-separated fields in %q", path, lineNo, line)
-				}
-				if _, err := strconv.ParseFloat(strings.TrimSpace(string(weight)), 64); err != nil {
-					return fmt.Errorf("ingest: %s:%d: bad weight %q", path, lineNo, weight)
-				}
-			} else {
-				fdst = rest
-			}
-		}
-		src, err := strconv.ParseUint(string(fsrc), 10, 64)
-		if err != nil {
-			return fmt.Errorf("ingest: %s:%d: bad source id %q", path, lineNo, fsrc)
-		}
-		dst, err := strconv.ParseUint(string(fdst), 10, 64)
-		if err != nil {
-			return fmt.Errorf("ingest: %s:%d: bad target id %q", path, lineNo, fdst)
-		}
-		st.EdgeLines++
-		if src == dst {
-			st.SelfLoops++
-		}
-		if err := sp.add(ctx, src, dst, st); err != nil {
-			return err
-		}
-	}
-	if err := sc.Err(); err != nil {
-		// A truncated gzip stream or oversized line surfaces here; the
-		// line number localizes how far the parse got.
-		return fmt.Errorf("ingest: %s:%d: %w", path, lineNo+1, err)
-	}
-	if verify {
-		// Drain whatever the logical reader left unconsumed (gzip
-		// trailer bytes, readahead) so the hash covers the whole file.
-		if _, err := io.Copy(io.Discard, braw); err != nil {
-			return fmt.Errorf("ingest: %s: %w", path, err)
-		}
-		got := hex.EncodeToString(hasher.Sum(nil))
-		if got != wantSum {
-			return fmt.Errorf("ingest: %s: checksum mismatch: manifest %s, file %s", path, wantSum, got)
-		}
-	}
-	return nil
-}
-
-// nextToken returns the next whitespace-delimited token of line and
-// the remainder after it (an empty token means none left). Allocation
-// free, unlike strings.Fields.
-func nextToken(line []byte) (tok, rest []byte) {
-	i := 0
-	for i < len(line) && (line[i] == ' ' || line[i] == '\t') {
-		i++
-	}
-	j := i
-	for j < len(line) && line[j] != ' ' && line[j] != '\t' {
-		j++
-	}
-	return line[i:j], line[j:]
 }
 
 // maybeGunzip sniffs the gzip magic and inflates transparently.

@@ -382,7 +382,7 @@ func TestSpillMatchesInMemory(t *testing.T) {
 		// Ingest does not return the compaction table: take it, and the CSR
 		// arrays it indexes, from the spiller both ways.
 		finalize := func(opt Options) (offsets []int64, targets []webgraph.PageID, table []uint64, st Stats) {
-			sp := newSpiller(opt, nil)
+			sp := newSpiller(opt, false)
 			defer sp.cleanup()
 			for _, e := range edges {
 				if err := sp.add(context.Background(), e.s, e.d, &st); err != nil {
@@ -390,7 +390,7 @@ func TestSpillMatchesInMemory(t *testing.T) {
 				}
 			}
 			var err error
-			if offsets, targets, table, err = sp.finalize(context.Background(), &st); err != nil {
+			if offsets, targets, table, err = sp.finalize(context.Background(), &st, nil); err != nil {
 				t.Fatal(err)
 			}
 			return offsets, targets, table, st

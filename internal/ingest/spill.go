@@ -1,10 +1,12 @@
 // External-memory edge ingestion: a bounded in-memory buffer of raw
-// (src, dst) pairs spills to disk as sorted, deduplicated,
-// delta-coded runs; a k-way merge replays the runs as one globally
-// sorted edge stream that is translated through the compacted ID
-// table straight into CSR arrays. The discipline mirrors the
-// workpool.Ordered streaming assembly of the S-Node builder: peak
-// memory is O(budget) for ingestion state, never O(edges).
+// (src, dst) pairs, fed in file order by the parse pipeline (parse.go),
+// spills to disk as sorted, deduplicated, delta-coded runs; a k-way
+// merge replays the runs as one globally sorted edge stream that is
+// translated through the compacted ID table straight into CSR arrays.
+// The table is ascending and, in every dataset seen so far, dense or
+// nearly so, so a raw ID is looked up where interpolation says it
+// should be and found within a probe or two (lookupDense). Peak memory
+// is O(budget) for ingestion state, never O(edges).
 package ingest
 
 import (
@@ -12,10 +14,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 
 	"snode/internal/coding"
 	"snode/internal/metrics"
@@ -27,9 +29,13 @@ import (
 type rawEdge struct{ s, d uint64 }
 
 // edgeBytes is the in-memory footprint charged per buffered edge: the
-// pair itself plus sort/merge headroom, so MaxHeapMB honestly bounds
-// the working set rather than just the array.
-const edgeBytes = 24
+// pair itself (pairBytes) plus headroom for the blocks the parse
+// pipeline has in flight and for the sort and merge, so MaxHeapMB
+// honestly bounds the working set rather than just the array.
+const (
+	edgeBytes = 24
+	pairBytes = 16
+)
 
 // minBudgetEdges keeps degenerate budgets usable (and the run count
 // bounded) instead of spilling every few lines.
@@ -39,11 +45,12 @@ const minBudgetEdges = 4096
 type spiller struct {
 	opt Options
 	// table is the compaction table, raw ID per dense ID, ascending: the
-	// node set the URL table declared (universeKnown), or else the distinct
-	// endpoints of every run flushed so far. At 8 B a node it is the
-	// ingest's own output, so it is kept in memory, not spilled.
-	table         []uint64
-	universeKnown bool
+	// distinct endpoints of every run flushed so far — unless a URL table
+	// declares the node set (declared), in which case finalize is handed
+	// it. At 8 B a node it is the ingest's own output, so it is kept in
+	// memory, not spilled.
+	table    []uint64
+	declared bool
 
 	buf    []rawEdge
 	budget int // max buffered edges; 0 = unbounded
@@ -64,10 +71,10 @@ type runInfo struct {
 	bytes  int64
 }
 
-// newSpiller starts an ingest whose nodes are universe (sorted raw IDs)
-// or, with universe nil, whatever the edges name.
-func newSpiller(opt Options, universe []uint64) *spiller {
-	sp := &spiller{opt: opt, table: universe, universeKnown: universe != nil}
+// newSpiller starts an ingest whose nodes are whatever the edges name
+// or, with declared set, the universe finalize will be given.
+func newSpiller(opt Options, declared bool) *spiller {
+	sp := &spiller{opt: opt, declared: declared}
 	if opt.MaxHeapMB > 0 {
 		sp.budget = opt.MaxHeapMB << 20 / edgeBytes
 		if sp.budget < minBudgetEdges {
@@ -81,6 +88,16 @@ func newSpiller(opt Options, universe []uint64) *spiller {
 		sp.mLiveBytes = opt.Metrics.Gauge("ingest_spill_live_bytes")
 	}
 	return sp
+}
+
+// blockBytes sizes the parse pipeline's blocks so that window of them
+// in flight fit in the headroom the budget charges beyond the pairs
+// themselves; the run boundaries stay where the budget alone puts them.
+func (sp *spiller) blockBytes(window int) int {
+	if sp.budget == 0 {
+		return maxBlockBytes
+	}
+	return min(max(sp.budget*(edgeBytes-pairBytes)/(blockCharge*window), minBlockBytes), maxBlockBytes)
 }
 
 // add buffers one edge, spilling a sorted run when the buffer reaches
@@ -147,6 +164,9 @@ func (sp *spiller) flushRun(ctx context.Context, st *Stats) error {
 	if len(sp.buf) == 0 {
 		return nil
 	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	_, span := trace.Start(ctx, "ingest.spill")
 	defer span.End()
 	if err := sp.ensureDir(); err != nil {
@@ -163,7 +183,7 @@ func (sp *spiller) flushRun(ctx context.Context, st *Stats) error {
 	if ri.bytes, err = writeEdgeRun(ri.path, edges); err != nil {
 		return err
 	}
-	if !sp.universeKnown {
+	if !sp.declared {
 		sp.table = unionSorted(sp.table, endpoints(edges))
 	}
 	sp.runs = append(sp.runs, ri)
@@ -210,17 +230,21 @@ func unionSorted(a, b []uint64) []uint64 {
 }
 
 // finalize turns everything the spiller holds into CSR arrays plus the
-// compaction table. An edge naming an ID outside a declared universe is
-// an error.
-func (sp *spiller) finalize(ctx context.Context, st *Stats) (offsets []int64, targets []webgraph.PageID, table []uint64, err error) {
+// compaction table, which is universe (sorted raw IDs) when the node set
+// was declared. An edge naming an ID outside a declared universe is an
+// error.
+func (sp *spiller) finalize(ctx context.Context, st *Stats, universe []uint64) (offsets []int64, targets []webgraph.PageID, table []uint64, err error) {
+	if sp.declared {
+		sp.table = universe
+	}
 	if len(sp.runs) == 0 {
 		// In-memory path: one "run" that never touched disk.
 		edges, dups := sortDedup(sp.buf)
 		st.DupEdges += dups
-		if !sp.universeKnown {
+		if !sp.declared {
 			sp.table = endpoints(edges)
 		}
-		offsets, targets, err = buildCSR(&sliceStream{edges: edges}, sp.table, int64(len(edges)))
+		offsets, targets, err = buildCSR(ctx, &sliceStream{edges: edges}, sp.table, int64(len(edges)))
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -243,7 +267,7 @@ func (sp *spiller) finalize(ctx context.Context, st *Stats) (offsets []int64, ta
 		return nil, nil, nil, err
 	}
 	defer ms.close()
-	offsets, targets, err = buildCSR(ms, sp.table, maxEdges)
+	offsets, targets, err = buildCSR(ctx, ms, sp.table, maxEdges)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -431,7 +455,7 @@ func (m *mergeStream) close() {
 // laying the adjacency down directly in CSR form. maxEdges sizes the
 // target array's initial capacity (an upper bound; cross-run
 // duplicates shrink it).
-func buildCSR(s edgeStream, table []uint64, maxEdges int64) ([]int64, []webgraph.PageID, error) {
+func buildCSR(ctx context.Context, s edgeStream, table []uint64, maxEdges int64) ([]int64, []webgraph.PageID, error) {
 	n := len(table)
 	if n > math.MaxInt32 {
 		return nil, nil, fmt.Errorf("ingest: %d nodes exceed the int32 page-ID space", n)
@@ -439,7 +463,17 @@ func buildCSR(s edgeStream, table []uint64, maxEdges int64) ([]int64, []webgraph
 	offsets := make([]int64, n+1)
 	targets := make([]webgraph.PageID, 0, maxEdges)
 	row := 0 // dense source whose list is being appended
+	var (
+		src   uint64 // the raw source ds translates
+		ds    int
+		known bool
+	)
 	for {
+		if len(targets)%cancelCheckEdges == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, nil, err
+			}
+		}
 		e, ok, err := s.next()
 		if err != nil {
 			return nil, nil, err
@@ -447,11 +481,13 @@ func buildCSR(s edgeStream, table []uint64, maxEdges int64) ([]int64, []webgraph
 		if !ok {
 			break
 		}
-		ds, ok := denseOf(table, e.s)
-		if !ok {
-			return nil, nil, fmt.Errorf("ingest: edge source %d is not in the URL table's node set", e.s)
+		if !known || e.s != src {
+			if ds, ok = lookupDense(table, e.s); !ok {
+				return nil, nil, fmt.Errorf("ingest: edge source %d is not in the URL table's node set", e.s)
+			}
+			src, known = e.s, true
 		}
-		dd, ok := denseOf(table, e.d)
+		dd, ok := lookupDense(table, e.d)
 		if !ok {
 			return nil, nil, fmt.Errorf("ingest: edge target %d is not in the URL table's node set", e.d)
 		}
@@ -468,11 +504,43 @@ func buildCSR(s edgeStream, table []uint64, maxEdges int64) ([]int64, []webgraph
 	return offsets, targets, nil
 }
 
-// denseOf binary-searches the compaction table.
-func denseOf(table []uint64, raw uint64) (int, bool) {
-	i := sort.Search(len(table), func(i int) bool { return table[i] >= raw })
-	if i < len(table) && table[i] == raw {
+// cancelCheckEdges is how many merged edges pass between two looks at
+// the context.
+const cancelCheckEdges = 1 << 16
+
+// lookupDense returns raw's index in table, which is ascending and free
+// of duplicates. It looks first where raw would sit if the IDs were
+// spread evenly between the table's ends — exactly right when they are
+// contiguous, a step or two off when a few are missing — and gallops
+// from there to a bracket it bisects, so IDs hashed over 64 bits still
+// cost no more than a binary search.
+func lookupDense(table []uint64, raw uint64) (int, bool) {
+	n := len(table)
+	if n == 0 || raw < table[0] || raw > table[n-1] {
+		return 0, false
+	}
+	span := table[n-1] - table[0]
+	if span == 0 {
+		return 0, true
+	}
+	// (raw-t0)*(n-1) can pass 64 bits; its high word is below span because
+	// n-1 is below 2^64, which is what Div64 asks for, and the quotient is
+	// at most n-1 because raw-t0 is at most span.
+	hi, lo := bits.Mul64(raw-table[0], uint64(n-1))
+	q, _ := bits.Div64(hi, lo, span)
+	i := int(q)
+	if table[i] == raw {
 		return i, true
 	}
-	return 0, false
+	// Doubling steps away from the seed bracket raw: table[l] <= raw <=
+	// table[r], the table's ends bounding the walk.
+	l, r := i, i
+	for step := 1; table[r] < raw; step <<= 1 {
+		l, r = r, min(r+step, n-1)
+	}
+	for step := 1; table[l] > raw; step <<= 1 {
+		l, r = max(l-step, 0), l
+	}
+	j, ok := slices.BinarySearch(table[l:r+1], raw)
+	return l + j, ok
 }

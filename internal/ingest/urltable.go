@@ -5,6 +5,7 @@ package ingest
 
 import (
 	"bufio"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -81,7 +82,7 @@ func manifestSum(man manifest, path string) (string, bool) {
 // (i.e. indexed by the dense compacted ID the spiller will assign).
 // Duplicate raw IDs are an error — two metadata claims for one page
 // cannot be reconciled deterministically.
-func readURLTable(path string, man manifest) ([]uint64, []webgraph.PageMeta, error) {
+func readURLTable(ctx context.Context, path string, man manifest) ([]uint64, []webgraph.PageMeta, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ingest: url table: %w", err)
@@ -120,6 +121,11 @@ func readURLTable(path string, man manifest) ([]uint64, []webgraph.PageMeta, err
 	sc.Buffer(make([]byte, 64<<10), 1<<20)
 	var lineNo int64
 	for sc.Scan() {
+		if lineNo%cancelCheckLines == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, nil, err
+			}
+		}
 		lineNo++
 		line := strings.TrimSuffix(sc.Text(), "\r")
 		if line == "" || line[0] == '#' {
@@ -194,6 +200,10 @@ func readURLTable(path string, man manifest) ([]uint64, []webgraph.PageMeta, err
 	}
 	return universe, metas, nil
 }
+
+// cancelCheckLines is how many table lines pass between two looks at
+// the context.
+const cancelCheckLines = 1 << 12
 
 // pagesHint parses the "# Pages: N" header comment Export writes
 // (mirroring SNAP's "# Nodes: N Edges: M"), letting the reader size

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"snode/internal/coding"
@@ -84,53 +86,11 @@ func BuildFromPartitionCtx(ctx context.Context, c *webgraph.Corpus, p *partition
 	}
 	ctx, span := trace.Start(ctx, "build")
 	defer span.End()
-	n := c.Graph.NumPages()
 
-	// 1. Order supernodes by (domain, first page). Page IDs are sorted
-	// by (domain, URL), so an element's smallest page ID yields exactly
-	// that ordering and keeps each domain's supernodes contiguous.
 	_, ospan := trace.Start(ctx, "build.order")
-	order := make([]int, p.NumElements())
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return p.Elements[order[a]].Pages[0] < p.Elements[order[b]].Pages[0]
-	})
-
-	m := &meta{
-		NumPages: int32(n),
-		NumEdges: c.Graph.NumEdges(),
-		Perm:     make([]int32, n),
-		Inv:      make([]int32, n),
-		SnBase:   make([]int32, len(order)+1),
-	}
-
-	// 2. Renumber pages: supernodes in order, pages within an element in
-	// URL order (== ascending external ID).
-	next := int32(0)
-	snOfInternal := make([]int32, n) // internal page → supernode
-	for s, ei := range order {
-		m.SnBase[s] = next
-		for _, ext := range p.Elements[ei].Pages {
-			m.Perm[ext] = next
-			m.Inv[next] = ext
-			snOfInternal[next] = int32(s)
-			next++
-		}
-	}
-	m.SnBase[len(order)] = next
-
-	// 3. Domain index: domains are contiguous over supernodes.
-	for s := range order {
-		d := c.Pages[m.Inv[m.SnBase[s]]].Domain
-		if len(m.Domains) == 0 || m.Domains[len(m.Domains)-1] != d {
-			m.Domains = append(m.Domains, d)
-			m.DomFirstSN = append(m.DomFirstSN, int32(s))
-		}
-	}
-	m.DomFirstSN = append(m.DomFirstSN, int32(len(order)))
-	ospan.SetAttr("supernodes", int64(len(order)))
+	m, snOfInternal := layOut(c, p)
+	nSN := len(m.SnBase) - 1
+	ospan.SetAttr("supernodes", int64(nSN))
 	ospan.End()
 
 	// 4. Encode lower-level graphs. Encoding is per-supernode
@@ -143,7 +103,6 @@ func BuildFromPartitionCtx(ctx context.Context, c *webgraph.Corpus, p *partition
 	// O(window) instead of O(supernodes).
 	ectx, espan := trace.Start(ctx, "build.encode")
 	out := newFileWriter(dir, cfg.MaxFileSize)
-	nSN := len(order)
 	superDeg := make([]int, nSN) // out-degree in the supernode graph
 	inDeg := make([]int64, nSN)  // superedge in-degree, for Huffman codes
 
@@ -290,6 +249,58 @@ func BuildFromPartitionCtx(ctx context.Context, c *webgraph.Corpus, p *partition
 	return &stats, nil
 }
 
+// layOut turns the partition into the representation's page layout:
+// the supernode order, the page renumbering in both directions, each
+// internal page's supernode, and the domain index.
+func layOut(c *webgraph.Corpus, p *partition.Partition) (m *meta, snOfInternal []int32) {
+	n := c.Graph.NumPages()
+
+	// 1. Order supernodes by (domain, first page). Page IDs are sorted
+	// by (domain, URL), so an element's smallest page ID yields exactly
+	// that ordering and keeps each domain's supernodes contiguous.
+	order := make([]int, p.NumElements())
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		return p.Elements[order[a]].Pages[0] < p.Elements[order[b]].Pages[0]
+	})
+
+	m = &meta{
+		NumPages: int32(n),
+		NumEdges: c.Graph.NumEdges(),
+		Perm:     make([]int32, n),
+		Inv:      make([]int32, n),
+		SnBase:   make([]int32, len(order)+1),
+	}
+
+	// 2. Renumber pages: supernodes in order, pages within an element in
+	// URL order (== ascending external ID).
+	next := int32(0)
+	snOfInternal = make([]int32, n) // internal page → supernode
+	for s, ei := range order {
+		m.SnBase[s] = next
+		for _, ext := range p.Elements[ei].Pages {
+			m.Perm[ext] = next
+			m.Inv[next] = ext
+			snOfInternal[next] = int32(s)
+			next++
+		}
+	}
+	m.SnBase[len(order)] = next
+
+	// 3. Domain index: domains are contiguous over supernodes.
+	for s := range order {
+		d := c.Pages[m.Inv[m.SnBase[s]]].Domain
+		if len(m.Domains) == 0 || m.Domains[len(m.Domains)-1] != d {
+			m.Domains = append(m.Domains, d)
+			m.DomFirstSN = append(m.DomFirstSN, int32(s))
+		}
+	}
+	m.DomFirstSN = append(m.DomFirstSN, int32(len(order)))
+	return m, snOfInternal
+}
+
 // encodedSupernode holds one supernode's encoded graphs between the
 // parallel encode stage and the sequential assembly stage.
 type encodedSupernode struct {
@@ -306,59 +317,150 @@ type encodedSuper struct {
 	blob     []byte
 }
 
+// linkBuckets is one encode worker's scratch for sorting a supernode's
+// links by the supernode they point into. Everything in it is flat and
+// reused from one supernode to the next, so bucketing allocates nothing
+// once the arrays have grown to the largest supernode seen; a bucket's
+// lists are sub-slices of ids, its sources a sub-slice of srcs.
+type linkBuckets struct {
+	slot    []int32      // target supernode → 1 + its index in buckets; 0: not linked to
+	buckets []linkBucket // bucket 0 is the supernode itself (the intranode links)
+	links   []bucketLink // every link, in (source, target) order
+	targets []int32      // the other supernodes linked to, ascending
+	srcs    []int32
+	ids     []int32
+	lists   [][]int32
+	intra   [][]int32 // bucket 0 spread over every page, linked or not
+}
+
+// linkBucket is the links from one supernode into supernode j: nSrcs
+// source pages, ascending, with nIDs targets between them. Its sources
+// start at srcs[src0], the list of each at lists[src0], and the lists'
+// IDs at ids[id0].
+type linkBucket struct {
+	j           int32
+	last        int32 // the source that linked here most recently
+	nSrcs, nIDs int32
+	src0, id0   int32
+}
+
+// bucketLink is one link after translation: its source page, the bucket
+// of its target's supernode and the target's position in that supernode.
+type bucketLink struct{ local, bucket, tLocal int32 }
+
+var linkBucketPool = sync.Pool{New: func() any { return new(linkBuckets) }}
+
+// fill buckets supernode s's links: one pass translates and counts them,
+// a prefix sum places every bucket in the flat arrays, a second pass over
+// the translated links drops each into place. Adjacency lists arrive in
+// ascending external-target order, so the local IDs within one list are
+// already sorted.
+func (lb *linkBuckets) fill(c *webgraph.Corpus, m *meta, snOfInternal []int32, s int32) {
+	base := m.SnBase[s]
+	size := m.SnBase[s+1] - base
+	if nSN := len(m.SnBase) - 1; len(lb.slot) < nSN {
+		lb.slot = make([]int32, nSN)
+	}
+	// Whatever the last supernode left behind goes first, by walking the
+	// buckets it used rather than the whole slot array.
+	for _, b := range lb.buckets {
+		lb.slot[b.j] = 0
+	}
+	lb.buckets = append(lb.buckets[:0], linkBucket{j: s, last: -1})
+	lb.slot[s] = 1
+	lb.links = lb.links[:0]
+	for local := int32(0); local < size; local++ {
+		for _, tExt := range c.Graph.Out(m.Inv[base+local]) {
+			tInt := m.Perm[tExt]
+			j := snOfInternal[tInt]
+			bi := lb.slot[j]
+			if bi == 0 {
+				lb.buckets = append(lb.buckets, linkBucket{j: j, last: -1})
+				bi = int32(len(lb.buckets))
+				lb.slot[j] = bi
+			}
+			b := &lb.buckets[bi-1]
+			if b.last != local {
+				b.last = local
+				b.nSrcs++
+			}
+			b.nIDs++
+			lb.links = append(lb.links, bucketLink{local, bi - 1, tInt - m.SnBase[j]})
+		}
+	}
+
+	// The second pass counts each bucket up again, from zero to the same
+	// totals; on the way the counts are its cursors.
+	lb.targets = lb.targets[:0]
+	var nSrcs, nIDs int32
+	for i := range lb.buckets {
+		b := &lb.buckets[i]
+		b.src0, b.id0 = nSrcs, nIDs
+		nSrcs += b.nSrcs
+		nIDs += b.nIDs
+		b.nSrcs, b.nIDs, b.last = 0, 0, -1
+		if i > 0 {
+			lb.targets = append(lb.targets, b.j)
+		}
+	}
+	slices.Sort(lb.targets)
+	lb.srcs = slices.Grow(lb.srcs[:0], int(nSrcs))[:nSrcs]
+	lb.ids = slices.Grow(lb.ids[:0], int(nIDs))[:nIDs]
+	lb.lists = slices.Grow(lb.lists[:0], int(nSrcs))[:nSrcs]
+
+	for _, l := range lb.links {
+		b := &lb.buckets[l.bucket]
+		if b.last != l.local {
+			b.last = l.local
+			at := b.src0 + b.nSrcs
+			lb.srcs[at] = l.local
+			lb.lists[at] = lb.ids[b.id0+b.nIDs : b.id0+b.nIDs]
+			b.nSrcs++
+		}
+		// Within capacity: the list ends where the bucket's next one
+		// starts, and the counting pass sized the bucket exactly.
+		at := b.src0 + b.nSrcs - 1
+		lb.lists[at] = append(lb.lists[at], l.tLocal)
+		b.nIDs++
+	}
+
+	lb.intra = slices.Grow(lb.intra[:0], int(size))[:size]
+	clear(lb.intra)
+	srcs, lists, _ := lb.bucket(0)
+	for k, local := range srcs {
+		lb.intra[local] = lists[k]
+	}
+}
+
+// bucket returns bucket i's source pages, the target list of each, and
+// the number of links in all of them.
+func (lb *linkBuckets) bucket(i int32) (srcs []int32, lists [][]int32, edges int64) {
+	b := &lb.buckets[i]
+	return lb.srcs[b.src0 : b.src0+b.nSrcs], lb.lists[b.src0 : b.src0+b.nSrcs], int64(b.nIDs)
+}
+
 // encodeSupernode buckets supernode s's links into the intranode graph
 // plus one graph per target supernode, makes the §2 pos/neg choice for
 // each (it counts edges, not bytes, so it is codec-independent) and
 // encodes them under cd. It touches only immutable build state (graph,
 // permutation, SnBase), so it is safe to run concurrently per supernode.
 func encodeSupernode(c *webgraph.Corpus, m *meta, cfg Config, cd Codec, snOfInternal []int32, s int32) (*encodedSupernode, error) {
-	base := m.SnBase[s]
-	size := m.SnBase[s+1] - base
+	size := m.SnBase[s+1] - m.SnBase[s]
+	lb := linkBucketPool.Get().(*linkBuckets)
+	defer linkBucketPool.Put(lb)
+	lb.fill(c, m, snOfInternal, s)
 
-	// Bucket this supernode's links: intranode + per-target-supernode.
-	intra := make([][]int32, size)
-	buckets := map[int32][][]int32{} // j → per-source lists (sparse)
-	bucketSrcs := map[int32][]int32{}
-	var jOrder []int32
 	es := &encodedSupernode{}
-	for local := int32(0); local < size; local++ {
-		ext := m.Inv[base+local]
-		for _, tExt := range c.Graph.Out(ext) {
-			tInt := m.Perm[tExt]
-			j := snOfInternal[tInt]
-			tLocal := tInt - m.SnBase[j]
-			if j == s {
-				intra[local] = append(intra[local], tLocal)
-				es.intraEdges++
-				continue
-			}
-			if _, ok := buckets[j]; !ok {
-				jOrder = append(jOrder, j)
-			}
-			ls := bucketSrcs[j]
-			if len(ls) == 0 || ls[len(ls)-1] != local {
-				bucketSrcs[j] = append(ls, local)
-				buckets[j] = append(buckets[j], nil)
-			}
-			bl := buckets[j]
-			bl[len(bl)-1] = append(bl[len(bl)-1], tLocal)
-		}
-	}
-	// Adjacency lists arrive in ascending external-target order; local
-	// IDs within one bucket are therefore already sorted.
-
+	_, _, es.intraEdges = lb.bucket(0)
 	var err error
-	if es.intraBlob, err = encodePayload(cd, nil, kindIntra, nil, intra, size, size, cfg.Refenc); err != nil {
+	if es.intraBlob, err = encodePayload(cd, nil, kindIntra, nil, lb.intra, size, size, cfg.Refenc); err != nil {
 		return nil, err
 	}
-	sort.Slice(jOrder, func(a, b int) bool { return jOrder[a] < jOrder[b] })
-	for _, j := range jOrder {
-		srcs, lists := bucketSrcs[j], buckets[j]
+	es.supers = make([]encodedSuper, 0, len(lb.targets))
+	for _, j := range lb.targets {
+		srcs, lists, edges := lb.bucket(lb.slot[j] - 1)
 		njSize := m.SnBase[j+1] - m.SnBase[j]
-		sb := encodedSuper{j: j, kind: kindSuperPos, numLists: int32(len(srcs))}
-		for _, l := range lists {
-			sb.edges += int64(len(l))
-		}
+		sb := encodedSuper{j: j, kind: kindSuperPos, numLists: int32(len(srcs)), edges: edges}
 		if negEdges := int64(size)*int64(njSize) - sb.edges; !cfg.DisableNegative && negEdges < sb.edges {
 			// Negative graph: complement lists for every page of Ni.
 			comps := make([][]int32, size)

@@ -68,32 +68,34 @@ func Path(u string) string {
 //	depth 1 → "www.s.edu/a"
 //	depth 2 → "www.s.edu/a/b"
 //	depth 3 → "www.s.edu/a/b"   (only two directories exist)
+//
+// The prefix of a URL whose host is already lower-case is a substring of
+// it: the partitioner asks for one per page per depth, and allocates for
+// none of them.
 func PrefixAtDepth(u string, depth int) string {
-	host := Host(u)
-	if depth <= 0 {
-		return host
+	s := StripScheme(u)
+	hostEnd := strings.IndexByte(s, '/')
+	if hostEnd < 0 {
+		return strings.ToLower(s)
 	}
-	p := Path(u)
-	// Split into segments, dropping the final file component (a segment
-	// is a directory only if followed by '/').
-	segs := strings.Split(strings.TrimPrefix(p, "/"), "/")
-	nDirs := len(segs) - 1 // last segment is the file (possibly empty)
-	if nDirs < 0 {
-		nDirs = 0
+	// A directory is a path segment followed by '/': walk to the slash
+	// that closes the depth-th one, or the last one there is.
+	end := hostEnd
+	for ; depth > 0; depth-- {
+		i := strings.IndexByte(s[end+1:], '/')
+		if i < 0 {
+			break
+		}
+		end += 1 + i
 	}
-	if depth > nDirs {
-		depth = nDirs
+	if host := strings.ToLower(s[:hostEnd]); host != s[:hostEnd] {
+		return host + s[hostEnd:end]
 	}
-	if depth == 0 {
-		return host
-	}
-	return host + "/" + strings.Join(segs[:depth], "/")
+	return s[:end]
 }
 
 // PathDepth reports the number of directories in the URL's path (the
 // file component is not counted).
 func PathDepth(u string) int {
-	p := Path(u)
-	segs := strings.Split(strings.TrimPrefix(p, "/"), "/")
-	return len(segs) - 1
+	return strings.Count(Path(u)[1:], "/")
 }

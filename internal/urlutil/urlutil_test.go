@@ -1,6 +1,9 @@
 package urlutil
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestHost(t *testing.T) {
 	cases := []struct{ in, want string }{
@@ -120,5 +123,68 @@ func TestStripScheme(t *testing.T) {
 	}
 	if got := StripScheme("ftp://x.com/a"); got != "ftp://x.com/a" {
 		t.Errorf("unknown scheme should pass through, got %q", got)
+	}
+}
+
+// prefixBySplitting is PrefixAtDepth as it was first written — split the
+// path, drop the file, join the directories back — kept as the oracle
+// for the substring walk that replaced it.
+func prefixBySplitting(u string, depth int) string {
+	host := Host(u)
+	segs := strings.Split(strings.TrimPrefix(Path(u), "/"), "/")
+	if depth > len(segs)-1 {
+		depth = len(segs) - 1
+	}
+	if depth <= 0 {
+		return host
+	}
+	return host + "/" + strings.Join(segs[:depth], "/")
+}
+
+func TestPrefixAtDepthMatchesSplitting(t *testing.T) {
+	urls := []string{
+		"http://www.stanford.edu/students/grad/page7.html",
+		"https://www.stanford.edu/students/grad/",
+		"http://www.example-d00012.net/d3/page0014402.html",
+		"http://WWW.Stanford.EDU/Students/Grad/p.html",
+		"http://a.com",
+		"http://a.com/",
+		"http://a.com//",
+		"http://a.com//x//y/p.html",
+		"http://a.com/p.html",
+		"a.com/d1/d2/d3/d4/d5/p.html",
+		"ftp://x.com/a/b",
+		"/rooted/path/p",
+		"",
+		"/",
+		"http://",
+		"http://a.com/d1/p.html?q=/x/y",
+	}
+	for _, u := range urls {
+		for depth := -1; depth <= 7; depth++ {
+			if got, want := PrefixAtDepth(u, depth), prefixBySplitting(u, depth); got != want {
+				t.Errorf("PrefixAtDepth(%q, %d) = %q, splitting gives %q", u, depth, got, want)
+			}
+		}
+		if got, want := PathDepth(u), len(strings.Split(strings.TrimPrefix(Path(u), "/"), "/"))-1; got != want {
+			t.Errorf("PathDepth(%q) = %d, splitting gives %d", u, got, want)
+		}
+	}
+}
+
+// TestPrefixAtDepthAllocatesNothing: the partitioner asks for a prefix
+// per page per depth; on a URL whose host is already lower-case (every
+// URL the generator and the ingester produce) the answer is a substring.
+func TestPrefixAtDepthAllocatesNothing(t *testing.T) {
+	u := "http://www.example-d00012.net/d3/sub/page0014402.html"
+	var sink int
+	allocs := testing.AllocsPerRun(100, func() {
+		for depth := 0; depth <= 4; depth++ {
+			sink += len(PrefixAtDepth(u, depth))
+		}
+		sink += PathDepth(u)
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per call on a lower-case URL, want 0", allocs)
 	}
 }

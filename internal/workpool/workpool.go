@@ -1,7 +1,8 @@
 // Package workpool provides the bounded worker pool behind the build's
-// two parallel stages: the refiner examines a round's elements with
-// ForEachCtx, and the S-Node builder encodes supernodes through
-// Ordered. One shared primitive keeps the concurrency discipline
+// three parallel stages: the ingester parses blocks of the edge list
+// and the S-Node builder encodes supernodes through Ordered, and the
+// refiner examines a round's elements with ForEachCtx. One shared
+// primitive keeps the concurrency discipline
 // uniform — a fixed number of goroutines pull indices from an atomic
 // counter (work stealing, so uneven item costs balance), and the first
 // error stops the dispatch of further work.
@@ -9,6 +10,8 @@ package workpool
 
 import (
 	"context"
+	"errors"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -126,6 +129,17 @@ func (p *Pool) ForEachCtx(ctx context.Context, n int, fn func(ctx context.Contex
 	return first
 }
 
+// End is what an Ordered fn returns for index i to say that the items
+// stop before i. It is how a producer that learns its length only by
+// running out (a file cut into blocks) ends an Unbounded call: consume
+// sees 0..i-1 and Ordered returns nil. Indices above i may have been
+// claimed by then; fn must answer End for them too, and whatever it
+// answers is discarded.
+var End = errors.New("workpool: end of items")
+
+// Unbounded is the n of an Ordered call whose item count only fn knows.
+const Unbounded = math.MaxInt
+
 // Ordered computes fn(i) for every i in [0, n) on the pool's workers
 // and delivers each result to consume in strict index order, from the
 // calling goroutine, holding at most window completed-but-undelivered
@@ -143,6 +157,12 @@ func (p *Pool) ForEachCtx(ctx context.Context, n int, fn func(ctx context.Contex
 //     several items fail concurrently, which error is returned is
 //     unspecified (Ordered prefers the lowest-index one it observes).
 //   - With one worker (or n <= 1) everything runs inline, in order.
+//   - fn may end the items early by returning End (see End); n is then
+//     an upper bound, Unbounded when there is none.
+//   - Every index claimed and not yet delivered lies in [d, d+window),
+//     d being the next delivery, and index i+window is claimed only
+//     after consume(i) has returned: a caller may keep per-item scratch
+//     in a ring of window slots, i's at i % window.
 //
 // The results delivered to consume are identical for every pool width,
 // so pipelines built on Ordered are bit-deterministic regardless of
@@ -167,6 +187,9 @@ func Ordered[T any](ctx context.Context, p *Pool, n, window int, fn func(ctx con
 				return err
 			}
 			v, err := fn(ctx, i)
+			if err == End {
+				return nil
+			}
 			if err != nil {
 				return err
 			}
@@ -230,6 +253,9 @@ func Ordered[T any](ctx context.Context, p *Pool, n, window int, fn func(ctx con
 				}
 				v, err := fn(ctx, i)
 				results <- item{i: i, v: v, err: err}
+				if err == End {
+					return
+				}
 			}
 		}()
 	}
@@ -245,7 +271,8 @@ func Ordered[T any](ctx context.Context, p *Pool, n, window int, fn func(ctx con
 	}
 	pending := make(map[int]item, window)
 	nextDeliver := 0
-	for nextDeliver < n && firstErr == nil {
+	end := n // where delivery stops: n, or the index fn answered End for
+	for nextDeliver < end && firstErr == nil {
 		select {
 		case it := <-results:
 			pending[it.i] = it
@@ -258,6 +285,10 @@ func Ordered[T any](ctx context.Context, p *Pool, n, window int, fn func(ctx con
 				break
 			}
 			delete(pending, nextDeliver)
+			if it.err == End {
+				end = it.i
+				break
+			}
 			if it.err != nil {
 				fail(it.i, it.err)
 				break
@@ -279,7 +310,7 @@ func Ordered[T any](ctx context.Context, p *Pool, n, window int, fn func(ctx con
 		pending[it.i] = it
 	}
 	for i, it := range pending {
-		if it.err != nil && i < n {
+		if it.err != nil && it.err != End && i < end {
 			fail(i, it.err)
 		}
 	}

@@ -81,10 +81,10 @@ test-query:
 test-determinism:
 	$(GO) test -count=1 -run 'TestBuildDeterministic|TestRefineWorkerCountInvariant' ./internal/snode ./internal/partition
 
-# Live-update race suite: concurrent mutators, readers, page adds, and
-# the background compactor (seal / size-tiered merge / fold-back all
-# firing) over one delta overlay, under the race detector. Run with
-# -count=1 so the storm always executes.
+# Live-update race suite: concurrent mutators, readers, page adds, the
+# background compactor (seal / size-tiered merge firing) and a fold-back
+# called mid-storm over one delta overlay, under the race detector. Run
+# with -count=1 so the storm always executes.
 test-delta-race:
 	$(GO) test -race -count=1 -run 'TestChaosReadersWritersCompactor' ./internal/delta
 

@@ -49,11 +49,11 @@ type experimentSpec struct {
 // every entry in this order.
 func experiments() []experimentSpec {
 	return []experimentSpec{
-		{name: "fig9", aliases: []string{"fig10"}, desc: "supernode/superedge scalability", run: runScalability},
-		{name: "table1", desc: "bits/edge compression comparison", run: runCompression},
-		{name: "table2", desc: "in-memory access times", run: runAccess},
-		{name: "fig11", desc: "per-query navigation time", run: runQueries},
-		{name: "fig12", desc: "navigation time vs buffer size", run: runBufferSweep},
+		{name: "fig9", aliases: []string{"fig10"}, desc: "supernode/superedge scalability", run: table(bench.Scalability, bench.RenderScalability, bench.ScalabilityCSV)},
+		{name: "table1", desc: "bits/edge compression comparison", run: table(bench.Compression, bench.RenderCompression, bench.CompressionCSV)},
+		{name: "table2", desc: "in-memory access times", run: table(bench.Access, bench.RenderAccess, bench.AccessCSV)},
+		{name: "fig11", desc: "per-query navigation time", run: table(bench.Queries, bench.RenderQueries, bench.QueriesCSV)},
+		{name: "fig12", desc: "navigation time vs buffer size", run: table(bench.BufferSweep, bench.RenderBufferSweep, bench.BufferSweepCSV)},
 		{name: "ablation", desc: "§3 design-choice studies", run: runAblation},
 	}
 }
@@ -87,84 +87,32 @@ func selectSpecs(name string) ([]experimentSpec, error) {
 	return nil, fmt.Errorf("unknown experiment %q (one of: %s)", name, strings.Join(experimentNames(), ", "))
 }
 
-func runScalability(rf *runFlags) error {
-	rows, err := bench.Scalability(rf.cfg)
-	if err != nil {
-		return err
+// table is the shell every experiment runs in: measure, render the
+// table and, under -csv, write it where a csv writer exists for it.
+func table[T any](measure func(bench.Config) (T, error), render func(bench.Config, T), csv func(string, T) error) func(*runFlags) error {
+	return func(rf *runFlags) error {
+		rows, err := measure(rf.cfg)
+		if err != nil {
+			return err
+		}
+		render(rf.cfg, rows)
+		if rf.csvDir != "" && csv != nil {
+			return csv(rf.csvDir, rows)
+		}
+		return nil
 	}
-	bench.RenderScalability(rf.cfg, rows)
-	if rf.csvDir != "" {
-		return bench.ScalabilityCSV(rf.csvDir, rows)
-	}
-	return nil
 }
 
-func runCompression(rf *runFlags) error {
-	rows, err := bench.Compression(rf.cfg)
-	if err != nil {
-		return err
-	}
-	bench.RenderCompression(rf.cfg, rows)
-	if rf.csvDir != "" {
-		return bench.CompressionCSV(rf.csvDir, rows)
-	}
-	return nil
-}
-
-func runAccess(rf *runFlags) error {
-	rows, err := bench.Access(rf.cfg)
-	if err != nil {
-		return err
-	}
-	bench.RenderAccess(rf.cfg, rows)
-	if rf.csvDir != "" {
-		return bench.AccessCSV(rf.csvDir, rows)
-	}
-	return nil
-}
-
-func runQueries(rf *runFlags) error {
-	res, err := bench.Queries(rf.cfg)
-	if err != nil {
-		return err
-	}
-	bench.RenderQueries(rf.cfg, res)
-	if rf.csvDir != "" {
-		return bench.QueriesCSV(rf.csvDir, res)
-	}
-	return nil
-}
-
-func runBufferSweep(rf *runFlags) error {
-	rows, err := bench.BufferSweep(rf.cfg)
-	if err != nil {
-		return err
-	}
-	bench.RenderBufferSweep(rf.cfg, rows)
-	if rf.csvDir != "" {
-		return bench.BufferSweepCSV(rf.csvDir, rows)
-	}
-	return nil
-}
-
+// runAblation is the ablation table and its two companions.
 func runAblation(rf *runFlags) error {
-	rows, err := bench.Ablations(rf.cfg)
-	if err != nil {
-		return err
-	}
-	bench.RenderAblations(rf.cfg, rows)
-	ex, err := bench.ExactReference(rf.cfg)
-	if err != nil {
-		return err
-	}
-	bench.RenderExactReference(rf.cfg, ex)
-	dm, err := bench.DiskModelSweep(rf.cfg)
-	if err != nil {
-		return err
-	}
-	bench.RenderDiskModelSweep(rf.cfg, dm)
-	if rf.csvDir != "" {
-		return bench.AblationsCSV(rf.csvDir, rows)
+	for _, run := range []func(*runFlags) error{
+		table(bench.Ablations, bench.RenderAblations, bench.AblationsCSV),
+		table(bench.ExactReference, bench.RenderExactReference, nil),
+		table(bench.DiskModelSweep, bench.RenderDiskModelSweep, nil),
+	} {
+		if err := run(rf); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -1,5 +1,5 @@
 // Command snbuild writes a dataset directory — the one thing a server
-// opens — from a crawl written by sngen, and prints size statistics.
+// opens — from a crawl written by sngen, and prints what it wrote.
 //
 //	snbuild -crawl ./crawl -out ./data
 //	snbuild -crawl ./crawl -out ./data -shards 4 -workers 8 -progress
@@ -10,9 +10,10 @@
 // for the cross-shard rest. -shards defaults to 1, where every edge is
 // intra-shard and shard-0's stores are the whole graph's. Serve it with
 // `snserve -data OUT`, or one `snserve -data OUT -shard-id I` per shard
-// fronted by snrouter. S-Node is built once, as the dataset; -scheme
-// picks the baselines built in a scratch directory for the printed size
-// table and nothing else.
+// fronted by snrouter. The size table that sets S-Node beside the
+// baselines is `snbench -experiment table1` (or examples/compression);
+// snbuild prints the S-Node row of its own dataset and builds nothing
+// it does not keep.
 //
 // Instead of a corpus.bin crawl, snbuild can ingest a real edge-list
 // dataset (SNAP or GraphChallenge TSV, gzip-transparent, with checksum
@@ -22,7 +23,7 @@
 // encoding run in memory whatever it says:
 //
 //	snbuild -ingest ./web-Google.txt.gz -format snap -max-heap-mb 256 -out ./data
-//	snbuild -pages 50000 -out ./data -scheme snode
+//	snbuild -pages 50000 -out ./data
 package main
 
 import (
@@ -42,10 +43,8 @@ import (
 	"snode/internal/ingest"
 	"snode/internal/iosim"
 	"snode/internal/metrics"
-	"snode/internal/repo"
 	"snode/internal/shard"
 	"snode/internal/snode"
-	"snode/internal/store"
 	"snode/internal/synth"
 )
 
@@ -53,7 +52,6 @@ import (
 type options struct {
 	crawlDir  string
 	out       string
-	scheme    string
 	budget    int64
 	workers   int
 	verify    bool
@@ -76,15 +74,14 @@ func usageError(format string, args ...any) {
 }
 
 // parseFlags validates every flag before any expensive work: unknown
-// schemes, nonsensical budgets or worker counts, and missing crawl
+// codecs, nonsensical budgets or worker counts, and missing crawl
 // directories all fail fast with a usage-style message instead of
 // surfacing as a build error minutes later.
 func parseFlags() options {
 	var o options
 	flag.StringVar(&o.crawlDir, "crawl", "crawl", "directory written by sngen")
 	flag.StringVar(&o.out, "out", "data", "dataset directory to write (manifest.json, meta.bin, pagerank.bin, shard-<i>/)")
-	flag.StringVar(&o.scheme, "scheme", "all", "baseline built beside the dataset for the size table: one of "+strings.Join(repo.AllSchemes(), ", ")+", or all (snode alone builds none)")
-	flag.Int64Var(&o.budget, "budget", 16<<20, "per-representation cache budget (bytes, > 0)")
+	flag.Int64Var(&o.budget, "budget", 16<<20, "cache budget the written stores are opened under for their statistics and -verify (bytes, > 0)")
 	flag.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "build parallelism for partition refinement and supernode encoding (> 0; output is identical for every value)")
 	flag.BoolVar(&o.verify, "verify", false, "verify every S-Node store of the written dataset: each graph decodes and totals match")
 	flag.BoolVar(&o.progress, "progress", false, "print a periodic build-progress line (elements split / supernodes encoded) to stderr")
@@ -150,18 +147,6 @@ func parseFlags() options {
 	}
 	if o.pages < 0 {
 		usageError("-pages must be >= 0, got %d", o.pages)
-	}
-	if o.scheme != "all" {
-		valid := false
-		for _, s := range repo.AllSchemes() {
-			if s == o.scheme {
-				valid = true
-				break
-			}
-		}
-		if !valid {
-			usageError("unknown -scheme %q (valid: %s, all)", o.scheme, strings.Join(repo.AllSchemes(), ", "))
-		}
 	}
 	if o.budget <= 0 {
 		usageError("-budget must be positive, got %d", o.budget)
@@ -275,13 +260,6 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	// The baselines go to a scratch directory: they are not part of the
-	// dataset.
-	scratch, err := os.MkdirTemp("", "snbuild-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(scratch)
 	cfg := snode.DefaultConfig()
 	cfg.BuildWorkers = o.workers
 	cfg.Codec = o.codec
@@ -323,35 +301,12 @@ func run(o options) error {
 		fmt.Println("\nS-Node stores verified: every graph decodes and totals match")
 	}
 
-	// The size table. -scheme picks the baselines built for it, over the
-	// whole graph; the S-Node row sets the shards' stores against the
+	// The S-Node row of the size table: the shards' stores against the
 	// edges they hold (cross-shard edges live in the boundary files).
-	opt := repo.DefaultOptions(filepath.Join(scratch, "baselines"))
-	opt.CacheBudget = o.budget
-	opt.Transpose = false
-	opt.Layout = crawl.Order
-	for _, name := range repo.AllSchemes() {
-		if name != repo.SchemeSNode && (o.scheme == "all" || o.scheme == name) {
-			opt.Schemes = append(opt.Schemes, name)
-		}
-	}
-	baselines := &repo.Repository{}
-	if opt.Schemes != nil {
-		if baselines, err = repo.Build(crawl.Corpus, opt); err != nil {
-			return err
-		}
-		defer baselines.Close()
-	}
 	total := crawl.Corpus.Graph.NumEdges()
 	fmt.Printf("\n%d/%d edges intra-shard (%.1f%%)\n%-10s %14s %12s\n",
 		intra, total, 100*float64(intra)/float64(total), "scheme", "size(bytes)", "bits/edge")
-	for _, name := range repo.AllSchemes() {
-		if name == repo.SchemeSNode {
-			fmt.Printf("%-10s %14d %12.2f\n", name, size, float64(size*8)/float64(intra))
-		} else if sized, ok := baselines.Fwd[name].(store.Sized); ok {
-			fmt.Printf("%-10s %14d %12.2f\n", name, sized.SizeBytes(), store.BitsPerEdge(sized, total))
-		}
-	}
+	fmt.Printf("%-10s %14d %12.2f\n", "snode", size, float64(size*8)/float64(intra))
 	fmt.Printf("\nserve with: snserve -data %s -listen :PORT (one per shard with -shard-id I, fronted by snrouter -root %s)\n", o.out, o.out)
 	return nil
 }

@@ -180,7 +180,7 @@ func (r *Rep) OutFiltered(p webgraph.PageID, f *store.Filter, buf []webgraph.Pag
 		}
 		for k := 4; k < len(row); k += 4 {
 			t := webgraph.PageID(binary.LittleEndian.Uint32(row[k:]))
-			if store.FilterAccepts(f, t, r.domains, r.domainOf) {
+			if store.FilterAccepts(f, t, r.domainOf) {
 				buf = append(buf, t)
 			}
 		}

@@ -306,3 +306,177 @@ func moduleRoot(t *testing.T) string {
 		dir = parent
 	}
 }
+
+// oneValued lists the config fields that stay fields although no
+// non-test file sets them off their default, keyed pkg.Type.Field with
+// the reason. An entry whose field is gone, or which a non-test file now
+// sets, is itself a failure.
+var oneValued = map[string]string{
+	"partition.Config.Stopping":      "StopAbortMax is the paper's own stopping rule, the reference DESIGN §5.1 sets the exhaustive default against",
+	"partition.Config.AbortMaxFrac":  "the paper's abortmax (6 %), read only under StopAbortMax",
+	"snode.Config.MaxFileSize":       "only a test can make it small enough to reach index-file rollover (the paper's bound is 500 MB)",
+	"admission.Config.EstService":    "only a test can make the service estimate small enough to reach a sub-second Retry-After",
+	"admission.Config.MinRetryAfter": "as EstService: the clamp's lower end is reachable only with a test-sized value",
+	"admission.Config.MaxRetryAfter": "as EstService: the clamp's upper end is reachable only with a test-sized value",
+	"pagerank.Config.Damping":        "the harness calls pagerank.DefaultConfig(); the three are the algorithm's textbook parameters",
+	"pagerank.Config.Iterations":     "as Damping",
+	"pagerank.Config.Tolerance":      "as Damping",
+	"synth.Config.MeanOutDegree":     "a model parameter of the generator: ROADMAP item 4(ii) is about to vary one",
+	"synth.Config.IntraDomainProb":   "as MeanOutDegree",
+	"synth.Config.URLLocalityProb":   "as MeanOutDegree",
+	"synth.Config.CopyProb":          "as MeanOutDegree",
+	"synth.Config.CopyFraction":      "as MeanOutDegree",
+	"synth.Config.PagesPerDomain":    "as MeanOutDegree",
+	"bench.Config.Out":               "bench tests capture the rendered tables through it",
+	"ingest.Options.Manifest":        "a deployment path: a checksum manifest kept apart from the dataset it covers; only a test names one today",
+}
+
+// TestNoOptionOnlyDefaultsSet is the guard for configuration: an
+// exported field of an exported Config/Options struct under internal/ is
+// an option only while some non-test file of the module gives it a value
+// — as a composite-literal key, the target of an assignment or an
+// address handed to the flag package — other than its own package's
+// default: a function there with "default" in its name, or the
+// `if c.F <= 0 { c.F = … }` that fills a zero field. A field nothing else
+// sets has one value: make it a constant. A key in a literal that names
+// its type counts for that type alone; every other set is matched by
+// field name like the guards above (a `cfg.Seed = …` anywhere keeps every
+// struct's Seed), so the guard errs toward keeping.
+func TestNoOptionOnlyDefaultsSet(t *testing.T) {
+	type field struct {
+		typ, name, dir string // typ is pkg.Type
+		pos            token.Position
+	}
+	type set struct {
+		typ, dir  string // typ is "" when the site does not name it
+		isDefault bool
+	}
+	var fields []field
+	sets := map[string][]set{} // by field name
+
+	root := eachGoFile(t, func(rel string, fset *token.FileSet, f *ast.File) {
+		if strings.HasSuffix(rel, "_test.go") {
+			return
+		}
+		dir := filepath.Dir(rel)
+		pkg := filepath.Base(dir)
+		for _, d := range f.Decls {
+			inDefault := false
+			params := map[string]bool{} // of a default constructor: a value made from one is the caller's
+			if fd, ok := d.(*ast.FuncDecl); ok && strings.Contains(strings.ToLower(fd.Name.Name), "default") {
+				inDefault = true
+				for _, p := range fd.Type.Params.List {
+					for _, id := range p.Names {
+						params[id.Name] = true
+					}
+				}
+			}
+			isDefault := func(value ast.Expr) bool {
+				fromCaller := false
+				ast.Inspect(value, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok && params[id.Name] {
+						fromCaller = true
+					}
+					return true
+				})
+				return inDefault && !fromCaller
+			}
+			fills := map[ast.Stmt]bool{} // the assignments of a fill-if-zero
+			ast.Inspect(d, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.IfStmt:
+					tested := map[string]bool{}
+					ast.Inspect(x.Cond, func(c ast.Node) bool {
+						if sel, ok := c.(*ast.SelectorExpr); ok {
+							tested[sel.Sel.Name] = true
+						}
+						return true
+					})
+					for _, st := range x.Body.List {
+						if as, ok := st.(*ast.AssignStmt); ok && len(as.Lhs) == 1 {
+							if sel, ok := as.Lhs[0].(*ast.SelectorExpr); ok && tested[sel.Sel.Name] {
+								fills[st] = true
+							}
+						}
+					}
+				case *ast.CompositeLit:
+					typ := ""
+					switch lt := x.Type.(type) {
+					case *ast.Ident:
+						typ = pkg + "." + lt.Name
+					case *ast.SelectorExpr:
+						if p, ok := lt.X.(*ast.Ident); ok {
+							typ = p.Name + "." + lt.Sel.Name
+						}
+					}
+					for _, e := range x.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								sets[id.Name] = append(sets[id.Name], set{typ, dir, isDefault(kv.Value)})
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					// a.B.C = v sets C, and B through it.
+					for _, lhs := range x.Lhs {
+						for sel, ok := lhs.(*ast.SelectorExpr); ok; sel, ok = sel.X.(*ast.SelectorExpr) {
+							sets[sel.Sel.Name] = append(sets[sel.Sel.Name], set{"", dir, inDefault || fills[x]})
+						}
+					}
+				case *ast.UnaryExpr:
+					if sel, ok := x.X.(*ast.SelectorExpr); ok && x.Op == token.AND {
+						sets[sel.Sel.Name] = append(sets[sel.Sel.Name], set{"", dir, inDefault})
+					}
+				case *ast.TypeSpec:
+					st, ok := x.Type.(*ast.StructType)
+					n := x.Name.Name
+					if !ok || !strings.HasPrefix(rel, "internal/") || !x.Name.IsExported() ||
+						!(strings.HasSuffix(n, "Config") || strings.HasSuffix(n, "Options")) {
+						return true
+					}
+					for _, fl := range st.Fields.List {
+						for _, id := range fl.Names {
+							if id.IsExported() {
+								fields = append(fields, field{pkg + "." + n, id.Name, dir, fset.Position(id.Pos())})
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	})
+
+	declared, declares := map[string]bool{}, map[string]bool{} // by pkg.Type.Field; by directory.Field
+	for _, f := range fields {
+		declares[f.dir+"."+f.name] = true
+	}
+	for _, f := range fields {
+		key := f.typ + "." + f.name
+		declared[key] = true
+		isSet := false
+		for _, s := range sets[f.name] {
+			// A default belongs to the type its literal names, or to the
+			// struct with such a field its own package declares.
+			own := s.typ == f.typ || s.typ == "" && declares[s.dir+"."+f.name]
+			if (s.typ == "" || s.typ == f.typ) && !(s.isDefault && own) {
+				isSet = true
+				break
+			}
+		}
+		_, kept := oneValued[key]
+		switch {
+		case isSet && kept:
+			t.Errorf("allowlist entry %s is stale: a non-test file sets %s off its default now", key, f.name)
+		case !isSet && !kept:
+			rel, _ := filepath.Rel(root, f.pos.Filename)
+			t.Errorf("%s:%d: no non-test file sets %s off its default: it has one value, make it a constant", rel, f.pos.Line, key)
+		}
+	}
+	t.Logf("%d exported config fields", len(fields))
+	for key := range oneValued {
+		if !declared[key] {
+			t.Errorf("allowlist entry %s is stale: no such field under internal/", key)
+		}
+	}
+}

@@ -19,13 +19,6 @@ type CompactorConfig struct {
 	// segments exist, the adjacent pair with the smallest combined size
 	// is merged (default 4).
 	MaxSegments int
-	// FoldEntries triggers a full fold-back into a fresh S-Node build
-	// once the total live delta records reach this count. Zero disables
-	// automatic fold-back (Overlay.FoldBack stays available manually);
-	// when set, Fold must be too.
-	FoldEntries int64
-	// Fold parameterizes automatic fold-backs.
-	Fold FoldConfig
 	// OnError observes background failures (default: ignore; the next
 	// tick retries). Called from the compactor goroutine.
 	OnError func(error)
@@ -44,10 +37,11 @@ func (c *CompactorConfig) defaults() {
 }
 
 // Compactor is the overlay's background maintenance goroutine: it
-// seals full memtables, merges small segments size-tiered, and — when
-// configured — folds the whole overlay back into a fresh S-Node build.
-// All work honours the context StartCompactor was given; Stop cancels
-// it and waits the goroutine out.
+// seals full memtables and merges small segments size-tiered. Folding
+// the overlay back into a fresh S-Node build is the owner's call
+// (Overlay.FoldBack), not a policy of this loop. All work honours the
+// context StartCompactor was given; Stop cancels it and waits the
+// goroutine out.
 type Compactor struct {
 	o      *Overlay
 	cfg    CompactorConfig
@@ -90,17 +84,13 @@ func (c *Compactor) run(ctx context.Context) {
 }
 
 // RunOnce performs one maintenance pass: seal if the memtable is over
-// budget, merge segments down to the tier limit, fold back if the
-// delta has grown past the fold threshold. Exported so tests and the
-// update experiment can drive compaction deterministically; on traced
-// contexts the pass records a "compact.run" span.
+// budget, merge segments down to the tier limit. Exported so tests can
+// drive compaction deterministically; on traced contexts the pass
+// records a "compact.run" span.
 func (c *Compactor) RunOnce(ctx context.Context) error {
-	traced := trace.Active(ctx)
-	var start time.Time
-	if traced {
-		start = time.Now()
-	}
-	var sealed, merges, folded int64
+	_, span := trace.Start(ctx, "compact.run")
+	defer span.End()
+	var sealed, merges int64
 	if c.o.MemtableBytes() >= c.cfg.SealBytes {
 		if err := c.o.Seal(ctx); err != nil {
 			return err
@@ -120,17 +110,7 @@ func (c *Compactor) RunOnce(ctx context.Context) error {
 		}
 		merges++
 	}
-	if c.cfg.FoldEntries > 0 && c.o.DeltaEntries() >= c.cfg.FoldEntries {
-		if _, err := c.o.FoldBack(ctx, c.cfg.Fold); err != nil {
-			return err
-		}
-		folded = 1
-	}
-	if traced {
-		trace.RecordSpan(ctx, "compact.run", start, time.Since(start),
-			trace.Attr{Key: "sealed", Val: sealed},
-			trace.Attr{Key: "merges", Val: merges},
-			trace.Attr{Key: "folded", Val: folded})
-	}
+	span.SetAttr("sealed", sealed)
+	span.SetAttr("merges", merges)
 	return nil
 }

@@ -295,9 +295,8 @@ func TestOverlayGoldenEquivalence(t *testing.T) {
 			t.Fatalf("fold artifact %s hash %s != clean build %s", name, gotHashes[name], h)
 		}
 	}
-	if fwdOv.SegmentCount() != 0 || fwdOv.DeltaEntries() != 0 {
-		t.Fatalf("fold left residue: %d segments, %d entries",
-			fwdOv.SegmentCount(), fwdOv.DeltaEntries())
+	if ds := fwdOv.DeltaStatsNow(); ds.Segments != 0 || ds.MemtableEntries+ds.SegmentEntries != 0 {
+		t.Fatalf("fold left residue: %+v", ds)
 	}
 
 	// Queries stay byte-identical after the swap (fwd folded, rev still

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"snode/internal/iosim"
 	"snode/internal/snode"
@@ -124,11 +123,8 @@ func removedIn(ops []dstOp, t webgraph.PageID) bool {
 func (o *Overlay) FoldBack(ctx context.Context, fc FoldConfig) (string, error) {
 	o.structMu.Lock()
 	defer o.structMu.Unlock()
-	traced := trace.Active(ctx)
-	var start time.Time
-	if traced {
-		start = time.Now()
-	}
+	_, span := trace.Start(ctx, "delta.fold")
+	defer span.End()
 	corpus, segs, err := o.materializeLocked(ctx)
 	if err != nil {
 		return "", err
@@ -169,10 +165,7 @@ func (o *Overlay) FoldBack(ctx context.Context, fc FoldConfig) (string, error) {
 		}
 	}
 	o.folds.Add(1)
-	if traced {
-		trace.RecordSpan(ctx, "delta.fold", start, time.Since(start),
-			trace.Attr{Key: "pages", Val: int64(len(corpus.Pages))},
-			trace.Attr{Key: "segments", Val: int64(len(segs))})
-	}
+	span.SetAttr("pages", int64(len(corpus.Pages)))
+	span.SetAttr("segments", int64(len(segs)))
 	return dir, nil
 }

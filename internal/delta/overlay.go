@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"snode/internal/iosim"
 	"snode/internal/metrics"
@@ -144,11 +143,7 @@ func (o *Overlay) Apply(ctx context.Context, muts []Mutation) error {
 			return err
 		}
 	}
-	traced := trace.Active(ctx)
-	var start time.Time
-	if traced {
-		start = time.Now()
-	}
+	_, span := trace.Start(ctx, "delta.apply")
 	for _, m := range muts {
 		// A concurrent seal can retire the table between load and
 		// apply; retry against the fresh one (seal guarantees a table
@@ -157,10 +152,8 @@ func (o *Overlay) Apply(ctx context.Context, muts []Mutation) error {
 		}
 	}
 	o.appliedOps.Add(int64(len(muts)))
-	if traced {
-		trace.RecordSpan(ctx, "delta.apply", start, time.Since(start),
-			trace.Attr{Key: "ops", Val: int64(len(muts))})
-	}
+	span.SetAttr("ops", int64(len(muts)))
+	span.End()
 	return nil
 }
 
@@ -477,11 +470,8 @@ func (o *Overlay) sealLocked(ctx context.Context) error {
 	if mt.len() == 0 && leftover == 0 {
 		return nil
 	}
-	traced := trace.Active(ctx)
-	var start time.Time
-	if traced {
-		start = time.Now()
-	}
+	_, span := trace.Start(ctx, "delta.seal")
+	defer span.End()
 	fresh := newMemtable()
 	o.mu.Lock()
 	o.frozen = append(o.frozen, mt)
@@ -521,11 +511,8 @@ func (o *Overlay) sealLocked(ctx context.Context) error {
 	o.frozen = o.frozen[len(frozen):]
 	o.mu.Unlock()
 	o.seals.Add(1)
-	if traced {
-		trace.RecordSpan(ctx, "delta.seal", start, time.Since(start),
-			trace.Attr{Key: "entries", Val: opsEntryCount(pos)},
-			trace.Attr{Key: "bytes", Val: seg.size})
-	}
+	span.SetAttr("entries", opsEntryCount(pos))
+	span.SetAttr("bytes", seg.size)
 	return nil
 }
 
@@ -557,11 +544,8 @@ func (o *Overlay) mergeOnceLocked(ctx context.Context) (bool, error) {
 	a, b := o.segments[best], o.segments[best+1]
 	o.mu.RUnlock()
 
-	traced := trace.Active(ctx)
-	var start time.Time
-	if traced {
-		start = time.Now()
-	}
+	_, span := trace.Start(ctx, "delta.merge")
+	defer span.End()
 	aPos, err := a.all(ctx)
 	if err != nil {
 		return false, err
@@ -594,11 +578,8 @@ func (o *Overlay) mergeOnceLocked(ctx context.Context) (bool, error) {
 	o.compactions.Add(1)
 	o.mergeBytesIn.Add(a.size + b.size)
 	o.mergeBytesOut.Add(seg.size)
-	if traced {
-		trace.RecordSpan(ctx, "delta.merge", start, time.Since(start),
-			trace.Attr{Key: "in_bytes", Val: a.size + b.size},
-			trace.Attr{Key: "out_bytes", Val: seg.size})
-	}
+	span.SetAttr("in_bytes", a.size+b.size)
+	span.SetAttr("out_bytes", seg.size)
 	return true, nil
 }
 
@@ -607,13 +588,6 @@ func (o *Overlay) SegmentCount() int {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
 	return len(o.segments)
-}
-
-// DeltaEntries reports the total live delta records across all layers
-// (the compactor's fold trigger).
-func (o *Overlay) DeltaEntries() int64 {
-	s := o.DeltaStatsNow()
-	return s.MemtableEntries + s.SegmentEntries
 }
 
 // MemtableBytes reports the active+sealing memtable footprint (the

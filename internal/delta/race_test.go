@@ -17,12 +17,12 @@ import (
 )
 
 // TestChaosReadersWritersCompactor is the delta race suite: concurrent
-// mutators, readers, a page adder, and the background compactor (seal,
-// size-tiered merge, and fold-back all firing) over a real S-Node base,
-// designed to run under -race (make test-delta-race). Writers own
-// disjoint source-page residue classes, so the final state is
-// deterministic and checked against a sequential reference after the
-// storm quiesces.
+// mutators, readers, a page adder, the background compactor (seal and
+// size-tiered merge firing) and a fold-back its owner calls mid-storm,
+// as a live replica's does, over a real S-Node base, designed to run
+// under -race (make test-delta-race). Writers own disjoint source-page
+// residue classes, so the final state is deterministic and checked
+// against a sequential reference after the storm quiesces.
 func TestChaosReadersWritersCompactor(t *testing.T) {
 	const (
 		pages      = 2000
@@ -63,15 +63,14 @@ func TestChaosReadersWritersCompactor(t *testing.T) {
 		Interval:    time.Millisecond,
 		SealBytes:   8 << 10,
 		MaxSegments: 2,
-		FoldEntries: 2200, // the storm writes ~3,900 records: fires mid-storm or on the first tick after it
-		Fold: delta.FoldConfig{
-			SNode:       cfg,
-			Dir:         t.TempDir(),
-			CacheBudget: 4 << 20,
-			Model:       iosim.Model2002(),
-		},
-		OnError: func(err error) { t.Errorf("compactor: %v", err) },
+		OnError:     func(err error) { t.Errorf("compactor: %v", err) },
 	})
+	foldCfg := delta.FoldConfig{
+		SNode:       cfg,
+		Dir:         t.TempDir(),
+		CacheBudget: 4 << 20,
+		Model:       iosim.Model2002(),
+	}
 
 	domains := map[string]bool{}
 	for _, p := range corpus.Pages {
@@ -197,19 +196,27 @@ func TestChaosReadersWritersCompactor(t *testing.T) {
 		}(r)
 	}
 
-	// Run the storm: mutators finish; readers keep reading until the
-	// compactor has folded the delta back at least once, so a fold-back
-	// provably overlaps live readers (the storm leaves more than
-	// FoldEntries records behind, so the next tick that gets past its
-	// merges folds); then readers are released and the compactor stops.
-	wgMut.Wait()
-	foldBy := time.Now().Add(60 * time.Second)
-	for o.DeltaStatsNow().Folds == 0 && !t.Failed() {
-		if time.Now().After(foldBy) {
-			t.Errorf("no fold-back within 60s of the last write: %+v", o.DeltaStatsNow())
-			break
+	// Folder: once 2,200 of the storm's ~3,900 records are in, fold the
+	// delta back into a fresh base — beside the writers still running,
+	// the compactor's seals and merges, and the readers, which are only
+	// released after it returns, so a fold-back provably overlaps them.
+	folded := make(chan struct{})
+	go func() {
+		defer close(folded)
+		for o.DeltaStatsNow().AppliedOps < 2200 && !t.Failed() {
+			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(5 * time.Millisecond)
+		if _, err := o.FoldBack(ctx, foldCfg); err != nil {
+			t.Errorf("fold-back: %v", err)
+		}
+	}()
+
+	// Run the storm: mutators finish, the fold-back returns, then readers
+	// are released and the compactor stops.
+	wgMut.Wait()
+	<-folded
+	if ds := o.DeltaStatsNow(); ds.Folds == 0 && !t.Failed() {
+		t.Errorf("no fold-back: %+v", ds)
 	}
 	stormOver.Store(true)
 	wgRead.Wait()

@@ -7,7 +7,6 @@
 package flatfile
 
 import (
-	"container/list"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -59,17 +58,8 @@ type Rep struct {
 	domains store.DomainRanges
 	pages   []webgraph.PageMeta
 
-	// chunk cache
-	budget  int64
-	used    int64
-	lru     *list.List
-	byChunk map[int64]*list.Element
-	loads   int64
-}
-
-type chunkEntry struct {
-	id   int64
-	data []byte
+	cache *iosim.LRU[[]byte] // chunks of the data file, by chunk number
+	loads int64
 }
 
 // Open maps the representation for querying. The page-ID offset index
@@ -110,9 +100,7 @@ func Open(c *webgraph.Corpus, dir string, layout []webgraph.PageID, cacheBudget 
 		total:   off,
 		domains: store.NewDomainRanges(c.Pages),
 		pages:   c.Pages,
-		budget:  cacheBudget,
-		lru:     list.New(),
-		byChunk: map[int64]*list.Element{},
+		cache:   iosim.NewLRU[[]byte](cacheBudget),
 	}, nil
 }
 
@@ -124,9 +112,8 @@ func (r *Rep) NumPages() int { return r.n }
 
 // chunk returns the cached chunk containing byte offset off.
 func (r *Rep) chunk(id int64) ([]byte, error) {
-	if el, ok := r.byChunk[id]; ok {
-		r.lru.MoveToFront(el)
-		return el.Value.(*chunkEntry).data, nil
+	if data, ok := r.cache.Get(id); ok {
+		return data, nil
 	}
 	data := make([]byte, chunkSize)
 	nRead, err := r.file.ReadAt(data, id*chunkSize)
@@ -135,16 +122,7 @@ func (r *Rep) chunk(id int64) ([]byte, error) {
 	}
 	data = data[:nRead]
 	r.loads++
-	for r.used+int64(len(data)) > r.budget && r.lru.Len() > 0 {
-		back := r.lru.Back()
-		e := back.Value.(*chunkEntry)
-		r.lru.Remove(back)
-		delete(r.byChunk, e.id)
-		r.used -= int64(len(e.data))
-	}
-	el := r.lru.PushFront(&chunkEntry{id: id, data: data})
-	r.byChunk[id] = el
-	r.used += int64(len(data))
+	r.cache.Put(id, data, int64(len(data)))
 	return data, nil
 }
 
@@ -189,7 +167,7 @@ func (r *Rep) OutFiltered(p webgraph.PageID, f *store.Filter, buf []webgraph.Pag
 	}
 	for k := 0; k < deg; k++ {
 		t := webgraph.PageID(binary.LittleEndian.Uint32(rec[4+4*k:]))
-		if store.FilterAccepts(f, t, r.domains, r.domainOf) {
+		if store.FilterAccepts(f, t, r.domainOf) {
 			buf = append(buf, t)
 		}
 	}
@@ -211,10 +189,7 @@ func (r *Rep) ResetStats() {
 
 // ResetCache implements store.CacheResetter.
 func (r *Rep) ResetCache(budget int64) {
-	r.budget = budget
-	r.used = 0
-	r.lru.Init()
-	r.byChunk = map[int64]*list.Element{}
+	r.cache.Reset(budget)
 	r.acc.Reset()
 	r.loads = 0
 }

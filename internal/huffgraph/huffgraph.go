@@ -99,7 +99,7 @@ func (r *Rep) OutFiltered(p webgraph.PageID, f *store.Filter, buf []webgraph.Pag
 		if err != nil {
 			return buf, err
 		}
-		if store.FilterAccepts(f, t, r.domains, r.domainOf) {
+		if store.FilterAccepts(f, t, r.domainOf) {
 			buf = append(buf, t)
 		}
 	}

@@ -25,11 +25,9 @@ import (
 // ExportOptions controls Export. The zero value writes an uncompressed
 // graph.txt.
 type ExportOptions struct {
-	// Gzip compresses the edge list (written as GraphName + ".gz"); the
-	// URL table and manifest stay plain so they remain inspectable.
+	// Gzip compresses the edge list (written as graph.txt.gz); the URL
+	// table and manifest stay plain so they remain inspectable.
 	Gzip bool
-	// GraphName is the edge-list base name (default "graph.txt").
-	GraphName string
 }
 
 // ExportResult reports what Export wrote.
@@ -52,10 +50,7 @@ func Export(c *webgraph.Corpus, dir string, opt ExportOptions) (*ExportResult, e
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ingest: export: %w", err)
 	}
-	name := opt.GraphName
-	if name == "" {
-		name = "graph.txt"
-	}
+	name := "graph.txt"
 	if opt.Gzip {
 		name += ".gz"
 	}

@@ -69,9 +69,19 @@ func Formats() []string { return []string{FormatSNAP, FormatTSV} }
 
 // Default sidecar file names probed next to the dataset.
 const (
+	// DefaultURLTable is the page-metadata sidecar
+	// (id\turl\tdomain[\tcomma-joined-terms] per line). When present it
+	// defines the node universe: every page in the table exists
+	// (isolated pages included), and an edge endpoint missing from the
+	// table is an error. Without one, ingestion of an ID-only graph
+	// synthesizes stable page URLs instead (see SynthesizeMeta).
 	DefaultURLTable = "urls.tsv"
 	DefaultManifest = "manifest.sha256"
 )
+
+// synthPagesPerDomain is the granularity of synthesized domains for
+// ID-only graphs, matching the synth generator.
+const synthPagesPerDomain = 1200
 
 // Options controls ingestion. The zero value ingests a SNAP file fully
 // in memory with synthesized URLs.
@@ -88,22 +98,11 @@ type Options struct {
 	// SpillDir holds the sorted runs; empty selects a temporary
 	// directory. Run files are deleted as the merge consumes them.
 	SpillDir string
-	// URLTable is the path of the page-metadata sidecar
-	// (id\turl\tdomain[\tcomma-joined-terms] per line). Empty probes
-	// for DefaultURLTable next to the dataset; ingestion of ID-only
-	// graphs synthesizes stable page URLs instead (see SynthesizeMeta).
-	// When a table is present it defines the node universe: every page
-	// in the table exists (isolated pages included), and an edge
-	// endpoint missing from the table is an error.
-	URLTable string
 	// Manifest is the path of a sha256sum-style checksum manifest.
 	// Empty probes for DefaultManifest next to the dataset; when found
 	// (or given), the dataset and URL-table bytes are verified against
 	// it and a mismatch aborts the ingest.
 	Manifest string
-	// PagesPerDomain sets the granularity of synthesized domains for
-	// ID-only graphs (default 1200, matching the synth generator).
-	PagesPerDomain int
 	// Metrics, when non-nil, receives ingest_* counters and spill
 	// gauges.
 	Metrics *metrics.Registry
@@ -154,10 +153,7 @@ func Ingest(ctx context.Context, path string, opt Options) (*synth.Crawl, *Stats
 	if err != nil {
 		return nil, nil, err
 	}
-	urlPath, err := resolveURLTable(path, opt.URLTable)
-	if err != nil {
-		return nil, nil, err
-	}
+	urlPath := probeURLTable(path)
 
 	st := &Stats{ChecksumVerified: man != nil}
 
@@ -208,11 +204,7 @@ func Ingest(ctx context.Context, path string, opt Options) (*synth.Crawl, *Stats
 	st.Edges = g.NumEdges()
 
 	if metas == nil {
-		ppd := opt.PagesPerDomain
-		if ppd <= 0 {
-			ppd = 1200
-		}
-		metas = SynthesizeMeta(len(ids), ppd)
+		metas = SynthesizeMeta(len(ids), synthPagesPerDomain)
 		st.SynthesizedMeta = true
 	}
 
@@ -301,18 +293,12 @@ func resolveManifest(dataset, explicit string) (manifest, error) {
 	return readManifestFile(path)
 }
 
-// resolveURLTable finds the page-metadata sidecar under the same
-// explicit-vs-probe rule.
-func resolveURLTable(dataset, explicit string) (string, error) {
-	if explicit != "" {
-		if _, err := os.Stat(explicit); err != nil {
-			return "", fmt.Errorf("ingest: url table: %w", err)
-		}
-		return explicit, nil
-	}
+// probeURLTable finds the page-metadata sidecar: DefaultURLTable next
+// to the dataset, or "" when there is none.
+func probeURLTable(dataset string) string {
 	probe := filepath.Join(filepath.Dir(dataset), DefaultURLTable)
 	if _, err := os.Stat(probe); err != nil {
-		return "", nil
+		return ""
 	}
-	return probe, nil
+	return probe
 }

@@ -67,13 +67,20 @@ type Stats struct {
 	SpillBytes int64
 }
 
-// ModeledTime converts the counters to simulated elapsed time under m.
-func (s Stats) ModeledTime(m Model) time.Duration {
-	t := time.Duration(s.Seeks+s.SpillOps) * m.Seek
+// cost is the model: positioning time for every seek plus transfer time
+// for every byte. One access is paced by it and a run's counters are
+// converted by it, so the two cannot drift apart.
+func (m Model) cost(seeks, bytes int64) time.Duration {
+	t := time.Duration(seeks) * m.Seek
 	if m.BytesPerSecond > 0 {
-		t += time.Duration(float64(s.BytesRead+s.SkippedBytes+s.SpillBytes) / m.BytesPerSecond * float64(time.Second))
+		t += time.Duration(float64(bytes) / m.BytesPerSecond * float64(time.Second))
 	}
 	return t
+}
+
+// ModeledTime converts the counters to simulated elapsed time under m.
+func (s Stats) ModeledTime(m Model) time.Duration {
+	return m.cost(s.Seeks+s.SpillOps, s.BytesRead+s.SkippedBytes+s.SpillBytes)
 }
 
 // Accountant tracks read patterns across a set of files belonging to
@@ -172,12 +179,11 @@ const paceMinSleep = int64(time.Millisecond)
 
 // record accounts one read of n bytes at off on the given file and
 // returns the paced stall the caller owes (zero when pacing is off)
-// plus whether the read was charged a seek (for trace attribution).
-func (a *Accountant) record(fileID int, off int64, n int) (time.Duration, bool) {
+// plus the seeks the read was charged, 0 or 1 (for trace attribution).
+func (a *Accountant) record(fileID int, off int64, n int) (pause time.Duration, seeks int64) {
 	a.mu.Lock()
 	a.stats.Reads++
 	a.stats.BytesRead += int64(n)
-	seeked := false
 	var skipped int64
 	end, ok := a.lastEnd[fileID]
 	switch {
@@ -189,22 +195,21 @@ func (a *Accountant) record(fileID int, off int64, n int) (time.Duration, bool) 
 		a.stats.SkippedBytes += skipped
 	default:
 		a.stats.Seeks++
-		seeked = true
+		seeks = 1
 	}
 	a.lastEnd[fileID] = off + int64(n)
-	var pause time.Duration
-	if a.pace > 0 {
-		d := time.Duration(0)
-		if seeked {
-			d += a.model.Seek
-		}
-		if a.model.BytesPerSecond > 0 {
-			d += time.Duration(float64(int64(n)+skipped) / a.model.BytesPerSecond * float64(time.Second))
-		}
-		pause = time.Duration(float64(d) * a.pace)
-	}
+	pause = a.pause(seeks, int64(n)+skipped)
 	a.mu.Unlock()
-	return pause, seeked
+	return pause, seeks
+}
+
+// pause is the stall one access owes under the current pace (zero when
+// pacing is off). Called with a.mu held.
+func (a *Accountant) pause(seeks, bytes int64) time.Duration {
+	if a.pace <= 0 {
+		return 0
+	}
+	return time.Duration(float64(a.model.cost(seeks, bytes)) * a.pace)
 }
 
 // stallCtx settles a paced charge: small charges pool in debt, and the
@@ -236,15 +241,12 @@ func (a *Accountant) stallCtx(ctx context.Context, d time.Duration) {
 			return
 		}
 		if a.debt.CompareAndSwap(cur, 0) {
-			traced := trace.Active(ctx)
-			var start time.Time
-			if traced || ctx.Done() != nil {
-				start = time.Now()
-			}
+			_, span := trace.Start(ctx, "iosim.stall")
 			slept := cur
 			if done := ctx.Done(); done == nil {
 				time.Sleep(time.Duration(cur))
 			} else {
+				start := time.Now()
 				timer := time.NewTimer(time.Duration(cur))
 				select {
 				case <-timer.C:
@@ -260,10 +262,8 @@ func (a *Accountant) stallCtx(ctx context.Context, d time.Duration) {
 			}
 			a.stalls.Add(1)
 			a.stallNanos.Add(slept)
-			if traced {
-				trace.RecordSpan(ctx, "iosim.stall", start, time.Since(start),
-					trace.Attr{Key: "pooled_ns", Val: slept})
-			}
+			span.SetAttr("pooled_ns", slept)
+			span.End()
 			trace.Add(ctx, trace.CtrStalls, 1)
 			trace.Add(ctx, trace.CtrStallNanos, slept)
 			return
@@ -287,33 +287,14 @@ func (a *Accountant) Scan(ctx context.Context, n int64) {
 	if a == nil {
 		return
 	}
-	traced := trace.Active(ctx)
-	var start time.Time
-	if traced {
-		start = time.Now()
-	}
-	a.mu.Lock()
-	a.stats.Reads++
-	a.stats.Seeks++
-	a.stats.BytesRead += n
-	var pause time.Duration
-	if a.pace > 0 {
-		d := a.model.Seek
-		if a.model.BytesPerSecond > 0 {
-			d += time.Duration(float64(n) / a.model.BytesPerSecond * float64(time.Second))
-		}
-		pause = time.Duration(float64(d) * a.pace)
-	}
-	a.mu.Unlock()
-	if traced {
-		trace.RecordSpan(ctx, "iosim.scan", start, time.Since(start),
-			trace.Attr{Key: "bytes", Val: n},
-			trace.Attr{Key: "paced_ns", Val: int64(pause)})
-		trace.Add(ctx, trace.CtrReads, 1)
-		trace.Add(ctx, trace.CtrBytesRead, n)
-		trace.Add(ctx, trace.CtrSeeks, 1)
-	}
-	a.stallCtx(ctx, pause)
+	trace.Add(ctx, trace.CtrReads, 1)
+	trace.Add(ctx, trace.CtrBytesRead, n)
+	trace.Add(ctx, trace.CtrSeeks, 1)
+	a.sweep(ctx, "iosim.scan", n, func(st *Stats) {
+		st.Reads++
+		st.Seeks++
+		st.BytesRead += n
+	})
 }
 
 // Spill accounts one modeled spill transfer of n bytes — a sorted-run
@@ -327,28 +308,24 @@ func (a *Accountant) Spill(ctx context.Context, n int64) {
 	if a == nil {
 		return
 	}
-	traced := trace.Active(ctx)
-	var start time.Time
-	if traced {
-		start = time.Now()
-	}
+	a.sweep(ctx, "iosim.spill", n, func(st *Stats) {
+		st.SpillOps++
+		st.SpillBytes += n
+	})
+}
+
+// sweep is the body Scan and Spill share: count the transfer, record it
+// as a span named name on a traced ctx, and stall the caller for one
+// seek plus n bytes under the current pace.
+func (a *Accountant) sweep(ctx context.Context, name string, n int64, count func(*Stats)) {
+	_, span := trace.Start(ctx, name)
 	a.mu.Lock()
-	a.stats.SpillOps++
-	a.stats.SpillBytes += n
-	var pause time.Duration
-	if a.pace > 0 {
-		d := a.model.Seek
-		if a.model.BytesPerSecond > 0 {
-			d += time.Duration(float64(n) / a.model.BytesPerSecond * float64(time.Second))
-		}
-		pause = time.Duration(float64(d) * a.pace)
-	}
+	count(&a.stats)
+	pause := a.pause(1, n)
 	a.mu.Unlock()
-	if traced {
-		trace.RecordSpan(ctx, "iosim.spill", start, time.Since(start),
-			trace.Attr{Key: "bytes", Val: n},
-			trace.Attr{Key: "paced_ns", Val: int64(pause)})
-	}
+	span.SetAttr("bytes", n)
+	span.SetAttr("paced_ns", int64(pause))
+	span.End()
 	a.stallCtx(ctx, pause)
 }
 
@@ -383,34 +360,26 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 // carries an execution trace, the read records an "iosim.read" span
 // (bytes, whether a seek was charged, the paced cost) and bumps the
 // per-request I/O counters; any paced stall it triggers becomes an
-// "iosim.stall" span. Untraced contexts add a nil check and nothing
-// else.
+// "iosim.stall" span. Untraced contexts add two context lookups and
+// nothing else.
 func (f *File) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, error) {
-	traced := trace.Active(ctx)
-	var start time.Time
-	if traced {
-		start = time.Now()
-	}
+	_, span := trace.Start(ctx, "iosim.read")
 	n, err := f.f.ReadAt(p, off)
-	if n > 0 {
-		pause, seeked := f.acc.record(f.id, off, n)
-		if traced {
-			seek := int64(0)
-			if seeked {
-				seek = 1
-			}
-			trace.RecordSpan(ctx, "iosim.read", start, time.Since(start),
-				trace.Attr{Key: "bytes", Val: int64(n)},
-				trace.Attr{Key: "seek", Val: seek},
-				trace.Attr{Key: "paced_ns", Val: int64(pause)})
-			trace.Add(ctx, trace.CtrReads, 1)
-			trace.Add(ctx, trace.CtrBytesRead, int64(n))
-			if seeked {
-				trace.Add(ctx, trace.CtrSeeks, 1)
-			}
-		}
-		f.acc.stallCtx(ctx, pause)
+	if n <= 0 {
+		span.End()
+		return n, err
 	}
+	pause, seeks := f.acc.record(f.id, off, n)
+	if trace.Active(ctx) {
+		span.SetAttr("bytes", int64(n))
+		span.SetAttr("seek", seeks)
+		span.SetAttr("paced_ns", int64(pause))
+		trace.Add(ctx, trace.CtrReads, 1)
+		trace.Add(ctx, trace.CtrBytesRead, int64(n))
+		trace.Add(ctx, trace.CtrSeeks, seeks)
+	}
+	span.End()
+	f.acc.stallCtx(ctx, pause)
 	return n, err
 }
 

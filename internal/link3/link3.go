@@ -14,7 +14,6 @@
 package link3
 
 import (
-	"container/list"
 	"fmt"
 	"path/filepath"
 
@@ -85,19 +84,10 @@ type Rep struct {
 	domains store.DomainRanges
 	pages   []webgraph.PageMeta
 
-	budget  int64
-	used    int64
-	lru     *list.List
-	byBlock map[int]*list.Element
+	cache   *iosim.LRU[refenc.Lists] // decoded blocks, by block number
 	loads   int64
 	decoded int64 // edges decoded (block granularity)
 	readBuf []byte
-}
-
-type blockEntry struct {
-	id    int
-	lists refenc.Lists
-	size  int64
 }
 
 // Open loads the block directory and prepares the cache.
@@ -130,9 +120,7 @@ func Open(c *webgraph.Corpus, dir string, cacheBudget int64, model iosim.Model) 
 		offsets: offsets,
 		domains: store.NewDomainRanges(c.Pages),
 		pages:   c.Pages,
-		budget:  cacheBudget,
-		lru:     list.New(),
-		byBlock: map[int]*list.Element{},
+		cache:   iosim.NewLRU[refenc.Lists](cacheBudget),
 	}, nil
 }
 
@@ -144,9 +132,8 @@ func (r *Rep) NumPages() int { return r.n }
 
 // block returns the decoded block bid, loading it if needed.
 func (r *Rep) block(bid int) (refenc.Lists, error) {
-	if el, ok := r.byBlock[bid]; ok {
-		r.lru.MoveToFront(el)
-		return el.Value.(*blockEntry).lists, nil
+	if lists, ok := r.cache.Get(int64(bid)); ok {
+		return lists, nil
 	}
 	nBytes := int(r.offsets[bid+1] - r.offsets[bid])
 	if cap(r.readBuf) < nBytes {
@@ -166,17 +153,7 @@ func (r *Rep) block(bid int) (refenc.Lists, error) {
 	}
 	r.loads++
 	r.decoded += int64(len(lists.IDs))
-	size := lists.MemSize()
-	for r.used+size > r.budget && r.lru.Len() > 0 {
-		back := r.lru.Back()
-		e := back.Value.(*blockEntry)
-		r.lru.Remove(back)
-		delete(r.byBlock, e.id)
-		r.used -= e.size
-	}
-	el := r.lru.PushFront(&blockEntry{id: bid, lists: lists, size: size})
-	r.byBlock[bid] = el
-	r.used += size
+	r.cache.Put(int64(bid), lists, lists.MemSize())
 	return lists, nil
 }
 
@@ -195,7 +172,7 @@ func (r *Rep) OutFiltered(p webgraph.PageID, f *store.Filter, buf []webgraph.Pag
 		return buf, err
 	}
 	for _, t := range lists.At(int(p) % BlockSize) {
-		if store.FilterAccepts(f, t, r.domains, r.domainOf) {
+		if store.FilterAccepts(f, t, r.domainOf) {
 			buf = append(buf, t)
 		}
 	}
@@ -222,10 +199,7 @@ func (r *Rep) DecodedEdges() int64 { return r.decoded }
 
 // ResetCache drops decoded blocks and sets a new budget.
 func (r *Rep) ResetCache(budget int64) {
-	r.budget = budget
-	r.used = 0
-	r.lru.Init()
-	r.byBlock = map[int]*list.Element{}
+	r.cache.Reset(budget)
 	r.acc.Reset()
 	r.loads = 0
 	r.decoded = 0

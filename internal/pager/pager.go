@@ -10,7 +10,6 @@
 package pager
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"os"
@@ -36,19 +35,12 @@ type Pager struct {
 	mem     [][]byte
 	builder bool
 
-	// read-only mode; mu guards the pool (frames, lru, maxFr, loads).
+	// read-only mode; mu guards the pool (counted in frames) and loads.
 	mu     sync.Mutex
 	file   *iosim.File
 	nPages int64
-	frames map[int64]*list.Element
-	lru    *list.List
-	maxFr  int
+	pool   *iosim.LRU[[]byte]
 	loads  int64
-}
-
-type frame struct {
-	no   int64
-	data []byte
 }
 
 // Create opens a new page file in build mode. The file is written on
@@ -88,22 +80,15 @@ func (p *Pager) Page(no int64) ([]byte, error) {
 	// within one pager.)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if el, ok := p.frames[no]; ok {
-		p.lru.MoveToFront(el)
-		return el.Value.(*frame).data, nil
+	if data, ok := p.pool.Get(no); ok {
+		return data, nil
 	}
 	data := make([]byte, PageSize)
 	if _, err := p.file.ReadAt(data, no*PageSize); err != nil {
 		return nil, err
 	}
 	p.loads++
-	for p.lru.Len() >= p.maxFr && p.lru.Len() > 0 {
-		back := p.lru.Back()
-		p.lru.Remove(back)
-		delete(p.frames, back.Value.(*frame).no)
-	}
-	el := p.lru.PushFront(&frame{no: no, data: data})
-	p.frames[no] = el
+	p.pool.Put(no, data, 1)
 	return data, nil
 }
 
@@ -129,18 +114,14 @@ func (p *Pager) ResetLoads() {
 	p.loads = 0
 }
 
-// ResetPool empties the buffer pool and optionally resizes it.
+// ResetPool empties the buffer pool and resizes it to maxFrames pages.
 func (p *Pager) ResetPool(maxFrames int) {
 	if p.builder {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if maxFrames > 0 {
-		p.maxFr = maxFrames
-	}
-	p.frames = map[int64]*list.Element{}
-	p.lru.Init()
+	p.pool.Reset(int64(maxFrames))
 	p.loads = 0
 }
 
@@ -182,14 +163,9 @@ func OpenReadOnly(path string, acc *iosim.Accountant, maxFrames int) (*Pager, er
 		f.Close()
 		return nil, fmt.Errorf("pager: %s size %d not page-aligned", path, size)
 	}
-	if maxFrames < 1 {
-		maxFrames = 1
-	}
 	return &Pager{
 		file:   f,
 		nPages: size / PageSize,
-		frames: map[int64]*list.Element{},
-		lru:    list.New(),
-		maxFr:  maxFrames,
+		pool:   iosim.NewLRU[[]byte](int64(maxFrames)),
 	}, nil
 }

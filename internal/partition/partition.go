@@ -59,32 +59,10 @@ type Config struct {
 	// AbortMaxFrac sets abortmax as a fraction of the element count
 	// (paper: 6%); used when Stopping == StopAbortMax.
 	AbortMaxFrac float64
-	// MaxURLDepth is the deepest directory level URL split uses
-	// (paper: 3).
-	MaxURLDepth int
 	// MinSplitSize: elements smaller than this are never split (they
 	// count as clustered-split aborts, matching the paper's "unable to
 	// further split").
 	MinSplitSize int
-	// KMeansMaxIter bounds each k-means run (stands in for the paper's
-	// wall-clock bound).
-	KMeansMaxIter int
-	// KMeansAttempts is how many times clustered split retries with
-	// k+2 before aborting (paper: "a fixed number of attempts").
-	KMeansAttempts int
-	// MaxClusterK aborts clustered split outright when the initial k
-	// (the element's supernode out-degree) exceeds this bound — the
-	// analog of the paper's wall-clock bound, which k-means with very
-	// large k would always exceed.
-	MaxClusterK int
-	// SplitQuality is the maximum WithinSS/TotalSS ratio a clustered
-	// split may have to be accepted: a split that barely reduces
-	// scatter is chunking one homogeneous cloud, not discovering
-	// adjacency-list structure, and is treated as an abort.
-	SplitQuality float64
-	// MaxIterations is a safety cap on refinement iterations (elements
-	// examined, across all rounds).
-	MaxIterations int
 	// Workers is the refinement parallelism: each round's splittable
 	// elements are examined concurrently on a workpool of this width.
 	// <= 0 selects runtime.GOMAXPROCS(0). The result is identical for
@@ -107,23 +85,41 @@ type Config struct {
 // experiments.
 func DefaultConfig() Config {
 	return Config{
-		Seed:           1,
-		AbortMaxFrac:   0.06,
-		MaxURLDepth:    3,
-		MinSplitSize:   256,
-		KMeansMaxIter:  30,
-		KMeansAttempts: 3,
-		MaxClusterK:    8,
-		SplitQuality:   0.65,
+		Seed:         1,
+		AbortMaxFrac: 0.06,
+		MinSplitSize: 256,
 	}
 }
+
+// The guards on the two splits. Nothing has ever run with other values,
+// and every artifact's bytes depend on them.
+const (
+	// maxURLDepth is the deepest directory level URL split uses
+	// (paper: 3).
+	maxURLDepth = 3
+	// kMeansMaxIter bounds each k-means run (stands in for the paper's
+	// wall-clock bound).
+	kMeansMaxIter = 30
+	// kMeansAttempts is how many times clustered split retries with
+	// k+2 before aborting (paper: "a fixed number of attempts").
+	kMeansAttempts = 3
+	// maxClusterK caps the initial k (the element's supernode
+	// out-degree) — the analog of the paper's wall-clock bound, which
+	// k-means with very large k would always exceed.
+	maxClusterK = 8
+	// splitQuality is the maximum WithinSS/TotalSS ratio a clustered
+	// split may have to be accepted: a split that barely reduces
+	// scatter is chunking one homogeneous cloud, not discovering
+	// adjacency-list structure, and is treated as an abort.
+	splitQuality = 0.65
+)
 
 // Element is one member of a partition: a set of pages from a single
 // domain.
 type Element struct {
 	Pages []webgraph.PageID // sorted ascending
 	// depth is the URL-prefix depth the NEXT URL split should use;
-	// clusterOnly marks elements past MaxURLDepth.
+	// clusterOnly marks elements past maxURLDepth.
 	depth       int
 	clusterOnly bool
 }
@@ -251,7 +247,7 @@ func trySplit(ctx context.Context, c *webgraph.Corpus, p *Partition, ei int, cfg
 	// shallow crawl of a domain still separates into its top-level
 	// directories. Only clustered split is size-gated below.
 	if !e.clusterOnly {
-		if groups := urlSplit(c, e, cfg.MaxURLDepth); groups != nil {
+		if groups := urlSplit(c, e); groups != nil {
 			return splitResult{groups: groups, url: true}
 		}
 		// No useful prefix remains; fall through to clustered split.
@@ -300,10 +296,8 @@ func RefineCtx(ctx context.Context, c *webgraph.Corpus, cfg Config) (*Partition,
 	ctx, span := trace.Start(ctx, "refine")
 	defer span.End()
 	p := InitialByDomain(c)
-	maxIter := cfg.MaxIterations
-	if maxIter <= 0 {
-		maxIter = 200 * (1 + c.Graph.NumPages()/cfg.MinSplitSize)
-	}
+	// A safety cap on elements examined, across all rounds.
+	maxIter := 200 * (1 + c.Graph.NumPages()/cfg.MinSplitSize)
 	var (
 		mRounds, mURL, mClustered, mAborts, mSplit *metrics.Counter
 		mElements                                  *metrics.Gauge
@@ -412,11 +406,11 @@ func RefineCtx(ctx context.Context, c *webgraph.Corpus, cfg Config) (*Partition,
 
 // urlSplit groups the element's pages by URL prefix, starting at the
 // element's next depth and deepening until some depth separates the
-// pages (or maxDepth is exhausted). It returns nil when no prefix up to
-// maxDepth splits the element; otherwise the resulting groups, each
+// pages (or maxURLDepth is exhausted). It returns nil when no prefix up to
+// maxURLDepth splits the element; otherwise the resulting groups, each
 // tagged with the depth to use next.
-func urlSplit(c *webgraph.Corpus, e *Element, maxDepth int) []Element {
-	for depth := e.depth; depth <= maxDepth; depth++ {
+func urlSplit(c *webgraph.Corpus, e *Element) []Element {
+	for depth := e.depth; depth <= maxURLDepth; depth++ {
 		groups := map[string][]webgraph.PageID{}
 		var order []string
 		for _, pg := range e.Pages {
@@ -437,7 +431,7 @@ func urlSplit(c *webgraph.Corpus, e *Element, maxDepth int) []Element {
 			out = append(out, Element{
 				Pages:       pages,
 				depth:       depth + 1,
-				clusterOnly: depth+1 > maxDepth,
+				clusterOnly: depth+1 > maxURLDepth,
 			})
 		}
 		return out
@@ -477,8 +471,8 @@ func clusteredSplit(c *webgraph.Corpus, p *Partition, ei int, cfg Config, rng *r
 	// The paper bounds each k-means run by wall-clock time; with very
 	// large k the bound is always exceeded, so in practice k is capped
 	// by what the budget affords.
-	if cfg.MaxClusterK > 0 && k > cfg.MaxClusterK {
-		k = cfg.MaxClusterK
+	if k > maxClusterK {
+		k = maxClusterK
 	}
 	if k > len(e.Pages)/2 {
 		k = len(e.Pages) / 2
@@ -487,10 +481,10 @@ func clusteredSplit(c *webgraph.Corpus, p *Partition, ei int, cfg Config, rng *r
 	if minChild < 2 {
 		minChild = 2
 	}
-	for attempt := 0; attempt < cfg.KMeansAttempts; attempt++ {
+	for attempt := 0; attempt < kMeansAttempts; attempt++ {
 		res, err := kmeans.Run(points, kmeans.Config{
 			K:             k + 2*attempt,
-			MaxIterations: cfg.KMeansMaxIter,
+			MaxIterations: kMeansMaxIter,
 			Seed:          rng.Uint64(),
 		})
 		if err == kmeans.ErrDegenerate {
@@ -505,8 +499,7 @@ func clusteredSplit(c *webgraph.Corpus, p *Partition, ei int, cfg Config, rng *r
 		if res.NumClusters < 2 {
 			return nil
 		}
-		if cfg.SplitQuality > 0 && res.TotalSS > 0 &&
-			res.WithinSS > cfg.SplitQuality*res.TotalSS {
+		if res.TotalSS > 0 && res.WithinSS > splitQuality*res.TotalSS {
 			return nil // no real cluster structure at this granularity
 		}
 		out := make([]Element, res.NumClusters)

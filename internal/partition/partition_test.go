@@ -179,7 +179,7 @@ func TestURLSplitDepthProgression(t *testing.T) {
 	e := Element{Pages: []webgraph.PageID{0, 1, 2, 3, 4, 5}, depth: 0}
 	// Depth 0 (host) cannot split a single-host element; depth 1 must
 	// produce the /a vs /b groups.
-	groups := urlSplit(c, &e, 3)
+	groups := urlSplit(c, &e)
 	if groups == nil {
 		t.Fatal("urlSplit failed")
 	}
@@ -188,7 +188,7 @@ func TestURLSplitDepthProgression(t *testing.T) {
 	}
 	// Splitting group /b at depth 2 separates /b/r from /b/s.
 	gb := groups[1]
-	sub := urlSplit(c, &gb, 3)
+	sub := urlSplit(c, &gb)
 	if sub == nil || len(sub) != 2 {
 		t.Fatalf("depth-2 split of /b gave %v", sub)
 	}
@@ -206,7 +206,7 @@ func TestURLSplitExhaustedReturnsNil(t *testing.T) {
 	}
 	c := &webgraph.Corpus{Graph: b.Build(), Pages: pages}
 	e := Element{Pages: []webgraph.PageID{0, 1}, depth: 0}
-	if g := urlSplit(c, &e, 3); g != nil {
+	if g := urlSplit(c, &e); g != nil {
 		t.Fatalf("same-prefix pages split: %v", g)
 	}
 }

@@ -85,8 +85,6 @@ type Config struct {
 	// DefaultDeadline is applied to requests that do not send
 	// ?deadline_ms (0 = no default deadline).
 	DefaultDeadline time.Duration
-	// MaxDeadline clamps client-requested deadlines (default 30s).
-	MaxDeadline time.Duration
 	// Registry, when set, receives the serving metrics: the admission
 	// counters under "admission_*" and per-class end-to-end latency
 	// histograms serve_latency_nav / serve_latency_mining.
@@ -109,7 +107,6 @@ type Server struct {
 	navEng          *query.Engine // /out engine (== eng unless Config.NavEngine)
 	ctrl            *admission.Controller
 	defaultDeadline time.Duration
-	maxDeadline     time.Duration
 	shard           *ShardInfo
 	tracer          *trace.Tracer
 
@@ -121,9 +118,6 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.Engine == nil {
 		return nil, fmt.Errorf("serve: Config.Engine is required")
-	}
-	if cfg.MaxDeadline <= 0 {
-		cfg.MaxDeadline = 30 * time.Second
 	}
 	ctrl, err := admission.New(admission.Config{
 		MaxConcurrent: cfg.MaxConcurrent,
@@ -139,7 +133,6 @@ func New(cfg Config) (*Server, error) {
 		eng:             cfg.Engine.Shared(),
 		ctrl:            ctrl,
 		defaultDeadline: cfg.DefaultDeadline,
-		maxDeadline:     cfg.MaxDeadline,
 		shard:           cfg.Shard,
 		tracer:          cfg.Tracer,
 	}
@@ -184,7 +177,7 @@ func (s *Server) Handler() http.Handler {
 }
 
 // deadlineCtx derives the request's execution context: the client's
-// ?deadline_ms clamped to MaxDeadline, else the server default, else
+// ?deadline_ms clamped to maxDeadline, else the server default, else
 // the bare request context (which still dies when the client hangs
 // up — http.Server cancels it).
 func (s *Server) deadlineCtx(r *http.Request) (context.Context, context.CancelFunc, error) {
@@ -197,8 +190,8 @@ func (s *Server) deadlineCtx(r *http.Request) (context.Context, context.CancelFu
 		}
 		d = time.Duration(ms) * time.Millisecond
 	}
-	if d > s.maxDeadline {
-		d = s.maxDeadline
+	if d > maxDeadline {
+		d = maxDeadline
 	}
 	if d <= 0 {
 		return ctx, func() {}, nil
@@ -290,6 +283,60 @@ type OutResponse struct {
 	Neighbors []webgraph.PageID `json:"neighbors"`
 }
 
+// maxDeadline clamps client-requested deadlines.
+const maxDeadline = 30 * time.Second
+
+// admitted is the lifecycle /out and /query share once their parameters
+// have parsed: deadline, cross-process trace, admission slot, end-to-end
+// latency sample, run, then the body — or 429 for a request not served
+// to completion and 500 for an engine failure. run gets the admission
+// wait, for the trace an engine starts itself.
+func (s *Server) admitted(w http.ResponseWriter, r *http.Request, start time.Time, class string, hist *metrics.Histogram,
+	run func(ctx context.Context, wait time.Duration) (any, error)) {
+	ctx, cancel, err := s.deadlineCtx(r)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	defer cancel()
+	ctx, forced := s.startRemote(ctx, r, class)
+	defer s.finishRemote(w, &forced)
+	// The forced trace is open across the admission wait, so the stitched
+	// subtree shows queueing as its own span (engine-sampled traces start
+	// later and get only the root attribute).
+	_, span := trace.Start(ctx, "serve.admission")
+	acqStart := time.Now()
+	release, err := s.ctrl.Acquire(ctx, class)
+	wait := time.Since(acqStart)
+	span.End()
+	if err != nil {
+		s.finishRemote(w, &forced)
+		s.writeShed(w, class, err)
+		return
+	}
+	defer release()
+	forced.SetAttr("admission_wait_ns", int64(wait))
+	if hist != nil {
+		// Every admitted request observes its end-to-end latency, not
+		// just the ones that complete: a request shed mid-query or
+		// failing in the engine occupied a slot for exactly this long,
+		// and dropping those samples biases the reported p99 at the knee.
+		defer func() { hist.ObserveDuration(time.Since(start)) }()
+	}
+	body, err := run(ctx, wait)
+	s.finishRemote(w, &forced)
+	if err != nil {
+		if isShed(err) {
+			s.writeShed(w, class, err)
+			return
+		}
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(body)
+}
+
 // handleOut serves the navigation class: one page's out-adjacency, in
 // canonical ascending page-ID order (the order is part of the contract
 // so the router's boundary merge reproduces a single-node response
@@ -305,60 +352,27 @@ func (s *Server) handleOut(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("bad page %q", raw), http.StatusBadRequest)
 		return
 	}
-	ctx, cancel, err := s.deadlineCtx(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if n := s.navEng.R.Fwd[s.navEng.Scheme].NumPages(); page >= int64(n) {
+		// Refused here, as the router refuses it from its manifest: past
+		// this point it would take a slot and a latency sample to fail.
+		http.Error(w, fmt.Sprintf("page %d not in corpus (%d pages)", page, n), http.StatusNotFound)
 		return
 	}
-	defer cancel()
-	ctx, forced := s.startRemote(ctx, r, ClassNav)
-	defer s.finishRemote(w, &forced)
-	acqStart := time.Now()
-	release, err := s.ctrl.Acquire(ctx, ClassNav)
-	if err != nil {
-		s.finishRemote(w, &forced)
-		s.writeShed(w, ClassNav, err)
-		return
-	}
-	wait := time.Since(acqStart)
-	defer release()
-	if trace.Active(ctx) {
-		// The forced trace is open across the admission wait, so the
-		// stitched subtree shows queueing as its own span (engine-
-		// sampled traces start later and get only the root attribute).
-		trace.RecordSpan(ctx, "serve.admission", acqStart, wait)
-	}
-	if s.navHist != nil {
-		// Every admitted request observes its end-to-end latency, not
-		// just the ones that complete: a request shed mid-query or
-		// failing in the engine occupied a slot for exactly this long,
-		// and dropping those samples biases the reported p99 at the knee.
-		defer func() { s.navHist.ObserveDuration(time.Since(start)) }()
-	}
-	neighbors, tr, err := s.navEng.Neighbors(ctx, webgraph.PageID(page))
-	if tr == nil {
-		tr = forced // cross-process trace: the engine composed into it
-	}
-	if tr != nil {
-		// The trace starts inside the engine, after the admission wait
-		// has already elapsed; attribute it on the root after the fact.
+	s.admitted(w, r, start, ClassNav, s.navHist, func(ctx context.Context, wait time.Duration) (any, error) {
+		neighbors, tr, err := s.navEng.Neighbors(ctx, webgraph.PageID(page))
+		// A trace the engine sampled starts inside it, after the admission
+		// wait has already elapsed; attribute it on the root after the
+		// fact (nil when unsampled, or composed into the forced trace).
 		tr.SetAttr("admission_wait_ns", int64(wait))
-	}
-	s.finishRemote(w, &forced)
-	if err != nil {
-		if isShed(err) {
-			s.writeShed(w, ClassNav, err)
-			return
+		if err != nil {
+			return nil, err
 		}
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	if neighbors == nil {
-		neighbors = []webgraph.PageID{}
-	}
-	sort.Slice(neighbors, func(i, j int) bool { return neighbors[i] < neighbors[j] })
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(OutResponse{Page: webgraph.PageID(page), Neighbors: neighbors})
+		if neighbors == nil {
+			neighbors = []webgraph.PageID{}
+		}
+		sort.Slice(neighbors, func(i, j int) bool { return neighbors[i] < neighbors[j] })
+		return OutResponse{Page: webgraph.PageID(page), Neighbors: neighbors}, nil
+	})
 }
 
 // QueryResponse is the /query body.
@@ -390,55 +404,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	partial := r.URL.Query().Get("partial") == "1"
-	ctx, cancel, err := s.deadlineCtx(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	defer cancel()
-	ctx, forced := s.startRemote(ctx, r, ClassMining)
-	defer s.finishRemote(w, &forced)
-	acqStart := time.Now()
-	release, err := s.ctrl.Acquire(ctx, ClassMining)
-	if err != nil {
-		s.finishRemote(w, &forced)
-		s.writeShed(w, ClassMining, err)
-		return
-	}
-	wait := time.Since(acqStart)
-	defer release()
-	if trace.Active(ctx) {
-		trace.RecordSpan(ctx, "serve.admission", acqStart, wait)
-	}
-	if forced != nil {
-		forced.SetAttr("admission_wait_ns", int64(wait))
-	}
-	if s.miningHist != nil {
-		// See handleOut: every admitted request observes latency,
-		// whether it completes, errors, or is shed mid-query.
-		defer func() { s.miningHist.ObserveDuration(time.Since(start)) }()
-	}
-	// The plan runs under a pprof label, so a CPU profile of a serving
-	// process splits by query class (go tool pprof -tagfocus query=q3):
-	// one label set per request, inherited by any goroutine the plan
-	// starts. /out carries none — its hit path is too short to pay for
-	// one.
-	var body any
-	q := query.ID(qn)
-	pprof.Do(ctx, pprof.Labels("query", q.Class()), func(ctx context.Context) {
-		body, err = s.runQuery(ctx, q, partial, wait)
+	s.admitted(w, r, start, ClassMining, s.miningHist, func(ctx context.Context, wait time.Duration) (body any, err error) {
+		// The plan runs under a pprof label, so a CPU profile of a serving
+		// process splits by query class (go tool pprof -tagfocus query=q3):
+		// one label set per request, inherited by any goroutine the plan
+		// starts. /out carries none — its hit path is too short to pay for
+		// one.
+		q := query.ID(qn)
+		pprof.Do(ctx, pprof.Labels("query", q.Class()), func(ctx context.Context) {
+			body, err = s.runQuery(ctx, q, partial, wait)
+		})
+		return body, err
 	})
-	s.finishRemote(w, &forced)
-	if err != nil {
-		if isShed(err) {
-			s.writeShed(w, ClassMining, err)
-			return
-		}
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(body)
 }
 
 // runQuery executes q and shapes the response body: the final rows, or

@@ -268,6 +268,45 @@ func TestOutRejectsNegativePage(t *testing.T) {
 	}
 }
 
+// TestOutRejectsPagePastTheCorpus: a page ID at or past NumPages is not
+// in the corpus, and is refused 404 — the router's answer to the same
+// request — before the request costs anything: it used to take an
+// admission slot and a serve_latency_nav sample on its way to the
+// reader's out-of-range error and a 500.
+func TestOutRejectsPagePastTheCorpus(t *testing.T) {
+	reg := metrics.NewRegistry()
+	s, ts := newTestServer(t, Config{Registry: reg})
+	_, crawl := getRepo(t)
+	n := crawl.Corpus.Graph.NumPages()
+	for _, page := range []int{n, n + 1, 2000000000} {
+		resp, err := http.Get(fmt.Sprintf("%s/out?page=%d", ts.URL, page))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("/out?page=%d of %d pages: status %d, want 404", page, n, resp.StatusCode)
+		}
+	}
+	if st := s.Admission().Stats()[ClassNav]; st.Offered != 0 {
+		t.Errorf("refused requests reached admission: %+v", st)
+	}
+	if h := reg.Snapshot().Histograms["serve_latency_nav"]; h.Count != 0 {
+		t.Errorf("serve_latency_nav count = %d after refused requests, want 0", h.Count)
+	}
+	// The last page is still served.
+	resp, err := http.Get(fmt.Sprintf("%s/out?page=%d", ts.URL, n-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("/out?page=%d (the last page): status %d, want 200", n-1, resp.StatusCode)
+	}
+}
+
 // TestLatencyObservedOnShed is the latency-bias regression test: an
 // ADMITTED request that is shed mid-query (deadline fires inside the
 // engine) still occupied an execution slot end-to-end, and its latency

@@ -24,15 +24,14 @@ type MergedStore struct {
 	base     store.LinkStore
 	baseCtx  store.ContextLinkStore // non-nil when base provides it
 	boundary *Boundary
-	domains  store.DomainRanges
 	domainOf func(webgraph.PageID) string
 }
 
-// NewMergedStore overlays boundary on base. domains/domainOf supply
-// the metadata OutFiltered needs to filter boundary targets the same
-// way the base store filters decoded lists.
-func NewMergedStore(base store.LinkStore, b *Boundary, domains store.DomainRanges, domainOf func(webgraph.PageID) string) *MergedStore {
-	m := &MergedStore{base: base, boundary: b, domains: domains, domainOf: domainOf}
+// NewMergedStore overlays boundary on base. domainOf supplies the
+// metadata OutFiltered needs to filter boundary targets the same way
+// the base store filters decoded lists.
+func NewMergedStore(base store.LinkStore, b *Boundary, domainOf func(webgraph.PageID) string) *MergedStore {
+	m := &MergedStore{base: base, boundary: b, domainOf: domainOf}
 	m.baseCtx, _ = base.(store.ContextLinkStore)
 	return m
 }
@@ -46,7 +45,7 @@ func (m *MergedStore) NumPages() int { return m.base.NumPages() }
 // appendBoundary adds p's boundary targets passing f to buf.
 func (m *MergedStore) appendBoundary(p webgraph.PageID, f *store.Filter, buf []webgraph.PageID) []webgraph.PageID {
 	for _, t := range m.boundary.Out(p) {
-		if store.FilterAccepts(f, t, m.domains, m.domainOf) {
+		if store.FilterAccepts(f, t, m.domainOf) {
 			buf = append(buf, t)
 		}
 	}

@@ -85,20 +85,19 @@ func OpenServing(root string, id int, cacheBudget int64, model iosim.Model) (*Se
 		fwdBase.Close()
 		return nil, err
 	}
-	domains := store.NewDomainRanges(pages)
 	domainOf := func(p webgraph.PageID) string { return pages[p].Domain }
 	nav := &repo.Repository{
 		Corpus:   meta.Corpus,
 		Text:     textindex.Build(pages),
 		PageRank: pr,
-		Domains:  domains,
+		Domains:  store.NewDomainRanges(pages),
 		Model:    model,
 		Fwd:      map[string]store.LinkStore{repo.SchemeSNode: fwdBase},
 		Rev:      map[string]store.LinkStore{repo.SchemeSNode: revBase},
 	}
 	merged := nav.WithStores(repo.SchemeSNode,
-		NewMergedStore(fwdBase, bfwd, domains, domainOf),
-		NewMergedStore(revBase, brev, domains, domainOf))
+		NewMergedStore(fwdBase, bfwd, domainOf),
+		NewMergedStore(revBase, brev, domainOf))
 	return &ServingShard{ID: id, Manifest: m, Repo: merged, NavRepo: nav}, nil
 }
 

@@ -349,7 +349,7 @@ func TestShardBuildCarriesCodec(t *testing.T) {
 			if err != nil {
 				t.Fatalf("shard %d %s: %v", s, sub, err)
 			}
-			cs := logRep.Codecs()
+			cs := logRep.BuildStats().Codecs
 			if len(cs) != 1 || cs[0].Name != snode.CodecLog {
 				t.Fatalf("shard %d %s: codec composition %+v, want pure log", s, sub, cs)
 			}

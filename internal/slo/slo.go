@@ -53,19 +53,19 @@ type Objective struct {
 type Config struct {
 	// Window is the rolling evaluation window (default 60s).
 	Window time.Duration
-	// MaxSamples bounds the snapshot history (default 128). With
-	// samples every few seconds that comfortably covers the window.
-	MaxSamples int
 	// Objectives are the per-class objectives to evaluate.
 	Objectives []Objective
 }
+
+// maxSamples bounds the snapshot history. With samples every few
+// seconds that comfortably covers the window.
+const maxSamples = 128
 
 // Scoreboard accumulates timestamped cumulative snapshots and
 // evaluates the objectives over the most recent window. Safe for
 // concurrent use.
 type Scoreboard struct {
 	window     time.Duration
-	maxSamples int
 	objectives []Objective
 
 	mu      sync.Mutex
@@ -83,12 +83,8 @@ func New(cfg Config) *Scoreboard {
 	if cfg.Window <= 0 {
 		cfg.Window = 60 * time.Second
 	}
-	if cfg.MaxSamples <= 0 {
-		cfg.MaxSamples = 128
-	}
 	return &Scoreboard{
 		window:     cfg.Window,
-		maxSamples: cfg.MaxSamples,
 		objectives: append([]Objective(nil), cfg.Objectives...),
 	}
 }
@@ -105,8 +101,8 @@ func (b *Scoreboard) Sample(at time.Time, snap metrics.Snapshot) {
 		return
 	}
 	b.samples = append(b.samples, sample{at: at, snap: snap})
-	if len(b.samples) > b.maxSamples {
-		b.samples = b.samples[len(b.samples)-b.maxSamples:]
+	if len(b.samples) > maxSamples {
+		b.samples = b.samples[len(b.samples)-maxSamples:]
 	}
 }
 

@@ -118,17 +118,17 @@ func TestScoreboardWindowSlides(t *testing.T) {
 }
 
 func TestScoreboardHistoryBounded(t *testing.T) {
-	b := New(Config{Window: time.Minute, MaxSamples: 4, Objectives: []Objective{navObjective()}})
+	b := New(Config{Window: time.Minute, Objectives: []Objective{navObjective()}})
 	t0 := time.Now()
-	for i := 0; i < 100; i++ {
+	for i := 0; i < maxSamples+1; i++ {
 		b.Sample(t0.Add(time.Duration(i)*time.Second), metrics.Snapshot{})
 	}
-	if rep := b.Report(t0.Add(100 * time.Second)); rep.Samples != 4 {
-		t.Fatalf("history = %d samples, want bounded at 4", rep.Samples)
+	if rep := b.Report(t0.Add(200 * time.Second)); rep.Samples != maxSamples {
+		t.Fatalf("history = %d samples, want bounded at %d", rep.Samples, maxSamples)
 	}
 	// Out-of-order samples are dropped, not spliced.
 	b.Sample(t0, metrics.Snapshot{})
-	if rep := b.Report(t0.Add(100 * time.Second)); rep.Samples != 4 {
+	if rep := b.Report(t0.Add(200 * time.Second)); rep.Samples != maxSamples {
 		t.Fatalf("out-of-order sample accepted")
 	}
 }

@@ -107,10 +107,7 @@ func BuildFromPartitionCtx(ctx context.Context, c *webgraph.Corpus, p *partition
 	inDeg := make([]int64, nSN)  // superedge in-degree, for Huffman codes
 
 	pool := workpool.New(cfg.BuildWorkers)
-	window := cfg.ReorderWindow
-	if window <= 0 {
-		window = 4 * pool.Workers()
-	}
+	window := 4 * pool.Workers()
 	var mEncoded, mSuperedges *metrics.Counter
 	if cfg.Metrics != nil {
 		mEncoded = cfg.Metrics.Counter("build_supernodes_encoded")

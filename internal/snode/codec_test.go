@@ -189,7 +189,7 @@ func TestCodecBuildEquivalence(t *testing.T) {
 				t.Fatalf("%s: page %d adjacency differs", codec, p)
 			}
 		}
-		stats := r.Codecs()
+		stats := r.BuildStats().Codecs
 		if len(stats) != 1 || stats[0].Name != codec {
 			t.Fatalf("%s: recorded composition %+v", codec, stats)
 		}

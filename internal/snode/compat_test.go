@@ -116,7 +116,7 @@ func TestLegacyMetaV1ServesAsPaper(t *testing.T) {
 	}
 	// The synthesized composition record: all supernodes paper, edge
 	// counts unknown (zero) because v1 never recorded them.
-	cs := got.Codecs()
+	cs := got.BuildStats().Codecs
 	if len(cs) != 1 || cs[0].Name != CodecPaper ||
 		cs[0].Supernodes != int64(got.Supernodes()) || cs[0].Edges != 0 {
 		t.Fatalf("synthesized v1 codec stats %+v", cs)

@@ -127,7 +127,7 @@ func checkFilterAgainstReference(t *testing.T, c *webgraph.Corpus, r *Representa
 		for p := int32(0); p < n; p++ {
 			var want []webgraph.PageID
 			for _, q := range rows[p] {
-				if store.FilterAccepts(f, q, nil, domainOf) {
+				if store.FilterAccepts(f, q, domainOf) {
 					want = append(want, q)
 				}
 			}

@@ -177,7 +177,7 @@ func readMeta(path string) (*meta, error) {
 	}
 	if v == metaVersion1 {
 		// Pre-codec artifact: every payload is codec/paper. Synthesize
-		// the composition record so Codecs() and the per-codec metrics
+		// the composition record so BuildStats().Codecs and the per-codec metrics
 		// behave uniformly (stored edge counts were not recorded then
 		// and stay zero).
 		var payloadBytes int64

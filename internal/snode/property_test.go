@@ -64,7 +64,6 @@ func randomConfig(rng *randutil.RNG) Config {
 	cfg := DefaultConfig()
 	cfg.Partition.Seed = rng.Uint64()
 	cfg.Partition.MinSplitSize = 4 + rng.Intn(64)
-	cfg.Partition.MaxURLDepth = rng.Intn(4)
 	cfg.Refenc = refenc.Options{Window: rng.Intn(16)}
 	if rng.Bool(0.2) {
 		cfg.Refenc.Exact = true

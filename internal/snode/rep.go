@@ -268,14 +268,10 @@ func (r *Representation) claimTraced(ctx context.Context, gid GraphID) (decodedG
 	if fl == nil {
 		return g, nil, false
 	}
-	if !trace.Active(ctx) {
-		g, err := r.awaitFlight(ctx, gid, fl)
-		return g, err, false
-	}
-	start := time.Now()
+	_, span := trace.Start(ctx, "cache.wait")
+	span.SetAttr("gid", int64(gid))
 	g, err := r.awaitFlight(ctx, gid, fl)
-	trace.RecordSpan(ctx, "cache.wait", start, time.Since(start),
-		trace.Attr{Key: "gid", Val: int64(gid)})
+	span.End()
 	return g, err, false
 }
 
@@ -398,13 +394,13 @@ func (r *Representation) decodeTraced(ctx context.Context, gid GraphID, buf []by
 	if !trace.Active(ctx) {
 		return r.decode(gid, buf)
 	}
-	start := time.Now()
+	_, span := trace.Start(ctx, "cache.decode")
+	span.SetAttr("gid", int64(gid))
+	span.SetAttr("kind", int64(r.m.Directory[gid].Kind))
+	span.SetAttr("bytes", int64(len(buf)))
+	span.SetAttr("leader", 1)
 	g, err := r.decode(gid, buf)
-	trace.RecordSpan(ctx, "cache.decode", start, time.Since(start),
-		trace.Attr{Key: "gid", Val: int64(gid)},
-		trace.Attr{Key: "kind", Val: int64(r.m.Directory[gid].Kind)},
-		trace.Attr{Key: "bytes", Val: int64(len(buf))},
-		trace.Attr{Key: "leader", Val: 1})
+	span.End()
 	trace.Add(ctx, trace.CtrDecodes, 1)
 	trace.Add(ctx, trace.CtrDecodedBytes, int64(len(buf)))
 	return g, err
@@ -840,15 +836,6 @@ func (r *Representation) Verify() error {
 // count (Figure 9 metrics).
 func (r *Representation) Supernodes() int   { return r.m.Stats.Supernodes }
 func (r *Representation) Superedges() int64 { return r.m.Stats.Superedges }
-
-// Codecs reports the artifact's per-codec composition as recorded at
-// build time (one entry per codec that encoded at least one supernode).
-// Version-1 artifacts predate the record; readMeta synthesizes a
-// paper-only entry for them, so the slice is never empty for a valid
-// artifact.
-func (r *Representation) Codecs() []CodecBuildStat {
-	return append([]CodecBuildStat(nil), r.m.Stats.Codecs...)
-}
 
 // DecodeCost is one (codec, payload kind) row of MeasureDecode: the
 // cost of decoding every payload of that class in the artifact.

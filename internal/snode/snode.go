@@ -95,10 +95,6 @@ type Config struct {
 	// and supernode encoding). <= 0 selects GOMAXPROCS. The artifacts
 	// are byte-identical for every value.
 	BuildWorkers int
-	// ReorderWindow bounds how many encoded-but-unassembled supernodes
-	// the streaming assembly may hold (peak memory O(window) instead of
-	// O(supernodes)). <= 0 selects 4x the effective worker count.
-	ReorderWindow int
 	// BuildIO, when set, charges each repository scan the build performs
 	// (signature reads during clustered splits, page+link reads during
 	// supernode encoding) to the accountant — pacing models the 2002

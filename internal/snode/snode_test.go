@@ -655,7 +655,9 @@ func TestBuildDeterministicLogBytes(t *testing.T) {
 
 func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 	// The streaming parallel build must be a pure function of corpus +
-	// config: every BuildWorkers/ReorderWindow/GOMAXPROCS combination
+	// config: every BuildWorkers/GOMAXPROCS combination (the reorder
+	// window follows the pool width; internal/workpool's ordered tests
+	// hold the window itself, down to 1, to in-order delivery)
 	// yields byte-identical meta.bin and index files. GOMAXPROCS also
 	// moves the default pool width, so restoring it covers the
 	// unconfigured path.
@@ -674,18 +676,17 @@ func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 	for _, tc := range []struct {
-		gomaxprocs, workers, window int
+		gomaxprocs, workers int
 	}{
-		{1, 2, 1},
-		{2, 2, 3},
-		{8, 8, 0}, // default window
-		{8, 0, 0}, // default workers (GOMAXPROCS=8)
+		{1, 2},
+		{2, 2},
+		{8, 8},
+		{8, 0}, // default workers (GOMAXPROCS=8)
 	} {
 		runtime.GOMAXPROCS(tc.gomaxprocs)
 		dir := t.TempDir()
 		bcfg := DefaultConfig()
 		bcfg.BuildWorkers = tc.workers
-		bcfg.ReorderWindow = tc.window
 		if _, err := Build(crawl.Corpus, bcfg, dir); err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}

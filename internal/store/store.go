@@ -213,9 +213,9 @@ func (dr DomainRanges) SizeBytes() int64 {
 	return n
 }
 
-// FilterAccepts applies a filter to a concrete target given the corpus
-// domain ranges (used by flat schemes that decode full lists).
-func FilterAccepts(f *Filter, p webgraph.PageID, dr DomainRanges, domainOf func(webgraph.PageID) string) bool {
+// FilterAccepts applies a filter to a concrete target given the page's
+// domain (used by flat schemes that decode full lists).
+func FilterAccepts(f *Filter, p webgraph.PageID, domainOf func(webgraph.PageID) string) bool {
 	if f.Empty() {
 		return true
 	}

@@ -22,7 +22,7 @@
 // requests may allocate: they are rare by construction (sampling) and
 // buy a full execution tree.
 //
-// Spans are capped per trace (Config.MaxSpans); beyond the cap new
+// Spans are capped per trace (maxSpans); beyond the cap new
 // spans are counted as dropped rather than recorded, so a pathological
 // query cannot balloon a trace. Per-request totals (cache hits,
 // decoded bytes, seeks, ...) are kept as fixed atomic counters on the
@@ -71,6 +71,9 @@ type Attr struct {
 	Val int64
 }
 
+// maxSpans caps spans per trace, the root included.
+const maxSpans = 2048
+
 // maxAttrs bounds attributes per span (fixed array, no per-attr
 // allocation). Excess attributes are dropped silently.
 const maxAttrs = 6
@@ -96,8 +99,6 @@ type Trace struct {
 	// because a parent process had already sampled the request.
 	ParentID uint64
 	Start    time.Time
-
-	maxSpans int
 
 	mu      sync.Mutex
 	spans   []span
@@ -179,7 +180,7 @@ func (t *Trace) SetAttr(key string, v int64) {
 func (t *Trace) startSpan(name string, parent int32, start time.Duration) int32 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.spans) >= t.maxSpans {
+	if len(t.spans) >= maxSpans {
 		t.dropped++
 		return -1
 	}
@@ -219,7 +220,7 @@ func (t *Trace) setAttr(idx int32, key string, v int64) {
 func (t *Trace) record(name string, parent int32, start time.Time, dur time.Duration, attrs []Attr) {
 	off := start.Sub(t.Start)
 	t.mu.Lock()
-	if len(t.spans) >= t.maxSpans {
+	if len(t.spans) >= maxSpans {
 		t.dropped++
 		t.mu.Unlock()
 		return

@@ -166,15 +166,15 @@ func TestSlowLogRetention(t *testing.T) {
 // TestSpanCap checks the per-trace span bound: excess spans drop and
 // are counted, and recording never fails.
 func TestSpanCap(t *testing.T) {
-	tr := New(Config{SampleEvery: 1, MaxSpans: 4})
+	tr := New(Config{SampleEvery: 1})
 	ctx, tc := tr.StartRequest(context.Background(), "q1")
-	for i := 0; i < 10; i++ {
+	for i := 0; i < maxSpans+6; i++ {
 		_, sp := Start(ctx, "s")
 		sp.End()
 	}
 	tr.Finish(tc)
-	if got := len(tc.JSON().Root.Children); got != 3 { // root occupies 1 of 4
-		t.Fatalf("retained %d child spans, want 3", got)
+	if got := len(tc.JSON().Root.Children); got != maxSpans-1 { // root occupies 1
+		t.Fatalf("retained %d child spans, want %d", got, maxSpans-1)
 	}
 	if tc.Dropped() != 7 {
 		t.Fatalf("dropped = %d, want 7", tc.Dropped())

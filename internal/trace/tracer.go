@@ -20,8 +20,6 @@ type Config struct {
 	// the ring regardless of slowness (default 16), so /debug/traces
 	// shows activity even before any tail builds up.
 	Recent int
-	// MaxSpans caps spans per trace (default 2048).
-	MaxSpans int
 }
 
 // Tracer decides which requests get traced and retains finished
@@ -29,7 +27,6 @@ type Config struct {
 // slow-query log). Safe for concurrent use; a nil *Tracer is inert.
 type Tracer struct {
 	sampleEvery int64
-	maxSpans    int
 	reqs        atomic.Int64
 	nextID      atomic.Uint64
 
@@ -44,12 +41,8 @@ func New(cfg Config) *Tracer {
 	if cfg.Recent <= 0 {
 		cfg.Recent = 16
 	}
-	if cfg.MaxSpans <= 0 {
-		cfg.MaxSpans = 2048
-	}
 	return &Tracer{
 		sampleEvery: int64(cfg.SampleEvery),
-		maxSpans:    cfg.MaxSpans,
 		slow: slowLog{
 			perClass: cfg.SlowPerClass,
 			byClass:  map[string][]*Trace{},
@@ -104,7 +97,6 @@ func (tr *Tracer) begin(ctx context.Context, class string, parentID uint64) (con
 		Class:    class,
 		ParentID: parentID,
 		Start:    time.Now(),
-		maxSpans: tr.maxSpans,
 	}
 	t.spans = make([]span, 1, 32)
 	t.spans[0] = span{name: class, parent: -1, dur: -1}

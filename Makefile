@@ -58,12 +58,15 @@ test-bench:
 # array per load trips it. The bucketing guard pins the encode stage's
 # link bucketing at zero allocations on warm scratch, for the supernode
 # with the fewest links and the one with the most: a list grown by
-# append or a map entry per target supernode trips it. Run with -count=1
+# append or a map entry per target supernode trips it. The partial-frame
+# guard pins the router's decode of a shard's partial leg at the same
+# allocations for 3,531 rows as for one (the body's string and the row
+# slice): an allocation per field or per row trips it. Run with -count=1
 # so the guard always executes.
 check-overhead:
 	$(GO) test -count=1 -run 'TestUntracedTracingAddsNoAllocs' ./internal/query
 	$(GO) test -count=1 -run 'TestUntracedPrimitivesZeroAlloc' ./internal/trace
-	$(GO) test -count=1 -run 'TestCrossProcessUntracedZeroAlloc' ./internal/trace ./internal/serve ./internal/router
+	$(GO) test -count=1 -run 'TestCrossProcessUntracedZeroAlloc|TestDecodePartialAllocs' ./internal/trace ./internal/serve ./internal/router
 	$(GO) test -count=1 -run 'TestDecodeHotPathAllocs|TestWarmOutAllocatesNothing|TestColdOutAllocsPerLoad|TestBucketingAllocsIndependentOfEdges' ./internal/snode
 
 # Plan gate: every scheme's Table 3 rows and cold navigation I/O
@@ -101,10 +104,14 @@ test-load:
 # equivalence tests (partial queries merged across K shards ==
 # single-node rows, in-process and through the HTTP router, cross-shard
 # /out included) plus the failure drills — replica ejection, probe
-# re-admission, kill-one-replica failover, version-skew rejection. Run
-# with -count=1 so the gate always executes.
+# re-admission, kill-one-replica failover, version-skew rejection, a
+# JSON-speaking replica refused — and the partial frame the legs travel
+# in: round trip for every query on both shards of K=2, each bad frame
+# refused by name, FuzzDecodePartial's seed corpus. Run with -count=1 so
+# the gate always executes.
 test-shard:
 	$(GO) test -race -count=1 ./internal/shard ./internal/router
+	$(GO) test -race -count=1 -run 'TestPartialFrameRoundTrip|TestDecodePartialRefusals|FuzzDecodePartial' ./internal/serve
 
 # Observability gate: the distributed-trace golden test (a sampled
 # /query at K=2 stitches one trace with both shard subtrees), the

@@ -7,7 +7,10 @@
 //	          the page's cross-shard targets appended from the
 //	          router-resident boundary store
 //	/query    ?q=1..6: scattered as ?partial=1 to EVERY shard, merged
-//	          with the query's merge class into single-node rows
+//	          with the query's merge class into single-node rows; each
+//	          leg answers with one binary partial frame, and a leg under
+//	          any other Content-Type (a replica answering JSON) fails
+//	          the query with 502
 //	/healthz  readiness
 //
 // plus the fleet observability surface:

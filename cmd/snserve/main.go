@@ -13,8 +13,10 @@
 // X-SNode-Shard-Version on its responses (the router rejects a replica
 // whose manifest version differs from its own), answers
 // /query?partial=1 with untruncated group-tagged rows for the router
-// to merge, and answers /out with the edges its shard holds — the
-// router appends the cross-shard rest from the boundary files.
+// to merge — one binary frame (Content-Type application/x-snode-partial,
+// read by serve.DecodePartial), not JSON — and answers /out with the
+// edges its shard holds — the router appends the cross-shard rest from
+// the boundary files.
 //
 //	/out           ?page=N: one page's out-adjacency (navigation class)
 //	/query         ?q=1..6: one Table 3 analysis (mining class); both

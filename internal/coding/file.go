@@ -1,7 +1,6 @@
 package coding
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -10,23 +9,36 @@ import (
 	"strings"
 )
 
-// Files on disk. Every artifact that is written whole and read whole —
-// DESIGN.md "Files on disk" lists them — goes to disk through WriteFile
-// and comes back through a Reader, so the integer framing, the checks on
-// what is read and the way a file reaches its final name each exist once.
+// Files on disk, and frames on the wire. Every artifact that is written
+// whole and read whole — DESIGN.md "Files on disk" lists them — goes to
+// disk through WriteFile and comes back through a Reader, so the integer
+// framing, the checks on what is read and the way a file reaches its
+// final name each exist once. A message that never touches disk (the
+// router's partial leg) is the same framing over memory: NewBuffer and
+// NewReader.
 
 // fileBuf is the buffer either direction works through.
 const fileBuf = 64 << 10
 
-// Writer is what WriteFile hands its fill function. Nothing it does
-// returns early on a failed write: the buffered writer below keeps the
-// first error and fails everything after it, and WriteFile reports that
-// error when it flushes.
+// Writer is what WriteFile hands its fill function, or, from NewBuffer,
+// a frame being built in memory. Every primitive appends to buf; a file
+// writer hands buf to the file whenever the next field would not fit it.
+// Nothing returns early on a failed write: the first error is kept,
+// nothing more reaches the file, and WriteFile reports the error when it
+// flushes.
 type Writer struct {
-	bw  *bufio.Writer
-	off int64
-	buf [binary.MaxVarintLen64]byte
+	buf     []byte    // not yet written to f; the whole frame when f is nil
+	f       io.Writer // nil for a Writer over memory
+	flushed int64     // bytes handed to f
+	err     error     // the first failed write to f
 }
+
+// NewBuffer returns a Writer that appends to buf[:0] in memory; Bytes
+// returns what it holds.
+func NewBuffer(buf []byte) *Writer { return &Writer{buf: buf[:0]} }
+
+// Bytes returns what a Writer over memory holds.
+func (w *Writer) Bytes() []byte { return w.buf }
 
 // WriteFile creates path with what fill writes, or leaves path as it was:
 // the bytes go to path+".tmp" (beside the target, so the rename never
@@ -45,12 +57,12 @@ func WriteFile(path string, fill func(w *Writer) error) (err error) {
 			os.Remove(tmp)
 		}
 	}()
-	w := &Writer{bw: bufio.NewWriterSize(f, fileBuf)}
+	w := &Writer{buf: make([]byte, 0, fileBuf), f: f}
 	if err = fill(w); err != nil {
 		return err
 	}
-	if err = w.bw.Flush(); err != nil {
-		return err
+	if w.flush(); w.err != nil {
+		return w.err
 	}
 	if err = f.Close(); err != nil {
 		return err
@@ -58,37 +70,65 @@ func WriteFile(path string, fill func(w *Writer) error) (err error) {
 	return os.Rename(tmp, path)
 }
 
+// flush hands buf to the file (once nothing has failed) and empties it.
+func (w *Writer) flush() {
+	if w.err == nil {
+		_, w.err = w.f.Write(w.buf)
+	}
+	w.flushed += int64(len(w.buf))
+	w.buf = w.buf[:0]
+}
+
+// room makes a fixed-size field fit a file writer's buffer without
+// growing it.
+func (w *Writer) room() {
+	if w.f != nil && len(w.buf)+binary.MaxVarintLen64 > cap(w.buf) {
+		w.flush()
+	}
+}
+
+// put appends p, handing a file writer's buffer to the file each time it
+// fills.
+func put[T string | []byte](w *Writer, p T) {
+	for w.f != nil && len(w.buf)+len(p) > cap(w.buf) {
+		n := copy(w.buf[len(w.buf):cap(w.buf)], p)
+		w.buf = w.buf[:len(w.buf)+n]
+		p = p[n:]
+		w.flush()
+	}
+	w.buf = append(w.buf, p...)
+}
+
 // Write appends raw bytes; it makes a Writer an io.Writer for the text
 // and gzip artifacts.
 func (w *Writer) Write(p []byte) (int, error) {
-	n, err := w.bw.Write(p)
-	w.off += int64(n)
-	return n, err
+	put(w, p)
+	return len(p), w.err
 }
 
 // Offset reports the bytes written so far: where the next one lands.
-func (w *Writer) Offset() int64 { return w.off }
+func (w *Writer) Offset() int64 { return w.flushed + int64(len(w.buf)) }
 
 // Uvarint appends v in the base-128 encoding of encoding/binary.
-func (w *Writer) Uvarint(v uint64) { w.Write(w.buf[:binary.PutUvarint(w.buf[:], v)]) }
+func (w *Writer) Uvarint(v uint64) { w.room(); w.buf = binary.AppendUvarint(w.buf, v) }
 
 // Varint appends v zig-zag coded, as encoding/binary does.
-func (w *Writer) Varint(v int64) { w.Write(w.buf[:binary.PutVarint(w.buf[:], v)]) }
+func (w *Writer) Varint(v int64) { w.room(); w.buf = binary.AppendVarint(w.buf, v) }
 
 // Str appends s behind its uvarint length.
 func (w *Writer) Str(s string) {
 	w.Uvarint(uint64(len(s)))
-	n, _ := w.bw.WriteString(s)
-	w.off += int64(n)
+	put(w, s)
 }
 
 // U32 appends v as four little-endian bytes.
-func (w *Writer) U32(v uint32) { w.Write(binary.LittleEndian.AppendUint32(w.buf[:0], v)) }
+func (w *Writer) U32(v uint32) { w.room(); w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
 
 // U64 appends v as eight little-endian bytes.
-func (w *Writer) U64(v uint64) { w.Write(binary.LittleEndian.AppendUint64(w.buf[:0], v)) }
+func (w *Writer) U64(v uint64) { w.room(); w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
 
-// Reader reads a file WriteFile wrote, or bytes that claim to be one.
+// Reader reads a file WriteFile wrote, or bytes that claim to be one —
+// from disk (OpenFile) or from memory (NewReader).
 // The first failure — an I/O error, a field the file ends inside, a
 // check a value does not pass — is kept with the byte offset it happened
 // at; every call after it returns zero and reads nothing, so a parser
@@ -97,12 +137,19 @@ func (w *Writer) U64(v uint64) { w.Write(binary.LittleEndian.AppendUint64(w.buf[
 // in proportion to a number the file states before that number has been
 // held against the bytes the file still has.
 type Reader struct {
-	f        *os.File
+	f        *os.File // nil for a Reader over memory
+	src      string   // a Reader over memory: its bytes, as the strings it returns are cut from
 	size     int64
 	buf      []byte // buf[pos:end] is read from f and not yet consumed
 	pos, end int
 	rest     int64 // bytes of f after buf[end]
 	err      error
+}
+
+// NewReader reads b. The bytes are converted to a string once, here, and
+// every Str and Raw is a substring of it: no allocation a field.
+func NewReader(b []byte) *Reader {
+	return &Reader{src: string(b), size: int64(len(b)), buf: b, end: len(b)}
 }
 
 // OpenFile opens path for reading from its first byte.
@@ -224,6 +271,14 @@ func (r *Reader) Raw(n int) string {
 	if int64(n) > r.left() {
 		r.fail("a %d-byte field with %d bytes left", n, r.left())
 		return ""
+	}
+	if r.f == nil {
+		if r.err != nil {
+			return ""
+		}
+		s := r.src[r.pos : r.pos+n]
+		r.pos += n
+		return s
 	}
 	var sb strings.Builder
 	sb.Grow(n)

@@ -59,6 +59,21 @@ func TestFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	readAll(t, r)
+
+	// The same primitives over memory lay down the same bytes, and the
+	// Reader over them reads them back the same way.
+	mem := NewBuffer(nil)
+	writeAll(mem)
+	if !bytes.Equal(mem.Bytes(), want) || mem.Offset() != int64(len(want)) {
+		t.Fatalf("a Writer over memory holds %x at offset %d, the file %x", mem.Bytes(), mem.Offset(), want)
+	}
+	readAll(t, NewReader(mem.Bytes()))
+}
+
+// readAll reads back what writeAll wrote and fails on any difference.
+func readAll(t *testing.T, r *Reader) {
+	t.Helper()
 	if m := r.Raw(4); m != "MAGC" {
 		t.Errorf("Raw = %q", m)
 	}
@@ -176,17 +191,24 @@ func TestReaderRefusals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.read(r)
-		first := r.Err()
-		if first == nil || !strings.Contains(first.Error(), c.want) {
-			t.Errorf("%s: err = %v, want one naming %q", c.name, first, c.want)
-		}
-		// Sticky: everything after the failure is zero and the error stays.
-		if v, s, n := r.Uvarint(), r.Str(), r.Count(10, 1); v != 0 || s != "" || n != 0 || r.U64() != 0 || r.Int32() != 0 {
-			t.Errorf("%s: reads after the failure returned %d %q %d", c.name, v, s, n)
-		}
-		if r.End(); r.Err() != first {
-			t.Errorf("%s: the error changed to %v", c.name, r.Err())
+		// The file and the same bytes in memory fail alike, at the same byte.
+		for _, r := range []*Reader{r, NewReader(c.bytes)} {
+			src := "file"
+			if r.f == nil {
+				src = "memory"
+			}
+			c.read(r)
+			first := r.Err()
+			if first == nil || !strings.Contains(first.Error(), c.want) {
+				t.Errorf("%s (%s): err = %v, want one naming %q", c.name, src, first, c.want)
+			}
+			// Sticky: everything after the failure is zero and the error stays.
+			if v, s, n := r.Uvarint(), r.Str(), r.Count(10, 1); v != 0 || s != "" || n != 0 || r.U64() != 0 || r.Int32() != 0 || r.Raw(0) != "" {
+				t.Errorf("%s (%s): reads after the failure returned %d %q %d", c.name, src, v, s, n)
+			}
+			if r.End(); r.Err() != first {
+				t.Errorf("%s (%s): the error changed to %v", c.name, src, r.Err())
+			}
 		}
 		r.Close()
 	}
@@ -246,11 +268,13 @@ func TestReaderAcrossBufferRefills(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.Uvarint()
-		p.Str()
-		p.U64()
-		if p.End(); p.Err() == nil {
-			t.Errorf("the file cut to %d of %d bytes reads clean", cut, len(valid))
+		for _, r := range []*Reader{p, NewReader(valid[:cut])} {
+			r.Uvarint()
+			r.Str()
+			r.U64()
+			if r.End(); r.Err() == nil {
+				t.Errorf("the bytes cut to %d of %d read clean", cut, len(valid))
+			}
 		}
 		p.Close()
 	}

@@ -105,7 +105,9 @@ func TopK(rank []float64, candidates []webgraph.PageID, k int) []webgraph.PageID
 	} else {
 		pool = append([]webgraph.PageID(nil), candidates...)
 	}
-	// Descending rank, ascending ID tie-break; pools are small.
+	// Descending rank, ascending ID tie-break. The whole pool is sorted,
+	// and a pool is not always small: Q3's is every page that contains
+	// its phrase.
 	sort.Slice(pool, func(i, j int) bool {
 		a, b := pool[i], pool[j]
 		if rank[a] != rank[b] {

@@ -31,6 +31,7 @@ import (
 	"snode/internal/pagerank"
 	"snode/internal/store"
 	"snode/internal/synth"
+	"snode/internal/trace"
 	"snode/internal/webgraph"
 )
 
@@ -46,9 +47,9 @@ func (e *Engine) owns(p webgraph.PageID) bool { return e.owned == nil || e.owned
 // query execution. Group disambiguates rows that merge independently
 // (Q4: the university; Q6: which source set cited the target).
 type PartialRow struct {
-	Group string  `json:"group,omitempty"`
-	Key   string  `json:"key"`
-	Value float64 `json:"value"`
+	Group string
+	Key   string
+	Value float64
 }
 
 // PartialResult is one shard's contribution to a scattered query.
@@ -56,14 +57,16 @@ type PartialResult struct {
 	Query ID
 	Rows  []PartialRow
 	Nav   NavStats
+	// Trace is the finished execution trace when the engine's tracer
+	// sampled this run (nil otherwise), as in Result.
+	Trace *trace.Trace
 }
 
 // RunPartial executes one query restricted to the engine's owned
 // pages, returning mergeable partial rows. The context propagates, and
 // traces and metrics are recorded, exactly as in Run.
 func (e *Engine) RunPartial(ctx context.Context, q ID) (*PartialResult, error) {
-	part, _, err := e.runPlan(ctx, q)
-	return part, err
+	return e.runPlan(ctx, q)
 }
 
 // step is one navigation pass of a plan: the executor expands every
@@ -221,12 +224,8 @@ func (e *Engine) planQ3() plan {
 			src: s,
 			rev: true,
 			visit: func(_ webgraph.PageID, nbrs []webgraph.PageID) {
-				// Deterministic cap: smallest page IDs first.
-				slices.Sort(nbrs)
-				if len(nbrs) > kleinbergInCap {
-					nbrs = nbrs[:kleinbergInCap]
-				}
-				for _, t := range nbrs {
+				// Deterministic cap: the smallest page IDs.
+				for _, t := range smallest(nbrs, kleinbergInCap) {
 					members[t] = true
 				}
 			},
@@ -244,6 +243,45 @@ func (e *Engine) planQ3() plan {
 			return rows
 		},
 	}
+}
+
+// smallest reorders ids so that its first k are the k smallest, in no
+// particular order, and returns them: a selection in expected linear
+// time (Hoare's FIND). The cap needs its members, not their order, so
+// no in-list is sorted whole.
+func smallest(ids []webgraph.PageID, k int) []webgraph.PageID {
+	if len(ids) <= k {
+		return ids
+	}
+	lo, hi, t := 0, len(ids)-1, k-1
+	for lo < hi {
+		// The median of three is a value of the range, so both scans stop
+		// inside it, and sorted or reversed input still halves it.
+		a, b, c := ids[lo], ids[lo+(hi-lo)/2], ids[hi]
+		pivot := max(min(a, b), min(max(a, b), c))
+		i, j := lo, hi
+		for i <= j {
+			for ids[i] < pivot {
+				i++
+			}
+			for ids[j] > pivot {
+				j--
+			}
+			if i <= j {
+				ids[i], ids[j] = ids[j], ids[i]
+				i++
+				j--
+			}
+		}
+		// ids[lo..j] <= pivot <= ids[i..hi], and anything between is pivot.
+		if j < t {
+			lo = i
+		}
+		if t < i {
+			hi = j
+		}
+	}
+	return ids[:k]
 }
 
 // planQ4 — per-university quantum-cryptography pages by external

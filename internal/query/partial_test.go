@@ -3,6 +3,8 @@ package query
 import (
 	"context"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"snode/internal/repo"
@@ -74,5 +76,59 @@ func TestMergePartialsOwnerSplitMatchesRun(t *testing.T) {
 		}
 		got := MergePartials(q, parts)
 		rowsMatch(t, q, got, want.Rows)
+	}
+}
+
+// TestSmallestMatchesSortAndCut: Q3's in-neighbour cap keeps the k
+// smallest IDs of a list by selection; the members are those that
+// sorting the whole list and cutting it at k keeps.
+func TestSmallestMatchesSortAndCut(t *testing.T) {
+	const k = kleinbergInCap
+	rng := rand.New(rand.NewSource(29))
+	random := func(n, span int) []webgraph.PageID {
+		ids := make([]webgraph.PageID, n)
+		for i := range ids {
+			ids[i] = webgraph.PageID(rng.Intn(span))
+		}
+		return ids
+	}
+	same := func(n int, v webgraph.PageID) []webgraph.PageID {
+		ids := make([]webgraph.PageID, n)
+		for i := range ids {
+			ids[i] = v
+		}
+		return ids
+	}
+	ramp := func(n, step int) []webgraph.PageID {
+		ids := make([]webgraph.PageID, n)
+		for i := range ids {
+			ids[i] = webgraph.PageID(n/2 + step*(i-n/2))
+		}
+		return ids
+	}
+	cases := map[string][]webgraph.PageID{
+		"empty":                  nil,
+		"49":                     random(49, 1<<20),
+		"50":                     random(50, 1<<20),
+		"51":                     random(51, 1<<20),
+		"10k":                    random(10000, 1<<20),
+		"10k with repeats":       random(10000, 300),
+		"all equal":              same(10000, 7),
+		"descending":             ramp(10000, -1),
+		"ascending":              ramp(10000, 1),
+		"51 descending":          ramp(51, -1),
+		"two values, 10k":        random(10000, 2),
+		"one above 49 below":     append(same(49, 3), 9, 1),
+		"one below the rest, 1k": append(ramp(1000, 1), 0),
+	}
+	for name, ids := range cases {
+		want := slices.Clone(ids)
+		slices.Sort(want)
+		want = want[:min(k, len(want))]
+		got := slices.Clone(smallest(slices.Clone(ids), k))
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: smallest kept %v, sort-and-cut %v", name, got, want)
+		}
 	}
 }

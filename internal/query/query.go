@@ -205,7 +205,7 @@ func (e *Engine) Neighbors(ctx context.Context, p webgraph.PageID) ([]webgraph.P
 // run, carries the execution trace down into the reader, cache, and I/O
 // layers.
 func (e *Engine) Run(ctx context.Context, q ID) (*Result, error) {
-	part, tr, err := e.runPlan(ctx, q)
+	part, err := e.runPlan(ctx, q)
 	if err != nil {
 		return nil, err
 	}
@@ -214,7 +214,7 @@ func (e *Engine) Run(ctx context.Context, q ID) (*Result, error) {
 		Scheme: e.Scheme,
 		Rows:   MergePartials(q, [][]PartialRow{part.Rows}),
 		Nav:    part.Nav,
-		Trace:  tr,
+		Trace:  part.Trace,
 	}, nil
 }
 
@@ -222,15 +222,15 @@ func (e *Engine) Run(ctx context.Context, q ID) (*Result, error) {
 // RunPartial so a shard replica (which only ever serves partials)
 // samples traces and records the per-query and per-stage histograms
 // exactly as a single node does.
-func (e *Engine) runPlan(ctx context.Context, q ID) (*PartialResult, *trace.Trace, error) {
+func (e *Engine) runPlan(ctx context.Context, q ID) (*PartialResult, error) {
 	switch q {
 	case Q1, Q2, Q6:
 	case Q3, Q4, Q5:
 		if e.rev() == nil {
-			return nil, nil, fmt.Errorf("query: Q%d needs in-neighborhood navigation; build the repository with Transpose", q)
+			return nil, fmt.Errorf("query: Q%d needs in-neighborhood navigation; build the repository with Transpose", q)
 		}
 	default:
-		return nil, nil, fmt.Errorf("query: unknown query %d", q)
+		return nil, fmt.Errorf("query: unknown query %d", q)
 	}
 	var tr *trace.Trace
 	if e.tracer != nil {
@@ -247,8 +247,12 @@ func (e *Engine) runPlan(ctx context.Context, q ID) (*PartialResult, *trace.Trac
 		e.tracer.Finish(tr)
 		traceID = tr.ID
 	}
-	if err != nil || e.qHist[q] == nil {
-		return part, tr, err
+	if err != nil {
+		return nil, err
+	}
+	part.Trace = tr
+	if e.qHist[q] == nil {
+		return part, nil
 	}
 	total := time.Since(start)
 	e.qHist[q].ObserveExemplar(int64(total), traceID)
@@ -256,7 +260,7 @@ func (e *Engine) runPlan(ctx context.Context, q ID) (*PartialResult, *trace.Trac
 	if resolve := total - part.Nav.CPU; resolve > 0 {
 		e.resolveHist.ObserveDuration(resolve)
 	}
-	return part, tr, nil
+	return part, nil
 }
 
 // Shared returns a copy of the engine marked for concurrent use: its

@@ -397,15 +397,17 @@ type shedInfo struct {
 }
 
 // legResult is one shard leg's outcome: exactly one of body, shed, or
-// err is meaningful. traceID and replicaURL identify the answering
-// replica's force-sampled trace (zero/empty when the request was
-// untraced or the shard kept no trace), for post-response stitching.
+// err is meaningful; contentType is the body's. traceID and replicaURL
+// identify the answering replica's force-sampled trace (zero/empty when
+// the request was untraced or the shard kept no trace), for
+// post-response stitching.
 type legResult struct {
-	body       []byte
-	shed       *shedInfo
-	err        error
-	traceID    uint64
-	replicaURL string
+	body        []byte
+	contentType string
+	shed        *shedInfo
+	err         error
+	traceID     uint64
+	replicaURL  string
 }
 
 // injectTrace adds the cross-process propagation header to a fan-out
@@ -501,7 +503,7 @@ func (r *Router) fetch(ctx context.Context, s int, pathQuery, traceHdr string) l
 			return legResult{err: fmt.Errorf("shard %d: status %d: %s", s, resp.StatusCode, body)}
 		}
 		r.markOK(rep)
-		return legResult{body: body, traceID: remoteTraceID(resp), replicaURL: rep.url}
+		return legResult{body: body, contentType: resp.Header.Get("Content-Type"), traceID: remoteTraceID(resp), replicaURL: rep.url}
 	}
 	if lastErr == nil {
 		lastErr = fmt.Errorf("shard %d: no replicas", s)
@@ -677,8 +679,13 @@ func (r *Router) handleOut(w http.ResponseWriter, req *http.Request) {
 	}
 	done()
 	r.stitchLeg(root, s, leg)
+	writeJSON(w, out)
+}
+
+// writeJSON writes a routed response body.
+func writeJSON(w http.ResponseWriter, body any) {
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(out)
+	json.NewEncoder(w).Encode(body)
 }
 
 // handleQuery routes the mining class: scatter ?partial=1 to every
@@ -751,11 +758,11 @@ func (r *Router) scatterQuery(w http.ResponseWriter, req *http.Request, qn int) 
 	parts := make([][]query.PartialRow, k)
 	navMS := 0.0
 	for s, leg := range legs {
-		var pr serve.PartialQueryResponse
-		if err := json.Unmarshal(leg.body, &pr); err != nil {
+		pr, err := decodeLeg(leg, qn, s)
+		if err != nil {
 			inc(r.miningErrors)
 			done()
-			http.Error(w, fmt.Sprintf("shard %d: bad partial body: %v", s, err), http.StatusBadGateway)
+			http.Error(w, err.Error(), http.StatusBadGateway)
 			return
 		}
 		parts[s] = pr.Partials
@@ -773,6 +780,23 @@ func (r *Router) scatterQuery(w http.ResponseWriter, req *http.Request, qn int) 
 	}
 	done()
 	stitchAll()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(serve.QueryResponse{Query: qn, Rows: rows, NavMS: navMS})
+	writeJSON(w, serve.QueryResponse{Query: qn, Rows: rows, NavMS: navMS})
+}
+
+// decodeLeg reads shard s's answer to the partial leg of query qn: a
+// partial frame for that query and shard, or an error naming what came
+// instead — a body under another content type (an old replica answering
+// JSON, say) is refused unread, never misparsed.
+func decodeLeg(leg legResult, qn, s int) (serve.PartialQueryResponse, error) {
+	if leg.contentType != serve.PartialContentType {
+		return serve.PartialQueryResponse{}, fmt.Errorf("shard %d: partial leg answered %q, want %s", s, leg.contentType, serve.PartialContentType)
+	}
+	pr, err := serve.DecodePartial(leg.body)
+	if err == nil && (pr.Query != qn || pr.Shard != s) {
+		err = fmt.Errorf("the frame is Q%d from shard %d", pr.Query, pr.Shard)
+	}
+	if err != nil {
+		return serve.PartialQueryResponse{}, fmt.Errorf("shard %d: bad partial leg: %w", s, err)
+	}
+	return pr, nil
 }

@@ -439,6 +439,36 @@ func TestVersionSkewRejected(t *testing.T) {
 	}
 }
 
+// TestJSONLegRefused: a replica of the right partition that answers the
+// partial leg in JSON — one from before the binary frame — is refused
+// with a 502 naming the type it sent, counted as a mining error, and its
+// body is never parsed.
+func TestJSONLegRefused(t *testing.T) {
+	w := startWorld(t, getRoot(t, 2), 2, 1)
+	old := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
+		rw.Header().Set("X-SNode-Shard-Version", w.manifest.Version)
+		rw.Header().Set("Content-Type", "application/json")
+		fmt.Fprintln(rw, `{"query":1,"shard":1,"partials":[],"nav_ms":0}`)
+	}))
+	defer old.Close()
+	w.replicas[1] = []string{old.URL}
+	reg := metrics.NewRegistry()
+	_, ts := newRouter(t, w, Config{Registry: reg})
+
+	resp, err := http.Get(ts.URL + "/query?q=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadGateway || !strings.Contains(string(body), `"application/json"`) {
+		t.Fatalf("/query?q=1 with a JSON leg: status %d: %s; want 502 naming the type", resp.StatusCode, body)
+	}
+	if got := reg.Snapshot().Counters["router_mining_errors"]; got != 1 {
+		t.Fatalf("router_mining_errors = %d, want 1", got)
+	}
+}
+
 // TestScatterRunsUnderPprofLabel pins the router's half of the profile
 // split by query class: while a leg of /query?q=N is in flight, the
 // goroutine fetching it carries the pprof label query=qN (inherited

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -143,9 +144,12 @@ func TestReplicaOverDatasetMatchesRepoBuild(t *testing.T) {
 		}
 		// The router's leg: the one shard's partials merge to the same rows.
 		rec = do(h, http.MethodGet, fmt.Sprintf("/query?q=%d&partial=1", q), "")
-		var part PartialQueryResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &part); err != nil || rec.Code != http.StatusOK {
+		part, err := DecodePartial(rec.Body.Bytes())
+		if err != nil || rec.Code != http.StatusOK {
 			t.Fatalf("/query?q=%d&partial=1: status %d, %v", q, rec.Code, err)
+		}
+		if ct, cl := rec.Header().Get("Content-Type"), rec.Header().Get("Content-Length"); ct != PartialContentType || cl != strconv.Itoa(rec.Body.Len()) {
+			t.Fatalf("/query?q=%d&partial=1: Content-Type %q, Content-Length %q for %d bytes", q, ct, cl, rec.Body.Len())
 		}
 		merged := query.MergePartials(q, [][]query.PartialRow{part.Partials})
 		if len(merged) != len(want.Rows) {

@@ -288,8 +288,9 @@ const maxDeadline = 30 * time.Second
 
 // admitted is the lifecycle /out and /query share once their parameters
 // have parsed: deadline, cross-process trace, admission slot, end-to-end
-// latency sample, run, then the body — or 429 for a request not served
-// to completion and 500 for an engine failure. run gets the admission
+// latency sample, run, then the body — JSON, or a partial frame as it is
+// — or 429 for a request not served to completion and 500 for an engine
+// failure. run gets the admission
 // wait, for the trace an engine starts itself.
 func (s *Server) admitted(w http.ResponseWriter, r *http.Request, start time.Time, class string, hist *metrics.Histogram,
 	run func(ctx context.Context, wait time.Duration) (any, error)) {
@@ -331,6 +332,13 @@ func (s *Server) admitted(w http.ResponseWriter, r *http.Request, start time.Tim
 			return
 		}
 		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	if f, ok := body.(partialFrame); ok {
+		// One write with its length, so the response is not chunked.
+		w.Header().Set("Content-Type", PartialContentType)
+		w.Header().Set("Content-Length", strconv.Itoa(len(f)))
+		w.Write(f)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -382,18 +390,10 @@ type QueryResponse struct {
 	NavMS float64     `json:"nav_ms"`
 }
 
-// PartialQueryResponse is the /query?partial=1 body a shard returns
-// for the router's merge: untruncated, group-tagged rows.
-type PartialQueryResponse struct {
-	Query    int                `json:"query"`
-	Shard    int                `json:"shard"`
-	Partials []query.PartialRow `json:"partials"`
-	NavMS    float64            `json:"nav_ms"`
-}
-
 // handleQuery serves the mining class: one Table 3 analysis. With
 // ?partial=1 (the router's scatter request) it answers with the
-// shard's untruncated partial rows instead of the final merged rows.
+// shard's untruncated partial rows, in a partial frame (partial.go),
+// instead of the final merged rows.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.setShardHeaders(w)
@@ -419,37 +419,34 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // runQuery executes q and shapes the response body: the final rows, or
-// for a router's scatter request the shard's untruncated partial rows.
-// Both come from the same plan through the engine's one instrumented
-// entry; only the row shape differs.
+// for a router's scatter request the shard's untruncated partial rows as
+// one frame. Both come from the same plan through the engine's one
+// instrumented entry; only the row shape differs. A trace the engine
+// sampled starts after the admission wait, so the wait goes on its root
+// as an attribute, on either path.
 func (s *Server) runQuery(ctx context.Context, q query.ID, partial bool, admissionWait time.Duration) (any, error) {
 	if partial {
 		res, err := s.eng.RunPartial(ctx, q)
 		if err != nil {
 			return nil, err
 		}
-		rows := res.Rows
-		if rows == nil {
-			rows = []query.PartialRow{}
-		}
+		res.Trace.SetAttr("admission_wait_ns", int64(admissionWait))
 		shardID := 0
 		if s.shard != nil {
 			shardID = s.shard.ID
 		}
-		return PartialQueryResponse{
+		return encodePartial(&PartialQueryResponse{
 			Query:    int(q),
 			Shard:    shardID,
-			Partials: rows,
+			Partials: res.Rows,
 			NavMS:    float64(res.Nav.Total()) / float64(time.Millisecond),
-		}, nil
+		}), nil
 	}
 	res, err := s.eng.Run(ctx, q)
 	if err != nil {
 		return nil, err
 	}
-	if res.Trace != nil {
-		res.Trace.SetAttr("admission_wait_ns", int64(admissionWait))
-	}
+	res.Trace.SetAttr("admission_wait_ns", int64(admissionWait))
 	rows := res.Rows
 	if rows == nil {
 		rows = []query.Row{}

@@ -503,10 +503,15 @@ func TestQueryRunsUnderPprofLabel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		io.Copy(io.Discard, resp.Body)
+		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d", path, resp.StatusCode)
+		}
+		if strings.HasSuffix(path, "partial=1") {
+			if p, err := DecodePartial(body); err != nil || p.Query != 5 || resp.ContentLength != int64(len(body)) {
+				t.Fatalf("%s: %v, Q%d, Content-Length %d for %d bytes", path, err, p.Query, resp.ContentLength, len(body))
+			}
 		}
 		class := "q" + path[len("/query?q="):len("/query?q=")+1]
 		if !labelledRecord(prof.String(), class, "query.(*Engine).navigate") {

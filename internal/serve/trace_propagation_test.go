@@ -2,9 +2,11 @@ package serve
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 
 	"snode/internal/query"
@@ -152,6 +154,33 @@ func TestRemoteSampledBitForcesTraceOnPartialQuery(t *testing.T) {
 	}
 	if !spanNames(forced.JSON().Root)["serve.admission"] {
 		t.Fatal("partial trace missing serve.admission")
+	}
+}
+
+// Regression: a trace the engine samples itself starts after the
+// admission wait, which goes on its root as an attribute — on a partial
+// leg, the only /query a shard replica serves, as on a full run.
+func TestEngineSampledPartialQueryCarriesAdmissionWait(t *testing.T) {
+	for _, path := range []string{"/query?q=1", "/query?q=1&partial=1"} {
+		tr := trace.New(trace.Config{SampleEvery: 1})
+		s := traceServer(t, tr)
+		resp := doTraced(t, s, path, "")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", path, resp.StatusCode)
+		}
+		if strings.HasSuffix(path, "partial=1") {
+			body, _ := io.ReadAll(resp.Body)
+			if p, err := DecodePartial(body); err != nil || p.Query != 1 {
+				t.Fatalf("%s: %+v, %v", path, p, err)
+			}
+		}
+		kept := tr.Traces()
+		if len(kept) != 1 || kept[0].Class != "q1" {
+			t.Fatalf("%s: retained %d traces, want the engine's one q1 trace", path, len(kept))
+		}
+		if _, ok := kept[0].JSON().Root.Attrs["admission_wait_ns"]; !ok {
+			t.Errorf("%s: engine-sampled trace has no admission_wait_ns on its root: %v", path, kept[0].JSON().Root.Attrs)
+		}
 	}
 }
 

@@ -61,21 +61,26 @@ test-bench:
 # append or a map entry per target supernode trips it. The partial-frame
 # guard pins the router's decode of a shard's partial leg at the same
 # allocations for 3,531 rows as for one (the body's string and the row
-# slice): an allocation per field or per row trips it. Run with -count=1
-# so the guard always executes.
+# slice): an allocation per field or per row trips it. The counter pin
+# holds a fixed 20,000-lookup stream at 16 KiB, 64 KiB and 256 MiB to the
+# loads, hits, misses, evictions and materializations it made before a
+# warm lookup read its nodes' source summaries: a summary check moved out
+# of the lookup's loop trips it. Run with -count=1 so the guard always
+# executes.
 check-overhead:
 	$(GO) test -count=1 -run 'TestUntracedTracingAddsNoAllocs' ./internal/query
 	$(GO) test -count=1 -run 'TestUntracedPrimitivesZeroAlloc' ./internal/trace
 	$(GO) test -count=1 -run 'TestCrossProcessUntracedZeroAlloc|TestDecodePartialAllocs' ./internal/trace ./internal/serve ./internal/router
-	$(GO) test -count=1 -run 'TestDecodeHotPathAllocs|TestWarmOutAllocatesNothing|TestColdOutAllocsPerLoad|TestBucketingAllocsIndependentOfEdges' ./internal/snode
+	$(GO) test -count=1 -run 'TestDecodeHotPathAllocs|TestWarmOutAllocatesNothing|TestColdOutAllocsPerLoad|TestBucketingAllocsIndependentOfEdges|TestLookupCountersPinned' ./internal/snode
 
 # Plan gate: every scheme's Table 3 rows and cold navigation I/O
 # (seeks, bytes, graph loads) against the golden file generated before
-# the plans were unified, and the Q3-Q6 answers against brute force off
-# the corpus graph. A plan edit that moves Figure 11 fails here by
+# the plans were unified, the Q3-Q6 answers against brute force off
+# the corpus graph, and Q3 on a corpus without its phrase (an empty base
+# set, no page read). A plan edit that moves Figure 11 fails here by
 # scheme and query. Run with -count=1 so the gate always executes.
 test-query:
-	$(GO) test -count=1 -run 'TestTable3Golden|TestQ[3-6]AgainstBruteForce' ./internal/query
+	$(GO) test -count=1 -run 'TestTable3Golden|TestQ[3-6]AgainstBruteForce|TestQ3WithoutItsPhraseIsEmpty' ./internal/query
 
 # Build determinism: the parallel refiner and streaming assembly must
 # produce byte-identical partitions and artifacts at every worker

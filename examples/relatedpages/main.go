@@ -103,7 +103,7 @@ func main() {
 			}
 			return out[i].p < out[j].p
 		})
-		return out[:5]
+		return out[:min(5, len(out))]
 	}
 	fmt.Printf("\nHITS over the %d-page base set:\n", len(basePages))
 	fmt.Println("top authorities:")

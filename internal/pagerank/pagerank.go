@@ -92,19 +92,11 @@ func Normalize(rank []float64) []float64 {
 	return out
 }
 
-// TopK returns the k highest-ranked pages among candidates (all pages
-// when candidates is nil), in descending rank order with ascending ID
-// tie-breaks.
+// TopK returns the k highest-ranked pages among candidates, in
+// descending rank order with ascending ID tie-breaks. No candidates, nil
+// included, rank none: a phrase no page contains has no top pages.
 func TopK(rank []float64, candidates []webgraph.PageID, k int) []webgraph.PageID {
-	var pool []webgraph.PageID
-	if candidates == nil {
-		pool = make([]webgraph.PageID, len(rank))
-		for i := range pool {
-			pool[i] = webgraph.PageID(i)
-		}
-	} else {
-		pool = append([]webgraph.PageID(nil), candidates...)
-	}
+	pool := append([]webgraph.PageID(nil), candidates...)
 	// Descending rank, ascending ID tie-break. The whole pool is sorted,
 	// and a pool is not always small: Q3's is every page that contains
 	// its phrase.

@@ -70,7 +70,7 @@ func TestNormalize(t *testing.T) {
 
 func TestTopK(t *testing.T) {
 	rank := []float64{0.1, 0.5, 0.3, 0.5, 0.0}
-	got := TopK(rank, nil, 3)
+	got := TopK(rank, []webgraph.PageID{0, 1, 2, 3, 4}, 3)
 	// 1 and 3 tie at 0.5 (ascending ID breaks the tie), then 2.
 	want := []webgraph.PageID{1, 3, 2}
 	for i := range want {
@@ -81,6 +81,9 @@ func TestTopK(t *testing.T) {
 	got = TopK(rank, []webgraph.PageID{4, 2}, 10)
 	if len(got) != 2 || got[0] != 2 || got[1] != 4 {
 		t.Fatalf("candidate TopK = %v", got)
+	}
+	if got = TopK(rank, nil, 3); len(got) != 0 {
+		t.Fatalf("TopK of no candidates = %v, want none", got)
 	}
 }
 

@@ -24,6 +24,7 @@ package query
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -203,21 +204,24 @@ const kleinbergInCap = 50
 // "Internet censorship" pages. S resolves identically on every shard
 // (global text index and PageRank), and each contributes {p} ∪ out(p) ∪
 // cappedIn(p) for the p ∈ S it owns. Rows: one per base-set member,
-// keyed by page ID; merge by distinct-key union.
+// keyed by page ID, ascending; merge by distinct-key union. The members
+// are a bitset over the corpus's page IDs, so the rows come out in order
+// by walking its words.
 func (e *Engine) planQ3() plan {
 	s := pagerank.TopK(e.R.PageRank, e.R.Text.Lookup(synth.PhraseInternetCensorship), 100)
 	// Navigate in page-ID order (sort the fetch set before touching the
 	// representation — the classic RID-sort, which every scheme's
 	// on-disk clustering benefits from).
 	slices.Sort(s)
-	members := map[webgraph.PageID]bool{}
+	members := make([]uint64, (len(e.R.Corpus.Pages)+63)/64)
+	add := func(p webgraph.PageID) { members[p>>6] |= 1 << (uint(p) & 63) }
 	return plan{
 		steps: []step{{
 			src: s,
 			visit: func(p webgraph.PageID, nbrs []webgraph.PageID) {
-				members[p] = true
+				add(p)
 				for _, t := range nbrs {
-					members[t] = true
+					add(t)
 				}
 			},
 		}, {
@@ -226,19 +230,21 @@ func (e *Engine) planQ3() plan {
 			visit: func(_ webgraph.PageID, nbrs []webgraph.PageID) {
 				// Deterministic cap: the smallest page IDs.
 				for _, t := range smallest(nbrs, kleinbergInCap) {
-					members[t] = true
+					add(t)
 				}
 			},
 		}},
 		rows: func() []PartialRow {
-			ids := make([]webgraph.PageID, 0, len(members))
-			for p := range members {
-				ids = append(ids, p)
+			n := 0
+			for _, w := range members {
+				n += bits.OnesCount64(w)
 			}
-			slices.Sort(ids)
-			rows := make([]PartialRow, 0, len(ids))
-			for _, p := range ids {
-				rows = append(rows, PartialRow{Key: strconv.FormatInt(int64(p), 10), Value: 1})
+			rows := make([]PartialRow, 0, n)
+			for k, w := range members {
+				for ; w != 0; w &= w - 1 {
+					p := int64(k)<<6 | int64(bits.TrailingZeros64(w))
+					rows = append(rows, PartialRow{Key: strconv.FormatInt(p, 10), Value: 1})
+				}
 			}
 			return rows
 		},

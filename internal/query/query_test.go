@@ -170,6 +170,65 @@ func TestQ3BaseSetLargerThanRoot(t *testing.T) {
 	}
 }
 
+// countingStore counts the reads a plan makes through a store. It hides
+// the store's context-aware path, so the engine reads through Out and
+// OutFiltered.
+type countingStore struct {
+	store.LinkStore
+	calls *int
+}
+
+func (s countingStore) Out(p webgraph.PageID, buf []webgraph.PageID) ([]webgraph.PageID, error) {
+	*s.calls++
+	return s.LinkStore.Out(p, buf)
+}
+
+func (s countingStore) OutFiltered(p webgraph.PageID, f *store.Filter, buf []webgraph.PageID) ([]webgraph.PageID, error) {
+	*s.calls++
+	return s.LinkStore.OutFiltered(p, f, buf)
+}
+
+// TestQ3WithoutItsPhraseIsEmpty runs Q3 on a corpus in which no page
+// contains its phrase — an ingested edge list without a terms column is
+// one. The text index finds no page, so there is no root to expand: the
+// base set is empty and no page is read. (pagerank.TopK once read the
+// empty candidate list as "every page", and Q3 answered with the base
+// set of the whole corpus's top 100.)
+func TestQ3WithoutItsPhraseIsEmpty(t *testing.T) {
+	crawl, err := synth.Generate(synth.DefaultConfig(4000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range crawl.Corpus.Pages {
+		crawl.Corpus.Pages[i].Terms = nil
+	}
+	opt := repo.DefaultOptions(t.TempDir())
+	opt.Schemes = []string{repo.SchemeSNode}
+	opt.Layout = crawl.Order
+	r, err := repo.Build(crawl.Corpus, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	calls := 0
+	r.Fwd[repo.SchemeSNode] = countingStore{r.Fwd[repo.SchemeSNode], &calls}
+	r.Rev[repo.SchemeSNode] = countingStore{r.Rev[repo.SchemeSNode], &calls}
+	e, err := New(r, repo.SchemeSNode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run(context.Background(), Q3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Row{Key: "base-set-size", Value: 0}); len(res.Rows) != 1 || res.Rows[0] != want {
+		t.Errorf("Q3 = %+v, want [%+v]", res.Rows, want)
+	}
+	if calls != 0 {
+		t.Errorf("Q3 read %d pages' links with no root to expand", calls)
+	}
+}
+
 func TestQ4AtMostTenPerUniversity(t *testing.T) {
 	r := getRepo(t)
 	e, _ := New(r, repo.SchemeSNode)

@@ -1,6 +1,7 @@
 package snode
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -23,7 +24,7 @@ type decodedGraph interface {
 // (superPosSources), and the first lookup that needs a list decodes
 // them all and has the cache hold the whole graph instead
 // (materialized). No graph is ever changed in place, so one handed out
-// by lookup stays valid however the cache moves on.
+// by lookupNode stays valid however the cache moves on.
 //
 // Thread-safety contract: the cache is safe for concurrent use by any
 // number of goroutines.
@@ -32,13 +33,13 @@ type decodedGraph interface {
 // published in its slot, one atomic pointer per graph of the directory:
 // nil when the graph is absent, a node holding it when it is resident,
 // and the shared node loading — which holds no graph, so it reads as a
-// miss — while some goroutine decodes it. lookup is one atomic load,
+// miss — while some goroutine decodes it. lookupNode is one atomic load,
 // plus one store to the entry's reference bit when the bit is clear.
-// What a slot points to (a cacheNode's id, graph and size) never
-// changes after the node is published; replacing a graph publishes a
-// new node. A reader that loaded a node just before it was evicted or
-// reset therefore still holds a whole, valid graph, and the only thing
-// it can do to the dead node is set a bit nobody reads.
+// What a slot points to (a cacheNode's id, graph, size and source
+// summary) never changes after the node is published; replacing a graph
+// publishes a new node. A reader that loaded a node just before it was
+// evicted or reset therefore still holds a whole, valid graph, and the
+// only thing it can do to the dead node is set a bit nobody reads.
 //
 // Everything that changes a slot takes a shard lock: the cache is split
 // into cacheShards shards (by GraphID hash), each with its own mutex,
@@ -108,15 +109,57 @@ type cacheShard struct {
 }
 
 // cacheNode is one resident graph: the only allocation the cache makes
-// for it. id, g and size are set before the node is published and never
-// change; ref is the second-chance bit, set by lock-free hits and
-// cleared by the sweep; next and prev belong to the shard lock.
+// for it, 64 bytes. id, g, size and the source summary are set before
+// the node is published and never change; ref is the second-chance bit,
+// set by lock-free hits and cleared by the sweep; next and prev belong to
+// the shard lock.
+//
+// The source summary lets a warm lookup rule a positive superedge graph
+// out from the node it has already loaded, without following g to the
+// graph's sources: srcLo and srcHi are its smallest and largest source,
+// and srcMask has bit v&63 set for each source v. Every other node
+// carries the empty summary, which rules nothing out.
 type cacheNode struct {
-	g          decodedGraph
-	size       int64
-	next, prev *cacheNode
-	id         GraphID
-	ref        atomic.Bool
+	g            decodedGraph
+	size         int64
+	next, prev   *cacheNode
+	id           GraphID
+	ref          atomic.Bool
+	srcLo, srcHi int32
+	srcMask      uint64
+}
+
+// newCacheNode makes the node for graph g, with its source summary: the
+// one place a node holding a graph is made.
+func newCacheNode(id GraphID, g decodedGraph) *cacheNode {
+	n := &cacheNode{id: id, g: g, size: g.memSize(), srcHi: math.MaxInt32, srcMask: ^uint64(0)}
+	var srcs []int32
+	switch sg := g.(type) {
+	case *superPosSources:
+		srcs = sg.srcs
+	case *decodedSuperPos:
+		srcs = sg.srcs
+	default:
+		return n
+	}
+	// A graph without sources gets an empty range, so rulesOut rules
+	// every page out, as findSource would.
+	n.srcLo, n.srcHi, n.srcMask = 0, -1, 0
+	if len(srcs) > 0 {
+		n.srcLo, n.srcHi = srcs[0], srcs[len(srcs)-1]
+	}
+	for _, v := range srcs {
+		n.srcMask |= 1 << (uint32(v) & 63)
+	}
+	return n
+}
+
+// rulesOut reports whether the node's source summary shows that the page
+// with local ID local (>= 0) is not a source of the node's graph, which
+// then holds no link of it. It may say false for a page that is not a
+// source — bits alias modulo 64 — but never says true for one that is.
+func (n *cacheNode) rulesOut(local int32) bool {
+	return local < n.srcLo || local > n.srcHi || n.srcMask&(1<<(uint32(local)&63)) == 0
 }
 
 // loading is what the slot of a claimed graph points to until its
@@ -176,15 +219,16 @@ func shardBudget(budget int64, i int) int64 {
 	return per
 }
 
-// lookup returns the resident graph and marks it used, without a lock
-// and without counting: the caller owes countLookups one hit or miss
-// for it.
-func (c *graphCache) lookup(id GraphID) (decodedGraph, bool) {
+// lookupNode returns the node of a resident graph and marks it used, or
+// nil when the graph is not resident, without a lock and without
+// counting: the caller owes countLookups one hit or miss for it.
+func (c *graphCache) lookupNode(id GraphID) *cacheNode {
 	n := c.slots[id].Load()
 	if n == nil || n.g == nil {
-		return nil, false
+		return nil
 	}
-	return c.touch(n), true
+	c.touch(n)
+	return n
 }
 
 // touch marks a resident node used and returns its graph.
@@ -353,7 +397,7 @@ func (c *graphCache) admitLocked(s *cacheShard, id GraphID, g decodedGraph, kind
 	} else {
 		s.stats.SuperLoads++
 	}
-	n := &cacheNode{id: id, g: g, size: g.memSize()}
+	n := newCacheNode(id, g)
 	for s.used+n.size > s.budget && s.hand != nil {
 		c.evictLocked(s, nil)
 	}
@@ -432,7 +476,7 @@ func (c *graphCache) materialized(id GraphID, from *superPosSources, to *decoded
 	if old == nil || old.g != decodedGraph(from) {
 		return // absent, being decoded again, or already replaced
 	}
-	n := &cacheNode{id: id, g: to, size: to.memSize()}
+	n := newCacheNode(id, to)
 	n.ref.Store(true)
 	s.link(n, old)
 	if s.hand == old {

@@ -17,17 +17,17 @@ type stubGraph struct {
 func (s *stubGraph) memSize() int64   { return s.size }
 func (s *stubGraph) edgeCount() int64 { return s.edges }
 
-// get is one counted lookup — lookup, and the hit or miss it owes
+// get is one counted lookup — lookupNode, and the hit or miss it owes
 // countLookups — so that merged Hits+Misses equals the number of get
 // calls. Lookups of the read path count a whole call's at once.
 func (c *graphCache) get(id GraphID) (decodedGraph, bool) {
-	g, ok := c.lookup(id)
-	if ok {
-		c.countLookups(id, 1, 0)
-	} else {
+	n := c.lookupNode(id)
+	if n == nil {
 		c.countLookups(id, 0, 1)
+		return nil, false
 	}
-	return g, ok
+	c.countLookups(id, 1, 0)
+	return n.g, true
 }
 
 // claimOrWait is claimNoWait plus the plain receive on another

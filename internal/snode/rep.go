@@ -505,9 +505,11 @@ func (r *Representation) OutFiltered(p webgraph.PageID, f *store.Filter, buf []w
 // hits and misses, coalesced waits behind other goroutines' decodes,
 // span reads and the decodes they led. A lookup whose graphs are all
 // resident takes no lock and, given room in buf, allocates nothing: the
-// filter is resolved to supernode bitsets once per (filter, store), the
-// list of graphs to consult lives on the stack, and targets are
-// translated in buf itself.
+// filter is resolved once per (filter, store), and the graphs it lets a
+// lookup in each supernode consult are listed once, by the first such
+// lookup; each lookup copies its list to a stack array; a resident graph
+// the page is not a source of is ruled out from its cache node
+// (consult); and targets are translated in buf itself.
 func (r *Representation) OutFilteredCtx(ctx context.Context, p webgraph.PageID, f *store.Filter, buf []webgraph.PageID) ([]webgraph.PageID, error) {
 	if p < 0 || p >= r.m.NumPages {
 		return buf, fmt.Errorf("snode: page %d out of range", p)
@@ -542,6 +544,9 @@ func (r *Representation) OutFilteredCtx(ctx context.Context, p webgraph.PageID, 
 		default:
 			return fmt.Errorf("snode: graph %d has wrong type", gid)
 		}
+		if len(buf) == from {
+			return nil
+		}
 		inv := r.m.Inv[r.m.SnBase[j]:]
 		if cf.allOf(j) {
 			for k, t := range buf[from:] {
@@ -562,42 +567,55 @@ func (r *Representation) OutFilteredCtx(ctx context.Context, p webgraph.PageID, 
 	// The graphs to consult, in a stack array that spills to the heap
 	// only for a supernode with more out-superedges than it holds.
 	var scratch [outScratch]needEntry
-	need := scratch[:0]
-	if cf.wants(i) {
-		need = append(need, needEntry{gid: r.m.IntraGID[i], j: i})
+	var need []needEntry
+	if cf == nil {
+		need = r.m.appendGraphs(scratch[:0], i)
+	} else {
+		need = append(scratch[:0], cf.graphsIn(r.m, i)...)
 	}
-	for k := r.m.SuperOff[i]; k < r.m.SuperOff[i+1]; k++ {
-		if j := r.m.SuperAdj[k]; cf.wants(j) {
-			need = append(need, needEntry{gid: r.m.SuperGID[k], j: j})
-		}
-	}
-	err := r.consult(ctx, i, need, emit)
+	err := r.consult(ctx, i, local, need, emit)
 	return buf, err
 }
 
 // consult hands each graph of need — graphs of supernode i, in ascending
-// gid — to process exactly once, streaming: resident graphs first, then
-// the misses as they are read, so a working set larger than the cache
-// budget is read once per access rather than thrashing (load-all then
-// re-read). Uncached graphs are fetched with span reads —
-// §3.3's disk layout puts a supernode's graphs in one contiguous
-// ascending run, so the spans collapse into few sequential reads. It is
-// the one way a graph gets from disk into the cache. need is used as
-// scratch; the first error from process, a read or a decode ends the
-// walk.
-func (r *Representation) consult(ctx context.Context, i int32, need []needEntry, process func(gid GraphID, j int32, g decodedGraph) error) error {
+// gid — that can hold a link of the page with local ID local to process
+// exactly once, streaming: resident graphs first, then the misses as
+// they are read, so a working set larger than the cache budget is read
+// once per access rather than thrashing (load-all then re-read).
+// Uncached graphs are fetched with span reads — §3.3's disk layout puts
+// a supernode's graphs in one contiguous ascending run, so the spans
+// collapse into few sequential reads. It is the one way a graph gets
+// from disk into the cache.
+//
+// A resident graph is looked up through its cache node, and the node's
+// source summary (cacheNode.rulesOut) can show that the page is not a
+// source of it: such a graph is a hit like any other, touched and
+// counted at its turn, and is not handed to process. This is the one
+// place the summary is read; a miss is handed to process whatever its
+// sources. local is -1 to hand every graph on (Verify).
+//
+// need is used as scratch; the first error from process, a read or a
+// decode ends the walk.
+func (r *Representation) consult(ctx context.Context, i, local int32, need []needEntry, process func(gid GraphID, j int32, g decodedGraph) error) error {
 	// Pass 1: process cached graphs; collect misses (ascending gid ==
 	// disk order, because the intranode graph precedes its superedges).
 	// The misses are compacted into need's own prefix — entry k is read
-	// before anything is written at or past it.
+	// before anything is written at or past it. The summary is tested
+	// here, at each graph's turn, so that reference bits, the
+	// materializations process makes and the evictions those make happen
+	// in the same order as with no summary at all.
 	needed := len(need)
 	miss := need[:0]
 	var firstErr error
 	for _, ne := range need {
-		if g, ok := r.cache.lookup(ne.gid); !ok {
+		n := r.cache.lookupNode(ne.gid)
+		switch {
+		case n == nil:
 			miss = append(miss, ne)
-		} else if firstErr == nil {
-			firstErr = process(ne.gid, ne.j, g)
+		case firstErr != nil, local >= 0 && n.rulesOut(local):
+			// A hit, touched and counted, with nothing to hand on.
+		default:
+			firstErr = process(ne.gid, ne.j, n.g)
 		}
 	}
 	r.cache.countLookups(r.m.IntraGID[i], int64(needed-len(miss)), int64(len(miss)))
@@ -691,6 +709,16 @@ type needEntry struct {
 	_   [0]int64
 	gid GraphID
 	j   int32
+}
+
+// appendGraphs appends every graph of supernode i to need, in ascending
+// gid: its intranode graph, then its superedge graphs.
+func (m *meta) appendGraphs(need []needEntry, i int32) []needEntry {
+	need = append(need, needEntry{gid: m.IntraGID[i], j: i})
+	for k := m.SuperOff[i]; k < m.SuperOff[i+1]; k++ {
+		need = append(need, needEntry{gid: m.SuperGID[k], j: m.SuperAdj[k]})
+	}
+	return need
 }
 
 // readDecodeSpan reads the contiguous byte span covering the claimed
@@ -790,11 +818,8 @@ func (r *Representation) Verify() error {
 	var edges int64
 	var need []needEntry
 	for s := int32(0); s < int32(r.m.Stats.Supernodes); s++ {
-		need = append(need[:0], needEntry{gid: r.m.IntraGID[s], j: s})
-		for k := r.m.SuperOff[s]; k < r.m.SuperOff[s+1]; k++ {
-			need = append(need, needEntry{gid: r.m.SuperGID[k], j: r.m.SuperAdj[k]})
-		}
-		err := r.consult(ctx, s, need, func(gid GraphID, j int32, g decodedGraph) error {
+		need = r.m.appendGraphs(need[:0], s)
+		err := r.consult(ctx, s, -1, need, func(gid GraphID, j int32, g decodedGraph) error {
 			if sg, ok := g.(*superPosSources); ok {
 				full, err := r.materialize(ctx, gid, sg)
 				if err != nil {

@@ -47,7 +47,9 @@
 // throughput metric — change under the shard locks; all are exact at
 // quiescence. A store.Filter is resolved against the representation's
 // supernodes once and the result memoised in the filter, so a filter
-// must not change after its first use. ResetStats and ResetCache may
+// must not change after its first use; the per-supernode graph lists it
+// grows are each published once, by whichever goroutine builds one
+// first. ResetStats and ResetCache may
 // also be called concurrently with queries; a reset does not abandon
 // in-flight decodes (their waiters are still released), but callers
 // that want exact cold-cache accounting should quiesce queries first,

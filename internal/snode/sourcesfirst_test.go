@@ -137,7 +137,7 @@ func TestVerifyLeavesMaterializedEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	for gid := range r.m.Directory {
-		g, ok := r.cache.lookup(GraphID(gid))
+		g, ok := r.cache.slotGraph(GraphID(gid))
 		if !ok {
 			t.Fatalf("graph %d not resident after Verify", gid)
 		}
@@ -530,7 +530,7 @@ func TestCorruptListSectionFailsOnlyItsReaders(t *testing.T) {
 				t.Fatalf("bystander page after the failed materialization: %v", err)
 			}
 			assertPageRows(t, c, bystander, rows)
-			if g, ok := r.cache.lookup(victim); !ok {
+			if g, ok := r.cache.slotGraph(victim); !ok {
 				t.Fatal("the damaged graph's sources-only entry did not stay resident")
 			} else if _, sourcesOnly := g.(*superPosSources); !sourcesOnly {
 				t.Fatalf("the damaged graph is resident as %T: its lists cannot have decoded", g)

@@ -40,10 +40,9 @@
 // -max-queue and -deadline size the admission layer in front of /out
 // and /query (internal/serve: nav before mining, 429 + Retry-After past
 // a full queue or an unmeetable deadline, the deadline propagated into
-// the paced reader). -hedge-after arms hedged reads on the S-Node
-// stores. -trace-every samples 1 in N requests into span trees, the
-// slowest -trace-slow per class retained; the tracer is attached
-// whatever it says — 0 only stops local sampling, and a request
+// the paced reader). -trace-every samples 1 in N requests into span
+// trees, the slowest -trace-slow per class retained; the tracer is
+// attached whatever it says — 0 only stops local sampling, and a request
 // carrying the router's sampled X-SNode-Trace header is still traced
 // and answered with X-SNode-Trace-Id for the router to stitch.
 //
@@ -81,16 +80,15 @@ import (
 // options are the serving parameters; the flags fill the admission and
 // tracer settings into the configs that carry them.
 type options struct {
-	data       string
-	shardID    int
-	listen     string
-	live       bool
-	budget     int64
-	pace       float64
-	drain      time.Duration
-	hedgeAfter time.Duration
-	trace      trace.Config // SampleEvery, SlowPerClass
-	serve      serve.Config // MaxConcurrent, MaxQueue, DefaultDeadline
+	data    string
+	shardID int
+	listen  string
+	live    bool
+	budget  int64
+	pace    float64
+	drain   time.Duration
+	trace   trace.Config // SampleEvery, SlowPerClass
+	serve   serve.Config // MaxConcurrent, MaxQueue, DefaultDeadline
 }
 
 // validate rejects flag values that would otherwise fail obscurely
@@ -120,8 +118,6 @@ func validate(o *options) error {
 		return fmt.Errorf("-max-queue must be >= 1 (got %d): the admission queue needs at least one seat", o.serve.MaxQueue)
 	case o.serve.DefaultDeadline < 0:
 		return fmt.Errorf("-deadline must be >= 0 (got %v; 0 means no default deadline)", o.serve.DefaultDeadline)
-	case o.hedgeAfter < 0:
-		return fmt.Errorf("-hedge-after must be >= 0 (got %v; 0 disables hedging)", o.hedgeAfter)
 	}
 	return nil
 }
@@ -140,7 +136,6 @@ func main() {
 	flag.IntVar(&o.serve.MaxConcurrent, "max-concurrent", 0, "admission slots for /out and /query (0 = GOMAXPROCS)")
 	flag.IntVar(&o.serve.MaxQueue, "max-queue", 64, "bounded admission queue per request class; arrivals past it are shed with 429")
 	flag.DurationVar(&o.serve.DefaultDeadline, "deadline", 0, "default deadline for /out and /query requests (0 = none; ?deadline_ms overrides)")
-	flag.DurationVar(&o.hedgeAfter, "hedge-after", 0, "hedge a coalesced cache-miss wait after this long (0 disables hedged reads)")
 	flag.Parse()
 
 	err := validate(o)
@@ -178,9 +173,7 @@ func run(o *options) error {
 
 	// One registry and one tracer for the whole serving path: latency
 	// histograms and stage timings (engines), cache and I/O counters
-	// per direction (representations), admission (server). Hedged reads
-	// are a property of the S-Node buffer manager, so they arm on the
-	// base representations, under any overlay.
+	// per direction (representations), admission (server).
 	o.serve.Registry = metrics.NewRegistry()
 	o.serve.Tracer = trace.New(o.trace)
 	for prefix, s := range map[string]*snode.Representation{
@@ -188,9 +181,6 @@ func run(o *options) error {
 		"snode_rev": sh.NavRepo.Rev[repo.SchemeSNode].(*snode.Representation),
 	} {
 		s.RegisterMetrics(o.serve.Registry, prefix)
-		if o.hedgeAfter > 0 {
-			s.SetHedge(o.hedgeAfter)
-		}
 	}
 	// Overlay segments go to a scratch directory: nothing reopens a
 	// sealed segment yet, so keeping them would promise a durability

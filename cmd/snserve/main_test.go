@@ -33,7 +33,6 @@ func TestValidate(t *testing.T) {
 		"-max-concurrent": func(o *options) { o.serve.MaxConcurrent = -1 },
 		"-max-queue":      func(o *options) { o.serve.MaxQueue = 0 },
 		"-deadline":       func(o *options) { o.serve.DefaultDeadline = -time.Second },
-		"-hedge-after":    func(o *options) { o.hedgeAfter = -time.Second },
 	} {
 		o := good()
 		breakIt(o)

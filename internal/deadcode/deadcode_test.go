@@ -25,7 +25,6 @@ import (
 // itself a failure.
 var allowed = map[string]string{
 	"snode.Representation.InflightDecodes": "flight tests check the single-flight table drains to zero through it",
-	"snode.Representation.HedgeStats":      "hedging tests read fired/won counts through it",
 	"metrics.HistSnapshot.TailExemplar":    "metrics, query and router tests observe the exemplar mechanism through it",
 	"btree.Tree.Height":                    "btree tests bound the tree's depth through it",
 	"textindex.Index.NumTerms":             "textindex tests check the vocabulary size through it",
@@ -157,6 +156,114 @@ func TestNoUnexportedFunctionOnlyTestsCall(t *testing.T) {
 			}
 			rel, _ := filepath.Rel(root, d.pos.Filename)
 			t.Errorf("%s:%d: unexported %s is referenced only by the package's tests: delete it, give it a caller, or move it into the test file that uses it", rel, d.pos.Line, d.key)
+		}
+	}
+}
+
+// noImplementer lists the exported interfaces under internal/ that no
+// type implements, keyed pkg.Interface with the reason. An entry whose
+// interface is gone, or has an implementer now, is itself a failure.
+var noImplementer = map[string]string{
+	"store.Hedger": "benchmark/wrap.go's tracedStore.SetHedge still type-asserts to it; ROADMAP item 1(7) deletes both",
+}
+
+// TestEveryInterfaceHasAnImplementer fails, by file and line, on an
+// exported interface under internal/ that no non-test type under
+// internal/ or cmd/ declares every method of, by name. Interfaces it
+// embeds from its own package count with their methods; a type's
+// methods are the ones declared on it, not promoted through a field. An
+// interface nothing implements is a type assertion that always fails.
+func TestEveryInterfaceHasAnImplementer(t *testing.T) {
+	type iface struct {
+		methods  []string
+		embedded []string // interfaces of the same package
+		pos      token.Position
+	}
+	ifaces := map[string]*iface{}           // by pkg.Interface
+	methods := map[string]map[string]bool{} // method names by dir.Type
+	root := eachGoFile(t, func(rel string, fset *token.FileSet, f *ast.File) {
+		if strings.HasSuffix(rel, "_test.go") || !(strings.HasPrefix(rel, "internal/") || strings.HasPrefix(rel, "cmd/")) {
+			return
+		}
+		dir := filepath.Dir(rel)
+		for _, d := range f.Decls {
+			switch x := d.(type) {
+			case *ast.FuncDecl:
+				if x.Recv != nil {
+					key := dir + "." + receiverType(x.Recv.List[0].Type)
+					if methods[key] == nil {
+						methods[key] = map[string]bool{}
+					}
+					methods[key][x.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range x.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok || !ts.Name.IsExported() || !strings.HasPrefix(rel, "internal/") {
+						continue
+					}
+					it, ok := ts.Type.(*ast.InterfaceType)
+					if !ok {
+						continue
+					}
+					in := &iface{pos: fset.Position(ts.Pos())}
+					for _, m := range it.Methods.List {
+						if len(m.Names) == 0 {
+							if id, ok := m.Type.(*ast.Ident); ok {
+								in.embedded = append(in.embedded, filepath.Base(dir)+"."+id.Name)
+							}
+						}
+						for _, id := range m.Names {
+							in.methods = append(in.methods, id.Name)
+						}
+					}
+					ifaces[filepath.Base(dir)+"."+ts.Name.Name] = in
+				}
+			}
+		}
+	})
+	var methodSet func(key string) []string
+	methodSet = func(key string) []string {
+		in := ifaces[key]
+		if in == nil {
+			return nil
+		}
+		all := append([]string(nil), in.methods...)
+		for _, e := range in.embedded {
+			all = append(all, methodSet(e)...)
+		}
+		return all
+	}
+	implemented := func(names []string) bool {
+		for _, have := range methods {
+			ok := true
+			for _, n := range names {
+				if !have[n] {
+					ok = false
+					break
+				}
+			}
+			if ok {
+				return true
+			}
+		}
+		return false
+	}
+	for key, in := range ifaces {
+		has := implemented(methodSet(key))
+		_, kept := noImplementer[key]
+		switch {
+		case has && kept:
+			t.Errorf("allowlist entry %s is stale: a type implements it now", key)
+		case !has && !kept:
+			rel, _ := filepath.Rel(root, in.pos.Filename)
+			t.Errorf("%s:%d: no type under internal/ or cmd/ implements %s, so every assertion to it fails: delete it, or give it an implementer", rel, in.pos.Line, key)
+		}
+	}
+	t.Logf("%d exported interfaces", len(ifaces))
+	for key := range noImplementer {
+		if ifaces[key] == nil {
+			t.Errorf("allowlist entry %s is stale: no such interface under internal/", key)
 		}
 	}
 }

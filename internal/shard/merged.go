@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"time"
 
 	"snode/internal/store"
 	"snode/internal/webgraph"
@@ -18,8 +17,8 @@ import (
 // The overlay is free of duplicates by construction — an edge is intra
 // or boundary, never both — and costs no modeled I/O (the boundary map
 // is resident, like the domain and page-ID indexes the §4 setup keeps
-// in memory for every scheme). Serving knobs (cache reset, pacing,
-// hedging) and stats pass through to the base store.
+// in memory for every scheme). Serving knobs (cache reset, pacing) and
+// stats pass through to the base store.
 type MergedStore struct {
 	base     store.LinkStore
 	baseCtx  store.ContextLinkStore // non-nil when base provides it
@@ -109,13 +108,6 @@ func (m *MergedStore) ResetCache(budget int64) {
 func (m *MergedStore) SetPace(scale float64) {
 	if p, ok := m.base.(store.Pacer); ok {
 		p.SetPace(scale)
-	}
-}
-
-// SetHedge forwards to the base store when it supports it.
-func (m *MergedStore) SetHedge(after time.Duration) {
-	if h, ok := m.base.(store.Hedger); ok {
-		h.SetHedge(after)
 	}
 }
 

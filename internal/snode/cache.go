@@ -263,7 +263,7 @@ const (
 // claimNoWait resolves a graph that a lookup reported missing without
 // ever blocking: it returns the graph if a concurrent decode finished
 // meanwhile, hands back the in-flight decode if one exists (the caller
-// waits on fl.done itself — with cancellation, or hedged; counting the
+// waits on fl.done itself, with cancellation; counting the
 // Coalesced dedup happens here, at claim time), or makes the caller the
 // decode leader (leader=true), who MUST call complete exactly once.
 // claimNoWait never counts a hit or miss — the lookup that preceded it

@@ -61,9 +61,8 @@ type Codec interface {
 }
 
 // Codec IDs. The ID is a wire value (directory entries reference it);
-// never renumber. codec/paper must stay 0: pre-codec artifacts carry no
-// codec field and read back as zero. ID 1 was codec/lz, retired in PR 22
-// (behind codec/log on size and on a cold lookup, EXPERIMENTS.md): it is
+// never renumber. ID 1 was codec/lz, retired (behind codec/log on size
+// and on a cold lookup, EXPERIMENTS.md): it is
 // never reused, artifacts that name it are refused at Open, and
 // numCodecs stays 3 so that 2 keeps meaning codec/log.
 const (

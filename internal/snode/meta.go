@@ -15,10 +15,9 @@ import (
 const (
 	metaMagic = 0x534E4F44 // "SNOD"
 	// metaVersion 2 added per-directory-entry codec IDs and the
-	// per-codec stats section. Version 1 artifacts predate pluggable
-	// codecs and are still read: every payload is codec/paper (ID 0).
-	metaVersion  = 2
-	metaVersion1 = 1
+	// per-codec stats section. It is the only version read: nothing has
+	// written version 1 since codecs became pluggable.
+	metaVersion = 2
 )
 
 func writeInts[T int32 | int64](w *coding.Writer, xs []T) {
@@ -65,7 +64,7 @@ func writeMeta(path string, m *meta) error {
 			w.Varint(e.Offset)
 			w.Varint(int64(e.NumBytes))
 			w.Varint(int64(e.NumLists))
-			w.Uvarint(uint64(e.Codec)) // v2
+			w.Uvarint(uint64(e.Codec))
 		}
 		writeInts(w, m.FileSizes)
 		st := &m.Stats
@@ -80,7 +79,7 @@ func writeMeta(path string, m *meta) error {
 		w.Varint(int64(st.URLSplits))
 		w.Varint(int64(st.ClusteredSplits))
 		w.Varint(int64(st.BuildTime))
-		w.Uvarint(uint64(len(st.Codecs))) // v2
+		w.Uvarint(uint64(len(st.Codecs)))
 		for _, cs := range st.Codecs {
 			w.Uvarint(uint64(cs.ID))
 			w.Varint(cs.Supernodes)
@@ -92,10 +91,10 @@ func writeMeta(path string, m *meta) error {
 	})
 }
 
-// readMeta loads what writeMeta wrote, or its version-1 predecessor. A
-// length prefix is held against the bytes the file has left before it
-// sizes anything, a value too wide for its field is refused rather than
-// narrowed, and nothing may follow the last field.
+// readMeta loads what writeMeta wrote. A length prefix is held against
+// the bytes the file has left before it sizes anything, a value too wide
+// for its field is refused rather than narrowed, and nothing may follow
+// the last field.
 func readMeta(path string) (*meta, error) {
 	r, err := coding.OpenFile(path)
 	if err != nil {
@@ -105,8 +104,7 @@ func readMeta(path string) (*meta, error) {
 	if r.Uvarint() != metaMagic {
 		return nil, fmt.Errorf("snode: %s: bad magic", path)
 	}
-	v := r.Uvarint()
-	if v != metaVersion && v != metaVersion1 {
+	if v := r.Uvarint(); v != metaVersion {
 		return nil, fmt.Errorf("snode: %s: unsupported version %d", path, v)
 	}
 	m := &meta{}
@@ -124,8 +122,7 @@ func readMeta(path string) (*meta, error) {
 	m.SuperAdj = readInts(r, r.Int32)
 	m.SuperGID = readInts(r, r.Int32)
 	m.IntraGID = readInts(r, r.Int32)
-	// A directory entry is seven fields in version 1, eight since.
-	m.Directory = make([]dirEntry, r.Count(math.MaxInt32, 7))
+	m.Directory = make([]dirEntry, r.Count(math.MaxInt32, 8))
 	for i := range m.Directory {
 		e := &m.Directory[i]
 		e.Kind = r.Uint8()
@@ -135,10 +132,7 @@ func readMeta(path string) (*meta, error) {
 		e.Offset = r.Varint()
 		e.NumBytes = r.Int32()
 		e.NumLists = r.Int32()
-		if v >= metaVersion {
-			e.Codec = r.Uint8()
-		}
-		// v1 entries predate codecs: Codec stays 0 = codec/paper.
+		e.Codec = r.Uint8()
 	}
 	m.FileSizes = readInts(r, r.Varint)
 	st := &m.Stats
@@ -153,44 +147,25 @@ func readMeta(path string) (*meta, error) {
 	st.URLSplits = int(r.Varint())
 	st.ClusteredSplits = int(r.Varint())
 	st.BuildTime = time.Duration(r.Varint())
-	if v >= metaVersion {
-		st.Codecs = make([]CodecBuildStat, r.Count(numCodecs, 5))
-		for i := range st.Codecs {
-			cs := &st.Codecs[i]
-			cs.ID = r.Uint8()
-			cs.Supernodes = r.Varint()
-			cs.Graphs = r.Varint()
-			cs.Bytes = r.Varint()
-			cs.Edges = r.Varint()
-			c, err := codecByID(cs.ID)
-			if err != nil {
-				return nil, fmt.Errorf("snode: %s: codec stats: %w", path, err)
-			}
-			cs.Name = c.Name()
+	st.Codecs = make([]CodecBuildStat, r.Count(numCodecs, 5))
+	for i := range st.Codecs {
+		cs := &st.Codecs[i]
+		cs.ID = r.Uint8()
+		cs.Supernodes = r.Varint()
+		cs.Graphs = r.Varint()
+		cs.Bytes = r.Varint()
+		cs.Edges = r.Varint()
+		c, err := codecByID(cs.ID)
+		if err != nil {
+			return nil, fmt.Errorf("snode: %s: codec stats: %w", path, err)
 		}
+		cs.Name = c.Name()
 	}
 	if r.End(); r.Err() != nil {
 		return nil, fmt.Errorf("snode: read meta: %s: %w", path, r.Err())
 	}
 	if err := m.validate(); err != nil {
 		return nil, fmt.Errorf("snode: %s: %w", path, err)
-	}
-	if v == metaVersion1 {
-		// Pre-codec artifact: every payload is codec/paper. Synthesize
-		// the composition record so BuildStats().Codecs and the per-codec metrics
-		// behave uniformly (stored edge counts were not recorded then
-		// and stay zero).
-		var payloadBytes int64
-		for i := range m.Directory {
-			payloadBytes += int64(m.Directory[i].NumBytes)
-		}
-		m.Stats.Codecs = []CodecBuildStat{{
-			ID:         codecIDPaper,
-			Name:       CodecPaper,
-			Supernodes: int64(m.Stats.Supernodes),
-			Graphs:     int64(len(m.Directory)),
-			Bytes:      payloadBytes,
-		}}
 	}
 	return m, nil
 }

@@ -40,8 +40,8 @@ func readMetaBytes(t testing.TB, raw []byte) (m *meta, alloc uint64, err error) 
 }
 
 // tinyMeta returns the meta.bin of a six-page, two-domain build (about a
-// hundred bytes), as version 2 and downgraded to version 1.
-func tinyMeta(t testing.TB) (v2, v1 []byte) {
+// hundred bytes).
+func tinyMeta(t testing.TB) []byte {
 	t.Helper()
 	b := webgraph.NewBuilder(6)
 	for _, e := range [][2]int32{{0, 1}, {0, 2}, {1, 2}, {2, 4}, {3, 4}, {4, 5}, {5, 0}, {3, 0}} {
@@ -56,19 +56,11 @@ func tinyMeta(t testing.TB) (v2, v1 []byte) {
 	if _, err := Build(c, DefaultConfig(), dir); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "meta.bin")
-	m, err := readMeta(path)
+	raw, err := os.ReadFile(filepath.Join(dir, "meta.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v2, err = os.ReadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	writeMetaV1(t, path, m)
-	if v1, err = os.ReadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	return v2, v1
+	return raw
 }
 
 // hostileCount is the twelve bytes that used to cost 513 MiB: a valid
@@ -149,7 +141,7 @@ func metaSpans(t *testing.T, raw []byte) (numPages, perm0, kind0 [2]int) {
 }
 
 func TestValueTooWideForItsFieldIsRefused(t *testing.T) {
-	v2, _ := tinyMeta(t)
+	v2 := tinyMeta(t)
 	numPages, perm0, kind0 := metaSpans(t, v2)
 	splice := func(span [2]int, field []byte) []byte {
 		return append(append(append([]byte(nil), v2[:span[0]]...), field...), v2[span[1]:]...)
@@ -177,29 +169,26 @@ func TestValueTooWideForItsFieldIsRefused(t *testing.T) {
 }
 
 func TestTrailingBytesAreRefused(t *testing.T) {
-	v2, v1 := tinyMeta(t)
-	for name, valid := range map[string][]byte{"v2": v2, "v1": v1} {
-		if _, _, err := readMetaBytes(t, valid); err != nil {
-			t.Fatalf("%s: the valid file is refused: %v", name, err)
-		}
-		for _, extra := range []int{1, 5} {
-			raw := append(append([]byte(nil), valid...), make([]byte, extra)...)
-			if _, _, err := readMetaBytes(t, raw); err == nil || !strings.Contains(err.Error(), "after the last field") {
-				t.Errorf("%s + %d bytes: err = %v, want the trailing bytes refused", name, extra, err)
-			}
+	valid := tinyMeta(t)
+	if _, _, err := readMetaBytes(t, valid); err != nil {
+		t.Fatalf("the valid file is refused: %v", err)
+	}
+	for _, extra := range []int{1, 5} {
+		raw := append(append([]byte(nil), valid...), make([]byte, extra)...)
+		if _, _, err := readMetaBytes(t, raw); err == nil || !strings.Contains(err.Error(), "after the last field") {
+			t.Errorf("+ %d bytes: err = %v, want the trailing bytes refused", extra, err)
 		}
 	}
 }
 
 // FuzzReadMeta: whatever the bytes, readMeta neither panics nor sizes
 // anything beyond a multiple of the file, and what it returns without an
-// error passes validate. Seeds: the two valid files, every strict prefix
-// of the version-2 one, and (committed under testdata/fuzz) the probes
-// of the three tests above.
+// error passes validate. Seeds: the valid file, every strict prefix of
+// it, and (committed under testdata/fuzz) the probes of the three tests
+// above and a version-1 file, which is refused.
 func FuzzReadMeta(f *testing.F) {
-	v2, v1 := tinyMeta(f)
+	v2 := tinyMeta(f)
 	f.Add(v2)
-	f.Add(v1)
 	for n := 0; n < len(v2); n++ {
 		f.Add(v2[:n])
 	}

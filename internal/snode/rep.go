@@ -42,17 +42,6 @@ type Representation struct {
 	// mid-span decode on demand. Set it before serving; nil in
 	// production.
 	decodeFault func(GraphID) error
-
-	// hedgeAfter > 0 arms hedged reads: a goroutine coalesced behind
-	// another request's in-flight decode for longer than this launches
-	// its own private read+decode rather than waiting out a straggling
-	// leader (SetHedge; 0 = off, the default).
-	hedgeAfter atomic.Int64
-
-	// Hedge accounting (atomics: bumped from concurrent waiters).
-	hedges      atomic.Int64
-	hedgeWins   atomic.Int64
-	hedgeLosses atomic.Int64
 }
 
 // errDecodeAbandoned completes a claimed in-flight decode whose leader
@@ -144,9 +133,6 @@ func (r *Representation) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.CounterFunc(prefix+"_decoded_edges", r.cache.decodedEdges)
 	reg.GaugeFunc(prefix+"_cache_bytes", r.cache.usedBytes)
 	reg.GaugeFunc(prefix+"_cache_entries", r.cache.entries)
-	reg.CounterFunc(prefix+"_hedges", r.hedges.Load)
-	reg.CounterFunc(prefix+"_hedge_wins", r.hedgeWins.Load)
-	reg.CounterFunc(prefix+"_hedge_losses", r.hedgeLosses.Load)
 	reg.GaugeFunc(prefix+"_inflight_decodes", r.cache.inflightCount)
 	r.decodeHist.Store(reg.Histogram(prefix+"_decode_seconds", nil))
 	// The artifact's static composition, per codec it holds (one, unless
@@ -187,20 +173,6 @@ func (r *Representation) ResetCache(budget int64) {
 // (0 disables). The concurrent-serving experiments use this to let
 // goroutines overlap modeled I/O waits for real.
 func (r *Representation) SetPace(scale float64) { r.acc.SetPace(scale) }
-
-// SetHedge implements store.Hedger: a request coalesced behind another
-// request's in-flight decode for longer than after launches its own
-// private read+decode of the same graph and takes whichever result
-// lands first (0 disables, the default). The hedge never touches the
-// buffer manager — only the flight's leader completes it — so hedging
-// changes tail latency, never cache contents or correctness.
-func (r *Representation) SetHedge(after time.Duration) { r.hedgeAfter.Store(int64(after)) }
-
-// HedgeStats reports hedged-read counts since Open: hedges launched,
-// hedges that beat their leader, hedges the leader beat.
-func (r *Representation) HedgeStats() (launched, wins, losses int64) {
-	return r.hedges.Load(), r.hedgeWins.Load(), r.hedgeLosses.Load()
-}
 
 // InflightDecodes reports decodes currently claimed but not completed.
 // It must drain to zero once no request is active — the invariant the
@@ -256,9 +228,8 @@ func (r *Representation) DomainSupernodes(domain string) (lo, hi int32, ok bool)
 // claim time or waited out another goroutine's in-flight decode — and
 // traced requests record the wait as a "cache.wait" span, so a slow
 // query that lost time blocked behind someone else's decode shows it.
-// The wait itself goes through awaitFlight, which honours ctx
-// cancellation and, when armed via SetHedge, hedges a straggling
-// leader.
+// The wait honours ctx cancellation: a dead request stops waiting, and
+// the flight itself is untouched — its leader still completes it.
 func (r *Representation) claimTraced(ctx context.Context, gid GraphID) (decodedGraph, error, bool) {
 	g, fl, leader := r.cache.claimNoWait(gid)
 	if leader {
@@ -270,120 +241,13 @@ func (r *Representation) claimTraced(ctx context.Context, gid GraphID) (decodedG
 	}
 	_, span := trace.Start(ctx, "cache.wait")
 	span.SetAttr("gid", int64(gid))
-	g, err := r.awaitFlight(ctx, gid, fl)
-	span.End()
-	return g, err, false
-}
-
-// awaitFlight waits out another goroutine's in-flight decode of gid,
-// with two escapes the plain channel receive lacks: the wait honours
-// ctx cancellation (a dead request stops waiting; the flight itself is
-// untouched — its leader still completes it), and once the wait
-// exceeds the armed hedge threshold the waiter launches a private
-// read+decode of the same graph and takes whichever result lands
-// first. The hedge never touches the cache, so only the leader ever
-// completes the flight — a hedge cannot double-complete or leave an
-// orphaned flight by construction. A losing hedge is cancelled via its
-// context (the interruptible paced stall makes that prompt) and drains
-// into a buffered channel, so it is never leaked either.
-func (r *Representation) awaitFlight(ctx context.Context, gid GraphID, fl *inflightDecode) (decodedGraph, error) {
-	hedgeAfter := time.Duration(r.hedgeAfter.Load())
-	if hedgeAfter <= 0 {
-		if ctx.Done() == nil {
-			<-fl.done
-			return fl.g, fl.err
-		}
-		select {
-		case <-fl.done:
-			return fl.g, fl.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	timer := time.NewTimer(hedgeAfter)
+	defer span.End()
 	select {
 	case <-fl.done:
-		timer.Stop()
-		return fl.g, fl.err
+		return fl.g, fl.err, false
 	case <-ctx.Done():
-		timer.Stop()
-		return nil, ctx.Err()
-	case <-timer.C:
+		return nil, ctx.Err(), false
 	}
-
-	// The leader is straggling: hedge it.
-	r.hedges.Add(1)
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type hedgeResult struct {
-		g   decodedGraph
-		err error
-	}
-	res := make(chan hedgeResult, 1) // buffered: a losing hedge never blocks
-	start := time.Now()
-	go func() {
-		g, err := r.readDecodeHedged(hctx, gid)
-		res <- hedgeResult{g, err}
-	}()
-	recordHedge := func(won int64) {
-		if trace.Active(ctx) {
-			trace.RecordSpan(ctx, "snode.hedge", start, time.Since(start),
-				trace.Attr{Key: "gid", Val: int64(gid)},
-				trace.Attr{Key: "won", Val: won})
-		}
-	}
-	select {
-	case <-fl.done:
-		// Leader won; the deferred cancel reaps the hedge.
-		r.hedgeLosses.Add(1)
-		recordHedge(0)
-		return fl.g, fl.err
-	case hr := <-res:
-		if hr.err != nil {
-			// A failed hedge must not mask the leader's result: fall back
-			// to the plain wait.
-			r.hedgeLosses.Add(1)
-			recordHedge(0)
-			select {
-			case <-fl.done:
-				return fl.g, fl.err
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		r.hedgeWins.Add(1)
-		recordHedge(1)
-		return hr.g, hr.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// readDecodeHedged is the hedge's private copy of the leader's work:
-// read gid's bytes and decode them, touching neither the flight table
-// nor the cache contents — no claim, no complete, no insert. The
-// decoded copy serves exactly one waiter and is garbage afterwards;
-// the leader's copy is what the buffer manager keeps. Identical input
-// bytes mean the hedge's rows are byte-identical to the leader's,
-// which the hedging on/off golden test pins.
-func (r *Representation) readDecodeHedged(ctx context.Context, gid GraphID) (decodedGraph, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	e := &r.m.Directory[gid]
-	if int(e.File) >= len(r.files) {
-		return nil, fmt.Errorf("snode: graph %d in missing file %d", gid, e.File)
-	}
-	bp := getReadBuf(int(e.NumBytes))
-	defer readBufPool.Put(bp)
-	buf := (*bp)[:e.NumBytes]
-	if _, err := r.files[e.File].ReadAtCtx(ctx, buf, e.Offset); err != nil {
-		return nil, fmt.Errorf("snode: hedge read graph %d: %w", gid, err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return r.decode(gid, buf)
 }
 
 // decodeTraced wraps decode with per-request attribution: the decode

@@ -152,11 +152,11 @@ type Pacer interface {
 	SetPace(scale float64)
 }
 
-// Hedger is implemented by stores that can hedge coalesced cache-miss
-// waits: a request blocked behind another request's in-flight decode
-// for longer than after launches its own private read+decode and takes
-// whichever result lands first — the classic tail-latency cure for p99
-// stragglers on the cache-miss path. 0 disables.
+// Hedger is implemented by no store: hedged reads were removed, and a
+// coalesced cache miss waits for its leader's decode. The one type
+// assertion left, the benchmark harness's tracedStore.SetHedge
+// forwarder, always fails. ROADMAP item 1(7) deletes this declaration
+// together with that forwarder.
 type Hedger interface {
 	SetHedge(after time.Duration)
 }

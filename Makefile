@@ -78,9 +78,13 @@ check-overhead:
 # the plans were unified, the Q3-Q6 answers against brute force off
 # the corpus graph, and Q3 on a corpus without its phrase (an empty base
 # set, no page read). A plan edit that moves Figure 11 fails here by
-# scheme and query. Run with -count=1 so the gate always executes.
+# scheme and query. snquery over a dataset directory must print the
+# rows, seeks, bytes and graph loads of the engine over repo.Build of the
+# same crawl, and refuse a sharded dataset by naming snrouter. Run with
+# -count=1 so the gate always executes.
 test-query:
 	$(GO) test -count=1 -run 'TestTable3Golden|TestQ[3-6]AgainstBruteForce|TestQ3WithoutItsPhraseIsEmpty' ./internal/query
+	$(GO) test -count=1 ./cmd/snquery
 
 # Build determinism: the parallel refiner and streaming assembly must
 # produce byte-identical partitions and artifacts at every worker
@@ -173,12 +177,15 @@ test-codec:
 # count; dense IDs and an ID-only graph with raw IDs above 2^32 and one
 # above 2^63), the golden end-to-end oracle (synth -> export -> ingest
 # -> build byte-identical to the direct build at every worker count,
-# heap budget engaged), a refused export leaving no torn table, and the
-# committed-fixture format pin. Run with -count=1 so the gate always
+# heap budget engaged), a refused export leaving no torn table, the
+# committed-fixture format pin, and snbuild's source flags (exactly one
+# of -pages and -ingest; -seed, -format and -max-heap-mb refused without
+# the source they belong to). Run with -count=1 so the gate always
 # executes.
 test-ingest:
 	$(GO) test -count=1 ./internal/ingest
 	$(GO) test -count=1 -run 'TestSpill' ./internal/iosim
+	$(GO) test -count=1 -run 'TestValidate' ./cmd/snbuild
 
 check: build vet test test-race test-bench check-overhead test-query test-determinism test-delta-race test-load test-shard test-obs test-codec test-ingest
 

@@ -1,8 +1,10 @@
-// Command snbuild writes a dataset directory — the one thing a server
-// opens — from a crawl written by sngen, and prints what it wrote.
+// Command snbuild writes a dataset directory — the one thing snserve
+// and snquery open — from a synthetic crawl of -pages pages or a real
+// edge list read with -ingest, and prints what it wrote. Exactly one of
+// the two is required.
 //
-//	snbuild -crawl ./crawl -out ./data
-//	snbuild -crawl ./crawl -out ./data -shards 4 -workers 8 -progress
+//	snbuild -pages 50000 -out ./data
+//	snbuild -pages 50000 -out ./data -shards 4 -workers 8 -progress
 //
 // The dataset is a K-way domain partition (internal/shard): a versioned
 // manifest.json, replicated page metadata and global PageRank, and per
@@ -15,15 +17,14 @@
 // snbuild prints the S-Node row of its own dataset and builds nothing
 // it does not keep.
 //
-// Instead of a corpus.bin crawl, snbuild can ingest a real edge-list
-// dataset (SNAP or GraphChallenge TSV, gzip-transparent, with checksum
-// and URL-table sidecars picked up automatically) or synthesize a
-// crawl inline with -pages. With -max-heap-mb the ingestion edge
-// buffer spills to disk in sorted runs past that budget; refinement and
-// encoding run in memory whatever it says:
+// -ingest reads a real edge-list dataset (SNAP or GraphChallenge TSV,
+// gzip-transparent, with checksum and URL-table sidecars picked up
+// automatically; `sngen -gzip` exports one from a synthetic crawl).
+// With -max-heap-mb the ingestion edge buffer spills to disk in sorted
+// runs past that budget; refinement and encoding run in memory
+// whatever it says:
 //
 //	snbuild -ingest ./web-Google.txt.gz -format snap -max-heap-mb 256 -out ./data
-//	snbuild -pages 50000 -out ./data
 package main
 
 import (
@@ -39,7 +40,6 @@ import (
 	"syscall"
 	"time"
 
-	"snode/internal/corpusio"
 	"snode/internal/ingest"
 	"snode/internal/iosim"
 	"snode/internal/metrics"
@@ -48,9 +48,8 @@ import (
 	"snode/internal/synth"
 )
 
-// options are the validated command-line inputs.
+// options are the command-line inputs.
 type options struct {
-	crawlDir  string
 	out       string
 	budget    int64
 	workers   int
@@ -65,21 +64,46 @@ type options struct {
 	seed      uint64
 }
 
-// usageError prints the problem in flag-package style (message plus
-// defaults) and exits 2, the conventional usage-error status.
-func usageError(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "snbuild: "+format+"\n", args...)
-	flag.Usage()
-	os.Exit(2)
+// validate rejects flag values before any expensive work, so a
+// contradiction or a typo fails in a moment instead of as a build
+// error minutes later. set holds the names of the flags given on the
+// command line: a flag that only means something beside another is
+// refused when given without it.
+func validate(o options, set map[string]bool) error {
+	switch {
+	case o.pages < 0:
+		return fmt.Errorf("-pages must be >= 0, got %d", o.pages)
+	case (o.ingest == "") == (o.pages == 0):
+		return fmt.Errorf("-pages N or -ingest PATH, exactly one: the first synthesizes a crawl, the second reads a real edge list")
+	case set["seed"] && o.pages == 0:
+		return fmt.Errorf("-seed requires -pages (it seeds the synthetic crawl)")
+	case set["format"] && o.ingest == "":
+		return fmt.Errorf("-format requires -ingest")
+	case set["max-heap-mb"] && o.ingest == "":
+		return fmt.Errorf("-max-heap-mb requires -ingest (a synthetic crawl has no spill path)")
+	case o.ingest != "" && !slices.Contains(ingest.Formats(), o.format):
+		return fmt.Errorf("unknown -format %q (one of: %s)", o.format, strings.Join(ingest.Formats(), ", "))
+	case o.maxHeapMB < 0:
+		return fmt.Errorf("-max-heap-mb must be >= 0, got %d", o.maxHeapMB)
+	case o.budget <= 0:
+		return fmt.Errorf("-budget must be positive, got %d", o.budget)
+	case o.workers <= 0:
+		return fmt.Errorf("-workers must be positive, got %d", o.workers)
+	case o.shards < 1:
+		return fmt.Errorf("-shards must be >= 1, got %d", o.shards)
+	}
+	if o.ingest != "" {
+		if _, err := os.Stat(o.ingest); err != nil {
+			return fmt.Errorf("-ingest dataset %q does not exist", o.ingest)
+		}
+	}
+	return checkCodec(o.codec)
 }
 
-// parseFlags validates every flag before any expensive work: unknown
-// codecs, nonsensical budgets or worker counts, and missing crawl
-// directories all fail fast with a usage-style message instead of
-// surfacing as a build error minutes later.
+// parseFlags reads the command line and exits 2, flag-package style
+// (message plus defaults), on anything validate refuses.
 func parseFlags() options {
 	var o options
-	flag.StringVar(&o.crawlDir, "crawl", "crawl", "directory written by sngen")
 	flag.StringVar(&o.out, "out", "data", "dataset directory to write (manifest.json, meta.bin, pagerank.bin, shard-<i>/)")
 	flag.Int64Var(&o.budget, "budget", 16<<20, "cache budget the written stores are opened under for their statistics and -verify (bytes, > 0)")
 	flag.IntVar(&o.workers, "workers", runtime.GOMAXPROCS(0), "build parallelism for partition refinement and supernode encoding (> 0; output is identical for every value)")
@@ -87,83 +111,23 @@ func parseFlags() options {
 	flag.BoolVar(&o.progress, "progress", false, "print a periodic build-progress line (elements split / supernodes encoded) to stderr")
 	flag.IntVar(&o.shards, "shards", 1, "partition the dataset K ways by domain, one snserve per shard behind snrouter (1 = the whole graph in one shard)")
 	flag.StringVar(&o.codec, "codec", snode.CodecPaper, "supernode payload codec: "+strings.Join(snode.CodecNames(), " or ")+" (output is byte-identical across runs under either)")
-	flag.StringVar(&o.ingest, "ingest", "", "ingest a real edge-list dataset at this path instead of reading -crawl (urls.tsv / manifest.sha256 sidecars are picked up from the same directory)")
+	flag.StringVar(&o.ingest, "ingest", "", "ingest a real edge-list dataset at this path (urls.tsv / manifest.sha256 sidecars are picked up from the same directory); the alternative to -pages")
 	flag.StringVar(&o.format, "format", ingest.FormatSNAP, "edge-list format for -ingest: "+strings.Join(ingest.Formats(), ", "))
 	flag.IntVar(&o.maxHeapMB, "max-heap-mb", 0, "bound the ingestion edge buffer: past this budget it spills to disk in sorted runs; refinement and encoding are not bounded by it (0 = fully in memory; requires -ingest)")
-	flag.IntVar(&o.pages, "pages", 0, "synthesize a crawl of this many pages inline instead of reading -crawl (0 disables)")
-	flag.Uint64Var(&o.seed, "seed", 20030226, "generator seed for -pages")
+	flag.IntVar(&o.pages, "pages", 0, "synthesize a crawl of this many pages; the alternative to -ingest")
+	flag.Uint64Var(&o.seed, "seed", 20030226, "generator seed (requires -pages)")
 	flag.Parse()
 
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	err := validate(o, set)
 	if flag.NArg() > 0 {
-		usageError("unexpected argument %q (all inputs are flags)", flag.Arg(0))
+		err = fmt.Errorf("unexpected argument %q (all inputs are flags)", flag.Arg(0))
 	}
-	// The corpus source flags are mutually exclusive: -ingest and
-	// -pages each replace -crawl, so combining them (or either with an
-	// explicit -crawl) leaves no way to honour both.
-	crawlSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "crawl" {
-			crawlSet = true
-		}
-	})
-	if o.ingest != "" && o.pages > 0 {
-		usageError("-ingest and -pages are contradictory: the first reads a real dataset, the second synthesizes one (pick one corpus source)")
-	}
-	if crawlSet && o.ingest != "" {
-		usageError("-crawl and -ingest are contradictory (pick one corpus source)")
-	}
-	if crawlSet && o.pages > 0 {
-		usageError("-crawl and -pages are contradictory (pick one corpus source)")
-	}
-	if o.ingest == "" {
-		if o.maxHeapMB != 0 {
-			usageError("-max-heap-mb requires -ingest (the in-memory crawl formats have no spill path)")
-		}
-		formatSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "format" {
-				formatSet = true
-			}
-		})
-		if formatSet {
-			usageError("-format requires -ingest")
-		}
-	} else {
-		formatOK := false
-		for _, f := range ingest.Formats() {
-			if o.format == f {
-				formatOK = true
-			}
-		}
-		if !formatOK {
-			usageError("unknown -format %q (one of: %s)", o.format, strings.Join(ingest.Formats(), ", "))
-		}
-		if o.maxHeapMB < 0 {
-			usageError("-max-heap-mb must be >= 0, got %d", o.maxHeapMB)
-		}
-		if _, err := os.Stat(o.ingest); err != nil {
-			usageError("-ingest dataset %q does not exist", o.ingest)
-		}
-	}
-	if o.pages < 0 {
-		usageError("-pages must be >= 0, got %d", o.pages)
-	}
-	if o.budget <= 0 {
-		usageError("-budget must be positive, got %d", o.budget)
-	}
-	if o.workers <= 0 {
-		usageError("-workers must be positive, got %d", o.workers)
-	}
-	if o.shards < 1 {
-		usageError("-shards must be >= 1, got %d", o.shards)
-	}
-	if err := checkCodec(o.codec); err != nil {
-		usageError("%v", err)
-	}
-	if o.ingest == "" && o.pages == 0 {
-		if fi, err := os.Stat(o.crawlDir); err != nil || !fi.IsDir() {
-			usageError("-crawl directory %q does not exist (generate one with sngen)", o.crawlDir)
-		}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "snbuild: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 	return o
 }
@@ -198,44 +162,39 @@ func reportProgress(reg *metrics.Registry, stop <-chan struct{}) {
 	}
 }
 
-// loadCrawl resolves the corpus source: a real dataset via -ingest, an
-// inline synthetic crawl via -pages, or the default corpus.bin crawl
-// directory.
+// loadCrawl resolves the corpus source: a synthetic crawl of -pages
+// pages, or a real dataset via -ingest.
 func loadCrawl(o options, reg *metrics.Registry) (*synth.Crawl, error) {
-	switch {
-	case o.ingest != "":
-		// An interrupt stops the ingest where it is, and the ingest takes
-		// its spilled runs with it.
-		ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-		defer stop()
-		start := time.Now()
-		crawl, st, err := ingest.Ingest(ctx, o.ingest, ingest.Options{
-			Format:    o.format,
-			MaxHeapMB: o.maxHeapMB,
-			Metrics:   reg,
-		})
-		if err != nil {
-			return nil, err
-		}
-		verified := "no manifest"
-		if st.ChecksumVerified {
-			verified = "checksum verified"
-		}
-		meta := "url table"
-		if st.SynthesizedMeta {
-			meta = "synthesized urls"
-		}
-		fmt.Printf("ingested %d pages, %d edges from %s in %v (%s, %s, %d dup edges, %d self-loops, %d runs spilled / %d bytes)\n",
-			st.Nodes, st.Edges, o.ingest, time.Since(start).Round(time.Millisecond),
-			verified, meta, st.DupEdges, st.SelfLoops, st.Runs, st.SpillBytes)
-		return crawl, nil
-	case o.pages > 0:
+	if o.pages > 0 {
 		cfg := synth.DefaultConfig(o.pages)
 		cfg.Seed = o.seed
 		return synth.Generate(cfg)
-	default:
-		return corpusio.Read(filepath.Join(o.crawlDir, "corpus.bin"))
 	}
+	// An interrupt stops the ingest where it is, and the ingest takes
+	// its spilled runs with it.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	start := time.Now()
+	crawl, st, err := ingest.Ingest(ctx, o.ingest, ingest.Options{
+		Format:    o.format,
+		MaxHeapMB: o.maxHeapMB,
+		Metrics:   reg,
+	})
+	if err != nil {
+		return nil, err
+	}
+	verified := "no manifest"
+	if st.ChecksumVerified {
+		verified = "checksum verified"
+	}
+	meta := "url table"
+	if st.SynthesizedMeta {
+		meta = "synthesized urls"
+	}
+	fmt.Printf("ingested %d pages, %d edges from %s in %v (%s, %s, %d dup edges, %d self-loops, %d runs spilled / %d bytes)\n",
+		st.Nodes, st.Edges, o.ingest, time.Since(start).Round(time.Millisecond),
+		verified, meta, st.DupEdges, st.SelfLoops, st.Runs, st.SpillBytes)
+	return crawl, nil
 }
 
 // storeStats opens one S-Node store of the written dataset, verifies it

@@ -1,32 +1,36 @@
 // Command snquery runs the paper's six complex queries (Table 3)
-// against a crawl, building the requested representation on the fly,
-// and reports results with navigation-time breakdowns.
+// against a dataset directory written by snbuild, and reports results
+// with navigation-time breakdowns. The S-Node stores are opened as
+// built; nothing is rebuilt.
 //
-//	snquery -crawl ./crawl -scheme snode -query all
-//	snquery -crawl ./crawl -scheme files -query 1
-//	snquery -crawl ./crawl -query 2 -trace -trace-out q2.trace.json
+//	snbuild -pages 100000 -out ./data
+//	snquery -data ./data -query all
+//	snquery -data ./data -query 2 -trace -trace-out q2.trace.json
+//
+// The dataset must hold one shard. A sharded one is queried through
+// snrouter in front of one snserve per shard. The baselines' navigation
+// per query is Figure 11's (snbench -experiment fig11).
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"strconv"
-	"strings"
 	"time"
 
-	"snode/internal/corpusio"
+	"snode/internal/iosim"
 	"snode/internal/query"
 	"snode/internal/repo"
+	"snode/internal/shard"
 	"snode/internal/trace"
 )
 
 // options are the validated command-line inputs.
 type options struct {
-	crawlDir string
-	scheme   string
+	data     string
 	queryID  string
 	budget   int64
 	rows     int
@@ -44,14 +48,12 @@ func usageError(format string, args ...any) {
 	os.Exit(2)
 }
 
-// parseFlags validates every flag before any expensive work: unknown
-// schemes, malformed query selectors, nonsensical budgets, and missing
-// crawl directories all fail fast with a usage-style message instead
-// of surfacing as a build error minutes later.
+// parseFlags validates every flag before any expensive work: malformed
+// query selectors, nonsensical budgets, and missing dataset directories
+// all fail fast with a usage-style message.
 func parseFlags() options {
 	var o options
-	flag.StringVar(&o.crawlDir, "crawl", "crawl", "directory written by sngen")
-	flag.StringVar(&o.scheme, "scheme", repo.SchemeSNode, "representation to query (one of: "+strings.Join(repo.AllSchemes(), ", ")+")")
+	flag.StringVar(&o.data, "data", "data", "dataset directory written by snbuild (holds manifest.json)")
 	flag.StringVar(&o.queryID, "query", "all", "1..6 or all")
 	flag.Int64Var(&o.budget, "budget", 4<<20, "cache budget (bytes, > 0)")
 	flag.IntVar(&o.rows, "rows", 10, "result rows to print per query (>= 0)")
@@ -61,16 +63,6 @@ func parseFlags() options {
 
 	if flag.NArg() > 0 {
 		usageError("unexpected argument %q (all inputs are flags)", flag.Arg(0))
-	}
-	valid := false
-	for _, s := range repo.AllSchemes() {
-		if s == o.scheme {
-			valid = true
-			break
-		}
-	}
-	if !valid {
-		usageError("unknown -scheme %q (valid: %s)", o.scheme, strings.Join(repo.AllSchemes(), ", "))
 	}
 	if o.budget <= 0 {
 		usageError("-budget must be positive, got %d", o.budget)
@@ -90,45 +82,26 @@ func parseFlags() options {
 		}
 		o.queries = []query.ID{query.ID(qi)}
 	}
-	if fi, err := os.Stat(o.crawlDir); err != nil || !fi.IsDir() {
-		usageError("-crawl directory %q does not exist (generate one with sngen)", o.crawlDir)
+	if fi, err := os.Stat(o.data); err != nil || !fi.IsDir() {
+		usageError("-data directory %q does not exist (write one with snbuild)", o.data)
 	}
 	return o
 }
 
-func main() {
-	o := parseFlags()
-
-	crawl, err := corpusio.Read(filepath.Join(o.crawlDir, "corpus.bin"))
+// run opens the dataset's one shard and writes each query's navigation
+// and rows to w.
+func run(o options, w io.Writer) error {
+	sh, err := shard.OpenServing(o.data, 0, o.budget, iosim.Model2002())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "snquery:", err)
-		os.Exit(1)
+		return err
 	}
-	ws, err := os.MkdirTemp("", "snquery-*")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "snquery:", err)
-		os.Exit(1)
+	defer sh.Close()
+	if k := sh.Manifest.NumShards; k != 1 {
+		return fmt.Errorf("%s holds %d shards: query a sharded dataset through snrouter, one snserve per shard", o.data, k)
 	}
-	defer os.RemoveAll(ws)
-
-	opt := repo.DefaultOptions(ws)
-	opt.Schemes = []string{o.scheme}
-	opt.CacheBudget = o.budget
-	opt.Layout = crawl.Order
-	fmt.Fprintf(os.Stderr, "building %s representation...\n", o.scheme)
-	start := time.Now()
-	r, err := repo.Build(crawl.Corpus, opt)
+	e, err := query.New(sh.Repo, repo.SchemeSNode)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "snquery:", err)
-		os.Exit(1)
-	}
-	defer r.Close()
-	fmt.Fprintf(os.Stderr, "built in %v\n\n", time.Since(start).Round(time.Millisecond))
-
-	e, err := query.New(r, o.scheme)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "snquery:", err)
-		os.Exit(1)
+		return err
 	}
 	if o.traceOn {
 		// SampleEvery 1: trace every execution for interactive use.
@@ -138,44 +111,49 @@ func main() {
 	for _, q := range o.queries {
 		res, err := e.Run(context.Background(), q)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "snquery: query %d: %v\n", q, err)
-			os.Exit(1)
+			return fmt.Errorf("query %d: %w", q, err)
 		}
-		fmt.Printf("Q%d — %s\n", q, q.Description())
-		fmt.Printf("  navigation: %v (cpu %v + modeled disk %v), %d seeks, %d bytes, %d loads\n",
+		fmt.Fprintf(w, "Q%d — %s\n", q, q.Description())
+		fmt.Fprintf(w, "  navigation: %v (cpu %v + modeled disk %v), %d seeks, %d bytes, %d loads\n",
 			res.Nav.Total().Round(10*time.Microsecond),
 			res.Nav.CPU.Round(10*time.Microsecond),
 			res.Nav.IO.Round(10*time.Microsecond),
 			res.Nav.Seeks, res.Nav.BytesRead, res.Nav.GraphsLoaded)
 		for i, row := range res.Rows {
 			if i >= o.rows {
-				fmt.Printf("  ... (%d more rows)\n", len(res.Rows)-i)
+				fmt.Fprintf(w, "  ... (%d more rows)\n", len(res.Rows)-i)
 				break
 			}
-			fmt.Printf("  %10.3f  %s\n", row.Value, row.Key)
+			fmt.Fprintf(w, "  %10.3f  %s\n", row.Value, row.Key)
 		}
 		if res.Trace != nil {
-			fmt.Println()
-			res.Trace.Render(os.Stdout)
+			fmt.Fprintln(w)
+			res.Trace.Render(w)
 			traced = append(traced, res.Trace)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	if o.traceOut != "" && len(traced) > 0 {
-		f, err := os.Create(o.traceOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "snquery:", err)
-			os.Exit(1)
-		}
-		if err := trace.WriteChromeTrace(f, traced...); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "snquery:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d trace(s) to %s (load in chrome://tracing)\n", len(traced), o.traceOut)
+	if o.traceOut == "" || len(traced) == 0 {
+		return nil
+	}
+	f, err := os.Create(o.traceOut)
+	if err != nil {
+		return err
+	}
+	if err := trace.WriteChromeTrace(f, traced...); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "wrote %d trace(s) to %s (load in chrome://tracing)\n", len(traced), o.traceOut)
+	return nil
+}
+
+func main() {
+	if err := run(parseFlags(), os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "snquery:", err)
+		os.Exit(1)
 	}
 }

@@ -2,14 +2,11 @@ package bench
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"time"
 
-	"snode/internal/huffgraph"
-	"snode/internal/link3"
 	"snode/internal/randutil"
-	"snode/internal/snode"
+	"snode/internal/repo"
 	"snode/internal/store"
 	"snode/internal/webgraph"
 )
@@ -36,49 +33,28 @@ const table2Trials = 5000
 
 // Access runs the Table 2 experiment on the smallest configured size.
 func Access(cfg Config) ([]Table2Row, error) {
-	n := cfg.Sizes[0]
-	crawl, err := cfg.Crawl(n)
+	crawl, err := cfg.Crawl(cfg.Sizes[0])
 	if err != nil {
 		return nil, err
 	}
-	c := crawl.Corpus
 	ws, cleanup, err := cfg.workspace()
 	if err != nil {
 		return nil, err
 	}
 	defer cleanup()
 
-	// Build the three compressed schemes with budgets large enough to
-	// hold everything decoded, then pre-warm so measurements exercise
-	// in-memory decode paths only.
-	hf, err := huffgraph.Build(c)
+	// Table 2 reads WG only.
+	opt := repo.DefaultOptions(filepath.Join(ws, "t2"))
+	opt.Schemes = []string{repo.SchemeHuffman, repo.SchemeLink3, repo.SchemeSNode}
+	opt.Transpose = false
+	opt.CacheBudget = 1 << 20
+	opt.Model = cfg.Model
+	r, err := repo.Build(crawl.Corpus, opt)
 	if err != nil {
 		return nil, err
 	}
-	l3dir := filepath.Join(ws, "t2-l3")
-	if err := os.MkdirAll(l3dir, 0o755); err != nil {
-		return nil, err
-	}
-	if err := link3.Build(c, l3dir); err != nil {
-		return nil, err
-	}
-	l3, err := link3.Open(c, l3dir, 1<<20, cfg.Model)
-	if err != nil {
-		return nil, err
-	}
-	defer l3.Close()
-	snDir := filepath.Join(ws, "t2-sn")
-	if err := os.MkdirAll(snDir, 0o755); err != nil {
-		return nil, err
-	}
-	if _, err := snode.Build(c, snode.DefaultConfig(), snDir); err != nil {
-		return nil, err
-	}
-	sn, err := snode.Open(snDir, 1<<20, cfg.Model)
-	if err != nil {
-		return nil, err
-	}
-	defer sn.Close()
+	defer r.Close()
+	n := crawl.Corpus.Graph.NumPages()
 
 	// Table 2 measures "the time to decode and extract adjacency lists"
 	// from the in-memory compressed form (the data files are OS-cached;
@@ -89,11 +65,12 @@ func Access(cfg Config) ([]Table2Row, error) {
 	const seqBudget = 256 << 10
 	const randBudget = 4 << 10
 	var rows []Table2Row
-	for _, s := range []store.LinkStore{hf, l3, sn} {
+	for _, scheme := range opt.Schemes {
+		s := r.Fwd[scheme]
 		if cr, ok := s.(store.CacheResetter); ok {
 			cr.ResetCache(seqBudget)
 		}
-		seq, err := measureSequential(s, c.Graph.NumPages())
+		seq, err := measureSequential(s, n)
 		if err != nil {
 			return nil, err
 		}
@@ -101,7 +78,7 @@ func Access(cfg Config) ([]Table2Row, error) {
 			cr.ResetCache(randBudget)
 		}
 		s.ResetStats()
-		rnd, dur, retrieved, err := measureRandom(s, c.Graph.NumPages(), cfg.Seed)
+		rnd, dur, retrieved, err := measureRandom(s, n, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -173,14 +150,9 @@ func RenderAccess(cfg Config, rows []Table2Row) {
 		cfg.Sizes[0], table2Trials)
 	fmt.Fprintf(w, "%-28s %20s %20s %22s\n",
 		"representation", "seq (ns/edge)", "random (ns/edge)", "random (ns/decoded)")
-	name := map[string]string{
-		"huffman": "Plain Huffman",
-		"link3":   "Connectivity Server (Link3)",
-		"snode":   "S-Node",
-	}
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-28s %20.0f %20.0f %22.0f\n",
-			name[r.Scheme], r.SeqNsEdge, r.RandNsEdge, r.RandNsDecoded)
+			schemeTitles[r.Scheme], r.SeqNsEdge, r.RandNsEdge, r.RandNsDecoded)
 	}
 	fmt.Fprintln(w, "(paper: Huffman 112/198, Link3 309/689, S-Node 298/702 ns/edge)")
 	fmt.Fprintln(w)

@@ -5,11 +5,8 @@ import (
 	"os"
 	"path/filepath"
 
-	"snode/internal/huffgraph"
-	"snode/internal/link3"
-	"snode/internal/snode"
+	"snode/internal/repo"
 	"snode/internal/store"
-	"snode/internal/webgraph"
 )
 
 // Table1Row is one scheme's line of Table 1: average bits per edge over
@@ -25,6 +22,13 @@ type Table1Row struct {
 
 const eightGB = int64(8) << 30
 
+// schemeTitles are the display names Tables 1 and 2 print.
+var schemeTitles = map[string]string{
+	repo.SchemeHuffman: "Plain Huffman",
+	repo.SchemeLink3:   "Connectivity Server (Link3)",
+	repo.SchemeSNode:   "S-Node",
+}
+
 // Compression runs the Table 1 experiment. Each size uses an
 // independently generated corpus of complete domains (Table 1 measures
 // repositories of a size, not crawl snapshots; Figure 9 covers prefix
@@ -36,80 +40,41 @@ func Compression(cfg Config) ([]Table1Row, error) {
 	}
 	defer cleanup()
 
-	sums := map[string]*bpeAcc{
-		"huffman": {}, "link3": {}, "snode": {},
-	}
+	schemes := []string{repo.SchemeHuffman, repo.SchemeLink3, repo.SchemeSNode}
+	rows := make([]Table1Row, len(schemes))
 	var avgDeg float64
 	for _, n := range cfg.Table1Sizes {
 		crawl, err := cfg.Crawl(n)
 		if err != nil {
 			return nil, err
 		}
-		fwd := crawl.Corpus
-		rev := &webgraph.Corpus{Graph: fwd.Graph.Transpose(), Pages: fwd.Pages}
-		avgDeg += fwd.Graph.AvgOutDegree()
-		for dirTag, c := range map[string]*webgraph.Corpus{"fwd": fwd, "rev": rev} {
-			edges := c.Graph.NumEdges()
-
-			hf, err := huffgraph.Build(c)
-			if err != nil {
-				return nil, err
-			}
-			addBPE(sums["huffman"], dirTag, store.BitsPerEdge(hf, edges))
-
-			l3dir := filepath.Join(ws, fmt.Sprintf("t1-l3-%d-%s", n, dirTag))
-			if err := os.MkdirAll(l3dir, 0o755); err != nil {
-				return nil, err
-			}
-			if err := link3.Build(c, l3dir); err != nil {
-				return nil, err
-			}
-			l3, err := link3.Open(c, l3dir, 1<<20, cfg.Model)
-			if err != nil {
-				return nil, err
-			}
-			addBPE(sums["link3"], dirTag, store.BitsPerEdge(l3, edges))
-			l3.Close()
-			os.RemoveAll(l3dir)
-
-			snDir := filepath.Join(ws, fmt.Sprintf("t1-sn-%d-%s", n, dirTag))
-			if err := os.MkdirAll(snDir, 0o755); err != nil {
-				return nil, err
-			}
-			st, err := snode.Build(c, snode.DefaultConfig(), snDir)
-			if err != nil {
-				return nil, err
-			}
-			addBPE(sums["snode"], dirTag, float64(st.SizeBytes()*8)/float64(edges))
-			os.RemoveAll(snDir)
+		g := crawl.Corpus.Graph
+		avgDeg += g.AvgOutDegree()
+		opt := repo.DefaultOptions(filepath.Join(ws, fmt.Sprintf("t1-%d", n)))
+		opt.Schemes = schemes
+		opt.Model = cfg.Model
+		r, err := repo.Build(crawl.Corpus, opt)
+		if err != nil {
+			return nil, err
 		}
+		for i, s := range schemes {
+			rows[i].BPE += store.BitsPerEdge(r.Fwd[s].(store.Sized), g.NumEdges())
+			rows[i].BPET += store.BitsPerEdge(r.Rev[s].(store.Sized), g.NumEdges())
+		}
+		r.Close()
+		os.RemoveAll(opt.Dir)
 	}
 	nSizes := float64(len(cfg.Table1Sizes))
 	avgDeg /= nSizes
-	var rows []Table1Row
-	for _, scheme := range []string{"huffman", "link3", "snode"} {
-		a := sums[scheme]
-		bpe := a.bpe / nSizes
-		bpet := a.bpet / nSizes
-		rows = append(rows, Table1Row{
-			Scheme:  scheme,
-			BPE:     bpe,
-			BPET:    bpet,
-			Max8GB:  maxPages(bpe, avgDeg),
-			Max8GBT: maxPages(bpet, avgDeg),
-		})
+	for i, s := range schemes {
+		r := &rows[i]
+		r.Scheme = s
+		r.BPE /= nSizes
+		r.BPET /= nSizes
+		r.Max8GB = maxPages(r.BPE, avgDeg)
+		r.Max8GBT = maxPages(r.BPET, avgDeg)
 	}
 	return rows, nil
-}
-
-type bpeAcc struct{ bpe, bpet float64 }
-
-func addBPE(a *bpeAcc, dirTag string, v float64) {
-	if dirTag == "fwd" {
-		a.bpe += v
-	} else {
-		a.bpet += v
-	}
 }
 
 // maxPages inverts the paper's formula: a graph over n pages has
@@ -128,14 +93,9 @@ func RenderCompression(cfg Config, rows []Table1Row) {
 		cfg.Table1Sizes, ")")
 	fmt.Fprintf(w, "%-28s %10s %10s %18s %18s\n",
 		"representation", "b/e WG", "b/e WGT", "max pages in 8GB", "max pages 8GB(T)")
-	name := map[string]string{
-		"huffman": "Plain Huffman",
-		"link3":   "Connectivity Server (Link3)",
-		"snode":   "S-Node",
-	}
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-28s %10.2f %10.2f %18d %18d\n",
-			name[r.Scheme], r.BPE, r.BPET, r.Max8GB, r.Max8GBT)
+			schemeTitles[r.Scheme], r.BPE, r.BPET, r.Max8GB, r.Max8GBT)
 	}
 	fmt.Fprintln(w, "(paper: Huffman 15.2/15.4, Link3 5.81/5.92, S-Node 5.07/5.63 bits/edge)")
 	fmt.Fprintln(w)

@@ -6,26 +6,25 @@ import (
 	"path/filepath"
 	"time"
 
-	"snode/internal/flatfile"
 	"snode/internal/iosim"
-	"snode/internal/snode"
-	"snode/internal/store"
-	"snode/internal/synth"
-	"snode/internal/webgraph"
+	"snode/internal/query"
+	"snode/internal/repo"
 )
 
 // DiskModelRow is one storage generation in the disk-model sweep.
 type DiskModelRow struct {
 	Name         string
 	Model        iosim.Model
-	SNode, Files time.Duration // modeled navigation time, Q1-style scan
+	SNode, Files time.Duration // Query 1's modeled navigation I/O time
 	Speedup      float64       // files / snode
 }
 
-// DiskModelSweep re-runs a Query-1-style navigation (Stanford
-// mobile-networking pages → .edu targets) under storage models from
-// the paper's 2002 disk to modern flash — an analysis the paper could
-// not run in 2003. It isolates WHERE the S-Node query win comes from:
+// DiskModelSweep re-runs Query 1's navigation (Stanford
+// mobile-networking pages → .edu targets; internal/query's plan over a
+// repository built per model, since a store charges its reads under the
+// model it was opened with) under storage models from the paper's 2002
+// disk to modern flash — an analysis the paper could not run in 2003.
+// It isolates WHERE the S-Node query win comes from:
 // on seek-bound disks it is a seek-count win; on transfer-bound flash
 // it persists (and can grow) as a bytes-transferred win, because the
 // filtered two-level layout reads a small fraction of the data a flat
@@ -39,50 +38,11 @@ func DiskModelSweep(cfg Config) ([]DiskModelRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := crawl.Corpus
 	ws, cleanup, err := cfg.workspace()
 	if err != nil {
 		return nil, err
 	}
 	defer cleanup()
-
-	snDir := filepath.Join(ws, "dm-sn")
-	if err := os.MkdirAll(snDir, 0o755); err != nil {
-		return nil, err
-	}
-	if _, err := snode.Build(c, snode.DefaultConfig(), snDir); err != nil {
-		return nil, err
-	}
-	ffDir := filepath.Join(ws, "dm-ff")
-	if err := os.MkdirAll(ffDir, 0o755); err != nil {
-		return nil, err
-	}
-	if err := flatfile.Build(c, ffDir, crawl.Order); err != nil {
-		return nil, err
-	}
-
-	// The Q1 navigation inputs, resolved once.
-	var sources []webgraph.PageID
-	eduSet := map[string]bool{}
-	for pid, pm := range c.Pages {
-		if pm.Domain == "stanford.edu" {
-			has := false
-			for _, t := range pm.Terms {
-				if t == synth.PhraseMobileNetworking {
-					has = true
-					break
-				}
-			}
-			if has {
-				sources = append(sources, webgraph.PageID(pid))
-			}
-		}
-		if pm.Domain != "stanford.edu" && len(pm.Domain) > 4 &&
-			pm.Domain[len(pm.Domain)-4:] == ".edu" {
-			eduSet[pm.Domain] = true
-		}
-	}
-	filter := &store.Filter{Domains: eduSet}
 
 	models := []struct {
 		name string
@@ -93,41 +53,33 @@ func DiskModelSweep(cfg Config) ([]DiskModelRow, error) {
 		{"SATA SSD (80us seek, 500MB/s)", iosim.Model{Seek: 80 * time.Microsecond, BytesPerSecond: 500e6, SkipFree: 1 << 20}},
 		{"NVMe (10us seek, 3GB/s)", iosim.Model{Seek: 10 * time.Microsecond, BytesPerSecond: 3e9, SkipFree: 1 << 20}},
 	}
-	nav := func(s store.LinkStore, m iosim.Model) (time.Duration, error) {
-		var buf []webgraph.PageID
-		for _, p := range sources {
-			var err error
-			buf, err = s.OutFiltered(p, filter, buf[:0])
-			if err != nil {
-				return 0, err
-			}
-		}
-		return s.Stats().IO.ModeledTime(m), nil
-	}
 	var rows []DiskModelRow
-	for _, mc := range models {
-		sn, err := snode.Open(snDir, cfg.QueryBudget, mc.m)
+	for i, mc := range models {
+		// Query 1 reads WG only.
+		opt := repo.DefaultOptions(filepath.Join(ws, fmt.Sprintf("dm-%d", i)))
+		opt.Schemes = []string{repo.SchemeSNode, repo.SchemeFiles}
+		opt.Transpose = false
+		opt.CacheBudget = cfg.QueryBudget
+		opt.Model = mc.m
+		opt.Layout = crawl.Order
+		r, err := repo.Build(crawl.Corpus, opt)
 		if err != nil {
 			return nil, err
 		}
-		ff, err := flatfile.Open(c, ffDir, crawl.Order, cfg.QueryBudget, mc.m)
-		if err != nil {
-			sn.Close()
-			return nil, err
+		nav := map[string]time.Duration{}
+		for _, scheme := range opt.Schemes {
+			res, err := runQueryCold(cfg, r, scheme, query.Q1, cfg.QueryBudget)
+			if err != nil {
+				r.Close()
+				return nil, err
+			}
+			nav[scheme] = res.Nav.IO
 		}
-		snT, err := nav(sn, mc.m)
-		if err != nil {
-			return nil, err
-		}
-		ffT, err := nav(ff, mc.m)
-		if err != nil {
-			return nil, err
-		}
-		sn.Close()
-		ff.Close()
-		row := DiskModelRow{Name: mc.name, Model: mc.m, SNode: snT, Files: ffT}
-		if snT > 0 {
-			row.Speedup = float64(ffT) / float64(snT)
+		r.Close()
+		os.RemoveAll(opt.Dir)
+		row := DiskModelRow{Name: mc.name, Model: mc.m, SNode: nav[repo.SchemeSNode], Files: nav[repo.SchemeFiles]}
+		if row.SNode > 0 {
+			row.Speedup = float64(row.Files) / float64(row.SNode)
 		}
 		rows = append(rows, row)
 	}

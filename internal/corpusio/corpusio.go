@@ -1,6 +1,6 @@
-// Package corpusio serializes crawls (corpus + crawl order) to disk so
-// the command-line tools can pass them between generation (sngen),
-// representation building (snbuild), and querying (snquery).
+// Package corpusio serializes a crawl (corpus + crawl order) to one
+// file: a dataset's meta.bin, the page metadata every shard replicates,
+// written edge-free by shard.Build and read back by shard.OpenServing.
 //
 // Format: uvarint page count; per page: URL, domain, term list
 // (length-prefixed strings), gap-coded adjacency; then the crawl order.

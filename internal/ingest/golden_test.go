@@ -165,7 +165,7 @@ func TestGoldenBuildEquivalence(t *testing.T) {
 }
 
 // TestCommittedFixture guards the on-disk formats against drift: the
-// checked-in dataset (sngen -pages 400 -format edgelist) must keep
+// checked-in dataset (sngen -pages 400) must keep
 // ingesting with a verified checksum and real page metadata.
 func TestCommittedFixture(t *testing.T) {
 	crawl, st, err := Ingest(context.Background(),

@@ -127,13 +127,20 @@ test-shard:
 # federation invariant (cluster merge == sum of per-replica scrapes,
 # stale replicas retained), the SLO scoreboard's burn-rate reaction to
 # an outage, histogram merge algebra (bucket sums, exemplar retention,
-# typed bounds-mismatch errors), and sampled-bit propagation across
-# differing SampleEvery settings. Run with -count=1 so the gate always
-# executes.
+# typed bounds-mismatch errors), sampled-bit propagation across
+# differing SampleEvery settings, the one-walker trace export (text and
+# Chrome print the tree Trace.JSON builds, local and stitched spans
+# alike, an open span marked in both: TestAttachRemoteExports), the
+# metric catalogue (TestMetricCatalogue, in ./internal/metrics: every
+# registered name has a row, every row a registration, and README's
+# table is its rendering) and the one log path (TestOneLogPath: no
+# non-test file under internal/ or cmd/ imports log). Run with -count=1
+# so the gate always executes.
 test-obs:
 	$(GO) test -count=1 -run 'TestDistributedTraceStitching|TestClusterMetricsInvariant|TestSLOScoreboard' ./internal/router
-	$(GO) test -count=1 -run 'TestRemoteSampledBit|TestForcedSampling|TestStartLinked|TestHeaderRoundTrip' ./internal/serve ./internal/trace
+	$(GO) test -count=1 -run 'TestRemoteSampledBit|TestForcedSampling|TestStartLinked|TestHeaderRoundTrip|TestAttachRemoteExports' ./internal/serve ./internal/trace
 	$(GO) test -count=1 ./internal/slo ./internal/metrics
+	$(GO) test -count=1 -run 'TestOneLogPath' ./internal/deadcode
 
 # Codec gate: encode→decode identity for both codecs (paper, log) over
 # every payload kind through the one framing (fuzz seed corpora

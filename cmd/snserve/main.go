@@ -69,11 +69,8 @@ import (
 	"time"
 
 	"snode/internal/iosim"
-	"snode/internal/metrics"
-	"snode/internal/repo"
 	"snode/internal/serve"
 	"snode/internal/shard"
-	"snode/internal/snode"
 	"snode/internal/trace"
 )
 
@@ -171,17 +168,9 @@ func run(o *options) error {
 	}
 	defer sh.Close()
 
-	// One registry and one tracer for the whole serving path: latency
-	// histograms and stage timings (engines), cache and I/O counters
-	// per direction (representations), admission (server).
-	o.serve.Registry = metrics.NewRegistry()
+	// One tracer for the whole serving path; the replica makes the
+	// registry and registers every metric on it.
 	o.serve.Tracer = trace.New(o.trace)
-	for prefix, s := range map[string]*snode.Representation{
-		"snode_fwd": sh.NavRepo.Fwd[repo.SchemeSNode].(*snode.Representation),
-		"snode_rev": sh.NavRepo.Rev[repo.SchemeSNode].(*snode.Representation),
-	} {
-		s.RegisterMetrics(o.serve.Registry, prefix)
-	}
 	// Overlay segments go to a scratch directory: nothing reopens a
 	// sealed segment yet, so keeping them would promise a durability
 	// the server does not have.

@@ -277,7 +277,6 @@ func TestEveryInterfaceHasAnImplementer(t *testing.T) {
 var rawFileIO = map[string]string{
 	"internal/snode/builder.go": "the index-file writer stays open across a whole build and rolls to a new file by size",
 	"internal/pager/pager.go":   "a page file is opened once and written in place, page by page, for the store's lifetime",
-	"internal/bench/csv.go":     "a report for people and plotting tools, not an artifact anything reads back",
 	"cmd/snquery/main.go":       "-trace-out is a report for people, not an artifact anything reads back",
 }
 
@@ -337,6 +336,24 @@ func TestOneWayToPutAnArtifactOnDisk(t *testing.T) {
 			t.Errorf("allowlist entry %s is stale: the file no longer frames integers or creates files itself", file)
 		}
 	}
+}
+
+// TestOneLogPath fails, by file and line, on a non-test file under
+// internal/ or cmd/ that imports the standard log package: a server's
+// errors, and net/http's own, go to the default log/slog logger, and
+// everything else a program prints is its output. examples/ is exempt:
+// those programs exit through log.Fatal.
+func TestOneLogPath(t *testing.T) {
+	eachGoFile(t, func(rel string, fset *token.FileSet, f *ast.File) {
+		if strings.HasSuffix(rel, "_test.go") || !strings.HasPrefix(rel, "internal/") && !strings.HasPrefix(rel, "cmd/") {
+			return
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"log"` {
+				t.Errorf("%s:%d: imports log: report errors through log/slog's default logger", rel, fset.Position(imp.Pos()).Line)
+			}
+		}
+	})
 }
 
 // eachGoFile parses every Go file of the module — generated output,

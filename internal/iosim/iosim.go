@@ -155,8 +155,6 @@ func (a *Accountant) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.CounterFunc(prefix+"_skipped_bytes", func() int64 { return a.Stats().SkippedBytes })
 	reg.CounterFunc(prefix+"_stalls", func() int64 { return a.Stats().Stalls })
 	reg.CounterFunc(prefix+"_stall_nanos", func() int64 { return a.Stats().StallNanos })
-	reg.CounterFunc(prefix+"_spill_ops", func() int64 { return a.Stats().SpillOps })
-	reg.CounterFunc(prefix+"_spill_bytes", func() int64 { return a.Stats().SpillBytes })
 	reg.GaugeFunc(prefix+"_modeled_nanos", func() int64 { return int64(a.ModeledTime()) })
 }
 

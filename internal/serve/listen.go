@@ -5,7 +5,7 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
-	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -34,16 +34,18 @@ func MountDebug(mux *http.ServeMux, name string, reg *metrics.Registry) {
 }
 
 // Start binds addr and serves h in the background until Drain. It
-// returns the server and the bound address (":0" resolved).
+// returns the server and the bound address (":0" resolved). Serve
+// errors and net/http's own messages (handler panics, accept errors)
+// go to the default slog logger at error level.
 func Start(addr string, h http.Handler) (*http.Server, net.Addr, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, nil, fmt.Errorf("-listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: h}
+	srv := &http.Server{Handler: h, ErrorLog: slog.NewLogLogger(slog.Default().Handler(), slog.LevelError)}
 	go func() {
 		if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
-			log.Printf("http: %v", err)
+			slog.Error("http: serve", "err", err)
 		}
 	}()
 	return srv, ln.Addr(), nil

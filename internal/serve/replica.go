@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
+	"log/slog"
 	"net/http"
 	"path/filepath"
 	"sync/atomic"
@@ -16,6 +16,7 @@ import (
 	"snode/internal/query"
 	"snode/internal/repo"
 	"snode/internal/shard"
+	"snode/internal/snode"
 	"snode/internal/store"
 	"snode/internal/trace"
 	"snode/internal/webgraph"
@@ -42,8 +43,9 @@ type Replica struct {
 // engine over sh.Repo (boundary-merged stores) restricted to the pages
 // the shard owns, the navigation engine over sh.NavRepo (the bare
 // intra-shard stores), both recording into cfg.Registry (made here when
-// nil) and sampling into cfg.Tracer, and a Server stamped with the
-// shard's identity and manifest version. cfg's Engine, NavEngine and
+// nil; the S-Node stores' cache and I/O metrics go on it too, as
+// snode_fwd and snode_rev) and sampling into cfg.Tracer, and a Server
+// stamped with the shard's identity and manifest version. cfg's Engine, NavEngine and
 // Shard are set here. The replica does not own sh.
 //
 // A non-empty liveDir makes the replica live: the base stores are
@@ -57,6 +59,8 @@ func NewReplica(sh *shard.ServingShard, cfg Config, liveDir string) (*Replica, e
 		cfg.Registry = metrics.NewRegistry()
 	}
 	r := &Replica{reg: cfg.Registry}
+	sh.NavRepo.Fwd[repo.SchemeSNode].(*snode.Representation).RegisterMetrics(cfg.Registry, "snode_fwd")
+	sh.NavRepo.Rev[repo.SchemeSNode].(*snode.Representation).RegisterMetrics(cfg.Registry, "snode_rev")
 	mining, nav := sh.Repo, sh.NavRepo
 	if liveDir != "" {
 		if k := sh.Manifest.NumShards; k != 1 {
@@ -77,7 +81,7 @@ func NewReplica(sh *shard.ServingShard, cfg Config, liveDir string) (*Replica, e
 		r.rev.RegisterMetrics(cfg.Registry, "delta_rev")
 		for _, ov := range []*delta.Overlay{r.fwd, r.rev} {
 			r.compactors = append(r.compactors, delta.StartCompactor(context.Background(), ov, delta.CompactorConfig{
-				OnError: func(err error) { log.Printf("serve: compactor: %v", err) },
+				OnError: func(err error) { slog.Error("serve: compactor", "err", err) },
 			}))
 		}
 		mining = nav.WithStores(repo.SchemeSNode, r.fwd, r.rev)

@@ -10,23 +10,13 @@ import (
 	"time"
 )
 
-// snapshotSpans copies the span slice under the trace lock so export
-// can walk it without holding writers up.
-func (t *Trace) snapshotSpans() ([]span, int64) {
-	t.mu.Lock()
-	spans := make([]span, len(t.spans))
-	copy(spans, t.spans)
-	dropped := t.dropped
-	t.mu.Unlock()
-	return spans, dropped
-}
-
 // SpanJSON is one exported span node.
 type SpanJSON struct {
 	Name     string           `json:"name"`
 	StartNs  int64            `json:"start_ns"`
 	DurNs    int64            `json:"dur_ns"`
 	Attrs    map[string]int64 `json:"attrs,omitempty"`
+	Open     bool             `json:"open,omitempty"` // not ended at export time; DurNs is 0
 	Children []*SpanJSON      `json:"children,omitempty"`
 }
 
@@ -73,39 +63,33 @@ func (t *Trace) Summary() Summary {
 	}
 }
 
-func (s *span) attrMap() map[string]int64 {
-	if s.nattrs == 0 {
-		return nil
-	}
-	m := make(map[string]int64, s.nattrs)
-	for i := int32(0); i < s.nattrs; i++ {
-		m[s.attrs[i].Key] = s.attrs[i].Val
-	}
-	return m
-}
-
-// JSON converts the trace to its exported tree form.
+// JSON converts the trace to its exported tree form. It is the one
+// walk of the span slice: Render and WriteChromeTrace print its Root,
+// the same tree a stitched remote subtree arrives as.
 func (t *Trace) JSON() TraceJSON {
-	spans, dropped := t.snapshotSpans()
-	nodes := make([]*SpanJSON, len(spans))
-	for i := range spans {
-		s := &spans[i]
-		dur := s.dur
-		if dur < 0 {
-			dur = 0 // still open at snapshot time
+	t.mu.Lock()
+	nodes := make([]*SpanJSON, len(t.spans))
+	for i := range t.spans {
+		s := &t.spans[i]
+		n := &SpanJSON{Name: s.name, StartNs: int64(s.start), DurNs: int64(s.dur)}
+		if s.dur < 0 {
+			n.DurNs, n.Open = 0, true
 		}
-		nodes[i] = &SpanJSON{
-			Name:    s.name,
-			StartNs: int64(s.start),
-			DurNs:   int64(dur),
-			Attrs:   s.attrMap(),
+		if s.nattrs > 0 {
+			n.Attrs = make(map[string]int64, s.nattrs)
+			for _, a := range s.attrs[:s.nattrs] {
+				n.Attrs[a.Key] = a.Val
+			}
+		}
+		nodes[i] = n
+		// A span's parent is always recorded before it.
+		if s.parent >= 0 {
+			nodes[s.parent].Children = append(nodes[s.parent].Children, n)
 		}
 	}
-	for i := range spans {
-		if p := spans[i].parent; p >= 0 {
-			nodes[p].Children = append(nodes[p].Children, nodes[i])
-		}
-	}
+	dropped, total := t.dropped, t.total
+	remotes := append([]Remote(nil), t.remotes...)
+	t.mu.Unlock()
 	ctrs := map[string]int64{}
 	for i := 0; i < NumCounters; i++ {
 		if v := t.Counter(i); v != 0 {
@@ -114,63 +98,36 @@ func (t *Trace) JSON() TraceJSON {
 	}
 	return TraceJSON{
 		ID: t.ID, Class: t.Class, ParentID: t.ParentID, Start: t.Start,
-		TotalNs: int64(t.Total()), Dropped: dropped,
-		Counters: ctrs, Root: nodes[0], Remotes: t.Remotes(),
+		TotalNs: int64(total), Dropped: dropped,
+		Counters: ctrs, Root: nodes[0], Remotes: remotes,
 	}
 }
 
 // Render writes the span tree as indented text (the snquery -trace
 // view): offsets, durations, and attributes per span, then the
-// per-request counters.
+// per-request counters and any stitched remote subtrees.
 func (t *Trace) Render(w io.Writer) {
-	spans, dropped := t.snapshotSpans()
-	children := make([][]int32, len(spans))
-	for i := range spans {
-		if p := spans[i].parent; p >= 0 {
-			children[p] = append(children[p], int32(i))
-		}
+	j := t.JSON()
+	fmt.Fprintf(w, "trace %d [%s] total %v\n", j.ID, j.Class, time.Duration(j.TotalNs).Round(time.Microsecond))
+	renderSpanJSON(w, j.Root, 0)
+	if j.Dropped > 0 {
+		fmt.Fprintf(w, "(%d spans dropped over the per-trace cap)\n", j.Dropped)
 	}
-	fmt.Fprintf(w, "trace %d [%s] total %v\n", t.ID, t.Class, t.Total().Round(time.Microsecond))
-	var walk func(idx int32, depth int)
-	walk = func(idx int32, depth int) {
-		s := &spans[idx]
-		for i := 0; i < depth; i++ {
-			io.WriteString(w, "  ")
-		}
-		dur := s.dur
-		open := ""
-		if dur < 0 {
-			dur, open = 0, " (open)"
-		}
-		fmt.Fprintf(w, "%-20s +%-12v %v%s", s.name,
-			s.start.Round(time.Microsecond), dur.Round(time.Microsecond), open)
-		for i := int32(0); i < s.nattrs; i++ {
-			fmt.Fprintf(w, " %s=%d", s.attrs[i].Key, s.attrs[i].Val)
-		}
-		io.WriteString(w, "\n")
-		for _, c := range children[idx] {
-			walk(c, depth+1)
-		}
-	}
-	walk(0, 0)
-	if dropped > 0 {
-		fmt.Fprintf(w, "(%d spans dropped over the per-trace cap)\n", dropped)
-	}
-	for i := 0; i < NumCounters; i++ {
-		if v := t.Counter(i); v != 0 {
-			fmt.Fprintf(w, "  %s=%d", CtrNames[i], v)
+	for _, name := range CtrNames {
+		if v := j.Counters[name]; v != 0 {
+			fmt.Fprintf(w, "  %s=%d", name, v)
 		}
 	}
 	io.WriteString(w, "\n")
-	for _, rm := range t.Remotes() {
+	for _, rm := range j.Remotes {
 		fmt.Fprintf(w, "remote %s (trace %d, +%v after router start)\n",
-			rm.Label, rm.TraceID, rm.Start.Sub(t.Start).Round(time.Microsecond))
+			rm.Label, rm.TraceID, rm.Start.Sub(j.Start).Round(time.Microsecond))
 		renderSpanJSON(w, rm.Root, 1)
 	}
 }
 
-// renderSpanJSON renders an exported (remote) span subtree with the
-// same layout Render uses for local spans.
+// renderSpanJSON renders an exported span subtree, local or remote, one
+// indented line a span with its attributes in key order.
 func renderSpanJSON(w io.Writer, s *SpanJSON, depth int) {
 	if s == nil {
 		return
@@ -178,9 +135,13 @@ func renderSpanJSON(w io.Writer, s *SpanJSON, depth int) {
 	for i := 0; i < depth; i++ {
 		io.WriteString(w, "  ")
 	}
-	fmt.Fprintf(w, "%-20s +%-12v %v", s.Name,
+	open := ""
+	if s.Open {
+		open = " (open)"
+	}
+	fmt.Fprintf(w, "%-20s +%-12v %v%s", s.Name,
 		time.Duration(s.StartNs).Round(time.Microsecond),
-		time.Duration(s.DurNs).Round(time.Microsecond))
+		time.Duration(s.DurNs).Round(time.Microsecond), open)
 	keys := make([]string, 0, len(s.Attrs))
 	for k := range s.Attrs {
 		keys = append(keys, k)
@@ -256,43 +217,16 @@ func WriteChromeTrace(w io.Writer, traces ...*Trace) error {
 		if t == nil {
 			continue
 		}
-		spans, _ := t.snapshotSpans()
-		depth := make([]int, len(spans))
-		for i := range spans {
-			if p := spans[i].parent; p >= 0 {
-				depth[i] = depth[p] + 1
-			}
+		j := t.JSON()
+		if len(j.Remotes) > 0 {
+			events = append(events, processName(j.ID, fmt.Sprintf("router trace %d [%s]", j.ID, j.Class)))
 		}
-		base := float64(t.Start.UnixNano()) / 1e3
-		remotes := t.Remotes()
-		if len(remotes) > 0 {
-			events = append(events, processName(t.ID, fmt.Sprintf("router trace %d [%s]", t.ID, t.Class)))
-		}
-		for i := range spans {
-			s := &spans[i]
-			dur := s.dur
-			if dur < 0 {
-				dur = 0
-			}
-			var args any
-			if m := s.attrMap(); m != nil {
-				args = m
-			}
-			events = append(events, chromeEvent{
-				Name: s.name,
-				Ph:   "X",
-				Ts:   base + float64(s.start)/1e3,
-				Dur:  float64(dur) / 1e3,
-				Pid:  t.ID,
-				Tid:  depth[i],
-				Args: args,
-			})
-		}
+		events = chromeSpanEvents(events, j.Root, float64(j.Start.UnixNano())/1e3, j.ID, 0)
 		// Remote lanes: pids must not collide with local trace IDs in
 		// the same export; local IDs are small sequential counters, so
 		// offsetting into the high range keeps lanes distinct.
-		for i, rm := range remotes {
-			pid := t.ID<<20 | uint64(i+1)
+		for i, rm := range j.Remotes {
+			pid := j.ID<<20 | uint64(i+1)
 			events = append(events, processName(pid, rm.Label))
 			rbase := float64(rm.Start.UnixNano()) / 1e3
 			events = chromeSpanEvents(events, rm.Root, rbase, pid, 0)

@@ -181,4 +181,25 @@ func TestAttachRemoteExports(t *testing.T) {
 			t.Fatalf("chrome export missing %q:\n%s", want, chrome.String())
 		}
 	}
+
+	// A span still open at export time is marked (open) where it was
+	// recorded and again once its trace's JSON is stitched elsewhere.
+	shardCtx, shard := tr.StartRequest(context.Background(), "nav")
+	Start(shardCtx, "snode.read_span") // never ended
+	tr.Finish(shard)
+	var local strings.Builder
+	shard.Render(&local)
+	if !strings.Contains(local.String(), "(open)") {
+		t.Fatalf("local Render lost the open marker:\n%s", local.String())
+	}
+	sj := shard.JSON()
+	_, router := tr.StartRequest(context.Background(), "router.nav")
+	tr.Finish(router)
+	router.AttachRemote(Remote{Label: "shard1", TraceID: sj.ID, Start: sj.Start, Root: sj.Root})
+	var stitched strings.Builder
+	router.Render(&stitched)
+	_, remote, _ := strings.Cut(stitched.String(), "remote shard1")
+	if !strings.Contains(remote, "snode.read_span") || !strings.Contains(remote, "(open)") {
+		t.Fatalf("stitched remote lost the open marker:\n%s", stitched.String())
+	}
 }

@@ -143,15 +143,6 @@ func (t *Trace) AttachRemote(r Remote) {
 	t.mu.Unlock()
 }
 
-// Remotes returns the stitched remote subtrees.
-func (t *Trace) Remotes() []Remote {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Remote, len(t.remotes))
-	copy(out, t.remotes)
-	return out
-}
-
 // Counter reads one per-request counter.
 func (t *Trace) Counter(ctr int) int64 { return t.ctrs[ctr].Load() }
 
@@ -160,13 +151,6 @@ func (t *Trace) Total() time.Duration {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.total
-}
-
-// Dropped reports spans discarded over the per-trace cap.
-func (t *Trace) Dropped() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
 }
 
 // SetAttr attaches an attribute to the trace's root span.

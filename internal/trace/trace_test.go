@@ -176,8 +176,8 @@ func TestSpanCap(t *testing.T) {
 	if got := len(tc.JSON().Root.Children); got != maxSpans-1 { // root occupies 1
 		t.Fatalf("retained %d child spans, want %d", got, maxSpans-1)
 	}
-	if tc.Dropped() != 7 {
-		t.Fatalf("dropped = %d, want 7", tc.Dropped())
+	if d := tc.JSON().Dropped; d != 7 {
+		t.Fatalf("dropped = %d, want 7", d)
 	}
 }
 

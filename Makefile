@@ -113,33 +113,41 @@ test-load:
 # equivalence tests (partial queries merged across K shards ==
 # single-node rows, in-process and through the HTTP router, cross-shard
 # /out included) plus the failure drills — replica ejection, probe
-# re-admission, kill-one-replica failover, version-skew rejection, a
-# JSON-speaking replica refused — and the partial frame the legs travel
-# in: round trip for every query on both shards of K=2, each bad frame
-# refused by name, FuzzDecodePartial's seed corpus. Run with -count=1 so
-# the gate always executes.
+# re-admission, kill-one-replica failover, a shard wholly down failing
+# closed, version-skew rejection, a JSON-speaking replica refused, a
+# shard's 429 relayed with the largest Retry-After (TestShedRelayed) —
+# the manifest's fuzz seeds (FuzzLoadManifest: a built manifest and its
+# gap, overlap, out-of-range-shard and "../" mutants), snrouter's flag
+# checks (TestValidate), the X-SNode-Trace header's fuzz seeds
+# (FuzzParseHeader), and the partial frame the legs travel in: round
+# trip for every query on both shards of K=2, each bad frame refused by
+# name, FuzzDecodePartial's seed corpus. Run with -count=1 so the gate
+# always executes.
 test-shard:
-	$(GO) test -race -count=1 ./internal/shard ./internal/router
-	$(GO) test -race -count=1 -run 'TestPartialFrameRoundTrip|TestDecodePartialRefusals|FuzzDecodePartial' ./internal/serve
+	$(GO) test -race -count=1 ./internal/shard ./internal/router ./cmd/snrouter
+	$(GO) test -race -count=1 -run 'TestPartialFrameRoundTrip|TestDecodePartialRefusals|FuzzDecodePartial|FuzzParseHeader' ./internal/serve ./internal/trace
 
 # Observability gate: the distributed-trace golden test (a sampled
 # /query at K=2 stitches one trace with both shard subtrees), the
 # federation invariant (cluster merge == sum of per-replica scrapes,
-# stale replicas retained), the SLO scoreboard's burn-rate reaction to
-# an outage, histogram merge algebra (bucket sums, exemplar retention,
-# typed bounds-mismatch errors), sampled-bit propagation across
-# differing SampleEvery settings, the one-walker trace export (text and
-# Chrome print the tree Trace.JSON builds, local and stitched spans
-# alike, an open span marked in both: TestAttachRemoteExports), the
-# metric catalogue (TestMetricCatalogue, in ./internal/metrics: every
-# registered name has a row, every row a registration, and README's
-# table is its rendering) and the one log path (TestOneLogPath: no
-# non-test file under internal/ or cmd/ imports log). Run with -count=1
-# so the gate always executes.
+# stale replicas retained), the router's per-class counters (requests
+# and errors through a shard outage, sheds with the relayed
+# Retry-After), histogram merge algebra (bucket sums, exemplar
+# retention, typed bounds-mismatch errors), sampled-bit propagation
+# across differing SampleEvery settings and the propagation header's
+# fuzz seeds (FuzzParseHeader), the manifest's (FuzzLoadManifest), the
+# one-walker trace export (text and Chrome print the tree Trace.JSON
+# builds, local and stitched spans alike, an open span marked in both:
+# TestAttachRemoteExports), the metric catalogue (TestMetricCatalogue,
+# in ./internal/metrics: every registered name has a row, every row a
+# registration, and README's table is its rendering) and the one log
+# path (TestOneLogPath: no non-test file under internal/ or cmd/
+# imports log). Run with -count=1 so the gate always executes.
 test-obs:
-	$(GO) test -count=1 -run 'TestDistributedTraceStitching|TestClusterMetricsInvariant|TestSLOScoreboard' ./internal/router
-	$(GO) test -count=1 -run 'TestRemoteSampledBit|TestForcedSampling|TestStartLinked|TestHeaderRoundTrip|TestAttachRemoteExports' ./internal/serve ./internal/trace
-	$(GO) test -count=1 ./internal/slo ./internal/metrics
+	$(GO) test -count=1 -run 'TestDistributedTraceStitching|TestClusterMetricsInvariant|TestOneShardAllDownFailsClosed|TestShedRelayed' ./internal/router
+	$(GO) test -count=1 -run 'TestRemoteSampledBit|TestForcedSampling|TestStartLinked|TestHeaderRoundTrip|FuzzParseHeader|TestAttachRemoteExports' ./internal/serve ./internal/trace
+	$(GO) test -count=1 -run 'FuzzLoadManifest' ./internal/shard
+	$(GO) test -count=1 ./internal/metrics
 	$(GO) test -count=1 -run 'TestOneLogPath' ./internal/deadcode
 
 # Codec gate: encode→decode identity for both codecs (paper, log) over

@@ -26,9 +26,6 @@
 //	                  (bucket-wise histogram merge); replicas that stop
 //	                  answering are reported from the scrape cache with
 //	                  a staleness mark and age
-//	/slo              the SLO scoreboard: rolling-window availability
-//	                  and p99 objectives per request class with
-//	                  error-budget burn rates (see -slo-* flags)
 //	/debug/traces     sampled routed requests as DISTRIBUTED traces:
 //	                  the router's fanout/merge spans with every
 //	                  shard's force-traced span subtree stitched in
@@ -101,7 +98,7 @@ func parseReplicas(spec string) ([][]string, error) {
 	return out, nil
 }
 
-// options are the validated router parameters.
+// options are the router parameters.
 type options struct {
 	root          string
 	reps          [][]string
@@ -111,53 +108,64 @@ type options struct {
 	probeInterval time.Duration
 	traceEvery    int
 	traceSlow     int
-	slo           router.SLOConfig
+}
+
+// validate refuses flag values the router would otherwise rewrite or
+// misread, so the startup line prints what actually runs.
+func validate(o options) error {
+	switch {
+	case o.root == "":
+		return fmt.Errorf("-root is required")
+	case o.shardTimeout <= 0:
+		return fmt.Errorf("-shard-timeout must be positive, got %v", o.shardTimeout)
+	case o.ejectAfter < 1:
+		return fmt.Errorf("-eject-after must be >= 1, got %d", o.ejectAfter)
+	case o.probeInterval <= 0:
+		return fmt.Errorf("-probe-interval must be positive, got %v", o.probeInterval)
+	case o.traceEvery < 0:
+		return fmt.Errorf("-trace-every must be >= 0, got %d (0 disables tracing)", o.traceEvery)
+	case o.traceSlow <= 0:
+		return fmt.Errorf("-trace-slow must be positive, got %d", o.traceSlow)
+	}
+	return nil
+}
+
+// parseFlags reads the command line and exits 2, flag-package style
+// (message plus defaults), on anything validate or parseReplicas
+// refuses.
+func parseFlags() options {
+	var o options
+	var replicas string
+	flag.StringVar(&o.root, "root", "", "shard root directory (holds manifest.json; required)")
+	flag.StringVar(&replicas, "replicas", "", "per-shard replica URLs: groups ';'-separated in shard order, URLs ','-separated within a group (required)")
+	flag.StringVar(&o.listen, "listen", ":8080", "address to serve the routed endpoints and observability surface on")
+	flag.DurationVar(&o.shardTimeout, "shard-timeout", 5*time.Second, "per-leg deadline for each shard request (> 0)")
+	flag.IntVar(&o.ejectAfter, "eject-after", 3, "consecutive failures that eject a replica from selection (>= 1)")
+	flag.DurationVar(&o.probeInterval, "probe-interval", 500*time.Millisecond, "ejected-replica health-probe period (> 0)")
+	flag.IntVar(&o.traceEvery, "trace-every", 64, "trace 1 in N routed requests as stitched distributed traces (0 disables tracing)")
+	flag.IntVar(&o.traceSlow, "trace-slow", 4, "retain the N slowest traces per request class (> 0)")
+	flag.Parse()
+
+	err := validate(o)
+	if err == nil {
+		o.reps, err = parseReplicas(replicas)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "snrouter: %v\n", err)
+		flag.Usage()
+		os.Exit(2)
+	}
+	return o
 }
 
 func main() {
-	o := &options{}
-	root := flag.String("root", "", "shard root directory (holds manifest.json; required)")
-	replicas := flag.String("replicas", "", "per-shard replica URLs: groups ';'-separated in shard order, URLs ','-separated within a group (required)")
-	flag.StringVar(&o.listen, "listen", ":8080", "address to serve the routed endpoints and observability surface on")
-	flag.DurationVar(&o.shardTimeout, "shard-timeout", 5*time.Second, "per-leg deadline for each shard request")
-	flag.IntVar(&o.ejectAfter, "eject-after", 3, "consecutive failures that eject a replica from selection")
-	flag.DurationVar(&o.probeInterval, "probe-interval", 500*time.Millisecond, "ejected-replica health-probe period")
-	flag.IntVar(&o.traceEvery, "trace-every", 64, "trace 1 in N routed requests as stitched distributed traces (0 disables tracing)")
-	flag.IntVar(&o.traceSlow, "trace-slow", 4, "retain the N slowest traces per request class")
-	flag.DurationVar(&o.slo.Window, "slo-window", time.Minute, "rolling evaluation window for the /slo scoreboard")
-	flag.Float64Var(&o.slo.Availability, "slo-availability", 0.999, "per-class availability target in (0,1)")
-	flag.DurationVar(&o.slo.NavP99, "slo-nav-p99", 150*time.Millisecond, "nav-class p99 latency target")
-	flag.DurationVar(&o.slo.MiningP99, "slo-mining-p99", time.Second, "mining-class p99 latency target")
-	flag.Parse()
-
-	fail := func(err error) {
+	if err := run(parseFlags()); err != nil {
 		fmt.Fprintf(os.Stderr, "snrouter: %v\n", err)
 		os.Exit(1)
 	}
-	if *root == "" {
-		fail(fmt.Errorf("-root is required"))
-	}
-	o.root = *root
-	reps, err := parseReplicas(*replicas)
-	if err != nil {
-		fail(err)
-	}
-	o.reps = reps
-	if o.shardTimeout <= 0 {
-		fail(fmt.Errorf("-shard-timeout must be positive (got %v)", o.shardTimeout))
-	}
-	if o.ejectAfter < 1 {
-		fail(fmt.Errorf("-eject-after must be >= 1 (got %d)", o.ejectAfter))
-	}
-	if o.slo.Availability <= 0 || o.slo.Availability >= 1 {
-		fail(fmt.Errorf("-slo-availability must be in (0,1) exclusive (got %g)", o.slo.Availability))
-	}
-	if err := run(o); err != nil {
-		fail(err)
-	}
 }
 
-func run(o *options) error {
+func run(o options) error {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
@@ -191,7 +199,6 @@ func run(o *options) error {
 		ProbeInterval: o.probeInterval,
 		Registry:      reg,
 		Tracer:        tracer,
-		SLO:           o.slo,
 	})
 	if err != nil {
 		return err
@@ -199,7 +206,7 @@ func run(o *options) error {
 	defer r.Close()
 
 	// Register mounts the routed endpoints plus /metrics, /metrics.json,
-	// /cluster/metrics, /slo, and /debug/traces; the process-level debug
+	// /cluster/metrics and /debug/traces; the process-level debug
 	// surface (expvar, pprof) mounts alongside.
 	mux := http.NewServeMux()
 	r.Register(mux)
@@ -216,9 +223,7 @@ func run(o *options) error {
 	}
 	fmt.Printf("routing on http://%s/out and /query (leg timeout %v, eject after %d, probe every %v)\n",
 		addr, o.shardTimeout, o.ejectAfter, o.probeInterval)
-	fmt.Printf("observability: /metrics /metrics.json /cluster/metrics /slo /debug/traces /debug/vars /debug/pprof\n")
-	fmt.Printf("slo: availability %.4f, nav p99 %v, mining p99 %v over %v windows\n",
-		o.slo.Availability, o.slo.NavP99, o.slo.MiningP99, o.slo.Window)
+	fmt.Printf("observability: /metrics /metrics.json /cluster/metrics /debug/traces /debug/vars /debug/pprof\n")
 
 	<-ctx.Done()
 	fmt.Println("shutting down")

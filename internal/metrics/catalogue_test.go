@@ -63,7 +63,7 @@ var catalogue = []entry{
 	{"serve_latency_{nav,mining}", "histogram", "admitted-request latency at the HTTP surface, queue wait included"},
 
 	{"router_{nav,mining}_requests", "counter", "routed requests per class at the scatter-gather front"},
-	{"router_{nav,mining}_{shed,errors}", "counter", "per-class sheds and failed routed requests, the SLO scoreboard's bad counters"},
+	{"router_{nav,mining}_{shed,errors}", "counter", "per-class relayed 429s, and routed requests answered 502 or 503"},
 	{"router_latency_{nav,mining}", "histogram", "client-facing latency at the router; tail buckets carry stitched-trace exemplars"},
 	{"router_failovers", "counter", "legs retried on another replica"},
 	{"router_fanout_errors", "counter", "fan-outs that exhausted every replica of a shard"},

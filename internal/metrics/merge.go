@@ -76,12 +76,13 @@ func (s HistSnapshot) Merge(o HistSnapshot) (HistSnapshot, error) {
 }
 
 // Sub returns the bucket-wise difference s - o: the observations made
-// since o was taken. This is what windowed SLO math runs on — two
-// cumulative snapshots of the same histogram bracket a window, and the
-// difference is that window's latency distribution. Bucket counts are
-// clamped at zero (a restarted replica's counters moved backwards;
-// treating that as an empty window beats reporting negative traffic).
-// Exemplars keep the newer side's values.
+// since o was taken. Two cumulative snapshots of the same histogram
+// bracket a window, and the difference is that window's latency
+// distribution (the benchmark harness reads a traced window's admission
+// wait this way). Bucket counts are clamped at zero (a restarted
+// replica's counters moved backwards; treating that as an empty window
+// beats reporting negative traffic). Exemplars keep the newer side's
+// values.
 func (s HistSnapshot) Sub(o HistSnapshot) (HistSnapshot, error) {
 	if o.Count == 0 && len(o.Counts) == 0 {
 		return s.clone(), nil

@@ -240,82 +240,6 @@ func TestClusterMetricsInvariant(t *testing.T) {
 	}
 }
 
-// TestSLOScoreboardReactsToOutage: /slo reports both classes meeting
-// their objectives under healthy traffic, then shows the mining error
-// budget burning once a whole shard goes dark.
-func TestSLOScoreboardReactsToOutage(t *testing.T) {
-	k := 2
-	w := startWorld(t, getRoot(t, k), k, 1)
-	reg := metrics.NewRegistry()
-	_, ts := newRouter(t, w, Config{
-		Registry: reg,
-		// Loose targets the healthy phase trivially meets.
-		SLO: SLOConfig{Availability: 0.99, NavP99: 10 * time.Second, MiningP99: 10 * time.Second},
-	})
-
-	type sloReport struct {
-		Classes []struct {
-			Class            string  `json:"class"`
-			Requests         int64   `json:"requests"`
-			Bad              int64   `json:"bad"`
-			AvailabilityMet  bool    `json:"availability_met"`
-			AvailabilityBurn float64 `json:"availability_burn"`
-		} `json:"classes"`
-	}
-	class := func(rep sloReport, name string) (c struct {
-		Class            string  `json:"class"`
-		Requests         int64   `json:"requests"`
-		Bad              int64   `json:"bad"`
-		AvailabilityMet  bool    `json:"availability_met"`
-		AvailabilityBurn float64 `json:"availability_burn"`
-	}) {
-		for _, cc := range rep.Classes {
-			if cc.Class == name {
-				return cc
-			}
-		}
-		t.Fatalf("/slo report has no class %q", name)
-		return
-	}
-
-	// Baseline sample with zero traffic, so later polls report deltas.
-	var rep sloReport
-	if code := getJSON(t, ts.URL+"/slo", &rep); code != http.StatusOK {
-		t.Fatalf("/slo: status %d", code)
-	}
-
-	for i := 0; i < 10; i++ {
-		getJSON(t, ts.URL+"/query?q=1", nil)
-		getJSON(t, ts.URL+"/out?page=3", nil)
-	}
-	if code := getJSON(t, ts.URL+"/slo", &rep); code != http.StatusOK {
-		t.Fatalf("/slo: status %d", code)
-	}
-	m := class(rep, "mining")
-	if m.Requests != 10 || m.Bad != 0 || !m.AvailabilityMet {
-		t.Fatalf("healthy mining window = %+v", m)
-	}
-	if n := class(rep, "nav"); n.Requests != 10 || !n.AvailabilityMet {
-		t.Fatalf("healthy nav window = %+v", n)
-	}
-
-	// Shard 1 goes dark: every mining scatter loses a leg and 503s.
-	w.flaky[w.replicas[1][0]].down.Store(true)
-	for i := 0; i < 10; i++ {
-		getJSON(t, ts.URL+"/query?q=1", nil)
-	}
-	if code := getJSON(t, ts.URL+"/slo", &rep); code != http.StatusOK {
-		t.Fatalf("/slo: status %d", code)
-	}
-	m = class(rep, "mining")
-	if m.Bad < 10 {
-		t.Fatalf("outage window bad = %d, want >= 10 (every scatter failed)", m.Bad)
-	}
-	if m.AvailabilityMet || m.AvailabilityBurn <= 1 {
-		t.Fatalf("shard outage not burning the mining budget: %+v", m)
-	}
-}
-
 // TestCrossProcessUntracedZeroAlloc: an unsampled routed request's
 // fan-out must add no header and no allocations — the cross-process
 // propagation cost is zero until the sampler says otherwise. Wired

@@ -43,7 +43,6 @@ import (
 	"snode/internal/query"
 	"snode/internal/serve"
 	"snode/internal/shard"
-	"snode/internal/slo"
 	"snode/internal/trace"
 	"snode/internal/webgraph"
 )
@@ -73,11 +72,11 @@ type Config struct {
 	// (default 500ms; <0 disables the prober — tests drive Probe
 	// directly).
 	ProbeInterval time.Duration
-	// Registry, when set, receives the router_* counters, the per-class
-	// end-to-end latency histograms router_latency_nav /
+	// Registry, when set, receives the router_* counters and the
+	// per-class end-to-end latency histograms router_latency_nav /
 	// router_latency_mining (p99-side buckets carry exemplars naming
-	// stitched distributed traces), and backs the /metrics,
-	// /metrics.json, and /slo endpoints Register mounts.
+	// stitched distributed traces), and backs the /metrics and
+	// /metrics.json endpoints Register mounts.
 	Registry *metrics.Registry
 	// Tracer, when set, samples routed requests: the fan-out and merge
 	// become router.fanout / router.merge spans, every fan-out leg of a
@@ -87,24 +86,6 @@ type Config struct {
 	// /debug/traces (Register mounts it). Untraced requests add no
 	// header and no allocations to the fan-out.
 	Tracer *trace.Tracer
-	// SLO configures the scoreboard behind /slo (requires Registry;
-	// zero-valued fields take the documented defaults).
-	SLO SLOConfig
-}
-
-// SLOConfig is the router's serving objectives for the /slo
-// scoreboard, evaluated over the router's own per-class counters and
-// latency histograms (the client-facing view of the whole tier).
-type SLOConfig struct {
-	// Window is the rolling evaluation window (default 60s).
-	Window time.Duration
-	// Availability is the per-class availability target (default
-	// 0.999): sheds and 5xx legs count against it.
-	Availability float64
-	// NavP99 / MiningP99 are the per-class p99 latency targets
-	// (defaults 150ms nav, 1s mining).
-	NavP99    time.Duration
-	MiningP99 time.Duration
 }
 
 // replica is one backend URL plus its health state and the federation
@@ -159,8 +140,7 @@ type Router struct {
 	probeWG   sync.WaitGroup
 	closeOnce sync.Once
 
-	reg   *metrics.Registry
-	board *slo.Scoreboard
+	reg *metrics.Registry
 
 	navRequests, miningRequests *metrics.Counter
 	failovers, fanoutErrors     *metrics.Counter
@@ -238,10 +218,6 @@ func New(cfg Config) (*Router, error) {
 		r.stitchErrors = reg.Counter("router_stitch_errors")
 		r.navLatency = reg.Histogram("router_latency_nav", nil)
 		r.miningLatency = reg.Histogram("router_latency_mining", nil)
-		r.board = slo.New(slo.Config{
-			Window:     cfg.SLO.Window,
-			Objectives: sloObjectives(cfg.SLO),
-		})
 	}
 	if cfg.ProbeInterval > 0 {
 		r.probeWG.Add(1)
@@ -256,47 +232,10 @@ func (r *Router) Close() {
 	r.probeWG.Wait()
 }
 
-// sloObjectives maps the router's SLO config onto its own metric
-// names: the router is the client-facing front, so its counters and
-// latency histograms ARE the tier's service level.
-func sloObjectives(cfg SLOConfig) []slo.Objective {
-	if cfg.Availability <= 0 || cfg.Availability >= 1 {
-		cfg.Availability = 0.999
-	}
-	if cfg.NavP99 <= 0 {
-		cfg.NavP99 = 150 * time.Millisecond
-	}
-	if cfg.MiningP99 <= 0 {
-		cfg.MiningP99 = time.Second
-	}
-	return []slo.Objective{
-		{
-			Class:        "nav",
-			TotalCounter: "router_nav_requests",
-			BadCounters:  []string{"router_nav_shed", "router_nav_errors"},
-			LatencyHist:  "router_latency_nav",
-			Availability: cfg.Availability,
-			P99:          cfg.NavP99,
-		},
-		{
-			Class:        "mining",
-			TotalCounter: "router_mining_requests",
-			BadCounters:  []string{"router_mining_shed", "router_mining_errors"},
-			LatencyHist:  "router_latency_mining",
-			Availability: cfg.Availability,
-			P99:          cfg.MiningP99,
-		},
-	}
-}
-
-// Scoreboard exposes the SLO scoreboard (nil without a Registry) so
-// the load harness can sample it in-process.
-func (r *Router) Scoreboard() *slo.Scoreboard { return r.board }
-
 // Register mounts the routed endpoints on mux, plus the observability
-// surface the router owns: /cluster/metrics always; /metrics,
-// /metrics.json, and /slo when a Registry is configured; /debug/traces
-// when a Tracer is configured.
+// surface the router owns: /cluster/metrics always; /metrics and
+// /metrics.json when a Registry is configured; /debug/traces when a
+// Tracer is configured.
 func (r *Router) Register(mux *http.ServeMux) {
 	mux.HandleFunc("/out", r.handleOut)
 	mux.HandleFunc("/query", r.handleQuery)
@@ -308,7 +247,6 @@ func (r *Router) Register(mux *http.ServeMux) {
 	if r.reg != nil {
 		mux.Handle("/metrics", r.reg.Handler())
 		mux.Handle("/metrics.json", r.reg.JSONHandler())
-		mux.Handle("/slo", slo.Handler(r.board, func() metrics.Snapshot { return r.reg.Snapshot() }))
 	}
 	if r.tracer != nil {
 		mux.Handle("/debug/traces", trace.Handler(r.tracer))
@@ -512,8 +450,8 @@ func (r *Router) fetch(ctx context.Context, s int, pathQuery, traceHdr string) l
 	return legResult{err: fmt.Errorf("shard %d: all replicas failed: %w", s, lastErr)}
 }
 
-// writeShed relays an aggregated 429, charged to the class's error
-// budget (the /slo scoreboard reads the per-class shed counters).
+// writeShed relays an aggregated 429 and counts it against the
+// request's class as well as in router_shed.
 func (r *Router) writeShed(w http.ResponseWriter, class string, sh *shedInfo) {
 	inc(r.shedTotal)
 	switch class {

@@ -388,16 +388,14 @@ func TestProbeReadmission(t *testing.T) {
 
 // TestOneShardAllDownFailsClosed: when every replica of one shard is
 // down, mining queries answer 503 (a partial merge would be silently
-// wrong) and /out fails only for pages that shard owns.
+// wrong) and /out fails only for pages that shard owns. The per-class
+// request and error counters follow: each class counts its requests,
+// and every failed scatter is one mining error.
 func TestOneShardAllDownFailsClosed(t *testing.T) {
 	k := 2
 	w := startWorld(t, getRoot(t, k), k, 1)
-	_, ts := newRouter(t, w, Config{EjectAfter: 1})
-	w.flaky[w.replicas[1][0]].down.Store(true)
-
-	if code := getJSON(t, ts.URL+"/query?q=1", nil); code != http.StatusServiceUnavailable {
-		t.Fatalf("/query with shard 1 down: status %d, want 503", code)
-	}
+	reg := metrics.NewRegistry()
+	_, ts := newRouter(t, w, Config{EjectAfter: 1, Registry: reg})
 	m := w.manifest
 	var owned0, owned1 webgraph.PageID = -1, -1
 	for p := webgraph.PageID(0); int(p) < m.NumPages; p++ {
@@ -408,11 +406,105 @@ func TestOneShardAllDownFailsClosed(t *testing.T) {
 			owned1 = p
 		}
 	}
+
+	for i := 0; i < 10; i++ {
+		if code := getJSON(t, ts.URL+"/query?q=1", nil); code != http.StatusOK {
+			t.Fatalf("/query with every shard up: status %d", code)
+		}
+		if code := getJSON(t, fmt.Sprintf("%s/out?page=%d", ts.URL, owned1), nil); code != http.StatusOK {
+			t.Fatalf("/out with every shard up: status %d", code)
+		}
+	}
+	c := reg.Snapshot().Counters
+	if c["router_nav_requests"] != 10 || c["router_mining_requests"] != 10 || c["router_nav_errors"] != 0 || c["router_mining_errors"] != 0 {
+		t.Fatalf("healthy counters: nav %d requests %d errors, mining %d requests %d errors; want 10/0 each",
+			c["router_nav_requests"], c["router_nav_errors"], c["router_mining_requests"], c["router_mining_errors"])
+	}
+
+	w.flaky[w.replicas[1][0]].down.Store(true)
+	for i := 0; i < 10; i++ {
+		if code := getJSON(t, ts.URL+"/query?q=1", nil); code != http.StatusServiceUnavailable {
+			t.Fatalf("/query with shard 1 down: status %d, want 503", code)
+		}
+	}
+	if got := reg.Snapshot().Counters["router_mining_errors"]; got != 10 {
+		t.Fatalf("router_mining_errors after 10 scatters with shard 1 down = %d, want 10", got)
+	}
 	if code := getJSON(t, fmt.Sprintf("%s/out?page=%d", ts.URL, owned0), nil); code != http.StatusOK {
 		t.Fatalf("/out for healthy shard: status %d", code)
 	}
 	if code := getJSON(t, fmt.Sprintf("%s/out?page=%d", ts.URL, owned1), nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("/out for dead shard: status %d, want 503", code)
+	}
+}
+
+// TestShedRelayed: a 429 from a shard is a live replica's answer, not a
+// failure. /query relays one 429 whose Retry-After is the largest any
+// leg sent, whichever shard sent it; /out relays its one shard's. Each
+// is counted as a shed of its class, no leg fails over to the shard's
+// second replica and no replica is ejected.
+func TestShedRelayed(t *testing.T) {
+	root := getRoot(t, 2)
+	m, err := shard.LoadManifest(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs, err := shard.LoadFwdBoundaries(root, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shedding := func(retryAfter string) string {
+		ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
+			rw.Header().Set("X-SNode-Shard-Version", m.Version)
+			rw.Header().Set("Retry-After", retryAfter)
+			rw.Header().Set("Content-Type", "application/json")
+			rw.WriteHeader(http.StatusTooManyRequests)
+			fmt.Fprintln(rw, `{"error":"shed"}`)
+		}))
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	get := func(url string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, resp.Header.Get("Retry-After")
+	}
+	for _, hints := range [][2]string{{"1", "3"}, {"3", "1"}} {
+		w := &world{manifest: m, boundaries: bs, replicas: [][]string{
+			{shedding(hints[0]), shedding(hints[0])},
+			{shedding(hints[1]), shedding(hints[1])},
+		}}
+		reg := metrics.NewRegistry()
+		r, ts := newRouter(t, w, Config{EjectAfter: 1, Registry: reg})
+
+		if code, ra := get(ts.URL + "/query?q=1"); code != http.StatusTooManyRequests || ra != "3" {
+			t.Fatalf("Retry-After %v: /query?q=1 answered %d with Retry-After %q, want 429 with 3", hints, code, ra)
+		}
+		c := reg.Snapshot().Counters
+		if c["router_shed"] != 1 || c["router_mining_shed"] != 1 || c["router_failovers"] != 0 {
+			t.Fatalf("Retry-After %v: router_shed %d, router_mining_shed %d, router_failovers %d; want 1, 1, 0",
+				hints, c["router_shed"], c["router_mining_shed"], c["router_failovers"])
+		}
+		for s, set := range r.shards {
+			for _, rep := range set.replicas {
+				if !rep.healthy.Load() {
+					t.Fatalf("Retry-After %v: shard %d's shedding replica %s was ejected", hints, s, rep.url)
+				}
+			}
+		}
+
+		page := webgraph.PageID(0)
+		if code, ra := get(fmt.Sprintf("%s/out?page=%d", ts.URL, page)); code != http.StatusTooManyRequests || ra != hints[m.ShardOf(page)] {
+			t.Fatalf("Retry-After %v: /out?page=%d answered %d with Retry-After %q, want 429 with %s", hints, page, code, ra, hints[m.ShardOf(page)])
+		}
+		if got := reg.Snapshot().Counters["router_nav_shed"]; got != 1 {
+			t.Fatalf("Retry-After %v: router_nav_shed = %d, want 1", hints, got)
+		}
 	}
 }
 

@@ -1,11 +1,14 @@
 package shard
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
+
+	"snode/internal/webgraph"
 )
 
 // FuzzOpenBoundary: whatever the bytes, OpenBoundary neither panics nor
@@ -54,6 +57,42 @@ func FuzzOpenBoundary(f *testing.F) {
 		// for the file.
 		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(4<<10+64*len(raw)); alloc > limit {
 			t.Fatalf("a %d-byte file made OpenBoundary allocate %d bytes (limit %d)", len(raw), alloc, limit)
+		}
+	})
+}
+
+// FuzzLoadManifest: whatever manifest.json holds, LoadManifest does not
+// panic, and a manifest it accepts maps each run's first and last page
+// to that run's shard. An input that parses as JSON is re-stamped
+// before it is written: a random one almost never carries its FNV
+// version, and the stamp would stop it ahead of the structural checks.
+// Seeds (testdata/fuzz): the manifest shard.Build writes for a
+// 282-page K=2 crawl, and mutants of it with a gap, an overlap, a run
+// on shard 2 of 2 and a boundary path that starts with "../".
+func FuzzLoadManifest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var m Manifest
+		if json.Unmarshal(raw, &m) == nil {
+			m.Version = m.stamp()
+			var err error
+			if raw, err = json.Marshal(&m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		root := t.TempDir()
+		if err := os.WriteFile(filepath.Join(root, ManifestName), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadManifest(root)
+		if err != nil {
+			return
+		}
+		for i, r := range got.Runs {
+			for _, p := range []webgraph.PageID{r.Start, r.Start + webgraph.PageID(r.Count) - 1} {
+				if s := got.ShardOf(p); s != r.Shard {
+					t.Fatalf("run %d %+v: ShardOf(%d) = %d", i, r, p, s)
+				}
+			}
 		}
 	})
 }

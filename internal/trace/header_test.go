@@ -8,20 +8,45 @@ import (
 	"time"
 )
 
+// headerCases are the (id, sampled) pairs TestHeaderRoundTrip formats
+// and parses back, and FuzzParseHeader's seeds.
+var headerCases = []struct {
+	id      uint64
+	sampled bool
+}{
+	{1, true}, {1, false}, {12345678901234567, true}, {^uint64(0), true},
+}
+
 func TestHeaderRoundTrip(t *testing.T) {
-	cases := []struct {
-		id      uint64
-		sampled bool
-	}{
-		{1, true}, {1, false}, {12345678901234567, true}, {^uint64(0), true},
-	}
-	for _, c := range cases {
+	for _, c := range headerCases {
 		v := FormatHeader(c.id, c.sampled)
 		id, sampled, ok := ParseHeader(v)
 		if !ok || id != c.id || sampled != c.sampled {
 			t.Fatalf("round-trip %d/%v: got %d/%v/%v from %q", c.id, c.sampled, id, sampled, ok, v)
 		}
 	}
+}
+
+// FuzzParseHeader: whatever a peer sends, ParseHeader does not panic,
+// never accepts trace ID 0, and every pair it accepts formats back to a
+// value that parses to the same pair.
+func FuzzParseHeader(f *testing.F) {
+	for _, c := range headerCases {
+		f.Add(FormatHeader(c.id, c.sampled))
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		id, sampled, ok := ParseHeader(v)
+		if !ok {
+			return
+		}
+		if id == 0 {
+			t.Fatalf("ParseHeader(%q) accepted trace ID 0", v)
+		}
+		back := FormatHeader(id, sampled)
+		if id2, sampled2, ok2 := ParseHeader(back); !ok2 || id2 != id || sampled2 != sampled {
+			t.Fatalf("ParseHeader(%q) = %d/%v, but ParseHeader(%q) = %d/%v/%v", v, id, sampled, back, id2, sampled2, ok2)
+		}
+	})
 }
 
 func TestParseHeaderRejectsMalformed(t *testing.T) {

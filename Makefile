@@ -32,11 +32,13 @@ test-race:
 
 # One iteration of the lookup benchmarks — warm (BenchmarkOutWarmParallel
 # fails if a lookup misses) and cold (BenchmarkOutCold: uniform pages,
-# 256 KiB budget) — and of the write side's (BenchmarkEncodeSupernode;
-# BenchmarkIngest, which fails if its budget stops spilling), so they
-# cannot rot between the PRs that read them.
+# 256 KiB budget) — of the whole-graph read (BenchmarkScan: a cold Scan
+# at 256 KiB, in ns/edge, the figure to hold against the suite's
+# refenc.decode_ns_per_edge) and of the write side's
+# (BenchmarkEncodeSupernode; BenchmarkIngest, which fails if its budget
+# stops spilling), so they cannot rot between the PRs that read them.
 test-bench:
-	$(GO) test -run xxx -bench 'OutWarm|OutCold|EncodeSupernode' -benchtime 1x ./internal/snode
+	$(GO) test -run xxx -bench 'OutWarm|OutCold|Scan|EncodeSupernode' -benchtime 1x ./internal/snode
 	$(GO) test -run xxx -bench 'Ingest' -benchtime 1x ./internal/ingest
 
 # Guard the untraced serving path: an engine with an attached-but-never-
@@ -169,14 +171,16 @@ test-obs:
 # form (the verdicts seed by seed, at the parent of the lz removal), the
 # two-state superedge entry (rows equal the CSR under every codec and
 # budget, cache accounting across the replacement, a damaged list
-# section failing only its readers) and the flight a miss's waiters
-# share (made by the first of them, releasing all). Run with -count=1
-# so the gate always executes.
+# section failing only its readers), the whole-graph Scan (its rows
+# equal Out's and the CSR's under both codecs, each graph read once,
+# stopping on a visitor error or a cancelled context) and the flight a
+# miss's waiters share (made by the first of them, releasing all). Run
+# with -count=1 so the gate always executes.
 test-codec:
 	$(GO) test -count=1 -run 'TestReaderMatchesBitAtATimeReference|TestUnaryZeroTailOverruns' ./internal/bitio
 	$(GO) test -count=1 -run 'TestWindowDecodersMatchReferences|TestGammaAtTheEdgesOfTheWindow|TestHuffmanWindowDecodeMatchesBitwise|TestRLERunsRejectOverlongRun' ./internal/coding
 	$(GO) test -count=1 -run 'TestDecodeRejects|TestDecodeAcceptsZeroBitFinalValue|TestDecodeListsAreExactSizedFlatArrays|TestReadRunRejectsOverflowGap|TestRejectsBadLists' ./internal/refenc
-	$(GO) test -count=1 -run 'TestCodec|FuzzCodecRoundTrip|FuzzDecodeHostile|TestCorruptIndexAllCodecs|TestMeasureDecode|TestUnknown|TestRetiredCodecRefusedByName|TestOpenRefusesContradictoryDirectory|TestSourcesFirst|TestSourcesOnly|TestVerifyLeavesMaterializedEntries|TestMaterialized|TestCorruptListSection|TestDecodedRowsEqualParents|TestHostileVerdictsEqualParents|TestFlightIsMadeByItsFirstWaiter|TestParkedLeaderReleasesLookupsWaitingOnIt|TestLengthPrefixSizesNoAllocation|TestValueTooWideForItsFieldIsRefused|TestTrailingBytesAreRefused|FuzzReadMeta' ./internal/snode
+	$(GO) test -count=1 -run 'TestCodec|FuzzCodecRoundTrip|FuzzDecodeHostile|TestCorruptIndexAllCodecs|TestMeasureDecode|TestUnknown|TestRetiredCodecRefusedByName|TestOpenRefusesContradictoryDirectory|TestSourcesFirst|TestSourcesOnly|TestVerifyLeavesMaterializedEntries|TestScan|TestMaterialized|TestCorruptListSection|TestDecodedRowsEqualParents|TestHostileVerdictsEqualParents|TestFlightIsMadeByItsFirstWaiter|TestParkedLeaderReleasesLookupsWaitingOnIt|TestLengthPrefixSizesNoAllocation|TestValueTooWideForItsFieldIsRefused|TestTrailingBytesAreRefused|FuzzReadMeta' ./internal/snode
 	$(GO) test -count=1 -run 'TestCodecQueryEquivalence' ./internal/query
 	$(GO) test -count=1 -run 'TestShardBuildCarriesCodec' ./internal/shard
 	$(GO) test -count=1 -run 'TestCheckCodec' ./cmd/snbuild

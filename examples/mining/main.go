@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -46,10 +47,16 @@ func main() {
 		log.Fatal(err)
 	}
 	defer rep.Close()
-	g, err := rep.DecodeAll()
-	if err != nil {
+	b := webgraph.NewBuilder(rep.NumPages())
+	if err := rep.Scan(context.Background(), func(p webgraph.PageID, out []webgraph.PageID) error {
+		for _, q := range out {
+			b.AddEdge(p, q)
+		}
+		return nil
+	}); err != nil {
 		log.Fatal(err)
 	}
+	g := b.Build()
 
 	// Bow-tie structure (Broder et al.): the giant SCC and its IN/OUT
 	// regions.

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -338,6 +339,28 @@ func TestOverlayAddPage(t *testing.T) {
 	got, err = o.Out(id, nil)
 	if err != nil || !pageIDsEqual(got, []webgraph.PageID{0}) {
 		t.Fatalf("sealed new page Out = %v, %v", got, err)
+	}
+}
+
+// TestFoldBackRefusesOtherBases: a fold-back reads its base whole with
+// snode.Representation.Scan, so over any other store it fails, naming
+// the store, before it seals a segment or writes a file.
+func TestFoldBackRefusesOtherBases(t *testing.T) {
+	o := newTestOverlay(t, smallBase())
+	ctx := context.Background()
+	if err := o.Apply(ctx, []Mutation{{Src: 0, Dst: 1, Op: OpAdd}}); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	_, err := o.FoldBack(ctx, FoldConfig{SNode: snode.DefaultConfig(), Dir: dir, CacheBudget: 1 << 20, Model: iosim.Model2002()})
+	if err == nil || !strings.Contains(err.Error(), `base "test" is not an S-Node representation`) {
+		t.Fatalf("FoldBack over the test store: %v, want a refusal naming it", err)
+	}
+	if n := o.SegmentCount(); n != 0 {
+		t.Fatalf("the refused fold-back sealed %d segments", n)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("the refused fold-back wrote %d entries", len(entries))
 	}
 }
 

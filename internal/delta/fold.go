@@ -1,10 +1,12 @@
 package delta
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"snode/internal/iosim"
 	"snode/internal/snode"
@@ -31,8 +33,14 @@ type FoldConfig struct {
 
 // materializeLocked seals and materializes under structMu, returning
 // the corpus and the segment prefix it covers (the segments a fold may
-// retire once the rebuilt base is installed).
+// retire once the rebuilt base is installed). The base is read whole
+// through snode.Representation.Scan, so any other base is refused.
 func (o *Overlay) materializeLocked(ctx context.Context) (*webgraph.Corpus, []*segment, error) {
+	// structMu is held, and only a fold swaps the base.
+	base, ok := o.base.(*snode.Representation)
+	if !ok {
+		return nil, nil, fmt.Errorf("delta: fold-back reads its base with snode.Representation.Scan; base %q is not an S-Node representation", o.base.Name())
+	}
 	if err := o.sealLocked(ctx); err != nil {
 		return nil, nil, err
 	}
@@ -42,8 +50,6 @@ func (o *Overlay) materializeLocked(ctx context.Context) (*webgraph.Corpus, []*s
 	o.mu.RLock()
 	segs := append([]*segment(nil), o.segments...)
 	pages := append([]webgraph.PageMeta(nil), o.pages...)
-	base := o.base
-	baseN := base.NumPages()
 	o.mu.RUnlock()
 
 	merged := make([][]pageOps, 0, len(segs))
@@ -56,44 +62,25 @@ func (o *Overlay) materializeLocked(ctx context.Context) (*webgraph.Corpus, []*s
 	}
 	ops := mergePageOps(merged...)
 
+	// Removed targets are dropped from the base lists; adds are appended
+	// (the builder dedups targets the base already had).
 	b := webgraph.NewBuilder(len(pages))
-	buf := make([]webgraph.PageID, 0, 256)
-	oi := 0
-	for p := 0; p < len(pages); p++ {
-		if ctx.Err() != nil {
-			return nil, nil, ctx.Err()
-		}
-		var po *pageOps
-		if oi < len(ops) && ops[oi].src == webgraph.PageID(p) {
-			po = &ops[oi]
-			oi++
-		}
-		if p < baseN {
-			var err error
-			buf, err = base.Out(webgraph.PageID(p), buf[:0])
-			if err != nil {
-				return nil, nil, fmt.Errorf("delta: materialize page %d: %w", p, err)
+	err := base.Scan(ctx, func(p webgraph.PageID, out []webgraph.PageID) error {
+		k, mutated := slices.BinarySearchFunc(ops, p, func(po pageOps, p webgraph.PageID) int { return cmp.Compare(po.src, p) })
+		for _, t := range out {
+			if !mutated || !removedIn(ops[k].ops, t) {
+				b.AddEdge(p, t)
 			}
-		} else {
-			buf = buf[:0]
 		}
-		if po == nil {
-			for _, t := range buf {
-				b.AddEdge(webgraph.PageID(p), t)
-			}
-			continue
-		}
-		// Removed targets are dropped from the base list; adds are
-		// appended (the builder dedups targets the base already had).
-		for _, t := range buf {
-			if removedIn(po.ops, t) {
-				continue
-			}
-			b.AddEdge(webgraph.PageID(p), t)
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("delta: materialize: %w", err)
+	}
+	for _, po := range ops {
 		for _, e := range po.ops {
 			if e.op == OpAdd {
-				b.AddEdge(webgraph.PageID(p), e.dst)
+				b.AddEdge(po.src, e.dst)
 			}
 		}
 	}
@@ -102,16 +89,8 @@ func (o *Overlay) materializeLocked(ctx context.Context) (*webgraph.Corpus, []*s
 
 // removedIn reports whether t carries an OpRemove in a sorted op list.
 func removedIn(ops []dstOp, t webgraph.PageID) bool {
-	lo, hi := 0, len(ops)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ops[mid].dst < t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(ops) && ops[lo].dst == t && ops[lo].op == OpRemove
+	k, ok := slices.BinarySearchFunc(ops, t, func(e dstOp, t webgraph.PageID) int { return cmp.Compare(e.dst, t) })
+	return ok && ops[k].op == OpRemove
 }
 
 // FoldBack rebuilds the overlay's current state into a fresh S-Node

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -648,40 +649,32 @@ func (r *Representation) readDecodeSpan(ctx context.Context, claimed []needEntry
 	return firstErr
 }
 
-// DecodeAll materializes the entire graph in memory as a CSR webgraph
-// (external IDs) — the "global access" mode for mining tasks. It is Out
-// for every page in external-ID order, through the cache like any other
-// lookup.
-func (r *Representation) DecodeAll() (*webgraph.Graph, error) {
-	b := webgraph.NewBuilder(int(r.m.NumPages))
-	var buf []webgraph.PageID
-	for p := int32(0); p < r.m.NumPages; p++ {
-		var err error
-		buf, err = r.Out(p, buf[:0])
-		if err != nil {
-			return nil, err
-		}
-		for _, q := range buf {
-			b.AddEdge(p, q)
-		}
-	}
-	return b.Build(), nil
-}
-
-// Verify decodes every graph the supernode graph points at and checks
-// what only the payloads can say (Open has already compared the
-// directory with the supernode graph): every graph decodes, with as many
-// lists as its directory entry records, positive superedge graphs hold
-// links, negative ones leave some, and the total positive edge count
-// matches the recorded NumEdges. It reads the representation once,
-// supernode by supernode in disk order through the same span reads a
-// lookup makes, and leaves what the budget holds resident — positive
+// Scan reads the whole graph once and hands fn each page's out-links in
+// external IDs: the "global access" mode, and the one whole-graph read.
+// It reads supernode by supernode in disk order, each graph once through
+// the span reads a lookup makes, and emits graph by graph: each graph's
+// lists are appended to the rows of its supernode's pages, which fn then
+// gets in internal ID order. A row is valid only during its fn call, and
+// fn may call Out. It leaves what the budget holds resident, positive
 // superedge graphs with their lists decoded.
-func (r *Representation) Verify() error {
-	ctx := context.Background()
+//
+// It checks what only the payloads can say (Open has already compared
+// the directory with the supernode graph): every graph decodes, with as
+// many lists as its directory entry records, positive superedge graphs
+// hold links, negative ones leave some, and the total positive edge count
+// matches the recorded NumEdges. ctx is checked between supernodes, and
+// an error from fn ends the scan.
+func (r *Representation) Scan(ctx context.Context, fn func(p webgraph.PageID, out []webgraph.PageID) error) error {
 	var edges int64
 	var need []needEntry
+	var rows [][]webgraph.PageID
+	var neg []int32
 	for s := int32(0); s < int32(r.m.Stats.Supernodes); s++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		n := int(r.snSize(s))
+		rows = slices.Grow(rows[:0], n)[:n] // every row emptied by its emission
 		need = r.m.appendGraphs(need[:0], s)
 		err := r.consult(ctx, s, -1, need, func(gid GraphID, j int32, g decodedGraph) error {
 			if sg, ok := g.(*superPosSources); ok {
@@ -700,7 +693,7 @@ func (r *Representation) Verify() error {
 				lists = t.lists
 			case *decodedSuperNeg:
 				lists = t.lists
-				links = int64(r.snSize(s))*int64(t.njSize) - links
+				links = int64(n)*int64(t.njSize) - links
 			}
 			if e := &r.m.Directory[gid]; lists.Len() != int(e.NumLists) {
 				return fmt.Errorf("graph %d decoded to %d lists, its directory entry records %d", gid, lists.Len(), e.NumLists)
@@ -708,10 +701,28 @@ func (r *Representation) Verify() error {
 				return fmt.Errorf("superedge (%d,%d) holds %d links (no such edge should exist)", s, j, links)
 			}
 			edges += links
+			inv := r.m.Inv[r.m.SnBase[j]:]
+			for k := range lists.Len() {
+				src, targets := int32(k), lists.At(k)
+				switch t := g.(type) {
+				case *decodedSuperPos:
+					src = t.srcs[k]
+				case *decodedSuperNeg:
+					neg = t.appendTargets(src, neg[:0])
+					targets = neg
+				}
+				for _, t := range targets {
+					rows[src] = append(rows[src], inv[t])
+				}
+			}
 			return nil
 		})
+		for k := 0; err == nil && k < n; k++ {
+			err = fn(r.m.Inv[r.m.SnBase[s]+int32(k)], rows[k])
+			rows[k] = rows[k][:0]
+		}
 		if err != nil {
-			return fmt.Errorf("snode: verify supernode %d: %w", s, err)
+			return fmt.Errorf("snode: scan supernode %d: %w", s, err)
 		}
 	}
 	if edges != r.m.NumEdges {
@@ -719,6 +730,12 @@ func (r *Representation) Verify() error {
 			edges, r.m.NumEdges)
 	}
 	return nil
+}
+
+// Verify is Scan with a visitor that does nothing: the whole graph's
+// checks, and the cache it leaves behind.
+func (r *Representation) Verify() error {
+	return r.Scan(context.Background(), func(webgraph.PageID, []webgraph.PageID) error { return nil })
 }
 
 // Supernodes reports the supernode count; Superedges the superedge

@@ -26,11 +26,12 @@
 //
 // # Thread safety
 //
-// An opened Representation is safe for concurrent use:
-// any number of goroutines may call Out, OutFiltered, OutFilteredCtx,
-// Verify, DomainSupernodes, and the stats accessors simultaneously. A lookup whose graphs are resident takes no lock: the
-// buffer manager publishes each resident graph in an atomic slot
-// indexed by GraphID, and a hit is one atomic load (plus setting the
+// An opened Representation is safe for concurrent use: any number of
+// goroutines may call Out, OutFiltered, OutFilteredCtx, Scan, Verify,
+// DomainSupernodes, and the stats accessors simultaneously, and Scan's
+// fn may itself call Out. A lookup whose graphs are resident takes no
+// lock: the buffer manager publishes each resident graph in an atomic
+// slot indexed by GraphID, and a hit is one atomic load (plus setting the
 // entry's second-chance bit when it is clear). Whatever changes
 // residency — insert, replacement, eviction, claiming a miss, reset —
 // runs under one of the locks the buffer manager is sharded by (GraphID

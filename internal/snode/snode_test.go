@@ -125,18 +125,6 @@ func TestRoundTripUnderTinyCache(t *testing.T) {
 	}
 }
 
-func TestDecodeAllEqualsSource(t *testing.T) {
-	c, _ := buildOnce(t)
-	r := openRep(t, 64<<20)
-	g, err := r.DecodeAll()
-	if err != nil {
-		t.Fatalf("DecodeAll: %v", err)
-	}
-	if !g.Equal(c.Graph) {
-		t.Fatal("decoded graph differs from source")
-	}
-}
-
 func TestBuildStatsSanity(t *testing.T) {
 	_, _ = buildOnce(t)
 	st := testStats
@@ -539,30 +527,45 @@ func TestVerifyDetectsEdgeCountMismatch(t *testing.T) {
 }
 
 // TestVerifyDecodeFaultLeavesNoFlight fails the decode of a graph in the
-// middle of a supernode's span: Verify returns that error, every decode
-// the span had claimed is completed (none left in flight), and once the
-// fault is cleared the same representation verifies.
+// middle of a supernode's span: Verify, and a Scan with a visitor, return
+// that error, every decode the span had claimed is completed (none left
+// in flight), and once the fault is cleared the same representation
+// verifies.
 func TestVerifyDecodeFaultLeavesNoFlight(t *testing.T) {
 	c, _ := buildOnce(t)
-	r := openRep(t, 1<<20)
-	page, need := widestPage(t, c, r)
+	page, need := widestPage(t, c, openRep(t, 1<<20))
 	victim := need[len(need)/2]
 	fault := errors.New("injected decode fault")
-	r.decodeFault = func(gid GraphID) error {
-		if gid == victim {
-			return fault
+	var visited int
+	for name, read := range map[string]func(*Representation) error{
+		"Verify": (*Representation).Verify,
+		"Scan": func(r *Representation) error {
+			return r.Scan(context.Background(), func(webgraph.PageID, []webgraph.PageID) error {
+				visited++
+				return nil
+			})
+		},
+	} {
+		r := openRep(t, 1<<20)
+		r.decodeFault = func(gid GraphID) error {
+			if gid == victim {
+				return fault
+			}
+			return nil
 		}
-		return nil
+		if err := read(r); !errors.Is(err, fault) {
+			t.Fatalf("%s with graph %d (of page %d's supernode) failing to decode: %v, want the injected fault", name, victim, page, err)
+		}
+		if n := r.InflightDecodes(); n != 0 {
+			t.Fatalf("%d decodes left in flight after the failed %s", n, name)
+		}
+		r.decodeFault = nil
+		if err := r.Verify(); err != nil {
+			t.Fatalf("Verify after the fault was cleared: %v", err)
+		}
 	}
-	if err := r.Verify(); !errors.Is(err, fault) {
-		t.Fatalf("Verify with graph %d (of page %d's supernode) failing to decode: %v, want the injected fault", victim, page, err)
-	}
-	if n := r.InflightDecodes(); n != 0 {
-		t.Fatalf("%d decodes left in flight after the failed Verify", n)
-	}
-	r.decodeFault = nil
-	if err := r.Verify(); err != nil {
-		t.Fatalf("Verify after the fault was cleared: %v", err)
+	if visited >= c.Graph.NumPages() {
+		t.Fatalf("the failed Scan visited %d pages, every page", visited)
 	}
 }
 

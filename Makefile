@@ -36,10 +36,14 @@ test-race:
 # at 256 KiB, in ns/edge, the figure to hold against the suite's
 # refenc.decode_ns_per_edge) and of the write side's
 # (BenchmarkEncodeSupernode; BenchmarkIngest, which fails if its budget
-# stops spilling), so they cannot rot between the PRs that read them.
+# stops spilling; BenchmarkRefine, in ns/page and allocs/op;
+# BenchmarkEncodeWindow, refenc's list encoder alone), so they cannot rot
+# between the PRs that read them.
 test-bench:
 	$(GO) test -run xxx -bench 'OutWarm|OutCold|Scan|EncodeSupernode' -benchtime 1x ./internal/snode
 	$(GO) test -run xxx -bench 'Ingest' -benchtime 1x ./internal/ingest
+	$(GO) test -run xxx -bench 'Refine' -benchtime 1x ./internal/partition
+	$(GO) test -run xxx -bench 'EncodeWindow' -benchtime 1x ./internal/refenc
 
 # Guard the untraced serving path: an engine with an attached-but-never-
 # sampling tracer must add zero allocations per query — on Run and on
@@ -60,7 +64,11 @@ test-bench:
 # array per load trips it. The bucketing guard pins the encode stage's
 # link bucketing at zero allocations on warm scratch, for the supernode
 # with the fewest links and the one with the most: a list grown by
-# append or a map entry per target supernode trips it. The partial-frame
+# append or a map entry per target supernode trips it. The clustered-split
+# guard holds refinement's k-means split to the same allocations on warm
+# scratch for the smallest element of P0 that splits and the largest:
+# a map entry per target supernode, a signature allocated per page or a
+# child's page list grown by append trips it. The partial-frame
 # guard pins the router's decode of a shard's partial leg at the same
 # allocations for 3,531 rows as for one (the body's string and the row
 # slice): an allocation per field or per row trips it. The counter pin
@@ -74,6 +82,7 @@ check-overhead:
 	$(GO) test -count=1 -run 'TestUntracedPrimitivesZeroAlloc' ./internal/trace
 	$(GO) test -count=1 -run 'TestCrossProcessUntracedZeroAlloc|TestDecodePartialAllocs' ./internal/trace ./internal/serve ./internal/router
 	$(GO) test -count=1 -run 'TestDecodeHotPathAllocs|TestWarmOutAllocatesNothing|TestColdOutAllocsPerLoad|TestBucketingAllocsIndependentOfEdges|TestLookupCountersPinned' ./internal/snode
+	$(GO) test -count=1 -run 'TestClusteredSplitAllocs' ./internal/partition
 
 # Plan gate: every scheme's Table 3 rows and cold navigation I/O
 # (seeks, bytes, graph loads) against the golden file generated before

@@ -20,12 +20,14 @@ import (
 // end of the underlying stream.
 var ErrOverrun = errors.New("bitio: read past end of stream")
 
-// Writer accumulates bits into an in-memory buffer. The zero value is
-// ready to use.
+// Writer accumulates bits into an in-memory buffer. Bits collect in a
+// 64-bit accumulator, which goes to the buffer eight whole bytes at a
+// time, so a field of any width is a shift and an or, and a unary run
+// a word of zeros at a time. The zero value is ready to use.
 type Writer struct {
-	buf  []byte
-	cur  byte // partially filled byte
-	nCur uint // number of bits currently in cur (0..7)
+	buf []byte
+	acc uint64 // pending bits: the low n, the oldest highest; bits above them are stale and never read
+	n   uint   // number of pending bits (0..63)
 }
 
 // NewWriter returns a Writer whose internal buffer has the given initial
@@ -37,22 +39,17 @@ func NewWriter(capBytes int) *Writer {
 // Reset truncates the writer to an empty stream, retaining its buffer.
 func (w *Writer) Reset() {
 	w.buf = w.buf[:0]
-	w.cur = 0
-	w.nCur = 0
+	w.acc = 0
+	w.n = 0
 }
 
 // WriteBit appends a single bit (any non-zero b writes 1).
 func (w *Writer) WriteBit(b uint) {
-	w.cur <<= 1
+	var bit uint64
 	if b != 0 {
-		w.cur |= 1
+		bit = 1
 	}
-	w.nCur++
-	if w.nCur == 8 {
-		w.buf = append(w.buf, w.cur)
-		w.cur = 0
-		w.nCur = 0
-	}
+	w.WriteBits(bit, 1)
 }
 
 // WriteBool appends a single bit from a bool.
@@ -70,48 +67,32 @@ func (w *Writer) WriteBits(v uint64, n uint) {
 	if n > 64 {
 		panic(fmt.Sprintf("bitio: WriteBits n=%d > 64", n))
 	}
-	// Fast path: fill the current byte, then write whole bytes.
-	for n > 0 {
-		free := 8 - w.nCur
-		take := n
-		if take > free {
-			take = free
-		}
-		chunk := byte(v >> (n - take))
-		// Keep only the low `take` bits of chunk.
-		chunk &= byte(1<<take) - 1
-		w.cur = w.cur<<take | chunk
-		w.nCur += take
-		n -= take
-		if w.nCur == 8 {
-			w.buf = append(w.buf, w.cur)
-			w.cur = 0
-			w.nCur = 0
-		}
+	v &= 1<<n - 1 // a shift by 64 is 0, so n == 64 keeps every bit
+	free := 64 - w.n
+	if n < free {
+		w.acc = w.acc<<n | v
+		w.n += n
+		return
 	}
+	// Fill the accumulator, write it out, and keep the bits left over
+	// (fewer than 64: free is at least 1) as the low bits of v.
+	rest := n - free
+	w.buf = binary.BigEndian.AppendUint64(w.buf, w.acc<<free|v>>rest)
+	w.acc = v
+	w.n = rest
 }
 
 // WriteUnary appends v in unary: v zero bits followed by a one bit.
 func (w *Writer) WriteUnary(v uint64) {
-	for v >= 8 {
-		// Append a zero-filled byte worth of zeros quickly when aligned.
-		if w.nCur == 0 {
-			w.buf = append(w.buf, 0)
-			v -= 8
-			continue
-		}
-		w.WriteBit(0)
-		v--
+	for ; v >= 64; v -= 64 {
+		w.WriteBits(0, 64)
 	}
-	for ; v > 0; v-- {
-		w.WriteBit(0)
-	}
-	w.WriteBit(1)
+	w.WriteBits(1, uint(v)+1)
 }
 
 // BitLen reports the total number of bits written so far.
 func (w *Writer) BitLen() int {
-	return len(w.buf)*8 + int(w.nCur)
+	return len(w.buf)*8 + int(w.n)
 }
 
 // Bytes returns the written stream padded with zero bits to a byte
@@ -119,12 +100,17 @@ func (w *Writer) BitLen() int {
 // stream happens to be byte-aligned; callers must not retain it across
 // further writes.
 func (w *Writer) Bytes() []byte {
-	if w.nCur == 0 {
+	// Move the whole pending bytes to the buffer, leaving fewer than 8
+	// bits in the accumulator.
+	for ; w.n >= 8; w.n -= 8 {
+		w.buf = append(w.buf, byte(w.acc>>(w.n-8)))
+	}
+	if w.n == 0 {
 		return w.buf
 	}
 	out := make([]byte, len(w.buf)+1)
 	copy(out, w.buf)
-	out[len(w.buf)] = w.cur << (8 - w.nCur)
+	out[len(w.buf)] = byte(w.acc << (8 - w.n))
 	return out
 }
 
@@ -132,10 +118,12 @@ func (w *Writer) Bytes() []byte {
 // slice, avoiding an intermediate allocation in Bytes.
 func (w *Writer) AppendTo(dst []byte) []byte {
 	dst = append(dst, w.buf...)
-	if w.nCur != 0 {
-		dst = append(dst, w.cur<<(8-w.nCur))
+	if w.n == 0 {
+		return dst
 	}
-	return dst
+	var tail [8]byte
+	binary.BigEndian.PutUint64(tail[:], w.acc<<(64-w.n))
+	return append(dst, tail[:(w.n+7)/8]...)
 }
 
 // Reader consumes bits MSB-first from a byte slice. Multi-bit reads go

@@ -1,6 +1,8 @@
 package bitio
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -444,6 +446,105 @@ func BenchmarkReadUnary(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := r.ReadUnary(); err != nil {
 			r.Reset(buf, nBits)
+		}
+	}
+}
+
+// refWriter is a bit-at-a-time writer in the manner of the one the
+// accumulating Writer replaced, kept as the reference the property test
+// below compares against: one bit per step into a byte slice.
+type refWriter struct {
+	buf []byte
+	n   int // bits written
+}
+
+func (w *refWriter) writeBit(b uint64) {
+	if w.n%8 == 0 {
+		w.buf = append(w.buf, 0)
+	}
+	if b != 0 {
+		w.buf[w.n/8] |= 0x80 >> uint(w.n%8)
+	}
+	w.n++
+}
+
+func (w *refWriter) writeBits(v uint64, n uint) {
+	for i := int(n) - 1; i >= 0; i-- {
+		w.writeBit(v >> uint(i) & 1)
+	}
+}
+
+func (w *refWriter) writeUnary(v uint64) {
+	for ; v > 0; v-- {
+		w.writeBit(0)
+	}
+	w.writeBit(1)
+}
+
+// TestWriterMatchesBitAtATimeReference drives the Writer and the
+// reference through the same random operation sequences: after every
+// operation Bytes, AppendTo (onto a random prefix) and BitLen must
+// agree with the reference. The widths cover every accumulator fill:
+// fields of 0 to 64 bits, unary runs of several words, and single bits,
+// from every starting offset.
+func TestWriterMatchesBitAtATimeReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	for trial := 0; trial < 2000; trial++ {
+		got := NewWriter(rng.Intn(16))
+		want := &refWriter{}
+		for op := 0; op < 40; op++ {
+			var what string
+			switch rng.Intn(9) {
+			case 0:
+				b := uint(rng.Intn(3)) // 2 is non-zero: a one bit
+				what = fmt.Sprintf("WriteBit(%d)", b)
+				got.WriteBit(b)
+				want.writeBit(uint64(b))
+			case 1:
+				b := rng.Intn(2) == 1
+				what = fmt.Sprintf("WriteBool(%v)", b)
+				got.WriteBool(b)
+				if b {
+					want.writeBit(1)
+				} else {
+					want.writeBit(0)
+				}
+			case 2, 3, 4, 5:
+				n := uint(rng.Intn(65))
+				v := rng.Uint64() // bits above n must be ignored
+				what = fmt.Sprintf("WriteBits(%#x, %d)", v, n)
+				got.WriteBits(v, n)
+				want.writeBits(v, n)
+			case 6, 7:
+				v := uint64(rng.Intn(201))
+				what = fmt.Sprintf("WriteUnary(%d)", v)
+				got.WriteUnary(v)
+				want.writeUnary(v)
+			default:
+				what = "Reset"
+				got.Reset()
+				*want = refWriter{}
+			}
+			if got.BitLen() != want.n {
+				t.Fatalf("trial %d op %d %s: BitLen %d, reference %d", trial, op, what, got.BitLen(), want.n)
+			}
+			prefix := make([]byte, rng.Intn(3))
+			rng.Read(prefix)
+			if app := got.AppendTo(append([]byte(nil), prefix...)); !bytes.Equal(app, append(prefix, want.buf...)) {
+				t.Fatalf("trial %d op %d %s: AppendTo % x, reference % x", trial, op, what, app, append(prefix, want.buf...))
+			}
+			// Bytes moves whole pending bytes to the buffer. Mostly ask a
+			// copy, so the accumulator fills over several operations;
+			// sometimes the writer itself, which must carry on from there.
+			from := got
+			if rng.Intn(4) != 0 {
+				clone := *got
+				clone.buf = append([]byte(nil), got.buf...)
+				from = &clone
+			}
+			if b := from.Bytes(); !bytes.Equal(b, want.buf) {
+				t.Fatalf("trial %d op %d %s: Bytes % x, reference % x", trial, op, what, b, want.buf)
+			}
 		}
 	}
 }

@@ -16,16 +16,20 @@ import (
 var ErrBadCode = errors.New("coding: invalid code word")
 
 // WriteGamma appends the Elias gamma code of v (v >= 1): the unary length
-// of v's binary representation followed by its low-order bits.
+// of v's binary representation followed by its low-order bits. The
+// code word of a v with n significant bits is v itself in 2n-1 bits, so
+// one of up to 32 is one field.
 func WriteGamma(w *bitio.Writer, v uint64) {
 	if v == 0 {
 		panic("coding: gamma code requires v >= 1")
 	}
 	n := uint(bits.Len64(v)) // number of significant bits
-	w.WriteUnary(uint64(n - 1))
-	if n > 1 {
-		w.WriteBits(v&(1<<(n-1)-1), n-1)
+	if n <= 32 {
+		w.WriteBits(v, 2*n-1)
+		return
 	}
+	w.WriteUnary(uint64(n - 1))
+	w.WriteBits(v, n-1) // the low n-1 bits: the leading one is the unary's
 }
 
 // ReadGamma decodes an Elias gamma code. A code word of z zeros, a one

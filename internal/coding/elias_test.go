@@ -10,7 +10,7 @@ import (
 )
 
 func TestGammaRoundTrip(t *testing.T) {
-	vals := []uint64{1, 2, 3, 4, 7, 8, 15, 16, 255, 256, 1 << 20, 1<<62 + 12345}
+	vals := []uint64{1, 2, 3, 4, 7, 8, 15, 16, 255, 256, 1 << 20, 1<<31 + 5, 1<<32 - 1, 1 << 32, 1<<62 + 12345, 1<<64 - 1}
 	w := bitio.NewWriter(0)
 	for _, v := range vals {
 		WriteGamma(w, v)

@@ -6,11 +6,14 @@
 //
 // Vectors are sparse: a point is the sorted list of its set dimensions.
 // Centroids are dense within the (small) set of dimensions that occur.
+// Iterations run over the distinct points, each weighted by its
+// multiplicity: pages with one adjacency signature are one point to
+// the loop, and the result is the one a loop over every page computes.
 package kmeans
 
 import (
 	"errors"
-	"sort"
+	"slices"
 
 	"snode/internal/randutil"
 )
@@ -92,28 +95,36 @@ func dims(points []Point) int32 {
 // supernode) and gravitate to a shared cluster. Run is deterministic:
 // the same points and Config produce the same Result on every run and
 // under any GOMAXPROCS.
+//
+// The Lloyd iterations run over the distinct points, each weighted by
+// how many input points equal it. Identical points are at the same
+// distance from every centroid, so they always land in the same
+// cluster; a centroid's sums are counts held in float64, so adding a
+// multiplicity at once is exact; and the scatter sums still add one
+// distance per input point, in input order. The Result is therefore
+// bit for bit the one a loop over every input point computes.
 func Run(points []Point, cfg Config) (*Result, error) {
 	n := len(points)
 	if cfg.K < 2 || n < 2 {
 		return nil, ErrDegenerate
 	}
-	k := cfg.K
-	if k > n {
-		k = n
-	}
+	k := min(cfg.K, n)
 	if cfg.MaxIterations <= 0 {
 		cfg.MaxIterations = 50
 	}
 	rng := randutil.NewRNG(cfg.Seed)
 
-	nd := dims(points)
+	nd := int(dims(points))
+	of, reps, mult := distinct(points)
 
 	// Initialization: k distinct points chosen by a k-means++-style
 	// spread — pick the first at random, then each next point far from
 	// chosen centroids (sampled among a small candidate set for speed).
-	cents := make([]*centroid, 0, k)
+	// The draws are over input points, as many as there are.
+	weights := make([]float64, k*nd)
+	cents := make([]centroid, 0, k)
 	addCentroid := func(p Point) {
-		c := &centroid{weights: make([]float64, nd), count: 1}
+		c := centroid{weights: weights[len(cents)*nd : (len(cents)+1)*nd], count: 1}
 		for _, d := range p {
 			c.weights[d] = 1
 		}
@@ -125,9 +136,9 @@ func Run(points []Point, cfg Config) (*Result, error) {
 		best, bestDist := -1, -1.0
 		for try := 0; try < 8; try++ {
 			cand := rng.Intn(n)
-			d := sqDistance(points[cand], cents[0])
-			for _, c := range cents[1:] {
-				if dd := sqDistance(points[cand], c); dd < d {
+			d := sqDistance(points[cand], &cents[0])
+			for ci := 1; ci < len(cents); ci++ {
+				if dd := sqDistance(points[cand], &cents[ci]); dd < d {
 					d = dd
 				}
 			}
@@ -138,112 +149,173 @@ func Run(points []Point, cfg Config) (*Result, error) {
 		addCentroid(points[best])
 	}
 
-	assign := make([]int32, n)
+	assign := make([]int32, len(reps))
 	for i := range assign {
 		assign[i] = -1
+	}
+	// dist holds every distinct point's distance to every centroid. A
+	// centroid whose members did not change is recomputed to the same
+	// bits, so only the distances to centroids that gained or lost a
+	// point are computed again.
+	dist := make([]float64, len(reps)*k)
+	stale, moved := make([]bool, k), make([]bool, k)
+	for ci := range stale {
+		stale[ci] = true
 	}
 
 	converged := false
 	for iter := 0; iter < cfg.MaxIterations; iter++ {
-		changed := 0
-		for i, p := range points {
-			best, bestD := 0, sqDistance(p, cents[0])
-			for ci := 1; ci < len(cents); ci++ {
-				if d := sqDistance(p, cents[ci]); d < bestD {
-					best, bestD = ci, d
+		changed := false
+		for i, p := range reps {
+			row := dist[i*k : (i+1)*k]
+			for ci := range row {
+				if stale[ci] {
+					row[ci] = sqDistance(p, &cents[ci])
 				}
 			}
-			if assign[i] != int32(best) {
+			best, bestD := 0, row[0]
+			for ci := 1; ci < k; ci++ {
+				if row[ci] < bestD {
+					best, bestD = ci, row[ci]
+				}
+			}
+			if a := assign[i]; a != int32(best) {
+				if a >= 0 {
+					moved[a] = true
+				}
+				moved[best] = true
 				assign[i] = int32(best)
-				changed++
+				changed = true
 			}
 		}
-		if changed == 0 {
+		if !changed {
 			converged = true
 			break
 		}
+		// The first recomputation replaces every seed, members or none.
+		if iter > 0 {
+			stale, moved = moved, stale
+		}
+		clear(moved)
 		// Recompute centroids. All accumulation is in dense index order,
 		// keeping the arithmetic bit-reproducible run to run.
-		for _, c := range cents {
-			for d := range c.weights {
-				c.weights[d] = 0
-			}
-			c.norm2 = 0
-			c.count = 0
+		clear(weights)
+		for ci := range cents {
+			cents[ci].norm2, cents[ci].count = 0, 0
 		}
-		for i, p := range points {
-			c := cents[assign[i]]
-			c.count++
+		for i, p := range reps {
+			c := &cents[assign[i]]
+			c.count += int(mult[i])
+			m := float64(mult[i])
 			for _, d := range p {
-				c.weights[d]++
+				c.weights[d] += m
 			}
 		}
-		for _, c := range cents {
-			if c.count == 0 {
-				continue
-			}
-			inv := 1.0 / float64(c.count)
-			for d, w := range c.weights {
-				if w == 0 {
-					continue
-				}
-				w *= inv
-				c.weights[d] = w
-				c.norm2 += w * w
-			}
+		for ci := range cents {
+			cents[ci].normalize()
 		}
 	}
 
-	// Final scatter statistics.
+	// Final scatter statistics: one distance per distinct point, summed
+	// once per input point in input order. The global centroid reuses
+	// the first centroid's weights, which are no longer needed.
+	dist = dist[:len(reps)]
+	for i, p := range reps {
+		dist[i] = sqDistance(p, &cents[assign[i]])
+	}
 	var withinSS float64
-	for i, p := range points {
-		withinSS += sqDistance(p, cents[assign[i]])
+	for _, u := range of {
+		withinSS += dist[u]
 	}
-	global := &centroid{weights: make([]float64, nd), count: n}
-	for _, p := range points {
+	global := centroid{weights: weights[:nd], count: n}
+	clear(global.weights)
+	for i, p := range reps {
+		m := float64(mult[i])
 		for _, d := range p {
-			global.weights[d]++
+			global.weights[d] += m
 		}
 	}
-	inv := 1.0 / float64(n)
-	for d, w := range global.weights {
-		if w == 0 {
-			continue
-		}
-		w *= inv
-		global.weights[d] = w
-		global.norm2 += w * w
+	global.normalize()
+	for i, p := range reps {
+		dist[i] = sqDistance(p, &global)
 	}
 	var totalSS float64
-	for _, p := range points {
-		totalSS += sqDistance(p, global)
+	for _, u := range of {
+		totalSS += dist[u]
 	}
 
-	// Renumber non-empty clusters densely.
-	remap := map[int32]int32{}
-	for _, a := range assign {
-		if _, ok := remap[a]; !ok {
-			remap[a] = int32(len(remap))
-		}
-	}
-	if len(remap) < 2 {
-		return nil, ErrDegenerate
+	// Renumber non-empty clusters densely, in order of first use.
+	remap := make([]int32, k)
+	for i := range remap {
+		remap[i] = -1
 	}
 	out := make([]int32, n)
-	for i, a := range assign {
+	nc := int32(0)
+	for i, u := range of {
+		a := assign[u]
+		if remap[a] < 0 {
+			remap[a] = nc
+			nc++
+		}
 		out[i] = remap[a]
 	}
-	res := &Result{Assign: out, NumClusters: len(remap), WithinSS: withinSS, TotalSS: totalSS}
+	if nc < 2 {
+		return nil, ErrDegenerate
+	}
+	res := &Result{Assign: out, NumClusters: int(nc), WithinSS: withinSS, TotalSS: totalSS}
 	if !converged {
 		return res, ErrAborted
 	}
 	return res, nil
 }
 
+// normalize turns a centroid's summed member vectors into their mean
+// and computes its squared norm, in dense index order.
+func (c *centroid) normalize() {
+	if c.count == 0 {
+		return
+	}
+	inv := 1.0 / float64(c.count)
+	for d, w := range c.weights {
+		if w == 0 {
+			continue
+		}
+		w *= inv
+		c.weights[d] = w
+		c.norm2 += w * w
+	}
+}
+
+// distinct groups equal points by sorting their indices: of[i] is the
+// distinct point input point i equals, reps the distinct points (in
+// sorted order) and mult how many input points equal each.
+func distinct(points []Point) (of []int32, reps []Point, mult []int32) {
+	idx := make([]int32, len(points))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	slices.SortFunc(idx, func(a, b int32) int { return slices.Compare(points[a], points[b]) })
+	of = make([]int32, len(points))
+	u := int32(-1)
+	for j, i := range idx {
+		if j == 0 || !slices.Equal(points[i], points[idx[j-1]]) {
+			u++
+		}
+		of[i] = u
+	}
+	reps = make([]Point, u+1)
+	mult = make([]int32, u+1)
+	for i, u := range of {
+		reps[u] = points[i]
+		mult[u]++
+	}
+	return of, reps, mult
+}
+
 // SortPoint normalizes a point in place (sorts and deduplicates its
 // dimensions) and returns it; builders use this before calling Run.
 func SortPoint(p Point) Point {
-	sort.Slice(p, func(i, j int) bool { return p[i] < p[j] })
+	slices.Sort(p)
 	k := 0
 	for i := range p {
 		if i == 0 || p[i] != p[i-1] {

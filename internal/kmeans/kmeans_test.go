@@ -1,6 +1,8 @@
 package kmeans
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"snode/internal/randutil"
@@ -155,5 +157,236 @@ func TestSortPoint(t *testing.T) {
 		if p[i] != want[i] {
 			t.Fatalf("got %v", p)
 		}
+	}
+}
+
+// referenceRun is the Lloyd loop Run replaced, one input point at a
+// time, kept as the reference TestRunMatchesReference holds Run to.
+func referenceRun(points []Point, cfg Config) (*Result, error) {
+	n := len(points)
+	if cfg.K < 2 || n < 2 {
+		return nil, ErrDegenerate
+	}
+	k := cfg.K
+	if k > n {
+		k = n
+	}
+	if cfg.MaxIterations <= 0 {
+		cfg.MaxIterations = 50
+	}
+	rng := randutil.NewRNG(cfg.Seed)
+
+	nd := dims(points)
+
+	// Initialization: k distinct points chosen by a k-means++-style
+	// spread — pick the first at random, then each next point far from
+	// chosen centroids (sampled among a small candidate set for speed).
+	cents := make([]*centroid, 0, k)
+	addCentroid := func(p Point) {
+		c := &centroid{weights: make([]float64, nd), count: 1}
+		for _, d := range p {
+			c.weights[d] = 1
+		}
+		c.norm2 = float64(len(p))
+		cents = append(cents, c)
+	}
+	addCentroid(points[rng.Intn(n)])
+	for len(cents) < k {
+		best, bestDist := -1, -1.0
+		for try := 0; try < 8; try++ {
+			cand := rng.Intn(n)
+			d := sqDistance(points[cand], cents[0])
+			for _, c := range cents[1:] {
+				if dd := sqDistance(points[cand], c); dd < d {
+					d = dd
+				}
+			}
+			if d > bestDist {
+				best, bestDist = cand, d
+			}
+		}
+		addCentroid(points[best])
+	}
+
+	assign := make([]int32, n)
+	for i := range assign {
+		assign[i] = -1
+	}
+
+	converged := false
+	for iter := 0; iter < cfg.MaxIterations; iter++ {
+		changed := 0
+		for i, p := range points {
+			best, bestD := 0, sqDistance(p, cents[0])
+			for ci := 1; ci < len(cents); ci++ {
+				if d := sqDistance(p, cents[ci]); d < bestD {
+					best, bestD = ci, d
+				}
+			}
+			if assign[i] != int32(best) {
+				assign[i] = int32(best)
+				changed++
+			}
+		}
+		if changed == 0 {
+			converged = true
+			break
+		}
+		// Recompute centroids. All accumulation is in dense index order,
+		// keeping the arithmetic bit-reproducible run to run.
+		for _, c := range cents {
+			for d := range c.weights {
+				c.weights[d] = 0
+			}
+			c.norm2 = 0
+			c.count = 0
+		}
+		for i, p := range points {
+			c := cents[assign[i]]
+			c.count++
+			for _, d := range p {
+				c.weights[d]++
+			}
+		}
+		for _, c := range cents {
+			if c.count == 0 {
+				continue
+			}
+			inv := 1.0 / float64(c.count)
+			for d, w := range c.weights {
+				if w == 0 {
+					continue
+				}
+				w *= inv
+				c.weights[d] = w
+				c.norm2 += w * w
+			}
+		}
+	}
+
+	// Final scatter statistics.
+	var withinSS float64
+	for i, p := range points {
+		withinSS += sqDistance(p, cents[assign[i]])
+	}
+	global := &centroid{weights: make([]float64, nd), count: n}
+	for _, p := range points {
+		for _, d := range p {
+			global.weights[d]++
+		}
+	}
+	inv := 1.0 / float64(n)
+	for d, w := range global.weights {
+		if w == 0 {
+			continue
+		}
+		w *= inv
+		global.weights[d] = w
+		global.norm2 += w * w
+	}
+	var totalSS float64
+	for _, p := range points {
+		totalSS += sqDistance(p, global)
+	}
+
+	// Renumber non-empty clusters densely.
+	remap := map[int32]int32{}
+	for _, a := range assign {
+		if _, ok := remap[a]; !ok {
+			remap[a] = int32(len(remap))
+		}
+	}
+	if len(remap) < 2 {
+		return nil, ErrDegenerate
+	}
+	out := make([]int32, n)
+	for i, a := range assign {
+		out[i] = remap[a]
+	}
+	res := &Result{Assign: out, NumClusters: len(remap), WithinSS: withinSS, TotalSS: totalSS}
+	if !converged {
+		return res, ErrAborted
+	}
+	return res, nil
+}
+
+// duplicatedPoints draws n sparse points over nd dimensions: with
+// probability fresh a new random point, otherwise a copy of one of a
+// few shapes, so most points repeat another exactly, as pages linking
+// to the same supernodes do. About one point in ten is empty.
+func duplicatedPoints(rng *randutil.RNG, n, nd, shapes int, fresh float64) []Point {
+	random := func(p float64) Point {
+		var pt Point
+		for d := 0; d < nd; d++ {
+			if rng.Bool(p) {
+				pt = append(pt, int32(d))
+			}
+		}
+		return pt
+	}
+	pool := make([]Point, shapes)
+	for i := range pool {
+		pool[i] = random(0.3)
+	}
+	pts := make([]Point, n)
+	for i := range pts {
+		switch {
+		case rng.Bool(0.1):
+			// An empty point.
+		case rng.Bool(fresh):
+			pts[i] = random(0.2)
+		default:
+			pts[i] = append(Point(nil), pool[rng.Intn(len(pool))]...)
+		}
+	}
+	return pts
+}
+
+// TestRunMatchesReference holds Run, which iterates over distinct
+// points, to the one-point-at-a-time loop it replaced: the same
+// assignment, cluster count and scatter sums to the bit, and the same
+// error, over inputs with heavy duplication, empty points and k from 2
+// to 12.
+func TestRunMatchesReference(t *testing.T) {
+	rng := randutil.NewRNG(38)
+	var aborted, degenerate, ok int
+	for trial := 0; trial < 600; trial++ {
+		shapes, fresh := 1+rng.Intn(12), 0.3
+		if trial%8 == 0 {
+			shapes, fresh = 1, 0 // empty points and one shape: often degenerate
+		}
+		pts := duplicatedPoints(rng, 2+rng.Intn(300), 1+rng.Intn(24), shapes, fresh)
+		cfg := Config{K: 2 + rng.Intn(11), MaxIterations: 1 + rng.Intn(30), Seed: rng.Uint64()}
+		got, gerr := Run(pts, cfg)
+		want, werr := referenceRun(pts, cfg)
+		if !errors.Is(gerr, werr) || !errors.Is(werr, gerr) {
+			t.Fatalf("trial %d %+v: error %v, reference %v", trial, cfg, gerr, werr)
+		}
+		switch werr {
+		case ErrAborted:
+			aborted++
+		case ErrDegenerate:
+			degenerate++
+			continue
+		default:
+			ok++
+		}
+		if got.NumClusters != want.NumClusters ||
+			math.Float64bits(got.WithinSS) != math.Float64bits(want.WithinSS) ||
+			math.Float64bits(got.TotalSS) != math.Float64bits(want.TotalSS) {
+			t.Fatalf("trial %d %+v: %d clusters, SS %v/%v; reference %d clusters, SS %v/%v", trial, cfg,
+				got.NumClusters, got.WithinSS, got.TotalSS, want.NumClusters, want.WithinSS, want.TotalSS)
+		}
+		for i := range want.Assign {
+			if got.Assign[i] != want.Assign[i] {
+				t.Fatalf("trial %d %+v: point %d in cluster %d, reference %d", trial, cfg, i, got.Assign[i], want.Assign[i])
+			}
+		}
+	}
+	// Every outcome must be exercised, or the comparison proves less
+	// than it claims.
+	t.Logf("outcomes: %d converged, %d aborted, %d degenerate", ok, aborted, degenerate)
+	if aborted == 0 || degenerate == 0 || ok == 0 {
+		t.Fatalf("outcomes: %d converged, %d aborted, %d degenerate", ok, aborted, degenerate)
 	}
 }

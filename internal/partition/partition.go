@@ -21,7 +21,8 @@ package partition
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 	"time"
 
 	"snode/internal/iosim"
@@ -193,11 +194,10 @@ func InitialByDomain(c *webgraph.Corpus) *Partition {
 		}
 		byDomain[d] = append(byDomain[d], webgraph.PageID(pid))
 	}
-	sort.Strings(order)
+	slices.Sort(order)
 	p := &Partition{Assign: make([]int32, n)}
 	for _, d := range order {
-		pages := byDomain[d]
-		sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
+		pages := byDomain[d] // ascending: appended in page order
 		ei := int32(len(p.Elements))
 		for _, pg := range pages {
 			p.Assign[pg] = ei
@@ -264,7 +264,9 @@ func trySplit(ctx context.Context, c *webgraph.Corpus, p *Partition, ei int, cfg
 		cfg.IO.Scan(ctx, scanPageBytes*int64(len(e.Pages))+scanEdgeBytes*edges)
 	}
 	rng := elementRNG(cfg.Seed, e.Pages[0], round)
-	return splitResult{groups: clusteredSplit(c, p, ei, cfg, rng)}
+	sc := splitScratchPool.Get().(*splitScratch)
+	defer splitScratchPool.Put(sc)
+	return splitResult{groups: sc.clusteredSplit(c, p, ei, cfg, rng)}
 }
 
 // RefineCtx runs deterministic round-based parallel refinement: each
@@ -334,7 +336,7 @@ func RefineCtx(ctx context.Context, c *webgraph.Corpus, cfg Config) (*Partition,
 		if rem := maxIter - p.Iterations; len(batch) > rem {
 			batch = batch[:rem]
 		}
-		sort.Ints(batch)
+		slices.Sort(batch)
 		roundStart := time.Now()
 		rctx, rspan := trace.Start(ctx, "refine.round")
 		rspan.SetAttr("round", int64(round))
@@ -423,13 +425,11 @@ func urlSplit(c *webgraph.Corpus, e *Element) []Element {
 		if len(groups) < 2 {
 			continue
 		}
-		sort.Strings(order)
+		slices.Sort(order)
 		out := make([]Element, 0, len(groups))
 		for _, pref := range order {
-			pages := groups[pref]
-			sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
 			out = append(out, Element{
-				Pages:       pages,
+				Pages:       groups[pref], // ascending: appended in e's page order
 				depth:       depth + 1,
 				clusterOnly: depth+1 > maxURLDepth,
 			})
@@ -439,32 +439,75 @@ func urlSplit(c *webgraph.Corpus, e *Element) []Element {
 	return nil
 }
 
-// clusteredSplit runs the paper's k-means procedure: bit vectors over
-// the element's out-supernodes, k starting at the supernode out-degree,
-// retried with k+2 on abort. Returns nil when the split fails.
-func clusteredSplit(c *webgraph.Corpus, p *Partition, ei int, cfg Config, rng *randutil.RNG) []Element {
+// maxClusters bounds the clusters one k-means run of a clustered split
+// can return: its last attempt asks for maxClusterK + 2*(attempts-1).
+const maxClusters = maxClusterK + 2*(kMeansAttempts-1)
+
+// splitScratch is one refinement worker's scratch for a clustered
+// split. Everything in it is flat and reused from one split to the
+// next, so building the signatures allocates nothing once the arrays
+// have grown to the largest element seen; a page's signature is a
+// sub-slice of sig.
+type splitScratch struct {
+	slot    []int32 // element → 1 + its signature dimension; 0: not linked to
+	targets []int32 // the elements linked to, in dimension order
+	sig     []int32 // every page's signature, end to end
+	points  []kmeans.Point
+}
+
+var splitScratchPool = sync.Pool{New: func() any { return new(splitScratch) }}
+
+// signatures builds the element's sparse adjacency-to-supernode
+// signatures: dimensions are target element indices, densified in
+// order of first appearance, and intranode links are left out. It
+// returns the number of dimensions, the element's supernode out-degree.
+// The slot table is all zero again when it returns: it is reset by
+// walking the targets it set, not the whole table.
+func (sc *splitScratch) signatures(c *webgraph.Corpus, p *Partition, ei int) int {
 	e := &p.Elements[ei]
-	// Build sparse adjacency-to-supernode signatures. Dimensions are
-	// target element indices, densified.
-	dimOf := map[int32]int32{}
-	points := make([]kmeans.Point, len(e.Pages))
+	if len(sc.slot) < len(p.Elements) {
+		sc.slot = slices.Grow(sc.slot, len(p.Elements)-len(sc.slot))[:len(p.Elements)]
+	}
+	links := 0
+	for _, pg := range e.Pages {
+		links += len(c.Graph.Out(pg))
+	}
+	// Sized for every link up front, so no append below moves sig and
+	// the points already cut from it stay valid.
+	sc.sig = slices.Grow(sc.sig[:0], links)
+	sc.points = slices.Grow(sc.points[:0], len(e.Pages))[:len(e.Pages)]
+	sc.targets = sc.targets[:0]
 	for i, pg := range e.Pages {
-		var pt kmeans.Point
+		start := len(sc.sig)
 		for _, q := range c.Graph.Out(pg) {
 			te := p.Assign[q]
 			if te == int32(ei) {
 				continue // intranode links are not part of the signature
 			}
-			d, ok := dimOf[te]
-			if !ok {
-				d = int32(len(dimOf))
-				dimOf[te] = d
+			d := sc.slot[te]
+			if d == 0 {
+				sc.targets = append(sc.targets, te)
+				d = int32(len(sc.targets))
+				sc.slot[te] = d
 			}
-			pt = append(pt, d)
+			sc.sig = append(sc.sig, d-1)
 		}
-		points[i] = kmeans.SortPoint(pt)
+		pt := kmeans.SortPoint(sc.sig[start:len(sc.sig):len(sc.sig)])
+		sc.points[i] = pt
+		sc.sig = sc.sig[:start+len(pt)]
 	}
-	k := len(dimOf) // supernode out-degree of this element (paper's k)
+	for _, te := range sc.targets {
+		sc.slot[te] = 0
+	}
+	return len(sc.targets)
+}
+
+// clusteredSplit runs the paper's k-means procedure: bit vectors over
+// the element's out-supernodes, k starting at the supernode out-degree,
+// retried with k+2 on abort. Returns nil when the split fails.
+func (sc *splitScratch) clusteredSplit(c *webgraph.Corpus, p *Partition, ei int, cfg Config, rng *randutil.RNG) []Element {
+	e := &p.Elements[ei]
+	k := sc.signatures(c, p, ei) // supernode out-degree of this element (paper's k)
 	if k < 2 {
 		k = 2
 	}
@@ -482,7 +525,7 @@ func clusteredSplit(c *webgraph.Corpus, p *Partition, ei int, cfg Config, rng *r
 		minChild = 2
 	}
 	for attempt := 0; attempt < kMeansAttempts; attempt++ {
-		res, err := kmeans.Run(points, kmeans.Config{
+		res, err := kmeans.Run(sc.points, kmeans.Config{
 			K:             k + 2*attempt,
 			MaxIterations: kMeansMaxIter,
 			Seed:          rng.Uint64(),
@@ -502,47 +545,60 @@ func clusteredSplit(c *webgraph.Corpus, p *Partition, ei int, cfg Config, rng *r
 		if res.TotalSS > 0 && res.WithinSS > splitQuality*res.TotalSS {
 			return nil // no real cluster structure at this granularity
 		}
-		out := make([]Element, res.NumClusters)
-		for i, pg := range e.Pages {
-			ci := res.Assign[i]
-			out[ci].Pages = append(out[ci].Pages, pg)
-		}
-		// Merge fragments: clusters smaller than minChild reflect noise,
-		// not adjacency-list structure; folding them into the largest
-		// cluster keeps elements at useful sizes (the paper's partitions
-		// average hundreds of pages per element).
-		largest := 0
-		for i := 1; i < len(out); i++ {
-			if len(out[i].Pages) > len(out[largest].Pages) {
-				largest = i
-			}
-		}
-		kept := out[:0]
-		keptLargest := -1
-		var fragments []webgraph.PageID
-		for i := range out {
-			if i != largest && len(out[i].Pages) < minChild {
-				fragments = append(fragments, out[i].Pages...)
-				continue
-			}
-			if i == largest {
-				keptLargest = len(kept)
-			}
-			kept = append(kept, out[i])
-		}
-		out = kept
-		out[keptLargest].Pages = append(out[keptLargest].Pages, fragments...)
-		if len(out) < 2 {
-			return nil // no real structure found
-		}
-		for i := range out {
-			out[i].clusterOnly = true
-			out[i].depth = e.depth
-			sort.Slice(out[i].Pages, func(a, b int) bool { return out[i].Pages[a] < out[i].Pages[b] })
-		}
-		return out
+		return groupClusters(e, res, minChild)
 	}
 	return nil
+}
+
+// groupClusters turns a clustering of e's pages into the split's
+// elements. Clusters smaller than minChild reflect noise, not
+// adjacency-list structure; they are folded into the largest cluster,
+// which keeps elements at useful sizes (the paper's partitions average
+// hundreds of pages per element). It returns nil when fewer than two
+// elements remain. The elements' pages are sub-slices of one array,
+// each filled in e's ascending page order and so sorted.
+func groupClusters(e *Element, res *kmeans.Result, minChild int) []Element {
+	var size, group [maxClusters]int32
+	for _, ci := range res.Assign {
+		size[ci]++
+	}
+	largest := 0
+	for ci := 1; ci < res.NumClusters; ci++ {
+		if size[ci] > size[largest] {
+			largest = ci
+		}
+	}
+	kept, merged := int32(0), size[largest]
+	for ci := 0; ci < res.NumClusters; ci++ {
+		if ci != largest && size[ci] < int32(minChild) {
+			group[ci] = -1
+			merged += size[ci]
+			continue
+		}
+		group[ci] = kept
+		kept++
+	}
+	if kept < 2 {
+		return nil // no real structure found
+	}
+	size[largest] = merged
+	out := make([]Element, kept)
+	pages := make([]webgraph.PageID, len(e.Pages))
+	at := 0
+	for ci := 0; ci < res.NumClusters; ci++ {
+		if group[ci] < 0 {
+			group[ci] = group[largest]
+			continue
+		}
+		n := int(size[ci])
+		out[group[ci]] = Element{Pages: pages[at:at:(at + n)], depth: e.depth, clusterOnly: true}
+		at += n
+	}
+	for i, pg := range e.Pages {
+		g := group[res.Assign[i]]
+		out[g].Pages = append(out[g].Pages, pg)
+	}
+	return out
 }
 
 // applySplit replaces element ei with the given groups, preserving the

@@ -7,6 +7,7 @@ import (
 
 	"snode/internal/iosim"
 	"snode/internal/metrics"
+	"snode/internal/randutil"
 	"snode/internal/synth"
 	"snode/internal/urlutil"
 	"snode/internal/webgraph"
@@ -397,4 +398,75 @@ func TestRefineModeledScan(t *testing.T) {
 	if st.Seeks == 0 || st.BytesRead == 0 {
 		t.Fatalf("no scans charged: %+v", st)
 	}
+}
+
+// TestClusteredSplitAllocs: once a worker's scratch has grown to the
+// largest element, a clustered split allocates what k-means and the
+// split's result take and nothing else — the same count for the
+// smallest element of P0 that splits and the largest. A map entry per
+// target supernode, a signature allocated per page, or a child's page
+// list grown by append would make the count follow the element.
+func TestClusteredSplitAllocs(t *testing.T) {
+	c := getCorpus(t)
+	cfg := DefaultConfig()
+	p := InitialByDomain(c)
+	sc := new(splitScratch)
+	// Every split below starts from the same RNG state, so a run
+	// repeats the one before it.
+	rngOf := func(ei int) randutil.RNG { return *elementRNG(cfg.Seed, p.Elements[ei].Pages[0], 0) }
+	split := func(ei int) []Element {
+		rng := rngOf(ei)
+		return sc.clusteredSplit(c, p, ei, cfg, &rng)
+	}
+	smallest, largest := -1, -1
+	for ei, e := range p.Elements {
+		if len(e.Pages) < cfg.MinSplitSize || split(ei) == nil {
+			continue
+		}
+		if smallest < 0 || len(e.Pages) < len(p.Elements[smallest].Pages) {
+			smallest = ei
+		}
+		if largest < 0 || len(e.Pages) > len(p.Elements[largest].Pages) {
+			largest = ei
+		}
+	}
+	if smallest < 0 {
+		t.Fatal("no element of P0 splits")
+	}
+	shape := func(ei int) (pages, links, targets int) {
+		for _, pg := range p.Elements[ei].Pages {
+			links += len(c.Graph.Out(pg))
+		}
+		return len(p.Elements[ei].Pages), links, sc.signatures(c, p, ei)
+	}
+	sp, sl, st := shape(smallest)
+	lp, ll, lt := shape(largest)
+	if lp < 4*sp || ll < 4*sl {
+		t.Fatalf("elements %d and %d have %d and %d pages, %d and %d links: too alike to tell", smallest, largest, sp, lp, sl, ll)
+	}
+	split(largest)
+	var counts [2]float64
+	for i, ei := range []int{smallest, largest} {
+		counts[i] = testing.AllocsPerRun(10, func() { split(ei) })
+	}
+	t.Logf("element %d (%d pages, %d links, %d targets): %v allocations; element %d (%d pages, %d links, %d targets): %v",
+		smallest, sp, sl, st, counts[0], largest, lp, ll, lt, counts[1])
+	if counts[0] != counts[1] {
+		t.Errorf("splitting element %d takes %v allocations, element %d %v: want the same", smallest, counts[0], largest, counts[1])
+	}
+}
+
+// BenchmarkRefine is the build's refine stage on the shared test corpus,
+// at the default worker count: ns/page and allocs/op are the figures a
+// change to the splits moves.
+func BenchmarkRefine(b *testing.B) {
+	c := getCorpus(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Refine(c, DefaultConfig()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.Graph.NumPages()), "ns/page")
 }

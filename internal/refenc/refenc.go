@@ -34,6 +34,7 @@ package refenc
 
 import (
 	"fmt"
+	"slices"
 
 	"snode/internal/bitio"
 	"snode/internal/coding"
@@ -256,18 +257,29 @@ func writeRun(w *bitio.Writer, list []int32, bound uint64, gc GapCode) {
 	}
 }
 
-func writeOneList(w *bitio.Writer, ref, list []int32, bound uint64, gc GapCode) {
+// listWriter is one encoding's scratch for the lists it writes against
+// a reference: the copy bit-vector and the extras, reused from one list
+// to the next.
+type listWriter struct {
+	bits   []bool
+	extras []int32
+}
+
+// writeOneList writes list after its reference designator: directly
+// when ref is nil, otherwise against ref.
+func (lw *listWriter) writeOneList(w *bitio.Writer, ref, list []int32, bound uint64, gc GapCode) {
 	if ref == nil {
 		coding.WriteGamma0(w, uint64(len(list)))
 		writeRun(w, list, bound, gc)
 		return
 	}
-	bits := make([]bool, len(ref))
-	extras := make([]int32, len(list))
-	_, nExtra, _, _ := refParts(ref, list, bits, extras, bound, gc)
-	coding.WriteRLEBits(w, bits)
+	// refParts sets every bit and the first nExtra extras.
+	lw.bits = slices.Grow(lw.bits[:0], len(ref))[:len(ref)]
+	lw.extras = slices.Grow(lw.extras[:0], len(list))[:len(list)]
+	_, nExtra, _, _ := refParts(ref, list, lw.bits, lw.extras, bound, gc)
+	coding.WriteRLEBits(w, lw.bits)
 	coding.WriteGamma0(w, uint64(nExtra))
-	writeRun(w, extras[:nExtra], bound, gc)
+	writeRun(w, lw.extras[:nExtra], bound, gc)
 }
 
 // listDecoder is the state one DecodeListsBounded call shares between
@@ -397,6 +409,7 @@ func encodeWindow(w *bitio.Writer, lists [][]int32, window int, bound uint64, gc
 	startBits := w.BitLen()
 	var st Stats
 	st.Lists = len(lists)
+	var lw listWriter
 	for i, list := range lists {
 		bestOff := 0
 		bestCost := directCost(list, bound, gc)
@@ -418,9 +431,9 @@ func encodeWindow(w *bitio.Writer, lists [][]int32, window int, bound uint64, gc
 		}
 		coding.WriteGamma0(w, uint64(bestOff))
 		if bestOff == 0 {
-			writeOneList(w, nil, list, bound, gc)
+			lw.writeOneList(w, nil, list, bound, gc)
 		} else {
-			writeOneList(w, lists[i-bestOff], list, bound, gc)
+			lw.writeOneList(w, lists[i-bestOff], list, bound, gc)
 			st.Referenced++
 		}
 	}
@@ -514,15 +527,16 @@ func encodeExact(w *bitio.Writer, lists [][]int32, bound uint64, gc GapCode) (St
 	if len(order) != m {
 		return st, fmt.Errorf("refenc: arborescence does not span (%d of %d)", len(order), m)
 	}
+	var lw listWriter
 	for pos, v := range order {
 		coding.WriteMinimalBinary(w, uint64(v), uint64(m))
 		if parent[v] == root {
 			coding.WriteGamma0(w, 0)
-			writeOneList(w, nil, lists[v], bound, gc)
+			lw.writeOneList(w, nil, lists[v], bound, gc)
 		} else {
 			back := pos - posOf[parent[v]]
 			coding.WriteGamma0(w, uint64(back))
-			writeOneList(w, lists[parent[v]], lists[v], bound, gc)
+			lw.writeOneList(w, lists[parent[v]], lists[v], bound, gc)
 			st.Referenced++
 		}
 	}

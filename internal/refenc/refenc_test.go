@@ -537,3 +537,46 @@ func TestDecodeListsAreExactSizedFlatArrays(t *testing.T) {
 		}
 	}
 }
+
+// TestCostsMatchWrittenBits: the reference search picks each list's
+// encoding by the cost model — directCost on its own, Gamma0Len(off) +
+// refCost against the list off back — so the model must count exactly
+// the bits the designator and writeOneList then emit. A miscount moves
+// the choice, and every byte after it. Every gap code, on pairs of
+// lists that share some targets and not others, under bounds from 1 up
+// (bound 1 makes a run's first value zero bits), with one scratch
+// reused throughout as the encoders reuse theirs.
+func TestCostsMatchWrittenBits(t *testing.T) {
+	rng := randutil.NewRNG(38)
+	var lw listWriter
+	w := bitio.NewWriter(0)
+	for _, gc := range []GapCode{GapGamma, GapDelta, GapZeta2, GapZeta3} {
+		for trial := 0; trial < 500; trial++ {
+			bound := uint64(1 + rng.Intn(3000))
+			var ref, list []int32
+			for v := int32(0); uint64(v) < bound && len(ref)+len(list) < 400; v++ {
+				switch rng.Intn(8) {
+				case 0:
+					ref = append(ref, v)
+				case 1:
+					list = append(list, v)
+				case 2:
+					ref, list = append(ref, v), append(list, v)
+				}
+			}
+			w.Reset()
+			coding.WriteGamma0(w, 0)
+			lw.writeOneList(w, nil, list, bound, gc)
+			if got, want := w.BitLen(), directCost(list, bound, gc); got != want {
+				t.Fatalf("gap code %d, bound %d, list %v: directCost %d bits, written %d", gc, bound, list, want, got)
+			}
+			off := uint64(1 + rng.Intn(DefaultWindow))
+			w.Reset()
+			coding.WriteGamma0(w, off)
+			lw.writeOneList(w, ref, list, bound, gc)
+			if got, want := w.BitLen(), coding.Gamma0Len(off)+refCost(ref, list, bound, gc); got != want {
+				t.Fatalf("gap code %d, bound %d, list %v against %v: Gamma0Len+refCost %d bits, written %d", gc, bound, list, ref, want, got)
+			}
+		}
+	}
+}

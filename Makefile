@@ -58,10 +58,11 @@ test-bench:
 # per-list or per-chunk allocation trips it. The warm-lookup guard pins
 # Out over resident graphs at zero allocations, unfiltered and (after
 # the call that compiles the filter) filtered: per-call scratch or
-# per-call filter evaluation on the hit path trips it. The cold-lookup
+# per-call filter evaluation on the hit path trips it, on a supernode
+# whose graphs overflow the lookup's stack array too. The cold-lookup
 # guard bounds the allocations of a miss — per graph loaded, with the
-# cache reset before every lookup — so a flight, a channel or a header
-# array per load trips it. The bucketing guard pins the encode stage's
+# cache reset before every lookup — so a flight, a channel, a header
+# array or a cache node per load, or a decoded list, trips it. The bucketing guard pins the encode stage's
 # link bucketing at zero allocations on warm scratch, for the supernode
 # with the fewest links and the one with the most: a list grown by
 # append or a map entry per target supernode trips it. The clustered-split
@@ -73,9 +74,9 @@ test-bench:
 # allocations for 3,531 rows as for one (the body's string and the row
 # slice): an allocation per field or per row trips it. The counter pin
 # holds a fixed 20,000-lookup stream at 16 KiB, 64 KiB and 256 MiB to the
-# loads, hits, misses, evictions and materializations it made before a
-# warm lookup read its nodes' source summaries: a summary check moved out
-# of the lookup's loop trips it. Run with -count=1 so the guard always
+# loads, hits, misses, evictions, materializations and list decodes it
+# made when every graph first entered the cache encoded: a summary check
+# moved out of the lookup's loop trips it. Run with -count=1 so the guard always
 # executes.
 check-overhead:
 	$(GO) test -count=1 -run 'TestUntracedTracingAddsNoAllocs' ./internal/query
@@ -174,22 +175,28 @@ test-obs:
 # flag; below the codecs,
 # the windowed bit reader against its bit-at-a-time reference, the
 # one-window gamma, minimal-binary, gap-list and Huffman decoders
-# against the split decoders they replaced, and refenc's hostile-count
-# and flat-form guards; above them, decoded rows and hostile-input
-# verdicts against the values recorded at the parent of the flat decoded
-# form (the verdicts seed by seed, at the parent of the lz removal), the
-# two-state superedge entry (rows equal the CSR under every codec and
-# budget, cache accounting across the replacement, a damaged list
-# section failing only its readers), the whole-graph Scan (its rows
-# equal Out's and the CSR's under both codecs, each graph read once,
-# stopping on a visitor error or a cancelled context) and the flight a
-# miss's waiters share (made by the first of them, releasing all). Run
-# with -count=1 so the gate always executes.
+# against the split decoders they replaced, refenc's hostile-count and
+# flat-form guards, and its one-list decode against the whole decode
+# (window and exact streams, every gap code, every list); above them,
+# decoded rows and hostile-input verdicts against the values recorded at
+# the parent of the flat decoded form (the verdicts seed by seed, at the
+# parent of the lz removal), every payload's lists decoded one at a time
+# against its whole decode under both codecs (codec/log's refusing a
+# list after a bad one, as the whole decode does), the two states of every
+# cache entry (rows equal the CSR under every codec and budget, cold,
+# warm and under 4 KiB; cache accounting across the replacement; a graph
+# admitted at most once; a damaged superedge list section failing only
+# its readers, and a damaged intranode list only the pages from it on,
+# whatever the cache holds), the whole-graph Scan (its rows equal Out's
+# and the CSR's under both codecs, each graph read once, stopping on a
+# visitor error or a cancelled context) and the flight a miss's waiters
+# share (made by the first of them, releasing all). Run with -count=1 so
+# the gate always executes.
 test-codec:
 	$(GO) test -count=1 -run 'TestReaderMatchesBitAtATimeReference|TestUnaryZeroTailOverruns' ./internal/bitio
 	$(GO) test -count=1 -run 'TestWindowDecodersMatchReferences|TestGammaAtTheEdgesOfTheWindow|TestHuffmanWindowDecodeMatchesBitwise|TestRLERunsRejectOverlongRun' ./internal/coding
-	$(GO) test -count=1 -run 'TestDecodeRejects|TestDecodeAcceptsZeroBitFinalValue|TestDecodeListsAreExactSizedFlatArrays|TestReadRunRejectsOverflowGap|TestRejectsBadLists' ./internal/refenc
-	$(GO) test -count=1 -run 'TestCodec|FuzzCodecRoundTrip|FuzzDecodeHostile|TestCorruptIndexAllCodecs|TestMeasureDecode|TestUnknown|TestRetiredCodecRefusedByName|TestOpenRefusesContradictoryDirectory|TestSourcesFirst|TestSourcesOnly|TestVerifyLeavesMaterializedEntries|TestScan|TestMaterialized|TestCorruptListSection|TestDecodedRowsEqualParents|TestHostileVerdictsEqualParents|TestFlightIsMadeByItsFirstWaiter|TestParkedLeaderReleasesLookupsWaitingOnIt|TestLengthPrefixSizesNoAllocation|TestValueTooWideForItsFieldIsRefused|TestTrailingBytesAreRefused|FuzzReadMeta' ./internal/snode
+	$(GO) test -count=1 -run 'TestDecodeRejects|TestDecodeAcceptsZeroBitFinalValue|TestDecodeListsAreExactSizedFlatArrays|TestDecodeListMatchesDecodeLists|TestReadRunRejectsOverflowGap|TestRejectsBadLists' ./internal/refenc
+	$(GO) test -count=1 -run 'TestCodec|FuzzCodecRoundTrip|FuzzDecodeHostile|TestCorruptIndexAllCodecs|TestMeasureDecode|TestUnknown|TestRetiredCodecRefusedByName|TestOpenRefusesContradictoryDirectory|TestSourcesFirst|TestSourcesOnly|TestVerifyLeavesMaterializedEntries|TestScan|TestMaterialized|TestCorruptListSection|TestDecodeListEqualsDecodeGraph|TestLogOneListChecksTheListsBeforeIt|TestColdWarmAndDamagedReadsAgree|TestGraphAdmittedAtMostOnce|TestDecodedRowsEqualParents|TestHostileVerdictsEqualParents|TestFlightIsMadeByItsFirstWaiter|TestParkedLeaderReleasesLookupsWaitingOnIt|TestLengthPrefixSizesNoAllocation|TestValueTooWideForItsFieldIsRefused|TestTrailingBytesAreRefused|FuzzReadMeta' ./internal/snode
 	$(GO) test -count=1 -run 'TestCodecQueryEquivalence' ./internal/query
 	$(GO) test -count=1 -run 'TestShardBuildCarriesCodec' ./internal/shard
 	$(GO) test -count=1 -run 'TestCheckCodec' ./cmd/snbuild

@@ -37,11 +37,12 @@ var catalogue = []entry{
 	{"snode_{fwd,rev}_cache_{loads,coalesced}", "counter", "misses that decoded their graph, and misses resolved by another goroutine's decode"},
 	{"snode_{fwd,rev}_cache_{intra,super}_loads", "counter", "loads of intranode graphs, and of superedge graphs"},
 	{"snode_{fwd,rev}_cache_evictions", "counter", "second-chance evictions"},
-	{"snode_{fwd,rev}_cache_materialized", "counter", "positive superedge list sections decoded on demand from cached bytes (no disk read, not a load)"},
-	{"snode_{fwd,rev}_decoded_edges", "counter", "list entries decoded (a positive superedge graph's at materialization, not at load)"},
-	{"snode_{fwd,rev}_cache_{bytes,entries}", "gauge", "decoded bytes and graphs resident in the buffer manager"},
+	{"snode_{fwd,rev}_cache_materialized", "counter", "graphs decoded whole from their encoded cache entries by a lookup that found them cached (no disk read, not a load)"},
+	{"snode_{fwd,rev}_cache_list_decodes", "counter", "single lists decoded from encoded cache entries, by lookups that missed the graph at their first probe: the one that loaded it, and those that waited on that load or found the graph cached by then (no disk read, not a load)"},
+	{"snode_{fwd,rev}_decoded_edges", "counter", "list entries decoded: a whole graph's at materialization, and a single list's with the lists before it (a load decodes none)"},
+	{"snode_{fwd,rev}_cache_{bytes,entries}", "gauge", "bytes and graphs resident in the buffer manager, encoded or decoded"},
 	{"snode_{fwd,rev}_inflight_decodes", "gauge", "decodes in flight in the single-flight table"},
-	{"snode_{fwd,rev}_decode_seconds", "histogram", "every lower-level graph decode, loads and materializations"},
+	{"snode_{fwd,rev}_decode_seconds", "histogram", "every lower-level graph decode: loads, materializations and single-list decodes"},
 	{"snode_{fwd,rev}_codec_{supernodes,graphs,bytes,edges}_paper", "gauge", "the artifact's static composition, named for the codec it was built with (`paper` by default, `log` under `-codec log`)"},
 	{"snode_{fwd,rev}_bits_per_edge_milli_paper", "gauge", "the artifact's bits per edge, in milli-bits"},
 	{"{snode,delta}_{fwd,rev}_io_{seeks,reads,bytes_read,skipped_bytes}", "counter", "modeled disk accounting (`iosim`): seeks charged, reads, bytes transferred, forward gaps absorbed by readahead"},

@@ -56,6 +56,7 @@ var errTooManyIDs = errors.New("refenc: list set holds more than 2^31 IDs")
 // so that a decode allocates what it returns and nothing else.
 type decodeScratch struct {
 	ids    []int32 // the IDs of the lists decoded so far
+	off    []int32 // their offsets, for a decode that returns none of them
 	runs   []int32 // the runs a referenced list copies: [first, after last) index pairs
 	extras []int32 // its extra targets, before the merge
 }
@@ -76,6 +77,14 @@ type Builder struct {
 func NewBuilder(m int) Builder {
 	sc := scratchPool.Get().(*decodeScratch)
 	return Builder{IDs: sc.ids[:0], off: append(make([]int32, 0, m+1), 0), sc: sc}
+}
+
+// newScratchBuilder starts a set kept in pooled scratch offsets and all,
+// for a decoder that copies out at most one of its lists and then
+// releases the builder.
+func newScratchBuilder() Builder {
+	sc := scratchPool.Get().(*decodeScratch)
+	return Builder{IDs: sc.ids[:0], off: append(sc.off[:0], 0), sc: sc}
 }
 
 // End closes the list appended to IDs since the last End.
@@ -99,4 +108,11 @@ func (b *Builder) Lists() Lists {
 	b.sc.ids = b.IDs
 	scratchPool.Put(b.sc)
 	return Lists{Off: b.off, IDs: ids}
+}
+
+// release ends a scratch builder's use, whether its decode succeeded or
+// not; nothing it held may be used after.
+func (b *Builder) release() {
+	b.sc.ids, b.sc.off = b.IDs, b.off
+	scratchPool.Put(b.sc)
 }

@@ -29,7 +29,9 @@
 // the same array. That is the decoded form of the whole repository —
 // the other S-Node codecs build it too, and the graph cache and Link3's
 // block cache hold it — because a cold lookup decodes a hundred small
-// graphs and pays for whatever is allocated around each list.
+// graphs and pays for whatever is allocated around each list. A lookup
+// that wants one list of a stream decodes it with DecodeList, which
+// stops after it and keeps nothing else.
 package refenc
 
 import (
@@ -441,41 +443,86 @@ func encodeWindow(w *bitio.Writer, lists [][]int32, window int, bound uint64, gc
 	return st, nil
 }
 
+// readHeader reads the three bits EncodeLists opens a stream with: the
+// strategy, and the gap code.
+func readHeader(r *bitio.Reader) (exact bool, gc GapCode, err error) {
+	if exact, err = r.ReadBool(); err != nil {
+		return false, 0, err
+	}
+	gcBits, err := r.ReadBits(2)
+	return exact, GapCode(gcBits), err
+}
+
+// step decodes list i, whose reference designator is next in r and
+// whose predecessors are decoded already: the one per-list step of every
+// decode, whole or of one list, window or exact strategy (where i counts
+// positions in storage order).
+func (d *listDecoder) step(r *bitio.Reader, i int) error {
+	off, err := coding.ReadGamma0(r)
+	switch {
+	case err != nil:
+		return err
+	case off == 0:
+		return d.readDirect(r)
+	case off > uint64(i):
+		// Compared unsigned: a designator of 2^63 or more would turn
+		// negative as an int and index past the lists decoded so far.
+		return fmt.Errorf("refenc: list %d references out of range", i)
+	default:
+		return d.readReferenced(r, i-int(off))
+	}
+}
+
 // DecodeListsBounded reads m lists previously written by EncodeLists
 // with the given TargetBound.
 func DecodeListsBounded(r *bitio.Reader, m int, bound uint64) (Lists, error) {
-	exact, err := r.ReadBool()
+	exact, gc, err := readHeader(r)
 	if err != nil {
 		return Lists{}, err
 	}
-	gcBits, err := r.ReadBits(2)
-	if err != nil {
-		return Lists{}, err
-	}
-	d := listDecoder{bound: bound, gc: GapCode(gcBits), b: NewBuilder(m)}
+	d := listDecoder{bound: bound, gc: gc, b: NewBuilder(m)}
 	if exact {
 		return d.decodeExact(r, m)
 	}
 	for i := 0; i < m; i++ {
-		off, err := coding.ReadGamma0(r)
-		if err != nil {
-			return Lists{}, err
-		}
-		switch {
-		case off == 0:
-			err = d.readDirect(r)
-		case off > uint64(i):
-			// Compared unsigned: a designator of 2^63 or more would turn
-			// negative as an int and index past the lists decoded so far.
-			return Lists{}, fmt.Errorf("refenc: list %d references out of range", i)
-		default:
-			err = d.readReferenced(r, i-int(off))
-		}
-		if err != nil {
+		if err := d.step(r, i); err != nil {
 			return Lists{}, err
 		}
 	}
 	return d.b.Lists(), nil
+}
+
+// DecodeList appends list k of the m lists in r — a stream written by
+// EncodeLists with the given TargetBound — to dst, and reports how many
+// list entries it decoded to get there. A window-strategy stream decodes
+// lists 0..k, the ones k can reference, in pooled scratch and stops:
+// the call allocates nothing, and a list costs what precedes it rather
+// than what the whole stream holds. An exact-strategy stream stores
+// lists out of order, so it is decoded whole.
+func DecodeList(r *bitio.Reader, m, k int, bound uint64, dst []int32) ([]int32, int, error) {
+	if k < 0 || k >= m {
+		return dst, 0, fmt.Errorf("refenc: list %d of %d", k, m)
+	}
+	exact, gc, err := readHeader(r)
+	if err != nil {
+		return dst, 0, err
+	}
+	if exact {
+		d := listDecoder{bound: bound, gc: gc, b: NewBuilder(m)}
+		l, err := d.decodeExact(r, m)
+		if err != nil {
+			return dst, 0, err
+		}
+		return append(dst, l.At(k)...), len(l.IDs), nil
+	}
+	d := listDecoder{bound: bound, gc: gc, b: newScratchBuilder()}
+	defer d.b.release()
+	for i := 0; i <= k; i++ {
+		if err := d.step(r, i); err != nil {
+			return dst, 0, err
+		}
+	}
+	return append(dst, d.b.List(k)...), len(d.b.IDs), nil
 }
 
 // encodeExact builds the full affinity graph, solves the minimum
@@ -545,8 +592,8 @@ func encodeExact(w *bitio.Writer, lists [][]int32, bound uint64, gc GapCode) (St
 }
 
 // decodeExact decodes the arborescence order — position pos holds the
-// list of node at[pos], and references count positions back — and then
-// lays the lists out by node.
+// list of node at[pos], and its reference designator counts positions
+// back — and then lays the lists out by node.
 func (d *listDecoder) decodeExact(r *bitio.Reader, m int) (Lists, error) {
 	at := make([]int32, m)
 	seen := make([]bool, m)
@@ -560,21 +607,7 @@ func (d *listDecoder) decodeExact(r *bitio.Reader, m int) (Lists, error) {
 		}
 		seen[vi] = true
 		at[pos] = int32(vi)
-		back, err := coding.ReadGamma0(r)
-		if err != nil {
-			return Lists{}, err
-		}
-		switch {
-		case back == 0:
-			err = d.readDirect(r)
-		case back > uint64(pos):
-			// Unsigned for the same reason as the window strategy's
-			// designator.
-			return Lists{}, fmt.Errorf("refenc: position %d references out of range", pos)
-		default:
-			err = d.readReferenced(r, pos-int(back))
-		}
-		if err != nil {
+		if err := d.step(r, pos); err != nil {
 			return Lists{}, err
 		}
 	}

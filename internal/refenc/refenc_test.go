@@ -580,3 +580,66 @@ func TestCostsMatchWrittenBits(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeListMatchesDecodeLists holds the one-list decode to the
+// whole decode: on window and exact streams under every gap code, list k
+// alone is list k of the whole set, appended after what dst held, with a
+// count of the entries of lists 0..k (window) or of all of them (exact).
+// A window-strategy call allocates nothing once dst has room, and a k
+// outside the set is an error.
+func TestDecodeListMatchesDecodeLists(t *testing.T) {
+	rng := randutil.NewRNG(39)
+	lists := randomLists(rng, 60)
+	prefix := []int32{-7, -8}
+	for _, gc := range []GapCode{GapGamma, GapDelta, GapZeta2, GapZeta3} {
+		for _, opt := range []Options{
+			{Window: DefaultWindow, GapCode: gc, TargetBound: testBound},
+			{Window: 0, GapCode: gc, TargetBound: testBound},
+			{Exact: true, GapCode: gc, TargetBound: testBound},
+		} {
+			w := bitio.NewWriter(0)
+			if _, err := EncodeLists(w, lists, opt); err != nil {
+				t.Fatal(err)
+			}
+			buf, nBits := w.Bytes(), w.BitLen()
+			whole, err := DecodeListsBounded(bitio.NewReader(buf, nBits), len(lists), testBound)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := make([]int32, 0, 4096)
+			for k := range lists {
+				got, n, err := DecodeList(bitio.NewReader(buf, nBits), len(lists), k, testBound, append(dst[:0], prefix...))
+				if err != nil {
+					t.Fatalf("%+v: list %d: %v", opt, k, err)
+				}
+				if !slices.Equal(got[:2], prefix) || !slices.Equal(got[2:], whole.At(k)) {
+					t.Fatalf("%+v: list %d decoded alone to %v, want %v after %v", opt, k, got, whole.At(k), prefix)
+				}
+				want := int(whole.Off[k+1])
+				if opt.Exact {
+					want = len(whole.IDs)
+				}
+				if n != want {
+					t.Fatalf("%+v: list %d: %d entries decoded, want %d", opt, k, n, want)
+				}
+			}
+			for _, k := range []int{-1, len(lists)} {
+				if _, _, err := DecodeList(bitio.NewReader(buf, nBits), len(lists), k, testBound, nil); err == nil {
+					t.Fatalf("%+v: list %d of %d decoded", opt, k, len(lists))
+				}
+			}
+			if opt.Exact || raceflag.Enabled {
+				continue
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				r := bitio.NewReader(buf, nBits)
+				if _, _, err := DecodeList(r, len(lists), len(lists)-1, testBound, dst[:0]); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%+v: %.0f allocations to decode one list", opt, allocs)
+			}
+		}
+	}
+}

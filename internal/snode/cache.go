@@ -12,6 +12,8 @@ type decodedGraph interface {
 	// edgeCount reports stored entries (positive links, or complement
 	// entries for negative graphs) — the decode-throughput denominator.
 	edgeCount() int64
+	// node is the cache node the graph carries (by embedding cacheNode).
+	node() *cacheNode
 }
 
 // graphCache is the buffer manager of §4.3: decoded intranode and
@@ -19,12 +21,14 @@ type decodedGraph interface {
 // (CLOCK) replacement. The experiments vary the budget (Figure 12) and
 // count loads per query (the paper's instrumentation of Query 1).
 //
-// Cached graphs are immutable. A positive superedge graph has two in
-// turn: a load inserts its sources with the lists still encoded
-// (superPosSources), and the first lookup that needs a list decodes
-// them all and has the cache hold the whole graph instead
-// (materialized). No graph is ever changed in place, so one handed out
-// by lookupNode stays valid however the cache moves on.
+// Cached graphs are immutable. Every graph has two states in turn: a
+// load inserts it encoded (encodedGraph: a copy of its payload, and a
+// positive superedge graph's sources decoded), and the lookup that loaded
+// it decodes only the list it wants out of that. A later lookup that
+// finds the entry and needs a list of it decodes them all and has the
+// cache hold the whole graph instead (materialized). No graph is ever
+// changed in place, so one handed out by lookupNode stays valid however
+// the cache moves on.
 //
 // Thread-safety contract: the cache is safe for concurrent use by any
 // number of goroutines.
@@ -37,9 +41,10 @@ type decodedGraph interface {
 // plus one store to the entry's reference bit when the bit is clear.
 // What a slot points to (a cacheNode's id, graph, size and source
 // summary) never changes after the node is published; replacing a graph
-// publishes a new node. A reader that loaded a node just before it was
-// evicted or reset therefore still holds a whole, valid graph, and the
-// only thing it can do to the dead node is set a bit nobody reads.
+// publishes the new graph's node. A reader that loaded a node just
+// before it was evicted or reset therefore still holds a whole, valid
+// graph, and the only thing it can do to the dead node is set a bit
+// nobody reads.
 //
 // Everything that changes a slot takes a shard lock: the cache is split
 // into cacheShards shards (by GraphID hash), each with its own mutex,
@@ -71,10 +76,11 @@ type decodedGraph interface {
 // Counters: hits and misses are atomics, added by whoever did the
 // lookups (Out adds its whole call's at once, to one shard's pair, so
 // that lookups of different supernodes rarely write the same cache
-// line); the load-side counters, including the decoded-edge counter
-// that the Table 2 throughput metric reads, change under the shard
-// locks. All are exact at quiescence: Hits+Misses is the number of
-// lookups made, Loads+Coalesced >= Misses.
+// line), and so are the decoded-edge counter that the Table 2
+// throughput metric reads and the one-list decode count, which lookups
+// add to outside the locks; the other load-side counters change under
+// the shard locks. All are exact at quiescence: Hits+Misses is the
+// number of lookups made, Loads+Coalesced >= Misses.
 type graphCache struct {
 	slots  []atomic.Pointer[cacheNode] // indexed by GraphID; nil = absent, loading = being decoded
 	shards [cacheShards]cacheShard
@@ -101,18 +107,21 @@ type cacheShard struct {
 	resident int64
 	claimed  int64             // slots holding loading: decodes claimed, not yet completed
 	waited   []*inflightDecode // the flights, among those, that some goroutine waits on
-	stats    CacheStats        // Hits and Misses unused: see hits, misses
-	decoded  int64             // edges decoded since last reset
+	stats    CacheStats        // Hits, Misses and ListDecodes unused: see below
 
-	// Lookup outcomes reported to this shard (countLookups); not under mu.
-	hits, misses atomic.Int64
+	// Counted without mu: lookup outcomes reported to this shard
+	// (countLookups), list entries decoded since the last reset, and
+	// one-list decodes (listDecoded).
+	hits, misses, decoded, listDecodes atomic.Int64
 }
 
-// cacheNode is one resident graph: the only allocation the cache makes
-// for it, 64 bytes. id, g, size and the source summary are set before
-// the node is published and never change; ref is the second-chance bit,
-// set by lock-free hits and cleared by the sweep; next and prev belong to
-// the shard lock.
+// cacheNode is what the cache keeps of one resident graph: every graph
+// type embeds one, so that admitting a graph allocates nothing, and the
+// cache readies and links it once (nodeOf). id, g, size and the source
+// summary are set before the node is published and never change; ref is
+// the second-chance bit, set by lock-free hits and cleared by the sweep;
+// next and prev belong to the shard lock. g is the graph the node is
+// embedded in.
 //
 // The source summary lets a warm lookup rule a positive superedge graph
 // out from the node it has already loaded, without following g to the
@@ -129,13 +138,26 @@ type cacheNode struct {
 	srcMask      uint64
 }
 
-// newCacheNode makes the node for graph g, with its source summary: the
-// one place a node holding a graph is made.
-func newCacheNode(id GraphID, g decodedGraph) *cacheNode {
-	n := &cacheNode{id: id, g: g, size: g.memSize(), srcHi: math.MaxInt32, srcMask: ^uint64(0)}
+func (n *cacheNode) node() *cacheNode { return n }
+
+// nodeOf readies the node graph g carries to hold g as graph id, with its
+// source summary, or returns nil if g was admitted before: a node that
+// has been in a ring keeps its next pointer, and a graph object is
+// admitted at most once, so that no published node is ever written
+// again. Caller holds the lock of id's shard.
+func nodeOf(id GraphID, g decodedGraph) *cacheNode {
+	n := g.node()
+	if n.next != nil {
+		return nil
+	}
+	n.id, n.g, n.size = id, g, g.memSize()
+	n.srcLo, n.srcHi, n.srcMask = 0, math.MaxInt32, ^uint64(0)
 	var srcs []int32
 	switch sg := g.(type) {
-	case *superPosSources:
+	case *encodedGraph:
+		if sg.kind != kindSuperPos {
+			return n
+		}
 		srcs = sg.srcs
 	case *decodedSuperPos:
 		srcs = sg.srcs
@@ -383,21 +405,25 @@ func (c *graphCache) complete(id GraphID, g decodedGraph, kind uint8, err error)
 	}
 }
 
-// admitLocked counts a freshly decoded graph and puts a node for it in
-// the ring, evicting to stay within the shard budget; the caller
-// publishes the node. Graphs larger than the budget are admitted alone
-// (the query could not run otherwise) and evicted on the next insert. A
-// new node starts unreferenced: its loader already holds the graph, and
-// only a later lookup earns it a second chance. Caller holds s.mu.
+// admitLocked counts a freshly decoded graph and puts its node in the
+// ring, evicting to stay within the shard budget; the caller publishes
+// the node, or leaves the slot empty when it is nil (a graph admitted
+// before). Graphs larger than the budget are admitted alone (the query
+// could not run otherwise) and evicted on the next insert. A new node
+// starts unreferenced: its loader already holds the graph, and only a
+// later lookup earns it a second chance. Caller holds s.mu.
 func (c *graphCache) admitLocked(s *cacheShard, id GraphID, g decodedGraph, kind uint8) *cacheNode {
 	s.stats.Loads++
-	s.decoded += g.edgeCount()
+	s.decoded.Add(g.edgeCount())
 	if kind == kindIntra {
 		s.stats.IntraLoads++
 	} else {
 		s.stats.SuperLoads++
 	}
-	n := newCacheNode(id, g)
+	n := nodeOf(id, g)
+	if n == nil {
+		return nil
+	}
 	for s.used+n.size > s.budget && s.hand != nil {
 		c.evictLocked(s, nil)
 	}
@@ -455,28 +481,30 @@ func (c *graphCache) evictLocked(s *cacheShard, keep *cacheNode) {
 	s.stats.Evictions++
 }
 
-// materialized records that a lookup decoded the lists of the
-// sources-only superedge graph from, giving to, and — if from is still
-// what the cache holds for id — publishes a node holding to in the
-// place of from's: same position in the ring, marked used, at its own
-// size, evicting others by second chance if the growth needs the room
-// (an entry that outgrows the whole shard stays, alone). Neither graph
-// nor from's node is touched, so a reader that got either from a
-// lock-free lookup holds it whole. When from was evicted meanwhile, or
-// another lookup's materialization got here first, the cache is left
-// alone and to serves only its caller. Either way the decode happened,
-// so it is counted.
-func (c *graphCache) materialized(id GraphID, from *superPosSources, to *decodedSuperPos) {
+// materialized records that a lookup decoded every list of the encoded
+// graph from, giving to, and — if from is still what the cache holds for
+// id — publishes to's node in the place of from's: same position in the
+// ring, marked used, at its own size, evicting others by second chance
+// if the growth needs the room (an entry that outgrows the whole shard
+// stays, alone). Neither graph nor from's node is touched, so a reader
+// that got either from a lock-free lookup holds it whole. When from was
+// evicted meanwhile, or another lookup's materialization got here first,
+// the cache is left alone and to serves only its caller. Either way the
+// decode happened, so it is counted.
+func (c *graphCache) materialized(id GraphID, from *encodedGraph, to decodedGraph) {
 	s := c.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Materialized++
-	s.decoded += to.edgeCount()
-	old := c.slots[id].Load()
-	if old == nil || old.g != decodedGraph(from) {
+	s.decoded.Add(to.edgeCount())
+	old := from.node()
+	if c.slots[id].Load() != old {
 		return // absent, being decoded again, or already replaced
 	}
-	n := newCacheNode(id, to)
+	n := nodeOf(id, to)
+	if n == nil {
+		return
+	}
 	n.ref.Store(true)
 	s.link(n, old)
 	if s.hand == old {
@@ -489,6 +517,14 @@ func (c *graphCache) materialized(id GraphID, from *superPosSources, to *decoded
 	}
 }
 
+// listDecoded records that a lookup decoded one list out of the
+// encoded graph id, reading entries list entries to get to it.
+func (c *graphCache) listDecoded(id GraphID, entries int) {
+	s := c.shard(id)
+	s.listDecodes.Add(1)
+	s.decoded.Add(int64(entries))
+}
+
 // statsMerged sums the counters into one CacheStats (the Figure 12
 // view).
 func (c *graphCache) statsMerged() CacheStats {
@@ -497,6 +533,7 @@ func (c *graphCache) statsMerged() CacheStats {
 		s := &c.shards[i]
 		out.Hits += s.hits.Load()
 		out.Misses += s.misses.Load()
+		out.ListDecodes += s.listDecodes.Load()
 		s.mu.Lock()
 		out.Loads += s.stats.Loads
 		out.Coalesced += s.stats.Coalesced
@@ -513,10 +550,7 @@ func (c *graphCache) statsMerged() CacheStats {
 func (c *graphCache) decodedEdges() int64 {
 	var n int64
 	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.decoded
-		s.mu.Unlock()
+		n += c.shards[i].decoded.Load()
 	}
 	return n
 }
@@ -559,9 +593,10 @@ func (c *graphCache) resetStats() {
 
 func (s *cacheShard) resetStatsLocked() {
 	s.stats = CacheStats{}
-	s.decoded = 0
 	s.hits.Store(0)
 	s.misses.Store(0)
+	s.decoded.Store(0)
+	s.listDecodes.Store(0)
 }
 
 // reset empties the cache and re-divides a new budget (used between

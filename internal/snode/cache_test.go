@@ -10,6 +10,7 @@ import (
 // stubGraph is a fake decodedGraph for exercising the buffer manager in
 // isolation from the codecs.
 type stubGraph struct {
+	cacheNode
 	size  int64
 	edges int64
 }

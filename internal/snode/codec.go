@@ -58,6 +58,15 @@ type Codec interface {
 	// self-describing.
 	encodeLists(w *bitio.Writer, lists [][]int32, bound int32, opt refenc.Options) error
 	decodeLists(enc encodedLists, numLists int, bound int32) (refenc.Lists, error)
+	// decodeList appends list k of the sequence to dst and reports how
+	// many list entries it decoded to get there. It decodes lists 0..k
+	// and no more (an exact-strategy refenc stream, which stores lists
+	// out of order, whole), allocates nothing beyond dst for the formats
+	// a build writes (dst may grow to the longest of those lists),
+	// accepts whatever the whole decode accepts, with list k equal to
+	// that decode's, and refuses list k when the whole decode refuses a
+	// list at or before it.
+	decodeList(enc encodedLists, numLists int, bound int32, k int, dst []int32) ([]int32, int, error)
 }
 
 // Codec IDs. The ID is a wire value (directory entries reference it);
@@ -152,39 +161,15 @@ func encodePayload(cd Codec, dst []byte, kind uint8, srcs []int32, lists [][]int
 // An intranode graph's ID space is its list count; niSize and njSize are
 // consulted for the superedge kinds only.
 func decodeGraph(cd Codec, kind uint8, buf []byte, numLists int, niSize, njSize int32) (decodedGraph, error) {
-	switch kind {
-	case kindIntra:
-		lists, err := cd.decodeLists(encodedLists{buf: buf}, numLists, int32(numLists))
-		if err != nil {
-			return nil, fmt.Errorf("snode: intranode decode: %w", err)
-		}
-		return &decodedIntra{lists: lists}, nil
-	case kindSuperPos:
-		srcs, enc, err := decodeSuperPosSources(cd, buf, numLists, niSize)
-		if err != nil {
-			return nil, err
-		}
-		lists, err := decodeSuperPosLists(cd, enc, numLists, njSize)
-		if err != nil {
-			return nil, err
-		}
-		return &decodedSuperPos{srcs: srcs, lists: lists}, nil
-	case kindSuperNeg:
-		lists, err := cd.decodeLists(encodedLists{buf: buf}, numLists, njSize)
-		if err != nil {
-			return nil, fmt.Errorf("snode: superNeg decode: %w", err)
-		}
-		return &decodedSuperNeg{njSize: njSize, lists: lists}, nil
-	default:
-		return nil, fmt.Errorf("snode: graph has unknown kind %d", kind)
+	var g encodedGraph // a view of buf: nothing is copied, and it does not outlive the call
+	if err := g.init(cd, kind, buf, numLists, niSize, njSize); err != nil {
+		return nil, err
 	}
+	return g.materialize()
 }
 
-// A superPos payload decodes in two steps, because a lookup's page is a
-// source in only a few of the superedge graphs it consults:
-// decodeSuperPosSources reads the source IDs that open the payload and
-// returns the rest of it, still encoded, as a tail of buf;
-// decodeSuperPosLists decodes that tail into one target list per source.
+// decodeSuperPosSources reads the source IDs that open a superPos
+// payload and returns the rest of it, still encoded, as a tail of buf.
 // Sources are strictly increasing in [0, niSize), so their slice is
 // sized by the smaller of numSrcs and niSize.
 func decodeSuperPosSources(cd Codec, buf []byte, numSrcs int, niSize int32) ([]int32, encodedLists, error) {
@@ -195,16 +180,9 @@ func decodeSuperPosSources(cd Codec, buf []byte, numSrcs int, niSize int32) ([]i
 	return srcs, enc, nil
 }
 
-func decodeSuperPosLists(cd Codec, enc encodedLists, numSrcs int, njSize int32) (refenc.Lists, error) {
-	lists, err := cd.decodeLists(enc, numSrcs, njSize)
-	if err != nil {
-		return refenc.Lists{}, fmt.Errorf("snode: superPos lists: %w", err)
-	}
-	return lists, nil
-}
-
 // decodedIntra is the in-memory form of an intranode graph.
 type decodedIntra struct {
+	cacheNode
 	lists refenc.Lists
 }
 
@@ -257,6 +235,7 @@ func findSource(srcs []int32, srcLocal int32) int {
 
 // decodedSuperPos is the in-memory form of a positive superedge graph.
 type decodedSuperPos struct {
+	cacheNode
 	srcs  []int32 // sorted local Ni IDs
 	lists refenc.Lists
 }
@@ -267,63 +246,128 @@ func (g *decodedSuperPos) memSize() int64 {
 	return int64(cap(g.srcs))*4 + g.lists.MemSize()
 }
 
-// targetsOf returns the local Nj targets of the given local Ni source
-// (nil if the source has none).
-func (g *decodedSuperPos) targetsOf(srcLocal int32) []int32 {
-	if k := findSource(g.srcs, srcLocal); k >= 0 {
-		return g.lists.At(k)
+// encodedGraph is the first of the two states every graph takes in the
+// cache: its lists still encoded. A cache miss inserts this, because a
+// lookup needs one list of the graph, and of most positive superedge
+// graphs not even that: it holds a private copy of the payload's list
+// section (the payload itself sits in a pooled read buffer) and, for a
+// positive superedge graph, the decoded sources that open the payload.
+// The lookup that loaded it decodes only the list it wants
+// (appendList); one that finds it in the cache decodes every list, and
+// the cache replaces this entry with the whole graph (materialize).
+// Like every cached graph it is immutable once admitted.
+type encodedGraph struct {
+	cacheNode
+	srcs     []int32 // sorted local Ni IDs; a positive superedge graph's only
+	buf      []byte  // the list section (encodedLists, unpacked to keep the struct at 128 bytes)
+	bitOff   uint8
+	codec    uint8 // wire ID
+	kind     uint8
+	numLists int32
+	bound    int32 // the lists' local ID space: numLists for an intranode graph, Nj's size otherwise
+}
+
+// lists is the list section, still encoded.
+func (g *encodedGraph) lists() encodedLists { return encodedLists{buf: g.buf, bitOff: g.bitOff} }
+
+// newEncodedGraph makes the encoded state of a payload of any kind,
+// copying its list section out of buf.
+func newEncodedGraph(cd Codec, kind uint8, buf []byte, numLists int, niSize, njSize int32) (*encodedGraph, error) {
+	g := new(encodedGraph)
+	if err := g.init(cd, kind, buf, numLists, niSize, njSize); err != nil {
+		return nil, err
+	}
+	g.buf = append([]byte(nil), g.buf...)
+	return g, nil
+}
+
+// init points g at the payload in buf, decoding a positive superedge
+// graph's sources: niSize and njSize are consulted for the superedge
+// kinds only.
+func (g *encodedGraph) init(cd Codec, kind uint8, buf []byte, numLists int, niSize, njSize int32) error {
+	g.buf, g.codec, g.kind, g.numLists, g.bound = buf, cd.ID(), kind, int32(numLists), njSize
+	switch kind {
+	case kindIntra:
+		g.bound = g.numLists
+	case kindSuperPos:
+		srcs, enc, err := decodeSuperPosSources(cd, buf, numLists, niSize)
+		g.srcs, g.buf, g.bitOff = srcs, enc.buf, enc.bitOff
+		return err
+	case kindSuperNeg:
+	default:
+		return fmt.Errorf("snode: graph has unknown kind %d", kind)
 	}
 	return nil
 }
 
-// superPosSources is the first of the two states a positive superedge
-// graph takes in the cache: its source IDs decoded, its lists still
-// encoded. A cache miss inserts this, because all a lookup needs from
-// most superedge graphs is that its page is not among the sources; the
-// first lookup whose page is decodes the lists and the cache replaces
-// this entry with the decodedSuperPos (materialize). Like every cached
-// graph it is immutable, and it owns enc — a copy, since the payload it
-// was cut from sits in a pooled read buffer.
-type superPosSources struct {
-	srcs   []int32 // sorted local Ni IDs
-	enc    encodedLists
-	codec  Codec
-	njSize int32
+// edgeCount is zero: no list entry has been decoded. The cache counts
+// the graph's edges when it is materialized, and the entries a lookup
+// decodes out of it as it decodes them.
+func (g *encodedGraph) edgeCount() int64 { return 0 }
+
+func (g *encodedGraph) memSize() int64 {
+	// + the struct's own 64 bytes: not the cache node it embeds, which no
+	// graph form is charged for.
+	return int64(cap(g.srcs))*4 + int64(cap(g.buf)) + 64
 }
 
-// newSuperPosSources decodes the sources of a superPos payload and
-// copies its list section out of buf.
-func newSuperPosSources(cd Codec, buf []byte, numSrcs int, niSize, njSize int32) (*superPosSources, error) {
-	srcs, enc, err := decodeSuperPosSources(cd, buf, numSrcs, niSize)
-	if err != nil {
-		return nil, err
+// listOf returns the index of the list that holds the links of the page
+// with local ID local (within Ni), or -1 when the graph holds none.
+func (g *encodedGraph) listOf(local int32) int {
+	if g.kind == kindSuperPos {
+		return findSource(g.srcs, local)
 	}
-	own := make([]byte, len(enc.buf))
-	copy(own, enc.buf)
-	enc.buf = own
-	return &superPosSources{srcs: srcs, enc: enc, codec: cd, njSize: njSize}, nil
+	return int(local)
 }
 
-// edgeCount is zero: no list entry has been decoded yet. The cache
-// counts the graph's edges when it is materialized.
-func (g *superPosSources) edgeCount() int64 { return 0 }
-
-func (g *superPosSources) memSize() int64 {
-	return int64(cap(g.srcs))*4 + int64(cap(g.enc.buf)) + 64 // + the struct itself
-}
-
-// materialize decodes the lists. The result shares g's sources.
-func (g *superPosSources) materialize() (*decodedSuperPos, error) {
-	lists, err := decodeSuperPosLists(g.codec, g.enc, len(g.srcs), g.njSize)
+// materialize decodes every list: the whole graph, sharing g's sources.
+func (g *encodedGraph) materialize() (decodedGraph, error) {
+	lists, err := codecTable[g.codec].decodeLists(g.lists(), int(g.numLists), g.bound)
 	if err != nil {
-		return nil, err
+		return nil, g.listErr(err)
 	}
-	return &decodedSuperPos{srcs: g.srcs, lists: lists}, nil
+	switch g.kind {
+	case kindIntra:
+		return &decodedIntra{lists: lists}, nil
+	case kindSuperPos:
+		return &decodedSuperPos{srcs: g.srcs, lists: lists}, nil
+	}
+	return &decodedSuperNeg{njSize: g.bound, lists: lists}, nil
+}
+
+// appendList appends to dst the local targets of list k (a page's, by
+// listOf), decoding no list after it, and reports the list entries
+// decoded. A negative superedge graph's list is a complement: it is
+// decoded into dst and replaced there by the targets.
+func (g *encodedGraph) appendList(k int, dst []int32) ([]int32, int, error) {
+	from := len(dst)
+	dst, n, err := codecTable[g.codec].decodeList(g.lists(), int(g.numLists), g.bound, k, dst)
+	if err != nil {
+		return dst[:from], 0, g.listErr(err)
+	}
+	if g.kind == kindSuperNeg {
+		mid := len(dst)
+		dst = appendComplement(dst, dst[from:mid], g.bound)
+		dst = append(dst[:from], dst[mid:]...)
+	}
+	return dst, n, nil
+}
+
+// listErr names the list section a decode of g failed in.
+func (g *encodedGraph) listErr(err error) error {
+	switch g.kind {
+	case kindIntra:
+		return fmt.Errorf("snode: intranode decode: %w", err)
+	case kindSuperPos:
+		return fmt.Errorf("snode: superPos lists: %w", err)
+	}
+	return fmt.Errorf("snode: superNeg decode: %w", err)
 }
 
 // decodedSuperNeg keeps the complement form; positive adjacency is
 // materialized lazily so dense blocks never explode the cache.
 type decodedSuperNeg struct {
+	cacheNode
 	njSize int32
 	lists  refenc.Lists // complements, one per page of Ni
 }
@@ -332,19 +376,36 @@ func (g *decodedSuperNeg) edgeCount() int64 { return int64(len(g.lists.IDs)) }
 
 func (g *decodedSuperNeg) memSize() int64 { return g.lists.MemSize() + 8 }
 
-// appendTargets appends the positive local Nj targets of the given Ni
-// local source to dst: every local ID in [0, njSize) not present in the
-// complement list.
-func (g *decodedSuperNeg) appendTargets(srcLocal int32, dst []int32) []int32 {
-	comp := g.lists.At(int(srcLocal))
+// appendTargets appends to dst the local targets of the page with local
+// ID local out of a whole graph: its intranode list, its list as a
+// source of a positive superedge graph (none unless it is one), or every
+// local Nj ID its complement list in a negative one leaves out.
+func appendTargets(g decodedGraph, local int32, dst []int32) ([]int32, error) {
+	switch sg := g.(type) {
+	case *decodedIntra:
+		return append(dst, sg.lists.At(int(local))...), nil
+	case *decodedSuperPos:
+		if k := findSource(sg.srcs, local); k >= 0 {
+			dst = append(dst, sg.lists.At(k)...)
+		}
+		return dst, nil
+	case *decodedSuperNeg:
+		return appendComplement(dst, sg.lists.At(int(local)), sg.njSize), nil
+	}
+	return dst, fmt.Errorf("snode: graph is a %T", g)
+}
+
+// appendComplement appends [0,n) \ list to dst (list sorted strictly
+// increasing).
+func appendComplement(dst, list []int32, n int32) []int32 {
 	next := int32(0)
-	for _, c := range comp {
-		for ; next < c; next++ {
+	for _, v := range list {
+		for ; next < v; next++ {
 			dst = append(dst, next)
 		}
-		next = c + 1
+		next = v + 1
 	}
-	for ; next < g.njSize; next++ {
+	for ; next < n; next++ {
 		dst = append(dst, next)
 	}
 	return dst
@@ -352,16 +413,5 @@ func (g *decodedSuperNeg) appendTargets(srcLocal int32, dst []int32) []int32 {
 
 // complement returns [0,n) \ list (list sorted strictly increasing).
 func complement(list []int32, n int32) []int32 {
-	out := make([]int32, 0, int(n)-len(list))
-	next := int32(0)
-	for _, v := range list {
-		for ; next < v; next++ {
-			out = append(out, next)
-		}
-		next = v + 1
-	}
-	for ; next < n; next++ {
-		out = append(out, next)
-	}
-	return out
+	return appendComplement(make([]int32, 0, int(n)-len(list)), list, n)
 }

@@ -121,19 +121,28 @@ func (c logCodec) encodeLists(w *bitio.Writer, lists [][]int32, bound int32, _ r
 	return nil
 }
 
+// logReadDegree reads the length of list i, refusing one that bound
+// cannot hold: values ascend strictly below bound.
+func logReadDegree(r *bitio.Reader, i int, bound int32) (int, error) {
+	deg, err := coding.ReadGamma0(r)
+	if err != nil {
+		return 0, err
+	}
+	if deg > uint64(bound) {
+		return 0, fmt.Errorf("snode/log: list %d claims %d values", i, deg)
+	}
+	return int(deg), nil
+}
+
 func (logCodec) decodeLists(enc encodedLists, numLists int, bound int32) (refenc.Lists, error) {
 	r := enc.reader()
 	b := refenc.NewBuilder(numLists)
 	for i := 0; i < numLists; i++ {
-		deg, err := coding.ReadGamma0(r)
+		deg, err := logReadDegree(r, i, bound)
 		if err != nil {
 			return refenc.Lists{}, err
 		}
-		// Values ascend strictly below bound, so no list holds more.
-		if deg > uint64(bound) {
-			return refenc.Lists{}, fmt.Errorf("snode/log: list %d claims %d values", i, deg)
-		}
-		if b.IDs, err = logReadRun(r, int(deg), int64(bound), b.IDs); err != nil {
+		if b.IDs, err = logReadRun(r, deg, int64(bound), b.IDs); err != nil {
 			return refenc.Lists{}, err
 		}
 		if err := b.End(); err != nil {
@@ -141,4 +150,27 @@ func (logCodec) decodeLists(enc encodedLists, numLists int, bound int32) (refenc
 		}
 	}
 	return b.Lists(), nil
+}
+
+// decodeList decodes lists 0..k into dst, keeping only list k: every
+// list before it is checked as the whole decode checks it, then
+// dropped.
+func (logCodec) decodeList(enc encodedLists, numLists int, bound int32, k int, dst []int32) ([]int32, int, error) {
+	if k < 0 || k >= numLists {
+		return dst, 0, fmt.Errorf("snode/log: list %d of %d", k, numLists)
+	}
+	r := enc.reader()
+	from, n := len(dst), 0
+	for i := 0; i <= k; i++ {
+		dst = dst[:from]
+		deg, err := logReadDegree(r, i, bound)
+		if err != nil {
+			return dst, 0, err
+		}
+		if dst, err = logReadRun(r, deg, int64(bound), dst); err != nil {
+			return dst[:from], 0, err
+		}
+		n += deg
+	}
+	return dst, n, nil
 }

@@ -34,3 +34,7 @@ func (paperCodec) encodeLists(w *bitio.Writer, lists [][]int32, bound int32, opt
 func (paperCodec) decodeLists(enc encodedLists, numLists int, bound int32) (refenc.Lists, error) {
 	return refenc.DecodeListsBounded(enc.reader(), numLists, uint64(bound))
 }
+
+func (paperCodec) decodeList(enc encodedLists, numLists int, bound int32, k int, dst []int32) ([]int32, int, error) {
+	return refenc.DecodeList(enc.reader(), numLists, k, uint64(bound), dst)
+}

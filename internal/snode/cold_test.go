@@ -11,13 +11,13 @@ import (
 // Cold-path guards: what a lookup pays per graph it has to load.
 
 // coldAllocsPerLoad is the budget TestColdOutAllocsPerLoad holds a miss
-// to. A sources-only superedge entry, which is most of what a cold
-// lookup loads, is four allocations: its sources, the copy of its list
-// section, its struct and its cache node. The claim, the completion and
-// the decode scratch cost none; an intranode graph is its two arrays,
-// its struct and its node. The rest of the budget is the lookup's own
-// few (a span's trace context, materializations).
-const coldAllocsPerLoad = 5.0
+// to. A load leaves its graph encoded: a positive superedge graph, which
+// is most of what a cold lookup loads, is three allocations — its
+// sources, the copy of its list section and its struct, which carries
+// its cache node — and any other graph two. The claim, the completion,
+// the decode scratch and the one list the lookup decodes cost none. The
+// rest of the budget is the lookup's own few (a span's trace context).
+const coldAllocsPerLoad = 3.5
 
 // TestColdOutAllocsPerLoad resets the cache before every lookup, so
 // each loads every graph it consults, and divides the allocations by
@@ -56,7 +56,8 @@ func TestColdOutAllocsPerLoad(t *testing.T) {
 // BenchmarkOutCold is the lookup nav_cold makes, without the server
 // around it: uniform pages under a 256 KiB budget, so nearly every
 // graph consulted is read and decoded. loads/op says how cold the run
-// was; allocs/op over it is what TestColdOutAllocsPerLoad bounds.
+// was; allocs/op over it is what TestColdOutAllocsPerLoad bounds;
+// decoded/op is the list entries decoded (DecodedEdges) per lookup.
 func BenchmarkOutCold(b *testing.B) {
 	c, _ := buildOnce(b)
 	r := openRep(b, 256<<10)
@@ -75,4 +76,5 @@ func BenchmarkOutCold(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(r.StatsExt().Cache.Loads)/float64(b.N), "loads/op")
+	b.ReportMetric(float64(r.DecodedEdges())/float64(b.N), "decoded/op")
 }

@@ -1,6 +1,7 @@
 package snode
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"sort"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"snode/internal/iosim"
+	"snode/internal/raceflag"
 	"snode/internal/randutil"
 	"snode/internal/store"
 	"snode/internal/synth"
@@ -335,27 +337,87 @@ func TestSharedFilterAcrossGoroutinesAndStores(t *testing.T) {
 // TestWarmOutAllocatesNothing pins the warm lookup at zero allocations:
 // with every graph resident and room in buf, Out allocates nothing, and
 // a filtered lookup allocates nothing once its filter has been compiled
-// by a first call.
+// by a first call. It holds on the shared fixture and on one whose hub
+// page's supernode has more graphs than a lookup lists on its stack.
 func TestWarmOutAllocatesNothing(t *testing.T) {
 	c, _ := buildOnce(t)
-	r := openRep(t, 256<<20)
+	pageSet := map[webgraph.PageID]bool{}
+	for p := int32(0); p < int32(c.Graph.NumPages()); p += 3 {
+		pageSet[p] = true
+	}
+	warmOutAllocatesNothing(t, "shared", openRep(t, 256<<20), c, 61, 0, map[string]*store.Filter{
+		"nil":     nil,
+		"domains": {Domains: map[string]bool{"stanford.edu": true, "mit.edu": true}},
+		"pages":   {Pages: pageSet},
+	})
+
+	wide, domains := wideCorpus(300)
+	dir := t.TempDir()
+	if _, err := Build(wide, DefaultConfig(), dir); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(dir, 256<<20, iosim.Model2002())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	hub := r.snOf(r.m.Perm[0])
+	if n := r.m.SuperOff[hub+1] - r.m.SuperOff[hub] + 1; n <= outScratch {
+		t.Fatalf("the hub's supernode has %d graphs, no more than the %d a lookup lists on its stack", n, outScratch)
+	}
+	pageSet = map[webgraph.PageID]bool{}
+	for p := int32(0); p < int32(wide.Graph.NumPages()); p += 3 {
+		pageSet[p] = true
+	}
+	// The hub's lookup takes its list of graphs from a pool, which the
+	// race detector empties at random: one allocation a round then.
+	slack := 0.0
+	if raceflag.Enabled {
+		slack = 1
+	}
+	warmOutAllocatesNothing(t, "wide", r, wide, 1, slack, map[string]*store.Filter{
+		"nil":     nil,
+		"domains": {Domains: domains},
+		"pages":   {Pages: pageSet},
+	})
+}
+
+// wideCorpus is a hub page in a domain of its own linking to the first
+// page of each of n two-page domains, whose pages link to each other
+// and back to the hub; domains is every small domain but the last.
+func wideCorpus(n int) (*webgraph.Corpus, map[string]bool) {
+	pages := []webgraph.PageMeta{{URL: "http://hub.org/", Domain: "hub.org"}}
+	domains := map[string]bool{}
+	b := webgraph.NewBuilder(1 + 2*n)
+	for d := 0; d < n; d++ {
+		dom := fmt.Sprintf("d%03d.com", d)
+		if d < n-1 {
+			domains[dom] = true
+		}
+		a := webgraph.PageID(len(pages))
+		pages = append(pages,
+			webgraph.PageMeta{URL: "http://" + dom + "/a", Domain: dom},
+			webgraph.PageMeta{URL: "http://" + dom + "/b", Domain: dom})
+		b.AddEdge(0, a)
+		b.AddEdge(a, a+1)
+		b.AddEdge(a+1, 0)
+	}
+	return &webgraph.Corpus{Graph: b.Build(), Pages: pages}, domains
+}
+
+// warmOutAllocatesNothing decodes every graph of r whole, then counts
+// the allocations of warm lookups of every step-th page of c under each
+// filter: no more than slack a round.
+func warmOutAllocatesNothing(t *testing.T, fixture string, r *Representation, c *webgraph.Corpus, step int32, slack float64, filters map[string]*store.Filter) {
+	t.Helper()
 	if err := r.Verify(); err != nil { // loads and materializes every graph
 		t.Fatal(err)
 	}
 	n := int32(c.Graph.NumPages())
-	pageSet := map[webgraph.PageID]bool{}
-	for p := int32(0); p < n; p += 3 {
-		pageSet[p] = true
-	}
-	filters := map[string]*store.Filter{
-		"nil":     nil,
-		"domains": {Domains: map[string]bool{"stanford.edu": true, "mit.edu": true}},
-		"pages":   {Pages: pageSet},
-	}
 	buf := make([]webgraph.PageID, 0, n)
 	for name, f := range filters {
 		lookups := func() {
-			for p := int32(0); p < n; p += 61 {
+			for p := int32(0); p < n; p += step {
 				var err error
 				if buf, err = r.OutFiltered(p, f, buf[:0]); err != nil {
 					t.Fatal(err)
@@ -364,11 +426,11 @@ func TestWarmOutAllocatesNothing(t *testing.T) {
 		}
 		lookups() // the first call compiles the filter
 		before := r.StatsExt().Cache
-		if allocs := testing.AllocsPerRun(20, lookups); allocs != 0 {
-			t.Errorf("%s filter: %v allocations per %d warm lookups, want 0", name, allocs, (n+60)/61)
+		if allocs := testing.AllocsPerRun(20, lookups); allocs > slack {
+			t.Errorf("%s fixture, %s filter: %v allocations per %d warm lookups, want at most %v", fixture, name, allocs, (n+step-1)/step, slack)
 		}
 		if st := r.StatsExt().Cache; st.Misses != before.Misses || st.Hits == before.Hits {
-			t.Errorf("%s filter: the lookups were not warm: %+v → %+v", name, before, st)
+			t.Errorf("%s fixture, %s filter: the lookups were not warm: %+v → %+v", fixture, name, before, st)
 		}
 	}
 }

@@ -231,7 +231,8 @@ func hugeCountSeeds(f seedSink) {
 // FuzzDecodeHostile feeds arbitrary bytes to every codec's decoders and
 // requires: no panic, and — whenever a decode still succeeds — every
 // emitted local ID inside its declared space (checkLocalIDs is the
-// oracle for the fused bounds checks).
+// oracle for the fused bounds checks); the cache's encoded state decoded
+// whole or one list at a time agrees with the one-shot decode.
 func FuzzDecodeHostile(f *testing.F) {
 	hostileSeeds(f)
 	f.Fuzz(func(t *testing.T, id, kind, nl, sz uint8, blob []byte) {
@@ -262,24 +263,74 @@ func FuzzDecodeHostile(f *testing.F) {
 				}
 			}
 		}
-		if kind != kindSuperPos {
-			return
-		}
-		// The serving path's two steps — sources now, lists later from
-		// a private copy of the rest of the payload — must agree with
-		// the one-shot decode: the same graph, or an error from both.
-		sg, serr := newSuperPosSources(cd, blob, numLists, niSize, size)
-		var full *decodedSuperPos
+		// The serving path's encoded state — a positive superedge graph's
+		// sources now, lists later from a private copy of the payload —
+		// must agree with the one-shot decode. Decoded whole: the same
+		// graph, or an error from both. A list at a time: every page's
+		// list inside its bound, refused once a list before it was (each
+		// is decoded with every list before it), and, whenever the
+		// one-shot decode succeeded, that decode's list of the page.
+		sg, serr := newEncodedGraph(cd, kind, blob, numLists, niSize, size)
+		var full decodedGraph
 		if serr == nil {
 			full, serr = sg.materialize()
 		}
 		if (err == nil) != (serr == nil) {
-			t.Fatalf("%s: one-shot superPos decode: %v; sources then lists: %v", cd.Name(), err, serr)
+			t.Fatalf("%s: one-shot decode: %v; encoded then whole: %v", cd.Name(), err, serr)
 		}
-		if whole, _ := g.(*decodedSuperPos); err == nil && (!slices.Equal(full.srcs, whole.srcs) || !listsEqual(rows(full.lists), rows(whole.lists))) {
-			t.Fatalf("%s: sources then lists decoded %v %v, one-shot %v %v", cd.Name(), full.srcs, full.lists, whole.srcs, whole.lists)
+		if err == nil && !sameGraph(full, g) {
+			t.Fatalf("%s: encoded then whole decoded %+v, one-shot %+v", cd.Name(), full, g)
+		}
+		if sg == nil {
+			return // the sources did not decode: no list can be asked for
+		}
+		bound := size
+		if kind == kindIntra {
+			bound = niSize
+		}
+		refused := -1 // the first list refused, pages in ascending order listing lists in ascending order
+		for local := int32(0); local < niSize; local++ {
+			k := sg.listOf(local)
+			if k < 0 {
+				continue
+			}
+			got, _, lerr := sg.appendList(k, nil)
+			if lerr == nil {
+				if oerr := checkLocalIDs(got, bound); oerr != nil {
+					t.Fatalf("%s: list of page %d out of bounds: %v", cd.Name(), local, oerr)
+				}
+				if refused >= 0 {
+					t.Fatalf("%s: list %d decoded alone after list %d was refused", cd.Name(), k, refused)
+				}
+			} else if refused < 0 {
+				refused = k
+			}
+			if err != nil {
+				continue
+			}
+			want, _ := appendTargets(g, local, nil)
+			if lerr != nil || !slices.Equal(got, want) {
+				t.Fatalf("%s: page %d's list alone: %v %v; in the one-shot decode %v", cd.Name(), local, got, lerr, want)
+			}
 		}
 	})
+}
+
+// sameGraph reports whether two whole decoded graphs hold the same
+// sources and lists.
+func sameGraph(a, b decodedGraph) bool {
+	switch x := a.(type) {
+	case *decodedIntra:
+		y, ok := b.(*decodedIntra)
+		return ok && listsEqual(rows(x.lists), rows(y.lists))
+	case *decodedSuperPos:
+		y, ok := b.(*decodedSuperPos)
+		return ok && slices.Equal(x.srcs, y.srcs) && listsEqual(rows(x.lists), rows(y.lists))
+	case *decodedSuperNeg:
+		y, ok := b.(*decodedSuperNeg)
+		return ok && x.njSize == y.njSize && listsEqual(rows(x.lists), rows(y.lists))
+	}
+	return false
 }
 
 // hostileKind is the payload kind a fuzz input's kind byte selects: the

@@ -34,6 +34,7 @@ func TestRegisterMetricsReconcilesWithStatsExt(t *testing.T) {
 		"snode_cache_coalesced":    st.Cache.Coalesced,
 		"snode_cache_evictions":    st.Cache.Evictions,
 		"snode_cache_materialized": st.Cache.Materialized,
+		"snode_cache_list_decodes": st.Cache.ListDecodes,
 		"snode_decoded_edges":      r.DecodedEdges(),
 		"snode_io_seeks":           st.IO.Seeks,
 		"snode_io_reads":           st.IO.Reads,
@@ -51,12 +52,14 @@ func TestRegisterMetricsReconcilesWithStatsExt(t *testing.T) {
 		t.Errorf("snode_cache_entries = %d, want > 0 after workload", snap.Gauges["snode_cache_entries"])
 	}
 	h := snap.Histograms["snode_decode_seconds"]
-	if h.Count != st.Cache.Loads+st.Cache.Materialized {
+	if h.Count != st.Cache.Loads+st.Cache.Materialized+st.Cache.ListDecodes {
 		// Every successful load is exactly one timed decode, and so is
-		// every materialization of a superedge graph's lists.
-		t.Errorf("decode histogram count = %d, want %d loads + %d materializations", h.Count, st.Cache.Loads, st.Cache.Materialized)
+		// every materialization of an encoded entry and every list
+		// decoded out of one.
+		t.Errorf("decode histogram count = %d, want %d loads + %d materializations + %d list decodes",
+			h.Count, st.Cache.Loads, st.Cache.Materialized, st.Cache.ListDecodes)
 	}
-	if st.Cache.Hits+st.Cache.Misses == 0 || st.Cache.Loads == 0 || st.Cache.Materialized == 0 {
+	if st.Cache.Hits+st.Cache.Misses == 0 || st.Cache.Loads == 0 || st.Cache.Materialized == 0 || st.Cache.ListDecodes == 0 {
 		t.Fatalf("workload produced no cache traffic: %+v", st.Cache)
 	}
 }

@@ -106,8 +106,10 @@ func (r *Representation) StatsExt() AccessStatsExt {
 }
 
 // DecodedEdges reports list entries decoded since the last stats reset:
-// a graph's edges when it is loaded, except a positive superedge
-// graph's, which count when its lists are materialized.
+// every entry of a graph decoded whole (materialized), and every entry a
+// one-list decode decoded on the way to its list, the lists before it
+// included. A load decodes none: it leaves its graph encoded, with only
+// a positive superedge graph's sources decoded.
 func (r *Representation) DecodedEdges() int64 { return r.cache.decodedEdges() }
 
 // RegisterMetrics exposes the representation's serving counters on a
@@ -131,6 +133,7 @@ func (r *Representation) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.CounterFunc(prefix+"_cache_intra_loads", cs(func(s CacheStats) int64 { return s.IntraLoads }))
 	reg.CounterFunc(prefix+"_cache_super_loads", cs(func(s CacheStats) int64 { return s.SuperLoads }))
 	reg.CounterFunc(prefix+"_cache_materialized", cs(func(s CacheStats) int64 { return s.Materialized }))
+	reg.CounterFunc(prefix+"_cache_list_decodes", cs(func(s CacheStats) int64 { return s.ListDecodes }))
 	reg.CounterFunc(prefix+"_decoded_edges", r.cache.decodedEdges)
 	reg.GaugeFunc(prefix+"_cache_bytes", r.cache.usedBytes)
 	reg.GaugeFunc(prefix+"_cache_entries", r.cache.entries)
@@ -271,11 +274,11 @@ func (r *Representation) decodeTraced(ctx context.Context, gid GraphID, buf []by
 	return g, err
 }
 
-// decode parses one graph's encoded bytes into the form the cache
-// holds, dispatching on the directory entry's codec ID (validated at
-// Open, so the table lookup cannot miss). For a positive superedge
-// graph that is its sources with the lists left encoded; materialize
-// is the other half.
+// decode parses one graph's encoded bytes into the form a load leaves
+// in the cache — the encoded state, which for a positive superedge graph
+// has its sources decoded — dispatching on the directory entry's codec
+// ID (validated at Open, so the table lookup cannot miss). materialize
+// and appendEncoded are the two ways on from there.
 func (r *Representation) decode(gid GraphID, buf []byte) (decodedGraph, error) {
 	if r.decodeFault != nil {
 		if err := r.decodeFault(gid); err != nil {
@@ -285,20 +288,27 @@ func (r *Representation) decode(gid GraphID, buf []byte) (decodedGraph, error) {
 	e := &r.m.Directory[gid]
 	start := r.decodeStart()
 	defer r.observeDecode(start)
-	if e.Kind == kindSuperPos {
-		return newSuperPosSources(codecTable[e.Codec], buf, int(e.NumLists), r.snSize(e.I), r.snSize(e.J))
-	}
-	return r.decodePayload(e, buf)
+	niSize, njSize := r.sizes(e)
+	return newEncodedGraph(codecTable[e.Codec], e.Kind, buf, int(e.NumLists), niSize, njSize)
 }
 
 // snSize is the number of pages in supernode s.
 func (r *Representation) snSize(s int32) int32 { return r.m.SnBase[s+1] - r.m.SnBase[s] }
 
-// materialize decodes the lists of a sources-only superedge entry — no
-// I/O, the entry holds the bytes — and has the cache replace the entry
-// with the whole graph. The time goes to the same decode histogram as
-// the sources' half.
-func (r *Representation) materialize(ctx context.Context, gid GraphID, sg *superPosSources) (*decodedSuperPos, error) {
+// sizes returns the sizes of a superedge graph's source and target
+// supernodes, and zeros for an intranode graph, whose entry names no
+// target supernode.
+func (r *Representation) sizes(e *dirEntry) (niSize, njSize int32) {
+	if e.Kind == kindIntra {
+		return 0, 0
+	}
+	return r.snSize(e.I), r.snSize(e.J)
+}
+
+// materialize decodes every list of an encoded entry — no I/O, the entry
+// holds the bytes — and has the cache replace the entry with the whole
+// graph. The time goes to the same decode histogram as the load's.
+func (r *Representation) materialize(ctx context.Context, gid GraphID, sg *encodedGraph) (decodedGraph, error) {
 	traced := trace.Active(ctx)
 	start := r.decodeStart()
 	if traced && start.IsZero() {
@@ -313,10 +323,37 @@ func (r *Representation) materialize(ctx context.Context, gid GraphID, sg *super
 	if traced {
 		trace.RecordSpan(ctx, "cache.materialize", start, time.Since(start),
 			trace.Attr{Key: "gid", Val: int64(gid)},
-			trace.Attr{Key: "bytes", Val: int64(len(sg.enc.buf))})
+			trace.Attr{Key: "bytes", Val: int64(len(sg.buf))})
 		trace.Add(ctx, trace.CtrMaterialized, 1)
 	}
 	return full, nil
+}
+
+// appendEncoded appends to dst the local targets of the page with local
+// ID local out of the encoded entry sg. Found in the cache at consult's
+// first probe (hit), the entry is decoded whole first and the cache
+// keeps the whole graph, as the lookups of a hot graph want; missed
+// there (loaded by this lookup, waited on or found cached since), or
+// when that whole decode fails, only the page's own list is decoded — so whether a
+// lookup succeeds never depends on what the cache holds.
+func (r *Representation) appendEncoded(ctx context.Context, gid GraphID, sg *encodedGraph, local int32, hit bool, dst []int32) ([]int32, error) {
+	k := sg.listOf(local)
+	if k < 0 {
+		return dst, nil
+	}
+	if hit {
+		if full, err := r.materialize(ctx, gid, sg); err == nil {
+			return appendTargets(full, local, dst)
+		}
+	}
+	start := r.decodeStart()
+	dst, n, err := sg.appendList(k, dst)
+	r.observeDecode(start)
+	if err != nil {
+		return dst, fmt.Errorf("snode: graph %d: %w", gid, err)
+	}
+	r.cache.listDecoded(gid, n)
+	return dst, nil
 }
 
 // decodeStart and observeDecode time a decode for the histogram
@@ -341,10 +378,7 @@ func (r *Representation) observeDecode(start time.Time) {
 // The serving path reaches the codecs through decode; MeasureDecode
 // times this directly.
 func (r *Representation) decodePayload(e *dirEntry, buf []byte) (decodedGraph, error) {
-	var niSize, njSize int32
-	if e.Kind != kindIntra { // whose entry names no target supernode
-		niSize, njSize = r.snSize(e.I), r.snSize(e.J)
-	}
+	niSize, njSize := r.sizes(e)
 	return decodeGraph(codecTable[e.Codec], e.Kind, buf, int(e.NumLists), niSize, njSize)
 }
 
@@ -369,10 +403,12 @@ func (r *Representation) OutFiltered(p webgraph.PageID, f *store.Filter, buf []w
 // lookup attributes its work to the request — graphs consulted, cache
 // hits and misses, coalesced waits behind other goroutines' decodes,
 // span reads and the decodes they led. A lookup whose graphs are all
-// resident takes no lock and, given room in buf, allocates nothing: the
+// resident, and decoded whole where it needs a list of them, takes no
+// lock and, given room in buf, allocates nothing: the
 // filter is resolved once per (filter, store), and the graphs it lets a
 // lookup in each supernode consult are listed once, by the first such
-// lookup; each lookup copies its list to a stack array; a resident graph
+// lookup; each lookup copies its list to a stack array (a pooled one in
+// a supernode with more graphs than that holds); a resident graph
 // the page is not a source of is ruled out from its cache node
 // (consult); and targets are translated in buf itself.
 func (r *Representation) OutFilteredCtx(ctx context.Context, p webgraph.PageID, f *store.Filter, buf []webgraph.PageID) ([]webgraph.PageID, error) {
@@ -387,30 +423,16 @@ func (r *Representation) OutFilteredCtx(ctx context.Context, p webgraph.PageID, 
 	// emit appends this page's targets out of one graph the moment the
 	// graph is available — local target IDs first, turned into external
 	// page IDs in buf itself, keeping the accepted.
-	emit := func(gid GraphID, j int32, g decodedGraph) error {
+	emit := func(gid GraphID, j int32, g decodedGraph, hit bool) error {
 		from := len(buf)
-		switch sg := g.(type) {
-		case *decodedIntra:
-			buf = append(buf, sg.lists.At(int(local))...)
-		case *decodedSuperPos:
-			buf = append(buf, sg.targetsOf(local)...)
-		case *superPosSources:
-			// Unless the page is a source it has no link through this
-			// graph, and the lists stay encoded.
-			if k := findSource(sg.srcs, local); k >= 0 {
-				full, err := r.materialize(ctx, gid, sg)
-				if err != nil {
-					return err
-				}
-				buf = append(buf, full.lists.At(k)...)
-			}
-		case *decodedSuperNeg:
-			buf = sg.appendTargets(local, buf)
-		default:
-			return fmt.Errorf("snode: graph %d has wrong type", gid)
+		var err error
+		if sg, ok := g.(*encodedGraph); ok {
+			buf, err = r.appendEncoded(ctx, gid, sg, local, hit, buf)
+		} else {
+			buf, err = appendTargets(g, local, buf)
 		}
-		if len(buf) == from {
-			return nil
+		if err != nil || len(buf) == from {
+			return err
 		}
 		inv := r.m.Inv[r.m.SnBase[j]:]
 		if cf.allOf(j) {
@@ -429,24 +451,40 @@ func (r *Representation) OutFilteredCtx(ctx context.Context, p webgraph.PageID, 
 		return nil
 	}
 
-	// The graphs to consult, in a stack array that spills to the heap
-	// only for a supernode with more out-superedges than it holds.
+	// The graphs to consult, in a stack array, or for a supernode with
+	// more out-superedges than it holds in a pooled one.
 	var scratch [outScratch]needEntry
-	var need []needEntry
+	need := scratch[:0]
+	var listed []needEntry
+	n := int(r.m.SuperOff[i+1]-r.m.SuperOff[i]) + 1
+	if cf != nil {
+		listed = cf.graphsIn(r.m, i)
+		n = len(listed)
+	}
+	if n > outScratch {
+		big := needPool.Get().(*[]needEntry)
+		defer needPool.Put(big)
+		*big = slices.Grow((*big)[:0], n)
+		need = (*big)[:0]
+	}
 	if cf == nil {
-		need = r.m.appendGraphs(scratch[:0], i)
+		need = r.m.appendGraphs(need, i)
 	} else {
-		need = append(scratch[:0], cf.graphsIn(r.m, i)...)
+		need = append(need, listed...)
 	}
 	err := r.consult(ctx, i, local, need, emit)
 	return buf, err
 }
 
+// needPool holds the lists of graphs to consult of lookups in supernodes
+// with more than outScratch of them.
+var needPool = sync.Pool{New: func() any { return new([]needEntry) }}
+
 // consult hands each graph of need — graphs of supernode i, in ascending
 // gid — that can hold a link of the page with local ID local to process
-// exactly once, streaming: resident graphs first, then the misses as
-// they are read, so a working set larger than the cache budget is read
-// once per access rather than thrashing (load-all then re-read).
+// exactly once, streaming: resident graphs first (hit set), then the
+// misses as they are read, so a working set larger than the cache budget
+// is read once per access rather than thrashing (load-all then re-read).
 // Uncached graphs are fetched with span reads — §3.3's disk layout puts
 // a supernode's graphs in one contiguous ascending run, so the spans
 // collapse into few sequential reads. It is the one way a graph gets
@@ -461,7 +499,7 @@ func (r *Representation) OutFilteredCtx(ctx context.Context, p webgraph.PageID, 
 //
 // need is used as scratch; the first error from process, a read or a
 // decode ends the walk.
-func (r *Representation) consult(ctx context.Context, i, local int32, need []needEntry, process func(gid GraphID, j int32, g decodedGraph) error) error {
+func (r *Representation) consult(ctx context.Context, i, local int32, need []needEntry, process func(gid GraphID, j int32, g decodedGraph, hit bool) error) error {
 	// Pass 1: process cached graphs; collect misses (ascending gid ==
 	// disk order, because the intranode graph precedes its superedges).
 	// The misses are compacted into need's own prefix — entry k is read
@@ -480,7 +518,7 @@ func (r *Representation) consult(ctx context.Context, i, local int32, need []nee
 		case firstErr != nil, local >= 0 && n.rulesOut(local):
 			// A hit, touched and counted, with nothing to hand on.
 		default:
-			firstErr = process(ne.gid, ne.j, n.g)
+			firstErr = process(ne.gid, ne.j, n.g, true)
 		}
 	}
 	r.cache.countLookups(r.m.IntraGID[i], int64(needed-len(miss)), int64(len(miss)))
@@ -507,7 +545,7 @@ func (r *Representation) consult(ctx context.Context, i, local int32, need []nee
 		g, err, leader := r.claimTraced(ctx, miss[k].gid)
 		if !leader {
 			if err == nil {
-				err = process(miss[k].gid, miss[k].j, g)
+				err = process(miss[k].gid, miss[k].j, g, false)
 			}
 			if err != nil {
 				return err
@@ -537,7 +575,7 @@ func (r *Representation) consult(ctx context.Context, i, local int32, need []nee
 			if state == claimCached {
 				// Decoded by someone else since pass 1: process without
 				// reading; its bytes become part of the gap allowance.
-				if err = process(miss[end].gid, miss[end].j, g2); err != nil {
+				if err = process(miss[end].gid, miss[end].j, g2, false); err != nil {
 					break // the claims taken so far are still owed their decodes
 				}
 				end++
@@ -595,7 +633,7 @@ func (m *meta) appendGraphs(need []needEntry, i int32) []needEntry {
 // waiters forever. Each graph is handed to process as it is decoded,
 // until a decode or process fails; the first error is returned after all
 // completions.
-func (r *Representation) readDecodeSpan(ctx context.Context, claimed []needEntry, spanEnd int64, process func(gid GraphID, j int32, g decodedGraph) error) error {
+func (r *Representation) readDecodeSpan(ctx context.Context, claimed []needEntry, spanEnd int64, process func(gid GraphID, j int32, g decodedGraph, hit bool) error) error {
 	first := &r.m.Directory[claimed[0].gid]
 	completed := 0
 	defer func() {
@@ -640,7 +678,7 @@ func (r *Representation) readDecodeSpan(ctx context.Context, claimed []needEntry
 		r.cache.complete(ne.gid, g, e.Kind, err)
 		completed++
 		if err == nil && firstErr == nil {
-			err = process(ne.gid, ne.j, g)
+			err = process(ne.gid, ne.j, g, false)
 		}
 		if firstErr == nil {
 			firstErr = err
@@ -655,8 +693,8 @@ func (r *Representation) readDecodeSpan(ctx context.Context, claimed []needEntry
 // the span reads a lookup makes, and emits graph by graph: each graph's
 // lists are appended to the rows of its supernode's pages, which fn then
 // gets in internal ID order. A row is valid only during its fn call, and
-// fn may call Out. It leaves what the budget holds resident, positive
-// superedge graphs with their lists decoded.
+// fn may call Out. It decodes every graph whole, and leaves what the
+// budget holds resident so.
 //
 // It checks what only the payloads can say (Open has already compared
 // the directory with the supernode graph): every graph decodes, with as
@@ -676,8 +714,8 @@ func (r *Representation) Scan(ctx context.Context, fn func(p webgraph.PageID, ou
 		n := int(r.snSize(s))
 		rows = slices.Grow(rows[:0], n)[:n] // every row emptied by its emission
 		need = r.m.appendGraphs(need[:0], s)
-		err := r.consult(ctx, s, -1, need, func(gid GraphID, j int32, g decodedGraph) error {
-			if sg, ok := g.(*superPosSources); ok {
+		err := r.consult(ctx, s, -1, need, func(gid GraphID, j int32, g decodedGraph, _ bool) error {
+			if sg, ok := g.(*encodedGraph); ok {
 				full, err := r.materialize(ctx, gid, sg)
 				if err != nil {
 					return err
@@ -708,7 +746,7 @@ func (r *Representation) Scan(ctx context.Context, fn func(p webgraph.PageID, ou
 				case *decodedSuperPos:
 					src = t.srcs[k]
 				case *decodedSuperNeg:
-					neg = t.appendTargets(src, neg[:0])
+					neg = appendComplement(neg[:0], targets, t.njSize)
 					targets = neg
 				}
 				for _, t := range targets {

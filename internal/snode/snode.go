@@ -228,11 +228,18 @@ type CacheStats struct {
 	Evictions  int64
 	IntraLoads int64
 	SuperLoads int64
-	// Materialized counts superedge list sections decoded on demand: a
-	// load of a positive superedge graph decodes only its sources, and
-	// the first lookup whose page is one of them decodes the lists. A
-	// materialization reads nothing from disk and is not a load.
+	// Materialized counts graphs decoded whole out of their encoded
+	// cache entries: a load leaves a graph encoded (a positive superedge
+	// graph with its sources decoded), and a lookup that finds it so and
+	// needs a list of it decodes them all. A materialization reads
+	// nothing from disk and is not a load.
 	Materialized int64
+	// ListDecodes counts single lists decoded out of encoded entries: by
+	// every lookup that missed the graph at its first probe — the one
+	// that loaded it, one that waited on another lookup's load of it, and
+	// one that found it cached by then — and by a hit whose whole decode
+	// of it failed.
+	ListDecodes int64
 }
 
 // AccessStatsExt extends the store-level stats with S-Node detail.

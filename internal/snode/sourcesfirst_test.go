@@ -16,9 +16,9 @@ import (
 	"snode/internal/webgraph"
 )
 
-// A positive superedge graph is served in two states — sources decoded
-// with the lists still encoded, then the whole graph — and these tests
-// pin that no lookup can tell: rows equal the source graph's under
+// Every graph is served in two states — encoded (a positive superedge
+// graph with its sources decoded), then the whole graph — and these
+// tests pin that no lookup can tell: rows equal the source graph's under
 // every codec and cache budget, the cache's byte accounting survives
 // the replacement of one state by the other, and a damaged list section
 // fails exactly the lookups that need it.
@@ -120,8 +120,8 @@ func TestSourcesFirstRowsEqualCSRRandomGraphs(t *testing.T) {
 
 // TestVerifyLeavesMaterializedEntries pins what the serving benchmark's
 // pre-warm relies on: after Verify under a budget that holds the whole
-// graph, every positive superedge graph is resident with its lists
-// decoded, so the lookups that follow load and materialize nothing.
+// graph, every graph is resident decoded whole — each loaded encoded and
+// materialized — so the lookups that follow load and decode nothing.
 // Verify under a budget that holds next to nothing passes too, first.
 func TestVerifyLeavesMaterializedEntries(t *testing.T) {
 	c, _ := buildOnce(t)
@@ -141,12 +141,12 @@ func TestVerifyLeavesMaterializedEntries(t *testing.T) {
 		if !ok {
 			t.Fatalf("graph %d not resident after Verify", gid)
 		}
-		if _, sourcesOnly := g.(*superPosSources); sourcesOnly {
+		if _, sourcesOnly := g.(*encodedGraph); sourcesOnly {
 			t.Fatalf("graph %d resident with its lists still encoded after Verify", gid)
 		}
 	}
-	if st := r.StatsExt().Cache; st.Materialized != r.m.Stats.PositiveSuperedges || st.Evictions != 0 {
-		t.Fatalf("Verify: %d materializations for %d positive superedge graphs, %d evictions", st.Materialized, r.m.Stats.PositiveSuperedges, st.Evictions)
+	if st := r.StatsExt().Cache; st.Materialized != int64(len(r.m.Directory)) || st.ListDecodes != 0 || st.Evictions != 0 {
+		t.Fatalf("Verify: %d materializations and %d list decodes for %d graphs, %d evictions", st.Materialized, st.ListDecodes, len(r.m.Directory), st.Evictions)
 	}
 	if got := r.DecodedEdges(); got < r.m.NumEdges/2 {
 		t.Fatalf("DecodedEdges = %d after decoding a graph of %d links", got, r.m.NumEdges)
@@ -159,23 +159,26 @@ func TestVerifyLeavesMaterializedEntries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := r.StatsExt().Cache; st.Loads != 0 || st.Materialized != 0 || st.Misses != 0 || r.DecodedEdges() != 0 {
+	if st := r.StatsExt().Cache; st.Loads != 0 || st.Materialized != 0 || st.ListDecodes != 0 || st.Misses != 0 || r.DecodedEdges() != 0 {
 		t.Fatalf("lookups after Verify decoded again: %+v, %d edges", st, r.DecodedEdges())
 	}
 }
 
 // TestSourcesOnlyLoadDecodesNoLists pins the counters of one cold
-// lookup: every graph it consults is loaded once, only the superedge
-// graphs that list the page as a source are materialized, and
-// DecodedEdges counts the intranode graph plus those — not the lists
-// that stayed encoded.
+// lookup and of the same lookup warm. Cold, every graph it consults is
+// loaded once and left encoded, nothing is materialized, and each graph
+// that holds a list of the page — the intranode graph, the superedge
+// graphs that list the page as a source — has that one list decoded:
+// DecodedEdges counts the entries of each such list and of the lists
+// before it, which the window strategy decodes on the way. Warm, nothing
+// is read or loaded, and exactly those graphs are decoded whole.
 func TestSourcesOnlyLoadDecodesNoLists(t *testing.T) {
 	c, _ := buildOnce(t)
 	r := openRep(t, 64<<20)
 	page, need := widestPage(t, c, r)
 	local := r.m.Perm[page] - r.m.SnBase[r.snOf(r.m.Perm[page])]
 
-	var wantMaterialized, wantEdges int64
+	var wantLists, wantPrefixEdges, wantWholeEdges int64
 	for _, gid := range need {
 		e := &r.m.Directory[gid]
 		buf := make([]byte, e.NumBytes)
@@ -186,16 +189,25 @@ func TestSourcesOnlyLoadDecodesNoLists(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sp, ok := g.(*decodedSuperPos); ok {
-			if findSource(sp.srcs, local) < 0 {
-				continue
-			}
-			wantMaterialized++
+		var lists refenc.Lists
+		k := int(local)
+		switch sg := g.(type) {
+		case *decodedIntra:
+			lists = sg.lists
+		case *decodedSuperPos:
+			lists, k = sg.lists, findSource(sg.srcs, local)
+		case *decodedSuperNeg:
+			lists = sg.lists
 		}
-		wantEdges += g.edgeCount()
+		if k < 0 {
+			continue
+		}
+		wantLists++
+		wantPrefixEdges += int64(lists.Off[k+1])
+		wantWholeEdges += g.edgeCount()
 	}
-	if wantMaterialized == 0 || wantMaterialized == int64(len(need))-1 {
-		t.Fatalf("page %d is a source in %d of %d superedge graphs: the test needs some of each", page, wantMaterialized, len(need)-1)
+	if wantLists <= 1 || wantLists == int64(len(need)) {
+		t.Fatalf("page %d has a list in %d of %d graphs: the test needs superedge graphs of each sort", page, wantLists, len(need))
 	}
 
 	r.ResetCache(64 << 20)
@@ -205,36 +217,46 @@ func TestSourcesOnlyLoadDecodesNoLists(t *testing.T) {
 	}
 	assertPageRows(t, c, page, rows)
 	st := r.StatsExt().Cache
-	if st.Loads != int64(len(need)) || st.Materialized != wantMaterialized {
-		t.Fatalf("cold lookup: %d loads, %d materializations; want %d and %d", st.Loads, st.Materialized, len(need), wantMaterialized)
+	if st.Loads != int64(len(need)) || st.Materialized != 0 || st.ListDecodes != wantLists {
+		t.Fatalf("cold lookup: %d loads, %d materializations, %d list decodes; want %d, 0 and %d", st.Loads, st.Materialized, st.ListDecodes, len(need), wantLists)
 	}
-	if got := r.DecodedEdges(); got != wantEdges {
-		t.Fatalf("cold lookup: DecodedEdges = %d, want %d (the intranode graph and the materialized lists only)", got, wantEdges)
+	if got := r.DecodedEdges(); got != wantPrefixEdges {
+		t.Fatalf("cold lookup: DecodedEdges = %d, want %d (each list the page has, and the lists before it)", got, wantPrefixEdges)
 	}
 	io := r.StatsExt().IO
 
-	// The same page again: every entry is resident in the state the
-	// first lookup left it, and nothing is decoded or read.
+	// The same page again: every entry is resident, and each that holds
+	// a list of the page is decoded whole. Nothing is read.
 	if rows, err = r.Out(page, rows[:0]); err != nil {
 		t.Fatal(err)
 	}
 	assertPageRows(t, c, page, rows)
-	if st2 := r.StatsExt().Cache; st2.Loads != st.Loads || st2.Materialized != st.Materialized || r.DecodedEdges() != wantEdges {
-		t.Fatalf("warm lookup decoded again: %+v", st2)
+	st2 := r.StatsExt().Cache
+	if st2.Loads != st.Loads || st2.Materialized != wantLists || st2.ListDecodes != wantLists || r.DecodedEdges() != wantPrefixEdges+wantWholeEdges {
+		t.Fatalf("warm lookup: %+v, %d decoded edges; want %d materializations and %d decoded edges", st2, r.DecodedEdges(), wantLists, wantPrefixEdges+wantWholeEdges)
 	}
 	if io2 := r.StatsExt().IO; io2 != io {
 		t.Fatalf("warm lookup read from disk: %+v, was %+v", io2, io)
+	}
+
+	// And once more: what the page needs is whole, and nothing changes.
+	if rows, err = r.Out(page, rows[:0]); err != nil {
+		t.Fatal(err)
+	}
+	assertPageRows(t, c, page, rows)
+	if st3 := r.StatsExt().Cache; st3.Loads != st2.Loads || st3.Materialized != st2.Materialized || st3.ListDecodes != st2.ListDecodes {
+		t.Fatalf("third lookup decoded again: %+v, was %+v", st3, st2)
 	}
 	checkShardInvariants(t, r.cache)
 }
 
 // sourcesEntry and wholeEntry build the two states of one superedge
 // graph for the cache-level tests, sized by their argument.
-func sourcesEntry(nSrcs, encBytes int) *superPosSources {
-	return &superPosSources{srcs: make([]int32, nSrcs), enc: encodedLists{buf: make([]byte, encBytes)}}
+func sourcesEntry(nSrcs, encBytes int) *encodedGraph {
+	return &encodedGraph{srcs: make([]int32, nSrcs), buf: make([]byte, encBytes), kind: kindSuperPos, numLists: int32(nSrcs)}
 }
 
-func wholeEntry(from *superPosSources, edgesPerList int) *decodedSuperPos {
+func wholeEntry(from *encodedGraph, edgesPerList int) *decodedSuperPos {
 	lists := refenc.Lists{Off: make([]int32, len(from.srcs)+1), IDs: make([]int32, len(from.srcs)*edgesPerList)}
 	for i := range lists.Off {
 		lists.Off[i] = int32(i * edgesPerList)
@@ -315,10 +337,12 @@ func TestMaterializedReplacesAndReaccounts(t *testing.T) {
 		t.Fatal("materializing an evicted entry re-admitted it")
 	}
 
-	// Outgrowing the whole shard: admitted alone.
-	insertEntry(t, c, ids[3], a)
-	huge := wholeEntry(a, 1000)
-	c.materialized(ids[3], a, huge)
+	// Outgrowing the whole shard: admitted alone. (a, admitted once,
+	// would not be admitted again: a fresh entry of its size.)
+	d := sourcesEntry(10, 200)
+	insertEntry(t, c, ids[3], d)
+	huge := wholeEntry(d, 1000)
+	c.materialized(ids[3], d, huge)
 	checkShardInvariants(t, c)
 	if target.resident != 1 || target.used != huge.memSize() {
 		t.Fatalf("oversized materialization: %d entries, %d bytes; want it alone at %d", target.resident, target.used, huge.memSize())
@@ -352,7 +376,7 @@ func TestMaterializedUnderConcurrency(t *testing.T) {
 						g = fl.g
 					}
 				}
-				if sg, ok := g.(*superPosSources); ok && rng.Intn(3) == 0 {
+				if sg, ok := g.(*encodedGraph); ok && rng.Intn(3) == 0 {
 					c.materialized(id, sg, wholeEntry(sg, 1+int(id)%30))
 				}
 			}
@@ -396,7 +420,7 @@ func TestMaterializedRacesLockFreeReaders(t *testing.T) {
 						return
 					}
 					switch sg := g.(type) {
-					case *superPosSources:
+					case *encodedGraph:
 						if sg != from {
 							t.Error("lookup returned a sources-only entry nobody inserted")
 							return
@@ -532,7 +556,7 @@ func TestCorruptListSectionFailsOnlyItsReaders(t *testing.T) {
 			assertPageRows(t, c, bystander, rows)
 			if g, ok := r.cache.slotGraph(victim); !ok {
 				t.Fatal("the damaged graph's sources-only entry did not stay resident")
-			} else if _, sourcesOnly := g.(*superPosSources); !sourcesOnly {
+			} else if _, sourcesOnly := g.(*encodedGraph); !sourcesOnly {
 				t.Fatalf("the damaged graph is resident as %T: its lists cannot have decoded", g)
 			}
 			checkShardInvariants(t, r.cache)
@@ -546,9 +570,9 @@ func TestCorruptListSectionFailsOnlyItsReaders(t *testing.T) {
 	}
 }
 
-// TestSourcesOnlyEntryOwnsItsBytes pins that the cached entry does not
-// alias the read buffer it was decoded from: the buffer goes back to a
-// pool and is overwritten by the next read.
+// TestSourcesOnlyEntryOwnsItsBytes pins that a cached encoded entry, of
+// any kind, does not alias the read buffer it was decoded from: the
+// buffer goes back to a pool and is overwritten by the next read.
 func TestSourcesOnlyEntryOwnsItsBytes(t *testing.T) {
 	dir := buildCodecRep(t, CodecPaper, 400)
 	r, err := Open(dir, 1<<20, iosim.Model2002())
@@ -558,9 +582,6 @@ func TestSourcesOnlyEntryOwnsItsBytes(t *testing.T) {
 	defer r.Close()
 	for gid := range r.m.Directory {
 		e := &r.m.Directory[gid]
-		if e.Kind != kindSuperPos {
-			continue
-		}
 		buf := make([]byte, e.NumBytes)
 		if _, err := r.files[e.File].ReadAt(buf, e.Offset); err != nil {
 			t.Fatal(err)
@@ -576,11 +597,11 @@ func TestSourcesOnlyEntryOwnsItsBytes(t *testing.T) {
 		for i := range buf {
 			buf[i] = 0xA5
 		}
-		got, err := g.(*superPosSources).materialize()
+		got, err := g.(*encodedGraph).materialize()
 		if err != nil {
 			t.Fatalf("graph %d: materialize after its read buffer was reused: %v", gid, err)
 		}
-		if !slices.Equal(got.srcs, want.(*decodedSuperPos).srcs) || !listsEqual(rows(got.lists), rows(want.(*decodedSuperPos).lists)) {
+		if !sameGraph(got, want) {
 			t.Fatalf("graph %d: materialized lists changed with the read buffer", gid)
 		}
 	}

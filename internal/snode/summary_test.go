@@ -33,6 +33,9 @@ func TestSourceSummaryIsSound(t *testing.T) {
 	if size := unsafe.Sizeof(cacheNode{}); size != 64 {
 		t.Errorf("cacheNode is %d bytes, want 64 (one size class, one cache line)", size)
 	}
+	if size := unsafe.Sizeof(encodedGraph{}); size != 128 {
+		t.Errorf("encodedGraph is %d bytes, want 128 (one size class; memSize charges the 64 past its cache node)", size)
+	}
 	for _, codec := range CodecNames() {
 		t.Run(codec, func(t *testing.T) {
 			r, err := Open(buildCodecRep(t, codec, 2000), 256<<20, iosim.Model2002())
@@ -63,7 +66,7 @@ func TestSourceSummaryIsSound(t *testing.T) {
 				}
 				var srcs []int32
 				switch g := n.g.(type) {
-				case *superPosSources:
+				case *encodedGraph:
 					srcs, sourcesOnly = g.srcs, sourcesOnly+1
 				case *decodedSuperPos:
 					srcs, whole = g.srcs, whole+1
@@ -203,24 +206,26 @@ func pinnedStream(t *testing.T, r *Representation, lookups int) {
 
 // TestLookupCountersPinned runs a fixed 20,000-lookup stream at three
 // budgets and compares the buffer manager's counters with the values the
-// stream produced before warm lookups read the node's source summary.
-// A graph the summary rules out is still looked up, touched and counted
-// at its turn among the lookup's graphs, so every load, hit, eviction and
-// materialization must happen exactly as it did: a check moved out of
-// that loop (a pre-pass, say) reorders reference bits against
-// materializations and moves these numbers.
+// stream produced when every graph first entered the cache encoded (the
+// lookup that loads a graph decodes one list of it; one that finds it
+// decodes it whole). A graph the summary rules out is still looked up,
+// touched and counted at its turn among the lookup's graphs, so every
+// load, hit, eviction, materialization and list decode must happen
+// exactly as it did: a check moved out of that loop (a pre-pass, say)
+// reorders reference bits against materializations and moves these
+// numbers.
 func TestLookupCountersPinned(t *testing.T) {
 	for _, tc := range []struct {
 		budget  int64
 		want    CacheStats
 		decoded int64
 	}{
-		{16 << 10, CacheStats{Loads: 354861, Hits: 58209, Misses: 354861, Evictions: 354771,
-			IntraLoads: 14361, SuperLoads: 340500, Materialized: 44304}, 12092609},
-		{64 << 10, CacheStats{Loads: 290284, Hits: 122786, Misses: 290284, Evictions: 290010,
-			IntraLoads: 9719, SuperLoads: 280565, Materialized: 38273}, 10807966},
+		{16 << 10, CacheStats{Loads: 345750, Hits: 67320, Misses: 345750, Evictions: 345650,
+			IntraLoads: 12620, SuperLoads: 333130, Materialized: 7654, ListDecodes: 52724}, 6322645},
+		{64 << 10, CacheStats{Loads: 260138, Hits: 152932, Misses: 260138, Evictions: 259803,
+			IntraLoads: 8335, SuperLoads: 251803, Materialized: 10561, ListDecodes: 38649}, 6797111},
 		{256 << 20, CacheStats{Loads: 2290, Hits: 410780, Misses: 2290,
-			IntraLoads: 87, SuperLoads: 2203, Materialized: 2014}, 59658},
+			IntraLoads: 87, SuperLoads: 2203, Materialized: 2098, ListDecodes: 373}, 81361},
 	} {
 		r := openRep(t, tc.budget)
 		pinnedStream(t, r, 20000)

@@ -47,7 +47,7 @@ const (
 	CtrCoalesced           // misses resolved by another goroutine's decode
 	CtrDecodes             // decodes this request led
 	CtrDecodedBytes        // encoded bytes this request decoded
-	CtrMaterialized        // superedge list sections this request decoded on demand
+	CtrMaterialized        // encoded cache entries this request decoded whole
 	CtrReads               // simulated disk reads
 	CtrBytesRead           // bytes transferred
 	CtrSeeks               // modeled seeks charged

@@ -52,8 +52,8 @@ test-bench:
 # no trace. The cross-process guards extend this across the tier: an
 # unsampled routed request must emit no X-SNode-Trace header and pay
 # zero allocations for the propagation machinery at the router, the
-# shard server, and the header codec. The decode guard pins every
-# codec's whole-graph decode to the allocations of what it returns
+# shard server, and the header codec. The decode guard pins the
+# whole-graph decode to the allocations of what it returns
 # (offsets, IDs, the graph's struct, a superedge graph's sources): a
 # per-list or per-chunk allocation trips it. The warm-lookup guard pins
 # Out over resident graphs at zero allocations, unfiltered and (after
@@ -100,17 +100,21 @@ test-query:
 
 # Build determinism: the parallel refiner and streaming assembly must
 # produce byte-identical partitions and artifacts at every worker
-# count, window size, and GOMAXPROCS. Run with -count=1 so the guard
-# always executes.
+# count, window size, and GOMAXPROCS. The one codec's bytes themselves
+# are pinned by TestDatasetBytesAreStable (test-shard). Run with
+# -count=1 so the guard always executes.
 test-determinism:
 	$(GO) test -count=1 -run 'TestBuildDeterministic|TestRefineWorkerCountInvariant' ./internal/snode ./internal/partition
 
 # Live-update race suite: concurrent mutators, readers, page adds, the
 # background compactor (seal / size-tiered merge firing) and a fold-back
-# called mid-storm over one delta overlay, under the race detector. Run
-# with -count=1 so the storm always executes.
+# called mid-storm over one delta overlay, under the race detector; and
+# FuzzOpenSegment's seed corpus (a valid segment file and its
+# negative-offset, wrapping-offset, unsorted-index, bad-op and truncated
+# mutants, none of which may panic the reads). Run with -count=1 so the
+# storm always executes.
 test-delta-race:
-	$(GO) test -race -count=1 -run 'TestChaosReadersWritersCompactor' ./internal/delta
+	$(GO) test -race -count=1 -run 'TestChaosReadersWritersCompactor|FuzzOpenSegment' ./internal/delta
 
 # Load-path gate: admission accounting under a 32-goroutine storm
 # (offered == admitted + shed per class, queues within their bounds,
@@ -162,44 +166,41 @@ test-obs:
 	$(GO) test -count=1 ./internal/metrics
 	$(GO) test -count=1 -run 'TestOneLogPath' ./internal/deadcode
 
-# Codec gate: encode→decode identity for both codecs (paper, log) over
-# every payload kind through the one framing (fuzz seed corpora
-# included), cross-codec build equivalence (row-identical adjacency,
-# codec IDs recorded and dispatched), the retired-and-future-version
-# rejection suite with the retired lz wire ID refused by name, a
-# directory that contradicts the supernode graph refused at Open,
-# meta.bin held to the shared reader's checks (a length prefix
-# that sizes nothing, a value too wide for its field, trailing bytes,
-# FuzzReadMeta's seed corpus), hostile-input decode over flipped payload
-# bytes, and codec flow through sharded builds and snbuild's -codec
-# flag; below the codecs,
+# Codec gate: encode→decode identity for the one codec, paper §3's
+# refenc lists and bounded gap-coded sources, over every payload kind
+# through the one framing (fuzz seed corpora included), a build's
+# adjacency row-identical to its corpus with the paper codec recorded,
+# the retired-and-future-version rejection suite with the lz and log
+# wire IDs refused by name, a directory that contradicts the supernode
+# graph refused at Open, meta.bin held to the shared reader's checks (a
+# length prefix that sizes nothing, a value too wide for its field,
+# trailing bytes, FuzzReadMeta's seed corpus), and hostile-input decode
+# over flipped payload bytes; below the codec,
 # the windowed bit reader against its bit-at-a-time reference, the
 # one-window gamma, minimal-binary, gap-list and Huffman decoders
 # against the split decoders they replaced, refenc's hostile-count and
 # flat-form guards, and its one-list decode against the whole decode
-# (window and exact streams, every gap code, every list); above them,
+# (window and exact streams, every gap code, every list); above it,
 # decoded rows and hostile-input verdicts against the values recorded at
 # the parent of the flat decoded form (the verdicts seed by seed, at the
 # parent of the lz removal), every payload's lists decoded one at a time
-# against its whole decode under both codecs (codec/log's refusing a
-# list after a bad one, as the whole decode does), the two states of every
-# cache entry (rows equal the CSR under every codec and budget, cold,
+# against its whole decode, the two states of every
+# cache entry (rows equal the CSR under every budget, cold,
 # warm and under 4 KiB; cache accounting across the replacement; a graph
 # admitted at most once; a damaged superedge list section failing only
 # its readers, and a damaged intranode list only the pages from it on,
 # whatever the cache holds), the whole-graph Scan (its rows equal Out's
-# and the CSR's under both codecs, each graph read once, stopping on a
-# visitor error or a cancelled context) and the flight a miss's waiters
-# share (made by the first of them, releasing all). Run with -count=1 so
-# the gate always executes.
+# and the CSR's, each graph read once, stopping on a visitor error or a
+# cancelled context; at K = 3, every shard's stores equal its
+# intra-shard graph and that graph's transpose) and the flight a miss's
+# waiters share (made by the first of them, releasing all). Run with
+# -count=1 so the gate always executes.
 test-codec:
 	$(GO) test -count=1 -run 'TestReaderMatchesBitAtATimeReference|TestUnaryZeroTailOverruns' ./internal/bitio
 	$(GO) test -count=1 -run 'TestWindowDecodersMatchReferences|TestGammaAtTheEdgesOfTheWindow|TestHuffmanWindowDecodeMatchesBitwise|TestRLERunsRejectOverlongRun' ./internal/coding
 	$(GO) test -count=1 -run 'TestDecodeRejects|TestDecodeAcceptsZeroBitFinalValue|TestDecodeListsAreExactSizedFlatArrays|TestDecodeListMatchesDecodeLists|TestReadRunRejectsOverflowGap|TestRejectsBadLists' ./internal/refenc
-	$(GO) test -count=1 -run 'TestCodec|FuzzCodecRoundTrip|FuzzDecodeHostile|TestCorruptIndexAllCodecs|TestMeasureDecode|TestUnknown|TestRetiredCodecRefusedByName|TestOpenRefusesContradictoryDirectory|TestSourcesFirst|TestSourcesOnly|TestVerifyLeavesMaterializedEntries|TestScan|TestMaterialized|TestCorruptListSection|TestDecodeListEqualsDecodeGraph|TestLogOneListChecksTheListsBeforeIt|TestColdWarmAndDamagedReadsAgree|TestGraphAdmittedAtMostOnce|TestDecodedRowsEqualParents|TestHostileVerdictsEqualParents|TestFlightIsMadeByItsFirstWaiter|TestParkedLeaderReleasesLookupsWaitingOnIt|TestLengthPrefixSizesNoAllocation|TestValueTooWideForItsFieldIsRefused|TestTrailingBytesAreRefused|FuzzReadMeta' ./internal/snode
-	$(GO) test -count=1 -run 'TestCodecQueryEquivalence' ./internal/query
-	$(GO) test -count=1 -run 'TestShardBuildCarriesCodec' ./internal/shard
-	$(GO) test -count=1 -run 'TestCheckCodec' ./cmd/snbuild
+	$(GO) test -count=1 -run 'TestCodec|FuzzCodecRoundTrip|FuzzDecodeHostile|TestCorruptIndexAllCodecs|TestMeasureDecode|TestUnknown|TestRetiredCodecRefusedByName|TestOpenRefusesContradictoryDirectory|TestSourcesFirst|TestSourcesOnly|TestVerifyLeavesMaterializedEntries|TestScan|TestMaterialized|TestCorruptListSection|TestDecodeListEqualsDecodeGraph|TestColdWarmAndDamagedReadsAgree|TestGraphAdmittedAtMostOnce|TestDecodedRowsEqualParents|TestHostileVerdictsEqualParents|TestFlightIsMadeByItsFirstWaiter|TestParkedLeaderReleasesLookupsWaitingOnIt|TestLengthPrefixSizesNoAllocation|TestValueTooWideForItsFieldIsRefused|TestTrailingBytesAreRefused|FuzzReadMeta' ./internal/snode
+	$(GO) test -count=1 -run 'TestShardScanEqualsIntraCSR' ./internal/shard
 
 # Ingestion gate: the hostile-input parser table (comments, CRLF,
 # duplicate edges, self-loops, sparse 64-bit IDs, truncated gzip,

@@ -56,7 +56,6 @@ type options struct {
 	verify    bool
 	progress  bool
 	shards    int
-	codec     string
 	ingest    string
 	format    string
 	maxHeapMB int
@@ -97,7 +96,7 @@ func validate(o options, set map[string]bool) error {
 			return fmt.Errorf("-ingest dataset %q does not exist", o.ingest)
 		}
 	}
-	return checkCodec(o.codec)
+	return nil
 }
 
 // parseFlags reads the command line and exits 2, flag-package style
@@ -110,7 +109,6 @@ func parseFlags() options {
 	flag.BoolVar(&o.verify, "verify", false, "verify every S-Node store of the written dataset: each graph decodes and totals match")
 	flag.BoolVar(&o.progress, "progress", false, "print a periodic build-progress line (elements split / supernodes encoded) to stderr")
 	flag.IntVar(&o.shards, "shards", 1, "partition the dataset K ways by domain, one snserve per shard behind snrouter (1 = the whole graph in one shard)")
-	flag.StringVar(&o.codec, "codec", snode.CodecPaper, "supernode payload codec: "+strings.Join(snode.CodecNames(), " or ")+" (output is byte-identical across runs under either)")
 	flag.StringVar(&o.ingest, "ingest", "", "ingest a real edge-list dataset at this path (urls.tsv / manifest.sha256 sidecars are picked up from the same directory); the alternative to -pages")
 	flag.StringVar(&o.format, "format", ingest.FormatSNAP, "edge-list format for -ingest: "+strings.Join(ingest.Formats(), ", "))
 	flag.IntVar(&o.maxHeapMB, "max-heap-mb", 0, "bound the ingestion edge buffer: past this budget it spills to disk in sorted runs; refinement and encoding are not bounded by it (0 = fully in memory; requires -ingest)")
@@ -130,16 +128,6 @@ func parseFlags() options {
 		os.Exit(2)
 	}
 	return o
-}
-
-// checkCodec is the -codec flag's validation: one of snode.CodecNames.
-// lz and auto were accepted until PR 22, so the refusal says where they
-// went.
-func checkCodec(name string) error {
-	if slices.Contains(snode.CodecNames(), name) {
-		return nil
-	}
-	return fmt.Errorf("unknown -codec %q: want %s (lz and auto were removed)", name, strings.Join(snode.CodecNames(), " or "))
 }
 
 // reportProgress prints one stderr line per tick from the build_*
@@ -221,7 +209,6 @@ func run(o options) error {
 	}
 	cfg := snode.DefaultConfig()
 	cfg.BuildWorkers = o.workers
-	cfg.Codec = o.codec
 	cfg.Metrics = reg
 	if o.progress {
 		stop := make(chan struct{})

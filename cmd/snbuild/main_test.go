@@ -7,31 +7,7 @@ import (
 	"testing"
 
 	"snode/internal/ingest"
-	"snode/internal/snode"
 )
-
-// TestCheckCodec: the two codecs a build can use pass -codec's
-// validation; the two removed ones are refused like any unknown name,
-// with the accepted values and the removal in the message.
-func TestCheckCodec(t *testing.T) {
-	for _, name := range snode.CodecNames() {
-		if err := checkCodec(name); err != nil {
-			t.Errorf("-codec %s refused: %v", name, err)
-		}
-	}
-	for _, name := range []string{"lz", "auto", "zstd", ""} {
-		err := checkCodec(name)
-		if err == nil {
-			t.Errorf("-codec %q accepted", name)
-			continue
-		}
-		for _, want := range []string{"-codec", snode.CodecPaper, snode.CodecLog, "lz and auto were removed"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Errorf("-codec %q: error %q does not say %q", name, err, want)
-			}
-		}
-	}
-}
 
 // TestValidate: one source (-pages or -ingest) passes; both, neither, a
 // flag given without the source it belongs to, and a value that would
@@ -42,7 +18,7 @@ func TestValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := func() options {
-		return options{out: "data", budget: 16 << 20, workers: 1, shards: 1, codec: snode.CodecPaper, format: ingest.FormatSNAP, pages: 1000, seed: 7}
+		return options{out: "data", budget: 16 << 20, workers: 1, shards: 1, format: ingest.FormatSNAP, pages: 1000, seed: 7}
 	}
 	if err := validate(good(), map[string]bool{"pages": true, "seed": true}); err != nil {
 		t.Fatalf("-pages 1000 -seed 7 refused: %v", err)
@@ -64,7 +40,6 @@ func TestValidate(t *testing.T) {
 		{"-format without -ingest", "format", func(*options) {}, "-format requires -ingest"},
 		{"-max-heap-mb without -ingest", "max-heap-mb", func(o *options) { o.maxHeapMB = 64 }, "-max-heap-mb requires -ingest"},
 		{"-shards 0", "", func(o *options) { o.shards = 0 }, "-shards must be >= 1"},
-		{"unknown -codec", "", func(o *options) { o.codec = "zstd" }, `unknown -codec "zstd"`},
 	} {
 		o := good()
 		c.edit(&o)

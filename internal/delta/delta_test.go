@@ -2,9 +2,11 @@ package delta
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -492,6 +494,54 @@ func TestSegmentRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := openSegment(trunc, acc, 1); err == nil {
 		t.Fatal("openSegment accepted truncated data region")
+	}
+
+	// Mutants of a valid two-source segment (index entries at byte 12 and
+	// 28, data from byte 44), each refused by name: a bad index at open,
+	// a bad op byte by the reads that decode it.
+	valid := filepath.Join(dir, "valid.delta")
+	if err := writeSegmentFile(valid, []pageOps{
+		{src: 3, ops: []dstOp{{dst: 5, op: OpAdd}, {dst: 9, op: OpRemove}}},
+		{src: 7, ops: []dstOp{{dst: 1, op: OpAdd}}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if data, err = os.ReadFile(valid); err != nil {
+		t.Fatal(err)
+	}
+	mutant := func(name string, edit func(b []byte)) string {
+		b := slices.Clone(data)
+		edit(b)
+		path := filepath.Join(dir, name+".delta")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	for _, c := range []struct {
+		name string
+		edit func(b []byte)
+		want string
+	}{
+		{"negative-offset", func(b []byte) { binary.LittleEndian.PutUint64(b[36:], uint64(1<<64-5)) }, "negative block offset -5"},
+		{"wrapping-offset", func(b []byte) { binary.LittleEndian.PutUint64(b[36:], 1<<63-1) }, "ends past the 15-byte data region"},
+		{"unsorted-index", func(b []byte) { binary.LittleEndian.PutUint32(b[28:], 2) }, "source 2 does not ascend from 3"},
+	} {
+		_, err := openSegment(mutant(c.name, c.edit), acc, 1)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: openSegment error %v, want one saying %q", c.name, err, c.want)
+		}
+	}
+	s, err := openSegment(mutant("bad-op", func(b []byte) { b[44+5+4] = 7 }), acc, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.close()
+	if _, err := s.all(context.Background()); err == nil || !strings.Contains(err.Error(), "unknown op byte 7") {
+		t.Errorf("bad-op: all error %v, want the unknown op byte", err)
+	}
+	if _, err := s.opsInto(context.Background(), 3, map[webgraph.PageID]Op{}); err == nil || !strings.Contains(err.Error(), "unknown op byte 7") {
+		t.Errorf("bad-op: opsInto error %v, want the unknown op byte", err)
 	}
 }
 

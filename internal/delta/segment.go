@@ -126,14 +126,43 @@ func openSegment(path string, acc *iosim.Accountant, seq uint64) (*segment, erro
 				n:   int32(binary.LittleEndian.Uint32(rec[4:])),
 				off: int64(binary.LittleEndian.Uint64(rec[8:])),
 			}
-			if s.index[i].n < 0 || dataOff+s.index[i].off+int64(s.index[i].n)*segDataEntrySize > size {
+			if err := checkIndexEntry(s.index, i, size-dataOff); err != nil {
 				f.Close()
-				return nil, fmt.Errorf("delta: segment %s entry %d overruns file", path, i)
+				return nil, fmt.Errorf("delta: segment %s entry %d: %w", path, i, err)
 			}
 			s.entries += int64(s.index[i].n)
 		}
 	}
 	return s, nil
+}
+
+// checkIndexEntry refuses index entry i unless its block lies inside a
+// data region of dataLen bytes and its source follows entry i-1's: find
+// binary-searches the sources, and all and opsInto slice the blocks.
+// The end is compared without an addition that could wrap.
+func checkIndexEntry(index []segIndexEntry, i int, dataLen int64) error {
+	e := index[i]
+	switch {
+	case e.n < 0:
+		return fmt.Errorf("negative op count %d", e.n)
+	case e.off < 0:
+		return fmt.Errorf("negative block offset %d", e.off)
+	case e.off > dataLen || int64(e.n)*segDataEntrySize > dataLen-e.off:
+		return fmt.Errorf("block of %d ops at offset %d ends past the %d-byte data region", e.n, e.off, dataLen)
+	case i > 0 && e.src <= index[i-1].src:
+		return fmt.Errorf("source %d does not ascend from %d", e.src, index[i-1].src)
+	}
+	return nil
+}
+
+// decodeRecord reads one data record, refusing an op byte that is
+// neither add nor remove.
+func decodeRecord(rec []byte) (dstOp, error) {
+	e := dstOp{dst: webgraph.PageID(binary.LittleEndian.Uint32(rec[0:])), op: Op(rec[4])}
+	if e.op != OpAdd && e.op != OpRemove {
+		return e, fmt.Errorf("unknown op byte %d", rec[4])
+	}
+	return e, nil
 }
 
 // find locates src's index entry without I/O (presence probe for the
@@ -158,8 +187,11 @@ func (s *segment) opsInto(ctx context.Context, src webgraph.PageID, dst map[webg
 		return false, fmt.Errorf("delta: segment %s read src %d: %w", s.path, src, err)
 	}
 	for i := int32(0); i < e.n; i++ {
-		rec := buf[i*segDataEntrySize:]
-		dst[webgraph.PageID(binary.LittleEndian.Uint32(rec[0:]))] = Op(rec[4])
+		r, err := decodeRecord(buf[i*segDataEntrySize:])
+		if err != nil {
+			return false, fmt.Errorf("delta: segment %s src %d: %w", s.path, src, err)
+		}
+		dst[r.dst] = r.op
 	}
 	return true, nil
 }
@@ -181,11 +213,11 @@ func (s *segment) all(ctx context.Context) ([]pageOps, error) {
 	for _, e := range s.index {
 		po := pageOps{src: e.src, ops: make([]dstOp, e.n)}
 		for i := int32(0); i < e.n; i++ {
-			rec := buf[e.off+int64(i)*segDataEntrySize:]
-			po.ops[i] = dstOp{
-				dst: webgraph.PageID(binary.LittleEndian.Uint32(rec[0:])),
-				op:  Op(rec[4]),
+			r, err := decodeRecord(buf[e.off+int64(i)*segDataEntrySize:])
+			if err != nil {
+				return nil, fmt.Errorf("delta: segment %s src %d: %w", s.path, e.src, err)
 			}
+			po.ops[i] = r
 		}
 		out = append(out, po)
 	}

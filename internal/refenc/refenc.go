@@ -27,8 +27,7 @@
 // returns a Lists (lists.go): one offsets array and one ID array per
 // graph, a referenced list copied run by run from an earlier range of
 // the same array. That is the decoded form of the whole repository —
-// the other S-Node codecs build it too, and the graph cache and Link3's
-// block cache hold it — because a cold lookup decodes a hundred small
+// the graph cache and Link3's block cache hold it — because a cold lookup decodes a hundred small
 // graphs and pays for whatever is allocated around each list. A lookup
 // that wants one list of a stream decodes it with DecodeList, which
 // stops after it and keeps nothing else.

@@ -12,6 +12,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -320,59 +321,49 @@ func TestShardedQueriesMatchSingleNode(t *testing.T) {
 	}
 }
 
-// TestShardBuildCarriesCodec pins that a non-default codec flows
-// through the sharded build: every per-shard S-Node store records the
-// requested codec in its meta, and the stores stay row-identical to a
-// default-codec sharded build of the same crawl.
-func TestShardBuildCarriesCodec(t *testing.T) {
+// TestShardScanEqualsIntraCSR is Scan at K > 1: each shard's forward
+// and reverse stores, read whole through Scan, equal row by row the
+// intra-shard graph the shard was built from (the edges whose two ends
+// the manifest's runs give to that shard) and its transpose.
+func TestShardScanEqualsIntraCSR(t *testing.T) {
 	const k = 3
-	crawl, err := synth.Generate(synth.DefaultConfig(1500))
+	g := getCrawl(t).Corpus.Graph
+	root := getRoot(t, k)
+	m, err := LoadManifest(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(codec string) string {
-		root := t.TempDir()
-		cfg := snode.DefaultConfig()
-		cfg.Codec = codec
-		if _, err := Build(crawl, k, root, cfg); err != nil {
-			t.Fatalf("Build codec=%q: %v", codec, err)
+	shardOf := make([]int, g.NumPages())
+	for _, r := range m.Runs {
+		for p := r.Start; p < r.Start+webgraph.PageID(r.Count); p++ {
+			shardOf[p] = r.Shard
 		}
-		return root
 	}
-	paperRoot := build("")
-	logRoot := build(snode.CodecLog)
-
 	for s := 0; s < k; s++ {
-		for _, sub := range []string{"snode.fwd", "snode.rev"} {
-			logDir := filepath.Join(logRoot, "shard-"+strconv.Itoa(s), sub)
-			logRep, err := snode.Open(logDir, 1<<20, iosim.Model2002())
+		b := webgraph.NewBuilder(g.NumPages())
+		for p := webgraph.PageID(0); p < webgraph.PageID(g.NumPages()); p++ {
+			for _, q := range g.Out(p) {
+				if shardOf[p] == s && shardOf[q] == s {
+					b.AddEdge(p, q)
+				}
+			}
+		}
+		intra := b.Build()
+		for sub, want := range map[string]*webgraph.Graph{"snode.fwd": intra, "snode.rev": intra.Transpose()} {
+			rep, err := snode.Open(filepath.Join(root, "shard-"+strconv.Itoa(s), sub), 1<<20, iosim.Model2002())
 			if err != nil {
 				t.Fatalf("shard %d %s: %v", s, sub, err)
 			}
-			cs := logRep.BuildStats().Codecs
-			if len(cs) != 1 || cs[0].Name != snode.CodecLog {
-				t.Fatalf("shard %d %s: codec composition %+v, want pure log", s, sub, cs)
+			got := scanGraph(t, rep)
+			rep.Close()
+			if got.NumEdges() != want.NumEdges() {
+				t.Fatalf("shard %d %s: %d edges, the intra-shard CSR has %d", s, sub, got.NumEdges(), want.NumEdges())
 			}
-
-			paperRep, err := snode.Open(
-				filepath.Join(paperRoot, "shard-"+strconv.Itoa(s), sub), 1<<20, iosim.Model2002())
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, got := scanGraph(t, paperRep), scanGraph(t, logRep)
-			for p := int32(0); p < int32(logRep.NumPages()); p++ {
-				a, b := want.Out(p), got.Out(p)
-				if len(a) != len(b) {
-					t.Fatalf("shard %d %s page %d: %d vs %d edges", s, sub, p, len(a), len(b))
-				}
-				for i := range a {
-					if a[i] != b[i] {
-						t.Fatalf("shard %d %s page %d edge %d differs", s, sub, p, i)
-					}
+			for p := webgraph.PageID(0); p < webgraph.PageID(g.NumPages()); p++ {
+				if !slices.Equal(got.Out(p), want.Out(p)) {
+					t.Fatalf("shard %d %s page %d: %v, the intra-shard CSR has %v", s, sub, p, got.Out(p), want.Out(p))
 				}
 			}
-			paperRep.Close()
-			logRep.Close()
 		}
 	}
 }

@@ -113,13 +113,7 @@ func BuildFromPartitionCtx(ctx context.Context, c *webgraph.Corpus, p *partition
 		mEncoded = cfg.Metrics.Counter("build_supernodes_encoded")
 		mSuperedges = cfg.Metrics.Counter("build_superedges")
 	}
-	cd, err := codecByName(cfg.Codec)
-	if err != nil {
-		out.close()
-		espan.End()
-		return nil, err
-	}
-	agg := CodecBuildStat{ID: cd.ID(), Name: cd.Name()}
+	agg := CodecBuildStat{ID: codecIDPaper, Name: codecPaper}
 	encode := func(ctx context.Context, s int) (*encodedSupernode, error) {
 		if hook := encodeFailHook; hook != nil {
 			if err := hook(int32(s)); err != nil {
@@ -135,7 +129,7 @@ func BuildFromPartitionCtx(ctx context.Context, c *webgraph.Corpus, p *partition
 			}
 			cfg.BuildIO.Scan(ctx, scanPageBytes*int64(m.SnBase[s+1]-m.SnBase[s])+scanEdgeBytes*edges)
 		}
-		es, err := encodeSupernode(c, m, cfg, cd, snOfInternal, int32(s))
+		es, err := encodeSupernode(c, m, cfg, snOfInternal, int32(s))
 		if err != nil {
 			return nil, err
 		}
@@ -148,7 +142,6 @@ func BuildFromPartitionCtx(ctx context.Context, c *webgraph.Corpus, p *partition
 		agg.Supernodes++
 		gid, err := out.addBlob(es.intraBlob, dirEntry{
 			Kind: kindIntra, I: int32(s), J: -1, NumLists: m.SnBase[s+1] - m.SnBase[s],
-			Codec: cd.ID(),
 		})
 		if err != nil {
 			return err
@@ -159,7 +152,7 @@ func BuildFromPartitionCtx(ctx context.Context, c *webgraph.Corpus, p *partition
 		m.IntraGID = append(m.IntraGID, gid)
 		m.SuperOff = append(m.SuperOff, int64(len(m.SuperAdj)))
 		for _, sb := range es.supers {
-			e := dirEntry{Kind: sb.kind, I: int32(s), J: sb.j, NumLists: sb.numLists, Codec: cd.ID()}
+			e := dirEntry{Kind: sb.kind, I: int32(s), J: sb.j, NumLists: sb.numLists}
 			gid, err := out.addBlob(sb.blob, e)
 			if err != nil {
 				return err
@@ -438,10 +431,9 @@ func (lb *linkBuckets) bucket(i int32) (srcs []int32, lists [][]int32, edges int
 
 // encodeSupernode buckets supernode s's links into the intranode graph
 // plus one graph per target supernode, makes the §2 pos/neg choice for
-// each (it counts edges, not bytes, so it is codec-independent) and
-// encodes them under cd. It touches only immutable build state (graph,
+// each (it counts edges, not bytes) and encodes them. It touches only immutable build state (graph,
 // permutation, SnBase), so it is safe to run concurrently per supernode.
-func encodeSupernode(c *webgraph.Corpus, m *meta, cfg Config, cd Codec, snOfInternal []int32, s int32) (*encodedSupernode, error) {
+func encodeSupernode(c *webgraph.Corpus, m *meta, cfg Config, snOfInternal []int32, s int32) (*encodedSupernode, error) {
 	size := m.SnBase[s+1] - m.SnBase[s]
 	lb := linkBucketPool.Get().(*linkBuckets)
 	defer linkBucketPool.Put(lb)
@@ -450,7 +442,7 @@ func encodeSupernode(c *webgraph.Corpus, m *meta, cfg Config, cd Codec, snOfInte
 	es := &encodedSupernode{}
 	_, _, es.intraEdges = lb.bucket(0)
 	var err error
-	if es.intraBlob, err = encodePayload(cd, nil, kindIntra, nil, lb.intra, size, size, cfg.Refenc); err != nil {
+	if es.intraBlob, err = encodePayload(nil, kindIntra, nil, lb.intra, size, size, cfg.Refenc); err != nil {
 		return nil, err
 	}
 	es.supers = make([]encodedSuper, 0, len(lb.targets))
@@ -473,7 +465,7 @@ func encodeSupernode(c *webgraph.Corpus, m *meta, cfg Config, cd Codec, snOfInte
 			sb.kind, sb.numLists, sb.edges = kindSuperNeg, size, negEdges
 			srcs, lists = nil, comps
 		}
-		if sb.blob, err = encodePayload(cd, nil, sb.kind, srcs, lists, size, njSize, cfg.Refenc); err != nil {
+		if sb.blob, err = encodePayload(nil, sb.kind, srcs, lists, size, njSize, cfg.Refenc); err != nil {
 			return nil, err
 		}
 		es.supers = append(es.supers, sb)

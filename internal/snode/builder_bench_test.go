@@ -26,16 +26,12 @@ func laidOut(t testing.TB) (*webgraph.Corpus, *meta, []int32) {
 func BenchmarkEncodeSupernode(b *testing.B) {
 	c, m, snOfInternal := laidOut(b)
 	cfg := DefaultConfig()
-	cd, err := codecByName(cfg.Codec)
-	if err != nil {
-		b.Fatal(err)
-	}
 	nSN := int32(len(m.SnBase) - 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for s := int32(0); s < nSN; s++ {
-			if _, err := encodeSupernode(c, m, cfg, cd, snOfInternal, s); err != nil {
+			if _, err := encodeSupernode(c, m, cfg, snOfInternal, s); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -11,12 +11,12 @@ import (
 
 // Artifacts from any format but the current one must be rejected with
 // explicit errors — unknown version, unknown codec ID — and one that
-// names the retired codec with an error that says so.
+// names a codec that is gone with an error that says so.
 
 // TestUnknownCodecIDRejected flips one directory entry to a codec ID
 // from the future and pins the explicit open-time error.
 func TestUnknownCodecIDRejected(t *testing.T) {
-	src := buildCodecRep(t, CodecPaper, 400)
+	src := buildTestRep(t, 400)
 	m, err := readMeta(filepath.Join(src, "meta.bin"))
 	if err != nil {
 		t.Fatal(err)
@@ -36,37 +36,46 @@ func TestUnknownCodecIDRejected(t *testing.T) {
 	}
 }
 
-// TestRetiredCodecRefusedByName patches wire ID 1 — codec/lz, retired —
-// into one directory entry, and into the codec stats, of a built store:
-// Open refuses either with an error that says which codec that was and
-// what to rebuild with, not "unknown codec ID … newer version?".
+// TestRetiredCodecRefusedByName patches wire ID 1 (codec/lz, retired)
+// and wire ID 2 (codec/log, removed) into one directory entry, and into
+// the codec stats, of a built store: Open refuses each with an error
+// that names the codec, says what became of it and says to rebuild, not
+// "unknown codec ID … newer version?".
 func TestRetiredCodecRefusedByName(t *testing.T) {
-	src := buildCodecRep(t, CodecLog, 400)
-	for name, patch := range map[string]func(m *meta){
-		"directory entry": func(m *meta) { m.Directory[len(m.Directory)/2].Codec = codecIDLZ },
-		"codec stats":     func(m *meta) { m.Stats.Codecs[0].ID = codecIDLZ },
+	src := buildTestRep(t, 400)
+	for _, c := range []struct {
+		id    uint8
+		wants []string
+	}{
+		{codecIDLZ, []string{"lz codec", "retired", "rebuild"}},
+		{codecIDLog, []string{"log codec", "removed", "rebuild"}},
 	} {
-		m, err := readMeta(filepath.Join(src, "meta.bin"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		patch(m)
-		bad := corruptCopy(t, src, func(d string) {
-			if err := writeMeta(filepath.Join(d, "meta.bin"), m); err != nil {
+		for name, patch := range map[string]func(m *meta){
+			"directory entry": func(m *meta) { m.Directory[len(m.Directory)/2].Codec = c.id },
+			"codec stats":     func(m *meta) { m.Stats.Codecs[0].ID = c.id },
+		} {
+			m, err := readMeta(filepath.Join(src, "meta.bin"))
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
-		_, err = Open(bad, 1<<20, iosim.Model2002())
-		if err == nil {
-			t.Fatalf("%s: retired codec ID accepted", name)
-		}
-		for _, want := range []string{"lz codec", "retired", "rebuild", CodecPaper, CodecLog} {
-			if !contains(err.Error(), want) {
-				t.Errorf("%s: error %q does not say %q", name, err, want)
+			patch(m)
+			bad := corruptCopy(t, src, func(d string) {
+				if err := writeMeta(filepath.Join(d, "meta.bin"), m); err != nil {
+					t.Fatal(err)
+				}
+			})
+			_, err = Open(bad, 1<<20, iosim.Model2002())
+			if err == nil {
+				t.Fatalf("ID %d in the %s accepted", c.id, name)
 			}
-		}
-		if contains(err.Error(), "newer version") {
-			t.Errorf("%s: error %q takes the retired ID for a future one", name, err)
+			for _, want := range c.wants {
+				if !contains(err.Error(), want) {
+					t.Errorf("ID %d in the %s: error %q does not say %q", c.id, name, err, want)
+				}
+			}
+			if contains(err.Error(), "newer version") {
+				t.Errorf("ID %d in the %s: error %q takes the ID for a future one", c.id, name, err)
+			}
 		}
 	}
 }
@@ -74,7 +83,7 @@ func TestRetiredCodecRefusedByName(t *testing.T) {
 // TestUnknownMetaVersionRejected sets the version field to the retired
 // version 1 and to one past metaVersion, and pins the explicit error.
 func TestUnknownMetaVersionRejected(t *testing.T) {
-	src := buildCodecRep(t, CodecPaper, 400)
+	src := buildTestRep(t, 400)
 	raw, err := os.ReadFile(filepath.Join(src, "meta.bin"))
 	if err != nil {
 		t.Fatal(err)

@@ -57,44 +57,37 @@ func hashGraph(t testing.TB, h hash.Hash, g decodedGraph) {
 }
 
 // parentRows are the digests, taken at the parent commit, of every
-// graph of the 400-page fixture decoded by each codec, per payload
-// kind, in directory order.
+// graph of the 400-page fixture, per payload kind, in directory order.
 var parentRows = map[string]string{
 	"paper/intra":     "fdbda62ed06fa8ae",
 	"paper/super_pos": "95f524a77e3e8f2e",
 	"paper/super_neg": "170911eae470b351",
-	"log/intra":       "fdbda62ed06fa8ae",
-	"log/super_pos":   "95f524a77e3e8f2e",
-	"log/super_neg":   "170911eae470b351",
 }
 
 // TestDecodedRowsEqualParents decodes every payload of the 400-page
-// fixture under every codec and compares the rows with the parent's.
+// fixture and compares the rows with the parent's.
 func TestDecodedRowsEqualParents(t *testing.T) {
-	got := map[string]string{}
-	for _, codec := range CodecNames() {
-		dir := buildCodecRep(t, codec, 400)
-		r, err := Open(dir, 1<<20, iosim.Model2002())
-		if err != nil {
+	r, err := Open(buildTestRep(t, 400), 1<<20, iosim.Model2002())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	hashes := map[uint8]hash.Hash{kindIntra: sha256.New(), kindSuperPos: sha256.New(), kindSuperNeg: sha256.New()}
+	for gid := range r.m.Directory {
+		e := &r.m.Directory[gid]
+		buf := make([]byte, e.NumBytes)
+		if _, err := r.files[e.File].ReadAt(buf, e.Offset); err != nil {
 			t.Fatal(err)
 		}
-		hashes := map[uint8]hash.Hash{kindIntra: sha256.New(), kindSuperPos: sha256.New(), kindSuperNeg: sha256.New()}
-		for gid := range r.m.Directory {
-			e := &r.m.Directory[gid]
-			buf := make([]byte, e.NumBytes)
-			if _, err := r.files[e.File].ReadAt(buf, e.Offset); err != nil {
-				t.Fatal(err)
-			}
-			g, err := r.decodePayload(e, buf)
-			if err != nil {
-				t.Fatalf("%s graph %d: %v", codec, gid, err)
-			}
-			hashGraph(t, hashes[e.Kind], g)
+		g, err := r.decodePayload(e, buf)
+		if err != nil {
+			t.Fatalf("graph %d: %v", gid, err)
 		}
-		r.Close()
-		for kind, h := range hashes {
-			got[codec+"/"+kindName(kind)] = hex.EncodeToString(h.Sum(nil)[:8])
-		}
+		hashGraph(t, hashes[e.Kind], g)
+	}
+	got := map[string]string{}
+	for kind, h := range hashes {
+		got[codecPaper+"/"+kindName(kind)] = hex.EncodeToString(h.Sum(nil)[:8])
 	}
 	reportGolden(t, "parentRows", got, parentRows)
 }
@@ -117,8 +110,8 @@ func reportGolden(t *testing.T, name string, got, want map[string]string) {
 
 // hostileCase is one input of FuzzDecodeHostile.
 type hostileCase struct {
-	id, kind, nl, sz uint8
-	blob             []byte
+	kind, nl, sz uint8
+	blob         []byte
 }
 
 // seedCollector gathers what the seed builders of FuzzDecodeHostile add.
@@ -128,7 +121,7 @@ type seedCollector struct {
 }
 
 func (c *seedCollector) Add(args ...any) {
-	c.cases = append(c.cases, hostileCase{args[0].(uint8), args[1].(uint8), args[2].(uint8), args[3].(uint8), args[4].([]byte)})
+	c.cases = append(c.cases, hostileCase{args[0].(uint8), args[1].(uint8), args[2].(uint8), args[3].([]byte)})
 }
 
 func (c *seedCollector) Fatal(args ...any) { c.t.Fatal(args...) }
@@ -138,7 +131,7 @@ func (c *seedCollector) Fatal(args ...any) { c.t.Fatal(args...) }
 // h when it did.
 func (hc hostileCase) verdict(t *testing.T, h hash.Hash) bool {
 	numLists := int(hc.nl)%128 + 1
-	g, err := decodeGraph(codecTable[int(hc.id)%numCodecs], hostileKind(hc.kind), hc.blob, numLists, int32(numLists), int32(hc.sz)%128+1)
+	g, err := decodeGraph(hostileKind(hc.kind), hc.blob, numLists, int32(numLists), int32(hc.sz)%128+1)
 	if err != nil {
 		h.Write([]byte{0})
 		return false
@@ -150,22 +143,17 @@ func (hc hostileCase) verdict(t *testing.T, h hash.Hash) bool {
 
 // parentVerdicts is what the parent's decoders said of each committed
 // seed of FuzzDecodeHostile, in the order hostileSeeds adds them: the
-// seed's codec and kind, A (accepted) or R (refused — the superPos seeds
+// codec and the seed's kind, A (accepted) or R (refused — the superPos seeds
 // are refused because the fuzz body asks for seven sources where the
 // seed has five), the digest of what an accepted seed decoded to, and
 // the digest of the verdicts, and of the rows of every accepted input,
 // over the seed with each single bit flipped in turn. The values were
-// taken seed by seed at the parent of the PR that retired codec/lz: its
-// four seeds left with it, the first sixteen lines are the parent's
-// other sixteen, and the last four are logShapeSeeds, new with that PR
-// and run through the parent's decoders like the rest.
+// taken seed by seed at the parent of the PR that retired codec/lz, whose
+// seeds left with it; the seeds of codec/log left with that codec.
 var parentVerdicts = []string{
 	"paper/intra A bc41dcbaee1ba6eb a201638ac4c65c15",
 	"paper/super_pos R - f5a5fd42d16a2030",
 	"paper/super_neg A 4302503996347a28 44746c30712f5f3c",
-	"log/intra A bc41dcbaee1ba6eb f40c05e2a45d9d18",
-	"log/super_pos R - d4817aa5497628e7",
-	"log/super_neg A 4302503996347a28 7c41307e547a1c80",
 	"paper/super_pos R - b707241545a34626",
 	"paper/super_neg R - 8bd3960dd33520db",
 	"paper/intra R - b707241545a34626",
@@ -175,11 +163,6 @@ var parentVerdicts = []string{
 	"paper/super_neg R - b15f66580ee62f9e",
 	"paper/super_neg R - b707241545a34626",
 	"paper/super_neg R - e3b0c44298fc1c14",
-	"log/intra R - 2c34ce1df23b838c",
-	"log/super_neg R - d73a3d549619decf",
-	"log/super_neg R - cdb9afb1663f5e62",
-	"log/super_pos R - af5570f5a1810b7a",
-	"log/super_neg A 77a01fec7cd1f30c 87bb388df18f583b",
 }
 
 func TestHostileVerdictsEqualParents(t *testing.T) {
@@ -198,8 +181,7 @@ func TestHostileVerdictsEqualParents(t *testing.T) {
 			flipped.blob[bit>>3] ^= 1 << (7 - uint(bit&7))
 			flipped.verdict(t, near)
 		}
-		got = append(got, fmt.Sprintf("%s/%s %s %s %s", codecTable[int(hc.id)%numCodecs].Name(),
-			kindName(hostileKind(hc.kind)), letter, digest, hex.EncodeToString(near.Sum(nil)[:8])))
+		got = append(got, fmt.Sprintf("%s/%s %s %s %s", codecPaper, kindName(hostileKind(hc.kind)), letter, digest, hex.EncodeToString(near.Sum(nil)[:8])))
 	}
 	if !slices.Equal(got, parentVerdicts) {
 		t.Errorf("hostile seeds decode to\n\t%s\nthe parent's decoders gave\n\t%s",

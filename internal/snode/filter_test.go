@@ -194,18 +194,16 @@ func buildAndOpen(t *testing.T, c *webgraph.Corpus, cfg Config) *Representation 
 }
 
 func TestCompiledFilterEqualsPerCallFilter(t *testing.T) {
+	t.Run(codecPaper, testCompiledFilterEqualsPerCallFilter)
+}
+
+func testCompiledFilterEqualsPerCallFilter(t *testing.T) {
 	crawl, err := synth.Generate(synth.DefaultConfig(400))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, codec := range CodecNames() {
-		t.Run(codec, func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.Codec = codec
-			for k, c := range fwdAndRev(crawl.Corpus) {
-				checkFilterAgainstReference(t, c, buildAndOpen(t, c, cfg), uint64(k+1))
-			}
-		})
+	for k, c := range fwdAndRev(crawl.Corpus) {
+		checkFilterAgainstReference(t, c, buildAndOpen(t, c, DefaultConfig()), uint64(k+1))
 	}
 }
 
@@ -217,7 +215,6 @@ func TestCompiledFilterEqualsPerCallFilterRandomGraphs(t *testing.T) {
 			continue // filterCases draws its page sets from link targets
 		}
 		cfg := randomConfig(rng)
-		cfg.Codec = CodecNames()[seed%uint64(len(CodecNames()))]
 		for k, c := range fwdAndRev(corpus) {
 			checkFilterAgainstReference(t, c, buildAndOpen(t, c, cfg), seed+uint64(100*k))
 		}

@@ -147,7 +147,7 @@ func readMeta(path string) (*meta, error) {
 	st.URLSplits = int(r.Varint())
 	st.ClusteredSplits = int(r.Varint())
 	st.BuildTime = time.Duration(r.Varint())
-	st.Codecs = make([]CodecBuildStat, r.Count(numCodecs, 5))
+	st.Codecs = make([]CodecBuildStat, r.Count(1, 5))
 	for i := range st.Codecs {
 		cs := &st.Codecs[i]
 		cs.ID = r.Uint8()
@@ -155,11 +155,10 @@ func readMeta(path string) (*meta, error) {
 		cs.Graphs = r.Varint()
 		cs.Bytes = r.Varint()
 		cs.Edges = r.Varint()
-		c, err := codecByID(cs.ID)
-		if err != nil {
+		if err := checkCodecID(cs.ID); err != nil {
 			return nil, fmt.Errorf("snode: %s: codec stats: %w", path, err)
 		}
-		cs.Name = c.Name()
+		cs.Name = codecPaper
 	}
 	if r.End(); r.Err() != nil {
 		return nil, fmt.Errorf("snode: read meta: %s: %w", path, r.Err())
@@ -257,7 +256,7 @@ func (m *meta) validate() error {
 		default:
 			return fmt.Errorf("graph %d has unknown kind %d", gi, e.Kind)
 		}
-		if _, err := codecByID(e.Codec); err != nil {
+		if err := checkCodecID(e.Codec); err != nil {
 			return fmt.Errorf("graph %d: %w", gi, err)
 		}
 		if e.Kind != kindIntra {

@@ -139,10 +139,9 @@ func (r *Representation) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.GaugeFunc(prefix+"_cache_entries", r.cache.entries)
 	reg.GaugeFunc(prefix+"_inflight_decodes", r.cache.inflightCount)
 	r.decodeHist.Store(reg.Histogram(prefix+"_decode_seconds", nil))
-	// The artifact's static composition, per codec it holds (one, unless
-	// it was built by the retired per-supernode bake-off): graphs, bytes
-	// and edges, and bits per edge in milli-bits since gauges are
-	// integers.
+	// The artifact's static composition, named for the one codec that
+	// built it (paper): graphs, bytes and edges, and bits per edge in
+	// milli-bits since gauges are integers.
 	for _, st := range r.m.Stats.Codecs {
 		reg.GaugeFunc(prefix+"_codec_supernodes_"+st.Name, func() int64 { return st.Supernodes })
 		reg.GaugeFunc(prefix+"_codec_graphs_"+st.Name, func() int64 { return st.Graphs })
@@ -276,9 +275,8 @@ func (r *Representation) decodeTraced(ctx context.Context, gid GraphID, buf []by
 
 // decode parses one graph's encoded bytes into the form a load leaves
 // in the cache — the encoded state, which for a positive superedge graph
-// has its sources decoded — dispatching on the directory entry's codec
-// ID (validated at Open, so the table lookup cannot miss). materialize
-// and appendEncoded are the two ways on from there.
+// has its sources decoded. materialize and appendEncoded are the two
+// ways on from there.
 func (r *Representation) decode(gid GraphID, buf []byte) (decodedGraph, error) {
 	if r.decodeFault != nil {
 		if err := r.decodeFault(gid); err != nil {
@@ -289,7 +287,7 @@ func (r *Representation) decode(gid GraphID, buf []byte) (decodedGraph, error) {
 	start := r.decodeStart()
 	defer r.observeDecode(start)
 	niSize, njSize := r.sizes(e)
-	return newEncodedGraph(codecTable[e.Codec], e.Kind, buf, int(e.NumLists), niSize, njSize)
+	return newEncodedGraph(e.Kind, buf, int(e.NumLists), niSize, njSize)
 }
 
 // snSize is the number of pages in supernode s.
@@ -375,11 +373,11 @@ func (r *Representation) observeDecode(start time.Time) {
 }
 
 // decodePayload is the bare whole-graph decode: no hooks, no metrics.
-// The serving path reaches the codecs through decode; MeasureDecode
-// times this directly.
+// The serving path decodes through decode; MeasureDecode times this
+// directly.
 func (r *Representation) decodePayload(e *dirEntry, buf []byte) (decodedGraph, error) {
 	niSize, njSize := r.sizes(e)
-	return decodeGraph(codecTable[e.Codec], e.Kind, buf, int(e.NumLists), niSize, njSize)
+	return decodeGraph(e.Kind, buf, int(e.NumLists), niSize, njSize)
 }
 
 // Out implements store.LinkStore: the full adjacency of external page
@@ -781,10 +779,9 @@ func (r *Representation) Verify() error {
 func (r *Representation) Supernodes() int   { return r.m.Stats.Supernodes }
 func (r *Representation) Superedges() int64 { return r.m.Stats.Superedges }
 
-// DecodeCost is one (codec, payload kind) row of MeasureDecode: the
-// cost of decoding every payload of that class in the artifact.
+// DecodeCost is one payload-kind row of MeasureDecode: the cost of
+// decoding every payload of that kind in the artifact.
 type DecodeCost struct {
-	Codec  string `json:"codec"`
 	Kind   string `json:"kind"` // "intra", "super_pos", "super_neg"
 	Graphs int64  `json:"graphs"`
 	Bytes  int64  `json:"bytes"`
@@ -805,7 +802,7 @@ func kindName(kind uint8) string {
 }
 
 // MeasureDecode reads every payload in the directory once, then times
-// `rounds` full decode passes and reports, per (codec, kind) class, the
+// `rounds` full decode passes and reports, per payload kind, the
 // bytes, stored edges, and the fastest round's decode nanoseconds. The
 // payload bytes are read up front so the measurement is pure CPU decode
 // cost — no I/O, no cache, no metrics hooks. It is the instrument
@@ -824,11 +821,7 @@ func (r *Representation) MeasureDecode(rounds int) ([]DecodeCost, error) {
 		}
 		bufs[gid] = buf
 	}
-	type classKey struct {
-		codec uint8
-		kind  uint8
-	}
-	agg := map[classKey]*DecodeCost{}
+	agg := map[uint8]*DecodeCost{}
 	// Static tallies (and a correctness pass) once, untimed.
 	for gid := range r.m.Directory {
 		e := &r.m.Directory[gid]
@@ -836,28 +829,26 @@ func (r *Representation) MeasureDecode(rounds int) ([]DecodeCost, error) {
 		if err != nil {
 			return nil, fmt.Errorf("snode: measure decode graph %d: %w", gid, err)
 		}
-		k := classKey{e.Codec, e.Kind}
-		dc := agg[k]
+		dc := agg[e.Kind]
 		if dc == nil {
-			dc = &DecodeCost{Codec: codecTable[e.Codec].Name(), Kind: kindName(e.Kind)}
-			agg[k] = dc
+			dc = &DecodeCost{Kind: kindName(e.Kind)}
+			agg[e.Kind] = dc
 		}
 		dc.Graphs++
 		dc.Bytes += int64(e.NumBytes)
 		dc.Edges += g.edgeCount()
 	}
 	for round := 0; round < rounds; round++ {
-		perClass := map[classKey]int64{}
+		perKind := map[uint8]int64{}
 		for gid := range r.m.Directory {
 			e := &r.m.Directory[gid]
-			k := classKey{e.Codec, e.Kind}
 			start := time.Now()
 			if _, err := r.decodePayload(e, bufs[gid]); err != nil {
 				return nil, err
 			}
-			perClass[k] += time.Since(start).Nanoseconds()
+			perKind[e.Kind] += time.Since(start).Nanoseconds()
 		}
-		for k, ns := range perClass {
+		for k, ns := range perKind {
 			if round == 0 || ns < agg[k].Ns {
 				agg[k].Ns = ns
 			}
@@ -867,11 +858,6 @@ func (r *Representation) MeasureDecode(rounds int) ([]DecodeCost, error) {
 	for _, dc := range agg {
 		out = append(out, *dc)
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Codec != out[b].Codec {
-			return out[a].Codec < out[b].Codec
-		}
-		return out[a].Kind < out[b].Kind
-	})
+	sort.Slice(out, func(a, b int) bool { return out[a].Kind < out[b].Kind })
 	return out, nil
 }

@@ -80,14 +80,8 @@ const (
 type Config struct {
 	// Partition configures the iterative refinement (§3.2).
 	Partition partition.Config
-	// Refenc configures reference encoding of the lower-level graphs
-	// (consulted by codec/paper; codec/log ignores it).
+	// Refenc configures reference encoding of the lower-level graphs.
 	Refenc refenc.Options
-	// Codec selects the wire format of the lower-level graphs: "paper"
-	// (or empty, the default — the refenc scheme of §3) or "log". It is
-	// recorded per directory entry, and a build is byte-deterministic
-	// under either.
-	Codec string
 	// MaxFileSize bounds each index file (paper: 500 MB). Lower values
 	// exercise the multi-file layout in tests.
 	MaxFileSize int64
@@ -125,7 +119,7 @@ type dirEntry struct {
 	Offset   int64 // byte offset within the file
 	NumBytes int32
 	NumLists int32 // lists in the encoded stream (see codec)
-	Codec    uint8 // wire format of the payload (codec IDs in codec.go)
+	Codec    uint8 // wire format of the payload: always codecIDPaper (codec.go)
 }
 
 // meta is everything held permanently in memory (and serialized to
@@ -184,18 +178,16 @@ type BuildStats struct {
 	// BuildTime is reported by Build but serialized as zero, keeping
 	// meta.bin byte-identical across builds of the same corpus.
 	BuildTime time.Duration
-	// Codecs breaks the index files down by wire format: one entry per
-	// codec that encoded at least one supernode, in codec-ID order (one
-	// entry in all, but for artifacts of the retired per-supernode
-	// bake-off).
+	// Codecs is meta.bin's codec-stats section: one paper entry, none
+	// for an empty build.
 	Codecs []CodecBuildStat
 }
 
-// CodecBuildStat reports one codec's share of an artifact.
+// CodecBuildStat reports the index files' composition under their codec.
 type CodecBuildStat struct {
 	ID         uint8
 	Name       string
-	Supernodes int64 // supernodes whose payloads use this codec
+	Supernodes int64 // supernodes encoded
 	Graphs     int64 // directory entries
 	Bytes      int64 // encoded payload bytes
 	Edges      int64 // edges stored in those payloads

@@ -623,39 +623,6 @@ func TestBuildDeterministic(t *testing.T) {
 	}
 }
 
-// TestBuildDeterministicLogBytes pins the encoded bytes of a codec/log
-// build: nothing else does (TestDecodedRowsEqualParents pins what a log
-// artifact decodes to, TestDatasetBytesAreStable the paper bytes). The
-// hashes were taken at the parent of the PR that moved the payload
-// framing out of the codecs, and a change to them is a format change.
-func TestBuildDeterministicLogBytes(t *testing.T) {
-	crawl, err := synth.Generate(synth.DefaultConfig(3000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Codec = CodecLog
-	cfg.MaxFileSize = 16 << 10 // several index files
-	dir := t.TempDir()
-	if _, err := Build(crawl.Corpus, cfg, dir); err != nil {
-		t.Fatal(err)
-	}
-	got := dirHashes(t, dir)
-	names := make([]string, 0, len(got))
-	for name := range got {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	tree := sha256.New()
-	for _, name := range names {
-		fmt.Fprintf(tree, "%s %s\n", name, got[name])
-	}
-	const want = "521a0d12d7f812a54e7fc9803ab94b2597e6a2b46f838dcdf044901c6ce452b1"
-	if h := fmt.Sprintf("%x", tree.Sum(nil)); h != want {
-		t.Fatalf("codec/log build of %d files hashes to %s, want %s", len(names), h, want)
-	}
-}
-
 func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 	// The streaming parallel build must be a pure function of corpus +
 	// config: every BuildWorkers/GOMAXPROCS combination (the reorder

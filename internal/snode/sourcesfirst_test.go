@@ -19,7 +19,7 @@ import (
 // Every graph is served in two states — encoded (a positive superedge
 // graph with its sources decoded), then the whole graph — and these
 // tests pin that no lookup can tell: rows equal the source graph's under
-// every codec and cache budget, the cache's byte accounting survives
+// every cache budget, the cache's byte accounting survives
 // the replacement of one state by the other, and a damaged list section
 // fails exactly the lookups that need it.
 
@@ -92,16 +92,14 @@ func sweepBudgets(t *testing.T, c *webgraph.Corpus, dir string) {
 	}
 }
 
-func TestSourcesFirstRowsEqualCSR(t *testing.T) {
+func TestSourcesFirstRowsEqualCSR(t *testing.T) { t.Run(codecPaper, testSourcesFirstRowsEqualCSR) }
+
+func testSourcesFirstRowsEqualCSR(t *testing.T) {
 	crawl, err := synth.Generate(synth.DefaultConfig(400))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, codec := range CodecNames() {
-		t.Run(codec, func(t *testing.T) {
-			sweepBudgets(t, crawl.Corpus, buildCodecRep(t, codec, 400))
-		})
-	}
+	sweepBudgets(t, crawl.Corpus, buildTestRep(t, 400))
 }
 
 func TestSourcesFirstRowsEqualCSRRandomGraphs(t *testing.T) {
@@ -109,7 +107,6 @@ func TestSourcesFirstRowsEqualCSRRandomGraphs(t *testing.T) {
 		rng := randutil.NewRNG(seed)
 		c := randomCorpus(rng)
 		cfg := randomConfig(rng)
-		cfg.Codec = CodecNames()[seed%uint64(len(CodecNames()))]
 		dir := t.TempDir()
 		if _, err := Build(c, cfg, dir); err != nil {
 			t.Fatalf("seed %d: build: %v", seed, err)
@@ -452,8 +449,8 @@ func TestMaterializedRacesLockFreeReaders(t *testing.T) {
 
 // corruptListSection damages the list section of graph gid in a copy of
 // the artifact, leaving its sources intact: the bytes after the last
-// source bit are overwritten with a pattern the codec's list decoder
-// must reject (zero bits end a bit-coded stream in an overrun).
+// source bit are overwritten with a pattern the list decoder must
+// reject (zero bits end a bit-coded stream in an overrun).
 func corruptListSection(t *testing.T, src string, r *Representation, gid GraphID) string {
 	t.Helper()
 	e := &r.m.Directory[gid]
@@ -462,13 +459,13 @@ func corruptListSection(t *testing.T, src string, r *Representation, gid GraphID
 		t.Fatal(err)
 	}
 	niSize := r.m.SnBase[e.I+1] - r.m.SnBase[e.I]
-	_, enc, err := decodeSuperPosSources(codecTable[e.Codec], payload, int(e.NumLists), niSize)
+	_, pos, err := decodeSuperPosSources(payload, int(e.NumLists), niSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := len(payload) - len(enc.buf)
-	if enc.bitOff > 0 {
-		payload[start] &^= 0xFF >> enc.bitOff
+	start := pos >> 3
+	if pos&7 > 0 {
+		payload[start] &^= 0xFF >> uint(pos&7)
 		start++
 	}
 	for i := start; i < len(payload); i++ {
@@ -487,86 +484,86 @@ func corruptListSection(t *testing.T, src string, r *Representation, gid GraphID
 }
 
 // TestCorruptListSectionFailsOnlyItsReaders damages one positive
-// superedge graph's lists under every codec. The graph still loads (its
+// superedge graph's lists. The graph still loads (its
 // sources are intact), pages that are not among its sources are served
 // correctly, the first page that is fails with the list decoder's
 // error — on every attempt — and Verify fails.
 func TestCorruptListSectionFailsOnlyItsReaders(t *testing.T) {
+	t.Run(codecPaper, testCorruptListSectionFailsOnlyItsReaders)
+}
+
+func testCorruptListSectionFailsOnlyItsReaders(t *testing.T) {
 	crawl, err := synth.Generate(synth.DefaultConfig(400))
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := crawl.Corpus
-	for _, cd := range keptCodecs() {
-		t.Run(cd.Name(), func(t *testing.T) {
-			src := buildCodecRep(t, cd.Name(), 400)
-			clean, err := Open(src, 1<<20, iosim.Model2002())
+	src := buildTestRep(t, 400)
+	clean, err := Open(src, 1<<20, iosim.Model2002())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clean.Close()
+	// The victim: a positive superedge graph whose supernode has
+	// pages on both sides of its source list.
+	victim := GraphID(-1)
+	var srcs []int32
+	for gid := range clean.m.Directory {
+		e := &clean.m.Directory[gid]
+		niSize := clean.m.SnBase[e.I+1] - clean.m.SnBase[e.I]
+		if e.Kind == kindSuperPos && e.NumBytes > 8 && e.NumLists < niSize {
+			g, err := loadWhole(clean, GraphID(gid))
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer clean.Close()
-			// The victim: a positive superedge graph whose supernode has
-			// pages on both sides of its source list.
-			victim := GraphID(-1)
-			var srcs []int32
-			for gid := range clean.m.Directory {
-				e := &clean.m.Directory[gid]
-				niSize := clean.m.SnBase[e.I+1] - clean.m.SnBase[e.I]
-				if e.Kind == kindSuperPos && e.NumBytes > 8 && e.NumLists < niSize {
-					g, err := loadWhole(clean, GraphID(gid))
-					if err != nil {
-						t.Fatal(err)
-					}
-					victim, srcs = GraphID(gid), g.(*decodedSuperPos).srcs
-					break
-				}
-			}
-			if victim < 0 {
-				t.Skip("no positive superedge graph with a non-source page")
-			}
-			e := &clean.m.Directory[victim]
-			var source, bystander webgraph.PageID = -1, -1
-			for local := int32(0); local < clean.m.SnBase[e.I+1]-clean.m.SnBase[e.I]; local++ {
-				p := clean.m.Inv[clean.m.SnBase[e.I]+local]
-				if findSource(srcs, local) >= 0 {
-					source = p
-				} else {
-					bystander = p
-				}
-			}
+			victim, srcs = GraphID(gid), g.(*decodedSuperPos).srcs
+			break
+		}
+	}
+	if victim < 0 {
+		t.Skip("no positive superedge graph with a non-source page")
+	}
+	e := &clean.m.Directory[victim]
+	var source, bystander webgraph.PageID = -1, -1
+	for local := int32(0); local < clean.m.SnBase[e.I+1]-clean.m.SnBase[e.I]; local++ {
+		p := clean.m.Inv[clean.m.SnBase[e.I]+local]
+		if findSource(srcs, local) >= 0 {
+			source = p
+		} else {
+			bystander = p
+		}
+	}
 
-			r, err := Open(corruptListSection(t, src, clean, victim), 1<<20, iosim.Model2002())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			rows, err := r.Out(bystander, nil)
-			if err != nil {
-				t.Fatalf("page %d is not a source of the damaged graph, yet: %v", bystander, err)
-			}
-			assertPageRows(t, c, bystander, rows)
-			for attempt := 0; attempt < 2; attempt++ {
-				if _, err := r.Out(source, nil); err == nil || !strings.Contains(err.Error(), "superPos lists") {
-					t.Fatalf("attempt %d: page %d reads the damaged lists: error %v, want the superPos lists decode error", attempt, source, err)
-				}
-			}
-			if rows, err = r.Out(bystander, rows[:0]); err != nil {
-				t.Fatalf("bystander page after the failed materialization: %v", err)
-			}
-			assertPageRows(t, c, bystander, rows)
-			if g, ok := r.cache.slotGraph(victim); !ok {
-				t.Fatal("the damaged graph's sources-only entry did not stay resident")
-			} else if _, sourcesOnly := g.(*encodedGraph); !sourcesOnly {
-				t.Fatalf("the damaged graph is resident as %T: its lists cannot have decoded", g)
-			}
-			checkShardInvariants(t, r.cache)
-			if err := r.Verify(); err == nil || !strings.Contains(err.Error(), "superPos lists") {
-				t.Fatalf("Verify on the damaged artifact: %v, want the superPos lists decode error", err)
-			}
-			if n := r.InflightDecodes(); n != 0 {
-				t.Fatalf("%d decodes left in flight", n)
-			}
-		})
+	r, err := Open(corruptListSection(t, src, clean, victim), 1<<20, iosim.Model2002())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	rows, err := r.Out(bystander, nil)
+	if err != nil {
+		t.Fatalf("page %d is not a source of the damaged graph, yet: %v", bystander, err)
+	}
+	assertPageRows(t, c, bystander, rows)
+	for attempt := 0; attempt < 2; attempt++ {
+		if _, err := r.Out(source, nil); err == nil || !strings.Contains(err.Error(), "superPos lists") {
+			t.Fatalf("attempt %d: page %d reads the damaged lists: error %v, want the superPos lists decode error", attempt, source, err)
+		}
+	}
+	if rows, err = r.Out(bystander, rows[:0]); err != nil {
+		t.Fatalf("bystander page after the failed materialization: %v", err)
+	}
+	assertPageRows(t, c, bystander, rows)
+	if g, ok := r.cache.slotGraph(victim); !ok {
+		t.Fatal("the damaged graph's sources-only entry did not stay resident")
+	} else if _, sourcesOnly := g.(*encodedGraph); !sourcesOnly {
+		t.Fatalf("the damaged graph is resident as %T: its lists cannot have decoded", g)
+	}
+	checkShardInvariants(t, r.cache)
+	if err := r.Verify(); err == nil || !strings.Contains(err.Error(), "superPos lists") {
+		t.Fatalf("Verify on the damaged artifact: %v, want the superPos lists decode error", err)
+	}
+	if n := r.InflightDecodes(); n != 0 {
+		t.Fatalf("%d decodes left in flight", n)
 	}
 }
 
@@ -574,7 +571,7 @@ func TestCorruptListSectionFailsOnlyItsReaders(t *testing.T) {
 // any kind, does not alias the read buffer it was decoded from: the
 // buffer goes back to a pool and is overwritten by the next read.
 func TestSourcesOnlyEntryOwnsItsBytes(t *testing.T) {
-	dir := buildCodecRep(t, CodecPaper, 400)
+	dir := buildTestRep(t, 400)
 	r, err := Open(dir, 1<<20, iosim.Model2002())
 	if err != nil {
 		t.Fatal(err)

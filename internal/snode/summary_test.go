@@ -21,7 +21,7 @@ import (
 // exactly the lookups it saw before either existed, and that the lists
 // are built once and right when goroutines race to build them.
 
-// TestSourceSummaryIsSound looks up pages of a store under each codec on
+// TestSourceSummaryIsSound looks up pages of a store on
 // a cache that holds everything — so that the positive superedge graphs
 // are resident in both states, their nodes made by admitLocked and by
 // materialized — and then checks each resident node's
@@ -29,71 +29,69 @@ import (
 // a source is never ruled out, and every other node's summary rules
 // nothing out. The store has supernodes of more than 64 pages, where the
 // mask aliases, and the test fails if it does not.
-func TestSourceSummaryIsSound(t *testing.T) {
+func TestSourceSummaryIsSound(t *testing.T) { t.Run(codecPaper, testSourceSummaryIsSound) }
+
+func testSourceSummaryIsSound(t *testing.T) {
 	if size := unsafe.Sizeof(cacheNode{}); size != 64 {
 		t.Errorf("cacheNode is %d bytes, want 64 (one size class, one cache line)", size)
 	}
 	if size := unsafe.Sizeof(encodedGraph{}); size != 128 {
 		t.Errorf("encodedGraph is %d bytes, want 128 (one size class; memSize charges the 64 past its cache node)", size)
 	}
-	for _, codec := range CodecNames() {
-		t.Run(codec, func(t *testing.T) {
-			r, err := Open(buildCodecRep(t, codec, 2000), 256<<20, iosim.Model2002())
-			if err != nil {
-				t.Fatal(err)
+	r, err := Open(buildTestRep(t, 2000), 256<<20, iosim.Model2002())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	// Every third page: a lookup loads every graph of its supernode,
+	// and materializes only those its page is a source of.
+	var buf []webgraph.PageID
+	for p := int32(0); p < r.m.NumPages; p += 3 {
+		if buf, err = r.Out(p, buf[:0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var sourcesOnly, whole, wide, aliased, ruledOut int
+	for gid := range r.m.Directory {
+		e := &r.m.Directory[gid]
+		n := r.cache.slots[gid].Load()
+		if n == nil {
+			continue
+		}
+		if e.Kind != kindSuperPos {
+			if n.srcLo != 0 || n.srcHi != math.MaxInt32 || n.srcMask != ^uint64(0) {
+				t.Fatalf("graph %d (kind %d) carries summary [%d, %d] %#x, want the empty one", gid, e.Kind, n.srcLo, n.srcHi, n.srcMask)
 			}
-			defer r.Close()
-			// Every third page: a lookup loads every graph of its supernode,
-			// and materializes only those its page is a source of.
-			var buf []webgraph.PageID
-			for p := int32(0); p < r.m.NumPages; p += 3 {
-				if buf, err = r.Out(p, buf[:0]); err != nil {
-					t.Fatal(err)
-				}
+			continue
+		}
+		var srcs []int32
+		switch g := n.g.(type) {
+		case *encodedGraph:
+			srcs, sourcesOnly = g.srcs, sourcesOnly+1
+		case *decodedSuperPos:
+			srcs, whole = g.srcs, whole+1
+		default:
+			t.Fatalf("graph %d: positive superedge graph held as %T", gid, n.g)
+		}
+		niSize := r.snSize(e.I)
+		if niSize > 64 {
+			wide++
+		}
+		for local := int32(0); local < niSize; local++ {
+			switch source := findSource(srcs, local) >= 0; {
+			case source && n.rulesOut(local):
+				t.Fatalf("graph %d: summary [%d, %d] %#x rules out source %d", gid, n.srcLo, n.srcHi, n.srcMask, local)
+			case !source && n.rulesOut(local):
+				ruledOut++
+			case !source:
+				aliased++
 			}
-			var sourcesOnly, whole, wide, aliased, ruledOut int
-			for gid := range r.m.Directory {
-				e := &r.m.Directory[gid]
-				n := r.cache.slots[gid].Load()
-				if n == nil {
-					continue
-				}
-				if e.Kind != kindSuperPos {
-					if n.srcLo != 0 || n.srcHi != math.MaxInt32 || n.srcMask != ^uint64(0) {
-						t.Fatalf("graph %d (kind %d) carries summary [%d, %d] %#x, want the empty one", gid, e.Kind, n.srcLo, n.srcHi, n.srcMask)
-					}
-					continue
-				}
-				var srcs []int32
-				switch g := n.g.(type) {
-				case *encodedGraph:
-					srcs, sourcesOnly = g.srcs, sourcesOnly+1
-				case *decodedSuperPos:
-					srcs, whole = g.srcs, whole+1
-				default:
-					t.Fatalf("graph %d: positive superedge graph held as %T", gid, n.g)
-				}
-				niSize := r.snSize(e.I)
-				if niSize > 64 {
-					wide++
-				}
-				for local := int32(0); local < niSize; local++ {
-					switch source := findSource(srcs, local) >= 0; {
-					case source && n.rulesOut(local):
-						t.Fatalf("graph %d: summary [%d, %d] %#x rules out source %d", gid, n.srcLo, n.srcHi, n.srcMask, local)
-					case !source && n.rulesOut(local):
-						ruledOut++
-					case !source:
-						aliased++
-					}
-				}
-			}
-			t.Logf("%d sources-only and %d whole positive graphs, %d of them from supernodes over 64 pages; %d non-sources ruled out, %d let through",
-				sourcesOnly, whole, wide, ruledOut, aliased)
-			if sourcesOnly == 0 || whole == 0 || wide == 0 || aliased == 0 || ruledOut == 0 {
-				t.Fatal("the store does not exercise both node states, wide supernodes, aliasing and exclusion")
-			}
-		})
+		}
+	}
+	t.Logf("%d sources-only and %d whole positive graphs, %d of them from supernodes over 64 pages; %d non-sources ruled out, %d let through",
+		sourcesOnly, whole, wide, ruledOut, aliased)
+	if sourcesOnly == 0 || whole == 0 || wide == 0 || aliased == 0 || ruledOut == 0 {
+		t.Fatal("the store does not exercise both node states, wide supernodes, aliasing and exclusion")
 	}
 }
 

@@ -76,13 +76,18 @@ test-bench:
 # holds a fixed 20,000-lookup stream at 16 KiB, 64 KiB and 256 MiB to the
 # loads, hits, misses, evictions, materializations and list decodes it
 # made when every graph first entered the cache encoded: a summary check
-# moved out of the lookup's loop trips it. Run with -count=1 so the guard always
+# moved out of the lookup's loop trips it. The set-at-a-time guards pin
+# a warm multi-supernode Neighbors call at zero allocations (working
+# memory per call, or a list gathered by append per page, trips it) and
+# a warm Q1-Q6 cycle on the query fixture at no more than a fifth of the
+# 28,570 graph-cache lookups it made page by page (a plan step that reads
+# a page at a time again trips it). Run with -count=1 so the guard always
 # executes.
 check-overhead:
-	$(GO) test -count=1 -run 'TestUntracedTracingAddsNoAllocs' ./internal/query
+	$(GO) test -count=1 -run 'TestUntracedTracingAddsNoAllocs|TestNavigateLookupsPinned' ./internal/query
 	$(GO) test -count=1 -run 'TestUntracedPrimitivesZeroAlloc' ./internal/trace
 	$(GO) test -count=1 -run 'TestCrossProcessUntracedZeroAlloc|TestDecodePartialAllocs' ./internal/trace ./internal/serve ./internal/router
-	$(GO) test -count=1 -run 'TestDecodeHotPathAllocs|TestWarmOutAllocatesNothing|TestColdOutAllocsPerLoad|TestBucketingAllocsIndependentOfEdges|TestLookupCountersPinned' ./internal/snode
+	$(GO) test -count=1 -run 'TestDecodeHotPathAllocs|TestWarmOutAllocatesNothing|TestWarmNeighborsAllocatesNothing|TestColdOutAllocsPerLoad|TestBucketingAllocsIndependentOfEdges|TestLookupCountersPinned' ./internal/snode
 	$(GO) test -count=1 -run 'TestClusteredSplitAllocs' ./internal/partition
 
 # Plan gate: every scheme's Table 3 rows and cold navigation I/O
@@ -193,14 +198,18 @@ test-obs:
 # and the CSR's, each graph read once, stopping on a visitor error or a
 # cancelled context; at K = 3, every shard's stores equal its
 # intra-shard graph and that graph's transpose) and the flight a miss's
-# waiters share (made by the first of them, releasing all). Run with
-# -count=1 so the gate always executes.
+# waiters share (made by the first of them, releasing all); and the
+# set-at-a-time read (Neighbors: each page's list equals its one-page
+# read under every filter, budget and cache state, in snode and at K = 3
+# through the merged stores; a damaged list fails exactly the sets a
+# one-page read of one of their pages fails; a cancelled call leaves no
+# decode in flight). Run with -count=1 so the gate always executes.
 test-codec:
 	$(GO) test -count=1 -run 'TestReaderMatchesBitAtATimeReference|TestUnaryZeroTailOverruns' ./internal/bitio
 	$(GO) test -count=1 -run 'TestWindowDecodersMatchReferences|TestGammaAtTheEdgesOfTheWindow|TestHuffmanWindowDecodeMatchesBitwise|TestRLERunsRejectOverlongRun' ./internal/coding
 	$(GO) test -count=1 -run 'TestDecodeRejects|TestDecodeAcceptsZeroBitFinalValue|TestDecodeListsAreExactSizedFlatArrays|TestDecodeListMatchesDecodeLists|TestReadRunRejectsOverflowGap|TestRejectsBadLists' ./internal/refenc
-	$(GO) test -count=1 -run 'TestCodec|FuzzCodecRoundTrip|FuzzDecodeHostile|TestCorruptIndexAllCodecs|TestMeasureDecode|TestUnknown|TestRetiredCodecRefusedByName|TestOpenRefusesContradictoryDirectory|TestSourcesFirst|TestSourcesOnly|TestVerifyLeavesMaterializedEntries|TestScan|TestMaterialized|TestCorruptListSection|TestDecodeListEqualsDecodeGraph|TestColdWarmAndDamagedReadsAgree|TestGraphAdmittedAtMostOnce|TestDecodedRowsEqualParents|TestHostileVerdictsEqualParents|TestFlightIsMadeByItsFirstWaiter|TestParkedLeaderReleasesLookupsWaitingOnIt|TestLengthPrefixSizesNoAllocation|TestValueTooWideForItsFieldIsRefused|TestTrailingBytesAreRefused|FuzzReadMeta' ./internal/snode
-	$(GO) test -count=1 -run 'TestShardScanEqualsIntraCSR' ./internal/shard
+	$(GO) test -count=1 -run 'TestNeighbors|TestCodec|FuzzCodecRoundTrip|FuzzDecodeHostile|TestCorruptIndexAllCodecs|TestMeasureDecode|TestUnknown|TestRetiredCodecRefusedByName|TestOpenRefusesContradictoryDirectory|TestSourcesFirst|TestSourcesOnly|TestVerifyLeavesMaterializedEntries|TestScan|TestMaterialized|TestCorruptListSection|TestDecodeListEqualsDecodeGraph|TestColdWarmAndDamagedReadsAgree|TestGraphAdmittedAtMostOnce|TestDecodedRowsEqualParents|TestHostileVerdictsEqualParents|TestFlightIsMadeByItsFirstWaiter|TestParkedLeaderReleasesLookupsWaitingOnIt|TestLengthPrefixSizesNoAllocation|TestValueTooWideForItsFieldIsRefused|TestTrailingBytesAreRefused|FuzzReadMeta' ./internal/snode
+	$(GO) test -count=1 -run 'TestShardScanEqualsIntraCSR|TestNeighborsEqualsOut' ./internal/shard
 
 # Ingestion gate: the hostile-input parser table (comments, CRLF,
 # duplicate edges, self-loops, sparse 64-bit IDs, truncated gzip,
@@ -214,7 +223,11 @@ test-codec:
 # above 2^63), the golden end-to-end oracle (synth -> export -> ingest
 # -> build byte-identical to the direct build at every worker count,
 # heap budget engaged), a refused export leaving no torn table, the
-# committed-fixture format pin, and snbuild's source flags (exactly one
+# committed-fixture format pin, the spill runs' reader (FuzzOpenEdgeRun's
+# seed corpus: a valid run, truncated, under a count it does not hold,
+# with a wrapping gap and with a repeated edge — an edge that does not
+# strictly follow the one before it is refused by name), and snbuild's
+# source flags (exactly one
 # of -pages and -ingest; -seed, -format and -max-heap-mb refused without
 # the source they belong to). Run with -count=1 so the gate always
 # executes.

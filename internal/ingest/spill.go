@@ -12,6 +12,7 @@ package ingest
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -304,6 +305,11 @@ func writeEdgeRun(path string, edges []rawEdge) (n int64, err error) {
 	return n, nil
 }
 
+// errEdgeRunOrder refuses an edge of a run that does not follow the edge
+// before it in strictly ascending (src, dst) order, or whose gap wraps
+// past 2^64: the merge reads every run as ascending.
+var errEdgeRunOrder = errors.New("edge out of order")
+
 // edgeCursor streams one edge run.
 type edgeCursor struct {
 	path  string
@@ -341,11 +347,15 @@ func (c *edgeCursor) advance() error {
 	if err := c.r.Err(); err != nil {
 		return fmt.Errorf("ingest: spill: edge run %s: %w", c.path, err)
 	}
-	if ds > 0 {
-		c.prevS += ds
-		c.prevD = d
-	} else {
-		c.prevD += d
+	// The first edge follows (0, 0) and may be it; every later one
+	// moves strictly forward without wrapping.
+	switch s, t := c.prevS+ds, c.prevD+d; {
+	case ds > 0 && s > c.prevS:
+		c.prevS, c.prevD = s, d
+	case ds == 0 && (!c.ok || t > c.prevD):
+		c.prevD = t
+	default:
+		return fmt.Errorf("ingest: spill: edge run %s: gaps (%d, %d) after edge (%d, %d): %w", c.path, ds, d, c.prevS, c.prevD, errEdgeRunOrder)
 	}
 	c.cur = rawEdge{c.prevS, c.prevD}
 	c.left--

@@ -41,9 +41,6 @@ import (
 // every page. Call before serving; Shared copies inherit the predicate.
 func (e *Engine) SetOwner(owns func(webgraph.PageID) bool) { e.owned = owns }
 
-// owns reports whether the executor expands p on this engine.
-func (e *Engine) owns(p webgraph.PageID) bool { return e.owned == nil || e.owned(p) }
-
 // PartialRow is one untruncated, mergeable output row of a partial
 // query execution. Group disambiguates rows that merge independently
 // (Q4: the university; Q6: which source set cited the target).

@@ -117,9 +117,22 @@ type Engine struct {
 
 	// fwdCtx/revCtx cache the one-time type assertion to the stores'
 	// optional context-aware read path (store.ContextLinkStore; nil when
-	// the scheme — any of the flat baselines — does not provide it).
+	// the scheme — any of the flat baselines — does not provide it), and
+	// fwdSet/revSet the one to the set-at-a-time read (nil unless the
+	// store is an S-Node representation or a shard's merged store).
 	fwdCtx store.ContextLinkStore
 	revCtx store.ContextLinkStore
+	fwdSet neighborer
+	revSet neighborer
+}
+
+// neighborer is the set-at-a-time read a store may provide
+// (snode.Representation, shard.MergedStore): each page of pages handed to
+// visit with its out-links under f, in the order of pages, every graph
+// the set needs read once. out is valid only during its visit, which may
+// reorder it but must not keep it.
+type neighborer interface {
+	Neighbors(ctx context.Context, pages []webgraph.PageID, f *store.Filter, visit func(p webgraph.PageID, out []webgraph.PageID) error) error
 }
 
 // New returns an engine bound to a scheme built in the repository.
@@ -130,6 +143,8 @@ func New(r *repo.Repository, scheme string) (*Engine, error) {
 	e := &Engine{R: r, Scheme: scheme}
 	e.fwdCtx, _ = e.fwd().(store.ContextLinkStore)
 	e.revCtx, _ = e.rev().(store.ContextLinkStore)
+	e.fwdSet, _ = e.fwd().(neighborer)
+	e.revSet, _ = e.rev().(neighborer)
 	return e, nil
 }
 
@@ -333,12 +348,41 @@ func (e *Engine) execute(ctx context.Context, q ID) (*PartialResult, error) {
 	return &PartialResult{Query: q, Rows: pl.rows(), Nav: nav}, nil
 }
 
+// expand reads the out-links of pages under f, forward or (rev) over the
+// transposed graph, and hands each page and its list to visit: in one
+// Neighbors call when the store reads a set at a time, each graph the
+// set needs once, and otherwise page by page through out, with buf as
+// the scratch list.
+func (e *Engine) expand(ctx context.Context, rev bool, pages []webgraph.PageID, f *store.Filter, visit func(p webgraph.PageID, nbrs []webgraph.PageID), buf []webgraph.PageID) ([]webgraph.PageID, error) {
+	set := e.fwdSet
+	if rev {
+		set = e.revSet
+	}
+	if set != nil {
+		if err := ctx.Err(); err != nil {
+			return buf, err
+		}
+		return buf, set.Neighbors(ctx, pages, f, func(p webgraph.PageID, out []webgraph.PageID) error {
+			visit(p, out)
+			return nil
+		})
+	}
+	for _, p := range pages {
+		var err error
+		if buf, err = e.out(ctx, rev, p, f, buf[:0]); err != nil {
+			return buf, err
+		}
+		visit(p, buf)
+	}
+	return buf, nil
+}
+
 // navigate runs a plan's steps and measures them. It is the only loop
 // that calls the store on a plan's behalf, so the owned-page
-// restriction, the cancellation check (in out), the direction dispatch
-// and the scratch buffer exist once. On traced requests the whole
-// navigation component becomes a "nav" span — the timed part of the
-// query, as distinct from index resolution.
+// restriction, the cancellation check, the direction dispatch and the
+// scratch buffers exist once. On traced requests the whole navigation
+// component becomes a "nav" span — the timed part of the query, as
+// distinct from index resolution.
 func (e *Engine) navigate(ctx context.Context, steps []step) (NavStats, error) {
 	ctx, sp := trace.Start(ctx, "nav")
 	defer sp.End()
@@ -350,17 +394,21 @@ func (e *Engine) navigate(ctx context.Context, steps []step) (NavStats, error) {
 		}
 	}
 	start := time.Now()
-	var buf []webgraph.PageID
+	var buf, owned []webgraph.PageID
 	for _, st := range steps {
-		for _, p := range st.src {
-			if !e.owns(p) {
-				continue
+		src := st.src
+		if e.owned != nil {
+			owned = owned[:0]
+			for _, p := range src {
+				if e.owned(p) {
+					owned = append(owned, p)
+				}
 			}
-			var err error
-			if buf, err = e.out(ctx, st.rev, p, st.filter, buf[:0]); err != nil {
-				return NavStats{}, err
-			}
-			st.visit(p, buf)
+			src = owned
+		}
+		var err error
+		if buf, err = e.expand(ctx, st.rev, src, st.filter, st.visit, buf); err != nil {
+			return NavStats{}, err
 		}
 	}
 	nav := NavStats{CPU: time.Since(start)}

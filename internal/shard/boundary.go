@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"snode/internal/coding"
@@ -14,37 +15,33 @@ const (
 	boundaryVersion = 1
 )
 
-// Boundary is a shard's cross-shard edge store: a sparse adjacency map
-// over GLOBAL page IDs, loaded fully in memory (the locality argument
-// is precisely that this stays small — a few percent of the edges).
-// For a fwd boundary the keys are owned sources and the values remote
-// targets; for a rev boundary the keys are owned targets and the
-// values remote sources. Lists are sorted ascending and duplicate-free.
-// Safe for concurrent readers after Open/NewBoundary.
+// Boundary is a shard's cross-shard edge store over GLOBAL page IDs,
+// loaded fully in memory (the locality argument is precisely that this
+// stays small — a few percent of the edges) as compressed sparse rows:
+// page p's list is dst[off[p]:off[p+1]]. For a fwd boundary the rows are
+// owned sources and the values remote targets; for a rev boundary the
+// rows are owned targets and the values remote sources. Lists are sorted
+// ascending and duplicate-free. Safe for concurrent readers.
 type Boundary struct {
-	adj   map[webgraph.PageID][]webgraph.PageID
-	edges int64
-}
-
-// NewBoundary wraps an adjacency map (retained, not copied); each list
-// must be sorted ascending without duplicates.
-func NewBoundary(adj map[webgraph.PageID][]webgraph.PageID) *Boundary {
-	b := &Boundary{adj: adj}
-	for _, l := range adj {
-		b.edges += int64(len(l))
-	}
-	return b
+	off     []int32
+	dst     []webgraph.PageID
+	sources int // rows written
 }
 
 // Out returns p's boundary adjacency (nil when p has no cross-shard
 // edges). The slice aliases the store and must not be modified.
-func (b *Boundary) Out(p webgraph.PageID) []webgraph.PageID { return b.adj[p] }
+func (b *Boundary) Out(p webgraph.PageID) []webgraph.PageID {
+	if p < 0 || int(p) >= len(b.off)-1 || b.off[p] == b.off[p+1] {
+		return nil
+	}
+	return b.dst[b.off[p]:b.off[p+1]:b.off[p+1]]
+}
 
 // NumEdges reports the total cross-shard edge count.
-func (b *Boundary) NumEdges() int64 { return b.edges }
+func (b *Boundary) NumEdges() int64 { return int64(len(b.dst)) }
 
 // NumSources reports how many pages have at least one boundary edge.
-func (b *Boundary) NumSources() int { return len(b.adj) }
+func (b *Boundary) NumSources() int { return b.sources }
 
 // WriteBoundary serializes the store: magic, version, source count,
 // then per source (ascending) a gap-coded source ID, degree, and
@@ -96,20 +93,23 @@ func OpenBoundary(path string, numPages int) (*Boundary, error) {
 		return corrupt("boundary format %d, want %d", ver, boundaryVersion)
 	}
 	// A source count or a degree is at most one per page; a source costs
-	// its gap and its degree.
-	nsrc := r.Count(numPages, 2)
-	adj := make(map[webgraph.PageID][]webgraph.PageID, nsrc)
+	// its gap and its degree. A page without a row ends where its predecessor does.
+	b := &Boundary{off: make([]int32, numPages+1), sources: r.Count(numPages, 2)}
 	src := int64(-1)
-	for i := 0; i < nsrc && r.Step(&src, int64(numPages)); i++ {
-		lst := make([]webgraph.PageID, r.Count(numPages, 1))
+	for i := 0; i < b.sources && r.Step(&src, int64(numPages)); i++ {
 		t := int64(-1)
-		for j := 0; j < len(lst) && r.Step(&t, int64(numPages)); j++ {
-			lst[j] = webgraph.PageID(t)
+		for j, deg := 0, r.Count(numPages, 1); j < deg && r.Step(&t, int64(numPages)); j++ {
+			b.dst = append(b.dst, webgraph.PageID(t))
 		}
-		adj[webgraph.PageID(src)] = lst
+		b.off[src+1] = int32(len(b.dst))
 	}
 	if r.End(); r.Err() != nil {
 		return corrupt("%v", r.Err())
+	} else if len(b.dst) > math.MaxInt32 {
+		return corrupt("%d edges, more than a row offset holds", len(b.dst))
 	}
-	return NewBoundary(adj), nil
+	for p := 1; p <= numPages; p++ {
+		b.off[p] = max(b.off[p], b.off[p-1])
+	}
+	return b, nil
 }

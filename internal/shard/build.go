@@ -99,6 +99,7 @@ func buildShard(c *webgraph.Corpus, shardOf []int, s, k int, root string, cfg sn
 	ig, pages := c.Graph, n
 	bfwd := map[webgraph.PageID][]webgraph.PageID{}
 	brev := map[webgraph.PageID][]webgraph.PageID{}
+	var fwdEdges, revEdges int64
 	if k > 1 {
 		intra := webgraph.NewBuilder(n)
 		pages = 0
@@ -114,9 +115,11 @@ func buildShard(c *webgraph.Corpus, shardOf []int, s, k int, root string, cfg sn
 					intra.AddEdge(p, q)
 				case srcOwned:
 					bfwd[p] = append(bfwd[p], q)
+					fwdEdges++
 				case dstOwned:
 					// Visiting sources ascending keeps each rev list sorted.
 					brev[q] = append(brev[q], p)
+					revEdges++
 				}
 			}
 		}
@@ -136,11 +139,13 @@ func buildShard(c *webgraph.Corpus, shardOf []int, s, k int, root string, cfg sn
 		return nil, err
 	}
 	entry := &ShardEntry{
-		Dir:         dir,
-		Pages:       pages,
-		IntraEdges:  ig.NumEdges(),
-		BoundaryFwd: filepath.Join(dir, "boundary.fwd"),
-		BoundaryRev: filepath.Join(dir, "boundary.rev"),
+		Dir:              dir,
+		Pages:            pages,
+		IntraEdges:       ig.NumEdges(),
+		BoundaryFwd:      filepath.Join(dir, "boundary.fwd"),
+		BoundaryRev:      filepath.Join(dir, "boundary.rev"),
+		BoundaryFwdEdges: fwdEdges,
+		BoundaryRevEdges: revEdges,
 	}
 	if err := WriteBoundary(filepath.Join(root, entry.BoundaryFwd), bfwd); err != nil {
 		return nil, err
@@ -148,8 +153,6 @@ func buildShard(c *webgraph.Corpus, shardOf []int, s, k int, root string, cfg sn
 	if err := WriteBoundary(filepath.Join(root, entry.BoundaryRev), brev); err != nil {
 		return nil, err
 	}
-	entry.BoundaryFwdEdges = NewBoundary(bfwd).NumEdges()
-	entry.BoundaryRevEdges = NewBoundary(brev).NumEdges()
 	return entry, nil
 }
 

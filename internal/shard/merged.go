@@ -1,8 +1,11 @@
 package shard
 
 import (
+	"cmp"
 	"context"
+	"slices"
 
+	"snode/internal/snode"
 	"snode/internal/store"
 	"snode/internal/webgraph"
 )
@@ -10,29 +13,25 @@ import (
 // MergedStore overlays a shard's boundary edges on its S-Node base
 // store, so navigation from an OWNED page sees the page's complete
 // adjacency: the intra-shard part from the compressed representation,
-// the cross-shard part from the in-memory boundary map. The shard's
+// the cross-shard part from the in-memory boundary rows. The shard's
 // mining engine runs over two of these (fwd and rev), which is what
 // makes its partial-query results exact.
 //
 // The overlay is free of duplicates by construction — an edge is intra
-// or boundary, never both — and costs no modeled I/O (the boundary map
-// is resident, like the domain and page-ID indexes the §4 setup keeps
+// or boundary, never both — and costs no modeled I/O (the boundary rows
+// are resident, like the domain and page-ID indexes the §4 setup keeps
 // in memory for every scheme). Serving knobs (cache reset, pacing) and
 // stats pass through to the base store.
 type MergedStore struct {
-	base     store.LinkStore
-	baseCtx  store.ContextLinkStore // non-nil when base provides it
+	base     *snode.Representation
 	boundary *Boundary
-	domainOf func(webgraph.PageID) string
+	domains  store.DomainRanges
 }
 
-// NewMergedStore overlays boundary on base. domainOf supplies the
-// metadata OutFiltered needs to filter boundary targets the same way
-// the base store filters decoded lists.
-func NewMergedStore(base store.LinkStore, b *Boundary, domainOf func(webgraph.PageID) string) *MergedStore {
-	m := &MergedStore{base: base, boundary: b, domainOf: domainOf}
-	m.baseCtx, _ = base.(store.ContextLinkStore)
-	return m
+// NewMergedStore overlays boundary on base. domains is the corpus's
+// domain index, through which a filter's domains pass boundary targets.
+func NewMergedStore(base *snode.Representation, b *Boundary, domains store.DomainRanges) *MergedStore {
+	return &MergedStore{base: base, boundary: b, domains: domains}
 }
 
 // Name returns the base scheme's name.
@@ -41,50 +40,61 @@ func (m *MergedStore) Name() string { return m.base.Name() }
 // NumPages reports the base store's page count (global ID space).
 func (m *MergedStore) NumPages() int { return m.base.NumPages() }
 
-// appendBoundary adds p's boundary targets passing f to buf.
-func (m *MergedStore) appendBoundary(p webgraph.PageID, f *store.Filter, buf []webgraph.PageID) []webgraph.PageID {
-	for _, t := range m.boundary.Out(p) {
-		if store.FilterAccepts(f, t, m.domainOf) {
-			buf = append(buf, t)
+// Neighbors is the base store's Neighbors with each page's boundary
+// targets that pass f appended to its list.
+func (m *MergedStore) Neighbors(ctx context.Context, pages []webgraph.PageID, f *store.Filter, visit func(p webgraph.PageID, out []webgraph.PageID) error) error {
+	domains := m.compile(f)
+	var buf []webgraph.PageID
+	return m.base.Neighbors(ctx, pages, f, func(p webgraph.PageID, out []webgraph.PageID) error {
+		row := m.boundary.Out(p)
+		if len(row) == 0 {
+			return visit(p, out)
 		}
-	}
-	return buf
+		buf = append(buf[:0], out...)
+		for _, t := range row {
+			k, _ := slices.BinarySearchFunc(domains, t, func(r store.DomainRange, t webgraph.PageID) int { return cmp.Compare(r.Hi, t+1) })
+			if f.Empty() || f.AcceptsPage(t) || k < len(domains) && domains[k].Lo <= t {
+				buf = append(buf, t)
+			}
+		}
+		return visit(p, buf)
+	})
 }
 
-// Out appends p's complete adjacency: intra from the base store, then
-// cross-shard from the boundary.
+// Out, OutFiltered and OutFilteredCtx are one-page Neighbors calls.
 func (m *MergedStore) Out(p webgraph.PageID, buf []webgraph.PageID) ([]webgraph.PageID, error) {
-	buf, err := m.base.Out(p, buf)
-	if err != nil {
-		return buf, err
-	}
-	return append(buf, m.boundary.Out(p)...), nil
+	return m.OutFilteredCtx(context.Background(), p, nil, buf)
 }
 
-// OutFiltered applies f to both halves.
 func (m *MergedStore) OutFiltered(p webgraph.PageID, f *store.Filter, buf []webgraph.PageID) ([]webgraph.PageID, error) {
-	buf, err := m.base.OutFiltered(p, f, buf)
-	if err != nil {
-		return buf, err
-	}
-	return m.appendBoundary(p, f, buf), nil
+	return m.OutFilteredCtx(context.Background(), p, f, buf)
 }
 
-// OutFilteredCtx is the context-aware read path: the base access
-// carries ctx (traces, cancellation) when the base store supports it.
 func (m *MergedStore) OutFilteredCtx(ctx context.Context, p webgraph.PageID, f *store.Filter, buf []webgraph.PageID) ([]webgraph.PageID, error) {
-	var err error
-	if m.baseCtx != nil {
-		buf, err = m.baseCtx.OutFilteredCtx(ctx, p, f, buf)
-	} else if f == nil {
-		buf, err = m.base.Out(p, buf)
-	} else {
-		buf, err = m.base.OutFiltered(p, f, buf)
+	err := m.Neighbors(ctx, []webgraph.PageID{p}, f, func(_ webgraph.PageID, out []webgraph.PageID) error {
+		buf = append(buf, out...)
+		return nil
+	})
+	return buf, err
+}
+
+// compile resolves f's domains once per store (store.Filter.Compiled)
+// to their page ranges, ascending: a boundary target passes when it is
+// in one of them or f names it.
+func (m *MergedStore) compile(f *store.Filter) []store.DomainRange {
+	if f.Empty() {
+		return nil
 	}
-	if err != nil {
-		return buf, err
-	}
-	return m.appendBoundary(p, f, buf), nil
+	return f.Compiled(m, func() any {
+		var rs []store.DomainRange
+		for d, ok := range f.Domains {
+			if dr, found := m.domains[d]; ok && found {
+				rs = append(rs, dr)
+			}
+		}
+		slices.SortFunc(rs, func(a, b store.DomainRange) int { return cmp.Compare(a.Lo, b.Lo) })
+		return rs
+	}).([]store.DomainRange)
 }
 
 // Stats reports the base store's access statistics (boundary reads are
@@ -97,26 +107,14 @@ func (m *MergedStore) ResetStats() { m.base.ResetStats() }
 // Close closes the base store.
 func (m *MergedStore) Close() error { return m.base.Close() }
 
-// ResetCache forwards to the base store when it supports it.
-func (m *MergedStore) ResetCache(budget int64) {
-	if c, ok := m.base.(store.CacheResetter); ok {
-		c.ResetCache(budget)
-	}
-}
+// ResetCache forwards to the base store.
+func (m *MergedStore) ResetCache(budget int64) { m.base.ResetCache(budget) }
 
-// SetPace forwards to the base store when it supports it.
-func (m *MergedStore) SetPace(scale float64) {
-	if p, ok := m.base.(store.Pacer); ok {
-		p.SetPace(scale)
-	}
-}
+// SetPace forwards to the base store.
+func (m *MergedStore) SetPace(scale float64) { m.base.SetPace(scale) }
 
 // SizeBytes reports the base representation size plus the boundary
 // store's resident footprint (8 bytes per entry key + 4 per edge).
 func (m *MergedStore) SizeBytes() int64 {
-	var n int64
-	if s, ok := m.base.(store.Sized); ok {
-		n = s.SizeBytes()
-	}
-	return n + int64(m.boundary.NumSources())*8 + m.boundary.NumEdges()*4
+	return m.base.SizeBytes() + int64(m.boundary.NumSources())*8 + m.boundary.NumEdges()*4
 }

@@ -85,7 +85,6 @@ func OpenServing(root string, id int, cacheBudget int64, model iosim.Model) (*Se
 		fwdBase.Close()
 		return nil, err
 	}
-	domainOf := func(p webgraph.PageID) string { return pages[p].Domain }
 	nav := &repo.Repository{
 		Corpus:   meta.Corpus,
 		Text:     textindex.Build(pages),
@@ -96,8 +95,8 @@ func OpenServing(root string, id int, cacheBudget int64, model iosim.Model) (*Se
 		Rev:      map[string]store.LinkStore{repo.SchemeSNode: revBase},
 	}
 	merged := nav.WithStores(repo.SchemeSNode,
-		NewMergedStore(fwdBase, bfwd, domainOf),
-		NewMergedStore(revBase, brev, domainOf))
+		NewMergedStore(fwdBase, bfwd, nav.Domains),
+		NewMergedStore(revBase, brev, nav.Domains))
 	return &ServingShard{ID: id, Manifest: m, Repo: merged, NavRepo: nav}, nil
 }
 

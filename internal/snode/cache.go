@@ -165,7 +165,7 @@ func nodeOf(id GraphID, g decodedGraph) *cacheNode {
 		return n
 	}
 	// A graph without sources gets an empty range, so rulesOut rules
-	// every page out, as findSource would.
+	// every page out, as a search of its sources would.
 	n.srcLo, n.srcHi, n.srcMask = 0, -1, 0
 	if len(srcs) > 0 {
 		n.srcLo, n.srcHi = srcs[0], srcs[len(srcs)-1]
@@ -182,6 +182,26 @@ func nodeOf(id GraphID, g decodedGraph) *cacheNode {
 // source — bits alias modulo 64 — but never says true for one that is.
 func (n *cacheNode) rulesOut(local int32) bool {
 	return local < n.srcLo || local > n.srcHi || n.srcMask&(1<<(uint32(local)&63)) == 0
+}
+
+// rulesOutAll reports whether the summary rules out every page of
+// locals (ascending, not empty; lo, hi and mask summarize them as a
+// summary does sources): whether the graph holds no link of any of them,
+// as far as the summary can tell. The pages' own summary settles it for
+// one page, and for many when the two summaries share no page.
+func (n *cacheNode) rulesOutAll(locals []int32, lo, hi int32, mask uint64) bool {
+	if hi < n.srcLo || lo > n.srcHi || mask&n.srcMask == 0 {
+		return true
+	}
+	if len(locals) == 1 {
+		return false
+	}
+	for _, local := range locals {
+		if !n.rulesOut(local) {
+			return false
+		}
+	}
+	return true
 }
 
 // loading is what the slot of a claimed graph points to until its

@@ -123,23 +123,30 @@ func (g *decodedIntra) edgeCount() int64 { return int64(len(g.lists.IDs)) }
 // capacity, which for everything a decoder returns is their length.
 func (g *decodedIntra) memSize() int64 { return g.lists.MemSize() }
 
-// findSource returns the index of srcLocal in the sorted source IDs of
-// a positive superedge graph, or -1 when the page has no link through
-// it.
-func findSource(srcs []int32, srcLocal int32) int {
-	lo, hi := 0, len(srcs)
+// seek returns the index of the first of the ascending IDs xs, from
+// index from on, that is at least v (len(xs) when none is): one step of
+// a merge walk of a group's local IDs against a positive superedge
+// graph's sources, on either side. Galloping from from, a walk that
+// takes k steps through n IDs costs O(k log(n/k)) comparisons; without,
+// a step is a binary search, which is what a lone page's walk wants.
+func seek(xs []int32, from int, v int32, gallop bool) int {
+	lo, hi := from, len(xs)
+	for step := 1; gallop && lo+step < hi; step *= 2 {
+		if xs[lo+step] >= v {
+			hi = lo + step
+			break
+		}
+		lo += step
+	}
 	for lo < hi {
-		mid := (lo + hi) / 2
-		if srcs[mid] < srcLocal {
+		mid := int(uint(lo+hi) >> 1)
+		if xs[mid] < v {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(srcs) && srcs[lo] == srcLocal {
-		return lo
-	}
-	return -1
+	return lo
 }
 
 // decodedSuperPos is the in-memory form of a positive superedge graph.
@@ -223,15 +230,6 @@ func (g *encodedGraph) memSize() int64 {
 	return int64(cap(g.srcs))*4 + int64(cap(g.buf)) + 64
 }
 
-// listOf returns the index of the list that holds the links of the page
-// with local ID local (within Ni), or -1 when the graph holds none.
-func (g *encodedGraph) listOf(local int32) int {
-	if g.kind == kindSuperPos {
-		return findSource(g.srcs, local)
-	}
-	return int(local)
-}
-
 // materialize decodes every list: the whole graph, sharing g's sources.
 func (g *encodedGraph) materialize() (decodedGraph, error) {
 	lists, err := refenc.DecodeListsBounded(g.lists(), int(g.numLists), uint64(g.bound))
@@ -291,23 +289,20 @@ func (g *decodedSuperNeg) edgeCount() int64 { return int64(len(g.lists.IDs)) }
 
 func (g *decodedSuperNeg) memSize() int64 { return g.lists.MemSize() + 8 }
 
-// appendTargets appends to dst the local targets of the page with local
-// ID local out of a whole graph: its intranode list, its list as a
-// source of a positive superedge graph (none unless it is one), or every
-// local Nj ID its complement list in a negative one leaves out.
-func appendTargets(g decodedGraph, local int32, dst []int32) ([]int32, error) {
+// storedLists returns a whole graph's stored lists and, for a negative
+// superedge graph, whose lists are complements, the size of the local ID
+// space they complement (0 for the other kinds, whose lists are the
+// targets).
+func storedLists(g decodedGraph) (refenc.Lists, int32) {
 	switch sg := g.(type) {
 	case *decodedIntra:
-		return append(dst, sg.lists.At(int(local))...), nil
+		return sg.lists, 0
 	case *decodedSuperPos:
-		if k := findSource(sg.srcs, local); k >= 0 {
-			dst = append(dst, sg.lists.At(k)...)
-		}
-		return dst, nil
+		return sg.lists, 0
 	case *decodedSuperNeg:
-		return appendComplement(dst, sg.lists.At(int(local)), sg.njSize), nil
+		return sg.lists, sg.njSize
 	}
-	return dst, fmt.Errorf("snode: graph is a %T", g)
+	return refenc.Lists{}, 0
 }
 
 // appendComplement appends [0,n) \ list to dst (list sorted strictly

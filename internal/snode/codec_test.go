@@ -293,7 +293,7 @@ func loadWhole(r *Representation, gid GraphID) (decodedGraph, error) {
 	ctx := context.Background()
 	e := &r.m.Directory[gid]
 	var whole decodedGraph
-	err := r.consult(ctx, e.I, -1, []needEntry{{gid: gid, j: e.J}}, func(gid GraphID, _ int32, g decodedGraph, _ bool) error {
+	err := r.consult(ctx, e.I, nil, []needEntry{{gid: gid, j: e.J}}, func(gid GraphID, _ int32, g decodedGraph, _ bool) error {
 		if sg, ok := g.(*encodedGraph); ok {
 			full, err := r.materialize(ctx, gid, sg)
 			if err != nil {

@@ -1,14 +1,17 @@
 package snode
 
 import (
+	"fmt"
 	"os"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 
 	"snode/internal/bitio"
 	"snode/internal/iosim"
 	"snode/internal/raceflag"
+	"snode/internal/randutil"
 	"snode/internal/refenc"
 	"snode/internal/synth"
 	"snode/internal/webgraph"
@@ -79,7 +82,7 @@ func testDecodeListEqualsDecodeGraph(t *testing.T) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("graph %d (kind %d), page %d: list alone %v, in the whole graph %v", gid, e.Kind, local, got, want)
 			}
-			stored := wholeLists(whole)
+			stored, _ := storedLists(whole)
 			if wantN := int(stored.Off[k+1]); n != wantN {
 				t.Fatalf("graph %d (kind %d), page %d: %d entries decoded, want %d", gid, e.Kind, local, n, wantN)
 			}
@@ -98,20 +101,6 @@ func testDecodeListEqualsDecodeGraph(t *testing.T) {
 			t.Errorf("no list of kind %d decoded: the fixture lacks the kind", kind)
 		}
 	}
-}
-
-// wholeLists is the stored lists of a whole graph (complements for a
-// negative superedge graph).
-func wholeLists(g decodedGraph) refenc.Lists {
-	switch sg := g.(type) {
-	case *decodedIntra:
-		return sg.lists
-	case *decodedSuperPos:
-		return sg.lists
-	case *decodedSuperNeg:
-		return sg.lists
-	}
-	return refenc.Lists{}
 }
 
 // TestColdWarmAndDamagedReadsAgree reads every page of the fixture cold
@@ -176,7 +165,8 @@ func testColdWarmAndDamagedReadsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	broken := int32(e.NumLists / 2)
-	bad, err := Open(corruptListsFrom(t, src, r, victim, rows(wholeLists(whole))[:broken]), 1<<20, iosim.Model2002())
+	stored, _ := storedLists(whole)
+	bad, err := Open(corruptListsFrom(t, src, r, victim, rows(stored)[:broken]), 1<<20, iosim.Model2002())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,5 +272,76 @@ func TestGraphAdmittedAtMostOnce(t *testing.T) {
 	checkShardInvariants(t, c)
 	if st := c.statsMerged(); st.Loads != 2 || st.Materialized != 1 || target.resident != 1 {
 		t.Fatalf("%+v, %d resident; want 2 loads, 1 materialization, the sources-only entry alone", st, target.resident)
+	}
+}
+
+// findSource returns the index of srcLocal in the sorted source IDs of
+// a positive superedge graph, or -1 when the page has no link through
+// it: the binary search the read path's merge walk (seek) replaced.
+func findSource(srcs []int32, srcLocal int32) int {
+	lo, hi := 0, len(srcs)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if srcs[mid] < srcLocal {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(srcs) && srcs[lo] == srcLocal {
+		return lo
+	}
+	return -1
+}
+
+// listOf returns the index of the list that holds the links of the page
+// with local ID local (within Ni), or -1 when the graph holds none.
+func (g *encodedGraph) listOf(local int32) int {
+	if g.kind == kindSuperPos {
+		return findSource(g.srcs, local)
+	}
+	return int(local)
+}
+
+// appendTargets appends to dst the local targets of the page with local
+// ID local out of a whole graph: its intranode list, its list as a
+// source of a positive superedge graph (none unless it is one), or every
+// local Nj ID its complement list in a negative one leaves out.
+func appendTargets(g decodedGraph, local int32, dst []int32) ([]int32, error) {
+	switch sg := g.(type) {
+	case *decodedIntra:
+		return append(dst, sg.lists.At(int(local))...), nil
+	case *decodedSuperPos:
+		if k := findSource(sg.srcs, local); k >= 0 {
+			dst = append(dst, sg.lists.At(k)...)
+		}
+		return dst, nil
+	case *decodedSuperNeg:
+		return appendComplement(dst, sg.lists.At(int(local)), sg.njSize), nil
+	}
+	return dst, fmt.Errorf("snode: graph is a %T", g)
+}
+
+// TestSeekMatchesBinarySearch holds the merge walk's step, galloping or
+// not, to a binary search, from every start, for every ID.
+func TestSeekMatchesBinarySearch(t *testing.T) {
+	rng := randutil.NewRNG(5)
+	for round := 0; round < 50; round++ {
+		var srcs []int32
+		for v := int32(0); v < 100; v++ {
+			if rng.Intn(1+round%7) == 0 {
+				srcs = append(srcs, v)
+			}
+		}
+		for from := 0; from <= len(srcs); from++ {
+			for local := int32(-1); local <= 101; local++ {
+				want := from + sort.Search(len(srcs)-from, func(x int) bool { return srcs[from+x] >= local })
+				for _, gallop := range []bool{false, true} {
+					if got := seek(srcs, from, local, gallop); got != want {
+						t.Fatalf("round %d: seek(%v, %d, %d, %v) = %d, want %d", round, srcs, from, local, gallop, got, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -13,7 +13,6 @@ import (
 
 	"snode/internal/iosim"
 	"snode/internal/metrics"
-	"snode/internal/refenc"
 	"snode/internal/store"
 	"snode/internal/trace"
 	"snode/internal/webgraph"
@@ -327,23 +326,10 @@ func (r *Representation) materialize(ctx context.Context, gid GraphID, sg *encod
 	return full, nil
 }
 
-// appendEncoded appends to dst the local targets of the page with local
-// ID local out of the encoded entry sg. Found in the cache at consult's
-// first probe (hit), the entry is decoded whole first and the cache
-// keeps the whole graph, as the lookups of a hot graph want; missed
-// there (loaded by this lookup, waited on or found cached since), or
-// when that whole decode fails, only the page's own list is decoded — so whether a
-// lookup succeeds never depends on what the cache holds.
-func (r *Representation) appendEncoded(ctx context.Context, gid GraphID, sg *encodedGraph, local int32, hit bool, dst []int32) ([]int32, error) {
-	k := sg.listOf(local)
-	if k < 0 {
-		return dst, nil
-	}
-	if hit {
-		if full, err := r.materialize(ctx, gid, sg); err == nil {
-			return appendTargets(full, local, dst)
-		}
-	}
+// decodeList appends to dst the local targets held by list k of the
+// encoded entry sg — a one-list decode, which reads no list after k and
+// leaves the cache entry as it is.
+func (r *Representation) decodeList(gid GraphID, sg *encodedGraph, k int, dst []int32) ([]int32, error) {
 	start := r.decodeStart()
 	dst, n, err := sg.appendList(k, dst)
 	r.observeDecode(start)
@@ -380,107 +366,9 @@ func (r *Representation) decodePayload(e *dirEntry, buf []byte) (decodedGraph, e
 	return decodeGraph(e.Kind, buf, int(e.NumLists), niSize, njSize)
 }
 
-// Out implements store.LinkStore: the full adjacency of external page
-// p, assembled from the intranode graph and every out-superedge graph
-// of p's supernode (the paper's noted trade-off of partitioned
-// adjacency lists).
-func (r *Representation) Out(p webgraph.PageID, buf []webgraph.PageID) ([]webgraph.PageID, error) {
-	return r.OutFilteredCtx(context.Background(), p, nil, buf)
-}
-
-// OutFiltered implements store.LinkStore. The filter is exploited
-// structurally: a superedge graph is loaded only when its target
-// supernode can contain accepted pages, which is how S-Node achieves
-// focused access (§1.2, Requirement 2).
-func (r *Representation) OutFiltered(p webgraph.PageID, f *store.Filter, buf []webgraph.PageID) ([]webgraph.PageID, error) {
-	return r.OutFilteredCtx(context.Background(), p, f, buf)
-}
-
-// OutFilteredCtx implements store.ContextLinkStore: OutFiltered with a
-// request-scoped context. When ctx carries an execution trace the
-// lookup attributes its work to the request — graphs consulted, cache
-// hits and misses, coalesced waits behind other goroutines' decodes,
-// span reads and the decodes they led. A lookup whose graphs are all
-// resident, and decoded whole where it needs a list of them, takes no
-// lock and, given room in buf, allocates nothing: the
-// filter is resolved once per (filter, store), and the graphs it lets a
-// lookup in each supernode consult are listed once, by the first such
-// lookup; each lookup copies its list to a stack array (a pooled one in
-// a supernode with more graphs than that holds); a resident graph
-// the page is not a source of is ruled out from its cache node
-// (consult); and targets are translated in buf itself.
-func (r *Representation) OutFilteredCtx(ctx context.Context, p webgraph.PageID, f *store.Filter, buf []webgraph.PageID) ([]webgraph.PageID, error) {
-	if p < 0 || p >= r.m.NumPages {
-		return buf, fmt.Errorf("snode: page %d out of range", p)
-	}
-	internal := r.m.Perm[p]
-	i := r.snOf(internal)
-	local := internal - r.m.SnBase[i]
-	cf := r.compile(f)
-
-	// emit appends this page's targets out of one graph the moment the
-	// graph is available — local target IDs first, turned into external
-	// page IDs in buf itself, keeping the accepted.
-	emit := func(gid GraphID, j int32, g decodedGraph, hit bool) error {
-		from := len(buf)
-		var err error
-		if sg, ok := g.(*encodedGraph); ok {
-			buf, err = r.appendEncoded(ctx, gid, sg, local, hit, buf)
-		} else {
-			buf, err = appendTargets(g, local, buf)
-		}
-		if err != nil || len(buf) == from {
-			return err
-		}
-		inv := r.m.Inv[r.m.SnBase[j]:]
-		if cf.allOf(j) {
-			for k, t := range buf[from:] {
-				buf[from+k] = inv[t]
-			}
-			return nil
-		}
-		kept := buf[:from]
-		for _, t := range buf[from:] {
-			if ext := inv[t]; f.AcceptsPage(ext) {
-				kept = append(kept, ext)
-			}
-		}
-		buf = kept
-		return nil
-	}
-
-	// The graphs to consult, in a stack array, or for a supernode with
-	// more out-superedges than it holds in a pooled one.
-	var scratch [outScratch]needEntry
-	need := scratch[:0]
-	var listed []needEntry
-	n := int(r.m.SuperOff[i+1]-r.m.SuperOff[i]) + 1
-	if cf != nil {
-		listed = cf.graphsIn(r.m, i)
-		n = len(listed)
-	}
-	if n > outScratch {
-		big := needPool.Get().(*[]needEntry)
-		defer needPool.Put(big)
-		*big = slices.Grow((*big)[:0], n)
-		need = (*big)[:0]
-	}
-	if cf == nil {
-		need = r.m.appendGraphs(need, i)
-	} else {
-		need = append(need, listed...)
-	}
-	err := r.consult(ctx, i, local, need, emit)
-	return buf, err
-}
-
-// needPool holds the lists of graphs to consult of lookups in supernodes
-// with more than outScratch of them.
-var needPool = sync.Pool{New: func() any { return new([]needEntry) }}
-
 // consult hands each graph of need — graphs of supernode i, in ascending
-// gid — that can hold a link of the page with local ID local to process
-// exactly once, streaming: resident graphs first (hit set), then the
+// gid — that can hold a link of a page with a local ID in locals to
+// process exactly once, streaming: resident graphs first (hit set), then the
 // misses as they are read, so a working set larger than the cache budget
 // is read once per access rather than thrashing (load-all then re-read).
 // Uncached graphs are fetched with span reads — §3.3's disk layout puts
@@ -489,15 +377,15 @@ var needPool = sync.Pool{New: func() any { return new([]needEntry) }}
 // from disk into the cache.
 //
 // A resident graph is looked up through its cache node, and the node's
-// source summary (cacheNode.rulesOut) can show that the page is not a
-// source of it: such a graph is a hit like any other, touched and
+// source summary (cacheNode.rulesOutAll) can show that none of the pages
+// is a source of it: such a graph is a hit like any other, touched and
 // counted at its turn, and is not handed to process. This is the one
 // place the summary is read; a miss is handed to process whatever its
-// sources. local is -1 to hand every graph on (Verify).
+// sources. locals is ascending, and nil to hand every graph on (Scan).
 //
 // need is used as scratch; the first error from process, a read or a
 // decode ends the walk.
-func (r *Representation) consult(ctx context.Context, i, local int32, need []needEntry, process func(gid GraphID, j int32, g decodedGraph, hit bool) error) error {
+func (r *Representation) consult(ctx context.Context, i int32, locals []int32, need []needEntry, process func(gid GraphID, j int32, g decodedGraph, hit bool) error) error {
 	// Pass 1: process cached graphs; collect misses (ascending gid ==
 	// disk order, because the intranode graph precedes its superedges).
 	// The misses are compacted into need's own prefix — entry k is read
@@ -508,12 +396,20 @@ func (r *Representation) consult(ctx context.Context, i, local int32, need []nee
 	needed := len(need)
 	miss := need[:0]
 	var firstErr error
+	var lo, hi int32
+	var mask uint64
+	if len(locals) > 0 {
+		lo, hi = locals[0], locals[len(locals)-1]
+		for _, local := range locals {
+			mask |= 1 << (uint32(local) & 63)
+		}
+	}
 	for _, ne := range need {
 		n := r.cache.lookupNode(ne.gid)
 		switch {
 		case n == nil:
 			miss = append(miss, ne)
-		case firstErr != nil, local >= 0 && n.rulesOut(local):
+		case firstErr != nil, locals != nil && n.rulesOutAll(locals, lo, hi, mask):
 			// A hit, touched and counted, with nothing to hand on.
 		default:
 			firstErr = process(ne.gid, ne.j, n.g, true)
@@ -712,7 +608,7 @@ func (r *Representation) Scan(ctx context.Context, fn func(p webgraph.PageID, ou
 		n := int(r.snSize(s))
 		rows = slices.Grow(rows[:0], n)[:n] // every row emptied by its emission
 		need = r.m.appendGraphs(need[:0], s)
-		err := r.consult(ctx, s, -1, need, func(gid GraphID, j int32, g decodedGraph, _ bool) error {
+		err := r.consult(ctx, s, nil, need, func(gid GraphID, j int32, g decodedGraph, _ bool) error {
 			if sg, ok := g.(*encodedGraph); ok {
 				full, err := r.materialize(ctx, gid, sg)
 				if err != nil {
@@ -720,16 +616,10 @@ func (r *Representation) Scan(ctx context.Context, fn func(p webgraph.PageID, ou
 				}
 				g = full
 			}
-			var lists refenc.Lists
+			lists, negBound := storedLists(g)
 			links := g.edgeCount()
-			switch t := g.(type) {
-			case *decodedIntra:
-				lists = t.lists
-			case *decodedSuperPos:
-				lists = t.lists
-			case *decodedSuperNeg:
-				lists = t.lists
-				links = int64(n)*int64(t.njSize) - links
+			if negBound > 0 {
+				links = int64(n)*int64(negBound) - links
 			}
 			if e := &r.m.Directory[gid]; lists.Len() != int(e.NumLists) {
 				return fmt.Errorf("graph %d decoded to %d lists, its directory entry records %d", gid, lists.Len(), e.NumLists)
@@ -740,11 +630,10 @@ func (r *Representation) Scan(ctx context.Context, fn func(p webgraph.PageID, ou
 			inv := r.m.Inv[r.m.SnBase[j]:]
 			for k := range lists.Len() {
 				src, targets := int32(k), lists.At(k)
-				switch t := g.(type) {
-				case *decodedSuperPos:
-					src = t.srcs[k]
-				case *decodedSuperNeg:
-					neg = appendComplement(neg[:0], targets, t.njSize)
+				if sp, ok := g.(*decodedSuperPos); ok {
+					src = sp.srcs[k]
+				} else if negBound > 0 {
+					neg = appendComplement(neg[:0], targets, negBound)
 					targets = neg
 				}
 				for _, t := range targets {

@@ -27,9 +27,9 @@
 // # Thread safety
 //
 // An opened Representation is safe for concurrent use: any number of
-// goroutines may call Out, OutFiltered, OutFilteredCtx, Scan, Verify,
-// DomainSupernodes, and the stats accessors simultaneously, and Scan's
-// fn may itself call Out. A lookup whose graphs are resident takes no
+// goroutines may call Neighbors, Out, OutFiltered, OutFilteredCtx, Scan,
+// Verify, DomainSupernodes, and the stats accessors simultaneously, and
+// Scan's fn and Neighbors' visit may themselves call Out or Neighbors. A lookup whose graphs are resident takes no
 // lock: the buffer manager publishes each resident graph in an atomic
 // slot indexed by GraphID, and a hit is one atomic load (plus setting the
 // entry's second-chance bit when it is clear). Whatever changes

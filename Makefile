@@ -130,10 +130,8 @@ test-load:
 	$(GO) test -count=1 -run 'TestChaos32Goroutines|TestShedOnFull' ./internal/admission
 	$(GO) test -count=1 -run 'TestQueueFullShedsWith429' ./internal/serve
 
-# Distributed-serving gate, under the race detector: the golden
-# equivalence tests (partial queries merged across K shards ==
-# single-node rows, in-process and through the HTTP router, cross-shard
-# /out included) plus the failure drills — replica ejection, probe
+# Distributed-serving gate, under the race detector: the failure drills
+# (what a partition answers is test-codec's oracle) — replica ejection, probe
 # re-admission, kill-one-replica failover, a shard wholly down failing
 # closed, version-skew rejection, a JSON-speaking replica refused, a
 # shard's 429 relayed with the largest Retry-After (TestShedRelayed) —
@@ -163,13 +161,17 @@ test-shard:
 # in ./internal/metrics: every registered name has a row, every row a
 # registration, and README's table is its rendering) and the one log
 # path (TestOneLogPath: no non-test file under internal/ or cmd/
-# imports log). Run with -count=1 so the gate always executes.
+# imports log), POST /update's body check (FuzzUpdateBody's seed corpus:
+# an op missing a field, an unknown field, an array after the array,
+# each refused with nothing applied) and every -run pattern here naming
+# a test (TestMakefileRunPatternsMatch). Run with -count=1 so the gate
+# always executes.
 test-obs:
 	$(GO) test -count=1 -run 'TestDistributedTraceStitching|TestClusterMetricsInvariant|TestOneShardAllDownFailsClosed|TestShedRelayed' ./internal/router
-	$(GO) test -count=1 -run 'TestRemoteSampledBit|TestForcedSampling|TestStartLinked|TestHeaderRoundTrip|FuzzParseHeader|TestAttachRemoteExports' ./internal/serve ./internal/trace
+	$(GO) test -count=1 -run 'TestRemoteSampledBit|TestForcedSampling|TestStartLinked|TestHeaderRoundTrip|FuzzParseHeader|TestAttachRemoteExports|FuzzUpdateBody' ./internal/serve ./internal/trace
 	$(GO) test -count=1 -run 'FuzzLoadManifest' ./internal/shard
 	$(GO) test -count=1 ./internal/metrics
-	$(GO) test -count=1 -run 'TestOneLogPath' ./internal/deadcode
+	$(GO) test -count=1 -run 'TestOneLogPath|TestMakefileRunPatternsMatch' ./internal/deadcode
 
 # Codec gate: encode→decode identity for the one codec, paper §3's
 # refenc lists and bounded gap-coded sources, over every payload kind
@@ -194,22 +196,23 @@ test-obs:
 # warm and under 4 KiB; cache accounting across the replacement; a graph
 # admitted at most once; a damaged superedge list section failing only
 # its readers, and a damaged intranode list only the pages from it on,
-# whatever the cache holds), the whole-graph Scan (its rows equal Out's
-# and the CSR's, each graph read once, stopping on a visitor error or a
-# cancelled context; at K = 3, every shard's stores equal its
-# intra-shard graph and that graph's transpose) and the flight a miss's
-# waiters share (made by the first of them, releasing all); and the
-# set-at-a-time read (Neighbors: each page's list equals its one-page
-# read under every filter, budget and cache state, in snode and at K = 3
-# through the merged stores; a damaged list fails exactly the sets a
-# one-page read of one of their pages fails; a cancelled call leaves no
-# decode in flight). Run with -count=1 so the gate always executes.
+# whatever the cache holds), the whole-graph Scan (each graph read
+# once, stopping on a visitor error or a cancelled context) and the
+# flight a miss's waiters share (made by the first of them, releasing
+# all); the set-at-a-time read (Neighbors: each page's list equals its
+# one-page read under every filter, budget and cache state; a damaged
+# list fails exactly the sets a one-page read of one of their pages
+# fails; a cancelled call leaves no decode in flight); and the one
+# oracle (TestOracle): every scheme's Out, In, Neighbors, Scan and six
+# queries, K-shard partitions in process and through the router, and
+# delta overlays, against a CSR of a synth crawl and of two Kronecker
+# graphs. Run with -count=1 so the gate always executes.
 test-codec:
 	$(GO) test -count=1 -run 'TestReaderMatchesBitAtATimeReference|TestUnaryZeroTailOverruns' ./internal/bitio
 	$(GO) test -count=1 -run 'TestWindowDecodersMatchReferences|TestGammaAtTheEdgesOfTheWindow|TestHuffmanWindowDecodeMatchesBitwise|TestRLERunsRejectOverlongRun' ./internal/coding
 	$(GO) test -count=1 -run 'TestDecodeRejects|TestDecodeAcceptsZeroBitFinalValue|TestDecodeListsAreExactSizedFlatArrays|TestDecodeListMatchesDecodeLists|TestReadRunRejectsOverflowGap|TestRejectsBadLists' ./internal/refenc
 	$(GO) test -count=1 -run 'TestNeighbors|TestCodec|FuzzCodecRoundTrip|FuzzDecodeHostile|TestCorruptIndexAllCodecs|TestMeasureDecode|TestUnknown|TestRetiredCodecRefusedByName|TestOpenRefusesContradictoryDirectory|TestSourcesFirst|TestSourcesOnly|TestVerifyLeavesMaterializedEntries|TestScan|TestMaterialized|TestCorruptListSection|TestDecodeListEqualsDecodeGraph|TestColdWarmAndDamagedReadsAgree|TestGraphAdmittedAtMostOnce|TestDecodedRowsEqualParents|TestHostileVerdictsEqualParents|TestFlightIsMadeByItsFirstWaiter|TestParkedLeaderReleasesLookupsWaitingOnIt|TestLengthPrefixSizesNoAllocation|TestValueTooWideForItsFieldIsRefused|TestTrailingBytesAreRefused|FuzzReadMeta' ./internal/snode
-	$(GO) test -count=1 -run 'TestShardScanEqualsIntraCSR|TestNeighborsEqualsOut' ./internal/shard
+	$(GO) test -count=1 -run 'TestOracle' ./internal/store
 
 # Ingestion gate: the hostile-input parser table (comments, CRLF,
 # duplicate edges, self-loops, sparse 64-bit IDs, truncated gzip,

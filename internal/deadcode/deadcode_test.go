@@ -11,7 +11,10 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -34,7 +37,7 @@ var allowed = map[string]string{
 	"randutil.RNG.Int63":                   "randutil tests check the stream's range through it",
 	"delta.Overlay.AddPage":                "delta tests grow the page space through it; /update carries edges only",
 	"webgraph.Graph.HasEdge":               "webgraph, synth and mining tests check single edges through it",
-	"query.Engine.RunAll":                  "the serial reference that query and delta tests compare concurrent and overlaid runs with",
+	"query.Engine.RunAll":                  "the serial reference that query tests compare concurrent runs with",
 
 	"admission.ShedError.Unwrap": "errors.Is and errors.As reach the context error behind a shed through it",
 }
@@ -354,6 +357,44 @@ func TestOneLogPath(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestMakefileRunPatternsMatch fails on a `-run` alternative in the
+// Makefile that matches no Test, Fuzz or Benchmark function of the
+// packages on its line, which go test would pass running nothing.
+// `-run xxx`, the benchmark targets' way of running no test, is exempt.
+func TestMakefileRunPatternsMatch(t *testing.T) {
+	funcs := map[string][]string{} // package directory → its test functions
+	isTest := regexp.MustCompile(`^(Test|Fuzz|Benchmark)`)
+	root := eachGoFile(t, func(rel string, _ *token.FileSet, f *ast.File) {
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasSuffix(rel, "_test.go") && isTest.MatchString(fn.Name.Name) {
+				funcs[path.Dir(rel)] = append(funcs[path.Dir(rel)], fn.Name.Name)
+			}
+		}
+	})
+	makefile, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := regexp.MustCompile(`-run '([^']*)'|-run (\S+)`)
+	for i, line := range strings.Split(string(makefile), "\n") {
+		m := run.FindStringSubmatch(line)
+		if m == nil || m[2] == "xxx" || !strings.HasPrefix(line, "\t") { // a recipe line, not a comment
+			continue
+		}
+		var names []string
+		for _, field := range strings.Fields(line) {
+			if strings.HasPrefix(field, "./") {
+				names = append(names, funcs[path.Clean(field)]...)
+			}
+		}
+		for _, alt := range strings.Split(m[1]+m[2], "|") {
+			if re := regexp.MustCompile(strings.Split(alt, "/")[0]); !slices.ContainsFunc(names, re.MatchString) {
+				t.Errorf("Makefile:%d: -run alternative %q matches no test of its packages", i+1, alt)
+			}
+		}
+	}
 }
 
 // eachGoFile parses every Go file of the module — generated output,

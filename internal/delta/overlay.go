@@ -207,13 +207,7 @@ func (o *Overlay) OutFilteredCtx(ctx context.Context, p webgraph.PageID, f *stor
 			return buf, nil // added page without links yet
 		}
 		o.passthrough.Add(1)
-		if o.baseCtx != nil {
-			return o.baseCtx.OutFilteredCtx(ctx, p, f, buf)
-		}
-		if f.Empty() {
-			return o.base.Out(p, buf)
-		}
-		return o.base.OutFiltered(p, f, buf)
+		return o.baseOut(ctx, p, f, buf)
 	}
 
 	o.mergedLookups.Add(1)

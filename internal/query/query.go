@@ -307,12 +307,11 @@ func (e *Engine) RunAll(ctx context.Context) ([]*Result, error) {
 func (e *Engine) fwd() store.LinkStore { return e.R.Fwd[e.Scheme] }
 func (e *Engine) rev() store.LinkStore { return e.R.Rev[e.Scheme] }
 
-// out is the engine's single store access point, forward or (rev) over
-// the transposed graph: it checks for cancellation, then routes through
-// the scheme's context-aware read path when the store provides one
-// (S-Node), so the request's trace and cancellation reach the reader;
-// the flat baselines keep the plain interface. A nil filter means the
-// full adjacency.
+// out is the engine's one-page read, forward or (rev) over the
+// transposed graph, for /out and for the plan steps of a store without
+// Neighbors: it checks for cancellation, then takes the store's
+// context-aware path when there is one, so the request's trace and
+// cancellation reach the reader. A nil filter means the full adjacency.
 func (e *Engine) out(ctx context.Context, rev bool, p webgraph.PageID, f *store.Filter, buf []webgraph.PageID) ([]webgraph.PageID, error) {
 	if err := ctx.Err(); err != nil {
 		return buf, err

@@ -74,40 +74,6 @@ func TestAllQueriesReturnResults(t *testing.T) {
 	}
 }
 
-func TestSchemesAgreeOnResults(t *testing.T) {
-	r := getRepo(t)
-	ref, err := New(r, repo.SchemeFiles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.RunAll(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, scheme := range []string{repo.SchemeSNode, repo.SchemeLink3, repo.SchemeDB, repo.SchemeHuffman} {
-		e, err := New(r, scheme)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := e.RunAll(context.Background())
-		if err != nil {
-			t.Fatalf("%s: %v", scheme, err)
-		}
-		for qi := range want {
-			if len(got[qi].Rows) != len(want[qi].Rows) {
-				t.Fatalf("%s query %d: %d rows, want %d",
-					scheme, want[qi].Query, len(got[qi].Rows), len(want[qi].Rows))
-			}
-			for ri := range want[qi].Rows {
-				if got[qi].Rows[ri] != want[qi].Rows[ri] {
-					t.Fatalf("%s query %d row %d: %+v != %+v",
-						scheme, want[qi].Query, ri, got[qi].Rows[ri], want[qi].Rows[ri])
-				}
-			}
-		}
-	}
-}
-
 func TestQ1RanksEduDomains(t *testing.T) {
 	r := getRepo(t)
 	e, _ := New(r, repo.SchemeSNode)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -22,7 +21,6 @@ import (
 	"snode/internal/iosim"
 	"snode/internal/metrics"
 	"snode/internal/query"
-	"snode/internal/repo"
 	"snode/internal/serve"
 	"snode/internal/shard"
 	"snode/internal/snode"
@@ -220,71 +218,6 @@ func crossShardPages(t *testing.T, m *shard.Manifest, limit int) []webgraph.Page
 		t.Fatal("no cross-shard pages in corpus")
 	}
 	return append(cross, intra...)
-}
-
-// TestRouterGoldenEquivalence is the acceptance golden test at the
-// HTTP level: all six Table 3 queries and /out through the router at
-// K ∈ {1,2,4} are row-identical to a single-node answer, including pages
-// whose links cross shards. K=1 is a one-group tier: the router in
-// front of the one replica an unsharded dataset has.
-func TestRouterGoldenEquivalence(t *testing.T) {
-	crawl := getCrawl(t)
-	opt := repo.DefaultOptions(t.TempDir())
-	opt.Schemes = []string{repo.SchemeSNode}
-	opt.Layout = crawl.Order
-	ref, err := repo.Build(crawl.Corpus, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	refEng, err := query.New(ref, repo.SchemeSNode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int{1, 2, 4} {
-		w := startWorld(t, getRoot(t, k), k, 1)
-		_, ts := newRouter(t, w, Config{})
-
-		for _, q := range query.All() {
-			want, err := refEng.Run(t.Context(), q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got serve.QueryResponse
-			if code := getJSON(t, fmt.Sprintf("%s/query?q=%d", ts.URL, q), &got); code != http.StatusOK {
-				t.Fatalf("K=%d /query?q=%d: status %d", k, q, code)
-			}
-			if len(got.Rows) != len(want.Rows) {
-				t.Fatalf("K=%d Q%d: %d rows via router, want %d\n got: %v\nwant: %v",
-					k, q, len(got.Rows), len(want.Rows), got.Rows, want.Rows)
-			}
-			for i := range want.Rows {
-				if got.Rows[i].Key != want.Rows[i].Key {
-					t.Fatalf("K=%d Q%d row %d: key %q, want %q", k, q, i, got.Rows[i].Key, want.Rows[i].Key)
-				}
-				if diff := math.Abs(got.Rows[i].Value - want.Rows[i].Value); diff > 1e-9*math.Max(1, math.Abs(want.Rows[i].Value)) {
-					t.Fatalf("K=%d Q%d row %d (%s): value %v, want %v",
-						k, q, i, got.Rows[i].Key, got.Rows[i].Value, want.Rows[i].Value)
-				}
-			}
-		}
-
-		for _, p := range crossShardPages(t, w.manifest, 8) {
-			var got serve.OutResponse
-			if code := getJSON(t, fmt.Sprintf("%s/out?page=%d", ts.URL, p), &got); code != http.StatusOK {
-				t.Fatalf("K=%d /out?page=%d: status %d", k, p, code)
-			}
-			want := crawl.Corpus.Graph.Out(p)
-			if len(got.Neighbors) != len(want) {
-				t.Fatalf("K=%d page %d: %d neighbors via router, want %d", k, p, len(got.Neighbors), len(want))
-			}
-			for i := range want {
-				if got.Neighbors[i] != want[i] {
-					t.Fatalf("K=%d page %d neighbor %d: %d, want %d", k, p, i, got.Neighbors[i], want[i])
-				}
-			}
-		}
-	}
 }
 
 // TestRouterBadParams: the router validates before fanning out.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"path/filepath"
@@ -149,20 +150,22 @@ func (r *Replica) handleHealth(w http.ResponseWriter, _ *http.Request) {
 // a larger one is answered 413.
 const maxUpdateBody = 1 << 20
 
-// updateOp is one mutation in a POST /update body.
+// updateOp is one mutation in a POST /update body. Its fields are
+// pointers so that a missing one is told from a zero.
 type updateOp struct {
-	Src int32  `json:"src"`
-	Dst int32  `json:"dst"`
-	Op  string `json:"op"`
+	Src *int32  `json:"src"`
+	Dst *int32  `json:"dst"`
+	Op  *string `json:"op"`
 }
 
 var updateKinds = map[string]delta.Op{"add": delta.OpAdd, "remove": delta.OpRemove}
 
 // handleUpdate applies a JSON array of link mutations to the forward
 // overlay and mirrors it into the reverse one, so both navigation
-// directions stay consistent (the transposed edge set). The whole batch
-// is validated before any of it is applied: a bad op anywhere in it
-// answers 400 and changes nothing.
+// directions stay consistent (the transposed edge set). The whole body
+// is validated before any of it is applied: a bad op anywhere in it, an
+// op without src, dst or op, a field no op has, or anything but
+// whitespace after the array answers 400 and changes nothing.
 func (r *Replica) handleUpdate(w http.ResponseWriter, req *http.Request) {
 	switch {
 	case req.Method != http.MethodPost:
@@ -176,7 +179,17 @@ func (r *Replica) handleUpdate(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var ops []updateOp
-	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxUpdateBody)).Decode(&ops); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxUpdateBody))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&ops)
+	if err == nil {
+		if _, err = dec.Token(); err == nil {
+			err = errors.New("data after the array")
+		} else if err == io.EOF {
+			err = nil
+		}
+	}
+	if err != nil {
 		code := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -188,16 +201,20 @@ func (r *Replica) handleUpdate(w http.ResponseWriter, req *http.Request) {
 	fwd := make([]delta.Mutation, len(ops))
 	rev := make([]delta.Mutation, len(ops))
 	for i, op := range ops {
-		kind, ok := updateKinds[op.Op]
-		if !ok {
-			http.Error(w, fmt.Sprintf("op %d: unknown kind %q", i, op.Op), http.StatusBadRequest)
+		if op.Src == nil || op.Dst == nil || op.Op == nil {
+			http.Error(w, fmt.Sprintf("op %d: src, dst and op are all required", i), http.StatusBadRequest)
 			return
 		}
-		src, dst := webgraph.PageID(op.Src), webgraph.PageID(op.Dst)
+		kind, ok := updateKinds[*op.Op]
+		if !ok {
+			http.Error(w, fmt.Sprintf("op %d: unknown kind %q", i, *op.Op), http.StatusBadRequest)
+			return
+		}
+		src, dst := webgraph.PageID(*op.Src), webgraph.PageID(*op.Dst)
 		fwd[i] = delta.Mutation{Src: src, Dst: dst, Op: kind}
 		rev[i] = delta.Mutation{Src: dst, Dst: src, Op: kind}
 	}
-	err := r.fwd.Apply(req.Context(), fwd)
+	err = r.fwd.Apply(req.Context(), fwd)
 	if err == nil {
 		err = r.rev.Apply(req.Context(), rev)
 	}

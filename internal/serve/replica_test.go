@@ -43,7 +43,7 @@ func getDataset(t testing.TB) string {
 
 // openReplica opens the K=1 dataset the way snserve does and wires a
 // replica over it; a live one gets a scratch segment directory.
-func openReplica(t *testing.T, cfg Config, live bool) *Replica {
+func openReplica(t testing.TB, cfg Config, live bool) *Replica {
 	t.Helper()
 	sh, err := shard.OpenServing(getDataset(t), 0, 16<<20, iosim.Model2002())
 	if err != nil {
@@ -217,6 +217,12 @@ func TestUpdateEndpoint(t *testing.T) {
 		{"unknown op after a valid one", http.MethodPost, "[" + valid + `,{"src":1,"dst":2,"op":"flip"}]`, http.StatusBadRequest},
 		{"page out of range after a valid op", http.MethodPost, "[" + valid + `,{"src":1,"dst":99999999,"op":"add"}]`, http.StatusBadRequest},
 		{"malformed body", http.MethodPost, `[{"src":`, http.StatusBadRequest},
+		{"no dst", http.MethodPost, `[{"src":17,"op":"add"}]`, http.StatusBadRequest},
+		{"no src", http.MethodPost, `[{"dst":17,"op":"add"}]`, http.StatusBadRequest},
+		{"no op", http.MethodPost, `[{"src":1,"dst":2}]`, http.StatusBadRequest},
+		{"unknown field", http.MethodPost, "[" + valid + `,{"src":1,"dst":2,"op":"add","weight":3}]`, http.StatusBadRequest},
+		{"an array after the array", http.MethodPost, "[" + valid + `][{"src":1,"dst":2,"op":"flip"}]`, http.StatusBadRequest},
+		{"data after the array", http.MethodPost, "[" + valid + "] x", http.StatusBadRequest},
 		{"body past the limit", http.MethodPost, big, http.StatusRequestEntityTooLarge},
 		{"GET", http.MethodGet, "", http.StatusMethodNotAllowed},
 	} {
@@ -247,6 +253,44 @@ func TestUpdateEndpoint(t *testing.T) {
 	if rec := do(h, http.MethodPost, "/update", "["+valid+"]"); rec.Code != http.StatusServiceUnavailable || applied() != before {
 		t.Errorf("/update while draining: status %d, applied %d -> %d", rec.Code, before, applied())
 	}
+}
+
+// FuzzUpdateBody: POST /update on a live replica either answers 200 to
+// one JSON array of ops with src, dst and op and nothing else, applies
+// them all and links each pair of pages as its last op says, or answers
+// 4xx and applies nothing. Seeds: the corpus under testdata/fuzz.
+func FuzzUpdateBody(f *testing.F) {
+	rep := openReplica(f, Config{}, true)
+	h := rep.Handler()
+	f.Fuzz(func(t *testing.T, body string) {
+		before := rep.fwd.DeltaStatsNow().AppliedOps
+		rec := do(h, http.MethodPost, "/update", body)
+		applied := rep.fwd.DeltaStatsNow().AppliedOps - before
+		if rec.Code != http.StatusOK {
+			if rec.Code/100 != 4 || applied != 0 {
+				t.Fatalf("status %d with %d ops applied: %s", rec.Code, applied, rec.Body)
+			}
+			return
+		}
+		var ops []updateOp
+		dec := json.NewDecoder(strings.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&ops); err != nil || !json.Valid([]byte(body)) || applied != int64(len(ops)) {
+			t.Fatalf("200 for %q (%v) with %d ops applied", body, err, applied)
+		}
+		last := map[[2]webgraph.PageID]string{}
+		for _, op := range ops {
+			if op.Src == nil || op.Dst == nil || op.Op == nil {
+				t.Fatalf("200 for %q, which has an op without src, dst or op", body)
+			}
+			last[[2]webgraph.PageID{webgraph.PageID(*op.Src), webgraph.PageID(*op.Dst)}] = *op.Op
+		}
+		for pair, op := range last {
+			if contains(outOf(t, h, pair[0]), pair[1]) != (op == "add") {
+				t.Fatalf("after a 200, link %d -> %d does not follow its last op %q", pair[0], pair[1], op)
+			}
+		}
+	})
 }
 
 // TestLiveNeedsOneShard: a live replica over one shard of several is

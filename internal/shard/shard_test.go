@@ -2,24 +2,18 @@ package shard
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
 	"log"
-	"math"
 	"os"
 	"path/filepath"
-	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
-	"snode/internal/iosim"
-	"snode/internal/query"
 	"snode/internal/repo"
 	"snode/internal/snode"
 	"snode/internal/synth"
@@ -90,20 +84,6 @@ func getRoot(t testing.TB, k int) string {
 	}
 	testRoots[k] = root
 	return root
-}
-
-func openAll(t *testing.T, root string, k int) []*ServingShard {
-	t.Helper()
-	shards := make([]*ServingShard, k)
-	for i := 0; i < k; i++ {
-		s, err := OpenServing(root, i, 16<<20, iosim.Model2002())
-		if err != nil {
-			t.Fatalf("OpenServing %d: %v", i, err)
-		}
-		t.Cleanup(func() { s.Close() })
-		shards[i] = s
-	}
-	return shards
 }
 
 func TestAssignCoversAndBalances(t *testing.T) {
@@ -218,170 +198,6 @@ func TestManifestRoundTripAndShardOf(t *testing.T) {
 	if m.Version == m.stamp() {
 		t.Fatal("version stamp did not change with contents")
 	}
-}
-
-// TestMergedAdjacencyMatchesFullGraph is the core shard invariant: for
-// every page, the owning shard's merged store (intra S-Node + fwd
-// boundary) returns exactly the full graph's adjacency, and the rev
-// merged store exactly the transpose's.
-func TestMergedAdjacencyMatchesFullGraph(t *testing.T) {
-	crawl := getCrawl(t)
-	g := crawl.Corpus.Graph
-	gt := g.Transpose()
-	for _, k := range []int{1, 2, 4} {
-		shards := openAll(t, getRoot(t, k), k)
-		m := shards[0].Manifest
-		intraEdges, boundaryEdges := int64(0), int64(0)
-		for _, e := range m.Shards {
-			intraEdges += e.IntraEdges
-			boundaryEdges += e.BoundaryFwdEdges
-		}
-		if intraEdges+boundaryEdges != g.NumEdges() {
-			t.Fatalf("K=%d: %d intra + %d boundary != %d total edges",
-				k, intraEdges, boundaryEdges, g.NumEdges())
-		}
-		for p := webgraph.PageID(0); int(p) < g.NumPages(); p++ {
-			sh := shards[m.ShardOf(p)]
-			for dir, pair := range map[string]struct {
-				st interface {
-					Out(webgraph.PageID, []webgraph.PageID) ([]webgraph.PageID, error)
-				}
-				want []webgraph.PageID
-			}{
-				"fwd": {sh.Repo.Fwd[repo.SchemeSNode], g.Out(p)},
-				"rev": {sh.Repo.Rev[repo.SchemeSNode], gt.Out(p)},
-			} {
-				got, err := pair.st.Out(p, nil)
-				if err != nil {
-					t.Fatalf("K=%d %s Out(%d): %v", k, dir, p, err)
-				}
-				sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-				if len(got) != len(pair.want) {
-					t.Fatalf("K=%d %s page %d: %d edges, want %d", k, dir, p, len(got), len(pair.want))
-				}
-				for i := range pair.want {
-					if got[i] != pair.want[i] {
-						t.Fatalf("K=%d %s page %d edge %d: %d, want %d", k, dir, p, i, got[i], pair.want[i])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestShardedQueriesMatchSingleNode is the in-process golden test: all
-// six Table 3 queries, executed as owned-restricted partials on each
-// opened shard and merged, must reproduce the single-node rows (the
-// HTTP-level twin lives in internal/router).
-func TestShardedQueriesMatchSingleNode(t *testing.T) {
-	ref := getSingleNode(t)
-	refEng, err := query.New(ref, repo.SchemeSNode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int{1, 2, 4} {
-		shards := openAll(t, getRoot(t, k), k)
-		engines := make([]*query.Engine, k)
-		for i, sh := range shards {
-			e, err := query.New(sh.Repo, repo.SchemeSNode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			e.SetOwner(sh.Owns)
-			engines[i] = e
-		}
-		for _, q := range query.All() {
-			want, err := refEng.Run(context.Background(), q)
-			if err != nil {
-				t.Fatalf("single-node Q%d: %v", q, err)
-			}
-			var parts [][]query.PartialRow
-			for i, e := range engines {
-				p, err := e.RunPartial(context.Background(), q)
-				if err != nil {
-					t.Fatalf("K=%d shard %d Q%d: %v", k, i, q, err)
-				}
-				parts = append(parts, p.Rows)
-			}
-			got := query.MergePartials(q, parts)
-			if len(got) != len(want.Rows) {
-				t.Fatalf("K=%d Q%d: %d merged rows, want %d\n got: %v\nwant: %v",
-					k, q, len(got), len(want.Rows), got, want.Rows)
-			}
-			for i := range want.Rows {
-				if got[i].Key != want.Rows[i].Key {
-					t.Fatalf("K=%d Q%d row %d: key %q, want %q", k, q, i, got[i].Key, want.Rows[i].Key)
-				}
-				if diff := math.Abs(got[i].Value - want.Rows[i].Value); diff > 1e-9*math.Max(1, math.Abs(want.Rows[i].Value)) {
-					t.Fatalf("K=%d Q%d row %d (%s): value %v, want %v",
-						k, q, i, got[i].Key, got[i].Value, want.Rows[i].Value)
-				}
-			}
-		}
-	}
-}
-
-// TestShardScanEqualsIntraCSR is Scan at K > 1: each shard's forward
-// and reverse stores, read whole through Scan, equal row by row the
-// intra-shard graph the shard was built from (the edges whose two ends
-// the manifest's runs give to that shard) and its transpose.
-func TestShardScanEqualsIntraCSR(t *testing.T) {
-	const k = 3
-	g := getCrawl(t).Corpus.Graph
-	root := getRoot(t, k)
-	m, err := LoadManifest(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardOf := make([]int, g.NumPages())
-	for _, r := range m.Runs {
-		for p := r.Start; p < r.Start+webgraph.PageID(r.Count); p++ {
-			shardOf[p] = r.Shard
-		}
-	}
-	for s := 0; s < k; s++ {
-		b := webgraph.NewBuilder(g.NumPages())
-		for p := webgraph.PageID(0); p < webgraph.PageID(g.NumPages()); p++ {
-			for _, q := range g.Out(p) {
-				if shardOf[p] == s && shardOf[q] == s {
-					b.AddEdge(p, q)
-				}
-			}
-		}
-		intra := b.Build()
-		for sub, want := range map[string]*webgraph.Graph{"snode.fwd": intra, "snode.rev": intra.Transpose()} {
-			rep, err := snode.Open(filepath.Join(root, "shard-"+strconv.Itoa(s), sub), 1<<20, iosim.Model2002())
-			if err != nil {
-				t.Fatalf("shard %d %s: %v", s, sub, err)
-			}
-			got := scanGraph(t, rep)
-			rep.Close()
-			if got.NumEdges() != want.NumEdges() {
-				t.Fatalf("shard %d %s: %d edges, the intra-shard CSR has %d", s, sub, got.NumEdges(), want.NumEdges())
-			}
-			for p := webgraph.PageID(0); p < webgraph.PageID(g.NumPages()); p++ {
-				if !slices.Equal(got.Out(p), want.Out(p)) {
-					t.Fatalf("shard %d %s page %d: %v, the intra-shard CSR has %v", s, sub, p, got.Out(p), want.Out(p))
-				}
-			}
-		}
-	}
-}
-
-// scanGraph fills a CSR graph from one store's Scan.
-func scanGraph(t *testing.T, r *snode.Representation) *webgraph.Graph {
-	t.Helper()
-	b := webgraph.NewBuilder(r.NumPages())
-	err := r.Scan(context.Background(), func(p webgraph.PageID, out []webgraph.PageID) error {
-		for _, q := range out {
-			b.AddEdge(p, q)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("%s: scan: %v", r.Name(), err)
-	}
-	return b.Build()
 }
 
 // hashTree is the SHA-256 of every file under root: relative path,

@@ -3,12 +3,9 @@ package snode
 import (
 	"context"
 	"errors"
-	"fmt"
-	"slices"
 	"testing"
 
 	"snode/internal/iosim"
-	"snode/internal/synth"
 	"snode/internal/webgraph"
 )
 
@@ -28,64 +25,23 @@ func scanGraph(t testing.TB, r *Representation) *webgraph.Graph {
 	return b.Build()
 }
 
-// TestScanEqualsOut is Scan's differential test: at a 16 KiB budget and at one that holds the whole graph, each page comes
-// once and its row equals its Out row and its CSR row as sets, and a
-// scan from a cold cache loads each graph exactly once. A second scan
-// calls Out from its visitor, which the package contract allows.
-func TestScanEqualsOut(t *testing.T) {
-	const pages = 900
-	crawl, err := synth.Generate(synth.DefaultConfig(pages))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	dir := buildTestRep(t, pages)
+// TestScanLoadsEachGraphOnce: a scan from a cold cache loads each graph
+// of the directory exactly once, at a 16 KiB budget and at one that
+// holds the whole graph. What it visits is held to the corpus graph by
+// the repository's one oracle (internal/store's TestOracle).
+func TestScanLoadsEachGraphOnce(t *testing.T) {
+	dir := buildTestRep(t, 900)
 	for _, budget := range []int64{16 << 10, 1 << 30} {
 		r, err := Open(dir, budget, iosim.Model2002())
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer r.Close()
-		rows := make([][]webgraph.PageID, pages)
-		seen := make([]bool, pages)
-		err = r.Scan(ctx, func(p webgraph.PageID, out []webgraph.PageID) error {
-			if seen[p] {
-				return fmt.Errorf("page %d emitted twice", p)
-			}
-			seen[p], rows[p] = true, sortedCopy(out)
-			return nil
-		})
-		if err != nil {
+		if err := r.Scan(context.Background(), func(webgraph.PageID, []webgraph.PageID) error { return nil }); err != nil {
 			t.Fatalf("at %d B: %v", budget, err)
 		}
 		if loads, graphs := r.StatsExt().Cache.Loads, len(r.m.Directory); loads != int64(graphs) {
 			t.Errorf("at %d B: a cold scan made %d loads, the directory holds %d graphs", budget, loads, graphs)
-		}
-		for p := range webgraph.PageID(pages) {
-			out, err := r.Out(p, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !seen[p] {
-				t.Fatalf("at %d B: page %d never emitted", budget, p)
-			}
-			if !slices.Equal(rows[p], sortedCopy(out)) || !slices.Equal(rows[p], crawl.Corpus.Graph.Out(p)) {
-				t.Fatalf("at %d B: page %d: scan %v, Out %v, CSR %v", budget, p, rows[p], sortedCopy(out), crawl.Corpus.Graph.Out(p))
-			}
-		}
-		var buf []webgraph.PageID
-		err = r.Scan(ctx, func(p webgraph.PageID, out []webgraph.PageID) error {
-			got, err := r.Out(p, buf[:0])
-			if buf = got; err != nil {
-				return err
-			}
-			if !slices.Equal(sortedCopy(out), sortedCopy(buf)) {
-				return fmt.Errorf("page %d: scan %v, Out inside the visitor %v", p, out, buf)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("at %d B: %v", budget, err)
 		}
 	}
 }

@@ -128,10 +128,11 @@ type LinkStore interface {
 
 // ContextLinkStore is implemented by stores whose read path accepts a
 // context.Context carrying request-scoped state — execution traces
-// (internal/trace) and cancellation. The query engine routes accesses
-// through it when the scheme provides it (S-Node); the flat baselines
-// keep the plain path. OutFilteredCtx with a background context must
-// behave exactly like OutFiltered (and, with a nil filter, like Out).
+// (internal/trace) and cancellation. The query engine's one-page read
+// (/out), delta.Overlay and the benchmark's tracedStore read through it;
+// plan steps read through Neighbors. OutFilteredCtx with a background
+// context must behave exactly like OutFiltered (and, with a nil filter,
+// like Out).
 type ContextLinkStore interface {
 	LinkStore
 	OutFilteredCtx(ctx context.Context, p webgraph.PageID, f *Filter, buf []webgraph.PageID) ([]webgraph.PageID, error)

@@ -81,12 +81,16 @@ test-bench:
 # memory per call, or a list gathered by append per page, trips it) and
 # a warm Q1-Q6 cycle on the query fixture at no more than a fifth of the
 # 28,570 graph-cache lookups it made page by page (a plan step that reads
-# a page at a time again trips it). Run with -count=1 so the guard always
-# executes.
+# a page at a time again trips it). The routed-query guards pin Q3's rows
+# and MergePartials(Q3) at the same allocations for 3,531 base-set members
+# as for one (a string per key, or a map entry per key in the merge, trips
+# them) and the router's read of a leg that declares its length at one
+# allocation, its body (a buffer grown while reading trips it). Run with
+# -count=1 so the guard always executes.
 check-overhead:
-	$(GO) test -count=1 -run 'TestUntracedTracingAddsNoAllocs|TestNavigateLookupsPinned' ./internal/query
+	$(GO) test -count=1 -run 'TestUntracedTracingAddsNoAllocs|TestNavigateLookupsPinned|TestQ3RowsAndMergeAllocs' ./internal/query
 	$(GO) test -count=1 -run 'TestUntracedPrimitivesZeroAlloc' ./internal/trace
-	$(GO) test -count=1 -run 'TestCrossProcessUntracedZeroAlloc|TestDecodePartialAllocs' ./internal/trace ./internal/serve ./internal/router
+	$(GO) test -count=1 -run 'TestCrossProcessUntracedZeroAlloc|TestDecodePartialAllocs|TestLegReadAllocatesItsBodyOnce' ./internal/trace ./internal/serve ./internal/router
 	$(GO) test -count=1 -run 'TestDecodeHotPathAllocs|TestWarmOutAllocatesNothing|TestWarmNeighborsAllocatesNothing|TestColdOutAllocsPerLoad|TestBucketingAllocsIndependentOfEdges|TestLookupCountersPinned' ./internal/snode
 	$(GO) test -count=1 -run 'TestClusteredSplitAllocs' ./internal/partition
 

@@ -6,6 +6,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -316,6 +317,44 @@ func TestURLTableUniverse(t *testing.T) {
 	if _, _, err := Ingest(context.Background(), path, Options{}); err == nil ||
 		!strings.Contains(err.Error(), "not in the URL table") {
 		t.Fatalf("unknown endpoint: err = %v", err)
+	}
+}
+
+// TestURLTableRefusesAReopenedDomain: every reader of the corpus takes
+// a domain to be one page-ID range, so a table in which a domain's pages
+// resume after another domain's is refused, naming the page that reopens
+// it — in file order or only once sorted by ID — while domains that
+// each stay in one run, in any order, ingest.
+func TestURLTableRefusesAReopenedDomain(t *testing.T) {
+	for _, tc := range []struct {
+		table, want string
+	}{
+		{"1\thttp://a.com/1\ta.com\n2\thttp://b.com/1\tb.com\n3\thttp://a.com/2\ta.com\n",
+			"page 3 reopens a.com, whose pages ended at page 1"},
+		{"3\thttp://a.com/2\ta.com\n1\thttp://a.com/1\ta.com\n2\thttp://b.com/1\tb.com\n",
+			"page 3 reopens a.com, whose pages ended at page 1"},
+		{"1\thttp://a.com/1\ta.com\n2\thttp://b.com/1\tb.com\n3\thttp://c.com/1\tc.com\n4\thttp://b.com/2\tb.com\n",
+			"page 4 reopens b.com, whose pages ended at page 2"},
+		{"1\thttp://z.com/1\tz.com\n2\thttp://z.com/2\tz.com\n3\thttp://a.com/1\ta.com\n", ""},
+	} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "graph.txt")
+		if err := os.WriteFile(path, []byte("1 2\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, DefaultURLTable), []byte(tc.table), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := Ingest(context.Background(), path, Options{})
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("table %q: %v", tc.table, err)
+			}
+			continue
+		}
+		if !errors.Is(err, errDomainReopened) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("table %q: err = %v, want %v naming %q", tc.table, err, errDomainReopened, tc.want)
+		}
 	}
 }
 

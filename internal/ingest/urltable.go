@@ -8,6 +8,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -81,7 +82,10 @@ func manifestSum(man manifest, path string) (string, bool) {
 // universe as sorted raw IDs plus the metadata aligned to that order
 // (i.e. indexed by the dense compacted ID the spiller will assign).
 // Duplicate raw IDs are an error — two metadata claims for one page
-// cannot be reconciled deterministically.
+// cannot be reconciled deterministically — and so is a domain whose
+// pages resume after another domain's in ID order (errDomainReopened):
+// every reader of the corpus takes a domain to be one ID range
+// (store.DomainRanges).
 func readURLTable(ctx context.Context, path string, man manifest) ([]uint64, []webgraph.PageMeta, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -193,13 +197,27 @@ func readURLTable(ctx context.Context, path string, man manifest) ([]uint64, []w
 	if !sorted {
 		sort.Sort(&tableSorter{ids: universe, metas: metas})
 	}
+	// lastOf holds each domain whose run has ended: the page it ended at.
+	lastOf := map[string]uint64{}
 	for i := 1; i < len(universe); i++ {
 		if universe[i] == universe[i-1] {
 			return nil, nil, fmt.Errorf("ingest: url table %s: duplicate page id %d", path, universe[i])
 		}
+		prev, d := metas[i-1].Domain, metas[i].Domain
+		if d == prev {
+			continue
+		}
+		lastOf[prev] = universe[i-1]
+		if last, ok := lastOf[d]; ok {
+			return nil, nil, fmt.Errorf("ingest: url table %s: page %d reopens %s, whose pages ended at page %d: %w", path, universe[i], d, last, errDomainReopened)
+		}
 	}
 	return universe, metas, nil
 }
+
+// errDomainReopened refuses a URL table in which some domain's pages
+// resume after another domain's in page-ID order.
+var errDomainReopened = errors.New("a domain's pages must be contiguous in page-ID order")
 
 // cancelCheckLines is how many table lines pass between two looks at
 // the context.

@@ -6,8 +6,9 @@
 package pagerank
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"snode/internal/webgraph"
 )
@@ -94,21 +95,61 @@ func Normalize(rank []float64) []float64 {
 
 // TopK returns the k highest-ranked pages among candidates, in
 // descending rank order with ascending ID tie-breaks. No candidates, nil
-// included, rank none: a phrase no page contains has no top pages.
+// included, rank none, and neither does a k of zero or less: a phrase no
+// page contains has no top pages.
+//
+// It selects before it sorts: one pass keeps the k best candidates seen
+// so far in a heap whose root is the worst of them, and only those k are
+// sorted. A pool is not always small — Q3's is every page that contains
+// its phrase — so the work is O(n log k) for n candidates and the
+// allocation is the k pages returned.
 func TopK(rank []float64, candidates []webgraph.PageID, k int) []webgraph.PageID {
-	pool := append([]webgraph.PageID(nil), candidates...)
-	// Descending rank, ascending ID tie-break. The whole pool is sorted,
-	// and a pool is not always small: Q3's is every page that contains
-	// its phrase.
-	sort.Slice(pool, func(i, j int) bool {
-		a, b := pool[i], pool[j]
-		if rank[a] != rank[b] {
-			return rank[a] > rank[b]
-		}
-		return a < b
-	})
-	if k < len(pool) {
-		pool = pool[:k]
+	if k <= 0 || len(candidates) == 0 {
+		return nil
 	}
-	return pool
+	// before orders by descending rank, then ascending ID: a < 0 is a
+	// better page than b.
+	before := func(a, b webgraph.PageID) int {
+		switch {
+		case rank[a] > rank[b]:
+			return -1
+		case rank[a] < rank[b]:
+			return 1
+		}
+		return cmp.Compare(a, b)
+	}
+	// heap[0] is the worst of the k kept: every parent comes after its
+	// children in the order.
+	k = min(k, len(candidates))
+	heap := slices.Clone(candidates[:k])
+	for i := k/2 - 1; i >= 0; i-- {
+		siftDown(heap, i, before)
+	}
+	for _, p := range candidates[k:] {
+		if before(p, heap[0]) < 0 {
+			heap[0] = p
+			siftDown(heap, 0, before)
+		}
+	}
+	slices.SortFunc(heap, before)
+	return heap
+}
+
+// siftDown restores the heap order below i: a parent never comes before
+// a child under before.
+func siftDown(heap []webgraph.PageID, i int, before func(a, b webgraph.PageID) int) {
+	for {
+		worst := i
+		if l := 2*i + 1; l < len(heap) && before(heap[l], heap[worst]) > 0 {
+			worst = l
+		}
+		if r := 2*i + 2; r < len(heap) && before(heap[r], heap[worst]) > 0 {
+			worst = r
+		}
+		if worst == i {
+			return
+		}
+		heap[i], heap[worst] = heap[worst], heap[i]
+		i = worst
+	}
 }

@@ -2,6 +2,9 @@ package pagerank
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"snode/internal/webgraph"
@@ -84,6 +87,60 @@ func TestTopK(t *testing.T) {
 	}
 	if got = TopK(rank, nil, 3); len(got) != 0 {
 		t.Fatalf("TopK of no candidates = %v, want none", got)
+	}
+}
+
+// TestTopKMatchesFullSort holds the bounded selection to the full sort
+// it replaced — every candidate ordered, the first k kept — over random
+// ranks drawn from a handful of values (so ties are the rule), shuffled
+// candidate lists and k around both ends of the pool. It also pins
+// k <= 0 as no pages, where the full sort once sliced pool[:k] and
+// panicked.
+func TestTopKMatchesFullSort(t *testing.T) {
+	fullSort := func(rank []float64, candidates []webgraph.PageID, k int) []webgraph.PageID {
+		pool := append([]webgraph.PageID(nil), candidates...)
+		sort.Slice(pool, func(i, j int) bool {
+			a, b := pool[i], pool[j]
+			if rank[a] != rank[b] {
+				return rank[a] > rank[b]
+			}
+			return a < b
+		})
+		if k < len(pool) {
+			pool = pool[:k]
+		}
+		return pool
+	}
+	rng := rand.New(rand.NewSource(44))
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(200)
+		levels := 1 + rng.Intn(6)
+		rank := make([]float64, n+10)
+		for i := range rank {
+			rank[i] = float64(rng.Intn(levels)) / 8
+		}
+		candidates := make([]webgraph.PageID, 0, n)
+		for _, p := range rng.Perm(len(rank))[:n] {
+			candidates = append(candidates, webgraph.PageID(p))
+		}
+		for _, k := range []int{0, 1, n - 1, n, n + 5} {
+			got := TopK(rank, candidates, k)
+			if k <= 0 {
+				if len(got) != 0 {
+					t.Fatalf("trial %d: TopK(k=%d) = %v, want no pages", trial, k, got)
+				}
+				continue
+			}
+			if want := fullSort(rank, candidates, k); !slices.Equal(got, want) {
+				t.Fatalf("trial %d, n=%d, k=%d:\n got %v\nwant %v", trial, n, k, got, want)
+			}
+		}
+	}
+	rank := []float64{0.1, 0.5, 0.3}
+	for _, k := range []int{-1, -100} {
+		if got := TopK(rank, []webgraph.PageID{0, 1, 2}, k); len(got) != 0 {
+			t.Fatalf("TopK(k=%d) = %v, want no pages", k, got)
+		}
 	}
 }
 

@@ -22,6 +22,7 @@
 package query
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/bits"
@@ -116,17 +117,21 @@ func (e *Engine) planQ1() plan {
 			src:    e.phraseInDomain(synth.PhraseMobileNetworking, "stanford.edu"),
 			filter: &store.Filter{Domains: e.R.EduDomains("stanford.edu")},
 			visit: func(p webgraph.PageID, nbrs []webgraph.PageID) {
-				// A page contributes its weight once per domain it points to.
-				seen := map[string]bool{}
-				for _, t := range nbrs {
+				// A page contributes its weight once per domain it points
+				// to. A domain is one ID range, so in ascending order a
+				// page's targets in one domain are adjacent.
+				slices.Sort(nbrs)
+				prev := ""
+				for i, t := range nbrs {
 					d := e.R.DomainOf(t)
-					if !seen[d] {
-						seen[d] = true
-						if _, ok := weights[d]; !ok {
-							order = append(order, d)
-						}
-						weights[d] += e.R.PageRank[p]
+					if i > 0 && d == prev {
+						continue
 					}
+					prev = d
+					if _, ok := weights[d]; !ok {
+						order = append(order, d)
+					}
+					weights[d] += e.R.PageRank[p]
 				}
 			},
 		}},
@@ -153,41 +158,50 @@ func (e *Engine) planQ2() (plan, error) {
 	}
 	// C1 comes from the text index, but is counted as the executor
 	// visits each Stanford page so that it is restricted to owned pages
-	// by the same check as C2.
-	textHits := map[webgraph.PageID][]string{}
-	siteOf := map[string]string{}
-	sites := map[string]bool{}
-	for _, c := range comics {
-		for _, p := range e.R.Text.PagesWithAtLeast(c.Words, 2) {
-			if p >= dr.Lo && p < dr.Hi {
-				textHits[p] = append(textHits[p], c.Name)
-			}
-		}
-		siteOf[c.Site] = c.Name
-		sites[c.Site] = true
+	// by the same check as C2. hits[i] is comic i's Stanford pages,
+	// ascending, and the executor visits the Stanford pages in ascending
+	// order, so each list is walked once from its front.
+	hits := make([][]webgraph.PageID, len(comics))
+	sites := make([]store.DomainRange, len(comics))
+	siteSet := map[string]bool{}
+	for i, c := range comics {
+		hits[i] = e.R.Text.PagesWithAtLeast(c.Words, 2, dr.Lo, dr.Hi)
+		sites[i] = e.R.Domains[c.Site]
+		siteSet[c.Site] = true
 	}
 	stanford := make([]webgraph.PageID, 0, dr.Hi-dr.Lo)
 	for p := dr.Lo; p < dr.Hi; p++ {
 		stanford = append(stanford, p)
 	}
-	counts := map[string]int{}
+	counts := make([]int, len(comics))
 	return plan{
 		steps: []step{{
 			src:    stanford,
-			filter: &store.Filter{Domains: sites},
+			filter: &store.Filter{Domains: siteSet},
 			visit: func(p webgraph.PageID, nbrs []webgraph.PageID) {
-				for _, name := range textHits[p] {
-					counts[name]++
+				for i, h := range hits {
+					for len(h) > 0 && h[0] < p {
+						h = h[1:]
+					}
+					if len(h) > 0 && h[0] == p {
+						counts[i]++
+					}
+					hits[i] = h
 				}
 				for _, t := range nbrs {
-					counts[siteOf[e.R.DomainOf(t)]]++
+					for i, site := range sites {
+						if site.Contains(t) {
+							counts[i]++
+							break
+						}
+					}
 				}
 			},
 		}},
 		rows: func() []PartialRow {
 			rows := make([]PartialRow, 0, len(comics))
-			for _, c := range comics {
-				rows = append(rows, PartialRow{Key: c.Name, Value: float64(counts[c.Name])})
+			for i, c := range comics {
+				rows = append(rows, PartialRow{Key: c.Name, Value: float64(counts[i])})
 			}
 			return rows
 		},
@@ -201,9 +215,9 @@ const kleinbergInCap = 50
 // "Internet censorship" pages. S resolves identically on every shard
 // (global text index and PageRank), and each contributes {p} ∪ out(p) ∪
 // cappedIn(p) for the p ∈ S it owns. Rows: one per base-set member,
-// keyed by page ID, ascending; merge by distinct-key union. The members
-// are a bitset over the corpus's page IDs, so the rows come out in order
-// by walking its words.
+// keyed by page ID in decimal, ascending; merge by distinct-key union.
+// The members are a bitset over the corpus's page IDs, so the rows come
+// out in order by walking its words.
 func (e *Engine) planQ3() plan {
 	s := pagerank.TopK(e.R.PageRank, e.R.Text.Lookup(synth.PhraseInternetCensorship), 100)
 	// Navigate in page-ID order (sort the fetch set before touching the
@@ -231,21 +245,50 @@ func (e *Engine) planQ3() plan {
 				}
 			},
 		}},
-		rows: func() []PartialRow {
-			n := 0
-			for _, w := range members {
-				n += bits.OnesCount64(w)
-			}
-			rows := make([]PartialRow, 0, n)
-			for k, w := range members {
-				for ; w != 0; w &= w - 1 {
-					p := int64(k)<<6 | int64(bits.TrailingZeros64(w))
-					rows = append(rows, PartialRow{Key: strconv.FormatInt(p, 10), Value: 1})
-				}
-			}
-			return rows
-		},
+		rows: func() []PartialRow { return memberRows(members) },
 	}
+}
+
+// memberRows emits one row per member of a page bitset, keyed by page ID
+// in decimal, ascending. The keys are substrings of one string, so the
+// rows cost the same two allocations whatever their number. It walks the
+// members three times: to count and size the keys, to write them, and
+// to cut them.
+func memberRows(members []uint64) []PartialRow {
+	n, size := 0, 0
+	for k, w := range members {
+		for ; w != 0; w &= w - 1 {
+			n++
+			size += decimalLen(k<<6 | bits.TrailingZeros64(w))
+		}
+	}
+	var b strings.Builder
+	b.Grow(size)
+	var digits [20]byte
+	for k, w := range members {
+		for ; w != 0; w &= w - 1 {
+			b.Write(strconv.AppendInt(digits[:0], int64(k<<6|bits.TrailingZeros64(w)), 10))
+		}
+	}
+	keys := b.String()
+	rows := make([]PartialRow, 0, n)
+	for k, w := range members {
+		for ; w != 0; w &= w - 1 {
+			l := decimalLen(k<<6 | bits.TrailingZeros64(w))
+			rows = append(rows, PartialRow{Key: keys[:l], Value: 1})
+			keys = keys[l:]
+		}
+	}
+	return rows
+}
+
+// decimalLen is the number of digits of page ID p in decimal.
+func decimalLen(p int) int {
+	n := 1
+	for t := 10; p >= t; t *= 10 {
+		n++
+	}
+	return n
 }
 
 // smallest reorders ids so that its first k are the k smallest, in no
@@ -294,13 +337,14 @@ func (e *Engine) planQ4() plan {
 	var rows []PartialRow
 	var steps []step
 	for _, uni := range synth.Universities() {
+		home := e.R.Domains[uni]
 		steps = append(steps, step{
 			src: e.phraseInDomain(synth.PhraseQuantumCryptography, uni),
 			rev: true,
 			visit: func(p webgraph.PageID, nbrs []webgraph.PageID) {
 				n := 0
 				for _, src := range nbrs {
-					if e.R.DomainOf(src) != uni {
+					if !home.Contains(src) {
 						n++
 					}
 				}
@@ -341,6 +385,7 @@ func (e *Engine) planQ5() plan {
 // merge joins the two sides and keeps targets cited by both.
 func (e *Engine) planQ6() plan {
 	sides := []struct{ group, domain string }{{"a", "stanford.edu"}, {"b", "berkeley.edu"}}
+	stanford, berkeley := e.R.Domains["stanford.edu"], e.R.Domains["berkeley.edu"]
 	cited := make([]map[webgraph.PageID]int, len(sides))
 	order := make([][]webgraph.PageID, len(sides))
 	var steps []step
@@ -350,8 +395,7 @@ func (e *Engine) planQ6() plan {
 			src: e.phraseInDomain(synth.PhraseOpticalInterferometry, side.domain),
 			visit: func(_ webgraph.PageID, nbrs []webgraph.PageID) {
 				for _, t := range nbrs {
-					d := e.R.DomainOf(t)
-					if d == "stanford.edu" || d == "berkeley.edu" {
+					if stanford.Contains(t) || berkeley.Contains(t) {
 						continue
 					}
 					if _, ok := cited[i][t]; !ok {
@@ -379,6 +423,8 @@ func (e *Engine) planQ6() plan {
 //
 //	Q1, Q2 — sum by key (partial weights/counts), rank by value
 //	Q3     — distinct-key union, reported as one base-set-size row
+//	         (each part's keys strictly ascending page IDs, as planQ3
+//	         emits them and CheckPartial holds a shard's leg to)
 //	Q4     — concatenate, rank and cap 10 per university group
 //	Q5     — concatenate, rank and cap 10
 //	Q6     — join Group "a"/"b" by key, keep both-cited, rank, cap 25
@@ -390,13 +436,7 @@ func MergePartials(q ID, parts [][]PartialRow) []Row {
 	case Q1, Q2:
 		return mergeSum(parts)
 	case Q3:
-		seen := map[string]bool{}
-		for _, part := range parts {
-			for _, r := range part {
-				seen[r.Key] = true
-			}
-		}
-		return []Row{{Key: "base-set-size", Value: float64(len(seen))}}
+		return []Row{{Key: "base-set-size", Value: float64(unionSize(parts))}}
 	case Q4:
 		var rows []Row
 		for _, uni := range synth.Universities() {
@@ -446,6 +486,72 @@ func MergePartials(q ID, parts [][]PartialRow) []Row {
 		return rows
 	}
 	return nil
+}
+
+// CheckPartial refuses rows that q's merge cannot take as one shard's
+// partial. Only Q3's merge has a precondition: its keys must be page IDs
+// in canonical decimal (no sign, no leading zero), strictly ascending,
+// because unionSize counts the union by walking the parts side by side.
+// Every other class merges through maps and takes any keys.
+func CheckPartial(q ID, rows []PartialRow) error {
+	if q != Q3 {
+		return nil
+	}
+	for i, r := range rows {
+		if !isDecimal(r.Key) {
+			return fmt.Errorf("Q3 row %d: key %q is not a page ID in decimal", i, r.Key)
+		}
+		if i > 0 && compareDecimal(rows[i-1].Key, r.Key) >= 0 {
+			return fmt.Errorf("Q3 row %d: key %s does not follow %s", i, r.Key, rows[i-1].Key)
+		}
+	}
+	return nil
+}
+
+// isDecimal reports whether k is a non-negative integer in canonical
+// decimal: digits only, and no leading zero unless k is "0".
+func isDecimal(k string) bool {
+	if k == "" || (k[0] == '0' && len(k) > 1) {
+		return false
+	}
+	for i := 0; i < len(k); i++ {
+		if k[i] < '0' || k[i] > '9' {
+			return false
+		}
+	}
+	return true
+}
+
+// compareDecimal orders canonical decimals by value: a shorter one is
+// smaller, and two of one length compare as strings.
+func compareDecimal(a, b string) int {
+	if len(a) != len(b) {
+		return cmp.Compare(len(a), len(b))
+	}
+	return strings.Compare(a, b)
+}
+
+// unionSize counts the distinct keys of Q3's parts, each strictly
+// ascending under compareDecimal: a merge that advances every part whose
+// next key is the smallest, so a key in several parts counts once.
+func unionSize(parts [][]PartialRow) int {
+	next := make([]int, len(parts))
+	for n := 0; ; n++ {
+		least, found := "", false
+		for i, part := range parts {
+			if next[i] < len(part) && (!found || compareDecimal(part[next[i]].Key, least) < 0) {
+				least, found = part[next[i]].Key, true
+			}
+		}
+		if !found {
+			return n
+		}
+		for i, part := range parts {
+			if next[i] < len(part) && part[next[i]].Key == least {
+				next[i]++
+			}
+		}
+	}
 }
 
 // mergeSum sums partial rows by key and ranks the result.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"snode/internal/repo"
@@ -130,5 +131,110 @@ func TestSmallestMatchesSortAndCut(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Errorf("%s: smallest kept %v, sort-and-cut %v", name, got, want)
 		}
+	}
+}
+
+// TestMergeQ3MatchesMapUnion holds Q3's merge, a walk over the parts'
+// ascending keys, to the map union it replaced: random page sets, as
+// many parts as a partition has shards, overlapping (a page in several
+// parts counts once), empty parts and no parts at all.
+func TestMergeQ3MatchesMapUnion(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for trial := 0; trial < 300; trial++ {
+		parts := make([][]PartialRow, rng.Intn(5))
+		union := map[string]bool{}
+		span := 1 + rng.Intn(3000)
+		for i := range parts {
+			members := make([]uint64, (span+63)/64)
+			for j := rng.Intn(span); j > 0; j-- {
+				p := rng.Intn(span)
+				members[p>>6] |= 1 << (p & 63)
+			}
+			if rng.Intn(4) == 0 {
+				clear(members)
+			}
+			parts[i] = memberRows(members)
+			for _, r := range parts[i] {
+				union[r.Key] = true
+			}
+		}
+		got := MergePartials(Q3, parts)
+		if want := []Row{{Key: "base-set-size", Value: float64(len(union))}}; !slices.Equal(got, want) {
+			t.Fatalf("trial %d (%d parts): merged %v, map union %v", trial, len(parts), got, want)
+		}
+	}
+}
+
+// TestCheckPartialRefusesQ3KeysTheMergeCannotWalk: Q3's merge counts
+// the union by walking each part in order, so a part whose keys are out
+// of order, repeated, or not page IDs in canonical decimal (which would
+// order differently from their values, or name one page two ways) is
+// refused by name; every other class merges by map and takes any keys.
+func TestCheckPartialRefusesQ3KeysTheMergeCannotWalk(t *testing.T) {
+	rows := func(keys ...string) []PartialRow {
+		var rs []PartialRow
+		for _, k := range keys {
+			rs = append(rs, PartialRow{Key: k, Value: 1})
+		}
+		return rs
+	}
+	for _, ok := range [][]PartialRow{nil, rows("0"), rows("0", "7", "10", "99", "100", "123456")} {
+		if err := CheckPartial(Q3, ok); err != nil {
+			t.Errorf("CheckPartial(Q3, %v) = %v, want nil", ok, err)
+		}
+	}
+	for _, bad := range []struct {
+		rows []PartialRow
+		want string
+	}{
+		{rows("10", "9"), "key 9 does not follow 10"},
+		{rows("7", "7"), "key 7 does not follow 7"},
+		{rows("3", "12", "100", "20"), "row 3: key 20 does not follow 100"},
+		{rows("1", "07"), `key "07" is not a page ID`},
+		{rows("+7"), `key "+7" is not a page ID`},
+		{rows("-1"), `key "-1" is not a page ID`},
+		{rows(""), `key "" is not a page ID`},
+		{rows("12a"), `key "12a" is not a page ID`},
+	} {
+		err := CheckPartial(Q3, bad.rows)
+		if err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("CheckPartial(Q3, %v) = %v, want an error naming %q", bad.rows, err, bad.want)
+		}
+	}
+	for _, q := range []ID{Q1, Q2, Q4, Q5, Q6} {
+		if err := CheckPartial(q, rows("b", "a", "a", "")); err != nil {
+			t.Errorf("CheckPartial(Q%d) = %v, want nil: its merge takes any keys", q, err)
+		}
+	}
+}
+
+// TestQ3RowsAndMergeAllocs pins Q3's row emission and its merge at the
+// same allocations for 3,531 base-set members — shard 1's Q3 leg in the
+// mining_routed workload — as for one: a string per key, or a map entry
+// per key in the merge, trips it. Wired into make check-overhead.
+func TestQ3RowsAndMergeAllocs(t *testing.T) {
+	membersOf := func(n int) []uint64 {
+		members := make([]uint64, (100000+7*n+63)/64)
+		for i := 0; i < n; i++ {
+			p := 100000 + 7*i
+			members[p>>6] |= 1 << (p & 63)
+		}
+		return members
+	}
+	allocs := func(n int) (rows, merge float64) {
+		members := membersOf(n)
+		rows = testing.AllocsPerRun(20, func() { memberRows(members) })
+		parts := [][]PartialRow{memberRows(members), memberRows(membersOf(n / 2))}
+		merge = testing.AllocsPerRun(20, func() { MergePartials(Q3, parts) })
+		return rows, merge
+	}
+	bigRows, bigMerge := allocs(3531)
+	smallRows, smallMerge := allocs(1)
+	t.Logf("rows: %.0f allocations at 3,531 members, %.0f at one; merge: %.0f and %.0f", bigRows, smallRows, bigMerge, smallMerge)
+	if bigRows != smallRows || bigRows > 2 {
+		t.Errorf("Q3's rows allocate %.0f times for 3,531 members and %.0f for one; want the same, at most 2", bigRows, smallRows)
+	}
+	if bigMerge != smallMerge || bigMerge > 2 {
+		t.Errorf("MergePartials(Q3) allocates %.0f times for 3,531 rows and %.0f for one; want the same, at most 2", bigMerge, smallMerge)
 	}
 }

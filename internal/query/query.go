@@ -9,7 +9,8 @@ package query
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"snode/internal/metrics"
@@ -441,11 +442,15 @@ func (e *Engine) phraseInDomain(phrase, domain string) []webgraph.PageID {
 	return e.R.Text.LookupInRange(phrase, dr.Lo, dr.Hi)
 }
 
+// sortRows ranks rows by descending value, ties by ascending key.
 func sortRows(rows []Row) {
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Value != rows[j].Value {
-			return rows[i].Value > rows[j].Value
+	slices.SortFunc(rows, func(a, b Row) int {
+		switch {
+		case a.Value > b.Value:
+			return -1
+		case a.Value < b.Value:
+			return 1
 		}
-		return rows[i].Key < rows[j].Key
+		return strings.Compare(a.Key, b.Key)
 	})
 }

@@ -398,7 +398,7 @@ func (r *Router) fetch(ctx context.Context, s int, pathQuery, traceHdr string) l
 			}
 			continue
 		}
-		body, readErr := io.ReadAll(resp.Body)
+		body, readErr := readBody(resp)
 		resp.Body.Close()
 		cancel()
 		if readErr != nil {
@@ -448,6 +448,28 @@ func (r *Router) fetch(ctx context.Context, s int, pathQuery, traceHdr string) l
 	}
 	inc(r.fanoutErrors)
 	return legResult{err: fmt.Errorf("shard %d: all replicas failed: %w", s, lastErr)}
+}
+
+// maxPresized bounds the buffer readBody sizes from a Content-Length
+// before reading a byte: the header comes from the network, so a larger
+// claim is read the way an unsized body is, and the buffer grows only
+// with the bytes that arrive. A partial leg is tens of kilobytes.
+const maxPresized = 8 << 20
+
+// readBody reads a leg's body. A shard declares its length (a partial
+// frame always does), so the body is read once, into a buffer of that
+// size; one without a length, or claiming more than maxPresized, is
+// read by io.ReadAll.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > maxPresized {
+		return io.ReadAll(resp.Body)
+	}
+	body := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, body); err != nil {
+		return nil, err
+	}
+	return body, nil
 }
 
 // writeShed relays an aggregated 429 and counts it against the
@@ -722,9 +744,10 @@ func (r *Router) scatterQuery(w http.ResponseWriter, req *http.Request, qn int) 
 }
 
 // decodeLeg reads shard s's answer to the partial leg of query qn: a
-// partial frame for that query and shard, or an error naming what came
-// instead — a body under another content type (an old replica answering
-// JSON, say) is refused unread, never misparsed.
+// partial frame for that query and shard whose rows the merge can take
+// (query.CheckPartial), or an error naming what came instead — a body
+// under another content type (an old replica answering JSON, say) is
+// refused unread, never misparsed.
 func decodeLeg(leg legResult, qn, s int) (serve.PartialQueryResponse, error) {
 	if leg.contentType != serve.PartialContentType {
 		return serve.PartialQueryResponse{}, fmt.Errorf("shard %d: partial leg answered %q, want %s", s, leg.contentType, serve.PartialContentType)
@@ -732,6 +755,9 @@ func decodeLeg(leg legResult, qn, s int) (serve.PartialQueryResponse, error) {
 	pr, err := serve.DecodePartial(leg.body)
 	if err == nil && (pr.Query != qn || pr.Shard != s) {
 		err = fmt.Errorf("the frame is Q%d from shard %d", pr.Query, pr.Shard)
+	}
+	if err == nil {
+		err = query.CheckPartial(query.ID(qn), pr.Partials)
 	}
 	if err != nil {
 		return serve.PartialQueryResponse{}, fmt.Errorf("shard %d: bad partial leg: %w", s, err)

@@ -2,15 +2,19 @@ package router
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"os"
 	"path/filepath"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,6 +22,7 @@ import (
 	"testing"
 	"time"
 
+	"snode/internal/coding"
 	"snode/internal/iosim"
 	"snode/internal/metrics"
 	"snode/internal/query"
@@ -491,6 +496,102 @@ func TestJSONLegRefused(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counters["router_mining_errors"]; got != 1 {
 		t.Fatalf("router_mining_errors = %d, want 1", got)
+	}
+}
+
+// TestQ3LegTheMergeCannotWalkIsRefused: Q3's merge counts the union
+// by walking each shard's keys in order, so decodeLeg refuses a Q3 frame
+// whose keys are out of order or not page IDs in canonical decimal,
+// naming the shard and the row, instead of handing the merge rows it
+// would miscount. A frame in order decodes.
+func TestQ3LegTheMergeCannotWalkIsRefused(t *testing.T) {
+	frame := func(keys ...string) legResult {
+		w := coding.NewBuffer(nil)
+		w.Uvarint(1) // the frame's version
+		w.Uvarint(uint64(query.Q3))
+		w.Varint(1)
+		w.U64(0)
+		w.Uvarint(uint64(len(keys)))
+		for _, k := range keys {
+			w.Str("")
+			w.Str(k)
+			w.U64(math.Float64bits(1))
+		}
+		return legResult{body: w.Bytes(), contentType: serve.PartialContentType}
+	}
+	if pr, err := decodeLeg(frame("7", "10", "123"), int(query.Q3), 1); err != nil || len(pr.Partials) != 3 {
+		t.Fatalf("an ordered Q3 leg: %d rows, %v; want 3, nil", len(pr.Partials), err)
+	}
+	for _, bad := range []struct {
+		keys []string
+		want string
+	}{
+		{[]string{"7", "123", "10"}, "shard 1: bad partial leg: Q3 row 2: key 10 does not follow 123"},
+		{[]string{"7", "007"}, `shard 1: bad partial leg: Q3 row 1: key "007" is not a page ID in decimal`},
+	} {
+		if _, err := decodeLeg(frame(bad.keys...), int(query.Q3), 1); err == nil || err.Error() != bad.want {
+			t.Errorf("Q3 leg %q: %v, want %q", bad.keys, err, bad.want)
+		}
+	}
+}
+
+// TestLegReadAllocatesItsBodyOnce: a leg that declares its length is
+// read into one buffer of that size — one allocation whether the body
+// is a row or shard 1's 3,531-row Q3 frame — and the connection is
+// reused afterwards, so the read saw the body's end. A body shorter than
+// its declared length fails, and a claim past maxPresized is read as
+// the bytes arrive. Wired into make check-overhead.
+func TestLegReadAllocatesItsBodyOnce(t *testing.T) {
+	allocs := func(n int) float64 {
+		data := bytes.Repeat([]byte{'x'}, n)
+		rd := bytes.NewReader(data)
+		resp := &http.Response{ContentLength: int64(n), Body: io.NopCloser(rd)}
+		return testing.AllocsPerRun(20, func() {
+			rd.Reset(data)
+			if body, err := readBody(resp); err != nil || len(body) != n {
+				t.Fatalf("readBody: %d bytes, %v; want %d", len(body), err, n)
+			}
+		})
+	}
+	if big, small := allocs(60000), allocs(20); big != 1 || small != 1 {
+		t.Fatalf("reading a 60,000-byte leg allocates %.0f times and a 20-byte one %.0f; want 1", big, small)
+	}
+	short := &http.Response{ContentLength: 10, Body: io.NopCloser(strings.NewReader("12345"))}
+	if _, err := readBody(short); err == nil {
+		t.Fatal("a body shorter than its Content-Length was read without an error")
+	}
+	huge := &http.Response{ContentLength: maxPresized + 1, Body: io.NopCloser(strings.NewReader("12345"))}
+	if body, err := readBody(huge); err != nil || string(body) != "12345" {
+		t.Fatalf("a body claiming %d bytes: %q, %v; want the 5 that came", maxPresized+1, body, err)
+	}
+
+	ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, _ *http.Request) {
+		body := bytes.Repeat([]byte{'y'}, 60000)
+		rw.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		rw.Write(body)
+	}))
+	defer ts.Close()
+	var reused []bool
+	for i := 0; i < 2; i++ {
+		ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+			GotConn: func(info httptrace.GotConnInfo) { reused = append(reused, info.Reused) },
+		})
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := readBody(resp)
+		resp.Body.Close()
+		if err != nil || len(body) != 60000 {
+			t.Fatalf("request %d: %d bytes, %v", i, len(body), err)
+		}
+	}
+	if !slices.Equal(reused, []bool{false, true}) {
+		t.Fatalf("connections reused: %v, want [false true]", reused)
 	}
 }
 

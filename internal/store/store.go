@@ -183,10 +183,19 @@ type DomainRange struct {
 	Lo, Hi webgraph.PageID
 }
 
-// DomainRanges computes each domain's page range. The crawl generator
-// assigns IDs in (domain, URL) order, so every domain is contiguous;
-// this is the domain index the flat baselines keep in memory (the §4
-// setup gives every scheme a domain and page-ID index).
+// Contains reports whether p falls in the range. The zero range — what
+// DomainRanges gives for a domain the corpus lacks — contains no page.
+func (r DomainRange) Contains(p webgraph.PageID) bool { return p >= r.Lo && p < r.Hi }
+
+// DomainRanges maps each domain to its page range: the domain index
+// the flat baselines keep in memory (the §4 setup gives every scheme a
+// domain and page-ID index), and the form in which the query plans and
+// a shard's merged store test a page's domain. It is exact only because
+// every corpus keeps a domain's pages contiguous in page-ID order: the
+// crawl generator assigns IDs in (domain, URL) order, and ingest
+// refuses a URL table in which a domain's pages resume after another
+// domain's. NewDomainRanges does not check it; over pages that broke it,
+// a domain would map to its last run alone.
 type DomainRanges map[string]DomainRange
 
 // NewDomainRanges builds the index from page metadata.

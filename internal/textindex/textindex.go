@@ -2,11 +2,16 @@
 // resolve their page sets against (paper §4.3: "complex queries require
 // access to other indexes such as a text-index"). Terms are normalized
 // tokens; scenario phrases are single tokens (e.g. "mobile_networking"),
-// matching the crawl generator's vocabulary. Index access is not part
-// of measured navigation time, exactly as in the paper.
+// matching the crawl generator's vocabulary. A posting list is the
+// ascending IDs of the pages that contain its term, and a domain's pages
+// are one contiguous ID range (store.DomainRanges), so a lookup inside a
+// domain cuts its postings by binary search and reads nothing outside
+// them: every lookup costs what it returns. Index access is not part of
+// measured navigation time, exactly as in the paper.
 package textindex
 
 import (
+	"slices"
 	"sort"
 
 	"snode/internal/webgraph"
@@ -43,28 +48,49 @@ func (idx *Index) Lookup(term string) []webgraph.PageID {
 // NumTerms reports the vocabulary size.
 func (idx *Index) NumTerms() int { return len(idx.postings) }
 
-// PagesWithAtLeast returns, sorted, the pages containing at least k of
-// the given terms (each term counted once per page) — the Query 2
-// predicate "at least two of the words in Cw".
-func (idx *Index) PagesWithAtLeast(terms []string, k int) []webgraph.PageID {
-	counts := map[webgraph.PageID]int{}
-	seen := map[string]bool{}
-	for _, t := range terms {
-		if seen[t] {
+// PagesWithAtLeast returns, ascending, the pages in [lo, hi) that
+// contain at least k of the given terms (a term named twice counts
+// once) — the Query 2 predicate "at least two of the words in Cw",
+// restricted to a domain's contiguous ID range. It is a counting merge
+// of the terms' postings, each cut to the range by binary search: the
+// work is the postings' pages inside the range, and the allocation the
+// cut lists and the pages returned. A k of one or less returns the union.
+func (idx *Index) PagesWithAtLeast(terms []string, k int, lo, hi webgraph.PageID) []webgraph.PageID {
+	lists := make([][]webgraph.PageID, 0, len(terms))
+	for i, t := range terms {
+		if slices.Contains(terms[:i], t) {
 			continue
 		}
-		seen[t] = true
-		for _, p := range idx.postings[t] {
-			counts[p]++
+		if post := idx.LookupInRange(t, lo, hi); len(post) > 0 {
+			lists = append(lists, post)
 		}
 	}
 	var out []webgraph.PageID
-	for p, c := range counts {
-		if c >= k {
+	for len(lists) >= max(k, 1) {
+		// The smallest head is the next page; it is in as many lists as
+		// have it at their head, because each list is strictly ascending.
+		p := lists[0][0]
+		for _, l := range lists[1:] {
+			p = min(p, l[0])
+		}
+		n := 0
+		for i := 0; i < len(lists); {
+			if lists[i][0] != p {
+				i++
+				continue
+			}
+			n++
+			if lists[i] = lists[i][1:]; len(lists[i]) == 0 {
+				lists[i] = lists[len(lists)-1]
+				lists = lists[:len(lists)-1]
+				continue
+			}
+			i++
+		}
+		if n >= k {
 			out = append(out, p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

@@ -1,6 +1,9 @@
 package textindex
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"snode/internal/webgraph"
@@ -52,19 +55,73 @@ func TestPostingsSorted(t *testing.T) {
 
 func TestPagesWithAtLeast(t *testing.T) {
 	idx := sampleIndex()
-	got := idx.PagesWithAtLeast([]string{"apple", "banana", "cherry"}, 2)
+	got := idx.PagesWithAtLeast([]string{"apple", "banana", "cherry"}, 2, 0, 4)
 	// Page 0: apple+banana, page 1: banana+cherry, page 2: apple+cherry.
 	if len(got) != 3 {
 		t.Fatalf("got %v", got)
 	}
-	got = idx.PagesWithAtLeast([]string{"apple", "mobile_networking"}, 2)
+	got = idx.PagesWithAtLeast([]string{"apple", "mobile_networking"}, 2, 0, 4)
 	if len(got) != 0 {
 		t.Fatalf("expected none, got %v", got)
 	}
 	// Duplicate query terms must not double-count.
-	got = idx.PagesWithAtLeast([]string{"apple", "apple"}, 2)
+	got = idx.PagesWithAtLeast([]string{"apple", "apple"}, 2, 0, 4)
 	if len(got) != 0 {
 		t.Fatalf("duplicate terms double-counted: %v", got)
+	}
+}
+
+// TestPagesWithAtLeastMatchesMapCount holds the counting merge to a
+// map count over the same postings: random pages drawn from a small
+// vocabulary, queries that repeat terms or name absent ones, ranges
+// that are empty, partial or the whole corpus, and k from one to three.
+func TestPagesWithAtLeastMatchesMapCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	vocab := []string{"t0", "t1", "t2", "t3", "t4", "absent"}
+	for trial := 0; trial < 100; trial++ {
+		pages := make([]webgraph.PageMeta, rng.Intn(120))
+		for i := range pages {
+			pages[i].URL = fmt.Sprint("u", i)
+			for j := rng.Intn(5); j > 0; j-- {
+				pages[i].Terms = append(pages[i].Terms, vocab[rng.Intn(len(vocab)-1)])
+			}
+		}
+		idx := Build(pages)
+		n := webgraph.PageID(len(pages))
+		for q := 0; q < 20; q++ {
+			terms := make([]string, rng.Intn(5))
+			for i := range terms {
+				terms[i] = vocab[rng.Intn(len(vocab))]
+			}
+			ranges := [][2]webgraph.PageID{{0, n}, {n / 2, n / 2}, {n, n + 10}}
+			if n > 0 {
+				a := webgraph.PageID(rng.Intn(int(n)))
+				ranges = append(ranges, [2]webgraph.PageID{a, a + webgraph.PageID(rng.Intn(int(n-a)+1))})
+			}
+			for _, r := range ranges {
+				for k := 1; k <= 3; k++ {
+					counts := map[webgraph.PageID]int{}
+					for i, term := range terms {
+						if slices.Contains(terms[:i], term) {
+							continue
+						}
+						for _, p := range idx.Lookup(term) {
+							counts[p]++
+						}
+					}
+					var want []webgraph.PageID
+					for p, c := range counts {
+						if c >= k && p >= r[0] && p < r[1] {
+							want = append(want, p)
+						}
+					}
+					slices.Sort(want)
+					if got := idx.PagesWithAtLeast(terms, k, r[0], r[1]); !slices.Equal(got, want) {
+						t.Fatalf("trial %d: PagesWithAtLeast(%q, %d, %d, %d) = %v, want %v", trial, terms, k, r[0], r[1], got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -81,16 +81,22 @@ test-bench:
 # memory per call, or a list gathered by append per page, trips it) and
 # a warm Q1-Q6 cycle on the query fixture at no more than a fifth of the
 # 28,570 graph-cache lookups it made page by page (a plan step that reads
-# a page at a time again trips it). The routed-query guards pin Q3's rows
-# and MergePartials(Q3) at the same allocations for 3,531 base-set members
-# as for one (a string per key, or a map entry per key in the merge, trips
-# them) and the router's read of a leg that declares its length at one
-# allocation, its body (a buffer grown while reading trips it). Run with
-# -count=1 so the guard always executes.
+# a page at a time again trips it). The routed-query guards pin Q3's
+# rows, its leg (the page-set frame written, read and merged) and
+# MergePartials(Q3) at the same allocations for 3,531 base-set members as
+# for one, and the leg's frame at two bytes a member (a row or a string
+# per member, or a set grown by append, trips them); a warm Q2 on a
+# half-owning engine under one list of Stanford's pages (a source or an
+# owned subset rebuilt per query trips it); a warm Neighbors call on a
+# shard's merged store at zero allocations (a join list grown per call
+# trips it); and the router's read of a leg that declares its length at
+# one allocation, its body (a buffer grown while reading trips it). Run
+# with -count=1 so the guard always executes.
 check-overhead:
-	$(GO) test -count=1 -run 'TestUntracedTracingAddsNoAllocs|TestNavigateLookupsPinned|TestQ3RowsAndMergeAllocs' ./internal/query
+	$(GO) test -count=1 -run 'TestUntracedTracingAddsNoAllocs|TestNavigateLookupsPinned|TestQ3RowsAndMergeAllocs|TestWarmQ2AllocatesLessThanStanford' ./internal/query
 	$(GO) test -count=1 -run 'TestUntracedPrimitivesZeroAlloc' ./internal/trace
-	$(GO) test -count=1 -run 'TestCrossProcessUntracedZeroAlloc|TestDecodePartialAllocs|TestLegReadAllocatesItsBodyOnce' ./internal/trace ./internal/serve ./internal/router
+	$(GO) test -count=1 -run 'TestCrossProcessUntracedZeroAlloc|TestDecodePartialAllocs|TestQ3LegAllocs|TestLegReadAllocatesItsBodyOnce' ./internal/trace ./internal/serve ./internal/router
+	$(GO) test -count=1 -run 'TestWarmMergedNeighborsAllocatesNothing' ./internal/shard
 	$(GO) test -count=1 -run 'TestDecodeHotPathAllocs|TestWarmOutAllocatesNothing|TestWarmNeighborsAllocatesNothing|TestColdOutAllocsPerLoad|TestBucketingAllocsIndependentOfEdges|TestLookupCountersPinned' ./internal/snode
 	$(GO) test -count=1 -run 'TestClusteredSplitAllocs' ./internal/partition
 

@@ -22,12 +22,10 @@
 package query
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math/bits"
 	"slices"
-	"strconv"
 	"strings"
 
 	"snode/internal/pagerank"
@@ -44,18 +42,20 @@ func (e *Engine) SetOwner(owns func(webgraph.PageID) bool) { e.owned = owns }
 
 // PartialRow is one untruncated, mergeable output row of a partial
 // query execution. Group disambiguates rows that merge independently
-// (Q4: the university; Q6: which source set cited the target).
+// (Q4: the university; Q6: which source set cited the target). Pages is
+// a strictly ascending page set, which only Q3's row carries: its
+// base-set members, as IDs rather than one keyed row apiece.
 type PartialRow struct {
 	Group string
 	Key   string
 	Value float64
+	Pages []webgraph.PageID
 }
 
 // PartialResult is one shard's contribution to a scattered query.
 type PartialResult struct {
-	Query ID
-	Rows  []PartialRow
-	Nav   NavStats
+	Rows []PartialRow
+	Nav  NavStats
 	// Trace is the finished execution trace when the engine's tracer
 	// sampled this run (nil otherwise), as in Result.
 	Trace *trace.Trace
@@ -115,7 +115,7 @@ func (e *Engine) planQ1() plan {
 	return plan{
 		steps: []step{{
 			src:    e.phraseInDomain(synth.PhraseMobileNetworking, "stanford.edu"),
-			filter: &store.Filter{Domains: e.R.EduDomains("stanford.edu")},
+			filter: e.q1Filter,
 			visit: func(p webgraph.PageID, nbrs []webgraph.PageID) {
 				// A page contributes its weight once per domain it points
 				// to. A domain is one ID range, so in ascending order a
@@ -150,12 +150,12 @@ func (e *Engine) planQ1() plan {
 // links from Stanford pages to the strip's site. Rows: per-comic
 // counts; merge by summing.
 func (e *Engine) planQ2() (plan, error) {
-	comics := synth.Comics()
-	dr, ok := e.R.Domains["stanford.edu"]
-	if !ok {
+	if e.stanford == nil {
 		// Domain ranges are global, so every shard fails identically.
 		return plan{}, fmt.Errorf("query: stanford.edu not in corpus")
 	}
+	comics := synth.Comics()
+	dr := e.R.Domains["stanford.edu"]
 	// C1 comes from the text index, but is counted as the executor
 	// visits each Stanford page so that it is restricted to owned pages
 	// by the same check as C2. hits[i] is comic i's Stanford pages,
@@ -163,21 +163,15 @@ func (e *Engine) planQ2() (plan, error) {
 	// order, so each list is walked once from its front.
 	hits := make([][]webgraph.PageID, len(comics))
 	sites := make([]store.DomainRange, len(comics))
-	siteSet := map[string]bool{}
 	for i, c := range comics {
 		hits[i] = e.R.Text.PagesWithAtLeast(c.Words, 2, dr.Lo, dr.Hi)
 		sites[i] = e.R.Domains[c.Site]
-		siteSet[c.Site] = true
-	}
-	stanford := make([]webgraph.PageID, 0, dr.Hi-dr.Lo)
-	for p := dr.Lo; p < dr.Hi; p++ {
-		stanford = append(stanford, p)
 	}
 	counts := make([]int, len(comics))
 	return plan{
 		steps: []step{{
-			src:    stanford,
-			filter: &store.Filter{Domains: siteSet},
+			src:    e.stanford,
+			filter: e.q2Filter,
 			visit: func(p webgraph.PageID, nbrs []webgraph.PageID) {
 				for i, h := range hits {
 					for len(h) > 0 && h[0] < p {
@@ -214,10 +208,10 @@ const kleinbergInCap = 50
 // planQ3 — Kleinberg base set S ∪ out(S) ∪ in(S) for the top-100
 // "Internet censorship" pages. S resolves identically on every shard
 // (global text index and PageRank), and each contributes {p} ∪ out(p) ∪
-// cappedIn(p) for the p ∈ S it owns. Rows: one per base-set member,
-// keyed by page ID in decimal, ascending; merge by distinct-key union.
-// The members are a bitset over the corpus's page IDs, so the rows come
-// out in order by walking its words.
+// cappedIn(p) for the p ∈ S it owns. Rows: one, whose Pages are the
+// base-set members, ascending; merge by counting the union. The members
+// are a bitset over the corpus's page IDs, so they come out in order by
+// walking its words.
 func (e *Engine) planQ3() plan {
 	s := pagerank.TopK(e.R.PageRank, e.R.Text.Lookup(synth.PhraseInternetCensorship), 100)
 	// Navigate in page-ID order (sort the fetch set before touching the
@@ -245,50 +239,24 @@ func (e *Engine) planQ3() plan {
 				}
 			},
 		}},
-		rows: func() []PartialRow { return memberRows(members) },
+		rows: func() []PartialRow { return []PartialRow{{Pages: pagesOf(members)}} },
 	}
 }
 
-// memberRows emits one row per member of a page bitset, keyed by page ID
-// in decimal, ascending. The keys are substrings of one string, so the
-// rows cost the same two allocations whatever their number. It walks the
-// members three times: to count and size the keys, to write them, and
-// to cut them.
-func memberRows(members []uint64) []PartialRow {
-	n, size := 0, 0
+// pagesOf lists the members of a page bitset, ascending, in one slice of
+// exactly their number.
+func pagesOf(members []uint64) []webgraph.PageID {
+	n := 0
+	for _, w := range members {
+		n += bits.OnesCount64(w)
+	}
+	pages := make([]webgraph.PageID, 0, n)
 	for k, w := range members {
 		for ; w != 0; w &= w - 1 {
-			n++
-			size += decimalLen(k<<6 | bits.TrailingZeros64(w))
+			pages = append(pages, webgraph.PageID(k<<6|bits.TrailingZeros64(w)))
 		}
 	}
-	var b strings.Builder
-	b.Grow(size)
-	var digits [20]byte
-	for k, w := range members {
-		for ; w != 0; w &= w - 1 {
-			b.Write(strconv.AppendInt(digits[:0], int64(k<<6|bits.TrailingZeros64(w)), 10))
-		}
-	}
-	keys := b.String()
-	rows := make([]PartialRow, 0, n)
-	for k, w := range members {
-		for ; w != 0; w &= w - 1 {
-			l := decimalLen(k<<6 | bits.TrailingZeros64(w))
-			rows = append(rows, PartialRow{Key: keys[:l], Value: 1})
-			keys = keys[l:]
-		}
-	}
-	return rows
-}
-
-// decimalLen is the number of digits of page ID p in decimal.
-func decimalLen(p int) int {
-	n := 1
-	for t := 10; p >= t; t *= 10 {
-		n++
-	}
-	return n
+	return pages
 }
 
 // smallest reorders ids so that its first k are the k smallest, in no
@@ -422,9 +390,9 @@ func (e *Engine) planQ6() plan {
 // class:
 //
 //	Q1, Q2 — sum by key (partial weights/counts), rank by value
-//	Q3     — distinct-key union, reported as one base-set-size row
-//	         (each part's keys strictly ascending page IDs, as planQ3
-//	         emits them and CheckPartial holds a shard's leg to)
+//	Q3     — union of the rows' page sets, reported as one
+//	         base-set-size row (each set strictly ascending, as planQ3
+//	         emits it and serve.DecodePartial holds a shard's leg to)
 //	Q4     — concatenate, rank and cap 10 per university group
 //	Q5     — concatenate, rank and cap 10
 //	Q6     — join Group "a"/"b" by key, keep both-cited, rank, cap 25
@@ -436,7 +404,13 @@ func MergePartials(q ID, parts [][]PartialRow) []Row {
 	case Q1, Q2:
 		return mergeSum(parts)
 	case Q3:
-		return []Row{{Key: "base-set-size", Value: float64(unionSize(parts))}}
+		sets := make([][]webgraph.PageID, 0, 8) // on the stack up to 8 rows
+		for _, part := range parts {
+			for _, r := range part {
+				sets = append(sets, r.Pages)
+			}
+		}
+		return []Row{{Key: "base-set-size", Value: float64(unionSize(sets))}}
 	case Q4:
 		var rows []Row
 		for _, uni := range synth.Universities() {
@@ -488,67 +462,23 @@ func MergePartials(q ID, parts [][]PartialRow) []Row {
 	return nil
 }
 
-// CheckPartial refuses rows that q's merge cannot take as one shard's
-// partial. Only Q3's merge has a precondition: its keys must be page IDs
-// in canonical decimal (no sign, no leading zero), strictly ascending,
-// because unionSize counts the union by walking the parts side by side.
-// Every other class merges through maps and takes any keys.
-func CheckPartial(q ID, rows []PartialRow) error {
-	if q != Q3 {
-		return nil
-	}
-	for i, r := range rows {
-		if !isDecimal(r.Key) {
-			return fmt.Errorf("Q3 row %d: key %q is not a page ID in decimal", i, r.Key)
-		}
-		if i > 0 && compareDecimal(rows[i-1].Key, r.Key) >= 0 {
-			return fmt.Errorf("Q3 row %d: key %s does not follow %s", i, r.Key, rows[i-1].Key)
-		}
-	}
-	return nil
-}
-
-// isDecimal reports whether k is a non-negative integer in canonical
-// decimal: digits only, and no leading zero unless k is "0".
-func isDecimal(k string) bool {
-	if k == "" || (k[0] == '0' && len(k) > 1) {
-		return false
-	}
-	for i := 0; i < len(k); i++ {
-		if k[i] < '0' || k[i] > '9' {
-			return false
-		}
-	}
-	return true
-}
-
-// compareDecimal orders canonical decimals by value: a shorter one is
-// smaller, and two of one length compare as strings.
-func compareDecimal(a, b string) int {
-	if len(a) != len(b) {
-		return cmp.Compare(len(a), len(b))
-	}
-	return strings.Compare(a, b)
-}
-
-// unionSize counts the distinct keys of Q3's parts, each strictly
-// ascending under compareDecimal: a merge that advances every part whose
-// next key is the smallest, so a key in several parts counts once.
-func unionSize(parts [][]PartialRow) int {
-	next := make([]int, len(parts))
+// unionSize counts the distinct pages of strictly ascending sets: a merge
+// that advances every set whose next page is the smallest, so a page in
+// several sets counts once. It consumes sets.
+func unionSize(sets [][]webgraph.PageID) int {
 	for n := 0; ; n++ {
-		least, found := "", false
-		for i, part := range parts {
-			if next[i] < len(part) && (!found || compareDecimal(part[next[i]].Key, least) < 0) {
-				least, found = part[next[i]].Key, true
+		least, found := webgraph.PageID(0), false
+		for _, s := range sets {
+			if len(s) > 0 && (!found || s[0] < least) {
+				least, found = s[0], true
 			}
 		}
 		if !found {
 			return n
 		}
-		for i, part := range parts {
-			if next[i] < len(part) && part[next[i]].Key == least {
-				next[i]++
+		for i, s := range sets {
+			if len(s) > 0 && s[0] == least {
+				sets[i] = s[1:]
 			}
 		}
 	}

@@ -11,11 +11,13 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"snode/internal/metrics"
 	"snode/internal/repo"
 	"snode/internal/store"
+	"snode/internal/synth"
 	"snode/internal/trace"
 	"snode/internal/webgraph"
 )
@@ -125,6 +127,12 @@ type Engine struct {
 	revCtx store.ContextLinkStore
 	fwdSet neighborer
 	revSet neighborer
+
+	// Built once in New from the immutable domain index: Q1's and Q2's
+	// filters, compiled once per store rather than per query, and Q2's
+	// source, every Stanford page (nil without stanford.edu).
+	q1Filter, q2Filter *store.Filter
+	stanford           []webgraph.PageID
 }
 
 // neighborer is the set-at-a-time read a store may provide
@@ -142,6 +150,17 @@ func New(r *repo.Repository, scheme string) (*Engine, error) {
 		return nil, fmt.Errorf("query: scheme %q not built", scheme)
 	}
 	e := &Engine{R: r, Scheme: scheme}
+	e.q1Filter = &store.Filter{Domains: r.EduDomains("stanford.edu")}
+	e.q2Filter = &store.Filter{Domains: map[string]bool{}}
+	for _, c := range synth.Comics() {
+		e.q2Filter.Domains[c.Site] = true
+	}
+	if dr, ok := r.Domains["stanford.edu"]; ok {
+		e.stanford = make([]webgraph.PageID, dr.Hi-dr.Lo)
+		for i := range e.stanford {
+			e.stanford[i] = dr.Lo + webgraph.PageID(i)
+		}
+	}
 	e.fwdCtx, _ = e.fwd().(store.ContextLinkStore)
 	e.revCtx, _ = e.rev().(store.ContextLinkStore)
 	e.fwdSet, _ = e.fwd().(neighborer)
@@ -345,7 +364,7 @@ func (e *Engine) execute(ctx context.Context, q ID) (*PartialResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PartialResult{Query: q, Rows: pl.rows(), Nav: nav}, nil
+	return &PartialResult{Rows: pl.rows(), Nav: nav}, nil
 }
 
 // expand reads the out-links of pages under f, forward or (rev) over the
@@ -377,6 +396,12 @@ func (e *Engine) expand(ctx context.Context, rev bool, pages []webgraph.PageID, 
 	return buf, nil
 }
 
+// navScratch is navigate's working memory, pooled so that a warm query
+// allocates none: a step's owned pages, and a page-at-a-time read's list.
+type navScratch struct{ owned, buf []webgraph.PageID }
+
+var navScratchPool = sync.Pool{New: func() any { return new(navScratch) }}
+
 // navigate runs a plan's steps and measures them. It is the only loop
 // that calls the store on a plan's behalf, so the owned-page
 // restriction, the cancellation check, the direction dispatch and the
@@ -394,20 +419,21 @@ func (e *Engine) navigate(ctx context.Context, steps []step) (NavStats, error) {
 		}
 	}
 	start := time.Now()
-	var buf, owned []webgraph.PageID
+	sc := navScratchPool.Get().(*navScratch)
+	defer navScratchPool.Put(sc)
 	for _, st := range steps {
 		src := st.src
 		if e.owned != nil {
-			owned = owned[:0]
+			sc.owned = sc.owned[:0]
 			for _, p := range src {
 				if e.owned(p) {
-					owned = append(owned, p)
+					sc.owned = append(sc.owned, p)
 				}
 			}
-			src = owned
+			src = sc.owned
 		}
 		var err error
-		if buf, err = e.expand(ctx, st.rev, src, st.filter, st.visit, buf); err != nil {
+		if sc.buf, err = e.expand(ctx, st.rev, src, st.filter, st.visit, sc.buf); err != nil {
 			return NavStats{}, err
 		}
 	}

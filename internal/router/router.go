@@ -744,10 +744,10 @@ func (r *Router) scatterQuery(w http.ResponseWriter, req *http.Request, qn int) 
 }
 
 // decodeLeg reads shard s's answer to the partial leg of query qn: a
-// partial frame for that query and shard whose rows the merge can take
-// (query.CheckPartial), or an error naming what came instead — a body
-// under another content type (an old replica answering JSON, say) is
-// refused unread, never misparsed.
+// partial frame for that query and shard, or an error naming what came
+// instead — a body under another content type (an old replica answering
+// JSON, say) is refused unread, and a frame of another version by it,
+// never misparsed.
 func decodeLeg(leg legResult, qn, s int) (serve.PartialQueryResponse, error) {
 	if leg.contentType != serve.PartialContentType {
 		return serve.PartialQueryResponse{}, fmt.Errorf("shard %d: partial leg answered %q, want %s", s, leg.contentType, serve.PartialContentType)
@@ -755,9 +755,6 @@ func decodeLeg(leg legResult, qn, s int) (serve.PartialQueryResponse, error) {
 	pr, err := serve.DecodePartial(leg.body)
 	if err == nil && (pr.Query != qn || pr.Shard != s) {
 		err = fmt.Errorf("the frame is Q%d from shard %d", pr.Query, pr.Shard)
-	}
-	if err == nil {
-		err = query.CheckPartial(query.ID(qn), pr.Partials)
 	}
 	if err != nil {
 		return serve.PartialQueryResponse{}, fmt.Errorf("shard %d: bad partial leg: %w", s, err)

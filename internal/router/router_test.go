@@ -500,37 +500,40 @@ func TestJSONLegRefused(t *testing.T) {
 }
 
 // TestQ3LegTheMergeCannotWalkIsRefused: Q3's merge counts the union
-// by walking each shard's keys in order, so decodeLeg refuses a Q3 frame
-// whose keys are out of order or not page IDs in canonical decimal,
-// naming the shard and the row, instead of handing the merge rows it
-// would miscount. A frame in order decodes.
+// by walking each shard's page set in order, so decodeLeg refuses a Q3
+// frame whose set is not strictly ascending — a zero gap — naming the
+// shard, the row and the page, instead of handing the merge a set it
+// would miscount; and a version-1 frame, whose members were decimal
+// keys, by its version. A frame in order decodes.
 func TestQ3LegTheMergeCannotWalkIsRefused(t *testing.T) {
-	frame := func(keys ...string) legResult {
+	frame := func(version uint64, gaps ...uint64) legResult {
 		w := coding.NewBuffer(nil)
-		w.Uvarint(1) // the frame's version
+		w.Uvarint(version)
 		w.Uvarint(uint64(query.Q3))
 		w.Varint(1)
 		w.U64(0)
-		w.Uvarint(uint64(len(keys)))
-		for _, k := range keys {
-			w.Str("")
-			w.Str(k)
-			w.U64(math.Float64bits(1))
+		w.Uvarint(1)
+		w.Str("")
+		w.Str("")
+		w.U64(math.Float64bits(0))
+		w.Uvarint(uint64(len(gaps)))
+		for _, g := range gaps {
+			w.Uvarint(g)
 		}
 		return legResult{body: w.Bytes(), contentType: serve.PartialContentType}
 	}
-	if pr, err := decodeLeg(frame("7", "10", "123"), int(query.Q3), 1); err != nil || len(pr.Partials) != 3 {
-		t.Fatalf("an ordered Q3 leg: %d rows, %v; want 3, nil", len(pr.Partials), err)
+	if pr, err := decodeLeg(frame(2, 8, 3, 113), int(query.Q3), 1); err != nil || !slices.Equal(pr.Partials[0].Pages, []webgraph.PageID{7, 10, 123}) {
+		t.Fatalf("an ordered Q3 leg: %+v, %v; want pages 7, 10, 123", pr.Partials, err)
 	}
 	for _, bad := range []struct {
-		keys []string
+		leg  legResult
 		want string
 	}{
-		{[]string{"7", "123", "10"}, "shard 1: bad partial leg: Q3 row 2: key 10 does not follow 123"},
-		{[]string{"7", "007"}, `shard 1: bad partial leg: Q3 row 1: key "007" is not a page ID in decimal`},
+		{frame(2, 8, 3, 0, 113), "shard 1: bad partial leg: partial frame: row 0: page 2: a zero gap repeats a page"},
+		{frame(1), "shard 1: bad partial leg: partial frame: version 1, want 2"},
 	} {
-		if _, err := decodeLeg(frame(bad.keys...), int(query.Q3), 1); err == nil || err.Error() != bad.want {
-			t.Errorf("Q3 leg %q: %v, want %q", bad.keys, err, bad.want)
+		if _, err := decodeLeg(bad.leg, int(query.Q3), 1); err == nil || err.Error() != bad.want {
+			t.Errorf("Q3 leg: %v, want %q", err, bad.want)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"slices"
+	"sync"
 
 	"snode/internal/snode"
 	"snode/internal/store"
@@ -40,24 +41,30 @@ func (m *MergedStore) Name() string { return m.base.Name() }
 // NumPages reports the base store's page count (global ID space).
 func (m *MergedStore) NumPages() int { return m.base.NumPages() }
 
+// mergedBufs recycles the list Neighbors joins a page's two parts in,
+// so a warm call allocates none for the pages that have boundary rows.
+var mergedBufs = sync.Pool{New: func() any { return new([]webgraph.PageID) }}
+
 // Neighbors is the base store's Neighbors with each page's boundary
 // targets that pass f appended to its list.
 func (m *MergedStore) Neighbors(ctx context.Context, pages []webgraph.PageID, f *store.Filter, visit func(p webgraph.PageID, out []webgraph.PageID) error) error {
 	domains := m.compile(f)
-	var buf []webgraph.PageID
+	buf := mergedBufs.Get().(*[]webgraph.PageID)
+	defer mergedBufs.Put(buf)
 	return m.base.Neighbors(ctx, pages, f, func(p webgraph.PageID, out []webgraph.PageID) error {
 		row := m.boundary.Out(p)
 		if len(row) == 0 {
 			return visit(p, out)
 		}
-		buf = append(buf[:0], out...)
+		b := append((*buf)[:0], out...)
 		for _, t := range row {
 			k, _ := slices.BinarySearchFunc(domains, t, func(r store.DomainRange, t webgraph.PageID) int { return cmp.Compare(r.Hi, t+1) })
 			if f.Empty() || f.AcceptsPage(t) || k < len(domains) && domains[k].Lo <= t {
-				buf = append(buf, t)
+				b = append(b, t)
 			}
 		}
-		return visit(p, buf)
+		*buf = b
+		return visit(p, b)
 	})
 }
 

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -14,8 +15,11 @@ import (
 	"strings"
 	"testing"
 
+	"snode/internal/iosim"
+	"snode/internal/raceflag"
 	"snode/internal/repo"
 	"snode/internal/snode"
+	"snode/internal/store"
 	"snode/internal/synth"
 	"snode/internal/webgraph"
 )
@@ -361,6 +365,47 @@ func TestHostileArtifactsAreRefused(t *testing.T) {
 		}
 		if _, err := LoadManifest(dir); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "leaves the dataset") {
 			t.Errorf("manifest with %s: err = %v, want ErrCorrupt naming the path", swap[1], err)
+		}
+	}
+}
+
+// TestWarmMergedNeighborsAllocatesNothing: a warm Neighbors call on a
+// shard's merged store, over owned pages many of which have boundary
+// rows, allocates nothing, unfiltered or under a domain filter: the list
+// that joins a page's two parts is recycled, not grown afresh per call.
+func TestWarmMergedNeighborsAllocatesNothing(t *testing.T) {
+	sh, err := OpenServing(getRoot(t, 2), 0, 64<<20, iosim.Model2002())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	m := sh.Repo.Fwd[repo.SchemeSNode].(*MergedStore)
+	var pages []webgraph.PageID
+	withRows := 0
+	for p := webgraph.PageID(0); int(p) < sh.Manifest.NumPages && len(pages) < 300; p++ {
+		if sh.Owns(p) {
+			pages = append(pages, p)
+			if len(m.boundary.Out(p)) > 0 {
+				withRows++
+			}
+		}
+	}
+	if withRows < 10 {
+		t.Fatalf("%d of %d owned pages have boundary rows; the fixture exercises nothing", withRows, len(pages))
+	}
+	visit := func(webgraph.PageID, []webgraph.PageID) error { return nil }
+	for name, f := range map[string]*store.Filter{"unfiltered": nil, "edu domains": {Domains: sh.Repo.EduDomains("")}} {
+		if err := m.Neighbors(context.Background(), pages, f, visit); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := m.Neighbors(context.Background(), pages, f, visit); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// sync.Pool drops some of what is put back under the race detector.
+		if allocs > 0 && !(raceflag.Enabled && allocs <= 2) {
+			t.Errorf("%s: a warm Neighbors call over %d pages (%d with boundary rows) allocates %.0f times; want 0", name, len(pages), withRows, allocs)
 		}
 	}
 }

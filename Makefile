@@ -87,13 +87,16 @@ test-bench:
 # for one, and the leg's frame at two bytes a member (a row or a string
 # per member, or a set grown by append, trips them); a warm Q2 on a
 # half-owning engine under one list of Stanford's pages (a source or an
-# owned subset rebuilt per query trips it); a warm Neighbors call on a
-# shard's merged store at zero allocations (a join list grown per call
-# trips it); and the router's read of a leg that declares its length at
+# owned subset rebuilt per query trips it); a warm Q3 under one bitset
+# of the corpus's pages beyond its member list (a member bitset made per
+# query trips it); a warm Q5 handing its step the filter the store
+# compiled on the first (a filter built per query trips it); a warm
+# Neighbors call on a shard's merged store at zero allocations (a join
+# list grown per call trips it); and the router's read of a leg that declares its length at
 # one allocation, its body (a buffer grown while reading trips it). Run
 # with -count=1 so the guard always executes.
 check-overhead:
-	$(GO) test -count=1 -run 'TestUntracedTracingAddsNoAllocs|TestNavigateLookupsPinned|TestQ3RowsAndMergeAllocs|TestWarmQ2AllocatesLessThanStanford' ./internal/query
+	$(GO) test -count=1 -run 'TestUntracedTracingAddsNoAllocs|TestNavigateLookupsPinned|TestQ3RowsAndMergeAllocs|TestWarmQ2AllocatesLessThanStanford|TestWarmQ3AllocatesLessThanItsBitset|TestWarmQ5CompilesNoFilter' ./internal/query
 	$(GO) test -count=1 -run 'TestUntracedPrimitivesZeroAlloc' ./internal/trace
 	$(GO) test -count=1 -run 'TestCrossProcessUntracedZeroAlloc|TestDecodePartialAllocs|TestQ3LegAllocs|TestLegReadAllocatesItsBodyOnce' ./internal/trace ./internal/serve ./internal/router
 	$(GO) test -count=1 -run 'TestWarmMergedNeighborsAllocatesNothing' ./internal/shard

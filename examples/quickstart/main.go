@@ -13,7 +13,6 @@ import (
 	"snode/internal/snode"
 	"snode/internal/store"
 	"snode/internal/synth"
-	"snode/internal/webgraph"
 )
 
 func main() {
@@ -53,19 +52,14 @@ func main() {
 	}
 	defer rep.Close()
 
-	var stanford webgraph.PageID = -1
-	for pid, pm := range crawl.Corpus.Pages {
-		if pm.Domain == "stanford.edu" {
-			stanford = webgraph.PageID(pid)
-			break
-		}
-	}
-	if stanford < 0 {
+	// A domain is one page-ID range, and a domain filter is a list of them.
+	domains := store.NewDomainRanges(crawl.Corpus.Pages)
+	dr, ok := domains["stanford.edu"]
+	if !ok {
 		log.Fatal("no stanford.edu pages in corpus")
 	}
-	eduFilter := &store.Filter{Domains: map[string]bool{
-		"berkeley.edu": true, "mit.edu": true, "caltech.edu": true,
-	}}
+	stanford := dr.Lo
+	eduFilter := store.NewFilter(domains["berkeley.edu"], domains["mit.edu"], domains["caltech.edu"])
 	targets, err := rep.OutFiltered(stanford, eduFilter, nil)
 	if err != nil {
 		log.Fatal(err)

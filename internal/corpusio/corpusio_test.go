@@ -10,6 +10,7 @@ import (
 	"slices"
 	"testing"
 
+	"snode/internal/store"
 	"snode/internal/synth"
 	"snode/internal/webgraph"
 )
@@ -115,17 +116,22 @@ func TestReadBitFlipsNoPanic(t *testing.T) {
 	}
 }
 
-// encode lays a three-page crawl file out by hand, so a case can hold
-// bytes Write never produces: each page's adjacency as raw gaps, the
-// crawl order as raw entries, then whatever follows.
+// encode lays a three-page crawl file of domain a.com out by hand, so a
+// case can hold bytes Write never produces: each page's adjacency as raw
+// gaps, the crawl order as raw entries, then whatever follows.
 func encode(gaps [3][]uint64, order []uint64, tail ...byte) []byte {
+	return encodeDomains([3]string{"a.com", "a.com", "a.com"}, gaps, order, tail...)
+}
+
+// encodeDomains is encode with each page's domain given.
+func encodeDomains(domains [3]string, gaps [3][]uint64, order []uint64, tail ...byte) []byte {
 	var out []byte
 	uvarint := func(v uint64) { out = binary.AppendUvarint(out, v) }
 	str := func(s string) { uvarint(uint64(len(s))); out = append(out, s...) }
 	uvarint(3)
 	for p, g := range gaps {
-		str(fmt.Sprintf("http://a.com/%d", p))
-		str("a.com")
+		str(fmt.Sprintf("http://%s/%d", domains[p], p))
+		str(domains[p])
 		uvarint(1)
 		str("t")
 		uvarint(uint64(len(g)))
@@ -144,8 +150,9 @@ func encode(gaps [3][]uint64, order []uint64, tail ...byte) []byte {
 // that used to load: a repeated target (the graph silently lost an
 // edge), a gap whose int64 is negative (a descending list), a crawl
 // order naming a page twice or a page that does not exist (used as an
-// index by the layouts built from it), bytes after the order. Then
-// every strict prefix of the valid file.
+// index by the layouts built from it), bytes after the order, a domain
+// whose pages resume after another domain's (its domain range would
+// hold its last run alone). Then every strict prefix of the valid file.
 func TestHostileFilesAreRefused(t *testing.T) {
 	validGaps := [3][]uint64{{2, 1}, nil, {1}} // 0:[1 2] 1:[] 2:[0]
 	validOrder := []uint64{2, 0, 1}
@@ -188,6 +195,7 @@ func TestHostileFilesAreRefused(t *testing.T) {
 		{"order names a page that does not exist", encode(validGaps, []uint64{2, 0, 3})},
 		{"order names a page twice", encode(validGaps, []uint64{2, 0, 0})},
 		{"bytes after the order", encode(validGaps, validOrder, 0)},
+		{"a domain reopened after another", encodeDomains([3]string{"a.com", "b.com", "a.com"}, validGaps, validOrder)},
 		{"page count the file cannot hold", binary.AppendUvarint(nil, 1<<30)},
 	}
 	for n := 0; n < len(valid); n++ {
@@ -205,7 +213,8 @@ func TestHostileFilesAreRefused(t *testing.T) {
 
 // FuzzCorpusRead: whatever the bytes, Read neither panics nor sizes
 // anything beyond a multiple of the file, and a crawl it returns passes
-// the corpus's own Validate with an order that is a permutation. Seeds:
+// the corpus's own Validate, keeps each domain's pages in its domain
+// range, and has an order that is a permutation. Seeds:
 // the three-page file above, every strict prefix of it, and (committed
 // under testdata/fuzz) the hostile files that used to load.
 func FuzzCorpusRead(f *testing.F) {
@@ -225,6 +234,12 @@ func FuzzCorpusRead(f *testing.F) {
 		if err == nil {
 			if verr := crawl.Corpus.Validate(); verr != nil {
 				t.Fatalf("Read returned a corpus its own Validate refuses: %v", verr)
+			}
+			ranges := store.NewDomainRanges(crawl.Corpus.Pages)
+			for p, pm := range crawl.Corpus.Pages {
+				if !ranges[pm.Domain].Contains(webgraph.PageID(p)) {
+					t.Fatalf("Read returned page %d of %s outside the domain's range %v", p, pm.Domain, ranges[pm.Domain])
+				}
 			}
 			seen := make([]bool, len(crawl.Order))
 			for _, p := range crawl.Order {

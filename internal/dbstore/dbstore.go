@@ -103,7 +103,6 @@ type Rep struct {
 	heap    *heapFile
 	idx     *btree.Tree
 	domains store.DomainRanges
-	pages   []webgraph.PageMeta
 }
 
 // Open prepares the store for querying with the given buffer-pool
@@ -138,7 +137,6 @@ func Open(c *webgraph.Corpus, dir string, cacheBudget int64, model iosim.Model) 
 		heap:    newHeapFile(hp),
 		idx:     idx,
 		domains: store.NewDomainRanges(c.Pages),
-		pages:   c.Pages,
 	}, nil
 }
 
@@ -180,15 +178,13 @@ func (r *Rep) OutFiltered(p webgraph.PageID, f *store.Filter, buf []webgraph.Pag
 		}
 		for k := 4; k < len(row); k += 4 {
 			t := webgraph.PageID(binary.LittleEndian.Uint32(row[k:]))
-			if store.FilterAccepts(f, t, r.domainOf) {
+			if f.Accepts(t) {
 				buf = append(buf, t)
 			}
 		}
 	}
 	return buf, nil
 }
-
-func (r *Rep) domainOf(p webgraph.PageID) string { return r.pages[p].Domain }
 
 // Stats implements store.LinkStore.
 func (r *Rep) Stats() store.AccessStats {

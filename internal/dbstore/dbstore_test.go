@@ -164,7 +164,7 @@ func TestBufferPoolAccounting(t *testing.T) {
 
 func TestFiltered(t *testing.T) {
 	c, r := buildSmall(t)
-	f := &store.Filter{Domains: map[string]bool{"mit.edu": true}}
+	f := store.NewFilter(store.NewDomainRanges(c.Pages)["mit.edu"])
 	var buf []webgraph.PageID
 	for p := int32(0); p < 300; p += 7 {
 		var err error

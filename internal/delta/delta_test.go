@@ -51,7 +51,7 @@ func (b *testBase) Out(p webgraph.PageID, buf []webgraph.PageID) ([]webgraph.Pag
 }
 func (b *testBase) OutFiltered(p webgraph.PageID, f *store.Filter, buf []webgraph.PageID) ([]webgraph.PageID, error) {
 	for _, t := range b.adj[p] {
-		if f.Empty() || f.AcceptsPage(t) || f.AcceptsDomain(b.pages[t].Domain) {
+		if f.Accepts(t) {
 			buf = append(buf, t)
 		}
 	}
@@ -255,18 +255,36 @@ func TestOverlayFilterPushdown(t *testing.T) {
 	if err := o.Apply(ctx, muts); err != nil {
 		t.Fatal(err)
 	}
-	check := func(stage string, f *store.Filter) {
+	// Each filter is a shape of domain names and pages; the reference
+	// accepts by those, not through the filter built from them.
+	type shape struct {
+		domains []string
+		pages   []webgraph.PageID
+	}
+	ranges := store.NewDomainRanges(base.pages)
+	check := func(stage string, sh *shape) {
 		t.Helper()
+		var f *store.Filter
+		if sh != nil {
+			var rs []store.DomainRange
+			for _, d := range sh.domains {
+				rs = append(rs, ranges[d])
+			}
+			for _, p := range sh.pages {
+				rs = append(rs, store.DomainRange{Lo: p, Hi: p + 1})
+			}
+			f = store.NewFilter(rs...)
+		}
 		got, err := o.OutFiltered(0, f, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Reference: unfiltered effective adjacency, filtered by the
-		// same predicate.
+		// shape.
 		want := []webgraph.PageID{}
 		eff := expected(base.adj, base.NumPages(), muts)[0]
 		for _, tgt := range sortedSet(eff) {
-			if f.Empty() || f.AcceptsPage(tgt) || f.AcceptsDomain(base.pages[tgt].Domain) {
+			if sh == nil || slices.Contains(sh.domains, base.pages[tgt].Domain) || slices.Contains(sh.pages, tgt) {
 				want = append(want, tgt)
 			}
 		}
@@ -274,21 +292,21 @@ func TestOverlayFilterPushdown(t *testing.T) {
 			t.Fatalf("%s: filtered = %v, want %v", stage, asSorted(got), want)
 		}
 	}
-	filters := []*store.Filter{
-		{Domains: map[string]bool{"c.org": true}},
-		{Domains: map[string]bool{"a.edu": true}},
-		{Pages: map[webgraph.PageID]bool{8: true, 4: true}},
-		{Domains: map[string]bool{"b.com": true}, Pages: map[webgraph.PageID]bool{3: true}},
+	shapes := []*shape{
+		{domains: []string{"c.org"}},
+		{domains: []string{"a.edu"}},
+		{pages: []webgraph.PageID{8, 4}},
+		{domains: []string{"b.com"}, pages: []webgraph.PageID{3}},
 		nil,
 	}
-	for i, f := range filters {
-		check(fmt.Sprintf("memtable/f%d", i), f)
+	for i, sh := range shapes {
+		check(fmt.Sprintf("memtable/f%d", i), sh)
 	}
 	if err := o.Seal(ctx); err != nil {
 		t.Fatal(err)
 	}
-	for i, f := range filters {
-		check(fmt.Sprintf("segment/f%d", i), f)
+	for i, sh := range shapes {
+		check(fmt.Sprintf("segment/f%d", i), sh)
 	}
 }
 

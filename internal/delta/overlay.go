@@ -19,8 +19,7 @@ import (
 // Config parameterizes an Overlay.
 type Config struct {
 	// Pages is the base corpus metadata, indexed by PageID. Required:
-	// it resolves target domains for filter pushdown on added links and
-	// is the page side of a fold-back corpus. AddPage appends to it.
+	// it is the page side of a fold-back corpus. AddPage appends to it.
 	Pages []webgraph.PageMeta
 	// Dir holds the segment files. Required.
 	Dir string
@@ -256,7 +255,7 @@ func (o *Overlay) OutFilteredCtx(ctx context.Context, p webgraph.PageID, f *stor
 		if op != OpAdd {
 			continue
 		}
-		if o.filterAccepts(f, d) {
+		if f.Accepts(d) {
 			buf = append(buf, d)
 		}
 	}
@@ -271,23 +270,10 @@ func (o *Overlay) baseOut(ctx context.Context, p webgraph.PageID, f *store.Filte
 	if o.baseCtx != nil {
 		return o.baseCtx.OutFilteredCtx(ctx, p, f, buf)
 	}
-	if f.Empty() {
+	if f == nil {
 		return o.base.Out(p, buf)
 	}
 	return o.base.OutFiltered(p, f, buf)
-}
-
-// filterAccepts applies a filter to an added target using the overlay's
-// page metadata — the same page-set-or-domain predicate the stores
-// apply to decoded lists. Called with o.mu held shared.
-func (o *Overlay) filterAccepts(f *store.Filter, d webgraph.PageID) bool {
-	if f.Empty() {
-		return true
-	}
-	if f.AcceptsPage(d) {
-		return true
-	}
-	return f.AcceptsDomain(o.pages[d].Domain)
 }
 
 // Stats implements store.LinkStore: the base store's accounting plus

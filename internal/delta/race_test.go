@@ -72,12 +72,9 @@ func TestChaosReadersWritersCompactor(t *testing.T) {
 		Model:       iosim.Model2002(),
 	}
 
-	domains := map[string]bool{}
-	for _, p := range corpus.Pages {
-		domains[p.Domain] = true
-	}
-	domainList := make([]string, 0, len(domains))
-	for d := range domains {
+	ranges := store.NewDomainRanges(corpus.Pages)
+	domainList := make([]string, 0, len(ranges))
+	for d := range ranges {
 		domainList = append(domainList, d)
 	}
 
@@ -163,10 +160,10 @@ func TestChaosReadersWritersCompactor(t *testing.T) {
 			for !stormOver.Load() {
 				p := webgraph.PageID(rng.Intn(pages))
 				var f *store.Filter
+				d := ""
 				if rng.Intn(2) == 0 {
-					f = &store.Filter{Domains: map[string]bool{
-						domainList[rng.Intn(len(domainList))]: true,
-					}}
+					d = domainList[rng.Intn(len(domainList))]
+					f = store.NewFilter(ranges[d])
 				}
 				var err error
 				buf, err = o.OutFiltered(p, f, buf[:0])
@@ -181,7 +178,7 @@ func TestChaosReadersWritersCompactor(t *testing.T) {
 						return
 					}
 					seen[tgt] = true
-					if f != nil && !f.Domains[corpus.Pages[tgt].Domain] {
+					if f != nil && corpus.Pages[tgt].Domain != d {
 						t.Errorf("reader %d: target %d escapes filter", r, tgt)
 						return
 					}

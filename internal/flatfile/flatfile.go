@@ -56,7 +56,6 @@ type Rep struct {
 	recLen  []int32 // record length per page
 	total   int64   // data file size
 	domains store.DomainRanges
-	pages   []webgraph.PageMeta
 
 	cache *iosim.LRU[[]byte] // chunks of the data file, by chunk number
 	loads int64
@@ -99,7 +98,6 @@ func Open(c *webgraph.Corpus, dir string, layout []webgraph.PageID, cacheBudget 
 		recLen:  recLen,
 		total:   off,
 		domains: store.NewDomainRanges(c.Pages),
-		pages:   c.Pages,
 		cache:   iosim.NewLRU[[]byte](cacheBudget),
 	}, nil
 }
@@ -167,14 +165,12 @@ func (r *Rep) OutFiltered(p webgraph.PageID, f *store.Filter, buf []webgraph.Pag
 	}
 	for k := 0; k < deg; k++ {
 		t := webgraph.PageID(binary.LittleEndian.Uint32(rec[4+4*k:]))
-		if store.FilterAccepts(f, t, r.domainOf) {
+		if f.Accepts(t) {
 			buf = append(buf, t)
 		}
 	}
 	return buf, nil
 }
-
-func (r *Rep) domainOf(p webgraph.PageID) string { return r.pages[p].Domain }
 
 // Stats implements store.LinkStore.
 func (r *Rep) Stats() store.AccessStats {

@@ -28,7 +28,6 @@ type Rep struct {
 	bitLen  int
 	offsets []int64 // bit offset of each page's list
 	domains store.DomainRanges
-	pages   []webgraph.PageMeta
 	stats   store.AccessStats
 }
 
@@ -64,7 +63,6 @@ func Build(c *webgraph.Corpus) (*Rep, error) {
 		bitLen:  w.BitLen(),
 		offsets: offsets,
 		domains: store.NewDomainRanges(c.Pages),
-		pages:   c.Pages,
 	}, nil
 }
 
@@ -99,14 +97,12 @@ func (r *Rep) OutFiltered(p webgraph.PageID, f *store.Filter, buf []webgraph.Pag
 		if err != nil {
 			return buf, err
 		}
-		if store.FilterAccepts(f, t, r.domainOf) {
+		if f.Accepts(t) {
 			buf = append(buf, t)
 		}
 	}
 	return buf, nil
 }
-
-func (r *Rep) domainOf(p webgraph.PageID) string { return r.pages[p].Domain }
 
 // Stats implements store.LinkStore (no disk I/O: memory resident).
 func (r *Rep) Stats() store.AccessStats { return r.stats }

@@ -87,7 +87,7 @@ func TestOutOfRange(t *testing.T) {
 
 func TestFilteredOut(t *testing.T) {
 	c, r := buildSmall(t)
-	f := &store.Filter{Domains: map[string]bool{"stanford.edu": true}}
+	f := store.NewFilter(store.NewDomainRanges(c.Pages)["stanford.edu"])
 	var buf []webgraph.PageID
 	for p := int32(0); p < 200; p++ {
 		var err error

@@ -82,7 +82,6 @@ type Rep struct {
 	acc     *iosim.Accountant
 	offsets []int64 // per block, plus end sentinel
 	domains store.DomainRanges
-	pages   []webgraph.PageMeta
 
 	cache   *iosim.LRU[refenc.Lists] // decoded blocks, by block number
 	loads   int64
@@ -119,7 +118,6 @@ func Open(c *webgraph.Corpus, dir string, cacheBudget int64, model iosim.Model) 
 		acc:     acc,
 		offsets: offsets,
 		domains: store.NewDomainRanges(c.Pages),
-		pages:   c.Pages,
 		cache:   iosim.NewLRU[refenc.Lists](cacheBudget),
 	}, nil
 }
@@ -172,14 +170,12 @@ func (r *Rep) OutFiltered(p webgraph.PageID, f *store.Filter, buf []webgraph.Pag
 		return buf, err
 	}
 	for _, t := range lists.At(int(p) % BlockSize) {
-		if store.FilterAccepts(f, t, r.domainOf) {
+		if f.Accepts(t) {
 			buf = append(buf, t)
 		}
 	}
 	return buf, nil
 }
-
-func (r *Rep) domainOf(p webgraph.PageID) string { return r.pages[p].Domain }
 
 // Stats implements store.LinkStore.
 func (r *Rep) Stats() store.AccessStats {

@@ -27,6 +27,7 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
+	"sync"
 
 	"snode/internal/pagerank"
 	"snode/internal/store"
@@ -83,10 +84,12 @@ type step struct {
 // plan is one Table 3 query after index resolution: the navigation
 // steps to perform and, called once they have run, rows — what the
 // visits accumulated, as mergeable rows in an order fixed by the
-// navigation (never by map iteration).
+// navigation (never by map iteration) — or, when they fail, abort (nil
+// for a plan that holds nothing to give back).
 type plan struct {
 	steps []step
 	rows  func() []PartialRow
+	abort func()
 }
 
 // planFor resolves q's source page sets and builds its plan.
@@ -211,14 +214,19 @@ const kleinbergInCap = 50
 // cappedIn(p) for the p ∈ S it owns. Rows: one, whose Pages are the
 // base-set members, ascending; merge by counting the union. The members
 // are a bitset over the corpus's page IDs, so they come out in order by
-// walking its words.
+// walking its words; the bitset is recycled (memberSets).
 func (e *Engine) planQ3() plan {
 	s := pagerank.TopK(e.R.PageRank, e.R.Text.Lookup(synth.PhraseInternetCensorship), 100)
 	// Navigate in page-ID order (sort the fetch set before touching the
 	// representation — the classic RID-sort, which every scheme's
 	// on-disk clustering benefits from).
 	slices.Sort(s)
-	members := make([]uint64, (len(e.R.Corpus.Pages)+63)/64)
+	set := memberSets.Get().(*[]uint64)
+	words := (len(e.R.Corpus.Pages) + 63) / 64
+	if len(*set) < words {
+		*set = make([]uint64, words)
+	}
+	members := (*set)[:words]
 	add := func(p webgraph.PageID) { members[p>>6] |= 1 << (uint(p) & 63) }
 	return plan{
 		steps: []step{{
@@ -239,12 +247,25 @@ func (e *Engine) planQ3() plan {
 				}
 			},
 		}},
-		rows: func() []PartialRow { return []PartialRow{{Pages: pagesOf(members)}} },
+		rows: func() []PartialRow {
+			pages := pagesOf(members)
+			memberSets.Put(set)
+			return []PartialRow{{Pages: pages}}
+		},
+		abort: func() {
+			clear(members)
+			memberSets.Put(set)
+		},
 	}
 }
 
+// memberSets recycles planQ3's member bitsets, all zeros while pooled:
+// pagesOf clears the words it reads, and a failed navigation the whole
+// set. A set longer than a corpus needs is used in part.
+var memberSets = sync.Pool{New: func() any { return new([]uint64) }}
+
 // pagesOf lists the members of a page bitset, ascending, in one slice of
-// exactly their number.
+// exactly their number, and clears the bitset.
 func pagesOf(members []uint64) []webgraph.PageID {
 	n := 0
 	for _, w := range members {
@@ -255,6 +276,7 @@ func pagesOf(members []uint64) []webgraph.PageID {
 		for ; w != 0; w &= w - 1 {
 			pages = append(pages, webgraph.PageID(k<<6|bits.TrailingZeros64(w)))
 		}
+		members[k] = 0
 	}
 	return pages
 }
@@ -300,7 +322,8 @@ func smallest(ids []webgraph.PageID, k int) []webgraph.PageID {
 
 // planQ4 — per-university quantum-cryptography pages by external
 // in-links, one step per university. Rows carry the university as
-// Group; merge ranks and caps 10 per group.
+// Group and the page's URL as Key; merge ranks and caps 10 per group,
+// and names each row it keeps "university URL".
 func (e *Engine) planQ4() plan {
 	var rows []PartialRow
 	var steps []step
@@ -316,7 +339,7 @@ func (e *Engine) planQ4() plan {
 						n++
 					}
 				}
-				rows = append(rows, PartialRow{Group: uni, Key: uni + " " + e.R.Corpus.Pages[p].URL, Value: float64(n)})
+				rows = append(rows, PartialRow{Group: uni, Key: e.R.Corpus.Pages[p].URL, Value: float64(n)})
 			},
 		})
 	}
@@ -326,17 +349,12 @@ func (e *Engine) planQ4() plan {
 // planQ5 — computer-music pages by in-links from within the set. Rows:
 // the .edu members with their counts; merge ranks and caps 10.
 func (e *Engine) planQ5() plan {
-	s := e.R.Text.Lookup(synth.PhraseComputerMusic)
-	inSet := map[webgraph.PageID]bool{}
-	for _, p := range s {
-		inSet[p] = true
-	}
 	var rows []PartialRow
 	return plan{
 		steps: []step{{
-			src:    s,
+			src:    e.music,
 			rev:    true,
-			filter: &store.Filter{Pages: inSet},
+			filter: e.q5Filter,
 			visit: func(p webgraph.PageID, nbrs []webgraph.PageID) {
 				if strings.HasSuffix(e.R.DomainOf(p), ".edu") {
 					rows = append(rows, PartialRow{Key: e.R.Corpus.Pages[p].URL, Value: float64(len(nbrs))})
@@ -393,7 +411,8 @@ func (e *Engine) planQ6() plan {
 //	Q3     — union of the rows' page sets, reported as one
 //	         base-set-size row (each set strictly ascending, as planQ3
 //	         emits it and serve.DecodePartial holds a shard's leg to)
-//	Q4     — concatenate, rank and cap 10 per university group
+//	Q4     — concatenate, rank and cap 10 per university group, each
+//	         kept URL prefixed with its university
 //	Q5     — concatenate, rank and cap 10
 //	Q6     — join Group "a"/"b" by key, keep both-cited, rank, cap 25
 //
@@ -426,7 +445,9 @@ func MergePartials(q ID, parts [][]PartialRow) []Row {
 			if len(g) > 10 {
 				g = g[:10]
 			}
-			rows = append(rows, g...)
+			for _, r := range g {
+				rows = append(rows, Row{Key: uni + " " + r.Key, Value: r.Value})
+			}
 		}
 		return rows
 	case Q5:

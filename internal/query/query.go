@@ -128,11 +128,12 @@ type Engine struct {
 	fwdSet neighborer
 	revSet neighborer
 
-	// Built once in New from the immutable domain index: Q1's and Q2's
-	// filters, compiled once per store rather than per query, and Q2's
-	// source, every Stanford page (nil without stanford.edu).
-	q1Filter, q2Filter *store.Filter
-	stanford           []webgraph.PageID
+	// Built once in New from the immutable domain and text indexes:
+	// Q1's, Q2's and Q5's filters, compiled once per store rather than
+	// per query, Q2's source, every Stanford page (nil without
+	// stanford.edu), and Q5's, the computer-music pages.
+	q1Filter, q2Filter, q5Filter *store.Filter
+	stanford, music              []webgraph.PageID
 }
 
 // neighborer is the set-at-a-time read a store may provide
@@ -150,11 +151,18 @@ func New(r *repo.Repository, scheme string) (*Engine, error) {
 		return nil, fmt.Errorf("query: scheme %q not built", scheme)
 	}
 	e := &Engine{R: r, Scheme: scheme}
-	e.q1Filter = &store.Filter{Domains: r.EduDomains("stanford.edu")}
-	e.q2Filter = &store.Filter{Domains: map[string]bool{}}
-	for _, c := range synth.Comics() {
-		e.q2Filter.Domains[c.Site] = true
+	var edu, comics, music []store.DomainRange
+	for d := range r.EduDomains("stanford.edu") {
+		edu = append(edu, r.Domains[d])
 	}
+	for _, c := range synth.Comics() {
+		comics = append(comics, r.Domains[c.Site])
+	}
+	e.music = r.Text.Lookup(synth.PhraseComputerMusic)
+	for _, p := range e.music {
+		music = append(music, store.DomainRange{Lo: p, Hi: p + 1})
+	}
+	e.q1Filter, e.q2Filter, e.q5Filter = store.NewFilter(edu...), store.NewFilter(comics...), store.NewFilter(music...)
 	if dr, ok := r.Domains["stanford.edu"]; ok {
 		e.stanford = make([]webgraph.PageID, dr.Hi-dr.Lo)
 		for i := range e.stanford {
@@ -362,6 +370,9 @@ func (e *Engine) execute(ctx context.Context, q ID) (*PartialResult, error) {
 	}
 	nav, err := e.navigate(ctx, pl.steps)
 	if err != nil {
+		if pl.abort != nil {
+			pl.abort()
+		}
 		return nil, err
 	}
 	return &PartialResult{Rows: pl.rows(), Nav: nav}, nil

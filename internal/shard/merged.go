@@ -1,9 +1,7 @@
 package shard
 
 import (
-	"cmp"
 	"context"
-	"slices"
 	"sync"
 
 	"snode/internal/snode"
@@ -26,13 +24,11 @@ import (
 type MergedStore struct {
 	base     *snode.Representation
 	boundary *Boundary
-	domains  store.DomainRanges
 }
 
-// NewMergedStore overlays boundary on base. domains is the corpus's
-// domain index, through which a filter's domains pass boundary targets.
-func NewMergedStore(base *snode.Representation, b *Boundary, domains store.DomainRanges) *MergedStore {
-	return &MergedStore{base: base, boundary: b, domains: domains}
+// NewMergedStore overlays boundary on base.
+func NewMergedStore(base *snode.Representation, b *Boundary) *MergedStore {
+	return &MergedStore{base: base, boundary: b}
 }
 
 // Name returns the base scheme's name.
@@ -48,7 +44,6 @@ var mergedBufs = sync.Pool{New: func() any { return new([]webgraph.PageID) }}
 // Neighbors is the base store's Neighbors with each page's boundary
 // targets that pass f appended to its list.
 func (m *MergedStore) Neighbors(ctx context.Context, pages []webgraph.PageID, f *store.Filter, visit func(p webgraph.PageID, out []webgraph.PageID) error) error {
-	domains := m.compile(f)
 	buf := mergedBufs.Get().(*[]webgraph.PageID)
 	defer mergedBufs.Put(buf)
 	return m.base.Neighbors(ctx, pages, f, func(p webgraph.PageID, out []webgraph.PageID) error {
@@ -58,8 +53,7 @@ func (m *MergedStore) Neighbors(ctx context.Context, pages []webgraph.PageID, f 
 		}
 		b := append((*buf)[:0], out...)
 		for _, t := range row {
-			k, _ := slices.BinarySearchFunc(domains, t, func(r store.DomainRange, t webgraph.PageID) int { return cmp.Compare(r.Hi, t+1) })
-			if f.Empty() || f.AcceptsPage(t) || k < len(domains) && domains[k].Lo <= t {
+			if f.Accepts(t) {
 				b = append(b, t)
 			}
 		}
@@ -83,25 +77,6 @@ func (m *MergedStore) OutFilteredCtx(ctx context.Context, p webgraph.PageID, f *
 		return nil
 	})
 	return buf, err
-}
-
-// compile resolves f's domains once per store (store.Filter.Compiled)
-// to their page ranges, ascending: a boundary target passes when it is
-// in one of them or f names it.
-func (m *MergedStore) compile(f *store.Filter) []store.DomainRange {
-	if f.Empty() {
-		return nil
-	}
-	return f.Compiled(m, func() any {
-		var rs []store.DomainRange
-		for d, ok := range f.Domains {
-			if dr, found := m.domains[d]; ok && found {
-				rs = append(rs, dr)
-			}
-		}
-		slices.SortFunc(rs, func(a, b store.DomainRange) int { return cmp.Compare(a.Lo, b.Lo) })
-		return rs
-	}).([]store.DomainRange)
 }
 
 // Stats reports the base store's access statistics (boundary reads are

@@ -95,8 +95,8 @@ func OpenServing(root string, id int, cacheBudget int64, model iosim.Model) (*Se
 		Rev:      map[string]store.LinkStore{repo.SchemeSNode: revBase},
 	}
 	merged := nav.WithStores(repo.SchemeSNode,
-		NewMergedStore(fwdBase, bfwd, nav.Domains),
-		NewMergedStore(revBase, brev, nav.Domains))
+		NewMergedStore(fwdBase, bfwd),
+		NewMergedStore(revBase, brev))
 	return &ServingShard{ID: id, Manifest: m, Repo: merged, NavRepo: nav}, nil
 }
 

@@ -394,7 +394,11 @@ func TestWarmMergedNeighborsAllocatesNothing(t *testing.T) {
 		t.Fatalf("%d of %d owned pages have boundary rows; the fixture exercises nothing", withRows, len(pages))
 	}
 	visit := func(webgraph.PageID, []webgraph.PageID) error { return nil }
-	for name, f := range map[string]*store.Filter{"unfiltered": nil, "edu domains": {Domains: sh.Repo.EduDomains("")}} {
+	var edu []store.DomainRange
+	for d := range sh.Repo.EduDomains("") {
+		edu = append(edu, sh.Repo.Domains[d])
+	}
+	for name, f := range map[string]*store.Filter{"unfiltered": nil, "edu domains": store.NewFilter(edu...)} {
 		if err := m.Neighbors(context.Background(), pages, f, visit); err != nil {
 			t.Fatal(err)
 		}

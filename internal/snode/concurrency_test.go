@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"snode/internal/store"
 	"snode/internal/webgraph"
 )
 
@@ -90,7 +89,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 					checkOut(t, p, buf)
 				case op < 6: // OutFiltered by domain
 					d := c.Pages[rng.Int31n(n)].Domain
-					f := &store.Filter{Domains: map[string]bool{d: true}}
+					f := filterOf(c, []string{d})
 					var err error
 					buf, err = r.OutFiltered(p, f, buf[:0])
 					if err != nil {
@@ -105,17 +104,16 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 						}
 					}
 				case op < 7: // OutFiltered by page set
-					want := c.Graph.Out(p)
-					pages := map[webgraph.PageID]bool{}
-					for _, tgt := range want {
+					var pages []webgraph.PageID
+					for _, tgt := range c.Graph.Out(p) {
 						if rng.Intn(2) == 0 {
-							pages[tgt] = true
+							pages = append(pages, tgt)
 						}
 					}
 					if len(pages) == 0 {
 						continue
 					}
-					f := &store.Filter{Pages: pages}
+					f := filterOf(c, nil, pages...)
 					var err error
 					buf, err = r.OutFiltered(p, f, buf[:0])
 					if err != nil {

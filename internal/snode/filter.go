@@ -8,17 +8,16 @@ import (
 
 // snFilter is a store.Filter resolved against one representation's
 // supernodes, so that a lookup takes the graphs it needs from a list
-// instead of hashing domain names and page IDs per superedge. It is built
+// instead of testing page ranges per superedge. It is built
 // once per (filter, representation) and memoised in the filter
 // (store.Filter.Compiled); apart from the lists it publishes, once each,
 // it is immutable.
 type snFilter struct {
-	// domain has supernode s set when s lies in an accepted domain:
-	// every page of s passes the filter.
+	// domain has supernode s set when every page of s passes the
+	// filter, as every page of an accepted domain does.
 	domain bitset
-	// any has supernode s set when s can hold an accepted page — it is
-	// in domain, or an accepted page of Filter.Pages lives in it. A
-	// graph into a supernode outside any is never consulted.
+	// any has supernode s set when some page of s passes. A graph into
+	// a supernode outside any is never consulted.
 	any bitset
 	// graphs holds, per source supernode i, the graphs a lookup in i
 	// consults under the filter: those of i's graphs (appendGraphs) whose
@@ -50,32 +49,34 @@ func (cf *snFilter) graphsIn(m *meta, i int32) []needEntry {
 	return l
 }
 
-// compile returns f resolved against r, nil for a filter that accepts
-// everything. Only entries whose value is true accept, in Pages as in
-// Domains; a page or domain the representation does not have accepts
-// nothing.
+// compile returns f resolved against r, nil for a nil filter, which
+// accepts everything. A supernode is in domain when f's ranges cover
+// every page of it and in any when they cover one; a range's pages
+// outside the representation belong to no supernode.
 func (r *Representation) compile(f *store.Filter) *snFilter {
-	if f.Empty() {
+	if f == nil {
 		return nil
 	}
 	return f.Compiled(r, func() any {
-		words := (r.Supernodes() + 63) / 64
+		n := r.Supernodes()
+		words := (n + 63) / 64
 		cf := &snFilter{
 			domain: make(bitset, words),
 			any:    make(bitset, words),
-			graphs: make([]atomic.Pointer[[]needEntry], r.Supernodes()),
+			graphs: make([]atomic.Pointer[[]needEntry], n),
 		}
-		for d, ok := range f.Domains {
-			if lo, hi, found := r.DomainSupernodes(d); ok && found {
-				for s := lo; s < hi; s++ {
-					cf.domain.set(s)
-					cf.any.set(s)
-				}
+		covered := make([]int32, n)
+		for _, rg := range f.Ranges() {
+			for p := max(rg.Lo, 0); p < min(rg.Hi, r.m.NumPages); p++ {
+				covered[r.snOf(r.m.Perm[p])]++
 			}
 		}
-		for pg, ok := range f.Pages {
-			if ok && pg >= 0 && pg < r.m.NumPages {
-				cf.any.set(r.snOf(r.m.Perm[pg]))
+		for s, c := range covered {
+			if c > 0 {
+				cf.any.set(int32(s))
+			}
+			if c > 0 && c == r.m.SnBase[s+1]-r.m.SnBase[s] {
+				cf.domain.set(int32(s))
 			}
 		}
 		return cf

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,20 +19,36 @@ import (
 // A filter is resolved to supernode bitsets once per (filter, store)
 // and reused by every lookup of the step. These tests pin that the
 // compiled filter is the filter: the rows are Out's rows under
-// store.FilterAccepts, no graph is consulted that evaluating the filter
-// per call would not have consulted, entries set to false accept
-// nothing, and one *Filter shared by many goroutines and two stores
-// compiles once for each.
+// Filter.Accepts, no graph is consulted that testing the filter page by
+// page would not have consulted, the bitsets are the page-by-page ones,
+// and one *Filter shared by many goroutines and two stores compiles
+// once for each.
+
+// filterOf is the filter that accepts corpus c's pages in the named
+// domains and the pages listed: a range per domain and per page, as the
+// query plans build theirs.
+func filterOf(c *webgraph.Corpus, domains []string, pages ...webgraph.PageID) *store.Filter {
+	ranges := store.NewDomainRanges(c.Pages)
+	var rs []store.DomainRange
+	for _, d := range domains {
+		rs = append(rs, ranges[d])
+	}
+	for _, p := range pages {
+		rs = append(rs, store.DomainRange{Lo: p, Hi: p + 1})
+	}
+	return store.NewFilter(rs...)
+}
 
 // filterCase is one filter of the differential sweep, made afresh for
-// every store it is tried on (a Filter must not change once used).
+// every store it is tried on, so each compiles it from scratch.
 type filterCase struct {
 	name string
 	make func() *store.Filter
 }
 
-// filterCases draws the sweep's filters from corpus c: every shape of
-// Domains and Pages, including the ones that accept nothing.
+// filterCases draws the sweep's filters from corpus c: domains, pages,
+// both, ranges that cut supernodes or reach past the pages, and the
+// filters that accept nothing.
 func filterCases(c *webgraph.Corpus, rng *randutil.RNG) []filterCase {
 	n := int32(c.Graph.NumPages())
 	dom := func() string { return c.Pages[rng.Intn(int(n))].Domain }
@@ -45,71 +60,48 @@ func filterCases(c *webgraph.Corpus, rng *randutil.RNG) []filterCase {
 			targets = append(targets, row[rng.Intn(len(row))])
 		}
 	}
-	pages := func(ps ...webgraph.PageID) map[webgraph.PageID]bool {
-		m := map[webgraph.PageID]bool{}
-		for _, p := range ps {
-			m[p] = true
-		}
-		return m
-	}
+	lo := int32(rng.Intn(int(n)))
 	return []filterCase{
 		{"nil", func() *store.Filter { return nil }},
-		{"zero", func() *store.Filter { return &store.Filter{} }},
-		{"domains", func() *store.Filter {
-			return &store.Filter{Domains: map[string]bool{d1: true, d2: true, "no-such-domain.example": true}}
+		{"domains", func() *store.Filter { return filterOf(c, []string{d1, d2, "no-such-domain.example"}) }},
+		{"pages", func() *store.Filter { return filterOf(c, nil, targets[:4]...) }},
+		{"both", func() *store.Filter { return filterOf(c, []string{d3}, targets[2:]...) }},
+		{"cut", func() *store.Filter {
+			return store.NewFilter(store.DomainRange{Lo: lo, Hi: lo + 1 + n/3}, store.DomainRange{Lo: targets[0], Hi: targets[0] + 1})
 		}},
-		{"pages", func() *store.Filter { return &store.Filter{Pages: pages(targets[:4]...)} }},
-		{"both", func() *store.Filter {
-			return &store.Filter{Domains: map[string]bool{d3: true}, Pages: pages(targets[2:]...)}
+		{"past-the-ends", func() *store.Filter {
+			return store.NewFilter(store.DomainRange{Lo: -1 << 31, Hi: 0}, store.DomainRange{Lo: n, Hi: 1<<31 - 1},
+				store.DomainRange{Lo: targets[0], Hi: targets[0] + 1})
 		}},
-		{"empty-maps", func() *store.Filter {
-			return &store.Filter{Domains: map[string]bool{}, Pages: map[webgraph.PageID]bool{}}
+		{"no-ranges", func() *store.Filter { return store.NewFilter() }},
+		{"empty-ranges", func() *store.Filter {
+			return store.NewFilter(store.DomainRange{}, store.DomainRange{Lo: 5, Hi: 5}, store.DomainRange{Lo: 9, Hi: 3})
 		}},
-		{"empty-pages", func() *store.Filter { return &store.Filter{Pages: map[webgraph.PageID]bool{}} }},
-		{"pages-out-of-range", func() *store.Filter {
-			return &store.Filter{Pages: pages(-1, -1<<31, n, n+7, 1<<31-1, targets[0])}
-		}},
-		{"false-values", func() *store.Filter {
-			return &store.Filter{
-				Domains: map[string]bool{d1: false, d2: true},
-				Pages:   map[webgraph.PageID]bool{targets[0]: false, targets[1]: true, targets[2]: false},
-			}
-		}},
-		{"all-false", func() *store.Filter {
-			return &store.Filter{Domains: map[string]bool{d1: false}, Pages: map[webgraph.PageID]bool{targets[0]: false}}
-		}},
+		{"missing-domains", func() *store.Filter { return filterOf(c, []string{"no-such-domain.example"}) }},
 	}
 }
 
-// perCallWants is the reference for which graphs a filter lets a lookup
-// consult: the evaluation OutFilteredCtx made on every call before
-// filters were compiled — a supernode is wanted if its domain's name is
-// accepted or if it holds a page that Pages names, whatever the value.
-func perCallWants(r *Representation, f *store.Filter) func(sn int32) bool {
-	if f.Empty() {
-		return func(int32) bool { return true }
-	}
-	pageSNs := map[int32]bool{}
-	for pg := range f.Pages {
-		if pg >= 0 && pg < r.m.NumPages {
-			pageSNs[r.snOf(r.m.Perm[pg])] = true
+// pageWants is the reference for which graphs a filter lets a lookup
+// consult: those into a supernode that holds a page the filter accepts,
+// found page by page.
+func pageWants(r *Representation, f *store.Filter) func(sn int32) bool {
+	wanted := map[int32]bool{}
+	for p := int32(0); p < r.m.NumPages; p++ {
+		if f.Accepts(p) {
+			wanted[r.snOf(r.m.Perm[p])] = true
 		}
 	}
-	return func(sn int32) bool {
-		k := sort.Search(len(r.m.Domains), func(k int) bool { return r.m.DomFirstSN[k+1] > sn })
-		return f.Domains[r.m.Domains[k]] || pageSNs[sn]
-	}
+	return func(sn int32) bool { return wanted[sn] }
 }
 
 // checkFilterAgainstReference reads every page of c through r under
 // every filter case on a cold cache, and checks the rows against Out's
-// rows filtered by store.FilterAccepts and the graphs left resident
-// against perCallWants.
+// rows filtered by Filter.Accepts and the graphs left resident against
+// pageWants.
 func checkFilterAgainstReference(t *testing.T, c *webgraph.Corpus, r *Representation, seed uint64) {
 	t.Helper()
 	const budget = 64 << 20 // holds everything: resident afterwards = consulted
 	n := int32(c.Graph.NumPages())
-	domainOf := func(p webgraph.PageID) string { return c.Pages[p].Domain }
 	rows := make([][]webgraph.PageID, n)
 	for p := int32(0); p < n; p++ {
 		row, err := r.Out(p, nil)
@@ -124,12 +116,12 @@ func checkFilterAgainstReference(t *testing.T, c *webgraph.Corpus, r *Representa
 	var buf []webgraph.PageID
 	for _, fc := range filterCases(c, randutil.NewRNG(seed)) {
 		f := fc.make()
-		wants := perCallWants(r, f)
+		wants := pageWants(r, f)
 		selected := 0
 		for p := int32(0); p < n; p++ {
 			var want []webgraph.PageID
 			for _, q := range rows[p] {
-				if store.FilterAccepts(f, q, domainOf) {
+				if f.Accepts(q) {
 					want = append(want, q)
 				}
 			}
@@ -158,8 +150,8 @@ func checkFilterAgainstReference(t *testing.T, c *webgraph.Corpus, r *Representa
 			}
 		}
 		switch fc.name {
-		case "nil", "zero":
-		case "domains", "pages", "both", "false-values", "pages-out-of-range":
+		case "nil":
+		case "domains", "pages", "both", "cut", "past-the-ends":
 			if selected == 0 {
 				t.Errorf("%s: selected no row at all; the case checks nothing", fc.name)
 			}
@@ -221,37 +213,94 @@ func TestCompiledFilterEqualsPerCallFilterRandomGraphs(t *testing.T) {
 	}
 }
 
-// TestFalsePageEntryLoadsNothing is the regression test for Pages
-// entries set to false: Filter.AcceptsPage honours the value, so the
-// graphs into such a page's supernode hold nothing the filter accepts
-// and must not be consulted, let alone loaded. The per-call evaluation
-// ranged over Pages' keys and pulled them in.
-func TestFalsePageEntryLoadsNothing(t *testing.T) {
+// TestFilterRangesMatchNaiveSets holds Filter.Accepts to a naive page
+// set over random range lists — overlapping, adjacent, empty and
+// reversed ranges, ranges past either end of the pages — and the nil
+// filter (every page) and a filter of no ranges (none), and Ranges to
+// that set as ascending, disjoint, non-adjacent ranges. It holds the
+// supernode bitsets compile makes of each filter to a page-by-page
+// recomputation: domain has the supernodes all of whose pages pass, any
+// those with one page that does.
+func TestFilterRangesMatchNaiveSets(t *testing.T) {
 	c, _ := buildOnce(t)
 	r := openRep(t, 32<<20)
-	checked := 0
-	for p := int32(0); int(p) < c.Graph.NumPages() && checked < 50; p++ {
-		for _, q := range c.Graph.Out(p) {
-			if r.snOf(r.m.Perm[q]) == r.snOf(r.m.Perm[p]) {
-				continue
+	n := int32(c.Graph.NumPages())
+	rng := randutil.NewRNG(48)
+	whole, part := 0, 0 // supernodes found all passing, and some passing
+	for trial := 0; trial < 200; trial++ {
+		var f *store.Filter
+		set := map[webgraph.PageID]bool{}
+		if trial > 0 {
+			var rs []store.DomainRange
+			prev := store.DomainRange{Lo: int32(rng.Intn(int(n)))}
+			for k := (trial - 1) % 9; k > 0; k-- {
+				lo := int32(rng.Intn(int(n)))
+				var rg store.DomainRange
+				switch rng.Intn(6) {
+				case 0: // adjacent to the one before
+					rg = store.DomainRange{Lo: prev.Hi, Hi: prev.Hi + int32(rng.Intn(40))}
+				case 1: // empty or reversed
+					rg = store.DomainRange{Lo: lo, Hi: lo - int32(rng.Intn(3))}
+				case 2: // past the first page
+					rg = store.DomainRange{Lo: -int32(rng.Intn(50)) - 1, Hi: int32(rng.Intn(30))}
+				case 3: // past the last page
+					rg = store.DomainRange{Lo: n - int32(rng.Intn(30)), Hi: n + int32(rng.Intn(50))}
+				case 4: // wide
+					rg = store.DomainRange{Lo: lo, Hi: lo + int32(rng.Intn(int(n)/2))}
+				default:
+					rg = store.DomainRange{Lo: lo, Hi: lo + 1 + int32(rng.Intn(20))}
+				}
+				rs = append(rs, rg)
+				for p := rg.Lo; p < rg.Hi; p++ {
+					set[p] = true
+				}
+				prev = rg
 			}
-			// q is reached through a superedge graph of p's supernode.
-			r.ResetCache(32 << 20)
-			got, err := r.OutFiltered(p, &store.Filter{Pages: map[webgraph.PageID]bool{q: false}}, nil)
-			if err != nil {
-				t.Fatal(err)
+			f = store.NewFilter(rs...)
+		}
+		for p := int32(-60); p < n+60; p++ {
+			if got, want := f.Accepts(p), f == nil || set[p]; got != want {
+				t.Fatalf("trial %d: Accepts(%d) = %v, the set says %v", trial, p, got, want)
 			}
-			st := r.StatsExt().Cache
-			if len(got) != 0 || st.Hits+st.Misses != 0 || st.Loads != 0 {
-				t.Fatalf("OutFiltered(%d, {Pages: {%d: false}}) = %v after %d lookups and %d loads; want nothing consulted",
-					p, q, got, st.Hits+st.Misses, st.Loads)
+		}
+		if f == nil {
+			if r.compile(f) != nil {
+				t.Fatal("the nil filter compiles to a form")
 			}
-			checked++
-			break
+			continue
+		}
+		covered := 0
+		for k, rg := range f.Ranges() {
+			if rg.Lo >= rg.Hi || k > 0 && rg.Lo <= f.Ranges()[k-1].Hi {
+				t.Fatalf("trial %d: ranges %v are not ascending, disjoint, non-adjacent and non-empty", trial, f.Ranges())
+			}
+			covered += int(rg.Hi - rg.Lo)
+		}
+		if covered != len(set) {
+			t.Fatalf("trial %d: ranges %v cover %d pages, the set %d", trial, f.Ranges(), covered, len(set))
+		}
+		cf := r.compile(f)
+		for s := int32(0); s < int32(r.Supernodes()); s++ {
+			all, some := true, false
+			for ip := r.m.SnBase[s]; ip < r.m.SnBase[s+1]; ip++ {
+				if set[r.m.Inv[ip]] {
+					some = true
+				} else {
+					all = false
+				}
+			}
+			if cf.domain.has(s) != all || cf.any.has(s) != some {
+				t.Fatalf("trial %d: supernode %d: domain %v, any %v; its pages say %v, %v", trial, s, cf.domain.has(s), cf.any.has(s), all, some)
+			}
+			if all {
+				whole++
+			} else if some {
+				part++
+			}
 		}
 	}
-	if checked == 0 {
-		t.Fatal("no cross-supernode link in the corpus")
+	if whole == 0 || part == 0 {
+		t.Fatalf("%d wholly and %d partly covered supernodes: the ranges miss a case", whole, part)
 	}
 }
 
@@ -273,11 +322,11 @@ func TestSharedFilterAcrossGoroutinesAndStores(t *testing.T) {
 	}
 	n := int32(c.Graph.NumPages())
 	newFilter := func() *store.Filter {
-		f := &store.Filter{Domains: map[string]bool{c.Pages[n/2].Domain: true}, Pages: map[webgraph.PageID]bool{}}
-		for p := int32(0); p < n; p += 9 {
-			f.Pages[p] = p%2 == 0
+		var pages []webgraph.PageID
+		for p := int32(0); p < n; p += 18 {
+			pages = append(pages, p)
 		}
-		return f
+		return filterOf(c, []string{c.Pages[n/2].Domain}, pages...)
 	}
 	serial := make([][][]webgraph.PageID, len(reps))
 	for k, r := range reps {
@@ -338,14 +387,10 @@ func TestSharedFilterAcrossGoroutinesAndStores(t *testing.T) {
 // page's supernode has more graphs than a lookup lists on its stack.
 func TestWarmOutAllocatesNothing(t *testing.T) {
 	c, _ := buildOnce(t)
-	pageSet := map[webgraph.PageID]bool{}
-	for p := int32(0); p < int32(c.Graph.NumPages()); p += 3 {
-		pageSet[p] = true
-	}
 	warmOutAllocatesNothing(t, "shared", openRep(t, 256<<20), c, 61, 0, map[string]*store.Filter{
 		"nil":     nil,
-		"domains": {Domains: map[string]bool{"stanford.edu": true, "mit.edu": true}},
-		"pages":   {Pages: pageSet},
+		"domains": filterOf(c, []string{"stanford.edu", "mit.edu"}),
+		"pages":   filterOf(c, nil, everyThird(c)...),
 	})
 
 	wide, domains := wideCorpus(300)
@@ -362,10 +407,6 @@ func TestWarmOutAllocatesNothing(t *testing.T) {
 	if n := r.m.SuperOff[hub+1] - r.m.SuperOff[hub] + 1; n <= outScratch {
 		t.Fatalf("the hub's supernode has %d graphs, no more than the %d a lookup lists on its stack", n, outScratch)
 	}
-	pageSet = map[webgraph.PageID]bool{}
-	for p := int32(0); p < int32(wide.Graph.NumPages()); p += 3 {
-		pageSet[p] = true
-	}
 	// The hub's lookup takes its list of graphs from a pool, which the
 	// race detector empties at random: one allocation a round then.
 	slack := 0.0
@@ -374,22 +415,31 @@ func TestWarmOutAllocatesNothing(t *testing.T) {
 	}
 	warmOutAllocatesNothing(t, "wide", r, wide, 1, slack, map[string]*store.Filter{
 		"nil":     nil,
-		"domains": {Domains: domains},
-		"pages":   {Pages: pageSet},
+		"domains": filterOf(wide, domains),
+		"pages":   filterOf(wide, nil, everyThird(wide)...),
 	})
+}
+
+// everyThird lists every third page of c.
+func everyThird(c *webgraph.Corpus) []webgraph.PageID {
+	var pages []webgraph.PageID
+	for p := int32(0); p < int32(c.Graph.NumPages()); p += 3 {
+		pages = append(pages, p)
+	}
+	return pages
 }
 
 // wideCorpus is a hub page in a domain of its own linking to the first
 // page of each of n two-page domains, whose pages link to each other
 // and back to the hub; domains is every small domain but the last.
-func wideCorpus(n int) (*webgraph.Corpus, map[string]bool) {
+func wideCorpus(n int) (*webgraph.Corpus, []string) {
 	pages := []webgraph.PageMeta{{URL: "http://hub.org/", Domain: "hub.org"}}
-	domains := map[string]bool{}
+	var domains []string
 	b := webgraph.NewBuilder(1 + 2*n)
 	for d := 0; d < n; d++ {
 		dom := fmt.Sprintf("d%03d.com", d)
 		if d < n-1 {
-			domains[dom] = true
+			domains = append(domains, dom)
 		}
 		a := webgraph.PageID(len(pages))
 		pages = append(pages,

@@ -233,7 +233,7 @@ func translate(ids []webgraph.PageID, from int, inv []webgraph.PageID, all bool,
 	}
 	kept := ids[:from]
 	for _, t := range ids[from:] {
-		if ext := inv[t]; f.AcceptsPage(ext) {
+		if ext := inv[t]; f.Accepts(ext) {
 			kept = append(kept, ext)
 		}
 	}

@@ -42,16 +42,15 @@ func neighborPages(seed uint64, numPages, n int) []webgraph.PageID {
 
 // neighborFilters is every filter shape: none, domains, pages, and both.
 func neighborFilters(c *webgraph.Corpus) map[string]*store.Filter {
-	pageSet := map[webgraph.PageID]bool{}
+	var fifth []webgraph.PageID
 	for p := 0; p < c.Graph.NumPages(); p += 5 {
-		pageSet[webgraph.PageID(p)] = true
+		fifth = append(fifth, webgraph.PageID(p))
 	}
-	domains := map[string]bool{"stanford.edu": true, "mit.edu": true, "berkeley.edu": true}
 	return map[string]*store.Filter{
 		"nil":     nil,
-		"domains": {Domains: domains},
-		"pages":   {Pages: pageSet},
-		"both":    {Domains: map[string]bool{"cmu.edu": true}, Pages: pageSet},
+		"domains": filterOf(c, []string{"stanford.edu", "mit.edu", "berkeley.edu"}),
+		"pages":   filterOf(c, nil, fifth...),
+		"both":    filterOf(c, []string{"cmu.edu"}, fifth...),
 	}
 }
 
@@ -85,7 +84,6 @@ func TestNeighborsEqualsOut(t *testing.T) {
 	ref := openRep(t, 256<<20)
 	ctx := context.Background()
 	filters := neighborFilters(c)
-	domainOf := func(p webgraph.PageID) string { return c.Pages[p].Domain }
 	for _, budget := range []int64{16 << 10, 256 << 10, 256 << 20} {
 		for name, f := range filters {
 			r := openRep(t, budget)
@@ -105,7 +103,7 @@ func TestNeighborsEqualsOut(t *testing.T) {
 					}
 					var want []webgraph.PageID
 					for _, q := range c.Graph.Out(p) {
-						if store.FilterAccepts(f, q, domainOf) {
+						if f.Accepts(q) {
 							want = append(want, q)
 						}
 					}
@@ -178,7 +176,7 @@ func TestWarmNeighborsAllocatesNothing(t *testing.T) {
 	defer r.Close()
 	warmNeighborsAllocatesNothing(t, "wide", r, wide, 1, map[string]*store.Filter{
 		"nil":     nil,
-		"domains": {Domains: domains},
+		"domains": filterOf(wide, domains),
 	})
 }
 
@@ -382,7 +380,6 @@ func TestNeighborsConcurrent(t *testing.T) {
 	r := openRep(t, 64<<10)
 	filters := neighborFilters(c)
 	names := []string{"nil", "domains", "pages", "both"}
-	domainOf := func(p webgraph.PageID) string { return c.Pages[p].Domain }
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -395,7 +392,7 @@ func TestNeighborsConcurrent(t *testing.T) {
 				err := r.Neighbors(context.Background(), pages, f, func(p webgraph.PageID, out []webgraph.PageID) error {
 					var want []webgraph.PageID
 					for _, q := range c.Graph.Out(p) {
-						if store.FilterAccepts(f, q, domainOf) {
+						if f.Accepts(q) {
 							want = append(want, q)
 						}
 					}

@@ -215,16 +215,6 @@ func (r *Representation) snOf(internal int32) int32 {
 	return int32(lo)
 }
 
-// DomainSupernodes returns the supernode range [lo, hi) for a domain
-// via the domain index, and whether the domain exists.
-func (r *Representation) DomainSupernodes(domain string) (lo, hi int32, ok bool) {
-	k := sort.SearchStrings(r.m.Domains, domain)
-	if k == len(r.m.Domains) || r.m.Domains[k] != domain {
-		return 0, 0, false
-	}
-	return r.m.DomFirstSN[k], r.m.DomFirstSN[k+1], true
-}
-
 // claimTraced wraps graphCache.claimNoWait with trace attribution: a
 // non-leader outcome is a coalesced miss — either found decoded by
 // claim time or waited out another goroutine's in-flight decode — and

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -155,10 +156,11 @@ func TestCompressionBeatsRawPointers(t *testing.T) {
 func TestDomainIndex(t *testing.T) {
 	c, _ := buildOnce(t)
 	r := openRep(t, 32<<20)
-	lo, hi, ok := r.DomainSupernodes("stanford.edu")
-	if !ok || hi <= lo {
-		t.Fatalf("stanford.edu supernode range: %d..%d ok=%v", lo, hi, ok)
+	k := slices.Index(r.m.Domains, "stanford.edu")
+	if k < 0 || r.m.DomFirstSN[k+1] <= r.m.DomFirstSN[k] {
+		t.Fatalf("stanford.edu is not in the domain index %v, or owns no supernode", r.m.Domains)
 	}
+	lo, hi := r.m.DomFirstSN[k], r.m.DomFirstSN[k+1]
 	// Every page in those supernodes must be a stanford page, and all
 	// stanford pages must fall in the range.
 	count := 0
@@ -180,7 +182,7 @@ func TestDomainIndex(t *testing.T) {
 	if count != want {
 		t.Fatalf("domain index covers %d pages, want %d", count, want)
 	}
-	if _, _, ok := r.DomainSupernodes("no-such-domain.example"); ok {
+	if slices.Contains(r.m.Domains, "no-such-domain.example") {
 		t.Fatal("nonexistent domain found")
 	}
 }
@@ -188,7 +190,7 @@ func TestDomainIndex(t *testing.T) {
 func TestOutFilteredByDomain(t *testing.T) {
 	c, _ := buildOnce(t)
 	r := openRep(t, 32<<20)
-	f := &store.Filter{Domains: map[string]bool{"mit.edu": true}}
+	f := filterOf(c, []string{"mit.edu"})
 	var buf []webgraph.PageID
 	checked := 0
 	for p := int32(0); int(p) < c.Graph.NumPages() && checked < 500; p += 11 {
@@ -221,14 +223,16 @@ func TestOutFilteredByPageSet(t *testing.T) {
 	r := openRep(t, 32<<20)
 	// Pick target pages that actually appear in some adjacency list.
 	targets := map[webgraph.PageID]bool{}
+	var list []webgraph.PageID
 	for p := int32(0); int(p) < c.Graph.NumPages() && len(targets) < 5; p++ {
 		for _, q := range c.Graph.Out(p) {
-			if len(targets) < 5 {
+			if len(targets) < 5 && !targets[q] {
 				targets[q] = true
+				list = append(list, q)
 			}
 		}
 	}
-	f := &store.Filter{Pages: targets}
+	f := filterOf(c, nil, list...)
 	var buf []webgraph.PageID
 	for p := int32(0); int(p) < c.Graph.NumPages(); p += 23 {
 		var err error
@@ -264,7 +268,7 @@ func TestFilteredAccessLoadsFewerGraphs(t *testing.T) {
 		t.Skip("no stanford pages")
 	}
 	var buf []webgraph.PageID
-	f := &store.Filter{Domains: map[string]bool{"mit.edu": true}}
+	f := filterOf(c, []string{"mit.edu"})
 	r.ResetCache(256 << 20)
 	for _, p := range sources {
 		buf, _ = r.OutFiltered(p, f, buf[:0])

@@ -11,7 +11,6 @@ import (
 	"snode/internal/iosim"
 	"snode/internal/randutil"
 	"snode/internal/refenc"
-	"snode/internal/store"
 	"snode/internal/synth"
 	"snode/internal/webgraph"
 )
@@ -46,13 +45,15 @@ func checkRowsAgainstCSR(t *testing.T, c *webgraph.Corpus, r *Representation) {
 			t.Fatalf("Out(%d) = %v, want %v", p, got, want)
 		}
 
-		f := &store.Filter{Domains: map[string]bool{c.Pages[rng.Int31n(n)].Domain: true}}
+		d := c.Pages[rng.Int31n(n)].Domain
+		var page []webgraph.PageID
 		if len(want) > 0 {
-			f.Pages = map[webgraph.PageID]bool{want[rng.Intn(len(want))]: true}
+			page = append(page, want[rng.Intn(len(want))])
 		}
+		f := filterOf(c, []string{d}, page...)
 		var wantF []webgraph.PageID
 		for _, q := range want {
-			if f.Domains[c.Pages[q].Domain] || f.Pages[q] {
+			if c.Pages[q].Domain == d || slices.Contains(page, q) {
 				wantF = append(wantF, q)
 			}
 		}

@@ -111,12 +111,12 @@ func TestFilterGraphListsUnderConcurrency(t *testing.T) {
 	c := crawl.Corpus
 	r := buildAndOpen(t, c, DefaultConfig())
 	n := int32(c.Graph.NumPages())
-	domainOf := func(p webgraph.PageID) string { return c.Pages[p].Domain }
 	for round := int32(0); round < 12; round++ {
-		f := &store.Filter{Domains: map[string]bool{c.Pages[(round*37)%n].Domain: true}, Pages: map[webgraph.PageID]bool{}}
+		var pages []webgraph.PageID
 		for p := round; p < n; p += 11 {
-			f.Pages[p] = true
+			pages = append(pages, p)
 		}
+		f := filterOf(c, []string{c.Pages[(round*37)%n].Domain}, pages...)
 		var wg sync.WaitGroup
 		start := make(chan struct{})
 		for w := 0; w < 4; w++ {
@@ -133,7 +133,7 @@ func TestFilterGraphListsUnderConcurrency(t *testing.T) {
 					}
 					var want []webgraph.PageID
 					for _, q := range c.Graph.Out(p) {
-						if store.FilterAccepts(f, q, domainOf) {
+						if f.Accepts(q) {
 							want = append(want, q)
 						}
 					}
@@ -149,7 +149,7 @@ func TestFilterGraphListsUnderConcurrency(t *testing.T) {
 		if t.Failed() {
 			return
 		}
-		cf, wants := r.compile(f), perCallWants(r, f)
+		cf, wants := r.compile(f), pageWants(r, f)
 		for i := int32(0); i < int32(r.Supernodes()); i++ {
 			l := cf.graphs[i].Load()
 			if l == nil {
@@ -177,15 +177,16 @@ func TestFilterGraphListsUnderConcurrency(t *testing.T) {
 // both kinds of filtered graph choice.
 func pinnedStream(t *testing.T, r *Representation, lookups int) {
 	t.Helper()
+	c, _ := buildOnce(t)
 	n := int(r.m.NumPages)
-	pageSet := map[webgraph.PageID]bool{}
+	var seventh []webgraph.PageID
 	for p := 0; p < n; p += 7 {
-		pageSet[webgraph.PageID(p)] = true
+		seventh = append(seventh, webgraph.PageID(p))
 	}
 	filters := []*store.Filter{
 		nil,
-		{Domains: map[string]bool{"stanford.edu": true, "mit.edu": true, "berkeley.edu": true}},
-		{Pages: pageSet},
+		filterOf(c, []string{"stanford.edu", "mit.edu", "berkeley.edu"}),
+		filterOf(c, nil, seventh...),
 	}
 	rng := randutil.NewRNG(31)
 	zipf := randutil.NewZipf(rng.Split(1), n, 1.1)

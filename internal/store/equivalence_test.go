@@ -53,11 +53,11 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// csrStore is the oracle: a CSR graph's rows, filtered with
-// store.FilterAccepts.
+// csrStore is the oracle: a CSR graph's rows. Its filtered read, which
+// the query engines over it use, tests each target against the filter's
+// ranges one at a time rather than through Filter.Accepts.
 type csrStore struct {
-	g     *webgraph.Graph
-	pages []webgraph.PageMeta
+	g *webgraph.Graph
 }
 
 func (c csrStore) Name() string  { return "csr" }
@@ -67,7 +67,7 @@ func (c csrStore) Out(p webgraph.PageID, buf []webgraph.PageID) ([]webgraph.Page
 }
 func (c csrStore) OutFiltered(p webgraph.PageID, f *store.Filter, buf []webgraph.PageID) ([]webgraph.PageID, error) {
 	for _, q := range c.g.Out(p) {
-		if store.FilterAccepts(f, q, func(q webgraph.PageID) string { return c.pages[q].Domain }) {
+		if f == nil || slices.ContainsFunc(f.Ranges(), func(r store.DomainRange) bool { return r.Contains(q) }) {
 			buf = append(buf, q)
 		}
 	}
@@ -206,28 +206,50 @@ func checkKronecker(t *testing.T, g *webgraph.Graph, factors []int) {
 	}
 }
 
-// oracleFilter is one filter shape the reads are checked under.
+// oracleFilter is one filter shape the reads are checked under: the
+// domains and pages it accepts, and the filter built from their ranges.
+// The reference accepts a target by its domain's name and its ID, never
+// through f.
 type oracleFilter struct {
-	name string
-	f    *store.Filter
+	name    string
+	domains []string
+	pages   map[webgraph.PageID]bool
+	f       *store.Filter
+}
+
+// accepts reports whether the shape passes target q of corpus c.
+func (o oracleFilter) accepts(c *webgraph.Corpus, q webgraph.PageID) bool {
+	return o.f == nil || slices.Contains(o.domains, c.Pages[q].Domain) || o.pages[q]
 }
 
 // oracleFilters are none, the synth crawl's domain and page filters,
 // the input's own middle domain beside every fifth page, and an empty
-// domain set, which accepts nothing.
+// domain set, which accepts nothing. Each filter is built from the
+// corpus's domain ranges and a one-page range per page.
 func oracleFilters(c *webgraph.Corpus) []oracleFilter {
 	fifth := map[webgraph.PageID]bool{}
 	for p := 0; p < c.Graph.NumPages(); p += 5 {
 		fifth[webgraph.PageID(p)] = true
 	}
+	ranges := store.NewDomainRanges(c.Pages)
+	shape := func(name string, domains []string, pages map[webgraph.PageID]bool) oracleFilter {
+		var rs []store.DomainRange
+		for _, d := range domains {
+			rs = append(rs, ranges[d])
+		}
+		for p := range pages {
+			rs = append(rs, store.DomainRange{Lo: p, Hi: p + 1})
+		}
+		return oracleFilter{name: name, domains: domains, pages: pages, f: store.NewFilter(rs...)}
+	}
 	return []oracleFilter{
-		{"nil", nil},
-		{"stanford", &store.Filter{Domains: map[string]bool{"stanford.edu": true}}},
-		{"mit+berkeley", &store.Filter{Domains: map[string]bool{"mit.edu": true, "berkeley.edu": true}}},
-		{"pages", &store.Filter{Pages: map[webgraph.PageID]bool{10: true, 500: true, 2500: true}}},
-		{"dilbert+42", &store.Filter{Domains: map[string]bool{"dilbert.com": true}, Pages: map[webgraph.PageID]bool{42: true}}},
-		{"middle+fifth", &store.Filter{Domains: map[string]bool{c.Pages[len(c.Pages)/2].Domain: true}, Pages: fifth}},
-		{"no-domains", &store.Filter{Domains: map[string]bool{}}},
+		{name: "nil"},
+		shape("stanford", []string{"stanford.edu"}, nil),
+		shape("mit+berkeley", []string{"mit.edu", "berkeley.edu"}, nil),
+		shape("pages", nil, map[webgraph.PageID]bool{10: true, 500: true, 2500: true}),
+		shape("dilbert+42", []string{"dilbert.com"}, map[webgraph.PageID]bool{42: true}),
+		shape("middle+fifth", []string{c.Pages[len(c.Pages)/2].Domain}, fifth),
+		shape("no-domains", []string{}, nil),
 	}
 }
 
@@ -282,7 +304,11 @@ func checkReads(t *testing.T, fwd, rev store.LinkStore, g *webgraph.Graph, c *we
 		check := func(what string, p webgraph.PageID, f oracleFilter, got []webgraph.PageID, err error) error {
 			var want []webgraph.PageID
 			if owns == nil || owns(p) {
-				want, _ = csrStore{dir.g, c.Pages}.OutFiltered(p, f.f, nil)
+				for _, q := range dir.g.Out(p) {
+					if f.accepts(c, q) {
+						want = append(want, q)
+					}
+				}
 			}
 			got = slices.Clone(got)
 			slices.Sort(got)
@@ -381,8 +407,7 @@ func oracle(t *testing.T, in *oracleInput, g *webgraph.Graph) *query.Engine {
 	if in.factors != nil {
 		return nil
 	}
-	pages := in.r.Corpus.Pages
-	return engine(t, in.r.WithStores("csr", csrStore{g, pages}, csrStore{g.Transpose(), pages}), "csr", nil)
+	return engine(t, in.r.WithStores("csr", csrStore{g}, csrStore{g.Transpose()}), "csr", nil)
 }
 
 // checkQueries holds the six queries to the oracle's rows: their
@@ -724,22 +749,17 @@ func TestStatsAccumulateAndReset(t *testing.T) {
 	}
 }
 
+// TestFilterHelpers: a nil filter accepts every page, and one with no
+// ranges, or only empty ones, accepts none and has no ranges.
 func TestFilterHelpers(t *testing.T) {
 	var f *store.Filter
-	if !f.Empty() {
-		t.Fatal("nil filter not empty")
+	if !f.Accepts(0) || !f.Accepts(-1) || !f.Accepts(1<<31-1) {
+		t.Fatal("the nil filter refuses a page")
 	}
-	f = &store.Filter{}
-	if !f.Empty() {
-		t.Fatal("zero filter not empty")
-	}
-	f = &store.Filter{Domains: map[string]bool{"a.com": true}}
-	if f.Empty() || !f.AcceptsDomain("a.com") || f.AcceptsDomain("b.com") {
-		t.Fatal("domain filter misbehaves")
-	}
-	f = &store.Filter{Pages: map[webgraph.PageID]bool{3: true}}
-	if !f.AcceptsPage(3) || f.AcceptsPage(4) {
-		t.Fatal("page filter misbehaves")
+	for _, f := range []*store.Filter{store.NewFilter(), store.NewFilter(store.DomainRange{}, store.DomainRange{Lo: 7, Hi: 3})} {
+		if f.Accepts(0) || f.Accepts(5) || f.Accepts(-1) || len(f.Ranges()) != 0 {
+			t.Fatalf("a filter of no pages accepts one, or has ranges %v", f.Ranges())
+		}
 	}
 }
 
@@ -748,7 +768,7 @@ func TestFilterHelpers(t *testing.T) {
 // caller of a key gets the same value, the keys get different ones, and
 // a later call builds nothing. Run under -race.
 func TestFilterCompiledOncePerStore(t *testing.T) {
-	f := &store.Filter{Domains: map[string]bool{"a.com": true}}
+	f := store.NewFilter(store.DomainRange{Lo: 0, Hi: 2})
 	keys := []any{new(int), new(int)}
 	got := make([][]any, len(keys))
 	for k := range got {

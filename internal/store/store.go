@@ -6,7 +6,10 @@
 package store
 
 import (
+	"cmp"
 	"context"
+	"slices"
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -14,21 +17,21 @@ import (
 	"snode/internal/webgraph"
 )
 
-// Filter restricts which link targets a navigation step wants. Schemes
-// that index their layout by domain or page grouping (S-Node) can skip
-// whole graphs; flat schemes apply the filter to decoded lists. A zero
-// Filter accepts everything.
+// Filter restricts which link targets a navigation step wants: the
+// pages of a sorted list of disjoint ID ranges. A domain is one range
+// (DomainRanges), so a domain filter is its domains' ranges and a page
+// filter a range per page. Schemes that index their layout by domain or
+// page grouping (S-Node) can skip whole graphs; flat schemes apply the
+// filter to decoded lists. A nil *Filter accepts every page; a Filter
+// with no ranges accepts none.
 //
-// A Filter is immutable after first use: once it has been handed to a
-// store its maps must not change, because a store may resolve it
-// against its own layout once and reuse the result (Compiled). Build a
-// new Filter for a new target set. Pass filters by pointer.
+// A Filter is immutable: NewFilter is the only way to give it ranges,
+// so a store may resolve it against its own layout once and reuse the
+// result (Compiled). Pass filters by pointer.
 type Filter struct {
-	// Domains accepts targets in any of these registered domains.
-	Domains map[string]bool
-	// Pages accepts exactly these target pages. When both fields are
-	// set a target passes if it satisfies either.
-	Pages map[webgraph.PageID]bool
+	// ranges are the accepted pages: ascending, disjoint and
+	// non-adjacent, none empty.
+	ranges []DomainRange
 
 	// compiled is the memo behind Compiled: one entry per store that
 	// resolved this filter, newest first, unreachable once the filter
@@ -38,6 +41,45 @@ type Filter struct {
 	// ones, and nothing else would say so).
 	compiled atomic.Pointer[compiledFilter]
 }
+
+// NewFilter returns the filter that accepts the pages of rs. The ranges
+// may overlap, touch, come in any order or be empty (the zero range
+// that DomainRanges gives for a domain the corpus lacks); they are
+// sorted and joined here.
+func NewFilter(rs ...DomainRange) *Filter {
+	f := &Filter{}
+	for _, r := range rs {
+		if r.Lo < r.Hi {
+			f.ranges = append(f.ranges, r)
+		}
+	}
+	slices.SortFunc(f.ranges, func(a, b DomainRange) int { return cmp.Compare(a.Lo, b.Lo) })
+	joined := f.ranges[:0]
+	for _, r := range f.ranges {
+		if n := len(joined); n > 0 && r.Lo <= joined[n-1].Hi {
+			joined[n-1].Hi = max(joined[n-1].Hi, r.Hi)
+			continue
+		}
+		joined = append(joined, r)
+	}
+	f.ranges = joined
+	return f
+}
+
+// Accepts reports whether page p passes the filter: a binary search of
+// its ranges. A nil filter accepts every page.
+func (f *Filter) Accepts(p webgraph.PageID) bool {
+	if f == nil {
+		return true
+	}
+	k := sort.Search(len(f.ranges), func(k int) bool { return f.ranges[k].Hi > p })
+	return k < len(f.ranges) && f.ranges[k].Lo <= p
+}
+
+// Ranges returns a copy of the filter's ranges, ascending, disjoint and
+// non-adjacent, for a store that resolves the filter against its layout.
+// f must not be nil.
+func (f *Filter) Ranges() []DomainRange { return slices.Clone(f.ranges) }
 
 // compiledFilter is one store's resolved form of a filter.
 type compiledFilter struct {
@@ -70,22 +112,6 @@ func (f *Filter) Compiled(key any, build func() any) any {
 			return val
 		}
 	}
-}
-
-// Empty reports whether the filter accepts everything.
-func (f *Filter) Empty() bool {
-	return f == nil || (f.Domains == nil && f.Pages == nil)
-}
-
-// AcceptsPage applies the page-set part; domain checks need metadata
-// and are done by the caller or the store.
-func (f *Filter) AcceptsPage(p webgraph.PageID) bool {
-	return f.Pages != nil && f.Pages[p]
-}
-
-// AcceptsDomain applies the domain part.
-func (f *Filter) AcceptsDomain(d string) bool {
-	return f.Domains != nil && f.Domains[d]
 }
 
 // AccessStats summarizes the I/O a store performed, for navigation-time
@@ -189,13 +215,14 @@ func (r DomainRange) Contains(p webgraph.PageID) bool { return p >= r.Lo && p < 
 
 // DomainRanges maps each domain to its page range: the domain index
 // the flat baselines keep in memory (the §4 setup gives every scheme a
-// domain and page-ID index), and the form in which the query plans and
-// a shard's merged store test a page's domain. It is exact only because
-// every corpus keeps a domain's pages contiguous in page-ID order: the
-// crawl generator assigns IDs in (domain, URL) order, and ingest
-// refuses a URL table in which a domain's pages resume after another
-// domain's. NewDomainRanges does not check it; over pages that broke it,
-// a domain would map to its last run alone.
+// domain and page-ID index), the form in which the query plans test a
+// page's domain, and what their domain filters are built from
+// (NewFilter). It is exact only because every corpus keeps a domain's
+// pages contiguous in page-ID order: the crawl generator assigns IDs in
+// (domain, URL) order, and webgraph.Corpus.Validate, which ingest and
+// every corpus reader call, refuses pages in which a domain resumes
+// after another domain's. NewDomainRanges does not check it; over pages
+// that broke it, a domain would map to its last run alone.
 type DomainRanges map[string]DomainRange
 
 // NewDomainRanges builds the index from page metadata.
@@ -221,16 +248,4 @@ func (dr DomainRanges) SizeBytes() int64 {
 		n += int64(len(d)) + 8
 	}
 	return n
-}
-
-// FilterAccepts applies a filter to a concrete target given the page's
-// domain (used by flat schemes that decode full lists).
-func FilterAccepts(f *Filter, p webgraph.PageID, domainOf func(webgraph.PageID) string) bool {
-	if f.Empty() {
-		return true
-	}
-	if f.AcceptsPage(p) {
-		return true
-	}
-	return f.Domains != nil && f.Domains[domainOf(p)]
 }

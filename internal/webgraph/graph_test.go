@@ -1,7 +1,10 @@
 package webgraph
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -272,6 +275,17 @@ func TestCorpusValidate(t *testing.T) {
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatalf("valid corpus rejected: %v", err)
+	}
+	// a a b b c is contiguous; a b a b c reopens a at page 2.
+	for i, d := range []string{"a.com", "a.com", "b.com", "b.com", "c.com"} {
+		c.Pages[i] = PageMeta{URL: fmt.Sprintf("http://%s/%d", d, i), Domain: d}
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatalf("contiguous domains rejected: %v", err)
+	}
+	c.Pages[1], c.Pages[2] = c.Pages[2], c.Pages[1]
+	if err := c.Validate(); !errors.Is(err, errDomainReopened) || !strings.Contains(err.Error(), "page 2 reopens a.com") {
+		t.Fatalf("a reopened domain: err = %v, want %v naming page 2", err, errDomainReopened)
 	}
 	c.Pages = c.Pages[:3]
 	if err := c.Validate(); err == nil {

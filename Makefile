@@ -92,14 +92,21 @@ test-bench:
 # query trips it); a warm Q5 handing its step the filter the store
 # compiled on the first (a filter built per query trips it); a warm
 # Neighbors call on a shard's merged store at zero allocations (a join
-# list grown per call trips it); and the router's read of a leg that declares its length at
-# one allocation, its body (a buffer grown while reading trips it). Run
-# with -count=1 so the guard always executes.
+# list grown per call trips it, under -race too); the router's read of a
+# leg that declares its length at one allocation, its body (a buffer
+# grown while reading trips it); and a shard's page metadata held once:
+# after OpenServing one string per domain, the URLs in one block, no
+# term lists and an index equal to one built over the crawl, every
+# posting list at its exact size and owning its terms, and corpusio.Read
+# at one allocation a page and a domain whatever the terms (a string
+# copied per page or per term, or a list grown by append, trips them).
+# Run with -count=1 so the guard always executes.
 check-overhead:
 	$(GO) test -count=1 -run 'TestUntracedTracingAddsNoAllocs|TestNavigateLookupsPinned|TestQ3RowsAndMergeAllocs|TestWarmQ2AllocatesLessThanStanford|TestWarmQ3AllocatesLessThanItsBitset|TestWarmQ5CompilesNoFilter' ./internal/query
 	$(GO) test -count=1 -run 'TestUntracedPrimitivesZeroAlloc' ./internal/trace
 	$(GO) test -count=1 -run 'TestCrossProcessUntracedZeroAlloc|TestDecodePartialAllocs|TestQ3LegAllocs|TestLegReadAllocatesItsBodyOnce' ./internal/trace ./internal/serve ./internal/router
-	$(GO) test -count=1 -run 'TestWarmMergedNeighborsAllocatesNothing' ./internal/shard
+	$(GO) test -count=1 -run 'TestWarmMergedNeighborsAllocatesNothing|TestServingShardHoldsPageMetaOnce' ./internal/shard
+	$(GO) test -count=1 -run 'TestReadAllocsPerPageNotPerTerm|TestBuildHoldsPostingsExactAndTermsOwn' ./internal/corpusio ./internal/textindex
 	$(GO) test -count=1 -run 'TestDecodeHotPathAllocs|TestWarmOutAllocatesNothing|TestWarmNeighborsAllocatesNothing|TestColdOutAllocsPerLoad|TestBucketingAllocsIndependentOfEdges|TestLookupCountersPinned' ./internal/snode
 	$(GO) test -count=1 -run 'TestClusteredSplitAllocs' ./internal/partition
 

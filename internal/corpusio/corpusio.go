@@ -4,10 +4,17 @@
 //
 // Format: uvarint page count; per page: URL, domain, term list
 // (length-prefixed strings), gap-coded adjacency; then the crawl order.
+//
+// Read holds each piece of metadata once: one Domain string a domain,
+// the URLs in one block, and the terms as substrings of the file until
+// the text index has copied each distinct one (shard.OpenServing then
+// drops them).
 package corpusio
 
 import (
 	"fmt"
+	"os"
+	"strings"
 
 	"snode/internal/coding"
 	"snode/internal/synth"
@@ -52,12 +59,18 @@ const minPageBytes = 5
 // strictly within [0, n), a crawl order that is not a permutation of the
 // pages, and bytes after the order are all refused, before anything is
 // sized or indexed by them.
+//
+// The file is read whole and parsed in memory. A domain's pages are one
+// run, so only a change of domain copies a Domain string; the URLs are
+// copied into one block; each page's terms are substrings of the file's
+// bytes, which they keep alive until they are dropped. A read allocates
+// per page and per domain, never per term.
 func Read(path string) (*synth.Crawl, error) {
-	r, err := coding.OpenFile(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer r.Close()
+	r := coding.NewReader(raw)
 	n := r.Count(1<<30, minPageBytes)
 	if r.Err() != nil {
 		return nil, fmt.Errorf("corpusio: %s: page count: %w", path, r.Err())
@@ -66,10 +79,17 @@ func Read(path string) (*synth.Crawl, error) {
 		return nil, fmt.Errorf("corpusio: %s holds no pages", path)
 	}
 	pages := make([]webgraph.PageMeta, n)
+	var urls []byte
+	urlEnd := make([]int, n)
 	b := webgraph.NewBuilder(n)
 	for pid := 0; pid < n; pid++ {
-		pages[pid].URL = r.Str()
-		pages[pid].Domain = r.Str()
+		urls = append(urls, r.Str()...)
+		urlEnd[pid] = len(urls)
+		if d := r.Str(); pid > 0 && d == pages[pid-1].Domain {
+			pages[pid].Domain = pages[pid-1].Domain
+		} else {
+			pages[pid].Domain = strings.Clone(d)
+		}
 		terms := make([]string, r.Count(1<<16, 1))
 		for i := range terms {
 			terms[i] = r.Str()
@@ -82,6 +102,11 @@ func Read(path string) (*synth.Crawl, error) {
 		if r.Err() != nil {
 			return nil, fmt.Errorf("corpusio: %s: page %d: %w", path, pid, r.Err())
 		}
+	}
+	block, start := string(urls), 0
+	for pid, end := range urlEnd {
+		pages[pid].URL = block[start:end]
+		start = end
 	}
 	order := make([]int32, n)
 	seen := make([]bool, n)

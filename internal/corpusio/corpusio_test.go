@@ -116,6 +116,56 @@ func TestReadBitFlipsNoPanic(t *testing.T) {
 	}
 }
 
+// TestReadAllocsPerPageNotPerTerm: over an edge-free crawl, as a
+// dataset's meta.bin is, Read allocates for each page and each domain,
+// and a constant beside them, whatever the number of terms: the same
+// crawl with every page's terms listed eight times over costs no more
+// allocations.
+func TestReadAllocsPerPageNotPerTerm(t *testing.T) {
+	crawl, err := synth.Generate(synth.DefaultConfig(2000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := crawl.Corpus.Pages
+	edgeFree, err := webgraph.NewGraphCSR(make([]int64, len(pages)+1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	domains := 1
+	for i := 1; i < len(pages); i++ {
+		if pages[i].Domain != pages[i-1].Domain {
+			domains++
+		}
+	}
+	allocs := func(repeat int) float64 {
+		c := webgraph.Corpus{Graph: edgeFree, Pages: make([]webgraph.PageMeta, len(pages))}
+		for i, pm := range pages {
+			c.Pages[i] = pm
+			c.Pages[i].Terms = nil
+			for r := 0; r < repeat; r++ {
+				c.Pages[i].Terms = append(c.Pages[i].Terms, pm.Terms...)
+			}
+		}
+		path := filepath.Join(t.TempDir(), "corpus.bin")
+		if err := Write(&synth.Crawl{Corpus: &c, Order: crawl.Order}, path); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Read(path); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	once, eight := allocs(1), allocs(8)
+	t.Logf("%d pages, %d domains: %.0f allocations with each page's terms once, %.0f with them eight times", len(pages), domains, once, eight)
+	if limit := float64(len(pages) + 2*domains + 100); once > limit {
+		t.Errorf("Read allocates %.0f times, above %.0f for %d pages in %d domains", once, limit, len(pages), domains)
+	}
+	if eight > once+2 {
+		t.Errorf("eight times the terms cost %.0f allocations against %.0f: Read allocates per term", eight, once)
+	}
+}
+
 // encode lays a three-page crawl file of domain a.com out by hand, so a
 // case can hold bytes Write never produces: each page's adjacency as raw
 // gaps, the crawl order as raw entries, then whatever follows.

@@ -315,9 +315,9 @@ func TestOverlayAddPage(t *testing.T) {
 	o := newTestOverlay(t, base)
 	ctx := context.Background()
 
-	id := o.AddPage(webgraph.PageMeta{URL: "http://d.net/new", Domain: "d.net"})
-	if int(id) != base.NumPages() {
-		t.Fatalf("AddPage id = %d", id)
+	id, err := o.AddPage(webgraph.PageMeta{URL: "http://d.net/new", Domain: "d.net"})
+	if err != nil || int(id) != base.NumPages() {
+		t.Fatalf("AddPage id = %d, %v", id, err)
 	}
 	if o.NumPages() != base.NumPages()+1 {
 		t.Fatalf("NumPages = %d", o.NumPages())
@@ -359,6 +359,85 @@ func TestOverlayAddPage(t *testing.T) {
 	got, err = o.Out(id, nil)
 	if err != nil || !pageIDsEqual(got, []webgraph.PageID{0}) {
 		t.Fatalf("sealed new page Out = %v, %v", got, err)
+	}
+}
+
+// TestAddPageKeepsDomainsContiguous: a page of a domain the base
+// already has, after other domains' pages, is refused by name (the
+// fold-back's corpus would reopen the domain, which its own Validate
+// refuses), while pages of the last page's domain and of a new one are
+// taken and fold back into a base that serves them.
+func TestAddPageKeepsDomainsContiguous(t *testing.T) {
+	crawl, err := synth.Generate(synth.DefaultConfig(400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := crawl.Corpus.Pages
+	first, last := pages[0].Domain, pages[len(pages)-1].Domain
+	if first == last {
+		t.Fatalf("the fixture has one domain, %s", first)
+	}
+	dir := t.TempDir()
+	if _, err := snode.Build(crawl.Corpus, snode.DefaultConfig(), dir); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := snode.Open(dir, 1<<20, iosim.Model2002())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	o, err := NewOverlay(rep, Config{Pages: pages, Dir: t.TempDir(), Model: iosim.Model2002()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+
+	if _, err := o.AddPage(webgraph.PageMeta{URL: "http://" + first + "/added", Domain: first}); err == nil || !strings.Contains(err.Error(), first) {
+		t.Fatalf("a page reopening %s: err %v, want a refusal naming the domain", first, err)
+	}
+	if n := o.NumPages(); n != len(pages) {
+		t.Fatalf("the refused page was counted: %d pages", n)
+	}
+	var added []webgraph.PageID
+	for _, d := range []string{last, "new.example", "new.example"} {
+		id, err := o.AddPage(webgraph.PageMeta{URL: fmt.Sprintf("http://%s/added%d", d, len(added)), Domain: d})
+		if err != nil {
+			t.Fatalf("a page of %s: %v", d, err)
+		}
+		added = append(added, id)
+	}
+	ctx := context.Background()
+	if err := o.Apply(ctx, []Mutation{{Src: added[2], Dst: 0, Op: OpAdd}, {Src: 0, Dst: added[0], Op: OpAdd}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.FoldBack(ctx, FoldConfig{SNode: snode.DefaultConfig(), Dir: t.TempDir(), CacheBudget: 1 << 20, Model: iosim.Model2002()}); err != nil {
+		t.Fatalf("fold-back over contiguous domains: %v", err)
+	}
+	if got, err := o.Out(added[2], nil); err != nil || !pageIDsEqual(got, []webgraph.PageID{0}) {
+		t.Fatalf("folded page %d: Out = %v, %v", added[2], got, err)
+	}
+}
+
+// TestOverlaySharesBasePages: an overlay holds the base's metadata
+// without copying it, and its first AddPage copies instead of writing
+// into spare capacity of the caller's slice.
+func TestOverlaySharesBasePages(t *testing.T) {
+	base := smallBase()
+	pages := make([]webgraph.PageMeta, len(base.pages), len(base.pages)+4)
+	copy(pages, base.pages)
+	o, err := NewOverlay(base, Config{Pages: pages, Dir: t.TempDir(), Model: iosim.Model2002()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	if &o.pages[0] != &pages[0] {
+		t.Fatal("NewOverlay copied the base's pages")
+	}
+	if _, err := o.AddPage(webgraph.PageMeta{URL: "http://d.net/new", Domain: "d.net"}); err != nil {
+		t.Fatal(err)
+	}
+	if spare := pages[:len(pages)+1][len(pages)]; spare.URL != "" {
+		t.Fatalf("AddPage wrote %s into the caller's spare capacity", spare.URL)
 	}
 }
 

@@ -49,7 +49,9 @@ func (o *Overlay) materializeLocked(ctx context.Context) (*webgraph.Corpus, []*s
 	// land in the fresh memtable and stay layered over the new base.
 	o.mu.RLock()
 	segs := append([]*segment(nil), o.segments...)
-	pages := append([]webgraph.PageMeta(nil), o.pages...)
+	// AddPage only appends, so the prefix this slice covers is never
+	// written again; its capacity cap keeps an append off it.
+	pages := o.pages[:len(o.pages):len(o.pages)]
 	o.mu.RUnlock()
 
 	merged := make([][]pageOps, 0, len(segs))
@@ -84,7 +86,11 @@ func (o *Overlay) materializeLocked(ctx context.Context) (*webgraph.Corpus, []*s
 			}
 		}
 	}
-	return &webgraph.Corpus{Graph: b.Build(), Pages: pages}, segs, nil
+	corpus := &webgraph.Corpus{Graph: b.Build(), Pages: pages}
+	if err := corpus.Validate(); err != nil {
+		return nil, nil, fmt.Errorf("delta: materialize: %w", err)
+	}
+	return corpus, segs, nil
 }
 
 // removedIn reports whether t carries an OpRemove in a sorted op list.

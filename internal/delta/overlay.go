@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -96,10 +97,12 @@ func NewOverlay(base store.LinkStore, cfg Config) (*Overlay, error) {
 		return nil, fmt.Errorf("delta: %w", err)
 	}
 	o := &Overlay{
-		dir:   cfg.Dir,
-		acc:   iosim.NewAccountant(cfg.Model),
-		base:  base,
-		pages: append([]webgraph.PageMeta(nil), cfg.Pages...),
+		dir:  cfg.Dir,
+		acc:  iosim.NewAccountant(cfg.Model),
+		base: base,
+		// The base's metadata is shared, not copied: the capacity cap
+		// makes the first AddPage copy it, so cfg.Pages is never written.
+		pages: cfg.Pages[:len(cfg.Pages):len(cfg.Pages)],
 	}
 	o.baseCtx, _ = base.(store.ContextLinkStore)
 	o.mt.Store(newMemtable())
@@ -120,14 +123,23 @@ func (o *Overlay) NumPages() int { return int(o.numPages.Load()) }
 
 // AddPage registers a new page (an incremental crawl discovering a
 // URL) and returns its ID. Links to and from it are applied as normal
-// mutations afterwards.
-func (o *Overlay) AddPage(meta webgraph.PageMeta) webgraph.PageID {
+// mutations afterwards. A domain's pages are one ID range (§3.3's
+// numbering, which the fold-back's corpus must keep to pass
+// Corpus.Validate), so the page must belong to a new domain or to the
+// last page's: one that would reopen a domain another domain's pages
+// follow is refused, naming the domain. The check scans the pages
+// once; nothing on the serving path adds pages.
+func (o *Overlay) AddPage(meta webgraph.PageMeta) (webgraph.PageID, error) {
 	o.mu.Lock()
+	defer o.mu.Unlock()
+	if n := len(o.pages); n > 0 && meta.Domain != o.pages[n-1].Domain {
+		if k := slices.IndexFunc(o.pages, func(pm webgraph.PageMeta) bool { return pm.Domain == meta.Domain }); k >= 0 {
+			return 0, fmt.Errorf("delta: page %s would reopen domain %s: its pages start at page %d and another domain's follow them", meta.URL, meta.Domain, k)
+		}
+	}
 	o.pages = append(o.pages, meta)
-	id := webgraph.PageID(len(o.pages) - 1)
 	o.numPages.Store(int64(len(o.pages)))
-	o.mu.Unlock()
-	return id
+	return webgraph.PageID(len(o.pages) - 1), nil
 }
 
 // Apply records a batch of link mutations in the active memtable. It

@@ -126,10 +126,14 @@ func TestChaosReadersWritersCompactor(t *testing.T) {
 		defer wgMut.Done()
 		rng := randutil.NewRNG(77)
 		for i := 0; i < addedPages; i++ {
-			id := o.AddPage(webgraph.PageMeta{
+			id, err := o.AddPage(webgraph.PageMeta{
 				URL:    "http://new.example/p" + string(rune('a'+i)),
 				Domain: "new.example",
 			})
+			if err != nil {
+				t.Errorf("adder: %v", err)
+				return
+			}
 			addIDs = append(addIDs, id)
 			muts := make([]delta.Mutation, 0, 4)
 			for j := 0; j < 4; j++ {

@@ -57,6 +57,9 @@ var catalogue = []entry{
 	{"delta_{fwd,rev}_lookups_{passthrough,merged}", "counter", "lookups of pages no delta touches (answered by the base), and lookups with deltas merged in"},
 	{"delta_{fwd,rev}_segment_reads", "counter", "segment blocks read by merged lookups"},
 
+	{"mem_pagemeta_bytes", "gauge", "bytes of the shard's page metadata, counted from capacities once at start: the page array, the URL block, one string per domain (a serving shard holds no term lists)"},
+	{"mem_textindex_bytes", "gauge", "bytes of the shard's text index, counted from capacities once at start: posting lists, list headers, terms (the map's own slots excluded)"},
+
 	{"admission_{nav,mining}_{offered,admitted,shed}", "counter", "arrivals, admissions and sheds per request class (`offered == admitted + shed` once drained)"},
 	{"admission_{nav,mining}_queue_depth", "gauge", "requests queued per class"},
 	{"admission_{nav,mining}_wait_seconds", "histogram", "queue wait per class"},

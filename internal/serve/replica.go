@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"snode/internal/delta"
 	"snode/internal/metrics"
@@ -60,6 +61,8 @@ func NewReplica(sh *shard.ServingShard, cfg Config, liveDir string) (*Replica, e
 		cfg.Registry = metrics.NewRegistry()
 	}
 	r := &Replica{reg: cfg.Registry}
+	cfg.Registry.Gauge("mem_pagemeta_bytes").Set(pageMetaBytes(sh.NavRepo.Corpus.Pages))
+	cfg.Registry.Gauge("mem_textindex_bytes").Set(sh.NavRepo.Text.SizeBytes())
 	sh.NavRepo.Fwd[repo.SchemeSNode].(*snode.Representation).RegisterMetrics(cfg.Registry, "snode_fwd")
 	sh.NavRepo.Rev[repo.SchemeSNode].(*snode.Representation).RegisterMetrics(cfg.Registry, "snode_rev")
 	mining, nav := sh.Repo, sh.NavRepo
@@ -106,6 +109,24 @@ func NewReplica(sh *shard.ServingShard, cfg Config, liveDir string) (*Replica, e
 		return nil, err
 	}
 	return r, nil
+}
+
+// pageMetaBytes is the memory pages hold, from what they know: the
+// slice at its capacity, each URL's bytes, a domain's bytes once a run
+// (the run's pages share one string), and any term lists at their
+// capacity with their terms' bytes.
+func pageMetaBytes(pages []webgraph.PageMeta) int64 {
+	n := int64(cap(pages)) * int64(unsafe.Sizeof(webgraph.PageMeta{}))
+	for i, pm := range pages {
+		n += int64(len(pm.URL)) + int64(cap(pm.Terms))*int64(unsafe.Sizeof(""))
+		if i == 0 || pm.Domain != pages[i-1].Domain {
+			n += int64(len(pm.Domain))
+		}
+		for _, t := range pm.Terms {
+			n += int64(len(t))
+		}
+	}
+	return n
 }
 
 // SetPace paces the stores the engines read (store.Pacer): a live

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"sync"
 
 	"snode/internal/snode"
 	"snode/internal/store"
@@ -37,28 +36,46 @@ func (m *MergedStore) Name() string { return m.base.Name() }
 // NumPages reports the base store's page count (global ID space).
 func (m *MergedStore) NumPages() int { return m.base.NumPages() }
 
-// mergedBufs recycles the list Neighbors joins a page's two parts in,
-// so a warm call allocates none for the pages that have boundary rows.
-var mergedBufs = sync.Pool{New: func() any { return new([]webgraph.PageID) }}
+// mergedBufs is the free list of the lists Neighbors joins a page's
+// two parts in, so a warm call allocates none for the pages that have
+// boundary rows. It is a bounded channel, not a sync.Pool, which under
+// the race detector drops a quarter of what is put back and would make
+// the allocation count vary from run to run. It keeps at most 16 lists,
+// the bound snode's navScratches keeps: a list is held only by a
+// Neighbors call in flight, and admission runs GOMAXPROCS of those by
+// default. It keeps none that outgrew maxMergedIDs.
+var mergedBufs = make(chan []webgraph.PageID, 16)
+
+const maxMergedIDs = 1 << 20
 
 // Neighbors is the base store's Neighbors with each page's boundary
 // targets that pass f appended to its list.
 func (m *MergedStore) Neighbors(ctx context.Context, pages []webgraph.PageID, f *store.Filter, visit func(p webgraph.PageID, out []webgraph.PageID) error) error {
-	buf := mergedBufs.Get().(*[]webgraph.PageID)
-	defer mergedBufs.Put(buf)
+	var buf []webgraph.PageID
+	select {
+	case buf = <-mergedBufs:
+	default:
+	}
+	defer func() {
+		if cap(buf) > 0 && cap(buf) <= maxMergedIDs {
+			select {
+			case mergedBufs <- buf:
+			default:
+			}
+		}
+	}()
 	return m.base.Neighbors(ctx, pages, f, func(p webgraph.PageID, out []webgraph.PageID) error {
 		row := m.boundary.Out(p)
 		if len(row) == 0 {
 			return visit(p, out)
 		}
-		b := append((*buf)[:0], out...)
+		buf = append(buf[:0], out...)
 		for _, t := range row {
 			if f.Accepts(t) {
-				b = append(b, t)
+				buf = append(buf, t)
 			}
 		}
-		*buf = b
-		return visit(p, b)
+		return visit(p, buf)
 	})
 }
 

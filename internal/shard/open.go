@@ -18,6 +18,12 @@ import (
 // pages), an intra-only repository for /out (the router resolves
 // cross-shard /out edges itself, from the boundary files), and the
 // ownership predicate the partial-query engine restricts to.
+//
+// The shard holds the crawl's page metadata once (corpusio.Read): a
+// domain's pages share one Domain string and every URL is a substring
+// of one block. The text index is the only reader of the pages' terms,
+// so once it holds them they are dropped: a serving shard's
+// Corpus.Pages[].Terms is nil.
 type ServingShard struct {
 	ID       int
 	Manifest *Manifest
@@ -85,9 +91,13 @@ func OpenServing(root string, id int, cacheBudget int64, model iosim.Model) (*Se
 		fwdBase.Close()
 		return nil, err
 	}
+	text := textindex.Build(pages)
+	for i := range pages {
+		pages[i].Terms = nil
+	}
 	nav := &repo.Repository{
 		Corpus:   meta.Corpus,
-		Text:     textindex.Build(pages),
+		Text:     text,
 		PageRank: pr,
 		Domains:  store.NewDomainRanges(pages),
 		Model:    model,

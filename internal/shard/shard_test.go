@@ -11,16 +11,18 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"snode/internal/iosim"
-	"snode/internal/raceflag"
 	"snode/internal/repo"
 	"snode/internal/snode"
 	"snode/internal/store"
 	"snode/internal/synth"
+	"snode/internal/textindex"
 	"snode/internal/webgraph"
 )
 
@@ -407,9 +409,49 @@ func TestWarmMergedNeighborsAllocatesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		// sync.Pool drops some of what is put back under the race detector.
-		if allocs > 0 && !(raceflag.Enabled && allocs <= 2) {
+		if allocs > 0 {
 			t.Errorf("%s: a warm Neighbors call over %d pages (%d with boundary rows) allocates %.0f times; want 0", name, len(pages), withRows, allocs)
+		}
+	}
+}
+
+// TestServingShardHoldsPageMetaOnce: an opened shard keeps one Domain
+// string per domain, its URLs back to back in one block, no term lists
+// (the text index holds them), and an index that answers every term of
+// the source crawl as one built over the crawl does.
+func TestServingShardHoldsPageMetaOnce(t *testing.T) {
+	sh, err := OpenServing(getRoot(t, 2), 1, 1<<20, iosim.Model2002())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	pages := sh.NavRepo.Corpus.Pages
+	addr := func(s string) uintptr { return uintptr(unsafe.Pointer(unsafe.StringData(s))) }
+	for i, pm := range pages {
+		if pm.Terms != nil {
+			t.Fatalf("page %d keeps %d terms", i, len(pm.Terms))
+		}
+		if i == 0 {
+			continue
+		}
+		prev := pages[i-1]
+		if pm.Domain == prev.Domain && addr(pm.Domain) != addr(prev.Domain) {
+			t.Fatalf("pages %d and %d of %s hold two copies of its name", i-1, i, pm.Domain)
+		}
+		if addr(pm.URL) != addr(prev.URL)+uintptr(len(prev.URL)) {
+			t.Fatalf("page %d's URL does not follow page %d's in one block", i, i-1)
+		}
+	}
+	crawl := getCrawl(t)
+	ref := textindex.Build(crawl.Corpus.Pages)
+	if got, want := sh.Repo.Text.NumTerms(), ref.NumTerms(); got != want {
+		t.Fatalf("the shard's index has %d terms, the crawl's %d", got, want)
+	}
+	for _, pm := range crawl.Corpus.Pages {
+		for _, term := range pm.Terms {
+			if got, want := sh.Repo.Text.Lookup(term), ref.Lookup(term); !slices.Equal(got, want) {
+				t.Fatalf("Lookup(%q) = %v, the crawl's index %v", term, got, want)
+			}
 		}
 	}
 }

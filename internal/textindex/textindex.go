@@ -13,26 +13,56 @@ package textindex
 import (
 	"slices"
 	"sort"
+	"strings"
 
 	"snode/internal/webgraph"
 )
 
 // Index maps terms to sorted posting lists.
 type Index struct {
-	postings map[string][]webgraph.PageID
+	ids   map[string]int32 // term → its list in lists
+	lists [][]webgraph.PageID
 }
 
-// Build indexes the corpus metadata.
+// Build indexes the corpus metadata. It counts each term's pages
+// first, then cuts every posting list from one array at its exact size
+// (len == cap): nothing grows by append. A term a page lists twice
+// counts once, found among the page's own few terms, with no set made
+// per page. Each distinct term is copied once, when it is first seen,
+// and the map is never assigned a key it holds (an assignment stores
+// its key anew), so the index keeps nothing of the strings the pages'
+// terms are cut from.
 func Build(pages []webgraph.PageMeta) *Index {
-	idx := &Index{postings: map[string][]webgraph.PageID{}}
-	for pid, pm := range pages {
-		seen := map[string]bool{}
-		for _, t := range pm.Terms {
-			if seen[t] {
+	idx := &Index{ids: map[string]int32{}}
+	var counts []int
+	var seq []int32 // each posting's list, in page order
+	for _, pm := range pages {
+		for i, t := range pm.Terms {
+			if slices.Contains(pm.Terms[:i], t) {
 				continue
 			}
-			seen[t] = true
-			idx.postings[t] = append(idx.postings[t], webgraph.PageID(pid))
+			id, ok := idx.ids[t]
+			if !ok {
+				id = int32(len(counts))
+				idx.ids[strings.Clone(t)] = id
+				counts = append(counts, 0)
+			}
+			counts[id]++
+			seq = append(seq, id)
+		}
+	}
+	idx.lists = make([][]webgraph.PageID, len(counts))
+	all := make([]webgraph.PageID, len(seq))
+	for id, c := range counts {
+		idx.lists[id], all = all[:0:c], all[c:]
+	}
+	for pid, pm := range pages {
+		for i, t := range pm.Terms {
+			if !slices.Contains(pm.Terms[:i], t) {
+				id := seq[0]
+				seq = seq[1:]
+				idx.lists[id] = append(idx.lists[id], webgraph.PageID(pid))
+			}
 		}
 	}
 	// Page IDs were appended in increasing order, so lists are sorted.
@@ -42,11 +72,14 @@ func Build(pages []webgraph.PageMeta) *Index {
 // Lookup returns the pages containing term (nil if none). The returned
 // slice is shared; callers must not modify it.
 func (idx *Index) Lookup(term string) []webgraph.PageID {
-	return idx.postings[term]
+	if id, ok := idx.ids[term]; ok {
+		return idx.lists[id]
+	}
+	return nil
 }
 
 // NumTerms reports the vocabulary size.
-func (idx *Index) NumTerms() int { return len(idx.postings) }
+func (idx *Index) NumTerms() int { return len(idx.ids) }
 
 // PagesWithAtLeast returns, ascending, the pages in [lo, hi) that
 // contain at least k of the given terms (a term named twice counts
@@ -97,17 +130,22 @@ func (idx *Index) PagesWithAtLeast(terms []string, k int, lo, hi webgraph.PageID
 // LookupInRange returns the pages containing term whose IDs fall in
 // [lo, hi) — term search restricted to a domain's contiguous ID range.
 func (idx *Index) LookupInRange(term string, lo, hi webgraph.PageID) []webgraph.PageID {
-	post := idx.postings[term]
+	post := idx.Lookup(term)
 	a := sort.Search(len(post), func(i int) bool { return post[i] >= lo })
 	b := sort.Search(len(post), func(i int) bool { return post[i] >= hi })
 	return post[a:b]
 }
 
-// SizeBytes estimates the index memory footprint.
+// SizeBytes is the index's memory from what it holds: each posting
+// list at its capacity with its header, and each term's bytes, string
+// header and list number (the map's own slots are not counted).
 func (idx *Index) SizeBytes() int64 {
 	var n int64
-	for t, post := range idx.postings {
-		n += int64(len(t)) + 4*int64(len(post)) + 24
+	for t := range idx.ids {
+		n += int64(len(t)) + 16 + 4
+	}
+	for _, post := range idx.lists {
+		n += 24 + 4*int64(cap(post))
 	}
 	return n
 }

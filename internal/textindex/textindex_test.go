@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"snode/internal/webgraph"
 )
@@ -147,5 +149,39 @@ func TestNumTermsAndSize(t *testing.T) {
 	}
 	if idx.SizeBytes() <= 0 {
 		t.Fatal("SizeBytes")
+	}
+}
+
+// TestBuildHoldsPostingsExactAndTermsOwn: every posting list is cut at
+// its exact size (len == cap), and no term the index keeps points into
+// the string the pages' terms were cut from, so a caller that drops its
+// terms frees that string.
+func TestBuildHoldsPostingsExactAndTermsOwn(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	var src strings.Builder
+	for i := 0; i < 50; i++ {
+		fmt.Fprintf(&src, "term%02d", i)
+	}
+	text := src.String()
+	pages := make([]webgraph.PageMeta, 2000)
+	for i := range pages {
+		for j := rng.Intn(8); j > 0; j-- {
+			k := 6 * rng.Intn(50)
+			pages[i].Terms = append(pages[i].Terms, text[k:k+6])
+		}
+	}
+	idx := Build(pages)
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(text)))
+	for term := range idx.ids {
+		post := idx.Lookup(term)
+		if len(post) != cap(post) {
+			t.Errorf("%s: %d postings in a list of capacity %d", term, len(post), cap(post))
+		}
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(term))); p >= lo && p < lo+uintptr(len(text)) {
+			t.Errorf("%s: the index keeps a substring of the pages' terms", term)
+		}
+	}
+	if idx.NumTerms() != 50 {
+		t.Fatalf("NumTerms = %d, want 50", idx.NumTerms())
 	}
 }

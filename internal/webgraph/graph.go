@@ -11,6 +11,7 @@ package webgraph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -173,7 +174,7 @@ func (b *Builder) Build() *Graph {
 	var m int64
 	for p := 0; p < b.n; p++ {
 		lst := b.adj[p]
-		sort.Slice(lst, func(i, j int) bool { return lst[i] < lst[j] })
+		slices.Sort(lst)
 		// Deduplicate in place.
 		k := 0
 		for i := range lst {

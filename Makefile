@@ -98,15 +98,16 @@ test-bench:
 # after OpenServing one string per domain, the URLs in one block, no
 # term lists and an index equal to one built over the crawl, every
 # posting list at its exact size and owning its terms, and corpusio.Read
-# at one allocation a page and a domain whatever the terms (a string
-# copied per page or per term, or a list grown by append, trips them).
+# at one allocation a page and a domain whatever the terms, and at the
+# file's bytes once (a string copied per page or per term, a list grown
+# by append, or the file held twice, trips them).
 # Run with -count=1 so the guard always executes.
 check-overhead:
 	$(GO) test -count=1 -run 'TestUntracedTracingAddsNoAllocs|TestNavigateLookupsPinned|TestQ3RowsAndMergeAllocs|TestWarmQ2AllocatesLessThanStanford|TestWarmQ3AllocatesLessThanItsBitset|TestWarmQ5CompilesNoFilter' ./internal/query
 	$(GO) test -count=1 -run 'TestUntracedPrimitivesZeroAlloc' ./internal/trace
 	$(GO) test -count=1 -run 'TestCrossProcessUntracedZeroAlloc|TestDecodePartialAllocs|TestQ3LegAllocs|TestLegReadAllocatesItsBodyOnce' ./internal/trace ./internal/serve ./internal/router
 	$(GO) test -count=1 -run 'TestWarmMergedNeighborsAllocatesNothing|TestServingShardHoldsPageMetaOnce' ./internal/shard
-	$(GO) test -count=1 -run 'TestReadAllocsPerPageNotPerTerm|TestBuildHoldsPostingsExactAndTermsOwn' ./internal/corpusio ./internal/textindex
+	$(GO) test -count=1 -run 'TestReadAllocsPerPageNotPerTerm|TestReadHoldsTheFileOnce|TestBuildHoldsPostingsExactAndTermsOwn' ./internal/corpusio ./internal/textindex
 	$(GO) test -count=1 -run 'TestDecodeHotPathAllocs|TestWarmOutAllocatesNothing|TestWarmNeighborsAllocatesNothing|TestColdOutAllocsPerLoad|TestBucketingAllocsIndependentOfEdges|TestLookupCountersPinned' ./internal/snode
 	$(GO) test -count=1 -run 'TestClusteredSplitAllocs' ./internal/partition
 
@@ -196,12 +197,13 @@ test-obs:
 # Codec gate: encode→decode identity for the one codec, paper §3's
 # refenc lists and bounded gap-coded sources, over every payload kind
 # through the one framing (fuzz seed corpora included), a build's
-# adjacency row-identical to its corpus with the paper codec recorded,
-# the retired-and-future-version rejection suite with the lz and log
-# wire IDs refused by name, a directory that contradicts the supernode
+# adjacency row-identical to its corpus, meta.bin's round trip, the
+# rejection of meta.bin versions 1 and 2 (rebuild the dataset) and of a
+# future one, a directory that contradicts the supernode
 # graph refused at Open, meta.bin held to the shared reader's checks (a
-# length prefix that sizes nothing, a value too wide for its field,
-# trailing bytes, FuzzReadMeta's seed corpus), and hostile-input decode
+# length prefix that sizes nothing, a directory of seven-byte entries
+# read back, a value too wide for its field, trailing bytes,
+# FuzzReadMeta's seed corpus), and hostile-input decode
 # over flipped payload bytes; below the codec,
 # the windowed bit reader against its bit-at-a-time reference, the
 # one-window gamma, minimal-binary, gap-list and Huffman decoders
@@ -231,7 +233,7 @@ test-codec:
 	$(GO) test -count=1 -run 'TestReaderMatchesBitAtATimeReference|TestUnaryZeroTailOverruns' ./internal/bitio
 	$(GO) test -count=1 -run 'TestWindowDecodersMatchReferences|TestGammaAtTheEdgesOfTheWindow|TestHuffmanWindowDecodeMatchesBitwise|TestRLERunsRejectOverlongRun' ./internal/coding
 	$(GO) test -count=1 -run 'TestDecodeRejects|TestDecodeAcceptsZeroBitFinalValue|TestDecodeListsAreExactSizedFlatArrays|TestDecodeListMatchesDecodeLists|TestReadRunRejectsOverflowGap|TestRejectsBadLists' ./internal/refenc
-	$(GO) test -count=1 -run 'TestNeighbors|TestCodec|FuzzCodecRoundTrip|FuzzDecodeHostile|TestCorruptIndexAllCodecs|TestMeasureDecode|TestUnknown|TestRetiredCodecRefusedByName|TestOpenRefusesContradictoryDirectory|TestSourcesFirst|TestSourcesOnly|TestVerifyLeavesMaterializedEntries|TestScan|TestMaterialized|TestCorruptListSection|TestDecodeListEqualsDecodeGraph|TestColdWarmAndDamagedReadsAgree|TestGraphAdmittedAtMostOnce|TestDecodedRowsEqualParents|TestHostileVerdictsEqualParents|TestFlightIsMadeByItsFirstWaiter|TestParkedLeaderReleasesLookupsWaitingOnIt|TestLengthPrefixSizesNoAllocation|TestValueTooWideForItsFieldIsRefused|TestTrailingBytesAreRefused|FuzzReadMeta' ./internal/snode
+	$(GO) test -count=1 -run 'TestNeighbors|TestCodec|FuzzCodecRoundTrip|FuzzDecodeHostile|TestCorruptIndexAllCodecs|TestMeasureDecode|TestUnknownMetaVersionRejected|TestOpenRefusesContradictoryDirectory|TestSourcesFirst|TestSourcesOnly|TestVerifyLeavesMaterializedEntries|TestScan|TestMaterialized|TestCorruptListSection|TestDecodeListEqualsDecodeGraph|TestColdWarmAndDamagedReadsAgree|TestGraphAdmittedAtMostOnce|TestDecodedRowsEqualParents|TestHostileVerdictsEqualParents|TestFlightIsMadeByItsFirstWaiter|TestParkedLeaderReleasesLookupsWaitingOnIt|TestLengthPrefixSizesNoAllocation|TestDirectoryCountBoundIsSevenBytes|TestValueTooWideForItsFieldIsRefused|TestTrailingBytesAreRefused|FuzzReadMeta' ./internal/snode
 	$(GO) test -count=1 -run 'TestOracle' ./internal/store
 
 # Ingestion gate: the hostile-input parser table (comments, CRLF,

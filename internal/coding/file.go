@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"strings"
+	"unsafe"
 )
 
 // Files on disk, and frames on the wire. Every artifact that is written
@@ -146,10 +147,12 @@ type Reader struct {
 	err      error
 }
 
-// NewReader reads b. The bytes are converted to a string once, here, and
-// every Str and Raw is a substring of it: no allocation a field.
-func NewReader(b []byte) *Reader {
-	return &Reader{src: string(b), size: int64(len(b)), buf: b, end: len(b)}
+// NewReader reads s in place: every Str and Raw is a substring of it, so
+// neither the bytes nor a field is copied. The integers are read through
+// a byte view of s, which nothing writes to (only a file reader's buffer
+// is ever refilled).
+func NewReader(s string) *Reader {
+	return &Reader{src: s, size: int64(len(s)), buf: unsafe.Slice(unsafe.StringData(s), len(s)), end: len(s)}
 }
 
 // OpenFile opens path for reading from its first byte.

@@ -68,7 +68,7 @@ func TestFileRoundTrip(t *testing.T) {
 	if !bytes.Equal(mem.Bytes(), want) || mem.Offset() != int64(len(want)) {
 		t.Fatalf("a Writer over memory holds %x at offset %d, the file %x", mem.Bytes(), mem.Offset(), want)
 	}
-	readAll(t, NewReader(mem.Bytes()))
+	readAll(t, NewReader(string(mem.Bytes())))
 }
 
 // readAll reads back what writeAll wrote and fails on any difference.
@@ -192,7 +192,7 @@ func TestReaderRefusals(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The file and the same bytes in memory fail alike, at the same byte.
-		for _, r := range []*Reader{r, NewReader(c.bytes)} {
+		for _, r := range []*Reader{r, NewReader(string(c.bytes))} {
 			src := "file"
 			if r.f == nil {
 				src = "memory"
@@ -268,7 +268,7 @@ func TestReaderAcrossBufferRefills(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range []*Reader{p, NewReader(valid[:cut])} {
+		for _, r := range []*Reader{p, NewReader(string(valid[:cut]))} {
 			r.Uvarint()
 			r.Str()
 			r.U64()

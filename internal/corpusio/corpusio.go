@@ -1,72 +1,62 @@
-// Package corpusio serializes a crawl (corpus + crawl order) to one
-// file: a dataset's meta.bin, the page metadata every shard replicates,
-// written edge-free by shard.Build and read back by shard.OpenServing.
+// Package corpusio serializes a crawl's page metadata to one file: a
+// dataset's meta.bin, the URL, domain and terms of every page, which
+// shard.Build writes and every shard reads back in shard.OpenServing.
+// It holds no links and no crawl order: the S-Node stores hold the
+// links, and nothing that serves a dataset reads an order.
 //
-// Format: uvarint page count; per page: URL, domain, term list
-// (length-prefixed strings), gap-coded adjacency; then the crawl order.
+// Format: uvarint page count; per page: URL, domain, uvarint term count,
+// terms (each string uvarint-length-prefixed).
 //
-// Read holds each piece of metadata once: one Domain string a domain,
-// the URLs in one block, and the terms as substrings of the file until
-// the text index has copied each distinct one (shard.OpenServing then
-// drops them).
+// Read holds each piece of metadata once: the file is read into one
+// string, a domain's pages share one Domain string, the URLs are copied
+// into one block, and the terms are substrings of the file until the
+// text index has copied each distinct one (shard.OpenServing then drops
+// them).
 package corpusio
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"snode/internal/coding"
-	"snode/internal/synth"
 	"snode/internal/webgraph"
 )
 
-// Write serializes a crawl to path.
-func Write(c *synth.Crawl, path string) error {
+// Write serializes pages to path.
+func Write(pages []webgraph.PageMeta, path string) error {
 	return coding.WriteFile(path, func(w *coding.Writer) error {
-		g := c.Corpus.Graph
-		n := g.NumPages()
-		w.Uvarint(uint64(n))
-		for pid := 0; pid < n; pid++ {
-			pm := c.Corpus.Pages[pid]
+		w.Uvarint(uint64(len(pages)))
+		for _, pm := range pages {
 			w.Str(pm.URL)
 			w.Str(pm.Domain)
 			w.Uvarint(uint64(len(pm.Terms)))
 			for _, t := range pm.Terms {
 				w.Str(t)
 			}
-			adj := g.Out(int32(pid))
-			w.Uvarint(uint64(len(adj)))
-			prev := int64(-1)
-			for _, t := range adj {
-				w.Uvarint(uint64(int64(t) - prev))
-				prev = int64(t)
-			}
-		}
-		for _, pid := range c.Order {
-			w.Uvarint(uint64(pid))
 		}
 		return nil
 	})
 }
 
-// minPageBytes is the least a page can occupy: empty URL, domain, term
-// list and adjacency at a byte each, and its entry in the crawl order.
-const minPageBytes = 5
+// minPageBytes is the least a page can occupy: an empty URL, domain and
+// term list at a byte each.
+const minPageBytes = 3
 
-// Read loads a crawl written by Write, and nothing else: a page count
-// the file is too short to hold, an adjacency list that does not ascend
-// strictly within [0, n), a crawl order that is not a permutation of the
-// pages, and bytes after the order are all refused, before anything is
-// sized or indexed by them.
+// Read loads the pages Write wrote, and nothing else: a page count the
+// file is too short to hold, a field the file ends inside, bytes after
+// the last page and pages webgraph.ValidatePages refuses are all
+// refused, before anything is sized or indexed by them.
 //
-// The file is read whole and parsed in memory. A domain's pages are one
-// run, so only a change of domain copies a Domain string; the URLs are
-// copied into one block; each page's terms are substrings of the file's
-// bytes, which they keep alive until they are dropped. A read allocates
+// The file is read into one string, sized from Stat, and parsed in
+// place. A domain's pages are one run, so only a change of domain copies
+// a Domain string; the URLs are copied into one block, sized exactly;
+// each page's terms are substrings of the file, which they keep alive
+// until they are dropped. A read allocates the file's bytes once, and
 // per page and per domain, never per term.
-func Read(path string) (*synth.Crawl, error) {
-	raw, err := os.ReadFile(path)
+func Read(path string) ([]webgraph.PageMeta, error) {
+	raw, err := readString(path)
 	if err != nil {
 		return nil, err
 	}
@@ -79,57 +69,60 @@ func Read(path string) (*synth.Crawl, error) {
 		return nil, fmt.Errorf("corpusio: %s holds no pages", path)
 	}
 	pages := make([]webgraph.PageMeta, n)
-	var urls []byte
-	urlEnd := make([]int, n)
-	b := webgraph.NewBuilder(n)
-	for pid := 0; pid < n; pid++ {
-		urls = append(urls, r.Str()...)
-		urlEnd[pid] = len(urls)
+	urlBytes := 0
+	for pid := range pages {
+		pm := &pages[pid]
+		pm.URL = r.Str() // a substring of the file until the block below
+		urlBytes += len(pm.URL)
 		if d := r.Str(); pid > 0 && d == pages[pid-1].Domain {
-			pages[pid].Domain = pages[pid-1].Domain
+			pm.Domain = pages[pid-1].Domain
 		} else {
-			pages[pid].Domain = strings.Clone(d)
+			pm.Domain = strings.Clone(d)
 		}
-		terms := make([]string, r.Count(1<<16, 1))
-		for i := range terms {
-			terms[i] = r.Str()
-		}
-		pages[pid].Terms = terms
-		prev := int64(-1)
-		for deg := r.Count(n, 1); deg > 0 && r.Step(&prev, int64(n)); deg-- {
-			b.AddEdge(int32(pid), int32(prev))
+		pm.Terms = make([]string, r.Count(1<<16, 1))
+		for i := range pm.Terms {
+			pm.Terms[i] = r.Str()
 		}
 		if r.Err() != nil {
 			return nil, fmt.Errorf("corpusio: %s: page %d: %w", path, pid, r.Err())
 		}
 	}
-	block, start := string(urls), 0
-	for pid, end := range urlEnd {
-		pages[pid].URL = block[start:end]
-		start = end
-	}
-	order := make([]int32, n)
-	seen := make([]bool, n)
-	for i := range order {
-		p := r.Uvarint()
-		if r.Err() != nil {
-			return nil, fmt.Errorf("corpusio: %s: order: %w", path, r.Err())
-		}
-		if p >= uint64(n) || seen[p] {
-			return nil, fmt.Errorf("corpusio: order entry %d names page %d: outside [0,%d) or already crawled", i, p, n)
-		}
-		seen[p] = true
-		order[i] = int32(p)
-	}
 	if r.End(); r.Err() != nil {
 		return nil, fmt.Errorf("corpusio: %s: %w", path, r.Err())
 	}
-	crawl := &synth.Crawl{
-		Corpus: &webgraph.Corpus{Graph: b.Build(), Pages: pages},
-		Order:  order,
+	var block strings.Builder
+	block.Grow(urlBytes)
+	for _, pm := range pages {
+		block.WriteString(pm.URL)
 	}
-	if err := crawl.Corpus.Validate(); err != nil {
-		return nil, err
+	urls := block.String()
+	for pid := range pages {
+		k := len(pages[pid].URL)
+		pages[pid].URL, urls = urls[:k], urls[k:]
 	}
-	return crawl, nil
+	if err := webgraph.ValidatePages(pages); err != nil {
+		return nil, fmt.Errorf("corpusio: %s: %w", path, err)
+	}
+	return pages, nil
+}
+
+// readString reads the file at path into one string, its only copy: a
+// builder grown to the size Stat reports, filled through a buffer no
+// larger than the file.
+func readString(path string) (string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return "", err
+	}
+	var sb strings.Builder
+	sb.Grow(int(fi.Size()))
+	if _, err := io.CopyN(&sb, f, fi.Size()); err != nil {
+		return "", fmt.Errorf("corpusio: %s: %w", path, err)
+	}
+	return sb.String(), nil
 }

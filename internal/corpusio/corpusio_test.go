@@ -6,8 +6,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
-	"slices"
+	"strings"
 	"testing"
 
 	"snode/internal/store"
@@ -15,37 +16,29 @@ import (
 	"snode/internal/webgraph"
 )
 
-func TestWriteReadRoundTrip(t *testing.T) {
-	crawl, err := synth.Generate(synth.DefaultConfig(1200))
+// writeCrawl writes the pages of a synthetic crawl of n pages to a
+// temporary file and returns them and its path.
+func writeCrawl(t *testing.T, n int) ([]webgraph.PageMeta, string) {
+	t.Helper()
+	crawl, err := synth.Generate(synth.DefaultConfig(n))
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "corpus.bin")
-	if err := Write(crawl, path); err != nil {
+	if err := Write(crawl.Corpus.Pages, path); err != nil {
 		t.Fatal(err)
 	}
+	return crawl.Corpus.Pages, path
+}
+
+func TestWriteReadRoundTrip(t *testing.T) {
+	pages, path := writeCrawl(t, 1200)
 	got, err := Read(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Corpus.Graph.Equal(crawl.Corpus.Graph) {
-		t.Fatal("graph differs after round trip")
-	}
-	for i := range crawl.Corpus.Pages {
-		a, b := crawl.Corpus.Pages[i], got.Corpus.Pages[i]
-		if a.URL != b.URL || a.Domain != b.Domain || len(a.Terms) != len(b.Terms) {
-			t.Fatalf("page %d metadata differs", i)
-		}
-		for j := range a.Terms {
-			if a.Terms[j] != b.Terms[j] {
-				t.Fatalf("page %d term %d differs", i, j)
-			}
-		}
-	}
-	for i := range crawl.Order {
-		if got.Order[i] != crawl.Order[i] {
-			t.Fatalf("crawl order differs at %d", i)
-		}
+	if !reflect.DeepEqual(got, pages) {
+		t.Fatal("pages differ after round trip")
 	}
 }
 
@@ -56,14 +49,7 @@ func TestReadMissing(t *testing.T) {
 }
 
 func TestReadTruncated(t *testing.T) {
-	crawl, err := synth.Generate(synth.DefaultConfig(500))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "corpus.bin")
-	if err := Write(crawl, path); err != nil {
-		t.Fatal(err)
-	}
+	_, path := writeCrawl(t, 500)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -87,14 +73,7 @@ func TestReadGarbage(t *testing.T) {
 }
 
 func TestReadBitFlipsNoPanic(t *testing.T) {
-	crawl, err := synth.Generate(synth.DefaultConfig(300))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "corpus.bin")
-	if err := Write(crawl, path); err != nil {
-		t.Fatal(err)
-	}
+	_, path := writeCrawl(t, 300)
 	clean, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -116,38 +95,28 @@ func TestReadBitFlipsNoPanic(t *testing.T) {
 	}
 }
 
-// TestReadAllocsPerPageNotPerTerm: over an edge-free crawl, as a
-// dataset's meta.bin is, Read allocates for each page and each domain,
-// and a constant beside them, whatever the number of terms: the same
-// crawl with every page's terms listed eight times over costs no more
-// allocations.
+// TestReadAllocsPerPageNotPerTerm: Read allocates for each page and each
+// domain, and a constant beside them, whatever the number of terms: the
+// same crawl with every page's terms listed eight times over costs no
+// more allocations.
 func TestReadAllocsPerPageNotPerTerm(t *testing.T) {
 	crawl, err := synth.Generate(synth.DefaultConfig(2000))
 	if err != nil {
 		t.Fatal(err)
 	}
 	pages := crawl.Corpus.Pages
-	edgeFree, err := webgraph.NewGraphCSR(make([]int64, len(pages)+1), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	domains := 1
-	for i := 1; i < len(pages); i++ {
-		if pages[i].Domain != pages[i-1].Domain {
-			domains++
-		}
-	}
+	domains := len(store.NewDomainRanges(pages))
 	allocs := func(repeat int) float64 {
-		c := webgraph.Corpus{Graph: edgeFree, Pages: make([]webgraph.PageMeta, len(pages))}
+		repeated := make([]webgraph.PageMeta, len(pages))
 		for i, pm := range pages {
-			c.Pages[i] = pm
-			c.Pages[i].Terms = nil
+			repeated[i] = pm
+			repeated[i].Terms = nil
 			for r := 0; r < repeat; r++ {
-				c.Pages[i].Terms = append(c.Pages[i].Terms, pm.Terms...)
+				repeated[i].Terms = append(repeated[i].Terms, pm.Terms...)
 			}
 		}
 		path := filepath.Join(t.TempDir(), "corpus.bin")
-		if err := Write(&synth.Crawl{Corpus: &c, Order: crawl.Order}, path); err != nil {
+		if err := Write(repeated, path); err != nil {
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(3, func() {
@@ -166,109 +135,141 @@ func TestReadAllocsPerPageNotPerTerm(t *testing.T) {
 	}
 }
 
-// encode lays a three-page crawl file of domain a.com out by hand, so a
-// case can hold bytes Write never produces: each page's adjacency as raw
-// gaps, the crawl order as raw entries, then whatever follows.
-func encode(gaps [3][]uint64, order []uint64, tail ...byte) []byte {
-	return encodeDomains([3]string{"a.com", "a.com", "a.com"}, gaps, order, tail...)
+// TestReadHoldsTheFileOnce: the bytes Read allocates over a term-free
+// crawl stay below twice the file plus 64 B a page. The file is read
+// into the one string every field is parsed from (one copy), the URLs
+// are copied into one block (most of a second), and each page's
+// metadata takes 56 B; a second copy of the file, or a URL block grown
+// by doubling, does not fit.
+func TestReadHoldsTheFileOnce(t *testing.T) {
+	crawl, err := synth.Generate(synth.DefaultConfig(20000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pages := crawl.Corpus.Pages
+	for i := range pages {
+		pages[i].Terms = nil
+	}
+	path := filepath.Join(t.TempDir(), "corpus.bin")
+	if err := Write(pages, path); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := Read(path)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*fi.Size()+64*int64(len(pages)))
+	t.Logf("%d pages, a %d-byte file: Read allocated %d bytes (limit %d)", len(got), fi.Size(), alloc, limit)
+	if alloc > limit {
+		t.Errorf("Read allocated %d bytes for a %d-byte file of %d pages, above %d", alloc, fi.Size(), len(pages), limit)
+	}
 }
 
-// encodeDomains is encode with each page's domain given.
-func encodeDomains(domains [3]string, gaps [3][]uint64, order []uint64, tail ...byte) []byte {
-	var out []byte
-	uvarint := func(v uint64) { out = binary.AppendUvarint(out, v) }
-	str := func(s string) { uvarint(uint64(len(s))); out = append(out, s...) }
-	uvarint(3)
-	for p, g := range gaps {
-		str(fmt.Sprintf("http://%s/%d", domains[p], p))
-		str(domains[p])
-		uvarint(1)
+// page is one record of a hand-laid file.
+type page struct{ url, domain string }
+
+// encode lays a file out by hand, so a case can hold bytes Write never
+// produces: a page count, each page's URL, domain and the one term "t",
+// then whatever follows.
+func encode(count int, pages []page, tail ...byte) []byte {
+	out := binary.AppendUvarint(nil, uint64(count))
+	str := func(s string) { out = append(binary.AppendUvarint(out, uint64(len(s))), s...) }
+	for _, p := range pages {
+		str(p.url)
+		str(p.domain)
+		out = binary.AppendUvarint(out, 1)
 		str("t")
-		uvarint(uint64(len(g)))
-		for _, d := range g {
-			uvarint(d)
-		}
-	}
-	for _, p := range order {
-		uvarint(p)
 	}
 	return append(out, tail...)
 }
 
+// threePages is a valid file's pages, each domain given.
+func threePages(domains ...string) []page {
+	var out []page
+	for p, d := range domains {
+		out = append(out, page{fmt.Sprintf("http://%s/%d", d, p), d})
+	}
+	return out
+}
+
+// validFile is the three-page file the tests below start from.
+func validFile() []byte {
+	return encode(3, threePages("example.com", "example.com", "example.net"))
+}
+
 // TestHostileFilesAreRefused: Read answers bytes no Write produced with
-// an error — never a panic, never a crawl. The named cases are the ones
-// that used to load: a repeated target (the graph silently lost an
-// edge), a gap whose int64 is negative (a descending list), a crawl
-// order naming a page twice or a page that does not exist (used as an
-// index by the layouts built from it), bytes after the order, a domain
-// whose pages resume after another domain's (its domain range would
-// hold its last run alone). Then every strict prefix of the valid file.
+// an error — never a panic, never pages. The named cases: a domain whose
+// pages resume after another domain's (its domain range would hold its
+// last run alone), pages without a URL or a domain, bytes after the last
+// page, a page count the file cannot hold. A page's least record is
+// three bytes (an empty URL, domain and term list), and the count is
+// held to that: pages of three bytes get past it to the page check, one
+// byte fewer and the count is refused. Then every strict prefix of the
+// valid file.
 func TestHostileFilesAreRefused(t *testing.T) {
-	validGaps := [3][]uint64{{2, 1}, nil, {1}} // 0:[1 2] 1:[] 2:[0]
-	validOrder := []uint64{2, 0, 1}
-	valid := encode(validGaps, validOrder)
+	valid := validFile()
 	path := filepath.Join(t.TempDir(), "corpus.bin")
 
-	// The hand-laid bytes are Write's bytes, and load as the same crawl.
-	b := webgraph.NewBuilder(3)
-	b.AddEdge(0, 1)
-	b.AddEdge(0, 2)
-	b.AddEdge(2, 0)
-	crawl := &synth.Crawl{Corpus: &webgraph.Corpus{Graph: b.Build()}, Order: []int32{2, 0, 1}}
-	for p := 0; p < 3; p++ {
-		crawl.Corpus.Pages = append(crawl.Corpus.Pages, webgraph.PageMeta{
-			URL: fmt.Sprintf("http://a.com/%d", p), Domain: "a.com", Terms: []string{"t"}})
+	// The hand-laid bytes are Write's bytes, and load as the same pages.
+	var want []webgraph.PageMeta
+	for _, p := range threePages("example.com", "example.com", "example.net") {
+		want = append(want, webgraph.PageMeta{URL: p.url, Domain: p.domain, Terms: []string{"t"}})
 	}
-	if err := Write(crawl, path); err != nil {
+	if err := Write(want, path); err != nil {
 		t.Fatal(err)
 	}
 	if written, err := os.ReadFile(path); err != nil || !bytes.Equal(written, valid) {
 		t.Fatalf("Write produced %x (err %v), the test's encoder %x", written, err, valid)
 	}
-	got, err := Read(path)
-	if err != nil {
-		t.Fatalf("the valid file is refused: %v", err)
-	}
-	if !got.Corpus.Graph.Equal(crawl.Corpus.Graph) || !slices.Equal(got.Order, crawl.Order) {
-		t.Fatal("the valid file loads as a different crawl")
+	if got, err := Read(path); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("the valid file loads as %v (err %v), want %v", got, err, want)
 	}
 
 	type hostile struct {
 		name  string
 		bytes []byte
+		want  string // in the error
 	}
 	cases := []hostile{
-		{"zero gap repeats a target", encode([3][]uint64{{2, 0}, nil, {1}}, validOrder)},
-		{"gap of 2^64-1 steps backwards", encode([3][]uint64{{3, 1<<64 - 1}, nil, {1}}, validOrder)},
-		{"gap of 2^63 wraps negative", encode([3][]uint64{{1 << 63}, nil, {1}}, validOrder)},
-		{"target beyond the pages", encode([3][]uint64{{2, 2}, nil, {1}}, validOrder)},
-		{"order names a page that does not exist", encode(validGaps, []uint64{2, 0, 3})},
-		{"order names a page twice", encode(validGaps, []uint64{2, 0, 0})},
-		{"bytes after the order", encode(validGaps, validOrder, 0)},
-		{"a domain reopened after another", encodeDomains([3]string{"a.com", "b.com", "a.com"}, validGaps, validOrder)},
-		{"page count the file cannot hold", binary.AppendUvarint(nil, 1<<30)},
+		{"a domain reopened after another", encode(3, threePages("example.com", "example.net", "example.com")), "reopens example.com"},
+		{"a page without a URL", encode(3, append(threePages("example.com", "example.com"), page{"", "example.com"})), "page 2 missing URL or domain"},
+		{"a page without a domain", encode(3, append(threePages("example.com", "example.com"), page{"http://example.com/2", ""})), "page 2 missing URL or domain"},
+		{"bytes after the last page", append(valid, 0), "1 bytes after the last field"},
+		{"page count the file cannot hold", binary.AppendUvarint(nil, 1<<30), "count 1073741824"},
+		{"forty pages of three bytes", encode(40, nil, make([]byte, 3*40)...), "page 0 missing URL or domain"},
+		{"forty pages in 119 bytes", encode(40, nil, make([]byte, 3*40-1)...), "count 40, at 3 bytes each"},
 	}
 	for n := 0; n < len(valid); n++ {
-		cases = append(cases, hostile{fmt.Sprintf("truncated to %d bytes", n), valid[:n]})
+		cases = append(cases, hostile{fmt.Sprintf("truncated to %d bytes", n), valid[:n], ""})
 	}
 	for _, c := range cases {
 		if err := os.WriteFile(path, c.bytes, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if crawl, err := Read(path); err == nil {
-			t.Errorf("%s: loaded as a crawl of %d pages, %d edges", c.name, crawl.Corpus.Graph.NumPages(), crawl.Corpus.Graph.NumEdges())
+		if pages, err := Read(path); err == nil {
+			t.Errorf("%s: loaded as %d pages", c.name, len(pages))
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want it to say %q", c.name, err, c.want)
 		}
 	}
 }
 
 // FuzzCorpusRead: whatever the bytes, Read neither panics nor sizes
-// anything beyond a multiple of the file, and a crawl it returns passes
-// the corpus's own Validate, keeps each domain's pages in its domain
-// range, and has an order that is a permutation. Seeds:
-// the three-page file above, every strict prefix of it, and (committed
-// under testdata/fuzz) the hostile files that used to load.
+// anything beyond a multiple of the file, and pages it returns pass
+// webgraph.ValidatePages and keep each domain's pages in its domain
+// range. Seeds: the valid three-page file, every strict prefix of it,
+// and (committed under testdata/fuzz) the hostile files that used to
+// load — some in a layout that held links and a crawl order, which must
+// now be refused as they stand.
 func FuzzCorpusRead(f *testing.F) {
-	valid := encode([3][]uint64{{2, 1}, nil, {1}}, []uint64{2, 0, 1})
+	valid := validFile()
 	for n := 0; n <= len(valid); n++ {
 		f.Add(valid[:n])
 	}
@@ -279,29 +280,22 @@ func FuzzCorpusRead(f *testing.F) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		crawl, err := Read(path)
+		pages, err := Read(path)
 		runtime.ReadMemStats(&after)
 		if err == nil {
-			if verr := crawl.Corpus.Validate(); verr != nil {
-				t.Fatalf("Read returned a corpus its own Validate refuses: %v", verr)
+			if verr := webgraph.ValidatePages(pages); verr != nil {
+				t.Fatalf("Read returned pages ValidatePages refuses: %v", verr)
 			}
-			ranges := store.NewDomainRanges(crawl.Corpus.Pages)
-			for p, pm := range crawl.Corpus.Pages {
+			ranges := store.NewDomainRanges(pages)
+			for p, pm := range pages {
 				if !ranges[pm.Domain].Contains(webgraph.PageID(p)) {
 					t.Fatalf("Read returned page %d of %s outside the domain's range %v", p, pm.Domain, ranges[pm.Domain])
 				}
 			}
-			seen := make([]bool, len(crawl.Order))
-			for _, p := range crawl.Order {
-				if p < 0 || int(p) >= len(seen) || seen[p] {
-					t.Fatalf("Read returned an order that is no permutation: %v", crawl.Order)
-				}
-				seen[p] = true
-			}
 		}
-		// A page costs five bytes and sizes 56 B of metadata, 24 B of
-		// adjacency header, 8 B of offset and 5 B of order; a one-byte
-		// term sizes a 16 B header; 4 KiB for the file.
+		// A page costs three bytes and sizes 56 B of metadata; a term
+		// costs a byte and sizes a 16 B header; the file is held once and
+		// read through a buffer no larger than it; 4 KiB for the rest.
 		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(4<<10+64*len(raw)); alloc > limit {
 			t.Fatalf("a %d-byte file made Read allocate %d bytes (limit %d)", len(raw), alloc, limit)
 		}

@@ -20,7 +20,7 @@ import (
 
 // entry is one catalogue row: a metric name, its kind and what it
 // counts. A name may hold {a,b,...} groups, each spelling one more
-// name; codec-suffixed gauges are spelled for the default codec.
+// name.
 type entry struct {
 	name, kind, what string
 }
@@ -43,8 +43,6 @@ var catalogue = []entry{
 	{"snode_{fwd,rev}_cache_{bytes,entries}", "gauge", "bytes and graphs resident in the buffer manager, encoded or decoded"},
 	{"snode_{fwd,rev}_inflight_decodes", "gauge", "decodes in flight in the single-flight table"},
 	{"snode_{fwd,rev}_decode_seconds", "histogram", "every lower-level graph decode: loads, materializations and single-list decodes"},
-	{"snode_{fwd,rev}_codec_{supernodes,graphs,bytes,edges}_paper", "gauge", "the artifact's static composition, named for its one codec, `paper` (paper §3)"},
-	{"snode_{fwd,rev}_bits_per_edge_milli_paper", "gauge", "the artifact's bits per edge, in milli-bits"},
 	{"{snode,delta}_{fwd,rev}_io_{seeks,reads,bytes_read,skipped_bytes}", "counter", "modeled disk accounting (`iosim`): seeks charged, reads, bytes transferred, forward gaps absorbed by readahead"},
 	{"{snode,delta}_{fwd,rev}_io_{stalls,stall_nanos}", "counter", "paced stalls slept, and the real time they took"},
 	{"{snode,delta}_{fwd,rev}_io_modeled_nanos", "gauge", "modeled disk time the I/O counters imply"},

@@ -94,7 +94,7 @@ func encodePartial(p *PartialQueryResponse) partialFrame {
 // keys are substrings of one string made from b and a row's pages one
 // slice, so the allocations do not grow with the rows or the pages.
 func DecodePartial(b []byte) (PartialQueryResponse, error) {
-	r := coding.NewReader(b)
+	r := coding.NewReader(string(b))
 	version := r.Uint8()
 	p := PartialQueryResponse{Query: int(r.Uint8()), Shard: int(r.Int32())}
 	var err error

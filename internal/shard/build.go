@@ -17,7 +17,7 @@ import (
 // Build partitions a crawl into k shards under root:
 //
 //	root/manifest.json       page→shard assignment + artifact index
-//	root/meta.bin            full page metadata, edge-free (replicated state)
+//	root/meta.bin            page metadata: URL, domain, terms (replicated state)
 //	root/pagerank.bin        global normalized PageRank
 //	root/shard-<i>/snode.fwd S-Node over shard i's intra edges
 //	root/shard-<i>/snode.rev S-Node over the intra transpose
@@ -53,18 +53,10 @@ func Build(crawl *synth.Crawl, k int, root string, cfg snode.Config) (*Manifest,
 		}
 	}
 
-	// Replicated global state: edge-free metadata corpus + PageRank
-	// computed once over the FULL graph, so every shard ranks pages
-	// exactly as a single-node repository would.
-	emptyGraph, err := webgraph.NewGraphCSR(make([]int64, n+1), nil)
-	if err != nil {
-		return nil, err
-	}
-	metaCrawl := &synth.Crawl{
-		Corpus: &webgraph.Corpus{Graph: emptyGraph, Pages: c.Pages},
-		Order:  crawl.Order,
-	}
-	if err := corpusio.Write(metaCrawl, filepath.Join(root, metaName)); err != nil {
+	// Replicated global state: the page metadata, and PageRank computed
+	// once over the FULL graph, so every shard ranks pages exactly as a
+	// single-node repository would.
+	if err := corpusio.Write(c.Pages, filepath.Join(root, metaName)); err != nil {
 		return nil, err
 	}
 	pr := pagerank.Normalize(pagerank.Compute(c.Graph, pagerank.DefaultConfig()))

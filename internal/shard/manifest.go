@@ -14,16 +14,17 @@ import (
 	"snode/internal/webgraph"
 )
 
-// ManifestFormatVersion guards the manifest layout; readers reject
-// other versions instead of misparsing.
-const ManifestFormatVersion = 1
+// ManifestFormatVersion guards the dataset's layout: the manifest's and
+// the root meta.bin's, which has no header of its own. Readers reject
+// other versions, before any artifact is parsed, instead of misparsing.
+const ManifestFormatVersion = 2
 
 // ManifestName is the manifest's file name under the shard root.
 const ManifestName = "manifest.json"
 
 // Root-level artifact names.
 const (
-	metaName     = "meta.bin"     // page metadata corpus (edge-free)
+	metaName     = "meta.bin"     // page metadata: URL, domain, terms (corpusio)
 	pageRankName = "pagerank.bin" // global normalized PageRank
 )
 
@@ -123,7 +124,7 @@ func LoadManifest(root string) (*Manifest, error) {
 		return nil, fmt.Errorf("shard: bad manifest: %w", err)
 	}
 	if m.FormatVersion != ManifestFormatVersion {
-		return nil, fmt.Errorf("shard: manifest format %d, want %d", m.FormatVersion, ManifestFormatVersion)
+		return nil, fmt.Errorf("shard: manifest format %d, not %d: rebuild the dataset", m.FormatVersion, ManifestFormatVersion)
 	}
 	if want := m.stamp(); m.Version != want {
 		return nil, fmt.Errorf("shard: manifest version %q does not match contents (%q)", m.Version, want)

@@ -23,7 +23,8 @@ import (
 // domain's pages share one Domain string and every URL is a substring
 // of one block. The text index is the only reader of the pages' terms,
 // so once it holds them they are dropped: a serving shard's
-// Corpus.Pages[].Terms is nil.
+// Corpus.Pages[].Terms is nil. Its links are the stores', and its
+// Corpus.Graph is nil: no shard path reads it.
 type ServingShard struct {
 	ID       int
 	Manifest *Manifest
@@ -59,11 +60,10 @@ func OpenServing(root string, id int, cacheBudget int64, model iosim.Model) (*Se
 	if id < 0 || id >= m.NumShards {
 		return nil, fmt.Errorf("shard: id %d out of range [0,%d)", id, m.NumShards)
 	}
-	meta, err := corpusio.Read(filepath.Join(root, m.Meta))
+	pages, err := corpusio.Read(filepath.Join(root, m.Meta))
 	if err != nil {
 		return nil, err
 	}
-	pages := meta.Corpus.Pages
 	if len(pages) != m.NumPages {
 		return nil, fmt.Errorf("shard: metadata has %d pages, manifest %d", len(pages), m.NumPages)
 	}
@@ -96,7 +96,7 @@ func OpenServing(root string, id int, cacheBudget int64, model iosim.Model) (*Se
 		pages[i].Terms = nil
 	}
 	nav := &repo.Repository{
-		Corpus:   meta.Corpus,
+		Corpus:   &webgraph.Corpus{Pages: pages},
 		Text:     text,
 		PageRank: pr,
 		Domains:  store.NewDomainRanges(pages),

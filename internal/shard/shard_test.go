@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -234,17 +235,17 @@ func hashTree(t *testing.T, root string) string {
 }
 
 // TestDatasetBytesAreStable pins the dataset format. The manifest
-// version and the hash of every artifact at K = 1, 2 and 4 are the ones
-// the build wrote before K=1 became the corpus graph taken as it
-// stands (taken at commit f066cb7): a reordered edge, a changed field or
-// a format bump fails here. And the one shard of a K=1 dataset holds
+// version and the hash of every artifact at K = 1, 2 and 4 were taken
+// when the manifest became format 2 and meta.bin v3 (the index files,
+// boundary files and pagerank.bin byte-identical to the build before
+// it): a reordered edge, a changed field or a format bump fails here. And the one shard of a K=1 dataset holds
 // what repo.Build writes for the same corpus, file for file, which is
 // what lets a server open either.
 func TestDatasetBytesAreStable(t *testing.T) {
 	for k, want := range map[int][2]string{
-		1: {"c7096173a2b010dc", "3a8a3a125f7bf1842634426a4f3c7e17e47d7cd57694fba14ec669e39d075242"},
-		2: {"05330b8a3b4efb45", "824ff94d5a1a3b0f1b7ec6c1b2e66e1460fb6141fd19493f0ebc677c77fcc976"},
-		4: {"b1ccf01a21567466", "5f05ae8dfaa76c28d7eca218f55f28afe9ec59d87ebc4f8d3e84c73fa048b6ce"},
+		1: {"f29724f958071891", "1dd40827f14039442b4667f9f794c8041667da1879343251cb85611f470433f6"},
+		2: {"8f083ae3bb5521d0", "6d249e46066b294557f3c96843bce80d5b195d477e47ca9b91b6646f26264d38"},
+		4: {"894c3a46cf407123", "1b0650e24ff6b346d63dace21ab2d831ed1bd3f9e9dcd516ffc0411582f348f6"},
 	} {
 		root := getRoot(t, k)
 		m, err := LoadManifest(root)
@@ -264,6 +265,31 @@ func TestDatasetBytesAreStable(t *testing.T) {
 		if want := hashTree(t, filepath.Join(fixtureDir, "ref", sub)); got != want {
 			t.Errorf("K=1 shard-0/%s differs from repo.Build's %s", sub, sub)
 		}
+	}
+}
+
+// TestFormatOneDatasetIsRefused: a dataset whose manifest is stamped
+// format 1, whose meta.bin held an empty adjacency list a page and a
+// crawl order, is refused at OpenServing by its format, before any
+// artifact is opened: the directory holds the manifest alone.
+func TestFormatOneDatasetIsRefused(t *testing.T) {
+	m, err := LoadManifest(getRoot(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.FormatVersion = 1
+	m.Version = m.stamp()
+	buf, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, ManifestName), buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = OpenServing(dir, 0, 1<<20, iosim.Model2002())
+	if err == nil || !strings.Contains(err.Error(), "manifest format 1") || !strings.Contains(err.Error(), "rebuild the dataset") {
+		t.Fatalf("a format-1 dataset: err = %v, want it refused by its format", err)
 	}
 }
 

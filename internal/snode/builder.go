@@ -113,7 +113,6 @@ func BuildFromPartitionCtx(ctx context.Context, c *webgraph.Corpus, p *partition
 		mEncoded = cfg.Metrics.Counter("build_supernodes_encoded")
 		mSuperedges = cfg.Metrics.Counter("build_superedges")
 	}
-	agg := CodecBuildStat{ID: codecIDPaper, Name: codecPaper}
 	encode := func(ctx context.Context, s int) (*encodedSupernode, error) {
 		if hook := encodeFailHook; hook != nil {
 			if err := hook(int32(s)); err != nil {
@@ -139,16 +138,12 @@ func BuildFromPartitionCtx(ctx context.Context, c *webgraph.Corpus, p *partition
 		return es, nil
 	}
 	assemble := func(s int, es *encodedSupernode) error {
-		agg.Supernodes++
 		gid, err := out.addBlob(es.intraBlob, dirEntry{
 			Kind: kindIntra, I: int32(s), J: -1, NumLists: m.SnBase[s+1] - m.SnBase[s],
 		})
 		if err != nil {
 			return err
 		}
-		agg.Graphs++
-		agg.Bytes += int64(len(es.intraBlob))
-		agg.Edges += es.intraEdges
 		m.IntraGID = append(m.IntraGID, gid)
 		m.SuperOff = append(m.SuperOff, int64(len(m.SuperAdj)))
 		for _, sb := range es.supers {
@@ -157,9 +152,6 @@ func BuildFromPartitionCtx(ctx context.Context, c *webgraph.Corpus, p *partition
 			if err != nil {
 				return err
 			}
-			agg.Graphs++
-			agg.Bytes += int64(len(sb.blob))
-			agg.Edges += sb.edges
 			m.SuperAdj = append(m.SuperAdj, sb.j)
 			m.SuperGID = append(m.SuperGID, gid)
 			superDeg[s]++
@@ -182,9 +174,6 @@ func BuildFromPartitionCtx(ctx context.Context, c *webgraph.Corpus, p *partition
 		return nil, err
 	}
 	m.SuperOff = append(m.SuperOff, int64(len(m.SuperAdj)))
-	if agg.Supernodes > 0 {
-		m.Stats.Codecs = []CodecBuildStat{agg}
-	}
 	m.Directory = out.entries
 	m.FileSizes = out.sizes()
 	if err := out.close(); err != nil {
@@ -227,9 +216,9 @@ func BuildFromPartitionCtx(ctx context.Context, c *webgraph.Corpus, p *partition
 	m.Stats.URLSplits = p.URLSplits
 	m.Stats.ClusteredSplits = p.ClusteredSplits
 
-	// meta.bin is written with BuildTime zero so that two builds of the
-	// same corpus produce byte-identical artifacts (the determinism
-	// tests golden-hash every output file); wall time goes only into the
+	// meta.bin does not hold BuildTime, so that two builds of the same
+	// corpus produce byte-identical artifacts (the determinism tests
+	// golden-hash every output file); wall time goes only into the
 	// returned stats.
 	if err := writeMeta(filepath.Join(dir, "meta.bin"), m); err != nil {
 		return nil, err
@@ -294,16 +283,14 @@ func layOut(c *webgraph.Corpus, p *partition.Partition) (m *meta, snOfInternal [
 // encodedSupernode holds one supernode's encoded graphs between the
 // parallel encode stage and the sequential assembly stage.
 type encodedSupernode struct {
-	intraBlob  []byte
-	intraEdges int64
-	supers     []encodedSuper
+	intraBlob []byte
+	supers    []encodedSuper
 }
 
 type encodedSuper struct {
 	j        int32
 	kind     uint8
 	numLists int32
-	edges    int64 // stored (list) edges, for the codec stats
 	blob     []byte
 }
 
@@ -440,7 +427,6 @@ func encodeSupernode(c *webgraph.Corpus, m *meta, cfg Config, snOfInternal []int
 	lb.fill(c, m, snOfInternal, s)
 
 	es := &encodedSupernode{}
-	_, _, es.intraEdges = lb.bucket(0)
 	var err error
 	if es.intraBlob, err = encodePayload(nil, kindIntra, nil, lb.intra, size, size, cfg.Refenc); err != nil {
 		return nil, err
@@ -449,8 +435,8 @@ func encodeSupernode(c *webgraph.Corpus, m *meta, cfg Config, snOfInternal []int
 	for _, j := range lb.targets {
 		srcs, lists, edges := lb.bucket(lb.slot[j] - 1)
 		njSize := m.SnBase[j+1] - m.SnBase[j]
-		sb := encodedSuper{j: j, kind: kindSuperPos, numLists: int32(len(srcs)), edges: edges}
-		if negEdges := int64(size)*int64(njSize) - sb.edges; !cfg.DisableNegative && negEdges < sb.edges {
+		sb := encodedSuper{j: j, kind: kindSuperPos, numLists: int32(len(srcs))}
+		if negEdges := int64(size)*int64(njSize) - edges; !cfg.DisableNegative && negEdges < edges {
 			// Negative graph: complement lists for every page of Ni.
 			comps := make([][]int32, size)
 			si := 0
@@ -462,7 +448,7 @@ func encodeSupernode(c *webgraph.Corpus, m *meta, cfg Config, snOfInternal []int
 				}
 				comps[local] = complement(pos, njSize)
 			}
-			sb.kind, sb.numLists, sb.edges = kindSuperNeg, size, negEdges
+			sb.kind, sb.numLists = kindSuperNeg, size
 			srcs, lists = nil, comps
 		}
 		if sb.blob, err = encodePayload(nil, sb.kind, srcs, lists, size, njSize, cfg.Refenc); err != nil {

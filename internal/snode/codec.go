@@ -28,30 +28,6 @@ import (
 // list sequence decodes into one refenc.Lists, immutable once returned
 // (it is shared through the graph cache).
 
-// Codec wire IDs. Each directory entry and the codec-stats section of
-// meta.bin still carry one, and every build writes codecIDPaper; the
-// other IDs name coders that are gone and are never reused.
-const (
-	codecIDPaper uint8 = 0
-	codecIDLZ    uint8 = 1 // retired
-	codecIDLog   uint8 = 2 // removed
-	codecPaper         = "paper"
-)
-
-// checkCodecID accepts the paper codec's wire ID and refuses the rest,
-// naming the coder an artifact from an older build was written with.
-func checkCodecID(id uint8) error {
-	switch id {
-	case codecIDPaper:
-		return nil
-	case codecIDLZ:
-		return fmt.Errorf("snode: codec ID %d is the lz codec, which was retired: rebuild the dataset", id)
-	case codecIDLog:
-		return fmt.Errorf("snode: codec ID %d is the log codec, which was removed: rebuild the dataset", id)
-	}
-	return fmt.Errorf("snode: unknown codec ID %d (artifact from a newer version?)", id)
-}
-
 // bitWriters pools bit writers across encode calls; encoding fans out
 // across build workers and each finished blob is copied out of the
 // writer before release.

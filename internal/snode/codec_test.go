@@ -136,10 +136,8 @@ func buildTestRep(t testing.TB, pages int) (dir string) {
 	return dir
 }
 
-// TestCodecBuildEquivalence builds a corpus and pins: Verify passes,
-// every page's full adjacency is row-identical to the corpus, and the
-// codec-stats section meta.bin still carries is one paper entry that
-// covers every supernode.
+// TestCodecBuildEquivalence builds a corpus and pins: Verify passes, and
+// every page's full adjacency is row-identical to the corpus.
 func TestCodecBuildEquivalence(t *testing.T) {
 	const pages = 900
 	crawl, err := synth.Generate(synth.DefaultConfig(pages))
@@ -160,30 +158,39 @@ func TestCodecBuildEquivalence(t *testing.T) {
 			t.Fatalf("page %d adjacency differs", p)
 		}
 	}
-	stats := r.BuildStats().Codecs
-	if len(stats) != 1 || stats[0].Name != codecPaper || stats[0].Graphs <= 0 || stats[0].Bytes <= 0 {
-		t.Fatalf("recorded composition %+v", stats)
-	}
-	if stats[0].Supernodes != int64(r.Supernodes()) {
-		t.Fatalf("codec stats cover %d of %d supernodes", stats[0].Supernodes, r.Supernodes())
-	}
 }
 
-// TestCodecMetaRoundTrip pins that the per-entry codec IDs and the codec
-// stats survive meta.bin serialization as the paper codec's.
+// TestCodecMetaRoundTrip pins that meta.bin holds what a build reports
+// but its wall time: readMeta returns Build's stats with BuildTime zero,
+// and writeMeta writes what readMeta read back byte for byte.
 func TestCodecMetaRoundTrip(t *testing.T) {
-	dir := buildTestRep(t, 400)
-	m, err := readMeta(filepath.Join(dir, "meta.bin"))
+	crawl, err := synth.Generate(synth.DefaultConfig(400))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range m.Directory {
-		if m.Directory[i].Codec != codecIDPaper {
-			t.Fatalf("directory entry %d codec %d, want %d", i, m.Directory[i].Codec, codecIDPaper)
-		}
+	dir := t.TempDir()
+	built, err := Build(crawl.Corpus, DefaultConfig(), dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(m.Stats.Codecs) != 1 || m.Stats.Codecs[0].ID != codecIDPaper {
-		t.Fatalf("codec stats %+v", m.Stats.Codecs)
+	path := filepath.Join(dir, "meta.bin")
+	m, err := readMeta(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := *built; m.Stats.BuildTime != 0 || want.BuildTime <= 0 {
+		t.Fatalf("build time: built %v, read back %v; want it reported, not stored", want.BuildTime, m.Stats.BuildTime)
+	} else if want.BuildTime = 0; m.Stats != want {
+		t.Fatalf("stats read back as %+v, built as %+v", m.Stats, want)
+	}
+	again := filepath.Join(t.TempDir(), "meta.bin")
+	if err := writeMeta(again, m); err != nil {
+		t.Fatal(err)
+	}
+	a, errA := os.ReadFile(path)
+	b, errB := os.ReadFile(again)
+	if errA != nil || errB != nil || string(a) != string(b) {
+		t.Fatalf("meta.bin does not round-trip: %d bytes read, %d written (%v, %v)", len(a), len(b), errA, errB)
 	}
 }
 
@@ -218,12 +225,7 @@ func TestMeasureDecode(t *testing.T) {
 // TestCorruptIndexAllCodecs runs the corruption harness over a build:
 // flipped payload bytes must never panic or escape the local ID bounds
 // (checkLocalIDs is the oracle the fused checks are compared against).
-//
-// This and the other tests that once looped over the codecs run their
-// body as the subtest named after the one wire format meta.bin records.
-func TestCorruptIndexAllCodecs(t *testing.T) { t.Run(codecPaper, testCorruptIndexAllCodecs) }
-
-func testCorruptIndexAllCodecs(t *testing.T) {
+func TestCorruptIndexAllCodecs(t *testing.T) {
 	src := buildTestRep(t, 500)
 	data, err := os.ReadFile(filepath.Join(src, "graphs.000"))
 	if err != nil {

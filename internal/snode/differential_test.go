@@ -87,7 +87,7 @@ func TestDecodedRowsEqualParents(t *testing.T) {
 	}
 	got := map[string]string{}
 	for kind, h := range hashes {
-		got[codecPaper+"/"+kindName(kind)] = hex.EncodeToString(h.Sum(nil)[:8])
+		got["paper/"+kindName(kind)] = hex.EncodeToString(h.Sum(nil)[:8])
 	}
 	reportGolden(t, "parentRows", got, parentRows)
 }
@@ -181,7 +181,7 @@ func TestHostileVerdictsEqualParents(t *testing.T) {
 			flipped.blob[bit>>3] ^= 1 << (7 - uint(bit&7))
 			flipped.verdict(t, near)
 		}
-		got = append(got, fmt.Sprintf("%s/%s %s %s %s", codecPaper, kindName(hostileKind(hc.kind)), letter, digest, hex.EncodeToString(near.Sum(nil)[:8])))
+		got = append(got, fmt.Sprintf("paper/%s %s %s %s", kindName(hostileKind(hc.kind)), letter, digest, hex.EncodeToString(near.Sum(nil)[:8])))
 	}
 	if !slices.Equal(got, parentVerdicts) {
 		t.Errorf("hostile seeds decode to\n\t%s\nthe parent's decoders gave\n\t%s",

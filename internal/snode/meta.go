@@ -3,7 +3,6 @@ package snode
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"snode/internal/coding"
 )
@@ -14,10 +13,9 @@ import (
 
 const (
 	metaMagic = 0x534E4F44 // "SNOD"
-	// metaVersion 2 added per-directory-entry codec IDs and the
-	// per-codec stats section. It is the only version read: nothing has
-	// written version 1 since codecs became pluggable.
-	metaVersion = 2
+	// metaVersion is the only version read: any other is refused, and
+	// the dataset rebuilt.
+	metaVersion = 3
 )
 
 func writeInts[T int32 | int64](w *coding.Writer, xs []T) {
@@ -64,7 +62,6 @@ func writeMeta(path string, m *meta) error {
 			w.Varint(e.Offset)
 			w.Varint(int64(e.NumBytes))
 			w.Varint(int64(e.NumLists))
-			w.Uvarint(uint64(e.Codec))
 		}
 		writeInts(w, m.FileSizes)
 		st := &m.Stats
@@ -78,15 +75,6 @@ func writeMeta(path string, m *meta) error {
 		w.Varint(st.NegativeSuperedges)
 		w.Varint(int64(st.URLSplits))
 		w.Varint(int64(st.ClusteredSplits))
-		w.Varint(int64(st.BuildTime))
-		w.Uvarint(uint64(len(st.Codecs)))
-		for _, cs := range st.Codecs {
-			w.Uvarint(uint64(cs.ID))
-			w.Varint(cs.Supernodes)
-			w.Varint(cs.Graphs)
-			w.Varint(cs.Bytes)
-			w.Varint(cs.Edges)
-		}
 		return nil
 	})
 }
@@ -105,7 +93,7 @@ func readMeta(path string) (*meta, error) {
 		return nil, fmt.Errorf("snode: %s: bad magic", path)
 	}
 	if v := r.Uvarint(); v != metaVersion {
-		return nil, fmt.Errorf("snode: %s: unsupported version %d", path, v)
+		return nil, fmt.Errorf("snode: %s: unsupported version %d, not %d: rebuild the dataset", path, v, metaVersion)
 	}
 	m := &meta{}
 	m.NumPages = r.Int32()
@@ -122,7 +110,7 @@ func readMeta(path string) (*meta, error) {
 	m.SuperAdj = readInts(r, r.Int32)
 	m.SuperGID = readInts(r, r.Int32)
 	m.IntraGID = readInts(r, r.Int32)
-	m.Directory = make([]dirEntry, r.Count(math.MaxInt32, 8))
+	m.Directory = make([]dirEntry, r.Count(math.MaxInt32, 7))
 	for i := range m.Directory {
 		e := &m.Directory[i]
 		e.Kind = r.Uint8()
@@ -132,7 +120,6 @@ func readMeta(path string) (*meta, error) {
 		e.Offset = r.Varint()
 		e.NumBytes = r.Int32()
 		e.NumLists = r.Int32()
-		e.Codec = r.Uint8()
 	}
 	m.FileSizes = readInts(r, r.Varint)
 	st := &m.Stats
@@ -146,20 +133,6 @@ func readMeta(path string) (*meta, error) {
 	st.NegativeSuperedges = r.Varint()
 	st.URLSplits = int(r.Varint())
 	st.ClusteredSplits = int(r.Varint())
-	st.BuildTime = time.Duration(r.Varint())
-	st.Codecs = make([]CodecBuildStat, r.Count(1, 5))
-	for i := range st.Codecs {
-		cs := &st.Codecs[i]
-		cs.ID = r.Uint8()
-		cs.Supernodes = r.Varint()
-		cs.Graphs = r.Varint()
-		cs.Bytes = r.Varint()
-		cs.Edges = r.Varint()
-		if err := checkCodecID(cs.ID); err != nil {
-			return nil, fmt.Errorf("snode: %s: codec stats: %w", path, err)
-		}
-		cs.Name = codecPaper
-	}
 	if r.End(); r.Err() != nil {
 		return nil, fmt.Errorf("snode: read meta: %s: %w", path, r.Err())
 	}
@@ -255,9 +228,6 @@ func (m *meta) validate() error {
 		case kindIntra, kindSuperPos, kindSuperNeg:
 		default:
 			return fmt.Errorf("graph %d has unknown kind %d", gi, e.Kind)
-		}
-		if err := checkCodecID(e.Codec); err != nil {
-			return fmt.Errorf("graph %d: %w", gi, err)
 		}
 		if e.Kind != kindIntra {
 			if e.I < 0 || int(e.I) >= nSN || e.J < 0 || int(e.J) >= nSN {

@@ -49,7 +49,7 @@ func tinyMeta(t testing.TB) []byte {
 	}
 	c := &webgraph.Corpus{Graph: b.Build()}
 	for p := 0; p < 6; p++ {
-		d := []string{"a.com", "b.net"}[p/3]
+		d := []string{"example.com", "example.net"}[p/3]
 		c.Pages = append(c.Pages, webgraph.PageMeta{URL: fmt.Sprintf("http://www.%s/%d.html", d, p), Domain: d})
 	}
 	dir := t.TempDir()
@@ -97,7 +97,43 @@ func TestLengthPrefixSizesNoAllocation(t *testing.T) {
 	}
 }
 
-// metaSpans walks a version-2 meta.bin and returns the byte ranges of
+// TestDirectoryCountBoundIsSevenBytes: a directory entry's least record
+// is seven one-byte fields, and the directory's count is held to that.
+// The hand-laid file below is valid — no pages, no supernodes, and 40
+// intranode entries of seven bytes each in one empty index file — and
+// reads back; at eight bytes an entry its count would be refused, since
+// 12 bytes follow the entries. A count of two entries more, which the
+// file cannot hold at seven bytes each, is refused by the count.
+func TestDirectoryCountBoundIsSevenBytes(t *testing.T) {
+	const entries = 40
+	file := func(count int) []byte {
+		b := binary.AppendUvarint(nil, metaMagic)
+		b = binary.AppendUvarint(b, metaVersion)
+		b = binary.AppendVarint(b, 0) // NumPages
+		b = binary.AppendVarint(b, 0) // NumEdges
+		b = append(b, 0, 0)           // Perm, Inv
+		b = append(b, 1, 0)           // SnBase: [0]
+		b = append(b, 0)              // Domains
+		b = append(b, 1, 0)           // DomFirstSN: [0]
+		b = append(b, 1, 0)           // SuperOff: [0]
+		b = append(b, 0, 0, 0)        // SuperAdj, SuperGID, IntraGID
+		b = binary.AppendUvarint(b, uint64(count))
+		for i := 0; i < entries; i++ {
+			b = append(b, kindIntra, 0, 0, 0, 0, 0, 0) // Kind, I, J, File, Offset, NumBytes, NumLists
+		}
+		b = append(b, 1, 0) // FileSizes: [0]
+		return append(b, make([]byte, 10)...)
+	}
+	m, _, err := readMetaBytes(t, file(entries))
+	if err != nil || len(m.Directory) != entries {
+		t.Fatalf("a valid file of %d seven-byte entries: err = %v", entries, err)
+	}
+	if _, _, err := readMetaBytes(t, file(entries+2)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("count %d, at 7 bytes each", entries+2)) {
+		t.Fatalf("%d entries claimed, %d held: err = %v, want the count refused", entries+2, entries, err)
+	}
+}
+
+// metaSpans walks a meta.bin and returns the byte ranges of
 // NumPages, Perm[0] and Directory[0].Kind.
 func metaSpans(t *testing.T, raw []byte) (numPages, perm0, kind0 [2]int) {
 	t.Helper()
@@ -141,16 +177,16 @@ func metaSpans(t *testing.T, raw []byte) (numPages, perm0, kind0 [2]int) {
 }
 
 func TestValueTooWideForItsFieldIsRefused(t *testing.T) {
-	v2 := tinyMeta(t)
-	numPages, perm0, kind0 := metaSpans(t, v2)
+	valid := tinyMeta(t)
+	numPages, perm0, kind0 := metaSpans(t, valid)
 	splice := func(span [2]int, field []byte) []byte {
-		return append(append(append([]byte(nil), v2[:span[0]]...), field...), v2[span[1]:]...)
+		return append(append(append([]byte(nil), valid[:span[0]]...), field...), valid[span[1]:]...)
 	}
 	widenSigned := func(span [2]int) []byte {
-		v, _ := binary.Varint(v2[span[0]:span[1]])
+		v, _ := binary.Varint(valid[span[0]:span[1]])
 		return splice(span, binary.AppendVarint(nil, v+1<<32))
 	}
-	kind, _ := binary.Uvarint(v2[kind0[0]:kind0[1]])
+	kind, _ := binary.Uvarint(valid[kind0[0]:kind0[1]])
 	for name, raw := range map[string][]byte{
 		"NumPages + 2^32":            widenSigned(numPages),
 		"Perm[0] + 2^32":             widenSigned(perm0),
@@ -162,7 +198,7 @@ func TestValueTooWideForItsFieldIsRefused(t *testing.T) {
 		}
 	}
 	// The splices are sound: putting the same value back changes nothing.
-	v, _ := binary.Varint(v2[perm0[0]:perm0[1]])
+	v, _ := binary.Varint(valid[perm0[0]:perm0[1]])
 	if _, _, err := readMetaBytes(t, splice(perm0, binary.AppendVarint(nil, v))); err != nil {
 		t.Fatalf("an identity splice is refused: %v", err)
 	}
@@ -184,13 +220,14 @@ func TestTrailingBytesAreRefused(t *testing.T) {
 // FuzzReadMeta: whatever the bytes, readMeta neither panics nor sizes
 // anything beyond a multiple of the file, and what it returns without an
 // error passes validate. Seeds: the valid file, every strict prefix of
-// it, and (committed under testdata/fuzz) the probes of the three tests
-// above and a version-1 file, which is refused.
+// it, and (committed under testdata/fuzz) the valid file again, the
+// probes of the tests above, and a version-1 and a version-2 file, which
+// are refused.
 func FuzzReadMeta(f *testing.F) {
-	v2 := tinyMeta(f)
-	f.Add(v2)
-	for n := 0; n < len(v2); n++ {
-		f.Add(v2[:n])
+	valid := tinyMeta(f)
+	f.Add(valid)
+	for n := 0; n < len(valid); n++ {
+		f.Add(valid[:n])
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		m, alloc, err := readMetaBytes(t, raw)

@@ -138,21 +138,6 @@ func (r *Representation) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.GaugeFunc(prefix+"_cache_entries", r.cache.entries)
 	reg.GaugeFunc(prefix+"_inflight_decodes", r.cache.inflightCount)
 	r.decodeHist.Store(reg.Histogram(prefix+"_decode_seconds", nil))
-	// The artifact's static composition, named for the one codec that
-	// built it (paper): graphs, bytes and edges, and bits per edge in
-	// milli-bits since gauges are integers.
-	for _, st := range r.m.Stats.Codecs {
-		reg.GaugeFunc(prefix+"_codec_supernodes_"+st.Name, func() int64 { return st.Supernodes })
-		reg.GaugeFunc(prefix+"_codec_graphs_"+st.Name, func() int64 { return st.Graphs })
-		reg.GaugeFunc(prefix+"_codec_bytes_"+st.Name, func() int64 { return st.Bytes })
-		reg.GaugeFunc(prefix+"_codec_edges_"+st.Name, func() int64 { return st.Edges })
-		reg.GaugeFunc(prefix+"_bits_per_edge_milli_"+st.Name, func() int64 {
-			if st.Edges == 0 {
-				return 0
-			}
-			return st.Bytes * 8 * 1000 / st.Edges
-		})
-	}
 }
 
 // ResetStats implements store.LinkStore. The buffer manager's contents

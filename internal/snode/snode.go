@@ -120,7 +120,6 @@ type dirEntry struct {
 	Offset   int64 // byte offset within the file
 	NumBytes int32
 	NumLists int32 // lists in the encoded stream (see codec)
-	Codec    uint8 // wire format of the payload: always codecIDPaper (codec.go)
 }
 
 // meta is everything held permanently in memory (and serialized to
@@ -176,22 +175,10 @@ type BuildStats struct {
 	// Partition statistics, carried through for reporting.
 	URLSplits       int
 	ClusteredSplits int
-	// BuildTime is reported by Build but serialized as zero, keeping
-	// meta.bin byte-identical across builds of the same corpus.
+	// BuildTime is reported by Build and not serialized, keeping
+	// meta.bin byte-identical across builds of the same corpus: a store
+	// opened from disk reads zero.
 	BuildTime time.Duration
-	// Codecs is meta.bin's codec-stats section: one paper entry, none
-	// for an empty build.
-	Codecs []CodecBuildStat
-}
-
-// CodecBuildStat reports the index files' composition under their codec.
-type CodecBuildStat struct {
-	ID         uint8
-	Name       string
-	Supernodes int64 // supernodes encoded
-	Graphs     int64 // directory entries
-	Bytes      int64 // encoded payload bytes
-	Edges      int64 // edges stored in those payloads
 }
 
 // SizeBytes is the Table 1 accounting: index files plus the in-memory

@@ -93,9 +93,7 @@ func sweepBudgets(t *testing.T, c *webgraph.Corpus, dir string) {
 	}
 }
 
-func TestSourcesFirstRowsEqualCSR(t *testing.T) { t.Run(codecPaper, testSourcesFirstRowsEqualCSR) }
-
-func testSourcesFirstRowsEqualCSR(t *testing.T) {
+func TestSourcesFirstRowsEqualCSR(t *testing.T) {
 	crawl, err := synth.Generate(synth.DefaultConfig(400))
 	if err != nil {
 		t.Fatal(err)
@@ -490,10 +488,6 @@ func corruptListSection(t *testing.T, src string, r *Representation, gid GraphID
 // correctly, the first page that is fails with the list decoder's
 // error — on every attempt — and Verify fails.
 func TestCorruptListSectionFailsOnlyItsReaders(t *testing.T) {
-	t.Run(codecPaper, testCorruptListSectionFailsOnlyItsReaders)
-}
-
-func testCorruptListSectionFailsOnlyItsReaders(t *testing.T) {
 	crawl, err := synth.Generate(synth.DefaultConfig(400))
 	if err != nil {
 		t.Fatal(err)

@@ -212,24 +212,29 @@ type Corpus struct {
 }
 
 // Validate checks the corpus invariants: metadata length matches the
-// graph, every page has a URL and domain, and each domain's pages are
-// one run of page IDs (errDomainReopened), which every reader that takes
-// a domain to be one ID range relies on. It allocates per domain, not
-// per page.
+// graph, and the pages pass ValidatePages.
 func (c *Corpus) Validate() error {
 	if len(c.Pages) != c.Graph.NumPages() {
 		return fmt.Errorf("webgraph: %d pages of metadata for %d-vertex graph",
 			len(c.Pages), c.Graph.NumPages())
 	}
+	return ValidatePages(c.Pages)
+}
+
+// ValidatePages checks page metadata without a graph: every page has a
+// URL and domain, and each domain's pages are one run of page IDs
+// (errDomainReopened), which every reader that takes a domain to be one
+// ID range relies on. It allocates per domain, not per page.
+func ValidatePages(pages []PageMeta) error {
 	lastOf := map[string]int{} // each closed run's domain → its last page
-	for i, p := range c.Pages {
+	for i, p := range pages {
 		if p.URL == "" || p.Domain == "" {
 			return fmt.Errorf("webgraph: page %d missing URL or domain", i)
 		}
-		if i == 0 || p.Domain == c.Pages[i-1].Domain {
+		if i == 0 || p.Domain == pages[i-1].Domain {
 			continue
 		}
-		lastOf[c.Pages[i-1].Domain] = i - 1
+		lastOf[pages[i-1].Domain] = i - 1
 		if last, ok := lastOf[p.Domain]; ok {
 			return fmt.Errorf("webgraph: page %d reopens %s, whose pages ended at page %d: %w", i, p.Domain, last, errDomainReopened)
 		}

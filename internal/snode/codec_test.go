@@ -123,6 +123,10 @@ func listsEqual(a, b [][]int32) bool {
 	return true
 }
 
+// paperFormat names the subtest that the tests which once looped over
+// the codecs run their body in.
+const paperFormat = "paper"
+
 func buildTestRep(t testing.TB, pages int) (dir string) {
 	t.Helper()
 	crawl, err := synth.Generate(synth.DefaultConfig(pages))
@@ -225,7 +229,9 @@ func TestMeasureDecode(t *testing.T) {
 // TestCorruptIndexAllCodecs runs the corruption harness over a build:
 // flipped payload bytes must never panic or escape the local ID bounds
 // (checkLocalIDs is the oracle the fused checks are compared against).
-func TestCorruptIndexAllCodecs(t *testing.T) {
+func TestCorruptIndexAllCodecs(t *testing.T) { t.Run(paperFormat, testCorruptIndexAllCodecs) }
+
+func testCorruptIndexAllCodecs(t *testing.T) {
 	src := buildTestRep(t, 500)
 	data, err := os.ReadFile(filepath.Join(src, "graphs.000"))
 	if err != nil {

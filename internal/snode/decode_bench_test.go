@@ -44,7 +44,9 @@ func decodeSamples(t testing.TB, r *Representation) map[uint8]struct {
 	return out
 }
 
-func TestDecodeHotPathAllocs(t *testing.T) {
+func TestDecodeHotPathAllocs(t *testing.T) { t.Run(paperFormat, testDecodeHotPathAllocs) }
+
+func testDecodeHotPathAllocs(t *testing.T) {
 	dir := buildTestRep(t, 600)
 	r, err := Open(dir, 1<<20, iosim.Model2002())
 	if err != nil {

@@ -186,6 +186,10 @@ func buildAndOpen(t *testing.T, c *webgraph.Corpus, cfg Config) *Representation 
 }
 
 func TestCompiledFilterEqualsPerCallFilter(t *testing.T) {
+	t.Run(paperFormat, testCompiledFilterEqualsPerCallFilter)
+}
+
+func testCompiledFilterEqualsPerCallFilter(t *testing.T) {
 	crawl, err := synth.Generate(synth.DefaultConfig(400))
 	if err != nil {
 		t.Fatal(err)

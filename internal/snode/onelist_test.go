@@ -41,6 +41,10 @@ func readPayload(t *testing.T, r *Representation, gid GraphID) []byte {
 // decode allocates nothing once dst has room. Every payload kind must
 // occur.
 func TestDecodeListEqualsDecodeGraph(t *testing.T) {
+	t.Run(paperFormat, testDecodeListEqualsDecodeGraph)
+}
+
+func testDecodeListEqualsDecodeGraph(t *testing.T) {
 	r, err := Open(buildTestRep(t, 400), 1<<20, iosim.Model2002())
 	if err != nil {
 		t.Fatal(err)
@@ -109,6 +113,10 @@ func TestDecodeListEqualsDecodeGraph(t *testing.T) {
 // — later pages fail with the intranode decode error on every attempt,
 // and Verify fails.
 func TestColdWarmAndDamagedReadsAgree(t *testing.T) {
+	t.Run(paperFormat, testColdWarmAndDamagedReadsAgree)
+}
+
+func testColdWarmAndDamagedReadsAgree(t *testing.T) {
 	crawl, err := synth.Generate(synth.DefaultConfig(400))
 	if err != nil {
 		t.Fatal(err)

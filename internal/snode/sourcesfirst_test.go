@@ -93,7 +93,9 @@ func sweepBudgets(t *testing.T, c *webgraph.Corpus, dir string) {
 	}
 }
 
-func TestSourcesFirstRowsEqualCSR(t *testing.T) {
+func TestSourcesFirstRowsEqualCSR(t *testing.T) { t.Run(paperFormat, testSourcesFirstRowsEqualCSR) }
+
+func testSourcesFirstRowsEqualCSR(t *testing.T) {
 	crawl, err := synth.Generate(synth.DefaultConfig(400))
 	if err != nil {
 		t.Fatal(err)
@@ -488,6 +490,10 @@ func corruptListSection(t *testing.T, src string, r *Representation, gid GraphID
 // correctly, the first page that is fails with the list decoder's
 // error — on every attempt — and Verify fails.
 func TestCorruptListSectionFailsOnlyItsReaders(t *testing.T) {
+	t.Run(paperFormat, testCorruptListSectionFailsOnlyItsReaders)
+}
+
+func testCorruptListSectionFailsOnlyItsReaders(t *testing.T) {
 	crawl, err := synth.Generate(synth.DefaultConfig(400))
 	if err != nil {
 		t.Fatal(err)

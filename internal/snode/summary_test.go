@@ -29,7 +29,9 @@ import (
 // a source is never ruled out, and every other node's summary rules
 // nothing out. The store has supernodes of more than 64 pages, where the
 // mask aliases, and the test fails if it does not.
-func TestSourceSummaryIsSound(t *testing.T) {
+func TestSourceSummaryIsSound(t *testing.T) { t.Run(paperFormat, testSourceSummaryIsSound) }
+
+func testSourceSummaryIsSound(t *testing.T) {
 	if size := unsafe.Sizeof(cacheNode{}); size != 64 {
 		t.Errorf("cacheNode is %d bytes, want 64 (one size class, one cache line)", size)
 	}

@@ -161,10 +161,12 @@ test-load:
 # checks (TestValidate), the X-SNode-Trace header's fuzz seeds
 # (FuzzParseHeader), and the partial frame the legs travel in: round
 # trip for every query on both shards of K=2, each bad frame refused by
-# name, FuzzDecodePartial's seed corpus. Run with -count=1 so the gate
-# always executes.
+# name, FuzzDecodePartial's seed corpus. The shard build cuts its graphs
+# with webgraph's CSR filter and writes its stores through the S-Node
+# pair builder repo.Build uses, so ./internal/repo and ./internal/webgraph
+# run here too. Run with -count=1 so the gate always executes.
 test-shard:
-	$(GO) test -race -count=1 ./internal/shard ./internal/router ./cmd/snrouter
+	$(GO) test -race -count=1 ./internal/shard ./internal/router ./cmd/snrouter ./internal/repo ./internal/webgraph
 	$(GO) test -race -count=1 -run 'TestPartialFrameRoundTrip|TestDecodePartialRefusals|FuzzDecodePartial|FuzzParseHeader' ./internal/serve ./internal/trace
 
 # Observability gate: the distributed-trace golden test (a sampled

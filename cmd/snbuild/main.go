@@ -227,9 +227,9 @@ func run(o options) error {
 	// recorded of its own build. -verify reads the reverse store too.
 	var size, intra int64
 	for i, e := range m.Shards {
-		st, err := storeStats(o, filepath.Join(e.Dir, "snode.fwd"))
+		st, err := storeStats(o, filepath.Join(e.Dir, snode.FwdDir))
 		if err == nil && o.verify {
-			_, err = storeStats(o, filepath.Join(e.Dir, "snode.rev"))
+			_, err = storeStats(o, filepath.Join(e.Dir, snode.RevDir))
 		}
 		if err != nil {
 			return err

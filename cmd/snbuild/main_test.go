@@ -55,3 +55,17 @@ func TestValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestMoreShardsThanDomainsIsRefused: -shards past the crawl's domain
+// count would write shards that own no page; the build refuses it, by
+// the reason, before writing anything.
+func TestMoreShardsThanDomainsIsRefused(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "data")
+	o := options{out: out, budget: 16 << 20, workers: 1, shards: 301, pages: 300, seed: 7}
+	if err := run(o); err == nil || !strings.Contains(err.Error(), "no more shards than domains") {
+		t.Fatalf("-pages 300 -shards 301: err = %v, want a refusal naming the domains", err)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("a refused build left %s behind (stat: %v)", out, err)
+	}
+}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -50,14 +51,11 @@ func Ablations(cfg Config) ([]AblationRow, error) {
 	edges := float64(c.Graph.NumEdges())
 	build := func(name string, sncfg snode.Config, p *partition.Partition, note string) error {
 		dir := filepath.Join(ws, "abl-"+name)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
 		defer os.RemoveAll(dir)
 		var st *snode.BuildStats
 		var err error
 		if p != nil {
-			st, err = snode.BuildFromPartition(c, p, sncfg, dir, time.Now())
+			st, err = snode.BuildFromPartitionCtx(context.Background(), c, p, sncfg, dir, time.Now())
 		} else {
 			st, err = snode.Build(c, sncfg, dir)
 		}

@@ -68,23 +68,31 @@ func TestCompressionSmoke(t *testing.T) {
 
 func TestAccessSmoke(t *testing.T) {
 	cfg := tiny()
-	rows, err := Access(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName := map[string]Table2Row{}
-	for _, r := range rows {
-		if r.SeqNsEdge <= 0 || r.RandNsEdge <= 0 {
-			t.Fatalf("degenerate row %+v", r)
+	var rows []Table2Row
+	// Each scheme's fastest random decode of three runs: one run races
+	// the other packages' tests for the cores, and a stall in it says
+	// nothing about the decoder.
+	best := map[string]float64{}
+	for run := 0; run < 3; run++ {
+		var err error
+		if rows, err = Access(cfg); err != nil {
+			t.Fatal(err)
 		}
-		byName[r.Scheme] = r
+		for _, r := range rows {
+			if r.SeqNsEdge <= 0 || r.RandNsEdge <= 0 {
+				t.Fatalf("degenerate row %+v", r)
+			}
+			if b, ok := best[r.Scheme]; !ok || r.RandNsDecoded < b {
+				best[r.Scheme] = r.RandNsDecoded
+			}
+		}
 	}
 	// The Table 2 shape: Huffman decodes fastest. (Skipped under the
 	// race detector, whose instrumentation distorts relative decode
 	// costs.)
-	if !raceflag.Enabled && byName["huffman"].RandNsDecoded > byName["snode"].RandNsDecoded {
-		t.Errorf("huffman decode (%f) slower than snode (%f)",
-			byName["huffman"].RandNsDecoded, byName["snode"].RandNsDecoded)
+	if !raceflag.Enabled && best["huffman"] > best["snode"] {
+		t.Errorf("huffman decode (%f) slower than snode (%f), best of three runs each",
+			best["huffman"], best["snode"])
 	}
 	var sb strings.Builder
 	cfg.Out = &sb

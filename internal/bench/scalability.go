@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -39,14 +40,11 @@ func Scalability(cfg Config) ([]Fig9Row, error) {
 	for _, n := range cfg.Sizes {
 		c := crawl.Prefix(n).Corpus
 		dir := filepath.Join(ws, fmt.Sprintf("fig9-%d", n))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, err
-		}
 		p, err := partition.Refine(c, partition.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}
-		st, err := snode.BuildFromPartition(c, p, snode.DefaultConfig(), dir, time.Now())
+		st, err := snode.BuildFromPartitionCtx(context.Background(), c, p, snode.DefaultConfig(), dir, time.Now())
 		if err != nil {
 			return nil, err
 		}

@@ -124,9 +124,6 @@ func TestOverlayGoldenEquivalence(t *testing.T) {
 
 	// Reference: S-Node rebuilt from scratch over the mutated graph.
 	refFwdDir := filepath.Join(t.TempDir(), "ref.fwd")
-	if err := os.MkdirAll(refFwdDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := snode.Build(mutated, opt.SNode, refFwdDir); err != nil {
 		t.Fatal(err)
 	}

@@ -115,9 +115,6 @@ func (o *Overlay) FoldBack(ctx context.Context, fc FoldConfig) (string, error) {
 		return "", err
 	}
 	dir := filepath.Join(fc.Dir, fmt.Sprintf("fold-%d", o.folds.Load()+1))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("delta: %w", err)
-	}
 	if _, err := snode.BuildCtx(ctx, corpus, fc.SNode, dir); err != nil {
 		os.RemoveAll(dir)
 		return "", fmt.Errorf("delta: fold build: %w", err)

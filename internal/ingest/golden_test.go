@@ -143,11 +143,6 @@ func TestGoldenBuildEquivalence(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		directDir := filepath.Join(ws, "direct", "w"+string(rune('0'+workers)))
 		ingestDir := filepath.Join(ws, "ingest", "w"+string(rune('0'+workers)))
-		for _, d := range []string{directDir, ingestDir} {
-			if err := os.MkdirAll(d, 0o755); err != nil {
-				t.Fatal(err)
-			}
-		}
 		dcfg := snode.DefaultConfig()
 		dcfg.BuildWorkers = workers
 		dcfg.Partition.Workers = workers

@@ -107,20 +107,27 @@ func Build(c *webgraph.Corpus, opt Options) (*Repository, error) {
 		Fwd:      map[string]store.LinkStore{},
 		Rev:      map[string]store.LinkStore{},
 	}
-	fwd := c
 	var rev *webgraph.Corpus
 	if opt.Transpose {
 		rev = &webgraph.Corpus{Graph: c.Graph.Transpose(), Pages: c.Pages}
 	}
 	for _, scheme := range schemes {
-		s, err := buildOne(fwd, scheme, filepath.Join(opt.Dir, scheme+".fwd"), opt, r)
+		if scheme == SchemeSNode {
+			st, err := snode.BuildPair(c, rev, opt.SNode, opt.Dir)
+			if err != nil {
+				r.Close()
+				return nil, fmt.Errorf("repo: build %s: %w", scheme, err)
+			}
+			r.SNodeStats = st
+		}
+		s, err := buildOne(c, scheme, filepath.Join(opt.Dir, scheme+".fwd"), opt)
 		if err != nil {
 			r.Close()
 			return nil, fmt.Errorf("repo: build %s: %w", scheme, err)
 		}
 		r.Fwd[scheme] = s
 		if rev != nil {
-			s, err := buildOne(rev, scheme, filepath.Join(opt.Dir, scheme+".rev"), opt, nil)
+			s, err := buildOne(rev, scheme, filepath.Join(opt.Dir, scheme+".rev"), opt)
 			if err != nil {
 				r.Close()
 				return nil, fmt.Errorf("repo: build %s transpose: %w", scheme, err)
@@ -132,20 +139,14 @@ func Build(c *webgraph.Corpus, opt Options) (*Repository, error) {
 }
 
 // buildOne builds and opens one representation of the given corpus in
-// dir. When rep != nil and the scheme is S-Node, build stats are stored.
-func buildOne(c *webgraph.Corpus, scheme, dir string, opt Options, rep *Repository) (store.LinkStore, error) {
+// dir. S-Node's is only opened: snode.BuildPair has written both
+// directions, in snode.FwdDir and snode.RevDir under Options.Dir.
+func buildOne(c *webgraph.Corpus, scheme, dir string, opt Options) (store.LinkStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	switch scheme {
 	case SchemeSNode:
-		st, err := snode.Build(c, opt.SNode, dir)
-		if err != nil {
-			return nil, err
-		}
-		if rep != nil {
-			rep.SNodeStats = st
-		}
 		return snode.Open(dir, opt.CacheBudget, opt.Model)
 	case SchemeHuffman:
 		return huffgraph.Build(c)

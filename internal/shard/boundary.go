@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"snode/internal/coding"
 	"snode/internal/webgraph"
@@ -43,24 +42,26 @@ func (b *Boundary) NumEdges() int64 { return int64(len(b.dst)) }
 // NumSources reports how many pages have at least one boundary edge.
 func (b *Boundary) NumSources() int { return b.sources }
 
-// WriteBoundary serializes the store: magic, version, source count,
-// then per source (ascending) a gap-coded source ID, degree, and
+// WriteBoundary serializes the non-empty rows of adj: magic, version,
+// row count, then per row (ascending) a gap-coded source ID, degree, and
 // gap-coded target list — the same uvarint+gap idiom as corpusio.
-func WriteBoundary(path string, adj map[webgraph.PageID][]webgraph.PageID) error {
-	srcs := make([]webgraph.PageID, 0, len(adj))
-	for p := range adj {
-		srcs = append(srcs, p)
+func WriteBoundary(path string, adj *webgraph.Graph) error {
+	rows := 0
+	for p := range webgraph.PageID(adj.NumPages()) {
+		rows += min(adj.OutDegree(p), 1)
 	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
 	return coding.WriteFile(path, func(w *coding.Writer) error {
 		w.Write([]byte(boundaryMagic))
 		w.Uvarint(boundaryVersion)
-		w.Uvarint(uint64(len(srcs)))
+		w.Uvarint(uint64(rows))
 		prevSrc := int64(-1)
-		for _, p := range srcs {
+		for p := range webgraph.PageID(adj.NumPages()) {
+			lst := adj.Out(p)
+			if len(lst) == 0 {
+				continue
+			}
 			w.Uvarint(uint64(int64(p) - prevSrc))
 			prevSrc = int64(p)
-			lst := adj[p]
 			w.Uvarint(uint64(len(lst)))
 			prevT := int64(-1)
 			for _, t := range lst {

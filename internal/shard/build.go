@@ -45,12 +45,13 @@ func Build(crawl *synth.Crawl, k int, root string, cfg snode.Config) (*Manifest,
 		Meta:      metaName,
 		PageRank:  pageRankName,
 	}
-	n := c.Graph.NumPages()
-	shardOf := make([]int, n)
+	shardOf := make([]int, len(c.Pages))
+	owned := make([]int, k)
 	for _, r := range runs {
 		for p := r.Start; p < r.Start+webgraph.PageID(r.Count); p++ {
 			shardOf[p] = r.Shard
 		}
+		owned[r.Shard] += int(r.Count)
 	}
 
 	// Replicated global state: the page metadata, and PageRank computed
@@ -65,10 +66,11 @@ func Build(crawl *synth.Crawl, k int, root string, cfg snode.Config) (*Manifest,
 	}
 
 	for s := 0; s < k; s++ {
-		entry, err := buildShard(c, shardOf, s, k, root, cfg)
+		entry, err := buildShard(c, shardOf, s, root, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
+		entry.Pages = owned[s]
 		m.Shards = append(m.Shards, *entry)
 	}
 	if err := m.Save(root); err != nil {
@@ -77,67 +79,28 @@ func Build(crawl *synth.Crawl, k int, root string, cfg snode.Config) (*Manifest,
 	return m, nil
 }
 
-// buildShard emits shard s's S-Node stores and boundary files. With one
-// shard every edge is intra-shard: the corpus graph is the intra graph
-// as it stands, not re-added edge by edge into a second copy, and the
-// stores come out byte-identical to repo.Build's.
-func buildShard(c *webgraph.Corpus, shardOf []int, s, k int, root string, cfg snode.Config) (*ShardEntry, error) {
+// buildShard emits shard s's S-Node stores and boundary files, cutting
+// each from the corpus graph: the intra graph holds the edges with both
+// ends owned, the forward boundary those leaving an owned page, and the
+// reverse boundary those entering one, transposed. With one shard the
+// intra graph is the corpus graph itself, so the stores come out as
+// repo.Build writes them.
+func buildShard(c *webgraph.Corpus, shardOf []int, s int, root string, cfg snode.Config) (*ShardEntry, error) {
 	dir := fmt.Sprintf("shard-%d", s)
-	abs := filepath.Join(root, dir)
-	if err := os.MkdirAll(abs, 0o755); err != nil {
-		return nil, err
-	}
-	n := c.Graph.NumPages()
-	ig, pages := c.Graph, n
-	bfwd := map[webgraph.PageID][]webgraph.PageID{}
-	brev := map[webgraph.PageID][]webgraph.PageID{}
-	var fwdEdges, revEdges int64
-	if k > 1 {
-		intra := webgraph.NewBuilder(n)
-		pages = 0
-		for p := webgraph.PageID(0); p < webgraph.PageID(n); p++ {
-			srcOwned := shardOf[p] == s
-			if srcOwned {
-				pages++
-			}
-			for _, q := range c.Graph.Out(p) {
-				dstOwned := shardOf[q] == s
-				switch {
-				case srcOwned && dstOwned:
-					intra.AddEdge(p, q)
-				case srcOwned:
-					bfwd[p] = append(bfwd[p], q)
-					fwdEdges++
-				case dstOwned:
-					// Visiting sources ascending keeps each rev list sorted.
-					brev[q] = append(brev[q], p)
-					revEdges++
-				}
-			}
-		}
-		ig = intra.Build()
-	}
-	for _, sub := range []string{"snode.fwd", "snode.rev"} {
-		if err := os.MkdirAll(filepath.Join(abs, sub), 0o755); err != nil {
-			return nil, err
-		}
-	}
-	intraCorpus := &webgraph.Corpus{Graph: ig, Pages: c.Pages}
-	if _, err := snode.Build(intraCorpus, cfg, filepath.Join(abs, "snode.fwd")); err != nil {
-		return nil, err
-	}
-	revCorpus := &webgraph.Corpus{Graph: ig.Transpose(), Pages: c.Pages}
-	if _, err := snode.Build(revCorpus, cfg, filepath.Join(abs, "snode.rev")); err != nil {
+	ig := c.Graph.Keep(func(p, q webgraph.PageID) bool { return shardOf[p] == s && shardOf[q] == s })
+	bfwd := c.Graph.Keep(func(p, q webgraph.PageID) bool { return shardOf[p] == s && shardOf[q] != s })
+	brev := c.Graph.Keep(func(p, q webgraph.PageID) bool { return shardOf[p] != s && shardOf[q] == s }).Transpose()
+	rev := &webgraph.Corpus{Graph: ig.Transpose(), Pages: c.Pages}
+	if _, err := snode.BuildPair(&webgraph.Corpus{Graph: ig, Pages: c.Pages}, rev, cfg, filepath.Join(root, dir)); err != nil {
 		return nil, err
 	}
 	entry := &ShardEntry{
 		Dir:              dir,
-		Pages:            pages,
 		IntraEdges:       ig.NumEdges(),
 		BoundaryFwd:      filepath.Join(dir, "boundary.fwd"),
 		BoundaryRev:      filepath.Join(dir, "boundary.rev"),
-		BoundaryFwdEdges: fwdEdges,
-		BoundaryRevEdges: revEdges,
+		BoundaryFwdEdges: bfwd.NumEdges(),
+		BoundaryRevEdges: brev.NumEdges(),
 	}
 	if err := WriteBoundary(filepath.Join(root, entry.BoundaryFwd), bfwd); err != nil {
 		return nil, err

@@ -82,11 +82,11 @@ func OpenServing(root string, id int, cacheBudget int64, model iosim.Model) (*Se
 	if err != nil {
 		return nil, err
 	}
-	fwdBase, err := snode.Open(filepath.Join(root, entry.Dir, "snode.fwd"), cacheBudget, model)
+	fwdBase, err := snode.Open(filepath.Join(root, entry.Dir, snode.FwdDir), cacheBudget, model)
 	if err != nil {
 		return nil, err
 	}
-	revBase, err := snode.Open(filepath.Join(root, entry.Dir, "snode.rev"), cacheBudget, model)
+	revBase, err := snode.Open(filepath.Join(root, entry.Dir, snode.RevDir), cacheBudget, model)
 	if err != nil {
 		fwdBase.Close()
 		return nil, err

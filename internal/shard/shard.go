@@ -31,6 +31,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -52,7 +53,8 @@ type Run struct {
 // currently lightest shard (ties to the lowest shard index) — the
 // classic greedy multiway number partitioning, deterministic for a
 // fixed corpus. Returns the assignment as merged page-ID runs in page
-// order.
+// order. Every shard owns at least one domain: a k above the number of
+// domains is refused (errTooManyShards).
 func Assign(pages []webgraph.PageMeta, k int) ([]Run, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("shard: shard count %d, want >= 1", k)
@@ -77,6 +79,9 @@ func Assign(pages []webgraph.PageMeta, k int) ([]Run, error) {
 			count: int32(j - i),
 		})
 		i = j
+	}
+	if k > len(domains) {
+		return nil, fmt.Errorf("shard: %d shards for %d domains: %w", k, len(domains), errTooManyShards)
 	}
 	order := make([]int, len(domains))
 	for i := range order {
@@ -113,3 +118,7 @@ func Assign(pages []webgraph.PageMeta, k int) ([]Run, error) {
 	}
 	return runs, nil
 }
+
+// errTooManyShards refuses a partition in which some shard would own no
+// page, and so serve nothing.
+var errTooManyShards = errors.New("a shard owns whole domains, so there can be no more shards than domains")

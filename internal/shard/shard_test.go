@@ -146,14 +146,37 @@ func TestAssignCoversAndBalances(t *testing.T) {
 	}
 }
 
+// TestAssignRefusesShardsWithoutADomain: each shard owns whole domains,
+// so k may reach the domain count and not pass it (snbuild's
+// TestMoreShardsThanDomainsIsRefused drives the refusal end to end).
+func TestAssignRefusesShardsWithoutADomain(t *testing.T) {
+	var pages []webgraph.PageMeta
+	for _, d := range []string{"a.edu", "a.edu", "b.com", "c.org", "c.org", "c.org"} {
+		pages = append(pages, webgraph.PageMeta{URL: "http://" + d + "/" + strconv.Itoa(len(pages)), Domain: d})
+	}
+	runs, err := Assign(pages, 3)
+	if err != nil || len(runs) != 3 {
+		t.Fatalf("k = 3 over 3 domains: runs %v, err %v", runs, err)
+	}
+	if _, err := Assign(pages, 4); !errors.Is(err, errTooManyShards) {
+		t.Fatalf("k = 4 over 3 domains: err = %v, want errTooManyShards", err)
+	}
+}
+
 func TestBoundaryRoundTrip(t *testing.T) {
 	adj := map[webgraph.PageID][]webgraph.PageID{
 		0:    {5, 9, 1000},
 		7:    {2},
 		4242: {0, 1, 2, 4243},
 	}
+	g := webgraph.NewBuilder(5000)
+	for src, lst := range adj {
+		for _, q := range lst {
+			g.AddEdge(src, q)
+		}
+	}
 	path := filepath.Join(t.TempDir(), "b.fwd")
-	if err := WriteBoundary(path, adj); err != nil {
+	if err := WriteBoundary(path, g.Build()); err != nil {
 		t.Fatal(err)
 	}
 	b, err := OpenBoundary(path, 5000)
@@ -204,6 +227,31 @@ func TestManifestRoundTripAndShardOf(t *testing.T) {
 	m.Shards[0].IntraEdges++
 	if m.Version == m.stamp() {
 		t.Fatal("version stamp did not change with contents")
+	}
+}
+
+// TestShardsConserveEdges: every corpus edge lands in exactly one
+// shard's intra graph or forward boundary, every cross-shard edge in one
+// reverse boundary too, and every page in one shard.
+func TestShardsConserveEdges(t *testing.T) {
+	g := getCrawl(t).Corpus.Graph
+	for _, k := range []int{2, 4} {
+		m, err := LoadManifest(getRoot(t, k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pages int
+		var intra, fwd, rev int64
+		for _, e := range m.Shards {
+			pages += e.Pages
+			intra += e.IntraEdges
+			fwd += e.BoundaryFwdEdges
+			rev += e.BoundaryRevEdges
+		}
+		if intra+fwd != g.NumEdges() || fwd != rev || pages != g.NumPages() {
+			t.Errorf("K=%d: intra %d + fwd boundary %d of %d edges, rev boundary %d, %d of %d pages",
+				k, intra, fwd, g.NumEdges(), rev, pages, g.NumPages())
+		}
 	}
 }
 

@@ -33,9 +33,27 @@ const (
 // the streaming assembly replaced).
 var encodeFailHook func(s int32) error
 
+// FwdDir and RevDir name the two stores BuildPair writes: S-Node over
+// WG and over its transpose WGT.
+const (
+	FwdDir = "snode.fwd"
+	RevDir = "snode.rev"
+)
+
+// BuildPair builds the S-Node store of c in dir/FwdDir and, when rev —
+// the transpose of c, over the same pages — is not nil, of rev in
+// dir/RevDir. It returns the forward store's statistics.
+func BuildPair(c, rev *webgraph.Corpus, cfg Config, dir string) (*BuildStats, error) {
+	st, err := Build(c, cfg, filepath.Join(dir, FwdDir))
+	if err == nil && rev != nil {
+		_, err = Build(rev, cfg, filepath.Join(dir, RevDir))
+	}
+	return st, err
+}
+
 // Build computes the partition, constructs the S-Node representation of
 // the corpus graph, and writes it (index files plus meta.bin) into dir,
-// which must exist and be empty or reusable.
+// which is created if missing and may hold an earlier build's files.
 func Build(c *webgraph.Corpus, cfg Config, dir string) (*BuildStats, error) {
 	return BuildCtx(context.Background(), c, cfg, dir)
 }
@@ -64,14 +82,9 @@ func BuildCtx(ctx context.Context, c *webgraph.Corpus, cfg Config, dir string) (
 	return BuildFromPartitionCtx(ctx, c, p, cfg, dir, start)
 }
 
-// BuildFromPartition builds the representation from an already-computed
-// partition (used by ablation benches that vary the partition).
-func BuildFromPartition(c *webgraph.Corpus, p *partition.Partition, cfg Config, dir string, start time.Time) (*BuildStats, error) {
-	return BuildFromPartitionCtx(context.Background(), c, p, cfg, dir, start)
-}
-
-// BuildFromPartitionCtx builds the representation from a partition with
-// context, tracing, and metrics. Supernode encoding fans out over
+// BuildFromPartitionCtx builds the representation from an
+// already-computed partition into dir, as Build does, with context,
+// tracing, and metrics. Supernode encoding fans out over
 // cfg.BuildWorkers while file assembly consumes the encoded blobs
 // through a bounded in-order reorder window (workpool.Ordered), so
 // assembly overlaps encoding and peak memory holds O(window) encoded
@@ -83,6 +96,9 @@ func BuildFromPartitionCtx(ctx context.Context, c *webgraph.Corpus, p *partition
 	}
 	if cfg.MaxFileSize <= 0 {
 		return nil, fmt.Errorf("snode: MaxFileSize must be positive")
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
 	}
 	ctx, span := trace.Start(ctx, "build")
 	defer span.End()

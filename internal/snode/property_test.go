@@ -1,6 +1,7 @@
 package snode
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"testing"
@@ -132,7 +133,7 @@ func TestQuickPartitionInvariance(t *testing.T) {
 			return false
 		}
 		p0 := partition.InitialByDomain(c)
-		if _, err := BuildFromPartition(c, p0, DefaultConfig(), dirB, timeNow()); err != nil {
+		if _, err := BuildFromPartitionCtx(context.Background(), c, p0, DefaultConfig(), dirB, time.Time{}); err != nil {
 			return false
 		}
 		a, err := Open(dirA, 1<<20, iosim.Model2002())
@@ -166,7 +167,3 @@ func TestQuickPartitionInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// timeNow is a tiny indirection so property tests can call
-// BuildFromPartition without importing time at every call site.
-func timeNow() time.Time { return time.Now() }

@@ -125,6 +125,34 @@ func (g *Graph) Transpose() *Graph {
 	return t
 }
 
+// Keep returns the graph over the same pages holding the edges p→q of
+// g for which keep(p, q) is true, sized exactly by a counting pass. When
+// keep holds for every edge it returns g itself, which is immutable.
+func (g *Graph) Keep(keep func(p, q PageID) bool) *Graph {
+	n := g.NumPages()
+	offsets := make([]int64, n+1)
+	for p := range PageID(n) {
+		offsets[p+1] = offsets[p]
+		for _, q := range g.Out(p) {
+			if keep(p, q) {
+				offsets[p+1]++
+			}
+		}
+	}
+	if offsets[n] == g.NumEdges() {
+		return g
+	}
+	targets := make([]PageID, 0, offsets[n])
+	for p := range PageID(n) {
+		for _, q := range g.Out(p) {
+			if keep(p, q) {
+				targets = append(targets, q)
+			}
+		}
+	}
+	return &Graph{offsets: offsets, targets: targets}
+}
+
 // Equal reports whether two graphs have identical vertex/edge sets.
 func (g *Graph) Equal(o *Graph) bool {
 	if g.NumPages() != o.NumPages() || g.NumEdges() != o.NumEdges() {

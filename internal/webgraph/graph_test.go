@@ -172,6 +172,52 @@ func TestQuickTranspose(t *testing.T) {
 	}
 }
 
+// Property: over random graphs and predicates, Keep(keep) and
+// Keep(!keep) split g's edges between them, each list of each still
+// strictly ascending, over the same pages; keeping every edge is g.
+func TestQuickKeep(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomGraph(rng, rng.Intn(40)+2, rng.Intn(200))
+		salt, mod := rng.Intn(1000), rng.Intn(5)+1
+		keep := func(p, q PageID) bool { return (int(p)*31+int(q)*17+salt)%mod != 0 }
+		kept := g.Keep(keep)
+		dropped := g.Keep(func(p, q PageID) bool { return !keep(p, q) })
+		if kept.NumPages() != g.NumPages() || dropped.NumPages() != g.NumPages() ||
+			kept.NumEdges()+dropped.NumEdges() != g.NumEdges() || g.Keep(func(p, q PageID) bool { return true }) != g {
+			return false
+		}
+		for _, h := range []*Graph{kept, dropped} {
+			if _, err := NewGraphCSR(h.offsets, h.targets); err != nil {
+				return false
+			}
+		}
+		for p := PageID(0); int(p) < g.NumPages(); p++ {
+			k, d := kept.Out(p), dropped.Out(p)
+			for _, q := range g.Out(p) {
+				if keep(p, q) {
+					if len(k) == 0 || k[0] != q {
+						return false
+					}
+					k = k[1:]
+				} else {
+					if len(d) == 0 || d[0] != q {
+						return false
+					}
+					d = d[1:]
+				}
+			}
+			if len(k) != 0 || len(d) != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSCCSimpleCycle(t *testing.T) {
 	g := buildSample() // {0,1,2} form a cycle; 3 and 4 are singletons
 	comp, n := SCC(g)

@@ -98,9 +98,13 @@ test-bench:
 # after OpenServing one string per domain, the URLs in one block, no
 # term lists and an index equal to one built over the crawl, every
 # posting list at its exact size and owning its terms, and corpusio.Read
-# at one allocation a page and a domain whatever the terms, and at the
+# at allocations per domain whatever the pages and terms, and at the
 # file's bytes once (a string copied per page or per term, a list grown
-# by append, or the file held twice, trips them).
+# by append, or the file held twice, trips them). The ingest guards hold
+# the URL table's reader to allocations that grow with pages, domains
+# and the shared blocks it copies URLs and terms into, never per line
+# or per term, and its pages to their URL and term bytes, a PageMeta and
+# 16 B each (a string per line or a term list per page trips them).
 # Run with -count=1 so the guard always executes.
 check-overhead:
 	$(GO) test -count=1 -run 'TestUntracedTracingAddsNoAllocs|TestNavigateLookupsPinned|TestQ3RowsAndMergeAllocs|TestWarmQ2AllocatesLessThanStanford|TestWarmQ3AllocatesLessThanItsBitset|TestWarmQ5CompilesNoFilter' ./internal/query
@@ -108,6 +112,7 @@ check-overhead:
 	$(GO) test -count=1 -run 'TestCrossProcessUntracedZeroAlloc|TestDecodePartialAllocs|TestQ3LegAllocs|TestLegReadAllocatesItsBodyOnce' ./internal/trace ./internal/serve ./internal/router
 	$(GO) test -count=1 -run 'TestWarmMergedNeighborsAllocatesNothing|TestServingShardHoldsPageMetaOnce' ./internal/shard
 	$(GO) test -count=1 -run 'TestReadAllocsPerPageNotPerTerm|TestReadHoldsTheFileOnce|TestBuildHoldsPostingsExactAndTermsOwn' ./internal/corpusio ./internal/textindex
+	$(GO) test -count=1 -run 'TestURLTableAllocsPerPageNotPerTerm|TestURLTableHoldsItsBytes' ./internal/ingest
 	$(GO) test -count=1 -run 'TestDecodeHotPathAllocs|TestWarmOutAllocatesNothing|TestWarmNeighborsAllocatesNothing|TestColdOutAllocsPerLoad|TestBucketingAllocsIndependentOfEdges|TestLookupCountersPinned' ./internal/snode
 	$(GO) test -count=1 -run 'TestClusteredSplitAllocs' ./internal/partition
 

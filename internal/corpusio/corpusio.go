@@ -8,10 +8,10 @@
 // terms (each string uvarint-length-prefixed).
 //
 // Read holds each piece of metadata once: the file is read into one
-// string, a domain's pages share one Domain string, the URLs are copied
-// into one block, and the terms are substrings of the file until the
-// text index has copied each distinct one (shard.OpenServing then drops
-// them).
+// string, a domain's pages share one Domain string, and the URLs and the
+// pages' joined terms are copied into two blocks, the terms apart so
+// that a reader done with them (shard.OpenServing, once the text index
+// holds them) frees them whole.
 package corpusio
 
 import (
@@ -31,10 +31,8 @@ func Write(pages []webgraph.PageMeta, path string) error {
 		for _, pm := range pages {
 			w.Str(pm.URL)
 			w.Str(pm.Domain)
-			w.Uvarint(uint64(len(pm.Terms)))
-			for _, t := range pm.Terms {
-				w.Str(t)
-			}
+			w.Uvarint(uint64(webgraph.CountTerms(pm.Terms)))
+			webgraph.EachTerm(pm.Terms, w.Str)
 		}
 		return nil
 	})
@@ -45,16 +43,18 @@ func Write(pages []webgraph.PageMeta, path string) error {
 const minPageBytes = 3
 
 // Read loads the pages Write wrote, and nothing else: a page count the
-// file is too short to hold, a field the file ends inside, bytes after
-// the last page and pages webgraph.ValidatePages refuses are all
-// refused, before anything is sized or indexed by them.
+// file is too short to hold, a field the file ends inside, a term
+// webgraph.CheckTerm refuses (an empty one, or one holding the joined
+// form's separator), bytes after the last page and pages
+// webgraph.ValidatePages refuses are all refused, before anything is
+// sized or indexed by them.
 //
-// The file is read into one string, sized from Stat, and parsed in
-// place. A domain's pages are one run, so only a change of domain copies
-// a Domain string; the URLs are copied into one block, sized exactly;
-// each page's terms are substrings of the file, which they keep alive
-// until they are dropped. A read allocates the file's bytes once, and
-// per page and per domain, never per term.
+// The file is read into one string, sized from Stat, and parsed twice
+// in place: once to check it and size the blocks, once to fill them. A
+// domain's pages are one run, so only a change of domain copies a
+// Domain string; the URLs are copied into one block and the pages'
+// joined terms into another, each sized exactly. A read allocates the
+// file's bytes once, and per domain, never per page or per term.
 func Read(path string) ([]webgraph.PageMeta, error) {
 	raw, err := readString(path)
 	if err != nil {
@@ -69,19 +69,23 @@ func Read(path string) ([]webgraph.PageMeta, error) {
 		return nil, fmt.Errorf("corpusio: %s holds no pages", path)
 	}
 	pages := make([]webgraph.PageMeta, n)
-	urlBytes := 0
+	urlBytes, termBytes, mostTerms := 0, 0, 0
 	for pid := range pages {
 		pm := &pages[pid]
-		pm.URL = r.Str() // a substring of the file until the block below
-		urlBytes += len(pm.URL)
+		urlBytes += len(r.Str())
 		if d := r.Str(); pid > 0 && d == pages[pid-1].Domain {
 			pm.Domain = pages[pid-1].Domain
 		} else {
 			pm.Domain = strings.Clone(d)
 		}
-		pm.Terms = make([]string, r.Count(1<<16, 1))
-		for i := range pm.Terms {
-			pm.Terms[i] = r.Str()
+		k := r.Count(maxTerms, 1)
+		mostTerms = max(mostTerms, k)
+		for i := range k {
+			t := r.Str()
+			if err := webgraph.CheckTerm(t); r.Err() == nil && err != nil {
+				return nil, fmt.Errorf("corpusio: %s: page %d: %w", path, pid, err)
+			}
+			termBytes += len(t) + min(i, 1) // a separator before every term but the first
 		}
 		if r.Err() != nil {
 			return nil, fmt.Errorf("corpusio: %s: page %d: %w", path, pid, r.Err())
@@ -90,21 +94,37 @@ func Read(path string) ([]webgraph.PageMeta, error) {
 	if r.End(); r.Err() != nil {
 		return nil, fmt.Errorf("corpusio: %s: %w", path, r.Err())
 	}
-	var block strings.Builder
-	block.Grow(urlBytes)
-	for _, pm := range pages {
-		block.WriteString(pm.URL)
-	}
-	urls := block.String()
+
+	// The file checks out: read it again into the blocks, which are
+	// sized exactly and so never move while they are cut.
+	var urlBlock, termBlock strings.Builder
+	urlBlock.Grow(urlBytes)
+	termBlock.Grow(termBytes)
+	terms := make([]string, 0, mostTerms) // one page's, substrings of the file
+	r = coding.NewReader(raw)
+	r.Uvarint() // the page count, checked above
 	for pid := range pages {
-		k := len(pages[pid].URL)
-		pages[pid].URL, urls = urls[:k], urls[k:]
+		pm := &pages[pid]
+		from := urlBlock.Len()
+		urlBlock.WriteString(r.Str())
+		pm.URL = urlBlock.String()[from:]
+		r.Str()
+		terms = terms[:0]
+		for range r.Count(maxTerms, 1) {
+			terms = append(terms, r.Str())
+		}
+		from = termBlock.Len()
+		webgraph.WriteTerms(&termBlock, terms)
+		pm.Terms = termBlock.String()[from:]
 	}
 	if err := webgraph.ValidatePages(pages); err != nil {
 		return nil, fmt.Errorf("corpusio: %s: %w", path, err)
 	}
 	return pages, nil
 }
+
+// maxTerms bounds a page's term count.
+const maxTerms = 1 << 16
 
 // readString reads the file at path into one string, its only copy: a
 // builder grown to the size Stat reports, filled through a buffer no

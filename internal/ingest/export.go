@@ -129,34 +129,29 @@ func writeGraphFile(path string, g *webgraph.Graph, gz bool) (string, error) {
 }
 
 // writeURLTable writes the page-metadata sidecar and returns its hex
-// SHA-256. Metadata containing the format's delimiters (tabs or
-// newlines anywhere, commas inside a term) cannot round-trip and is
-// rejected rather than silently mangled.
+// SHA-256. A page's joined terms are the table's term field as they
+// stand (Export's Validate has refused empty terms); metadata containing
+// the format's delimiters (tabs or newlines anywhere) cannot round-trip
+// and is rejected rather than silently mangled.
 func writeURLTable(path string, pages []webgraph.PageMeta) (string, error) {
 	return writeHashed(path, false, func(bw *bufio.Writer) error {
 		fmt.Fprintf(bw, "# Pages: %d\n", len(pages))
 		fmt.Fprintf(bw, "# PageId\tUrl\tDomain\tTerms\n")
 		for i, m := range pages {
-			if err := checkField(m.URL, "url", i, false); err != nil {
-				return err
-			}
-			if err := checkField(m.Domain, "domain", i, false); err != nil {
-				return err
-			}
-			for _, t := range m.Terms {
-				if err := checkField(t, "term", i, true); err != nil {
+			for _, f := range [...]struct{ s, what string }{{m.URL, "url"}, {m.Domain, "domain"}, {m.Terms, "terms"}} {
+				if err := checkField(f.s, f.what, i); err != nil {
 					return err
 				}
 			}
-			fmt.Fprintf(bw, "%d\t%s\t%s\t%s\n", i, m.URL, m.Domain, strings.Join(m.Terms, ","))
+			fmt.Fprintf(bw, "%d\t%s\t%s\t%s\n", i, m.URL, m.Domain, m.Terms)
 		}
 		return nil
 	})
 }
 
 // checkField rejects metadata the tab-separated sidecar cannot carry.
-func checkField(s, what string, page int, isTerm bool) error {
-	if strings.ContainsAny(s, "\t\n\r") || (isTerm && (s == "" || strings.Contains(s, ","))) {
+func checkField(s, what string, page int) error {
+	if strings.ContainsAny(s, "\t\n\r") {
 		return fmt.Errorf("page %d: %s %q contains a delimiter the url table cannot carry", page, what, s)
 	}
 	return nil

@@ -35,8 +35,7 @@ func sameCorpus(t *testing.T, a, b *webgraph.Corpus) {
 		t.Fatalf("page counts diverge: %d vs %d", len(a.Pages), len(b.Pages))
 	}
 	for i := range a.Pages {
-		if a.Pages[i].URL != b.Pages[i].URL || a.Pages[i].Domain != b.Pages[i].Domain ||
-			strings.Join(a.Pages[i].Terms, ",") != strings.Join(b.Pages[i].Terms, ",") {
+		if a.Pages[i] != b.Pages[i] {
 			t.Fatalf("page %d diverges: %+v vs %+v", i, a.Pages[i], b.Pages[i])
 		}
 	}

@@ -265,11 +265,14 @@ func maybeGunzip(br *bufio.Reader) (io.Reader, error) {
 // yields the same corpus.
 func SynthesizeMeta(n, pagesPerDomain int) []webgraph.PageMeta {
 	metas := make([]webgraph.PageMeta, n)
+	var domain string // one string a domain's pages share
 	for i := 0; i < n; i++ {
 		dom := i / pagesPerDomain
 		k := i % pagesPerDomain
 		dir := k * 8 / pagesPerDomain
-		domain := fmt.Sprintf("example-d%05d.net", dom)
+		if k == 0 {
+			domain = fmt.Sprintf("example-d%05d.net", dom)
+		}
 		metas[i] = webgraph.PageMeta{
 			URL:    fmt.Sprintf("http://www.%s/d%d/page%07d.html", domain, dir, i),
 			Domain: domain,

@@ -306,8 +306,8 @@ func TestURLTableUniverse(t *testing.T) {
 		pages[2].Domain != "b.net" {
 		t.Fatalf("pages misaligned: %+v", pages)
 	}
-	if len(pages[0].Terms) != 2 || pages[0].Terms[0] != "web" {
-		t.Fatalf("terms = %v", pages[0].Terms)
+	if pages[0].Terms != "web,graph" || pages[1].Terms != "" {
+		t.Fatalf("terms = %q, %q", pages[0].Terms, pages[1].Terms)
 	}
 
 	// An endpoint outside the declared universe is an error.

@@ -5,6 +5,7 @@ package ingest
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -86,6 +87,15 @@ func manifestSum(man manifest, path string) (string, bool) {
 // pages resume after another domain's in ID order (errDomainReopened):
 // every reader of the corpus takes a domain to be one ID range
 // (store.DomainRanges).
+//
+// A line is parsed in the scanner's buffer and allocates nothing of its
+// own: its URL and its term field, which is already the joined form
+// webgraph.PageMeta.Terms holds, are copied into shared blocks (a
+// stringBlocks, cut in chunks because a gzipped table's size is not
+// known ahead), and a line of the previous line's domain shares its
+// Domain string. The metadata thus costs its bytes, the []PageMeta and
+// a string per domain run. Ingest's Corpus.Validate then refuses a term
+// field that holds an empty term ("a,,b").
 func readURLTable(ctx context.Context, path string, man manifest) ([]uint64, []webgraph.PageMeta, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -109,12 +119,13 @@ func readURLTable(ctx context.Context, path string, man manifest) ([]uint64, []w
 
 	// Parse straight into the final parallel arrays. A million-page
 	// table is tens of MB of retained metadata; a []struct{id, meta}
-	// staging slice would transiently double that, and a per-line
-	// strings.Split []string header is pure garbage at that scale —
-	// both working state the -max-heap-mb discipline exists to avoid.
+	// staging slice would transiently double that, and a string per
+	// line or per term is pure garbage at that scale — both working
+	// state the -max-heap-mb discipline exists to avoid.
 	var (
 		universe []uint64
 		metas    []webgraph.PageMeta
+		blocks   stringBlocks
 		sorted   = true
 	)
 	tableSize := int64(-1)
@@ -131,10 +142,10 @@ func readURLTable(ctx context.Context, path string, man manifest) ([]uint64, []w
 			}
 		}
 		lineNo++
-		line := strings.TrimSuffix(sc.Text(), "\r")
-		if line == "" || line[0] == '#' {
+		line := bytes.TrimSuffix(sc.Bytes(), []byte("\r"))
+		if len(line) == 0 || line[0] == '#' {
 			if universe == nil && tableSize >= 0 {
-				if n, ok := pagesHint(line); ok {
+				if n, ok := pagesHint(string(line)); ok {
 					// Trust the hint only up to what the file could
 					// plausibly hold (a valid row is >= 6 bytes), so a
 					// corrupt header cannot force an absurd allocation.
@@ -147,28 +158,30 @@ func readURLTable(ctx context.Context, path string, man manifest) ([]uint64, []w
 			}
 			continue
 		}
-		idf, rest, ok := strings.Cut(line, "\t")
+		idf, rest, ok := bytes.Cut(line, tab)
 		if !ok {
 			return nil, nil, fmt.Errorf("ingest: url table %s:%d: want 3 or 4 tab-separated fields, got 1", path, lineNo)
 		}
-		urlf, rest, ok2 := strings.Cut(rest, "\t")
+		urlf, rest, ok2 := bytes.Cut(rest, tab)
 		if !ok2 {
 			return nil, nil, fmt.Errorf("ingest: url table %s:%d: want 3 or 4 tab-separated fields, got 2", path, lineNo)
 		}
-		domf, termsf, hasTerms := strings.Cut(rest, "\t")
-		if strings.IndexByte(termsf, '\t') >= 0 {
+		domf, termsf, _ := bytes.Cut(rest, tab)
+		if bytes.IndexByte(termsf, '\t') >= 0 {
 			return nil, nil, fmt.Errorf("ingest: url table %s:%d: want 3 or 4 tab-separated fields, got more", path, lineNo)
 		}
-		id, err := strconv.ParseUint(idf, 10, 64)
+		id, err := strconv.ParseUint(string(idf), 10, 64) // string(idf) is not kept: no copy
 		if err != nil {
 			return nil, nil, fmt.Errorf("ingest: url table %s:%d: bad page id %q", path, lineNo, idf)
 		}
-		if urlf == "" || domf == "" {
+		if len(urlf) == 0 || len(domf) == 0 {
 			return nil, nil, fmt.Errorf("ingest: url table %s:%d: empty url or domain", path, lineNo)
 		}
-		meta := webgraph.PageMeta{URL: urlf, Domain: domf}
-		if hasTerms && termsf != "" {
-			meta.Terms = strings.Split(termsf, ",")
+		meta := webgraph.PageMeta{URL: blocks.copy(urlf), Terms: blocks.copy(termsf)}
+		if k := len(metas); k > 0 && string(domf) == metas[k-1].Domain {
+			meta.Domain = metas[k-1].Domain
+		} else {
+			meta.Domain = blocks.copy(domf)
 		}
 		if len(universe) > 0 && id <= universe[len(universe)-1] {
 			sorted = false
@@ -218,6 +231,36 @@ func readURLTable(ctx context.Context, path string, man manifest) ([]uint64, []w
 // errDomainReopened refuses a URL table in which some domain's pages
 // resume after another domain's in page-ID order.
 var errDomainReopened = errors.New("a domain's pages must be contiguous in page-ID order")
+
+var tab = []byte("\t")
+
+// blockBytes is the size of a stringBlocks chunk: large enough that a
+// chunk's unused tail is a small share of it, small enough that the last
+// chunk's is a small share of a table.
+const blockBytes = 64 << 10
+
+// stringBlocks copies byte strings into shared chunks and hands each
+// back as a string that is a substring of its chunk: a chunk is a
+// strings.Builder grown once, written only within its capacity, so it
+// never moves and every string cut from it stays valid. A string that
+// does not fit the chunk's rest starts a new chunk.
+type stringBlocks struct {
+	chunk strings.Builder
+}
+
+// copy returns p's bytes as a string in a chunk ("" for none).
+func (s *stringBlocks) copy(p []byte) string {
+	if len(p) == 0 {
+		return ""
+	}
+	if s.chunk.Cap()-s.chunk.Len() < len(p) {
+		s.chunk = strings.Builder{}
+		s.chunk.Grow(max(blockBytes, len(p)))
+	}
+	from := s.chunk.Len()
+	s.chunk.Write(p)
+	return s.chunk.String()[from:]
+}
 
 // cancelCheckLines is how many table lines pass between two looks at
 // the context.

@@ -174,7 +174,7 @@ func TestURLSplitDepthProgression(t *testing.T) {
 	b := webgraph.NewBuilder(len(urls))
 	pages := make([]webgraph.PageMeta, len(urls))
 	for i, u := range urls {
-		pages[i] = webgraph.PageMeta{URL: u, Domain: "x.com", Terms: nil}
+		pages[i] = webgraph.PageMeta{URL: u, Domain: "x.com"}
 	}
 	c := &webgraph.Corpus{Graph: b.Build(), Pages: pages}
 	e := Element{Pages: []webgraph.PageID{0, 1, 2, 3, 4, 5}, depth: 0}

@@ -166,7 +166,7 @@ func TestQ3WithoutItsPhraseIsEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range crawl.Corpus.Pages {
-		crawl.Corpus.Pages[i].Terms = nil
+		crawl.Corpus.Pages[i].Terms = ""
 	}
 	opt := repo.DefaultOptions(t.TempDir())
 	opt.Schemes = []string{repo.SchemeSNode}
@@ -330,14 +330,7 @@ func TestTransposeRequiredQueries(t *testing.T) {
 func TestQ1AgainstBruteForce(t *testing.T) {
 	r := getRepo(t)
 	c := r.Corpus
-	hasPhrase := func(p int32, phrase string) bool {
-		for _, term := range c.Pages[p].Terms {
-			if term == phrase {
-				return true
-			}
-		}
-		return false
-	}
+	hasPhrase := func(p int32, phrase string) bool { return webgraph.HasTerm(c.Pages[p].Terms, phrase) }
 	isEdu := func(d string) bool {
 		return len(d) > 4 && d[len(d)-4:] == ".edu"
 	}
@@ -383,11 +376,8 @@ func TestQ2AgainstBruteForce(t *testing.T) {
 			}
 			n := 0
 			for _, w := range comic.Words {
-				for _, term := range c.Pages[p].Terms {
-					if term == w {
-						n++
-						break
-					}
+				if webgraph.HasTerm(c.Pages[p].Terms, w) {
+					n++
 				}
 			}
 			if n >= 2 {
@@ -450,11 +440,8 @@ func brutePages(c *webgraph.Corpus, term, domain string) []webgraph.PageID {
 		if domain != "" && c.Pages[p].Domain != domain {
 			continue
 		}
-		for _, t := range c.Pages[p].Terms {
-			if t == term {
-				out = append(out, webgraph.PageID(p))
-				break
-			}
+		if webgraph.HasTerm(c.Pages[p].Terms, term) {
+			out = append(out, webgraph.PageID(p))
 		}
 	}
 	return out

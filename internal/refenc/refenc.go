@@ -35,6 +35,7 @@ package refenc
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"snode/internal/bitio"
@@ -134,16 +135,20 @@ func directCost(list []int32, bound uint64, gc GapCode) int {
 }
 
 // refCost is the encoded size of list encoded against ref, excluding
-// the reference designator (which differs per strategy).
-func refCost(ref, list []int32, bound uint64, gc GapCode) int {
-	nShared, nExtra, rleLen, gapLen := refParts(ref, list, nil, nil, bound, gc)
-	_ = nShared
-	return rleLen + coding.Gamma0Len(uint64(nExtra)) + gapLen
+// the reference designator (which differs per strategy), if it is below
+// limit; once the walk shows it is not, it stops and reports false.
+func refCost(ref, list []int32, bound uint64, gc GapCode, limit int) (int, bool) {
+	_, nExtra, rleLen, gapLen, ok := refParts(ref, list, nil, nil, bound, gc, limit)
+	c := rleLen + coding.Gamma0Len(uint64(nExtra)) + gapLen
+	return c, ok && c < limit
 }
 
 // refParts walks ref and list once, computing the shared/extra split.
-// When bits/extras are non-nil they are filled for encoding.
-func refParts(ref, list []int32, bits []bool, extras []int32, bound uint64, gc GapCode) (nShared, nExtra, rleLen, gapLen int) {
+// When bits/extras are non-nil they are filled for encoding. It stops,
+// reporting false, as soon as the cost counted so far reaches limit: the
+// copy-list runs already ended, the extras already coded and the bit
+// the extra count takes at least, which only grow as the walk goes on.
+func refParts(ref, list []int32, bits []bool, extras []int32, bound uint64, gc GapCode, limit int) (nShared, nExtra, rleLen, gapLen int, ok bool) {
 	i, j := 0, 0
 	var lastRun bool
 	var runLen uint64
@@ -198,12 +203,18 @@ func refParts(ref, list []int32, bits []bool, extras []int32, bound uint64, gc G
 			pushExtra(list[j])
 			j++
 		}
+		if rleLen+gapLen+1 >= limit {
+			return nShared, nExtra, rleLen, gapLen, false
+		}
 	}
 	for ; j < len(list); j++ {
 		pushExtra(list[j])
+		if rleLen+gapLen+1 >= limit {
+			return nShared, nExtra, rleLen, gapLen, false
+		}
 	}
 	flush()
-	return nShared, nExtra, rleLen, gapLen
+	return nShared, nExtra, rleLen, gapLen, true
 }
 
 // Stats reports how an encoding went.
@@ -277,7 +288,7 @@ func (lw *listWriter) writeOneList(w *bitio.Writer, ref, list []int32, bound uin
 	// refParts sets every bit and the first nExtra extras.
 	lw.bits = slices.Grow(lw.bits[:0], len(ref))[:len(ref)]
 	lw.extras = slices.Grow(lw.extras[:0], len(list))[:len(list)]
-	_, nExtra, _, _ := refParts(ref, list, lw.bits, lw.extras, bound, gc)
+	_, nExtra, _, _, _ := refParts(ref, list, lw.bits, lw.extras, bound, gc, math.MaxInt)
 	coding.WriteRLEBits(w, lw.bits)
 	coding.WriteGamma0(w, uint64(nExtra))
 	writeRun(w, lw.extras[:nExtra], bound, gc)
@@ -403,6 +414,57 @@ func (d *listDecoder) readReferenced(r *bitio.Reader, ref int) error {
 	return d.b.End()
 }
 
+// span is what encodeWindow knows of a list before it walks it: its
+// least and greatest target and the set of its targets' residues modulo
+// 64. Two lists whose ranges do not meet, or whose residue sets do not,
+// share no target.
+type span struct {
+	lo, hi   int32
+	residues uint64
+}
+
+func spanOf(list []int32) span {
+	s := span{lo: list[0], hi: list[len(list)-1]}
+	for _, v := range list {
+		s.residues |= 1 << (v & 63)
+	}
+	return s
+}
+
+// disjoint reports whether the spans prove their lists share no target.
+func (s span) disjoint(o span) bool {
+	return s.hi < o.lo || o.hi < s.lo || s.residues&o.residues == 0
+}
+
+// bestRef picks list i's reference among the window before it: the
+// offset of the cheapest candidate, 0 (none) when the direct form is no
+// dearer, and the earliest candidate among equals. It prices only the
+// candidates that can win. An empty candidate cannot, nor can one that
+// shares no target with the list: its copy list is one run of clear
+// bits (at least two bits), its extras are the list coded as the direct
+// form codes it, and its designator costs at least two bits more than
+// the direct form's, so it costs at least four bits more. The others
+// are walked with the best cost so far as their limit. spans holds list
+// j's span at j modulo its length, which exceeds the window.
+func bestRef(lists [][]int32, spans []span, i, window int, bound uint64, gc GapCode) int {
+	list := lists[i]
+	if len(list) == 0 {
+		return 0 // the direct form of an empty list is its two bits
+	}
+	bestOff, bestCost := 0, directCost(list, bound, gc)
+	for j := max(i-window, 0); j < i; j++ {
+		if len(lists[j]) == 0 || spans[i%len(spans)].disjoint(spans[j%len(spans)]) {
+			continue
+		}
+		off := i - j
+		offBits := coding.Gamma0Len(uint64(off))
+		if c, ok := refCost(lists[j], list, bound, gc, bestCost-offBits); ok {
+			bestCost, bestOff = offBits+c, off
+		}
+	}
+	return bestOff
+}
+
 func encodeWindow(w *bitio.Writer, lists [][]int32, window int, bound uint64, gc GapCode) (Stats, error) {
 	if window < 0 {
 		window = 0
@@ -411,25 +473,18 @@ func encodeWindow(w *bitio.Writer, lists [][]int32, window int, bound uint64, gc
 	var st Stats
 	st.Lists = len(lists)
 	var lw listWriter
+	// The spans of the window's lists and the current one, on the stack
+	// unless the window is wider than refenc's default.
+	var ring [DefaultWindow + 1]span
+	spans := ring[:]
+	if window >= len(ring) {
+		spans = make([]span, window+1)
+	}
 	for i, list := range lists {
-		bestOff := 0
-		bestCost := directCost(list, bound, gc)
-		lo := i - window
-		if lo < 0 {
-			lo = 0
+		if len(list) > 0 {
+			spans[i%len(spans)] = spanOf(list)
 		}
-		for j := lo; j < i; j++ {
-			// Referencing an empty list is never useful.
-			if len(lists[j]) == 0 {
-				continue
-			}
-			off := i - j
-			c := coding.Gamma0Len(uint64(off)) + refCost(lists[j], list, bound, gc)
-			if c < bestCost {
-				bestCost = c
-				bestOff = off
-			}
-		}
+		bestOff := bestRef(lists, spans, i, window, bound, gc)
 		coding.WriteGamma0(w, uint64(bestOff))
 		if bestOff == 0 {
 			lw.writeOneList(w, nil, list, bound, gc)
@@ -545,7 +600,8 @@ func encodeExact(w *bitio.Writer, lists [][]int32, bound uint64, gc GapCode) (St
 			if x == y || len(lists[x]) == 0 {
 				continue
 			}
-			edges = append(edges, WEdge{From: x, To: y, W: float64(refCost(lists[x], lists[y], bound, gc))})
+			c, _ := refCost(lists[x], lists[y], bound, gc, math.MaxInt)
+			edges = append(edges, WEdge{From: x, To: y, W: float64(c)})
 		}
 	}
 	parentEdge, _, err := MinArborescence(m+1, root, edges)

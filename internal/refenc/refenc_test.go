@@ -2,6 +2,7 @@ package refenc
 
 import (
 	"errors"
+	"math"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -123,7 +124,7 @@ func TestPaperFigure5Decomposition(t *testing.T) {
 	y := []int32{5, 12, 18, 19, 27}
 	bits := make([]bool, len(x))
 	extras := make([]int32, len(y))
-	nShared, nExtra, _, _ := refParts(x, y, bits, extras, 32, GapGamma)
+	nShared, nExtra, _, _, _ := refParts(x, y, bits, extras, 32, GapGamma, math.MaxInt)
 	if nShared != 3 || nExtra != 2 {
 		t.Fatalf("shared=%d extras=%d, want 3 and 2", nShared, nExtra)
 	}
@@ -574,11 +575,101 @@ func TestCostsMatchWrittenBits(t *testing.T) {
 			w.Reset()
 			coding.WriteGamma0(w, off)
 			lw.writeOneList(w, ref, list, bound, gc)
-			if got, want := w.BitLen(), coding.Gamma0Len(off)+refCost(ref, list, bound, gc); got != want {
+			c, _ := refCost(ref, list, bound, gc, math.MaxInt)
+			if got, want := w.BitLen(), coding.Gamma0Len(off)+c; got != want {
 				t.Fatalf("gap code %d, bound %d, list %v against %v: Gamma0Len+refCost %d bits, written %d", gc, bound, list, ref, want, got)
 			}
 		}
 	}
+}
+
+// TestBestRefMatchesExhaustiveSearch: the pruned reference search picks
+// the offset the exhaustive one does — every candidate in the window,
+// empty ones included, priced in full, the first of equal costs kept —
+// for every list of random list sets under every gap code and several
+// windows. The sets hold empty lists, lists in ranges far apart, lists
+// whose targets differ in their residues modulo 64 inside one range,
+// and exact and near copies of earlier lists, which tie at offsets of
+// one designator length.
+func TestBestRefMatchesExhaustiveSearch(t *testing.T) {
+	const bound = 1 << 20
+	rng := randutil.NewRNG(53)
+	exhaustive := func(lists [][]int32, i, window int, gc GapCode) int {
+		bestOff, bestCost := 0, directCost(lists[i], bound, gc)
+		for j := max(i-window, 0); j < i; j++ {
+			c, _ := refCost(lists[j], lists[i], bound, gc, math.MaxInt)
+			if c += coding.Gamma0Len(uint64(i - j)); c < bestCost {
+				bestOff, bestCost = i-j, c
+			}
+		}
+		return bestOff
+	}
+	list := func() []int32 {
+		var l []int32
+		switch rng.Intn(4) {
+		case 0: // in one of three ranges far apart
+			base := int32(rng.Intn(3)) * (bound / 3)
+			for v := base + int32(rng.Intn(50)); len(l) < rng.Intn(40); v += int32(1 + rng.Intn(20)) {
+				l = append(l, v)
+			}
+		case 1: // one residue modulo 64 inside [0, 4096)
+			r := int32(rng.Intn(4))
+			for v := r; v < 4096; v += 64 {
+				if rng.Bool(0.5) {
+					l = append(l, v)
+				}
+			}
+		default: // dense inside [0, 200)
+			for v := int32(0); v < 200; v++ {
+				if rng.Bool(0.1) {
+					l = append(l, v)
+				}
+			}
+		}
+		return l
+	}
+	var picked, referenced int
+	for trial := 0; trial < 300; trial++ {
+		lists := make([][]int32, 1+rng.Intn(40))
+		for i := range lists {
+			switch k := rng.Intn(10); {
+			case k == 0 || i == 0 && k < 4:
+				// empty
+			case k < 3 && i > 0: // an exact copy of an earlier list
+				lists[i] = lists[rng.Intn(i)]
+			case k < 5 && i > 0: // an earlier list with one target dropped
+				l := slices.Clone(lists[rng.Intn(i)])
+				if len(l) > 0 {
+					k := rng.Intn(len(l))
+					l = slices.Delete(l, k, k+1)
+				}
+				lists[i] = l
+			default:
+				lists[i] = list()
+			}
+		}
+		spans := make([]span, len(lists)) // one a list: j modulo its length is j
+		for i, l := range lists {
+			if len(l) > 0 {
+				spans[i] = spanOf(l)
+			}
+		}
+		for _, gc := range []GapCode{GapGamma, GapDelta, GapZeta2, GapZeta3} {
+			for _, window := range []int{1, 3, DefaultWindow, 16} {
+				for i := range lists {
+					got, want := bestRef(lists, spans, i, window, bound, gc), exhaustive(lists, i, window, gc)
+					if got != want {
+						t.Fatalf("trial %d, gap code %d, window %d, list %d: offset %d, the exhaustive search %d", trial, gc, window, i, got, want)
+					}
+					picked++
+					if want > 0 {
+						referenced++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d choices, %d of them a reference", picked, referenced)
 }
 
 // TestDecodeListMatchesDecodeLists holds the one-list decode to the

@@ -112,18 +112,14 @@ func NewReplica(sh *shard.ServingShard, cfg Config, liveDir string) (*Replica, e
 }
 
 // pageMetaBytes is the memory pages hold, from what they know: the
-// slice at its capacity, each URL's bytes, a domain's bytes once a run
-// (the run's pages share one string), and any term lists at their
-// capacity with their terms' bytes.
+// slice at its capacity, each URL's bytes and joined terms' bytes, and a
+// domain's bytes once a run (the run's pages share one string).
 func pageMetaBytes(pages []webgraph.PageMeta) int64 {
 	n := int64(cap(pages)) * int64(unsafe.Sizeof(webgraph.PageMeta{}))
 	for i, pm := range pages {
-		n += int64(len(pm.URL)) + int64(cap(pm.Terms))*int64(unsafe.Sizeof(""))
+		n += int64(len(pm.URL)) + int64(len(pm.Terms))
 		if i == 0 || pm.Domain != pages[i-1].Domain {
 			n += int64(len(pm.Domain))
-		}
-		for _, t := range pm.Terms {
-			n += int64(len(t))
 		}
 	}
 	return n

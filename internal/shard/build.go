@@ -79,19 +79,29 @@ func Build(crawl *synth.Crawl, k int, root string, cfg snode.Config) (*Manifest,
 	return m, nil
 }
 
-// buildShard emits shard s's S-Node stores and boundary files, cutting
-// each from the corpus graph: the intra graph holds the edges with both
-// ends owned, the forward boundary those leaving an owned page, and the
-// reverse boundary those entering one, transposed. With one shard the
-// intra graph is the corpus graph itself, so the stores come out as
-// repo.Build writes them.
+// buildShard emits shard s's S-Node stores and boundary files, cut
+// together from the corpus graph in one counting and one filling pass:
+// the intra graph holds the edges with both ends owned, the forward
+// boundary those leaving an owned page, and the reverse boundary those
+// entering one, transposed. With one shard the intra graph is the corpus
+// graph itself, so the stores come out as repo.Build writes them.
 func buildShard(c *webgraph.Corpus, shardOf []int, s int, root string, cfg snode.Config) (*ShardEntry, error) {
 	dir := fmt.Sprintf("shard-%d", s)
-	ig := c.Graph.Keep(func(p, q webgraph.PageID) bool { return shardOf[p] == s && shardOf[q] == s })
-	bfwd := c.Graph.Keep(func(p, q webgraph.PageID) bool { return shardOf[p] == s && shardOf[q] != s })
-	brev := c.Graph.Keep(func(p, q webgraph.PageID) bool { return shardOf[p] != s && shardOf[q] == s }).Transpose()
-	rev := &webgraph.Corpus{Graph: ig.Transpose(), Pages: c.Pages}
-	if _, err := snode.BuildPair(&webgraph.Corpus{Graph: ig, Pages: c.Pages}, rev, cfg, filepath.Join(root, dir)); err != nil {
+	const intra, fwd, rev = 0, 1, 2
+	cut := c.Graph.Cut([]bool{intra: false, fwd: false, rev: true}, func(p, q webgraph.PageID) int {
+		switch ps, qs := shardOf[p] == s, shardOf[q] == s; {
+		case ps && qs:
+			return intra
+		case ps:
+			return fwd
+		case qs:
+			return rev
+		}
+		return -1
+	})
+	ig, bfwd, brev := cut[intra], cut[fwd], cut[rev]
+	revCorpus := &webgraph.Corpus{Graph: ig.Transpose(), Pages: c.Pages}
+	if _, err := snode.BuildPair(&webgraph.Corpus{Graph: ig, Pages: c.Pages}, revCorpus, cfg, filepath.Join(root, dir)); err != nil {
 		return nil, err
 	}
 	entry := &ShardEntry{

@@ -22,8 +22,9 @@ import (
 // The shard holds the crawl's page metadata once (corpusio.Read): a
 // domain's pages share one Domain string and every URL is a substring
 // of one block. The text index is the only reader of the pages' terms,
-// so once it holds them they are dropped: a serving shard's
-// Corpus.Pages[].Terms is nil. Its links are the stores', and its
+// so once it holds them they are dropped, and with them the block
+// corpusio.Read cut them from: a serving shard's Corpus.Pages[].Terms
+// is "". Its links are the stores', and its
 // Corpus.Graph is nil: no shard path reads it.
 type ServingShard struct {
 	ID       int
@@ -93,7 +94,7 @@ func OpenServing(root string, id int, cacheBudget int64, model iosim.Model) (*Se
 	}
 	text := textindex.Build(pages)
 	for i := range pages {
-		pages[i].Terms = nil
+		pages[i].Terms = ""
 	}
 	nav := &repo.Repository{
 		Corpus:   &webgraph.Corpus{Pages: pages},

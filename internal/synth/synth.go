@@ -484,6 +484,7 @@ func assignTerms(cfg Config, domains []domainSpec, pages []webgraph.PageMeta, di
 	}
 
 	vocabSize := 2000
+	var terms []string // one page's, joined into its Terms
 	for _, d := range domains {
 		isComic := -1
 		for ci, c := range comics {
@@ -493,7 +494,7 @@ func assignTerms(cfg Config, domains []domainSpec, pages []webgraph.PageMeta, di
 		}
 		for k := 0; k < d.size; k++ {
 			pid := d.firstPID + int32(k)
-			var terms []string
+			terms = terms[:0]
 			topic := topicFor(dirOf[pid], d.name)
 			// ~70% of a directory's pages actually mention its topic.
 			if rng.Bool(0.7) {
@@ -515,7 +516,7 @@ func assignTerms(cfg Config, domains []domainSpec, pages []webgraph.PageMeta, di
 			for j := 0; j < nBack; j++ {
 				terms = append(terms, fmt.Sprintf("w%04d", rng.Intn(vocabSize)))
 			}
-			pages[pid].Terms = terms
+			pages[pid].Terms = webgraph.JoinTerms(terms)
 		}
 	}
 }
@@ -669,14 +670,7 @@ func buildLinks(cfg Config, domains []domainSpec, pages []webgraph.PageMeta, dir
 // is unaffected by scenario tweaks.
 func wireScenarios(cfg Config, domains []domainSpec, pages []webgraph.PageMeta, b *webgraph.Builder, rng *randutil.RNG) {
 	n := len(pages)
-	hasTerm := func(p int32, term string) bool {
-		for _, t := range pages[p].Terms {
-			if t == term {
-				return true
-			}
-		}
-		return false
-	}
+	hasTerm := func(p int32, term string) bool { return webgraph.HasTerm(pages[p].Terms, term) }
 	domainRange := map[string][2]int32{}
 	for _, d := range domains {
 		domainRange[d.name] = [2]int32{d.firstPID, d.firstPID + int32(d.size)}

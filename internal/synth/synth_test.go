@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"snode/internal/urlutil"
+	"snode/internal/webgraph"
 )
 
 // genOnce caches one 20k-page crawl across tests in this package.
@@ -212,17 +213,15 @@ func TestScenarioPhrasesPresent(t *testing.T) {
 	counts := map[string]int{}
 	stanfordMobile := 0
 	for _, p := range c.Corpus.Pages {
-		for _, term := range p.Terms {
-			for _, ph := range []string{
-				PhraseMobileNetworking, PhraseInternetCensorship,
-				PhraseQuantumCryptography, PhraseComputerMusic,
-				PhraseOpticalInterferometry,
-			} {
-				if term == ph {
-					counts[ph]++
-					if ph == PhraseMobileNetworking && p.Domain == "stanford.edu" {
-						stanfordMobile++
-					}
+		for _, ph := range []string{
+			PhraseMobileNetworking, PhraseInternetCensorship,
+			PhraseQuantumCryptography, PhraseComputerMusic,
+			PhraseOpticalInterferometry,
+		} {
+			if webgraph.HasTerm(p.Terms, ph) {
+				counts[ph]++
+				if ph == PhraseMobileNetworking && p.Domain == "stanford.edu" {
+					stanfordMobile++
 				}
 			}
 		}
@@ -247,11 +246,8 @@ func TestComicWordPagesExistAtStanford(t *testing.T) {
 		for _, comic := range Comics() {
 			n := 0
 			for _, w := range comic.Words {
-				for _, t := range p.Terms {
-					if t == w {
-						n++
-						break
-					}
+				if webgraph.HasTerm(p.Terms, w) {
+					n++
 				}
 			}
 			if n >= 2 {

@@ -27,20 +27,18 @@ type Index struct {
 // Build indexes the corpus metadata. It counts each term's pages
 // first, then cuts every posting list from one array at its exact size
 // (len == cap): nothing grows by append. A term a page lists twice
-// counts once, found among the page's own few terms, with no set made
-// per page. Each distinct term is copied once, when it is first seen,
-// and the map is never assigned a key it holds (an assignment stores
-// its key anew), so the index keeps nothing of the strings the pages'
-// terms are cut from.
+// counts once, found among the page's own few terms (held in one scratch
+// list for every page), with no set made per page. Each distinct term is
+// copied once, when it is first seen, and the map is never assigned a
+// key it holds (an assignment stores its key anew), so the index keeps
+// nothing of the strings the pages' terms are cut from.
 func Build(pages []webgraph.PageMeta) *Index {
 	idx := &Index{ids: map[string]int32{}}
 	var counts []int
 	var seq []int32 // each posting's list, in page order
+	var seen []string
 	for _, pm := range pages {
-		for i, t := range pm.Terms {
-			if slices.Contains(pm.Terms[:i], t) {
-				continue
-			}
+		eachDistinct(pm.Terms, &seen, func(t string) {
 			id, ok := idx.ids[t]
 			if !ok {
 				id = int32(len(counts))
@@ -49,7 +47,7 @@ func Build(pages []webgraph.PageMeta) *Index {
 			}
 			counts[id]++
 			seq = append(seq, id)
-		}
+		})
 	}
 	idx.lists = make([][]webgraph.PageID, len(counts))
 	all := make([]webgraph.PageID, len(seq))
@@ -57,16 +55,26 @@ func Build(pages []webgraph.PageMeta) *Index {
 		idx.lists[id], all = all[:0:c], all[c:]
 	}
 	for pid, pm := range pages {
-		for i, t := range pm.Terms {
-			if !slices.Contains(pm.Terms[:i], t) {
-				id := seq[0]
-				seq = seq[1:]
-				idx.lists[id] = append(idx.lists[id], webgraph.PageID(pid))
-			}
-		}
+		eachDistinct(pm.Terms, &seen, func(string) {
+			id := seq[0]
+			seq = seq[1:]
+			idx.lists[id] = append(idx.lists[id], webgraph.PageID(pid))
+		})
 	}
 	// Page IDs were appended in increasing order, so lists are sorted.
 	return idx
+}
+
+// eachDistinct calls fn with each of the joined terms the first time
+// they list it, collecting them in *seen.
+func eachDistinct(terms string, seen *[]string, fn func(string)) {
+	*seen = (*seen)[:0]
+	webgraph.EachTerm(terms, func(t string) {
+		if !slices.Contains(*seen, t) {
+			*seen = append(*seen, t)
+			fn(t)
+		}
+	})
 }
 
 // Lookup returns the pages containing term (nil if none). The returned

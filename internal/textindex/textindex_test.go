@@ -13,10 +13,10 @@ import (
 
 func sampleIndex() *Index {
 	pages := []webgraph.PageMeta{
-		{URL: "u0", Domain: "a.com", Terms: []string{"apple", "banana"}},
-		{URL: "u1", Domain: "a.com", Terms: []string{"banana", "cherry", "banana"}},
-		{URL: "u2", Domain: "b.com", Terms: []string{"apple", "cherry"}},
-		{URL: "u3", Domain: "b.com", Terms: []string{"mobile_networking"}},
+		{URL: "u0", Domain: "a.com", Terms: "apple,banana"},
+		{URL: "u1", Domain: "a.com", Terms: "banana,cherry,banana"},
+		{URL: "u2", Domain: "b.com", Terms: "apple,cherry"},
+		{URL: "u3", Domain: "b.com", Terms: "mobile_networking"},
 	}
 	return Build(pages)
 }
@@ -84,9 +84,11 @@ func TestPagesWithAtLeastMatchesMapCount(t *testing.T) {
 		pages := make([]webgraph.PageMeta, rng.Intn(120))
 		for i := range pages {
 			pages[i].URL = fmt.Sprint("u", i)
+			var terms []string
 			for j := rng.Intn(5); j > 0; j-- {
-				pages[i].Terms = append(pages[i].Terms, vocab[rng.Intn(len(vocab)-1)])
+				terms = append(terms, vocab[rng.Intn(len(vocab)-1)])
 			}
+			pages[i].Terms = webgraph.JoinTerms(terms)
 		}
 		idx := Build(pages)
 		n := webgraph.PageID(len(pages))
@@ -154,21 +156,26 @@ func TestNumTermsAndSize(t *testing.T) {
 
 // TestBuildHoldsPostingsExactAndTermsOwn: every posting list is cut at
 // its exact size (len == cap), and no term the index keeps points into
-// the string the pages' terms were cut from, so a caller that drops its
-// terms frees that string.
+// the string the pages' joined terms were cut from (one block, as
+// corpusio.Read cuts them), so a caller that drops its terms frees that
+// string.
 func TestBuildHoldsPostingsExactAndTermsOwn(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
+	pages := make([]webgraph.PageMeta, 2000)
 	var src strings.Builder
-	for i := 0; i < 50; i++ {
-		fmt.Fprintf(&src, "term%02d", i)
+	ends := make([]int, len(pages))
+	var terms []string
+	for i := range pages {
+		terms = terms[:0]
+		for j := rng.Intn(8); j > 0; j-- {
+			terms = append(terms, fmt.Sprintf("term%02d", rng.Intn(50)))
+		}
+		webgraph.WriteTerms(&src, terms)
+		ends[i] = src.Len()
 	}
 	text := src.String()
-	pages := make([]webgraph.PageMeta, 2000)
-	for i := range pages {
-		for j := rng.Intn(8); j > 0; j-- {
-			k := 6 * rng.Intn(50)
-			pages[i].Terms = append(pages[i].Terms, text[k:k+6])
-		}
+	for i, from := 0, 0; i < len(pages); i++ {
+		pages[i].Terms, from = text[from:ends[i]], ends[i]
 	}
 	idx := Build(pages)
 	lo := uintptr(unsafe.Pointer(unsafe.StringData(text)))

@@ -125,32 +125,66 @@ func (g *Graph) Transpose() *Graph {
 	return t
 }
 
-// Keep returns the graph over the same pages holding the edges p→q of
-// g for which keep(p, q) is true, sized exactly by a counting pass. When
-// keep holds for every edge it returns g itself, which is immutable.
-func (g *Graph) Keep(keep func(p, q PageID) bool) *Graph {
+// Cut splits g's edges among len(flip) graphs over the same pages: edge
+// p→q goes to graph into(p, q), as q→p when flip holds for that graph,
+// and to none when into returns a negative number. One counting pass
+// over g sizes every graph exactly and one filling pass fills them all;
+// a flipped graph's rows come out ascending as Transpose's do, and its
+// offsets serve as its fill cursors, so no scratch is allocated per
+// page. A graph that receives every edge unflipped is g itself,
+// which is immutable, and then no filling pass is made.
+func (g *Graph) Cut(flip []bool, into func(p, q PageID) int) []*Graph {
 	n := g.NumPages()
-	offsets := make([]int64, n+1)
+	out := make([]*Graph, len(flip))
+	for c := range out {
+		out[c] = &Graph{offsets: make([]int64, n+1)}
+	}
 	for p := range PageID(n) {
-		offsets[p+1] = offsets[p]
 		for _, q := range g.Out(p) {
-			if keep(p, q) {
-				offsets[p+1]++
+			if c := into(p, q); c >= 0 {
+				if flip[c] {
+					out[c].offsets[q+1]++
+				} else {
+					out[c].offsets[p+1]++
+				}
 			}
 		}
 	}
-	if offsets[n] == g.NumEdges() {
-		return g
+	for c, h := range out {
+		for i := range n {
+			h.offsets[i+1] += h.offsets[i]
+		}
+		if !flip[c] && h.offsets[n] == g.NumEdges() {
+			out[c] = g // every other graph is empty, and filled already
+			return out
+		}
+		h.targets = make([]PageID, h.offsets[n])
 	}
-	targets := make([]PageID, 0, offsets[n])
+	// An unflipped graph's rows are filled in order, a flipped graph's
+	// row q at offsets[q], which then moves to where row q+1 starts.
+	fill := make([]int64, len(flip))
 	for p := range PageID(n) {
 		for _, q := range g.Out(p) {
-			if keep(p, q) {
-				targets = append(targets, q)
+			c := into(p, q)
+			switch {
+			case c < 0:
+			case flip[c]:
+				h := out[c]
+				h.targets[h.offsets[q]] = p
+				h.offsets[q]++
+			default:
+				out[c].targets[fill[c]] = q
+				fill[c]++
 			}
 		}
 	}
-	return &Graph{offsets: offsets, targets: targets}
+	for c, h := range out {
+		if flip[c] {
+			copy(h.offsets[1:], h.offsets[:n])
+			h.offsets[0] = 0
+		}
+	}
+	return out
 }
 
 // Equal reports whether two graphs have identical vertex/edge sets.
@@ -225,11 +259,12 @@ func (b *Builder) Build() *Graph {
 }
 
 // PageMeta is the per-page metadata the indexes and the partitioner
-// need. Terms hold normalized tokens (single words and phrase tokens).
+// need. Terms holds normalized tokens (single words and phrase tokens)
+// in their joined form: EachTerm hands them out, JoinTerms makes it.
 type PageMeta struct {
 	URL    string
 	Domain string // registered domain, e.g. "stanford.edu"
-	Terms  []string
+	Terms  string
 }
 
 // Corpus bundles a graph with its page metadata; it is what the crawl
@@ -250,7 +285,8 @@ func (c *Corpus) Validate() error {
 }
 
 // ValidatePages checks page metadata without a graph: every page has a
-// URL and domain, and each domain's pages are one run of page IDs
+// URL and domain, no page's joined terms hold an empty term
+// (errEmptyTerm), and each domain's pages are one run of page IDs
 // (errDomainReopened), which every reader that takes a domain to be one
 // ID range relies on. It allocates per domain, not per page.
 func ValidatePages(pages []PageMeta) error {
@@ -258,6 +294,9 @@ func ValidatePages(pages []PageMeta) error {
 	for i, p := range pages {
 		if p.URL == "" || p.Domain == "" {
 			return fmt.Errorf("webgraph: page %d missing URL or domain", i)
+		}
+		if err := checkJoined(p.Terms); err != nil {
+			return fmt.Errorf("webgraph: page %d: %w", i, err)
 		}
 		if i == 0 || p.Domain == pages[i-1].Domain {
 			continue

@@ -172,46 +172,43 @@ func TestQuickTranspose(t *testing.T) {
 	}
 }
 
-// Property: over random graphs and predicates, Keep(keep) and
-// Keep(!keep) split g's edges between them, each list of each still
-// strictly ascending, over the same pages; keeping every edge is g.
-func TestQuickKeep(t *testing.T) {
+// Property: over random graphs, class functions and flips, Cut gives
+// each graph exactly the edges of its class, over the same pages, as
+// a Builder given them one by one (reversed for a flipped graph) makes
+// them; a graph that takes every edge unflipped is g itself.
+func TestQuickCut(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng, rng.Intn(40)+2, rng.Intn(200))
-		salt, mod := rng.Intn(1000), rng.Intn(5)+1
-		keep := func(p, q PageID) bool { return (int(p)*31+int(q)*17+salt)%mod != 0 }
-		kept := g.Keep(keep)
-		dropped := g.Keep(func(p, q PageID) bool { return !keep(p, q) })
-		if kept.NumPages() != g.NumPages() || dropped.NumPages() != g.NumPages() ||
-			kept.NumEdges()+dropped.NumEdges() != g.NumEdges() || g.Keep(func(p, q PageID) bool { return true }) != g {
-			return false
+		flip := make([]bool, rng.Intn(3)+1)
+		for c := range flip {
+			flip[c] = rng.Intn(2) == 0
 		}
-		for _, h := range []*Graph{kept, dropped} {
-			if _, err := NewGraphCSR(h.offsets, h.targets); err != nil {
-				return false
-			}
+		salt, mod := rng.Intn(1000), len(flip)+1
+		into := func(p, q PageID) int { return (int(p)*31+int(q)*17+salt)%mod - 1 }
+		cut := g.Cut(flip, into)
+		want := make([]*Builder, len(flip))
+		for c := range want {
+			want[c] = NewBuilder(g.NumPages())
 		}
 		for p := PageID(0); int(p) < g.NumPages(); p++ {
-			k, d := kept.Out(p), dropped.Out(p)
 			for _, q := range g.Out(p) {
-				if keep(p, q) {
-					if len(k) == 0 || k[0] != q {
-						return false
-					}
-					k = k[1:]
-				} else {
-					if len(d) == 0 || d[0] != q {
-						return false
-					}
-					d = d[1:]
+				switch c := into(p, q); {
+				case c < 0:
+				case flip[c]:
+					want[c].AddEdge(q, p)
+				default:
+					want[c].AddEdge(p, q)
 				}
 			}
-			if len(k) != 0 || len(d) != 0 {
+		}
+		for c, h := range cut {
+			if _, err := NewGraphCSR(h.offsets, h.targets); err != nil || !h.Equal(want[c].Build()) {
 				return false
 			}
 		}
-		return true
+		whole := g.Cut([]bool{true, false}, func(p, q PageID) int { return 1 })
+		return whole[1] == g && whole[0].NumEdges() == 0 && whole[0].NumPages() == g.NumPages()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -105,6 +105,10 @@ test-bench:
 # and the shared blocks it copies URLs and terms into, never per line
 # or per term, and its pages to their URL and term bytes, a PageMeta and
 # 16 B each (a string per line or a term list per page trips them).
+# The encode guard pins one graph's encode at one allocation, its blob
+# at its exact size (a blob grown while appended, or reference-coding
+# scratch per graph, trips it); the charge pin holds the cache's charges
+# by kind and state, encoded and whole, to recorded sums.
 # Run with -count=1 so the guard always executes.
 check-overhead:
 	$(GO) test -count=1 -run 'TestUntracedTracingAddsNoAllocs|TestNavigateLookupsPinned|TestQ3RowsAndMergeAllocs|TestWarmQ2AllocatesLessThanStanford|TestWarmQ3AllocatesLessThanItsBitset|TestWarmQ5CompilesNoFilter' ./internal/query
@@ -113,7 +117,7 @@ check-overhead:
 	$(GO) test -count=1 -run 'TestWarmMergedNeighborsAllocatesNothing|TestServingShardHoldsPageMetaOnce' ./internal/shard
 	$(GO) test -count=1 -run 'TestReadAllocsPerPageNotPerTerm|TestReadHoldsTheFileOnce|TestBuildHoldsPostingsExactAndTermsOwn' ./internal/corpusio ./internal/textindex
 	$(GO) test -count=1 -run 'TestURLTableAllocsPerPageNotPerTerm|TestURLTableHoldsItsBytes' ./internal/ingest
-	$(GO) test -count=1 -run 'TestDecodeHotPathAllocs|TestWarmOutAllocatesNothing|TestWarmNeighborsAllocatesNothing|TestColdOutAllocsPerLoad|TestBucketingAllocsIndependentOfEdges|TestLookupCountersPinned' ./internal/snode
+	$(GO) test -count=1 -run 'TestDecodeHotPathAllocs|TestWarmOutAllocatesNothing|TestWarmNeighborsAllocatesNothing|TestColdOutAllocsPerLoad|TestBucketingAllocsIndependentOfEdges|TestLookupCountersPinned|TestEncodePayloadAllocatesItsBlobOnce|TestGraphChargesPinned' ./internal/snode
 	$(GO) test -count=1 -run 'TestClusteredSplitAllocs' ./internal/partition
 
 # Plan gate: every scheme's Table 3 rows and cold navigation I/O

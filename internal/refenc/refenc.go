@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"snode/internal/bitio"
 	"snode/internal/coding"
@@ -271,11 +272,15 @@ func writeRun(w *bitio.Writer, list []int32, bound uint64, gc GapCode) {
 
 // listWriter is one encoding's scratch for the lists it writes against
 // a reference: the copy bit-vector and the extras, reused from one list
-// to the next.
+// to the next, and from one encoding to the next through listWriters.
 type listWriter struct {
 	bits   []bool
 	extras []int32
 }
+
+// listWriters pools list writers across EncodeLists calls, which a build
+// makes once per graph from every encoding worker.
+var listWriters = sync.Pool{New: func() any { return new(listWriter) }}
 
 // writeOneList writes list after its reference designator: directly
 // when ref is nil, otherwise against ref.
@@ -472,7 +477,8 @@ func encodeWindow(w *bitio.Writer, lists [][]int32, window int, bound uint64, gc
 	startBits := w.BitLen()
 	var st Stats
 	st.Lists = len(lists)
-	var lw listWriter
+	lw := listWriters.Get().(*listWriter)
+	defer listWriters.Put(lw)
 	// The spans of the window's lists and the current one, on the stack
 	// unless the window is wider than refenc's default.
 	var ring [DefaultWindow + 1]span
@@ -629,7 +635,8 @@ func encodeExact(w *bitio.Writer, lists [][]int32, bound uint64, gc GapCode) (St
 	if len(order) != m {
 		return st, fmt.Errorf("refenc: arborescence does not span (%d of %d)", len(order), m)
 	}
-	var lw listWriter
+	lw := listWriters.Get().(*listWriter)
+	defer listWriters.Put(lw)
 	for pos, v := range order {
 		coding.WriteMinimalBinary(w, uint64(v), uint64(m))
 		if parent[v] == root {

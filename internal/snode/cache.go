@@ -6,45 +6,34 @@ import (
 	"sync/atomic"
 )
 
-// decodedGraph is any in-memory lower-level graph.
-type decodedGraph interface {
-	memSize() int64
-	// edgeCount reports stored entries (positive links, or complement
-	// entries for negative graphs) — the decode-throughput denominator.
-	edgeCount() int64
-	// node is the cache node the graph carries (by embedding cacheNode).
-	node() *cacheNode
-}
-
 // graphCache is the buffer manager of §4.3: decoded intranode and
 // superedge graphs are cached under a byte budget with second-chance
 // (CLOCK) replacement. The experiments vary the budget (Figure 12) and
 // count loads per query (the paper's instrumentation of Query 1).
 //
-// Cached graphs are immutable. Every graph has two states in turn: a
-// load inserts it encoded (encodedGraph: a copy of its payload, and a
-// positive superedge graph's sources decoded), and the lookup that loaded
-// it decodes only the list it wants out of that. A later lookup that
-// finds the entry and needs a list of it decodes them all and has the
-// cache hold the whole graph instead (materialized). No graph is ever
-// changed in place, so one handed out by lookupNode stays valid however
-// the cache moves on.
+// Cached graphs are immutable. Every graph is one graph value in one of
+// two states: a load inserts it encoded (a copy of its payload's list
+// section, and a positive superedge graph's sources decoded), and the
+// lookup that loaded it decodes only the list it wants out of that. A
+// later lookup that finds the entry and needs a list of it decodes them
+// all into a new, whole graph and has the cache hold that instead
+// (materialized). No graph is ever changed in place, so one handed out
+// by lookup stays valid however the cache moves on.
 //
 // Thread-safety contract: the cache is safe for concurrent use by any
 // number of goroutines.
 //
 // A hit takes no lock. Graph IDs are dense, so a graph's state is
 // published in its slot, one atomic pointer per graph of the directory:
-// nil when the graph is absent, a node holding it when it is resident,
-// and the shared node loading — which holds no graph, so it reads as a
-// miss — while some goroutine decodes it. lookupNode is one atomic load,
-// plus one store to the entry's reference bit when the bit is clear.
-// What a slot points to (a cacheNode's id, graph, size and source
-// summary) never changes after the node is published; replacing a graph
-// publishes the new graph's node. A reader that loaded a node just
-// before it was evicted or reset therefore still holds a whole, valid
-// graph, and the only thing it can do to the dead node is set a bit
-// nobody reads.
+// nil when the graph is absent, the graph when it is resident, and the
+// shared placeholder loading while some goroutine decodes it. lookup
+// is one atomic load, plus one store to the entry's reference bit when
+// the bit is clear. What a slot points to (a graph, and its node's id,
+// size and source summary) never changes after it is published;
+// replacing a graph publishes the new graph. A reader that loaded a
+// graph just before it was evicted or reset therefore still holds it
+// whole and valid, and the only thing it can do to the dead node is set
+// a bit nobody reads.
 //
 // Everything that changes a slot takes a shard lock: the cache is split
 // into cacheShards shards (by GraphID hash), each with its own mutex,
@@ -82,7 +71,7 @@ type decodedGraph interface {
 // the shard locks. All are exact at quiescence: Hits+Misses is the
 // number of lookups made, Loads+Coalesced >= Misses.
 type graphCache struct {
-	slots  []atomic.Pointer[cacheNode] // indexed by GraphID; nil = absent, loading = being decoded
+	slots  []atomic.Pointer[graph] // indexed by GraphID; nil = absent, loading = being decoded
 	shards [cacheShards]cacheShard
 }
 
@@ -103,7 +92,7 @@ type cacheShard struct {
 	// hand is the oldest node of the shard's ring (circular through
 	// next/prev, insertion order), where the next sweep starts; nil when
 	// the shard is empty. hand.prev is the newest.
-	hand     *cacheNode
+	hand     *graph
 	resident int64
 	claimed  int64             // slots holding loading: decodes claimed, not yet completed
 	waited   []*inflightDecode // the flights, among those, that some goroutine waits on
@@ -115,65 +104,51 @@ type cacheShard struct {
 	hits, misses, decoded, listDecodes atomic.Int64
 }
 
-// cacheNode is what the cache keeps of one resident graph: every graph
-// type embeds one, so that admitting a graph allocates nothing, and the
-// cache readies and links it once (nodeOf). id, g, size and the source
-// summary are set before the node is published and never change; ref is
-// the second-chance bit, set by lock-free hits and cleared by the sweep;
-// next and prev belong to the shard lock. g is the graph the node is
-// embedded in.
+// cacheNode is what the cache keeps of one resident graph: the graph
+// embeds it, so that admitting a graph allocates nothing, and the cache
+// readies and links it once (readyNode). id, size and the source summary
+// are set before the graph is published and never change; ref is the
+// second-chance bit, set by lock-free hits and cleared by the sweep;
+// next and prev belong to the shard lock.
 //
 // The source summary lets a warm lookup rule a positive superedge graph
-// out from the node it has already loaded, without following g to the
-// graph's sources: srcLo and srcHi are its smallest and largest source,
-// and srcMask has bit v&63 set for each source v. Every other node
-// carries the empty summary, which rules nothing out.
+// out without a search of the graph's sources: srcLo and srcHi are its
+// smallest and largest source, and srcMask has bit v&63 set for each
+// source v. Every other graph carries the empty summary, which rules
+// nothing out.
 type cacheNode struct {
-	g            decodedGraph
 	size         int64
-	next, prev   *cacheNode
+	next, prev   *graph
 	id           GraphID
 	ref          atomic.Bool
 	srcLo, srcHi int32
 	srcMask      uint64
 }
 
-func (n *cacheNode) node() *cacheNode { return n }
-
-// nodeOf readies the node graph g carries to hold g as graph id, with its
-// source summary, or returns nil if g was admitted before: a node that
-// has been in a ring keeps its next pointer, and a graph object is
-// admitted at most once, so that no published node is ever written
-// again. Caller holds the lock of id's shard.
-func nodeOf(id GraphID, g decodedGraph) *cacheNode {
-	n := g.node()
-	if n.next != nil {
-		return nil
+// readyNode readies g's node to hold g as graph id, with its source
+// summary, and reports false if g was admitted before: a node that has
+// been in a ring keeps its next pointer, and a graph is admitted at most
+// once, so that no published graph is ever written again. Caller holds
+// the lock of id's shard.
+func (g *graph) readyNode(id GraphID) bool {
+	if g.next != nil {
+		return false
 	}
-	n.id, n.g, n.size = id, g, g.memSize()
-	n.srcLo, n.srcHi, n.srcMask = 0, math.MaxInt32, ^uint64(0)
-	var srcs []int32
-	switch sg := g.(type) {
-	case *encodedGraph:
-		if sg.kind != kindSuperPos {
-			return n
-		}
-		srcs = sg.srcs
-	case *decodedSuperPos:
-		srcs = sg.srcs
-	default:
-		return n
+	g.id, g.size = id, g.memSize()
+	g.srcLo, g.srcHi, g.srcMask = 0, math.MaxInt32, ^uint64(0)
+	if g.kind != kindSuperPos {
+		return true
 	}
 	// A graph without sources gets an empty range, so rulesOut rules
 	// every page out, as a search of its sources would.
-	n.srcLo, n.srcHi, n.srcMask = 0, -1, 0
-	if len(srcs) > 0 {
-		n.srcLo, n.srcHi = srcs[0], srcs[len(srcs)-1]
+	g.srcLo, g.srcHi, g.srcMask = 0, -1, 0
+	if len(g.srcs) > 0 {
+		g.srcLo, g.srcHi = g.srcs[0], g.srcs[len(g.srcs)-1]
 	}
-	for _, v := range srcs {
-		n.srcMask |= 1 << (uint32(v) & 63)
+	for _, v := range g.srcs {
+		g.srcMask |= 1 << (uint32(v) & 63)
 	}
-	return n
+	return true
 }
 
 // rulesOut reports whether the node's source summary shows that the page
@@ -205,10 +180,9 @@ func (n *cacheNode) rulesOutAll(locals []int32, lo, hi int32, mask uint64) bool 
 }
 
 // loading is what the slot of a claimed graph points to until its
-// leader completes. It holds no graph, so the lock-free lookup reads it
-// as a miss with the test it already makes; one node serves every slot,
-// so a claim allocates nothing.
-var loading = new(cacheNode)
+// leader completes; the lock-free lookup reads it as a miss. One
+// placeholder serves every slot, so a claim allocates nothing.
+var loading = new(graph)
 
 // inflightDecode is what the waiters of one in-progress decode block
 // on. The first of them makes it, under the shard lock; g and err are
@@ -217,13 +191,13 @@ var loading = new(cacheNode)
 type inflightDecode struct {
 	id   GraphID
 	done chan struct{}
-	g    decodedGraph
+	g    *graph
 	err  error
 }
 
 // newGraphCache makes a cache for graph IDs [0, graphs).
 func newGraphCache(budget int64, graphs int) *graphCache {
-	c := &graphCache{slots: make([]atomic.Pointer[cacheNode], graphs)}
+	c := &graphCache{slots: make([]atomic.Pointer[graph], graphs)}
 	c.setBudget(budget)
 	return c
 }
@@ -261,26 +235,25 @@ func shardBudget(budget int64, i int) int64 {
 	return per
 }
 
-// lookupNode returns the node of a resident graph and marks it used, or
-// nil when the graph is not resident, without a lock and without
-// counting: the caller owes countLookups one hit or miss for it.
-func (c *graphCache) lookupNode(id GraphID) *cacheNode {
-	n := c.slots[id].Load()
-	if n == nil || n.g == nil {
+// lookup returns a resident graph and marks it used, or nil when the
+// graph is not resident, without a lock and without counting: the caller
+// owes countLookups one hit or miss for it.
+func (c *graphCache) lookup(id GraphID) *graph {
+	g := c.slots[id].Load()
+	if g == nil || g == loading {
 		return nil
 	}
-	c.touch(n)
-	return n
+	touch(g)
+	return g
 }
 
-// touch marks a resident node used and returns its graph.
-func (c *graphCache) touch(n *cacheNode) decodedGraph {
+// touch marks a resident graph used.
+func touch(g *graph) {
 	// Test before set: a hot entry's bit is nearly always set already,
 	// and a load leaves its cache line shared between cores.
-	if !n.ref.Load() {
-		n.ref.Store(true)
+	if !g.ref.Load() {
+		g.ref.Store(true)
 	}
-	return n.g
 }
 
 // countLookups records the outcomes of lookups made through lookup, on
@@ -295,47 +268,36 @@ func (c *graphCache) countLookups(id GraphID, hits, misses int64) {
 	}
 }
 
-// claim outcomes for tryClaim.
-const (
-	claimCached = iota // graph returned; nothing to do
-	claimLeader        // caller owns the decode and MUST call complete
-	claimBusy          // another goroutine is decoding; caller backs off
-)
-
-// claimNoWait resolves a graph that a lookup reported missing without
-// ever blocking: it returns the graph if a concurrent decode finished
-// meanwhile, hands back the in-flight decode if one exists (the caller
-// waits on fl.done itself, with cancellation; counting the
-// Coalesced dedup happens here, at claim time), or makes the caller the
-// decode leader (leader=true), who MUST call complete exactly once.
-// claimNoWait never counts a hit or miss — the lookup that preceded it
-// already did.
-func (c *graphCache) claimNoWait(id GraphID) (g decodedGraph, fl *inflightDecode, leader bool) {
+// claim resolves a graph that a lookup reported missing without ever
+// blocking. It returns the graph if a concurrent decode finished
+// meanwhile, or makes the caller the decode leader (leader=true), who
+// MUST call complete exactly once. When another goroutine is decoding
+// the graph, a caller that will wait gets the decode's flight (it waits
+// on fl.done itself, with cancellation), and one that will not — a span
+// read extending over further misses — is told busy: no graph, no
+// flight, not leader. Both a wait and a graph found resolved count as
+// Coalesced, so every miss is attributable to exactly one load, wait, or
+// reuse (the Loads+Coalesced >= Misses reconciliation the metrics
+// assert); claim never counts a hit or miss — the lookup that preceded
+// it already did.
+func (c *graphCache) claim(id GraphID, wait bool) (g *graph, fl *inflightDecode, leader bool) {
 	s := c.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch n := c.slots[id].Load(); {
 	case n == nil:
-		c.claimLocked(s, id)
+		c.slots[id].Store(loading)
+		s.claimed++
 		return nil, nil, true
-	case n == loading:
+	case n != loading:
 		s.stats.Coalesced++
-		return nil, s.flightLocked(id), false
-	default:
-		// Resolved between the caller's miss and this claim by another
-		// goroutine's decode: counted as Coalesced so every miss is
-		// attributable to exactly one load, wait, or reuse (the
-		// Loads+Coalesced >= Misses reconciliation the metrics assert).
-		s.stats.Coalesced++
-		return c.touch(n), nil, false
+		touch(n)
+		return n, nil, false
+	case !wait:
+		return nil, nil, false
 	}
-}
-
-// claimLocked publishes that the caller is decoding id. Caller holds
-// s.mu and has seen the slot empty.
-func (c *graphCache) claimLocked(s *cacheShard, id GraphID) {
-	c.slots[id].Store(loading)
-	s.claimed++
+	s.stats.Coalesced++
+	return nil, s.flightLocked(id), false
 }
 
 // flightLocked returns the flight the waiters of id's in-progress
@@ -368,34 +330,13 @@ func (c *graphCache) inflightCount() int64 {
 	return n
 }
 
-// tryClaim is claimNoWait for a caller that will not wait: when another
-// goroutine is already decoding id it reports claimBusy and makes no
-// flight. Used to extend span reads over additional misses.
-func (c *graphCache) tryClaim(id GraphID) (decodedGraph, int) {
-	s := c.shard(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch n := c.slots[id].Load(); {
-	case n == nil:
-		c.claimLocked(s, id)
-		return nil, claimLeader
-	case n == loading:
-		return nil, claimBusy
-	default:
-		// As in claimNoWait: a miss resolved by another goroutine's
-		// completed decode counts as Coalesced.
-		s.stats.Coalesced++
-		return c.touch(n), claimCached
-	}
-}
-
 // complete finishes a claimed decode: on success the graph is admitted
 // (evicting by second chance to stay within the shard budget) and the
 // load counters — including the decoded-edge counter — are bumped under
 // the shard lock; either way the slot stops saying loading, and every
 // goroutine waiting on the decode is released with the same result. A
 // completion of a graph nobody claimed changes nothing.
-func (c *graphCache) complete(id GraphID, g decodedGraph, kind uint8, err error) {
+func (c *graphCache) complete(id GraphID, g *graph, err error) {
 	s := c.shard(id)
 	s.mu.Lock()
 	if c.slots[id].Load() != loading {
@@ -413,11 +354,11 @@ func (c *graphCache) complete(id GraphID, g decodedGraph, kind uint8, err error)
 			break
 		}
 	}
-	var n *cacheNode
+	var resident *graph
 	if err == nil {
-		n = c.admitLocked(s, id, g, kind)
+		resident = c.admitLocked(s, id, g)
 	}
-	c.slots[id].Store(n)
+	c.slots[id].Store(resident)
 	s.mu.Unlock()
 	if fl != nil {
 		fl.g, fl.err = g, err
@@ -425,36 +366,35 @@ func (c *graphCache) complete(id GraphID, g decodedGraph, kind uint8, err error)
 	}
 }
 
-// admitLocked counts a freshly decoded graph and puts its node in the
-// ring, evicting to stay within the shard budget; the caller publishes
-// the node, or leaves the slot empty when it is nil (a graph admitted
+// admitLocked counts a freshly decoded graph and puts it in the ring,
+// evicting to stay within the shard budget, and returns it for the
+// caller to publish, or nil to leave the slot empty (a graph admitted
 // before). Graphs larger than the budget are admitted alone (the query
-// could not run otherwise) and evicted on the next insert. A new node
+// could not run otherwise) and evicted on the next insert. A new entry
 // starts unreferenced: its loader already holds the graph, and only a
 // later lookup earns it a second chance. Caller holds s.mu.
-func (c *graphCache) admitLocked(s *cacheShard, id GraphID, g decodedGraph, kind uint8) *cacheNode {
+func (c *graphCache) admitLocked(s *cacheShard, id GraphID, g *graph) *graph {
 	s.stats.Loads++
 	s.decoded.Add(g.edgeCount())
-	if kind == kindIntra {
+	if g.kind == kindIntra {
 		s.stats.IntraLoads++
 	} else {
 		s.stats.SuperLoads++
 	}
-	n := nodeOf(id, g)
-	if n == nil {
+	if !g.readyNode(id) {
 		return nil
 	}
-	for s.used+n.size > s.budget && s.hand != nil {
+	for s.used+g.size > s.budget && s.hand != nil {
 		c.evictLocked(s, nil)
 	}
-	s.link(n, s.hand)
-	return n
+	s.link(g, s.hand)
+	return g
 }
 
 // link puts n into the ring just before at — the newest place, when at
 // is the hand — or starts the ring when at is nil, and accounts for it.
 // Caller holds s.mu.
-func (s *cacheShard) link(n, at *cacheNode) {
+func (s *cacheShard) link(n, at *graph) {
 	if at == nil {
 		n.next, n.prev = n, n
 		s.hand = n
@@ -467,8 +407,8 @@ func (s *cacheShard) link(n, at *cacheNode) {
 }
 
 // unlink takes n out of the ring and the accounts; a hand that pointed
-// at n moves on to the node after it. Caller holds s.mu.
-func (s *cacheShard) unlink(n *cacheNode) {
+// at n moves on to the entry after it. Caller holds s.mu.
+func (s *cacheShard) unlink(n *graph) {
 	if n.next == n {
 		s.hand = nil
 	} else {
@@ -482,12 +422,12 @@ func (s *cacheShard) unlink(n *cacheNode) {
 }
 
 // evictLocked runs the second-chance sweep from the hand until it has
-// evicted one node: a node found referenced has its bit cleared and is
+// evicted one entry: an entry found referenced has its bit cleared and is
 // passed over; the first found unreferenced goes, and the hand stops
 // behind it. keep, if non-nil, is passed over whatever its bit says.
-// The caller guarantees the ring holds a node other than keep, so at
+// The caller guarantees the ring holds an entry other than keep, so at
 // most two turns of the ring find a victim. Caller holds s.mu.
-func (c *graphCache) evictLocked(s *cacheShard, keep *cacheNode) {
+func (c *graphCache) evictLocked(s *cacheShard, keep *graph) {
 	n := s.hand
 	for n == keep || n.ref.Load() {
 		if n != keep {
@@ -503,37 +443,31 @@ func (c *graphCache) evictLocked(s *cacheShard, keep *cacheNode) {
 
 // materialized records that a lookup decoded every list of the encoded
 // graph from, giving to, and — if from is still what the cache holds for
-// id — publishes to's node in the place of from's: same position in the
-// ring, marked used, at its own size, evicting others by second chance
-// if the growth needs the room (an entry that outgrows the whole shard
-// stays, alone). Neither graph nor from's node is touched, so a reader
-// that got either from a lock-free lookup holds it whole. When from was
-// evicted meanwhile, or another lookup's materialization got here first,
-// the cache is left alone and to serves only its caller. Either way the
-// decode happened, so it is counted.
-func (c *graphCache) materialized(id GraphID, from *encodedGraph, to decodedGraph) {
+// id — publishes to in its place: same position in the ring, marked
+// used, at its own size, evicting others by second chance if the growth
+// needs the room (an entry that outgrows the whole shard stays, alone).
+// from is not touched, so a reader that got it from a lock-free lookup
+// holds it whole. When from was evicted meanwhile, or another lookup's
+// materialization got here first, the cache is left alone and to serves
+// only its caller. Either way the decode happened, so it is counted.
+func (c *graphCache) materialized(id GraphID, from, to *graph) {
 	s := c.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Materialized++
 	s.decoded.Add(to.edgeCount())
-	old := from.node()
-	if c.slots[id].Load() != old {
-		return // absent, being decoded again, or already replaced
+	if c.slots[id].Load() != from || !to.readyNode(id) {
+		return // absent, being decoded again, already replaced, or to admitted before
 	}
-	n := nodeOf(id, to)
-	if n == nil {
-		return
+	to.ref.Store(true)
+	s.link(to, from)
+	if s.hand == from {
+		s.hand = to
 	}
-	n.ref.Store(true)
-	s.link(n, old)
-	if s.hand == old {
-		s.hand = n
-	}
-	s.unlink(old)
-	c.slots[id].Store(n)
+	s.unlink(from)
+	c.slots[id].Store(to)
 	for s.used > s.budget && s.resident > 1 {
-		c.evictLocked(s, n)
+		c.evictLocked(s, to)
 	}
 }
 
@@ -621,7 +555,7 @@ func (s *cacheShard) resetStatsLocked() {
 
 // reset empties the cache and re-divides a new budget (used between
 // buffer-size sweep points). Each shard's slots are cleared under its
-// lock, by walking its ring, so no slot is left pointing at a node the
+// lock, by walking its ring, so no slot is left pointing at a graph the
 // shard no longer accounts for. In-flight decodes are retained — a
 // slot that says loading is in no ring — so their leaders complete into
 // the fresh state, and their waiters are still released.

@@ -7,34 +7,31 @@ import (
 	"testing"
 )
 
-// stubGraph is a fake decodedGraph for exercising the buffer manager in
-// isolation from the codecs.
-type stubGraph struct {
-	cacheNode
-	size  int64
-	edges int64
+// sizedGraph is a graph for exercising the buffer manager in isolation
+// from the codecs: encoded, of the given kind, with a list section that
+// brings its charge to size bytes (at least the 64 an encoded graph is
+// charged beyond its arrays).
+func sizedGraph(kind uint8, size int64) *graph {
+	return &graph{kind: kind, buf: make([]byte, size-64)}
 }
 
-func (s *stubGraph) memSize() int64   { return s.size }
-func (s *stubGraph) edgeCount() int64 { return s.edges }
-
-// get is one counted lookup — lookupNode, and the hit or miss it owes
+// get is one counted lookup — lookup, and the hit or miss it owes
 // countLookups — so that merged Hits+Misses equals the number of get
 // calls. Lookups of the read path count a whole call's at once.
-func (c *graphCache) get(id GraphID) (decodedGraph, bool) {
-	n := c.lookupNode(id)
-	if n == nil {
+func (c *graphCache) get(id GraphID) (*graph, bool) {
+	g := c.lookup(id)
+	if g == nil {
 		c.countLookups(id, 0, 1)
 		return nil, false
 	}
 	c.countLookups(id, 1, 0)
-	return n.g, true
+	return g, true
 }
 
-// claimOrWait is claimNoWait plus the plain receive on another
+// claimOrWait is a waiting claim plus the plain receive on another
 // goroutine's in-flight decode.
-func claimOrWait(c *graphCache, id GraphID) (g decodedGraph, err error, leader bool) {
-	g, fl, leader := c.claimNoWait(id)
+func claimOrWait(c *graphCache, id GraphID) (g *graph, err error, leader bool) {
+	g, fl, leader := c.claim(id, true)
 	if leader || fl == nil {
 		return g, nil, leader
 	}
@@ -137,7 +134,7 @@ func TestCacheInvariantsUnderConcurrency(t *testing.T) {
 				if id%3 == 0 {
 					kind = kindSuperPos
 				}
-				c.complete(id, &stubGraph{size: sz, edges: int64(id)}, kind, nil)
+				c.complete(id, sizedGraph(kind, sz), nil)
 			}
 		}(w)
 	}
@@ -188,7 +185,7 @@ func TestCacheInvariantsWithConcurrentReset(t *testing.T) {
 					return
 				}
 				if leader {
-					c.complete(id, &stubGraph{size: 512, edges: 1}, kindIntra, nil)
+					c.complete(id, sizedGraph(kindIntra, 512), nil)
 				}
 			}
 		}(w)
@@ -229,14 +226,14 @@ func oneShardCache(perShard int64, n int) (*graphCache, *cacheShard, []GraphID) 
 	return c, target, ids
 }
 
-// putGraph loads a stub graph of the given size through the real
-// protocol: miss, claim, complete.
+// putGraph loads a graph of the given size through the real protocol:
+// miss, claim, complete.
 func putGraph(t *testing.T, c *graphCache, id GraphID, size int64) {
 	t.Helper()
 	if _, ok := c.get(id); ok {
 		t.Fatalf("id %d unexpectedly cached", id)
 	}
-	insertEntry(t, c, id, &stubGraph{size: size})
+	insertEntry(t, c, id, sizedGraph(kindIntra, size))
 }
 
 // TestCacheLRUOrder states what second chance keeps of LRU, serially:
@@ -322,9 +319,9 @@ func TestCacheSecondChanceSweep(t *testing.T) {
 
 // slotGraph reads a slot without marking the entry used, so a test can
 // look at residency without changing what the next sweep does.
-func (c *graphCache) slotGraph(id GraphID) (decodedGraph, bool) {
-	if n := c.slots[id].Load(); n != nil {
-		return n.g, true
+func (c *graphCache) slotGraph(id GraphID) (*graph, bool) {
+	if g := c.slots[id].Load(); g != nil && g != loading {
+		return g, true
 	}
 	return nil, false
 }
@@ -339,7 +336,7 @@ func TestCacheOversizedEntry(t *testing.T) {
 	if !leader {
 		t.Fatal("expected leadership on empty cache")
 	}
-	c.complete(id, &stubGraph{size: 10_000, edges: 0}, kindIntra, nil)
+	c.complete(id, sizedGraph(kindIntra, 10_000), nil)
 	if _, ok := c.get(id); !ok {
 		t.Fatal("oversized graph not admitted")
 	}
@@ -434,7 +431,7 @@ func TestCacheStatsReconcileUnderResetChaos(t *testing.T) {
 						continue
 					}
 					sz := int64(128 + (int(id)*53)%1024)
-					c.complete(id, &stubGraph{size: sz, edges: int64(id)}, kindIntra, nil)
+					c.complete(id, sizedGraph(kindIntra, sz), nil)
 				}
 			}(w)
 		}

@@ -22,26 +22,26 @@ import (
 // [0, bound): a superPos graph's sources are one bounded gap-coded run
 // (coding.WriteBoundedGapList; the directory knows their count), and a
 // list sequence is refenc's reference encoding. The framing is written
-// once, here (encodePayload, decodeGraph, and the sources-then-lists
-// split the serving path uses). Decoders validate every local ID against
-// its bound and refuse corrupt input with an error, never a panic; a
-// list sequence decodes into one refenc.Lists, immutable once returned
-// (it is shared through the graph cache).
+// once, here (encodePayload, and graph's sources-then-lists split, which
+// the serving path and the whole decode share). Decoders validate every
+// local ID against its bound and refuse corrupt input with an error,
+// never a panic; a list sequence decodes into one refenc.Lists,
+// immutable once returned (it is shared through the graph cache).
 
 // bitWriters pools bit writers across encode calls; encoding fans out
 // across build workers and each finished blob is copied out of the
 // writer before release.
 var bitWriters = sync.Pool{New: func() any { return bitio.NewWriter(1 << 16) }}
 
-// encodePayload appends one graph's payload to dst. An intranode
-// graph's lists[k] is the local adjacency of Ni's k-th page restricted
-// to Ni, so its ID space is len(lists). A positive superedge graph is
-// its sources — the local (within Ni) IDs of the pages with at least one
-// link into Nj, strictly increasing — then their targets as local Nj
-// IDs, one list per source. A negative one is, per page of Ni, the
-// COMPLEMENT of its targets within Nj (so a page with no links into Nj
-// stores all of Nj). srcs and niSize are consulted for kindSuperPos
-// only, njSize for the superedge kinds.
+// encodePayload appends one graph's payload to dst, growing it at most
+// once. An intranode graph's lists[k] is the local adjacency of Ni's
+// k-th page restricted to Ni, so its ID space is len(lists). A positive
+// superedge graph is its sources — the local (within Ni) IDs of the
+// pages with at least one link into Nj, strictly increasing — then their
+// targets as local Nj IDs, one list per source. A negative one is, per
+// page of Ni, the COMPLEMENT of its targets within Nj (so a page with no
+// links into Nj stores all of Nj). srcs and niSize are consulted for
+// kindSuperPos only, njSize for the superedge kinds.
 func encodePayload(dst []byte, kind uint8, srcs []int32, lists [][]int32, niSize, njSize int32, opt refenc.Options) ([]byte, error) {
 	if kind == kindSuperPos && len(srcs) != len(lists) {
 		return dst, fmt.Errorf("snode: superPos %d sources but %d lists", len(srcs), len(lists))
@@ -60,18 +60,12 @@ func encodePayload(dst []byte, kind uint8, srcs []int32, lists [][]int32, niSize
 	if _, err := refenc.EncodeLists(w, lists, opt); err != nil {
 		return dst, err
 	}
-	return w.AppendTo(dst), nil
-}
-
-// decodeGraph is the whole decode of one payload — no hooks, no metrics.
-// An intranode graph's ID space is its list count; niSize and njSize are
-// consulted for the superedge kinds only.
-func decodeGraph(kind uint8, buf []byte, numLists int, niSize, njSize int32) (decodedGraph, error) {
-	var g encodedGraph // a view of buf: nothing is copied, and it does not outlive the call
-	if err := g.init(kind, buf, numLists, niSize, njSize); err != nil {
-		return nil, err
+	// One allocation, of exactly the blob's padded bytes, where appending
+	// the stream and then its last partial byte could allocate twice.
+	if n := (w.BitLen() + 7) / 8; cap(dst)-len(dst) < n {
+		dst = append(make([]byte, 0, len(dst)+n), dst...)
 	}
-	return g.materialize()
+	return w.AppendTo(dst), nil
 }
 
 // decodeSuperPosSources reads the source IDs that open a superPos
@@ -86,18 +80,6 @@ func decodeSuperPosSources(buf []byte, numSrcs int, niSize int32) ([]int32, int,
 	}
 	return srcs, r.Pos(), nil
 }
-
-// decodedIntra is the in-memory form of an intranode graph.
-type decodedIntra struct {
-	cacheNode
-	lists refenc.Lists
-}
-
-func (g *decodedIntra) edgeCount() int64 { return int64(len(g.lists.IDs)) }
-
-// memSize, here and below, is what the graph's arrays occupy — their
-// capacity, which for everything a decoder returns is their length.
-func (g *decodedIntra) memSize() int64 { return g.lists.MemSize() }
 
 // seek returns the index of the first of the ascending IDs xs, from
 // index from on, that is at least v (len(xs) when none is): one step of
@@ -125,50 +107,33 @@ func seek(xs []int32, from int, v int32, gallop bool) int {
 	return lo
 }
 
-// decodedSuperPos is the in-memory form of a positive superedge graph.
-type decodedSuperPos struct {
+// graph is one lower-level graph in memory, in the first or the second
+// of the two states every graph takes in the cache. Encoded, its lists
+// are still encoded: a cache miss inserts this state, because a lookup
+// needs one list of the graph, and of most positive superedge graphs not
+// even that. It holds a private copy of the payload's list section (the
+// payload itself sits in a pooled read buffer) and, for a positive
+// superedge graph, the decoded sources that open the payload. The lookup
+// that loaded it decodes only the list it wants (appendList); one that
+// finds it in the cache decodes every list into a new, whole graph
+// (materialize), which holds the lists instead and which the cache holds
+// in its place. Like every cached graph it is immutable once admitted.
+type graph struct {
 	cacheNode
-	srcs  []int32 // sorted local Ni IDs
-	lists refenc.Lists
-}
-
-func (g *decodedSuperPos) edgeCount() int64 { return int64(len(g.lists.IDs)) }
-
-func (g *decodedSuperPos) memSize() int64 {
-	return int64(cap(g.srcs))*4 + g.lists.MemSize()
-}
-
-// encodedGraph is the first of the two states every graph takes in the
-// cache: its lists still encoded. A cache miss inserts this, because a
-// lookup needs one list of the graph, and of most positive superedge
-// graphs not even that: it holds a private copy of the payload's list
-// section (the payload itself sits in a pooled read buffer) and, for a
-// positive superedge graph, the decoded sources that open the payload.
-// The lookup that loaded it decodes only the list it wants
-// (appendList); one that finds it in the cache decodes every list, and
-// the cache replaces this entry with the whole graph (materialize).
-// Like every cached graph it is immutable once admitted.
-type encodedGraph struct {
-	cacheNode
-	srcs     []int32 // sorted local Ni IDs; a positive superedge graph's only
-	buf      []byte  // the list section, from the byte holding its first bit
-	bitOff   uint8   // that bit's offset within the byte (0 unless sources precede it)
+	srcs     []int32      // sorted local Ni IDs; a positive superedge graph's only
+	buf      []byte       // encoded: the list section, from the byte holding its first bit
+	lists    refenc.Lists // whole: the lists, which for a negative superedge graph are complements
+	bitOff   uint8        // encoded: that first bit's offset within buf[0] (0 unless sources precede it)
 	kind     uint8
+	whole    bool
 	numLists int32
 	bound    int32 // the lists' local ID space: numLists for an intranode graph, Nj's size otherwise
 }
 
-// lists positions a bit reader at the list section's first bit.
-func (g *encodedGraph) lists() *bitio.Reader {
-	r := bitio.NewByteReader(g.buf)
-	_ = r.Seek(int(g.bitOff)) // cannot fail: bitOff > 0 only inside a byte of buf
-	return r
-}
-
-// newEncodedGraph makes the encoded state of a payload of any kind,
-// copying its list section out of buf.
-func newEncodedGraph(kind uint8, buf []byte, numLists int, niSize, njSize int32) (*encodedGraph, error) {
-	g := new(encodedGraph)
+// newGraph makes the encoded state of a payload of any kind, copying
+// its list section out of buf.
+func newGraph(kind uint8, buf []byte, numLists int, niSize, njSize int32) (*graph, error) {
+	g := new(graph)
 	if err := g.init(kind, buf, numLists, niSize, njSize); err != nil {
 		return nil, err
 	}
@@ -179,7 +144,7 @@ func newEncodedGraph(kind uint8, buf []byte, numLists int, niSize, njSize int32)
 // init points g at the payload in buf, decoding a positive superedge
 // graph's sources: niSize and njSize are consulted for the superedge
 // kinds only.
-func (g *encodedGraph) init(kind uint8, buf []byte, numLists int, niSize, njSize int32) error {
+func (g *graph) init(kind uint8, buf []byte, numLists int, niSize, njSize int32) error {
 	g.buf, g.kind, g.numLists, g.bound = buf, kind, int32(numLists), njSize
 	switch kind {
 	case kindIntra:
@@ -195,42 +160,55 @@ func (g *encodedGraph) init(kind uint8, buf []byte, numLists int, niSize, njSize
 	return nil
 }
 
-// edgeCount is zero: no list entry has been decoded. The cache counts
-// the graph's edges when it is materialized, and the entries a lookup
-// decodes out of it as it decodes them.
-func (g *encodedGraph) edgeCount() int64 { return 0 }
-
-func (g *encodedGraph) memSize() int64 {
-	// + the struct's own 64 bytes: not the cache node it embeds, which no
-	// graph form is charged for.
-	return int64(cap(g.srcs))*4 + int64(cap(g.buf)) + 64
+// listReader positions a bit reader at the list section's first bit.
+func (g *graph) listReader() *bitio.Reader {
+	r := bitio.NewByteReader(g.buf)
+	_ = r.Seek(int(g.bitOff)) // cannot fail: bitOff > 0 only inside a byte of buf
+	return r
 }
 
-// materialize decodes every list: the whole graph, sharing g's sources.
-func (g *encodedGraph) materialize() (decodedGraph, error) {
-	lists, err := refenc.DecodeListsBounded(g.lists(), int(g.numLists), uint64(g.bound))
+// edgeCount reports the list entries g holds decoded (positive links, or
+// complement entries for a negative graph): none while it is encoded.
+// The cache counts a graph's edges when it is materialized, and the
+// entries a lookup decodes out of the encoded state as it decodes them.
+func (g *graph) edgeCount() int64 { return int64(len(g.lists.IDs)) }
+
+// memSize is what the cache charges for g: the capacity of its arrays,
+// which for everything a decoder returns is their length, plus a literal
+// 64 bytes while it is encoded and 8 for a whole negative superedge
+// graph — the charges the cache's admissions, evictions and pinned
+// counters were recorded under, not the 160-byte struct itself.
+func (g *graph) memSize() int64 {
+	switch {
+	case !g.whole:
+		return int64(cap(g.srcs))*4 + int64(cap(g.buf)) + 64
+	case g.kind == kindSuperNeg:
+		return g.lists.MemSize() + 8
+	}
+	return int64(cap(g.srcs))*4 + g.lists.MemSize()
+}
+
+// materialize decodes every list of the encoded graph g into a new,
+// whole graph, sharing g's sources.
+func (g *graph) materialize() (*graph, error) {
+	lists, err := refenc.DecodeListsBounded(g.listReader(), int(g.numLists), uint64(g.bound))
 	if err != nil {
 		return nil, g.listErr(err)
 	}
-	switch g.kind {
-	case kindIntra:
-		return &decodedIntra{lists: lists}, nil
-	case kindSuperPos:
-		return &decodedSuperPos{srcs: g.srcs, lists: lists}, nil
-	}
-	return &decodedSuperNeg{njSize: g.bound, lists: lists}, nil
+	return &graph{srcs: g.srcs, lists: lists, kind: g.kind, whole: true, numLists: g.numLists, bound: g.bound}, nil
 }
 
-// appendList appends to dst the local targets of list k (a page's, by
-// listOf), decoding no list after it, and reports the list entries
-// decoded: refenc.DecodeList decodes lists 0..k (an exact-strategy
-// stream, which stores lists out of order, whole), allocating nothing
-// beyond dst, and refuses list k when the whole decode refuses a list at
-// or before it. A negative superedge graph's list is a complement: it is
-// decoded into dst and replaced there by the targets.
-func (g *encodedGraph) appendList(k int, dst []int32) ([]int32, int, error) {
+// appendList appends to dst the local targets of list k of the encoded
+// graph g (a page's, by listOf), decoding no list after it, and reports
+// the list entries decoded: refenc.DecodeList decodes lists 0..k (an
+// exact-strategy stream, which stores lists out of order, whole),
+// allocating nothing beyond dst, and refuses list k when the whole
+// decode refuses a list at or before it. A negative superedge graph's
+// list is a complement: it is decoded into dst and replaced there by the
+// targets.
+func (g *graph) appendList(k int, dst []int32) ([]int32, int, error) {
 	from := len(dst)
-	dst, n, err := refenc.DecodeList(g.lists(), int(g.numLists), k, uint64(g.bound), dst)
+	dst, n, err := refenc.DecodeList(g.listReader(), int(g.numLists), k, uint64(g.bound), dst)
 	if err != nil {
 		return dst[:from], 0, g.listErr(err)
 	}
@@ -243,7 +221,7 @@ func (g *encodedGraph) appendList(k int, dst []int32) ([]int32, int, error) {
 }
 
 // listErr names the list section a decode of g failed in.
-func (g *encodedGraph) listErr(err error) error {
+func (g *graph) listErr(err error) error {
 	switch g.kind {
 	case kindIntra:
 		return fmt.Errorf("snode: intranode decode: %w", err)
@@ -251,34 +229,6 @@ func (g *encodedGraph) listErr(err error) error {
 		return fmt.Errorf("snode: superPos lists: %w", err)
 	}
 	return fmt.Errorf("snode: superNeg decode: %w", err)
-}
-
-// decodedSuperNeg keeps the complement form; positive adjacency is
-// materialized lazily so dense blocks never explode the cache.
-type decodedSuperNeg struct {
-	cacheNode
-	njSize int32
-	lists  refenc.Lists // complements, one per page of Ni
-}
-
-func (g *decodedSuperNeg) edgeCount() int64 { return int64(len(g.lists.IDs)) }
-
-func (g *decodedSuperNeg) memSize() int64 { return g.lists.MemSize() + 8 }
-
-// storedLists returns a whole graph's stored lists and, for a negative
-// superedge graph, whose lists are complements, the size of the local ID
-// space they complement (0 for the other kinds, whose lists are the
-// targets).
-func storedLists(g decodedGraph) (refenc.Lists, int32) {
-	switch sg := g.(type) {
-	case *decodedIntra:
-		return sg.lists, 0
-	case *decodedSuperPos:
-		return sg.lists, 0
-	case *decodedSuperNeg:
-		return sg.lists, sg.njSize
-	}
-	return refenc.Lists{}, 0
 }
 
 // appendComplement appends [0,n) \ list to dst (list sorted strictly

@@ -9,7 +9,9 @@ import (
 	"reflect"
 	"testing"
 
+	"snode/internal/bitio"
 	"snode/internal/iosim"
+	"snode/internal/raceflag"
 	"snode/internal/refenc"
 	"snode/internal/synth"
 )
@@ -53,11 +55,11 @@ func TestCodecRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: encode intra: %v", name, err)
 			}
-			g, err := decodeGraph(kindIntra, blob, size, niSize, niSize)
+			g, err := decodeWhole(kindIntra, blob, size, niSize, niSize)
 			if err != nil {
 				t.Fatalf("%s: decode intra: %v", name, err)
 			}
-			if !listsEqual(rows(g.(*decodedIntra).lists), lists) {
+			if !listsEqual(rows(g.lists), lists) {
 				t.Fatalf("%s: intra round trip mismatch", name)
 			}
 
@@ -67,14 +69,13 @@ func TestCodecRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: encode superPos: %v", name, err)
 			}
-			if g, err = decodeGraph(kindSuperPos, blob, len(srcs), niSize, njSize); err != nil {
+			if g, err = decodeWhole(kindSuperPos, blob, len(srcs), niSize, njSize); err != nil {
 				t.Fatalf("%s: decode superPos: %v", name, err)
 			}
-			gp := g.(*decodedSuperPos)
-			if !reflect.DeepEqual(append([]int32{}, gp.srcs...), append([]int32{}, srcs...)) {
-				t.Fatalf("%s: superPos srcs mismatch: %v vs %v", name, gp.srcs, srcs)
+			if !reflect.DeepEqual(append([]int32{}, g.srcs...), append([]int32{}, srcs...)) {
+				t.Fatalf("%s: superPos srcs mismatch: %v vs %v", name, g.srcs, srcs)
 			}
-			if !listsEqual(rows(gp.lists), nonEmpty) {
+			if !listsEqual(rows(g.lists), nonEmpty) {
 				t.Fatalf("%s: superPos lists mismatch", name)
 			}
 
@@ -82,10 +83,10 @@ func TestCodecRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: encode superNeg: %v", name, err)
 			}
-			if g, err = decodeGraph(kindSuperNeg, blob, size, niSize, njSize); err != nil {
+			if g, err = decodeWhole(kindSuperNeg, blob, size, niSize, njSize); err != nil {
 				t.Fatalf("%s: decode superNeg: %v", name, err)
 			}
-			if !listsEqual(rows(g.(*decodedSuperNeg).lists), tl) {
+			if !listsEqual(rows(g.lists), tl) {
 				t.Fatalf("%s: superNeg round trip mismatch", name)
 			}
 		}
@@ -94,6 +95,46 @@ func TestCodecRoundTrip(t *testing.T) {
 	// source.
 	if _, err := encodePayload(nil, kindSuperPos, []int32{0}, nil, 1, 1, opt); err == nil {
 		t.Fatal("superPos payload with a source and no list encoded")
+	}
+}
+
+// TestEncodePayloadAllocatesItsBlobOnce pins what encoding one graph
+// allocates once the pools are warm: its blob, once, at exactly its
+// bytes. The input is a 40-list intranode graph whose lists repeat every
+// fifth list, so that most are coded against a reference and the
+// reference writer's scratch is used (it comes from a pool as the bit
+// writer does). Under the race detector, which makes sync.Pool drop what
+// is put back, only the blob's size is checked.
+func TestEncodePayloadAllocatesItsBlobOnce(t *testing.T) {
+	const n = 40
+	lists := make([][]int32, n)
+	for k := range lists {
+		for v := int32(0); v < n; v++ {
+			if (v+int32(k))%5 != 0 {
+				lists[k] = append(lists[k], v)
+			}
+		}
+	}
+	opt := DefaultConfig().Refenc
+	opt.TargetBound = n // what encodePayload sets for an intranode graph
+	if st, err := refenc.EncodeLists(bitio.NewWriter(0), lists, opt); err != nil || st.Referenced == 0 {
+		t.Fatalf("%+v, %v: the input codes no list against another", st, err)
+	}
+	encode := func() []byte {
+		blob, err := encodePayload(nil, kindIntra, nil, lists, n, n, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	if blob := encode(); len(blob) != cap(blob) {
+		t.Errorf("blob of %d bytes has capacity %d", len(blob), cap(blob))
+	}
+	if raceflag.Enabled {
+		return
+	}
+	if allocs := testing.AllocsPerRun(100, func() { encode() }); allocs != 1 {
+		t.Errorf("encodePayload allocates %v times a call, want 1 (the blob)", allocs)
 	}
 }
 
@@ -271,25 +312,18 @@ func tryOpenAndReadChecked(t *testing.T, dir string, tag string) {
 		if err != nil {
 			continue // rejected: fine
 		}
-		switch sg := g.(type) {
-		case *decodedIntra:
-			if err := checkLocalIDs(sg.lists.IDs, e.NumLists); err != nil {
-				t.Fatalf("%s: graph %d: %v", tag, gid, err)
-			}
-		case *decodedSuperPos:
-			niSize := rep.m.SnBase[e.I+1] - rep.m.SnBase[e.I]
-			njSize := rep.m.SnBase[e.J+1] - rep.m.SnBase[e.J]
-			if err := checkLocalIDs(sg.srcs, niSize); err != nil {
-				t.Fatalf("%s: graph %d srcs: %v", tag, gid, err)
-			}
-			if err := checkLocalIDs(sg.lists.IDs, njSize); err != nil {
-				t.Fatalf("%s: graph %d lists: %v", tag, gid, err)
-			}
-		case *decodedSuperNeg:
-			njSize := rep.m.SnBase[e.J+1] - rep.m.SnBase[e.J]
-			if err := checkLocalIDs(sg.lists.IDs, njSize); err != nil {
-				t.Fatalf("%s: graph %d: %v", tag, gid, err)
-			}
+		// Sources (a positive superedge graph's only) are local Ni IDs;
+		// an intranode graph's lists have its list count for their space,
+		// a superedge graph's Nj's size.
+		bound := e.NumLists
+		if e.Kind != kindIntra {
+			bound = rep.m.SnBase[e.J+1] - rep.m.SnBase[e.J]
+		}
+		if err := checkLocalIDs(g.srcs, rep.m.SnBase[e.I+1]-rep.m.SnBase[e.I]); err != nil {
+			t.Fatalf("%s: graph %d srcs: %v", tag, gid, err)
+		}
+		if err := checkLocalIDs(g.lists.IDs, bound); err != nil {
+			t.Fatalf("%s: graph %d lists: %v", tag, gid, err)
 		}
 	}
 }
@@ -297,13 +331,13 @@ func tryOpenAndReadChecked(t *testing.T, dir string, tag string) {
 // loadWhole returns the whole decoded graph gid the way Verify sees it:
 // through consult — from the cache, or read, decoded and admitted — with
 // a positive superedge graph's lists materialized.
-func loadWhole(r *Representation, gid GraphID) (decodedGraph, error) {
+func loadWhole(r *Representation, gid GraphID) (*graph, error) {
 	ctx := context.Background()
 	e := &r.m.Directory[gid]
-	var whole decodedGraph
-	err := r.consult(ctx, e.I, nil, []needEntry{{gid: gid, j: e.J}}, func(gid GraphID, _ int32, g decodedGraph, _ bool) error {
-		if sg, ok := g.(*encodedGraph); ok {
-			full, err := r.materialize(ctx, gid, sg)
+	var whole *graph
+	err := r.consult(ctx, e.I, nil, []needEntry{{gid: gid, j: e.J}}, func(gid GraphID, _ int32, g *graph, _ bool) error {
+		if !g.whole {
+			full, err := r.materialize(ctx, gid, g)
 			if err != nil {
 				return err
 			}
@@ -313,6 +347,16 @@ func loadWhole(r *Representation, gid GraphID) (decodedGraph, error) {
 		return nil
 	})
 	return whole, err
+}
+
+// decodeWhole is decodePayload for a payload given by its kind, list
+// count and ID spaces rather than a directory entry.
+func decodeWhole(kind uint8, buf []byte, numLists int, niSize, njSize int32) (*graph, error) {
+	var g graph
+	if err := g.init(kind, buf, numLists, niSize, njSize); err != nil {
+		return nil, err
+	}
+	return g.materialize()
 }
 
 // checkLocalIDs rejects lists whose entries escape the local ID space.

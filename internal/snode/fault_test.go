@@ -45,7 +45,7 @@ func snodeGoroutines() int {
 // every reader must return (the fault as an error, or cleanly after the
 // fault is no longer in its path) and no goroutine may be left blocked
 // on an abandoned in-flight decode. Before the completion guarantees,
-// an error or panic between tryClaim and complete left coalesced
+// an error or panic between a claim and complete left coalesced
 // waiters blocked forever; this test trips the suite timeout in that
 // case and fails fast on the leak counter.
 func TestMidSpanDecodeFaultReleasesWaiters(t *testing.T) {

@@ -34,24 +34,24 @@ func TestFlightIsMadeByItsFirstWaiter(t *testing.T) {
 	c, _, ids := oneShardCache(1<<20, 3)
 	a, b := ids[0], ids[1]
 	for _, id := range []GraphID{a, b} {
-		if _, fl, leader := c.claimNoWait(id); !leader || fl != nil {
+		if _, fl, leader := c.claim(id, true); !leader || fl != nil {
 			t.Fatalf("graph %d: claim of an absent graph gave leader=%v, flight %v", id, leader, fl)
 		}
 	}
 	if _, ok := c.get(a); ok {
 		t.Fatal("a graph being decoded read as resident")
 	}
-	if _, state := c.tryClaim(a); state != claimBusy {
-		t.Fatalf("tryClaim of a graph being decoded: state %d, want claimBusy", state)
+	if g, fl, leader := c.claim(a, false); g != nil || fl != nil || leader {
+		t.Fatalf("a claim that will not wait, of a graph being decoded: graph %v, flight %v, leader=%v; want busy", g, fl, leader)
 	}
 	if n := waitedFlights(c); n != 0 || c.inflightCount() != 2 {
 		t.Fatalf("two claims nobody waits on: %d flights, %d in flight; want 0 and 2", n, c.inflightCount())
 	}
 	claimAllocs := testing.AllocsPerRun(100, func() {
-		if _, state := c.tryClaim(ids[2]); state != claimLeader {
-			t.Fatalf("tryClaim: state %d, want claimLeader", state)
+		if _, _, leader := c.claim(ids[2], false); !leader {
+			t.Fatal("a claim of an absent graph did not lead")
 		}
-		c.complete(ids[2], nil, kindIntra, errDecodeAbandoned)
+		c.complete(ids[2], nil, errDecodeAbandoned)
 	})
 	if claimAllocs != 0 {
 		t.Errorf("an uncontended claim and its completion allocate %v times, want 0", claimAllocs)
@@ -59,14 +59,14 @@ func TestFlightIsMadeByItsFirstWaiter(t *testing.T) {
 
 	const waiters = 8
 	type result struct {
-		g   decodedGraph
+		g   *graph
 		err error
 	}
 	results := map[GraphID]chan result{a: make(chan result, waiters), b: make(chan result, waiters)}
 	for _, id := range []GraphID{a, b} {
 		var shared *inflightDecode
 		for w := 0; w < waiters; w++ {
-			g, fl, leader := c.claimNoWait(id)
+			g, fl, leader := c.claim(id, true)
 			if leader || g != nil || fl == nil {
 				t.Fatalf("graph %d waiter %d: leader=%v graph=%v flight=%v; want the flight", id, w, leader, g, fl)
 			}
@@ -87,10 +87,10 @@ func TestFlightIsMadeByItsFirstWaiter(t *testing.T) {
 	}
 
 	// a succeeds: its waiters, and only they, are released with the graph.
-	ga := &stubGraph{size: 100, edges: 7}
-	c.complete(a, ga, kindIntra, nil)
+	ga := sizedGraph(kindIntra, 100)
+	c.complete(a, ga, nil)
 	for w := 0; w < waiters; w++ {
-		if res := <-results[a]; res.g != decodedGraph(ga) || res.err != nil {
+		if res := <-results[a]; res.g != ga || res.err != nil {
 			t.Fatalf("waiter on a released with %v, %v; want the leader's graph", res.g, res.err)
 		}
 	}
@@ -99,14 +99,14 @@ func TestFlightIsMadeByItsFirstWaiter(t *testing.T) {
 		t.Fatalf("completing a released a waiter on b with %v, %v", res.g, res.err)
 	default:
 	}
-	if g, ok := c.get(a); !ok || g != decodedGraph(ga) {
+	if g, ok := c.get(a); !ok || g != ga {
 		t.Fatal("the completed graph is not resident")
 	}
 
 	// b fails: its waiters get the error, nothing is admitted, and the
 	// next miss leads a fresh decode.
 	failed := errors.New("decode failed")
-	c.complete(b, nil, kindIntra, failed)
+	c.complete(b, nil, failed)
 	for w := 0; w < waiters; w++ {
 		if res := <-results[b]; res.g != nil || res.err != failed {
 			t.Fatalf("waiter on b released with %v, %v; want the leader's error", res.g, res.err)
@@ -115,10 +115,10 @@ func TestFlightIsMadeByItsFirstWaiter(t *testing.T) {
 	if n := waitedFlights(c); n != 0 || c.inflightCount() != 0 {
 		t.Fatalf("after both completions: %d flights, %d in flight", n, c.inflightCount())
 	}
-	if _, _, leader := c.claimNoWait(b); !leader {
+	if _, _, leader := c.claim(b, true); !leader {
 		t.Fatal("a failed decode left its graph unclaimable")
 	}
-	c.complete(b, &stubGraph{size: 100}, kindIntra, nil)
+	c.complete(b, sizedGraph(kindIntra, 100), nil)
 	st := c.statsMerged()
 	if st.Loads != 2 || st.Coalesced != 2*waiters {
 		t.Fatalf("%d loads, %d coalesced; want 2 and %d", st.Loads, st.Coalesced, 2*waiters)

@@ -52,11 +52,11 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("encode intra: %v", err)
 		}
-		g, err := decodeGraph(kindIntra, blob, numLists, niSize, niSize)
+		g, err := decodeWhole(kindIntra, blob, numLists, niSize, niSize)
 		if err != nil {
 			t.Fatalf("decode intra: %v", err)
 		}
-		if !listsEqual(rows(g.(*decodedIntra).lists), intra) {
+		if !listsEqual(rows(g.lists), intra) {
 			t.Fatal("intra round trip mismatch")
 		}
 
@@ -64,15 +64,14 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("encode superPos: %v", err)
 		}
-		if g, err = decodeGraph(kindSuperPos, blob, len(srcs), niSize, size); err != nil {
+		if g, err = decodeWhole(kindSuperPos, blob, len(srcs), niSize, size); err != nil {
 			t.Fatalf("decode superPos: %v", err)
 		}
-		gp := g.(*decodedSuperPos)
-		if !listsEqual(rows(gp.lists), nonEmpty) || len(gp.srcs) != len(srcs) {
+		if !listsEqual(rows(g.lists), nonEmpty) || len(g.srcs) != len(srcs) {
 			t.Fatal("superPos round trip mismatch")
 		}
 		for i := range srcs {
-			if gp.srcs[i] != srcs[i] {
+			if g.srcs[i] != srcs[i] {
 				t.Fatalf("superPos src %d mismatch", i)
 			}
 		}
@@ -81,10 +80,10 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("encode superNeg: %v", err)
 		}
-		if g, err = decodeGraph(kindSuperNeg, blob, numLists, niSize, size); err != nil {
+		if g, err = decodeWhole(kindSuperNeg, blob, numLists, niSize, size); err != nil {
 			t.Fatalf("decode superNeg: %v", err)
 		}
-		if !listsEqual(rows(g.(*decodedSuperNeg).lists), lists) {
+		if !listsEqual(rows(g.lists), lists) {
 			t.Fatal("superNeg round trip mismatch")
 		}
 	})
@@ -206,24 +205,17 @@ func FuzzDecodeHostile(f *testing.F) {
 		numLists := int(nl)%128 + 1
 		niSize, size := int32(numLists), int32(sz)%128+1
 		kind = hostileKind(kind)
-		g, err := decodeGraph(kind, blob, numLists, niSize, size)
+		g, err := decodeWhole(kind, blob, numLists, niSize, size)
+		bound := size
+		if kind == kindIntra {
+			bound = niSize
+		}
 		if err == nil {
-			switch sg := g.(type) {
-			case *decodedIntra:
-				if oerr := checkLocalIDs(sg.lists.IDs, niSize); oerr != nil {
-					t.Fatalf("intra decode accepted out-of-bounds IDs: %v", oerr)
-				}
-			case *decodedSuperPos:
-				if oerr := checkLocalIDs(sg.srcs, niSize); oerr != nil {
-					t.Fatalf("superPos srcs out of bounds: %v", oerr)
-				}
-				if oerr := checkLocalIDs(sg.lists.IDs, size); oerr != nil {
-					t.Fatalf("superPos lists out of bounds: %v", oerr)
-				}
-			case *decodedSuperNeg:
-				if oerr := checkLocalIDs(sg.lists.IDs, size); oerr != nil {
-					t.Fatalf("superNeg decode accepted out-of-bounds IDs: %v", oerr)
-				}
+			if oerr := checkLocalIDs(g.srcs, niSize); oerr != nil {
+				t.Fatalf("kind %d: sources out of bounds: %v", kind, oerr)
+			}
+			if oerr := checkLocalIDs(g.lists.IDs, bound); oerr != nil {
+				t.Fatalf("kind %d: decode accepted out-of-bounds IDs: %v", kind, oerr)
 			}
 		}
 		// The serving path's encoded state — a positive superedge graph's
@@ -233,8 +225,8 @@ func FuzzDecodeHostile(f *testing.F) {
 		// list inside its bound, refused once a list before it was (each
 		// is decoded with every list before it), and, whenever the
 		// one-shot decode succeeded, that decode's list of the page.
-		sg, serr := newEncodedGraph(kind, blob, numLists, niSize, size)
-		var full decodedGraph
+		sg, serr := newGraph(kind, blob, numLists, niSize, size)
+		var full *graph
 		if serr == nil {
 			full, serr = sg.materialize()
 		}
@@ -246,10 +238,6 @@ func FuzzDecodeHostile(f *testing.F) {
 		}
 		if sg == nil {
 			return // the sources did not decode: no list can be asked for
-		}
-		bound := size
-		if kind == kindIntra {
-			bound = niSize
 		}
 		refused := -1 // the first list refused, pages in ascending order listing lists in ascending order
 		for local := int32(0); local < niSize; local++ {
@@ -271,7 +259,7 @@ func FuzzDecodeHostile(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			want, _ := appendTargets(g, local, nil)
+			want := appendTargets(g, local, nil)
 			if lerr != nil || !slices.Equal(got, want) {
 				t.Fatalf("page %d's list alone: %v %v; in the one-shot decode %v", local, got, lerr, want)
 			}
@@ -279,21 +267,11 @@ func FuzzDecodeHostile(f *testing.F) {
 	})
 }
 
-// sameGraph reports whether two whole decoded graphs hold the same
-// sources and lists.
-func sameGraph(a, b decodedGraph) bool {
-	switch x := a.(type) {
-	case *decodedIntra:
-		y, ok := b.(*decodedIntra)
-		return ok && listsEqual(rows(x.lists), rows(y.lists))
-	case *decodedSuperPos:
-		y, ok := b.(*decodedSuperPos)
-		return ok && slices.Equal(x.srcs, y.srcs) && listsEqual(rows(x.lists), rows(y.lists))
-	case *decodedSuperNeg:
-		y, ok := b.(*decodedSuperNeg)
-		return ok && x.njSize == y.njSize && listsEqual(rows(x.lists), rows(y.lists))
-	}
-	return false
+// sameGraph reports whether two whole decoded graphs are of one kind and
+// ID space and hold the same sources and lists.
+func sameGraph(a, b *graph) bool {
+	return a.whole && b.whole && a.kind == b.kind && a.bound == b.bound &&
+		slices.Equal(a.srcs, b.srcs) && listsEqual(rows(a.lists), rows(b.lists))
 }
 
 // hostileKind is the payload kind a fuzz input's kind byte selects: the

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sync"
 
-	"snode/internal/refenc"
 	"snode/internal/store"
 	"snode/internal/webgraph"
 )
@@ -151,19 +150,9 @@ func (r *Representation) readGroup(ctx context.Context, i int32, locals []int32,
 	} else {
 		need = append(need, cf.graphsIn(r.m, i)...)
 	}
-	return r.consult(ctx, i, locals, need, func(gid GraphID, j int32, g decodedGraph, hit bool) error {
-		var sg *encodedGraph
-		var srcs []int32
-		whole, pos := g, false
-		switch t := g.(type) {
-		case *encodedGraph:
-			sg, whole, pos, srcs = t, nil, t.kind == kindSuperPos, t.srcs
-		case *decodedSuperPos:
-			pos, srcs = true, t.srcs
-		}
-		tried, held, s, gallop := sg == nil, 0, 0, len(locals) > 1
-		var lists refenc.Lists // whole's, and the ID space they complement if neg > 0
-		var neg int32
+	return r.consult(ctx, i, locals, need, func(gid GraphID, j int32, g *graph, hit bool) error {
+		pos, srcs := g.kind == kindSuperPos, g.srcs
+		tried, held, s, gallop := g.whole, 0, 0, len(locals) > 1
 		var inv []webgraph.PageID
 		var all bool
 		ids := o.ids
@@ -186,28 +175,26 @@ func (r *Representation) readGroup(ctx context.Context, i int32, locals []int32,
 				list = s
 			}
 			if held == 0 {
-				lists, neg = storedLists(whole)
 				inv, all = r.m.Inv[r.m.SnBase[j]:], cf.allOf(j)
 			}
 			if !tried && (hit || held > 0) {
 				tried = true
-				if full, err := r.materialize(ctx, gid, sg); err == nil {
-					whole = full
-					lists, neg = storedLists(whole)
+				if full, err := r.materialize(ctx, gid, g); err == nil {
+					g = full
 				}
 			}
 			from := len(ids)
 			switch {
-			case whole == nil:
+			case !g.whole:
 				var err error
-				if ids, err = r.decodeList(gid, sg, list, ids); err != nil {
+				if ids, err = r.decodeList(gid, g, list, ids); err != nil {
 					o.ids = ids
 					return err
 				}
-			case neg > 0:
-				ids = appendComplement(ids, lists.At(list), neg)
+			case g.kind == kindSuperNeg:
+				ids = appendComplement(ids, g.lists.At(list), g.bound)
 			default:
-				ids = append(ids, lists.At(list)...)
+				ids = append(ids, g.lists.At(list)...)
 			}
 			held++
 			if len(ids) > from {

@@ -306,7 +306,7 @@ func wholeSources(t *testing.T, r *Representation, gid GraphID) []int32 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g.(*decodedSuperPos).srcs
+	return g.srcs
 }
 
 // TestNeighborsCancelled: a call whose context is already cancelled

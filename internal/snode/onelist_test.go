@@ -1,7 +1,6 @@
 package snode
 
 import (
-	"fmt"
 	"os"
 	"slices"
 	"sort"
@@ -60,7 +59,7 @@ func testDecodeListEqualsDecodeGraph(t *testing.T) {
 			t.Fatal(err)
 		}
 		niSize, njSize := r.sizes(e)
-		eg, err := newEncodedGraph(e.Kind, buf, int(e.NumLists), niSize, njSize)
+		eg, err := newGraph(e.Kind, buf, int(e.NumLists), niSize, njSize)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,12 +77,11 @@ func testDecodeListEqualsDecodeGraph(t *testing.T) {
 			if err != nil {
 				t.Fatalf("graph %d (kind %d), page %d: %v", gid, e.Kind, local, err)
 			}
-			want, _ := appendTargets(whole, local, slices.Clone(prefix))
+			want := appendTargets(whole, local, slices.Clone(prefix))
 			if !slices.Equal(got, want) {
 				t.Fatalf("graph %d (kind %d), page %d: list alone %v, in the whole graph %v", gid, e.Kind, local, got, want)
 			}
-			stored, _ := storedLists(whole)
-			if wantN := int(stored.Off[k+1]); n != wantN {
+			if wantN := int(whole.lists.Off[k+1]); n != wantN {
 				t.Fatalf("graph %d (kind %d), page %d: %d entries decoded, want %d", gid, e.Kind, local, n, wantN)
 			}
 			lists[e.Kind]++
@@ -165,8 +163,7 @@ func testColdWarmAndDamagedReadsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	broken := int32(e.NumLists / 2)
-	stored, _ := storedLists(whole)
-	bad, err := Open(corruptListsFrom(t, src, r, victim, rows(stored)[:broken]), 1<<20, iosim.Model2002())
+	bad, err := Open(corruptListsFrom(t, src, r, victim, rows(whole.lists)[:broken]), 1<<20, iosim.Model2002())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +184,8 @@ func testColdWarmAndDamagedReadsAgree(t *testing.T) {
 		}
 		if g, ok := bad.cache.slotGraph(victim); !ok {
 			t.Fatal("the damaged intranode graph did not stay resident")
-		} else if _, encoded := g.(*encodedGraph); !encoded {
-			t.Fatalf("the damaged intranode graph is resident as %T: its lists cannot have decoded", g)
+		} else if g.whole {
+			t.Fatal("the damaged intranode graph is resident whole: its lists cannot have decoded")
 		}
 	}
 	checkShardInvariants(t, bad.cache)
@@ -234,14 +231,14 @@ func corruptListsFrom(t *testing.T, src string, r *Representation, gid GraphID, 
 	})
 }
 
-// TestGraphAdmittedAtMostOnce: a graph object carries its cache node, so
+// TestGraphAdmittedAtMostOnce: a graph carries its cache node, so
 // the cache must never link one twice. A graph evicted, or reset out,
 // and completed again, is served to its loader and its waiters but not
 // admitted; nor is one materialized over another entry after it was
 // admitted itself. Loads and materializations are counted either way.
 func TestGraphAdmittedAtMostOnce(t *testing.T) {
 	c, target, ids := oneShardCache(1000, 4)
-	g := &stubGraph{size: 600}
+	g := sizedGraph(kindIntra, 600)
 	insertEntry(t, c, ids[0], g)
 	putGraph(t, c, ids[1], 600) // evicts g
 	if _, ok := c.slotGraph(ids[0]); ok {
@@ -266,7 +263,7 @@ func TestGraphAdmittedAtMostOnce(t *testing.T) {
 	from := sourcesEntry(10, 100)
 	insertEntry(t, c, ids[3], from)
 	c.materialized(ids[3], from, from)
-	if got, _ := c.slotGraph(ids[3]); got != decodedGraph(from) {
+	if got, _ := c.slotGraph(ids[3]); got != from {
 		t.Fatalf("materializing an entry into itself replaced it by %v", got)
 	}
 	checkShardInvariants(t, c)
@@ -296,7 +293,7 @@ func findSource(srcs []int32, srcLocal int32) int {
 
 // listOf returns the index of the list that holds the links of the page
 // with local ID local (within Ni), or -1 when the graph holds none.
-func (g *encodedGraph) listOf(local int32) int {
+func (g *graph) listOf(local int32) int {
 	if g.kind == kindSuperPos {
 		return findSource(g.srcs, local)
 	}
@@ -307,19 +304,15 @@ func (g *encodedGraph) listOf(local int32) int {
 // ID local out of a whole graph: its intranode list, its list as a
 // source of a positive superedge graph (none unless it is one), or every
 // local Nj ID its complement list in a negative one leaves out.
-func appendTargets(g decodedGraph, local int32, dst []int32) ([]int32, error) {
-	switch sg := g.(type) {
-	case *decodedIntra:
-		return append(dst, sg.lists.At(int(local))...), nil
-	case *decodedSuperPos:
-		if k := findSource(sg.srcs, local); k >= 0 {
-			dst = append(dst, sg.lists.At(k)...)
-		}
-		return dst, nil
-	case *decodedSuperNeg:
-		return appendComplement(dst, sg.lists.At(int(local)), sg.njSize), nil
+func appendTargets(g *graph, local int32, dst []int32) []int32 {
+	switch k := g.listOf(local); {
+	case k < 0:
+		return dst
+	case g.kind == kindSuperNeg:
+		return appendComplement(dst, g.lists.At(k), g.bound)
+	default:
+		return append(dst, g.lists.At(k)...)
 	}
-	return dst, fmt.Errorf("snode: graph is a %T", g)
 }
 
 // TestSeekMatchesBinarySearch holds the merge walk's step, galloping or

@@ -200,15 +200,15 @@ func (r *Representation) snOf(internal int32) int32 {
 	return int32(lo)
 }
 
-// claimTraced wraps graphCache.claimNoWait with trace attribution: a
+// claimTraced wraps graphCache.claim with trace attribution: a
 // non-leader outcome is a coalesced miss — either found decoded by
 // claim time or waited out another goroutine's in-flight decode — and
 // traced requests record the wait as a "cache.wait" span, so a slow
 // query that lost time blocked behind someone else's decode shows it.
 // The wait honours ctx cancellation: a dead request stops waiting, and
 // the flight itself is untouched — its leader still completes it.
-func (r *Representation) claimTraced(ctx context.Context, gid GraphID) (decodedGraph, error, bool) {
-	g, fl, leader := r.cache.claimNoWait(gid)
+func (r *Representation) claimTraced(ctx context.Context, gid GraphID) (*graph, error, bool) {
+	g, fl, leader := r.cache.claim(gid, true)
 	if leader {
 		return nil, nil, true
 	}
@@ -231,7 +231,7 @@ func (r *Representation) claimTraced(ctx context.Context, gid GraphID) (decodedG
 // becomes a "cache.decode" span marked leader=1 (this request paid for
 // it; coalesced waiters record "cache.wait" instead) with the graph's
 // id, kind, and encoded size.
-func (r *Representation) decodeTraced(ctx context.Context, gid GraphID, buf []byte) (decodedGraph, error) {
+func (r *Representation) decodeTraced(ctx context.Context, gid GraphID, buf []byte) (*graph, error) {
 	if !trace.Active(ctx) {
 		return r.decode(gid, buf)
 	}
@@ -247,11 +247,11 @@ func (r *Representation) decodeTraced(ctx context.Context, gid GraphID, buf []by
 	return g, err
 }
 
-// decode parses one graph's encoded bytes into the form a load leaves
-// in the cache — the encoded state, which for a positive superedge graph
-// has its sources decoded. materialize and appendEncoded are the two
-// ways on from there.
-func (r *Representation) decode(gid GraphID, buf []byte) (decodedGraph, error) {
+// decode parses one graph's encoded bytes into the state a load leaves
+// in the cache — encoded, which for a positive superedge graph has its
+// sources decoded. materialize and decodeList are the two ways on from
+// there.
+func (r *Representation) decode(gid GraphID, buf []byte) (*graph, error) {
 	if r.decodeFault != nil {
 		if err := r.decodeFault(gid); err != nil {
 			return nil, err
@@ -261,7 +261,7 @@ func (r *Representation) decode(gid GraphID, buf []byte) (decodedGraph, error) {
 	start := r.decodeStart()
 	defer r.observeDecode(start)
 	niSize, njSize := r.sizes(e)
-	return newEncodedGraph(e.Kind, buf, int(e.NumLists), niSize, njSize)
+	return newGraph(e.Kind, buf, int(e.NumLists), niSize, njSize)
 }
 
 // snSize is the number of pages in supernode s.
@@ -280,7 +280,7 @@ func (r *Representation) sizes(e *dirEntry) (niSize, njSize int32) {
 // materialize decodes every list of an encoded entry — no I/O, the entry
 // holds the bytes — and has the cache replace the entry with the whole
 // graph. The time goes to the same decode histogram as the load's.
-func (r *Representation) materialize(ctx context.Context, gid GraphID, sg *encodedGraph) (decodedGraph, error) {
+func (r *Representation) materialize(ctx context.Context, gid GraphID, sg *graph) (*graph, error) {
 	traced := trace.Active(ctx)
 	start := r.decodeStart()
 	if traced && start.IsZero() {
@@ -304,7 +304,7 @@ func (r *Representation) materialize(ctx context.Context, gid GraphID, sg *encod
 // decodeList appends to dst the local targets held by list k of the
 // encoded entry sg — a one-list decode, which reads no list after k and
 // leaves the cache entry as it is.
-func (r *Representation) decodeList(gid GraphID, sg *encodedGraph, k int, dst []int32) ([]int32, error) {
+func (r *Representation) decodeList(gid GraphID, sg *graph, k int, dst []int32) ([]int32, error) {
 	start := r.decodeStart()
 	dst, n, err := sg.appendList(k, dst)
 	r.observeDecode(start)
@@ -333,12 +333,16 @@ func (r *Representation) observeDecode(start time.Time) {
 	}
 }
 
-// decodePayload is the bare whole-graph decode: no hooks, no metrics.
-// The serving path decodes through decode; MeasureDecode times this
-// directly.
-func (r *Representation) decodePayload(e *dirEntry, buf []byte) (decodedGraph, error) {
+// decodePayload is the bare whole-graph decode of one payload: no hooks,
+// no metrics, and no copy of buf. The serving path decodes through
+// decode; MeasureDecode times this directly.
+func (r *Representation) decodePayload(e *dirEntry, buf []byte) (*graph, error) {
 	niSize, njSize := r.sizes(e)
-	return decodeGraph(e.Kind, buf, int(e.NumLists), niSize, njSize)
+	var g graph // a view of buf: it does not outlive the call
+	if err := g.init(e.Kind, buf, int(e.NumLists), niSize, njSize); err != nil {
+		return nil, err
+	}
+	return g.materialize()
 }
 
 // consult hands each graph of need — graphs of supernode i, in ascending
@@ -351,16 +355,16 @@ func (r *Representation) decodePayload(e *dirEntry, buf []byte) (decodedGraph, e
 // collapse into few sequential reads. It is the one way a graph gets
 // from disk into the cache.
 //
-// A resident graph is looked up through its cache node, and the node's
-// source summary (cacheNode.rulesOutAll) can show that none of the pages
-// is a source of it: such a graph is a hit like any other, touched and
-// counted at its turn, and is not handed to process. This is the one
+// A resident graph's source summary, kept in its cache node
+// (cacheNode.rulesOutAll), can show that none of the pages is a source
+// of it: such a graph is a hit like any other, touched and counted at
+// its turn, and is not handed to process. This is the one
 // place the summary is read; a miss is handed to process whatever its
 // sources. locals is ascending, and nil to hand every graph on (Scan).
 //
 // need is used as scratch; the first error from process, a read or a
 // decode ends the walk.
-func (r *Representation) consult(ctx context.Context, i int32, locals []int32, need []needEntry, process func(gid GraphID, j int32, g decodedGraph, hit bool) error) error {
+func (r *Representation) consult(ctx context.Context, i int32, locals []int32, need []needEntry, process func(gid GraphID, j int32, g *graph, hit bool) error) error {
 	// Pass 1: process cached graphs; collect misses (ascending gid ==
 	// disk order, because the intranode graph precedes its superedges).
 	// The misses are compacted into need's own prefix — entry k is read
@@ -380,14 +384,14 @@ func (r *Representation) consult(ctx context.Context, i int32, locals []int32, n
 		}
 	}
 	for _, ne := range need {
-		n := r.cache.lookupNode(ne.gid)
+		g := r.cache.lookup(ne.gid)
 		switch {
-		case n == nil:
+		case g == nil:
 			miss = append(miss, ne)
-		case firstErr != nil, locals != nil && n.rulesOutAll(locals, lo, hi, mask):
+		case firstErr != nil, locals != nil && g.rulesOutAll(locals, lo, hi, mask):
 			// A hit, touched and counted, with nothing to hand on.
 		default:
-			firstErr = process(ne.gid, ne.j, n.g, true)
+			firstErr = process(ne.gid, ne.j, g, true)
 		}
 	}
 	r.cache.countLookups(r.m.IntraGID[i], int64(needed-len(miss)), int64(len(miss)))
@@ -434,14 +438,14 @@ func (r *Representation) consult(ctx context.Context, i int32, locals []int32, n
 			if e.File != first.File || e.Offset-spanEnd > maxGap {
 				break
 			}
-			g2, state := r.cache.tryClaim(miss[end].gid)
-			if state == claimBusy {
+			g2, _, leader := r.cache.claim(miss[end].gid, false)
+			if g2 == nil && !leader {
 				// Another goroutine owns this decode; stop extending and
 				// wait for it on a later iteration rather than here,
 				// while we still have our own claims to serve.
 				break
 			}
-			if state == claimCached {
+			if g2 != nil {
 				// Decoded by someone else since pass 1: process without
 				// reading; its bytes become part of the gap allowance.
 				if err = process(miss[end].gid, miss[end].j, g2, false); err != nil {
@@ -502,18 +506,18 @@ func (m *meta) appendGraphs(need []needEntry, i int32) []needEntry {
 // waiters forever. Each graph is handed to process as it is decoded,
 // until a decode or process fails; the first error is returned after all
 // completions.
-func (r *Representation) readDecodeSpan(ctx context.Context, claimed []needEntry, spanEnd int64, process func(gid GraphID, j int32, g decodedGraph, hit bool) error) error {
+func (r *Representation) readDecodeSpan(ctx context.Context, claimed []needEntry, spanEnd int64, process func(gid GraphID, j int32, g *graph, hit bool) error) error {
 	first := &r.m.Directory[claimed[0].gid]
 	completed := 0
 	defer func() {
 		for _, ne := range claimed[completed:] {
-			r.cache.complete(ne.gid, nil, r.m.Directory[ne.gid].Kind, errDecodeAbandoned)
+			r.cache.complete(ne.gid, nil, errDecodeAbandoned)
 		}
 	}()
 	if int(first.File) >= len(r.files) {
 		err := fmt.Errorf("snode: graph %d in missing file %d", claimed[0].gid, first.File)
 		for _, ne := range claimed {
-			r.cache.complete(ne.gid, nil, r.m.Directory[ne.gid].Kind, err)
+			r.cache.complete(ne.gid, nil, err)
 		}
 		completed = len(claimed)
 		return err
@@ -532,7 +536,7 @@ func (r *Representation) readDecodeSpan(ctx context.Context, claimed []needEntry
 	if _, err := r.files[first.File].ReadAtCtx(spanCtx, rb, first.Offset); err != nil {
 		readErr := fmt.Errorf("snode: span read: %w", err)
 		for _, ne := range claimed {
-			r.cache.complete(ne.gid, nil, r.m.Directory[ne.gid].Kind, readErr)
+			r.cache.complete(ne.gid, nil, readErr)
 		}
 		completed = len(claimed)
 		return readErr
@@ -544,7 +548,7 @@ func (r *Representation) readDecodeSpan(ctx context.Context, claimed []needEntry
 		e := &r.m.Directory[ne.gid]
 		off := e.Offset - first.Offset
 		g, err := r.decodeTraced(spanCtx, ne.gid, rb[off:off+int64(e.NumBytes)])
-		r.cache.complete(ne.gid, g, e.Kind, err)
+		r.cache.complete(ne.gid, g, err)
 		completed++
 		if err == nil && firstErr == nil {
 			err = process(ne.gid, ne.j, g, false)
@@ -583,32 +587,32 @@ func (r *Representation) Scan(ctx context.Context, fn func(p webgraph.PageID, ou
 		n := int(r.snSize(s))
 		rows = slices.Grow(rows[:0], n)[:n] // every row emptied by its emission
 		need = r.m.appendGraphs(need[:0], s)
-		err := r.consult(ctx, s, nil, need, func(gid GraphID, j int32, g decodedGraph, _ bool) error {
-			if sg, ok := g.(*encodedGraph); ok {
-				full, err := r.materialize(ctx, gid, sg)
+		err := r.consult(ctx, s, nil, need, func(gid GraphID, j int32, g *graph, _ bool) error {
+			if !g.whole {
+				full, err := r.materialize(ctx, gid, g)
 				if err != nil {
 					return err
 				}
 				g = full
 			}
-			lists, negBound := storedLists(g)
 			links := g.edgeCount()
-			if negBound > 0 {
-				links = int64(n)*int64(negBound) - links
+			if g.kind == kindSuperNeg {
+				links = int64(n)*int64(g.bound) - links
 			}
-			if e := &r.m.Directory[gid]; lists.Len() != int(e.NumLists) {
-				return fmt.Errorf("graph %d decoded to %d lists, its directory entry records %d", gid, lists.Len(), e.NumLists)
+			if e := &r.m.Directory[gid]; g.lists.Len() != int(e.NumLists) {
+				return fmt.Errorf("graph %d decoded to %d lists, its directory entry records %d", gid, g.lists.Len(), e.NumLists)
 			} else if links <= 0 && e.Kind != kindIntra {
 				return fmt.Errorf("superedge (%d,%d) holds %d links (no such edge should exist)", s, j, links)
 			}
 			edges += links
 			inv := r.m.Inv[r.m.SnBase[j]:]
-			for k := range lists.Len() {
-				src, targets := int32(k), lists.At(k)
-				if sp, ok := g.(*decodedSuperPos); ok {
-					src = sp.srcs[k]
-				} else if negBound > 0 {
-					neg = appendComplement(neg[:0], targets, negBound)
+			for k := range g.lists.Len() {
+				src, targets := int32(k), g.lists.At(k)
+				switch g.kind {
+				case kindSuperPos:
+					src = g.srcs[k]
+				case kindSuperNeg:
+					neg = appendComplement(neg[:0], targets, g.bound)
 					targets = neg
 				}
 				for _, t := range targets {

@@ -139,7 +139,7 @@ func TestVerifyLeavesMaterializedEntries(t *testing.T) {
 		if !ok {
 			t.Fatalf("graph %d not resident after Verify", gid)
 		}
-		if _, sourcesOnly := g.(*encodedGraph); sourcesOnly {
+		if !g.whole {
 			t.Fatalf("graph %d resident with its lists still encoded after Verify", gid)
 		}
 	}
@@ -187,21 +187,15 @@ func TestSourcesOnlyLoadDecodesNoLists(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var lists refenc.Lists
 		k := int(local)
-		switch sg := g.(type) {
-		case *decodedIntra:
-			lists = sg.lists
-		case *decodedSuperPos:
-			lists, k = sg.lists, findSource(sg.srcs, local)
-		case *decodedSuperNeg:
-			lists = sg.lists
+		if g.kind == kindSuperPos {
+			k = findSource(g.srcs, local)
 		}
 		if k < 0 {
 			continue
 		}
 		wantLists++
-		wantPrefixEdges += int64(lists.Off[k+1])
+		wantPrefixEdges += int64(g.lists.Off[k+1])
 		wantWholeEdges += g.edgeCount()
 	}
 	if wantLists <= 1 || wantLists == int64(len(need)) {
@@ -250,24 +244,24 @@ func TestSourcesOnlyLoadDecodesNoLists(t *testing.T) {
 
 // sourcesEntry and wholeEntry build the two states of one superedge
 // graph for the cache-level tests, sized by their argument.
-func sourcesEntry(nSrcs, encBytes int) *encodedGraph {
-	return &encodedGraph{srcs: make([]int32, nSrcs), buf: make([]byte, encBytes), kind: kindSuperPos, numLists: int32(nSrcs)}
+func sourcesEntry(nSrcs, encBytes int) *graph {
+	return &graph{srcs: make([]int32, nSrcs), buf: make([]byte, encBytes), kind: kindSuperPos, numLists: int32(nSrcs)}
 }
 
-func wholeEntry(from *encodedGraph, edgesPerList int) *decodedSuperPos {
+func wholeEntry(from *graph, edgesPerList int) *graph {
 	lists := refenc.Lists{Off: make([]int32, len(from.srcs)+1), IDs: make([]int32, len(from.srcs)*edgesPerList)}
 	for i := range lists.Off {
 		lists.Off[i] = int32(i * edgesPerList)
 	}
-	return &decodedSuperPos{srcs: from.srcs, lists: lists}
+	return &graph{srcs: from.srcs, lists: lists, kind: kindSuperPos, whole: true, numLists: from.numLists}
 }
 
-func insertEntry(t *testing.T, c *graphCache, id GraphID, g decodedGraph) {
+func insertEntry(t *testing.T, c *graphCache, id GraphID, g *graph) {
 	t.Helper()
-	if _, _, leader := c.claimNoWait(id); !leader {
+	if _, _, leader := c.claim(id, true); !leader {
 		t.Fatalf("graph %d: expected to lead the decode", id)
 	}
-	c.complete(id, g, kindSuperPos, nil)
+	c.complete(id, g, nil)
 }
 
 // TestMaterializedReplacesAndReaccounts walks the replacement through
@@ -295,8 +289,8 @@ func TestMaterializedReplacesAndReaccounts(t *testing.T) {
 	if got, want := target.used, 2*a.memSize()+bFull.memSize(); got != want {
 		t.Fatalf("after the swap the shard uses %d bytes, want %d", got, want)
 	}
-	if g, ok := c.get(ids[1]); !ok || g != decodedGraph(bFull) {
-		t.Fatalf("lookup after the swap returned %T, want the materialized graph", g)
+	if g, ok := c.get(ids[1]); !ok || g != bFull {
+		t.Fatalf("lookup after the swap returned %p, want the materialized graph", g)
 	}
 	st := c.statsMerged()
 	if st.Materialized != 1 || st.Loads != 3 || st.Evictions != 0 || c.decodedEdges() != bFull.edgeCount() {
@@ -306,7 +300,7 @@ func TestMaterializedReplacesAndReaccounts(t *testing.T) {
 	// A second materialization of the entry b already replaced: counted,
 	// not admitted.
 	c.materialized(ids[1], b, wholeEntry(b, 5))
-	if g, _ := c.get(ids[1]); g != decodedGraph(bFull) {
+	if g, _ := c.get(ids[1]); g != bFull {
 		t.Fatal("a stale materialization displaced the resident graph")
 	}
 	if st := c.statsMerged(); st.Materialized != 2 {
@@ -364,18 +358,18 @@ func TestMaterializedUnderConcurrency(t *testing.T) {
 				if !ok {
 					var fl *inflightDecode
 					var leader bool
-					g, fl, leader = c.claimNoWait(id)
+					g, fl, leader = c.claim(id, true)
 					switch {
 					case leader:
 						g = sourcesEntry(4+int(id)%40, 32+int(id)*13%900)
-						c.complete(id, g, kindSuperPos, nil)
+						c.complete(id, g, nil)
 					case fl != nil:
 						<-fl.done
 						g = fl.g
 					}
 				}
-				if sg, ok := g.(*encodedGraph); ok && rng.Intn(3) == 0 {
-					c.materialized(id, sg, wholeEntry(sg, 1+int(id)%30))
+				if g != nil && !g.whole && rng.Intn(3) == 0 {
+					c.materialized(id, g, wholeEntry(g, 1+int(id)%30))
 				}
 			}
 		}(w)
@@ -417,21 +411,17 @@ func TestMaterializedRacesLockFreeReaders(t *testing.T) {
 						t.Error("the graph being materialized went missing")
 						return
 					}
-					switch sg := g.(type) {
-					case *encodedGraph:
-						if sg != from {
+					if !g.whole {
+						if g != from {
 							t.Error("lookup returned a sources-only entry nobody inserted")
 							return
 						}
-					case *decodedSuperPos:
-						if sg != to || sg.lists.Len() != len(sg.srcs) || len(sg.lists.At(sg.lists.Len()-1)) != edgesPerList {
-							t.Error("lookup returned a torn materialized graph")
-						}
-						return // seen the replacement: done
-					default:
-						t.Errorf("lookup returned a %T", g)
-						return
+						continue
 					}
+					if g != to || g.lists.Len() != len(g.srcs) || len(g.lists.At(g.lists.Len()-1)) != edgesPerList {
+						t.Error("lookup returned a torn materialized graph")
+					}
+					return // seen the replacement: done
 				}
 			}()
 		}
@@ -517,7 +507,7 @@ func testCorruptListSectionFailsOnlyItsReaders(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			victim, srcs = GraphID(gid), g.(*decodedSuperPos).srcs
+			victim, srcs = GraphID(gid), g.srcs
 			break
 		}
 	}
@@ -556,8 +546,8 @@ func testCorruptListSectionFailsOnlyItsReaders(t *testing.T) {
 	assertPageRows(t, c, bystander, rows)
 	if g, ok := r.cache.slotGraph(victim); !ok {
 		t.Fatal("the damaged graph's sources-only entry did not stay resident")
-	} else if _, sourcesOnly := g.(*encodedGraph); !sourcesOnly {
-		t.Fatalf("the damaged graph is resident as %T: its lists cannot have decoded", g)
+	} else if g.whole {
+		t.Fatal("the damaged graph is resident whole: its lists cannot have decoded")
 	}
 	checkShardInvariants(t, r.cache)
 	if err := r.Verify(); err == nil || !strings.Contains(err.Error(), "superPos lists") {
@@ -595,7 +585,7 @@ func TestSourcesOnlyEntryOwnsItsBytes(t *testing.T) {
 		for i := range buf {
 			buf[i] = 0xA5
 		}
-		got, err := g.(*encodedGraph).materialize()
+		got, err := g.materialize()
 		if err != nil {
 			t.Fatalf("graph %d: materialize after its read buffer was reused: %v", gid, err)
 		}

@@ -1,6 +1,7 @@
 package snode
 
 import (
+	"context"
 	"math"
 	"slices"
 	"sync"
@@ -32,11 +33,11 @@ import (
 func TestSourceSummaryIsSound(t *testing.T) { t.Run(paperFormat, testSourceSummaryIsSound) }
 
 func testSourceSummaryIsSound(t *testing.T) {
-	if size := unsafe.Sizeof(cacheNode{}); size != 64 {
-		t.Errorf("cacheNode is %d bytes, want 64 (one size class, one cache line)", size)
+	if size := unsafe.Sizeof(cacheNode{}); size != 48 {
+		t.Errorf("cacheNode is %d bytes, want 48 (within one cache line)", size)
 	}
-	if size := unsafe.Sizeof(encodedGraph{}); size != 128 {
-		t.Errorf("encodedGraph is %d bytes, want 128 (one size class; memSize charges the 64 past its cache node)", size)
+	if size := unsafe.Sizeof(graph{}); size != 160 {
+		t.Errorf("graph is %d bytes, want 160 (one size class: its node, sources, encoded list section and decoded lists side by side; memSize charges an encoded graph 64 for itself, as when the encoded state was a 128-byte type of its own)", size)
 	}
 	r, err := Open(buildTestRep(t, 2000), 256<<20, iosim.Model2002())
 	if err != nil {
@@ -64,21 +65,17 @@ func testSourceSummaryIsSound(t *testing.T) {
 			}
 			continue
 		}
-		var srcs []int32
-		switch g := n.g.(type) {
-		case *encodedGraph:
-			srcs, sourcesOnly = g.srcs, sourcesOnly+1
-		case *decodedSuperPos:
-			srcs, whole = g.srcs, whole+1
-		default:
-			t.Fatalf("graph %d: positive superedge graph held as %T", gid, n.g)
+		if n.whole {
+			whole++
+		} else {
+			sourcesOnly++
 		}
 		niSize := r.snSize(e.I)
 		if niSize > 64 {
 			wide++
 		}
 		for local := int32(0); local < niSize; local++ {
-			switch source := findSource(srcs, local) >= 0; {
+			switch source := findSource(n.srcs, local) >= 0; {
 			case source && n.rulesOut(local):
 				t.Fatalf("graph %d: summary [%d, %d] %#x rules out source %d", gid, n.srcLo, n.srcHi, n.srcMask, local)
 			case !source && n.rulesOut(local):
@@ -230,6 +227,63 @@ func TestLookupCountersPinned(t *testing.T) {
 		pinnedStream(t, r, 20000)
 		if got := r.StatsExt().Cache; got != tc.want || r.DecodedEdges() != tc.decoded {
 			t.Errorf("budget %d: counters %+v, %d decoded edges; want %+v, %d", tc.budget, got, r.DecodedEdges(), tc.want, tc.decoded)
+		}
+	}
+}
+
+// TestGraphChargesPinned loads every graph of a store into a cache that
+// holds them all, then materializes every graph (Verify), and sums what
+// the cache charges for the resident graphs by kind in each state. The
+// sums are those recorded when each kind and state of a graph had a type
+// of its own, so a change to any charge — an encoded graph's sources,
+// list section and 64 bytes, a whole one's lists, a positive one's
+// sources, a negative one's 8 bytes — moves the cache's admissions,
+// evictions and counters and fails here. The shared store has no
+// negative superedge graph; the 400-page one has every kind.
+func TestGraphChargesPinned(t *testing.T) {
+	type charges [kindSuperNeg + 1]int64 // by kind: _, intra, positive, negative
+	_, shared := buildOnce(t)
+	for _, tc := range []struct {
+		name           string
+		dir            string
+		encoded, whole charges
+	}{
+		{"shared", shared, charges{0, 23136, 265712, 0}, charges{0, 122092, 310800, 0}},
+		{"400", buildTestRep(t, 400), charges{0, 4896, 42700, 2520}, charges{0, 7168, 22480, 844}},
+	} {
+		r, err := Open(tc.dir, 256<<20, iosim.Model2002())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		sum := func(whole bool) (c charges) {
+			for gid := range r.m.Directory {
+				g, ok := r.cache.slotGraph(GraphID(gid))
+				if !ok || g.whole != whole {
+					t.Fatalf("%s: graph %d resident %v, whole %v; want resident, whole %v", tc.name, gid, ok, ok && g.whole, whole)
+				}
+				c[g.kind] += g.memSize()
+			}
+			if used := r.cache.usedBytes(); used != c[kindIntra]+c[kindSuperPos]+c[kindSuperNeg] {
+				t.Errorf("%s: the cache accounts %d bytes, its graphs are charged %v", tc.name, used, c)
+			}
+			return c
+		}
+		var need []needEntry
+		for s := int32(0); s < int32(r.Supernodes()); s++ {
+			need = r.m.appendGraphs(need[:0], s)
+			if err := r.consult(context.Background(), s, nil, need, func(GraphID, int32, *graph, bool) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := sum(false); got != tc.encoded {
+			t.Errorf("%s: encoded graphs charged %v by kind, want %v", tc.name, got, tc.encoded)
+		}
+		if err := r.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		if got := sum(true); got != tc.whole {
+			t.Errorf("%s: whole graphs charged %v by kind, want %v", tc.name, got, tc.whole)
 		}
 	}
 }

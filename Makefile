@@ -108,7 +108,14 @@ test-bench:
 # The encode guard pins one graph's encode at one allocation, its blob
 # at its exact size (a blob grown while appended, or reference-coding
 # scratch per graph, trips it); the charge pin holds the cache's charges
-# by kind and state, encoded and whole, to recorded sums.
+# by kind and state, encoded and whole, to recorded sums. The scan
+# guards hold a whole-graph Scan to the cache it found: over a cold and
+# a half-warm store every slot keeps its graph and the cache its bytes,
+# a cold Scan makes the span reads a lookup makes (92 reads, 58,697
+# bytes), and it allocates under one object a supernode (a graph
+# admitted, materialized or decoded into new lists, or spans that stop
+# joining, trips them); a fold-back leaves the cache of the base it
+# retires empty (a base read through the cache trips it).
 # Run with -count=1 so the guard always executes.
 check-overhead:
 	$(GO) test -count=1 -run 'TestUntracedTracingAddsNoAllocs|TestNavigateLookupsPinned|TestQ3RowsAndMergeAllocs|TestWarmQ2AllocatesLessThanStanford|TestWarmQ3AllocatesLessThanItsBitset|TestWarmQ5CompilesNoFilter' ./internal/query
@@ -117,7 +124,8 @@ check-overhead:
 	$(GO) test -count=1 -run 'TestWarmMergedNeighborsAllocatesNothing|TestServingShardHoldsPageMetaOnce' ./internal/shard
 	$(GO) test -count=1 -run 'TestReadAllocsPerPageNotPerTerm|TestReadHoldsTheFileOnce|TestBuildHoldsPostingsExactAndTermsOwn' ./internal/corpusio ./internal/textindex
 	$(GO) test -count=1 -run 'TestURLTableAllocsPerPageNotPerTerm|TestURLTableHoldsItsBytes' ./internal/ingest
-	$(GO) test -count=1 -run 'TestDecodeHotPathAllocs|TestWarmOutAllocatesNothing|TestWarmNeighborsAllocatesNothing|TestColdOutAllocsPerLoad|TestBucketingAllocsIndependentOfEdges|TestLookupCountersPinned|TestEncodePayloadAllocatesItsBlobOnce|TestGraphChargesPinned' ./internal/snode
+	$(GO) test -count=1 -run 'TestDecodeHotPathAllocs|TestWarmOutAllocatesNothing|TestWarmNeighborsAllocatesNothing|TestColdOutAllocsPerLoad|TestBucketingAllocsIndependentOfEdges|TestLookupCountersPinned|TestEncodePayloadAllocatesItsBlobOnce|TestGraphChargesPinned|TestScanLeavesTheCacheAsItFound|TestScanAllocatesPerSupernode' ./internal/snode
+	$(GO) test -count=1 -run 'TestFoldBackLeavesTheBaseCacheAsItWas' ./internal/delta
 	$(GO) test -count=1 -run 'TestClusteredSplitAllocs' ./internal/partition
 
 # Plan gate: every scheme's Table 3 rows and cold navigation I/O

@@ -441,6 +441,47 @@ func TestOverlaySharesBasePages(t *testing.T) {
 	}
 }
 
+// TestFoldBackLeavesTheBaseCacheAsItWas: a fold-back reads its base
+// whole and then retires it, so the read fills no cache of the base's.
+// Folding an overlay over a cold base reads every graph of it (its
+// cache counts the loads) and leaves it holding nothing up to the swap.
+func TestFoldBackLeavesTheBaseCacheAsItWas(t *testing.T) {
+	crawl, err := synth.Generate(synth.DefaultConfig(400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := snode.Build(crawl.Corpus, snode.DefaultConfig(), dir); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := snode.Open(dir, 64<<20, iosim.Model2002())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	reg := metrics.NewRegistry()
+	rep.RegisterMetrics(reg, "base")
+	o, err := NewOverlay(rep, Config{Pages: crawl.Corpus.Pages, Dir: t.TempDir(), Model: iosim.Model2002()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	ctx := context.Background()
+	if err := o.Apply(ctx, []Mutation{{Src: 0, Dst: 1, Op: OpAdd}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.FoldBack(ctx, FoldConfig{SNode: snode.DefaultConfig(), Dir: t.TempDir(), CacheBudget: 64 << 20, Model: iosim.Model2002()}); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	if loads := snap.Counters["base_cache_loads"]; loads == 0 {
+		t.Fatal("the fold-back read no graph of its base")
+	}
+	if used, entries := snap.Gauges["base_cache_bytes"], snap.Gauges["base_cache_entries"]; used != 0 || entries != 0 {
+		t.Fatalf("the retired base's cache holds %d graphs, %d bytes, after the fold-back read it", entries, used)
+	}
+}
+
 // TestFoldBackRefusesOtherBases: a fold-back reads its base whole with
 // snode.Representation.Scan, so over any other store it fails, naming
 // the store, before it seals a segment or writes a file.

@@ -34,7 +34,8 @@ type FoldConfig struct {
 // materializeLocked seals and materializes under structMu, returning
 // the corpus and the segment prefix it covers (the segments a fold may
 // retire once the rebuilt base is installed). The base is read whole
-// through snode.Representation.Scan, so any other base is refused.
+// through snode.Representation.Scan, so any other base is refused; the
+// scan streams past the base's cache, which it leaves as it found it.
 func (o *Overlay) materializeLocked(ctx context.Context) (*webgraph.Corpus, []*segment, error) {
 	// structMu is held, and only a fold swaps the base.
 	base, ok := o.base.(*snode.Representation)
@@ -64,26 +65,33 @@ func (o *Overlay) materializeLocked(ctx context.Context) (*webgraph.Corpus, []*s
 	}
 	ops := mergePageOps(merged...)
 
-	// Removed targets are dropped from the base lists; adds are appended
-	// (the builder dedups targets the base already had).
+	// Each page's kept targets go to the builder in one call: a mutated
+	// page's removed targets are dropped from its base list and its adds
+	// appended after (the builder dedups targets the base already had).
 	b := webgraph.NewBuilder(len(pages))
+	var kept []webgraph.PageID
 	err := base.Scan(ctx, func(p webgraph.PageID, out []webgraph.PageID) error {
 		k, mutated := slices.BinarySearchFunc(ops, p, func(po pageOps, p webgraph.PageID) int { return cmp.Compare(po.src, p) })
+		if !mutated {
+			b.AddEdges(p, out...)
+			return nil
+		}
+		kept = kept[:0]
 		for _, t := range out {
-			if !mutated || !removedIn(ops[k].ops, t) {
-				b.AddEdge(p, t)
+			if !removedIn(ops[k].ops, t) {
+				kept = append(kept, t)
 			}
 		}
+		b.AddEdges(p, appendAdds(kept, ops[k].ops)...)
 		return nil
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("delta: materialize: %w", err)
 	}
+	// Pages added since the base was built have no base list.
 	for _, po := range ops {
-		for _, e := range po.ops {
-			if e.op == OpAdd {
-				b.AddEdge(po.src, e.dst)
-			}
+		if int(po.src) >= base.NumPages() {
+			b.AddEdges(po.src, appendAdds(kept[:0], po.ops)...)
 		}
 	}
 	corpus := &webgraph.Corpus{Graph: b.Build(), Pages: pages}
@@ -91,6 +99,16 @@ func (o *Overlay) materializeLocked(ctx context.Context) (*webgraph.Corpus, []*s
 		return nil, nil, fmt.Errorf("delta: materialize: %w", err)
 	}
 	return corpus, segs, nil
+}
+
+// appendAdds appends to dst the targets a sorted op list adds.
+func appendAdds(dst []webgraph.PageID, ops []dstOp) []webgraph.PageID {
+	for _, e := range ops {
+		if e.op == OpAdd {
+			dst = append(dst, e.dst)
+		}
+	}
+	return dst
 }
 
 // removedIn reports whether t carries an OpRemove in a sorted op list.
@@ -101,9 +119,13 @@ func removedIn(ops []dstOp, t webgraph.PageID) bool {
 
 // FoldBack rebuilds the overlay's current state into a fresh S-Node
 // representation and installs it as the new base, retiring every delta
-// segment the rebuild covered. The build runs through snode.BuildCtx —
-// the existing parallel builder — and honours ctx cancellation; on
-// error the overlay is untouched. Returns the new base's directory.
+// segment the rebuild covered. It reads the old base once with Scan,
+// which fills none of that base's cache: the heap holds the old base's
+// cache as serving left it, the corpus and the build, not a cache of
+// the whole graph it is about to drop. The build runs through
+// snode.BuildCtx — the existing parallel builder — and honours ctx
+// cancellation; on error the overlay is untouched. Returns the new
+// base's directory.
 // Traced requests record the whole fold as a "delta.fold" span.
 func (o *Overlay) FoldBack(ctx context.Context, fc FoldConfig) (string, error) {
 	o.structMu.Lock()

@@ -9,6 +9,7 @@ package query
 import (
 	"context"
 	"fmt"
+	"runtime/pprof"
 	"slices"
 	"strings"
 	"sync"
@@ -195,6 +196,20 @@ var classNames = [Q6 + 1]string{"", "q1", "q2", "q3", "q4", "q5", "q6"}
 // class, and the value of the pprof label the serving tier runs it
 // under. q must be one of the six.
 func (q ID) Class() string { return classNames[q] }
+
+// classLabels are the pprof label sets query=q1 … query=q6, built once
+// so that a request runs under its class's set instead of making one.
+var classLabels = func() (ls [Q6 + 1]pprof.LabelSet) {
+	for _, q := range All() {
+		ls[q] = pprof.Labels("query", q.Class())
+	}
+	return ls
+}()
+
+// Labels is the pprof label set the serving tier runs the query under,
+// query=<Class>, so that a CPU profile splits by query class. q must be
+// one of the six.
+func (q ID) Labels() pprof.LabelSet { return classLabels[q] }
 
 // SetMetrics wires the engine's executions (Run and RunPartial alike)
 // into a registry: a latency histogram per query ID (query_latency_q1

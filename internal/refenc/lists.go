@@ -3,6 +3,7 @@ package refenc
 import (
 	"errors"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -30,23 +31,6 @@ func (l Lists) At(i int) []int32 {
 // MemSize is what the two arrays occupy, slack included.
 func (l Lists) MemSize() int64 { return 4 * int64(cap(l.Off)+cap(l.IDs)) }
 
-// placedAt returns the set with list k moved to index at[k]; at is a
-// permutation of [0, Len()).
-func (l Lists) placedAt(at []int32) Lists {
-	out := Lists{Off: make([]int32, len(l.Off)), IDs: make([]int32, 0, len(l.IDs))}
-	for k, i := range at {
-		out.Off[i+1] = l.Off[k+1] - l.Off[k]
-	}
-	for i := range at {
-		out.Off[i+1] += out.Off[i]
-	}
-	out.IDs = out.IDs[:len(l.IDs)]
-	for k, i := range at {
-		copy(out.IDs[out.Off[i]:], l.At(k))
-	}
-	return out
-}
-
 // errTooManyIDs refuses a list set whose offsets would not fit int32. No
 // encoder writes one; a hostile stream can ask for it by referencing a
 // long list over and over, a few bits a copy.
@@ -56,7 +40,7 @@ var errTooManyIDs = errors.New("refenc: list set holds more than 2^31 IDs")
 // so that a decode allocates what it returns and nothing else.
 type decodeScratch struct {
 	ids    []int32 // the IDs of the lists decoded so far
-	off    []int32 // their offsets, for a decode that returns none of them
+	off    []int32 // their offsets
 	runs   []int32 // the runs a referenced list copies: [first, after last) index pairs
 	extras []int32 // its extra targets, before the merge
 }
@@ -65,8 +49,10 @@ var scratchPool = sync.Pool{New: func() any { return new(decodeScratch) }}
 
 // A Builder accumulates a Lists one list at a time, for decoders that
 // learn a list's length only by decoding it: append the next list's IDs
-// to IDs, then call End. The IDs gather in pooled scratch, which may
-// move as it grows; Lists copies them out at their exact size.
+// to IDs, then call End. The IDs and their offsets gather in pooled
+// scratch, which may move as it grows; listsAt copies them out at their
+// exact size. A decoder that fails just drops its builder: the scratch
+// is collected.
 type Builder struct {
 	IDs []int32
 	off []int32
@@ -76,15 +62,7 @@ type Builder struct {
 // NewBuilder starts a set expected to hold m lists.
 func NewBuilder(m int) Builder {
 	sc := scratchPool.Get().(*decodeScratch)
-	return Builder{IDs: sc.ids[:0], off: append(make([]int32, 0, m+1), 0), sc: sc}
-}
-
-// newScratchBuilder starts a set kept in pooled scratch offsets and all,
-// for a decoder that copies out at most one of its lists and then
-// releases the builder.
-func newScratchBuilder() Builder {
-	sc := scratchPool.Get().(*decodeScratch)
-	return Builder{IDs: sc.ids[:0], off: append(sc.off[:0], 0), sc: sc}
+	return Builder{IDs: sc.ids[:0], off: append(slices.Grow(sc.off[:0], m+1), 0), sc: sc}
 }
 
 // End closes the list appended to IDs since the last End.
@@ -100,18 +78,33 @@ func (b *Builder) End() error {
 // unchanged, while later lists are appended.
 func (b *Builder) List(i int) []int32 { return b.IDs[b.off[i]:b.off[i+1]] }
 
-// Lists returns the set built and ends the builder's use. A decoder
-// that fails instead just drops its builder: the scratch is collected.
-func (b *Builder) Lists() Lists {
-	ids := make([]int32, len(b.IDs))
-	copy(ids, b.IDs)
-	b.sc.ids = b.IDs
-	scratchPool.Put(b.sc)
-	return Lists{Off: b.off, IDs: ids}
+// listsAt copies the lists ended so far out of the scratch into one
+// block, list k at index at[k] (at is a permutation of them; nil keeps
+// their order). Off and IDs are each capped at their own length, so a
+// set costs one allocation and MemSize is what two arrays would hold.
+func (b *Builder) listsAt(at []int32) Lists {
+	m, n := len(b.off)-1, len(b.IDs)
+	block := make([]int32, m+1+n)
+	l := Lists{Off: block[: m+1 : m+1], IDs: block[m+1:]}
+	if at == nil {
+		copy(l.Off, b.off)
+		copy(l.IDs, b.IDs)
+		return l
+	}
+	for k, i := range at {
+		l.Off[i+1] = b.off[k+1] - b.off[k]
+	}
+	for i := range at {
+		l.Off[i+1] += l.Off[i]
+	}
+	for k, i := range at {
+		copy(l.IDs[l.Off[i]:], b.List(k))
+	}
+	return l
 }
 
-// release ends a scratch builder's use, whether its decode succeeded or
-// not; nothing it held may be used after.
+// release ends a builder's use, whether its decode succeeded or not;
+// nothing it held may be used after.
 func (b *Builder) release() {
 	b.sc.ids, b.sc.off = b.IDs, b.off
 	scratchPool.Put(b.sc)

@@ -310,7 +310,7 @@ func (lw *listWriter) writeOneList(w *bitio.Writer, ref, list []int32, bound uin
 type listDecoder struct {
 	bound uint64
 	gc    GapCode
-	b     Builder
+	b     *Builder
 }
 
 // readRun appends to dst the n values of a run written by writeRun.
@@ -536,20 +536,35 @@ func (d *listDecoder) step(r *bitio.Reader, i int) error {
 // DecodeListsBounded reads m lists previously written by EncodeLists
 // with the given TargetBound.
 func DecodeListsBounded(r *bitio.Reader, m int, bound uint64) (Lists, error) {
-	exact, gc, err := readHeader(r)
+	b := NewBuilder(m)
+	at, err := decodeInto(&b, r, m, m, bound)
 	if err != nil {
 		return Lists{}, err
 	}
-	d := listDecoder{bound: bound, gc: gc, b: NewBuilder(m)}
+	l := b.listsAt(at)
+	b.release()
+	return l, nil
+}
+
+// decodeInto decodes the lists of a stream of m into b in storage order:
+// the first n of a window-strategy stream, which decode in order, and
+// every list of an exact-strategy one, whose storage order it returns
+// (list k is list at[k]; nil for a window-strategy stream).
+func decodeInto(b *Builder, r *bitio.Reader, m, n int, bound uint64) ([]int32, error) {
+	exact, gc, err := readHeader(r)
+	if err != nil {
+		return nil, err
+	}
+	d := listDecoder{bound: bound, gc: gc, b: b}
 	if exact {
 		return d.decodeExact(r, m)
 	}
-	for i := 0; i < m; i++ {
+	for i := 0; i < n; i++ {
 		if err := d.step(r, i); err != nil {
-			return Lists{}, err
+			return nil, err
 		}
 	}
-	return d.b.Lists(), nil
+	return nil, nil
 }
 
 // DecodeList appends list k of the m lists in r — a stream written by
@@ -563,27 +578,47 @@ func DecodeList(r *bitio.Reader, m, k int, bound uint64, dst []int32) ([]int32, 
 	if k < 0 || k >= m {
 		return dst, 0, fmt.Errorf("refenc: list %d of %d", k, m)
 	}
-	exact, gc, err := readHeader(r)
+	b := NewBuilder(k + 1)
+	defer b.release()
+	at, err := decodeInto(&b, r, m, k+1, bound)
 	if err != nil {
 		return dst, 0, err
 	}
-	if exact {
-		d := listDecoder{bound: bound, gc: gc, b: NewBuilder(m)}
-		l, err := d.decodeExact(r, m)
-		if err != nil {
-			return dst, 0, err
-		}
-		return append(dst, l.At(k)...), len(l.IDs), nil
+	pos := k
+	if at != nil {
+		pos = slices.Index(at, int32(k))
 	}
-	d := listDecoder{bound: bound, gc: gc, b: newScratchBuilder()}
-	defer d.b.release()
-	for i := 0; i <= k; i++ {
-		if err := d.step(r, i); err != nil {
-			return dst, 0, err
-		}
-	}
-	return append(dst, d.b.List(k)...), len(d.b.IDs), nil
+	return append(dst, b.List(pos)...), len(b.IDs), nil
 }
+
+// A Decoder decodes list sets one after another into the same pooled
+// scratch, for a reader that is done with each set before it decodes the
+// next: a whole-graph scan, which hands each graph's lists on to rows of
+// its own. A set costs no allocation once the scratch has grown to it.
+type Decoder struct{ b Builder }
+
+// NewDecoder takes a decoder's scratch from the pool; Release returns it.
+func NewDecoder() Decoder { return Decoder{b: NewBuilder(0)} }
+
+// Decode reads m lists previously written by EncodeLists with the given
+// TargetBound, as DecodeListsBounded does. The set lives in the
+// decoder's scratch until the next Decode or Release (an exact-strategy
+// stream's is allocated, in order).
+func (d *Decoder) Decode(r *bitio.Reader, m int, bound uint64) (Lists, error) {
+	d.b.IDs, d.b.off = d.b.IDs[:0], d.b.off[:1]
+	at, err := decodeInto(&d.b, r, m, m, bound)
+	if err != nil {
+		return Lists{}, err
+	}
+	if at != nil {
+		return d.b.listsAt(at), nil
+	}
+	return Lists{Off: d.b.off, IDs: d.b.IDs}, nil
+}
+
+// Release hands the decoder's scratch back; no set it decoded may be used
+// after.
+func (d *Decoder) Release() { d.b.release() }
 
 // encodeExact builds the full affinity graph, solves the minimum
 // arborescence, and writes lists in BFS order from the root with
@@ -655,23 +690,23 @@ func encodeExact(w *bitio.Writer, lists [][]int32, bound uint64, gc GapCode) (St
 
 // decodeExact decodes the arborescence order — position pos holds the
 // list of node at[pos], and its reference designator counts positions
-// back — and then lays the lists out by node.
-func (d *listDecoder) decodeExact(r *bitio.Reader, m int) (Lists, error) {
+// back — into d's builder, and returns at.
+func (d *listDecoder) decodeExact(r *bitio.Reader, m int) ([]int32, error) {
 	at := make([]int32, m)
 	seen := make([]bool, m)
 	for pos := 0; pos < m; pos++ {
 		vi, err := coding.ReadMinimalBinary(r, uint64(m))
 		if err != nil {
-			return Lists{}, err
+			return nil, err
 		}
 		if seen[vi] {
-			return Lists{}, fmt.Errorf("refenc: node %d decoded twice", vi)
+			return nil, fmt.Errorf("refenc: node %d decoded twice", vi)
 		}
 		seen[vi] = true
 		at[pos] = int32(vi)
 		if err := d.step(r, pos); err != nil {
-			return Lists{}, err
+			return nil, err
 		}
 	}
-	return d.b.Lists().placedAt(at), nil
+	return at, nil
 }

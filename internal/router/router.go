@@ -660,7 +660,7 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request) {
 	// The scatter, the legs' goroutines and the merge run under a pprof
 	// label, so the router's CPU profile splits by query class like the
 	// shards' (serve.handleQuery labels the other end of each leg).
-	pprof.Do(req.Context(), pprof.Labels("query", query.ID(qn).Class()), func(ctx context.Context) {
+	pprof.Do(req.Context(), query.ID(qn).Labels(), func(ctx context.Context) {
 		r.scatterQuery(w, req.WithContext(ctx), qn)
 	})
 }

@@ -407,11 +407,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.admitted(w, r, start, ClassMining, s.miningHist, func(ctx context.Context, wait time.Duration) (body any, err error) {
 		// The plan runs under a pprof label, so a CPU profile of a serving
 		// process splits by query class (go tool pprof -tagfocus query=q3):
-		// one label set per request, inherited by any goroutine the plan
-		// starts. /out carries none — its hit path is too short to pay for
-		// one.
+		// its class's label set, built once, inherited by any goroutine the
+		// plan starts. /out carries none — its hit path is too short to
+		// pay for one.
 		q := query.ID(qn)
-		pprof.Do(ctx, pprof.Labels("query", q.Class()), func(ctx context.Context) {
+		pprof.Do(ctx, q.Labels(), func(ctx context.Context) {
 			body, err = s.runQuery(ctx, q, partial, wait)
 		})
 		return body, err

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -23,6 +24,7 @@ import (
 	"snode/internal/query"
 	"snode/internal/repo"
 	"snode/internal/snode"
+	"snode/internal/store"
 	"snode/internal/synth"
 	"snode/internal/webgraph"
 )
@@ -516,6 +518,77 @@ func TestQueryRunsUnderPprofLabel(t *testing.T) {
 		class := "q" + path[len("/query?q="):len("/query?q=")+1]
 		if !labelledRecord(prof.String(), class, "query.(*Engine).navigate") {
 			t.Errorf("%s: no navigating goroutine labelled query=%s in:\n%s", path, class, prof.String())
+		}
+	}
+}
+
+// labelStore is an S-Node store that records the pprof label query of
+// every read made through it, by value ("" for an unlabelled read).
+type labelStore struct {
+	*snode.Representation
+	mu     sync.Mutex
+	labels map[string]int
+}
+
+func (s *labelStore) record(ctx context.Context) {
+	v, _ := pprof.Label(ctx, "query")
+	s.mu.Lock()
+	s.labels[v]++
+	s.mu.Unlock()
+}
+
+func (s *labelStore) OutFilteredCtx(ctx context.Context, p webgraph.PageID, f *store.Filter, buf []webgraph.PageID) ([]webgraph.PageID, error) {
+	s.record(ctx)
+	return s.Representation.OutFilteredCtx(ctx, p, f, buf)
+}
+
+func (s *labelStore) Neighbors(ctx context.Context, pages []webgraph.PageID, f *store.Filter, visit func(webgraph.PageID, []webgraph.PageID) error) error {
+	s.record(ctx)
+	return s.Representation.Neighbors(ctx, pages, f, visit)
+}
+
+// TestEveryQueryClassIsLabelled serves each of Q1–Q6 through /query over
+// stores that read the pprof label query in every read the plan makes:
+// each class reads, and reads only under its own label, so that a CPU
+// profile of a serving process splits by query class with no class left
+// unlabelled.
+func TestEveryQueryClassIsLabelled(t *testing.T) {
+	r, _ := getRepo(t)
+	labelled := *r
+	fwd := &labelStore{Representation: r.Fwd[repo.SchemeSNode].(*snode.Representation), labels: map[string]int{}}
+	rev := &labelStore{Representation: r.Rev[repo.SchemeSNode].(*snode.Representation), labels: map[string]int{}}
+	labelled.Fwd = map[string]store.LinkStore{repo.SchemeSNode: fwd}
+	labelled.Rev = map[string]store.LinkStore{repo.SchemeSNode: rev}
+	e, err := query.New(&labelled, repo.SchemeSNode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Engine: e})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, q := range query.All() {
+		clear(fwd.labels)
+		clear(rev.labels)
+		resp, err := http.Get(fmt.Sprintf("%s/query?q=%d", ts.URL, q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("Q%d: status %d", q, resp.StatusCode)
+		}
+		reads := map[string]int{}
+		for _, ls := range []*labelStore{fwd, rev} {
+			for v, n := range ls.labels {
+				reads[v] += n
+			}
+		}
+		if len(reads) != 1 || reads[q.Class()] == 0 {
+			t.Errorf("Q%d: reads by query label %v, want every read labelled %s", q, reads, q.Class())
 		}
 	}
 }

@@ -12,13 +12,14 @@ import (
 // count loads per query (the paper's instrumentation of Query 1).
 //
 // Cached graphs are immutable. Every graph is one graph value in one of
-// two states: a load inserts it encoded (a copy of its payload's list
-// section, and a positive superedge graph's sources decoded), and the
-// lookup that loaded it decodes only the list it wants out of that. A
-// later lookup that finds the entry and needs a list of it decodes them
-// all into a new, whole graph and has the cache hold that instead
-// (materialized). No graph is ever changed in place, so one handed out
-// by lookup stays valid however the cache moves on.
+// two states: a lookup's load inserts it encoded (a copy of its
+// payload's list section, and a positive superedge graph's sources
+// decoded), and the lookup that loaded it decodes only the list it wants
+// out of that. A later lookup that finds the entry and needs a list of
+// it decodes them all into a new, whole graph and has the cache hold
+// that instead (materialized). Verify, which wants every list, loads
+// its misses whole at once. No graph is ever changed in place, so one
+// handed out by lookup stays valid however the cache moves on.
 //
 // Thread-safety contract: the cache is safe for concurrent use by any
 // number of goroutines.
@@ -247,6 +248,16 @@ func (c *graphCache) lookup(id GraphID) *graph {
 	return g
 }
 
+// resident returns the graph resident as id, or nil, without marking it
+// used and without counting: a whole-graph scan reads what the cache
+// holds and leaves the replacement order as it found it.
+func (c *graphCache) resident(id GraphID) *graph {
+	if g := c.slots[id].Load(); g != loading {
+		return g
+	}
+	return nil
+}
+
 // touch marks a resident graph used.
 func touch(g *graph) {
 	// Test before set: a hot entry's bit is nearly always set already,
@@ -469,6 +480,20 @@ func (c *graphCache) materialized(id GraphID, from, to *graph) {
 	for s.used > s.budget && s.resident > 1 {
 		c.evictLocked(s, to)
 	}
+}
+
+// scanned records, on the counters of id's shard, the graphs a
+// whole-graph scan read and decoded without admitting them — loads, by
+// kind — and the list entries it decoded, of those and of the encoded
+// graphs it found resident.
+func (c *graphCache) scanned(id GraphID, intraLoads, superLoads, entries int64) {
+	s := c.shard(id)
+	s.mu.Lock()
+	s.stats.Loads += intraLoads + superLoads
+	s.stats.IntraLoads += intraLoads
+	s.stats.SuperLoads += superLoads
+	s.mu.Unlock()
+	s.decoded.Add(entries)
 }
 
 // listDecoded records that a lookup decoded one list out of the

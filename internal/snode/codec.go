@@ -68,13 +68,16 @@ func encodePayload(dst []byte, kind uint8, srcs []int32, lists [][]int32, niSize
 	return w.AppendTo(dst), nil
 }
 
-// decodeSuperPosSources reads the source IDs that open a superPos
-// payload and returns them with the bit position in buf at which its
-// lists start. Sources are strictly increasing in [0, niSize), so their
-// slice is sized by the smaller of numSrcs and niSize.
-func decodeSuperPosSources(buf []byte, numSrcs int, niSize int32) ([]int32, int, error) {
+// decodeSuperPosSources appends to dst the source IDs that open a
+// superPos payload and returns them with the bit position in buf at
+// which its lists start. Sources are strictly increasing in [0, niSize),
+// so a nil dst is allocated at the smaller of numSrcs and niSize.
+func decodeSuperPosSources(buf []byte, numSrcs int, niSize int32, dst []int32) ([]int32, int, error) {
+	if dst == nil {
+		dst = make([]int32, 0, min(numSrcs, int(niSize)))
+	}
 	r := bitio.NewByteReader(buf)
-	srcs, err := coding.ReadBoundedGapList(r, numSrcs, uint64(niSize), make([]int32, 0, min(numSrcs, int(niSize))))
+	srcs, err := coding.ReadBoundedGapList(r, numSrcs, uint64(niSize), dst)
 	if err != nil {
 		return nil, 0, fmt.Errorf("snode: superPos sources: %w", err)
 	}
@@ -134,7 +137,7 @@ type graph struct {
 // its list section out of buf.
 func newGraph(kind uint8, buf []byte, numLists int, niSize, njSize int32) (*graph, error) {
 	g := new(graph)
-	if err := g.init(kind, buf, numLists, niSize, njSize); err != nil {
+	if err := g.init(kind, buf, numLists, niSize, njSize, nil); err != nil {
 		return nil, err
 	}
 	g.buf = append([]byte(nil), g.buf...)
@@ -142,15 +145,15 @@ func newGraph(kind uint8, buf []byte, numLists int, niSize, njSize int32) (*grap
 }
 
 // init points g at the payload in buf, decoding a positive superedge
-// graph's sources: niSize and njSize are consulted for the superedge
-// kinds only.
-func (g *graph) init(kind uint8, buf []byte, numLists int, niSize, njSize int32) error {
-	g.buf, g.kind, g.numLists, g.bound = buf, kind, int32(numLists), njSize
+// graph's sources into srcs (allocated at their size when nil): niSize
+// and njSize are consulted for the superedge kinds only.
+func (g *graph) init(kind uint8, buf []byte, numLists int, niSize, njSize int32, srcs []int32) error {
+	g.buf, g.kind, g.numLists, g.bound, g.srcs, g.bitOff = buf, kind, int32(numLists), njSize, nil, 0
 	switch kind {
 	case kindIntra:
 		g.bound = g.numLists
 	case kindSuperPos:
-		srcs, pos, err := decodeSuperPosSources(buf, numLists, niSize)
+		srcs, pos, err := decodeSuperPosSources(buf, numLists, niSize, srcs)
 		g.srcs, g.buf, g.bitOff = srcs, buf[pos>>3:], uint8(pos&7)
 		return err
 	case kindSuperNeg:

@@ -353,7 +353,7 @@ func loadWhole(r *Representation, gid GraphID) (*graph, error) {
 // count and ID spaces rather than a directory entry.
 func decodeWhole(kind uint8, buf []byte, numLists int, niSize, njSize int32) (*graph, error) {
 	var g graph
-	if err := g.init(kind, buf, numLists, niSize, njSize); err != nil {
+	if err := g.init(kind, buf, numLists, niSize, njSize, nil); err != nil {
 		return nil, err
 	}
 	return g.materialize()

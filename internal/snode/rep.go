@@ -13,6 +13,7 @@ import (
 
 	"snode/internal/iosim"
 	"snode/internal/metrics"
+	"snode/internal/refenc"
 	"snode/internal/store"
 	"snode/internal/trace"
 	"snode/internal/webgraph"
@@ -231,16 +232,16 @@ func (r *Representation) claimTraced(ctx context.Context, gid GraphID) (*graph, 
 // becomes a "cache.decode" span marked leader=1 (this request paid for
 // it; coalesced waiters record "cache.wait" instead) with the graph's
 // id, kind, and encoded size.
-func (r *Representation) decodeTraced(ctx context.Context, gid GraphID, buf []byte) (*graph, error) {
+func (r *Representation) decodeTraced(ctx context.Context, gid GraphID, buf []byte, whole bool) (*graph, error) {
 	if !trace.Active(ctx) {
-		return r.decode(gid, buf)
+		return r.decode(gid, buf, whole)
 	}
 	_, span := trace.Start(ctx, "cache.decode")
 	span.SetAttr("gid", int64(gid))
 	span.SetAttr("kind", int64(r.m.Directory[gid].Kind))
 	span.SetAttr("bytes", int64(len(buf)))
 	span.SetAttr("leader", 1)
-	g, err := r.decode(gid, buf)
+	g, err := r.decode(gid, buf, whole)
 	span.End()
 	trace.Add(ctx, trace.CtrDecodes, 1)
 	trace.Add(ctx, trace.CtrDecodedBytes, int64(len(buf)))
@@ -248,20 +249,30 @@ func (r *Representation) decodeTraced(ctx context.Context, gid GraphID, buf []by
 }
 
 // decode parses one graph's encoded bytes into the state a load leaves
-// in the cache — encoded, which for a positive superedge graph has its
-// sources decoded. materialize and decodeList are the two ways on from
-// there.
-func (r *Representation) decode(gid GraphID, buf []byte) (*graph, error) {
-	if r.decodeFault != nil {
-		if err := r.decodeFault(gid); err != nil {
-			return nil, err
-		}
+// in the cache: encoded, which for a positive superedge graph has its
+// sources decoded (materialize and decodeList are the two ways on from
+// there), or, for a read that wants every list, whole.
+func (r *Representation) decode(gid GraphID, buf []byte, whole bool) (*graph, error) {
+	if err := r.fault(gid); err != nil {
+		return nil, err
 	}
 	e := &r.m.Directory[gid]
 	start := r.decodeStart()
 	defer r.observeDecode(start)
+	if whole {
+		return r.decodePayload(e, buf)
+	}
 	niSize, njSize := r.sizes(e)
 	return newGraph(e.Kind, buf, int(e.NumLists), niSize, njSize)
+}
+
+// fault runs the fault-injection hook, if one is set, for a decode of
+// gid.
+func (r *Representation) fault(gid GraphID) error {
+	if r.decodeFault == nil {
+		return nil
+	}
+	return r.decodeFault(gid)
 }
 
 // snSize is the number of pages in supernode s.
@@ -339,7 +350,7 @@ func (r *Representation) observeDecode(start time.Time) {
 func (r *Representation) decodePayload(e *dirEntry, buf []byte) (*graph, error) {
 	niSize, njSize := r.sizes(e)
 	var g graph // a view of buf: it does not outlive the call
-	if err := g.init(e.Kind, buf, int(e.NumLists), niSize, njSize); err != nil {
+	if err := g.init(e.Kind, buf, int(e.NumLists), niSize, njSize, nil); err != nil {
 		return nil, err
 	}
 	return g.materialize()
@@ -353,18 +364,26 @@ func (r *Representation) decodePayload(e *dirEntry, buf []byte) (*graph, error) 
 // Uncached graphs are fetched with span reads — §3.3's disk layout puts
 // a supernode's graphs in one contiguous ascending run, so the spans
 // collapse into few sequential reads. It is the one way a graph gets
-// from disk into the cache.
+// from disk into the cache: a lookup's misses go in encoded, and
+// Verify's (consultAs with whole set) go in decoded whole, each in one
+// decode.
 //
 // A resident graph's source summary, kept in its cache node
 // (cacheNode.rulesOutAll), can show that none of the pages is a source
 // of it: such a graph is a hit like any other, touched and counted at
 // its turn, and is not handed to process. This is the one
 // place the summary is read; a miss is handed to process whatever its
-// sources. locals is ascending, and nil to hand every graph on (Scan).
+// sources. locals is ascending, and nil to hand every graph on.
 //
 // need is used as scratch; the first error from process, a read or a
 // decode ends the walk.
 func (r *Representation) consult(ctx context.Context, i int32, locals []int32, need []needEntry, process func(gid GraphID, j int32, g *graph, hit bool) error) error {
+	return r.consultAs(ctx, i, locals, need, false, process)
+}
+
+// consultAs is consult, with its misses admitted whole when whole is
+// set and encoded otherwise.
+func (r *Representation) consultAs(ctx context.Context, i int32, locals []int32, need []needEntry, whole bool, process func(gid GraphID, j int32, g *graph, hit bool) error) error {
 	// Pass 1: process cached graphs; collect misses (ascending gid ==
 	// disk order, because the intranode graph precedes its superedges).
 	// The misses are compacted into need's own prefix — entry k is read
@@ -431,11 +450,10 @@ func (r *Representation) consult(ctx context.Context, i int32, locals []int32, n
 		// claimed grows over miss[k:end] in place: it is never longer
 		// than the stretch already examined.
 		claimed := miss[k : k+1]
-		const maxGap = 64 << 10
 		end := k + 1
 		for end < len(miss) {
 			e := &r.m.Directory[miss[end].gid]
-			if e.File != first.File || e.Offset-spanEnd > maxGap {
+			if !joins(first, spanEnd, e) {
 				break
 			}
 			g2, _, leader := r.cache.claim(miss[end].gid, false)
@@ -461,7 +479,7 @@ func (r *Representation) consult(ctx context.Context, i int32, locals []int32, n
 		// From this point the call holds claimed in-flight decodes that
 		// coalesced waiters may be blocked on; readDecodeSpan guarantees
 		// every one is completed exactly once on every exit path.
-		if spanErr := r.readDecodeSpan(ctx, claimed, spanEnd, process); err == nil {
+		if spanErr := r.readDecodeSpan(ctx, claimed, spanEnd, whole, process); err == nil {
 			err = spanErr
 		}
 		if err != nil {
@@ -497,16 +515,49 @@ func (m *meta) appendGraphs(need []needEntry, i int32) []needEntry {
 	return need
 }
 
+// joins reports whether the graph of entry e can join a span read that
+// starts at first's graph and so far ends at spanEnd: one in the same
+// file, at most maxSpanGap bytes past the span's end.
+func joins(first *dirEntry, spanEnd int64, e *dirEntry) bool {
+	const maxSpanGap = 64 << 10
+	return e.File == first.File && e.Offset-spanEnd <= maxSpanGap
+}
+
+// readSpan reads the bytes from the first graph of a span read to
+// spanEnd in one ReadAt, into a pooled buffer, and hands them to use,
+// which must not keep them. The read and what use does with it are one
+// "snode.read_span" span on traced requests, parenting the iosim.read
+// (and cache.decode) spans they cause. It is the one span read, of a
+// lookup's misses and of Scan's.
+func (r *Representation) readSpan(ctx context.Context, first GraphID, spanEnd int64, graphs int, use func(ctx context.Context, span []byte) error) error {
+	e := &r.m.Directory[first]
+	if int(e.File) >= len(r.files) {
+		return fmt.Errorf("snode: graph %d in missing file %d", first, e.File)
+	}
+	n := int(spanEnd - e.Offset)
+	spanCtx, sp := trace.Start(ctx, "snode.read_span")
+	sp.SetAttr("graphs", int64(graphs))
+	sp.SetAttr("bytes", int64(n))
+	defer sp.End()
+	bp := getReadBuf(n)
+	defer readBufPool.Put(bp)
+	rb := (*bp)[:n]
+	if _, err := r.files[e.File].ReadAtCtx(spanCtx, rb, e.Offset); err != nil {
+		return fmt.Errorf("snode: span read: %w", err)
+	}
+	return use(spanCtx, rb)
+}
+
 // readDecodeSpan reads the contiguous byte span covering the claimed
-// graphs in one ReadAt, decodes each, and completes every claimed
-// in-flight decode exactly once. The deferred sweep makes the
-// completion guarantee unconditional: whether the read fails, a decode
-// fails, or a decode (or the process callback) panics, no claimed
+// graphs (readSpan), decodes each, whole or encoded, and completes
+// every claimed in-flight decode exactly once. The deferred sweep makes
+// the completion guarantee unconditional: whether the read fails, a
+// decode fails, or a decode (or the process callback) panics, no claimed
 // flight is left open — an abandoned flight would block its coalesced
 // waiters forever. Each graph is handed to process as it is decoded,
 // until a decode or process fails; the first error is returned after all
 // completions.
-func (r *Representation) readDecodeSpan(ctx context.Context, claimed []needEntry, spanEnd int64, process func(gid GraphID, j int32, g *graph, hit bool) error) error {
+func (r *Representation) readDecodeSpan(ctx context.Context, claimed []needEntry, spanEnd int64, whole bool, process func(gid GraphID, j int32, g *graph, hit bool) error) error {
 	first := &r.m.Directory[claimed[0].gid]
 	completed := 0
 	defer func() {
@@ -514,121 +565,260 @@ func (r *Representation) readDecodeSpan(ctx context.Context, claimed []needEntry
 			r.cache.complete(ne.gid, nil, errDecodeAbandoned)
 		}
 	}()
-	if int(first.File) >= len(r.files) {
-		err := fmt.Errorf("snode: graph %d in missing file %d", claimed[0].gid, first.File)
+	err := r.readSpan(ctx, claimed[0].gid, spanEnd, len(claimed), func(spanCtx context.Context, rb []byte) error {
+		// Decode and complete every claimed graph — even after an error,
+		// so no waiter is left blocked on an abandoned flight.
+		var firstErr error
 		for _, ne := range claimed {
-			r.cache.complete(ne.gid, nil, err)
+			e := &r.m.Directory[ne.gid]
+			off := e.Offset - first.Offset
+			g, err := r.decodeTraced(spanCtx, ne.gid, rb[off:off+int64(e.NumBytes)], whole)
+			r.cache.complete(ne.gid, g, err)
+			completed++
+			if err == nil && firstErr == nil {
+				err = process(ne.gid, ne.j, g, false)
+			}
+			if firstErr == nil {
+				firstErr = err
+			}
 		}
-		completed = len(claimed)
-		return err
+		return firstErr
+	})
+	// Claims the read never got to share its error.
+	for _, ne := range claimed[completed:] {
+		r.cache.complete(ne.gid, nil, err)
 	}
-	n := int(spanEnd - first.Offset)
-	// The whole span read + decode run becomes one "snode.read_span"
-	// span on traced requests, parenting the iosim.read and cache.decode
-	// spans it causes.
-	spanCtx, sp := trace.Start(ctx, "snode.read_span")
-	sp.SetAttr("graphs", int64(len(claimed)))
-	sp.SetAttr("bytes", int64(n))
-	defer sp.End()
-	bp := getReadBuf(n)
-	defer readBufPool.Put(bp)
-	rb := (*bp)[:n]
-	if _, err := r.files[first.File].ReadAtCtx(spanCtx, rb, first.Offset); err != nil {
-		readErr := fmt.Errorf("snode: span read: %w", err)
-		for _, ne := range claimed {
-			r.cache.complete(ne.gid, nil, readErr)
-		}
-		completed = len(claimed)
-		return readErr
-	}
-	// Decode and complete every claimed graph — even after an error, so
-	// no waiter is left blocked on an abandoned flight.
-	var firstErr error
-	for _, ne := range claimed {
-		e := &r.m.Directory[ne.gid]
-		off := e.Offset - first.Offset
-		g, err := r.decodeTraced(spanCtx, ne.gid, rb[off:off+int64(e.NumBytes)])
-		r.cache.complete(ne.gid, g, err)
-		completed++
-		if err == nil && firstErr == nil {
-			err = process(ne.gid, ne.j, g, false)
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	completed = len(claimed)
+	return err
 }
 
 // Scan reads the whole graph once and hands fn each page's out-links in
-// external IDs: the "global access" mode, and the one whole-graph read.
-// It reads supernode by supernode in disk order, each graph once through
-// the span reads a lookup makes, and emits graph by graph: each graph's
-// lists are appended to the rows of its supernode's pages, which fn then
-// gets in internal ID order. A row is valid only during its fn call, and
-// fn may call Out. It decodes every graph whole, and leaves what the
-// budget holds resident so.
+// external IDs: the "global access" mode. Supernode by supernode in disk
+// order it takes the graphs the cache holds as they are, and reads the
+// rest with the span reads a lookup makes; each graph's lists are decoded
+// into scratch that one refenc decoder reuses, and their targets gathered
+// in scratch of the supernode's, from which fn gets its pages' rows in
+// internal ID order. A row is valid only during its fn call, and fn may
+// call Out. Scan admits, evicts, materializes and marks used nothing:
+// the cache is left as it was found, with the graphs Scan read counted
+// as loads, and the lookups that follow pay for nothing it read.
 //
-// It checks what only the payloads can say (Open has already compared
-// the directory with the supernode graph): every graph decodes, with as
-// many lists as its directory entry records, positive superedge graphs
-// hold links, negative ones leave some, and the total positive edge count
-// matches the recorded NumEdges. ctx is checked between supernodes, and
-// an error from fn ends the scan.
+// It checks what Verify checks (checkWhole, checkEdges). ctx is checked
+// between supernodes, and an error from fn ends the scan.
 func (r *Representation) Scan(ctx context.Context, fn func(p webgraph.PageID, out []webgraph.PageID) error) error {
-	var edges int64
+	sc := scanner{r: r, dec: refenc.NewDecoder()}
+	defer sc.dec.Release()
 	var need []needEntry
-	var rows [][]webgraph.PageID
-	var neg []int32
 	for s := int32(0); s < int32(r.m.Stats.Supernodes); s++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		n := int(r.snSize(s))
-		rows = slices.Grow(rows[:0], n)[:n] // every row emptied by its emission
+		sc.s, sc.from, sc.to = s, sc.from[:0], sc.to[:0]
 		need = r.m.appendGraphs(need[:0], s)
-		err := r.consult(ctx, s, nil, need, func(gid GraphID, j int32, g *graph, _ bool) error {
-			if !g.whole {
-				full, err := r.materialize(ctx, gid, g)
-				if err != nil {
-					return err
-				}
-				g = full
-			}
-			links := g.edgeCount()
-			if g.kind == kindSuperNeg {
-				links = int64(n)*int64(g.bound) - links
-			}
-			if e := &r.m.Directory[gid]; g.lists.Len() != int(e.NumLists) {
-				return fmt.Errorf("graph %d decoded to %d lists, its directory entry records %d", gid, g.lists.Len(), e.NumLists)
-			} else if links <= 0 && e.Kind != kindIntra {
-				return fmt.Errorf("superedge (%d,%d) holds %d links (no such edge should exist)", s, j, links)
-			}
-			edges += links
-			inv := r.m.Inv[r.m.SnBase[j]:]
-			for k := range g.lists.Len() {
-				src, targets := int32(k), g.lists.At(k)
-				switch g.kind {
-				case kindSuperPos:
-					src = g.srcs[k]
-				case kindSuperNeg:
-					neg = appendComplement(neg[:0], targets, g.bound)
-					targets = neg
-				}
-				for _, t := range targets {
-					rows[src] = append(rows[src], inv[t])
-				}
-			}
-			return nil
-		})
-		for k := 0; err == nil && k < n; k++ {
-			err = fn(r.m.Inv[r.m.SnBase[s]+int32(k)], rows[k])
-			rows[k] = rows[k][:0]
+		err := sc.supernode(ctx, need)
+		if err == nil {
+			err = sc.emit(fn)
 		}
 		if err != nil {
 			return fmt.Errorf("snode: scan supernode %d: %w", s, err)
 		}
 	}
+	return r.checkEdges(sc.edges)
+}
+
+// scanner is Scan's state: the decoder and the scratch its graphs are
+// decoded into, the targets of the supernode being read, and the links
+// counted so far. Every scratch array is reused from supernode to
+// supernode, so a scan allocates as its largest supernode grows them.
+type scanner struct {
+	r     *Representation
+	dec   refenc.Decoder
+	view  graph   // the payload being decoded, encoded, its sources in srcs
+	srcs  []int32 // a positive superedge graph's sources
+	neg   []int32 // a negative superedge graph's list, complemented
+	from  []int32 // the local source of each target in to, as the graphs gave them
+	to    []webgraph.PageID
+	off   []int32           // per page, where its row ends in rows
+	rows  []webgraph.PageID // the supernode's rows, page after page
+	s     int32
+	edges int64
+}
+
+// emit hands fn the rows of supernode sc.s's pages in internal ID order:
+// the targets gathered, sorted by source (a counting sort, which keeps
+// each row in the order its graphs gave it).
+func (sc *scanner) emit(fn func(p webgraph.PageID, out []webgraph.PageID) error) error {
+	m := sc.r.m
+	base, n := m.SnBase[sc.s], int(sc.r.snSize(sc.s))
+	off := slices.Grow(sc.off[:0], n+1)[:n+1]
+	clear(off)
+	for _, src := range sc.from {
+		off[src+1]++
+	}
+	for k := range n {
+		off[k+1] += off[k]
+	}
+	rows := slices.Grow(sc.rows[:0], len(sc.to))[:len(sc.to)]
+	for x, src := range sc.from {
+		rows[off[src]] = sc.to[x]
+		off[src]++
+	}
+	sc.off, sc.rows = off, rows
+	lo := int32(0)
+	for k := range n {
+		hi := off[k]
+		if err := fn(m.Inv[base+int32(k)], rows[lo:hi:hi]); err != nil {
+			return err
+		}
+		lo = hi
+	}
+	return nil
+}
+
+// supernode gathers the targets of every graph of need, the graphs of
+// supernode sc.s: the resident ones first, as the cache holds them, then
+// the rest as their spans are read. It counts the graphs it read as
+// loads, and the lookups and list entries decoded, on the cache's
+// counters; nothing else of the cache changes.
+func (sc *scanner) supernode(ctx context.Context, need []needEntry) error {
+	r := sc.r
+	miss := need[:0]
+	var entries int64
+	for _, ne := range need {
+		g := r.cache.resident(ne.gid)
+		if g == nil {
+			miss = append(miss, ne)
+			continue
+		}
+		lists := g.lists
+		if !g.whole {
+			var err error
+			if lists, err = sc.decodeLists(ne.gid, g); err != nil {
+				return err
+			}
+			entries += int64(len(lists.IDs))
+		}
+		if err := sc.add(ne, g, lists); err != nil {
+			return err
+		}
+	}
+	intra := r.m.IntraGID[sc.s]
+	r.cache.countLookups(intra, int64(len(need)-len(miss)), int64(len(miss)))
+	var loads, superLoads int64
+	for k := 0; k < len(miss); {
+		first := &r.m.Directory[miss[k].gid]
+		spanEnd, end := first.Offset+int64(first.NumBytes), k+1
+		for ; end < len(miss); end++ {
+			e := &r.m.Directory[miss[end].gid]
+			if !joins(first, spanEnd, e) {
+				break
+			}
+			spanEnd = e.Offset + int64(e.NumBytes)
+		}
+		err := r.readSpan(ctx, miss[k].gid, spanEnd, end-k, func(_ context.Context, span []byte) error {
+			for _, ne := range miss[k:end] {
+				e := &r.m.Directory[ne.gid]
+				off := e.Offset - first.Offset
+				if err := r.fault(ne.gid); err != nil {
+					return err
+				}
+				niSize, njSize := r.sizes(e)
+				if err := sc.view.init(e.Kind, span[off:off+int64(e.NumBytes)], int(e.NumLists), niSize, njSize, sc.srcs[:0]); err != nil {
+					return fmt.Errorf("snode: graph %d: %w", ne.gid, err)
+				}
+				if e.Kind == kindSuperPos {
+					sc.srcs = sc.view.srcs
+				}
+				lists, err := sc.decodeLists(ne.gid, &sc.view)
+				if err != nil {
+					return err
+				}
+				loads++
+				if e.Kind != kindIntra {
+					superLoads++
+				}
+				entries += int64(len(lists.IDs))
+				if err := sc.add(ne, &sc.view, lists); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		k = end
+	}
+	r.cache.scanned(intra, loads-superLoads, superLoads, entries)
+	return nil
+}
+
+// decodeLists decodes every list of the encoded graph g into the
+// decoder's scratch, timed like any decode.
+func (sc *scanner) decodeLists(gid GraphID, g *graph) (refenc.Lists, error) {
+	start := sc.r.decodeStart()
+	lists, err := sc.dec.Decode(g.listReader(), int(g.numLists), uint64(g.bound))
+	sc.r.observeDecode(start)
+	if err != nil {
+		return refenc.Lists{}, fmt.Errorf("snode: graph %d: %w", gid, g.listErr(err))
+	}
+	return lists, nil
+}
+
+// add checks the lists of graph ne, of kind and bound as g records them,
+// counts its links and gathers its targets, in external IDs, with their
+// sources.
+func (sc *scanner) add(ne needEntry, g *graph, lists refenc.Lists) error {
+	links, err := sc.r.checkWhole(ne.gid, sc.s, ne.j, g.kind, lists, g.bound)
+	if err != nil {
+		return err
+	}
+	sc.edges += links
+	inv := sc.r.m.Inv[sc.r.m.SnBase[ne.j]:]
+	// The graph gives a target per link: room for them all at once.
+	w := len(sc.to)
+	sc.from = slices.Grow(sc.from, int(links))[:w+int(links)]
+	sc.to = slices.Grow(sc.to, int(links))[:w+int(links)]
+	for k := range lists.Len() {
+		src, targets := int32(k), lists.At(k)
+		switch g.kind {
+		case kindSuperPos:
+			src = g.srcs[k]
+		case kindSuperNeg:
+			sc.neg = appendComplement(sc.neg[:0], targets, g.bound)
+			targets = sc.neg
+		}
+		from, to := sc.from[w:w+len(targets)], sc.to[w:w+len(targets)]
+		for x, t := range targets {
+			from[x], to[x] = src, inv[t]
+		}
+		w += len(targets)
+	}
+	return nil
+}
+
+// checkWhole checks graph gid, of supernode s and target supernode j,
+// decoded whole into lists (complements for a negative superedge graph
+// over bound), against what only its payload can say — Open has already
+// compared the directory with the supernode graph: it has as many lists
+// as its directory entry records, and a superedge graph holds links. It
+// returns the links the graph holds. Scan and Verify both run it.
+func (r *Representation) checkWhole(gid GraphID, s, j int32, kind uint8, lists refenc.Lists, bound int32) (int64, error) {
+	links := int64(len(lists.IDs))
+	if kind == kindSuperNeg {
+		links = int64(lists.Len())*int64(bound) - links
+	}
+	if e := &r.m.Directory[gid]; lists.Len() != int(e.NumLists) {
+		return 0, fmt.Errorf("graph %d decoded to %d lists, its directory entry records %d", gid, lists.Len(), e.NumLists)
+	} else if links <= 0 && e.Kind != kindIntra {
+		return 0, fmt.Errorf("superedge (%d,%d) holds %d links (no such edge should exist)", s, j, links)
+	}
+	return links, nil
+}
+
+// checkEdges checks the links a whole-graph read counted against the
+// recorded NumEdges.
+func (r *Representation) checkEdges(edges int64) error {
 	if edges != r.m.NumEdges {
 		return fmt.Errorf("snode: representation holds %d links, metadata records %d",
 			edges, r.m.NumEdges)
@@ -636,10 +826,34 @@ func (r *Representation) Scan(ctx context.Context, fn func(p webgraph.PageID, ou
 	return nil
 }
 
-// Verify is Scan with a visitor that does nothing: the whole graph's
-// checks, and the cache it leaves behind.
+// Verify decodes every graph and runs Scan's checks (checkWhole,
+// checkEdges), and leaves what the budget holds resident whole: it reads
+// through consult, its misses decoded straight to their whole form and
+// admitted so, and a graph found resident encoded materialized in place.
+// A pre-warm is Verify under a budget that holds the whole graph.
 func (r *Representation) Verify() error {
-	return r.Scan(context.Background(), func(webgraph.PageID, []webgraph.PageID) error { return nil })
+	ctx := context.Background()
+	var edges int64
+	var need []needEntry
+	for s := int32(0); s < int32(r.m.Stats.Supernodes); s++ {
+		need = r.m.appendGraphs(need[:0], s)
+		err := r.consultAs(ctx, s, nil, need, true, func(gid GraphID, j int32, g *graph, _ bool) error {
+			if !g.whole {
+				full, err := r.materialize(ctx, gid, g)
+				if err != nil {
+					return err
+				}
+				g = full
+			}
+			links, err := r.checkWhole(gid, s, j, g.kind, g.lists, g.bound)
+			edges += links
+			return err
+		})
+		if err != nil {
+			return fmt.Errorf("snode: verify supernode %d: %w", s, err)
+		}
+	}
+	return r.checkEdges(edges)
 }
 
 // Supernodes reports the supernode count; Superedges the superedge

@@ -3,9 +3,11 @@ package snode
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"snode/internal/iosim"
+	"snode/internal/raceflag"
 	"snode/internal/webgraph"
 )
 
@@ -84,6 +86,129 @@ func TestScanStops(t *testing.T) {
 	}
 	if cs := r.StatsExt().Cache; cs.Misses != 0 {
 		t.Fatalf("%d misses: the graph was not resident, so a read could have seen the cancellation", cs.Misses)
+	}
+}
+
+// cacheState is what a scan leaves as it found it: the graph each slot
+// holds, and the bytes and entries the cache accounts.
+type cacheState struct {
+	slots         []*graph
+	used, entries int64
+}
+
+func stateOf(r *Representation) cacheState {
+	st := cacheState{used: r.cache.usedBytes(), entries: r.cache.entries()}
+	for gid := range r.cache.slots {
+		st.slots = append(st.slots, r.cache.slots[gid].Load())
+	}
+	return st
+}
+
+// scanRows returns every page's row from a Scan, sorted.
+func scanRows(t *testing.T, r *Representation) [][]webgraph.PageID {
+	t.Helper()
+	rows := make([][]webgraph.PageID, r.NumPages())
+	err := r.Scan(context.Background(), func(p webgraph.PageID, out []webgraph.PageID) error {
+		rows[p] = sortedCopy(out)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Scan: %v", err)
+	}
+	return rows
+}
+
+// The I/O of a cold Scan of the shared store: the span reads a lookup
+// makes, one run of a supernode's graphs per file it spans.
+const (
+	coldScanSeeks = 8
+	coldScanReads = 92
+	coldScanBytes = 58697
+)
+
+// TestScanLeavesTheCacheAsItFound: a Scan reads through the cache without
+// changing it. Over a cold store it leaves every slot empty and makes the
+// span reads recorded above; over a half-warm one — graphs absent,
+// resident encoded and resident whole — every slot holds the graph it
+// held, the cache accounts the bytes and entries it did, and every row
+// is the cold scan's.
+func TestScanLeavesTheCacheAsItFound(t *testing.T) {
+	r := openRep(t, 64<<20)
+	want := scanRows(t, r)
+	if got := stateOf(r); got.used != 0 || got.entries != 0 || slices.IndexFunc(got.slots, func(g *graph) bool { return g != nil }) >= 0 {
+		t.Fatalf("a cold Scan left %d graphs resident, %d bytes", got.entries, got.used)
+	}
+	if io := r.StatsExt().IO; io.Seeks != coldScanSeeks || io.Reads != coldScanReads || io.BytesRead != coldScanBytes {
+		t.Errorf("a cold Scan made %d seeks, %d reads, %d bytes; want %d, %d, %d",
+			io.Seeks, io.Reads, io.BytesRead, coldScanSeeks, coldScanReads, coldScanBytes)
+	}
+
+	// Half warm: a lookup of the first page of every other supernode
+	// loads the supernode's graphs encoded, and the same lookup again, in
+	// every fourth, materializes those that hold a list of the page.
+	var buf []webgraph.PageID
+	for _, step := range []int32{2, 4} {
+		for s := int32(0); s < int32(r.Supernodes()); s += step {
+			var err error
+			if buf, err = r.Out(r.m.Inv[r.m.SnBase[s]], buf[:0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	before := stateOf(r)
+	var absent, encoded, whole int
+	for _, g := range before.slots {
+		switch {
+		case g == nil:
+			absent++
+		case g.whole:
+			whole++
+		default:
+			encoded++
+		}
+	}
+	if absent == 0 || encoded == 0 || whole == 0 {
+		t.Fatalf("the half-warm cache holds %d absent, %d encoded and %d whole graphs: the fixture misses a state", absent, encoded, whole)
+	}
+	got := scanRows(t, r)
+	after := stateOf(r)
+	if after.used != before.used || after.entries != before.entries {
+		t.Errorf("Scan moved the cache from %d bytes in %d graphs to %d in %d", before.used, before.entries, after.used, after.entries)
+	}
+	for gid := range before.slots {
+		if after.slots[gid] != before.slots[gid] {
+			t.Fatalf("Scan changed slot %d", gid)
+		}
+	}
+	for p := range want {
+		if !slices.Equal(got[p], want[p]) {
+			t.Fatalf("page %d: the half-warm Scan read %v, the cold one %v", p, got[p], want[p])
+		}
+	}
+}
+
+// scanAllocsPerSupernode bounds a cold Scan's allocations per supernode:
+// its scratch grows to the largest supernode and is then reused, so the
+// count does not grow with the graphs (26 a supernode in the shared
+// store), as one allocation per graph read would make it.
+const scanAllocsPerSupernode = 1.0
+
+// TestScanAllocatesPerSupernode holds a cold Scan's allocations to
+// scanAllocsPerSupernode per supernode.
+func TestScanAllocatesPerSupernode(t *testing.T) {
+	r := openRep(t, 256<<10)
+	visit := func(webgraph.PageID, []webgraph.PageID) error { return nil }
+	allocs := testing.AllocsPerRun(3, func() {
+		r.ResetCache(256 << 10)
+		if err := r.Scan(context.Background(), visit); err != nil {
+			t.Fatal(err)
+		}
+	})
+	per := allocs / float64(r.Supernodes())
+	t.Logf("%.0f allocations a cold Scan of %d supernodes and %d graphs: %.2f a supernode", allocs, r.Supernodes(), len(r.m.Directory), per)
+	// Not under the race detector, where the pools forget their scratch.
+	if per > scanAllocsPerSupernode && !raceflag.Enabled {
+		t.Errorf("%.2f allocations a supernode, budget %.1f", per, scanAllocsPerSupernode)
 	}
 }
 

@@ -201,6 +201,10 @@ func (s BuildStats) SizeBytes() int64 {
 // (Coalesced: waited on it in flight, or found it completed by claim
 // time). The serving metrics and the concurrency tests assert both.
 type CacheStats struct {
+	// Loads counts graphs read from disk and decoded: admitted, by a
+	// lookup or Verify, or streamed past the cache by Scan, whose reads
+	// count as lookups (a resident graph a hit, the rest misses) and
+	// loads like any other.
 	Loads      int64
 	Hits       int64
 	Misses     int64

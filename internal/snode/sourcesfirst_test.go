@@ -118,9 +118,10 @@ func TestSourcesFirstRowsEqualCSRRandomGraphs(t *testing.T) {
 
 // TestVerifyLeavesMaterializedEntries pins what the serving benchmark's
 // pre-warm relies on: after Verify under a budget that holds the whole
-// graph, every graph is resident decoded whole — each loaded encoded and
-// materialized — so the lookups that follow load and decode nothing.
-// Verify under a budget that holds next to nothing passes too, first.
+// graph, every graph is resident decoded whole — each loaded once,
+// decoded straight to its whole form, and none materialized — so the
+// lookups that follow load and decode nothing. Verify under a budget
+// that holds next to nothing passes too, first.
 func TestVerifyLeavesMaterializedEntries(t *testing.T) {
 	c, _ := buildOnce(t)
 	r := openRep(t, 256<<10)
@@ -143,8 +144,8 @@ func TestVerifyLeavesMaterializedEntries(t *testing.T) {
 			t.Fatalf("graph %d resident with its lists still encoded after Verify", gid)
 		}
 	}
-	if st := r.StatsExt().Cache; st.Materialized != int64(len(r.m.Directory)) || st.ListDecodes != 0 || st.Evictions != 0 {
-		t.Fatalf("Verify: %d materializations and %d list decodes for %d graphs, %d evictions", st.Materialized, st.ListDecodes, len(r.m.Directory), st.Evictions)
+	if st := r.StatsExt().Cache; st.Loads != int64(len(r.m.Directory)) || st.Materialized != 0 || st.ListDecodes != 0 || st.Evictions != 0 {
+		t.Fatalf("Verify: %d loads, %d materializations and %d list decodes for %d graphs, %d evictions", st.Loads, st.Materialized, st.ListDecodes, len(r.m.Directory), st.Evictions)
 	}
 	if got := r.DecodedEdges(); got < r.m.NumEdges/2 {
 		t.Fatalf("DecodedEdges = %d after decoding a graph of %d links", got, r.m.NumEdges)
@@ -450,7 +451,7 @@ func corruptListSection(t *testing.T, src string, r *Representation, gid GraphID
 		t.Fatal(err)
 	}
 	niSize := r.m.SnBase[e.I+1] - r.m.SnBase[e.I]
-	_, pos, err := decodeSuperPosSources(payload, int(e.NumLists), niSize)
+	_, pos, err := decodeSuperPosSources(payload, int(e.NumLists), niSize, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,7 +575,7 @@ func TestSourcesOnlyEntryOwnsItsBytes(t *testing.T) {
 		if _, err := r.files[e.File].ReadAt(buf, e.Offset); err != nil {
 			t.Fatal(err)
 		}
-		g, err := r.decode(GraphID(gid), buf)
+		g, err := r.decode(GraphID(gid), buf, false)
 		if err != nil {
 			t.Fatal(err)
 		}

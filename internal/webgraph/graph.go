@@ -219,11 +219,20 @@ func NewBuilder(n int) *Builder {
 
 // AddEdge records the link p→q. Out-of-range vertices panic: the caller
 // controls ID assignment and a bad ID is a programming error.
-func (b *Builder) AddEdge(p, q PageID) {
-	if p < 0 || int(p) >= b.n || q < 0 || int(q) >= b.n {
-		panic(fmt.Sprintf("webgraph: edge (%d,%d) out of range [0,%d)", p, q, b.n))
+func (b *Builder) AddEdge(p, q PageID) { b.AddEdges(p, q) }
+
+// AddEdges records the links from p to each of qs, as many AddEdge calls
+// would, growing p's list once.
+func (b *Builder) AddEdges(p PageID, qs ...PageID) {
+	for _, q := range qs {
+		if q < 0 || int(q) >= b.n {
+			panic(fmt.Sprintf("webgraph: edge (%d,%d) out of range [0,%d)", p, q, b.n))
+		}
 	}
-	b.adj[p] = append(b.adj[p], q)
+	if p < 0 || int(p) >= b.n {
+		panic(fmt.Sprintf("webgraph: edges from %d out of range [0,%d)", p, b.n))
+	}
+	b.adj[p] = append(b.adj[p], qs...)
 }
 
 // OutDegree reports the current (pre-dedup) out-degree of p.
